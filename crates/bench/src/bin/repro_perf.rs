@@ -1,6 +1,5 @@
-//! Wall-clock performance table (the §2 cost claims) as a text artifact —
-//! the same measurements `cargo bench` makes with criterion, condensed
-//! into one table per city for EXPERIMENTS.md. Each city also gets an
+//! Wall-clock performance table (the §2 cost claims) as a text artifact,
+//! one table per city for EXPERIMENTS.md. Each city also gets an
 //! `arp-obs` search-work snapshot (settled nodes, heap pops, relaxed
 //! edges per technique); see DESIGN.md §7 for the metric names.
 //!
@@ -14,7 +13,7 @@ use std::time::Instant;
 use arp_citygen::{City, Scale};
 use arp_core::prelude::*;
 use arp_core::search::{Direction, SearchSpace};
-use arp_core::{ChSearch, ChTopology, ContractionHierarchy};
+use arp_core::ChTopology;
 
 fn time_per_query(mut f: impl FnMut(), queries: usize, reps: usize) -> f64 {
     // Warm-up round.
@@ -28,13 +27,6 @@ fn time_per_query(mut f: impl FnMut(), queries: usize, reps: usize) -> f64 {
 
 fn row(report: &mut String, name: &str, ms: f64) {
     let _ = writeln!(report, "  {name:<26} {ms:>9.3} ms/query");
-}
-
-fn row_total(report: &mut String, name: &str, ms: f64, shortcuts: usize) {
-    let _ = writeln!(
-        report,
-        "  {name:<26} {ms:>9.1} ms total ({shortcuts} shortcuts)"
-    );
 }
 
 /// Total settled nodes recorded across the four technique lanes.
@@ -110,29 +102,6 @@ fn main() {
                 queries.len(),
                 reps,
             ),
-        );
-        let ch_build_start = Instant::now();
-        let ch = ContractionHierarchy::build(&net, net.weights()).unwrap();
-        let ch_build = ch_build_start.elapsed().as_secs_f64() * 1000.0;
-        let mut chq = ChSearch::new(&ch);
-        row(
-            &mut report,
-            "CH query",
-            time_per_query(
-                || {
-                    for &(s, t, _) in &queries {
-                        let _ = chq.distance(&ch, s, t);
-                    }
-                },
-                queries.len(),
-                reps,
-            ),
-        );
-        row_total(
-            &mut report,
-            "CH preprocessing",
-            ch_build,
-            ch.num_shortcuts(),
         );
         row(
             &mut report,
@@ -309,6 +278,20 @@ fn main() {
             report,
             "  {:<26} {customize_ms:>9.1} ms total (per-epoch cost)",
             "CCH customization"
+        );
+
+        row(
+            &mut report,
+            "CCH query",
+            time_per_query(
+                || {
+                    for &(s, t, _) in &queries {
+                        let _ = topo.distance(&metric, s, t);
+                    }
+                },
+                queries.len(),
+                reps,
+            ),
         );
 
         let budget = SearchBudget::unlimited();

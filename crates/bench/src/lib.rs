@@ -3,7 +3,7 @@
 //!
 //! The reproduction harness: one binary per table/figure of the paper
 //! (`repro_table1` … `repro_fig4`, see DESIGN.md's per-experiment index)
-//! plus criterion microbenchmarks for the algorithms' §2 cost claims.
+//! plus the wall-clock `repro_perf` tables for the algorithms' §2 cost claims.
 //!
 //! This library hosts shared helpers: city caching, deterministic query
 //! generation, and text-report plumbing used by every `repro_*` binary.

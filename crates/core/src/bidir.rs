@@ -7,29 +7,20 @@
 //! is the workhorse for the many point-to-point probes issued by the
 //! local-optimality filter.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::{EdgeId, NodeId};
-use arp_roadnet::weight::{Cost, Weight, WeightView, CLOSED, INFINITY};
+use arp_roadnet::weight::{Cost, Weight};
 
-use crate::budget::{SearchBudget, CHECK_INTERVAL};
+use crate::budget::SearchBudget;
 use crate::error::CoreError;
+use crate::kernel::{self, Column, InEdges, Labels, OutEdges, Poller};
 use crate::metrics::{SearchMetrics, SearchStats};
 use crate::path::Path;
 
 /// Reusable workspace for bidirectional searches.
 pub struct BidirSearch {
-    dist_f: Vec<Cost>,
-    dist_b: Vec<Cost>,
-    parent_f: Vec<EdgeId>,
-    parent_b: Vec<EdgeId>,
-    stamp_f: Vec<u32>,
-    stamp_b: Vec<u32>,
-    generation: u32,
-    heap_f: BinaryHeap<Reverse<(Cost, u32)>>,
-    heap_b: BinaryHeap<Reverse<(Cost, u32)>>,
+    fwd: Labels,
+    bwd: Labels,
     stats: SearchStats,
     metrics: SearchMetrics,
     budget: SearchBudget,
@@ -38,17 +29,9 @@ pub struct BidirSearch {
 impl BidirSearch {
     /// A workspace sized for `net`.
     pub fn new(net: &RoadNetwork) -> BidirSearch {
-        let n = net.num_nodes();
         BidirSearch {
-            dist_f: vec![INFINITY; n],
-            dist_b: vec![INFINITY; n],
-            parent_f: vec![EdgeId::INVALID; n],
-            parent_b: vec![EdgeId::INVALID; n],
-            stamp_f: vec![0; n],
-            stamp_b: vec![0; n],
-            generation: 0,
-            heap_f: BinaryHeap::new(),
-            heap_b: BinaryHeap::new(),
+            fwd: Labels::new(net.num_nodes()),
+            bwd: Labels::new(net.num_nodes()),
             stats: SearchStats::default(),
             metrics: SearchMetrics::default(),
             budget: SearchBudget::unlimited(),
@@ -61,8 +44,8 @@ impl BidirSearch {
         self.metrics = metrics;
     }
 
-    /// Attaches a cooperative [`SearchBudget`], polled every
-    /// [`CHECK_INTERVAL`] combined heap pops; a trip aborts the query
+    /// Attaches a cooperative [`SearchBudget`], polled on entry and once
+    /// per check interval of combined heap pops; a trip aborts the query
     /// with [`CoreError::Interrupted`].
     pub fn set_budget(&mut self, budget: SearchBudget) {
         self.budget = budget;
@@ -76,55 +59,6 @@ impl BidirSearch {
     /// Work counters of the most recently completed query.
     pub fn last_stats(&self) -> SearchStats {
         self.stats
-    }
-
-    #[inline]
-    fn poll_budget(&mut self, pops: u64) -> Result<(), CoreError> {
-        if self.budget.is_limited() {
-            self.stats.budget_checks += 1;
-            if self.budget.charge(pops) {
-                self.metrics.record(&self.stats);
-                return Err(CoreError::Interrupted);
-            }
-        }
-        Ok(())
-    }
-
-    fn begin(&mut self, net: &RoadNetwork) {
-        if self.dist_f.len() != net.num_nodes() {
-            let metrics = std::mem::take(&mut self.metrics);
-            let budget = std::mem::take(&mut self.budget);
-            *self = Self::new(net);
-            self.metrics = metrics;
-            self.budget = budget;
-        }
-        self.stats = SearchStats::default();
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            self.stamp_f.fill(0);
-            self.stamp_b.fill(0);
-            self.generation = 1;
-        }
-        self.heap_f.clear();
-        self.heap_b.clear();
-    }
-
-    #[inline]
-    fn df(&self, v: u32) -> Cost {
-        if self.stamp_f[v as usize] == self.generation {
-            self.dist_f[v as usize]
-        } else {
-            INFINITY
-        }
-    }
-
-    #[inline]
-    fn db(&self, v: u32) -> Cost {
-        if self.stamp_b[v as usize] == self.generation {
-            self.dist_b[v as usize]
-        } else {
-            INFINITY
-        }
     }
 
     /// Shortest-path distance `source -> target`, or an error if
@@ -151,227 +85,60 @@ impl BidirSearch {
         let (_, meet) = self.run(net, weights, source, target)?;
         // Forward half: walk parents back from the meeting vertex.
         let mut edges = Vec::new();
-        let mut cur = meet.0;
+        let mut cur = meet;
         while cur != source.0 {
-            let e = self.parent_f[cur as usize];
+            let e = EdgeId(self.fwd.parent(cur));
             edges.push(e);
             cur = net.tail(e).0;
         }
         edges.reverse();
         // Backward half: walk backward parents forward to the target.
-        let mut cur = meet.0;
+        let mut cur = meet;
         while cur != target.0 {
-            let e = self.parent_b[cur as usize];
+            let e = EdgeId(self.bwd.parent(cur));
             edges.push(e);
             cur = net.head(e).0;
         }
         Ok(Path::from_edges(net, weights, edges))
     }
 
-    /// [`BidirSearch::shortest_distance`] over any [`WeightView`] (e.g. a
-    /// live-traffic epoch snapshot).
-    pub fn shortest_distance_view<V: WeightView + ?Sized>(
-        &mut self,
-        net: &RoadNetwork,
-        view: &V,
-        source: NodeId,
-        target: NodeId,
-    ) -> Result<Cost, CoreError> {
-        self.shortest_distance(net, view.column(), source, target)
-    }
-
-    /// [`BidirSearch::shortest_path`] over any [`WeightView`].
-    pub fn shortest_path_view<V: WeightView + ?Sized>(
-        &mut self,
-        net: &RoadNetwork,
-        view: &V,
-        source: NodeId,
-        target: NodeId,
-    ) -> Result<Path, CoreError> {
-        self.shortest_path(net, view.column(), source, target)
-    }
-
+    /// Distance and meeting vertex. Terminates once the sum of both
+    /// frontiers' next keys cannot beat the best meeting seen.
     fn run(
         &mut self,
         net: &RoadNetwork,
         weights: &[Weight],
         source: NodeId,
         target: NodeId,
-    ) -> Result<(Cost, NodeId), CoreError> {
-        if source.index() >= net.num_nodes() {
-            return Err(CoreError::InvalidNode(source));
-        }
-        if target.index() >= net.num_nodes() {
-            return Err(CoreError::InvalidNode(target));
-        }
-        if source == target {
-            return Err(CoreError::SameSourceTarget(source));
-        }
-        if weights.len() != net.num_edges() {
-            return Err(CoreError::WeightLengthMismatch {
-                expected: net.num_edges(),
-                got: weights.len(),
-            });
-        }
-        self.begin(net);
-        self.poll_budget(0)?;
-
-        self.stamp_f[source.index()] = self.generation;
-        self.dist_f[source.index()] = 0;
-        self.parent_f[source.index()] = EdgeId::INVALID;
-        self.heap_f.push(Reverse((0, source.0)));
-
-        self.stamp_b[target.index()] = self.generation;
-        self.dist_b[target.index()] = 0;
-        self.parent_b[target.index()] = EdgeId::INVALID;
-        self.heap_b.push(Reverse((0, target.0)));
-
-        let mut best: Cost = INFINITY;
-        let mut meet = NodeId::INVALID;
-        let mut pops_since_check: u64 = 0;
-
-        loop {
-            let key_f = self
-                .heap_f
-                .peek()
-                .map(|Reverse((d, _))| *d)
-                .unwrap_or(INFINITY);
-            let key_b = self
-                .heap_b
-                .peek()
-                .map(|Reverse((d, _))| *d)
-                .unwrap_or(INFINITY);
-            if key_f == INFINITY && key_b == INFINITY {
-                break;
-            }
-            // Standard termination: the best possible remaining meeting
-            // cost is key_f + key_b.
-            if key_f.saturating_add(key_b) >= best {
-                break;
-            }
-
-            if key_f <= key_b {
-                // Expand forward.
-                let Some(Reverse((d, v))) = self.heap_f.pop() else {
-                    break;
-                };
-                self.stats.heap_pops += 1;
-                pops_since_check += 1;
-                if pops_since_check == CHECK_INTERVAL {
-                    pops_since_check = 0;
-                    self.poll_budget(CHECK_INTERVAL)?;
-                }
-                if d > self.df(v) {
-                    continue;
-                }
-                self.stats.settled += 1;
-                for e in net.out_edges(NodeId(v)) {
-                    self.stats.relaxed += 1;
-                    let w = weights[e.index()];
-                    if w == CLOSED {
-                        continue; // incident closure
-                    }
-                    let head = net.head(e).0;
-                    let nd = d + w as Cost;
-                    if nd < self.df(head) {
-                        self.stamp_f[head as usize] = self.generation;
-                        self.dist_f[head as usize] = nd;
-                        self.parent_f[head as usize] = e;
-                        self.heap_f.push(Reverse((nd, head)));
-                        let total = nd.saturating_add(self.db(head));
-                        if total < best {
-                            best = total;
-                            meet = NodeId(head);
-                        }
-                    }
-                }
-            } else {
-                // Expand backward.
-                let Some(Reverse((d, v))) = self.heap_b.pop() else {
-                    break;
-                };
-                self.stats.heap_pops += 1;
-                pops_since_check += 1;
-                if pops_since_check == CHECK_INTERVAL {
-                    pops_since_check = 0;
-                    self.poll_budget(CHECK_INTERVAL)?;
-                }
-                if d > self.db(v) {
-                    continue;
-                }
-                self.stats.settled += 1;
-                for e in net.in_edges(NodeId(v)) {
-                    self.stats.relaxed += 1;
-                    let w = weights[e.index()];
-                    if w == CLOSED {
-                        continue; // incident closure
-                    }
-                    let tail = net.tail(e).0;
-                    let nd = d + w as Cost;
-                    if nd < self.db(tail) {
-                        self.stamp_b[tail as usize] = self.generation;
-                        self.dist_b[tail as usize] = nd;
-                        self.parent_b[tail as usize] = e;
-                        self.heap_b.push(Reverse((nd, tail)));
-                        let total = nd.saturating_add(self.df(tail));
-                        if total < best {
-                            best = total;
-                            meet = NodeId(tail);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Account the partial interval so the budget's expansion counter
-        // stays cumulative across queries.
-        self.budget.charge(pops_since_check);
+    ) -> Result<(Cost, u32), CoreError> {
+        kernel::check_endpoints(net.num_nodes(), source, target)?;
+        let column = Column::new(net, weights)?;
+        let mut poller = Poller::new(&self.budget);
+        let outcome = kernel::search_bidirectional(
+            &mut self.fwd,
+            &mut self.bwd,
+            &OutEdges(column),
+            &InEdges(column),
+            source.0,
+            target.0,
+            Cost::saturating_add,
+            &mut poller,
+        );
+        self.stats = poller.finish();
         self.metrics.record(&self.stats);
-        if best == INFINITY {
-            Err(CoreError::Unreachable { source, target })
-        } else {
-            Ok((best, meet))
-        }
+        outcome?.ok_or(CoreError::Unreachable { source, target })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::grid;
     use crate::search::SearchSpace;
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
-    use arp_roadnet::category::RoadCategory;
-    use arp_roadnet::geo::Point;
 
-    fn grid(n: usize) -> RoadNetwork {
-        let mut b = GraphBuilder::new();
-        let mut ids = Vec::new();
-        for y in 0..n {
-            for x in 0..n {
-                ids.push(b.add_node(Point::new(144.0 + x as f64 * 0.01, -37.0 - y as f64 * 0.01)));
-            }
-        }
-        for y in 0..n {
-            for x in 0..n {
-                let i = y * n + x;
-                if x + 1 < n {
-                    b.add_bidirectional(
-                        ids[i],
-                        ids[i + 1],
-                        EdgeSpec::category(RoadCategory::Primary),
-                    );
-                }
-                if y + 1 < n {
-                    b.add_bidirectional(
-                        ids[i],
-                        ids[i + n],
-                        EdgeSpec::category(RoadCategory::Primary),
-                    );
-                }
-            }
-        }
-        b.build()
-    }
+    use arp_roadnet::geo::Point;
+    use arp_roadnet::weight::CLOSED;
 
     #[test]
     fn matches_unidirectional_on_grid() {
@@ -462,7 +229,7 @@ mod tests {
             overlay[e.index()] = CLOSED;
         }
         let alt = bi
-            .shortest_path_view(&net, &overlay, NodeId(0), NodeId(15))
+            .shortest_path(&net, &overlay, NodeId(0), NodeId(15))
             .unwrap();
         for &e in &alt.edges {
             assert_ne!(overlay[e.index()], CLOSED);
@@ -470,7 +237,7 @@ mod tests {
         // Close everything: unreachable, not a panic.
         let all_closed = vec![CLOSED; net.num_edges()];
         assert!(matches!(
-            bi.shortest_distance_view(&net, &all_closed, NodeId(0), NodeId(15)),
+            bi.shortest_distance(&net, &all_closed, NodeId(0), NodeId(15)),
             Err(CoreError::Unreachable { .. })
         ));
     }
@@ -504,27 +271,6 @@ mod tests {
         assert!(bi
             .shortest_distance(&net, net.weights(), NodeId(0), NodeId(63))
             .is_ok());
-    }
-
-    #[test]
-    fn expansion_cap_accumulates_across_queries() {
-        let net = grid(16);
-        let mut bi = BidirSearch::new(&net);
-        bi.set_budget(SearchBudget::new().with_expansion_cap(CHECK_INTERVAL));
-        // Small queries never hit the in-loop interval check, but their
-        // residual pops accumulate; eventually the entry poll trips.
-        let mut tripped = false;
-        for _ in 0..10_000 {
-            match bi.shortest_distance(&net, net.weights(), NodeId(0), NodeId(255)) {
-                Ok(_) => {}
-                Err(CoreError::Interrupted) => {
-                    tripped = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        assert!(tripped, "cumulative expansion cap never tripped");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Customizable contraction hierarchies (CCH) — the epoch-customizable
 //! index tier behind the serving substrate.
 //!
-//! [`ch`](crate::ch) builds a classic weight-dependent CH: witness
-//! searches prune shortcuts against the *base* weights, so a live-traffic
-//! tick invalidates the whole index (a witness path can be slowed or
-//! closed arbitrarily, and the pruned shortcut has no replacement). This
-//! module splits the index the CRP/CCH way instead:
+//! A classic weight-dependent CH prunes shortcuts with witness searches
+//! against the *base* weights, so a live-traffic tick invalidates the
+//! whole index (a witness path can be slowed or closed arbitrarily, and
+//! the pruned shortcut has no replacement). This module splits the index
+//! the CRP/CCH way instead:
 //!
 //! * [`ChTopology`] — the **metric-independent** half, built once per
 //!   city at startup: a contraction order over the graph *structure*
@@ -20,8 +20,7 @@
 //!   edges (a `CLOSED` edge simply contributes nothing) followed by one
 //!   pass over the triangles in middle-rank order. No heap, no witness
 //!   searches — re-customizing after a traffic tick costs milliseconds
-//!   where a [`ContractionHierarchy`](crate::ContractionHierarchy)
-//!   rebuild costs seconds.
+//!   where rebuilding a weighted hierarchy costs seconds.
 //!
 //! Because every fill-in arc is kept, basic customization is exact for
 //! **any** non-negative metric: overlay factors ≥ 1.0, category slowdowns,
@@ -29,7 +28,8 @@
 //! the triangle relaxations) all yield exact shortest-path distances,
 //! verified against Dijkstra in the tests.
 //!
-//! Queries come in two shapes:
+//! Queries come in two shapes, both run by the shared search kernel over
+//! the upward arcs:
 //!
 //! * [`ChTopology::shortest_path`] / [`ChTopology::distance`] — the
 //!   classic bidirectional upward search with recursive triangle
@@ -49,8 +49,8 @@ use arp_roadnet::ids::{EdgeId, NodeId};
 use arp_roadnet::weight::{Cost, Weight, WeightView, CLOSED, INFINITY};
 
 use crate::budget::{SearchBudget, CHECK_INTERVAL};
-use crate::ch::ChConfig;
 use crate::error::CoreError;
+use crate::kernel::{self, ArcView, Exhaust, Labels, Poller};
 use crate::metrics::SearchStats;
 use crate::path::Path;
 use crate::search::Direction;
@@ -58,6 +58,9 @@ use crate::search::Direction;
 /// Sentinel for "no arc" / "no triangle": the arc weight comes straight
 /// from an original edge.
 const NONE: u32 = u32::MAX;
+
+/// Weight of the "deleted neighbours" term in the contraction priority.
+const DELETED_NEIGHBOURS_WEIGHT: f64 = 1.0;
 
 /// The metric-independent half of a customizable CH: contraction order,
 /// fill-in arc set, upward-arc CSR and the lower-triangle list.
@@ -124,17 +127,35 @@ impl ChMetric {
     }
 }
 
-impl ChTopology {
-    /// Builds the topology with default parameters.
-    pub fn build(net: &RoadNetwork) -> ChTopology {
-        Self::build_with(net, &ChConfig::default())
-    }
+/// The hierarchy's upward arcs (lower endpoint → higher) under one cost
+/// column: `metric.up` climbs along travel direction, `metric.down`
+/// climbs against it. Parents are arc ids.
+struct UpArcs<'a>(&'a ChTopology, &'a [Cost]);
 
-    /// Builds the topology with explicit parameters. Only the ordering
-    /// terms of [`ChConfig`] matter here: witness searches never prune a
-    /// shortcut (that would bake the build-time metric into the
-    /// topology), so `witness_settle_limit` is unused.
-    pub fn build_with(net: &RoadNetwork, config: &ChConfig) -> ChTopology {
+impl ArcView for UpArcs<'_> {
+    fn num_nodes(&self) -> usize {
+        self.0.num_nodes
+    }
+    #[inline]
+    fn arcs(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
+        let topo = self.0;
+        let (first, last) = (topo.up_first[v as usize], topo.up_first[v as usize + 1]);
+        topo.up_arcs[first as usize..last as usize].iter().copied()
+    }
+    #[inline]
+    fn to(&self, a: u32) -> u32 {
+        self.0.arc_hi[a as usize]
+    }
+    #[inline]
+    fn cost(&self, a: u32) -> Cost {
+        self.1[a as usize]
+    }
+}
+
+impl ChTopology {
+    /// Builds the topology. No witness search ever prunes a shortcut —
+    /// that would bake the build-time metric into the topology.
+    pub fn build(net: &RoadNetwork) -> ChTopology {
         let n = net.num_nodes();
         // Undirected elimination graph (self-loops never matter).
         let mut adj: Vec<HashSet<u32>> = vec![HashSet::new(); n];
@@ -154,10 +175,9 @@ impl ChTopology {
         let mut contract_nbrs: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut order: Vec<u32> = Vec::with_capacity(n);
 
-        // Same shape as ch.rs: edge difference (fill-in minus degree)
-        // plus the deleted-neighbours term, lazily re-evaluated. The
-        // fill-in count plays the witness search's old role — it only
-        // steers the order, never the shortcut set.
+        // Edge difference (fill-in minus degree) plus the
+        // deleted-neighbours term, lazily re-evaluated. The fill-in
+        // count only steers the order, never the shortcut set.
         let priority =
             |adj: &[HashSet<u32>], contracted: &[bool], deleted: &[u32], v: u32| -> i64 {
                 let nbrs: Vec<u32> = adj[v as usize]
@@ -175,7 +195,7 @@ impl ChTopology {
                     }
                 }
                 (fill - degree) * 4
-                    + (deleted[v as usize] as f64 * config.deleted_neighbours_weight) as i64
+                    + (deleted[v as usize] as f64 * DELETED_NEIGHBOURS_WEIGHT) as i64
             };
 
         let mut heap: BinaryHeap<Reverse<(i64, u32)>> = BinaryHeap::new();
@@ -429,50 +449,16 @@ impl ChTopology {
         if root.index() >= self.num_nodes {
             return Err(CoreError::InvalidNode(root));
         }
-        if budget.interrupted() {
-            return Err(CoreError::Interrupted);
-        }
-        let mut dist = vec![INFINITY; self.num_nodes];
-        dist[root.index()] = 0;
-        let mut heap: BinaryHeap<Reverse<(Cost, u32)>> = BinaryHeap::new();
-        heap.push(Reverse((0, root.0)));
-        let mut pops_since_check: u64 = 0;
-        while let Some(Reverse((d, v))) = heap.pop() {
-            stats.heap_pops += 1;
-            pops_since_check += 1;
-            if pops_since_check == CHECK_INTERVAL {
-                pops_since_check = 0;
-                stats.budget_checks += 1;
-                if budget.charge(CHECK_INTERVAL) {
-                    return Err(CoreError::Interrupted);
-                }
-            }
-            if d > dist[v as usize] {
-                continue;
-            }
-            stats.settled += 1;
-            let (first, last) = (
-                self.up_first[v as usize] as usize,
-                self.up_first[v as usize + 1] as usize,
-            );
-            for &ai in &self.up_arcs[first..last] {
-                stats.relaxed += 1;
-                let w = match direction {
-                    Direction::Forward => metric.up[ai as usize],
-                    Direction::Backward => metric.down[ai as usize],
-                };
-                if w == INFINITY {
-                    continue;
-                }
-                let hi = self.arc_hi[ai as usize];
-                let nd = d + w;
-                if nd < dist[hi as usize] {
-                    dist[hi as usize] = nd;
-                    heap.push(Reverse((nd, hi)));
-                }
-            }
-        }
-        budget.charge(pops_since_check);
+        let (climb, descend) = match direction {
+            Direction::Forward => (UpArcs(self, &metric.up), &metric.down),
+            Direction::Backward => (UpArcs(self, &metric.down), &metric.up),
+        };
+        let mut labels = Labels::new(self.num_nodes);
+        let mut poller = Poller::new(budget);
+        let outcome = kernel::search(&mut labels, &climb, root.0, Exhaust, &mut poller);
+        stats.accumulate(&poller.finish());
+        outcome?;
+        let mut dist = labels.dense_dist();
 
         // Downward sweep: arcs are pre-sorted by rank[hi] descending, so
         // dist[hi] is final when the arc is relaxed.
@@ -485,10 +471,7 @@ impl ChTopology {
             if dh == INFINITY {
                 continue;
             }
-            let w = match direction {
-                Direction::Forward => metric.down[ai],
-                Direction::Backward => metric.up[ai],
-            };
+            let w = descend[ai];
             if w == INFINITY {
                 continue;
             }
@@ -501,10 +484,10 @@ impl ChTopology {
     }
 
     /// Exact shortest-path distance under `metric`, or `None` when
-    /// unreachable (or `source == target`, mirroring
-    /// [`crate::ContractionHierarchy::distance`]).
+    /// unreachable, out of range, or `source == target`.
     pub fn distance(&self, metric: &ChMetric, source: NodeId, target: NodeId) -> Option<Cost> {
-        self.query(metric, source, target, &SearchBudget::unlimited())
+        let budget = SearchBudget::unlimited();
+        self.query(metric, source, target, &mut Poller::new(&budget))
             .ok()
             .flatten()
             .map(|(d, _, _, _)| d)
@@ -522,11 +505,9 @@ impl ChTopology {
         source: NodeId,
         target: NodeId,
     ) -> Result<Path, CoreError> {
-        if source == target {
-            return Err(CoreError::SameSourceTarget(source));
-        }
-        let Some((_, meet, pf, pb)) =
-            self.query(metric, source, target, &SearchBudget::unlimited())?
+        let budget = SearchBudget::unlimited();
+        let Some((_, meet, fwd, bwd)) =
+            self.query(metric, source, target, &mut Poller::new(&budget))?
         else {
             return Err(CoreError::Unreachable { source, target });
         };
@@ -536,8 +517,7 @@ impl ChTopology {
         let mut chain = Vec::new();
         let mut v = meet;
         while v != source.0 {
-            let ai = pf[v as usize];
-            debug_assert_ne!(ai, NONE);
+            let ai = fwd.parent(v);
             chain.push(ai);
             v = self.arc_lo[ai as usize];
         }
@@ -547,108 +527,38 @@ impl ChTopology {
         // Backward half: each parent arc is travelled hi → lo.
         let mut v = meet;
         while v != target.0 {
-            let ai = pb[v as usize];
-            debug_assert_ne!(ai, NONE);
+            let ai = bwd.parent(v);
             self.unpack_down(metric, ai, &mut edges);
             v = self.arc_lo[ai as usize];
         }
         Ok(Path::from_edges(net, weights, edges))
     }
 
-    /// Bidirectional upward search. `Ok(None)` when unreachable or
-    /// `source == target`; otherwise `(distance, meeting node, forward
-    /// parent arcs, backward parent arcs)`.
+    /// Bidirectional upward search, terminating once the smaller of the
+    /// two frontiers' next keys cannot beat the best meeting seen.
+    /// `Ok(None)` when unreachable; otherwise `(distance, meeting node,
+    /// forward labels, backward labels)` whose parents are arc ids.
     #[allow(clippy::type_complexity)]
-    fn query(
+    pub(crate) fn query(
         &self,
         metric: &ChMetric,
         source: NodeId,
         target: NodeId,
-        budget: &SearchBudget,
-    ) -> Result<Option<(Cost, u32, Vec<u32>, Vec<u32>)>, CoreError> {
-        if source.index() >= self.num_nodes {
-            return Err(CoreError::InvalidNode(source));
-        }
-        if target.index() >= self.num_nodes {
-            return Err(CoreError::InvalidNode(target));
-        }
-        if source == target {
-            return Ok(None);
-        }
-        if budget.interrupted() {
-            return Err(CoreError::Interrupted);
-        }
-        let n = self.num_nodes;
-        let mut df = vec![INFINITY; n];
-        let mut db = vec![INFINITY; n];
-        let mut pf = vec![NONE; n];
-        let mut pb = vec![NONE; n];
-        df[source.index()] = 0;
-        db[target.index()] = 0;
-        let mut heap_f: BinaryHeap<Reverse<(Cost, u32)>> = BinaryHeap::new();
-        let mut heap_b: BinaryHeap<Reverse<(Cost, u32)>> = BinaryHeap::new();
-        heap_f.push(Reverse((0, source.0)));
-        heap_b.push(Reverse((0, target.0)));
-        let mut best = INFINITY;
-        let mut meet = u32::MAX;
-        let mut pops_since_check: u64 = 0;
-        loop {
-            let kf = heap_f.peek().map(|Reverse((d, _))| *d).unwrap_or(INFINITY);
-            let kb = heap_b.peek().map(|Reverse((d, _))| *d).unwrap_or(INFINITY);
-            if kf.min(kb) >= best {
-                break;
-            }
-            pops_since_check += 1;
-            if pops_since_check == CHECK_INTERVAL {
-                pops_since_check = 0;
-                if budget.charge(CHECK_INTERVAL) {
-                    return Err(CoreError::Interrupted);
-                }
-            }
-            let fwd_turn = kf <= kb && kf != INFINITY;
-            let (heap, dist, other, parent, use_up) = if fwd_turn {
-                (&mut heap_f, &mut df, &db, &mut pf, true)
-            } else {
-                (&mut heap_b, &mut db, &df, &mut pb, false)
-            };
-            let Some(Reverse((d, v))) = heap.pop() else {
-                break;
-            };
-            if d > dist[v as usize] {
-                continue;
-            }
-            let od = other[v as usize];
-            if od != INFINITY && d + od < best {
-                best = d + od;
-                meet = v;
-            }
-            let (first, last) = (
-                self.up_first[v as usize] as usize,
-                self.up_first[v as usize + 1] as usize,
-            );
-            for &ai in &self.up_arcs[first..last] {
-                let w = if use_up {
-                    metric.up[ai as usize]
-                } else {
-                    metric.down[ai as usize]
-                };
-                if w == INFINITY {
-                    continue;
-                }
-                let hi = self.arc_hi[ai as usize];
-                let nd = d + w;
-                if nd < dist[hi as usize] {
-                    dist[hi as usize] = nd;
-                    parent[hi as usize] = ai;
-                    heap.push(Reverse((nd, hi)));
-                }
-            }
-        }
-        budget.charge(pops_since_check);
-        if best == INFINITY {
-            return Ok(None);
-        }
-        Ok(Some((best, meet, pf, pb)))
+        poller: &mut Poller<'_>,
+    ) -> Result<Option<(Cost, u32, Labels, Labels)>, CoreError> {
+        kernel::check_endpoints(self.num_nodes, source, target)?;
+        let (mut fwd, mut bwd) = (Labels::new(self.num_nodes), Labels::new(self.num_nodes));
+        let met = kernel::search_bidirectional(
+            &mut fwd,
+            &mut bwd,
+            &UpArcs(self, &metric.up),
+            &UpArcs(self, &metric.down),
+            source.0,
+            target.0,
+            Ord::min,
+            poller,
+        )?;
+        Ok(met.map(|(d, meet)| (d, meet, fwd, bwd)))
     }
 
     /// Unpacks the lo→hi traversal of an arc into original edges.

@@ -1,0 +1,590 @@
+//! The one label-setting shortest-path kernel.
+//!
+//! Every exact node-labelled search in this crate — one-to-one Dijkstra,
+//! forward/backward trees, A\*, bidirectional Dijkstra, the CCH query and
+//! the upward phase of PHAST — is [`settle_next`] driven by [`search`] or
+//! [`search_bidirectional`], monomorphised over
+//!
+//! * an [`ArcView`]: which arcs leave a vertex and what they cost
+//!   ([`OutEdges`] / [`InEdges`] over a CSR weight [`Column`] here, the
+//!   hierarchy's upward arcs over `metric.up` / `metric.down` in
+//!   [`crate::cch`]), and
+//! * a [`Rule`]: when to stop and what to observe ([`Exhaust`],
+//!   [`ReachTarget`], [`AStar`], and the meeting rule of the
+//!   bidirectional driver, whose termination bound is `kf + kb` for plain
+//!   graphs and `min(kf, kb)` for hierarchies).
+//!
+//! What every search needs lives here exactly once: the
+//! generation-stamped [`Labels`] (including the wrap-around reset), the
+//! stale-entry check, the non-traversable-arc skip, and the [`Poller`]
+//! (entry poll, one poll per [`CHECK_INTERVAL`] pops, partial-interval
+//! charge on exit, counters that survive an interrupt).
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use arp_roadnet::csr::RoadNetwork;
+use arp_roadnet::ids::{EdgeId, NodeId};
+use arp_roadnet::weight::{Cost, Weight, CLOSED, INFINITY};
+
+use crate::budget::{SearchBudget, CHECK_INTERVAL};
+use crate::error::CoreError;
+use crate::metrics::SearchStats;
+
+/// The arcs a search may leave a vertex by, and their costs.
+pub(crate) trait ArcView {
+    /// Number of vertices (sizes the label store).
+    fn num_nodes(&self) -> usize;
+    /// Ids of the arcs leaving `v` in this view's direction.
+    fn arcs(&self, v: u32) -> impl Iterator<Item = u32> + '_;
+    /// The vertex arc `a` leads to.
+    fn to(&self, a: u32) -> u32;
+    /// Cost of traversing `a`; [`INFINITY`] marks an arc that cannot be
+    /// traversed (a `CLOSED` edge, an arc no open edge customizes).
+    fn cost(&self, a: u32) -> Cost;
+}
+
+/// A road network paired with a weight column of matching length —
+/// what the two CSR views below read.
+#[derive(Clone, Copy)]
+pub(crate) struct Column<'a> {
+    net: &'a RoadNetwork,
+    weights: &'a [Weight],
+}
+
+impl<'a> Column<'a> {
+    /// Fails unless `weights` has one entry per edge of `net`.
+    pub(crate) fn new(net: &'a RoadNetwork, weights: &'a [Weight]) -> Result<Self, CoreError> {
+        if weights.len() != net.num_edges() {
+            return Err(CoreError::WeightLengthMismatch {
+                expected: net.num_edges(),
+                got: weights.len(),
+            });
+        }
+        Ok(Column { net, weights })
+    }
+
+    #[inline]
+    fn cost(&self, e: u32) -> Cost {
+        match self.weights[e as usize] {
+            CLOSED => INFINITY,
+            w => w as Cost,
+        }
+    }
+}
+
+/// Out-edges under a weight column: a forward search, labels are
+/// `d(root → v)`, parents are [`EdgeId`]s.
+pub(crate) struct OutEdges<'a>(pub(crate) Column<'a>);
+
+impl ArcView for OutEdges<'_> {
+    fn num_nodes(&self) -> usize {
+        self.0.net.num_nodes()
+    }
+    #[inline]
+    fn arcs(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
+        self.0.net.out_edges(NodeId(v)).map(|e| e.0)
+    }
+    #[inline]
+    fn to(&self, a: u32) -> u32 {
+        self.0.net.head(EdgeId(a)).0
+    }
+    #[inline]
+    fn cost(&self, a: u32) -> Cost {
+        self.0.cost(a)
+    }
+}
+
+/// In-edges under a weight column: a backward search, labels are
+/// `d(v → root)`, parents are [`EdgeId`]s.
+pub(crate) struct InEdges<'a>(pub(crate) Column<'a>);
+
+impl ArcView for InEdges<'_> {
+    fn num_nodes(&self) -> usize {
+        self.0.net.num_nodes()
+    }
+    #[inline]
+    fn arcs(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
+        self.0.net.in_edges(NodeId(v)).map(|e| e.0)
+    }
+    #[inline]
+    fn to(&self, a: u32) -> u32 {
+        self.0.net.tail(EdgeId(a)).0
+    }
+    #[inline]
+    fn cost(&self, a: u32) -> Cost {
+        self.0.cost(a)
+    }
+}
+
+/// Rejects out-of-range endpoints and `source == target`.
+pub(crate) fn check_endpoints(
+    num_nodes: usize,
+    source: NodeId,
+    target: NodeId,
+) -> Result<(), CoreError> {
+    if source.index() >= num_nodes {
+        return Err(CoreError::InvalidNode(source));
+    }
+    if target.index() >= num_nodes {
+        return Err(CoreError::InvalidNode(target));
+    }
+    if source == target {
+        return Err(CoreError::SameSourceTarget(source));
+    }
+    Ok(())
+}
+
+/// When a search stops and what it reports on the way.
+pub(crate) trait Rule {
+    /// Lower bound on the cost still to go from `v`; heap keys are
+    /// `label + potential`. Must be a pure function of `v`.
+    #[inline]
+    fn potential(&self, _v: u32) -> Cost {
+        0
+    }
+    /// `v` was settled; `true` ends the search before `v` is expanded.
+    #[inline]
+    fn settled(&self, _v: u32) -> bool {
+        false
+    }
+    /// The label of `v` just improved to `d`.
+    #[inline]
+    fn improved(&mut self, _v: u32, _d: Cost) {}
+}
+
+/// Run until the heap is empty: a complete tree.
+pub(crate) struct Exhaust;
+
+impl Rule for Exhaust {}
+
+/// Stop when the target is settled.
+pub(crate) struct ReachTarget(pub(crate) u32);
+
+impl Rule for ReachTarget {
+    #[inline]
+    fn settled(&self, v: u32) -> bool {
+        v == self.0
+    }
+}
+
+/// [`ReachTarget`] guided by an admissible potential `h`.
+pub(crate) struct AStar<H: Fn(u32) -> Cost> {
+    pub(crate) target: u32,
+    pub(crate) h: H,
+}
+
+impl<H: Fn(u32) -> Cost> Rule for AStar<H> {
+    #[inline]
+    fn potential(&self, v: u32) -> Cost {
+        (self.h)(v)
+    }
+    #[inline]
+    fn settled(&self, v: u32) -> bool {
+        v == self.target
+    }
+}
+
+/// Generation-stamped label store plus its priority queue.
+///
+/// Starting a query bumps the generation instead of clearing, so a query
+/// touches only the vertices it labels; an entry is live only while its
+/// stamp equals the current generation.
+pub(crate) struct Labels {
+    dist: Vec<Cost>,
+    parent: Vec<u32>,
+    stamp: Vec<u32>,
+    generation: u32,
+    heap: BinaryHeap<Reverse<(Cost, u32)>>,
+}
+
+impl Labels {
+    /// An empty store for `n` vertices.
+    pub(crate) fn new(n: usize) -> Labels {
+        Labels {
+            dist: vec![0; n],
+            parent: vec![0; n],
+            stamp: vec![0; n],
+            generation: 0,
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    fn begin(&mut self, n: usize) {
+        if self.stamp.len() != n {
+            *self = Labels::new(n);
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Stamp wrap-around: reset everything once every 2^32 queries.
+            self.stamp.fill(0);
+            self.generation = 1;
+        }
+        self.heap.clear();
+    }
+
+    /// Label of `v` in the current query ([`INFINITY`] = unlabelled).
+    #[inline]
+    pub(crate) fn dist(&self, v: u32) -> Cost {
+        if self.stamp[v as usize] == self.generation {
+            self.dist[v as usize]
+        } else {
+            INFINITY
+        }
+    }
+
+    /// The arc that last improved `v`'s label. Only meaningful for a
+    /// labelled vertex other than the root.
+    #[inline]
+    pub(crate) fn parent(&self, v: u32) -> u32 {
+        self.parent[v as usize]
+    }
+
+    #[inline]
+    fn set(&mut self, v: u32, d: Cost, parent: u32) {
+        self.stamp[v as usize] = self.generation;
+        self.dist[v as usize] = d;
+        self.parent[v as usize] = parent;
+    }
+
+    fn seed(&mut self, root: u32, key: Cost) {
+        self.set(root, 0, u32::MAX);
+        self.heap.push(Reverse((key, root)));
+    }
+
+    fn next_key(&self) -> Cost {
+        self.heap.peek().map_or(INFINITY, |Reverse((key, _))| *key)
+    }
+
+    /// The current query's labels as a dense array.
+    pub(crate) fn dense_dist(&self) -> Vec<Cost> {
+        let mut dense = vec![INFINITY; self.dist.len()];
+        for ((out, &d), &stamp) in dense.iter_mut().zip(&self.dist).zip(&self.stamp) {
+            if stamp == self.generation {
+                *out = d;
+            }
+        }
+        dense
+    }
+}
+
+/// Budget polling and work counting for one query.
+pub(crate) struct Poller<'a> {
+    budget: &'a SearchBudget,
+    stats: SearchStats,
+    pops_since_poll: u64,
+}
+
+impl<'a> Poller<'a> {
+    pub(crate) fn new(budget: &'a SearchBudget) -> Poller<'a> {
+        Poller {
+            budget,
+            stats: SearchStats::default(),
+            pops_since_poll: 0,
+        }
+    }
+
+    /// Polls the budget, charging `pops` heap pops. Free when unlimited.
+    #[inline]
+    fn poll(&mut self, pops: u64) -> Result<(), CoreError> {
+        if self.budget.is_limited() {
+            self.stats.budget_checks += 1;
+            if self.budget.charge(pops) {
+                return Err(CoreError::Interrupted);
+            }
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn popped(&mut self) -> Result<(), CoreError> {
+        self.stats.heap_pops += 1;
+        self.pops_since_poll += 1;
+        if self.pops_since_poll == CHECK_INTERVAL {
+            self.pops_since_poll = 0;
+            self.poll(CHECK_INTERVAL)?;
+        }
+        Ok(())
+    }
+
+    /// Charges the partial interval, keeping the budget's expansion count
+    /// cumulative across queries, and hands back the query's counters —
+    /// also after an interrupt, so callers can still flush them.
+    pub(crate) fn finish(self) -> SearchStats {
+        self.budget.charge(self.pops_since_poll);
+        self.stats
+    }
+}
+
+/// Pops one heap entry of `labels` and, unless it is stale, settles and
+/// expands its vertex. `false` once this store's search is over: the heap
+/// ran dry or the rule stopped at the settled vertex.
+#[inline]
+fn settle_next<A: ArcView, R: Rule>(
+    labels: &mut Labels,
+    arcs: &A,
+    rule: &mut R,
+    poller: &mut Poller<'_>,
+) -> Result<bool, CoreError> {
+    let Some(Reverse((key, v))) = labels.heap.pop() else {
+        return Ok(false);
+    };
+    poller.popped()?;
+    let d = key - rule.potential(v);
+    if d > labels.dist(v) {
+        return Ok(true); // stale entry
+    }
+    poller.stats.settled += 1;
+    if rule.settled(v) {
+        return Ok(false);
+    }
+    for a in arcs.arcs(v) {
+        poller.stats.relaxed += 1;
+        let w = arcs.cost(a);
+        if w == INFINITY {
+            continue;
+        }
+        let (to, nd) = (arcs.to(a), d + w);
+        if nd < labels.dist(to) {
+            labels.set(to, nd, a);
+            labels.heap.push(Reverse((nd + rule.potential(to), to)));
+            rule.improved(to, nd);
+        }
+    }
+    Ok(true)
+}
+
+/// Unidirectional search from `root` until `rule` stops it or the heap
+/// runs dry. The caller validates `root`.
+pub(crate) fn search<A: ArcView, R: Rule>(
+    labels: &mut Labels,
+    arcs: &A,
+    root: u32,
+    mut rule: R,
+    poller: &mut Poller<'_>,
+) -> Result<(), CoreError> {
+    labels.begin(arcs.num_nodes());
+    poller.poll(0)?;
+    labels.seed(root, rule.potential(root));
+    while settle_next(labels, arcs, &mut rule, poller)? {}
+    Ok(())
+}
+
+/// The bidirectional meeting rule: every label improvement on one side
+/// is a candidate meeting with the other side's current label.
+struct Meet<'a> {
+    other: &'a Labels,
+    /// Cost and vertex of the best meeting seen.
+    best: &'a mut (Cost, u32),
+}
+
+impl Rule for Meet<'_> {
+    #[inline]
+    fn improved(&mut self, v: u32, d: Cost) {
+        let total = d.saturating_add(self.other.dist(v));
+        if total < self.best.0 {
+            *self.best = (total, v);
+        }
+    }
+}
+
+/// Bidirectional search: `fwd` grows from `source` over `out`, `bwd` from
+/// `target` over `inn`, always expanding the side with the smaller next
+/// key, until `bound(kf, kb)` — a lower bound on any meeting not yet seen
+/// — reaches the best one found. Returns `(distance, meeting vertex)`, or
+/// `None` when unreachable. The caller validates the endpoints
+/// (`source != target`).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn search_bidirectional<F: ArcView, B: ArcView>(
+    fwd: &mut Labels,
+    bwd: &mut Labels,
+    out: &F,
+    inn: &B,
+    source: u32,
+    target: u32,
+    bound: impl Fn(Cost, Cost) -> Cost,
+    poller: &mut Poller<'_>,
+) -> Result<Option<(Cost, u32)>, CoreError> {
+    fwd.begin(out.num_nodes());
+    bwd.begin(inn.num_nodes());
+    poller.poll(0)?;
+    fwd.seed(source, 0);
+    bwd.seed(target, 0);
+    let mut best = (INFINITY, u32::MAX);
+    loop {
+        let (kf, kb) = (fwd.next_key(), bwd.next_key());
+        if bound(kf, kb) >= best.0 {
+            break;
+        }
+        let best = &mut best;
+        if kf <= kb {
+            settle_next(fwd, out, &mut Meet { other: bwd, best }, poller)?;
+        } else {
+            settle_next(bwd, inn, &mut Meet { other: fwd, best }, poller)?;
+        }
+    }
+    Ok((best.0 != INFINITY).then_some(best))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bidir::BidirSearch;
+    use crate::cch::ChTopology;
+    use crate::fixtures::grid;
+    use crate::search::{Direction, SearchSpace};
+    use arp_citygen::{City, Scale};
+
+    #[test]
+    fn budget_contract_holds_for_every_instantiation() {
+        let city = arp_citygen::generate(City::Dhaka, Scale::Small, 11);
+        let (net, w) = (&city.network, city.network.weights());
+        let topo = ChTopology::build(net);
+        let metric = topo.customize(net, w).unwrap();
+        let (s, t) = (NodeId(3), NodeId(net.num_nodes() as u32 - 5));
+        // Every instantiation of the kernel: run one query under `budget`,
+        // report how it ended and what it counted.
+        let run = |which: &str, budget: &SearchBudget| {
+            let mut ws = SearchSpace::new(net);
+            ws.set_budget(budget.clone());
+            let mut bi = BidirSearch::new(net);
+            bi.set_budget(budget.clone());
+            let mut poller = Poller::new(budget);
+            let mut stats = SearchStats::default();
+            let outcome = match which {
+                "one-to-one" => ws.shortest_path(net, w, s, t).map(drop),
+                "A*" => ws.astar(net, w, s, t).map(drop),
+                "forward tree" => ws
+                    .shortest_path_tree(net, w, s, Direction::Forward)
+                    .map(drop),
+                "backward tree" => ws
+                    .shortest_path_tree(net, w, t, Direction::Backward)
+                    .map(drop),
+                "bidirectional" => bi.shortest_path(net, w, s, t).map(drop),
+                "CCH query" => topo.query(&metric, s, t, &mut poller).map(drop),
+                "PHAST forward" => topo
+                    .phast_distances(&metric, s, Direction::Forward, budget, &mut stats)
+                    .map(drop),
+                _ => topo
+                    .phast_distances(&metric, t, Direction::Backward, budget, &mut stats)
+                    .map(drop),
+            };
+            stats.accumulate(&ws.last_stats());
+            stats.accumulate(&bi.last_stats());
+            stats.accumulate(&poller.finish());
+            (outcome, stats)
+        };
+        for name in [
+            "one-to-one",
+            "A*",
+            "forward tree",
+            "backward tree",
+            "bidirectional",
+            "CCH query",
+            "PHAST forward",
+            "PHAST backward",
+        ] {
+            // A pre-cancelled budget releases the caller before any work.
+            let cancelled = SearchBudget::new();
+            cancelled.cancel();
+            let (outcome, stats) = run(name, &cancelled);
+            assert_eq!(outcome, Err(CoreError::Interrupted), "{name}");
+            assert_eq!((stats.heap_pops, stats.settled), (0, 0), "{name}");
+            assert_eq!(stats.budget_checks, 1, "{name}: the entry poll");
+
+            // Without a cap every pop is charged, partial intervals
+            // included, and the charge is cumulative across queries.
+            let open = SearchBudget::new();
+            let (outcome, first) = run(name, &open);
+            assert_eq!(outcome, Ok(()), "{name}");
+            assert!(first.settled > 0 && first.settled <= first.heap_pops);
+            assert_eq!(open.expansions(), first.heap_pops, "{name}");
+            let (_, second) = run(name, &open);
+            assert_eq!(second, first, "{name}: same query, same work");
+            assert_eq!(open.expansions(), 2 * first.heap_pops, "{name}");
+
+            // A cap trips within one check interval of being reached,
+            // whether inside a long query or at the entry of a later one.
+            let cap = first.heap_pops + first.heap_pops / 2;
+            let capped = SearchBudget::new().with_expansion_cap(cap);
+            let mut popped = 0;
+            let tripped = (0..4).any(|_| {
+                let (outcome, stats) = run(name, &capped);
+                popped += stats.heap_pops;
+                outcome == Err(CoreError::Interrupted)
+            });
+            assert!(tripped, "{name}: cap never tripped");
+            assert_eq!(capped.expansions(), popped, "{name}");
+            assert!(
+                (cap..cap + CHECK_INTERVAL).contains(&popped),
+                "{name}: cap {cap}, popped {popped}"
+            );
+        }
+    }
+
+    #[test]
+    fn expansion_cap_interrupts_within_one_check_interval() {
+        // 4096 nodes: a full tree search far exceeds two intervals.
+        let net = grid(64);
+        let mut ws = SearchSpace::new(&net);
+        ws.set_budget(SearchBudget::new().with_expansion_cap(2 * CHECK_INTERVAL));
+        let err = ws
+            .shortest_path_tree(&net, net.weights(), NodeId(0), Direction::Forward)
+            .unwrap_err();
+        assert_eq!(err, CoreError::Interrupted);
+        let s = ws.last_stats();
+        assert!(
+            s.heap_pops <= 2 * CHECK_INTERVAL,
+            "must stop within one interval of the cap, popped {}",
+            s.heap_pops
+        );
+        assert!(s.budget_checks >= 2);
+    }
+
+    #[test]
+    fn expansion_cap_accumulates_across_queries() {
+        let net = grid(16);
+        let mut bi = BidirSearch::new(&net);
+        bi.set_budget(SearchBudget::new().with_expansion_cap(CHECK_INTERVAL));
+        // Small queries never hit the in-loop interval check, but their
+        // residual pops accumulate; eventually the entry poll trips.
+        let mut tripped = false;
+        for _ in 0..10_000 {
+            match bi.shortest_distance(&net, net.weights(), NodeId(0), NodeId(255)) {
+                Ok(_) => {}
+                Err(CoreError::Interrupted) => {
+                    tripped = true;
+                    break;
+                }
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+        assert!(tripped, "cumulative expansion cap never tripped");
+    }
+
+    #[test]
+    fn stamp_wrap_around_resets_the_store() {
+        let net = grid(3);
+        let arcs = OutEdges(Column::new(&net, net.weights()).unwrap());
+        let budget = SearchBudget::unlimited();
+        let mut labels = Labels::new(net.num_nodes());
+        // Generation 1 labels every vertex …
+        search(&mut labels, &arcs, 0, Exhaust, &mut Poller::new(&budget)).unwrap();
+        assert_ne!(labels.dist(0), INFINITY);
+        // … and 2^32 queries later generation 1 comes round again: the
+        // old stamps must not read as labels of the new query.
+        labels.generation = u32::MAX;
+        let stop_at_root = ReachTarget(8);
+        search(
+            &mut labels,
+            &arcs,
+            8,
+            stop_at_root,
+            &mut Poller::new(&budget),
+        )
+        .unwrap();
+        assert_eq!(labels.generation, 1, "generation 0 is skipped");
+        assert_eq!(labels.dist(8), 0);
+        assert_eq!(labels.dist(0), INFINITY, "stale stamps were cleared");
+    }
+}

@@ -4,8 +4,10 @@
 //! Alternative route planning techniques — the subject matter of the ICDE
 //! 2022 comparative user study. The crate implements, from scratch:
 //!
-//! * a reusable shortest-path engine ([`search`]): Dijkstra with
-//!   generation-stamped labels, A*, forward/backward shortest-path trees,
+//! * a reusable shortest-path engine ([`search`], [`bidir`], [`cch`]):
+//!   Dijkstra with generation-stamped labels, A*, forward/backward
+//!   shortest-path trees, bidirectional Dijkstra and a customizable
+//!   contraction hierarchy — all thin callers of one label-setting kernel,
 //! * a per-request shared search [`substrate`]: both trees plus the base
 //!   optimal route computed once and handed to every technique through an
 //!   optional [`ProviderContext`], so the four-way fan-out stops
@@ -54,11 +56,11 @@ pub mod altgraph;
 pub mod bidir;
 pub mod budget;
 pub mod cch;
-pub mod ch;
 pub mod dissimilarity;
 pub mod error;
 pub mod esx;
 pub mod filters;
+mod kernel;
 pub mod metrics;
 pub mod pareto;
 pub mod path;
@@ -79,7 +81,6 @@ pub use admissibility::{
 pub use bidir::BidirSearch;
 pub use budget::SearchBudget;
 pub use cch::{ChMetric, ChTopology};
-pub use ch::{ChConfig, ChSearch, ContractionHierarchy};
 pub use dissimilarity::{
     dissimilarity_alternatives, dissimilarity_alternatives_from_trees, DissimilarityOptions,
     DissimilarityStats,
@@ -131,4 +132,35 @@ pub mod prelude {
     pub use crate::search::{shortest_path, Direction, SearchSpace};
     pub use crate::substrate::{ProviderContext, SearchSubstrate};
     pub use crate::yen::yen_k_shortest_paths;
+}
+
+/// Test fixtures shared by the unit tests of every module.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use arp_roadnet::prelude::*;
+
+    /// An `n`×`n` grid of bidirectional primary roads with uniform
+    /// weights, nodes numbered row by row.
+    pub(crate) fn grid(n: usize) -> RoadNetwork {
+        let mut b = GraphBuilder::new();
+        let mut ids = Vec::new();
+        for y in 0..n {
+            for x in 0..n {
+                ids.push(b.add_node(Point::new(144.0 + x as f64 * 0.01, -37.0 - y as f64 * 0.01)));
+            }
+        }
+        let road = || EdgeSpec::category(RoadCategory::Primary);
+        for y in 0..n {
+            for x in 0..n {
+                let i = y * n + x;
+                if x + 1 < n {
+                    b.add_bidirectional(ids[i], ids[i + 1], road());
+                }
+                if y + 1 < n {
+                    b.add_bidirectional(ids[i], ids[i + n], road());
+                }
+            }
+        }
+        b.build()
+    }
 }

@@ -2,7 +2,7 @@
 //! metric bundles the hot paths flush them into.
 //!
 //! The search workspaces ([`crate::search::SearchSpace`],
-//! [`crate::bidir::BidirSearch`], [`crate::ch::ChSearch`]) always count
+//! [`crate::bidir::BidirSearch`]) always count
 //! their work into a plain [`SearchStats`] (three `u64` increments per
 //! settled vertex — unmeasurable against heap traffic). Exporting those
 //! counts is opt-in: attach a [`SearchMetrics`] bundle resolved from an
@@ -30,8 +30,8 @@ pub struct SearchStats {
     pub settled: u64,
     /// Edges inspected for relaxation from settled vertices.
     pub relaxed: u64,
-    /// [`crate::SearchBudget`] polls performed (one per
-    /// [`crate::budget::CHECK_INTERVAL`] heap pops, plus one on entry) —
+    /// [`crate::SearchBudget`] polls performed (one per check interval of
+    /// heap pops, plus one on entry) —
     /// the overhead knob of cooperative cancellation.
     pub budget_checks: u64,
 }
@@ -50,7 +50,7 @@ impl SearchStats {
 ///
 /// Resolve once with [`SearchMetrics::new`] (labels typically identify the
 /// algorithm or the owning technique), attach with
-/// `SearchSpace::set_metrics` (and the `BidirSearch`/`ChSearch` twins).
+/// `SearchSpace::set_metrics` (and its `BidirSearch` twin).
 /// The `Default` bundle is detached and records nothing.
 #[derive(Clone, Debug, Default)]
 pub struct SearchMetrics {

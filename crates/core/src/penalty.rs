@@ -268,40 +268,10 @@ fn penalize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::grid;
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
     use arp_roadnet::category::RoadCategory;
     use arp_roadnet::geo::Point;
-
-    /// A grid big enough to host several distinct corridors.
-    fn grid(n: usize) -> RoadNetwork {
-        let mut b = GraphBuilder::new();
-        let mut ids = Vec::new();
-        for y in 0..n {
-            for x in 0..n {
-                ids.push(b.add_node(Point::new(144.0 + x as f64 * 0.01, -37.0 - y as f64 * 0.01)));
-            }
-        }
-        for y in 0..n {
-            for x in 0..n {
-                let i = y * n + x;
-                if x + 1 < n {
-                    b.add_bidirectional(
-                        ids[i],
-                        ids[i + 1],
-                        EdgeSpec::category(RoadCategory::Primary),
-                    );
-                }
-                if y + 1 < n {
-                    b.add_bidirectional(
-                        ids[i],
-                        ids[i + n],
-                        EdgeSpec::category(RoadCategory::Primary),
-                    );
-                }
-            }
-        }
-        b.build()
-    }
 
     #[test]
     fn first_path_is_shortest() {

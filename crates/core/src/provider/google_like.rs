@@ -24,11 +24,10 @@ use arp_roadnet::weight::{Weight, CLOSED};
 use crate::error::CoreError;
 use crate::filters::{apply_filters, FilterConfig};
 use crate::metrics::TechniqueMetrics;
-use crate::plateau::{plateau_alternatives_observed, PlateauOptions, PlateauStats};
-use crate::query::{AltQuery, Route};
-use crate::search::SearchSpace;
+use crate::plateau::{plateau_alternatives_observed, PlateauOptions};
+use crate::query::AltQuery;
 
-use super::{AlternativesProvider, ProviderKind, ProviderOutcome};
+use super::{lane_workspace, observed_call, AlternativesProvider, ProviderKind, ProviderOutcome};
 use crate::budget::SearchBudget;
 
 /// Deterministic synthetic traffic model producing a private copy of the
@@ -215,107 +214,62 @@ impl AlternativesProvider for GoogleLikeProvider {
                 got: self.private_weights.len(),
             });
         }
-        let _timer = self.metrics.begin_call();
-        // Closures are physical ground truth, not a travel-time estimate:
-        // an edge hard-closed in the public column (a live-traffic
-        // incident) is closed for this provider too, even though its
-        // *factors* diverge — a commercial provider disagrees about how
-        // slow a road is, not about whether it exists. Without closures
-        // the private table is borrowed untouched, keeping the
-        // no-overlay path byte-identical to the pre-traffic pipeline.
-        let private: Cow<'_, [Weight]> = if public_weights.contains(&CLOSED) {
-            Cow::Owned(
-                self.private_weights
-                    .iter()
-                    .zip(public_weights)
-                    .map(|(&p, &pub_w)| if pub_w == CLOSED { CLOSED } else { p })
-                    .collect(),
-            )
-        } else {
-            Cow::Borrowed(self.private_weights.as_slice())
-        };
-        let mut ws = SearchSpace::new(net);
-        ws.set_metrics(self.metrics.search().clone());
-        ws.set_budget(budget.clone());
-        // Optimize on the PRIVATE data…
-        let mut stats = PlateauStats::default();
-        let result = plateau_alternatives_observed(
-            &mut ws,
-            net,
-            &private,
-            source,
-            target,
-            query,
-            &self.plateau_options,
-            &mut stats,
-        );
-        self.metrics.record_plateau(&stats);
-        let paths = match result {
-            Ok(paths) => paths,
-            Err(e) => {
-                self.metrics.errors.inc();
-                return Err(e);
-            }
-        };
-        // The commercial post-filters probe local optimality with extra
-        // point-to-point searches; skip them on an interrupted call and
-        // serve the raw partial instead.
-        let paths = if stats.interrupted {
-            paths
-        } else {
-            apply_filters(net, &private, paths, query.k, &self.filters)
-        };
-        self.metrics.admitted.add(paths.len() as u64);
-        // …but report routes priced on the public data, like the paper's
-        // query processor does for Google's routes.
-        let routes: Vec<Route> = paths
-            .into_iter()
-            .map(|p| Route::new(p, public_weights))
-            .collect();
-        if stats.interrupted {
-            self.metrics.interrupted.inc();
-            Ok(ProviderOutcome::Interrupted { partial: routes })
-        } else {
-            Ok(ProviderOutcome::Complete(routes))
-        }
+        observed_call(
+            &self.metrics,
+            public_weights,
+            TechniqueMetrics::record_plateau,
+            |s| s.interrupted,
+            |stats| {
+                // Closures are physical ground truth, not a travel-time
+                // estimate: an edge hard-closed in the public column (a
+                // live-traffic incident) is closed for this provider too,
+                // even though its *factors* diverge — a commercial provider
+                // disagrees about how slow a road is, not about whether it
+                // exists. Without closures the private table is borrowed
+                // untouched, keeping the no-overlay path byte-identical to
+                // the pre-traffic pipeline.
+                let private: Cow<'_, [Weight]> = if public_weights.contains(&CLOSED) {
+                    Cow::Owned(
+                        self.private_weights
+                            .iter()
+                            .zip(public_weights)
+                            .map(|(&p, &pub_w)| if pub_w == CLOSED { CLOSED } else { p })
+                            .collect(),
+                    )
+                } else {
+                    Cow::Borrowed(self.private_weights.as_slice())
+                };
+                let mut ws = lane_workspace(&self.metrics, net, budget);
+                // Optimize on the PRIVATE data; `observed_call` then reports
+                // the routes priced on the public data, like the paper's
+                // query processor does for Google's routes.
+                let paths = plateau_alternatives_observed(
+                    &mut ws,
+                    net,
+                    &private,
+                    source,
+                    target,
+                    query,
+                    &self.plateau_options,
+                    stats,
+                )?;
+                // The commercial post-filters probe local optimality with
+                // extra point-to-point searches; skip them on an interrupted
+                // call and serve the raw partial instead.
+                Ok(if stats.interrupted {
+                    paths
+                } else {
+                    apply_filters(net, &private, paths, query.k, &self.filters)
+                })
+            },
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
-    use arp_roadnet::category::RoadCategory;
-
-    fn grid(n: usize) -> RoadNetwork {
-        let mut b = GraphBuilder::new();
-        let mut ids = Vec::new();
-        for y in 0..n {
-            for x in 0..n {
-                ids.push(b.add_node(Point::new(144.0 + x as f64 * 0.01, -37.0 - y as f64 * 0.01)));
-            }
-        }
-        for y in 0..n {
-            for x in 0..n {
-                let i = y * n + x;
-                if x + 1 < n {
-                    b.add_bidirectional(
-                        ids[i],
-                        ids[i + 1],
-                        EdgeSpec::category(RoadCategory::Primary),
-                    );
-                }
-                if y + 1 < n {
-                    b.add_bidirectional(
-                        ids[i],
-                        ids[i + n],
-                        EdgeSpec::category(RoadCategory::Primary),
-                    );
-                }
-            }
-        }
-        b.build()
-    }
+    use crate::fixtures::grid;
 
     #[test]
     fn traffic_model_is_deterministic() {

@@ -16,16 +16,16 @@ use arp_roadnet::weight::Weight;
 use crate::budget::SearchBudget;
 use crate::dissimilarity::{
     dissimilarity_alternatives_from_trees, dissimilarity_alternatives_observed,
-    DissimilarityOptions, DissimilarityStats,
+    DissimilarityOptions,
 };
 use crate::error::CoreError;
 use crate::metrics::TechniqueMetrics;
 use crate::path::Path;
 use crate::penalty::{
-    penalty_alternatives_from_base, penalty_alternatives_observed, PenaltyOptions, PenaltyStats,
+    penalty_alternatives_from_base, penalty_alternatives_observed, PenaltyOptions,
 };
 use crate::plateau::{
-    plateau_alternatives_from_trees, plateau_alternatives_observed, PlateauOptions, PlateauStats,
+    plateau_alternatives_from_trees, plateau_alternatives_observed, PlateauOptions,
 };
 use crate::query::{AltQuery, Route};
 use crate::search::SearchSpace;
@@ -211,6 +211,48 @@ fn price_outcome(
     }
 }
 
+/// The shared prologue and epilogue of every provider call, on both the
+/// self-computing and the substrate-fed path: count and time the call,
+/// run `technique`, `record` its funnel counters, then count the error
+/// or price the accepted paths ([`price_outcome`]).
+fn observed_call<S: Default>(
+    metrics: &TechniqueMetrics,
+    public_weights: &[Weight],
+    record: fn(&TechniqueMetrics, &S),
+    interrupted: fn(&S) -> bool,
+    technique: impl FnOnce(&mut S) -> Result<Vec<Path>, CoreError>,
+) -> Result<ProviderOutcome, CoreError> {
+    let _timer = metrics.begin_call();
+    let mut stats = S::default();
+    let result = technique(&mut stats);
+    record(metrics, &stats);
+    match result {
+        Ok(paths) => Ok(price_outcome(
+            metrics,
+            public_weights,
+            paths,
+            interrupted(&stats),
+        )),
+        Err(e) => {
+            metrics.errors.inc();
+            Err(e)
+        }
+    }
+}
+
+/// A fresh workspace reporting into the technique's search counters and
+/// polling the call's budget.
+fn lane_workspace(
+    metrics: &TechniqueMetrics,
+    net: &RoadNetwork,
+    budget: &SearchBudget,
+) -> SearchSpace {
+    let mut ws = SearchSpace::new(net);
+    ws.set_metrics(metrics.search().clone());
+    ws.set_budget(budget.clone());
+    ws
+}
+
 /// The Plateaus provider.
 #[derive(Clone, Debug, Default)]
 pub struct PlateauProvider {
@@ -242,35 +284,25 @@ impl AlternativesProvider for PlateauProvider {
         query: &AltQuery,
         budget: &SearchBudget,
     ) -> Result<ProviderOutcome, CoreError> {
-        let _timer = self.metrics.begin_call();
-        let mut ws = SearchSpace::new(net);
-        ws.set_metrics(self.metrics.search().clone());
-        ws.set_budget(budget.clone());
-        let mut stats = PlateauStats::default();
-        let result = plateau_alternatives_observed(
-            &mut ws,
-            net,
-            public_weights,
-            source,
-            target,
-            query,
-            &self.options,
-            &mut stats,
-        );
-        self.metrics.record_plateau(&stats);
-        let paths = match result {
-            Ok(paths) => paths,
-            Err(e) => {
-                self.metrics.errors.inc();
-                return Err(e);
-            }
-        };
-        Ok(price_outcome(
+        observed_call(
             &self.metrics,
             public_weights,
-            paths,
-            stats.interrupted,
-        ))
+            TechniqueMetrics::record_plateau,
+            |s| s.interrupted,
+            |stats| {
+                let mut ws = lane_workspace(&self.metrics, net, budget);
+                plateau_alternatives_observed(
+                    &mut ws,
+                    net,
+                    public_weights,
+                    source,
+                    target,
+                    query,
+                    &self.options,
+                    stats,
+                )
+            },
+        )
     }
 
     fn alternatives_in_context(
@@ -295,32 +327,24 @@ impl AlternativesProvider for PlateauProvider {
                 budget,
             );
         };
-        let _timer = self.metrics.begin_call();
-        let mut stats = PlateauStats::default();
-        let result = plateau_alternatives_from_trees(
-            net,
-            public_weights,
-            query,
-            &self.options,
-            &mut stats,
-            sub.forward(),
-            sub.backward(),
-            budget,
-        );
-        self.metrics.record_plateau(&stats);
-        let paths = match result {
-            Ok(paths) => paths,
-            Err(e) => {
-                self.metrics.errors.inc();
-                return Err(e);
-            }
-        };
-        Ok(price_outcome(
+        observed_call(
             &self.metrics,
             public_weights,
-            paths,
-            stats.interrupted,
-        ))
+            TechniqueMetrics::record_plateau,
+            |s| s.interrupted,
+            |stats| {
+                plateau_alternatives_from_trees(
+                    net,
+                    public_weights,
+                    query,
+                    &self.options,
+                    stats,
+                    sub.forward(),
+                    sub.backward(),
+                    budget,
+                )
+            },
+        )
     }
 }
 
@@ -355,35 +379,25 @@ impl AlternativesProvider for PenaltyProvider {
         query: &AltQuery,
         budget: &SearchBudget,
     ) -> Result<ProviderOutcome, CoreError> {
-        let _timer = self.metrics.begin_call();
-        let mut ws = SearchSpace::new(net);
-        ws.set_metrics(self.metrics.search().clone());
-        ws.set_budget(budget.clone());
-        let mut stats = PenaltyStats::default();
-        let result = penalty_alternatives_observed(
-            &mut ws,
-            net,
-            public_weights,
-            source,
-            target,
-            query,
-            &self.options,
-            &mut stats,
-        );
-        self.metrics.record_penalty(&stats);
-        let paths = match result {
-            Ok(paths) => paths,
-            Err(e) => {
-                self.metrics.errors.inc();
-                return Err(e);
-            }
-        };
-        Ok(price_outcome(
+        observed_call(
             &self.metrics,
             public_weights,
-            paths,
-            stats.interrupted,
-        ))
+            TechniqueMetrics::record_penalty,
+            |s| s.interrupted,
+            |stats| {
+                let mut ws = lane_workspace(&self.metrics, net, budget);
+                penalty_alternatives_observed(
+                    &mut ws,
+                    net,
+                    public_weights,
+                    source,
+                    target,
+                    query,
+                    &self.options,
+                    stats,
+                )
+            },
+        )
     }
 
     fn alternatives_in_context(
@@ -408,36 +422,26 @@ impl AlternativesProvider for PenaltyProvider {
                 budget,
             );
         };
-        let _timer = self.metrics.begin_call();
-        let mut ws = SearchSpace::new(net);
-        ws.set_metrics(self.metrics.search().clone());
-        ws.set_budget(budget.clone());
-        let mut stats = PenaltyStats::default();
-        let result = penalty_alternatives_from_base(
-            &mut ws,
-            net,
-            public_weights,
-            source,
-            target,
-            query,
-            &self.options,
-            &mut stats,
-            sub.base_route(),
-        );
-        self.metrics.record_penalty(&stats);
-        let paths = match result {
-            Ok(paths) => paths,
-            Err(e) => {
-                self.metrics.errors.inc();
-                return Err(e);
-            }
-        };
-        Ok(price_outcome(
+        observed_call(
             &self.metrics,
             public_weights,
-            paths,
-            stats.interrupted,
-        ))
+            TechniqueMetrics::record_penalty,
+            |s| s.interrupted,
+            |stats| {
+                let mut ws = lane_workspace(&self.metrics, net, budget);
+                penalty_alternatives_from_base(
+                    &mut ws,
+                    net,
+                    public_weights,
+                    source,
+                    target,
+                    query,
+                    &self.options,
+                    stats,
+                    sub.base_route(),
+                )
+            },
+        )
     }
 }
 
@@ -472,35 +476,25 @@ impl AlternativesProvider for DissimilarityProvider {
         query: &AltQuery,
         budget: &SearchBudget,
     ) -> Result<ProviderOutcome, CoreError> {
-        let _timer = self.metrics.begin_call();
-        let mut ws = SearchSpace::new(net);
-        ws.set_metrics(self.metrics.search().clone());
-        ws.set_budget(budget.clone());
-        let mut stats = DissimilarityStats::default();
-        let result = dissimilarity_alternatives_observed(
-            &mut ws,
-            net,
-            public_weights,
-            source,
-            target,
-            query,
-            &self.options,
-            &mut stats,
-        );
-        self.metrics.record_dissimilarity(&stats);
-        let paths = match result {
-            Ok(paths) => paths,
-            Err(e) => {
-                self.metrics.errors.inc();
-                return Err(e);
-            }
-        };
-        Ok(price_outcome(
+        observed_call(
             &self.metrics,
             public_weights,
-            paths,
-            stats.interrupted,
-        ))
+            TechniqueMetrics::record_dissimilarity,
+            |s| s.interrupted,
+            |stats| {
+                let mut ws = lane_workspace(&self.metrics, net, budget);
+                dissimilarity_alternatives_observed(
+                    &mut ws,
+                    net,
+                    public_weights,
+                    source,
+                    target,
+                    query,
+                    &self.options,
+                    stats,
+                )
+            },
+        )
     }
 
     fn alternatives_in_context(
@@ -526,32 +520,24 @@ impl AlternativesProvider for DissimilarityProvider {
                 budget,
             );
         };
-        let _timer = self.metrics.begin_call();
-        let mut stats = DissimilarityStats::default();
-        let result = dissimilarity_alternatives_from_trees(
-            net,
-            public_weights,
-            query,
-            &self.options,
-            &mut stats,
-            sub.forward(),
-            sub.backward(),
-            budget,
-        );
-        self.metrics.record_dissimilarity(&stats);
-        let paths = match result {
-            Ok(paths) => paths,
-            Err(e) => {
-                self.metrics.errors.inc();
-                return Err(e);
-            }
-        };
-        Ok(price_outcome(
+        observed_call(
             &self.metrics,
             public_weights,
-            paths,
-            stats.interrupted,
-        ))
+            TechniqueMetrics::record_dissimilarity,
+            |s| s.interrupted,
+            |stats| {
+                dissimilarity_alternatives_from_trees(
+                    net,
+                    public_weights,
+                    query,
+                    &self.options,
+                    stats,
+                    sub.forward(),
+                    sub.backward(),
+                    budget,
+                )
+            },
+        )
     }
 }
 
@@ -586,39 +572,7 @@ pub fn instrumented_providers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
-    use arp_roadnet::category::RoadCategory;
-    use arp_roadnet::geo::Point;
-
-    fn grid(n: usize) -> RoadNetwork {
-        let mut b = GraphBuilder::new();
-        let mut ids = Vec::new();
-        for y in 0..n {
-            for x in 0..n {
-                ids.push(b.add_node(Point::new(144.0 + x as f64 * 0.01, -37.0 - y as f64 * 0.01)));
-            }
-        }
-        for y in 0..n {
-            for x in 0..n {
-                let i = y * n + x;
-                if x + 1 < n {
-                    b.add_bidirectional(
-                        ids[i],
-                        ids[i + 1],
-                        EdgeSpec::category(RoadCategory::Primary),
-                    );
-                }
-                if y + 1 < n {
-                    b.add_bidirectional(
-                        ids[i],
-                        ids[i + n],
-                        EdgeSpec::category(RoadCategory::Primary),
-                    );
-                }
-            }
-        }
-        b.build()
-    }
+    use crate::fixtures::grid;
 
     #[test]
     fn provider_kinds_are_in_paper_order() {

@@ -308,3 +308,51 @@ fn google_like_routes_flip_under_public_pricing_somewhere() {
     assert!(total >= 6, "too few valid queries");
     assert!(flips > 0, "no data-mismatch flips in {total} queries");
 }
+
+#[test]
+fn search_work_counters_are_pinned_on_dhaka() {
+    // `(settled, heap_pops, relaxed)` summed over a fixed query set, as
+    // counted before the search loops were folded into one kernel. The
+    // counters feed `reports/perf.txt` and the benchmark's `core.*`
+    // ledger, so a refactor of the kernel must reproduce them exactly.
+    use arp_core::search::Direction;
+    use arp_core::{BidirSearch, ChTopology, SearchStats};
+
+    let g = arp_citygen::generate(City::Dhaka, Scale::Small, 11);
+    let net = &g.network;
+    let w = net.weights();
+    let mut ws = SearchSpace::new(net);
+    let mut bi = BidirSearch::new(net);
+    let topo = ChTopology::build(net);
+    let metric = topo.customize(net, w).unwrap();
+    let budget = SearchBudget::unlimited();
+    let [mut one, mut fwd, mut bwd, mut bidir, mut phast] = [SearchStats::default(); 5];
+    for (s, t) in sample_pairs(net, 12) {
+        ws.shortest_path(net, w, s, t).unwrap();
+        one.accumulate(&ws.last_stats());
+        ws.shortest_path_tree(net, w, s, Direction::Forward)
+            .unwrap();
+        fwd.accumulate(&ws.last_stats());
+        ws.shortest_path_tree(net, w, t, Direction::Backward)
+            .unwrap();
+        bwd.accumulate(&ws.last_stats());
+        bi.shortest_distance(net, w, s, t).unwrap();
+        bidir.accumulate(&bi.last_stats());
+        for (root, direction) in [(s, Direction::Forward), (t, Direction::Backward)] {
+            topo.phast_distances(&metric, root, direction, &budget, &mut phast)
+                .unwrap();
+        }
+    }
+    let counted = [one, fwd, bwd, bidir, phast].map(|s| (s.settled, s.heap_pops, s.relaxed));
+    assert_eq!(
+        counted,
+        [
+            (9154, 9886, 26029),
+            (21528, 23277, 60624),
+            (21528, 23236, 60624),
+            (5427, 5823, 15380),
+            (1446, 2994, 248864),
+        ],
+        "one-to-one, forward trees, backward trees, bidirectional, PHAST"
+    );
+}

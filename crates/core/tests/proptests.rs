@@ -1,12 +1,16 @@
 //! Property-based tests for the routing core on random strongly connected
 //! graphs.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use arp_core::prelude::*;
 use arp_core::quality;
 use arp_core::search::Direction;
 use arp_core::similarity;
-use arp_core::{DissimilarityStats, PenaltyStats, PlateauStats};
+use arp_core::{ChTopology, DissimilarityStats, PenaltyStats, PlateauStats, SearchStats};
 use arp_roadnet::prelude::*;
+use arp_roadnet::weight::Cost;
 use proptest::prelude::*;
 
 /// Random strongly connected graph: a Hamiltonian cycle (guaranteeing
@@ -69,6 +73,148 @@ fn bellman_ford(net: &RoadNetwork, s: NodeId) -> Vec<u64> {
         }
     }
     dist
+}
+
+/// Textbook Dijkstra — the one oracle every fast search is checked
+/// against. Dense labels, no stamps, no budget, no metrics; it shares no
+/// code with the crate's search kernel. `Forward` gives `d(root → v)`,
+/// `Backward` gives `d(v → root)`; `CLOSED` edges are not traversable.
+fn reference_dijkstra(
+    net: &RoadNetwork,
+    weights: &[Weight],
+    root: NodeId,
+    direction: Direction,
+) -> Vec<Cost> {
+    let mut dist = vec![INFINITY; net.num_nodes()];
+    let mut heap = BinaryHeap::from([Reverse((0, root))]);
+    dist[root.index()] = 0;
+    while let Some(Reverse((d, v))) = heap.pop() {
+        if d > dist[v.index()] {
+            continue;
+        }
+        let edges: Vec<(EdgeId, NodeId)> = match direction {
+            Direction::Forward => net.out_edges(v).map(|e| (e, net.head(e))).collect(),
+            Direction::Backward => net.in_edges(v).map(|e| (e, net.tail(e))).collect(),
+        };
+        for (e, u) in edges {
+            if weights[e.index()] == CLOSED {
+                continue;
+            }
+            let nd = d + weights[e.index()] as Cost;
+            if nd < dist[u.index()] {
+                dist[u.index()] = nd;
+                heap.push(Reverse((nd, u)));
+            }
+        }
+    }
+    dist
+}
+
+/// `got` must be a valid `s → t` path over open edges costing exactly
+/// `want`, or `Unreachable` when the reference says so.
+fn expect_path(
+    what: &str,
+    net: &RoadNetwork,
+    weights: &[Weight],
+    (s, t): (NodeId, NodeId),
+    got: Result<Path, CoreError>,
+    want: Cost,
+) -> Result<(), String> {
+    match got {
+        Err(CoreError::Unreachable { .. }) if want == INFINITY => Ok(()),
+        Ok(p)
+            if p.cost_ms == want
+                && p.validate(net)
+                && (p.source(), p.target()) == (s, t)
+                && p.edges.iter().all(|e| weights[e.index()] != CLOSED)
+                && p.cost_under(weights) == want =>
+        {
+            Ok(())
+        }
+        other => Err(format!("{what} {s}->{t}: {other:?}, reference {want}")),
+    }
+}
+
+/// Drives **every** instantiation of the search kernel for one query and
+/// compares it with [`reference_dijkstra`]: one-to-one, both trees, A*,
+/// bidirectional distance and path, CCH distance and unpacked path, and
+/// both PHAST arrays.
+fn check_against_reference(
+    net: &RoadNetwork,
+    weights: &[Weight],
+    topo: &ChTopology,
+    (s, t): (NodeId, NodeId),
+) -> Result<(), String> {
+    let from_s = reference_dijkstra(net, weights, s, Direction::Forward);
+    let to_t = reference_dijkstra(net, weights, t, Direction::Backward);
+    let want = from_s[t.index()];
+    let st = (s, t);
+    let same = |what: &str, got: &[Cost], reference: &[Cost]| {
+        (got == reference)
+            .then_some(())
+            .ok_or(format!("{what} from {s}/{t} differs from the reference"))
+    };
+
+    let mut ws = SearchSpace::new(net);
+    let got = ws.shortest_path(net, weights, s, t);
+    expect_path("one-to-one", net, weights, st, got, want)?;
+    let got = ws.astar(net, weights, s, t);
+    expect_path("A*", net, weights, st, got, want)?;
+    let tree = ws.shortest_path_tree(net, weights, s, Direction::Forward);
+    same("forward tree", &tree.unwrap().dist, &from_s)?;
+    let tree = ws.shortest_path_tree(net, weights, t, Direction::Backward);
+    same("backward tree", &tree.unwrap().dist, &to_t)?;
+
+    let mut bi = BidirSearch::new(net);
+    let got = bi.shortest_distance(net, weights, s, t).unwrap_or(INFINITY);
+    same("bidirectional distance", &[got], &[want])?;
+    let got = bi.shortest_path(net, weights, s, t);
+    expect_path("bidirectional", net, weights, st, got, want)?;
+
+    let metric = topo.customize(net, weights).unwrap();
+    let got = topo.distance(&metric, s, t).unwrap_or(INFINITY);
+    same("CCH distance", &[got], &[want])?;
+    let got = topo.shortest_path(&metric, net, weights, s, t);
+    expect_path("CCH", net, weights, st, got, want)?;
+    let (budget, mut stats) = (SearchBudget::unlimited(), SearchStats::default());
+    let got = topo.phast_distances(&metric, s, Direction::Forward, &budget, &mut stats);
+    same("PHAST forward", &got.unwrap(), &from_s)?;
+    let got = topo.phast_distances(&metric, t, Direction::Backward, &budget, &mut stats);
+    same("PHAST backward", &got.unwrap(), &to_t)
+}
+
+/// A live-traffic-shaped overlay: per edge one of closed (code 0),
+/// untouched, or slowed by a factor 2–4.
+fn overlay(net: &RoadNetwork, codes: &[u32]) -> Vec<Weight> {
+    let apply = |(&w, &code): (&Weight, &u32)| match code {
+        0 => CLOSED,
+        1..=5 => w,
+        _ => w * (code - 4),
+    };
+    net.weights().iter().zip(codes).map(apply).collect()
+}
+
+#[test]
+fn every_search_matches_the_reference_on_a_medium_city() {
+    // Paper scale (~10k nodes), one fixed seed; a fixed pseudo-random
+    // overlay closes 1 edge in 40 and slows 1 in 4 by a factor 2–4.
+    let g = arp_citygen::generate(arp_citygen::City::Copenhagen, arp_citygen::Scale::Medium, 5);
+    let net = &g.network;
+    let codes: Vec<u32> = (0..net.num_edges() as u32)
+        .map(|i| match (i.wrapping_mul(2_654_435_761) >> 16) % 40 {
+            0 => 0,
+            1..=29 => 1,
+            v => 6 + v % 3,
+        })
+        .collect();
+    let topo = ChTopology::build(net);
+    let n = net.num_nodes() as u32;
+    for weights in [net.weights().to_vec(), overlay(net, &codes)] {
+        for i in 0..6u32 {
+            let st = (NodeId((i * 1931 + 17) % n), NodeId((i * 4409 + 401) % n));
+            check_against_reference(net, &weights, &topo, st).unwrap();
+        }
+    }
 }
 
 proptest! {
@@ -196,31 +342,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn ch_distances_match_dijkstra((n, chords) in arb_scc_graph()) {
-        let net = build(n, &chords);
-        let ch = arp_core::ContractionHierarchy::build(&net, net.weights()).unwrap();
-        let mut ws = SearchSpace::new(&net);
-        for s in (0..n as u32).step_by(3) {
-            for t in (0..n as u32).step_by(4) {
-                if s == t { continue; }
-                let expect = ws.shortest_distance(&net, net.weights(), NodeId(s), NodeId(t)).ok();
-                prop_assert_eq!(ch.distance(NodeId(s), NodeId(t)), expect, "{} -> {}", s, t);
-            }
-        }
-    }
-
-    #[test]
-    fn ch_paths_unpack_correctly((n, chords) in arb_scc_graph()) {
-        let net = build(n, &chords);
-        let ch = arp_core::ContractionHierarchy::build(&net, net.weights()).unwrap();
-        let t = NodeId((n - 1) as u32);
-        let p = ch.shortest_path(&net, net.weights(), NodeId(0), t).unwrap();
-        prop_assert!(p.validate(&net));
-        let expect = shortest_path(&net, net.weights(), NodeId(0), t).unwrap();
-        prop_assert_eq!(p.cost_ms, expect.cost_ms);
-    }
-
-    #[test]
     fn cch_distances_match_dijkstra((n, chords) in arb_scc_graph()) {
         let net = build(n, &chords);
         let topo = arp_core::ChTopology::build(&net);
@@ -232,6 +353,24 @@ proptest! {
                 let expect = ws.shortest_distance(&net, net.weights(), NodeId(s), NodeId(t)).ok();
                 prop_assert_eq!(topo.distance(&metric, NodeId(s), NodeId(t)), expect, "{} -> {}", s, t);
             }
+        }
+    }
+
+    #[test]
+    fn every_search_matches_the_reference_under_overlays(
+        ((n, chords), codes) in (arb_scc_graph(), proptest::collection::vec(0u32..9, 100)),
+    ) {
+        // At most 25 cycle edges + 72 chords, so 100 codes cover every
+        // edge. Closures may disconnect the graph: then every engine
+        // must agree on unreachability too.
+        let net = build(n, &chords);
+        let weights = overlay(&net, &codes);
+        let topo = ChTopology::build(&net);
+        for (s, t) in [(0, n - 1), (n - 1, 0), (n / 2, 1)] {
+            let checked = check_against_reference(
+                &net, &weights, &topo, (NodeId(s as u32), NodeId(t as u32)),
+            );
+            prop_assert!(checked.is_ok(), "{:?}", checked);
         }
     }
 

@@ -463,6 +463,11 @@ fn forced_wraparound_epoch_serves_exactly_through_the_ch_tier() {
     let delta = TrafficDelta::parse("cat:residential*1.6").unwrap();
     for qp in [&plain_qp, &fast_qp] {
         qp.traffic().force_epoch(u64::MAX);
+    }
+    // The start-up metric is stamped 0 too: let the customizer replace it
+    // before the wrap, or `wait_ready(0)` below could be satisfied by it.
+    assert!(index.wait_ready(u64::MAX, READY_TIMEOUT));
+    for qp in [&plain_qp, &fast_qp] {
         let outcome = qp.traffic().apply_delta(&delta).unwrap();
         assert_eq!(outcome.epoch, 0, "the swap past u64::MAX must wrap");
     }

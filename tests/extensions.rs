@@ -4,7 +4,7 @@
 
 use alt_route_planner::prelude::*;
 use arp_core::altgraph::alt_graph_metrics;
-use arp_core::{turn_aware_shortest_path, ChSearch, ContractionHierarchy, EsxOptions, TurnModel};
+use arp_core::{turn_aware_shortest_path, ChTopology, EsxOptions, TurnModel};
 use arp_roadnet::spatial::SpatialIndex;
 
 fn city_query() -> (arp_citygen::GeneratedCity, NodeId, NodeId) {
@@ -108,10 +108,12 @@ fn esx_and_ch_agree_with_plain_search_on_city() {
         arp_core::esx_alternatives(net, net.weights(), s, t, &q, &EsxOptions::default()).unwrap();
     assert_eq!(esx[0].cost_ms, best.cost_ms);
 
-    let ch = ContractionHierarchy::build(net, net.weights()).unwrap();
-    let mut search = ChSearch::new(&ch);
-    assert_eq!(search.distance(&ch, s, t), Some(best.cost_ms));
-    let unpacked = ch.shortest_path(net, net.weights(), s, t).unwrap();
+    let topo = ChTopology::build(net);
+    let metric = topo.customize(net, net.weights()).unwrap();
+    assert_eq!(topo.distance(&metric, s, t), Some(best.cost_ms));
+    let unpacked = topo
+        .shortest_path(&metric, net, net.weights(), s, t)
+        .unwrap();
     assert_eq!(unpacked.cost_ms, best.cost_ms);
     assert!(unpacked.validate(net));
 }
