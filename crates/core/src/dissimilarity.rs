@@ -8,19 +8,28 @@
 //! dissimilarity to every already-admitted path exceeds the threshold θ
 //! (0.5 in the paper), guaranteeing the result set is pairwise dissimilar
 //! while keeping paths short.
-
-use std::collections::HashSet;
+//!
+//! The θ-test never touches a path. A via-path is two tree branches, so
+//! its length is `d_f(u) + d_b(u)` and the length it shares with an
+//! admitted path `A` is `F_A(u) + B_A(u)`, where
+//! `F_A(u) = F_A(parent_f(u)) + [e_f(u) ∈ A]·w(e_f(u))`, `F_A(s) = 0`, is a
+//! prefix sum down the forward tree and `B_A` its mirror image down the
+//! backward tree (`LabelScreen`). Each sum is memoised per tree vertex,
+//! so the sweep costs O(k · vertices visited) instead of building, hashing
+//! and comparing a path per via-node; only the via-nodes that pass the
+//! test — a handful per request — are materialized, checked for loops and
+//! duplicates, and admitted.
 
 use arp_roadnet::csr::RoadNetwork;
-use arp_roadnet::ids::NodeId;
-use arp_roadnet::weight::{Weight, INFINITY};
+use arp_roadnet::ids::{EdgeId, NodeId};
+use arp_roadnet::weight::{Cost, Weight, INFINITY};
 
 use crate::budget::SearchBudget;
 use crate::error::CoreError;
 use crate::path::Path;
 use crate::query::AltQuery;
 use crate::search::{Direction, SearchSpace, ShortestPathTree};
-use crate::similarity::dissimilarity_to_set;
+use crate::similarity::similarity_of_lengths;
 
 /// Options specific to the SSVP-D+ algorithm.
 #[derive(Clone, Copy, Debug)]
@@ -28,9 +37,10 @@ pub struct DissimilarityOptions {
     /// Skip via-paths that revisit a vertex (they contain a loop and can
     /// never be a sensible recommendation).
     pub require_simple: bool,
-    /// Upper bound on how many via-nodes are examined, as a multiple of
-    /// `k`; guards worst-case latency on dense graphs (the underlying
-    /// problem is NP-hard and this is the standard practical cut-off).
+    /// Upper bound on how many via-nodes are examined — screened by the
+    /// θ-test or materialized — as a multiple of `k`; guards worst-case
+    /// latency on dense graphs (the underlying problem is NP-hard and
+    /// this is the standard practical cut-off).
     pub max_candidates_factor: usize,
 }
 
@@ -44,16 +54,22 @@ impl Default for DissimilarityOptions {
 }
 
 /// Candidate-funnel counters of one SSVP-D+ call, for observability.
+///
+/// Every via-node visited is either `screened` or a candidate, and
+/// `candidates == admitted + rejected_duplicate + rejected_non_simple`:
+/// the θ-test runs before a path exists, so a materialized via-path is
+/// never rejected for similarity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DissimilarityStats {
+    /// Via-nodes dismissed by the θ-test on the tree labels alone, before
+    /// any path was built.
+    pub screened: u64,
     /// Via-paths materialized and examined.
     pub candidates: u64,
     /// Via-paths rejected as exact duplicates of earlier ones.
     pub rejected_duplicate: u64,
     /// Via-paths rejected for revisiting a vertex.
     pub rejected_non_simple: u64,
-    /// Via-paths rejected for insufficient dissimilarity to the result set.
-    pub rejected_dissimilar: u64,
     /// The workspace's [`crate::SearchBudget`] tripped mid-call; the
     /// returned paths are the alternatives admitted up to that point.
     pub interrupted: bool,
@@ -69,27 +85,15 @@ pub fn dissimilarity_alternatives(
     options: &DissimilarityOptions,
 ) -> Result<Vec<Path>, CoreError> {
     let mut ws = SearchSpace::new(net);
-    dissimilarity_alternatives_with(&mut ws, net, weights, source, target, query, options)
-}
-
-/// Like [`dissimilarity_alternatives`] but reusing a caller workspace.
-pub fn dissimilarity_alternatives_with(
-    ws: &mut SearchSpace,
-    net: &RoadNetwork,
-    weights: &[Weight],
-    source: NodeId,
-    target: NodeId,
-    query: &AltQuery,
-    options: &DissimilarityOptions,
-) -> Result<Vec<Path>, CoreError> {
     let mut stats = DissimilarityStats::default();
     dissimilarity_alternatives_observed(
-        ws, net, weights, source, target, query, options, &mut stats,
+        &mut ws, net, weights, source, target, query, options, &mut stats,
     )
 }
 
-/// Like [`dissimilarity_alternatives_with`] but also reporting the
-/// candidate funnel of the call into `stats` (which is reset first).
+/// Like [`dissimilarity_alternatives`] but reusing a caller workspace and
+/// reporting the candidate funnel of the call into `stats` (which is
+/// reset first).
 #[allow(clippy::too_many_arguments)]
 pub fn dissimilarity_alternatives_observed(
     ws: &mut SearchSpace,
@@ -148,9 +152,10 @@ pub fn dissimilarity_alternatives_observed(
 
 /// Like [`dissimilarity_alternatives_observed`], but reusing a prepared
 /// tree pair — typically a [`crate::substrate::SearchSubstrate`]'s —
-/// instead of growing one per call. `budget` governs the sweep's
-/// cooperative polls only; the tree-building cost was paid by whoever
-/// grew the trees. The sweep itself is the exact code the
+/// instead of growing one per call. The trees must have been grown under
+/// `weights`: the sweep reads via-path lengths off their labels. `budget`
+/// governs the sweep's cooperative polls only; the tree-building cost was
+/// paid by whoever grew the trees. The sweep itself is the exact code the
 /// self-computing path runs, so results are byte-identical.
 #[allow(clippy::too_many_arguments)]
 pub fn dissimilarity_alternatives_from_trees(
@@ -201,7 +206,7 @@ fn sweep_via_nodes(
     let bound = query.cost_bound(best);
 
     // Via-nodes in ascending via-path length, bounded by the stretch limit.
-    let mut candidates: Vec<(u64, u32)> = (0..net.num_nodes() as u32)
+    let mut candidates: Vec<(Cost, u32)> = (0..net.num_nodes() as u32)
         .filter_map(|v| {
             let df = fwd.dist[v as usize];
             let db = bwd.dist[v as usize];
@@ -219,53 +224,171 @@ fn sweep_via_nodes(
         .saturating_mul(options.max_candidates_factor)
         .max(64);
     let mut accepted: Vec<Path> = Vec::with_capacity(query.k);
-    let mut seen: HashSet<Vec<u32>> = HashSet::new();
+    let mut screen = LabelScreen::new(net, weights, fwd, bwd);
 
-    for &(_via, v) in candidates.iter().take(max_candidates) {
+    for &(via, v) in candidates.iter().take(max_candidates) {
         if accepted.len() >= query.k {
             break;
         }
-        // Poll per candidate: materializing and comparing via-paths is
-        // the expensive part of the sweep.
+        // Poll per via-node, ahead of any work on it.
         if budget.interrupted() {
             stats.interrupted = true;
             break;
         }
         let v = NodeId(v);
-        let Some(prefix) = fwd.path_edges(net, v) else {
-            continue;
-        };
-        let Some(suffix) = bwd.path_edges(net, v) else {
-            continue;
-        };
-        let mut edges = prefix;
-        edges.extend_from_slice(&suffix);
-        if edges.is_empty() {
+        // The first admissible candidate is the shortest path itself (the
+        // target's via-path, or any via-node on the optimal route) and is
+        // admitted unconditionally; everything after it faces the θ-test.
+        if !accepted.is_empty() && !screen.passes_theta(v, via, query.theta) {
+            stats.screened += 1;
             continue;
         }
-        let path = Path::from_edges(net, weights, edges);
+        let path = screen.via_path(v);
+        debug_assert_eq!(path.cost_ms, via, "tree labels disagree with weights");
         stats.candidates += 1;
         if options.require_simple && !path.is_simple() {
             stats.rejected_non_simple += 1;
             continue;
         }
-        if !seen.insert(path.key()) {
+        // Every simple, new survivor is admitted, so the via-paths seen so
+        // far that a duplicate could repeat are exactly the admitted ones.
+        if accepted.iter().any(|a| a.edges == path.edges) {
             stats.rejected_duplicate += 1;
             continue;
         }
-        if accepted.is_empty() {
-            // The first admissible candidate is the shortest path itself
-            // (the target's via-path, or any via-node on the optimal route).
-            accepted.push(path);
-            continue;
-        }
-        if dissimilarity_to_set(&path, &accepted, weights) > query.theta {
-            accepted.push(path);
-        } else {
-            stats.rejected_dissimilar += 1;
-        }
+        screen.admit(&path);
+        accepted.push(path);
     }
     accepted
+}
+
+/// Memo value of a prefix sum not computed yet.
+const UNKNOWN: Cost = Cost::MAX;
+
+/// What the θ-test needs to know about one admitted path `A`.
+struct AdmittedPath {
+    /// `A`'s edges, sorted for membership tests.
+    edges: Vec<EdgeId>,
+    /// `len(A)`.
+    len: Cost,
+    /// `F_A` (index 0) and `B_A` (index 1) by memo slot: the weight of the
+    /// tree branch between the root and a vertex that lies on `A`.
+    shared: [Vec<Cost>; 2],
+}
+
+/// SSVP-D+'s θ-test evaluated on search-tree labels (module docs): the
+/// via-path of `v` is never built, yet every decision equals the one
+/// [`crate::similarity::dissimilarity_to_set`] makes on the built path,
+/// because the integer lengths are equal and both feed
+/// [`similarity_of_lengths`].
+///
+/// Scratch is O(n) for the slot map plus O(vertices walked) per admitted
+/// path — never a per-path array over the whole network.
+struct LabelScreen<'a> {
+    net: &'a RoadNetwork,
+    weights: &'a [Weight],
+    /// Forward tree (index 0) and backward tree (index 1).
+    trees: [&'a ShortestPathTree; 2],
+    /// Vertex → 1 + its memo slot; 0 until a walk first reaches it.
+    slot: Vec<u32>,
+    slots: u32,
+    admitted: Vec<AdmittedPath>,
+    /// Walk stack: `(memo slot, parent edge)` of the vertices between the
+    /// via-node and the nearest memoised ancestor.
+    branch: Vec<(usize, EdgeId)>,
+}
+
+impl<'a> LabelScreen<'a> {
+    fn new(
+        net: &'a RoadNetwork,
+        weights: &'a [Weight],
+        fwd: &'a ShortestPathTree,
+        bwd: &'a ShortestPathTree,
+    ) -> Self {
+        LabelScreen {
+            net,
+            weights,
+            trees: [fwd, bwd],
+            slot: vec![0; net.num_nodes()],
+            slots: 0,
+            admitted: Vec::new(),
+            branch: Vec::new(),
+        }
+    }
+
+    /// Whether the via-path of `v` (of length `via`) is more than `theta`
+    /// dissimilar to every admitted path.
+    fn passes_theta(&mut self, v: NodeId, via: Cost, theta: f64) -> bool {
+        (0..self.admitted.len()).all(|j| {
+            let shared = self.shared_prefix(0, j, v) + self.shared_prefix(1, j, v);
+            1.0 - similarity_of_lengths(shared, via, self.admitted[j].len) > theta
+        })
+    }
+
+    /// `F_j(v)` (`side` 0) or `B_j(v)` (`side` 1): walks up the tree to
+    /// the nearest vertex whose sum is known, then fills the memo back
+    /// down, so each tree vertex is summed once per admitted path.
+    fn shared_prefix(&mut self, side: usize, j: usize, v: NodeId) -> Cost {
+        let tree = self.trees[side];
+        let path = &mut self.admitted[j];
+        let memo = &mut path.shared[side];
+        let mut sum = 0;
+        let mut cur = v;
+        self.branch.clear();
+        while cur != tree.root {
+            let slot = &mut self.slot[cur.index()];
+            if *slot == 0 {
+                self.slots += 1;
+                *slot = self.slots;
+            }
+            let slot = (*slot - 1) as usize;
+            if let Some(&known) = memo.get(slot).filter(|&&known| known != UNKNOWN) {
+                sum = known;
+                break;
+            }
+            let e = tree.parent[cur.index()];
+            self.branch.push((slot, e));
+            cur = match tree.direction {
+                Direction::Forward => self.net.tail(e),
+                Direction::Backward => self.net.head(e),
+            };
+        }
+        // The walk may have handed out new slots.
+        if memo.len() < self.slots as usize {
+            memo.resize(self.slots as usize, UNKNOWN);
+        }
+        for &(slot, e) in self.branch.iter().rev() {
+            if path.edges.binary_search(&e).is_ok() {
+                sum += self.weights[e.index()] as Cost;
+            }
+            memo[slot] = sum;
+        }
+        sum
+    }
+
+    /// Builds the via-path of `v` from the two tree branches.
+    fn via_path(&self, v: NodeId) -> Path {
+        let [fwd, bwd] = self.trees;
+        let mut edges = fwd
+            .path_edges(self.net, v)
+            .expect("a via-node is reached by the forward tree");
+        edges.extend(
+            bwd.path_edges(self.net, v)
+                .expect("a via-node is reached by the backward tree"),
+        );
+        Path::from_edges(self.net, self.weights, edges)
+    }
+
+    /// Adds `path` to the set later via-nodes are tested against.
+    fn admit(&mut self, path: &Path) {
+        let mut edges = path.edges.clone();
+        edges.sort_unstable();
+        self.admitted.push(AdmittedPath {
+            edges,
+            len: path.cost_ms,
+            shared: [Vec::new(), Vec::new()],
+        });
+    }
 }
 
 #[cfg(test)]
@@ -398,10 +521,9 @@ mod tests {
             &mut stats,
         )
         .unwrap();
-        let rejected =
-            stats.rejected_duplicate + stats.rejected_non_simple + stats.rejected_dissimilar;
+        let rejected = stats.rejected_duplicate + stats.rejected_non_simple;
         assert_eq!(stats.candidates, paths.len() as u64 + rejected);
-        assert!(stats.rejected_dissimilar > 0, "theta filter never fired");
+        assert!(stats.screened > 0, "theta filter never fired");
     }
 
     #[test]

@@ -123,7 +123,7 @@ pub struct TechniqueMetrics {
     pub(crate) rejected_duplicate: Counter,
     pub(crate) rejected_similarity: Counter,
     pub(crate) rejected_non_simple: Counter,
-    pub(crate) rejected_dissimilar: Counter,
+    pub(crate) rejected_screened: Counter,
     pub(crate) rejected_short: Counter,
     pub(crate) penalty_iterations: Counter,
     pub(crate) plateaus_found: Counter,
@@ -181,7 +181,7 @@ impl TechniqueMetrics {
             rejected_duplicate: rejected("duplicate"),
             rejected_similarity: rejected("similarity"),
             rejected_non_simple: rejected("non_simple"),
-            rejected_dissimilar: rejected("dissimilar"),
+            rejected_screened: rejected("screened"),
             rejected_short: rejected("short"),
             penalty_iterations: registry.counter(
                 "arp_penalty_iterations_total",
@@ -229,7 +229,7 @@ impl TechniqueMetrics {
         self.generated.add(stats.candidates);
         self.rejected_duplicate.add(stats.rejected_duplicate);
         self.rejected_non_simple.add(stats.rejected_non_simple);
-        self.rejected_dissimilar.add(stats.rejected_dissimilar);
+        self.rejected_screened.add(stats.screened);
     }
 
     /// Records the bookkeeping shared by every call: one call, its final

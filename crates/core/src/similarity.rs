@@ -29,14 +29,23 @@ pub fn shared_length(p: &Path, q: &Path, weights: &[Weight]) -> Cost {
 /// Normalizing by the shorter path makes the measure symmetric and treats
 /// "q is a subpath of p" as fully similar.
 pub fn similarity(p: &Path, q: &Path, weights: &[Weight]) -> f64 {
-    let shared = shared_length(p, q, weights) as f64;
-    let lp = p.cost_under(weights) as f64;
-    let lq = q.cost_under(weights) as f64;
-    let denom = lp.min(lq);
+    similarity_of_lengths(
+        shared_length(p, q, weights),
+        p.cost_under(weights),
+        q.cost_under(weights),
+    )
+}
+
+/// [`similarity`] as a function of the three lengths it depends on. The
+/// one place the expression is written: SSVP-D+ evaluates it on lengths
+/// read off search-tree labels, and its `> θ` decisions must agree bit
+/// for bit with the ones `similarity` would make on the built paths.
+pub(crate) fn similarity_of_lengths(shared: Cost, len_p: Cost, len_q: Cost) -> f64 {
+    let denom = (len_p as f64).min(len_q as f64);
     if denom <= 0.0 {
         return 0.0;
     }
-    (shared / denom).clamp(0.0, 1.0)
+    (shared as f64 / denom).clamp(0.0, 1.0)
 }
 
 /// Asymmetric overlap `len(p ∩ q) / len(p)`: the fraction of `p` that runs

@@ -5,6 +5,7 @@ use arp_citygen::{City, Scale};
 use arp_core::prelude::*;
 use arp_core::quality::route_set_quality;
 use arp_core::similarity::diversity;
+use arp_core::{dissimilarity_alternatives_from_trees, DissimilarityStats, SearchSubstrate};
 use arp_roadnet::ids::NodeId;
 use arp_roadnet::spatial::SpatialIndex;
 
@@ -355,4 +356,94 @@ fn search_work_counters_are_pinned_on_dhaka() {
         ],
         "one-to-one, forward trees, backward trees, bidirectional, PHAST"
     );
+}
+
+/// Dhaka-Small's tree pair for the corner query, with a query hard enough
+/// (five routes, θ = 0.7, a wide ellipse) that the sweep admits three paths
+/// and visits every vertex of the network looking for more.
+fn long_sweep_fixture() -> (arp_citygen::GeneratedCity, SearchSubstrate, AltQuery) {
+    let g = arp_citygen::generate(City::Dhaka, Scale::Small, 31);
+    let (s, t) = corner_query(&g.network);
+    let sub = SearchSubstrate::build(
+        &g.network,
+        g.network.weights(),
+        s,
+        t,
+        &SearchBudget::unlimited(),
+    )
+    .unwrap();
+    let query = AltQuery::paper()
+        .with_k(5)
+        .with_theta(0.7)
+        .with_epsilon(3.0);
+    (g, sub, query)
+}
+
+fn sweep(
+    net: &arp_roadnet::RoadNetwork,
+    sub: &SearchSubstrate,
+    query: &AltQuery,
+    budget: &SearchBudget,
+) -> (Vec<Path>, DissimilarityStats) {
+    let mut stats = DissimilarityStats::default();
+    let paths = dissimilarity_alternatives_from_trees(
+        net,
+        net.weights(),
+        query,
+        &DissimilarityOptions::default(),
+        &mut stats,
+        sub.forward(),
+        sub.backward(),
+        budget,
+    )
+    .unwrap();
+    (paths, stats)
+}
+
+#[test]
+fn cancelled_dissimilarity_sweep_does_no_work() {
+    // The per-via-node poll runs ahead of the θ-test: a budget that is
+    // already cancelled stops the sweep before anything is screened.
+    let (g, sub, query) = long_sweep_fixture();
+    let budget = SearchBudget::new();
+    budget.cancel();
+    let (paths, stats) = sweep(&g.network, &sub, &query, &budget);
+    assert!(paths.is_empty());
+    assert!(stats.interrupted);
+    assert_eq!((stats.candidates, stats.screened), (0, 0));
+}
+
+#[test]
+fn dissimilarity_sweep_cancelled_mid_flight_returns_a_prefix() {
+    // Whenever the cancellation lands — before, during or after the sweep
+    // — what comes back is a prefix of the uninterrupted admitted list.
+    // The canceller starts at the same barrier as the sweep and spins a
+    // little longer each round, so the trip point moves through the sweep.
+    let (g, sub, query) = long_sweep_fixture();
+    let (full, full_stats) = sweep(&g.network, &sub, &query, &SearchBudget::unlimited());
+    assert!(full.len() >= 2 && full_stats.screened > 1000);
+
+    for round in 0..64u32 {
+        let budget = SearchBudget::new();
+        let start = std::sync::Barrier::new(2);
+        let (partial, stats) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for _ in 0..round * 200 {
+                    std::hint::spin_loop();
+                }
+                budget.cancel();
+            });
+            start.wait();
+            sweep(&g.network, &sub, &query, &budget)
+        });
+        assert!(partial.len() <= full.len(), "round {round}");
+        for (p, f) in partial.iter().zip(&full) {
+            assert_eq!(p.edges, f.edges, "round {round}: not a prefix");
+        }
+        if !stats.interrupted {
+            assert_eq!(partial.len(), full.len(), "round {round}");
+            assert_eq!(stats, full_stats, "round {round}");
+        }
+    }
 }

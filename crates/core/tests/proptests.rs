@@ -2,11 +2,11 @@
 //! graphs.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
 
 use arp_core::prelude::*;
 use arp_core::quality;
-use arp_core::search::Direction;
+use arp_core::search::{Direction, ShortestPathTree};
 use arp_core::similarity;
 use arp_core::{ChTopology, DissimilarityStats, PenaltyStats, PlateauStats, SearchStats};
 use arp_roadnet::prelude::*;
@@ -194,12 +194,9 @@ fn overlay(net: &RoadNetwork, codes: &[u32]) -> Vec<Weight> {
     net.weights().iter().zip(codes).map(apply).collect()
 }
 
-#[test]
-fn every_search_matches_the_reference_on_a_medium_city() {
-    // Paper scale (~10k nodes), one fixed seed; a fixed pseudo-random
-    // overlay closes 1 edge in 40 and slows 1 in 4 by a factor 2–4.
-    let g = arp_citygen::generate(arp_citygen::City::Copenhagen, arp_citygen::Scale::Medium, 5);
-    let net = &g.network;
+/// A fixed pseudo-random [`overlay`] for a whole city: closes 1 edge in
+/// 40 and slows 1 in 4 by a factor 2–4.
+fn fixed_overlay(net: &RoadNetwork) -> Vec<Weight> {
     let codes: Vec<u32> = (0..net.num_edges() as u32)
         .map(|i| match (i.wrapping_mul(2_654_435_761) >> 16) % 40 {
             0 => 0,
@@ -207,14 +204,198 @@ fn every_search_matches_the_reference_on_a_medium_city() {
             v => 6 + v % 3,
         })
         .collect();
+    overlay(net, &codes)
+}
+
+#[test]
+fn every_search_matches_the_reference_on_a_medium_city() {
+    // Paper scale (~10k nodes), one fixed seed, with and without the
+    // fixed overlay.
+    let g = arp_citygen::generate(arp_citygen::City::Copenhagen, arp_citygen::Scale::Medium, 5);
+    let net = &g.network;
     let topo = ChTopology::build(net);
     let n = net.num_nodes() as u32;
-    for weights in [net.weights().to_vec(), overlay(net, &codes)] {
+    for weights in [net.weights().to_vec(), fixed_overlay(net)] {
         for i in 0..6u32 {
             let st = (NodeId((i * 1931 + 17) % n), NodeId((i * 4409 + 401) % n));
             check_against_reference(net, &weights, &topo, st).unwrap();
         }
     }
+}
+
+/// SSVP-D+'s sweep as it was before the θ-test moved onto the tree
+/// labels — the oracle the label-only sweep is checked against: build the
+/// via-path of **every** via-node visited, then test it for loops,
+/// duplicates and dissimilarity with the public path functions. Returns
+/// the admitted paths and how many via-nodes were visited.
+fn reference_sweep(
+    net: &RoadNetwork,
+    weights: &[Weight],
+    query: &AltQuery,
+    options: &DissimilarityOptions,
+    fwd: &ShortestPathTree,
+    bwd: &ShortestPathTree,
+) -> (Vec<Path>, u64) {
+    let target = bwd.root;
+    let best = fwd.distance(target);
+    let bound = query.cost_bound(best);
+
+    // Via-nodes in ascending via-path length, bounded by the stretch limit.
+    let mut candidates: Vec<(u64, u32)> = (0..net.num_nodes() as u32)
+        .filter_map(|v| {
+            let df = fwd.dist[v as usize];
+            let db = bwd.dist[v as usize];
+            if df == INFINITY || db == INFINITY {
+                return None;
+            }
+            let via = df + db;
+            (via <= bound).then_some((via, v))
+        })
+        .collect();
+    candidates.sort_unstable();
+
+    let max_candidates = query
+        .k
+        .saturating_mul(options.max_candidates_factor)
+        .max(64);
+    let mut accepted: Vec<Path> = Vec::with_capacity(query.k);
+    let mut seen: HashSet<Vec<u32>> = HashSet::new();
+    let mut visited = 0;
+
+    for &(_via, v) in candidates.iter().take(max_candidates) {
+        if accepted.len() >= query.k {
+            break;
+        }
+        let v = NodeId(v);
+        let Some(prefix) = fwd.path_edges(net, v) else {
+            continue;
+        };
+        let Some(suffix) = bwd.path_edges(net, v) else {
+            continue;
+        };
+        let mut edges = prefix;
+        edges.extend_from_slice(&suffix);
+        if edges.is_empty() {
+            continue;
+        }
+        let path = Path::from_edges(net, weights, edges);
+        visited += 1;
+        if options.require_simple && !path.is_simple() {
+            continue;
+        }
+        if !seen.insert(path.key()) {
+            continue;
+        }
+        if accepted.is_empty() {
+            // The first admissible candidate is the shortest path itself
+            // (the target's via-path, or any via-node on the optimal route).
+            accepted.push(path);
+            continue;
+        }
+        if similarity::dissimilarity_to_set(&path, &accepted, weights) > query.theta {
+            accepted.push(path);
+        }
+    }
+    (accepted, visited)
+}
+
+/// One SSVP-D+ query answered by the crate's label-only sweep and by
+/// [`reference_sweep`] over the same tree pair: the admitted lists must be
+/// identical, the funnel must account for exactly the via-nodes the
+/// reference visited, and the result must hold the technique's
+/// by-construction invariants. `Ok(None)` when `t` is unreachable;
+/// otherwise the number of via-nodes visited.
+fn check_sweep_against_reference(
+    net: &RoadNetwork,
+    weights: &[Weight],
+    (s, t): (NodeId, NodeId),
+    query: &AltQuery,
+    options: &DissimilarityOptions,
+) -> Result<Option<u64>, String> {
+    let budget = SearchBudget::unlimited();
+    let Ok(sub) = arp_core::SearchSubstrate::build(net, weights, s, t, &budget) else {
+        return Ok(None);
+    };
+    let (fwd, bwd) = (sub.forward(), sub.backward());
+    let what = format!(
+        "{s}->{t} k={} theta={} simple={} factor={}",
+        query.k, query.theta, options.require_simple, options.max_candidates_factor
+    );
+    let mut stats = DissimilarityStats::default();
+    let got = arp_core::dissimilarity_alternatives_from_trees(
+        net, weights, query, options, &mut stats, fwd, bwd, &budget,
+    )
+    .map_err(|e| format!("{what}: {e}"))?;
+    let (want, visited) = reference_sweep(net, weights, query, options, fwd, bwd);
+
+    let costs = |paths: &[Path]| paths.iter().map(|p| p.cost_ms).collect::<Vec<_>>();
+    if got != want {
+        return Err(format!(
+            "{what}: admitted {:?}, reference {:?}",
+            costs(&got),
+            costs(&want)
+        ));
+    }
+    let rejected = stats.rejected_duplicate + stats.rejected_non_simple;
+    if stats.candidates != got.len() as u64 + rejected
+        || stats.screened + stats.candidates != visited
+    {
+        return Err(format!(
+            "{what}: funnel {stats:?}, reference visited {visited}"
+        ));
+    }
+
+    let best = fwd.distance(t);
+    let holds = got.first().is_some_and(|p| p.cost_ms == best)
+        && got.len() <= query.k
+        && got.windows(2).all(|w| w[0].cost_ms <= w[1].cost_ms)
+        && got.iter().all(|p| {
+            p.cost_ms <= query.cost_bound(best)
+                && p.validate(net)
+                && (p.source(), p.target()) == (s, t)
+                && (!options.require_simple || p.is_simple())
+        })
+        && (0..got.len()).all(|j| {
+            // The orientation the sweep tests: the later path against
+            // each earlier one.
+            (0..j).all(|i| 1.0 - similarity::similarity(&got[j], &got[i], weights) > query.theta)
+        });
+    if !holds {
+        return Err(format!(
+            "{what}: invariant broken, costs {:?}, best {best}",
+            costs(&got)
+        ));
+    }
+    Ok(Some(visited))
+}
+
+#[test]
+fn dissimilarity_sweep_matches_the_reference_on_a_medium_city() {
+    // Paper scale, one fixed seed, 24 pairs; the odd pairs run under the
+    // closure-and-slowdown overlay of the search test above. The small
+    // factor caps the sweep at 64 via-nodes, far inside every ellipse.
+    let g = arp_citygen::generate(arp_citygen::City::Copenhagen, arp_citygen::Scale::Medium, 5);
+    let net = &g.network;
+    let weightings = [net.weights().to_vec(), fixed_overlay(net)];
+    let n = net.num_nodes() as u32;
+    let (mut reachable, mut capped) = (0, 0);
+    for i in 0..24u32 {
+        let st = (NodeId((i * 1931 + 17) % n), NodeId((i * 4409 + 401) % n));
+        let weights = &weightings[i as usize % 2];
+        for factor in [4000, 1] {
+            let options = DissimilarityOptions {
+                max_candidates_factor: factor,
+                ..DissimilarityOptions::default()
+            };
+            let visited =
+                check_sweep_against_reference(net, weights, st, &AltQuery::paper(), &options)
+                    .unwrap();
+            reachable += usize::from(visited.is_some());
+            capped += usize::from(factor == 1 && visited == Some(64));
+        }
+    }
+    assert!(reachable >= 40, "only {reachable} of 48 sweeps ran");
+    assert!(capped >= 10, "the via-node cap bit in only {capped} sweeps");
 }
 
 proptest! {
@@ -371,6 +552,40 @@ proptest! {
                 &net, &weights, &topo, (NodeId(s as u32), NodeId(t as u32)),
             );
             prop_assert!(checked.is_ok(), "{:?}", checked);
+        }
+    }
+
+    #[test]
+    fn dissimilarity_sweep_matches_the_reference(
+        ((n, chords), codes) in (arb_scc_graph(), proptest::collection::vec(0u32..9, 100)),
+    ) {
+        // Every edge of these graphs is a one-way street, so via-paths
+        // that loop back through a vertex do occur. Three weightings: the
+        // network's own, the closure-and-slowdown overlay, and the same
+        // overlay rounded to multiples of 250 s so that via-path lengths
+        // tie. ε = 3 keeps most of the graph inside the ellipse. A looping
+        // or repeated via-path is never dissimilar to what came before
+        // it, so only θ < 0 — a test every path passes — lets one reach
+        // the loop and duplicate checks.
+        let net = build(n, &chords);
+        let slowed = overlay(&net, &codes);
+        let round = |&w: &Weight| if w == CLOSED { w } else { w / 250_000 * 250_000 };
+        let tied: Vec<Weight> = slowed.iter().map(round).collect();
+        for weights in [net.weights(), &slowed[..], &tied[..]] {
+            for (s, t) in [(0, n - 1), (n / 2, 1)] {
+                let st = (NodeId(s as u32), NodeId(t as u32));
+                for (k, theta, require_simple, max_candidates_factor) in [
+                    (1, 0.5, true, 4000), (3, 0.0, true, 4000), (3, 0.5, true, 1),
+                    (3, 0.5, false, 4000), (3, 0.9, false, 1), (5, 0.0, false, 4000),
+                    (5, 0.5, true, 4000), (5, 0.9, true, 4000),
+                    (5, -1.0, true, 4000), (5, -1.0, false, 4000),
+                ] {
+                    let query = AltQuery::paper().with_k(k).with_theta(theta).with_epsilon(3.0);
+                    let options = DissimilarityOptions { require_simple, max_candidates_factor };
+                    let checked = check_sweep_against_reference(&net, weights, st, &query, &options);
+                    prop_assert!(checked.is_ok(), "{:?}", checked);
+                }
+            }
         }
     }
 
