@@ -204,21 +204,17 @@ fn main() {
         report.push_str(&arp_bench::metrics_snapshot(&registry));
 
         // Substrate on/off comparison: total settled nodes per request
-        // across the four technique lanes. The "on" column charges the
-        // substrate's own two tree builds once per request, exactly as
-        // the serving layer accounts them.
+        // across the four technique lanes — every provider building its
+        // own substrate (`None`) versus all of them handed one shared
+        // build (`Some`). The "on" column charges the shared build's two
+        // trees once per request, exactly as the serving layer accounts
+        // them.
+        let budget = SearchBudget::unlimited();
         let off_registry = arp_obs::Registry::new();
         let off_providers = instrumented_providers(&net, arp_bench::MASTER_SEED, &off_registry);
         for provider in &off_providers {
             for &(s, t, _) in &queries {
-                let _ = provider.alternatives_with_budget(
-                    &net,
-                    net.weights(),
-                    s,
-                    t,
-                    &q,
-                    &SearchBudget::unlimited(),
-                );
+                let _ = provider.answer(&net, net.weights(), s, t, &q, &budget, None);
             }
         }
         let settled_off = total_settled(&off_registry);
@@ -227,20 +223,11 @@ fn main() {
         let on_providers = instrumented_providers(&net, arp_bench::MASTER_SEED, &on_registry);
         let mut substrate_settled = 0u64;
         for &(s, t, _) in &queries {
-            let sub = SearchSubstrate::build(&net, net.weights(), s, t, &SearchBudget::unlimited())
+            let sub = SearchSubstrate::build(&net, net.weights(), s, t, &budget)
                 .expect("benchmark queries are routable");
             substrate_settled += sub.build_stats().settled;
-            let ctx = ProviderContext::with_substrate(&sub);
             for provider in &on_providers {
-                let _ = provider.alternatives_in_context(
-                    &net,
-                    net.weights(),
-                    s,
-                    t,
-                    &q,
-                    &SearchBudget::unlimited(),
-                    &ctx,
-                );
+                let _ = provider.answer(&net, net.weights(), s, t, &q, &budget, Some(&sub));
             }
         }
         let settled_on = total_settled(&on_registry) + substrate_settled;
@@ -294,7 +281,6 @@ fn main() {
             ),
         );
 
-        let budget = SearchBudget::unlimited();
         let mut build_settled_off = 0u64;
         let mut build_settled_on = 0u64;
         for &(s, t, _) in &queries {

@@ -19,7 +19,9 @@ use arp_citygen::Scale;
 use arp_demo::backend::DemoBackend;
 use arp_demo::query::{PreparedQuery, QueryProcessor, SnappedQuery};
 use arp_obs::Registry;
-use arp_serve::{CancelToken, LaneError, LaneOutcome, RouteBackend, RouteService, ServeConfig};
+use arp_serve::{
+    CancelToken, LaneError, LaneOutcome, LaneStatus, RouteBackend, RouteService, ServeConfig,
+};
 
 /// Client threads issuing requests concurrently.
 const CLIENTS: usize = 4;
@@ -185,7 +187,12 @@ impl RouteBackend for SpinBackend {
         Ok(LaneOutcome::Complete(()))
     }
 
-    fn assemble_partial(&self, _request: &u32, parts: Vec<Option<()>>) -> Option<bool> {
+    fn assemble_degraded(
+        &self,
+        _request: &u32,
+        parts: Vec<Option<()>>,
+        _statuses: &[LaneStatus],
+    ) -> Option<bool> {
         parts.iter().any(Option::is_some).then_some(true)
     }
 }

@@ -28,8 +28,9 @@ use crate::budget::SearchBudget;
 use crate::error::CoreError;
 use crate::path::Path;
 use crate::query::AltQuery;
-use crate::search::{Direction, SearchSpace, ShortestPathTree};
+use crate::search::{Direction, ShortestPathTree};
 use crate::similarity::similarity_of_lengths;
+use crate::substrate::SearchSubstrate;
 
 /// Options specific to the SSVP-D+ algorithm.
 #[derive(Clone, Copy, Debug)]
@@ -75,7 +76,9 @@ pub struct DissimilarityStats {
     pub interrupted: bool,
 }
 
-/// Computes up to `query.k` pairwise-dissimilar paths with SSVP-D+.
+/// Computes up to `query.k` pairwise-dissimilar paths with SSVP-D+:
+/// grows the tree pair ([`SearchSubstrate::build`]) and sweeps it
+/// ([`dissimilarity_alternatives_from_trees`]).
 pub fn dissimilarity_alternatives(
     net: &RoadNetwork,
     weights: &[Weight],
@@ -84,79 +87,27 @@ pub fn dissimilarity_alternatives(
     query: &AltQuery,
     options: &DissimilarityOptions,
 ) -> Result<Vec<Path>, CoreError> {
-    let mut ws = SearchSpace::new(net);
-    let mut stats = DissimilarityStats::default();
-    dissimilarity_alternatives_observed(
-        &mut ws, net, weights, source, target, query, options, &mut stats,
-    )
-}
-
-/// Like [`dissimilarity_alternatives`] but reusing a caller workspace and
-/// reporting the candidate funnel of the call into `stats` (which is
-/// reset first).
-#[allow(clippy::too_many_arguments)]
-pub fn dissimilarity_alternatives_observed(
-    ws: &mut SearchSpace,
-    net: &RoadNetwork,
-    weights: &[Weight],
-    source: NodeId,
-    target: NodeId,
-    query: &AltQuery,
-    options: &DissimilarityOptions,
-    stats: &mut DissimilarityStats,
-) -> Result<Vec<Path>, CoreError> {
-    *stats = DissimilarityStats::default();
-    if query.k == 0 {
-        return Ok(Vec::new());
-    }
-    if source == target {
-        return Err(CoreError::SameSourceTarget(source));
-    }
-    let fwd = match ws.shortest_path_tree(net, weights, source, Direction::Forward) {
-        Ok(tree) => tree,
-        Err(CoreError::Interrupted) => {
-            // Interrupted before anything was admitted: empty partial.
-            stats.interrupted = true;
-            return Ok(Vec::new());
-        }
-        Err(e) => return Err(e),
-    };
-    if !fwd.reached(target) {
-        return Err(CoreError::Unreachable { source, target });
-    }
-    let bwd = match ws.shortest_path_tree(net, weights, target, Direction::Backward) {
-        Ok(tree) => tree,
-        Err(CoreError::Interrupted) => {
-            // The forward tree already proves the shortest path; hand it
-            // back as the (sole) partial alternative.
-            stats.interrupted = true;
-            let edges = fwd.path_edges(net, target).unwrap_or_default();
-            if edges.is_empty() {
-                return Ok(Vec::new());
-            }
-            return Ok(vec![Path::from_edges(net, weights, edges)]);
-        }
-        Err(e) => return Err(e),
-    };
-    Ok(sweep_via_nodes(
+    let budget = SearchBudget::unlimited();
+    let sub = SearchSubstrate::build(net, weights, source, target, &budget)?;
+    dissimilarity_alternatives_from_trees(
         net,
         weights,
         query,
         options,
-        stats,
-        &fwd,
-        &bwd,
-        ws.budget(),
-    ))
+        &mut DissimilarityStats::default(),
+        sub.forward(),
+        sub.backward(),
+        &budget,
+    )
 }
 
-/// Like [`dissimilarity_alternatives_observed`], but reusing a prepared
-/// tree pair — typically a [`crate::substrate::SearchSubstrate`]'s —
-/// instead of growing one per call. The trees must have been grown under
-/// `weights`: the sweep reads via-path lengths off their labels. `budget`
-/// governs the sweep's cooperative polls only; the tree-building cost was
-/// paid by whoever grew the trees. The sweep itself is the exact code the
-/// self-computing path runs, so results are byte-identical.
+/// The technique itself: a function of the forward/backward tree pair,
+/// whoever grew it (typically a [`SearchSubstrate`]). The trees must have
+/// been grown under `weights`: the sweep reads via-path lengths off their
+/// labels. Visits via-nodes in ascending via-path length and admits
+/// pairwise-dissimilar paths. `budget` governs the sweep's cooperative
+/// polls; the candidate funnel of the call is reported into `stats`
+/// (which is reset first).
 #[allow(clippy::too_many_arguments)]
 pub fn dissimilarity_alternatives_from_trees(
     net: &RoadNetwork,
@@ -181,27 +132,6 @@ pub fn dissimilarity_alternatives_from_trees(
     if !fwd.reached(target) {
         return Err(CoreError::Unreachable { source, target });
     }
-    Ok(sweep_via_nodes(
-        net, weights, query, options, stats, fwd, bwd, budget,
-    ))
-}
-
-/// The tree-independent tail of SSVP-D+: visit via-nodes in ascending
-/// via-path length and admit pairwise-dissimilar paths. Shared verbatim
-/// by [`dissimilarity_alternatives_observed`] (self-computed trees) and
-/// [`dissimilarity_alternatives_from_trees`] (substrate-fed trees).
-#[allow(clippy::too_many_arguments)]
-fn sweep_via_nodes(
-    net: &RoadNetwork,
-    weights: &[Weight],
-    query: &AltQuery,
-    options: &DissimilarityOptions,
-    stats: &mut DissimilarityStats,
-    fwd: &ShortestPathTree,
-    bwd: &ShortestPathTree,
-    budget: &SearchBudget,
-) -> Vec<Path> {
-    let target = bwd.root;
     let best = fwd.distance(target);
     let bound = query.cost_bound(best);
 
@@ -259,7 +189,7 @@ fn sweep_via_nodes(
         screen.admit(&path);
         accepted.push(path);
     }
-    accepted
+    Ok(accepted)
 }
 
 /// Memo value of a prefix sum not computed yet.
@@ -508,17 +438,19 @@ mod tests {
     #[test]
     fn observed_stats_balance_the_funnel() {
         let net = grid(8);
-        let mut ws = SearchSpace::new(&net);
+        let budget = SearchBudget::unlimited();
+        let sub =
+            SearchSubstrate::build(&net, net.weights(), NodeId(0), NodeId(63), &budget).unwrap();
         let mut stats = DissimilarityStats::default();
-        let paths = dissimilarity_alternatives_observed(
-            &mut ws,
+        let paths = dissimilarity_alternatives_from_trees(
             &net,
             net.weights(),
-            NodeId(0),
-            NodeId(63),
             &AltQuery::paper(),
             &DissimilarityOptions::default(),
             &mut stats,
+            sub.forward(),
+            sub.backward(),
+            &budget,
         )
         .unwrap();
         let rejected = stats.rejected_duplicate + stats.rejected_non_simple;

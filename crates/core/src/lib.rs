@@ -8,10 +8,11 @@
 //!   Dijkstra with generation-stamped labels, A*, forward/backward
 //!   shortest-path trees, bidirectional Dijkstra and a customizable
 //!   contraction hierarchy — all thin callers of one label-setting kernel,
-//! * a per-request shared search [`substrate`]: both trees plus the base
-//!   optimal route computed once and handed to every technique through an
-//!   optional [`ProviderContext`], so the four-way fan-out stops
-//!   recomputing the same Dijkstra work per lane,
+//! * the search [`substrate`] — both trees plus the base optimal route —
+//!   that Plateaus, SSVP-D+ and Penalty are functions of: a serving layer
+//!   builds it once per request and hands it to every provider
+//!   ([`AlternativesProvider::answer`]), a provider handed none builds its
+//!   own with the same routine, and the routes are the same either way,
 //! * the three published techniques the study compares —
 //!   [`penalty`] (§2.1), [`plateau`] (§2.2) and [`dissimilarity`]
 //!   (SSVP-D+, §2.3) — plus [`yen`]'s algorithm as the classic baseline
@@ -107,7 +108,7 @@ pub use provider::{
 };
 pub use query::{AltQuery, Route};
 pub use search::{shortest_path, Direction, SearchSpace, ShortestPathTree};
-pub use substrate::{ProviderContext, SearchSubstrate};
+pub use substrate::SearchSubstrate;
 pub use turns::{turn_aware_shortest_path, TurnModel};
 pub use yen::{yen_k_shortest_paths, yen_k_shortest_paths_budgeted};
 
@@ -130,7 +131,7 @@ pub mod prelude {
     };
     pub use crate::query::{AltQuery, Route};
     pub use crate::search::{shortest_path, Direction, SearchSpace};
-    pub use crate::substrate::{ProviderContext, SearchSubstrate};
+    pub use crate::substrate::SearchSubstrate;
     pub use crate::yen::yen_k_shortest_paths;
 }
 

@@ -74,62 +74,19 @@ pub fn penalty_alternatives(
     options: &PenaltyOptions,
 ) -> Result<Vec<Path>, CoreError> {
     let mut ws = SearchSpace::new(net);
-    penalty_alternatives_with(&mut ws, net, weights, source, target, query, options)
-}
-
-/// Like [`penalty_alternatives`] but reusing a caller-provided workspace.
-pub fn penalty_alternatives_with(
-    ws: &mut SearchSpace,
-    net: &RoadNetwork,
-    weights: &[Weight],
-    source: NodeId,
-    target: NodeId,
-    query: &AltQuery,
-    options: &PenaltyOptions,
-) -> Result<Vec<Path>, CoreError> {
     let mut stats = PenaltyStats::default();
-    penalty_alternatives_observed(ws, net, weights, source, target, query, options, &mut stats)
+    penalty_alternatives_from_base(
+        &mut ws, net, weights, source, target, query, options, &mut stats, None,
+    )
 }
 
-/// Like [`penalty_alternatives_with`] but also reporting the candidate
-/// funnel of the call into `stats` (which is reset first).
-#[allow(clippy::too_many_arguments)]
-pub fn penalty_alternatives_observed(
-    ws: &mut SearchSpace,
-    net: &RoadNetwork,
-    weights: &[Weight],
-    source: NodeId,
-    target: NodeId,
-    query: &AltQuery,
-    options: &PenaltyOptions,
-    stats: &mut PenaltyStats,
-) -> Result<Vec<Path>, CoreError> {
-    *stats = PenaltyStats::default();
-    if query.k == 0 {
-        return Ok(Vec::new());
-    }
-    let best = match ws.shortest_path(net, weights, source, target) {
-        Ok(p) => p,
-        Err(CoreError::Interrupted) => {
-            // Nothing admitted yet: an interrupted call is not an error,
-            // it just has no partial routes to hand back.
-            stats.interrupted = true;
-            return Ok(Vec::new());
-        }
-        Err(e) => return Err(e),
-    };
-    Ok(penalty_rounds(
-        ws, net, weights, source, target, query, options, stats, best,
-    ))
-}
-
-/// Like [`penalty_alternatives_observed`], but seeded with a prepared
-/// base optimal route — typically a
-/// [`crate::substrate::SearchSubstrate`]'s — instead of searching for it
-/// first. The penalized re-search iterations still run through `ws`
-/// (and its budget); only the initial full Dijkstra is saved. The
-/// rounds themselves are the exact code the self-computing path runs,
-/// so results are byte-identical.
+/// The technique itself: penalize the base optimal route and iterate
+/// re-searches on the private overlay, all through `ws` (and its budget).
+/// `base` is the prepared `sp(source, target)` under `weights` —
+/// typically a [`crate::substrate::SearchSubstrate`]'s; with `None` the
+/// call first finds it with one early-terminated search of its own. The
+/// candidate funnel of the call is reported into `stats` (which is reset
+/// first).
 #[allow(clippy::too_many_arguments)]
 pub fn penalty_alternatives_from_base(
     ws: &mut SearchSpace,
@@ -140,7 +97,7 @@ pub fn penalty_alternatives_from_base(
     query: &AltQuery,
     options: &PenaltyOptions,
     stats: &mut PenaltyStats,
-    base: &Path,
+    base: Option<&Path>,
 ) -> Result<Vec<Path>, CoreError> {
     *stats = PenaltyStats::default();
     if query.k == 0 {
@@ -149,37 +106,22 @@ pub fn penalty_alternatives_from_base(
     if source == target {
         return Err(CoreError::SameSourceTarget(source));
     }
-    debug_assert_eq!(base.source(), source);
-    debug_assert_eq!(base.target(), target);
-    Ok(penalty_rounds(
-        ws,
-        net,
-        weights,
-        source,
-        target,
-        query,
-        options,
-        stats,
-        base.clone(),
-    ))
-}
-
-/// The search-independent tail of the technique: penalize the base
-/// route and iterate re-searches on the private overlay. Shared
-/// verbatim by [`penalty_alternatives_observed`] (self-computed base)
-/// and [`penalty_alternatives_from_base`] (substrate-fed base).
-#[allow(clippy::too_many_arguments)]
-fn penalty_rounds(
-    ws: &mut SearchSpace,
-    net: &RoadNetwork,
-    weights: &[Weight],
-    source: NodeId,
-    target: NodeId,
-    query: &AltQuery,
-    options: &PenaltyOptions,
-    stats: &mut PenaltyStats,
-    best: Path,
-) -> Vec<Path> {
+    let best = match base {
+        Some(base) => {
+            debug_assert_eq!((base.source(), base.target()), (source, target));
+            base.clone()
+        }
+        None => match ws.shortest_path(net, weights, source, target) {
+            Ok(p) => p,
+            Err(CoreError::Interrupted) => {
+                // Nothing admitted yet: an interrupted call is not an
+                // error, it just has no partial routes to hand back.
+                stats.interrupted = true;
+                return Ok(Vec::new());
+            }
+            Err(e) => return Err(e),
+        },
+    };
     // Private penalized overlay.
     let mut overlay: Vec<Weight> = weights.to_vec();
     let bound = query.cost_bound(best.cost_ms);
@@ -245,7 +187,7 @@ fn penalty_rounds(
         }
         accepted.push(candidate);
     }
-    accepted
+    Ok(accepted)
 }
 
 fn penalize(
@@ -414,7 +356,7 @@ mod tests {
         let net = grid(8);
         let mut ws = SearchSpace::new(&net);
         let mut stats = PenaltyStats::default();
-        let paths = penalty_alternatives_observed(
+        let paths = penalty_alternatives_from_base(
             &mut ws,
             &net,
             net.weights(),
@@ -423,6 +365,7 @@ mod tests {
             &AltQuery::paper(),
             &PenaltyOptions::default(),
             &mut stats,
+            None,
         )
         .unwrap();
         assert!(stats.iterations >= 1);
@@ -460,7 +403,7 @@ mod tests {
         // residual pops are only charged at the end), the cap then trips
         // sticky, and the between-rounds poll stops the second round.
         ws.set_budget(SearchBudget::new().with_expansion_cap(1));
-        let partial = penalty_alternatives_observed(
+        let partial = penalty_alternatives_from_base(
             &mut ws,
             &net,
             net.weights(),
@@ -469,6 +412,7 @@ mod tests {
             &q,
             &PenaltyOptions::default(),
             &mut stats,
+            None,
         )
         .unwrap();
         assert!(stats.interrupted);

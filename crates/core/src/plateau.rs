@@ -20,8 +20,9 @@ use crate::budget::SearchBudget;
 use crate::error::CoreError;
 use crate::path::Path;
 use crate::query::AltQuery;
-use crate::search::{Direction, SearchSpace, ShortestPathTree};
+use crate::search::{Direction, ShortestPathTree};
 use crate::similarity::similarity;
+use crate::substrate::SearchSubstrate;
 
 /// A plateau: a maximal chain of edges common to the forward and backward
 /// shortest-path trees.
@@ -136,7 +137,9 @@ pub fn find_plateaus(
     plateaus
 }
 
-/// Computes up to `query.k` alternative paths with the plateau method.
+/// Computes up to `query.k` alternative paths with the plateau method:
+/// grows the tree pair ([`SearchSubstrate::build`]) and joins it
+/// ([`plateau_alternatives_from_trees`]).
 pub fn plateau_alternatives(
     net: &RoadNetwork,
     weights: &[Weight],
@@ -145,88 +148,25 @@ pub fn plateau_alternatives(
     query: &AltQuery,
     options: &PlateauOptions,
 ) -> Result<Vec<Path>, CoreError> {
-    let mut ws = SearchSpace::new(net);
-    plateau_alternatives_with(&mut ws, net, weights, source, target, query, options)
-}
-
-/// Like [`plateau_alternatives`] but reusing a caller-provided workspace.
-pub fn plateau_alternatives_with(
-    ws: &mut SearchSpace,
-    net: &RoadNetwork,
-    weights: &[Weight],
-    source: NodeId,
-    target: NodeId,
-    query: &AltQuery,
-    options: &PlateauOptions,
-) -> Result<Vec<Path>, CoreError> {
-    let mut stats = PlateauStats::default();
-    plateau_alternatives_observed(ws, net, weights, source, target, query, options, &mut stats)
-}
-
-/// Like [`plateau_alternatives_with`] but also reporting the candidate
-/// funnel of the call into `stats` (which is reset first).
-#[allow(clippy::too_many_arguments)]
-pub fn plateau_alternatives_observed(
-    ws: &mut SearchSpace,
-    net: &RoadNetwork,
-    weights: &[Weight],
-    source: NodeId,
-    target: NodeId,
-    query: &AltQuery,
-    options: &PlateauOptions,
-    stats: &mut PlateauStats,
-) -> Result<Vec<Path>, CoreError> {
-    *stats = PlateauStats::default();
-    if query.k == 0 {
-        return Ok(Vec::new());
-    }
-    if source == target {
-        return Err(CoreError::SameSourceTarget(source));
-    }
-    let fwd = match ws.shortest_path_tree(net, weights, source, Direction::Forward) {
-        Ok(tree) => tree,
-        Err(CoreError::Interrupted) => {
-            // Interrupted before anything was admitted: empty partial.
-            stats.interrupted = true;
-            return Ok(Vec::new());
-        }
-        Err(e) => return Err(e),
-    };
-    if !fwd.reached(target) {
-        return Err(CoreError::Unreachable { source, target });
-    }
-    let bwd = match ws.shortest_path_tree(net, weights, target, Direction::Backward) {
-        Ok(tree) => tree,
-        Err(CoreError::Interrupted) => {
-            // The forward tree already proves the shortest path; hand it
-            // back as the (sole) partial alternative.
-            stats.interrupted = true;
-            let edges = fwd.path_edges(net, target).unwrap_or_default();
-            if edges.is_empty() {
-                return Ok(Vec::new());
-            }
-            return Ok(vec![Path::from_edges(net, weights, edges)]);
-        }
-        Err(e) => return Err(e),
-    };
-    Ok(sweep_plateaus(
+    let budget = SearchBudget::unlimited();
+    let sub = SearchSubstrate::build(net, weights, source, target, &budget)?;
+    plateau_alternatives_from_trees(
         net,
         weights,
         query,
         options,
-        stats,
-        &fwd,
-        &bwd,
-        ws.budget(),
-    ))
+        &mut PlateauStats::default(),
+        sub.forward(),
+        sub.backward(),
+        &budget,
+    )
 }
 
-/// Like [`plateau_alternatives_observed`], but reusing a prepared tree
-/// pair — typically a [`crate::substrate::SearchSubstrate`]'s — instead
-/// of growing one per call. `budget` governs the sweep's cooperative
-/// polls only; the tree-building cost was paid by whoever grew the
-/// trees. The sweep itself is the exact code the self-computing path
-/// runs, so results are byte-identical.
+/// The technique itself: a function of the forward/backward tree pair,
+/// whoever grew it (typically a [`SearchSubstrate`]). The trees must have
+/// been grown under `weights`. `budget` governs the sweep's cooperative
+/// polls; the candidate funnel of the call is reported into `stats`
+/// (which is reset first).
 #[allow(clippy::too_many_arguments)]
 pub fn plateau_alternatives_from_trees(
     net: &RoadNetwork,
@@ -251,27 +191,6 @@ pub fn plateau_alternatives_from_trees(
     if !fwd.reached(target) {
         return Err(CoreError::Unreachable { source, target });
     }
-    Ok(sweep_plateaus(
-        net, weights, query, options, stats, fwd, bwd, budget,
-    ))
-}
-
-/// The tree-independent tail of the technique: rank the tree pair's
-/// plateaus and complete the top ones into full paths. Shared verbatim
-/// by [`plateau_alternatives_observed`] (self-computed trees) and
-/// [`plateau_alternatives_from_trees`] (substrate-fed trees).
-#[allow(clippy::too_many_arguments)]
-fn sweep_plateaus(
-    net: &RoadNetwork,
-    weights: &[Weight],
-    query: &AltQuery,
-    options: &PlateauOptions,
-    stats: &mut PlateauStats,
-    fwd: &ShortestPathTree,
-    bwd: &ShortestPathTree,
-    budget: &SearchBudget,
-) -> Vec<Path> {
-    let (source, target) = (fwd.root, bwd.root);
     let best_cost = fwd.distance(target);
     let bound = query.cost_bound(best_cost);
     let min_weight = (best_cost as f64 * options.min_plateau_fraction) as Cost;
@@ -339,7 +258,7 @@ fn sweep_plateaus(
     // The plateau containing the whole shortest path guarantees at least
     // one result; keep results sorted by cost for presentation.
     accepted.sort_by_key(|p| p.cost_ms);
-    accepted
+    Ok(accepted)
 }
 
 #[cfg(test)]
@@ -418,6 +337,8 @@ mod tests {
 
     #[test]
     fn plateaus_are_vertex_disjoint() {
+        use crate::search::SearchSpace;
+
         let net = grid(7);
         let mut ws = SearchSpace::new(&net);
         let fwd = ws
@@ -440,6 +361,8 @@ mod tests {
 
     #[test]
     fn longest_plateau_is_the_shortest_path() {
+        use crate::search::SearchSpace;
+
         let net = grid(6);
         let mut ws = SearchSpace::new(&net);
         let (s, t) = (NodeId(0), NodeId(35));
@@ -500,17 +423,19 @@ mod tests {
     #[test]
     fn observed_stats_count_plateaus_and_candidates() {
         let net = grid(8);
-        let mut ws = SearchSpace::new(&net);
+        let budget = SearchBudget::unlimited();
+        let sub =
+            SearchSubstrate::build(&net, net.weights(), NodeId(0), NodeId(63), &budget).unwrap();
         let mut stats = PlateauStats::default();
-        let paths = plateau_alternatives_observed(
-            &mut ws,
+        let paths = plateau_alternatives_from_trees(
             &net,
             net.weights(),
-            NodeId(0),
-            NodeId(63),
             &AltQuery::paper(),
             &PlateauOptions::default(),
             &mut stats,
+            sub.forward(),
+            sub.backward(),
+            &budget,
         )
         .unwrap();
         assert!(stats.plateaus_found >= stats.candidates);
@@ -524,32 +449,23 @@ mod tests {
 
     #[test]
     fn interrupted_after_forward_tree_returns_shortest_path() {
-        use crate::budget::SearchBudget;
+        use crate::provider::{AlternativesProvider, PlateauProvider};
 
         let net = grid(8);
-        let mut ws = SearchSpace::new(&net);
-        // Cap of one pop: the forward tree completes (residual pops are
-        // charged at the end), the cap trips sticky, and the backward
-        // tree's entry poll interrupts.
-        ws.set_budget(SearchBudget::new().with_expansion_cap(1));
-        let mut stats = PlateauStats::default();
-        let partial = plateau_alternatives_observed(
-            &mut ws,
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(63),
-            &AltQuery::paper(),
-            &PlateauOptions::default(),
-            &mut stats,
-        )
-        .unwrap();
-        assert!(stats.interrupted);
+        let (s, t) = (NodeId(0), NodeId(63));
+        // Cap of one pop: the provider's own build completes its forward
+        // tree (residual pops are charged at the end), the cap trips
+        // sticky, and the backward tree's entry poll interrupts.
+        let budget = SearchBudget::new().with_expansion_cap(1);
+        let outcome = PlateauProvider::default()
+            .answer(&net, net.weights(), s, t, &AltQuery::paper(), &budget, None)
+            .unwrap();
+        assert!(outcome.is_interrupted());
+        let partial = outcome.routes();
         assert_eq!(partial.len(), 1, "shortest path is the partial result");
-        let direct =
-            crate::search::shortest_path(&net, net.weights(), NodeId(0), NodeId(63)).unwrap();
-        assert_eq!(partial[0].cost_ms, direct.cost_ms);
-        assert_eq!(partial[0].edges, direct.edges);
+        let direct = crate::search::shortest_path(&net, net.weights(), s, t).unwrap();
+        assert_eq!(partial[0].path.cost_ms, direct.cost_ms);
+        assert_eq!(partial[0].path.edges, direct.edges);
     }
 
     #[test]

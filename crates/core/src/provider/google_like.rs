@@ -24,10 +24,11 @@ use arp_roadnet::weight::{Weight, CLOSED};
 use crate::error::CoreError;
 use crate::filters::{apply_filters, FilterConfig};
 use crate::metrics::TechniqueMetrics;
-use crate::plateau::{plateau_alternatives_observed, PlateauOptions};
+use crate::plateau::{plateau_alternatives_from_trees, PlateauOptions};
 use crate::query::AltQuery;
+use crate::substrate::SearchSubstrate;
 
-use super::{lane_workspace, observed_call, AlternativesProvider, ProviderKind, ProviderOutcome};
+use super::{observed_call, on_tree_pair, AlternativesProvider, ProviderKind, ProviderOutcome};
 use crate::budget::SearchBudget;
 
 /// Deterministic synthetic traffic model producing a private copy of the
@@ -198,7 +199,7 @@ impl AlternativesProvider for GoogleLikeProvider {
         ProviderKind::GoogleLike
     }
 
-    fn alternatives_with_budget(
+    fn answer(
         &self,
         net: &RoadNetwork,
         public_weights: &[Weight],
@@ -206,6 +207,7 @@ impl AlternativesProvider for GoogleLikeProvider {
         target: NodeId,
         query: &AltQuery,
         budget: &SearchBudget,
+        _shared: Option<&SearchSubstrate>,
     ) -> Result<ProviderOutcome, CoreError> {
         if self.private_weights.len() != net.num_edges() {
             self.metrics.errors.inc();
@@ -214,11 +216,11 @@ impl AlternativesProvider for GoogleLikeProvider {
                 got: self.private_weights.len(),
             });
         }
+        let (metrics, pair) = (&self.metrics, (source, target));
         observed_call(
-            &self.metrics,
+            metrics,
             public_weights,
             TechniqueMetrics::record_plateau,
-            |s| s.interrupted,
             |stats| {
                 // Closures are physical ground truth, not a travel-time
                 // estimate: an edge hard-closed in the public column (a
@@ -239,27 +241,34 @@ impl AlternativesProvider for GoogleLikeProvider {
                 } else {
                     Cow::Borrowed(self.private_weights.as_slice())
                 };
-                let mut ws = lane_workspace(&self.metrics, net, budget);
-                // Optimize on the PRIVATE data; `observed_call` then reports
-                // the routes priced on the public data, like the paper's
-                // query processor does for Google's routes.
-                let paths = plateau_alternatives_observed(
-                    &mut ws,
-                    net,
-                    &private,
-                    source,
-                    target,
-                    query,
-                    &self.plateau_options,
-                    stats,
-                )?;
+                // Plateaus on the PRIVATE data: the tree pair is always
+                // this call's own — `shared` describes the public column —
+                // and `observed_call` then reports the routes priced on the
+                // public data, like the paper's query processor does for
+                // Google's routes.
+                let (paths, interrupted) =
+                    on_tree_pair(metrics, net, &private, pair, budget, None, |sub| {
+                        let paths = plateau_alternatives_from_trees(
+                            net,
+                            &private,
+                            query,
+                            &self.plateau_options,
+                            stats,
+                            sub.forward(),
+                            sub.backward(),
+                            budget,
+                        )?;
+                        Ok((paths, stats.interrupted))
+                    })?;
                 // The commercial post-filters probe local optimality with
-                // extra point-to-point searches; skip them on an interrupted
-                // call and serve the raw partial instead.
-                Ok(if stats.interrupted {
-                    paths
+                // extra point-to-point searches (run once the tree pair is
+                // dropped); skip them on an interrupted call and serve the
+                // raw partial instead.
+                Ok(if interrupted {
+                    (paths, true)
                 } else {
-                    apply_filters(net, &private, paths, query.k, &self.filters)
+                    let kept = apply_filters(net, &private, paths, query.k, &self.filters);
+                    (kept, false)
                 })
             },
         )

@@ -14,22 +14,15 @@ use arp_roadnet::ids::NodeId;
 use arp_roadnet::weight::Weight;
 
 use crate::budget::SearchBudget;
-use crate::dissimilarity::{
-    dissimilarity_alternatives_from_trees, dissimilarity_alternatives_observed,
-    DissimilarityOptions,
-};
+use crate::dissimilarity::{dissimilarity_alternatives_from_trees, DissimilarityOptions};
 use crate::error::CoreError;
 use crate::metrics::TechniqueMetrics;
 use crate::path::Path;
-use crate::penalty::{
-    penalty_alternatives_from_base, penalty_alternatives_observed, PenaltyOptions,
-};
-use crate::plateau::{
-    plateau_alternatives_from_trees, plateau_alternatives_observed, PlateauOptions,
-};
+use crate::penalty::{penalty_alternatives_from_base, PenaltyOptions};
+use crate::plateau::{plateau_alternatives_from_trees, PlateauOptions};
 use crate::query::{AltQuery, Route};
 use crate::search::SearchSpace;
-use crate::substrate::ProviderContext;
+use crate::substrate::SearchSubstrate;
 
 pub use google_like::{GoogleLikeProvider, TrafficModel};
 
@@ -120,11 +113,9 @@ pub trait AlternativesProvider: Send + Sync {
     /// Which approach this is.
     fn kind(&self) -> ProviderKind;
 
-    /// Computes up to `query.k` routes from `source` to `target`.
-    ///
-    /// `public_weights` are the OSM-derived travel times used for display;
-    /// a provider may optimize on different internal data, but the returned
-    /// routes are always priced on the public weights.
+    /// Computes up to `query.k` routes from `source` to `target`:
+    /// [`AlternativesProvider::answer`] with no budget and nothing
+    /// shared.
     fn alternatives(
         &self,
         net: &RoadNetwork,
@@ -133,47 +124,31 @@ pub trait AlternativesProvider: Send + Sync {
         target: NodeId,
         query: &AltQuery,
     ) -> Result<Vec<Route>, CoreError> {
-        self.alternatives_with_budget(
-            net,
-            public_weights,
-            source,
-            target,
-            query,
-            &SearchBudget::unlimited(),
-        )
-        .map(|outcome| outcome.routes())
+        let budget = SearchBudget::unlimited();
+        self.answer(net, public_weights, source, target, query, &budget, None)
+            .map(ProviderOutcome::routes)
     }
 
-    /// Like [`AlternativesProvider::alternatives`] but under a cooperative
-    /// [`SearchBudget`]: every internal search polls `budget`, and a trip
-    /// mid-call yields [`ProviderOutcome::Interrupted`] carrying the
-    /// routes admitted so far rather than an error.
-    fn alternatives_with_budget(
-        &self,
-        net: &RoadNetwork,
-        public_weights: &[Weight],
-        source: NodeId,
-        target: NodeId,
-        query: &AltQuery,
-        budget: &SearchBudget,
-    ) -> Result<ProviderOutcome, CoreError>;
-
-    /// Like [`AlternativesProvider::alternatives_with_budget`], but
-    /// handed an optional per-request [`ProviderContext`] carrying
-    /// shared search artifacts
-    /// ([`crate::substrate::SearchSubstrate`]).
+    /// Answers the query under a cooperative [`SearchBudget`]: every
+    /// internal search polls `budget`, and a trip mid-call yields
+    /// [`ProviderOutcome::Interrupted`] carrying the routes admitted so
+    /// far rather than an error.
     ///
-    /// Providers that can reuse the substrate skip the corresponding
-    /// searches — Plateaus and Dissimilarity take the tree pair, Penalty
-    /// takes the base route. The Google-like provider keeps the default:
-    /// its search runs on *private* weights, so the substrate's trees
-    /// (built on the public overlay) would be wrong for it; only the
-    /// shared OSM re-costing pass (pricing via [`Route::new`]) applies.
-    /// The default — and every provider handed an empty or mismatched
-    /// context — delegates to the self-computing path, so the routes
-    /// returned are byte-identical either way.
+    /// `public_weights` are the OSM-derived travel times used for display;
+    /// a provider may optimize on different internal data, but the returned
+    /// routes are always priced on the public weights.
+    ///
+    /// `shared` is the request's [`SearchSubstrate`] on `public_weights`,
+    /// when the caller built one: Plateaus and Dissimilarity read its tree
+    /// pair, Penalty its base route. A provider handed `None` — or a
+    /// substrate that does not answer this call
+    /// ([`SearchSubstrate::answers`]) — builds its own and continues down
+    /// the same code, so the routes are byte-identical either way. The
+    /// Google-like provider searches *private* weights, for which a
+    /// substrate of the public column would be wrong: it always builds its
+    /// own.
     #[allow(clippy::too_many_arguments)]
-    fn alternatives_in_context(
+    fn answer(
         &self,
         net: &RoadNetwork,
         public_weights: &[Weight],
@@ -181,63 +156,41 @@ pub trait AlternativesProvider: Send + Sync {
         target: NodeId,
         query: &AltQuery,
         budget: &SearchBudget,
-        ctx: &ProviderContext<'_>,
-    ) -> Result<ProviderOutcome, CoreError> {
-        let _ = ctx;
-        self.alternatives_with_budget(net, public_weights, source, target, query, budget)
-    }
+        shared: Option<&SearchSubstrate>,
+    ) -> Result<ProviderOutcome, CoreError>;
 }
 
-/// Prices accepted paths on the public weights and wraps them in the
-/// call's outcome, recording the admission and interruption counters —
-/// the shared epilogue of every local provider, on both the
-/// self-computing and the substrate-fed path.
-fn price_outcome(
-    metrics: &TechniqueMetrics,
-    public_weights: &[Weight],
-    paths: Vec<Path>,
-    interrupted: bool,
-) -> ProviderOutcome {
-    metrics.admitted.add(paths.len() as u64);
-    let routes: Vec<Route> = paths
-        .into_iter()
-        .map(|p| Route::new(p, public_weights))
-        .collect();
-    if interrupted {
-        metrics.interrupted.inc();
-        ProviderOutcome::Interrupted { partial: routes }
-    } else {
-        ProviderOutcome::Complete(routes)
-    }
-}
+/// What a technique run hands back short of an error: the accepted paths
+/// and whether the budget cut the run short.
+type Run = Result<(Vec<Path>, bool), CoreError>;
 
-/// The shared prologue and epilogue of every provider call, on both the
-/// self-computing and the substrate-fed path: count and time the call,
-/// run `technique`, `record` its funnel counters, then count the error
-/// or price the accepted paths ([`price_outcome`]).
+/// The shared prologue and epilogue of every provider call: count and
+/// time the call, run `technique`, `record` its funnel counters, then
+/// count the error — or price the accepted paths on the public weights
+/// and wrap them in the call's outcome, recording the admission and
+/// interruption counters.
 fn observed_call<S: Default>(
     metrics: &TechniqueMetrics,
     public_weights: &[Weight],
     record: fn(&TechniqueMetrics, &S),
-    interrupted: fn(&S) -> bool,
-    technique: impl FnOnce(&mut S) -> Result<Vec<Path>, CoreError>,
+    technique: impl FnOnce(&mut S) -> Run,
 ) -> Result<ProviderOutcome, CoreError> {
     let _timer = metrics.begin_call();
     let mut stats = S::default();
     let result = technique(&mut stats);
     record(metrics, &stats);
-    match result {
-        Ok(paths) => Ok(price_outcome(
-            metrics,
-            public_weights,
-            paths,
-            interrupted(&stats),
-        )),
-        Err(e) => {
-            metrics.errors.inc();
-            Err(e)
-        }
-    }
+    let (paths, interrupted) = result.inspect_err(|_| metrics.errors.inc())?;
+    metrics.admitted.add(paths.len() as u64);
+    let routes: Vec<Route> = paths
+        .into_iter()
+        .map(|p| Route::new(p, public_weights))
+        .collect();
+    Ok(if interrupted {
+        metrics.interrupted.inc();
+        ProviderOutcome::Interrupted { partial: routes }
+    } else {
+        ProviderOutcome::Complete(routes)
+    })
 }
 
 /// A fresh workspace reporting into the technique's search counters and
@@ -251,6 +204,32 @@ fn lane_workspace(
     ws.set_metrics(metrics.search().clone());
     ws.set_budget(budget.clone());
     ws
+}
+
+/// Runs `sweep` on the tree pair a call is a function of: `shared` when
+/// it answers the call, else a pair grown here on `weights`, in the lane's
+/// workspace (so the technique's search counters see the two tree
+/// searches). An own build the budget interrupts yields what it had
+/// proven — the optimal route once the forward tree is complete, nothing
+/// before — as the call's partial.
+fn on_tree_pair(
+    metrics: &TechniqueMetrics,
+    net: &RoadNetwork,
+    weights: &[Weight],
+    (source, target): (NodeId, NodeId),
+    budget: &SearchBudget,
+    shared: Option<&SearchSubstrate>,
+    sweep: impl FnOnce(&SearchSubstrate) -> Run,
+) -> Run {
+    if let Some(sub) = shared.filter(|sub| sub.answers(net, source, target)) {
+        return sweep(sub);
+    }
+    let mut ws = lane_workspace(metrics, net, budget);
+    match SearchSubstrate::build_in(&mut ws, net, weights, source, target) {
+        Ok(own) => sweep(&own),
+        Err((CoreError::Interrupted, proven)) => Ok((proven.into_iter().collect(), true)),
+        Err((e, _)) => Err(e),
+    }
 }
 
 /// The Plateaus provider.
@@ -275,7 +254,7 @@ impl AlternativesProvider for PlateauProvider {
         ProviderKind::Plateaus
     }
 
-    fn alternatives_with_budget(
+    fn answer(
         &self,
         net: &RoadNetwork,
         public_weights: &[Weight],
@@ -283,66 +262,27 @@ impl AlternativesProvider for PlateauProvider {
         target: NodeId,
         query: &AltQuery,
         budget: &SearchBudget,
+        shared: Option<&SearchSubstrate>,
     ) -> Result<ProviderOutcome, CoreError> {
+        let (metrics, pair) = (&self.metrics, (source, target));
         observed_call(
-            &self.metrics,
+            metrics,
             public_weights,
             TechniqueMetrics::record_plateau,
-            |s| s.interrupted,
             |stats| {
-                let mut ws = lane_workspace(&self.metrics, net, budget);
-                plateau_alternatives_observed(
-                    &mut ws,
-                    net,
-                    public_weights,
-                    source,
-                    target,
-                    query,
-                    &self.options,
-                    stats,
-                )
-            },
-        )
-    }
-
-    fn alternatives_in_context(
-        &self,
-        net: &RoadNetwork,
-        public_weights: &[Weight],
-        source: NodeId,
-        target: NodeId,
-        query: &AltQuery,
-        budget: &SearchBudget,
-        ctx: &ProviderContext<'_>,
-    ) -> Result<ProviderOutcome, CoreError> {
-        // Reuse the substrate's forward/backward tree pair; a missing or
-        // mismatched substrate falls back to growing our own.
-        let Some(sub) = ctx.substrate_for(net, source, target) else {
-            return self.alternatives_with_budget(
-                net,
-                public_weights,
-                source,
-                target,
-                query,
-                budget,
-            );
-        };
-        observed_call(
-            &self.metrics,
-            public_weights,
-            TechniqueMetrics::record_plateau,
-            |s| s.interrupted,
-            |stats| {
-                plateau_alternatives_from_trees(
-                    net,
-                    public_weights,
-                    query,
-                    &self.options,
-                    stats,
-                    sub.forward(),
-                    sub.backward(),
-                    budget,
-                )
+                on_tree_pair(metrics, net, public_weights, pair, budget, shared, |sub| {
+                    let paths = plateau_alternatives_from_trees(
+                        net,
+                        public_weights,
+                        query,
+                        &self.options,
+                        stats,
+                        sub.forward(),
+                        sub.backward(),
+                        budget,
+                    )?;
+                    Ok((paths, stats.interrupted))
+                })
             },
         )
     }
@@ -370,7 +310,7 @@ impl AlternativesProvider for PenaltyProvider {
         ProviderKind::Penalty
     }
 
-    fn alternatives_with_budget(
+    fn answer(
         &self,
         net: &RoadNetwork,
         public_weights: &[Weight],
@@ -378,15 +318,19 @@ impl AlternativesProvider for PenaltyProvider {
         target: NodeId,
         query: &AltQuery,
         budget: &SearchBudget,
+        shared: Option<&SearchSubstrate>,
     ) -> Result<ProviderOutcome, CoreError> {
         observed_call(
             &self.metrics,
             public_weights,
             TechniqueMetrics::record_penalty,
-            |s| s.interrupted,
             |stats| {
+                // Iteration zero is the shared base route when one answers
+                // this call, else one early-terminated search of our own —
+                // never a tree pair. The penalized re-searches run here
+                // either way, under this call's budget.
                 let mut ws = lane_workspace(&self.metrics, net, budget);
-                penalty_alternatives_observed(
+                let paths = penalty_alternatives_from_base(
                     &mut ws,
                     net,
                     public_weights,
@@ -395,51 +339,11 @@ impl AlternativesProvider for PenaltyProvider {
                     query,
                     &self.options,
                     stats,
-                )
-            },
-        )
-    }
-
-    fn alternatives_in_context(
-        &self,
-        net: &RoadNetwork,
-        public_weights: &[Weight],
-        source: NodeId,
-        target: NodeId,
-        query: &AltQuery,
-        budget: &SearchBudget,
-        ctx: &ProviderContext<'_>,
-    ) -> Result<ProviderOutcome, CoreError> {
-        // Reuse the substrate's base optimal route as iteration zero; the
-        // penalized re-searches still run here, under this call's budget.
-        let Some(sub) = ctx.substrate_for(net, source, target) else {
-            return self.alternatives_with_budget(
-                net,
-                public_weights,
-                source,
-                target,
-                query,
-                budget,
-            );
-        };
-        observed_call(
-            &self.metrics,
-            public_weights,
-            TechniqueMetrics::record_penalty,
-            |s| s.interrupted,
-            |stats| {
-                let mut ws = lane_workspace(&self.metrics, net, budget);
-                penalty_alternatives_from_base(
-                    &mut ws,
-                    net,
-                    public_weights,
-                    source,
-                    target,
-                    query,
-                    &self.options,
-                    stats,
-                    sub.base_route(),
-                )
+                    shared
+                        .filter(|sub| sub.answers(net, source, target))
+                        .map(SearchSubstrate::base_route),
+                )?;
+                Ok((paths, stats.interrupted))
             },
         )
     }
@@ -467,7 +371,7 @@ impl AlternativesProvider for DissimilarityProvider {
         ProviderKind::Dissimilarity
     }
 
-    fn alternatives_with_budget(
+    fn answer(
         &self,
         net: &RoadNetwork,
         public_weights: &[Weight],
@@ -475,67 +379,27 @@ impl AlternativesProvider for DissimilarityProvider {
         target: NodeId,
         query: &AltQuery,
         budget: &SearchBudget,
+        shared: Option<&SearchSubstrate>,
     ) -> Result<ProviderOutcome, CoreError> {
+        let (metrics, pair) = (&self.metrics, (source, target));
         observed_call(
-            &self.metrics,
+            metrics,
             public_weights,
             TechniqueMetrics::record_dissimilarity,
-            |s| s.interrupted,
             |stats| {
-                let mut ws = lane_workspace(&self.metrics, net, budget);
-                dissimilarity_alternatives_observed(
-                    &mut ws,
-                    net,
-                    public_weights,
-                    source,
-                    target,
-                    query,
-                    &self.options,
-                    stats,
-                )
-            },
-        )
-    }
-
-    fn alternatives_in_context(
-        &self,
-        net: &RoadNetwork,
-        public_weights: &[Weight],
-        source: NodeId,
-        target: NodeId,
-        query: &AltQuery,
-        budget: &SearchBudget,
-        ctx: &ProviderContext<'_>,
-    ) -> Result<ProviderOutcome, CoreError> {
-        // Reuse the substrate's tree pair for the via-node sweep's
-        // distance arrays; a missing or mismatched substrate falls back
-        // to growing our own.
-        let Some(sub) = ctx.substrate_for(net, source, target) else {
-            return self.alternatives_with_budget(
-                net,
-                public_weights,
-                source,
-                target,
-                query,
-                budget,
-            );
-        };
-        observed_call(
-            &self.metrics,
-            public_weights,
-            TechniqueMetrics::record_dissimilarity,
-            |s| s.interrupted,
-            |stats| {
-                dissimilarity_alternatives_from_trees(
-                    net,
-                    public_weights,
-                    query,
-                    &self.options,
-                    stats,
-                    sub.forward(),
-                    sub.backward(),
-                    budget,
-                )
+                on_tree_pair(metrics, net, public_weights, pair, budget, shared, |sub| {
+                    let paths = dissimilarity_alternatives_from_trees(
+                        net,
+                        public_weights,
+                        query,
+                        &self.options,
+                        stats,
+                        sub.forward(),
+                        sub.backward(),
+                        budget,
+                    )?;
+                    Ok((paths, stats.interrupted))
+                })
             },
         )
     }
@@ -662,7 +526,15 @@ mod tests {
             let budget = SearchBudget::new();
             budget.cancel();
             let outcome = p
-                .alternatives_with_budget(&net, net.weights(), NodeId(0), NodeId(63), &q, &budget)
+                .answer(
+                    &net,
+                    net.weights(),
+                    NodeId(0),
+                    NodeId(63),
+                    &q,
+                    &budget,
+                    None,
+                )
                 .unwrap_or_else(|e| panic!("{} errored on cancellation: {e}", p.kind()));
             assert!(outcome.is_interrupted(), "{}", p.kind());
             assert!(outcome.routes().is_empty(), "nothing was admitted");
@@ -691,13 +563,14 @@ mod tests {
                 .alternatives(&net, net.weights(), NodeId(0), NodeId(63), &q)
                 .unwrap();
             let outcome = p
-                .alternatives_with_budget(
+                .answer(
                     &net,
                     net.weights(),
                     NodeId(0),
                     NodeId(63),
                     &q,
                     &SearchBudget::unlimited(),
+                    None,
                 )
                 .unwrap();
             assert!(!outcome.is_interrupted());
@@ -706,6 +579,34 @@ mod tests {
             for (a, b) in routes.iter().zip(direct.iter()) {
                 assert_eq!(a.path.edges, b.path.edges, "{}", p.kind());
             }
+        }
+    }
+
+    #[test]
+    fn a_substrate_that_does_not_answer_the_call_is_replaced_by_an_own_build() {
+        let net = grid(8);
+        let (s, t) = (NodeId(0), NodeId(63));
+        let q = AltQuery::paper();
+        let budget = SearchBudget::unlimited();
+        // Right shape, wrong pair; right pair, wrong shape.
+        let wrong_pair =
+            SearchSubstrate::build(&net, net.weights(), NodeId(7), NodeId(56), &budget).unwrap();
+        let other = grid(9);
+        let wrong_shape = SearchSubstrate::build(&other, other.weights(), s, t, &budget).unwrap();
+        let reg = Registry::new();
+        for p in instrumented_providers(&net, 42, &reg) {
+            let own = p.answer(&net, net.weights(), s, t, &q, &budget, None);
+            let own = own.unwrap().routes();
+            for shared in [&wrong_pair, &wrong_shape] {
+                let fed = p.answer(&net, net.weights(), s, t, &q, &budget, Some(shared));
+                assert_eq!(own, fed.unwrap().routes(), "{}", p.kind());
+            }
+        }
+        // Three calls each, every one on an own build: two trees for the
+        // tree-pair techniques, so nothing was read off the wrong trees.
+        for slug in ["plateaus", "dissimilarity"] {
+            let queries = reg.counter_value("arp_search_queries_total", &[("technique", slug)]);
+            assert_eq!(queries, 6, "{slug}");
         }
     }
 

@@ -1,38 +1,32 @@
-//! The shared **search substrate**: per-request artifacts every
-//! technique would otherwise recompute.
+//! The **search substrate**: the one input every tree-pair technique
+//! is a function of.
 //!
 //! The paper's query processor answers each request by running four
 //! alternative-route techniques on the same (source, target) pair, and
-//! three of them start from the same raw material — Plateaus grows a
-//! forward *and* a backward shortest-path tree, SSVP-D+ grows the same
-//! pair, and Penalty (like ESX) starts from the base optimal route, which
-//! is just the forward tree's path to the target. A [`SearchSubstrate`]
-//! computes that material **once**: one forward tree, one backward tree,
-//! the base route, and the build's [`SearchStats`] so serving layers can
-//! account the cost exactly once per request.
+//! three of them are defined on the same raw material — Plateaus joins a
+//! forward and a backward shortest-path tree, SSVP-D+ sweeps via-nodes
+//! over the same pair, and Penalty (like ESX) starts from the base optimal
+//! route, which is just the forward tree's path to the target. A
+//! [`SearchSubstrate`] is that material: one forward tree, one backward
+//! tree, the base route, and the build's [`SearchStats`].
 //!
-//! Techniques receive the substrate through an optional
-//! [`ProviderContext`] (see
-//! [`AlternativesProvider::alternatives_in_context`]); every provider
-//! falls back to self-computing when no substrate is supplied, so
-//! existing library callers are unaffected, and the substrate-fed path
-//! is **byte-identical** to the self-computed one — the trees are built
-//! by the same [`SearchSpace::shortest_path_tree`] the techniques call
-//! themselves, and the base route reconstructed from the full forward
-//! tree equals the early-terminated [`crate::shortest_path`] result
-//! (every on-path vertex settles before the target does, because edge
-//! weights are clamped ≥ 1 ms). The property tests in
+//! There is one input and three suppliers. A serving layer builds the
+//! substrate **once** per request — through the customizable hierarchy
+//! ([`SearchSubstrate::build_with_ch`]) or with two plain Dijkstra trees
+//! ([`SearchSubstrate::build`]) — and hands it to every provider as
+//! `shared`; a provider handed nothing, or a substrate that does not
+//! answer its call ([`SearchSubstrate::answers`]), builds its own in its
+//! lane's workspace ([`SearchSubstrate::build_in`]) and continues down the
+//! same code. The suppliers are **byte-identical**: every tree is
+//! re-parented by the same canonical rule, and the base route read off the
+//! full forward tree equals the early-terminated [`crate::shortest_path`]
+//! result (every on-path vertex settles before the target does, because
+//! edge weights are clamped ≥ 1 ms). The property tests in
 //! `crates/core/tests/proptests.rs` pin this equivalence down.
 //!
-//! The build cooperates with cancellation: it runs under a
+//! Every build cooperates with cancellation: it runs under a
 //! [`SearchBudget`], and a trip mid-build surfaces as
-//! [`CoreError::Interrupted`] so the caller can abort the request or
-//! fall back to per-lane self-computation.
-//!
-//! [`AlternativesProvider::alternatives_in_context`]:
-//!     crate::provider::AlternativesProvider::alternatives_in_context
-//! [`SearchSpace::shortest_path_tree`]:
-//!     crate::search::SearchSpace::shortest_path_tree
+//! [`CoreError::Interrupted`].
 
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::NodeId;
@@ -49,14 +43,13 @@ use crate::search::{canonical_tree_from_dists, Direction, SearchSpace, ShortestP
 /// forward + backward shortest-path trees, the base optimal route, and
 /// the build's work counters.
 ///
-/// Built once per (source, target) pair by [`SearchSubstrate::build`]
-/// and handed to the four technique drivers via [`ProviderContext`].
-/// The artifact is tied to the weight overlay it was built on; callers
-/// that query several overlays (e.g. the Google-like provider's private
-/// weights) must not share one substrate across them —
-/// [`SearchSubstrate::matches`] guards the structural part of that
-/// contract (endpoints and network shape), the overlay identity is the
-/// caller's responsibility.
+/// The artifact is tied to the weight column it was built on; callers
+/// that query several columns (e.g. the Google-like provider's private
+/// weights) must not share one substrate across them. The guards check
+/// what can be checked cheaply — endpoints and network shape
+/// ([`SearchSubstrate::answers`]) and the traffic epoch
+/// ([`SearchSubstrate::matches`]); within one epoch, keeping column and
+/// substrate paired is the supplier's contract.
 #[derive(Clone, Debug)]
 pub struct SearchSubstrate {
     source: NodeId,
@@ -64,6 +57,7 @@ pub struct SearchSubstrate {
     num_nodes: usize,
     num_edges: usize,
     epoch: u64,
+    builder: &'static str,
     forward: ShortestPathTree,
     backward: ShortestPathTree,
     base: Path,
@@ -71,15 +65,8 @@ pub struct SearchSubstrate {
 }
 
 impl SearchSubstrate {
-    /// Builds the substrate: forward tree from `source`, backward tree
-    /// from `target`, base route reconstructed from the forward tree.
-    ///
-    /// Runs under `budget`; a trip mid-build returns
-    /// [`CoreError::Interrupted`] (there is no useful partial substrate —
-    /// half a tree helps no technique). Other failures mirror the
-    /// techniques' own prologues: [`CoreError::SameSourceTarget`] for
-    /// `source == target`, [`CoreError::Unreachable`] when the forward
-    /// tree never reaches `target`.
+    /// Builds the substrate with two plain Dijkstra trees in a fresh
+    /// workspace polling `budget`; see [`SearchSubstrate::build_in`].
     pub fn build(
         net: &RoadNetwork,
         weights: &[Weight],
@@ -87,33 +74,51 @@ impl SearchSubstrate {
         target: NodeId,
         budget: &SearchBudget,
     ) -> Result<SearchSubstrate, CoreError> {
-        if source == target {
-            return Err(CoreError::SameSourceTarget(source));
-        }
         let mut ws = SearchSpace::new(net);
         ws.set_budget(budget.clone());
-        let forward = ws.shortest_path_tree(net, weights, source, Direction::Forward)?;
+        Self::build_in(&mut ws, net, weights, source, target).map_err(|(error, _)| error)
+    }
+
+    /// Grows the forward tree from `source` and the backward tree from
+    /// `target` in `ws` — under its budget, into its metrics — and reads
+    /// the base route off the forward tree. This is the one place a tree
+    /// pair is grown for a request.
+    ///
+    /// Failures: [`CoreError::SameSourceTarget`] for `source == target`,
+    /// [`CoreError::Unreachable`] when the forward tree never reaches
+    /// `target`, [`CoreError::Interrupted`] when the budget trips. The
+    /// error carries the base route when the forward tree had already
+    /// proven it — a trip during the backward tree — so an interrupted
+    /// caller still has the optimal route to serve as its partial.
+    pub fn build_in(
+        ws: &mut SearchSpace,
+        net: &RoadNetwork,
+        weights: &[Weight],
+        source: NodeId,
+        target: NodeId,
+    ) -> Result<SearchSubstrate, (CoreError, Option<Path>)> {
+        if source == target {
+            return Err((CoreError::SameSourceTarget(source), None));
+        }
+        let forward = ws
+            .shortest_path_tree(net, weights, source, Direction::Forward)
+            .map_err(|e| (e, None))?;
         let mut build_stats = ws.last_stats();
         if !forward.reached(target) {
-            return Err(CoreError::Unreachable { source, target });
+            return Err((CoreError::Unreachable { source, target }, None));
         }
-        let backward = ws.shortest_path_tree(net, weights, target, Direction::Backward)?;
+        let backward = ws
+            .shortest_path_tree(net, weights, target, Direction::Backward)
+            .map_err(|e| (e, Some(base_route(net, weights, &forward, target))))?;
         build_stats.accumulate(&ws.last_stats());
-        let edges = forward
-            .path_edges(net, target)
-            .expect("target reached in the forward tree");
-        let base = Path::from_edges(net, weights, edges);
-        Ok(SearchSubstrate {
-            source,
-            target,
-            num_nodes: net.num_nodes(),
-            num_edges: net.num_edges(),
-            epoch: 0,
+        Ok(Self::assemble(
+            net,
+            weights,
             forward,
             backward,
-            base,
             build_stats,
-        })
+            "dijkstra",
+        ))
     }
 
     /// Builds the same substrate through the customizable-CH index tier
@@ -166,21 +171,38 @@ impl SearchSubstrate {
         )?;
         let forward = canonical_tree_from_dists(net, weights, source, Direction::Forward, dist_f);
         let backward = canonical_tree_from_dists(net, weights, target, Direction::Backward, dist_b);
-        let edges = forward
-            .path_edges(net, target)
-            .expect("target reached in the forward tree");
-        let base = Path::from_edges(net, weights, edges);
-        Ok(SearchSubstrate {
-            source,
-            target,
+        Ok(Self::assemble(
+            net,
+            weights,
+            forward,
+            backward,
+            build_stats,
+            "ch",
+        ))
+    }
+
+    /// The shared tail of every build: a finished tree pair (the forward
+    /// tree reaches the backward root) becomes the substrate.
+    fn assemble(
+        net: &RoadNetwork,
+        weights: &[Weight],
+        forward: ShortestPathTree,
+        backward: ShortestPathTree,
+        build_stats: SearchStats,
+        builder: &'static str,
+    ) -> SearchSubstrate {
+        SearchSubstrate {
+            source: forward.root,
+            target: backward.root,
             num_nodes: net.num_nodes(),
             num_edges: net.num_edges(),
             epoch: 0,
+            builder,
+            base: base_route(net, weights, &forward, backward.root),
             forward,
             backward,
-            base,
             build_stats,
-        })
+        }
     }
 
     /// Stamps the substrate with the traffic **epoch** of the weight
@@ -196,6 +218,15 @@ impl SearchSubstrate {
     /// The traffic epoch this substrate was built on.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Which supplier grew the trees: `"ch"`
+    /// ([`SearchSubstrate::build_with_ch`]) or `"dijkstra"`
+    /// ([`SearchSubstrate::build`] / [`SearchSubstrate::build_in`]).
+    /// Recorded at build time, so a trace reports the builder that ran
+    /// rather than the one that would run now.
+    pub fn builder(&self) -> &'static str {
+        self.builder
     }
 
     /// The request's source vertex (the forward tree's root).
@@ -244,83 +275,38 @@ impl SearchSubstrate {
     }
 
     /// Whether this substrate answers (`source`, `target`) on a network
-    /// of the same shape **at `epoch`**. Providers call this before
-    /// reusing an injected substrate and self-compute on a mismatch, so
-    /// a stale or misrouted substrate degrades to correct (if slower)
-    /// behaviour instead of wrong routes. The epoch check rejects
-    /// cross-epoch reuse after a live-traffic tick; within one epoch the
-    /// *weight overlay* is still not fingerprinted (that would cost O(E)
-    /// per check) — keeping overlay and substrate paired is the
-    /// supplier's contract.
-    pub fn matches(&self, net: &RoadNetwork, source: NodeId, target: NodeId, epoch: u64) -> bool {
+    /// of the same shape — the structural half of the reuse guard, which
+    /// every provider checks on the substrate it is handed. A provider
+    /// builds its own on a mismatch, so a misrouted substrate degrades
+    /// to correct (if slower) behaviour instead of wrong routes.
+    pub fn answers(&self, net: &RoadNetwork, source: NodeId, target: NodeId) -> bool {
         self.source == source
             && self.target == target
             && self.num_nodes == net.num_nodes()
             && self.num_edges == net.num_edges()
-            && self.epoch == epoch
+    }
+
+    /// [`SearchSubstrate::answers`] **at `epoch`** — the full guard, for
+    /// callers that know the epoch the request is pinned to. The epoch
+    /// check rejects cross-epoch reuse after a live-traffic tick; within
+    /// one epoch the *weight overlay* is still not fingerprinted (that
+    /// would cost O(E) per check).
+    pub fn matches(&self, net: &RoadNetwork, source: NodeId, target: NodeId, epoch: u64) -> bool {
+        self.epoch == epoch && self.answers(net, source, target)
     }
 }
 
-/// Optional per-call context handed to
-/// [`crate::provider::AlternativesProvider::alternatives_in_context`].
-///
-/// Today it carries at most a [`SearchSubstrate`]; the struct exists so
-/// future shared artifacts (e.g. a contraction-hierarchy overlay) extend
-/// the signature without breaking providers.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProviderContext<'a> {
-    /// The shared substrate, if one was prepared for this request.
-    pub substrate: Option<&'a SearchSubstrate>,
-    /// The traffic epoch the *request* is pinned to (0 = base weights).
-    /// [`ProviderContext::substrate_for`] only hands out the substrate
-    /// when its own epoch stamp matches, so a substrate prepared before
-    /// a live-traffic tick is never mixed into a post-tick request.
-    pub epoch: u64,
-}
-
-impl<'a> ProviderContext<'a> {
-    /// A context carrying nothing: providers self-compute.
-    pub fn empty() -> ProviderContext<'static> {
-        ProviderContext {
-            substrate: None,
-            epoch: 0,
-        }
-    }
-
-    /// A context carrying a prepared substrate (epoch 0 = base weights).
-    pub fn with_substrate(substrate: &'a SearchSubstrate) -> ProviderContext<'a> {
-        ProviderContext {
-            substrate: Some(substrate),
-            epoch: 0,
-        }
-    }
-
-    /// A context carrying a prepared substrate for a request pinned to
-    /// `epoch`. The substrate must carry the same stamp
-    /// ([`SearchSubstrate::with_epoch`]) to be reused.
-    pub fn with_substrate_at_epoch(
-        substrate: &'a SearchSubstrate,
-        epoch: u64,
-    ) -> ProviderContext<'a> {
-        ProviderContext {
-            substrate: Some(substrate),
-            epoch,
-        }
-    }
-
-    /// The substrate, but only if it matches this call's endpoints,
-    /// network shape and the request's epoch
-    /// ([`SearchSubstrate::matches`]); `None` otherwise, which sends the
-    /// provider down its self-computing path.
-    pub fn substrate_for(
-        &self,
-        net: &RoadNetwork,
-        source: NodeId,
-        target: NodeId,
-    ) -> Option<&'a SearchSubstrate> {
-        self.substrate
-            .filter(|s| s.matches(net, source, target, self.epoch))
-    }
+/// `sp(root, target)` read off a forward tree that reaches `target`.
+fn base_route(
+    net: &RoadNetwork,
+    weights: &[Weight],
+    forward: &ShortestPathTree,
+    target: NodeId,
+) -> Path {
+    let edges = forward
+        .path_edges(net, target)
+        .expect("target reached in the forward tree");
+    Path::from_edges(net, weights, edges)
 }
 
 #[cfg(test)]
@@ -415,6 +401,7 @@ mod tests {
                 assert_eq!(fast.backward().parent, plain.backward().parent, "{s}->{t}");
                 assert_eq!(fast.base_route().edges, plain.base_route().edges);
                 assert_eq!(fast.base_route().cost_ms, plain.base_route().cost_ms);
+                assert_eq!((plain.builder(), fast.builder()), ("dijkstra", "ch"));
             }
         }
     }
@@ -546,16 +533,39 @@ mod tests {
         let (s, t) = (NodeId(0), NodeId(35));
         let sub =
             SearchSubstrate::build(&net, net.weights(), s, t, &SearchBudget::unlimited()).unwrap();
-        let ctx = ProviderContext::with_substrate(&sub);
-        assert!(ctx.substrate_for(&net, s, t).is_some());
+        assert!(sub.answers(&net, s, t));
         // Wrong endpoints → no reuse.
-        assert!(ctx.substrate_for(&net, s, NodeId(34)).is_none());
-        assert!(ctx.substrate_for(&net, NodeId(1), t).is_none());
+        assert!(!sub.answers(&net, s, NodeId(34)));
+        assert!(!sub.answers(&net, NodeId(1), t));
         // Different network shape → no reuse.
         let other = grid(5);
-        assert!(ctx.substrate_for(&other, s, t).is_none());
-        // The empty context never offers one.
-        assert!(ProviderContext::empty().substrate_for(&net, s, t).is_none());
+        assert!(!sub.answers(&other, s, t));
+    }
+
+    #[test]
+    fn interrupted_backward_tree_hands_back_the_proven_base_route() {
+        let net = grid(8);
+        let (s, t) = (NodeId(0), NodeId(63));
+        // Cap of one pop: the forward tree completes (residual pops are
+        // charged at the end), the cap trips sticky, and the backward
+        // tree's entry poll interrupts.
+        let mut ws = SearchSpace::new(&net);
+        ws.set_budget(SearchBudget::new().with_expansion_cap(1));
+        let Err((CoreError::Interrupted, Some(base))) =
+            SearchSubstrate::build_in(&mut ws, &net, net.weights(), s, t)
+        else {
+            panic!("the trip must land between the two trees");
+        };
+        let direct = crate::search::shortest_path(&net, net.weights(), s, t).unwrap();
+        assert_eq!(base.edges, direct.edges);
+        // A trip before the forward tree completes proves nothing.
+        let cancelled = SearchBudget::new();
+        cancelled.cancel();
+        ws.set_budget(cancelled);
+        assert!(matches!(
+            SearchSubstrate::build_in(&mut ws, &net, net.weights(), s, t),
+            Err((CoreError::Interrupted, None))
+        ));
     }
 
     #[test]
@@ -569,14 +579,9 @@ mod tests {
         assert!(sub.matches(&net, s, t, 7));
         assert!(!sub.matches(&net, s, t, 8), "post-tick reuse must fail");
         assert!(!sub.matches(&net, s, t, 0));
-        // The context only offers the substrate at its own epoch.
-        let ctx = ProviderContext::with_substrate_at_epoch(&sub, 7);
-        assert!(ctx.substrate_for(&net, s, t).is_some());
-        let stale = ProviderContext::with_substrate_at_epoch(&sub, 8);
-        assert!(stale.substrate_for(&net, s, t).is_none());
-        // The epoch-0 constructor pairs only with epoch-0 substrates.
-        assert!(ProviderContext::with_substrate(&sub)
-            .substrate_for(&net, s, t)
-            .is_none());
+        // The epoch is checked on top of the structural guard, not
+        // instead of it.
+        assert!(sub.answers(&net, s, t));
+        assert!(!sub.matches(&net, s, NodeId(34), 7));
     }
 }

@@ -358,6 +358,73 @@ fn search_work_counters_are_pinned_on_dhaka() {
     );
 }
 
+#[test]
+fn all_four_providers_route_digest_is_pinned() {
+    // FNV-1a over every route (edge ids, then the public cost) the four
+    // study providers return for 8 fixed pairs per Small city, on the base
+    // weights and on an overlay with slowdowns and a closure. The literals
+    // were captured before the techniques' entry points were folded onto
+    // the tree pair: whoever supplies the trees, the routes must not move.
+    use arp_roadnet::weight::CLOSED;
+
+    fn feed(hash: &mut u64, value: u64) {
+        for byte in value.to_le_bytes() {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    let q = AltQuery::paper();
+    let mut digests = Vec::new();
+    for city in City::ALL {
+        let g = arp_citygen::generate(city, Scale::Small, 11);
+        let net = &g.network;
+        let pairs = sample_pairs(net, 8);
+        // Every seventh edge slowed 3x; the middle edge of the first
+        // pair's optimal route closed, so at least one answer must move.
+        let mut overlay = net.weights().to_vec();
+        for w in overlay.iter_mut().step_by(7) {
+            *w = w.saturating_mul(3).min(u32::MAX - 1);
+        }
+        let first = shortest_path(net, net.weights(), pairs[0].0, pairs[0].1).unwrap();
+        overlay[first.edges[first.edges.len() / 2].index()] = CLOSED;
+
+        let providers = standard_providers(net, 17);
+        for column in [net.weights(), &overlay[..]] {
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            for &(s, t) in &pairs {
+                for provider in &providers {
+                    match provider.alternatives(net, column, s, t, &q) {
+                        Ok(routes) => {
+                            for r in &routes {
+                                feed(&mut hash, r.path.edges.len() as u64);
+                                for e in &r.path.edges {
+                                    feed(&mut hash, u64::from(e.0));
+                                }
+                                feed(&mut hash, r.public_cost_ms);
+                            }
+                            feed(&mut hash, routes.len() as u64);
+                        }
+                        Err(_) => feed(&mut hash, u64::MAX),
+                    }
+                }
+            }
+            digests.push(hash);
+        }
+    }
+    assert_eq!(
+        digests,
+        [
+            0xe4df9d1a332c1bc7,
+            0x759bb729a792a722,
+            0xa1ac6f22d88d70be,
+            0x04042d6e15e5333b,
+            0x147769bf182b92b9,
+            0xe4b54ecf705a6e8f,
+        ],
+        "Melbourne, Dhaka, Copenhagen x (base weights, overlay)"
+    );
+}
+
 /// Dhaka-Small's tree pair for the corner query, with a query hard enough
 /// (five routes, θ = 0.7, a wide ellipse) that the sweep admits three paths
 /// and visits every vertex of the network looking for more.

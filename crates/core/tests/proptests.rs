@@ -661,8 +661,9 @@ proptest! {
         ).unwrap();
         let mut ws = SearchSpace::new(&net);
         ws.set_budget(SearchBudget::new().with_expansion_cap(cap));
-        let partial = arp_core::penalty::penalty_alternatives_with(
+        let partial = arp_core::penalty_alternatives_from_base(
             &mut ws, &net, net.weights(), s, t, &q, &PenaltyOptions::default(),
+            &mut PenaltyStats::default(), None,
         ).unwrap();
         prop_assert!(partial.len() <= full.len(), "penalty grew under a budget");
         for (p, f) in partial.iter().zip(full.iter()) {
@@ -694,16 +695,32 @@ proptest! {
 
     #[test]
     fn substrate_fed_techniques_match_self_computed((n, chords) in arb_scc_graph()) {
-        // The shared-substrate path must be *byte-identical* to the
-        // self-computed path for every consumer: same routes, same edges,
-        // same costs, same admission order. This is what lets the serving
-        // layer hand one substrate to all lanes without changing a single
-        // response byte (DESIGN.md §8).
+        // Whoever supplies the substrate — the technique's own build, a
+        // shared Dijkstra build or a shared CH build — every consumer must
+        // return *byte-identical* routes: same edges, same costs, same
+        // admission order. This is what lets the serving layer hand one
+        // substrate to all lanes without changing a single response byte
+        // (DESIGN.md §8).
         let net = build(n, &chords);
         let (s, t) = (NodeId(0), NodeId((n - 1) as u32));
         let q = AltQuery::paper();
         let budget = SearchBudget::unlimited();
         let sub = arp_core::SearchSubstrate::build(&net, net.weights(), s, t, &budget).unwrap();
+        let topo = ChTopology::build(&net);
+        let metric = topo.customize(&net, net.weights()).unwrap();
+        let ch_sub = arp_core::SearchSubstrate::build_with_ch(
+            &net, net.weights(), &topo, &metric, s, t, &budget,
+        ).unwrap();
+
+        for provider in standard_providers(&net, 42) {
+            let own = provider.answer(&net, net.weights(), s, t, &q, &budget, None)
+                .unwrap().routes();
+            for (supplier, shared) in [("dijkstra", &sub), ("ch", &ch_sub)] {
+                let fed = provider.answer(&net, net.weights(), s, t, &q, &budget, Some(shared))
+                    .unwrap().routes();
+                prop_assert_eq!(&own, &fed, "{} differs on the {} substrate", provider.kind(), supplier);
+            }
+        }
 
         let solo = plateau_alternatives(&net, net.weights(), s, t, &q, &PlateauOptions::default()).unwrap();
         let mut pstats = PlateauStats::default();
@@ -734,7 +751,7 @@ proptest! {
         let mut nstats = PenaltyStats::default();
         let fed = arp_core::penalty_alternatives_from_base(
             &mut ws, &net, net.weights(), s, t, &q, &PenaltyOptions::default(),
-            &mut nstats, sub.base_route(),
+            &mut nstats, Some(sub.base_route()),
         ).unwrap();
         prop_assert_eq!(solo.len(), fed.len(), "penalty count differs");
         for (a, b) in solo.iter().zip(fed.iter()) {

@@ -67,7 +67,7 @@ impl RouteBackend for DemoBackend {
         // lanes observe plus whatever headroom the deadline leaves. A
         // build that cannot finish (tripped token, expired or zero-headroom
         // deadline, unroutable pair) leaves `substrate` as `None` and the
-        // lanes self-compute — the pre-substrate behaviour.
+        // lanes build their own.
         if request.substrate.is_none() {
             let mut budget = SearchBudget::with_cancel_flag(token.flag());
             if !deadline.is_unbounded() {
@@ -117,16 +117,6 @@ impl RouteBackend for DemoBackend {
         }
     }
 
-    fn assemble_partial(
-        &self,
-        request: &PreparedQuery,
-        parts: Vec<Option<ApproachRoutes>>,
-    ) -> Option<QueryResponse> {
-        let mut response = self.processor.assemble_partial(&request.snapped, parts)?;
-        response.epoch = request.epoch();
-        Some(response)
-    }
-
     fn assemble_degraded(
         &self,
         request: &PreparedQuery,
@@ -160,27 +150,15 @@ impl RouteBackend for DemoBackend {
     }
 
     fn prepare_attrs(&self, request: &PreparedQuery) -> Vec<(&'static str, String)> {
-        let mut attrs = vec![(
-            "substrate",
-            if request.substrate.is_some() {
-                "ready"
-            } else {
-                "none"
-            }
-            .to_string(),
-        )];
-        if request.substrate.is_some() {
-            // Which builder served the build: the CH fast path runs iff
-            // the index tier has a metric published for this request's
-            // pinned epoch (checked without touching the
-            // queries/fallbacks counters the real build feeds).
-            let ch = self
-                .processor
-                .ch_index()
-                .is_some_and(|index| index.ready_epoch() == request.epoch());
-            attrs.push(("builder", if ch { "ch" } else { "dijkstra" }.to_string()));
+        // The builder is the one the substrate itself recorded when it was
+        // built — the index tier's readiness may have moved since.
+        match &request.substrate {
+            Some(substrate) => vec![
+                ("substrate", "ready".to_string()),
+                ("builder", substrate.builder().to_string()),
+            ],
+            None => vec![("substrate", "none".to_string())],
         }
-        attrs
     }
 }
 
@@ -264,8 +242,16 @@ mod tests {
         // truncation; abandoned slots keep their label with no routes.
         let full_routes = full.routes.len();
         let parts = vec![Some(full), Some(partial), None, None];
-        let resp = qp.assemble_partial(&q, parts).expect("one lane finished");
-        assert!(resp.truncated);
+        let statuses = [
+            LaneStatus::Ok,
+            LaneStatus::Truncated,
+            LaneStatus::Truncated,
+            LaneStatus::Truncated,
+        ];
+        let resp = qp
+            .assemble_degraded(&q, parts, &statuses)
+            .expect("one lane finished");
+        assert!(resp.truncated && !resp.degraded);
         assert_eq!(resp.approaches.len(), 4);
         assert_eq!(resp.approaches[0].routes.len(), full_routes);
         assert!(resp.approaches[2].routes.is_empty());
@@ -275,7 +261,7 @@ mod tests {
         // Nothing finished at all → no partial response; the serving
         // layer degrades that to DeadlineExceeded (HTTP 504).
         assert!(qp
-            .assemble_partial(&q, vec![None, None, None, None])
+            .assemble_degraded(&q, vec![None, None, None, None], &statuses)
             .is_none());
     }
 
@@ -320,11 +306,12 @@ mod tests {
             1
         );
 
-        // Every lane computes identically to the self-computed path, and
+        // Every lane computes identically to one building its own, and
         // the three substrate consumers count their reuse.
+        let unprepared = PreparedQuery::new(q);
         for lane in 0..backend.lanes() {
             let fed = backend.compute(&prepared, lane).unwrap();
-            let solo = qp.compute_slot(&q, lane).unwrap();
+            let solo = backend.compute(&unprepared, lane).unwrap();
             assert_eq!(fed.label, solo.label);
             assert_eq!(fed.routes.len(), solo.routes.len());
             for (x, y) in fed.routes.iter().zip(&solo.routes) {
@@ -353,6 +340,145 @@ mod tests {
         assert!(saved.get() > 0, "reuse must record settled-node savings");
     }
 
+    /// One lane of `q` computed with `substrate` attached, next to the
+    /// same lane of a query carrying none, and the lane's reuse counter.
+    fn lane_with_substrate(
+        qp: &Arc<QueryProcessor>,
+        q: PreparedQuery,
+        substrate: arp_core::SearchSubstrate,
+    ) -> (ApproachRoutes, ApproachRoutes, u64) {
+        let backend = DemoBackend::new(Arc::clone(qp));
+        let lane = (0..backend.lanes())
+            .find(|&l| backend.lane_name(l) == "plateaus")
+            .unwrap();
+        let own = backend.compute(&q, lane).unwrap();
+        let fed = PreparedQuery {
+            substrate: Some(Arc::new(substrate)),
+            ..q
+        };
+        let fed = backend.compute(&fed, lane).unwrap();
+        let reused = qp
+            .registry()
+            .counter_value("arp_substrate_reuse_total", &[("technique", "plateaus")]);
+        (own, fed, reused)
+    }
+
+    fn assert_same_routes(own: &ApproachRoutes, fed: &ApproachRoutes) {
+        assert!(!own.routes.is_empty());
+        assert_eq!(own.routes.len(), fed.routes.len());
+        for (x, y) in own.routes.iter().zip(&fed.routes) {
+            assert_eq!((x.cost_ms, &x.edges), (y.cost_ms, &y.edges));
+        }
+    }
+
+    #[test]
+    fn substrate_for_the_wrong_pair_is_not_reused() {
+        let qp = processor();
+        let (a, b) = inner_points(&qp);
+        let q = qp.snap(a, b).unwrap();
+        let elsewhere = arp_core::SearchSubstrate::build(
+            qp.network(),
+            qp.network().weights(),
+            q.target,
+            q.source,
+            &SearchBudget::unlimited(),
+        )
+        .unwrap();
+        let (own, fed, reused) = lane_with_substrate(&qp, PreparedQuery::new(q), elsewhere);
+        assert_same_routes(&own, &fed);
+        assert_eq!(reused, 0);
+    }
+
+    #[test]
+    fn substrate_for_the_wrong_network_shape_is_not_reused() {
+        let qp = processor();
+        let (a, b) = inner_points(&qp);
+        let q = qp.snap(a, b).unwrap();
+        // Same vertex ids, another city's network.
+        let other = arp_citygen::generate(City::Melbourne, Scale::Small, 9).network;
+        assert_ne!(other.num_edges(), qp.network().num_edges());
+        let foreign = arp_core::SearchSubstrate::build(
+            &other,
+            other.weights(),
+            q.source,
+            q.target,
+            &SearchBudget::unlimited(),
+        )
+        .unwrap();
+        let (own, fed, reused) = lane_with_substrate(&qp, PreparedQuery::new(q), foreign);
+        assert_same_routes(&own, &fed);
+        assert_eq!(reused, 0);
+    }
+
+    #[test]
+    fn substrate_from_the_wrong_epoch_is_not_reused() {
+        let qp = processor();
+        let (a, b) = inner_points(&qp);
+        let q = qp.snap(a, b).unwrap();
+        // Built on the base weights (epoch 0), offered to a request pinned
+        // to epoch 1, whose weights differ.
+        let stale = qp
+            .prepare_substrate(&PreparedQuery::new(q), &SearchBudget::unlimited())
+            .unwrap();
+        let delta = arp_traffic::TrafficDelta::parse("cat:primary*2.5; cat:residential*1.5");
+        qp.traffic().apply_delta(&delta.unwrap()).unwrap();
+        let pinned = qp.prepare_query(q);
+        assert_eq!((stale.epoch(), pinned.epoch()), (0, 1));
+        let (own, fed, reused) = lane_with_substrate(&qp, pinned, (*stale).clone());
+        assert_same_routes(&own, &fed);
+        assert_eq!(reused, 0);
+    }
+
+    #[test]
+    fn prepare_span_reports_the_builder_that_ran() {
+        let g = arp_citygen::generate(City::Dhaka, Scale::Small, 9);
+        let qp = Arc::new(QueryProcessor::new(g.name.clone(), g.network, 9).with_ch_index());
+        let (a, b) = inner_points(&qp);
+        let q = qp.snap(a, b).unwrap();
+        let index = qp.ch_index().unwrap();
+        let service = RouteService::with_metrics(
+            DemoBackend::new(Arc::clone(&qp)),
+            ServeConfig::default(),
+            ServeMetrics::default(),
+        );
+        let builder_of = |attrs: Vec<(&'static str, String)>| {
+            attrs
+                .into_iter()
+                .find(|(key, _)| *key == "builder")
+                .unwrap()
+                .1
+        };
+
+        // Hold the tier in its customization window: the bump publishes
+        // epoch 1, the metric for it is not customized yet, so the build
+        // falls back to plain Dijkstra.
+        index.pause();
+        let delta = arp_traffic::TrafficDelta::parse("cat:primary*1.5").unwrap();
+        qp.traffic().apply_delta(&delta).unwrap();
+        let (receipt, response) = service.route_traced(qp.prepare_query(q));
+        assert_eq!(response.unwrap().epoch, 1);
+        let token = CancelToken::new();
+        let in_window = service
+            .backend()
+            .prepare(qp.prepare_query(q), &token, &Deadline::never());
+
+        // The metric is published before anyone looks at the spans.
+        index.resume();
+        assert!(index.wait_ready(1, std::time::Duration::from_secs(60)));
+        let trace = service.tracer().trace(receipt.id).expect("trace kept");
+        let prepare = trace.span("prepare").expect("prepare span");
+        assert_eq!(prepare.attr("builder"), Some("dijkstra"));
+        assert_eq!(
+            builder_of(service.backend().prepare_attrs(&in_window)),
+            "dijkstra",
+            "a substrate built in the window must not be stamped with today's builder"
+        );
+        let after = service
+            .backend()
+            .prepare(qp.prepare_query(q), &token, &Deadline::never());
+        assert_eq!(builder_of(service.backend().prepare_attrs(&after)), "ch");
+    }
+
     #[test]
     fn tripped_token_or_expired_deadline_skips_the_build() {
         let qp = processor();
@@ -375,7 +501,7 @@ mod tests {
         );
 
         // Already-tripped token: the build starts, trips at its first
-        // budget check, and the lanes fall back to self-computing.
+        // budget check, and the lanes build their own.
         let tripped = CancelToken::new();
         tripped.cancel();
         let prepared = backend.prepare(PreparedQuery::new(q), &tripped, &Deadline::never());

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use arp_core::provider::AlternativesProvider;
 use arp_core::query::AltQuery;
-use arp_core::substrate::{ProviderContext, SearchSubstrate};
+use arp_core::substrate::SearchSubstrate;
 use arp_core::{ProviderKind, ProviderOutcome, SearchBudget};
 use arp_obs::{Counter, Gauge, Registry};
 use arp_roadnet::csr::RoadNetwork;
@@ -73,15 +73,15 @@ pub struct SnappedQuery {
 }
 
 /// A [`SnappedQuery`] plus the shared per-request search substrate —
-/// the serving layer's request type since the substrate refactor.
+/// the serving layer's request type.
 ///
 /// The substrate (forward + backward shortest-path trees and the base
 /// route, see [`SearchSubstrate`]) is built **once** per request by
 /// [`QueryProcessor::prepare_substrate`] and shared read-only across the
-/// four technique lanes via `Arc`. `None` means the lanes self-compute —
-/// either nothing was prepared yet, or the build was interrupted or
-/// failed, in which case each lane reports its own error (a disconnected
-/// pair stays a per-lane `Unreachable`, never a panic).
+/// four technique lanes via `Arc`. `None` means the lanes build their
+/// own — either nothing was prepared yet, or the build was interrupted
+/// or failed, in which case each lane reports its own error (a
+/// disconnected pair stays a per-lane `Unreachable`, never a panic).
 ///
 /// Cache identity is [`PreparedQuery::snapped`] plus the pinned traffic
 /// epoch: the substrate is derived state and never part of a cache key,
@@ -104,7 +104,7 @@ pub struct PreparedQuery {
 
 impl PreparedQuery {
     /// Wraps a snapped query with no substrate and no traffic overlay:
-    /// lanes self-compute on the base weights (epoch 0). Live-traffic
+    /// lanes build their own on the base weights (epoch 0). Live-traffic
     /// serving goes through [`QueryProcessor::prepare_query`] instead.
     pub fn new(snapped: SnappedQuery) -> PreparedQuery {
         PreparedQuery {
@@ -167,10 +167,10 @@ struct SubstrateMetrics {
     builds: Counter,
     /// `arp_substrate_build_failures_total` — builds abandoned: the
     /// request's budget tripped mid-build, or the pair is unroutable
-    /// (the lanes then self-compute and report per-lane errors).
+    /// (the lanes then build their own and report per-lane errors).
     build_failures: Counter,
     /// `arp_substrate_reuse_total{technique}` — lanes that consumed the
-    /// shared substrate instead of re-running their own base searches.
+    /// shared substrate instead of building their own.
     /// Indexed parallel to [`ProviderKind::ALL`].
     reuse: Vec<Counter>,
     /// `arp_substrate_saved_settled_nodes` — running total of settled-node
@@ -440,13 +440,6 @@ impl QueryProcessor {
         self.blinding.order().len()
     }
 
-    /// The route-cache key for one technique slot of a snapped query at
-    /// traffic epoch 0 (base weights). Epoch-aware callers use
-    /// [`QueryProcessor::slot_cache_key_at`].
-    pub fn slot_cache_key(&self, q: &SnappedQuery, slot: usize) -> String {
-        self.slot_cache_key_at(q, slot, 0)
-    }
-
     /// The route-cache key for one technique slot of a snapped query:
     /// `(city, source vertex, target vertex, technique, k, epoch)` —
     /// everything the slot's result depends on. The epoch suffix is what
@@ -467,42 +460,11 @@ impl QueryProcessor {
         )
     }
 
-    /// Computes one technique slot: run that provider, price its routes on
-    /// the public (OSM) weights, round to minutes, attach the blind label.
-    /// Slots are independent, so the serving layer runs them in parallel.
-    pub fn compute_slot(&self, q: &SnappedQuery, slot: usize) -> Result<ApproachRoutes, DemoError> {
-        self.compute_slot_budgeted(q, slot, &SearchBudget::unlimited())
-            .map(|(approach, _)| approach)
-    }
-
-    /// [`QueryProcessor::compute_slot`] under a cooperative
-    /// [`SearchBudget`]. A budget tripped mid-slot (the serving layer
-    /// builds one over the request's cancel token) stops the technique
-    /// within one budget-check interval; the slot then returns the routes
-    /// admitted so far plus `true` for "interrupted".
-    pub fn compute_slot_budgeted(
-        &self,
-        q: &SnappedQuery,
-        slot: usize,
-        budget: &SearchBudget,
-    ) -> Result<(ApproachRoutes, bool), DemoError> {
-        let kind = self.blinding.order()[slot];
-        let outcome = self.provider(kind).alternatives_with_budget(
-            &self.network,
-            self.network.weights(),
-            q.source,
-            q.target,
-            &self.query,
-            budget,
-        )?;
-        Ok(self.price_slot(kind, outcome))
-    }
-
     /// Builds the shared [`SearchSubstrate`] for a prepared query under
     /// a cooperative budget, on the query's pinned epoch weights, and
-    /// stamps it with that epoch so [`ProviderContext::substrate_for`]
+    /// stamps it with that epoch so [`SearchSubstrate::matches`]
     /// rejects any cross-epoch reuse. Returns `None` — and the lanes
-    /// then self-compute — when the build cannot finish: the budget
+    /// then build their own — when the build cannot finish: the budget
     /// tripped mid-build (cancellation or a zero-headroom deadline), or
     /// the pair is unroutable. A disconnected pair deliberately does
     /// **not** fail the request here: each lane re-discovers the
@@ -557,12 +519,21 @@ impl QueryProcessor {
         }
     }
 
-    /// [`QueryProcessor::compute_slot_budgeted`] with an optional shared
-    /// substrate: lanes whose technique can consume the substrate
-    /// (plateaus, dissimilarity, penalty) skip their own base searches;
-    /// the Google-like lane and any lane without a matching substrate
-    /// self-compute exactly as before. Output is byte-identical either
-    /// way (proven by `substrate_identity` in the core property tests).
+    /// Computes one technique slot under a cooperative [`SearchBudget`]:
+    /// run that provider, price its routes on the public (OSM) weights,
+    /// round to minutes, attach the blind label. Slots are independent, so
+    /// the serving layer runs them in parallel. A budget tripped mid-slot
+    /// (the serving layer builds one over the request's cancel token)
+    /// stops the technique within one budget-check interval; the slot then
+    /// returns the routes admitted so far plus `true` for "interrupted".
+    ///
+    /// The query's substrate is shared with the provider only when it
+    /// passes the full reuse guard — this pair, this network, the
+    /// request's pinned epoch ([`SearchSubstrate::matches`]); otherwise,
+    /// like the Google-like lane always, the provider builds its own.
+    /// Output is byte-identical either way (proven by
+    /// `substrate_fed_techniques_match_self_computed` in the core property
+    /// tests).
     pub fn compute_slot_prepared(
         &self,
         q: &PreparedQuery,
@@ -570,25 +541,22 @@ impl QueryProcessor {
         budget: &SearchBudget,
     ) -> Result<(ApproachRoutes, bool), DemoError> {
         let kind = self.blinding.order()[slot];
-        let ctx = match q.substrate.as_deref() {
-            Some(substrate) => ProviderContext::with_substrate_at_epoch(substrate, q.epoch()),
-            None => ProviderContext::empty(),
-        };
-        let outcome = self.provider(kind).alternatives_in_context(
+        let SnappedQuery { source, target } = q.snapped;
+        let shared = q
+            .substrate
+            .as_deref()
+            .filter(|sub| sub.matches(&self.network, source, target, q.epoch()));
+        let outcome = self.provider(kind).answer(
             &self.network,
             self.effective_weights(q),
-            q.snapped.source,
-            q.snapped.target,
+            source,
+            target,
             &self.query,
             budget,
-            &ctx,
+            shared,
         )?;
-        if kind != ProviderKind::GoogleLike {
-            if let Some(substrate) =
-                ctx.substrate_for(&self.network, q.snapped.source, q.snapped.target)
-            {
-                self.substrate_metrics.record_reuse(kind, substrate);
-            }
+        if let (Some(substrate), true) = (shared, kind != ProviderKind::GoogleLike) {
+            self.substrate_metrics.record_reuse(kind, substrate);
         }
         Ok(self.price_slot(kind, outcome))
     }
@@ -656,38 +624,6 @@ impl QueryProcessor {
         }
     }
 
-    /// Assembles a **truncated** response from whatever slots finished
-    /// before the deadline (`None` = the slot was abandoned or failed).
-    /// Missing slots keep their blind label with an empty route list so
-    /// the UI's A–D structure survives; `None` is returned — degrading
-    /// the request to a timeout — only when *no* slot has any route to
-    /// show.
-    pub fn assemble_partial(
-        &self,
-        q: &SnappedQuery,
-        parts: Vec<Option<ApproachRoutes>>,
-    ) -> Option<QueryResponse> {
-        if parts
-            .iter()
-            .all(|p| p.as_ref().is_none_or(|a| a.routes.is_empty()))
-        {
-            return None;
-        }
-        let approaches: Vec<ApproachRoutes> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(slot, part)| {
-                part.unwrap_or_else(|| ApproachRoutes {
-                    label: self.blinding.label_of(self.blinding.order()[slot]),
-                    routes: Vec::new(),
-                })
-            })
-            .collect();
-        let mut response = self.assemble(q, approaches);
-        response.truncated = true;
-        Some(response)
-    }
-
     /// The blind label of one technique slot.
     pub fn slot_label(&self, slot: usize) -> char {
         self.blinding.label_of(self.blinding.order()[slot])
@@ -700,20 +636,39 @@ impl QueryProcessor {
         self.blinding.order()[slot].slug()
     }
 
-    /// Assembles a **degraded** response: like
-    /// [`QueryProcessor::assemble_partial`], but driven by the serving
-    /// layer's per-lane verdicts. Failed and breaker-open slots keep
-    /// their blind label with an empty route list; the response carries
-    /// `degraded` and a per-label `lane_status` map (blind labels only —
-    /// which *technique* failed stays server-side). Returns `None` when
-    /// no slot has any route to show.
+    /// Assembles a **partial** response from whatever slots produced
+    /// something (`None` = the slot was abandoned or failed), driven by
+    /// the serving layer's per-lane verdicts. Missing slots keep their
+    /// blind label with an empty route list so the UI's A–D structure
+    /// survives; the response carries `truncated` (a deadline cut a lane
+    /// short), `degraded` (a lane failed or its breaker is open) and a
+    /// per-label `lane_status` map (blind labels only — which *technique*
+    /// failed stays server-side). Returns `None` — degrading the request
+    /// to a timeout or a bad gateway — only when *no* slot has any route
+    /// to show.
     pub fn assemble_degraded(
         &self,
         q: &SnappedQuery,
         parts: Vec<Option<ApproachRoutes>>,
         statuses: &[LaneStatus],
     ) -> Option<QueryResponse> {
-        let mut response = self.assemble_partial(q, parts)?;
+        if parts
+            .iter()
+            .all(|p| p.as_ref().is_none_or(|a| a.routes.is_empty()))
+        {
+            return None;
+        }
+        let approaches: Vec<ApproachRoutes> = parts
+            .into_iter()
+            .enumerate()
+            .map(|(slot, part)| {
+                part.unwrap_or_else(|| ApproachRoutes {
+                    label: self.slot_label(slot),
+                    routes: Vec::new(),
+                })
+            })
+            .collect();
+        let mut response = self.assemble(q, approaches);
         response.truncated = statuses.contains(&LaneStatus::Truncated);
         response.degraded = statuses.iter().any(LaneStatus::is_degraded);
         response.lane_status = statuses
@@ -725,8 +680,9 @@ impl QueryProcessor {
     }
 
     /// Processes a query serially: match endpoints, pin the current
-    /// traffic epoch, run all four approaches in blinding order on this
-    /// thread against that epoch's weights, assemble.
+    /// traffic epoch, prepare the shared substrate, run all four
+    /// approaches in blinding order on this thread against that epoch's
+    /// weights, assemble.
     ///
     /// This is the *reference path*: the parallel serving layer
     /// (`arp-serve` driving [`QueryProcessor::compute_slot_prepared`])
@@ -734,7 +690,8 @@ impl QueryProcessor {
     /// concurrency tests check.
     pub fn process(&self, source: Point, target: Point) -> Result<QueryResponse, DemoError> {
         let q = self.snap(source, target)?;
-        let prepared = self.prepare_query(q);
+        let mut prepared = self.prepare_query(q);
+        prepared.substrate = self.prepare_substrate(&prepared, &SearchBudget::unlimited());
         let approaches = (0..self.technique_slots())
             .map(|slot| {
                 self.compute_slot_prepared(&prepared, slot, &SearchBudget::unlimited())
@@ -807,13 +764,20 @@ mod tests {
                 1,
                 "{technique}"
             );
-            assert!(
-                qp.registry()
-                    .counter_value("arp_search_settled_nodes_total", &labels)
-                    > 0,
-                "{technique}"
-            );
+            // The serial path prepares one shared substrate like the
+            // served path, so only the lanes that search beyond it settle
+            // anything of their own.
+            let settled = qp
+                .registry()
+                .counter_value("arp_search_settled_nodes_total", &labels);
+            let searches_itself = matches!(technique, "google_like" | "penalty");
+            assert_eq!(settled > 0, searches_itself, "{technique}");
         }
+        assert_eq!(
+            qp.registry()
+                .counter_value("arp_substrate_builds_total", &[]),
+            1
+        );
     }
 
     #[test]

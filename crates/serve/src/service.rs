@@ -209,8 +209,8 @@ pub trait RouteBackend: Send + Sync + 'static {
     /// `token` is the same per-request [`CancelToken`] the lanes
     /// observe, and `deadline` is the request deadline — cooperative
     /// backends bound the preparation by both so an expiring request
-    /// aborts its preparation (and falls back to per-lane
-    /// self-computation) instead of finishing it pointlessly.
+    /// aborts its preparation (and lets each lane build its own)
+    /// instead of finishing it pointlessly.
     ///
     /// Returns the request, augmented with whatever was prepared; the
     /// augmented request is what the lanes, retries and assembly see.
@@ -251,35 +251,24 @@ pub trait RouteBackend: Send + Sync + 'static {
             .map_err(LaneError::from)
     }
 
-    /// Assembles a **partial** response from whatever lanes finished
-    /// (`None` = the lane was abandoned, interrupted without a partial,
-    /// or failed). Returning `None` declares nothing worth serving, and
-    /// the request degrades to [`ServeError::DeadlineExceeded`] (or
+    /// Assembles a **partial** response from whatever lanes produced
+    /// something (`None` = the lane was abandoned, interrupted without a
+    /// partial, failed, or short-circuited by its breaker), handed the
+    /// per-lane [`LaneStatus`] verdicts so the response can carry its
+    /// `lane_status` map and its `truncated` / `degraded` flags.
+    /// Returning `None` declares nothing worth serving, and the request
+    /// degrades to [`ServeError::DeadlineExceeded`] (or
     /// [`ServeError::AllLanesFailed`] when no deadline was involved).
     ///
     /// The default refuses: backends opt in to partial responses.
-    fn assemble_partial(
-        &self,
-        request: &Self::Request,
-        parts: Vec<Option<Self::Part>>,
-    ) -> Option<Self::Response> {
-        let _ = (request, parts);
-        None
-    }
-
-    /// Assembles a **degraded** response: like
-    /// [`RouteBackend::assemble_partial`], but handed the per-lane
-    /// [`LaneStatus`] verdicts so the response can carry its
-    /// `lane_status` map and `degraded` flag. The default discards the
-    /// statuses and delegates to `assemble_partial`.
     fn assemble_degraded(
         &self,
         request: &Self::Request,
         parts: Vec<Option<Self::Part>>,
         statuses: &[LaneStatus],
     ) -> Option<Self::Response> {
-        let _ = statuses;
-        self.assemble_partial(request, parts)
+        let _ = (request, parts, statuses);
+        None
     }
 
     /// Attributes stamped on the root span when a trace starts — the
@@ -559,6 +548,39 @@ enum LaneReply<P> {
     Errored(LaneError),
     /// The attempt panicked (contained by the attempt's catch_unwind).
     Panicked(String),
+}
+
+impl<P> LaneReply<P> {
+    /// Folds the ways an attempt can end into two: a part (`true` =
+    /// truncated) with the attempt's duration, or the error paired with
+    /// the lane's failure counter that files it.
+    fn settle(self, runtime: &LaneRuntime) -> Result<(P, bool, u64), (LaneError, &Counter)> {
+        match self {
+            LaneReply::Outcome(LaneOutcome::Complete(part), ms) => Ok((part, false, ms)),
+            LaneReply::Outcome(LaneOutcome::Truncated(part), ms) => Ok((part, true, ms)),
+            LaneReply::Outcome(LaneOutcome::Failed { reason }, _) => {
+                Err((LaneError::transient(reason), &runtime.fail_error))
+            }
+            LaneReply::Errored(error) => Err((error, &runtime.fail_error)),
+            LaneReply::Panicked(message) => Err((
+                LaneError::transient(format!("lane panicked: {message}")),
+                &runtime.fail_panic,
+            )),
+        }
+    }
+}
+
+/// What the lanes of one request have produced so far: the accumulators
+/// every lane outcome — cached, first attempt or retry — is folded into.
+struct LaneResults<P> {
+    /// Per lane, the part to assemble (`None` = nothing to show).
+    parts: Vec<Option<P>>,
+    statuses: Vec<LaneStatus>,
+    /// `(lane, reason)` of every lane that ended without a part.
+    failures: Vec<(usize, String)>,
+    truncated: bool,
+    /// The request's retry budget, created on the first failure.
+    retry_state: Option<RetryState>,
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -883,9 +905,13 @@ impl<B: RouteBackend> RouteService<B> {
             .enumerate()
             .filter_map(|(lane, slot)| slot.is_none().then_some(lane))
             .collect();
-        let mut statuses: Vec<LaneStatus> = vec![LaneStatus::Ok; lanes];
-        let mut failures: Vec<(usize, String)> = Vec::new();
-        let mut truncated = false;
+        let mut out = LaneResults {
+            parts,
+            statuses: vec![LaneStatus::Ok; lanes],
+            failures: Vec::new(),
+            truncated: false,
+            retry_state: None,
+        };
         let mut deadline_hit = false;
         if !missing.is_empty() {
             let now = self.now_ms();
@@ -896,9 +922,10 @@ impl<B: RouteBackend> RouteService<B> {
                 } else {
                     // Open breaker: short-circuit without consuming a
                     // worker or a queue slot.
-                    statuses[lane] = LaneStatus::OpenCircuit;
+                    out.statuses[lane] = LaneStatus::OpenCircuit;
                     self.lanes[lane].fail_open_circuit.inc();
-                    failures.push((lane, format!("{}: circuit open", self.lanes[lane].name)));
+                    out.failures
+                        .push((lane, format!("{}: circuit open", self.lanes[lane].name)));
                     if ctx.is_recording() {
                         let tick = ctx.tick_us();
                         ctx.record_span(
@@ -985,78 +1012,37 @@ impl<B: RouteBackend> RouteService<B> {
             deadline_hit = fanout.deadline_hit;
             if deadline_hit {
                 self.metrics.cancellations.inc();
-                truncated = true;
+                out.truncated = true;
                 root.attr("cancelled", "true");
             }
-            let mut retry_state: Option<RetryState> = None;
             for (lane, slot) in runnable.into_iter().zip(fanout.slots) {
                 let runtime = &self.lanes[lane];
-                match slot {
-                    Some(LaneReply::Outcome(LaneOutcome::Complete(part), ms)) => {
+                match slot.map(|reply| reply.settle(runtime)) {
+                    Some(Ok((part, false, ms))) => {
                         runtime.latency.observe_ms(ms);
                         runtime.breaker.record_success(self.now_ms());
-                        parts[lane] = Some(part);
+                        out.parts[lane] = Some(part);
                     }
-                    Some(LaneReply::Outcome(LaneOutcome::Truncated(part), _)) => {
+                    Some(Ok((part, true, _))) => {
                         // Interrupted — under deadline pressure, or by a
                         // backend-side expansion cap. Either way a
                         // partial response, not a lane failure.
-                        truncated = true;
-                        statuses[lane] = LaneStatus::Truncated;
+                        out.truncated = true;
+                        out.statuses[lane] = LaneStatus::Truncated;
                         runtime.breaker.record_success(self.now_ms());
-                        parts[lane] = Some(part);
+                        out.parts[lane] = Some(part);
                     }
-                    Some(LaneReply::Outcome(LaneOutcome::Failed { reason }, _)) => {
-                        self.lane_failed(
-                            lane,
-                            LaneError::transient(reason),
-                            &runtime.fail_error,
-                            deadline_hit,
-                            &deadline,
-                            &request,
-                            ctx,
-                            root_id,
-                            &mut retry_state,
-                            &mut parts,
-                            &mut statuses,
-                            &mut truncated,
-                            &mut failures,
-                        );
-                    }
-                    Some(LaneReply::Errored(error)) => {
-                        self.lane_failed(
-                            lane,
-                            error,
-                            &runtime.fail_error,
-                            deadline_hit,
-                            &deadline,
-                            &request,
-                            ctx,
-                            root_id,
-                            &mut retry_state,
-                            &mut parts,
-                            &mut statuses,
-                            &mut truncated,
-                            &mut failures,
-                        );
-                    }
-                    Some(LaneReply::Panicked(message)) => {
-                        self.lane_failed(
-                            lane,
-                            LaneError::transient(format!("lane panicked: {message}")),
-                            &runtime.fail_panic,
-                            deadline_hit,
-                            &deadline,
-                            &request,
-                            ctx,
-                            root_id,
-                            &mut retry_state,
-                            &mut parts,
-                            &mut statuses,
-                            &mut truncated,
-                            &mut failures,
-                        );
-                    }
+                    Some(Err((error, failure_counter))) => self.lane_failed(
+                        lane,
+                        error,
+                        failure_counter,
+                        deadline_hit,
+                        &deadline,
+                        &request,
+                        ctx,
+                        root_id,
+                        &mut out,
+                    ),
                     None => {
                         // The lane's outcome is unknown: it acquired its
                         // breaker (possibly as the half-open probe) but
@@ -1072,16 +1058,24 @@ impl<B: RouteBackend> RouteService<B> {
                             // Abandoned while queued, or a straggler that
                             // outlived the grace period: a deadline
                             // artifact, part of the truncation.
-                            statuses[lane] = LaneStatus::Truncated;
+                            out.statuses[lane] = LaneStatus::Truncated;
                         } else {
-                            statuses[lane] = LaneStatus::Failed;
+                            out.statuses[lane] = LaneStatus::Failed;
                             runtime.fail_abandoned.inc();
-                            failures.push((lane, format!("{}: lane abandoned", runtime.name)));
+                            out.failures
+                                .push((lane, format!("{}: lane abandoned", runtime.name)));
                         }
                     }
                 }
             }
         }
+        let LaneResults {
+            parts,
+            statuses,
+            failures,
+            truncated,
+            ..
+        } = out;
 
         // Stage 4: assemble in lane order. The fully-healthy path calls
         // the plain `assemble` so its response stays byte-identical to
@@ -1170,18 +1164,14 @@ impl<B: RouteBackend> RouteService<B> {
         request: &B::Request,
         ctx: &TraceContext,
         root_id: u32,
-        retry_state: &mut Option<RetryState>,
-        parts: &mut [Option<B::Part>],
-        statuses: &mut [LaneStatus],
-        truncated: &mut bool,
-        failures: &mut Vec<(usize, String)>,
+        out: &mut LaneResults<B::Part>,
     ) {
         let runtime = &self.lanes[lane];
         runtime.breaker.record_failure(self.now_ms());
         failure_counter.inc();
 
         if error.transient && !deadline_hit {
-            let state = retry_state.get_or_insert_with(|| {
+            let state = out.retry_state.get_or_insert_with(|| {
                 RetryState::new(self.config.retry, self.seq.fetch_add(1, Ordering::Relaxed))
             });
             if let Some(backoff) = state.next_attempt(deadline, runtime.latency.estimate_ms()) {
@@ -1217,15 +1207,15 @@ impl<B: RouteBackend> RouteService<B> {
                             runtime.latency.observe_ms(ms);
                             runtime.retry_success.inc();
                             runtime.breaker.record_success(self.now_ms());
-                            parts[lane] = Some(part);
-                            statuses[lane] = LaneStatus::Ok;
+                            out.parts[lane] = Some(part);
+                            out.statuses[lane] = LaneStatus::Ok;
                         }
                         Some(LaneReply::Outcome(LaneOutcome::Truncated(part), _)) => {
                             runtime.retry_success.inc();
                             runtime.breaker.record_success(self.now_ms());
-                            parts[lane] = Some(part);
-                            statuses[lane] = LaneStatus::Truncated;
-                            *truncated = true;
+                            out.parts[lane] = Some(part);
+                            out.statuses[lane] = LaneStatus::Truncated;
+                            out.truncated = true;
                         }
                         Some(LaneReply::Outcome(LaneOutcome::Failed { reason }, _))
                         | Some(LaneReply::Errored(LaneError {
@@ -1234,8 +1224,9 @@ impl<B: RouteBackend> RouteService<B> {
                         | Some(LaneReply::Panicked(reason)) => {
                             runtime.retry_failure.inc();
                             runtime.breaker.record_failure(self.now_ms());
-                            statuses[lane] = LaneStatus::Failed;
-                            failures.push((lane, format!("{}: {reason}", runtime.name)));
+                            out.statuses[lane] = LaneStatus::Failed;
+                            out.failures
+                                .push((lane, format!("{}: {reason}", runtime.name)));
                         }
                         None => {
                             // The retry ran out of deadline with nothing
@@ -1244,8 +1235,8 @@ impl<B: RouteBackend> RouteService<B> {
                             // half-open probe the retry may hold.
                             runtime.retry_failure.inc();
                             runtime.breaker.record_failure(self.now_ms());
-                            statuses[lane] = LaneStatus::Failed;
-                            failures.push((
+                            out.statuses[lane] = LaneStatus::Failed;
+                            out.failures.push((
                                 lane,
                                 format!(
                                     "{}: {} (retry exceeded the deadline)",
@@ -1276,8 +1267,9 @@ impl<B: RouteBackend> RouteService<B> {
                 }
             }
         }
-        statuses[lane] = LaneStatus::Failed;
-        failures.push((lane, format!("{}: {}", runtime.name, error.message)));
+        out.statuses[lane] = LaneStatus::Failed;
+        out.failures
+            .push((lane, format!("{}: {}", runtime.name, error.message)));
     }
 
     /// A point-in-time health snapshot: queue depth, in-flight count,
@@ -1924,10 +1916,11 @@ mod tests {
             (parts.join("|"), false)
         }
 
-        fn assemble_partial(
+        fn assemble_degraded(
             &self,
             _request: &(u32, u32),
             parts: Vec<Option<String>>,
+            _statuses: &[LaneStatus],
         ) -> Option<(String, bool)> {
             let present: Vec<String> = parts.into_iter().flatten().collect();
             if present.is_empty() {
@@ -2081,10 +2074,11 @@ mod tests {
             (parts.join("|"), false)
         }
 
-        fn assemble_partial(
+        fn assemble_degraded(
             &self,
             _request: &(u32, u32),
             parts: Vec<Option<String>>,
+            _statuses: &[LaneStatus],
         ) -> Option<(String, bool)> {
             let present: Vec<String> = parts.into_iter().flatten().collect();
             if present.is_empty() {

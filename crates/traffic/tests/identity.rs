@@ -7,15 +7,15 @@
 //! boots into, and the state any instance returns to once every factor is
 //! reset and every closure reopened) produces exactly the routes the
 //! pre-traffic pipeline produced. Not "equivalent" routes — the same
-//! `Route` values, node for node, cost for cost, on the shared-substrate
-//! path as well as the self-computing one. The overlay even shares the
+//! `Route` values, node for node, cost for cost, whether a provider is
+//! handed a shared substrate or builds its own. The overlay even shares the
 //! base weight allocation (`Arc::ptr_eq`), so the zero-traffic fast path
 //! costs nothing.
 
 use std::sync::Arc;
 
 use arp_citygen::{City, Scale};
-use arp_core::{AltQuery, ProviderContext, SearchBudget, SearchSpace, SearchSubstrate};
+use arp_core::{AltQuery, SearchBudget, SearchSpace, SearchSubstrate};
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::NodeId;
 use arp_traffic::{TrafficDelta, TrafficState};
@@ -72,8 +72,8 @@ fn identity_round_trip(city: City) {
 
     // Sharing the allocation makes value identity trivial, but the real
     // contract is behavioural: run all four techniques on both columns,
-    // self-computing and substrate-fed, and demand the same `Route`
-    // values. This keeps the test meaningful even if materialization
+    // with their own substrate (`None`) and a shared one (`Some`), and
+    // demand the same `Route` values. This keeps the test meaningful even if materialization
     // later stops short-circuiting the identity case.
     let query = AltQuery::paper();
     let providers = arp_core::standard_providers(&net, 42);
@@ -84,8 +84,6 @@ fn identity_round_trip(city: City) {
         let sub_snap = SearchSubstrate::build(&net, snap.weights().as_slice(), s, t, &budget)
             .expect("routable pair must yield a substrate")
             .with_epoch(snap.epoch());
-        let ctx_base = ProviderContext::with_substrate(&sub_base);
-        let ctx_snap = ProviderContext::with_substrate_at_epoch(&sub_snap, snap.epoch());
 
         for p in &providers {
             let plain_base = p
@@ -102,11 +100,11 @@ fn identity_round_trip(city: City) {
             );
 
             let fed_base = p
-                .alternatives_in_context(&net, base.weights(), s, t, &query, &budget, &ctx_base)
+                .answer(&net, base.weights(), s, t, &query, &budget, Some(&sub_base))
                 .expect("base substrate path must route")
                 .routes();
             let fed_snap = p
-                .alternatives_in_context(&net, snap.weights(), s, t, &query, &budget, &ctx_snap)
+                .answer(&net, snap.weights(), s, t, &query, &budget, Some(&sub_snap))
                 .expect("identity substrate path must route")
                 .routes();
             assert_eq!(
