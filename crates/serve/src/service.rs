@@ -2269,6 +2269,331 @@ mod tests {
         );
     }
 
+    /// Span attributes whose *values* the pin below records; every other
+    /// attribute (durations, queue waits, error texts) is pinned by key.
+    const PINNED_ATTR_VALUES: [&str; 6] = [
+        "technique",
+        "attempt",
+        "outcome",
+        "breaker",
+        "retry",
+        "retry_refused",
+    ];
+
+    /// Runs one scripted request and appends what it showed the outside
+    /// to `log`: the response (or the error with its exact `reasons`),
+    /// then one line per span — `name <parent status [attributes]` —
+    /// sorted, because `queue` children take their ids on worker threads.
+    fn pin_request(
+        log: &mut Vec<String>,
+        label: &str,
+        svc: &RouteService<EchoBackend>,
+        request: (u32, u32),
+    ) {
+        let (receipt, result) = svc.route_traced(request);
+        log.push(format!("== {label}: {result:?}"));
+        let trace = svc.tracer().trace(receipt.id).expect("sampled at 1.0");
+        let mut spans: Vec<String> = trace
+            .spans
+            .iter()
+            .map(|span| {
+                let parent = trace
+                    .spans
+                    .iter()
+                    .find(|s| Some(s.id) == span.parent)
+                    .map_or("-", |s| s.name);
+                let mut attrs: Vec<String> = span
+                    .attrs
+                    .iter()
+                    .map(|(key, value)| {
+                        if PINNED_ATTR_VALUES.contains(key) {
+                            format!("{key}={value}")
+                        } else {
+                            key.to_string()
+                        }
+                    })
+                    .collect();
+                attrs.sort();
+                format!(
+                    "{} <{parent} {} [{}]",
+                    span.name,
+                    span.status.as_str(),
+                    attrs.join(" ")
+                )
+            })
+            .collect();
+        spans.sort();
+        log.extend(spans);
+    }
+
+    /// The failure ladder's oracle: a fixed script through every rung —
+    /// healthy, cached, retried, failed, panicked, breaker-opened,
+    /// short-circuited, retry-refused, inline, probe outage — pinning per
+    /// request the response and the span tree's shape, and at the end
+    /// every `arp_serve_*` counter. The literal was captured before the
+    /// lane-attempt refactor; it differs from that capture in one line,
+    /// the reason of a lane that panics on its *retry*, which then lacked
+    /// the `lane panicked: ` prefix a first-attempt panic always had.
+    #[test]
+    fn failure_ladder_is_pinned() {
+        let registry = Registry::new();
+        let mut log = Vec::new();
+        let breaker = BreakerConfig {
+            window: 8,
+            min_volume: 3,
+            error_rate: 0.5,
+            cooldown_ms: 60_000,
+        };
+
+        let mut backend = EchoBackend::new(3);
+        backend.flaky_lane = Some(1);
+        let svc = RouteService::new(backend, ServeConfig::default(), &registry);
+        pin_request(&mut log, "healthy miss", &svc, (1, 2));
+        pin_request(&mut log, "cached repeat", &svc, (1, 2));
+        svc.backend().flaky_failures.store(1, Ordering::SeqCst);
+        pin_request(&mut log, "flaky lane recovered by its retry", &svc, (3, 4));
+        drop(svc);
+
+        let mut backend = EchoBackend::new(1);
+        backend.fail_lane = Some(0);
+        let svc = RouteService::new(backend, ServeConfig::default(), &registry);
+        pin_request(&mut log, "only lane fails twice", &svc, (5, 6));
+        drop(svc);
+
+        let mut backend = EchoBackend::new(1);
+        backend.panic_lane = Some(0);
+        let svc = RouteService::new(backend, ServeConfig::default(), &registry);
+        pin_request(&mut log, "only lane panics twice", &svc, (7, 8));
+        drop(svc);
+
+        let mut backend = EchoBackend::new(1);
+        backend.panic_lane = Some(0);
+        let config = ServeConfig {
+            retry: no_retries(),
+            ..ServeConfig::default()
+        };
+        let svc = RouteService::new(backend, config, &registry);
+        pin_request(&mut log, "only lane panics, no retry budget", &svc, (7, 8));
+        drop(svc);
+
+        // Lane 0 always fails, lane 1 flakes on demand; one retry per
+        // request. Lane 0's third failure opens its breaker, so that
+        // request's retry is refused and its budget unit goes back — which
+        // is the only reason lane 1 can still be retried.
+        let mut backend = EchoBackend::new(2);
+        backend.fail_lane = Some(0);
+        backend.flaky_lane = Some(1);
+        let config = ServeConfig {
+            cache_capacity: 0,
+            retry: RetryPolicy {
+                budget: 1,
+                ..RetryPolicy::default()
+            },
+            breaker,
+            ..ServeConfig::default()
+        };
+        let svc = RouteService::new(backend, config, &registry);
+        pin_request(&mut log, "lane fails on both attempts", &svc, (1, 1));
+        svc.backend().flaky_failures.store(1, Ordering::SeqCst);
+        pin_request(
+            &mut log,
+            "breaker opens, retry refused, budget refunded",
+            &svc,
+            (2, 2),
+        );
+        assert_eq!(svc.breaker_state(0), BreakerState::Open);
+        pin_request(&mut log, "open breaker short-circuits", &svc, (3, 3));
+        drop(svc);
+
+        let config = ServeConfig {
+            faults: FaultPlan::parse("queue.push=error").unwrap(),
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        };
+        let svc = RouteService::new(EchoBackend::new(3), config, &registry);
+        pin_request(&mut log, "queue.push outage runs inline", &svc, (3, 3));
+        drop(svc);
+
+        let config = ServeConfig {
+            faults: FaultPlan::parse("cache.get=error").unwrap(),
+            ..ServeConfig::default()
+        };
+        let svc = RouteService::new(EchoBackend::new(2), config, &registry);
+        pin_request(&mut log, "cache.get outage, first", &svc, (1, 2));
+        pin_request(&mut log, "cache.get outage, repeat", &svc, (1, 2));
+        drop(svc);
+
+        // Every moved counter (a series absent here reads 0). A worker
+        // bumps `arp_serve_jobs_total` after the requester is already
+        // awake, so that one is not a function of the script.
+        log.push("== counters".to_string());
+        for sample in registry.samples() {
+            if let arp_obs::SampleValue::Counter(value) = sample.value {
+                if sample.name.starts_with("arp_serve_")
+                    && sample.name != "arp_serve_jobs_total"
+                    && value > 0
+                {
+                    let labels: Vec<String> = sample
+                        .labels
+                        .iter()
+                        .map(|(key, value)| format!("{key}={value}"))
+                        .collect();
+                    log.push(format!("{}{{{}}} {value}", sample.name, labels.join(",")));
+                }
+            }
+        }
+
+        let transcript = log.join("\n");
+        assert_eq!(
+            transcript,
+            PINNED_LADDER.trim(),
+            "the failure ladder moved; full transcript:\n{transcript}"
+        );
+    }
+
+    const PINNED_LADDER: &str = r#"
+== healthy miss: Ok("1,2 => lane0(1,2)|lane1(1,2)|lane2(1,2)")
+admission <request ok [inflight]
+assemble <request ok []
+cache_probe <request ok [hits lanes]
+lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane0]
+lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane1]
+lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane2]
+prepare <request ok []
+queue <lane ok []
+queue <lane ok []
+queue <lane ok []
+request <- ok []
+== cached repeat: Ok("1,2 => lane0(1,2)|lane1(1,2)|lane2(1,2)")
+admission <request ok [inflight]
+assemble <request ok []
+cache_probe <request ok [hits lanes]
+request <- ok []
+== flaky lane recovered by its retry: Ok("3,4 => lane0(3,4)|lane1(3,4)|lane2(3,4)")
+admission <request ok [inflight]
+assemble <request ok []
+cache_probe <request ok [hits lanes]
+lane <request failed [attempt=1 breaker=closed error outcome=failed queue_wait_us technique=lane1]
+lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane0]
+lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane2]
+lane <request ok [attempt=2 backoff_ms outcome=complete queue_wait_us retry=true technique=lane1]
+prepare <request ok []
+queue <lane ok []
+queue <lane ok []
+queue <lane ok []
+queue <lane ok []
+request <- ok []
+== only lane fails twice: Err(AllLanesFailed { reasons: "lane0: lane 0 refused" })
+admission <request ok [inflight]
+assemble <request failed [outcome=all_lanes_failed]
+cache_probe <request ok [hits lanes]
+lane <request failed [attempt=1 breaker=closed error outcome=failed queue_wait_us technique=lane0]
+lane <request failed [attempt=2 backoff_ms error outcome=failed queue_wait_us retry=true technique=lane0]
+prepare <request ok []
+queue <lane ok []
+queue <lane ok []
+request <- failed []
+== only lane panics twice: Err(AllLanesFailed { reasons: "lane0: lane 0 exploded" })
+admission <request ok [inflight]
+assemble <request failed [outcome=all_lanes_failed]
+cache_probe <request ok [hits lanes]
+lane <request failed [attempt=1 breaker=closed outcome=failed panic queue_wait_us technique=lane0]
+lane <request failed [attempt=2 backoff_ms outcome=failed panic queue_wait_us retry=true technique=lane0]
+prepare <request ok []
+queue <lane ok []
+queue <lane ok []
+request <- failed []
+== only lane panics, no retry budget: Err(AllLanesFailed { reasons: "lane0: lane panicked: lane 0 exploded" })
+admission <request ok [inflight]
+assemble <request failed [outcome=all_lanes_failed]
+cache_probe <request ok [hits lanes]
+lane <request failed [attempt=1 breaker=closed outcome=failed panic queue_wait_us technique=lane0]
+prepare <request ok []
+queue <lane ok []
+request <- failed []
+== lane fails on both attempts: Ok("1,1 => lane1(1,1) [failed,ok]")
+admission <request ok [inflight]
+assemble <request ok [outcome=degraded]
+cache_probe <request ok [hits lanes]
+lane <request failed [attempt=1 breaker=closed error outcome=failed queue_wait_us technique=lane0]
+lane <request failed [attempt=2 backoff_ms error outcome=failed queue_wait_us retry=true technique=lane0]
+lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane1]
+prepare <request ok []
+queue <lane ok []
+queue <lane ok []
+queue <lane ok []
+request <- degraded []
+== breaker opens, retry refused, budget refunded: Ok("2,2 => lane1(2,2) [failed,ok]")
+admission <request ok [inflight]
+assemble <request ok [outcome=degraded]
+cache_probe <request ok [hits lanes]
+lane <request failed [attempt=1 breaker=closed error outcome=failed queue_wait_us technique=lane0]
+lane <request failed [attempt=1 breaker=closed error outcome=failed queue_wait_us technique=lane1]
+lane <request failed [retry_refused=breaker technique=lane0]
+lane <request ok [attempt=2 backoff_ms outcome=complete queue_wait_us retry=true technique=lane1]
+prepare <request ok []
+queue <lane ok []
+queue <lane ok []
+queue <lane ok []
+request <- degraded []
+== open breaker short-circuits: Ok("3,3 => lane1(3,3) [open_circuit,ok]")
+admission <request ok [inflight]
+assemble <request ok [outcome=degraded]
+cache_probe <request ok [hits lanes]
+lane <request failed [breaker=open outcome=open_circuit technique=lane0]
+lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane1]
+prepare <request ok []
+queue <lane ok []
+request <- degraded []
+== queue.push outage runs inline: Ok("3,3 => lane0(3,3)|lane1(3,3)|lane2(3,3)")
+admission <request ok [inflight]
+assemble <request ok []
+cache_probe <request ok [hits lanes]
+lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane0]
+lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane1]
+lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane2]
+prepare <request ok []
+queue <lane ok []
+queue <lane ok []
+queue <lane ok []
+request <- ok []
+== cache.get outage, first: Ok("1,2 => lane0(1,2)|lane1(1,2)")
+admission <request ok [inflight]
+assemble <request ok []
+cache_probe <request ok [fault_injected hits lanes]
+lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane0]
+lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane1]
+prepare <request ok []
+queue <lane ok []
+queue <lane ok []
+request <- ok []
+== cache.get outage, repeat: Ok("1,2 => lane0(1,2)|lane1(1,2)")
+admission <request ok [inflight]
+assemble <request ok []
+cache_probe <request ok [fault_injected hits lanes]
+lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane0]
+lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane1]
+prepare <request ok []
+queue <lane ok []
+queue <lane ok []
+request <- ok []
+== counters
+arp_serve_admitted_total{} 12
+arp_serve_breaker_transitions_total{} 1
+arp_serve_cache_hits_total{} 3
+arp_serve_cache_misses_total{} 9
+arp_serve_degraded_responses_total{} 3
+arp_serve_faults_injected_total{kind=error,site=cache.get} 2
+arp_serve_faults_injected_total{kind=error,site=queue.push} 1
+arp_serve_inline_fallback_total{} 3
+arp_serve_lane_failures_total{reason=error,technique=lane0} 3
+arp_serve_lane_failures_total{reason=error,technique=lane1} 2
+arp_serve_lane_failures_total{reason=open_circuit,technique=lane0} 1
+arp_serve_lane_failures_total{reason=panic,technique=lane0} 2
+arp_serve_retries_total{outcome=failure,technique=lane0} 3
+arp_serve_retries_total{outcome=success,technique=lane1} 2
+"#;
+
     #[test]
     fn expired_entries_force_recomputation() {
         let config = ServeConfig {
