@@ -166,8 +166,9 @@ impl RouteBackend for DemoBackend {
 mod tests {
     use super::*;
     use arp_citygen::{City, Scale};
+    use arp_obs::Registry;
     use arp_roadnet::geo::Point;
-    use arp_serve::{RouteService, ServeConfig, ServeMetrics};
+    use arp_serve::{RouteService, ServeConfig};
 
     fn processor() -> Arc<QueryProcessor> {
         let g = arp_citygen::generate(City::Dhaka, Scale::Small, 9);
@@ -194,10 +195,10 @@ mod tests {
         let (a, b) = inner_points(&qp);
         let serial = qp.process(a, b).unwrap();
 
-        let service = RouteService::with_metrics(
+        let service = RouteService::new(
             DemoBackend::new(Arc::clone(&qp)),
             ServeConfig::default(),
-            ServeMetrics::default(),
+            &Registry::disabled(),
         );
         let snapped = qp.snap(a, b).unwrap();
         let served = service.route(PreparedQuery::new(snapped)).unwrap();
@@ -436,10 +437,10 @@ mod tests {
         let (a, b) = inner_points(&qp);
         let q = qp.snap(a, b).unwrap();
         let index = qp.ch_index().unwrap();
-        let service = RouteService::with_metrics(
+        let service = RouteService::new(
             DemoBackend::new(Arc::clone(&qp)),
             ServeConfig::default(),
-            ServeMetrics::default(),
+            &Registry::disabled(),
         );
         let builder_of = |attrs: Vec<(&'static str, String)>| {
             attrs
@@ -557,10 +558,10 @@ mod tests {
 
         // End to end: the serving layer answers with an error response,
         // never a panic.
-        let service = RouteService::with_metrics(
+        let service = RouteService::new(
             DemoBackend::new(Arc::clone(&qp)),
             ServeConfig::default(),
-            ServeMetrics::default(),
+            &Registry::disabled(),
         );
         assert!(service.route(PreparedQuery::new(q)).is_err());
     }

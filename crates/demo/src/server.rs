@@ -90,6 +90,20 @@ pub const DEFAULT_TRAFFIC_BODY_CAP: usize = 64 * 1024;
 /// declared bytes left unread on the (about-to-close) connection.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
 
+/// How long a connection may stay silent mid-request, or refuse to take
+/// its response, before its handler thread gives up on it. Without the
+/// bound, sockets that connect and send nothing pin every one of the
+/// [`MAX_CONNECTIONS`] handlers and the accept loop answers `503` for as
+/// long as they stay open.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Longest request line or header line `read_request` buffers; a longer
+/// one is answered `431` with the rest of it left unread.
+const MAX_LINE_BYTES: usize = 8 * 1024;
+
+/// Most header lines `read_request` reads; more are answered `431`.
+const MAX_HEADERS: usize = 64;
+
 /// An HTTP response produced by the handler.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HttpResponse {
@@ -238,13 +252,14 @@ impl DemoApp {
         &self.service
     }
 
-    /// Answers a request whose declared `Content-Length` exceeds
-    /// [`MAX_BODY_BYTES`] — the body was never read, so this cannot go
-    /// through the normal handler. Still counted in
-    /// `arp_http_requests_total` under the endpoint's label.
-    pub fn reject_oversized(&self, method: &str, path: &str) -> HttpResponse {
+    /// Answers a request `read_request` refused at the wire — a body
+    /// past [`MAX_BODY_BYTES`], a header block past the line or count
+    /// bounds, an unreadable `Content-Length`. The request was never read
+    /// to its end, so this cannot go through the normal handler. Still
+    /// counted in `arp_http_requests_total` under the endpoint's label.
+    fn reject_unread(&self, method: &str, path: &str, refusal: (u16, &str)) -> HttpResponse {
         let endpoint = Self::endpoint_label(method, path);
-        let resp = HttpResponse::error(413, "request body too large");
+        let resp = HttpResponse::error(refusal.0, refusal.1);
         self.registry
             .counter(
                 "arp_http_requests_total",
@@ -914,56 +929,76 @@ struct RawRequest {
     method: String,
     path: String,
     body: String,
-    /// The declared `Content-Length` exceeded [`MAX_BODY_BYTES`]; the
-    /// body was left unread and the request must be answered `413`.
-    oversized: bool,
+    /// The request broke a wire bound; the status and message to answer
+    /// it with. Whatever had not been read by then was left unread.
+    refused: Option<(u16, &'static str)>,
+}
+
+/// Reads one line of at most [`MAX_LINE_BYTES`] into `line`, returning
+/// whether it fit. Nothing past the cap is buffered: a peer cannot make
+/// the server allocate for a line that never ends.
+fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> std::io::Result<bool> {
+    line.clear();
+    let n = reader.take(MAX_LINE_BYTES as u64).read_line(line)?;
+    Ok(n < MAX_LINE_BYTES || line.ends_with('\n'))
 }
 
 /// Reads one HTTP request (request line, headers, body per
-/// `Content-Length`) from a stream. Bodies whose declared length exceeds
-/// [`MAX_BODY_BYTES`] are **not read at all** — the request comes back
-/// with `oversized` set so the serving loop can answer `413` without
-/// having buffered a single body byte.
-fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<RawRequest>> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line)? == 0 {
+/// `Content-Length`) from a stream, trusting the peer with nothing: lines
+/// are capped at [`MAX_LINE_BYTES`], headers at [`MAX_HEADERS`], and a
+/// body whose declared length exceeds [`MAX_BODY_BYTES`] is **not read at
+/// all**. A request past any bound comes back with `refused` set so the
+/// serving loop can answer it without having buffered the excess.
+fn read_request(stream: impl Read) -> std::io::Result<Option<RawRequest>> {
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    let fits = read_bounded_line(&mut reader, &mut line)?;
+    if line.is_empty() {
         return Ok(None);
     }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("").to_string();
-    let path = parts.next().unwrap_or("/").to_string();
+    let mut parts = line.split_whitespace();
+    let mut request = RawRequest {
+        method: parts.next().unwrap_or("").to_string(),
+        path: parts.next().unwrap_or("/").to_string(),
+        body: String::new(),
+        refused: None,
+    };
+    let too_large = Some((431, "request header fields too large"));
+    if !fits {
+        request.refused = too_large;
+        return Ok(Some(request));
+    }
 
     let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
+    for header in 0.. {
+        let fits = read_bounded_line(&mut reader, &mut line)?;
+        let header_line = line.trim_end();
+        if header_line.is_empty() && fits {
             break;
         }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
+        if !fits || header == MAX_HEADERS {
+            request.refused = too_large;
+            return Ok(Some(request));
         }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap_or(0);
+        if let Some(v) = header_line
+            .to_ascii_lowercase()
+            .strip_prefix("content-length:")
+        {
+            let Ok(declared) = v.trim().parse() else {
+                request.refused = Some((400, "malformed Content-Length"));
+                return Ok(Some(request));
+            };
+            content_length = declared;
         }
     }
     if content_length > MAX_BODY_BYTES {
-        return Ok(Some(RawRequest {
-            method,
-            path,
-            body: String::new(),
-            oversized: true,
-        }));
+        request.refused = Some((413, "request body too large"));
+        return Ok(Some(request));
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    Ok(Some(RawRequest {
-        method,
-        path,
-        body: String::from_utf8_lossy(&body).into_owned(),
-        oversized: false,
-    }))
+    request.body = String::from_utf8_lossy(&body).into_owned();
+    Ok(Some(request))
 }
 
 fn write_response(stream: &mut TcpStream, resp: &HttpResponse) -> std::io::Result<()> {
@@ -973,6 +1008,7 @@ fn write_response(stream: &mut TcpStream, resp: &HttpResponse) -> std::io::Resul
         404 => "Not Found",
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         502 => "Bad Gateway",
         503 => "Service Unavailable",
@@ -1001,6 +1037,25 @@ fn write_response(stream: &mut TcpStream, resp: &HttpResponse) -> std::io::Resul
     stream.flush()
 }
 
+/// Serves the one request of an accepted connection. Every read and
+/// write is bounded by `io_timeout`, so a peer that goes silent hands its
+/// handler thread back instead of holding a connection slot.
+fn handle_connection(app: &DemoApp, mut stream: TcpStream, io_timeout: Duration) {
+    let bounded = stream
+        .set_read_timeout(Some(io_timeout))
+        .and_then(|()| stream.set_write_timeout(Some(io_timeout)));
+    if bounded.is_err() {
+        return;
+    }
+    if let Ok(Some(req)) = read_request(&stream) {
+        let resp = match req.refused {
+            Some(refusal) => app.reject_unread(&req.method, &req.path, refusal),
+            None => app.handle(&req.method, &req.path, &req.body),
+        };
+        let _ = write_response(&mut stream, &resp);
+    }
+}
+
 /// Serves the app on `listener`, one thread per connection, until the
 /// process exits or an accept error occurs. Equivalent to
 /// [`serve_with_shutdown`] with a handle nobody ever triggers.
@@ -1020,6 +1075,17 @@ pub fn serve_with_shutdown(
     listener: TcpListener,
     shutdown: ShutdownHandle,
 ) -> std::io::Result<()> {
+    serve_connections(app, listener, shutdown, IO_TIMEOUT)
+}
+
+/// [`serve_with_shutdown`] with the per-connection I/O timeout passed in,
+/// so tests need not wait out [`IO_TIMEOUT`].
+fn serve_connections(
+    app: Arc<DemoApp>,
+    listener: TcpListener,
+    shutdown: ShutdownHandle,
+    io_timeout: Duration,
+) -> std::io::Result<()> {
     if let Ok(addr) = listener.local_addr() {
         shutdown.register_listener(addr);
     }
@@ -1038,14 +1104,7 @@ pub fn serve_with_shutdown(
         let app = Arc::clone(&app);
         let active = Arc::clone(&active);
         std::thread::spawn(move || {
-            if let Ok(Some(req)) = read_request(&mut stream) {
-                let resp = if req.oversized {
-                    app.reject_oversized(&req.method, &req.path)
-                } else {
-                    app.handle(&req.method, &req.path, &req.body)
-                };
-                let _ = write_response(&mut stream, &resp);
-            }
+            handle_connection(&app, stream, io_timeout);
             active.fetch_sub(1, Ordering::AcqRel);
         });
     }
@@ -1779,6 +1838,144 @@ mod tests {
             ),
             1
         );
+    }
+
+    /// Starts the accept loop on a fresh port with `io_timeout` standing
+    /// in for [`IO_TIMEOUT`]; returns the address and what stops it.
+    fn spawn_server(
+        io_timeout: Duration,
+    ) -> (
+        std::net::SocketAddr,
+        ShutdownHandle,
+        std::thread::JoinHandle<std::io::Result<()>>,
+    ) {
+        let app = Arc::new(app());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = ShutdownHandle::new();
+        let server = {
+            let shutdown = shutdown.clone();
+            std::thread::spawn(move || serve_connections(app, listener, shutdown, io_timeout))
+        };
+        (addr, shutdown, server)
+    }
+
+    /// Sends `request` and returns everything the server answered. A
+    /// server that answers without reading the request (the accept loop's
+    /// `503`) resets the connection, so I/O errors just end the exchange.
+    fn exchange(addr: std::net::SocketAddr, request: &str) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let _ = stream.write_all(request.as_bytes());
+        let mut buf = String::new();
+        let _ = stream.read_to_string(&mut buf);
+        buf
+    }
+
+    /// Sockets that connect and say nothing used to pin every handler
+    /// thread for as long as they stayed open, so each later request —
+    /// health checks included — was shed with `503`. The read timeout
+    /// must hand the slots back while the silent sockets are still open.
+    #[test]
+    fn silent_connections_give_their_slots_back_after_the_read_timeout() {
+        let (addr, shutdown, server) = spawn_server(Duration::from_millis(200));
+        let silent: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        let health = "GET /api/health HTTP/1.1\r\nHost: localhost\r\n\r\n";
+        // Shed while the silent sockets hold every slot, served once they
+        // have timed out; 5 s is far beyond 200 ms and far short of never.
+        let start = std::time::Instant::now();
+        let mut answer = exchange(addr, health);
+        while !answer.starts_with("HTTP/1.1 200 OK") {
+            assert!(
+                answer.is_empty() || answer.starts_with("HTTP/1.1 503"),
+                "only shedding may precede service: {answer}"
+            );
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "silent connections still hold every slot: {answer}"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+            answer = exchange(addr, health);
+        }
+        drop(silent);
+        shutdown.request_shutdown();
+        server.join().unwrap().unwrap();
+    }
+
+    /// A header line that never ends is refused once the line cap is
+    /// reached: the peer keeps writing 64 MiB, the server stops reading.
+    #[test]
+    fn endless_header_line_is_refused_after_the_line_cap() {
+        struct CountingReader<R> {
+            inner: R,
+            bytes: usize,
+        }
+        impl<R: Read> Read for CountingReader<R> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.inner.read(buf)?;
+                self.bytes += n;
+                Ok(n)
+            }
+        }
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .write_all(b"GET /api/health HTTP/1.1\r\nX-Filler: ")
+                .unwrap();
+            // The server hangs up long before 64 MiB; a failed write is
+            // the expected way for this loop to end.
+            let chunk = [b'a'; 64 * 1024];
+            for _ in 0..1024 {
+                if stream.write_all(&chunk).is_err() {
+                    break;
+                }
+            }
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let mut wire = CountingReader {
+            inner: stream,
+            bytes: 0,
+        };
+        let request = read_request(&mut wire).unwrap().unwrap();
+        assert_eq!(request.path, "/api/health");
+        assert_eq!(request.refused.map(|(status, _)| status), Some(431));
+        assert!(
+            wire.bytes <= 4 * MAX_LINE_BYTES,
+            "read {} bytes of a line capped at {MAX_LINE_BYTES}",
+            wire.bytes
+        );
+        drop(wire);
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn header_flood_and_unreadable_content_length_are_refused_on_the_wire() {
+        let (addr, shutdown, server) = spawn_server(IO_TIMEOUT);
+        let headers = |n: usize| -> String { (0..n).map(|i| format!("X-{i}: v\r\n")).collect() };
+        let get = |headers: String| format!("GET /api/health HTTP/1.1\r\n{headers}\r\n");
+
+        let at_the_cap = exchange(addr, &get(headers(MAX_HEADERS)));
+        assert!(at_the_cap.starts_with("HTTP/1.1 200 OK"), "{at_the_cap}");
+        let flood = exchange(addr, &get(headers(MAX_HEADERS + 1)));
+        assert!(
+            flood.starts_with("HTTP/1.1 431 Request Header Fields Too Large"),
+            "{flood}"
+        );
+        // Used to be read as 0 — the body was then left on the wire and
+        // the empty request handled as if it were the real one.
+        let garbled = exchange(
+            addr,
+            "POST /api/route HTTP/1.1\r\nContent-Length: many\r\n\r\n{}",
+        );
+        assert!(garbled.starts_with("HTTP/1.1 400 Bad Request"), "{garbled}");
+        assert!(garbled.contains("malformed Content-Length"), "{garbled}");
+
+        shutdown.request_shutdown();
+        server.join().unwrap().unwrap();
     }
 
     #[test]

@@ -19,8 +19,9 @@ use arp_citygen::{City, Scale};
 use arp_demo::json::{self, Json};
 use arp_demo::query::{QueryProcessor, QueryResponse};
 use arp_demo::{DemoApp, DemoBackend};
+use arp_obs::Registry;
 use arp_roadnet::weight::Weight;
-use arp_serve::{RouteService, ServeConfig, ServeMetrics};
+use arp_serve::{RouteService, ServeConfig};
 use arp_traffic::TrafficDelta;
 
 const READY_TIMEOUT: Duration = Duration::from_secs(60);
@@ -235,10 +236,10 @@ fn in_flight_customization_falls_back_without_blocking_or_diverging() {
 fn epoch_bump_mid_load_never_mixes_epochs_on_the_ch_tier() {
     let g = arp_citygen::generate(City::Melbourne, Scale::Small, 7);
     let qp = Arc::new(QueryProcessor::new(g.name.clone(), g.network, 7).with_ch_index());
-    let service = Arc::new(RouteService::with_metrics(
+    let service = Arc::new(RouteService::new(
         DemoBackend::new(Arc::clone(&qp)),
         ServeConfig::default(),
-        ServeMetrics::default(),
+        &Registry::disabled(),
     ));
 
     let columns: Arc<Mutex<HashMap<u64, Arc<Vec<Weight>>>>> = Arc::new(Mutex::new(HashMap::new()));
@@ -384,10 +385,10 @@ fn ttl_closure_reopen_is_tracked_by_the_ch_tier() {
         let qp = QueryProcessor::new("Chain", net, 1);
         let qp = if ch { qp.with_ch_index() } else { qp };
         let qp = Arc::new(qp);
-        let service = RouteService::with_metrics(
+        let service = RouteService::new(
             DemoBackend::new(Arc::clone(&qp)),
             ServeConfig::default(),
-            ServeMetrics::default(),
+            &Registry::disabled(),
         );
         (qp, service)
     };
@@ -449,10 +450,10 @@ fn forced_wraparound_epoch_serves_exactly_through_the_ch_tier() {
         let qp = QueryProcessor::new(g.name.clone(), g.network, 11);
         let qp = if ch { qp.with_ch_index() } else { qp };
         let qp = Arc::new(qp);
-        let service = RouteService::with_metrics(
+        let service = RouteService::new(
             DemoBackend::new(Arc::clone(&qp)),
             ServeConfig::default(),
-            ServeMetrics::default(),
+            &Registry::disabled(),
         );
         (qp, service)
     };

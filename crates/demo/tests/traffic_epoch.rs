@@ -17,18 +17,19 @@ use std::time::Duration;
 use arp_citygen::{City, Scale};
 use arp_demo::query::QueryProcessor;
 use arp_demo::DemoBackend;
+use arp_obs::Registry;
 use arp_roadnet::weight::Weight;
-use arp_serve::{RouteService, ServeConfig, ServeMetrics};
+use arp_serve::{RouteService, ServeConfig};
 use arp_traffic::TrafficDelta;
 
 #[test]
 fn epoch_bump_mid_load_never_serves_a_mixed_epoch_route() {
     let g = arp_citygen::generate(City::Melbourne, Scale::Small, 7);
     let qp = Arc::new(QueryProcessor::new(g.name.clone(), g.network, 7));
-    let service = Arc::new(RouteService::with_metrics(
+    let service = Arc::new(RouteService::new(
         DemoBackend::new(Arc::clone(&qp)),
         ServeConfig::default(),
-        ServeMetrics::default(),
+        &Registry::disabled(),
     ));
 
     // Epoch → weight column, as published. The ticker records each column
@@ -173,10 +174,10 @@ fn only_path_closure_degrades_per_lane_and_reopening_restores_service() {
     assert_eq!(cut.len(), 2);
 
     let qp = Arc::new(QueryProcessor::new("Chain", net, 1));
-    let service = RouteService::with_metrics(
+    let service = RouteService::new(
         DemoBackend::new(Arc::clone(&qp)),
         ServeConfig::default(),
-        ServeMetrics::default(),
+        &Registry::disabled(),
     );
     let snapped = arp_demo::SnappedQuery {
         source: n0,

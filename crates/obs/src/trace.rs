@@ -28,8 +28,7 @@
 //! end, to push the completed span (the only contention is between one
 //! request's own lanes). A collector built from [`TraceConfig::disabled`]
 //! (or any guard/context from it) never reads the clock and never
-//! allocates — the compiled-in-but-disabled baseline the overhead gate
-//! in `reports/trace.txt` measures against.
+//! allocates.
 //!
 //! The collector exports four counters into the registry it was built
 //! with: `arp_trace_spans_total`, `arp_trace_sampled_total`,
@@ -178,7 +177,7 @@ impl Span {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceConfig {
     /// Tracing compiled in but off: ids are still generated, nothing is
-    /// recorded. The baseline the <3 % overhead gate compares against.
+    /// recorded.
     pub enabled: bool,
     /// Head-sampling rate in `[0, 1]`: the fraction of traces kept
     /// regardless of outcome, spread evenly over the request sequence

@@ -109,8 +109,9 @@ impl Failpoint {
 }
 
 /// sebastiano vigna's splitmix64: one 64-bit mix, good enough to turn
-/// `(seed, hit-index)` into an independent uniform draw.
-fn splitmix64(mut x: u64) -> u64 {
+/// `(seed, hit-index)` — or a retry's jitter state — into an independent
+/// uniform draw.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

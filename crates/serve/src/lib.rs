@@ -8,7 +8,7 @@
 //!
 //! * [`WorkerPool`] + [`BoundedQueue`] — a fixed-size thread pool over a
 //!   bounded MPMC queue (`Mutex` + `Condvar`, std only). Each request
-//!   fans its techniques out as one job per *lane* ([`scatter`]), so a
+//!   fans its techniques out as one job per *lane* ([`fan_out`]), so a
 //!   request costs roughly the slowest technique instead of their sum.
 //! * [`ShardedCache`] — an LRU + TTL route cache keyed per lane by
 //!   (city, snapped source, snapped target, technique, k), so repeat
@@ -16,12 +16,12 @@
 //!   recompute only their missing lanes.
 //! * [`Admission`] + [`Deadline`] — bounded in-flight requests with load
 //!   shedding (HTTP 503 + `Retry-After`) and per-request deadlines.
-//! * [`CancelToken`] + [`scatter_cancellable`] — cooperative cancellation
-//!   of *in-flight* work: an expired deadline trips a per-request token
-//!   that running lanes observe (via a search budget in the real
-//!   backend), so a timed-out request frees its workers within one
-//!   budget-check interval and the client gets whatever routes finished
-//!   (a truncated `200`) instead of a full-cost late response.
+//! * [`CancelToken`] — cooperative cancellation of *in-flight* work: an
+//!   expired deadline trips a per-request token that running lanes
+//!   observe (via a search budget in the real backend), so a timed-out
+//!   request frees its workers within one budget-check interval and the
+//!   client gets whatever routes finished (a truncated `200`) instead of
+//!   a full-cost late response.
 //! * [`ShutdownHandle`] — cooperative shutdown for accept loops, so
 //!   servers drain in-flight work and tests do not leak threads.
 //! * [`ServeMetrics`] — queue depth, shed/timeout counters, cache
@@ -61,7 +61,7 @@ pub use cache::ShardedCache;
 pub use cancel::CancelToken;
 pub use fault::{sites, FaultKind, FaultPlan};
 pub use metrics::{CacheMetrics, ServeMetrics};
-pub use pool::{scatter, scatter_cancellable, Fanout, FanoutError, Job, WorkerPool};
+pub use pool::{fan_out, Fanout, Job, WorkerPool};
 pub use queue::{BoundedQueue, PushError};
 pub use retry::{LaneLatency, RetryPolicy, RetryState};
 pub use service::{

@@ -114,9 +114,6 @@ pub struct ServeMetrics {
     pub admitted: Counter,
     /// Requests shed because the in-flight bound was reached.
     pub shed_admission: Counter,
-    /// Fan-out lanes shed because the worker queue was full (the lane then
-    /// runs inline on the requester thread; see `inline_fallback`).
-    pub shed_queue_full: Counter,
     /// Requests abandoned at their deadline with nothing to serve.
     pub timeouts: Counter,
     /// Requests whose deadline tripped the cooperative cancel token,
@@ -181,11 +178,6 @@ impl ServeMetrics {
                 "Route requests shed by the serving layer, by reason.",
                 &[("reason", "admission_full")],
             ),
-            shed_queue_full: registry.counter(
-                "arp_serve_shed_total",
-                "Route requests shed by the serving layer, by reason.",
-                &[("reason", "queue_full")],
-            ),
             timeouts: registry.counter(
                 "arp_serve_deadline_timeouts_total",
                 "Route requests abandoned at their deadline with nothing to serve.",
@@ -248,7 +240,6 @@ mod tests {
         let m = ServeMetrics::new(&registry);
         m.admitted.inc();
         m.shed_admission.inc();
-        m.shed_queue_full.add(2);
         m.cache.hits.add(3);
         m.cancellations.inc();
         assert_eq!(registry.counter_value("arp_serve_admitted_total", &[]), 1);
@@ -259,10 +250,6 @@ mod tests {
         assert_eq!(
             registry.counter_value("arp_serve_shed_total", &[("reason", "admission_full")]),
             1
-        );
-        assert_eq!(
-            registry.counter_value("arp_serve_shed_total", &[("reason", "queue_full")]),
-            2
         );
         assert_eq!(registry.counter_value("arp_serve_cache_hits_total", &[]), 3);
         let text = registry.render_prometheus();

@@ -122,16 +122,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// How a fan-out ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FanoutError {
-    /// The deadline expired before every lane finished; still-queued lanes
-    /// were abandoned.
-    DeadlineExceeded,
-    /// A lane panicked (its slot stayed empty).
-    LaneFailed,
-}
-
 struct FanoutState<T> {
     slots: Mutex<(Vec<Option<T>>, usize)>, // (results, lanes still pending)
     done: Condvar,
@@ -177,70 +167,7 @@ where
     state.done.notify_all();
 }
 
-/// Runs every task on the pool in parallel and waits for all of them,
-/// bounded by `deadline`. Returns the results in task order.
-///
-/// Per-lane degradation: a task whose submission finds the queue full runs
-/// inline on the calling thread (`inline_fallback` is incremented). If the
-/// deadline expires first, still-queued tasks are abandoned and
-/// [`FanoutError::DeadlineExceeded`] is returned.
-pub fn scatter<T, F>(
-    pool: &WorkerPool,
-    tasks: Vec<F>,
-    deadline: Deadline,
-    inline_fallback: &Counter,
-) -> Result<Vec<T>, FanoutError>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    let lanes = tasks.len();
-    if lanes == 0 {
-        return Ok(Vec::new());
-    }
-    let state = Arc::new(FanoutState {
-        slots: Mutex::new(((0..lanes).map(|_| None).collect(), lanes)),
-        done: Condvar::new(),
-        abandoned: AtomicBool::new(false),
-    });
-
-    let mut inline = Vec::new();
-    for (index, task) in tasks.into_iter().enumerate() {
-        let lane_state = Arc::clone(&state);
-        let job: Job = Box::new(move || run_lane(&lane_state, index, task));
-        if let Err((job, _)) = pool.submit(job) {
-            // Queue full (or closing): degrade to serial on this thread
-            // rather than failing the whole request. Run after submitting
-            // the other lanes so they overlap with the inline work.
-            inline.push(job);
-        }
-    }
-    for job in inline {
-        inline_fallback.inc();
-        job();
-    }
-
-    let mut slots = state.slots.lock().expect("fan-out poisoned");
-    while slots.1 > 0 {
-        let Some(remaining) = deadline.remaining() else {
-            state.abandoned.store(true, Ordering::Release);
-            return Err(FanoutError::DeadlineExceeded);
-        };
-        let (guard, timeout) = state
-            .done
-            .wait_timeout(slots, remaining)
-            .expect("fan-out poisoned");
-        slots = guard;
-        if timeout.timed_out() && slots.1 > 0 && deadline.expired() {
-            state.abandoned.store(true, Ordering::Release);
-            return Err(FanoutError::DeadlineExceeded);
-        }
-    }
-    let results: Option<Vec<T>> = slots.0.drain(..).collect();
-    results.ok_or(FanoutError::LaneFailed)
-}
-
-/// The outcome of a cancellable fan-out (see [`scatter_cancellable`]).
+/// The outcome of a fan-out (see [`fan_out`]).
 #[derive(Debug)]
 pub struct Fanout<T> {
     /// Per-lane results in task order. `None` means the lane panicked,
@@ -252,11 +179,13 @@ pub struct Fanout<T> {
     pub deadline_hit: bool,
 }
 
-/// [`scatter`]'s cancellation-aware sibling: runs every task on the pool,
-/// bounded by `deadline`, and on expiry **trips `token`** instead of
-/// walking away from running lanes.
+/// Runs every task on the pool in parallel and waits for all of them,
+/// bounded by `deadline`; on expiry it **trips `token`** instead of
+/// walking away from running lanes. Results come back in task order.
 ///
-/// The three-rung degradation ladder (DESIGN.md §8):
+/// A task whose submission finds the queue full runs inline on the
+/// calling thread (`inline_fallback` is incremented). Under deadline
+/// pressure the three-rung degradation ladder applies (DESIGN.md §8):
 ///
 /// 1. still-*queued* lanes observe the abandoned flag and never start;
 /// 2. *running* lanes observe the tripped token (typically through a
@@ -267,10 +196,9 @@ pub struct Fanout<T> {
 ///    behind (their slot stays `None`) so the requester's latency is
 ///    bounded even over a non-cooperative backend.
 ///
-/// Unlike [`scatter`] this never fails: the caller decides what a partial
-/// [`Fanout`] is worth. With no deadline pressure the slots are exactly
-/// `scatter`'s results.
-pub fn scatter_cancellable<T, F>(
+/// This never fails: the caller decides what a partial [`Fanout`] is
+/// worth.
+pub fn fan_out<T, F>(
     pool: &WorkerPool,
     tasks: Vec<F>,
     deadline: Deadline,
@@ -300,6 +228,9 @@ where
         let lane_state = Arc::clone(&state);
         let job: Job = Box::new(move || run_lane(&lane_state, index, task));
         if let Err((job, _)) = pool.submit(job) {
+            // Queue full (or closing): degrade to serial on this thread
+            // rather than failing the whole request. Run after submitting
+            // the other lanes so they overlap with the inline work.
             inline.push(job);
         }
     }
@@ -363,12 +294,33 @@ mod tests {
         WorkerPool::new(workers, capacity, Gauge::default(), Counter::default())
     }
 
+    /// A fan-out nothing ever cancels: no deadline, a fresh token.
+    fn scatter<T, F>(pool: &WorkerPool, tasks: Vec<F>, inline_fallback: &Counter) -> Fanout<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let token = CancelToken::new();
+        let out = fan_out(
+            pool,
+            tasks,
+            Deadline::never(),
+            &token,
+            Duration::from_millis(100),
+            inline_fallback,
+        );
+        assert!(!out.deadline_hit);
+        assert!(!token.is_cancelled());
+        out
+    }
+
     #[test]
     fn scatter_returns_results_in_task_order() {
         let p = pool(4, 16);
         let tasks: Vec<_> = (0..8u64).map(|i| move || i * 10).collect();
-        let out = scatter(&p, tasks, Deadline::never(), &Counter::default()).unwrap();
-        assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60, 70]);
+        let out = scatter(&p, tasks, &Counter::default());
+        let values: Vec<u64> = out.slots.into_iter().map(Option::unwrap).collect();
+        assert_eq!(values, vec![0, 10, 20, 30, 40, 50, 60, 70]);
     }
 
     #[test]
@@ -385,8 +337,8 @@ mod tests {
             })
             .collect();
         let start = std::time::Instant::now();
-        let out = scatter(&p, tasks, Deadline::never(), &Counter::default()).unwrap();
-        assert_eq!(out, vec![0, 1, 2, 3]);
+        let out = scatter(&p, tasks, &Counter::default());
+        assert_eq!(out.slots, vec![Some(0), Some(1), Some(2), Some(3)]);
         assert!(
             start.elapsed() < Duration::from_millis(110),
             "lanes did not overlap: {:?}",
@@ -407,8 +359,8 @@ mod tests {
         let registry = arp_obs::Registry::new();
         let inline = registry.counter("inline", "", &[]);
         let tasks: Vec<_> = (0..4u64).map(|i| move || i + 1).collect();
-        let out = scatter(&p, tasks, Deadline::never(), &inline).unwrap();
-        assert_eq!(out, vec![1, 2, 3, 4]);
+        let out = scatter(&p, tasks, &inline);
+        assert_eq!(out.slots, vec![Some(1), Some(2), Some(3), Some(4)]);
         assert!(
             inline.get() >= 3,
             "expected inline fallbacks, got {}",
@@ -429,14 +381,15 @@ mod tests {
                 }
             })
             .collect();
-        let err = scatter(
+        let out = fan_out(
             &p,
             tasks,
             Deadline::after(Duration::from_millis(60)),
+            &CancelToken::new(),
+            Duration::ZERO,
             &Counter::default(),
-        )
-        .unwrap_err();
-        assert_eq!(err, FanoutError::DeadlineExceeded);
+        );
+        assert!(out.deadline_hit);
         // Let the backlog drain, then check the abandoned lanes never ran.
         std::thread::sleep(Duration::from_millis(150));
         assert!(
@@ -453,17 +406,11 @@ mod tests {
             Box::new(|| panic!("lane boom")),
             Box::new(|| 3),
         ];
-        let err = scatter(&p, tasks, Deadline::never(), &Counter::default()).unwrap_err();
-        assert_eq!(err, FanoutError::LaneFailed);
+        let out = scatter(&p, tasks, &Counter::default());
+        assert_eq!(out.slots, vec![Some(1), None, Some(3)]);
         // The pool survives and keeps serving.
-        let out = scatter(
-            &p,
-            vec![|| 7u32, || 8u32],
-            Deadline::never(),
-            &Counter::default(),
-        )
-        .unwrap();
-        assert_eq!(out, vec![7, 8]);
+        let out = scatter(&p, vec![|| 7u32, || 8u32], &Counter::default());
+        assert_eq!(out.slots, vec![Some(7), Some(8)]);
     }
 
     #[test]
@@ -487,27 +434,8 @@ mod tests {
     fn pool_has_at_least_one_worker() {
         let p = pool(0, 4);
         assert_eq!(p.workers(), 1);
-        let out = scatter(&p, vec![|| 42u8], Deadline::never(), &Counter::default()).unwrap();
-        assert_eq!(out, vec![42]);
-    }
-
-    #[test]
-    fn cancellable_scatter_without_pressure_matches_scatter() {
-        let p = pool(4, 16);
-        let token = CancelToken::new();
-        let tasks: Vec<_> = (0..6u64).map(|i| move || i * 2).collect();
-        let out = scatter_cancellable(
-            &p,
-            tasks,
-            Deadline::never(),
-            &token,
-            Duration::from_millis(100),
-            &Counter::default(),
-        );
-        assert!(!out.deadline_hit);
-        assert!(!token.is_cancelled());
-        let values: Vec<u64> = out.slots.into_iter().map(Option::unwrap).collect();
-        assert_eq!(values, vec![0, 2, 4, 6, 8, 10]);
+        let out = scatter(&p, vec![|| 42u8], &Counter::default());
+        assert_eq!(out.slots, vec![Some(42)]);
     }
 
     #[test]
@@ -531,7 +459,7 @@ mod tests {
         for _ in 0..2 {
             tasks.push(Box::new(|| "queued"));
         }
-        let out = scatter_cancellable(
+        let out = fan_out(
             &p,
             tasks,
             Deadline::after(Duration::from_millis(30)),
@@ -559,7 +487,7 @@ mod tests {
             7u8
         }];
         let start = std::time::Instant::now();
-        let out = scatter_cancellable(
+        let out = fan_out(
             &p,
             tasks,
             Deadline::after(Duration::from_millis(10)),

@@ -25,6 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::admission::Deadline;
+use crate::fault::splitmix64;
 
 /// Retry tunables, shared by every request of a service.
 #[derive(Clone, Copy, Debug)]
@@ -48,13 +49,6 @@ impl Default for RetryPolicy {
             seed: 0x5eed,
         }
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Per-request retry bookkeeping: the remaining budget and the jitter

@@ -15,7 +15,7 @@
 //!    substrate every technique lane then reads), skipped entirely when
 //!    no lane will run,
 //! 4. **fans out** the missing lanes onto the worker pool
-//!    ([`crate::scatter`]), bounded by the request deadline — but only
+//!    ([`crate::fan_out`]), bounded by the request deadline — but only
 //!    lanes whose **circuit breaker** admits them; an open breaker
 //!    short-circuits its lane instantly instead of queueing doomed work,
 //! 5. **assembles** the lanes — in lane order, regardless of completion
@@ -25,7 +25,7 @@
 //! thread that computed them; failed and truncated lanes are never
 //! cached.
 //!
-//! **Failure isolation.** A lane that errors or panics no longer fails
+//! **Failure isolation.** A lane that errors or panics does not fail
 //! the request: it is retried once (under a per-request retry budget,
 //! with decorrelated-jitter backoff, and only when the deadline has
 //! headroom for the lane's expected duration — see [`crate::retry`]),
@@ -55,7 +55,7 @@ use crate::cache::ShardedCache;
 use crate::cancel::CancelToken;
 use crate::fault::{sites, FaultPlan};
 use crate::metrics::ServeMetrics;
-use crate::pool::{scatter_cancellable, Fanout, WorkerPool};
+use crate::pool::{fan_out, Fanout, WorkerPool};
 use crate::retry::{LaneLatency, RetryPolicy, RetryState};
 use arp_obs::{
     Counter, Registry, SpanCollector, SpanGuard, SpanStatus, TraceConfig, TraceContext,
@@ -72,13 +72,6 @@ pub enum LaneOutcome<P> {
     /// admitted so far. Never cached — the truncation is an artifact of
     /// this request's deadline, not a property of the query.
     Truncated(P),
-    /// The lane failed outright with no partial to show. Equivalent to
-    /// returning a transient [`LaneError`], for backends that prefer to
-    /// report failure in-band.
-    Failed {
-        /// Why the lane failed.
-        reason: String,
-    },
 }
 
 /// A lane failure, carrying whether a retry could plausibly succeed.
@@ -473,101 +466,61 @@ struct LaneRuntime {
 }
 
 impl LaneRuntime {
-    fn new(name: String, config: &BreakerConfig, registry: Option<&Registry>) -> LaneRuntime {
+    fn new(name: String, config: &BreakerConfig, registry: &Registry) -> LaneRuntime {
         let site = sites::lane(&name);
-        let (breaker, fail, retry) = match registry {
-            Some(registry) => {
-                let failures = |reason: &str| {
-                    registry.counter(
-                        "arp_serve_lane_failures_total",
-                        "Technique lanes that failed, by technique and reason.",
-                        &[("technique", name.as_str()), ("reason", reason)],
-                    )
-                };
-                let retries = |outcome: &str| {
-                    registry.counter(
-                        "arp_serve_retries_total",
-                        "Lane retries attempted, by technique and outcome.",
-                        &[("technique", name.as_str()), ("outcome", outcome)],
-                    )
-                };
-                let breaker = CircuitBreaker::with_instruments(
-                    *config,
-                    registry.gauge(
-                        "arp_serve_breaker_state",
-                        "Circuit-breaker state per technique (0 closed, 1 half-open, 2 open).",
-                        &[("technique", name.as_str())],
-                    ),
-                    registry.counter(
-                        "arp_serve_breaker_transitions_total",
-                        "Circuit-breaker state transitions across all techniques.",
-                        &[],
-                    ),
-                );
-                (
-                    breaker,
-                    [
-                        failures("error"),
-                        failures("panic"),
-                        failures("abandoned"),
-                        failures("open_circuit"),
-                    ],
-                    [retries("success"), retries("failure")],
-                )
-            }
-            None => (
-                CircuitBreaker::new(*config),
-                std::array::from_fn(|_| Counter::default()),
-                std::array::from_fn(|_| Counter::default()),
-            ),
+        let failures = |reason: &str| {
+            registry.counter(
+                "arp_serve_lane_failures_total",
+                "Technique lanes that failed, by technique and reason.",
+                &[("technique", name.as_str()), ("reason", reason)],
+            )
         };
-        let [fail_error, fail_panic, fail_abandoned, fail_open_circuit] = fail;
-        let [retry_success, retry_failure] = retry;
+        let retries = |outcome: &str| {
+            registry.counter(
+                "arp_serve_retries_total",
+                "Lane retries attempted, by technique and outcome.",
+                &[("technique", name.as_str()), ("outcome", outcome)],
+            )
+        };
+        let breaker = CircuitBreaker::with_instruments(
+            *config,
+            registry.gauge(
+                "arp_serve_breaker_state",
+                "Circuit-breaker state per technique (0 closed, 1 half-open, 2 open).",
+                &[("technique", name.as_str())],
+            ),
+            registry.counter(
+                "arp_serve_breaker_transitions_total",
+                "Circuit-breaker state transitions across all techniques.",
+                &[],
+            ),
+        );
         LaneRuntime {
-            name,
             site,
             breaker,
             latency: LaneLatency::new(),
-            fail_error,
-            fail_panic,
-            fail_abandoned,
-            fail_open_circuit,
-            retry_success,
-            retry_failure,
+            fail_error: failures("error"),
+            fail_panic: failures("panic"),
+            fail_abandoned: failures("abandoned"),
+            fail_open_circuit: failures("open_circuit"),
+            retry_success: retries("success"),
+            retry_failure: retries("failure"),
+            name,
         }
     }
 }
 
-/// How one fan-out attempt of a lane ended (the fan-out's slot type).
-enum LaneReply<P> {
-    /// The backend returned an outcome; the `u64` is the attempt's
-    /// wall-clock duration in milliseconds (feeds the lane's latency
-    /// estimate).
-    Outcome(LaneOutcome<P>, u64),
-    /// The backend returned an error.
-    Errored(LaneError),
-    /// The attempt panicked (contained by the attempt's catch_unwind).
-    Panicked(String),
-}
+/// How one lane attempt ended (the fan-out's slot type): the backend's
+/// outcome with the attempt's wall-clock duration in milliseconds (feeds
+/// the lane's latency estimate), or why there is none.
+type LaneReply<P> = Result<(LaneOutcome<P>, u64), LaneFailure>;
 
-impl<P> LaneReply<P> {
-    /// Folds the ways an attempt can end into two: a part (`true` =
-    /// truncated) with the attempt's duration, or the error paired with
-    /// the lane's failure counter that files it.
-    fn settle(self, runtime: &LaneRuntime) -> Result<(P, bool, u64), (LaneError, &Counter)> {
-        match self {
-            LaneReply::Outcome(LaneOutcome::Complete(part), ms) => Ok((part, false, ms)),
-            LaneReply::Outcome(LaneOutcome::Truncated(part), ms) => Ok((part, true, ms)),
-            LaneReply::Outcome(LaneOutcome::Failed { reason }, _) => {
-                Err((LaneError::transient(reason), &runtime.fail_error))
-            }
-            LaneReply::Errored(error) => Err((error, &runtime.fail_error)),
-            LaneReply::Panicked(message) => Err((
-                LaneError::transient(format!("lane panicked: {message}")),
-                &runtime.fail_panic,
-            )),
-        }
-    }
+/// An attempt that ended without a part.
+struct LaneFailure {
+    error: LaneError,
+    /// The attempt panicked (contained by its `catch_unwind`) rather
+    /// than returning an error; files under `reason="panic"`.
+    panicked: bool,
 }
 
 /// What the lanes of one request have produced so far: the accumulators
@@ -576,8 +529,8 @@ struct LaneResults<P> {
     /// Per lane, the part to assemble (`None` = nothing to show).
     parts: Vec<Option<P>>,
     statuses: Vec<LaneStatus>,
-    /// `(lane, reason)` of every lane that ended without a part.
-    failures: Vec<(usize, String)>,
+    /// `<lane name>: <reason>` of every lane that ended without a part.
+    failures: Vec<String>,
     truncated: bool,
     /// The request's retry budget, created on the first failure.
     retry_state: Option<RetryState>,
@@ -645,50 +598,47 @@ impl<B: RouteBackend> LaneAttempt<B> {
         if self.token.is_cancelled() {
             self.span.attr("cancelled", "true");
         }
-        match result {
+        let (key, detail, failure) = match result {
             Ok(Ok(outcome)) => {
-                // Only complete lanes are cached: a truncated part
-                // reflects this request's deadline, a failure is not a
-                // result at all.
-                if let (Some(cache), LaneOutcome::Complete(part)) = (&self.cache, &outcome) {
-                    let now_ms = self.epoch.elapsed().as_millis() as u64;
-                    cache.put(self.key.clone(), part.clone(), now_ms);
-                }
                 match &outcome {
-                    LaneOutcome::Complete(_) => self.span.attr("outcome", "complete"),
+                    LaneOutcome::Complete(part) => {
+                        // Only complete lanes are cached: a truncated part
+                        // reflects this request's deadline, a failure is
+                        // not a result at all.
+                        if let Some(cache) = &self.cache {
+                            let now_ms = self.epoch.elapsed().as_millis() as u64;
+                            cache.put(self.key.clone(), part.clone(), now_ms);
+                        }
+                        self.span.attr("outcome", "complete");
+                    }
                     LaneOutcome::Truncated(_) => {
                         self.span.set_status(SpanStatus::Truncated);
                         self.span.attr("outcome", "truncated");
                     }
-                    LaneOutcome::Failed { reason } => {
-                        self.span.set_status(SpanStatus::Failed);
-                        self.span.attr("outcome", "failed");
-                        if self.span.is_recording() {
-                            self.span.attr("error", reason.clone());
-                        }
-                    }
                 }
-                LaneReply::Outcome(outcome, start.elapsed().as_millis() as u64)
+                return Ok((outcome, start.elapsed().as_millis() as u64));
             }
             Ok(Err((injected, error))) => {
-                self.span.set_status(SpanStatus::Failed);
-                self.span.attr("outcome", "failed");
-                if self.span.is_recording() {
-                    let key = if injected { "fault_injected" } else { "error" };
-                    self.span.attr(key, error.message.clone());
-                }
-                LaneReply::Errored(error)
+                let key = if injected { "fault_injected" } else { "error" };
+                let failure = LaneFailure {
+                    error,
+                    panicked: false,
+                };
+                (key, failure.error.message.clone(), failure)
             }
             Err(payload) => {
                 let message = panic_message(payload.as_ref());
-                self.span.set_status(SpanStatus::Failed);
-                self.span.attr("outcome", "failed");
-                if self.span.is_recording() {
-                    self.span.attr("panic", message.clone());
-                }
-                LaneReply::Panicked(message)
+                let failure = LaneFailure {
+                    error: LaneError::transient(format!("lane panicked: {message}")),
+                    panicked: true,
+                };
+                ("panic", message, failure)
             }
-        }
+        };
+        self.span.set_status(SpanStatus::Failed);
+        self.span.attr("outcome", "failed");
+        self.span.attr(key, detail);
+        Err(failure)
     }
 }
 
@@ -710,26 +660,11 @@ pub struct RouteService<B: RouteBackend> {
 }
 
 impl<B: RouteBackend> RouteService<B> {
-    /// Builds the service and registers its instruments in `registry`.
-    pub fn new(backend: B, config: ServeConfig, registry: &Registry) -> RouteService<B> {
+    /// Builds the service and registers its instruments in `registry`
+    /// (a [`Registry::disabled`] one hands out detached no-ops).
+    pub fn new(backend: B, mut config: ServeConfig, registry: &Registry) -> RouteService<B> {
         let metrics = ServeMetrics::new(registry);
-        Self::build(backend, config, metrics, Some(registry))
-    }
-
-    /// Builds the service around pre-resolved (possibly detached) metrics.
-    pub fn with_metrics(backend: B, config: ServeConfig, metrics: ServeMetrics) -> RouteService<B> {
-        Self::build(backend, config, metrics, None)
-    }
-
-    fn build(
-        backend: B,
-        mut config: ServeConfig,
-        metrics: ServeMetrics,
-        registry: Option<&Registry>,
-    ) -> RouteService<B> {
-        if let Some(registry) = registry {
-            config.faults = config.faults.clone().attach_metrics(registry);
-        }
+        config.faults = config.faults.clone().attach_metrics(registry);
         let pool = WorkerPool::new(
             config.workers,
             config.queue_capacity,
@@ -750,12 +685,7 @@ impl<B: RouteBackend> RouteService<B> {
         let lanes = (0..backend.lanes())
             .map(|lane| LaneRuntime::new(backend.lane_name(lane), &config.breaker, registry))
             .collect();
-        let tracer = match registry {
-            Some(registry) => SpanCollector::new(&config.trace, registry),
-            // Metrics-only construction still records traces (the ring
-            // is inspectable); only the counters are detached.
-            None => SpanCollector::new(&config.trace, &Registry::disabled()),
-        };
+        let tracer = SpanCollector::new(&config.trace, registry);
         RouteService {
             backend: Arc::new(backend),
             pool,
@@ -925,22 +855,9 @@ impl<B: RouteBackend> RouteService<B> {
                     out.statuses[lane] = LaneStatus::OpenCircuit;
                     self.lanes[lane].fail_open_circuit.inc();
                     out.failures
-                        .push((lane, format!("{}: circuit open", self.lanes[lane].name)));
-                    if ctx.is_recording() {
-                        let tick = ctx.tick_us();
-                        ctx.record_span(
-                            "lane",
-                            Some(root_id),
-                            tick,
-                            tick,
-                            SpanStatus::Failed,
-                            vec![
-                                ("technique", self.lanes[lane].name.clone()),
-                                ("breaker", "open".to_string()),
-                                ("outcome", "open_circuit".to_string()),
-                            ],
-                        );
-                    }
+                        .push(format!("{}: circuit open", self.lanes[lane].name));
+                    let verdict = [("breaker", "open"), ("outcome", "open_circuit")];
+                    self.refused_lane_span(ctx, root_id, lane, &verdict);
                 }
             }
 
@@ -996,7 +913,7 @@ impl<B: RouteBackend> RouteService<B> {
                         .into_iter()
                         .map(|attempt| move || attempt.run())
                         .collect();
-                    scatter_cancellable(
+                    fan_out(
                         &self.pool,
                         tasks,
                         deadline,
@@ -1017,54 +934,42 @@ impl<B: RouteBackend> RouteService<B> {
             }
             for (lane, slot) in runnable.into_iter().zip(fanout.slots) {
                 let runtime = &self.lanes[lane];
-                match slot.map(|reply| reply.settle(runtime)) {
-                    Some(Ok((part, false, ms))) => {
-                        runtime.latency.observe_ms(ms);
-                        runtime.breaker.record_success(self.now_ms());
-                        out.parts[lane] = Some(part);
-                    }
-                    Some(Ok((part, true, _))) => {
-                        // Interrupted — under deadline pressure, or by a
-                        // backend-side expansion cap. Either way a
-                        // partial response, not a lane failure.
-                        out.truncated = true;
-                        out.statuses[lane] = LaneStatus::Truncated;
-                        runtime.breaker.record_success(self.now_ms());
-                        out.parts[lane] = Some(part);
-                    }
-                    Some(Err((error, failure_counter))) => self.lane_failed(
-                        lane,
-                        error,
-                        failure_counter,
-                        deadline_hit,
-                        &deadline,
-                        &request,
-                        ctx,
-                        root_id,
-                        &mut out,
-                    ),
-                    None => {
-                        // The lane's outcome is unknown: it acquired its
-                        // breaker (possibly as the half-open probe) but
-                        // never reported back. The breaker must still get
-                        // an answer — otherwise a half-open probe leaks
-                        // and the lane stays open_circuit forever — and
-                        // "unknown" conservatively counts as a failure,
-                        // which also lets a persistently hanging lane
-                        // trip its circuit instead of eating the full
-                        // deadline on every request.
-                        runtime.breaker.record_failure(self.now_ms());
-                        if deadline_hit {
-                            // Abandoned while queued, or a straggler that
-                            // outlived the grace period: a deadline
-                            // artifact, part of the truncation.
-                            out.statuses[lane] = LaneStatus::Truncated;
+                match self.settle(lane, slot, &mut out) {
+                    Ok(()) => {}
+                    Err(Some(failure)) => {
+                        let counter = if failure.panicked {
+                            &runtime.fail_panic
                         } else {
+                            &runtime.fail_error
+                        };
+                        counter.inc();
+                        let reason = if deadline_hit {
+                            Some(failure.error.message)
+                        } else {
+                            self.retry(
+                                lane,
+                                failure.error,
+                                &deadline,
+                                &request,
+                                ctx,
+                                root_id,
+                                &mut out,
+                            )
+                        };
+                        if let Some(reason) = reason {
                             out.statuses[lane] = LaneStatus::Failed;
-                            runtime.fail_abandoned.inc();
-                            out.failures
-                                .push((lane, format!("{}: lane abandoned", runtime.name)));
+                            out.failures.push(format!("{}: {reason}", runtime.name));
                         }
+                    }
+                    // Abandoned while queued, or a straggler that outlived
+                    // the grace period: a deadline artifact, part of the
+                    // truncation.
+                    Err(None) if deadline_hit => out.statuses[lane] = LaneStatus::Truncated,
+                    Err(None) => {
+                        out.statuses[lane] = LaneStatus::Failed;
+                        runtime.fail_abandoned.inc();
+                        out.failures
+                            .push(format!("{}: lane abandoned", runtime.name));
                     }
                 }
             }
@@ -1114,11 +1019,7 @@ impl<B: RouteBackend> RouteService<B> {
                     let reasons = if failures.is_empty() {
                         "no lane produced a result".to_string()
                     } else {
-                        failures
-                            .iter()
-                            .map(|(_, reason)| reason.as_str())
-                            .collect::<Vec<_>>()
-                            .join("; ")
+                        failures.join("; ")
                     };
                     assemble_span.attr("outcome", "all_lanes_failed");
                     drop(assemble_span);
@@ -1149,127 +1050,144 @@ impl<B: RouteBackend> RouteService<B> {
         (status, Ok(response))
     }
 
-    /// Handles one lane's final-attempt failure: record it, then retry
-    /// once if the failure is transient, the request still has retry
-    /// budget, the breaker admits the attempt, and the deadline has
-    /// headroom for the lane's expected duration.
+    /// Settles one attempt whose breaker slot was acquired: lands its part
+    /// (and status) in `out`, or hands back why there is none — `None`
+    /// when the attempt never reported at all. Either way the breaker
+    /// gets its answer here, exactly once per attempt.
+    fn settle(
+        &self,
+        lane: usize,
+        reply: Option<LaneReply<B::Part>>,
+        out: &mut LaneResults<B::Part>,
+    ) -> Result<(), Option<LaneFailure>> {
+        let runtime = &self.lanes[lane];
+        let (outcome, ms) = match reply {
+            Some(Ok(done)) => done,
+            unanswered => {
+                // Also when the outcome is unknown: the lane acquired its
+                // breaker (possibly as the half-open probe) but never
+                // reported back. The breaker must still get an answer —
+                // otherwise a half-open probe leaks and the lane stays
+                // open_circuit forever — and "unknown" conservatively
+                // counts as a failure, which also lets a persistently
+                // hanging lane trip its circuit instead of eating the
+                // full deadline on every request.
+                runtime.breaker.record_failure(self.now_ms());
+                return Err(unanswered.and_then(Result::err));
+            }
+        };
+        runtime.breaker.record_success(self.now_ms());
+        let (part, status) = match outcome {
+            LaneOutcome::Complete(part) => {
+                runtime.latency.observe_ms(ms);
+                (part, LaneStatus::Ok)
+            }
+            // Interrupted — under deadline pressure, or by a backend-side
+            // expansion cap. Either way a partial response, not a lane
+            // failure.
+            LaneOutcome::Truncated(part) => {
+                out.truncated = true;
+                (part, LaneStatus::Truncated)
+            }
+        };
+        out.parts[lane] = Some(part);
+        out.statuses[lane] = status;
+        Ok(())
+    }
+
+    /// Decides whether a lane whose first attempt failed with `error`
+    /// gets its one retry — the failure is transient, the request still
+    /// has retry budget, the deadline has headroom for the lane's
+    /// expected duration, and the breaker admits the attempt — and if so
+    /// runs it. Returns why the lane stays failed, or `None` when the
+    /// retry landed a part.
     #[allow(clippy::too_many_arguments)]
-    fn lane_failed(
+    fn retry(
         &self,
         lane: usize,
         error: LaneError,
-        failure_counter: &Counter,
-        deadline_hit: bool,
         deadline: &Deadline,
         request: &B::Request,
         ctx: &TraceContext,
         root_id: u32,
         out: &mut LaneResults<B::Part>,
-    ) {
+    ) -> Option<String> {
         let runtime = &self.lanes[lane];
-        runtime.breaker.record_failure(self.now_ms());
-        failure_counter.inc();
-
-        if error.transient && !deadline_hit {
-            let state = out.retry_state.get_or_insert_with(|| {
-                RetryState::new(self.config.retry, self.seq.fetch_add(1, Ordering::Relaxed))
-            });
-            if let Some(backoff) = state.next_attempt(deadline, runtime.latency.estimate_ms()) {
-                if runtime.breaker.try_acquire(self.now_ms()) {
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                    // The retry runs under the *residual* request deadline,
-                    // through the same cancellable fan-out as a first
-                    // attempt: if the headroom estimate was wrong (the
-                    // latency EWMA starts at zero), the deadline trips the
-                    // retry's token and truncates it like any other lane
-                    // instead of blocking the requester indefinitely.
-                    let token = CancelToken::new();
-                    let mut span = ctx.child_span("lane", root_id);
-                    if span.is_recording() {
-                        span.attr("technique", runtime.name.clone());
-                        span.attr_u64("attempt", 2);
-                        span.attr("retry", "true");
-                        span.attr_u64("backoff_ms", backoff.as_millis() as u64);
-                    }
-                    let attempt = self.attempt(lane, request, &token, span);
-                    let fanout: Fanout<LaneReply<B::Part>> = scatter_cancellable(
-                        &self.pool,
-                        vec![move || attempt.run()],
-                        *deadline,
-                        &token,
-                        self.config.cancel_grace,
-                        &self.metrics.inline_fallback,
-                    );
-                    match fanout.slots.into_iter().next().flatten() {
-                        Some(LaneReply::Outcome(LaneOutcome::Complete(part), ms)) => {
-                            runtime.latency.observe_ms(ms);
-                            runtime.retry_success.inc();
-                            runtime.breaker.record_success(self.now_ms());
-                            out.parts[lane] = Some(part);
-                            out.statuses[lane] = LaneStatus::Ok;
-                        }
-                        Some(LaneReply::Outcome(LaneOutcome::Truncated(part), _)) => {
-                            runtime.retry_success.inc();
-                            runtime.breaker.record_success(self.now_ms());
-                            out.parts[lane] = Some(part);
-                            out.statuses[lane] = LaneStatus::Truncated;
-                            out.truncated = true;
-                        }
-                        Some(LaneReply::Outcome(LaneOutcome::Failed { reason }, _))
-                        | Some(LaneReply::Errored(LaneError {
-                            message: reason, ..
-                        }))
-                        | Some(LaneReply::Panicked(reason)) => {
-                            runtime.retry_failure.inc();
-                            runtime.breaker.record_failure(self.now_ms());
-                            out.statuses[lane] = LaneStatus::Failed;
-                            out.failures
-                                .push((lane, format!("{}: {reason}", runtime.name)));
-                        }
-                        None => {
-                            // The retry ran out of deadline with nothing
-                            // to show (or was abandoned). Outcome unknown:
-                            // record a breaker failure, which releases any
-                            // half-open probe the retry may hold.
-                            runtime.retry_failure.inc();
-                            runtime.breaker.record_failure(self.now_ms());
-                            out.statuses[lane] = LaneStatus::Failed;
-                            out.failures.push((
-                                lane,
-                                format!(
-                                    "{}: {} (retry exceeded the deadline)",
-                                    runtime.name, error.message
-                                ),
-                            ));
-                        }
-                    }
-                    return;
-                }
-                // The breaker refused the retry before anything ran: no
-                // retry cost was incurred, so the budget unit goes back
-                // for the request's other lanes.
-                state.refund();
-                if ctx.is_recording() {
-                    let tick = ctx.tick_us();
-                    ctx.record_span(
-                        "lane",
-                        Some(root_id),
-                        tick,
-                        tick,
-                        SpanStatus::Failed,
-                        vec![
-                            ("technique", runtime.name.clone()),
-                            ("retry_refused", "breaker".to_string()),
-                        ],
-                    );
-                }
+        if !error.transient {
+            return Some(error.message);
+        }
+        let state = out.retry_state.get_or_insert_with(|| {
+            RetryState::new(self.config.retry, self.seq.fetch_add(1, Ordering::Relaxed))
+        });
+        let Some(backoff) = state.next_attempt(deadline, runtime.latency.estimate_ms()) else {
+            return Some(error.message);
+        };
+        if !runtime.breaker.try_acquire(self.now_ms()) {
+            // The breaker refused the retry before anything ran: no
+            // retry cost was incurred, so the budget unit goes back
+            // for the request's other lanes.
+            state.refund();
+            self.refused_lane_span(ctx, root_id, lane, &[("retry_refused", "breaker")]);
+            return Some(error.message);
+        }
+        if !backoff.is_zero() {
+            std::thread::sleep(backoff);
+        }
+        // The retry runs under the *residual* request deadline, through
+        // the same fan-out as a first attempt: if the headroom estimate
+        // was wrong (the latency EWMA starts at zero), the deadline trips
+        // the retry's token and truncates it like any other lane instead
+        // of blocking the requester indefinitely.
+        let token = CancelToken::new();
+        let mut span = ctx.child_span("lane", root_id);
+        if span.is_recording() {
+            span.attr("technique", runtime.name.clone());
+            span.attr_u64("attempt", 2);
+            span.attr("retry", "true");
+            span.attr_u64("backoff_ms", backoff.as_millis() as u64);
+        }
+        let attempt = self.attempt(lane, request, &token, span);
+        let fanout = fan_out(
+            &self.pool,
+            vec![move || attempt.run()],
+            *deadline,
+            &token,
+            self.config.cancel_grace,
+            &self.metrics.inline_fallback,
+        );
+        match self.settle(lane, fanout.slots.into_iter().next().flatten(), out) {
+            Ok(()) => {
+                runtime.retry_success.inc();
+                None
+            }
+            Err(second) => {
+                runtime.retry_failure.inc();
+                Some(match second {
+                    Some(failure) => failure.error.message,
+                    // The retry ran out of deadline with nothing to show
+                    // (or was abandoned).
+                    None => format!("{} (retry exceeded the deadline)", error.message),
+                })
             }
         }
-        out.statuses[lane] = LaneStatus::Failed;
-        out.failures
-            .push((lane, format!("{}: {}", runtime.name, error.message)));
+    }
+
+    /// Records the instant `lane` span of a lane that was refused before
+    /// anything ran — short-circuited by its open breaker, or denied its
+    /// retry — with `verdict` saying which.
+    fn refused_lane_span(
+        &self,
+        ctx: &TraceContext,
+        root_id: u32,
+        lane: usize,
+        verdict: &[(&'static str, &str)],
+    ) {
+        if ctx.is_recording() {
+            let tick = ctx.tick_us();
+            let mut attrs = vec![("technique", self.lanes[lane].name.clone())];
+            attrs.extend(verdict.iter().map(|&(key, value)| (key, value.to_string())));
+            ctx.record_span("lane", Some(root_id), tick, tick, SpanStatus::Failed, attrs);
+        }
     }
 
     /// A point-in-time health snapshot: queue depth, in-flight count,
@@ -1469,7 +1387,7 @@ mod tests {
     }
 
     fn service(backend: EchoBackend, config: ServeConfig) -> RouteService<EchoBackend> {
-        RouteService::with_metrics(backend, config, ServeMetrics::default())
+        RouteService::new(backend, config, &Registry::disabled())
     }
 
     /// A retry policy that never retries — for tests counting attempts.
@@ -1798,7 +1716,7 @@ mod tests {
             },
             ..ServeConfig::default()
         };
-        let svc = RouteService::with_metrics(backend, config, ServeMetrics::default());
+        let svc = RouteService::new(backend, config, &Registry::disabled());
 
         // A fast failure opens the breaker (min volume 1).
         let out = svc.route((1, 1)).unwrap();
@@ -1852,7 +1770,7 @@ mod tests {
             },
             ..ServeConfig::default()
         };
-        let svc = RouteService::with_metrics(backend, config, ServeMetrics::default());
+        let svc = RouteService::new(backend, config, &Registry::disabled());
         for i in 0..2 {
             let out = svc.route((i, i)).unwrap();
             assert!(out.contains("[truncated,ok]"), "{out}");
@@ -2493,7 +2411,7 @@ prepare <request ok []
 queue <lane ok []
 queue <lane ok []
 request <- failed []
-== only lane panics twice: Err(AllLanesFailed { reasons: "lane0: lane 0 exploded" })
+== only lane panics twice: Err(AllLanesFailed { reasons: "lane0: lane panicked: lane 0 exploded" })
 admission <request ok [inflight]
 assemble <request failed [outcome=all_lanes_failed]
 cache_probe <request ok [hits lanes]
