@@ -2210,7 +2210,10 @@ mod tests {
     ) {
         let (receipt, result) = svc.route_traced(request);
         log.push(format!("== {label}: {result:?}"));
-        let trace = svc.tracer().trace(receipt.id).expect("sampled at 1.0");
+        let Some(trace) = svc.tracer().trace(receipt.id) else {
+            log.push("(trace not kept)".to_string());
+            return;
+        };
         let mut spans: Vec<String> = trace
             .spans
             .iter()
@@ -2246,9 +2249,10 @@ mod tests {
 
     /// The failure ladder's oracle: a fixed script through every rung —
     /// healthy, cached, retried, failed, panicked, breaker-opened,
-    /// short-circuited, retry-refused, inline, probe outage — pinning per
-    /// request the response and the span tree's shape, and at the end
-    /// every `arp_serve_*` counter. The literal was captured before the
+    /// short-circuited, retry-refused, inline, probe outage, head sampling
+    /// off — pinning per request the response and the span tree's shape,
+    /// and at the end every `arp_serve_*` counter plus the spans recorded
+    /// and traces kept. The literal was captured before the
     /// lane-attempt refactor; it differs from that capture in one line,
     /// the reason of a lane that panics on its *retry*, which then lacked
     /// the `lane panicked: ` prefix a first-attempt panic always had.
@@ -2341,16 +2345,33 @@ mod tests {
         pin_request(&mut log, "cache.get outage, repeat", &svc, (1, 2));
         drop(svc);
 
+        // Head sampling off: spans are recorded all the same (they reach
+        // `arp_trace_spans_total`), a healthy trace is dropped at finish
+        // and the tail rule keeps the degraded one whole.
+        let mut backend = EchoBackend::new(2);
+        backend.fail_lane = Some(0);
+        let mut config = ServeConfig {
+            retry: no_retries(),
+            ..ServeConfig::default()
+        };
+        config.trace.sample = 0.0;
+        let svc = RouteService::new(backend, config.clone(), &registry);
+        pin_request(&mut log, "unsampled, degraded", &svc, (1, 2));
+        drop(svc);
+        let svc = RouteService::new(EchoBackend::new(2), config, &registry);
+        pin_request(&mut log, "unsampled, healthy", &svc, (1, 2));
+        drop(svc);
+
         // Every moved counter (a series absent here reads 0). A worker
         // bumps `arp_serve_jobs_total` after the requester is already
         // awake, so that one is not a function of the script.
         log.push("== counters".to_string());
         for sample in registry.samples() {
             if let arp_obs::SampleValue::Counter(value) = sample.value {
-                if sample.name.starts_with("arp_serve_")
-                    && sample.name != "arp_serve_jobs_total"
-                    && value > 0
-                {
+                let pinned = sample.name.starts_with("arp_serve_")
+                    || sample.name == "arp_trace_spans_total"
+                    || sample.name == "arp_trace_sampled_total";
+                if pinned && sample.name != "arp_serve_jobs_total" && value > 0 {
                     let labels: Vec<String> = sample
                         .labels
                         .iter()
@@ -2495,21 +2516,35 @@ prepare <request ok []
 queue <lane ok []
 queue <lane ok []
 request <- ok []
+== unsampled, degraded: Ok("1,2 => lane1(1,2) [failed,ok]")
+admission <request ok [inflight]
+assemble <request ok [outcome=degraded]
+cache_probe <request ok [hits lanes]
+lane <request failed [attempt=1 breaker=closed error outcome=failed queue_wait_us technique=lane0]
+lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane1]
+prepare <request ok []
+queue <lane ok []
+queue <lane ok []
+request <- degraded []
+== unsampled, healthy: Ok("1,2 => lane0(1,2)|lane1(1,2)")
+(trace not kept)
 == counters
-arp_serve_admitted_total{} 12
+arp_serve_admitted_total{} 14
 arp_serve_breaker_transitions_total{} 1
 arp_serve_cache_hits_total{} 3
-arp_serve_cache_misses_total{} 9
-arp_serve_degraded_responses_total{} 3
+arp_serve_cache_misses_total{} 13
+arp_serve_degraded_responses_total{} 4
 arp_serve_faults_injected_total{kind=error,site=cache.get} 2
 arp_serve_faults_injected_total{kind=error,site=queue.push} 1
 arp_serve_inline_fallback_total{} 3
-arp_serve_lane_failures_total{reason=error,technique=lane0} 3
+arp_serve_lane_failures_total{reason=error,technique=lane0} 4
 arp_serve_lane_failures_total{reason=error,technique=lane1} 2
 arp_serve_lane_failures_total{reason=open_circuit,technique=lane0} 1
 arp_serve_lane_failures_total{reason=panic,technique=lane0} 2
 arp_serve_retries_total{outcome=failure,technique=lane0} 3
 arp_serve_retries_total{outcome=success,technique=lane1} 2
+arp_trace_sampled_total{} 13
+arp_trace_spans_total{} 131
 "#;
 
     #[test]
