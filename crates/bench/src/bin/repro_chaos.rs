@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use arp_citygen::{City, Scale};
 use arp_demo::backend::DemoBackend;
-use arp_demo::query::{PreparedQuery, QueryProcessor, SnappedQuery};
+use arp_demo::query::{QueryProcessor, SnappedQuery};
 use arp_obs::Registry;
 use arp_serve::{sites, BreakerConfig, FaultKind, FaultPlan, RouteService, ServeConfig};
 
@@ -126,7 +126,7 @@ fn availability_sweep(report: &mut String) {
             let (mut healthy, mut degraded, mut errors, mut with_routes) = (0u64, 0u64, 0u64, 0u64);
             for _ in 0..REPEATS {
                 for request in &fx.queries {
-                    match service.route(PreparedQuery::new(*request)) {
+                    match service.route(fx.processor.prepare_query(*request)) {
                         Ok(resp) => {
                             if resp.approaches.iter().any(|a| !a.routes.is_empty()) {
                                 with_routes += 1;
@@ -201,7 +201,7 @@ fn degraded_is_never_cached(report: &mut String) {
         loop {
             attempts += 1;
             let resp = service
-                .route(PreparedQuery::new(*request))
+                .route(fx.processor.prepare_query(*request))
                 .expect("two lanes are always healthy");
             if !resp.degraded {
                 break;
@@ -214,7 +214,7 @@ fn degraded_is_never_cached(report: &mut String) {
         // All four lanes are now cached; the repeat is served healthy
         // from the cache even though the fault plan is still armed.
         let again = service
-            .route(PreparedQuery::new(*request))
+            .route(fx.processor.prepare_query(*request))
             .expect("cached repeat");
         assert!(
             !again.degraded,
@@ -260,7 +260,7 @@ fn breaker_caps_wasted_work(report: &mut String) {
     let service = service(&fx, config, &registry);
     for i in 0..OUTAGE_REQUESTS {
         let resp = service
-            .route(PreparedQuery::new(fx.queries[i % fx.queries.len()]))
+            .route(fx.processor.prepare_query(fx.queries[i % fx.queries.len()]))
             .expect("three healthy lanes always serve");
         assert!(
             resp.degraded,

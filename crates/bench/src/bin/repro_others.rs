@@ -3,14 +3,14 @@
 //! (b) edge-exclusion / limited-overlap variants (ESX-style) fix that at
 //! extra cost, (c) Pareto/skyline paths are a different axis entirely.
 //! This experiment quantifies those claims against the three study
-//! techniques on the same query batch.
+//! techniques on the same query batch. No timings: the report is a pure
+//! function of the seed (CI diffs it); `repro_perf` times ESX and Yen.
 //!
 //! ```sh
 //! cargo run --release -p arp-bench --bin repro_others
 //! ```
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use arp_core::prelude::*;
 use arp_core::quality::route_set_quality;
@@ -32,7 +32,6 @@ fn main() {
         routes: f64,
         stretch: f64,
         diversity: f64,
-        ms_per_query: f64,
     }
     let mut rows: Vec<Row> = Vec::new();
 
@@ -43,7 +42,6 @@ fn main() {
             let mut stretch = 0.0;
             let mut diversity = 0.0;
             let mut n = 0usize;
-            let started = Instant::now();
             for &(s, t, best) in &queries {
                 let Some(paths) = f(s, t) else { continue };
                 if paths.is_empty() {
@@ -55,14 +53,12 @@ fn main() {
                 diversity += report.diversity;
                 n += 1;
             }
-            let elapsed = started.elapsed().as_secs_f64() * 1000.0 / n.max(1) as f64;
             let nf = n.max(1) as f64;
             rows.push(Row {
                 name,
                 routes: routes / nf,
                 stretch: stretch / nf,
                 diversity: diversity / nf,
-                ms_per_query: elapsed,
             });
         };
 
@@ -104,14 +100,14 @@ fn main() {
     );
     let _ = writeln!(
         report,
-        "\n{:<26} {:>7} {:>9} {:>10} {:>10}",
-        "technique", "routes", "stretch", "diversity", "ms/query"
+        "\n{:<26} {:>7} {:>9} {:>10}",
+        "technique", "routes", "stretch", "diversity"
     );
     for r in &rows {
         let _ = writeln!(
             report,
-            "{:<26} {:>7.2} {:>9.3} {:>10.3} {:>10.2}",
-            r.name, r.routes, r.stretch, r.diversity, r.ms_per_query
+            "{:<26} {:>7.2} {:>9.3} {:>10.3}",
+            r.name, r.routes, r.stretch, r.diversity
         );
     }
 
@@ -129,16 +125,6 @@ fn main() {
         dedicated_min_div,
         if yen.diversity < dedicated_min_div { "YES" } else { "NO" }
     );
-    let _ = writeln!(
-        report,
-        "  yen slower than plateaus: {}",
-        if yen.ms_per_query > rows[0].ms_per_query {
-            "YES"
-        } else {
-            "NO"
-        }
-    );
-
     println!("{report}");
     let path = arp_bench::write_report("others.txt", &report);
     println!("report written to {}", path.display());

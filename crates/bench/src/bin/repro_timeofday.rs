@@ -51,7 +51,7 @@ fn main() {
     let mut best_hour = (0.0f64, f64::INFINITY);
     for &hour in &[3.0f64, 6.0, 8.0, 11.0, 14.0, 17.0, 20.0, 23.0] {
         let model = TrafficModel::at_hour(arp_bench::MASTER_SEED, hour);
-        let provider = GoogleLikeProvider::with_model(net, model);
+        let provider = GoogleLikeProvider::with_model(net, model, &arp_obs::Registry::disabled());
         let mut mismatches = 0usize;
         let mut excess_sum = 0.0;
         let mut n = 0usize;

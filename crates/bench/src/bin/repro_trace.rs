@@ -77,7 +77,6 @@ fn main() {
 
         // Every request traced, mixed outcomes.
         let trace_all = TraceConfig {
-            enabled: true,
             sample: 1.0,
             buffer: 4096,
             slow_ms: 0,

@@ -13,8 +13,8 @@
 //! 3. **Uniformly bounded stretch (UBS)**: *every* subpath of P has
 //!    stretch at most 1 + ε, not just P as a whole.
 //!
-//! Exact verification of (2) and (3) is quadratic in path length, so this
-//! module uses the same sliding-window probe strategy as
+//! Exact verification of (2) and (3) is quadratic in path length, so both
+//! are read off the sliding-window probe of
 //! [`crate::quality::local_optimality`] — sound for rejection (a failed
 //! probe is a genuine violation) and empirically tight for acceptance.
 
@@ -22,8 +22,7 @@ use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::weight::{Cost, Weight};
 
 use crate::path::Path;
-use crate::quality::local_optimality;
-use crate::search::SearchSpace;
+use crate::quality::{window_probes, LocalOptimality};
 use crate::similarity::overlap_ratio;
 
 /// The (γ, T, ε) thresholds of the admissibility definition.
@@ -83,36 +82,18 @@ pub fn max_window_stretch(
     window_fraction: f64,
     max_probes: usize,
 ) -> f64 {
-    let t = (path.cost_ms as f64 * window_fraction) as Cost;
-    if t == 0 || path.edges.len() < 2 {
-        return 1.0;
-    }
-    let mut prefix: Vec<Cost> = Vec::with_capacity(path.edges.len() + 1);
-    prefix.push(0);
-    for &e in &path.edges {
-        prefix.push(prefix.last().unwrap() + weights[e.index()] as Cost);
-    }
-    let mut ws = SearchSpace::new(net);
-    let mut worst = 1.0f64;
-    let mut probes = 0usize;
-    let mut i = 0usize;
-    while i < path.edges.len() && probes < max_probes {
-        let mut j = i + 1;
-        while j < path.edges.len() && prefix[j] - prefix[i] < t {
-            j += 1;
-        }
-        let (a, b) = (path.nodes[i], path.nodes[j]);
-        if a != b {
-            if let Ok(d) = ws.shortest_distance(net, weights, a, b) {
-                probes += 1;
-                if d > 0 {
-                    worst = worst.max((prefix[j] - prefix[i]) as f64 / d as f64);
-                }
-            }
-        }
-        i += ((j - i) / 2).max(1);
-    }
-    worst
+    let probes = window_probes(net, weights, path, window_fraction, max_probes);
+    worst_stretch(&probes)
+}
+
+/// The worst `window cost / shortest distance` over one probe walk.
+fn worst_stretch(probes: &[(Cost, Cost)]) -> f64 {
+    probes
+        .iter()
+        .filter(|&&(_, d)| d > 0)
+        .fold(1.0, |worst, &(window, d)| {
+            worst.max(window as f64 / d as f64)
+        })
 }
 
 /// Evaluates a path against the admissibility criteria.
@@ -124,24 +105,19 @@ pub fn admissibility(
     criteria: &AdmissibilityCriteria,
 ) -> AdmissibilityReport {
     let sharing = overlap_ratio(alternative, optimal, weights);
-    let lo = local_optimality(
+    // Criteria 2 and 3 probe the same windows: walk them once.
+    let probes = window_probes(
         net,
         weights,
         alternative,
         criteria.t_fraction,
         criteria.max_probes,
     );
-    let stretch = max_window_stretch(
-        net,
-        weights,
-        alternative,
-        criteria.t_fraction,
-        criteria.max_probes,
-    );
+    let stretch = worst_stretch(&probes);
     AdmissibilityReport {
         sharing,
         sharing_ok: sharing <= criteria.gamma + 1e-9,
-        locally_optimal: lo.is_locally_optimal(),
+        locally_optimal: LocalOptimality::of(&probes).is_locally_optimal(),
         max_window_stretch: stretch,
         ubs_ok: stretch <= 1.0 + criteria.epsilon_ubs + 1e-9,
     }

@@ -46,7 +46,7 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::{EdgeId, NodeId};
-use arp_roadnet::weight::{Cost, Weight, WeightView, CLOSED, INFINITY};
+use arp_roadnet::weight::{Cost, Weight, CLOSED, INFINITY};
 
 use crate::budget::{SearchBudget, CHECK_INTERVAL};
 use crate::error::CoreError;
@@ -418,16 +418,6 @@ impl ChTopology {
             best_up,
             best_down,
         })
-    }
-
-    /// [`ChTopology::customize`] over any [`WeightView`]; the metric is
-    /// stamped with the view's epoch.
-    pub fn customize_view<V: WeightView + ?Sized>(
-        &self,
-        net: &RoadNetwork,
-        view: &V,
-    ) -> Result<ChMetric, CoreError> {
-        Ok(self.customize(net, view.column())?.with_epoch(view.epoch()))
     }
 
     /// Exact one-to-all distances via PHAST: a budgeted upward search

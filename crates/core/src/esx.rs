@@ -52,54 +52,21 @@ pub fn esx_alternatives(
     query: &AltQuery,
     options: &EsxOptions,
 ) -> Result<Vec<Path>, CoreError> {
-    esx_alternatives_budgeted(
-        net,
-        weights,
-        source,
-        target,
-        query,
-        options,
-        &SearchBudget::unlimited(),
-    )
+    let budget = SearchBudget::unlimited();
+    esx_alternatives_from_base(net, weights, source, target, query, options, &budget, None)
 }
 
-/// [`esx_alternatives`] under a cooperative [`SearchBudget`].
+/// The algorithm itself, under a cooperative [`SearchBudget`]: grow the
+/// result set shortest first, excluding the heaviest shared edge of
+/// over-overlapping candidates. `base` is the prepared
+/// `sp(source, target)` under `weights` — typically a
+/// [`crate::substrate::SearchSubstrate`]'s; with `None` the call first
+/// finds it with one search of its own.
 ///
 /// A trip mid-call returns the paths chosen so far (an anytime result);
 /// inspect `budget.is_cancelled()` to tell a partial set apart from a
 /// converged one. A trip before the first path is found returns `Ok`
 /// with an empty set.
-#[allow(clippy::too_many_arguments)]
-pub fn esx_alternatives_budgeted(
-    net: &RoadNetwork,
-    weights: &[Weight],
-    source: NodeId,
-    target: NodeId,
-    query: &AltQuery,
-    options: &EsxOptions,
-    budget: &SearchBudget,
-) -> Result<Vec<Path>, CoreError> {
-    if query.k == 0 {
-        return Ok(Vec::new());
-    }
-    let mut ws = SearchSpace::new(net);
-    ws.set_budget(budget.clone());
-    let best = match ws.shortest_path(net, weights, source, target) {
-        Ok(p) => p,
-        Err(CoreError::Interrupted) => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    Ok(esx_rounds(
-        &mut ws, net, weights, source, target, query, options, budget, best,
-    ))
-}
-
-/// Like [`esx_alternatives_budgeted`], but seeded with a prepared base
-/// optimal route — typically a
-/// [`crate::substrate::SearchSubstrate`]'s — instead of searching for
-/// it first. Only the initial full Dijkstra is saved; the
-/// exclusion-and-recompute rounds are the exact code the self-computing
-/// path runs, so results are byte-identical.
 #[allow(clippy::too_many_arguments)]
 pub fn esx_alternatives_from_base(
     net: &RoadNetwork,
@@ -109,48 +76,16 @@ pub fn esx_alternatives_from_base(
     query: &AltQuery,
     options: &EsxOptions,
     budget: &SearchBudget,
-    base: &Path,
+    base: Option<&Path>,
 ) -> Result<Vec<Path>, CoreError> {
     if query.k == 0 {
         return Ok(Vec::new());
     }
-    if source == target {
-        return Err(CoreError::SameSourceTarget(source));
-    }
-    debug_assert_eq!(base.source(), source);
-    debug_assert_eq!(base.target(), target);
     let mut ws = SearchSpace::new(net);
     ws.set_budget(budget.clone());
-    Ok(esx_rounds(
-        &mut ws,
-        net,
-        weights,
-        source,
-        target,
-        query,
-        options,
-        budget,
-        base.clone(),
-    ))
-}
-
-/// The search-independent tail of ESX: grow the result set shortest
-/// first, excluding the heaviest shared edge of over-overlapping
-/// candidates. Shared verbatim by [`esx_alternatives_budgeted`]
-/// (self-computed base) and [`esx_alternatives_from_base`]
-/// (substrate-fed base).
-#[allow(clippy::too_many_arguments)]
-fn esx_rounds(
-    ws: &mut SearchSpace,
-    net: &RoadNetwork,
-    weights: &[Weight],
-    source: NodeId,
-    target: NodeId,
-    query: &AltQuery,
-    options: &EsxOptions,
-    budget: &SearchBudget,
-    best: Path,
-) -> Vec<Path> {
+    let Some(best) = ws.base_route(net, weights, source, target, base)? else {
+        return Ok(Vec::new());
+    };
     let bound = query.cost_bound(best.cost_ms);
 
     const BLOCKED: Weight = u32::MAX - 1;
@@ -222,7 +157,7 @@ fn esx_rounds(
             overlay[heaviest.index()] = BLOCKED;
         }
     }
-    result
+    Ok(result)
 }
 
 #[cfg(test)]
@@ -344,7 +279,7 @@ mod tests {
         // Cap of one pop: the first search completes (residual charge),
         // the sticky trip stops the loop before the second candidate.
         let budget = SearchBudget::new().with_expansion_cap(1);
-        let partial = esx_alternatives_budgeted(
+        let partial = esx_alternatives_from_base(
             &net,
             net.weights(),
             NodeId(0),
@@ -352,6 +287,7 @@ mod tests {
             &q,
             &EsxOptions::default(),
             &budget,
+            None,
         )
         .unwrap();
         assert!(budget.is_cancelled());

@@ -87,9 +87,7 @@ pub use dissimilarity::{
     DissimilarityStats,
 };
 pub use error::CoreError;
-pub use esx::{
-    esx_alternatives, esx_alternatives_budgeted, esx_alternatives_from_base, EsxOptions,
-};
+pub use esx::{esx_alternatives, esx_alternatives_from_base, EsxOptions};
 pub use filters::{apply_filters, FilterConfig};
 pub use metrics::{SearchMetrics, SearchStats, TechniqueMetrics};
 pub use pareto::{pareto_paths, ParetoOptions, ParetoRoute};
@@ -110,7 +108,7 @@ pub use query::{AltQuery, Route};
 pub use search::{shortest_path, Direction, SearchSpace, ShortestPathTree};
 pub use substrate::SearchSubstrate;
 pub use turns::{turn_aware_shortest_path, TurnModel};
-pub use yen::{yen_k_shortest_paths, yen_k_shortest_paths_budgeted};
+pub use yen::{yen_k_shortest_paths, yen_k_shortest_paths_from_base};
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {

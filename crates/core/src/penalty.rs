@@ -106,21 +106,11 @@ pub fn penalty_alternatives_from_base(
     if source == target {
         return Err(CoreError::SameSourceTarget(source));
     }
-    let best = match base {
-        Some(base) => {
-            debug_assert_eq!((base.source(), base.target()), (source, target));
-            base.clone()
-        }
-        None => match ws.shortest_path(net, weights, source, target) {
-            Ok(p) => p,
-            Err(CoreError::Interrupted) => {
-                // Nothing admitted yet: an interrupted call is not an
-                // error, it just has no partial routes to hand back.
-                stats.interrupted = true;
-                return Ok(Vec::new());
-            }
-            Err(e) => return Err(e),
-        },
+    let Some(best) = ws.base_route(net, weights, source, target, base)? else {
+        // Nothing admitted yet: an interrupted call is not an error, it
+        // just has no partial routes to hand back.
+        stats.interrupted = true;
+        return Ok(Vec::new());
     };
     // Private penalized overlay.
     let mut overlay: Vec<Weight> = weights.to_vec();

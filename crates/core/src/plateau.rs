@@ -457,7 +457,7 @@ mod tests {
         // tree (residual pops are charged at the end), the cap trips
         // sticky, and the backward tree's entry poll interrupts.
         let budget = SearchBudget::new().with_expansion_cap(1);
-        let outcome = PlateauProvider::default()
+        let outcome = PlateauProvider::new(&arp_obs::Registry::disabled())
             .answer(&net, net.weights(), s, t, &AltQuery::paper(), &budget, None)
             .unwrap();
         assert!(outcome.is_interrupted());

@@ -16,6 +16,7 @@
 
 use std::borrow::Cow;
 
+use arp_obs::Registry;
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::geo::Point;
 use arp_roadnet::ids::{EdgeId, NodeId};
@@ -157,18 +158,24 @@ pub struct GoogleLikeProvider {
     plateau_options: PlateauOptions,
     /// Commercial post-filters (§4.2 limitation #4).
     filters: FilterConfig,
-    /// Per-technique metrics (detached unless attached via `with_metrics`).
+    /// Per-technique metrics (label `technique="google_like"`).
     metrics: TechniqueMetrics,
 }
 
 impl GoogleLikeProvider {
-    /// Builds the provider for `net` with the default traffic model.
+    /// Builds the provider for `net` with the default traffic model,
+    /// recording nothing.
     pub fn new(net: &RoadNetwork, seed: u64) -> GoogleLikeProvider {
-        Self::with_model(net, TrafficModel::new(seed))
+        Self::with_model(net, TrafficModel::new(seed), &Registry::disabled())
     }
 
-    /// Builds the provider with an explicit traffic model.
-    pub fn with_model(net: &RoadNetwork, model: TrafficModel) -> GoogleLikeProvider {
+    /// Builds the provider with an explicit traffic model, its
+    /// per-technique metrics resolved from `registry`.
+    pub fn with_model(
+        net: &RoadNetwork,
+        model: TrafficModel,
+        registry: &Registry,
+    ) -> GoogleLikeProvider {
         GoogleLikeProvider {
             private_weights: model.private_weights(net),
             plateau_options: PlateauOptions {
@@ -176,15 +183,8 @@ impl GoogleLikeProvider {
                 min_plateau_fraction: 0.01,
             },
             filters: FilterConfig::commercial(),
-            metrics: TechniqueMetrics::default(),
+            metrics: TechniqueMetrics::new(registry, ProviderKind::GoogleLike.slug()),
         }
-    }
-
-    /// Attaches per-technique metrics resolved from `registry`
-    /// (label `technique="google_like"`).
-    pub fn with_metrics(mut self, registry: &arp_obs::Registry) -> Self {
-        self.metrics = TechniqueMetrics::new(registry, ProviderKind::GoogleLike.slug());
-        self
     }
 
     /// The provider's private travel-time table (for experiments that need

@@ -233,7 +233,7 @@ fn on_tree_pair(
 }
 
 /// The Plateaus provider.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct PlateauProvider {
     /// Algorithm options.
     pub options: PlateauOptions,
@@ -241,11 +241,13 @@ pub struct PlateauProvider {
 }
 
 impl PlateauProvider {
-    /// Attaches per-technique metrics resolved from `registry`
-    /// (label `technique="plateaus"`).
-    pub fn with_metrics(mut self, registry: &Registry) -> Self {
-        self.metrics = TechniqueMetrics::new(registry, ProviderKind::Plateaus.slug());
-        self
+    /// The provider with default options, its per-technique metrics
+    /// resolved from `registry` (label `technique="plateaus"`).
+    pub fn new(registry: &Registry) -> Self {
+        PlateauProvider {
+            options: PlateauOptions::default(),
+            metrics: TechniqueMetrics::new(registry, ProviderKind::Plateaus.slug()),
+        }
     }
 }
 
@@ -289,7 +291,7 @@ impl AlternativesProvider for PlateauProvider {
 }
 
 /// The Penalty provider.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct PenaltyProvider {
     /// Algorithm options.
     pub options: PenaltyOptions,
@@ -297,11 +299,13 @@ pub struct PenaltyProvider {
 }
 
 impl PenaltyProvider {
-    /// Attaches per-technique metrics resolved from `registry`
-    /// (label `technique="penalty"`).
-    pub fn with_metrics(mut self, registry: &Registry) -> Self {
-        self.metrics = TechniqueMetrics::new(registry, ProviderKind::Penalty.slug());
-        self
+    /// The provider with default options, its per-technique metrics
+    /// resolved from `registry` (label `technique="penalty"`).
+    pub fn new(registry: &Registry) -> Self {
+        PenaltyProvider {
+            options: PenaltyOptions::default(),
+            metrics: TechniqueMetrics::new(registry, ProviderKind::Penalty.slug()),
+        }
     }
 }
 
@@ -350,7 +354,7 @@ impl AlternativesProvider for PenaltyProvider {
 }
 
 /// The Dissimilarity (SSVP-D+) provider.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct DissimilarityProvider {
     /// Algorithm options.
     pub options: DissimilarityOptions,
@@ -358,11 +362,13 @@ pub struct DissimilarityProvider {
 }
 
 impl DissimilarityProvider {
-    /// Attaches per-technique metrics resolved from `registry`
-    /// (label `technique="dissimilarity"`).
-    pub fn with_metrics(mut self, registry: &Registry) -> Self {
-        self.metrics = TechniqueMetrics::new(registry, ProviderKind::Dissimilarity.slug());
-        self
+    /// The provider with default options, its per-technique metrics
+    /// resolved from `registry` (label `technique="dissimilarity"`).
+    pub fn new(registry: &Registry) -> Self {
+        DissimilarityProvider {
+            options: DissimilarityOptions::default(),
+            metrics: TechniqueMetrics::new(registry, ProviderKind::Dissimilarity.slug()),
+        }
     }
 }
 
@@ -405,31 +411,27 @@ impl AlternativesProvider for DissimilarityProvider {
     }
 }
 
-/// Builds the study's four providers in A–D order. `seed` parameterizes the
-/// Google-like provider's private traffic data.
+/// Builds the study's four providers in A–D order, recording nothing:
+/// [`instrumented_providers`] on a disabled registry.
 pub fn standard_providers(net: &RoadNetwork, seed: u64) -> Vec<Box<dyn AlternativesProvider>> {
-    vec![
-        Box::new(GoogleLikeProvider::new(net, seed)),
-        Box::new(PlateauProvider::default()),
-        Box::new(DissimilarityProvider::default()),
-        Box::new(PenaltyProvider::default()),
-    ]
+    instrumented_providers(net, seed, &Registry::disabled())
 }
 
-/// Like [`standard_providers`] but with every provider recording per-call
-/// metrics (calls, latency, candidate funnel, search counters) into
-/// `registry` under its `technique` label. Passing
-/// [`Registry::disabled()`] yields exactly [`standard_providers`].
+/// Builds the study's four providers in A–D order, every provider
+/// recording per-call metrics (calls, latency, candidate funnel, search
+/// counters) into `registry` under its `technique` label. `seed`
+/// parameterizes the Google-like provider's private traffic data.
 pub fn instrumented_providers(
     net: &RoadNetwork,
     seed: u64,
     registry: &Registry,
 ) -> Vec<Box<dyn AlternativesProvider>> {
+    let google = GoogleLikeProvider::with_model(net, TrafficModel::new(seed), registry);
     vec![
-        Box::new(GoogleLikeProvider::new(net, seed).with_metrics(registry)),
-        Box::new(PlateauProvider::default().with_metrics(registry)),
-        Box::new(DissimilarityProvider::default().with_metrics(registry)),
-        Box::new(PenaltyProvider::default().with_metrics(registry)),
+        Box::new(google),
+        Box::new(PlateauProvider::new(registry)),
+        Box::new(DissimilarityProvider::new(registry)),
+        Box::new(PenaltyProvider::new(registry)),
     ]
 }
 

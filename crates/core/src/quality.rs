@@ -99,29 +99,32 @@ impl LocalOptimality {
     pub fn is_locally_optimal(&self) -> bool {
         self.optimal_windows == self.windows
     }
+
+    /// Reads the measure off one [`window_probes`] walk.
+    pub(crate) fn of(probes: &[(Cost, Cost)]) -> LocalOptimality {
+        LocalOptimality {
+            windows: probes.len(),
+            optimal_windows: probes.iter().filter(|(window, d)| d == window).count(),
+        }
+    }
 }
 
-/// Probes T-local optimality: windows of weight ≈ `t_fraction ×` path cost
-/// are tested for being shortest paths between their endpoints. A path
-/// where some window admits a shortcut contains what Abraham et al. call a
-/// non-locally-optimal detour.
-///
-/// The probe slides a window across the path with ~50 % stride and issues
-/// at most `max_probes` point-to-point searches, so it is cheap enough for
-/// interactive use.
-pub fn local_optimality(
+/// The sliding-window probe both Abraham et al. measures read: windows
+/// of weight ≈ `fraction ×` path cost, slid across the path with ~50 %
+/// stride, each answered by one point-to-point search — at most
+/// `max_probes` of them, so it is cheap enough for interactive use.
+/// Yields `(window cost, shortest distance between its endpoints)` per
+/// probe; nothing for paths too short to probe.
+pub(crate) fn window_probes(
     net: &RoadNetwork,
     weights: &[Weight],
     path: &Path,
-    t_fraction: f64,
+    fraction: f64,
     max_probes: usize,
-) -> LocalOptimality {
-    let t = (path.cost_ms as f64 * t_fraction) as Cost;
+) -> Vec<(Cost, Cost)> {
+    let t = (path.cost_ms as f64 * fraction) as Cost;
     if t == 0 || path.edges.len() < 2 {
-        return LocalOptimality {
-            windows: 0,
-            optimal_windows: 0,
-        };
+        return Vec::new();
     }
 
     // Prefix costs along the path.
@@ -132,10 +135,9 @@ pub fn local_optimality(
     }
 
     let mut ws = SearchSpace::new(net);
-    let mut windows = 0usize;
-    let mut optimal = 0usize;
+    let mut probes = Vec::new();
     let mut i = 0usize;
-    while i < path.edges.len() && windows < max_probes {
+    while i < path.edges.len() && probes.len() < max_probes {
         // Find j so the window [i, j] has weight >= t (or end of path).
         let mut j = i + 1;
         while j < path.edges.len() && prefix[j] - prefix[i] < t {
@@ -144,22 +146,29 @@ pub fn local_optimality(
         let a = path.nodes[i];
         let b = path.nodes[j];
         if a != b {
-            let window_cost = prefix[j] - prefix[i];
             if let Ok(d) = ws.shortest_distance(net, weights, a, b) {
-                windows += 1;
-                if d == window_cost {
-                    optimal += 1;
-                }
+                probes.push((prefix[j] - prefix[i], d));
             }
         }
         // ~50% stride.
         let stride = ((j - i) / 2).max(1);
         i += stride;
     }
-    LocalOptimality {
-        windows,
-        optimal_windows: optimal,
-    }
+    probes
+}
+
+/// Probes T-local optimality: windows of weight ≈ `t_fraction ×` path cost
+/// are tested for being shortest paths between their endpoints. A path
+/// where some window admits a shortcut contains what Abraham et al. call a
+/// non-locally-optimal detour.
+pub fn local_optimality(
+    net: &RoadNetwork,
+    weights: &[Weight],
+    path: &Path,
+    t_fraction: f64,
+    max_probes: usize,
+) -> LocalOptimality {
+    LocalOptimality::of(&window_probes(net, weights, path, t_fraction, max_probes))
 }
 
 /// Aggregated quality report for a set of alternative routes, as used by

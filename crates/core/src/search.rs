@@ -256,6 +256,33 @@ impl SearchSpace {
         Ok(Path::from_edges(net, weights, edges))
     }
 
+    /// The base optimal route of a technique call that may have been
+    /// handed one: `base` — a prepared `sp(source, target)` under
+    /// `weights`, typically a [`crate::substrate::SearchSubstrate`]'s —
+    /// when given, else one search of this workspace's own. `Ok(None)`
+    /// when that search was interrupted: the call has admitted nothing.
+    pub(crate) fn base_route(
+        &mut self,
+        net: &RoadNetwork,
+        weights: &[Weight],
+        source: NodeId,
+        target: NodeId,
+        base: Option<&Path>,
+    ) -> Result<Option<Path>, CoreError> {
+        match base {
+            Some(_) if source == target => Err(CoreError::SameSourceTarget(source)),
+            Some(base) => {
+                debug_assert_eq!((base.source(), base.target()), (source, target));
+                Ok(Some(base.clone()))
+            }
+            None => match self.shortest_path(net, weights, source, target) {
+                Ok(path) => Ok(Some(path)),
+                Err(CoreError::Interrupted) => Ok(None),
+                Err(e) => Err(e),
+            },
+        }
+    }
+
     /// Distance of the shortest path without materializing it.
     pub fn shortest_distance(
         &mut self,

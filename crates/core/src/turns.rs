@@ -20,7 +20,7 @@ use std::collections::BinaryHeap;
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::geo::turn_angle_deg;
 use arp_roadnet::ids::{EdgeId, NodeId};
-use arp_roadnet::weight::{Cost, Weight, INFINITY};
+use arp_roadnet::weight::{is_closed, Cost, Weight, INFINITY};
 
 use crate::error::CoreError;
 use crate::path::Path;
@@ -80,7 +80,9 @@ impl TurnModel {
 /// Runs Dijkstra over edge states: `dist[e]` is the cheapest cost of
 /// arriving at `head(e)` having just traversed `e`, including all turn
 /// penalties so far. The reported [`Path::cost_ms`] **includes** turn
-/// penalties; use [`Path::cost_under`] for the pure travel time.
+/// penalties; use [`Path::cost_under`] for the pure travel time. A
+/// [`CLOSED`](arp_roadnet::weight::CLOSED) edge is impassable, as in every
+/// other search.
 pub fn turn_aware_shortest_path(
     net: &RoadNetwork,
     weights: &[Weight],
@@ -110,6 +112,9 @@ pub fn turn_aware_shortest_path(
     let mut heap: BinaryHeap<Reverse<(Cost, u32)>> = BinaryHeap::new();
 
     for e in net.out_edges(source) {
+        if is_closed(weights[e.index()]) {
+            continue;
+        }
         let d = weights[e.index()] as Cost;
         if d < dist[e.index()] {
             dist[e.index()] = d;
@@ -136,6 +141,9 @@ pub fn turn_aware_shortest_path(
             continue;
         }
         for next in net.out_edges(v) {
+            if is_closed(weights[next.index()]) {
+                continue;
+            }
             // Forbid immediate backtracking over the same two-way street
             // unless the model prices it (it does, as a sharp turn).
             let nd = d + weights[next.index()] as Cost + model.penalty_ms(net, e, next) as Cost;
@@ -175,6 +183,7 @@ mod tests {
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
 
     use arp_roadnet::geo::Point;
+    use arp_roadnet::weight::CLOSED;
 
     #[test]
     fn free_model_matches_plain_dijkstra() {
@@ -293,5 +302,59 @@ mod tests {
             "turn-aware search prefers the straight road"
         );
         assert_eq!(turn_count(&net, &aware, 45.0), 0);
+    }
+
+    /// A short corridor `s → a → t` and a long one `s → b → c → t`, the
+    /// long one priced past `CLOSED` read as a number — so a search that
+    /// treats a closure as a very slow road still takes the short one.
+    fn two_corridors() -> (RoadNetwork, EdgeId, EdgeId) {
+        let mut b = GraphBuilder::new();
+        let s = b.add_node(Point::new(0.00, 0.00));
+        let a = b.add_node(Point::new(0.01, 0.00));
+        let t = b.add_node(Point::new(0.02, 0.00));
+        let b1 = b.add_node(Point::new(0.00, 0.01));
+        let c = b.add_node(Point::new(0.02, 0.01));
+        for (from, to) in [(s, a), (a, t)] {
+            b.add_edge(from, to, EdgeSpec::default().with_weight(10_000));
+        }
+        for (from, to) in [(s, b1), (b1, c), (c, t)] {
+            b.add_edge(from, to, EdgeSpec::default().with_weight(2_000_000_000));
+        }
+        let net = b.build();
+        let short_exit = net.find_edge(a, t).unwrap();
+        let long_exit = net.find_edge(c, t).unwrap();
+        (net, short_exit, long_exit)
+    }
+
+    #[test]
+    fn closed_edge_is_impassable_not_merely_expensive() {
+        let (net, short_exit, _) = two_corridors();
+        let mut column = net.weights().to_vec();
+        column[short_exit.index()] = CLOSED;
+        for model in [TurnModel::free(), TurnModel::default()] {
+            let path =
+                turn_aware_shortest_path(&net, &column, &model, NodeId(0), NodeId(2)).unwrap();
+            assert!(!path.edges.contains(&short_exit), "{:?}", path.edges);
+            assert_eq!(path.cost_under(&column), 6_000_000_000);
+        }
+    }
+
+    #[test]
+    fn closed_cut_is_unreachable() {
+        let (net, short_exit, long_exit) = two_corridors();
+        let mut column = net.weights().to_vec();
+        column[short_exit.index()] = CLOSED;
+        column[long_exit.index()] = CLOSED;
+        let routed =
+            turn_aware_shortest_path(&net, &column, &TurnModel::default(), NodeId(0), NodeId(2));
+        assert!(matches!(routed, Err(CoreError::Unreachable { .. })));
+        // Closing the source's own out-edges cuts it off in the seeding loop.
+        let mut column = net.weights().to_vec();
+        for e in net.out_edges(NodeId(0)) {
+            column[e.index()] = CLOSED;
+        }
+        let routed =
+            turn_aware_shortest_path(&net, &column, &TurnModel::default(), NodeId(0), NodeId(2));
+        assert!(matches!(routed, Err(CoreError::Unreachable { .. })));
     }
 }

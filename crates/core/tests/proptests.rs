@@ -672,8 +672,8 @@ proptest! {
 
         let full = yen_k_shortest_paths(&net, net.weights(), s, t, 4).unwrap();
         let budget = SearchBudget::new().with_expansion_cap(cap);
-        let partial = arp_core::yen_k_shortest_paths_budgeted(
-            &net, net.weights(), s, t, 4, &budget,
+        let partial = arp_core::yen_k_shortest_paths_from_base(
+            &net, net.weights(), s, t, 4, &budget, None,
         ).unwrap();
         prop_assert!(partial.len() <= full.len(), "yen grew under a budget");
         for (p, f) in partial.iter().zip(full.iter()) {
@@ -684,8 +684,8 @@ proptest! {
             &net, net.weights(), s, t, &q, &EsxOptions::default(),
         ).unwrap();
         let budget = SearchBudget::new().with_expansion_cap(cap);
-        let partial = arp_core::esx_alternatives_budgeted(
-            &net, net.weights(), s, t, &q, &EsxOptions::default(), &budget,
+        let partial = arp_core::esx_alternatives_from_base(
+            &net, net.weights(), s, t, &q, &EsxOptions::default(), &budget, None,
         ).unwrap();
         prop_assert!(partial.len() <= full.len(), "esx grew under a budget");
         for (p, f) in partial.iter().zip(full.iter()) {
@@ -761,13 +761,19 @@ proptest! {
 
         let solo = esx_alternatives(&net, net.weights(), s, t, &q, &EsxOptions::default()).unwrap();
         let fed = arp_core::esx_alternatives_from_base(
-            &net, net.weights(), s, t, &q, &EsxOptions::default(), &budget, sub.base_route(),
+            &net, net.weights(), s, t, &q, &EsxOptions::default(), &budget, Some(sub.base_route()),
         ).unwrap();
         prop_assert_eq!(solo.len(), fed.len(), "esx count differs");
         for (a, b) in solo.iter().zip(fed.iter()) {
             prop_assert_eq!(&a.edges, &b.edges, "esx edges differ");
             prop_assert_eq!(a.cost_ms, b.cost_ms, "esx cost differs");
         }
+
+        let solo = yen_k_shortest_paths(&net, net.weights(), s, t, 3).unwrap();
+        let fed = arp_core::yen_k_shortest_paths_from_base(
+            &net, net.weights(), s, t, 3, &budget, Some(sub.base_route()),
+        ).unwrap();
+        prop_assert_eq!(solo, fed, "yen differs");
     }
 
     #[test]

@@ -135,12 +135,8 @@ impl RouteBackend for DemoBackend {
         // overlay's own hook, so the attribute key stays in one place)
         // and a representative cache key covering city + snapped
         // endpoints + epoch.
-        let epoch_attr = match &request.overlay {
-            Some(overlay) => overlay.trace_attr(),
-            None => ("traffic_epoch", "0".to_string()),
-        };
         vec![
-            epoch_attr,
+            request.overlay.trace_attr(),
             (
                 "cache_key",
                 self.processor
@@ -201,7 +197,7 @@ mod tests {
             &Registry::disabled(),
         );
         let snapped = qp.snap(a, b).unwrap();
-        let served = service.route(PreparedQuery::new(snapped)).unwrap();
+        let served = service.route(qp.prepare_query(snapped)).unwrap();
 
         assert_eq!(served.source, serial.source);
         assert_eq!(served.target, serial.target);
@@ -224,7 +220,7 @@ mod tests {
         let qp = processor();
         let (a, b) = inner_points(&qp);
         let q = qp.snap(a, b).unwrap();
-        let prepared = PreparedQuery::new(q);
+        let prepared = qp.prepare_query(q);
         let backend = DemoBackend::new(Arc::clone(&qp));
 
         // A lane that finished before the deadline…
@@ -271,7 +267,7 @@ mod tests {
         let qp = processor();
         let (a, b) = inner_points(&qp);
         let q = qp.snap(a, b).unwrap();
-        let prepared = PreparedQuery::new(q);
+        let prepared = qp.prepare_query(q);
         let backend = DemoBackend::new(Arc::clone(&qp));
         let token = CancelToken::new();
         for lane in 0..backend.lanes() {
@@ -299,7 +295,7 @@ mod tests {
         let backend = DemoBackend::new(Arc::clone(&qp));
         let token = CancelToken::new();
 
-        let prepared = backend.prepare(PreparedQuery::new(q), &token, &Deadline::never());
+        let prepared = backend.prepare(qp.prepare_query(q), &token, &Deadline::never());
         assert!(prepared.substrate.is_some(), "healthy build must succeed");
         assert_eq!(
             qp.registry()
@@ -309,7 +305,7 @@ mod tests {
 
         // Every lane computes identically to one building its own, and
         // the three substrate consumers count their reuse.
-        let unprepared = PreparedQuery::new(q);
+        let unprepared = qp.prepare_query(q);
         for lane in 0..backend.lanes() {
             let fed = backend.compute(&prepared, lane).unwrap();
             let solo = backend.compute(&unprepared, lane).unwrap();
@@ -385,7 +381,7 @@ mod tests {
             &SearchBudget::unlimited(),
         )
         .unwrap();
-        let (own, fed, reused) = lane_with_substrate(&qp, PreparedQuery::new(q), elsewhere);
+        let (own, fed, reused) = lane_with_substrate(&qp, qp.prepare_query(q), elsewhere);
         assert_same_routes(&own, &fed);
         assert_eq!(reused, 0);
     }
@@ -406,7 +402,7 @@ mod tests {
             &SearchBudget::unlimited(),
         )
         .unwrap();
-        let (own, fed, reused) = lane_with_substrate(&qp, PreparedQuery::new(q), foreign);
+        let (own, fed, reused) = lane_with_substrate(&qp, qp.prepare_query(q), foreign);
         assert_same_routes(&own, &fed);
         assert_eq!(reused, 0);
     }
@@ -419,7 +415,7 @@ mod tests {
         // Built on the base weights (epoch 0), offered to a request pinned
         // to epoch 1, whose weights differ.
         let stale = qp
-            .prepare_substrate(&PreparedQuery::new(q), &SearchBudget::unlimited())
+            .prepare_substrate(&qp.prepare_query(q), &SearchBudget::unlimited())
             .unwrap();
         let delta = arp_traffic::TrafficDelta::parse("cat:primary*2.5; cat:residential*1.5");
         qp.traffic().apply_delta(&delta.unwrap()).unwrap();
@@ -490,7 +486,7 @@ mod tests {
         // Zero-headroom deadline: the build is not even started.
         let token = CancelToken::new();
         let prepared = backend.prepare(
-            PreparedQuery::new(q),
+            qp.prepare_query(q),
             &token,
             &Deadline::after(std::time::Duration::ZERO),
         );
@@ -505,7 +501,7 @@ mod tests {
         // budget check, and the lanes build their own.
         let tripped = CancelToken::new();
         tripped.cancel();
-        let prepared = backend.prepare(PreparedQuery::new(q), &tripped, &Deadline::never());
+        let prepared = backend.prepare(qp.prepare_query(q), &tripped, &Deadline::never());
         assert!(prepared.substrate.is_none());
         assert_eq!(
             qp.registry()
@@ -540,7 +536,7 @@ mod tests {
 
         // The substrate build fails cleanly (counted, not propagated)…
         let token = CancelToken::new();
-        let prepared = backend.prepare(PreparedQuery::new(q), &token, &Deadline::never());
+        let prepared = backend.prepare(qp.prepare_query(q), &token, &Deadline::never());
         assert!(prepared.substrate.is_none());
         assert_eq!(
             qp.registry()
@@ -563,7 +559,7 @@ mod tests {
             ServeConfig::default(),
             &Registry::disabled(),
         );
-        assert!(service.route(PreparedQuery::new(q)).is_err());
+        assert!(service.route(qp.prepare_query(q)).is_err());
     }
 
     #[test]
@@ -577,7 +573,7 @@ mod tests {
         };
         assert!(qp
             .prepare_substrate(
-                &PreparedQuery::new(same),
+                &qp.prepare_query(same),
                 &arp_core::SearchBudget::unlimited()
             )
             .is_none());
@@ -588,7 +584,7 @@ mod tests {
         let qp = processor();
         let (a, b) = inner_points(&qp);
         let q = qp.snap(a, b).unwrap();
-        let prepared = PreparedQuery::new(q);
+        let prepared = qp.prepare_query(q);
         let backend = DemoBackend::new(Arc::clone(&qp));
         let keys: Vec<String> = (0..backend.lanes())
             .map(|l| backend.lane_key(&prepared, l))

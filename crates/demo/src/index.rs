@@ -114,10 +114,10 @@ impl Inner {
     /// for snapshots of the same network the topology was built on.
     fn customize_and_publish(&self, snapshot: &EpochSnapshot) {
         let timer = self.metrics.customize_ms.start_timer();
-        match self.topology.customize_view(&self.network, snapshot) {
+        match self.topology.customize(&self.network, snapshot.weights()) {
             Ok(metric) => {
                 drop(timer);
-                *self.published.write().unwrap() = Arc::new(metric);
+                *self.published.write().unwrap() = Arc::new(metric.with_epoch(snapshot.epoch()));
                 self.metrics.customizations.inc();
                 // Wake `wait_ready` blockers. The condvar pairs with the
                 // `pending` mutex purely for the wait protocol.
@@ -184,8 +184,9 @@ impl IndexManager {
         let metrics = ChIndexMetrics::new(registry);
         let snapshot = traffic.snapshot();
         let initial = topology
-            .customize_view(&network, &*snapshot)
-            .expect("base customization over the network's own column cannot fail");
+            .customize(&network, snapshot.weights())
+            .expect("base customization over the network's own column cannot fail")
+            .with_epoch(snapshot.epoch());
         metrics.customizations.inc();
         let inner = Arc::new(Inner {
             network,

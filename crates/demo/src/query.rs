@@ -18,12 +18,9 @@ use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::geo::{BoundingBox, Point};
 use arp_roadnet::ids::{EdgeId, NodeId};
 use arp_roadnet::spatial::SpatialIndex;
-use arp_roadnet::weight::{ms_to_display_minutes, Weight};
+use arp_roadnet::weight::ms_to_display_minutes;
 use arp_serve::LaneStatus;
-use arp_traffic::{
-    DurabilityConfig, DurabilityMetrics, EpochSnapshot, RecoveryReport, TrafficError,
-    TrafficMetrics, TrafficState,
-};
+use arp_traffic::{DurabilityConfig, EpochSnapshot, RecoveryReport, TrafficError, TrafficState};
 
 use crate::blind::Blinding;
 use crate::error::DemoError;
@@ -72,8 +69,9 @@ pub struct SnappedQuery {
     pub target: NodeId,
 }
 
-/// A [`SnappedQuery`] plus the shared per-request search substrate —
-/// the serving layer's request type.
+/// A [`SnappedQuery`] pinned to a traffic epoch, plus the shared
+/// per-request search substrate — the serving layer's request type,
+/// built by [`QueryProcessor::prepare_query`].
 ///
 /// The substrate (forward + backward shortest-path trees and the base
 /// route, see [`SearchSubstrate`]) is built **once** per request by
@@ -93,36 +91,18 @@ pub struct PreparedQuery {
     pub snapped: SnappedQuery,
     /// The shared substrate, if one was prepared for this request.
     pub substrate: Option<Arc<SearchSubstrate>>,
-    /// The pinned traffic epoch this request computes and prices on.
-    /// `None` means epoch 0 / base weights — the semantics every
-    /// pre-traffic caller gets from [`PreparedQuery::new`]. Pinned once
-    /// at request construction ([`QueryProcessor::prepare_query`]),
-    /// **before** the cache probe, so the cache key's epoch and the
-    /// computed content can never disagree.
-    pub overlay: Option<Arc<EpochSnapshot>>,
+    /// The pinned traffic epoch this request computes and prices on
+    /// (epoch 0 shares the base column). Pinned once at request
+    /// construction ([`QueryProcessor::prepare_query`]), **before** the
+    /// cache probe, so the cache key's epoch and the computed content
+    /// can never disagree.
+    pub overlay: Arc<EpochSnapshot>,
 }
 
 impl PreparedQuery {
-    /// Wraps a snapped query with no substrate and no traffic overlay:
-    /// lanes build their own on the base weights (epoch 0). Live-traffic
-    /// serving goes through [`QueryProcessor::prepare_query`] instead.
-    pub fn new(snapped: SnappedQuery) -> PreparedQuery {
-        PreparedQuery {
-            snapped,
-            substrate: None,
-            overlay: None,
-        }
-    }
-
     /// The traffic epoch this request is pinned to (0 = base weights).
     pub fn epoch(&self) -> u64 {
-        self.overlay.as_ref().map(|o| o.epoch()).unwrap_or(0)
-    }
-}
-
-impl From<SnappedQuery> for PreparedQuery {
-    fn from(snapped: SnappedQuery) -> PreparedQuery {
-        PreparedQuery::new(snapped)
+        self.overlay.epoch()
     }
 }
 
@@ -254,25 +234,13 @@ impl QueryProcessor {
     /// [`Registry`]. `seed` parameterizes the Google-like provider's
     /// private data.
     pub fn new(name: impl Into<String>, network: RoadNetwork, seed: u64) -> QueryProcessor {
-        QueryProcessor::with_registry(name, network, seed, Registry::new())
-    }
-
-    /// Builds the processor with an explicit registry. Pass
-    /// [`Registry::disabled`] to turn every instrument into a no-op.
-    pub fn with_registry(
-        name: impl Into<String>,
-        network: RoadNetwork,
-        seed: u64,
-        registry: Registry,
-    ) -> QueryProcessor {
+        let registry = Registry::new();
         let spatial = SpatialIndex::build(&network);
         let providers = arp_core::provider::instrumented_providers(&network, seed, &registry);
         let substrate_metrics = SubstrateMetrics::new(&registry);
         let network = Arc::new(network);
-        let traffic = Arc::new(TrafficState::with_metrics(
-            Arc::clone(&network),
-            TrafficMetrics::new(&registry),
-        ));
+        let (traffic, recovery) = TrafficState::open(Arc::clone(&network), None, &registry)
+            .expect("an in-memory state has nothing to fail on");
         QueryProcessor {
             name: name.into(),
             network,
@@ -282,8 +250,8 @@ impl QueryProcessor {
             query: AltQuery::paper(),
             registry,
             substrate_metrics,
-            traffic,
-            recovery: None,
+            traffic: Arc::new(traffic),
+            recovery,
             index: None,
         }
     }
@@ -307,14 +275,10 @@ impl QueryProcessor {
             "enable durability before the CH index tier: the index must \
              customize from the recovered epoch"
         );
-        let (traffic, report) = TrafficState::recover_with_metrics(
-            Arc::clone(&self.network),
-            TrafficMetrics::new(&self.registry),
-            DurabilityMetrics::new(&self.registry),
-            config,
-        )?;
+        let (traffic, report) =
+            TrafficState::open(Arc::clone(&self.network), Some(config), &self.registry)?;
         self.traffic = Arc::new(traffic);
-        self.recovery = Some(report);
+        self.recovery = report;
         Ok(self)
     }
 
@@ -353,12 +317,6 @@ impl QueryProcessor {
         &self.registry
     }
 
-    /// Replaces the blinding (e.g. a per-session shuffle).
-    pub fn with_blinding(mut self, blinding: Blinding) -> QueryProcessor {
-        self.blinding = blinding;
-        self
-    }
-
     /// Study-area rectangle (clicks outside are rejected, like the demo's
     /// "specified rectangular area").
     pub fn study_area(&self) -> BoundingBox {
@@ -391,18 +349,8 @@ impl QueryProcessor {
         PreparedQuery {
             snapped,
             substrate: None,
-            overlay: Some(self.traffic.snapshot()),
+            overlay: self.traffic.snapshot(),
         }
-    }
-
-    /// The weight column a prepared query computes and prices on: its
-    /// pinned epoch's effective weights, or the base weights for
-    /// un-pinned (epoch-0) requests.
-    fn effective_weights<'a>(&'a self, q: &'a PreparedQuery) -> &'a [Weight] {
-        q.overlay
-            .as_ref()
-            .map(|o| o.weights().as_slice())
-            .unwrap_or_else(|| self.network.weights())
     }
 
     /// The active blinding.
@@ -445,7 +393,7 @@ impl QueryProcessor {
     /// everything the slot's result depends on. The epoch suffix is what
     /// makes cache invalidation *epoch-scoped*: a traffic tick changes
     /// the key, so stale entries are simply never probed again (they age
-    /// out via LRU/TTL) while untouched shards keep serving. Documented
+    /// out via LRU) while untouched shards keep serving. Documented
     /// in DESIGN.md §8 and §10.
     pub fn slot_cache_key_at(&self, q: &SnappedQuery, slot: usize, epoch: u64) -> String {
         let kind = self.blinding.order()[slot];
@@ -492,7 +440,7 @@ impl QueryProcessor {
         {
             Some((index, metric)) => SearchSubstrate::build_with_ch(
                 &self.network,
-                self.effective_weights(q),
+                q.overlay.weights(),
                 index.topology(),
                 &metric,
                 q.snapped.source,
@@ -501,7 +449,7 @@ impl QueryProcessor {
             ),
             None => SearchSubstrate::build(
                 &self.network,
-                self.effective_weights(q),
+                q.overlay.weights(),
                 q.snapped.source,
                 q.snapped.target,
                 budget,
@@ -548,7 +496,7 @@ impl QueryProcessor {
             .filter(|sub| sub.matches(&self.network, source, target, q.epoch()));
         let outcome = self.provider(kind).answer(
             &self.network,
-            self.effective_weights(q),
+            q.overlay.weights(),
             source,
             target,
             &self.query,

@@ -79,11 +79,10 @@ use crate::store::{ResponseStore, Submission};
 /// answers `503` beyond it instead of spawning without bound.
 pub const MAX_CONNECTIONS: usize = 128;
 
-/// Default cap on `POST /api/traffic` bodies. Deltas are operator
-/// commands — a handful of statements, not bulk data — so anything past
-/// this is a client bug or abuse, answered `413` before parsing.
-/// Override with [`DemoApp::with_traffic_body_cap`].
-pub const DEFAULT_TRAFFIC_BODY_CAP: usize = 64 * 1024;
+/// Cap on `POST /api/traffic` bodies. Deltas are operator commands — a
+/// handful of statements, not bulk data — so anything past this is a
+/// client bug or abuse, answered `413` before parsing.
+pub const TRAFFIC_BODY_CAP: usize = 64 * 1024;
 
 /// Hard wire-level bound on any request body. `read_request` refuses to
 /// read past it: a larger `Content-Length` is answered `413` with the
@@ -204,8 +203,6 @@ pub struct DemoApp {
     registry: Registry,
     /// The serving pipeline `/api/route` runs through.
     service: RouteService<DemoBackend>,
-    /// `POST /api/traffic` bodies larger than this answer `413`.
-    traffic_body_cap: usize,
 }
 
 impl DemoApp {
@@ -236,15 +233,7 @@ impl DemoApp {
             store: ResponseStore::new(),
             registry,
             service,
-            traffic_body_cap: DEFAULT_TRAFFIC_BODY_CAP,
         }
-    }
-
-    /// Overrides the `POST /api/traffic` body cap (bytes). Bodies larger
-    /// than the cap answer `413` before any parsing.
-    pub fn with_traffic_body_cap(mut self, cap: usize) -> DemoApp {
-        self.traffic_body_cap = cap;
-        self
     }
 
     /// The serving pipeline (admission, cache, worker pool).
@@ -453,7 +442,7 @@ impl DemoApp {
         self.log_slow(&receipt);
         match outcome {
             Ok(resp) => {
-                let mut http = Self::render_route_response(&resp, Some(receipt.id));
+                let mut http = Self::render_route_response(&resp, receipt.id);
                 http.trace_id = Some(receipt.id.to_string());
                 http
             }
@@ -489,7 +478,7 @@ impl DemoApp {
     /// exact — the id is the one per-request field).
     fn render_route_response(
         resp: &crate::query::QueryResponse,
-        trace_id: Option<TraceId>,
+        trace_id: TraceId,
     ) -> HttpResponse {
         let approaches = resp
             .approaches
@@ -539,12 +528,9 @@ impl DemoApp {
             ("epoch", Json::Number(resp.epoch as f64)),
             ("geojson", Json::str(response_to_geojson(resp))),
         ];
-        // The trace id is present even when tracing is disabled (the
-        // collector still mints ids), so clients can always log it; it
-        // resolves at `/api/trace/<id>` only for kept traces.
-        if let Some(id) = trace_id {
-            fields.push(("trace_id", Json::str(id.to_string())));
-        }
+        // Every served request has a trace id, so clients can always log
+        // it; it resolves at `/api/trace/<id>` only for kept traces.
+        fields.push(("trace_id", Json::str(trace_id.to_string())));
         // Degraded responses (a lane failed or its breaker was open) name
         // the affected approaches by blind label only — the technique
         // behind each label stays hidden from the study participant.
@@ -583,13 +569,12 @@ impl DemoApp {
         // Cap check before any parsing: deltas are short operator
         // commands, so an oversized body is rejected outright instead of
         // being parsed (and journaled) at unbounded cost.
-        if body.len() > self.traffic_body_cap {
+        if body.len() > TRAFFIC_BODY_CAP {
             return HttpResponse::error(
                 413,
                 format!(
-                    "traffic delta body of {} bytes exceeds the {}-byte cap",
-                    body.len(),
-                    self.traffic_body_cap
+                    "traffic delta body of {} bytes exceeds the {TRAFFIC_BODY_CAP}-byte cap",
+                    body.len()
                 ),
             );
         }
@@ -813,9 +798,6 @@ impl DemoApp {
     /// matching traces".
     fn debug_traces(&self, query: &str) -> HttpResponse {
         let tracer = self.service.tracer();
-        if !tracer.is_enabled() {
-            return HttpResponse::error(404, "tracing is disabled on this instance");
-        }
         let mut min_ms = 0.0_f64;
         let mut status: Option<SpanStatus> = None;
         let mut technique: Option<String> = None;
@@ -868,9 +850,6 @@ impl DemoApp {
     /// sampled, not slow, healthy) or has been evicted from the ring.
     fn trace_tree(&self, id_text: &str) -> HttpResponse {
         let tracer = self.service.tracer();
-        if !tracer.is_enabled() {
-            return HttpResponse::error(404, "tracing is disabled on this instance");
-        }
         let Some(id) = TraceId::parse(id_text) else {
             return HttpResponse::error(400, format!("malformed trace id {id_text:?}"));
         };
@@ -1351,7 +1330,7 @@ mod tests {
         );
         let processed = app.processor.process(s, t).unwrap();
         let id = served_trace_id(&served);
-        let serial = DemoApp::render_route_response(&processed, Some(id));
+        let serial = DemoApp::render_route_response(&processed, id);
         assert_eq!(served.body, serial.body, "fan-out must match serial path");
 
         // And a repeat request — served from the route cache — is
@@ -1359,7 +1338,7 @@ mod tests {
         let repeat = app.handle("POST", "/api/route", &body);
         let repeat_id = served_trace_id(&repeat);
         assert_ne!(repeat_id, id, "every request gets its own trace");
-        let serial = DemoApp::render_route_response(&processed, Some(repeat_id));
+        let serial = DemoApp::render_route_response(&processed, repeat_id);
         assert_eq!(repeat.body, serial.body, "cached reply must match");
     }
 
@@ -1693,22 +1672,19 @@ mod tests {
     #[test]
     fn traffic_endpoint_enforces_the_body_cap_at_the_boundary() {
         let g = arp_citygen::generate(City::Melbourne, Scale::Small, 12);
-        let app = DemoApp::new(QueryProcessor::new(g.name.clone(), g.network, 12))
-            .with_traffic_body_cap(32);
+        let app = DemoApp::new(QueryProcessor::new(g.name.clone(), g.network, 12));
 
-        // Exactly at the cap: a valid delta padded to 32 bytes applies.
-        let mut at_cap = "cat:primary*1.5".to_string();
-        while at_cap.len() < 32 {
-            at_cap.push(' ');
-        }
-        assert_eq!(at_cap.len(), 32);
+        // Exactly at the cap: a valid delta padded to the cap applies.
+        let delta = "cat:primary*1.5";
+        let at_cap = format!("{delta}{}", " ".repeat(TRAFFIC_BODY_CAP - delta.len()));
+        assert_eq!(at_cap.len(), TRAFFIC_BODY_CAP);
         let resp = app.handle("POST", "/api/traffic", &at_cap);
         assert_eq!(resp.status, 200, "{}", resp.body);
         assert_eq!(app.processor.traffic().epoch(), 1);
 
         // One byte over: 413, epoch untouched, nothing parsed.
         let over = format!("{at_cap} ");
-        assert_eq!(over.len(), 33);
+        assert_eq!(over.len(), TRAFFIC_BODY_CAP + 1);
         let resp = app.handle("POST", "/api/traffic", &over);
         assert_eq!(resp.status, 413, "{}", resp.body);
         assert!(resp.body.contains("cap"), "{}", resp.body);
@@ -2179,24 +2155,39 @@ mod tests {
         );
     }
 
-    /// With tracing disabled, responses still mint trace ids (clients
-    /// can log them uniformly) but the debug endpoints answer 404.
+    /// With head sampling off (`--trace-sample 0`) every response still
+    /// mints a trace id, and the debug endpoints serve exactly what the
+    /// tail rules kept: the shed request, not the healthy one.
     #[test]
-    fn disabled_tracing_still_mints_ids_but_hides_the_debug_endpoints() {
+    fn unsampled_tracing_serves_only_tail_kept_traces() {
         let g = arp_citygen::generate(City::Melbourne, Scale::Small, 12);
-        let config = arp_serve::ServeConfig {
-            trace: arp_obs::TraceConfig::disabled(),
+        let mut config = arp_serve::ServeConfig {
+            max_inflight: 1,
             ..arp_serve::ServeConfig::default()
         };
+        config.trace.sample = 0.0;
         let app = DemoApp::with_config(QueryProcessor::new(g.name.clone(), g.network, 12), config);
-        let resp = app.handle("POST", "/api/route", &route_body(&app));
-        assert_eq!(resp.status, 200, "{}", resp.body);
-        let id = served_trace_id(&resp);
-        assert_eq!(app.handle("GET", "/api/debug/traces", "").status, 404);
+        let healthy = app.handle("POST", "/api/route", &route_body(&app));
+        assert_eq!(healthy.status, 200, "{}", healthy.body);
+        let healthy_id = served_trace_id(&healthy);
+        let occupied = app.service().admission().try_acquire().unwrap();
+        let shed = app.handle("POST", "/api/route", &route_body(&app));
+        assert_eq!(shed.status, 503, "{}", shed.body);
+        drop(occupied);
+        let shed_id = served_trace_id(&shed);
+
+        let listed = app.handle("GET", "/api/debug/traces", "");
+        assert_eq!(listed.status, 200, "{}", listed.body);
+        let v = json::parse(&listed.body).unwrap();
+        assert_eq!(v.get("count").and_then(Json::as_f64), Some(1.0));
+        let kept = &v.get("traces").unwrap().as_array().unwrap()[0];
         assert_eq!(
-            app.handle("GET", &format!("/api/trace/{id}"), "").status,
-            404
+            kept.get("trace_id").and_then(Json::as_str),
+            Some(shed_id.to_string().as_str())
         );
+        assert_eq!(kept.get("status").and_then(Json::as_str), Some("failed"));
+        let tree = |id: TraceId| app.handle("GET", &format!("/api/trace/{id}"), "").status;
+        assert_eq!((tree(healthy_id), tree(shed_id)), (404, 200));
     }
 
     #[test]

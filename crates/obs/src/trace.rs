@@ -26,9 +26,8 @@
 //! **Cost model.** Span recording is lock-light: a guard accumulates its
 //! attributes locally and takes the per-trace mutex exactly once, on
 //! end, to push the completed span (the only contention is between one
-//! request's own lanes). A collector built from [`TraceConfig::disabled`]
-//! (or any guard/context from it) never reads the clock and never
-//! allocates.
+//! request's own lanes). There is no off switch — every request records
+//! its spans; `sample` and the ring capacity bound what is *kept*.
 //!
 //! The collector exports four counters into the registry it was built
 //! with: `arp_trace_spans_total`, `arp_trace_sampled_total`,
@@ -45,9 +44,8 @@ use crate::registry::Registry;
 
 /// A 64-bit trace identifier, rendered as 16 lowercase hex digits.
 ///
-/// Ids are generated even when tracing is disabled (an HTTP response
-/// always carries one), mixed from a process-wide seed and a sequence
-/// counter so concurrent requests never collide.
+/// Mixed from a process-wide seed and a sequence counter so concurrent
+/// requests never collide.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TraceId(u64);
 
@@ -176,9 +174,6 @@ impl Span {
 /// sampling) in a 256-trace ring and flags requests slower than 500 ms.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceConfig {
-    /// Tracing compiled in but off: ids are still generated, nothing is
-    /// recorded.
-    pub enabled: bool,
     /// Head-sampling rate in `[0, 1]`: the fraction of traces kept
     /// regardless of outcome, spread evenly over the request sequence
     /// (0.1 keeps exactly every 10th). Tail rules keep slow/degraded/
@@ -195,21 +190,9 @@ pub struct TraceConfig {
 impl Default for TraceConfig {
     fn default() -> TraceConfig {
         TraceConfig {
-            enabled: true,
             sample: 1.0,
             buffer: 256,
             slow_ms: 500,
-        }
-    }
-}
-
-impl TraceConfig {
-    /// Tracing compiled in but disabled: every context and guard is a
-    /// no-op (ids are still generated).
-    pub fn disabled() -> TraceConfig {
-        TraceConfig {
-            enabled: false,
-            ..TraceConfig::default()
         }
     }
 }
@@ -296,6 +279,27 @@ impl ActiveTrace {
     fn push(&self, span: Span) {
         self.spans.lock().expect("trace poisoned").push(span);
     }
+
+    /// Files an already-over interval under a fresh span id.
+    fn record(
+        &self,
+        name: &'static str,
+        parent: Option<u32>,
+        start_us: u64,
+        end_us: u64,
+        status: SpanStatus,
+        attrs: Vec<(&'static str, String)>,
+    ) {
+        self.push(Span {
+            id: self.next_id.fetch_add(1, Ordering::Relaxed),
+            parent,
+            name,
+            start_us,
+            end_us: end_us.max(start_us),
+            status,
+            attrs,
+        });
+    }
 }
 
 /// The recording state shared by a collector's contexts and counters.
@@ -315,20 +319,15 @@ struct CollectorInner {
 }
 
 /// Hands out per-request [`TraceContext`]s and owns the ring buffer of
-/// kept traces. Cheap to clone (an `Arc` handle); a disabled collector
-/// is a `None` and costs one branch per call.
-#[derive(Clone, Debug, Default)]
+/// kept traces. Cheap to clone (an `Arc` handle).
+#[derive(Clone, Debug)]
 pub struct SpanCollector {
-    inner: Option<Arc<CollectorInner>>,
+    inner: Arc<CollectorInner>,
 }
 
 impl SpanCollector {
     /// Builds a collector and registers its four counters in `registry`.
-    /// A config with `enabled: false` yields a detached collector.
     pub fn new(config: &TraceConfig, registry: &Registry) -> SpanCollector {
-        if !config.enabled {
-            return SpanCollector::disabled();
-        }
         let inner = CollectorInner {
             sample_permille: (config.sample.clamp(0.0, 1.0) * 1000.0).round() as u64,
             capacity: config.buffer.max(1),
@@ -357,34 +356,15 @@ impl SpanCollector {
             ),
         };
         SpanCollector {
-            inner: Some(Arc::new(inner)),
+            inner: Arc::new(inner),
         }
-    }
-
-    /// A detached no-op collector: contexts still mint trace ids, but
-    /// nothing is recorded or kept.
-    pub fn disabled() -> SpanCollector {
-        SpanCollector { inner: None }
-    }
-
-    /// Whether this collector records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Starts a new trace. The head-sampling verdict is drawn here (from
     /// the request sequence, evenly spread); the tail verdict waits for
     /// [`TraceContext::finish`].
     pub fn start_trace(&self) -> TraceContext {
-        let id = TraceId::generate();
-        let Some(inner) = &self.inner else {
-            return TraceContext {
-                id,
-                head_sampled: false,
-                trace: None,
-                collector: None,
-            };
-        };
+        let inner = &self.inner;
         let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
         // Bresenham spread: keep iff the running total of kept traces
         // advances at this sequence number — exactly `sample` of all
@@ -392,49 +372,33 @@ impl SpanCollector {
         let p = inner.sample_permille;
         let head_sampled = (seq + 1) * p / 1000 > seq * p / 1000;
         TraceContext {
-            id,
+            id: TraceId::generate(),
             head_sampled,
-            trace: Some(Arc::new(ActiveTrace {
+            trace: Arc::new(ActiveTrace {
                 origin: Instant::now(),
                 next_id: AtomicU32::new(1),
                 spans: Mutex::new(Vec::with_capacity(16)),
-            })),
-            collector: Some(Arc::clone(inner)),
+            }),
+            collector: Arc::clone(inner),
         }
     }
 
     /// The kept traces, oldest first (a snapshot; the ring keeps
     /// evolving).
     pub fn traces(&self) -> Vec<CompletedTrace> {
-        match &self.inner {
-            Some(inner) => inner
-                .ring
-                .lock()
-                .expect("trace ring poisoned")
-                .iter()
-                .cloned()
-                .collect(),
-            None => Vec::new(),
-        }
+        let ring = self.inner.ring.lock().expect("trace ring poisoned");
+        ring.iter().cloned().collect()
     }
 
     /// Looks up one kept trace by id.
     pub fn trace(&self, id: TraceId) -> Option<CompletedTrace> {
-        let inner = self.inner.as_ref()?;
-        inner
-            .ring
-            .lock()
-            .expect("trace ring poisoned")
-            .iter()
-            .find(|t| t.id == id)
-            .cloned()
+        let ring = self.inner.ring.lock().expect("trace ring poisoned");
+        ring.iter().find(|t| t.id == id).cloned()
     }
 
     /// Number of traces currently kept.
     pub fn len(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.ring.lock().expect("trace ring poisoned").len())
+        self.inner.ring.lock().expect("trace ring poisoned").len()
     }
 
     /// Whether the ring is empty.
@@ -442,14 +406,14 @@ impl SpanCollector {
         self.len() == 0
     }
 
-    /// The ring's capacity (0 when disabled).
+    /// The ring's capacity.
     pub fn capacity(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.capacity)
+        self.inner.capacity
     }
 
     /// The slow-request threshold in milliseconds (0 = rule off).
     pub fn slow_ms(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.slow_ms)
+        self.inner.slow_ms
     }
 }
 
@@ -459,7 +423,7 @@ impl SpanCollector {
 pub struct TraceReceipt {
     /// The trace id to echo in the response.
     pub id: TraceId,
-    /// End-to-end duration in milliseconds (0.0 when disabled).
+    /// End-to-end duration in milliseconds.
     pub duration_ms: f64,
     /// The final status the trace was filed under.
     pub status: SpanStatus,
@@ -472,14 +436,13 @@ pub struct TraceReceipt {
 }
 
 /// One request's tracing handle: mints child spans and, at the end,
-/// files the trace. Detached contexts (disabled collector) still carry
-/// a unique [`TraceId`].
+/// files the trace.
 #[derive(Debug)]
 pub struct TraceContext {
     id: TraceId,
     head_sampled: bool,
-    trace: Option<Arc<ActiveTrace>>,
-    collector: Option<Arc<CollectorInner>>,
+    trace: Arc<ActiveTrace>,
+    collector: Arc<CollectorInner>,
 }
 
 impl TraceContext {
@@ -488,36 +451,15 @@ impl TraceContext {
         self.id
     }
 
-    /// Whether spans are actually recorded.
-    pub fn is_recording(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Opens a root-level span (parent `None`). The first one opened is
     /// the root (id 1); a request has exactly one.
     pub fn span(&self, name: &'static str) -> SpanGuard {
-        self.open(name, None)
+        SpanGuard::open(&self.trace, name, None)
     }
 
     /// Opens a span under `parent` (a [`SpanGuard::id`]).
     pub fn child_span(&self, name: &'static str, parent: u32) -> SpanGuard {
-        self.open(name, Some(parent))
-    }
-
-    fn open(&self, name: &'static str, parent: Option<u32>) -> SpanGuard {
-        let Some(trace) = &self.trace else {
-            return SpanGuard::detached();
-        };
-        let id = trace.next_id.fetch_add(1, Ordering::Relaxed);
-        SpanGuard {
-            trace: Some(Arc::clone(trace)),
-            id,
-            parent,
-            name,
-            start_us: trace.tick_us(),
-            status: SpanStatus::Ok,
-            attrs: Vec::new(),
-        }
+        SpanGuard::open(&self.trace, name, Some(parent))
     }
 
     /// Records an already-over interval as a span — for instants (a
@@ -531,22 +473,13 @@ impl TraceContext {
         status: SpanStatus,
         attrs: Vec<(&'static str, String)>,
     ) {
-        let Some(trace) = &self.trace else { return };
-        let id = trace.next_id.fetch_add(1, Ordering::Relaxed);
-        trace.push(Span {
-            id,
-            parent,
-            name,
-            start_us,
-            end_us: end_us.max(start_us),
-            status,
-            attrs,
-        });
+        self.trace
+            .record(name, parent, start_us, end_us, status, attrs);
     }
 
-    /// The current tick in µs since the trace origin (0 when detached).
+    /// The current tick in µs since the trace origin.
     pub fn tick_us(&self) -> u64 {
-        self.trace.as_ref().map_or(0, |t| t.tick_us())
+        self.trace.tick_us()
     }
 
     /// Finishes the trace under `status`: applies the head-sample and
@@ -555,15 +488,7 @@ impl TraceContext {
     /// recorded by stragglers after this point are silently lost — the
     /// trace is already filed.
     pub fn finish(self, status: SpanStatus) -> TraceReceipt {
-        let (Some(trace), Some(collector)) = (&self.trace, &self.collector) else {
-            return TraceReceipt {
-                id: self.id,
-                duration_ms: 0.0,
-                status,
-                slow: false,
-                kept: false,
-            };
-        };
+        let (trace, collector) = (&self.trace, &self.collector);
         let duration_ms = trace.origin.elapsed().as_secs_f64() * 1000.0;
         let mut spans = std::mem::take(&mut *trace.spans.lock().expect("trace poisoned"));
         // An abandoned lane may record its span from a worker thread in
@@ -613,7 +538,7 @@ impl TraceContext {
 /// lane guard travels to the worker thread that runs the lane.
 #[derive(Debug)]
 pub struct SpanGuard {
-    trace: Option<Arc<ActiveTrace>>,
+    trace: Arc<ActiveTrace>,
     id: u32,
     parent: Option<u32>,
     name: &'static str,
@@ -623,41 +548,31 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    fn detached() -> SpanGuard {
+    fn open(trace: &Arc<ActiveTrace>, name: &'static str, parent: Option<u32>) -> SpanGuard {
         SpanGuard {
-            trace: None,
-            id: 0,
-            parent: None,
-            name: "",
-            start_us: 0,
+            trace: Arc::clone(trace),
+            id: trace.next_id.fetch_add(1, Ordering::Relaxed),
+            parent,
+            name,
+            start_us: trace.tick_us(),
             status: SpanStatus::Ok,
             attrs: Vec::new(),
         }
     }
 
-    /// This span's id (0 when detached), for parenting children.
+    /// This span's id, for parenting children.
     pub fn id(&self) -> u32 {
         self.id
     }
 
-    /// Whether attributes are worth formatting (guard hot paths with
-    /// this before building a `String`).
-    pub fn is_recording(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// Stamps one `key=value` attribute (no-op when detached).
+    /// Stamps one `key=value` attribute.
     pub fn attr(&mut self, key: &'static str, value: impl Into<String>) {
-        if self.trace.is_some() {
-            self.attrs.push((key, value.into()));
-        }
+        self.attrs.push((key, value.into()));
     }
 
-    /// Stamps an integer attribute without allocating when detached.
+    /// Stamps an integer attribute.
     pub fn attr_u64(&mut self, key: &'static str, value: u64) {
-        if self.trace.is_some() {
-            self.attrs.push((key, value.to_string()));
-        }
+        self.attrs.push((key, value.to_string()));
     }
 
     /// Sets the status the span will be recorded with.
@@ -665,11 +580,9 @@ impl SpanGuard {
         self.status = status;
     }
 
-    /// µs elapsed since this span started (0 when detached).
+    /// µs elapsed since this span started.
     pub fn elapsed_us(&self) -> u64 {
-        self.trace
-            .as_ref()
-            .map_or(0, |t| t.tick_us().saturating_sub(self.start_us))
+        self.trace.tick_us().saturating_sub(self.start_us)
     }
 
     /// This span's start tick (µs since the trace origin).
@@ -679,19 +592,7 @@ impl SpanGuard {
 
     /// Opens a child of this span.
     pub fn child(&self, name: &'static str) -> SpanGuard {
-        let Some(trace) = &self.trace else {
-            return SpanGuard::detached();
-        };
-        let id = trace.next_id.fetch_add(1, Ordering::Relaxed);
-        SpanGuard {
-            trace: Some(Arc::clone(trace)),
-            id,
-            parent: Some(self.id),
-            name,
-            start_us: trace.tick_us(),
-            status: SpanStatus::Ok,
-            attrs: Vec::new(),
-        }
+        SpanGuard::open(&self.trace, name, Some(self.id))
     }
 
     /// Records an already-over interval as a child of this span (e.g.
@@ -704,17 +605,8 @@ impl SpanGuard {
         status: SpanStatus,
         attrs: Vec<(&'static str, String)>,
     ) {
-        let Some(trace) = &self.trace else { return };
-        let id = trace.next_id.fetch_add(1, Ordering::Relaxed);
-        trace.push(Span {
-            id,
-            parent: Some(self.id),
-            name,
-            start_us,
-            end_us: end_us.max(start_us),
-            status,
-            attrs,
-        });
+        self.trace
+            .record(name, Some(self.id), start_us, end_us, status, attrs);
     }
 
     /// Ends the span now (equivalent to dropping it).
@@ -723,15 +615,12 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(trace) = self.trace.take() else {
-            return;
-        };
-        trace.push(Span {
+        self.trace.push(Span {
             id: self.id,
             parent: self.parent,
             name: self.name,
             start_us: self.start_us,
-            end_us: trace.tick_us().max(self.start_us),
+            end_us: self.trace.tick_us().max(self.start_us),
             status: self.status,
             attrs: std::mem::take(&mut self.attrs),
         });
@@ -746,7 +635,6 @@ mod tests {
         let registry = Registry::new();
         let c = SpanCollector::new(
             &TraceConfig {
-                enabled: true,
                 sample,
                 buffer,
                 slow_ms,
@@ -869,20 +757,18 @@ mod tests {
     }
 
     #[test]
-    fn disabled_collector_still_mints_unique_ids() {
-        let c = SpanCollector::disabled();
-        assert!(!c.is_enabled());
+    fn unsampled_traces_still_mint_unique_ids_and_count_their_spans() {
+        let (c, registry) = collector(0.0, 16, 0);
         let a = c.start_trace();
         let b = c.start_trace();
         assert_ne!(a.id(), b.id());
-        assert!(!a.is_recording());
         let mut span = a.span("request");
-        span.attr("ignored", "x");
-        assert!(!span.is_recording());
+        span.attr("recorded", "x");
         drop(span);
-        let receipt = a.finish(SpanStatus::Failed);
+        let receipt = a.finish(SpanStatus::Ok);
         assert!(!receipt.kept);
         assert_eq!(c.len(), 0);
+        assert_eq!(registry.counter_value("arp_trace_spans_total", &[]), 1);
         b.finish(SpanStatus::Ok);
     }
 

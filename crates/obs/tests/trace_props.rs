@@ -15,7 +15,6 @@ fn collector(sample: f64, buffer: usize) -> (SpanCollector, Registry) {
     let registry = Registry::new();
     let c = SpanCollector::new(
         &TraceConfig {
-            enabled: true,
             sample,
             buffer,
             slow_ms: 0,

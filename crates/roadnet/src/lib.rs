@@ -55,7 +55,7 @@ pub use error::RoadNetError;
 pub use geo::{haversine_m, BoundingBox, Point};
 pub use ids::{EdgeId, NodeId};
 pub use spatial::SpatialIndex;
-pub use weight::{Weight, WeightConfig, WeightView, CLOSED, INFINITY};
+pub use weight::{Weight, WeightConfig, CLOSED, INFINITY};
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
@@ -66,5 +66,5 @@ pub mod prelude {
     pub use crate::geo::{haversine_m, BoundingBox, Point};
     pub use crate::ids::{EdgeId, NodeId};
     pub use crate::spatial::SpatialIndex;
-    pub use crate::weight::{Weight, WeightConfig, WeightView, CLOSED, INFINITY};
+    pub use crate::weight::{Weight, WeightConfig, CLOSED, INFINITY};
 }

@@ -38,49 +38,6 @@ pub fn is_closed(weight: Weight) -> bool {
     weight == CLOSED
 }
 
-/// A read view over one coherent edge-weight column.
-///
-/// Everything in the workspace that searches takes an explicit
-/// `&[Weight]` indexed by `EdgeId`; this trait names that contract so a
-/// live-traffic overlay (an epoch-stamped, materialized weight column)
-/// and the plain base column are interchangeable at every engine entry
-/// point. `column()` must return a slice of length `num_edges` whose
-/// values already include any overlay factors — engines never recompute
-/// `base × factor` per relaxation, so an identity overlay costs nothing.
-pub trait WeightView {
-    /// The effective weight column, indexed by `EdgeId`.
-    fn column(&self) -> &[Weight];
-
-    /// Epoch stamp of the column (0 = the base, un-overlaid weights).
-    /// Cache keys and substrate-reuse guards compare this to reject
-    /// cross-epoch mixing.
-    fn epoch(&self) -> u64 {
-        0
-    }
-}
-
-impl WeightView for [Weight] {
-    fn column(&self) -> &[Weight] {
-        self
-    }
-}
-
-impl WeightView for Vec<Weight> {
-    fn column(&self) -> &[Weight] {
-        self
-    }
-}
-
-impl<T: WeightView + ?Sized> WeightView for &T {
-    fn column(&self) -> &[Weight] {
-        (**self).column()
-    }
-
-    fn epoch(&self) -> u64 {
-        (**self).epoch()
-    }
-}
-
 /// Converts milliseconds to whole display minutes, rounding half-up — the
 /// demo system "rounds to display time in minutes" (§3).
 pub fn ms_to_display_minutes(ms: Cost) -> u64 {
@@ -299,15 +256,5 @@ mod tests {
         assert_eq!(scale_weight(0, 2.0), 0);
         assert_eq!(scale_weight(1000, 1.5), 1500);
         assert_eq!(scale_weight(u32::MAX - 1, 10.0), u32::MAX - 1);
-    }
-
-    #[test]
-    fn weight_view_over_plain_slices() {
-        let column = vec![1u32, 2, 3];
-        let view: &dyn WeightView = &column;
-        assert_eq!(view.column(), &[1, 2, 3]);
-        assert_eq!(view.epoch(), 0);
-        let slice: &[Weight] = &column;
-        assert_eq!(slice.column(), &[1, 2, 3]);
     }
 }

@@ -1,4 +1,4 @@
-//! A sharded LRU + TTL cache for computed route results.
+//! A sharded LRU cache for computed route results.
 //!
 //! Design notes (DESIGN.md §8 has the policy rationale):
 //!
@@ -9,15 +9,11 @@
 //!   report it via [`ShardedCache::capacity`], never exceed it.
 //! * **LRU** — each shard keeps an intrusive doubly-linked list threaded
 //!   through a slab of entries; get and put are O(1).
-//! * **TTL** — entries carry an absolute expiry in cache-clock
-//!   milliseconds. Time is an explicit `now_ms` argument rather than an
-//!   internal `Instant::now()` so tests (and the property suite) can
-//!   drive a manual clock; the serving layer passes milliseconds since
-//!   its epoch. An entry written at `t` with TTL `ttl` serves hits while
-//!   `now < t + ttl` and counts as *stale* (plus the miss) from then on.
-//!   A TTL of zero disables expiry.
-//! * **Counters** — hits, misses, evictions, stale and a live-entry gauge
-//!   come from [`CacheMetrics`]; detached metrics make all of it free.
+//! * **No expiry** — an entry leaves only by eviction. The serving layer's
+//!   keys end in the traffic epoch and a lane result is a pure function
+//!   of its key, so an entry can be unreachable but never stale.
+//! * **Counters** — hits, misses, evictions and a live-entry gauge come
+//!   from [`CacheMetrics`]; detached metrics make all of it free.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -30,7 +26,6 @@ const NIL: usize = usize::MAX;
 struct Entry<K, V> {
     key: K,
     value: V,
-    expires_at_ms: u64,
     prev: usize,
     next: usize,
 }
@@ -113,30 +108,22 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
     }
 }
 
-/// A sharded, bounded, time-aware cache. See the module docs for policy.
+/// A sharded, bounded cache. See the module docs for policy.
 pub struct ShardedCache<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
-    ttl_ms: u64,
     metrics: CacheMetrics,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
-    /// A cache of roughly `capacity` entries split over `shards` shards
-    /// with per-entry time-to-live `ttl_ms` (zero = never expire). Both
-    /// `capacity` and `shards` are clamped to at least one.
-    pub fn new(
-        capacity: usize,
-        shards: usize,
-        ttl_ms: u64,
-        metrics: CacheMetrics,
-    ) -> ShardedCache<K, V> {
+    /// A cache of roughly `capacity` entries split over `shards` shards.
+    /// Both `capacity` and `shards` are clamped to at least one.
+    pub fn new(capacity: usize, shards: usize, metrics: CacheMetrics) -> ShardedCache<K, V> {
         let shard_count = shards.max(1);
         let per_shard = capacity.max(1).div_ceil(shard_count);
         ShardedCache {
             shards: (0..shard_count)
                 .map(|_| Mutex::new(Shard::new(per_shard)))
                 .collect(),
-            ttl_ms: if ttl_ms == 0 { u64::MAX } else { ttl_ms },
             metrics,
         }
     }
@@ -148,27 +135,14 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         &self.shards[index]
     }
 
-    /// Looks up `key` at cache time `now_ms`. A fresh entry is moved to
-    /// the front of its shard's LRU list and its value cloned out; an
-    /// expired entry is removed (counted stale **and** miss).
-    pub fn get(&self, key: &K, now_ms: u64) -> Option<V> {
+    /// Looks up `key`. A found entry is moved to the front of its
+    /// shard's LRU list and its value cloned out.
+    pub fn get(&self, key: &K) -> Option<V> {
         let mut shard = self.shard_for(key).lock().expect("cache shard poisoned");
         let Some(&index) = shard.map.get(key) else {
             self.metrics.misses.inc();
             return None;
         };
-        let expired = shard.slots[index]
-            .as_ref()
-            .expect("mapped free slot")
-            .expires_at_ms
-            <= now_ms;
-        if expired {
-            shard.remove(index);
-            self.metrics.entries.add(-1);
-            self.metrics.stale.inc();
-            self.metrics.misses.inc();
-            return None;
-        }
         shard.unlink(index);
         shard.push_front(index);
         let value = shard.slots[index]
@@ -180,16 +154,14 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         Some(value)
     }
 
-    /// Stores `value` under `key` at cache time `now_ms`, evicting the
-    /// shard's least-recently-used entry if it is full. Re-putting an
-    /// existing key refreshes both its value and its TTL.
-    pub fn put(&self, key: K, value: V, now_ms: u64) {
-        let expires_at_ms = now_ms.saturating_add(self.ttl_ms);
+    /// Stores `value` under `key`, evicting the shard's
+    /// least-recently-used entry if it is full. Re-putting an existing
+    /// key replaces its value.
+    pub fn put(&self, key: K, value: V) {
         let mut shard = self.shard_for(&key).lock().expect("cache shard poisoned");
         if let Some(&index) = shard.map.get(&key) {
             let entry = shard.slots[index].as_mut().expect("mapped free slot");
             entry.value = value;
-            entry.expires_at_ms = expires_at_ms;
             shard.unlink(index);
             shard.push_front(index);
             return;
@@ -204,15 +176,13 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         shard.insert_new(Entry {
             key,
             value,
-            expires_at_ms,
             prev: NIL,
             next: NIL,
         });
         self.metrics.entries.add(1);
     }
 
-    /// Live entries across all shards (expired-but-unvisited entries
-    /// count until a `get` removes them).
+    /// Live entries across all shards.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
@@ -249,58 +219,46 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
 mod tests {
     use super::*;
 
-    fn cache(capacity: usize, shards: usize, ttl_ms: u64) -> ShardedCache<String, u64> {
-        ShardedCache::new(capacity, shards, ttl_ms, CacheMetrics::default())
+    fn cache(capacity: usize, shards: usize) -> ShardedCache<String, u64> {
+        ShardedCache::new(capacity, shards, CacheMetrics::default())
     }
 
     #[test]
-    fn get_after_put_hits_within_ttl() {
-        let c = cache(8, 2, 100);
-        c.put("a".into(), 1, 0);
-        assert_eq!(c.get(&"a".into(), 50), Some(1));
-        assert_eq!(c.get(&"a".into(), 99), Some(1));
-    }
-
-    #[test]
-    fn expired_entries_miss_and_are_removed() {
-        let c = cache(8, 2, 100);
-        c.put("a".into(), 1, 0);
-        assert_eq!(
-            c.get(&"a".into(), 100),
-            None,
-            "expiry is exclusive of t+ttl"
-        );
-        assert_eq!(c.len(), 0, "expired entry removed on observation");
+    fn get_after_put_hits() {
+        let c = cache(8, 2);
+        c.put("a".into(), 1);
+        assert_eq!(c.get(&"a".into()), Some(1));
+        assert_eq!(c.get(&"a".into()), Some(1));
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         // One shard so the LRU order is global and observable.
-        let c = cache(2, 1, 0);
-        c.put("a".into(), 1, 0);
-        c.put("b".into(), 2, 1);
-        assert_eq!(c.get(&"a".into(), 2), Some(1)); // a is now most recent
-        c.put("c".into(), 3, 3); // evicts b
-        assert_eq!(c.get(&"b".into(), 4), None);
-        assert_eq!(c.get(&"a".into(), 5), Some(1));
-        assert_eq!(c.get(&"c".into(), 6), Some(3));
+        let c = cache(2, 1);
+        c.put("a".into(), 1);
+        c.put("b".into(), 2);
+        assert_eq!(c.get(&"a".into()), Some(1)); // a is now most recent
+        c.put("c".into(), 3); // evicts b
+        assert_eq!(c.get(&"b".into()), None);
+        assert_eq!(c.get(&"a".into()), Some(1));
+        assert_eq!(c.get(&"c".into()), Some(3));
         assert_eq!(c.len(), 2);
     }
 
     #[test]
-    fn reput_refreshes_value_and_ttl() {
-        let c = cache(4, 1, 100);
-        c.put("a".into(), 1, 0);
-        c.put("a".into(), 2, 80);
-        assert_eq!(c.get(&"a".into(), 150), Some(2), "TTL restarted at re-put");
+    fn reput_replaces_the_value() {
+        let c = cache(4, 1);
+        c.put("a".into(), 1);
+        c.put("a".into(), 2);
+        assert_eq!(c.get(&"a".into()), Some(2));
         assert_eq!(c.len(), 1, "re-put must not duplicate the key");
     }
 
     #[test]
     fn capacity_never_exceeded_under_churn() {
-        let c = cache(16, 4, 0);
+        let c = cache(16, 4);
         for i in 0..500u64 {
-            c.put(format!("k{i}"), i, i);
+            c.put(format!("k{i}"), i);
             assert!(
                 c.len() <= c.capacity(),
                 "len {} > capacity {}",
@@ -311,55 +269,20 @@ mod tests {
     }
 
     #[test]
-    fn counters_track_hits_misses_evictions_stale() {
+    fn counters_track_hits_misses_evictions() {
         let registry = arp_obs::Registry::new();
         let metrics = CacheMetrics::new(&registry);
-        let c: ShardedCache<String, u64> = ShardedCache::new(1, 1, 10, metrics);
-        c.put("a".into(), 1, 0);
-        assert_eq!(c.get(&"a".into(), 5), Some(1)); // hit
-        assert_eq!(c.get(&"b".into(), 5), None); // miss
-        c.put("b".into(), 2, 5); // evicts a
-        assert_eq!(c.get(&"b".into(), 20), None); // stale (+miss)
+        let c: ShardedCache<String, u64> = ShardedCache::new(1, 1, metrics);
+        c.put("a".into(), 1);
+        c.put("a".into(), 2);
+        assert_eq!(c.metrics().entries.get(), 1, "re-put must not double count");
+        assert_eq!(c.get(&"a".into()), Some(2)); // hit
+        assert_eq!(c.get(&"b".into()), None); // miss
+        c.put("b".into(), 3); // evicts a
+        assert_eq!(c.get(&"a".into()), None); // miss
         assert_eq!(c.metrics().hits.get(), 1);
         assert_eq!(c.metrics().misses.get(), 2);
         assert_eq!(c.metrics().evictions.get(), 1);
-        assert_eq!(c.metrics().stale.get(), 1);
-        assert_eq!(c.metrics().entries.get(), 0);
-    }
-
-    #[test]
-    fn zero_ttl_never_expires() {
-        let c = cache(4, 1, 0);
-        c.put("a".into(), 1, 0);
-        assert_eq!(c.get(&"a".into(), u64::MAX - 1), Some(1));
-    }
-
-    #[test]
-    fn ttl_boundary_is_exclusive_and_reput_refreshes_expiry() {
-        // Audit of the documented policy: an entry written at `t` with TTL
-        // `ttl` is fresh while `now < t + ttl`, stale at exactly `t + ttl`,
-        // and a re-put restarts that window without double-counting the
-        // entries gauge.
-        let registry = arp_obs::Registry::new();
-        let metrics = CacheMetrics::new(&registry);
-        let c: ShardedCache<String, u64> = ShardedCache::new(4, 1, 100, metrics);
-        c.put("a".into(), 1, 0);
         assert_eq!(c.metrics().entries.get(), 1);
-        // Last fresh instant is t + ttl - 1.
-        assert_eq!(c.get(&"a".into(), 99), Some(1));
-        assert_eq!(c.metrics().stale.get(), 0);
-        // Re-put just before expiry restarts the TTL: fresh through 198.
-        c.put("a".into(), 2, 99);
-        assert_eq!(c.metrics().entries.get(), 1, "re-put must not double count");
-        assert_eq!(c.get(&"a".into(), 198), Some(2));
-        assert_eq!(c.get(&"a".into(), 199), None, "stale at exactly t + ttl");
-        assert_eq!(c.metrics().stale.get(), 1);
-        assert_eq!(c.metrics().misses.get(), 1);
-        assert_eq!(
-            c.metrics().entries.get(),
-            0,
-            "stale removal decrements the gauge"
-        );
-        assert_eq!(c.metrics().hits.get(), 2);
     }
 }

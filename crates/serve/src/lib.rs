@@ -10,7 +10,7 @@
 //!   bounded MPMC queue (`Mutex` + `Condvar`, std only). Each request
 //!   fans its techniques out as one job per *lane* ([`fan_out`]), so a
 //!   request costs roughly the slowest technique instead of their sum.
-//! * [`ShardedCache`] — an LRU + TTL route cache keyed per lane by
+//! * [`ShardedCache`] — an LRU route cache keyed per lane by
 //!   (city, snapped source, snapped target, technique, k), so repeat
 //!   queries bypass recomputation entirely and partially-cached queries
 //!   recompute only their missing lanes.
@@ -25,7 +25,7 @@
 //! * [`ShutdownHandle`] — cooperative shutdown for accept loops, so
 //!   servers drain in-flight work and tests do not leak threads.
 //! * [`ServeMetrics`] — queue depth, shed/timeout counters, cache
-//!   hit/miss/eviction/stale counters and per-stage latency histograms,
+//!   hit/miss/eviction counters and per-stage latency histograms,
 //!   all through `arp-obs` and exported by the demo's `/api/metrics`.
 //! * **Fault tolerance** (DESIGN.md §9) — [`FaultPlan`] failpoint
 //!   injection (zero-overhead when disabled), per-technique

@@ -18,7 +18,7 @@
 //! * `arp_serve_jobs_total` / `arp_serve_inline_fallback_total` — pool
 //!   work, and fan-out lanes that ran on the requester thread because the
 //!   queue was full,
-//! * `arp_serve_cache_{hits,misses,evictions,stale}_total`,
+//! * `arp_serve_cache_{hits,misses,evictions}_total`,
 //!   `arp_serve_cache_entries` — route-cache behaviour,
 //! * `arp_serve_cache_epoch_invalidations_total` — cached routes
 //!   logically invalidated by a traffic-epoch bump (lazily aged out of
@@ -51,16 +51,13 @@ pub struct CacheMetrics {
     pub misses: Counter,
     /// Entries evicted to make room (LRU).
     pub evictions: Counter,
-    /// Entries found but past their TTL (counted **in addition** to the
-    /// miss they become).
-    pub stale: Counter,
     /// Current number of live entries.
     pub entries: Gauge,
     /// Entries invalidated by a traffic-epoch bump: every cached route
     /// keyed under an older epoch becomes unreachable the moment the tick
     /// lands (the backend folds the epoch into the lane key), so this
     /// counts logical invalidations — the entries themselves age out of
-    /// their shards through the ordinary LRU/TTL machinery, which keeps a
+    /// their shards through the ordinary LRU machinery, which keeps a
     /// tick O(1) instead of a full-cache sweep.
     pub epoch_invalidations: Counter,
 }
@@ -82,11 +79,6 @@ impl CacheMetrics {
             evictions: registry.counter(
                 "arp_serve_cache_evictions_total",
                 "Route-cache entries evicted by the LRU policy.",
-                &[],
-            ),
-            stale: registry.counter(
-                "arp_serve_cache_stale_total",
-                "Route-cache entries found but expired (TTL); each also counts as a miss.",
                 &[],
             ),
             entries: registry.gauge(

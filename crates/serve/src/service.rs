@@ -266,8 +266,7 @@ pub trait RouteBackend: Send + Sync + 'static {
 
     /// Attributes stamped on the root span when a trace starts — the
     /// demo backend reports the pinned traffic epoch and the request's
-    /// base cache key here. Called only when the trace is recording.
-    /// The default stamps nothing.
+    /// base cache key here. The default stamps nothing.
     fn trace_attrs(&self, request: &Self::Request) -> Vec<(&'static str, String)> {
         let _ = request;
         Vec::new()
@@ -276,8 +275,7 @@ pub trait RouteBackend: Send + Sync + 'static {
     /// Attributes stamped on the `prepare` span after
     /// [`RouteBackend::prepare`] returns — the demo backend reports
     /// whether the shared substrate was built and which builder (CH or
-    /// plain Dijkstra) served it. Called only when the trace is
-    /// recording. The default stamps nothing.
+    /// plain Dijkstra) served it. The default stamps nothing.
     fn prepare_attrs(&self, request: &Self::Request) -> Vec<(&'static str, String)> {
         let _ = request;
         Vec::new()
@@ -297,8 +295,6 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Cache shard count.
     pub cache_shards: usize,
-    /// Cache entry time-to-live; zero means entries never expire.
-    pub cache_ttl: Duration,
     /// Per-request deadline; zero disables deadlines (see
     /// [`ServeConfig::request_deadline`]).
     pub deadline: Duration,
@@ -329,7 +325,6 @@ impl Default for ServeConfig {
             max_inflight: 32,
             cache_capacity: 4096,
             cache_shards: 8,
-            cache_ttl: Duration::from_secs(300),
             deadline: Duration::from_secs(10),
             cancel_grace: Duration::from_millis(100),
             retry_after_s: 1,
@@ -554,7 +549,6 @@ struct LaneAttempt<B: RouteBackend> {
     faults: FaultPlan,
     site: String,
     key: String,
-    epoch: Instant,
     lane: usize,
     token: CancelToken,
     request: B::Request,
@@ -571,20 +565,18 @@ impl<B: RouteBackend> LaneAttempt<B> {
     /// at the fan-out layer.
     fn run(mut self) -> LaneReply<B::Part> {
         let start = Instant::now();
-        if self.span.is_recording() {
-            // The span opened when the lane was submitted; everything
-            // up to here was time spent waiting in the worker queue.
-            let picked_up_us = self.span.start_us() + self.span.elapsed_us();
-            self.span.record_child(
-                "queue",
-                self.span.start_us(),
-                picked_up_us,
-                SpanStatus::Ok,
-                Vec::new(),
-            );
-            self.span
-                .attr_u64("queue_wait_us", picked_up_us - self.span.start_us());
-        }
+        // The span opened when the lane was submitted; everything up to
+        // here was time spent waiting in the worker queue.
+        let picked_up_us = self.span.start_us() + self.span.elapsed_us();
+        self.span.record_child(
+            "queue",
+            self.span.start_us(),
+            picked_up_us,
+            SpanStatus::Ok,
+            Vec::new(),
+        );
+        self.span
+            .attr_u64("queue_wait_us", picked_up_us - self.span.start_us());
         let result = catch_unwind(AssertUnwindSafe(|| {
             // Injected faults and backend errors surface identically to
             // the fan-out layer but are told apart on the span.
@@ -606,8 +598,7 @@ impl<B: RouteBackend> LaneAttempt<B> {
                         // reflects this request's deadline, a failure is
                         // not a result at all.
                         if let Some(cache) = &self.cache {
-                            let now_ms = self.epoch.elapsed().as_millis() as u64;
-                            cache.put(self.key.clone(), part.clone(), now_ms);
+                            cache.put(self.key.clone(), part.clone());
                         }
                         self.span.attr("outcome", "complete");
                     }
@@ -677,7 +668,6 @@ impl<B: RouteBackend> RouteService<B> {
             Some(Arc::new(ShardedCache::new(
                 config.cache_capacity,
                 config.cache_shards,
-                config.cache_ttl.as_millis() as u64,
                 metrics.cache.clone(),
             )))
         };
@@ -717,7 +707,6 @@ impl<B: RouteBackend> RouteService<B> {
             faults: self.config.faults.clone(),
             site: self.lanes[lane].site.clone(),
             key: self.backend.lane_key(request, lane),
-            epoch: self.epoch,
             lane,
             token: token.clone(),
             request: request.clone(),
@@ -742,10 +731,8 @@ impl<B: RouteBackend> RouteService<B> {
     ) -> (TraceReceipt, Result<B::Response, ServeError>) {
         let ctx = self.tracer.start_trace();
         let mut root = ctx.span("request");
-        if root.is_recording() {
-            for (key, value) in self.backend.trace_attrs(&request) {
-                root.attr(key, value);
-            }
+        for (key, value) in self.backend.trace_attrs(&request) {
+            root.attr(key, value);
         }
         let (status, result) = self.route_stages(request, &ctx, &mut root);
         root.set_status(status);
@@ -787,9 +774,7 @@ impl<B: RouteBackend> RouteService<B> {
                 Err(ServeError::Overloaded { retry_after_s }),
             );
         };
-        if admit_span.is_recording() {
-            admit_span.attr_u64("inflight", self.admission.inflight() as u64);
-        }
+        admit_span.attr_u64("inflight", self.admission.inflight() as u64);
         drop(admit_span);
         admit_timer.stop_ms();
         self.metrics.admitted.inc();
@@ -805,24 +790,17 @@ impl<B: RouteBackend> RouteService<B> {
         if let Some(cache) = &self.cache {
             match self.config.faults.fire(sites::CACHE_GET) {
                 Ok(()) => {
-                    let now_ms = self.now_ms();
                     for (lane, slot) in parts.iter_mut().enumerate() {
                         let key = self.backend.lane_key(&request, lane);
-                        *slot = cache.get(&key, now_ms);
+                        *slot = cache.get(&key);
                     }
                 }
-                Err(message) => {
-                    if probe_span.is_recording() {
-                        probe_span.attr("fault_injected", message);
-                    }
-                }
+                Err(message) => probe_span.attr("fault_injected", message),
             }
         }
-        if probe_span.is_recording() {
-            let hits = parts.iter().filter(|slot| slot.is_some()).count();
-            probe_span.attr_u64("hits", hits as u64);
-            probe_span.attr_u64("lanes", lanes as u64);
-        }
+        let hits = parts.iter().filter(|slot| slot.is_some()).count();
+        probe_span.attr_u64("hits", hits as u64);
+        probe_span.attr_u64("lanes", lanes as u64);
         drop(probe_span);
         cache_timer.stop_ms();
 
@@ -870,10 +848,8 @@ impl<B: RouteBackend> RouteService<B> {
                 let prepare_timer = self.metrics.stage_prepare.start_timer();
                 let mut prepare_span = ctx.child_span("prepare", root_id);
                 request = self.backend.prepare(request, &token, &deadline);
-                if prepare_span.is_recording() {
-                    for (key, value) in self.backend.prepare_attrs(&request) {
-                        prepare_span.attr(key, value);
-                    }
+                for (key, value) in self.backend.prepare_attrs(&request) {
+                    prepare_span.attr(key, value);
                 }
                 drop(prepare_span);
                 prepare_timer.stop_ms();
@@ -884,11 +860,9 @@ impl<B: RouteBackend> RouteService<B> {
                 .iter()
                 .map(|&lane| {
                     let mut span = ctx.child_span("lane", root_id);
-                    if span.is_recording() {
-                        span.attr("technique", self.lanes[lane].name.clone());
-                        span.attr_u64("attempt", 1);
-                        span.attr("breaker", self.lanes[lane].breaker.state().as_str());
-                    }
+                    span.attr("technique", self.lanes[lane].name.clone());
+                    span.attr_u64("attempt", 1);
+                    span.attr("breaker", self.lanes[lane].breaker.state().as_str());
                     self.attempt(lane, &request, &token, span)
                 })
                 .collect();
@@ -1030,12 +1004,10 @@ impl<B: RouteBackend> RouteService<B> {
                 }
             }
         };
-        if assemble_span.is_recording() {
-            if degraded {
-                assemble_span.attr("outcome", "degraded");
-            } else if truncated {
-                assemble_span.attr("outcome", "truncated");
-            }
+        if degraded {
+            assemble_span.attr("outcome", "degraded");
+        } else if truncated {
+            assemble_span.attr("outcome", "truncated");
         }
         drop(assemble_span);
         assemble_timer.stop_ms();
@@ -1140,12 +1112,10 @@ impl<B: RouteBackend> RouteService<B> {
         // of blocking the requester indefinitely.
         let token = CancelToken::new();
         let mut span = ctx.child_span("lane", root_id);
-        if span.is_recording() {
-            span.attr("technique", runtime.name.clone());
-            span.attr_u64("attempt", 2);
-            span.attr("retry", "true");
-            span.attr_u64("backoff_ms", backoff.as_millis() as u64);
-        }
+        span.attr("technique", runtime.name.clone());
+        span.attr_u64("attempt", 2);
+        span.attr("retry", "true");
+        span.attr_u64("backoff_ms", backoff.as_millis() as u64);
         let attempt = self.attempt(lane, request, &token, span);
         let fanout = fan_out(
             &self.pool,
@@ -1182,12 +1152,10 @@ impl<B: RouteBackend> RouteService<B> {
         lane: usize,
         verdict: &[(&'static str, &str)],
     ) {
-        if ctx.is_recording() {
-            let tick = ctx.tick_us();
-            let mut attrs = vec![("technique", self.lanes[lane].name.clone())];
-            attrs.extend(verdict.iter().map(|&(key, value)| (key, value.to_string())));
-            ctx.record_span("lane", Some(root_id), tick, tick, SpanStatus::Failed, attrs);
-        }
+        let tick = ctx.tick_us();
+        let mut attrs = vec![("technique", self.lanes[lane].name.clone())];
+        attrs.extend(verdict.iter().map(|&(key, value)| (key, value.to_string())));
+        ctx.record_span("lane", Some(root_id), tick, tick, SpanStatus::Failed, attrs);
     }
 
     /// A point-in-time health snapshot: queue depth, in-flight count,
@@ -1233,7 +1201,7 @@ impl<B: RouteBackend> RouteService<B> {
     /// currently held was keyed under an older epoch (the backend folds
     /// the epoch into the lane key), so all of them just became logically
     /// unreachable. The entries themselves age out of their shards via
-    /// the ordinary LRU/TTL machinery — this only advances
+    /// the ordinary LRU machinery — this only advances
     /// `arp_serve_cache_epoch_invalidations_total` by the live entry
     /// count, keeping the tick O(1) instead of a full-cache sweep.
     pub fn note_epoch_invalidations(&self) {
@@ -2546,18 +2514,4 @@ arp_serve_retries_total{outcome=success,technique=lane1} 2
 arp_trace_sampled_total{} 13
 arp_trace_spans_total{} 131
 "#;
-
-    #[test]
-    fn expired_entries_force_recomputation() {
-        let config = ServeConfig {
-            cache_ttl: Duration::from_millis(25),
-            ..ServeConfig::default()
-        };
-        let svc = service(EchoBackend::new(2), config);
-        svc.route((1, 2)).unwrap();
-        assert_eq!(svc.backend().computes(), 2);
-        std::thread::sleep(Duration::from_millis(40));
-        svc.route((1, 2)).unwrap();
-        assert_eq!(svc.backend().computes(), 4, "expired lanes must recompute");
-    }
 }

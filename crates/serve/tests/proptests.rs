@@ -1,7 +1,7 @@
-//! Property tests for the sharded LRU + TTL route cache and the
-//! per-technique circuit breaker.
+//! Property tests for the sharded LRU route cache and the per-technique
+//! circuit breaker.
 //!
-//! Both components take time as an explicit `now_ms` argument, so these
+//! The breaker takes time as an explicit `now_ms` argument, so these
 //! properties drive a manual clock and never sleep.
 
 use std::collections::{HashMap, VecDeque};
@@ -19,14 +19,12 @@ proptest! {
     fn capacity_is_never_exceeded(
         capacity in 1usize..12,
         shards in 1usize..5,
-        ops in proptest::collection::vec((0u8..32, 0u32..1_000, 0u64..6), 1..120),
+        ops in proptest::collection::vec((0u8..32, 0u32..1_000), 1..120),
     ) {
         let cache: ShardedCache<String, u32> =
-            ShardedCache::new(capacity, shards, 0, CacheMetrics::default());
-        let mut now = 0u64;
-        for (key, value, advance) in ops {
-            now += advance;
-            cache.put(format!("k{key}"), value, now);
+            ShardedCache::new(capacity, shards, CacheMetrics::default());
+        for (key, value) in ops {
+            cache.put(format!("k{key}"), value);
             prop_assert!(
                 cache.len() <= cache.capacity(),
                 "len {} exceeded capacity {}",
@@ -36,90 +34,49 @@ proptest! {
         }
     }
 
-    /// Any hit returns the most recently put value for that key, and only
-    /// while that entry is within its TTL. (Misses are always allowed —
-    /// eviction may have removed the entry — but a *wrong* or *stale* hit
-    /// never is.)
+    /// Any hit returns the most recently put value for that key. (Misses
+    /// are always allowed — eviction may have removed the entry — but a
+    /// *wrong* hit never is.)
     #[test]
-    fn hits_are_fresh_and_correct(
-        ttl in 1u64..40,
+    fn hits_return_the_latest_put(
         ops in proptest::collection::vec(
-            (0u8..6, 0u32..1_000, 0u64..10, proptest::bool::ANY),
+            (0u8..6, 0u32..1_000, proptest::bool::ANY),
             1..100,
         ),
     ) {
         let cache: ShardedCache<String, u32> =
-            ShardedCache::new(4, 2, ttl, CacheMetrics::default());
-        let mut now = 0u64;
-        let mut latest: HashMap<String, (u32, u64)> = HashMap::new();
-        for (key, value, advance, is_put) in ops {
-            now += advance;
+            ShardedCache::new(4, 2, CacheMetrics::default());
+        let mut latest: HashMap<String, u32> = HashMap::new();
+        for (key, value, is_put) in ops {
             let key = format!("k{key}");
             if is_put {
-                cache.put(key.clone(), value, now);
-                latest.insert(key, (value, now));
-            } else if let Some(got) = cache.get(&key, now) {
-                let &(expected, put_at) = latest.get(&key).expect("hit for a never-put key");
+                cache.put(key.clone(), value);
+                latest.insert(key, value);
+            } else if let Some(got) = cache.get(&key) {
+                let &expected = latest.get(&key).expect("hit for a never-put key");
                 prop_assert_eq!(got, expected, "hit returned a superseded value");
-                prop_assert!(
-                    now < put_at + ttl,
-                    "hit at {} for entry put at {} with ttl {}",
-                    now,
-                    put_at,
-                    ttl
-                );
             }
         }
     }
 
     /// With fewer distinct keys than capacity (so eviction is impossible),
-    /// a get within the TTL always hits and returns the latest value.
+    /// a get always hits and returns the latest value.
     #[test]
-    fn get_after_put_within_ttl_hits(
-        ttl in 5u64..60,
-        ops in proptest::collection::vec((0u8..4, 0u32..1_000, 0u64..4), 1..80),
+    fn get_after_put_hits(
+        ops in proptest::collection::vec((0u8..4, 0u32..1_000), 1..80),
     ) {
         // 4 distinct keys, capacity 16: no eviction can ever occur.
         let cache: ShardedCache<String, u32> =
-            ShardedCache::new(16, 4, ttl, CacheMetrics::default());
-        let mut now = 0u64;
-        let mut latest: HashMap<String, (u32, u64)> = HashMap::new();
-        for (key, value, advance) in ops {
-            now += advance;
+            ShardedCache::new(16, 4, CacheMetrics::default());
+        let mut latest: HashMap<String, u32> = HashMap::new();
+        for (key, value) in ops {
             let key = format!("k{key}");
-            cache.put(key.clone(), value, now);
-            latest.insert(key, (value, now));
-            for (k, &(v, put_at)) in &latest {
-                if now < put_at + ttl {
-                    prop_assert_eq!(
-                        cache.get(k, now),
-                        Some(v),
-                        "fresh un-evictable entry missed"
-                    );
-                }
+            cache.put(key.clone(), value);
+            latest.insert(key, value);
+            for (k, &v) in &latest {
+                prop_assert_eq!(cache.get(k), Some(v), "un-evictable entry missed");
             }
         }
-    }
-
-    /// Entries at or past their TTL always miss, and each expiry is
-    /// counted as stale exactly once.
-    #[test]
-    fn expired_entries_always_miss(
-        ttl in 1u64..50,
-        extra in 0u64..30,
-        value in 0u32..1_000,
-    ) {
-        let registry = arp_obs::Registry::new();
-        let cache: ShardedCache<String, u32> =
-            ShardedCache::new(8, 2, ttl, CacheMetrics::new(&registry));
-        cache.put("k".to_string(), value, 0);
-        prop_assert_eq!(cache.get(&"k".to_string(), ttl + extra), None);
-        prop_assert_eq!(cache.metrics().stale.get(), 1);
-        prop_assert_eq!(cache.len(), 0, "expired entry must be removed");
-        // A second get is a plain miss, not another stale observation.
-        prop_assert_eq!(cache.get(&"k".to_string(), ttl + extra), None);
-        prop_assert_eq!(cache.metrics().stale.get(), 1);
-        prop_assert_eq!(cache.metrics().misses.get(), 2);
     }
 
     /// The breaker state machine never recovers Open → Closed directly:

@@ -17,8 +17,9 @@
 
 use std::sync::{Arc, RwLock};
 
+use arp_obs::Registry;
 use arp_roadnet::csr::RoadNetwork;
-use arp_roadnet::weight::{Weight, WeightView};
+use arp_roadnet::weight::Weight;
 
 use crate::delta::TrafficDelta;
 use crate::error::TrafficError;
@@ -30,9 +31,6 @@ use crate::snapshot::StateSnapshot;
 
 /// One immutable, published traffic epoch: the effective weight column
 /// plus the summary numbers `/api/health` reports.
-///
-/// Implements [`WeightView`], so engines and providers consume it (or
-/// its [`EpochSnapshot::weights`] column) directly.
 #[derive(Clone, Debug)]
 pub struct EpochSnapshot {
     epoch: u64,
@@ -68,16 +66,6 @@ impl EpochSnapshot {
     /// column it was served under.
     pub fn trace_attr(&self) -> (&'static str, String) {
         ("traffic_epoch", self.epoch.to_string())
-    }
-}
-
-impl WeightView for EpochSnapshot {
-    fn column(&self) -> &[Weight] {
-        &self.weights
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
     }
 }
 
@@ -119,10 +107,10 @@ pub struct TrafficState {
     metrics: TrafficMetrics,
     state: RwLock<State>,
     listener: RwLock<Option<EpochListener>>,
-    /// The durability layer, attached only by the `recover*`
-    /// constructors. When present, every swap journals its delta
-    /// **before** publishing (journal-then-apply) and periodically
-    /// installs snapshot checkpoints.
+    /// The durability layer, attached when [`TrafficState::open`] is
+    /// handed a [`DurabilityConfig`]. When present, every swap journals
+    /// its delta **before** publishing (journal-then-apply) and
+    /// periodically installs snapshot checkpoints.
     durability: Option<Arc<Durability>>,
 }
 
@@ -136,103 +124,75 @@ impl std::fmt::Debug for TrafficState {
 }
 
 impl TrafficState {
-    /// A state at epoch 0 with the identity overlay: the published
-    /// column is the base weights themselves (shared, not copied).
+    /// An in-memory state recording no metrics: [`TrafficState::open`]
+    /// without durability on a disabled registry.
     pub fn new(net: Arc<RoadNetwork>) -> TrafficState {
-        Self::with_metrics(net, TrafficMetrics::default())
+        let opened = Self::open(net, None, &Registry::disabled());
+        opened.expect("an in-memory state has nothing to fail on").0
     }
 
-    /// Like [`TrafficState::new`] with pre-resolved metrics; the epoch
-    /// gauge is initialized to 0.
-    pub fn with_metrics(net: Arc<RoadNetwork>, metrics: TrafficMetrics) -> TrafficState {
-        let base = Arc::new(net.weights().to_vec());
-        let snapshot = Arc::new(EpochSnapshot {
-            epoch: 0,
-            weights: Arc::clone(&base),
-            closures: 0,
-            overlay_size: 0,
-        });
-        metrics.epoch.set(0);
-        metrics.closures_active.set(0);
-        TrafficState {
-            net,
-            base,
-            metrics,
-            state: RwLock::new(State {
-                overlay: TrafficOverlay::identity(),
-                tick: 0,
-                snapshot,
-            }),
-            listener: RwLock::new(None),
-            durability: None,
-        }
-    }
-
-    /// Rebuilds a durable state from the state directory `dir` with
-    /// default [`DurabilityConfig`] knobs, replaying the journal suffix
-    /// over the newest valid snapshot. See [`crate::recovery`] for the
-    /// replay invariant and the corruption-degradation ladder. The
-    /// returned state journals every subsequent swap into the same
-    /// directory.
-    pub fn recover(
-        net: Arc<RoadNetwork>,
-        dir: impl Into<std::path::PathBuf>,
-    ) -> Result<(TrafficState, RecoveryReport), TrafficError> {
-        Self::recover_with(net, DurabilityConfig::new(dir))
-    }
-
-    /// [`TrafficState::recover`] with explicit durability knobs.
+    /// A durable state recording no metrics: [`TrafficState::open`] with
+    /// `config` on a disabled registry.
     pub fn recover_with(
         net: Arc<RoadNetwork>,
         config: DurabilityConfig,
     ) -> Result<(TrafficState, RecoveryReport), TrafficError> {
-        Self::recover_with_metrics(
-            net,
-            TrafficMetrics::default(),
-            DurabilityMetrics::default(),
-            config,
-        )
+        let (state, report) = Self::open(net, Some(config), &Registry::disabled())?;
+        Ok((state, report.expect("a durable open always reports")))
     }
 
-    /// [`TrafficState::recover_with`] with pre-resolved metric bundles.
-    pub fn recover_with_metrics(
+    /// Opens the traffic state of `net`, its instruments resolved from
+    /// `registry` (a [`Registry::disabled`] one records nothing).
+    ///
+    /// Without `durability` the state starts at epoch 0 with the identity
+    /// overlay — the published column is the base weights themselves
+    /// (shared, not copied) — lives in memory only, and there is no
+    /// report. With it, the state is rebuilt from `config.dir` by
+    /// replaying the journal suffix over the newest valid snapshot (see
+    /// [`crate::recovery`] for the replay invariant and the
+    /// corruption-degradation ladder) and journals every subsequent swap
+    /// into the same directory.
+    pub fn open(
         net: Arc<RoadNetwork>,
-        metrics: TrafficMetrics,
-        durability_metrics: DurabilityMetrics,
-        config: DurabilityConfig,
-    ) -> Result<(TrafficState, RecoveryReport), TrafficError> {
-        let recovered = recovery::recover(&net, &config, durability_metrics)?;
+        durability: Option<DurabilityConfig>,
+        registry: &Registry,
+    ) -> Result<(TrafficState, Option<RecoveryReport>), TrafficError> {
+        let metrics = TrafficMetrics::new(registry);
+        let (overlay, tick, epoch, durability, report) = match durability {
+            Some(config) => {
+                let r = recovery::recover(&net, &config, DurabilityMetrics::new(registry))?;
+                let durability = Some(Arc::new(r.durability));
+                (r.overlay, r.tick, r.epoch, durability, Some(r.report))
+            }
+            None => (TrafficOverlay::identity(), 0, 0, None, None),
+        };
         let base = Arc::new(net.weights().to_vec());
-        let weights = recovered.overlay.materialize(&net, &base);
-        let closures = recovered.overlay.num_closures();
+        let closures = overlay.num_closures();
         let snapshot = Arc::new(EpochSnapshot {
-            epoch: recovered.epoch,
-            weights,
+            epoch,
+            weights: overlay.materialize(&net, &base),
             closures,
-            overlay_size: recovered.overlay.size(),
+            overlay_size: overlay.size(),
         });
-        metrics.epoch.set(recovered.epoch as i64);
+        metrics.epoch.set(epoch as i64);
         metrics.closures_active.set(closures as i64);
-        let report = recovered.report;
-        Ok((
-            TrafficState {
-                net,
-                base,
-                metrics,
-                state: RwLock::new(State {
-                    overlay: recovered.overlay,
-                    tick: recovered.tick,
-                    snapshot,
-                }),
-                listener: RwLock::new(None),
-                durability: Some(Arc::new(recovered.durability)),
-            },
-            report,
-        ))
+        let state = TrafficState {
+            net,
+            base,
+            metrics,
+            state: RwLock::new(State {
+                overlay,
+                tick,
+                snapshot,
+            }),
+            listener: RwLock::new(None),
+            durability,
+        };
+        Ok((state, report))
     }
 
-    /// True if this state journals its swaps (built by a `recover*`
-    /// constructor).
+    /// True if this state journals its swaps (opened with a
+    /// [`DurabilityConfig`]).
     pub fn durable(&self) -> bool {
         self.durability.is_some()
     }
@@ -481,7 +441,7 @@ mod tests {
         let state = TrafficState::new(Arc::clone(&net));
         let snap = state.snapshot();
         assert_eq!(snap.epoch(), 0);
-        assert_eq!(snap.column(), net.weights());
+        assert_eq!(snap.weights().as_slice(), net.weights());
         // Same allocation as the state's base — zero-copy identity.
         assert!(Arc::ptr_eq(snap.weights(), &state.base));
     }
@@ -491,17 +451,17 @@ mod tests {
         let net = line(4);
         let state = TrafficState::new(Arc::clone(&net));
         let pinned = state.snapshot();
-        let before: Vec<Weight> = pinned.column().to_vec();
+        let before: Vec<Weight> = pinned.weights().to_vec();
         state
             .apply_delta(&TrafficDelta::parse("close:0; cat:primary*2.0").unwrap())
             .unwrap();
         // The pinned epoch still reads the old weights, bit for bit.
-        assert_eq!(pinned.column(), &before[..]);
+        assert_eq!(pinned.weights()[..], before[..]);
         assert_eq!(pinned.epoch(), 0);
         // A fresh pin sees the new epoch.
         let now = state.snapshot();
         assert_eq!(now.epoch(), 1);
-        assert_eq!(now.column()[0], CLOSED);
+        assert_eq!(now.weights()[0], CLOSED);
     }
 
     #[test]
@@ -532,7 +492,7 @@ mod tests {
         let o = state.advance_tick(&quiet).unwrap();
         assert_eq!((o.expired, o.closures_active), (1, 0));
         let snap = state.snapshot();
-        assert_eq!(snap.column(), net.weights());
+        assert_eq!(snap.weights().as_slice(), net.weights());
         assert!(Arc::ptr_eq(snap.weights(), &state.base));
         assert_eq!(snap.epoch(), 3, "every tick is its own epoch");
     }
@@ -550,7 +510,7 @@ mod tests {
         assert_eq!(o.epoch, 0, "u64::MAX wraps to 0");
         // The two epochs stay distinct pins despite the wrap.
         assert_eq!(pinned.epoch(), u64::MAX);
-        assert_ne!(pinned.column(), state.snapshot().column());
+        assert_ne!(pinned.weights(), state.snapshot().weights());
     }
 
     #[test]
@@ -577,7 +537,7 @@ mod tests {
     fn metrics_track_swaps() {
         let net = line(4);
         let reg = arp_obs::Registry::new();
-        let state = TrafficState::with_metrics(net, TrafficMetrics::new(&reg));
+        let (state, _) = TrafficState::open(net, None, &reg).unwrap();
         state
             .apply_delta(&TrafficDelta::parse("close:0; edge:1*3.0").unwrap())
             .unwrap();

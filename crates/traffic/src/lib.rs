@@ -22,17 +22,17 @@
 //!   never observe a torn update (see the [`epoch`] module docs for the
 //!   protocol).
 //!
-//! Search engines consume snapshots through
-//! [`arp_roadnet::weight::WeightView`]; an identity overlay shares the
-//! base column outright, so serving without traffic is byte-identical
-//! to (and as cheap as) not having this crate at all.
+//! Search engines consume a snapshot's [`EpochSnapshot::weights`] column
+//! like any other `&[Weight]`; an identity overlay shares the base
+//! column outright, so serving without traffic is byte-identical to (and
+//! as cheap as) not having this crate at all.
 //!
 //! ## Durability
 //!
 //! Traffic state survives crashes and restarts: the [`journal`] module
 //! write-ahead-logs every accepted delta (CRC-checksummed, appended
 //! *before* the epoch swap publishes), the [`snapshot`] module installs
-//! periodic checksummed checkpoints, and [`TrafficState::recover`]
+//! periodic checksummed checkpoints, and [`TrafficState::open`]
 //! rebuilds a state that is epoch-for-epoch identical to the process
 //! that never crashed — or, when it finds corruption, quarantines the
 //! bad file and serves the newest provably-intact state instead of

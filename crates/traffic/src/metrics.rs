@@ -2,11 +2,10 @@
 
 use arp_obs::{Counter, Gauge, Registry};
 
-/// Pre-resolved instruments of the `arp_traffic_*` family.
-///
-/// The `Default` bundle is detached (every update is a no-op), so a
-/// [`crate::TrafficState`] without a registry costs nothing.
-#[derive(Clone, Debug, Default)]
+/// Pre-resolved instruments of the `arp_traffic_*` family. Resolved
+/// from a disabled registry every update is a no-op, so a
+/// [`crate::TrafficState`] without metrics costs nothing.
+#[derive(Clone, Debug)]
 pub struct TrafficMetrics {
     /// `arp_traffic_epoch` — the current graph epoch.
     pub epoch: Gauge,
@@ -41,11 +40,7 @@ impl TrafficMetrics {
 
 /// Pre-resolved instruments of the durability layer: journal appends,
 /// snapshot checkpoints, and startup recovery.
-///
-/// Like [`TrafficMetrics`], the `Default` bundle is detached, so durable
-/// state without a registry (unit tests, the bench harness's reference
-/// runs) records nothing.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct DurabilityMetrics {
     /// `arp_journal_records_total` — records appended to the WAL.
     pub journal_records: Counter,

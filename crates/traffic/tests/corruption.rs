@@ -12,7 +12,7 @@ use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
 use arp_roadnet::category::RoadCategory;
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::geo::Point;
-use arp_roadnet::weight::{Weight, WeightView};
+use arp_roadnet::weight::Weight;
 use arp_traffic::{
     DurabilityConfig, RecoveryStatus, TrafficDelta, TrafficFeed, TrafficState, JOURNAL_FILE,
 };
@@ -71,10 +71,10 @@ fn fixture() -> &'static Fixture {
             state
                 .apply_delta(&TrafficDelta::parse(delta).unwrap())
                 .unwrap();
-            columns.push(state.snapshot().column().to_vec());
+            columns.push(state.snapshot().weights().to_vec());
             if i % 2 == 1 {
                 state.advance_tick(&feed).unwrap();
-                columns.push(state.snapshot().column().to_vec());
+                columns.push(state.snapshot().weights().to_vec());
             }
         }
         let journal_bytes = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
@@ -114,7 +114,7 @@ fn check_recovery(mutate: impl FnOnce(&mut Vec<u8>)) -> Result<(), TestCaseError
     );
     let snapshot = state.snapshot();
     prop_assert_eq!(
-        snapshot.column(),
+        snapshot.weights().as_slice(),
         &fx.columns[epoch][..],
         "recovered column must match the original at epoch {}",
         epoch

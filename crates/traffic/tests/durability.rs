@@ -11,7 +11,6 @@ use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
 use arp_roadnet::category::RoadCategory;
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::geo::Point;
-use arp_roadnet::weight::WeightView;
 use arp_traffic::journal::read_journal as read_journal_outcome;
 use arp_traffic::{
     DurabilityConfig, FsyncPolicy, RecoveryStatus, TrafficDelta, TrafficFeed, TrafficState,
@@ -89,8 +88,8 @@ fn recovery_is_epoch_for_epoch_identical_to_the_uncrashed_run() {
     assert_eq!(recovered.epoch(), epoch_before);
     assert_eq!(recovered.tick(), reference.tick());
     assert_eq!(
-        recovered.snapshot().column(),
-        reference.snapshot().column(),
+        recovered.snapshot().weights(),
+        reference.snapshot().weights(),
         "recovered weight column must be byte-identical"
     );
     assert_eq!(recovered.overlay_snapshot(), reference.overlay_snapshot());
@@ -99,7 +98,10 @@ fn recovery_is_epoch_for_epoch_identical_to_the_uncrashed_run() {
     recovered.advance_tick(&feed).unwrap();
     reference.advance_tick(&feed).unwrap();
     assert_eq!(recovered.epoch(), reference.epoch());
-    assert_eq!(recovered.snapshot().column(), reference.snapshot().column());
+    assert_eq!(
+        recovered.snapshot().weights(),
+        reference.snapshot().weights()
+    );
 }
 
 #[test]
@@ -143,7 +145,7 @@ fn ttl_expiring_mid_downtime_is_expired_after_recovery() {
         durable.advance_tick(&quiet).unwrap();
     }
     assert_eq!(durable.snapshot().closures(), 0, "expired while alive");
-    let column_before = durable.snapshot().column().to_vec();
+    let column_before = durable.snapshot().weights().to_vec();
     drop(durable);
 
     let (recovered, report) = TrafficState::recover_with(Arc::clone(&net), config(&dir)).unwrap();
@@ -154,7 +156,7 @@ fn ttl_expiring_mid_downtime_is_expired_after_recovery() {
         "replay must not resurrect a closure that expired mid-history"
     );
     assert!(!recovered.overlay_snapshot().is_closed(2));
-    assert_eq!(recovered.snapshot().column(), &column_before[..]);
+    assert_eq!(recovered.snapshot().weights()[..], column_before[..]);
     assert_eq!(recovered.tick(), 3);
 }
 
@@ -242,7 +244,7 @@ fn corrupt_journal_is_quarantined_and_state_degrades_to_base() {
     );
     // No snapshot existed, so the degraded state is the base weights.
     assert_eq!(recovered.epoch(), 0);
-    assert_eq!(recovered.snapshot().column(), net.weights());
+    assert_eq!(recovered.snapshot().weights().as_slice(), net.weights());
     assert!(dir.join("journal.wal.quarantine").exists());
     // Serving continues: new deltas journal into a fresh file.
     recovered

@@ -399,7 +399,6 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
             .get("slow-ms")
             .map(|v| v.parse().unwrap_or_else(|_| usage()))
             .unwrap_or(defaults.trace.slow_ms),
-        ..defaults.trace
     };
     let config = arp_serve::ServeConfig {
         workers: flag_usize("workers", defaults.workers),
