@@ -163,9 +163,18 @@ fn main() {
         &queries,
         "penalty raw + commercial filters",
         |s, t| {
-            penalty_alternatives(net, net.weights(), s, t, &base_query, &raw_opts)
-                .ok()
-                .map(|paths| apply_filters(net, net.weights(), paths, base_query.k, &commercial))
+            let paths =
+                penalty_alternatives(net, net.weights(), s, t, &base_query, &raw_opts).ok()?;
+            let mut ws = SearchSpace::new(net);
+            apply_filters(
+                &mut ws,
+                net,
+                net.weights(),
+                paths,
+                base_query.k,
+                &commercial,
+            )
+            .ok()
         },
     ));
 

@@ -14,6 +14,7 @@ use arp_citygen::{City, Scale};
 use arp_core::prelude::*;
 use arp_core::search::{Direction, SearchSpace};
 use arp_core::ChTopology;
+use arp_roadnet::ids::NodeId;
 
 fn time_per_query(mut f: impl FnMut(), queries: usize, reps: usize) -> f64 {
     // Warm-up round.
@@ -37,6 +38,149 @@ fn total_settled(registry: &arp_obs::Registry) -> u64 {
         .sum()
 }
 
+/// Great-circle trip-distance buckets of the tree-pair sweep, km.
+const BUCKETS_KM: [(f64, f64); 7] = [
+    (0.5, 2.0),
+    (2.0, 4.0),
+    (4.0, 7.0),
+    (7.0, 10.0),
+    (10.0, 14.0),
+    (14.0, 18.0),
+    (18.0, 24.0),
+];
+const PAIRS_PER_BUCKET: usize = 8;
+
+/// What one supplier of a tree pair costs per pair: work counters summed
+/// over a bucket's pairs, and wall-clock ms per pair.
+#[derive(Default)]
+struct PairCost {
+    settled: u64,
+    relaxed: u64,
+    ms: f64,
+}
+
+/// The three suppliers of a request's tree pair on Copenhagen-Large (the
+/// benchmark's `short-hop` / `cross-town` city), by trip distance: two
+/// complete Dijkstra trees, the hierarchy's two PHAST sweeps
+/// (`build_with_ch`), and the bounded builder every request uses
+/// (`SearchSubstrate::build`). `relaxed` is the deterministic column that
+/// counts what each pays — PHAST's downward sweep relaxes arcs without
+/// settling — and CI gates on it: bounded ≤ full on every pair, and ≤ 10 %
+/// of full below 2 km.
+fn tree_pair_sweep(report: &mut String) {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    let city = arp_bench::generate_city(City::Copenhagen, Scale::Large);
+    let net = city.network;
+    let (w, n) = (net.weights(), net.num_nodes() as u32);
+    let mut rng = StdRng::seed_from_u64(arp_bench::MASTER_SEED);
+    let mut buckets: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); BUCKETS_KM.len()];
+    for _ in 0..200_000 {
+        if buckets.iter().all(|b| b.len() == PAIRS_PER_BUCKET) {
+            break;
+        }
+        let (s, t) = (
+            NodeId(rng.random_range(0..n)),
+            NodeId(rng.random_range(0..n)),
+        );
+        let km = arp_roadnet::geo::haversine_m(net.point(s), net.point(t)) / 1000.0;
+        let bucket = BUCKETS_KM.iter().position(|&(lo, hi)| lo <= km && km < hi);
+        if let Some(bucket) = bucket.filter(|&b| buckets[b].len() < PAIRS_PER_BUCKET) {
+            if shortest_path(&net, w, s, t).is_ok() {
+                buckets[bucket].push((s, t));
+            }
+        }
+    }
+
+    let topo = ChTopology::build(&net);
+    let metric = topo.customize(&net, w).expect("base column customizes");
+    let (q, budget, reps) = (AltQuery::paper(), SearchBudget::unlimited(), 3);
+    let mut ws = SearchSpace::new(&net);
+    let _ = writeln!(
+        report,
+        "\nTree-pair sweep by trip distance ({}-Large, {} nodes; per pair: settled, relaxed, ms; \
+         bounded = the request path):",
+        city.name,
+        net.num_nodes()
+    );
+    let _ =
+        writeln!(
+        report,
+        "  {:<8} {:>5} | {:>8} {:>8} {:>7} | {:>8} {:>8} {:>7} | {:>8} {:>8} {:>7} | {:>8} {:>6}",
+        "km", "pairs", "full-set", "full-rlx", "full-ms", "ph-set", "ph-rlx", "ph-ms", "bnd-set",
+        "bnd-rlx", "bnd-ms", "rlx/full", "bnd<=f"
+    );
+    for (&(lo, hi), pairs) in BUCKETS_KM.iter().zip(&buckets) {
+        let [mut full, mut phast, mut bounded] = <[PairCost; 3]>::default();
+        let mut never_more = 0;
+        for &(s, t) in pairs {
+            let mut full_relaxed = 0;
+            for (root, direction) in [(s, Direction::Forward), (t, Direction::Backward)] {
+                let _ = ws.shortest_path_tree(&net, w, root, direction);
+                full.settled += ws.last_stats().settled;
+                full_relaxed += ws.last_stats().relaxed;
+            }
+            full.relaxed += full_relaxed;
+            let through_ch = SearchSubstrate::build_with_ch(&net, w, &topo, &metric, s, t, &budget)
+                .expect("swept pairs are routable");
+            phast.settled += through_ch.build_stats().settled;
+            phast.relaxed += through_ch.build_stats().relaxed;
+            let grown = SearchSubstrate::build(&mut ws, &net, w, s, t, &q)
+                .expect("swept pairs are routable");
+            bounded.settled += grown.build_stats().settled;
+            bounded.relaxed += grown.build_stats().relaxed;
+            never_more += usize::from(grown.build_stats().relaxed <= full_relaxed);
+        }
+        full.ms = time_per_query(
+            || {
+                for &(s, t) in pairs {
+                    let _ = ws.shortest_path_tree(&net, w, s, Direction::Forward);
+                    let _ = ws.shortest_path_tree(&net, w, t, Direction::Backward);
+                }
+            },
+            pairs.len(),
+            reps,
+        );
+        phast.ms = time_per_query(
+            || {
+                for &(s, t) in pairs {
+                    let _ = SearchSubstrate::build_with_ch(&net, w, &topo, &metric, s, t, &budget);
+                }
+            },
+            pairs.len(),
+            reps,
+        );
+        bounded.ms = time_per_query(
+            || {
+                for &(s, t) in pairs {
+                    let _ = SearchSubstrate::build(&mut ws, &net, w, s, t, &q);
+                }
+            },
+            pairs.len(),
+            reps,
+        );
+        let per_pair = |total: u64| total / pairs.len().max(1) as u64;
+        let _ = writeln!(
+            report,
+            "  {:<8} {:>5} | {:>8} {:>8} {:>7.3} | {:>8} {:>8} {:>7.3} | {:>8} {:>8} {:>7.3} | {:>8.3} {:>6}",
+            format!("{lo}-{hi}"),
+            pairs.len(),
+            per_pair(full.settled),
+            per_pair(full.relaxed),
+            full.ms,
+            per_pair(phast.settled),
+            per_pair(phast.relaxed),
+            phast.ms,
+            per_pair(bounded.settled),
+            per_pair(bounded.relaxed),
+            bounded.ms,
+            bounded.relaxed as f64 / full.relaxed.max(1) as f64,
+            never_more,
+        );
+    }
+}
+
 fn main() {
     let mut report = String::new();
     let _ = writeln!(
@@ -44,7 +188,6 @@ fn main() {
         "Wall-clock per-query timings (ms), 8 queries x 5 reps, release build"
     );
     let mut substrate_lines: Vec<String> = Vec::new();
-    let mut ch_lines: Vec<String> = Vec::new();
 
     for city_kind in City::ALL {
         let city = arp_bench::generate_city(city_kind, Scale::Small);
@@ -223,7 +366,7 @@ fn main() {
         let on_providers = instrumented_providers(&net, arp_bench::MASTER_SEED, &on_registry);
         let mut substrate_settled = 0u64;
         for &(s, t, _) in &queries {
-            let sub = SearchSubstrate::build(&net, net.weights(), s, t, &budget)
+            let sub = SearchSubstrate::build(&mut ws, &net, net.weights(), s, t, &q)
                 .expect("benchmark queries are routable");
             substrate_settled += sub.build_stats().settled;
             for provider in &on_providers {
@@ -241,11 +384,8 @@ fn main() {
             reduction
         ));
 
-        // CH index tier on/off: the same substrate (two trees + base
-        // route), built by two full Dijkstras versus by the customized
-        // CH (bidirectional upward search + two PHAST sweeps). Outputs
-        // are byte-identical, so this isolates the build cost — the
-        // serving layer's fast path when the epoch's metric is ready.
+        // The hierarchy's fixed costs and its point query; what a tree
+        // pair costs through it is the Large-scale sweep below.
         let topo_start = Instant::now();
         let topo = ChTopology::build(&net);
         let topo_ms = topo_start.elapsed().as_secs_f64() * 1000.0;
@@ -280,55 +420,6 @@ fn main() {
                 reps,
             ),
         );
-
-        let mut build_settled_off = 0u64;
-        let mut build_settled_on = 0u64;
-        for &(s, t, _) in &queries {
-            build_settled_off += SearchSubstrate::build(&net, net.weights(), s, t, &budget)
-                .expect("benchmark queries are routable")
-                .build_stats()
-                .settled;
-            build_settled_on +=
-                SearchSubstrate::build_with_ch(&net, net.weights(), &topo, &metric, s, t, &budget)
-                    .expect("benchmark queries are routable")
-                    .build_stats()
-                    .settled;
-        }
-        let build_off_ms = time_per_query(
-            || {
-                for &(s, t, _) in &queries {
-                    let _ = SearchSubstrate::build(&net, net.weights(), s, t, &budget);
-                }
-            },
-            queries.len(),
-            reps,
-        );
-        let build_on_ms = time_per_query(
-            || {
-                for &(s, t, _) in &queries {
-                    let _ = SearchSubstrate::build_with_ch(
-                        &net,
-                        net.weights(),
-                        &topo,
-                        &metric,
-                        s,
-                        t,
-                        &budget,
-                    );
-                }
-            },
-            queries.len(),
-            reps,
-        );
-        ch_lines.push(format!(
-            "  {:<14} {:>12} {:>12} {:>10.1}x {:>9.3} {:>9.3}",
-            city.name,
-            build_settled_off / n_queries,
-            build_settled_on / n_queries,
-            build_settled_off as f64 / build_settled_on as f64,
-            build_off_ms,
-            build_on_ms,
-        ));
     }
 
     let _ = writeln!(
@@ -345,19 +436,7 @@ fn main() {
         let _ = writeln!(report, "{line}");
     }
 
-    let _ = writeln!(
-        report,
-        "\nCH index tier on/off sweep (substrate build: settled nodes and ms \
-         per request; identical output bytes):"
-    );
-    let _ = writeln!(
-        report,
-        "  {:<14} {:>12} {:>12} {:>11} {:>9} {:>9}",
-        "city", "dijkstra", "ch-tier", "settled-x", "off-ms", "on-ms"
-    );
-    for line in &ch_lines {
-        let _ = writeln!(report, "{line}");
-    }
+    tree_pair_sweep(&mut report);
 
     println!("{report}");
     let path = arp_bench::write_report("perf.txt", &report);

@@ -22,7 +22,7 @@ use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::weight::{Cost, Weight};
 
 use crate::path::Path;
-use crate::quality::{window_probes, LocalOptimality};
+use crate::quality::{unbudgeted_window_probes, LocalOptimality};
 use crate::similarity::overlap_ratio;
 
 /// The (γ, T, ε) thresholds of the admissibility definition.
@@ -82,7 +82,7 @@ pub fn max_window_stretch(
     window_fraction: f64,
     max_probes: usize,
 ) -> f64 {
-    let probes = window_probes(net, weights, path, window_fraction, max_probes);
+    let probes = unbudgeted_window_probes(net, weights, path, window_fraction, max_probes);
     worst_stretch(&probes)
 }
 
@@ -106,7 +106,7 @@ pub fn admissibility(
 ) -> AdmissibilityReport {
     let sharing = overlap_ratio(alternative, optimal, weights);
     // Criteria 2 and 3 probe the same windows: walk them once.
-    let probes = window_probes(
+    let probes = unbudgeted_window_probes(
         net,
         weights,
         alternative,

@@ -448,7 +448,7 @@ impl ChTopology {
         let outcome = kernel::search(&mut labels, &climb, root.0, Exhaust, &mut poller);
         stats.accumulate(&poller.finish());
         outcome?;
-        let mut dist = labels.dense_dist();
+        let mut dist = labels.dense_dist(INFINITY);
 
         // Downward sweep: arcs are pre-sorted by rank[hi] descending, so
         // dist[hi] is final when the arc is relaxed.

@@ -28,7 +28,7 @@ use crate::budget::SearchBudget;
 use crate::error::CoreError;
 use crate::path::Path;
 use crate::query::AltQuery;
-use crate::search::{Direction, ShortestPathTree};
+use crate::search::{Direction, SearchSpace, ShortestPathTree};
 use crate::similarity::similarity_of_lengths;
 use crate::substrate::SearchSubstrate;
 
@@ -88,7 +88,9 @@ pub fn dissimilarity_alternatives(
     options: &DissimilarityOptions,
 ) -> Result<Vec<Path>, CoreError> {
     let budget = SearchBudget::unlimited();
-    let sub = SearchSubstrate::build(net, weights, source, target, &budget)?;
+    let mut ws = SearchSpace::new(net);
+    let sub =
+        SearchSubstrate::build(&mut ws, net, weights, source, target, query).map_err(|(e, _)| e)?;
     dissimilarity_alternatives_from_trees(
         net,
         weights,
@@ -438,14 +440,16 @@ mod tests {
     #[test]
     fn observed_stats_balance_the_funnel() {
         let net = grid(8);
-        let budget = SearchBudget::unlimited();
+        let (budget, query) = (SearchBudget::unlimited(), AltQuery::paper());
+        let mut ws = SearchSpace::new(&net);
         let sub =
-            SearchSubstrate::build(&net, net.weights(), NodeId(0), NodeId(63), &budget).unwrap();
+            SearchSubstrate::build(&mut ws, &net, net.weights(), NodeId(0), NodeId(63), &query)
+                .unwrap();
         let mut stats = DissimilarityStats::default();
         let paths = dissimilarity_alternatives_from_trees(
             &net,
             net.weights(),
-            &AltQuery::paper(),
+            &query,
             &DissimilarityOptions::default(),
             &mut stats,
             sub.forward(),

@@ -10,8 +10,10 @@
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::weight::{Cost, Weight};
 
+use crate::error::CoreError;
 use crate::path::Path;
-use crate::quality::{local_optimality, turns_per_km, wide_road_share};
+use crate::quality::{turns_per_km, wide_road_share, window_probes, LocalOptimality};
+use crate::search::SearchSpace;
 use crate::similarity::similarity;
 
 /// Configuration of the post-filter stage.
@@ -72,39 +74,53 @@ impl FilterConfig {
 /// Applies the configured filters to a route set.
 ///
 /// Routes must be sorted so the preferred (fastest) route is first; the
-/// first route is always kept. Returns at most `k` routes.
+/// first route is always kept. Returns at most `k` routes. The
+/// local-optimality probes are point-to-point searches in `ws` — under its
+/// budget, into its metrics; when the budget trips mid-probe the error
+/// hands the unfiltered set back, so an interrupted caller can serve it as
+/// its partial.
 pub fn apply_filters(
+    ws: &mut SearchSpace,
     net: &RoadNetwork,
     weights: &[Weight],
     mut paths: Vec<Path>,
     k: usize,
     config: &FilterConfig,
-) -> Vec<Path> {
+) -> Result<Vec<Path>, (CoreError, Vec<Path>)> {
     if paths.is_empty() || k == 0 {
         paths.truncate(k);
-        return paths;
+        return Ok(paths);
     }
 
-    let mut kept: Vec<Path> = Vec::with_capacity(k);
-    for (i, path) in paths.into_iter().enumerate() {
-        if kept.len() >= k && !config.comfort_ranking {
+    let mut keep = vec![false; paths.len()];
+    let mut kept_so_far = 0;
+    for (i, path) in paths.iter().enumerate() {
+        if kept_so_far >= k && !config.comfort_ranking {
             break;
         }
         if i > 0 {
             if let Some(max_sim) = config.max_similarity {
-                if kept.iter().any(|p| similarity(&path, p, weights) > max_sim) {
+                let mut kept = paths.iter().zip(&keep).filter(|(_, &keep)| keep);
+                if kept.any(|(p, _)| similarity(path, p, weights) > max_sim) {
                     continue;
                 }
             }
             if config.require_local_optimality {
-                let lo = local_optimality(net, weights, &path, config.lo_t_fraction, 8);
-                if !lo.is_locally_optimal() {
-                    continue;
+                match window_probes(ws, net, weights, path, config.lo_t_fraction, 8) {
+                    Ok(probes) if LocalOptimality::of(&probes).is_locally_optimal() => {}
+                    Ok(_) => continue,
+                    Err(e) => return Err((e, paths)),
                 }
             }
         }
-        kept.push(path);
+        keep[i] = true;
+        kept_so_far += 1;
     }
+    let mut kept: Vec<Path> = paths
+        .into_iter()
+        .zip(keep)
+        .filter_map(|(path, keep)| keep.then_some(path))
+        .collect();
 
     if config.comfort_ranking && kept.len() > 2 {
         // Keep the fastest first; order the rest by comfort-adjusted cost.
@@ -120,7 +136,7 @@ pub fn apply_filters(
     }
 
     kept.truncate(k);
-    kept
+    Ok(kept)
 }
 
 /// Sorts routes by public cost, keeping them stable for ties. Providers
@@ -144,6 +160,20 @@ mod tests {
         Path::from_edges(net, net.weights(), edges)
     }
 
+    /// The filters applied on the network's own weights in a fresh,
+    /// unbudgeted workspace.
+    fn filtered(net: &RoadNetwork, paths: Vec<Path>, k: usize, cfg: &FilterConfig) -> Vec<Path> {
+        apply_filters(
+            &mut SearchSpace::new(net),
+            net,
+            net.weights(),
+            paths,
+            k,
+            cfg,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn similarity_filter_drops_near_duplicates() {
         let net = grid(4);
@@ -151,7 +181,7 @@ mod tests {
         let b = path_via(&net, &[0, 1, 2, 3, 7, 11, 15]); // duplicate
         let c = path_via(&net, &[0, 4, 8, 12, 13, 14, 15]); // disjoint
         let cfg = FilterConfig::default();
-        let kept = apply_filters(&net, net.weights(), vec![a, b, c.clone()], 3, &cfg);
+        let kept = filtered(&net, vec![a, b, c.clone()], 3, &cfg);
         assert_eq!(kept.len(), 2);
         assert_eq!(kept[1].edges, c.edges);
     }
@@ -162,7 +192,7 @@ mod tests {
         // Even a wildly detouring first route survives: it is the anchor.
         let weird = path_via(&net, &[0, 1, 5, 4, 8, 9, 13, 14, 15]);
         let cfg = FilterConfig::commercial();
-        let kept = apply_filters(&net, net.weights(), vec![weird.clone()], 3, &cfg);
+        let kept = filtered(&net, vec![weird.clone()], 3, &cfg);
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].edges, weird.edges);
     }
@@ -182,9 +212,44 @@ mod tests {
             require_local_optimality: true,
             ..Default::default()
         };
-        let kept = apply_filters(&net, net.weights(), vec![best.clone(), detour], 3, &cfg);
+        let kept = filtered(&net, vec![best.clone(), detour], 3, &cfg);
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].edges, best.edges);
+    }
+
+    #[test]
+    fn a_trip_mid_probe_hands_the_unfiltered_set_back() {
+        use crate::budget::SearchBudget;
+
+        let net = grid(6);
+        let best =
+            crate::search::shortest_path(&net, net.weights(), NodeId(0), NodeId(35)).unwrap();
+        let other = path_via(&net, &[0, 6, 12, 18, 24, 30, 31, 32, 33, 34, 35]);
+        let paths = vec![best, other];
+        let mut ws = SearchSpace::new(&net);
+        let budget = SearchBudget::new();
+        budget.cancel();
+        ws.set_budget(budget);
+        let cfg = FilterConfig {
+            max_similarity: None,
+            ..FilterConfig::commercial()
+        };
+        let Err((CoreError::Interrupted, unfiltered)) =
+            apply_filters(&mut ws, &net, net.weights(), paths.clone(), 3, &cfg)
+        else {
+            panic!("the second route's probe must trip");
+        };
+        assert_eq!(unfiltered, paths);
+        // Without probes to run, a tripped budget is never consulted.
+        let kept = apply_filters(
+            &mut ws,
+            &net,
+            net.weights(),
+            paths,
+            3,
+            &FilterConfig::none(),
+        );
+        assert_eq!(kept.unwrap().len(), 2);
     }
 
     #[test]
@@ -193,7 +258,7 @@ mod tests {
         let a = path_via(&net, &[0, 1, 2, 3]);
         let b = path_via(&net, &[0, 1, 2, 3]);
         let cfg = FilterConfig::none();
-        let kept = apply_filters(&net, net.weights(), vec![a, b], 5, &cfg);
+        let kept = filtered(&net, vec![a, b], 5, &cfg);
         assert_eq!(kept.len(), 2);
     }
 
@@ -205,7 +270,7 @@ mod tests {
             path_via(&net, &[0, 4, 5, 6, 7]),
             path_via(&net, &[0, 4, 8, 12, 13]),
         ];
-        let kept = apply_filters(&net, net.weights(), paths, 2, &FilterConfig::none());
+        let kept = filtered(&net, paths, 2, &FilterConfig::none());
         assert_eq!(kept.len(), 2);
     }
 
@@ -233,9 +298,8 @@ mod tests {
             comfort_ranking: true,
             ..Default::default()
         };
-        let kept = apply_filters(
+        let kept = filtered(
             &net,
-            net.weights(),
             vec![best.clone(), staircase.clone(), straight.clone()],
             3,
             &cfg,
@@ -248,10 +312,8 @@ mod tests {
     #[test]
     fn empty_and_k_zero() {
         let net = grid(3);
-        assert!(apply_filters(&net, net.weights(), vec![], 3, &FilterConfig::default()).is_empty());
+        assert!(filtered(&net, vec![], 3, &FilterConfig::default()).is_empty());
         let p = path_via(&net, &[0, 1]);
-        assert!(
-            apply_filters(&net, net.weights(), vec![p], 0, &FilterConfig::default()).is_empty()
-        );
+        assert!(filtered(&net, vec![p], 0, &FilterConfig::default()).is_empty());
     }
 }

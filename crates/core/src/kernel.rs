@@ -9,10 +9,12 @@
 //!   ([`OutEdges`] / [`InEdges`] over a CSR weight [`Column`] here, the
 //!   hierarchy's upward arcs over `metric.up` / `metric.down` in
 //!   [`crate::cch`]), and
-//! * a [`Rule`]: when to stop and what to observe ([`Exhaust`],
-//!   [`ReachTarget`], [`AStar`], and the meeting rule of the
-//!   bidirectional driver, whose termination bound is `kf + kb` for plain
-//!   graphs and `min(kf, kb)` for hierarchies).
+//! * a [`Rule`]: when to stop, what to label and what to observe
+//!   ([`Exhaust`], [`ReachTarget`], [`AStar`], the [`GrowToBound`] /
+//!   [`InsideEllipse`] pair that grows a request's tree pair no further
+//!   than its stretch bound, and the meeting rule of the bidirectional
+//!   driver, whose termination bound is `kf + kb` for plain graphs and
+//!   `min(kf, kb)` for hierarchies).
 //!
 //! What every search needs lives here exactly once: the
 //! generation-stamped [`Labels`] (including the wrap-around reset), the
@@ -20,6 +22,7 @@
 //! (entry poll, one poll per [`CHECK_INTERVAL`] pops, partial-interval
 //! charge on exit, counters that survive an interrupt).
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -30,6 +33,7 @@ use arp_roadnet::weight::{Cost, Weight, CLOSED, INFINITY};
 use crate::budget::{SearchBudget, CHECK_INTERVAL};
 use crate::error::CoreError;
 use crate::metrics::SearchStats;
+use crate::query::AltQuery;
 
 /// The arcs a search may leave a vertex by, and their costs.
 pub(crate) trait ArcView {
@@ -143,10 +147,17 @@ pub(crate) trait Rule {
     fn potential(&self, _v: u32) -> Cost {
         0
     }
-    /// `v` was settled; `true` ends the search before `v` is expanded.
+    /// `v` was settled with final label `d`; `true` ends the search before
+    /// `v` is expanded.
     #[inline]
-    fn settled(&self, _v: u32) -> bool {
+    fn settled(&self, _v: u32, _d: Cost) -> bool {
         false
+    }
+    /// Whether a relaxation that would label `v` with `d` is recorded;
+    /// a refused vertex is never labelled through that arc.
+    #[inline]
+    fn admits(&self, _v: u32, _d: Cost) -> bool {
+        true
     }
     /// The label of `v` just improved to `d`.
     #[inline]
@@ -163,8 +174,47 @@ pub(crate) struct ReachTarget(pub(crate) u32);
 
 impl Rule for ReachTarget {
     #[inline]
-    fn settled(&self, v: u32) -> bool {
+    fn settled(&self, v: u32, _d: Cost) -> bool {
         v == self.0
+    }
+}
+
+/// The forward half of a bounded tree pair: grow from the source until
+/// the query's stretch bound. Settling `target` at `d` fixes
+/// `bound = query.search_bound(d)`, and the first vertex settled beyond it
+/// ends the search — so every label `≤ bound` is final. `bound` starts at
+/// — and, when `target` is never reached, stays — [`INFINITY`]: a
+/// complete tree.
+pub(crate) struct GrowToBound<'a> {
+    pub(crate) target: u32,
+    pub(crate) query: &'a AltQuery,
+    pub(crate) bound: &'a Cell<Cost>,
+}
+
+impl Rule for GrowToBound<'_> {
+    #[inline]
+    fn settled(&self, v: u32, d: Cost) -> bool {
+        if v == self.target {
+            self.bound.set(self.query.search_bound(d));
+        }
+        d > self.bound.get()
+    }
+}
+
+/// The backward half: label `v` only while `d_f(v) + d ≤ bound`, reading
+/// `d_f` off the finished forward labels. Run to exhaustion this labels
+/// exactly the stretch ellipse, every label final: a shortest-path
+/// successor of an in-ellipse vertex lies in the ellipse too.
+pub(crate) struct InsideEllipse<'a> {
+    pub(crate) forward: &'a [Cost],
+    pub(crate) bound: Cost,
+}
+
+impl Rule for InsideEllipse<'_> {
+    #[inline]
+    fn admits(&self, v: u32, d: Cost) -> bool {
+        let df = self.forward[v as usize];
+        df != INFINITY && df + d <= self.bound
     }
 }
 
@@ -180,7 +230,7 @@ impl<H: Fn(u32) -> Cost> Rule for AStar<H> {
         (self.h)(v)
     }
     #[inline]
-    fn settled(&self, v: u32) -> bool {
+    fn settled(&self, v: u32, _d: Cost) -> bool {
         v == self.target
     }
 }
@@ -256,11 +306,11 @@ impl Labels {
         self.heap.peek().map_or(INFINITY, |Reverse((key, _))| *key)
     }
 
-    /// The current query's labels as a dense array.
-    pub(crate) fn dense_dist(&self) -> Vec<Cost> {
+    /// The current query's labels `≤ bound` as a dense array.
+    pub(crate) fn dense_dist(&self, bound: Cost) -> Vec<Cost> {
         let mut dense = vec![INFINITY; self.dist.len()];
         for ((out, &d), &stamp) in dense.iter_mut().zip(&self.dist).zip(&self.stamp) {
-            if stamp == self.generation {
+            if stamp == self.generation && d <= bound {
                 *out = d;
             }
         }
@@ -335,7 +385,7 @@ fn settle_next<A: ArcView, R: Rule>(
         return Ok(true); // stale entry
     }
     poller.stats.settled += 1;
-    if rule.settled(v) {
+    if rule.settled(v, d) {
         return Ok(false);
     }
     for a in arcs.arcs(v) {
@@ -345,7 +395,7 @@ fn settle_next<A: ArcView, R: Rule>(
             continue;
         }
         let (to, nd) = (arcs.to(a), d + w);
-        if nd < labels.dist(to) {
+        if nd < labels.dist(to) && rule.admits(to, nd) {
             labels.set(to, nd, a);
             labels.heap.push(Reverse((nd + rule.potential(to), to)));
             rule.improved(to, nd);
@@ -442,6 +492,27 @@ mod tests {
         let topo = ChTopology::build(net);
         let metric = topo.customize(net, w).unwrap();
         let (s, t) = (NodeId(3), NodeId(net.num_nodes() as u32 - 5));
+        let query = AltQuery::paper();
+        fn grow<'a>(t: NodeId, query: &'a AltQuery, bound: &'a Cell<Cost>) -> GrowToBound<'a> {
+            let target = t.0;
+            GrowToBound {
+                target,
+                query,
+                bound,
+            }
+        }
+        let bound = Cell::new(INFINITY);
+        let ball = SearchSpace::new(net)
+            .tree_under(
+                net,
+                w,
+                s,
+                Direction::Forward,
+                grow(t, &query, &bound),
+                || bound.get(),
+            )
+            .unwrap();
+        let bound = bound.get();
         // Every instantiation of the kernel: run one query under `budget`,
         // report how it ended and what it counted.
         let run = |which: &str, budget: &SearchBudget| {
@@ -460,6 +531,26 @@ mod tests {
                 "backward tree" => ws
                     .shortest_path_tree(net, w, t, Direction::Backward)
                     .map(drop),
+                "bounded forward tree" => {
+                    let learnt = Cell::new(INFINITY);
+                    ws.tree_under(
+                        net,
+                        w,
+                        s,
+                        Direction::Forward,
+                        grow(t, &query, &learnt),
+                        || INFINITY,
+                    )
+                    .map(drop)
+                }
+                "bounded backward tree" => {
+                    let inside = InsideEllipse {
+                        forward: &ball.dist,
+                        bound,
+                    };
+                    ws.tree_under(net, w, t, Direction::Backward, inside, || INFINITY)
+                        .map(drop)
+                }
                 "bidirectional" => bi.shortest_path(net, w, s, t).map(drop),
                 "CCH query" => topo.query(&metric, s, t, &mut poller).map(drop),
                 "PHAST forward" => topo
@@ -479,6 +570,8 @@ mod tests {
             "A*",
             "forward tree",
             "backward tree",
+            "bounded forward tree",
+            "bounded backward tree",
             "bidirectional",
             "CCH query",
             "PHAST forward",

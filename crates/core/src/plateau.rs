@@ -20,7 +20,7 @@ use crate::budget::SearchBudget;
 use crate::error::CoreError;
 use crate::path::Path;
 use crate::query::AltQuery;
-use crate::search::{Direction, ShortestPathTree};
+use crate::search::{Direction, SearchSpace, ShortestPathTree};
 use crate::similarity::similarity;
 use crate::substrate::SearchSubstrate;
 
@@ -149,7 +149,9 @@ pub fn plateau_alternatives(
     options: &PlateauOptions,
 ) -> Result<Vec<Path>, CoreError> {
     let budget = SearchBudget::unlimited();
-    let sub = SearchSubstrate::build(net, weights, source, target, &budget)?;
+    let mut ws = SearchSpace::new(net);
+    let sub =
+        SearchSubstrate::build(&mut ws, net, weights, source, target, query).map_err(|(e, _)| e)?;
     plateau_alternatives_from_trees(
         net,
         weights,
@@ -423,14 +425,16 @@ mod tests {
     #[test]
     fn observed_stats_count_plateaus_and_candidates() {
         let net = grid(8);
-        let budget = SearchBudget::unlimited();
+        let (budget, query) = (SearchBudget::unlimited(), AltQuery::paper());
+        let mut ws = SearchSpace::new(&net);
         let sub =
-            SearchSubstrate::build(&net, net.weights(), NodeId(0), NodeId(63), &budget).unwrap();
+            SearchSubstrate::build(&mut ws, &net, net.weights(), NodeId(0), NodeId(63), &query)
+                .unwrap();
         let mut stats = PlateauStats::default();
         let paths = plateau_alternatives_from_trees(
             &net,
             net.weights(),
-            &AltQuery::paper(),
+            &query,
             &PlateauOptions::default(),
             &mut stats,
             sub.forward(),

@@ -29,7 +29,10 @@ use crate::plateau::{plateau_alternatives_from_trees, PlateauOptions};
 use crate::query::AltQuery;
 use crate::substrate::SearchSubstrate;
 
-use super::{observed_call, on_tree_pair, AlternativesProvider, ProviderKind, ProviderOutcome};
+use super::{
+    lane_workspace, observed_call, on_own_tree_pair, AlternativesProvider, ProviderKind,
+    ProviderOutcome,
+};
 use crate::budget::SearchBudget;
 
 /// Deterministic synthetic traffic model producing a private copy of the
@@ -246,8 +249,9 @@ impl AlternativesProvider for GoogleLikeProvider {
                 // and `observed_call` then reports the routes priced on the
                 // public data, like the paper's query processor does for
                 // Google's routes.
+                let mut ws = lane_workspace(metrics, net, budget);
                 let (paths, interrupted) =
-                    on_tree_pair(metrics, net, &private, pair, budget, None, |sub| {
+                    on_own_tree_pair(&mut ws, net, &private, pair, query, |sub| {
                         let paths = plateau_alternatives_from_trees(
                             net,
                             &private,
@@ -260,16 +264,18 @@ impl AlternativesProvider for GoogleLikeProvider {
                         )?;
                         Ok((paths, stats.interrupted))
                     })?;
+                if interrupted {
+                    return Ok((paths, true));
+                }
                 // The commercial post-filters probe local optimality with
-                // extra point-to-point searches (run once the tree pair is
-                // dropped); skip them on an interrupted call and serve the
-                // raw partial instead.
-                Ok(if interrupted {
-                    (paths, true)
-                } else {
-                    let kept = apply_filters(net, &private, paths, query.k, &self.filters);
-                    (kept, false)
-                })
+                // extra point-to-point searches in the same workspace (run
+                // once the tree pair is dropped); a trip before or during
+                // them serves the raw set as the partial instead.
+                match apply_filters(&mut ws, net, &private, paths, query.k, &self.filters) {
+                    Ok(kept) => Ok((kept, false)),
+                    Err((CoreError::Interrupted, unfiltered)) => Ok((unfiltered, true)),
+                    Err((e, _)) => Err(e),
+                }
             },
         )
     }

@@ -142,8 +142,10 @@ pub trait AlternativesProvider: Send + Sync {
     /// when the caller built one: Plateaus and Dissimilarity read its tree
     /// pair, Penalty its base route. A provider handed `None` — or a
     /// substrate that does not answer this call
-    /// ([`SearchSubstrate::answers`]) — builds its own and continues down
-    /// the same code, so the routes are byte-identical either way. The
+    /// ([`SearchSubstrate::answers`]: other endpoints, or trees grown to
+    /// a smaller stretch than `query` needs) — builds its own and
+    /// continues down the same code, so the routes are byte-identical
+    /// either way. The
     /// Google-like provider searches *private* weights, for which a
     /// substrate of the public column would be wrong: it always builds its
     /// own.
@@ -207,25 +209,40 @@ fn lane_workspace(
 }
 
 /// Runs `sweep` on the tree pair a call is a function of: `shared` when
-/// it answers the call, else a pair grown here on `weights`, in the lane's
-/// workspace (so the technique's search counters see the two tree
-/// searches). An own build the budget interrupts yields what it had
-/// proven — the optimal route once the forward tree is complete, nothing
-/// before — as the call's partial.
+/// it answers the call, else a pair grown here ([`on_own_tree_pair`]) in a
+/// fresh lane workspace.
+#[allow(clippy::too_many_arguments)]
 fn on_tree_pair(
     metrics: &TechniqueMetrics,
     net: &RoadNetwork,
     weights: &[Weight],
     (source, target): (NodeId, NodeId),
+    query: &AltQuery,
     budget: &SearchBudget,
     shared: Option<&SearchSubstrate>,
     sweep: impl FnOnce(&SearchSubstrate) -> Run,
 ) -> Run {
-    if let Some(sub) = shared.filter(|sub| sub.answers(net, source, target)) {
+    if let Some(sub) = shared.filter(|sub| sub.answers(net, source, target, query)) {
         return sweep(sub);
     }
     let mut ws = lane_workspace(metrics, net, budget);
-    match SearchSubstrate::build_in(&mut ws, net, weights, source, target) {
+    on_own_tree_pair(&mut ws, net, weights, (source, target), query, sweep)
+}
+
+/// Runs `sweep` on a tree pair grown on `weights` to `query`'s stretch
+/// bound in the lane's workspace (so the technique's search counters see
+/// the two tree searches). A build the budget interrupts yields what it
+/// had proven — the optimal route once the forward tree is complete,
+/// nothing before — as the call's partial.
+fn on_own_tree_pair(
+    ws: &mut SearchSpace,
+    net: &RoadNetwork,
+    weights: &[Weight],
+    (source, target): (NodeId, NodeId),
+    query: &AltQuery,
+    sweep: impl FnOnce(&SearchSubstrate) -> Run,
+) -> Run {
+    match SearchSubstrate::build(ws, net, weights, source, target, query) {
         Ok(own) => sweep(&own),
         Err((CoreError::Interrupted, proven)) => Ok((proven.into_iter().collect(), true)),
         Err((e, _)) => Err(e),
@@ -272,19 +289,28 @@ impl AlternativesProvider for PlateauProvider {
             public_weights,
             TechniqueMetrics::record_plateau,
             |stats| {
-                on_tree_pair(metrics, net, public_weights, pair, budget, shared, |sub| {
-                    let paths = plateau_alternatives_from_trees(
-                        net,
-                        public_weights,
-                        query,
-                        &self.options,
-                        stats,
-                        sub.forward(),
-                        sub.backward(),
-                        budget,
-                    )?;
-                    Ok((paths, stats.interrupted))
-                })
+                on_tree_pair(
+                    metrics,
+                    net,
+                    public_weights,
+                    pair,
+                    query,
+                    budget,
+                    shared,
+                    |sub| {
+                        let paths = plateau_alternatives_from_trees(
+                            net,
+                            public_weights,
+                            query,
+                            &self.options,
+                            stats,
+                            sub.forward(),
+                            sub.backward(),
+                            budget,
+                        )?;
+                        Ok((paths, stats.interrupted))
+                    },
+                )
             },
         )
     }
@@ -344,7 +370,7 @@ impl AlternativesProvider for PenaltyProvider {
                     &self.options,
                     stats,
                     shared
-                        .filter(|sub| sub.answers(net, source, target))
+                        .filter(|sub| sub.answers(net, source, target, query))
                         .map(SearchSubstrate::base_route),
                 )?;
                 Ok((paths, stats.interrupted))
@@ -393,19 +419,28 @@ impl AlternativesProvider for DissimilarityProvider {
             public_weights,
             TechniqueMetrics::record_dissimilarity,
             |stats| {
-                on_tree_pair(metrics, net, public_weights, pair, budget, shared, |sub| {
-                    let paths = dissimilarity_alternatives_from_trees(
-                        net,
-                        public_weights,
-                        query,
-                        &self.options,
-                        stats,
-                        sub.forward(),
-                        sub.backward(),
-                        budget,
-                    )?;
-                    Ok((paths, stats.interrupted))
-                })
+                on_tree_pair(
+                    metrics,
+                    net,
+                    public_weights,
+                    pair,
+                    query,
+                    budget,
+                    shared,
+                    |sub| {
+                        let paths = dissimilarity_alternatives_from_trees(
+                            net,
+                            public_weights,
+                            query,
+                            &self.options,
+                            stats,
+                            sub.forward(),
+                            sub.backward(),
+                            budget,
+                        )?;
+                        Ok((paths, stats.interrupted))
+                    },
+                )
             },
         )
     }
@@ -588,27 +623,31 @@ mod tests {
     fn a_substrate_that_does_not_answer_the_call_is_replaced_by_an_own_build() {
         let net = grid(8);
         let (s, t) = (NodeId(0), NodeId(63));
-        let q = AltQuery::paper();
+        let wide = AltQuery::paper().with_epsilon(2.0);
         let budget = SearchBudget::unlimited();
-        // Right shape, wrong pair; right pair, wrong shape.
-        let wrong_pair =
-            SearchSubstrate::build(&net, net.weights(), NodeId(7), NodeId(56), &budget).unwrap();
-        let other = grid(9);
-        let wrong_shape = SearchSubstrate::build(&other, other.weights(), s, t, &budget).unwrap();
+        let build = |net: &RoadNetwork, s, t, query: &AltQuery| {
+            SearchSubstrate::build(&mut SearchSpace::new(net), net, net.weights(), s, t, query)
+                .unwrap()
+        };
+        // Right shape, wrong pair; right pair, wrong shape; right pair and
+        // shape, but grown to the paper's ε = 1.4 for a call at ε = 2.
+        let wrong_pair = build(&net, NodeId(7), NodeId(56), &wide);
+        let wrong_shape = build(&grid(9), s, t, &wide);
+        let too_narrow = build(&net, s, t, &AltQuery::paper());
         let reg = Registry::new();
         for p in instrumented_providers(&net, 42, &reg) {
-            let own = p.answer(&net, net.weights(), s, t, &q, &budget, None);
+            let own = p.answer(&net, net.weights(), s, t, &wide, &budget, None);
             let own = own.unwrap().routes();
-            for shared in [&wrong_pair, &wrong_shape] {
-                let fed = p.answer(&net, net.weights(), s, t, &q, &budget, Some(shared));
+            for shared in [&wrong_pair, &wrong_shape, &too_narrow] {
+                let fed = p.answer(&net, net.weights(), s, t, &wide, &budget, Some(shared));
                 assert_eq!(own, fed.unwrap().routes(), "{}", p.kind());
             }
         }
-        // Three calls each, every one on an own build: two trees for the
+        // Four calls each, every one on an own build: two trees for the
         // tree-pair techniques, so nothing was read off the wrong trees.
         for slug in ["plateaus", "dissimilarity"] {
             let queries = reg.counter_value("arp_search_queries_total", &[("technique", slug)]);
-            assert_eq!(queries, 6, "{slug}");
+            assert_eq!(queries, 8, "{slug}");
         }
     }
 

@@ -9,6 +9,7 @@ use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::geo::{haversine_m, turn_angle_deg};
 use arp_roadnet::weight::{Cost, Weight};
 
+use crate::error::CoreError;
 use crate::path::Path;
 use crate::search::SearchSpace;
 
@@ -111,20 +112,22 @@ impl LocalOptimality {
 
 /// The sliding-window probe both Abraham et al. measures read: windows
 /// of weight ≈ `fraction ×` path cost, slid across the path with ~50 %
-/// stride, each answered by one point-to-point search — at most
-/// `max_probes` of them, so it is cheap enough for interactive use.
-/// Yields `(window cost, shortest distance between its endpoints)` per
-/// probe; nothing for paths too short to probe.
+/// stride, each answered by one point-to-point search in `ws` — under its
+/// budget, into its metrics — at most `max_probes` of them, so it is
+/// cheap enough for interactive use. Yields `(window cost, shortest
+/// distance between its endpoints)` per probe; nothing for paths too
+/// short to probe. [`CoreError::Interrupted`] when the budget trips.
 pub(crate) fn window_probes(
+    ws: &mut SearchSpace,
     net: &RoadNetwork,
     weights: &[Weight],
     path: &Path,
     fraction: f64,
     max_probes: usize,
-) -> Vec<(Cost, Cost)> {
+) -> Result<Vec<(Cost, Cost)>, CoreError> {
     let t = (path.cost_ms as f64 * fraction) as Cost;
     if t == 0 || path.edges.len() < 2 {
-        return Vec::new();
+        return Ok(Vec::new());
     }
 
     // Prefix costs along the path.
@@ -134,7 +137,6 @@ pub(crate) fn window_probes(
         prefix.push(prefix.last().unwrap() + weights[e.index()] as Cost);
     }
 
-    let mut ws = SearchSpace::new(net);
     let mut probes = Vec::new();
     let mut i = 0usize;
     while i < path.edges.len() && probes.len() < max_probes {
@@ -146,15 +148,37 @@ pub(crate) fn window_probes(
         let a = path.nodes[i];
         let b = path.nodes[j];
         if a != b {
-            if let Ok(d) = ws.shortest_distance(net, weights, a, b) {
-                probes.push((prefix[j] - prefix[i], d));
+            match ws.shortest_distance(net, weights, a, b) {
+                Ok(d) => probes.push((prefix[j] - prefix[i], d)),
+                Err(e @ CoreError::Interrupted) => return Err(e),
+                Err(_) => {}
             }
         }
         // ~50% stride.
         let stride = ((j - i) / 2).max(1);
         i += stride;
     }
-    probes
+    Ok(probes)
+}
+
+/// [`window_probes`] for offline analysis: a fresh workspace under no
+/// budget, which nothing can interrupt.
+pub(crate) fn unbudgeted_window_probes(
+    net: &RoadNetwork,
+    weights: &[Weight],
+    path: &Path,
+    fraction: f64,
+    max_probes: usize,
+) -> Vec<(Cost, Cost)> {
+    window_probes(
+        &mut SearchSpace::new(net),
+        net,
+        weights,
+        path,
+        fraction,
+        max_probes,
+    )
+    .expect("an unlimited budget never interrupts")
 }
 
 /// Probes T-local optimality: windows of weight ≈ `t_fraction ×` path cost
@@ -168,7 +192,9 @@ pub fn local_optimality(
     t_fraction: f64,
     max_probes: usize,
 ) -> LocalOptimality {
-    LocalOptimality::of(&window_probes(net, weights, path, t_fraction, max_probes))
+    LocalOptimality::of(&unbudgeted_window_probes(
+        net, weights, path, t_fraction, max_probes,
+    ))
 }
 
 /// Aggregated quality report for a set of alternative routes, as used by

@@ -71,6 +71,13 @@ impl AltQuery {
         (best as f64 * self.epsilon).floor() as Cost
     }
 
+    /// How far a tree pair must be grown to answer this query: every
+    /// vertex a technique looks at has `d_f + d_b ≤` [`AltQuery::cost_bound`],
+    /// clamped to `best` so that `epsilon < 1` still reaches the target.
+    pub fn search_bound(&self, best: Cost) -> Cost {
+        self.cost_bound(best).max(best)
+    }
+
     /// Total iteration budget for iterative techniques.
     pub fn iteration_budget(&self) -> usize {
         self.k * self.max_iteration_factor.max(1)
@@ -136,6 +143,13 @@ mod tests {
         let q = AltQuery::default();
         assert_eq!(q.cost_bound(1000), 1400);
         assert_eq!(q.cost_bound(0), 0);
+        assert_eq!(q.search_bound(1000), 1400);
+        // ε < 1 admits no alternative, but the search still reaches the target.
+        let tight = q.with_epsilon(0.5);
+        assert_eq!(
+            (tight.cost_bound(1000), tight.search_bound(1000)),
+            (500, 1000)
+        );
     }
 
     #[test]

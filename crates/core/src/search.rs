@@ -295,6 +295,35 @@ impl SearchSpace {
             .map(|p| p.cost_ms)
     }
 
+    /// Grows a tree from `root` over `weights` in `direction` under `rule`
+    /// and returns its labels `≤ bound()` — read once the search is over,
+    /// so a rule may learn it on the way — every vertex re-parented
+    /// canonically (smallest tight edge): the tree depends only on the
+    /// distance labels, not on heap pop order, and the CH fast path, which
+    /// produces the same labels, yields the same tree.
+    pub(crate) fn tree_under<R: Rule>(
+        &mut self,
+        net: &RoadNetwork,
+        weights: &[Weight],
+        root: NodeId,
+        direction: Direction,
+        rule: R,
+        bound: impl FnOnce() -> Cost,
+    ) -> Result<ShortestPathTree, CoreError> {
+        if root.index() >= net.num_nodes() {
+            return Err(CoreError::InvalidNode(root));
+        }
+        let column = Column::new(net, weights)?;
+        match direction {
+            Direction::Forward => self.run(&OutEdges(column), root, rule)?,
+            Direction::Backward => self.run(&InEdges(column), root, rule)?,
+        }
+        let dist = self.labels.dense_dist(bound());
+        Ok(canonical_tree_from_dists(
+            net, weights, root, direction, dist,
+        ))
+    }
+
     /// Grows a complete shortest-path tree from `root`.
     pub fn shortest_path_tree(
         &mut self,
@@ -303,25 +332,7 @@ impl SearchSpace {
         root: NodeId,
         direction: Direction,
     ) -> Result<ShortestPathTree, CoreError> {
-        if root.index() >= net.num_nodes() {
-            return Err(CoreError::InvalidNode(root));
-        }
-        let column = Column::new(net, weights)?;
-        match direction {
-            Direction::Forward => self.run(&OutEdges(column), root, Exhaust)?,
-            Direction::Backward => self.run(&InEdges(column), root, Exhaust)?,
-        }
-        // Re-parent every vertex canonically (smallest tight edge) so the
-        // tree depends only on the distance labels, not on heap pop
-        // order. The CH fast path produces the same labels and hence the
-        // same tree.
-        Ok(canonical_tree_from_dists(
-            net,
-            weights,
-            root,
-            direction,
-            self.labels.dense_dist(),
-        ))
+        self.tree_under(net, weights, root, direction, Exhaust, || INFINITY)
     }
 
     /// A* one-to-one search using the great-circle / max-speed lower bound.

@@ -10,23 +10,29 @@
 //! [`SearchSubstrate`] is that material: one forward tree, one backward
 //! tree, the base route, and the build's [`SearchStats`].
 //!
-//! There is one input and three suppliers. A serving layer builds the
-//! substrate **once** per request — through the customizable hierarchy
-//! ([`SearchSubstrate::build_with_ch`]) or with two plain Dijkstra trees
-//! ([`SearchSubstrate::build`]) — and hands it to every provider as
+//! Every technique only looks at vertices inside the query's **stretch
+//! ellipse**, `d_f(v) + d_b(v) ≤ ε·d(s,t)`, so the request path grows the
+//! pair no further: [`SearchSubstrate::build`] runs the forward search to
+//! the bound and the backward search over the ellipse, and records the
+//! bound it grew to. Inside the ellipse labels **and parents** equal the
+//! complete trees' — every tree is re-parented by the same canonical rule,
+//! and a shortest-path predecessor of an in-ellipse vertex is itself in
+//! the ellipse — so every technique returns the routes it returns on
+//! complete trees (the differential property tests in
+//! `crates/core/tests/proptests.rs` pin this down). A serving layer builds
+//! the substrate **once** per request and hands it to every provider as
 //! `shared`; a provider handed nothing, or a substrate that does not
-//! answer its call ([`SearchSubstrate::answers`]), builds its own in its
-//! lane's workspace ([`SearchSubstrate::build_in`]) and continues down the
-//! same code. The suppliers are **byte-identical**: every tree is
-//! re-parented by the same canonical rule, and the base route read off the
-//! full forward tree equals the early-terminated [`crate::shortest_path`]
-//! result (every on-path vertex settles before the target does, because
-//! edge weights are clamped ≥ 1 ms). The property tests in
-//! `crates/core/tests/proptests.rs` pin this equivalence down.
+//! answer its call ([`SearchSubstrate::answers`] — other endpoints, or
+//! grown to a smaller bound than the call's ε needs), builds its own with
+//! the same function. [`SearchSubstrate::build_with_ch`] grows complete
+//! trees through the customizable hierarchy instead; it is measured by
+//! `repro_perf` and serves no request.
 //!
 //! Every build cooperates with cancellation: it runs under a
 //! [`SearchBudget`], and a trip mid-build surfaces as
 //! [`CoreError::Interrupted`].
+
+use std::cell::Cell;
 
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::NodeId;
@@ -35,8 +41,10 @@ use arp_roadnet::weight::{Cost, Weight, INFINITY};
 use crate::budget::SearchBudget;
 use crate::cch::{ChMetric, ChTopology};
 use crate::error::CoreError;
+use crate::kernel::{GrowToBound, InsideEllipse};
 use crate::metrics::SearchStats;
 use crate::path::Path;
+use crate::query::AltQuery;
 use crate::search::{canonical_tree_from_dists, Direction, SearchSpace, ShortestPathTree};
 
 /// Per-request search artifacts shared read-only across techniques:
@@ -46,10 +54,10 @@ use crate::search::{canonical_tree_from_dists, Direction, SearchSpace, ShortestP
 /// The artifact is tied to the weight column it was built on; callers
 /// that query several columns (e.g. the Google-like provider's private
 /// weights) must not share one substrate across them. The guards check
-/// what can be checked cheaply — endpoints and network shape
-/// ([`SearchSubstrate::answers`]) and the traffic epoch
-/// ([`SearchSubstrate::matches`]); within one epoch, keeping column and
-/// substrate paired is the supplier's contract.
+/// what can be checked cheaply — endpoints, network shape and the bound
+/// the trees were grown to ([`SearchSubstrate::answers`]) and the traffic
+/// epoch ([`SearchSubstrate::matches`]); within one epoch, keeping column
+/// and substrate paired is the supplier's contract.
 #[derive(Clone, Debug)]
 pub struct SearchSubstrate {
     source: NodeId,
@@ -57,6 +65,9 @@ pub struct SearchSubstrate {
     num_nodes: usize,
     num_edges: usize,
     epoch: u64,
+    /// Every vertex with `d_f + d_b ≤ bound` carries its exact labels;
+    /// [`INFINITY`] for complete trees.
+    bound: Cost,
     builder: &'static str,
     forward: ShortestPathTree,
     backward: ShortestPathTree,
@@ -65,24 +76,12 @@ pub struct SearchSubstrate {
 }
 
 impl SearchSubstrate {
-    /// Builds the substrate with two plain Dijkstra trees in a fresh
-    /// workspace polling `budget`; see [`SearchSubstrate::build_in`].
-    pub fn build(
-        net: &RoadNetwork,
-        weights: &[Weight],
-        source: NodeId,
-        target: NodeId,
-        budget: &SearchBudget,
-    ) -> Result<SearchSubstrate, CoreError> {
-        let mut ws = SearchSpace::new(net);
-        ws.set_budget(budget.clone());
-        Self::build_in(&mut ws, net, weights, source, target).map_err(|(error, _)| error)
-    }
-
-    /// Grows the forward tree from `source` and the backward tree from
-    /// `target` in `ws` — under its budget, into its metrics — and reads
-    /// the base route off the forward tree. This is the one place a tree
-    /// pair is grown for a request.
+    /// Grows the tree pair of `query` in `ws` — under its budget, into its
+    /// metrics: the forward tree from `source` to the stretch bound
+    /// `query.search_bound(d(source, target))`, the backward tree from
+    /// `target` over the ellipse inside it, and the base route read off the
+    /// forward tree. This is the one place a tree pair is grown for a
+    /// request.
     ///
     /// Failures: [`CoreError::SameSourceTarget`] for `source == target`,
     /// [`CoreError::Unreachable`] when the forward tree never reaches
@@ -90,25 +89,41 @@ impl SearchSubstrate {
     /// error carries the base route when the forward tree had already
     /// proven it — a trip during the backward tree — so an interrupted
     /// caller still has the optimal route to serve as its partial.
-    pub fn build_in(
+    pub fn build(
         ws: &mut SearchSpace,
         net: &RoadNetwork,
         weights: &[Weight],
         source: NodeId,
         target: NodeId,
+        query: &AltQuery,
     ) -> Result<SearchSubstrate, (CoreError, Option<Path>)> {
         if source == target {
             return Err((CoreError::SameSourceTarget(source), None));
         }
+        let bound = Cell::new(INFINITY);
+        let to_bound = GrowToBound {
+            target: target.0,
+            query,
+            bound: &bound,
+        };
         let forward = ws
-            .shortest_path_tree(net, weights, source, Direction::Forward)
+            .tree_under(net, weights, source, Direction::Forward, to_bound, || {
+                bound.get()
+            })
             .map_err(|e| (e, None))?;
         let mut build_stats = ws.last_stats();
         if !forward.reached(target) {
             return Err((CoreError::Unreachable { source, target }, None));
         }
+        let bound = bound.get();
+        let inside = InsideEllipse {
+            forward: &forward.dist,
+            bound,
+        };
         let backward = ws
-            .shortest_path_tree(net, weights, target, Direction::Backward)
+            .tree_under(net, weights, target, Direction::Backward, inside, || {
+                INFINITY
+            })
             .map_err(|e| (e, Some(base_route(net, weights, &forward, target))))?;
         build_stats.accumulate(&ws.last_stats());
         Ok(Self::assemble(
@@ -117,7 +132,8 @@ impl SearchSubstrate {
             forward,
             backward,
             build_stats,
-            "dijkstra",
+            bound,
+            "bounded",
         ))
     }
 
@@ -127,9 +143,9 @@ impl SearchSubstrate {
     /// the exact forward/backward distance arrays, and the trees are
     /// re-parented by the same canonical rule
     /// ([`crate::search::SearchSpace::shortest_path_tree`] uses it too),
-    /// so the result is **byte-identical** to [`SearchSubstrate::build`]
-    /// — same trees, same base route — while settling only the upward
-    /// search cones instead of the whole graph twice.
+    /// so the result is **byte-identical** to a pair of complete Dijkstra
+    /// trees — and to [`SearchSubstrate::build`] on every vertex inside
+    /// its bound — while settling only the upward search cones.
     ///
     /// The caller owns the pairing contract: `metric` must be customized
     /// from `weights`. A metric from another epoch's column would produce
@@ -177,6 +193,7 @@ impl SearchSubstrate {
             forward,
             backward,
             build_stats,
+            INFINITY,
             "ch",
         ))
     }
@@ -189,6 +206,7 @@ impl SearchSubstrate {
         forward: ShortestPathTree,
         backward: ShortestPathTree,
         build_stats: SearchStats,
+        bound: Cost,
         builder: &'static str,
     ) -> SearchSubstrate {
         SearchSubstrate {
@@ -197,6 +215,7 @@ impl SearchSubstrate {
             num_nodes: net.num_nodes(),
             num_edges: net.num_edges(),
             epoch: 0,
+            bound,
             builder,
             base: base_route(net, weights, &forward, backward.root),
             forward,
@@ -220,13 +239,18 @@ impl SearchSubstrate {
         self.epoch
     }
 
-    /// Which supplier grew the trees: `"ch"`
-    /// ([`SearchSubstrate::build_with_ch`]) or `"dijkstra"`
-    /// ([`SearchSubstrate::build`] / [`SearchSubstrate::build_in`]).
-    /// Recorded at build time, so a trace reports the builder that ran
-    /// rather than the one that would run now.
+    /// Which supplier grew the trees: `"bounded"`
+    /// ([`SearchSubstrate::build`]) or `"ch"`
+    /// ([`SearchSubstrate::build_with_ch`]).
     pub fn builder(&self) -> &'static str {
         self.builder
+    }
+
+    /// The via-cost the pair was grown to: every vertex with
+    /// `d_f + d_b ≤ bound` carries the labels and parents of the complete
+    /// trees, nothing beyond it is promised.
+    pub fn bound(&self) -> Cost {
+        self.bound
     }
 
     /// The request's source vertex (the forward tree's root).
@@ -255,18 +279,6 @@ impl SearchSubstrate {
         &self.base
     }
 
-    /// Per-node forward distances `d(source → v)`
-    /// ([`arp_roadnet::weight::INFINITY`] = unreached) — the pruning
-    /// array via-node sweeps and Yen-style deviation searches consult.
-    pub fn forward_distances(&self) -> &[Cost] {
-        &self.forward.dist
-    }
-
-    /// Per-node backward distances `d(v → target)`.
-    pub fn backward_distances(&self) -> &[Cost] {
-        &self.backward.dist
-    }
-
     /// Work counters of the substrate build (both tree searches
     /// accumulated) — what each reusing technique *saves*, and what the
     /// serving layer charges against the request exactly once.
@@ -274,16 +286,25 @@ impl SearchSubstrate {
         self.build_stats
     }
 
-    /// Whether this substrate answers (`source`, `target`) on a network
-    /// of the same shape — the structural half of the reuse guard, which
-    /// every provider checks on the substrate it is handed. A provider
-    /// builds its own on a mismatch, so a misrouted substrate degrades
-    /// to correct (if slower) behaviour instead of wrong routes.
-    pub fn answers(&self, net: &RoadNetwork, source: NodeId, target: NodeId) -> bool {
+    /// Whether this substrate answers `query` for (`source`, `target`) on
+    /// a network of the same shape: the endpoints match and the trees were
+    /// grown at least as far as `query`'s stretch needs — the structural
+    /// half of the reuse guard, which every provider checks on the
+    /// substrate it is handed. A provider builds its own on a mismatch, so
+    /// a misrouted or too-narrow substrate degrades to correct (if slower)
+    /// behaviour instead of wrong or missing routes.
+    pub fn answers(
+        &self,
+        net: &RoadNetwork,
+        source: NodeId,
+        target: NodeId,
+        query: &AltQuery,
+    ) -> bool {
         self.source == source
             && self.target == target
             && self.num_nodes == net.num_nodes()
             && self.num_edges == net.num_edges()
+            && self.bound >= query.search_bound(self.base.cost_ms)
     }
 
     /// [`SearchSubstrate::answers`] **at `epoch`** — the full guard, for
@@ -291,8 +312,15 @@ impl SearchSubstrate {
     /// check rejects cross-epoch reuse after a live-traffic tick; within
     /// one epoch the *weight overlay* is still not fingerprinted (that
     /// would cost O(E) per check).
-    pub fn matches(&self, net: &RoadNetwork, source: NodeId, target: NodeId, epoch: u64) -> bool {
-        self.epoch == epoch && self.answers(net, source, target)
+    pub fn matches(
+        &self,
+        net: &RoadNetwork,
+        source: NodeId,
+        target: NodeId,
+        query: &AltQuery,
+        epoch: u64,
+    ) -> bool {
+        self.epoch == epoch && self.answers(net, source, target, query)
     }
 }
 
@@ -314,16 +342,52 @@ mod tests {
     use super::*;
     use crate::fixtures::grid;
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
+    use arp_roadnet::weight::CLOSED;
 
     use arp_roadnet::geo::Point;
+
+    /// The bounded build of `query` in a fresh, unbudgeted workspace.
+    fn build(
+        net: &RoadNetwork,
+        weights: &[Weight],
+        (s, t): (u32, u32),
+        query: &AltQuery,
+    ) -> Result<SearchSubstrate, CoreError> {
+        let mut ws = SearchSpace::new(net);
+        SearchSubstrate::build(&mut ws, net, weights, NodeId(s), NodeId(t), query)
+            .map_err(|(error, _)| error)
+    }
+
+    /// The complete forward and backward trees of the pair.
+    fn complete_trees(
+        net: &RoadNetwork,
+        weights: &[Weight],
+        (s, t): (u32, u32),
+    ) -> (ShortestPathTree, ShortestPathTree) {
+        let mut ws = SearchSpace::new(net);
+        let fwd = ws.shortest_path_tree(net, weights, NodeId(s), Direction::Forward);
+        let bwd = ws.shortest_path_tree(net, weights, NodeId(t), Direction::Backward);
+        (fwd.unwrap(), bwd.unwrap())
+    }
+
+    /// Every fourth edge slowed 2×, one closed.
+    fn overlay(net: &RoadNetwork) -> Vec<Weight> {
+        let mut overlay = net.weights().to_vec();
+        for (i, w) in overlay.iter_mut().enumerate() {
+            if i % 4 == 1 {
+                *w = w.saturating_mul(2).min(u32::MAX - 1);
+            }
+        }
+        overlay[3] = CLOSED;
+        overlay
+    }
 
     #[test]
     fn base_route_equals_direct_shortest_path() {
         let net = grid(8);
-        let (s, t) = (NodeId(0), NodeId(63));
-        let sub =
-            SearchSubstrate::build(&net, net.weights(), s, t, &SearchBudget::unlimited()).unwrap();
-        let direct = crate::search::shortest_path(&net, net.weights(), s, t).unwrap();
+        let sub = build(&net, net.weights(), (0, 63), &AltQuery::paper()).unwrap();
+        let direct = crate::search::shortest_path(&net, net.weights(), NodeId(0), NodeId(63));
+        let direct = direct.unwrap();
         assert_eq!(sub.base_route().edges, direct.edges);
         assert_eq!(sub.base_route().cost_ms, direct.cost_ms);
         assert_eq!(sub.base_route().nodes, direct.nodes);
@@ -333,58 +397,55 @@ mod tests {
     fn trees_are_rooted_and_oriented() {
         let net = grid(6);
         let (s, t) = (NodeId(0), NodeId(35));
-        let sub =
-            SearchSubstrate::build(&net, net.weights(), s, t, &SearchBudget::unlimited()).unwrap();
+        let sub = build(&net, net.weights(), (0, 35), &AltQuery::paper()).unwrap();
         assert_eq!(sub.forward().root, s);
         assert_eq!(sub.forward().direction, Direction::Forward);
         assert_eq!(sub.backward().root, t);
         assert_eq!(sub.backward().direction, Direction::Backward);
-        assert_eq!(sub.forward_distances()[t.index()], sub.base_route().cost_ms);
-        assert_eq!(
-            sub.backward_distances()[s.index()],
-            sub.base_route().cost_ms
+        assert_eq!(sub.forward().distance(t), sub.base_route().cost_ms);
+        assert_eq!(sub.backward().distance(s), sub.base_route().cost_ms);
+        assert_eq!(sub.builder(), "bounded");
+    }
+
+    #[test]
+    fn build_counts_both_tree_searches_and_stops_at_the_bound() {
+        let net = grid(16);
+        let n = net.num_nodes() as u64;
+        // A stretch so wide that the ellipse is the whole graph: two
+        // complete sweeps.
+        let everything = AltQuery::paper().with_epsilon(1e3);
+        let sub = build(&net, net.weights(), (0, 255), &everything).unwrap();
+        assert_eq!(sub.build_stats().settled, 2 * n);
+        assert!(sub.build_stats().heap_pops >= sub.build_stats().settled);
+        // Two blocks apart at the paper's ε: a handful of vertices.
+        let near = build(&net, net.weights(), (0, 2), &AltQuery::paper()).unwrap();
+        assert!(
+            near.build_stats().settled < n / 8,
+            "a near pair must not sweep the city: {:?}",
+            near.build_stats()
         );
     }
 
     #[test]
-    fn build_counts_both_tree_searches() {
-        let net = grid(6);
-        let sub = SearchSubstrate::build(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(35),
-            &SearchBudget::unlimited(),
-        )
-        .unwrap();
-        // Both trees settle every reachable vertex: two full sweeps.
-        assert_eq!(sub.build_stats().settled, 2 * net.num_nodes() as u64);
-        assert!(sub.build_stats().heap_pops >= sub.build_stats().settled);
+    fn epsilon_below_one_still_proves_the_base_route() {
+        let net = grid(8);
+        let tight = AltQuery::paper().with_epsilon(0.5);
+        let sub = build(&net, net.weights(), (0, 63), &tight).unwrap();
+        let direct = crate::search::shortest_path(&net, net.weights(), NodeId(0), NodeId(63));
+        assert_eq!(sub.base_route().edges, direct.unwrap().edges);
+        assert_eq!(sub.bound(), sub.base_route().cost_ms);
     }
 
     #[test]
-    fn ch_build_is_byte_identical_to_dijkstra_build() {
+    fn ch_build_is_byte_identical_to_complete_dijkstra_trees() {
         let net = grid(8);
         let topo = ChTopology::build(&net);
         // Identity column and a slowed overlay with a closure.
-        let mut overlay = net.weights().to_vec();
-        for (i, w) in overlay.iter_mut().enumerate() {
-            if i % 4 == 1 {
-                *w = w.saturating_mul(2).min(u32::MAX - 1);
-            }
-        }
-        overlay[3] = arp_roadnet::weight::CLOSED;
-        for column in [net.weights(), &overlay[..]] {
+        let slowed = overlay(&net);
+        for column in [net.weights(), &slowed[..]] {
             let metric = topo.customize(&net, column).unwrap();
             for (s, t) in [(0u32, 63u32), (7, 56), (20, 43)] {
-                let plain = SearchSubstrate::build(
-                    &net,
-                    column,
-                    NodeId(s),
-                    NodeId(t),
-                    &SearchBudget::unlimited(),
-                )
-                .unwrap();
+                let (fwd, bwd) = complete_trees(&net, column, (s, t));
                 let fast = SearchSubstrate::build_with_ch(
                     &net,
                     column,
@@ -395,30 +456,23 @@ mod tests {
                     &SearchBudget::unlimited(),
                 )
                 .unwrap();
-                assert_eq!(fast.forward().dist, plain.forward().dist, "{s}->{t}");
-                assert_eq!(fast.forward().parent, plain.forward().parent, "{s}->{t}");
-                assert_eq!(fast.backward().dist, plain.backward().dist, "{s}->{t}");
-                assert_eq!(fast.backward().parent, plain.backward().parent, "{s}->{t}");
+                assert_eq!(fast.forward().dist, fwd.dist, "{s}->{t}");
+                assert_eq!(fast.forward().parent, fwd.parent, "{s}->{t}");
+                assert_eq!(fast.backward().dist, bwd.dist, "{s}->{t}");
+                assert_eq!(fast.backward().parent, bwd.parent, "{s}->{t}");
+                let plain = build(&net, column, (s, t), &AltQuery::paper()).unwrap();
                 assert_eq!(fast.base_route().edges, plain.base_route().edges);
                 assert_eq!(fast.base_route().cost_ms, plain.base_route().cost_ms);
-                assert_eq!((plain.builder(), fast.builder()), ("dijkstra", "ch"));
+                assert_eq!((fast.builder(), fast.bound()), ("ch", INFINITY));
             }
         }
     }
 
     #[test]
-    fn ch_build_settles_fewer_nodes() {
+    fn ch_build_settles_fewer_nodes_than_two_complete_trees() {
         let net = grid(16);
         let topo = ChTopology::build(&net);
         let metric = topo.customize(&net, net.weights()).unwrap();
-        let plain = SearchSubstrate::build(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(255),
-            &SearchBudget::unlimited(),
-        )
-        .unwrap();
         let fast = SearchSubstrate::build_with_ch(
             &net,
             net.weights(),
@@ -430,10 +484,9 @@ mod tests {
         )
         .unwrap();
         assert!(
-            fast.build_stats().settled < plain.build_stats().settled,
-            "CH build must settle fewer nodes ({} vs {})",
-            fast.build_stats().settled,
-            plain.build_stats().settled
+            fast.build_stats().settled < 2 * net.num_nodes() as u64,
+            "CH build must settle only the upward cones ({})",
+            fast.build_stats().settled
         );
     }
 
@@ -486,13 +539,7 @@ mod tests {
     fn same_source_target_is_an_error() {
         let net = grid(4);
         assert!(matches!(
-            SearchSubstrate::build(
-                &net,
-                net.weights(),
-                NodeId(3),
-                NodeId(3),
-                &SearchBudget::unlimited()
-            ),
+            build(&net, net.weights(), (3, 3), &AltQuery::paper()),
             Err(CoreError::SameSourceTarget(_))
         ));
     }
@@ -505,54 +552,42 @@ mod tests {
         b.add_edge(a, c, EdgeSpec::default());
         let net = b.build();
         assert!(matches!(
-            SearchSubstrate::build(
-                &net,
-                net.weights(),
-                NodeId(1),
-                NodeId(0),
-                &SearchBudget::unlimited()
-            ),
+            build(&net, net.weights(), (1, 0), &AltQuery::paper()),
             Err(CoreError::Unreachable { .. })
         ));
     }
 
     #[test]
-    fn cancelled_budget_interrupts_the_build() {
-        let net = grid(8);
-        let budget = SearchBudget::new();
-        budget.cancel();
-        assert!(matches!(
-            SearchSubstrate::build(&net, net.weights(), NodeId(0), NodeId(63), &budget),
-            Err(CoreError::Interrupted)
-        ));
-    }
-
-    #[test]
-    fn context_filters_mismatched_substrates() {
+    fn reuse_guard_checks_endpoints_shape_and_bound() {
         let net = grid(6);
         let (s, t) = (NodeId(0), NodeId(35));
-        let sub =
-            SearchSubstrate::build(&net, net.weights(), s, t, &SearchBudget::unlimited()).unwrap();
-        assert!(sub.answers(&net, s, t));
+        let paper = AltQuery::paper();
+        let sub = build(&net, net.weights(), (0, 35), &paper).unwrap();
+        assert!(sub.answers(&net, s, t, &paper));
         // Wrong endpoints → no reuse.
-        assert!(!sub.answers(&net, s, NodeId(34)));
-        assert!(!sub.answers(&net, NodeId(1), t));
+        assert!(!sub.answers(&net, s, NodeId(34), &paper));
+        assert!(!sub.answers(&net, NodeId(1), t, &paper));
         // Different network shape → no reuse.
         let other = grid(5);
-        assert!(!sub.answers(&other, s, t));
+        assert!(!sub.answers(&other, s, t, &paper));
+        // Grown to ε = 1.4: answers any narrower query, no wider one.
+        assert!(sub.answers(&net, s, t, &paper.with_epsilon(1.2)));
+        assert!(sub.answers(&net, s, t, &paper.with_epsilon(0.3)));
+        assert!(!sub.answers(&net, s, t, &paper.with_epsilon(2.0)));
     }
 
     #[test]
-    fn interrupted_backward_tree_hands_back_the_proven_base_route() {
+    fn interrupted_build_hands_back_what_the_forward_tree_proved() {
         let net = grid(8);
         let (s, t) = (NodeId(0), NodeId(63));
+        let query = AltQuery::paper();
         // Cap of one pop: the forward tree completes (residual pops are
         // charged at the end), the cap trips sticky, and the backward
         // tree's entry poll interrupts.
         let mut ws = SearchSpace::new(&net);
         ws.set_budget(SearchBudget::new().with_expansion_cap(1));
         let Err((CoreError::Interrupted, Some(base))) =
-            SearchSubstrate::build_in(&mut ws, &net, net.weights(), s, t)
+            SearchSubstrate::build(&mut ws, &net, net.weights(), s, t, &query)
         else {
             panic!("the trip must land between the two trees");
         };
@@ -563,7 +598,7 @@ mod tests {
         cancelled.cancel();
         ws.set_budget(cancelled);
         assert!(matches!(
-            SearchSubstrate::build_in(&mut ws, &net, net.weights(), s, t),
+            SearchSubstrate::build(&mut ws, &net, net.weights(), s, t, &query),
             Err((CoreError::Interrupted, None))
         ));
     }
@@ -572,16 +607,18 @@ mod tests {
     fn cross_epoch_reuse_is_rejected() {
         let net = grid(6);
         let (s, t) = (NodeId(0), NodeId(35));
-        let sub = SearchSubstrate::build(&net, net.weights(), s, t, &SearchBudget::unlimited())
+        let q = AltQuery::paper();
+        let sub = build(&net, net.weights(), (0, 35), &q)
             .unwrap()
             .with_epoch(7);
         assert_eq!(sub.epoch(), 7);
-        assert!(sub.matches(&net, s, t, 7));
-        assert!(!sub.matches(&net, s, t, 8), "post-tick reuse must fail");
-        assert!(!sub.matches(&net, s, t, 0));
+        assert!(sub.matches(&net, s, t, &q, 7));
+        assert!(!sub.matches(&net, s, t, &q, 8), "post-tick reuse must fail");
+        assert!(!sub.matches(&net, s, t, &q, 0));
         // The epoch is checked on top of the structural guard, not
         // instead of it.
-        assert!(sub.answers(&net, s, t));
-        assert!(!sub.matches(&net, s, NodeId(34), 7));
+        assert!(sub.answers(&net, s, t, &q));
+        assert!(!sub.matches(&net, s, NodeId(34), &q, 7));
+        assert!(!sub.matches(&net, s, t, &q.with_epsilon(2.0), 7));
     }
 }

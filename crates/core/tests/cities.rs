@@ -97,6 +97,7 @@ fn cch_is_exact_on_all_cities_under_overlays() {
     // identity column, per-edge slowdowns, a category-wide slowdown,
     // and closures. One topology per city, one cheap customization per
     // column.
+    use arp_core::search::Direction;
     use arp_core::{ChTopology, SearchSubstrate};
     use arp_roadnet::category::RoadCategory;
     use arp_roadnet::weight::CLOSED;
@@ -140,16 +141,17 @@ fn cch_is_exact_on_all_cities_under_overlays() {
                 );
                 let Some(expect) = expect else { continue };
                 // Unpacked edge lists: the standalone CH path is exact
-                // and valid; the substrate fast path is byte-identical
-                // to the Dijkstra-built substrate.
+                // and valid; the substrate built through the hierarchy is
+                // byte-identical to the complete Dijkstra tree pair.
                 let unpacked = topo.shortest_path(&metric, net, column, s, t).unwrap();
                 assert_eq!(unpacked.cost_ms, expect, "{city}/{label}");
                 assert!(unpacked.validate(net), "{city}/{label}");
                 for e in &unpacked.edges {
                     assert_ne!(column[e.index()], CLOSED, "{city}/{label}: closed edge");
                 }
-                let plain =
-                    SearchSubstrate::build(net, column, s, t, &SearchBudget::unlimited()).unwrap();
+                let base = ws.shortest_path(net, column, s, t).unwrap();
+                let fwd = ws.shortest_path_tree(net, column, s, Direction::Forward);
+                let bwd = ws.shortest_path_tree(net, column, t, Direction::Backward);
                 let fast = SearchSubstrate::build_with_ch(
                     net,
                     column,
@@ -162,17 +164,13 @@ fn cch_is_exact_on_all_cities_under_overlays() {
                 .unwrap();
                 assert_eq!(
                     fast.base_route().edges,
-                    plain.base_route().edges,
+                    base.edges,
                     "{city}/{label}: base route drifted"
                 );
-                assert_eq!(
-                    fast.forward().parent,
-                    plain.forward().parent,
-                    "{city}/{label}"
-                );
+                assert_eq!(fast.forward().parent, fwd.unwrap().parent, "{city}/{label}");
                 assert_eq!(
                     fast.backward().parent,
-                    plain.backward().parent,
+                    bwd.unwrap().parent,
                     "{city}/{label}"
                 );
             }
@@ -313,9 +311,10 @@ fn google_like_routes_flip_under_public_pricing_somewhere() {
 #[test]
 fn search_work_counters_are_pinned_on_dhaka() {
     // `(settled, heap_pops, relaxed)` summed over a fixed query set, as
-    // counted before the search loops were folded into one kernel. The
-    // counters feed `reports/perf.txt` and the benchmark's `core.*`
-    // ledger, so a refactor of the kernel must reproduce them exactly.
+    // counted before the search loops were folded into one kernel (the
+    // bounded tree pair: as first built). The counters feed
+    // `reports/perf.txt` and the benchmark's `core.*` ledger, so a
+    // refactor of the kernel must reproduce them exactly.
     use arp_core::search::Direction;
     use arp_core::{BidirSearch, ChTopology, SearchStats};
 
@@ -327,7 +326,8 @@ fn search_work_counters_are_pinned_on_dhaka() {
     let topo = ChTopology::build(net);
     let metric = topo.customize(net, w).unwrap();
     let budget = SearchBudget::unlimited();
-    let [mut one, mut fwd, mut bwd, mut bidir, mut phast] = [SearchStats::default(); 5];
+    let [mut one, mut fwd, mut bwd, mut bidir, mut phast, mut bounded] =
+        [SearchStats::default(); 6];
     for (s, t) in sample_pairs(net, 12) {
         ws.shortest_path(net, w, s, t).unwrap();
         one.accumulate(&ws.last_stats());
@@ -343,8 +343,11 @@ fn search_work_counters_are_pinned_on_dhaka() {
             topo.phast_distances(&metric, root, direction, &budget, &mut phast)
                 .unwrap();
         }
+        let sub = SearchSubstrate::build(&mut ws, net, w, s, t, &AltQuery::paper()).unwrap();
+        bounded.accumulate(&sub.build_stats());
     }
-    let counted = [one, fwd, bwd, bidir, phast].map(|s| (s.settled, s.heap_pops, s.relaxed));
+    let counted =
+        [one, fwd, bwd, bidir, phast, bounded].map(|s| (s.settled, s.heap_pops, s.relaxed));
     assert_eq!(
         counted,
         [
@@ -353,8 +356,95 @@ fn search_work_counters_are_pinned_on_dhaka() {
             (21528, 23236, 60624),
             (5427, 5823, 15380),
             (1446, 2994, 248864),
+            (18830, 20310, 53675),
         ],
-        "one-to-one, forward trees, backward trees, bidirectional, PHAST"
+        "one-to-one, forward trees, backward trees, bidirectional, PHAST, bounded tree pairs"
+    );
+}
+
+#[test]
+fn bounded_tree_pair_equals_the_complete_pair_inside_the_ellipse_on_a_medium_city() {
+    // Paper scale (~10k nodes): near, mid and far pairs, on the base
+    // weights and with every ninth edge slowed and every 50th closed.
+    // Inside the stretch ellipse the bounded pair is the complete pair —
+    // labels and parents — so Plateaus and SSVP-D+ cannot tell them apart.
+    use arp_core::search::Direction;
+    use arp_core::{plateau_alternatives_from_trees, PlateauStats};
+    use arp_roadnet::weight::{CLOSED, INFINITY};
+
+    let g = arp_citygen::generate(City::Copenhagen, Scale::Medium, 5);
+    let net = &g.network;
+    let n = net.num_nodes() as u32;
+    let mut overlay = net.weights().to_vec();
+    for (i, w) in overlay.iter_mut().enumerate() {
+        match i % 450 {
+            0 => *w = CLOSED,
+            r if r % 9 == 0 => *w = w.saturating_mul(3).min(u32::MAX - 1),
+            _ => {}
+        }
+    }
+    let (q, budget) = (AltQuery::paper(), SearchBudget::unlimited());
+    let mut ws = SearchSpace::new(net);
+    let (mut pairs, mut pruned) = (0, 0);
+    for column in [net.weights(), &overlay[..]] {
+        for i in 0..6u32 {
+            // Hops of 3, 60, 117, … vertex ids: ids are laid out block by
+            // block, so the pairs range from next door to across town.
+            let s = NodeId((i * 1931 + 17) % n);
+            let t = NodeId((s.0 + 3 + i * i * 57) % n);
+            let Ok(sub) = SearchSubstrate::build(&mut ws, net, column, s, t, &q) else {
+                continue;
+            };
+            let fwd = ws.shortest_path_tree(net, column, s, Direction::Forward);
+            let bwd = ws.shortest_path_tree(net, column, t, Direction::Backward);
+            let (fwd, bwd) = (fwd.unwrap(), bwd.unwrap());
+            let bound = sub.bound();
+            assert_eq!(bound, q.search_bound(fwd.distance(t)), "{s}->{t}");
+            for v in 0..n as usize {
+                let (df, db) = (fwd.dist[v], bwd.dist[v]);
+                if df != INFINITY && db != INFINITY && df + db <= bound {
+                    assert_eq!(sub.forward().dist[v], df, "{s}->{t}: d_f({v})");
+                    assert_eq!(sub.backward().dist[v], db, "{s}->{t}: d_b({v})");
+                    assert_eq!(sub.forward().parent[v], fwd.parent[v], "{s}->{t}: {v}");
+                    assert_eq!(sub.backward().parent[v], bwd.parent[v], "{s}->{t}: {v}");
+                } else {
+                    assert_eq!(sub.backward().dist[v], INFINITY, "{s}->{t}: {v}");
+                    assert!(sub.forward().dist[v] == INFINITY || df <= bound);
+                }
+            }
+            let plateaus = |f, b| {
+                let options = PlateauOptions::default();
+                let mut stats = PlateauStats::default();
+                plateau_alternatives_from_trees(
+                    net, column, &q, &options, &mut stats, f, b, &budget,
+                )
+            };
+            assert_eq!(
+                plateaus(sub.forward(), sub.backward()),
+                plateaus(&fwd, &bwd),
+                "{s}->{t}: Plateaus"
+            );
+            let ssvp = |f, b| {
+                let options = DissimilarityOptions::default();
+                let mut stats = DissimilarityStats::default();
+                let paths = dissimilarity_alternatives_from_trees(
+                    net, column, &q, &options, &mut stats, f, b, &budget,
+                );
+                (paths, stats)
+            };
+            assert_eq!(
+                ssvp(sub.forward(), sub.backward()),
+                ssvp(&fwd, &bwd),
+                "{s}->{t}: SSVP-D+"
+            );
+            pairs += 1;
+            pruned += usize::from(sub.build_stats().settled < u64::from(n) / 2);
+        }
+    }
+    assert!(pairs >= 10, "only {pairs} of 12 pairs were routable");
+    assert!(
+        pruned >= 4,
+        "only {pruned} builds stayed under a quarter of two sweeps"
     );
 }
 
@@ -431,18 +521,13 @@ fn all_four_providers_route_digest_is_pinned() {
 fn long_sweep_fixture() -> (arp_citygen::GeneratedCity, SearchSubstrate, AltQuery) {
     let g = arp_citygen::generate(City::Dhaka, Scale::Small, 31);
     let (s, t) = corner_query(&g.network);
-    let sub = SearchSubstrate::build(
-        &g.network,
-        g.network.weights(),
-        s,
-        t,
-        &SearchBudget::unlimited(),
-    )
-    .unwrap();
     let query = AltQuery::paper()
         .with_k(5)
         .with_theta(0.7)
         .with_epsilon(3.0);
+    let mut ws = SearchSpace::new(&g.network);
+    let sub =
+        SearchSubstrate::build(&mut ws, &g.network, g.network.weights(), s, t, &query).unwrap();
     (g, sub, query)
 }
 

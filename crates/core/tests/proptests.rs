@@ -313,7 +313,8 @@ fn check_sweep_against_reference(
     options: &DissimilarityOptions,
 ) -> Result<Option<u64>, String> {
     let budget = SearchBudget::unlimited();
-    let Ok(sub) = arp_core::SearchSubstrate::build(net, weights, s, t, &budget) else {
+    let mut ws = SearchSpace::new(net);
+    let Ok(sub) = arp_core::SearchSubstrate::build(&mut ws, net, weights, s, t, query) else {
         return Ok(None);
     };
     let (fwd, bwd) = (sub.forward(), sub.backward());
@@ -367,6 +368,148 @@ fn check_sweep_against_reference(
         ));
     }
     Ok(Some(visited))
+}
+
+/// The canonical parent of `v` read off reference labels: the smallest
+/// tight open edge. Shares no code with `canonical_parent_edge`.
+fn reference_parent(
+    net: &RoadNetwork,
+    weights: &[Weight],
+    dist: &[Cost],
+    v: NodeId,
+    direction: Direction,
+) -> EdgeId {
+    let tight = |e: &EdgeId, u: NodeId| {
+        weights[e.index()] != CLOSED
+            && dist[u.index()] != INFINITY
+            && dist[u.index()] + weights[e.index()] as Cost == dist[v.index()]
+    };
+    let best = match direction {
+        Direction::Forward => net.in_edges(v).filter(|e| tight(e, net.tail(*e))).min(),
+        Direction::Backward => net.out_edges(v).filter(|e| tight(e, net.head(*e))).min(),
+    };
+    best.unwrap_or(EdgeId::INVALID)
+}
+
+/// The bounded builder against [`reference_dijkstra`] and against the
+/// complete tree pair, for one query: (a) inside the stretch ellipse
+/// both trees carry the reference label and the canonical parent, (b) no
+/// kept label lies beyond the bound, (c) same-endpoint, unreachable and
+/// cancelled-budget errors are the ones a pair of complete trees gives,
+/// (d) Plateaus and SSVP-D+ return the same edge lists (and SSVP-D+ the
+/// same funnel) on the bounded and on the complete pair. `Ok(false)`
+/// when the pair is unroutable.
+fn check_bounded_build(
+    net: &RoadNetwork,
+    weights: &[Weight],
+    (s, t): (NodeId, NodeId),
+    query: &AltQuery,
+) -> Result<bool, String> {
+    let what = format!("{s}->{t} eps={}", query.epsilon);
+    let build = |ws: &mut SearchSpace| {
+        arp_core::SearchSubstrate::build(ws, net, weights, s, t, query).map_err(|(e, _)| e)
+    };
+    let mut ws = SearchSpace::new(net);
+    let cancelled = SearchBudget::new();
+    cancelled.cancel();
+    ws.set_budget(cancelled);
+    let interrupted = ws.shortest_path_tree(net, weights, s, Direction::Forward);
+    if s != t && build(&mut ws).err() != interrupted.err() {
+        return Err(format!("{what}: a cancelled build must be Interrupted"));
+    }
+    ws.set_budget(SearchBudget::unlimited());
+
+    let from_s = reference_dijkstra(net, weights, s, Direction::Forward);
+    let to_t = reference_dijkstra(net, weights, t, Direction::Backward);
+    let best = from_s[t.index()];
+    let sub = match build(&mut ws) {
+        Err(CoreError::SameSourceTarget(_)) if s == t => return Ok(false),
+        Err(CoreError::Unreachable { .. }) if s != t && best == INFINITY => return Ok(false),
+        Ok(sub) if s != t && best != INFINITY => sub,
+        other => return Err(format!("{what}: {:?}, reference {best}", other.map(drop))),
+    };
+    let bound = query.search_bound(best);
+    if sub.bound() != bound || sub.base_route().cost_ms != best {
+        return Err(format!("{what}: bound {} for best {best}", sub.bound()));
+    }
+    let (fwd, bwd) = (sub.forward(), sub.backward());
+    for v in net.nodes() {
+        let (df, db) = (from_s[v.index()], to_t[v.index()]);
+        let inside = df != INFINITY && db != INFINITY && df + db <= bound;
+        let (kf, kb) = (fwd.dist[v.index()], bwd.dist[v.index()]);
+        let ok = if inside {
+            // (a)
+            (kf, kb) == (df, db)
+                && (v == s
+                    || fwd.parent[v.index()]
+                        == reference_parent(net, weights, &from_s, v, Direction::Forward))
+                && (v == t
+                    || bwd.parent[v.index()]
+                        == reference_parent(net, weights, &to_t, v, Direction::Backward))
+        } else {
+            // (b): the forward run may keep the rest of its ball, exactly
+            // labelled; the backward run keeps nothing outside the ellipse.
+            kb == INFINITY && (kf == INFINITY || (kf == df && df <= bound))
+        };
+        if !ok {
+            return Err(format!(
+                "{what}: vertex {v} inside={inside} kept ({kf}, {kb}), reference ({df}, {db}), bound {bound}"
+            ));
+        }
+    }
+
+    // (d)
+    let full_f = ws
+        .shortest_path_tree(net, weights, s, Direction::Forward)
+        .unwrap();
+    let full_b = ws
+        .shortest_path_tree(net, weights, t, Direction::Backward)
+        .unwrap();
+    let budget = SearchBudget::unlimited();
+    let plateaus = |f: &ShortestPathTree, b: &ShortestPathTree| {
+        let mut stats = PlateauStats::default();
+        let paths = arp_core::plateau_alternatives_from_trees(
+            net,
+            weights,
+            query,
+            &PlateauOptions::default(),
+            &mut stats,
+            f,
+            b,
+            &budget,
+        );
+        // Plateaus beyond the bound exist only in the complete pair; what
+        // the funnel does with the ones inside it must not move.
+        let inside = stats.candidates - stats.rejected_bound;
+        (
+            paths,
+            inside,
+            stats.rejected_short,
+            stats.rejected_similarity,
+            stats.rejected_non_simple,
+        )
+    };
+    if plateaus(fwd, bwd) != plateaus(&full_f, &full_b) {
+        return Err(format!("{what}: Plateaus differs on the bounded pair"));
+    }
+    let sweep = |f: &ShortestPathTree, b: &ShortestPathTree| {
+        let mut stats = DissimilarityStats::default();
+        let paths = arp_core::dissimilarity_alternatives_from_trees(
+            net,
+            weights,
+            query,
+            &DissimilarityOptions::default(),
+            &mut stats,
+            f,
+            b,
+            &budget,
+        );
+        (paths, stats)
+    };
+    if sweep(fwd, bwd) != sweep(&full_f, &full_b) {
+        return Err(format!("{what}: SSVP-D+ differs on the bounded pair"));
+    }
+    Ok(true)
 }
 
 #[test]
@@ -590,27 +733,51 @@ proptest! {
     }
 
     #[test]
-    fn cch_substrate_is_byte_identical_to_dijkstra_substrate((n, chords) in arb_scc_graph()) {
-        // The serving tier swaps SearchSubstrate::build for
-        // SearchSubstrate::build_with_ch when a customized metric is
-        // ready; the two must agree byte-for-byte — distances, parents,
-        // and the base route — or CH-served responses would drift from
-        // Dijkstra-served ones.
+    fn bounded_substrate_matches_the_reference_inside_the_ellipse(
+        ((n, chords), codes, epsilon) in
+            (arb_scc_graph(), proptest::collection::vec(0u32..9, 100), 1.0f64..=2.5),
+    ) {
+        // The one builder every request's tree pair comes from, on the
+        // network's own weights and under the closure-and-slowdown
+        // overlay (which may disconnect the pair), at a random stretch.
+        let net = build(n, &chords);
+        let slowed = overlay(&net, &codes);
+        // ε = 1 puts every vertex of the ellipse exactly on its boundary.
+        for epsilon in [1.0, epsilon] {
+            let query = AltQuery::paper().with_epsilon(epsilon);
+            for weights in [net.weights(), &slowed[..]] {
+                for (s, t) in [(0, n - 1), (n - 1, 0), (n / 2, 1), (2, 2)] {
+                    let st = (NodeId(s as u32), NodeId(t as u32));
+                    let checked = check_bounded_build(&net, weights, st, &query);
+                    prop_assert!(checked.is_ok(), "{:?}", checked);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cch_substrate_is_byte_identical_to_complete_dijkstra_trees((n, chords) in arb_scc_graph()) {
+        // SearchSubstrate::build_with_ch grows complete trees through the
+        // hierarchy; they must agree byte-for-byte — distances, parents,
+        // and the base route — with the complete Dijkstra pair.
         let net = build(n, &chords);
         let topo = arp_core::ChTopology::build(&net);
         let metric = topo.customize(&net, net.weights()).unwrap();
         let (s, t) = (NodeId(0), NodeId((n - 1) as u32));
         let budget = SearchBudget::unlimited();
-        let plain = arp_core::SearchSubstrate::build(&net, net.weights(), s, t, &budget).unwrap();
+        let mut ws = SearchSpace::new(&net);
+        let fwd = ws.shortest_path_tree(&net, net.weights(), s, Direction::Forward).unwrap();
+        let bwd = ws.shortest_path_tree(&net, net.weights(), t, Direction::Backward).unwrap();
+        let base = ws.shortest_path(&net, net.weights(), s, t).unwrap();
         let fast = arp_core::SearchSubstrate::build_with_ch(
             &net, net.weights(), &topo, &metric, s, t, &budget,
         ).unwrap();
-        prop_assert_eq!(&fast.forward().dist, &plain.forward().dist);
-        prop_assert_eq!(&fast.forward().parent, &plain.forward().parent);
-        prop_assert_eq!(&fast.backward().dist, &plain.backward().dist);
-        prop_assert_eq!(&fast.backward().parent, &plain.backward().parent);
-        prop_assert_eq!(&fast.base_route().edges, &plain.base_route().edges);
-        prop_assert_eq!(fast.base_route().cost_ms, plain.base_route().cost_ms);
+        prop_assert_eq!(&fast.forward().dist, &fwd.dist);
+        prop_assert_eq!(&fast.forward().parent, &fwd.parent);
+        prop_assert_eq!(&fast.backward().dist, &bwd.dist);
+        prop_assert_eq!(&fast.backward().parent, &bwd.parent);
+        prop_assert_eq!(&fast.base_route().edges, &base.edges);
+        prop_assert_eq!(fast.base_route().cost_ms, base.cost_ms);
     }
 
     #[test]
@@ -696,7 +863,7 @@ proptest! {
     #[test]
     fn substrate_fed_techniques_match_self_computed((n, chords) in arb_scc_graph()) {
         // Whoever supplies the substrate — the technique's own build, a
-        // shared Dijkstra build or a shared CH build — every consumer must
+        // shared bounded build or a complete CH build — every consumer must
         // return *byte-identical* routes: same edges, same costs, same
         // admission order. This is what lets the serving layer hand one
         // substrate to all lanes without changing a single response byte
@@ -705,7 +872,8 @@ proptest! {
         let (s, t) = (NodeId(0), NodeId((n - 1) as u32));
         let q = AltQuery::paper();
         let budget = SearchBudget::unlimited();
-        let sub = arp_core::SearchSubstrate::build(&net, net.weights(), s, t, &budget).unwrap();
+        let mut ws = SearchSpace::new(&net);
+        let sub = arp_core::SearchSubstrate::build(&mut ws, &net, net.weights(), s, t, &q).unwrap();
         let topo = ChTopology::build(&net);
         let metric = topo.customize(&net, net.weights()).unwrap();
         let ch_sub = arp_core::SearchSubstrate::build_with_ch(
@@ -715,7 +883,7 @@ proptest! {
         for provider in standard_providers(&net, 42) {
             let own = provider.answer(&net, net.weights(), s, t, &q, &budget, None)
                 .unwrap().routes();
-            for (supplier, shared) in [("dijkstra", &sub), ("ch", &ch_sub)] {
+            for (supplier, shared) in [("bounded", &sub), ("ch", &ch_sub)] {
                 let fed = provider.answer(&net, net.weights(), s, t, &q, &budget, Some(shared))
                     .unwrap().routes();
                 prop_assert_eq!(&own, &fed, "{} differs on the {} substrate", provider.kind(), supplier);

@@ -146,8 +146,6 @@ impl RouteBackend for DemoBackend {
     }
 
     fn prepare_attrs(&self, request: &PreparedQuery) -> Vec<(&'static str, String)> {
-        // The builder is the one the substrate itself recorded when it was
-        // built — the index tier's readiness may have moved since.
         match &request.substrate {
             Some(substrate) => vec![
                 ("substrate", "ready".to_string()),
@@ -368,19 +366,26 @@ mod tests {
         }
     }
 
+    /// A substrate for (`source`, `target`) on `net`'s own weights, grown
+    /// to `query`'s stretch.
+    fn substrate_on(
+        net: &arp_roadnet::RoadNetwork,
+        source: arp_roadnet::NodeId,
+        target: arp_roadnet::NodeId,
+        query: &arp_core::AltQuery,
+    ) -> arp_core::SearchSubstrate {
+        let mut ws = arp_core::SearchSpace::new(net);
+        arp_core::SearchSubstrate::build(&mut ws, net, net.weights(), source, target, query)
+            .unwrap()
+    }
+
     #[test]
     fn substrate_for_the_wrong_pair_is_not_reused() {
         let qp = processor();
         let (a, b) = inner_points(&qp);
         let q = qp.snap(a, b).unwrap();
-        let elsewhere = arp_core::SearchSubstrate::build(
-            qp.network(),
-            qp.network().weights(),
-            q.target,
-            q.source,
-            &SearchBudget::unlimited(),
-        )
-        .unwrap();
+        let paper = arp_core::AltQuery::paper();
+        let elsewhere = substrate_on(qp.network(), q.target, q.source, &paper);
         let (own, fed, reused) = lane_with_substrate(&qp, qp.prepare_query(q), elsewhere);
         assert_same_routes(&own, &fed);
         assert_eq!(reused, 0);
@@ -394,15 +399,23 @@ mod tests {
         // Same vertex ids, another city's network.
         let other = arp_citygen::generate(City::Melbourne, Scale::Small, 9).network;
         assert_ne!(other.num_edges(), qp.network().num_edges());
-        let foreign = arp_core::SearchSubstrate::build(
-            &other,
-            other.weights(),
-            q.source,
-            q.target,
-            &SearchBudget::unlimited(),
-        )
-        .unwrap();
+        let foreign = substrate_on(&other, q.source, q.target, &arp_core::AltQuery::paper());
         let (own, fed, reused) = lane_with_substrate(&qp, qp.prepare_query(q), foreign);
+        assert_same_routes(&own, &fed);
+        assert_eq!(reused, 0);
+    }
+
+    #[test]
+    fn substrate_grown_to_a_smaller_stretch_is_not_reused() {
+        let qp = processor();
+        let (a, b) = inner_points(&qp);
+        let q = qp.snap(a, b).unwrap();
+        // Right pair, right network, right epoch — but grown for ε = 1.1
+        // while the processor asks the paper's ε = 1.4: candidates between
+        // the two bounds are missing from its trees.
+        let narrow = arp_core::AltQuery::paper().with_epsilon(1.1);
+        let narrow = substrate_on(qp.network(), q.source, q.target, &narrow);
+        let (own, fed, reused) = lane_with_substrate(&qp, qp.prepare_query(q), narrow);
         assert_same_routes(&own, &fed);
         assert_eq!(reused, 0);
     }
@@ -438,42 +451,34 @@ mod tests {
             ServeConfig::default(),
             &Registry::disabled(),
         );
-        let builder_of = |attrs: Vec<(&'static str, String)>| {
-            attrs
-                .into_iter()
-                .find(|(key, _)| *key == "builder")
-                .unwrap()
-                .1
+        let builder_at = |epoch: u64| {
+            let (receipt, response) = service.route_traced(qp.prepare_query(q));
+            assert_eq!(response.unwrap().epoch, epoch);
+            let trace = service.tracer().trace(receipt.id).expect("trace kept");
+            let prepare = trace.span("prepare").expect("prepare span");
+            assert_eq!(prepare.attr("substrate"), Some("ready"));
+            prepare.attr("builder").map(str::to_string)
         };
-
-        // Hold the tier in its customization window: the bump publishes
-        // epoch 1, the metric for it is not customized yet, so the build
-        // falls back to plain Dijkstra.
+        // The index tier is enabled and ready at epoch 0, then held in its
+        // customization window at epoch 1: neither state is consulted, every
+        // substrate comes from the one bounded builder.
+        assert_eq!(builder_at(0).as_deref(), Some("bounded"));
         index.pause();
         let delta = arp_traffic::TrafficDelta::parse("cat:primary*1.5").unwrap();
         qp.traffic().apply_delta(&delta).unwrap();
-        let (receipt, response) = service.route_traced(qp.prepare_query(q));
-        assert_eq!(response.unwrap().epoch, 1);
-        let token = CancelToken::new();
-        let in_window = service
-            .backend()
-            .prepare(qp.prepare_query(q), &token, &Deadline::never());
-
-        // The metric is published before anyone looks at the spans.
+        assert_eq!(index.ready_epoch(), 0);
+        assert_eq!(builder_at(1).as_deref(), Some("bounded"));
         index.resume();
-        assert!(index.wait_ready(1, std::time::Duration::from_secs(60)));
-        let trace = service.tracer().trace(receipt.id).expect("trace kept");
-        let prepare = trace.span("prepare").expect("prepare span");
-        assert_eq!(prepare.attr("builder"), Some("dijkstra"));
-        assert_eq!(
-            builder_of(service.backend().prepare_attrs(&in_window)),
-            "dijkstra",
-            "a substrate built in the window must not be stamped with today's builder"
-        );
-        let after = service
+        // A request whose build could not run reports no builder at all.
+        let tripped = CancelToken::new();
+        tripped.cancel();
+        let unbuilt = service
             .backend()
-            .prepare(qp.prepare_query(q), &token, &Deadline::never());
-        assert_eq!(builder_of(service.backend().prepare_attrs(&after)), "ch");
+            .prepare(qp.prepare_query(q), &tripped, &Deadline::never());
+        assert_eq!(
+            service.backend().prepare_attrs(&unbuilt),
+            [("substrate", "none".to_string())]
+        );
     }
 
     #[test]

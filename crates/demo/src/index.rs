@@ -2,29 +2,26 @@
 //!
 //! [`IndexManager`] owns one metric-independent [`ChTopology`] per city
 //! (built once, at startup) and keeps a cheap per-epoch [`ChMetric`]
-//! customized against the live-traffic overlay. Serving never waits for
-//! it: [`IndexManager::metric_for`] hands out a metric **only** when its
-//! epoch matches the request's pinned epoch exactly, and the query path
-//! falls back to the plain Dijkstra substrate build otherwise (counted
-//! by `arp_ch_fallbacks_total`). Because a metric is published under the
-//! epoch of the snapshot it was customized from, a response can never
-//! mix a stale metric with a newer claimed epoch — the exact-match gate
-//! makes the race unrepresentable rather than merely unlikely.
+//! customized against the live-traffic overlay. Nothing waits for it, and
+//! since the request path grows its tree pairs no further than the stretch
+//! bound (`arp_core::SearchSubstrate::build`) no request consults it
+//! either: [`IndexManager::metric_for`] hands out a metric **only** when
+//! its epoch matches the asked-for epoch exactly, for whoever wants exact
+//! hierarchy queries on a pinned epoch. Because a metric is published
+//! under the epoch of the snapshot it was customized from, it can never
+//! be paired with a newer claimed epoch — the exact-match gate makes the
+//! race unrepresentable rather than merely unlikely.
 //!
 //! Customization runs on one background thread fed by the traffic
 //! state's epoch listener ([`arp_traffic::TrafficState::set_epoch_listener`]).
 //! The feed slot is *latest-wins*: if three ticks land while one
 //! customization is in flight, the intermediate epochs are skipped and
-//! the worker customizes straight to the newest — requests pinned to the
-//! skipped epochs simply fall back, which is the correct degradation
-//! (those epochs are already stale).
+//! the worker customizes straight to the newest (those epochs are already
+//! stale).
 //!
 //! Instruments (DESIGN.md §11, docs/OPERATIONS.md):
 //!
 //! * `arp_ch_customizations_total` — metrics customized and published,
-//! * `arp_ch_queries_total` — substrate builds served by the CH tier,
-//! * `arp_ch_fallbacks_total` — requests that fell back to the Dijkstra
-//!   build because the pinned epoch's metric was not ready,
 //! * `arp_ch_customize_ms` — customization wall time.
 
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -46,8 +43,6 @@ const CUSTOMIZE_BUCKETS_MS: &[f64] = &[1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
 #[derive(Clone, Debug)]
 struct ChIndexMetrics {
     customizations: Counter,
-    queries: Counter,
-    fallbacks: Counter,
     customize_ms: Histogram,
 }
 
@@ -57,16 +52,6 @@ impl ChIndexMetrics {
             customizations: registry.counter(
                 "arp_ch_customizations_total",
                 "CH metrics customized and published (one per traffic epoch reached).",
-                &[],
-            ),
-            queries: registry.counter(
-                "arp_ch_queries_total",
-                "Substrate builds served by the CH index tier.",
-                &[],
-            ),
-            fallbacks: registry.counter(
-                "arp_ch_fallbacks_total",
-                "Requests that fell back to the Dijkstra build (pinned epoch's metric not ready).",
                 &[],
             ),
             customize_ms: registry.histogram(
@@ -96,8 +81,8 @@ struct Inner {
     network: Arc<RoadNetwork>,
     topology: ChTopology,
     /// The newest customized metric. Its [`ChMetric::epoch`] stamp is
-    /// the readiness gate: `metric_for` compares it against the
-    /// request's pinned epoch.
+    /// the readiness gate: `metric_for` compares it against the epoch
+    /// asked for.
     published: RwLock<Arc<ChMetric>>,
     pending: Mutex<Pending>,
     work: Condvar,
@@ -172,8 +157,7 @@ impl std::fmt::Debug for IndexManager {
 
 impl IndexManager {
     /// Builds the topology, customizes the current epoch **synchronously**
-    /// (so a freshly started server answers its very first request on the
-    /// CH tier instead of warming up behind fallbacks), spawns the
+    /// (so a freshly started server reports the tier ready), spawns the
     /// customizer thread, and registers the epoch listener that feeds it.
     pub fn new(
         network: Arc<RoadNetwork>,
@@ -229,20 +213,12 @@ impl IndexManager {
     }
 
     /// The metric for `epoch`, **iff** it is exactly the one published.
-    /// A hit counts `arp_ch_queries_total`; a miss counts
-    /// `arp_ch_fallbacks_total` and the caller must use the Dijkstra
-    /// build. The exact-epoch comparison is the tier's core safety
-    /// property: a request pinned to epoch `e` can only ever be served
-    /// from a metric customized from epoch `e`'s weight column.
+    /// The exact-epoch comparison is the tier's core safety property: a
+    /// caller pinned to epoch `e` can only ever be handed a metric
+    /// customized from epoch `e`'s weight column.
     pub fn metric_for(&self, epoch: u64) -> Option<Arc<ChMetric>> {
         let metric = Arc::clone(&self.inner.published.read().unwrap());
-        if metric.epoch() == epoch {
-            self.inner.metrics.queries.inc();
-            Some(metric)
-        } else {
-            self.inner.metrics.fallbacks.inc();
-            None
-        }
+        (metric.epoch() == epoch).then_some(metric)
     }
 
     /// The epoch of the newest published metric.
@@ -308,16 +284,6 @@ impl IndexManager {
     pub fn customizations(&self) -> u64 {
         self.inner.metrics.customizations.get()
     }
-
-    /// Substrate builds served by the CH tier so far.
-    pub fn queries(&self) -> u64 {
-        self.inner.metrics.queries.get()
-    }
-
-    /// Dijkstra fallbacks so far (pinned epoch's metric not ready).
-    pub fn fallbacks(&self) -> u64 {
-        self.inner.metrics.fallbacks.get()
-    }
 }
 
 impl Drop for IndexManager {
@@ -353,9 +319,7 @@ mod tests {
         let (_, _, manager) = state_and_manager();
         assert_eq!(manager.ready_epoch(), 0);
         assert!(manager.metric_for(0).is_some());
-        assert_eq!(manager.queries(), 1);
         assert_eq!(manager.customizations(), 1);
-        assert_eq!(manager.fallbacks(), 0);
     }
 
     #[test]
@@ -373,14 +337,13 @@ mod tests {
     }
 
     #[test]
-    fn not_ready_epoch_falls_back_and_counts_it() {
+    fn not_ready_epoch_has_no_metric_until_customized() {
         let (_, traffic, manager) = state_and_manager();
         manager.pause();
         let delta = TrafficDelta::parse("cat:primary*1.5").unwrap();
         traffic.apply_delta(&delta).unwrap();
         // The worker is parked: epoch 1's metric cannot exist yet.
         assert!(manager.metric_for(1).is_none());
-        assert_eq!(manager.fallbacks(), 1);
         // Manual customization publishes it deterministically.
         assert!(manager.customize_now());
         assert!(manager.metric_for(1).is_some());
@@ -401,7 +364,7 @@ mod tests {
         assert!(manager.customize_now());
         assert_eq!(manager.ready_epoch(), 3);
         assert!(!manager.customize_now(), "slot must be drained");
-        // Requests pinned to the skipped epochs fall back.
+        // The skipped epochs never get a metric.
         assert!(manager.metric_for(1).is_none());
         assert!(manager.metric_for(2).is_none());
         assert!(manager.metric_for(3).is_some());
@@ -420,7 +383,7 @@ mod tests {
             "customizer must reach the wrapped epoch"
         );
         // Exact-match still gates correctly across the wrap: the wrapped
-        // epoch-0 metric carries the *overlayed* weights, and stale
+        // epoch-0 metric carries the *overlaid* weights, and stale
         // pre-wrap epochs are refused.
         assert!(manager.metric_for(0).is_some());
         assert!(manager.metric_for(u64::MAX).is_none());

@@ -9,8 +9,8 @@
 //! * [`blind`] — A–D anonymization with the unblinding map kept
 //!   server-side,
 //! * [`index`] — the epoch-customizable CH index tier: a per-city
-//!   topology customized per traffic epoch in the background, with a
-//!   strict fall-back-to-Dijkstra readiness gate,
+//!   topology customized per traffic epoch in the background, handed
+//!   out on an exact-epoch match only (no request reads it),
 //! * [`store`] — the feedback form's response store (ratings, residency,
 //!   comments) with CSV persistence,
 //! * [`server`] — a small std-only HTTP server exposing the JSON API and

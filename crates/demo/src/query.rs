@@ -12,7 +12,7 @@ use std::sync::Arc;
 use arp_core::provider::AlternativesProvider;
 use arp_core::query::AltQuery;
 use arp_core::substrate::SearchSubstrate;
-use arp_core::{ProviderKind, ProviderOutcome, SearchBudget};
+use arp_core::{ProviderKind, ProviderOutcome, SearchBudget, SearchSpace};
 use arp_obs::{Counter, Gauge, Registry};
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::geo::{BoundingBox, Point};
@@ -225,7 +225,7 @@ pub struct QueryProcessor {
     /// in-memory default: no journal, no snapshots, nothing to recover.
     recovery: Option<RecoveryReport>,
     /// The epoch-customizable CH index tier ([`IndexManager`]), when
-    /// enabled. `None` keeps the pre-CH pipeline bit for bit.
+    /// enabled. No request consults it.
     index: Option<IndexManager>,
 }
 
@@ -292,9 +292,10 @@ impl QueryProcessor {
     /// Enables the epoch-customizable CH index tier: builds the
     /// topology, customizes the current epoch synchronously, and
     /// registers the traffic listener that keeps the metric current in
-    /// the background. Responses stay byte-identical to the plain
-    /// Dijkstra pipeline — the tier only changes how the substrate's
-    /// trees are computed, never what they contain.
+    /// the background. The tier answers no request
+    /// ([`QueryProcessor::prepare_substrate`]); it keeps an exact metric
+    /// per epoch for [`IndexManager::metric_for`] and reports its
+    /// readiness on `/api/health`.
     pub fn with_ch_index(mut self) -> QueryProcessor {
         self.index = Some(IndexManager::new(
             Arc::clone(&self.network),
@@ -409,8 +410,9 @@ impl QueryProcessor {
     }
 
     /// Builds the shared [`SearchSubstrate`] for a prepared query under
-    /// a cooperative budget, on the query's pinned epoch weights, and
-    /// stamps it with that epoch so [`SearchSubstrate::matches`]
+    /// a cooperative budget, on the query's pinned epoch weights, grown to
+    /// the stretch bound of the processor's [`AltQuery`] and no further,
+    /// and stamps it with that epoch so [`SearchSubstrate::matches`]
     /// rejects any cross-epoch reuse. Returns `None` — and the lanes
     /// then build their own — when the build cannot finish: the budget
     /// tripped mid-build (cancellation or a zero-headroom deadline), or
@@ -419,43 +421,20 @@ impl QueryProcessor {
     /// condition and reports its own `Unreachable`, keeping error
     /// semantics identical to the pre-substrate pipeline.
     ///
-    /// With the CH index tier enabled ([`QueryProcessor::with_ch_index`])
-    /// the build takes the CH fast path — a bidirectional upward search
-    /// plus two PHAST sweeps instead of two full Dijkstras — **iff** the
-    /// metric for the request's pinned epoch is published. Otherwise the
-    /// request falls back to the plain build (counted by
-    /// `arp_ch_fallbacks_total`); serving never waits on customization.
-    /// Both paths produce byte-identical substrates (canonical parent
-    /// tie-breaking, proven by the core property tests), so the choice
-    /// is invisible to everything downstream.
+    /// This is the same [`SearchSubstrate::build`] a lane handed nothing
+    /// runs; the CH index tier ([`QueryProcessor::with_ch_index`]) is not
+    /// consulted — the bounded search beats its whole-city sweep at every
+    /// trip length the benchmark drives (EXPERIMENTS.md).
     pub fn prepare_substrate(
         &self,
         q: &PreparedQuery,
         budget: &SearchBudget,
     ) -> Option<Arc<SearchSubstrate>> {
-        let built = match self
-            .index
-            .as_ref()
-            .and_then(|index| index.metric_for(q.epoch()).map(|m| (index, m)))
-        {
-            Some((index, metric)) => SearchSubstrate::build_with_ch(
-                &self.network,
-                q.overlay.weights(),
-                index.topology(),
-                &metric,
-                q.snapped.source,
-                q.snapped.target,
-                budget,
-            ),
-            None => SearchSubstrate::build(
-                &self.network,
-                q.overlay.weights(),
-                q.snapped.source,
-                q.snapped.target,
-                budget,
-            ),
-        };
-        match built {
+        let mut ws = SearchSpace::new(&self.network);
+        ws.set_budget(budget.clone());
+        let SnappedQuery { source, target } = q.snapped;
+        let weights = q.overlay.weights();
+        match SearchSubstrate::build(&mut ws, &self.network, weights, source, target, &self.query) {
             Ok(substrate) => {
                 self.substrate_metrics.builds.inc();
                 Some(Arc::new(substrate.with_epoch(q.epoch())))
@@ -476,8 +455,9 @@ impl QueryProcessor {
     /// returns the routes admitted so far plus `true` for "interrupted".
     ///
     /// The query's substrate is shared with the provider only when it
-    /// passes the full reuse guard — this pair, this network, the
-    /// request's pinned epoch ([`SearchSubstrate::matches`]); otherwise,
+    /// passes the full reuse guard — this pair, this network, grown to
+    /// this processor's stretch bound, the request's pinned epoch
+    /// ([`SearchSubstrate::matches`]); otherwise,
     /// like the Google-like lane always, the provider builds its own.
     /// Output is byte-identical either way (proven by
     /// `substrate_fed_techniques_match_self_computed` in the core property
@@ -493,7 +473,7 @@ impl QueryProcessor {
         let shared = q
             .substrate
             .as_deref()
-            .filter(|sub| sub.matches(&self.network, source, target, q.epoch()));
+            .filter(|sub| sub.matches(&self.network, source, target, &self.query, q.epoch()));
         let outcome = self.provider(kind).answer(
             &self.network,
             q.overlay.weights(),

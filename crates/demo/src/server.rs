@@ -666,11 +666,11 @@ impl DemoApp {
         let report = self.service.health();
         let snapshot = self.processor.traffic().snapshot();
         // The CH index tier's readiness verdict: `ready` means the
-        // published metric matches the current traffic epoch, so new
-        // requests take the CH fast path; `false` means they fall back
-        // to the Dijkstra build (correct, just slower) until the
-        // background customization catches up. A disabled tier is not a
-        // degradation — it is the configured steady state.
+        // published metric matches the current traffic epoch; `false`
+        // means the background customization has not caught up yet. No
+        // request waits on (or reads) the tier, so neither is a
+        // degradation, and a disabled tier is the configured steady
+        // state.
         let index = match self.processor.ch_index() {
             Some(index) => {
                 let metric_epoch = index.ready_epoch();
@@ -682,7 +682,6 @@ impl DemoApp {
                         "customizations",
                         Json::Number(index.customizations() as f64),
                     ),
-                    ("fallbacks", Json::Number(index.fallbacks() as f64)),
                 ])
             }
             None => Json::object([("enabled", Json::Bool(false))]),

@@ -1,14 +1,14 @@
-//! Acceptance tests of the epoch-customizable CH index tier.
+//! Acceptance tests of the epoch-customizable CH index tier's lifecycle.
 //!
-//! The contract under test, end to end: with the tier enabled, every
-//! served response is **byte-identical** to what the plain Dijkstra
-//! pipeline produces — for all four techniques, all three cities, under
-//! the identity overlay and under live-traffic overlays — and whenever
-//! the metric for a request's pinned epoch is not ready, the request is
-//! served immediately off the Dijkstra fallback (counted, never blocked,
-//! never an error). The adversarial mid-load test from the traffic
-//! subsystem is repeated on the CH tier: no response may ever mix a
-//! stale metric with a newer claimed epoch.
+//! No request reads the tier — every tree pair comes from the bounded
+//! builder (`arp_core::SearchSubstrate::build`) — so enabling it must
+//! change no served byte, and what is under test is the tier itself: the
+//! background customizer tracks every epoch the traffic state publishes
+//! (deltas, TTL reopens, the `u64::MAX` wraparound), the metric it
+//! publishes for an epoch prices a pair **exactly** like the routes served
+//! on that epoch, `metric_for` refuses every other epoch, and `/api/health`
+//! reports the customization window. The adversarial mid-load test from
+//! the traffic subsystem is repeated with the customizer racing the load.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -83,14 +83,37 @@ fn assert_same_response(ch: &QueryResponse, plain: &QueryResponse, context: &str
     }
 }
 
-/// The tentpole's acceptance property over the full HTTP surface: for
-/// every city, the CH-tier app and the plain app serve **byte-identical**
-/// `/api/route` bodies — first on the identity overlay (epoch 0), then
-/// again after a traffic delta (slowdowns per category and per edge),
-/// with the CH app's customization awaited so the fast path actually
-/// serves.
+/// The tier's metric for the response's epoch must exist and price the
+/// response's pair exactly like the fastest route served on that epoch —
+/// i.e. the customizer tracked the epoch's weight column.
+fn assert_metric_is_exact(qp: &QueryProcessor, response: &QueryResponse, context: &str) {
+    let index = qp.ch_index().expect("tier enabled");
+    let metric = index
+        .metric_for(response.epoch)
+        .unwrap_or_else(|| panic!("{context}: no metric for epoch {}", response.epoch));
+    let fastest = response
+        .approaches
+        .iter()
+        .filter_map(|a| a.routes.first())
+        .map(|r| r.cost_ms)
+        .min();
+    assert_eq!(
+        index
+            .topology()
+            .distance(&metric, response.source, response.target),
+        fastest,
+        "{context}: the epoch-{} metric disagrees with the served optimum",
+        response.epoch
+    );
+}
+
+/// Enabling the tier changes no served byte, and its customizer tracks
+/// the overlay: for every city, the tier-enabled app and the plain app
+/// serve **byte-identical** `/api/route` bodies — on the identity overlay
+/// (epoch 0) and after a traffic delta (slowdowns per category and per
+/// edge) — and on both epochs the published metric is exact.
 #[test]
-fn ch_served_bodies_are_byte_identical_across_cities_and_overlays() {
+fn customization_tracks_epochs_across_cities_and_overlays() {
     for city in City::ALL {
         let make = |ch: bool| {
             let g = arp_citygen::generate(city, Scale::Tiny, 7);
@@ -100,61 +123,62 @@ fn ch_served_bodies_are_byte_identical_across_cities_and_overlays() {
         };
         let plain = make(false);
         let fast = make(true);
+        let index = fast.processor.ch_index().expect("tier enabled");
 
         let pairs = [(0.25, 0.30, 0.75, 0.70), (0.70, 0.25, 0.30, 0.80)];
-        for &(sx, sy, tx, ty) in &pairs {
-            let body = route_body(&plain, sx, sy, tx, ty);
-            let a = plain.handle("POST", "/api/route", &body);
-            let b = fast.handle("POST", "/api/route", &body);
-            assert_eq!(a.status, 200, "{city}: {}", a.body);
-            assert_eq!(
-                sans_trace_id(&a.body),
-                sans_trace_id(&b.body),
-                "{city}: epoch-0 bodies must match"
+        for epoch in 0..2u64 {
+            assert!(
+                index.wait_ready(epoch, READY_TIMEOUT),
+                "{city}: customization must reach epoch {epoch}"
             );
-        }
+            assert!(index.metric_for(epoch + 1).is_none(), "{city}");
+            for &(sx, sy, tx, ty) in &pairs {
+                let body = route_body(&plain, sx, sy, tx, ty);
+                let a = plain.handle("POST", "/api/route", &body);
+                let b = fast.handle("POST", "/api/route", &body);
+                assert_eq!(a.status, 200, "{city}: {}", a.body);
+                assert_eq!(
+                    sans_trace_id(&a.body),
+                    sans_trace_id(&b.body),
+                    "{city}: epoch-{epoch} bodies must match"
+                );
+                let v = json::parse(&a.body).unwrap();
+                let served = v.get("epoch").and_then(Json::as_f64);
+                assert_eq!(served, Some(epoch as f64), "{city}");
 
-        // A non-identity overlay: category-wide and per-edge slowdowns.
-        let delta = r#"{"delta": "cat:residential*1.7; edge:5*3.0"}"#;
-        for app in [&plain, &fast] {
-            let resp = app.handle("POST", "/api/traffic", delta);
-            assert_eq!(resp.status, 200, "{city}: {}", resp.body);
+                let bb = fast.processor.network().bbox();
+                let at = |x: f64, y: f64| {
+                    arp_roadnet::geo::Point::new(
+                        bb.min_lon + bb.width_deg() * x,
+                        bb.min_lat + bb.height_deg() * y,
+                    )
+                };
+                let response = fast.processor.process(at(sx, sy), at(tx, ty)).unwrap();
+                assert_eq!(response.epoch, epoch, "{city}");
+                assert_metric_is_exact(&fast.processor, &response, &format!("{city}"));
+            }
+            if epoch == 1 {
+                break;
+            }
+            // A non-identity overlay: category-wide and per-edge slowdowns.
+            let delta = r#"{"delta": "cat:residential*1.7; edge:5*3.0"}"#;
+            for app in [&plain, &fast] {
+                let resp = app.handle("POST", "/api/traffic", delta);
+                assert_eq!(resp.status, 200, "{city}: {}", resp.body);
+            }
         }
-        let index = fast.processor.ch_index().expect("tier enabled");
-        assert!(
-            index.wait_ready(1, READY_TIMEOUT),
-            "{city}: customization must reach epoch 1"
-        );
-
-        let queries_before = index.queries();
-        for &(sx, sy, tx, ty) in &pairs {
-            let body = route_body(&plain, sx, sy, tx, ty);
-            let a = plain.handle("POST", "/api/route", &body);
-            let b = fast.handle("POST", "/api/route", &body);
-            assert_eq!(a.status, 200, "{city}: {}", a.body);
-            assert_eq!(
-                sans_trace_id(&a.body),
-                sans_trace_id(&b.body),
-                "{city}: epoch-1 bodies must match"
-            );
-            let v = json::parse(&a.body).unwrap();
-            assert_eq!(v.get("epoch").and_then(Json::as_f64), Some(1.0), "{city}");
-        }
-        assert!(
-            index.queries() > queries_before,
-            "{city}: the overlaid requests must ride the CH tier"
-        );
+        assert!(index.customizations() >= 2, "{city}");
     }
 }
 
 /// While a customization is in flight (held in flight here via the pause
-/// hook), requests pinned to the new epoch are served **immediately**
-/// off the Dijkstra fallback — same bytes, counted by
-/// `arp_ch_fallbacks_total`, never blocking, never an error — and
-/// `/api/health` reports the tier as enabled-but-not-ready. Once the
-/// customization lands, the CH path takes over.
+/// hook), requests pinned to the new epoch are served **immediately** and
+/// identically — nothing on the request path reads the tier — and
+/// `/api/health` reports the tier as enabled-but-not-ready, with no metric
+/// on offer for the new epoch. Once the customization lands the health
+/// verdict flips to ready.
 #[test]
-fn in_flight_customization_falls_back_without_blocking_or_diverging() {
+fn health_reports_the_customization_window_and_serving_never_waits() {
     let make = |ch: bool| {
         let g = arp_citygen::generate(City::Dhaka, Scale::Tiny, 9);
         let qp = QueryProcessor::new(g.name.clone(), g.network, 9);
@@ -179,38 +203,24 @@ fn in_flight_customization_falls_back_without_blocking_or_diverging() {
     assert_eq!(ix.get("enabled").and_then(Json::as_bool), Some(true));
     assert_eq!(ix.get("ready").and_then(Json::as_bool), Some(false));
     assert_eq!(ix.get("metric_epoch").and_then(Json::as_f64), Some(0.0));
+    assert!(index.metric_for(1).is_none());
 
-    // The epoch-1 request serves right away, identically, via fallback.
+    // The epoch-1 request serves right away, identically.
     let body = route_body(&plain, 0.3, 0.6, 0.75, 0.75);
-    let fallbacks_before = index.fallbacks();
     let a = plain.handle("POST", "/api/route", &body);
     let b = fast.handle("POST", "/api/route", &body);
     assert_eq!(a.status, 200, "{}", a.body);
     assert_eq!(
         sans_trace_id(&a.body),
         sans_trace_id(&b.body),
-        "fallback bytes must match the plain path"
+        "in-window bytes must match the plain app's"
     );
     let v = json::parse(&b.body).unwrap();
     assert_eq!(v.get("epoch").and_then(Json::as_f64), Some(1.0));
-    assert!(
-        index.fallbacks() > fallbacks_before,
-        "the not-ready epoch must be counted as a fallback"
-    );
 
-    // Publish the metric; a fresh pair now rides the CH path — and the
-    // health verdict flips to ready.
+    // Publish the metric: the health verdict flips to ready.
     assert!(index.customize_now());
-    let queries_before = index.queries();
-    let body = route_body(&plain, 0.2, 0.3, 0.8, 0.7);
-    let a = plain.handle("POST", "/api/route", &body);
-    let b = fast.handle("POST", "/api/route", &body);
-    assert_eq!(
-        sans_trace_id(&a.body),
-        sans_trace_id(&b.body),
-        "post-customization bytes must match"
-    );
-    assert!(index.queries() > queries_before, "CH path must serve now");
+    assert!(index.metric_for(1).is_some());
     let health = fast.handle("GET", "/api/health", "");
     let v = json::parse(&health.body).unwrap();
     let ix = v.get("index").unwrap();
@@ -228,10 +238,10 @@ fn in_flight_customization_falls_back_without_blocking_or_diverging() {
 /// The traffic subsystem's adversarial mid-load test, repeated on the CH
 /// tier: the ticker bumps the epoch continuously while workers hammer
 /// the pipeline, and every route in every response must re-cost exactly
-/// under the single epoch the response claims. With the tier enabled,
-/// requests race real background customizations — some ride the CH path,
-/// the rest fall back — and the audit proves neither path ever pairs a
-/// stale metric with a newer epoch.
+/// under the single epoch the response claims. With the tier enabled the
+/// load races real background customizations (latest-wins: intermediate
+/// epochs may be skipped), and the customizer must still land exactly on
+/// the final epoch.
 #[test]
 fn epoch_bump_mid_load_never_mixes_epochs_on_the_ch_tier() {
     let g = arp_citygen::generate(City::Melbourne, Scale::Small, 7);
@@ -333,8 +343,7 @@ fn epoch_bump_mid_load_never_mixes_epochs_on_the_ch_tier() {
                     .sum();
                 assert_eq!(
                     recosted, route.cost_ms,
-                    "approach {} route does not re-cost under epoch {} — a stale CH metric \
-                     leaked into a newer epoch's response",
+                    "approach {} route does not re-cost under epoch {} — a mixed-epoch route",
                     approach.label, resp.epoch
                 );
             }
@@ -345,16 +354,20 @@ fn epoch_bump_mid_load_never_mixes_epochs_on_the_ch_tier() {
         "the load must actually straddle an epoch bump (saw {epochs_seen:?})"
     );
     let index = qp.ch_index().unwrap();
+    let last = qp.traffic().snapshot().epoch();
     assert!(
-        index.queries() + index.fallbacks() > 0,
-        "the readiness gate must have been consulted under load"
+        index.wait_ready(last, READY_TIMEOUT),
+        "the customizer must catch up with the final epoch {last}"
     );
+    let settled = service.route(qp.prepare_query(queries[0])).unwrap();
+    assert_metric_is_exact(&qp, &settled, "after the load");
 }
 
 /// TTL closures through the tier: a `close:E@1` kills the only path (an
-/// error response, not a panic, CH enabled or not); the next feed tick
-/// expires the closure, the customizer tracks the reopen epoch, and the
-/// CH-served response equals the plain one again.
+/// error response, not a panic, tier enabled or not, and the epoch's
+/// metric agrees the pair is cut); the next feed tick expires the
+/// closure, the customizer tracks the reopen epoch, and both stacks serve
+/// the same response again, priced exactly by the reopen epoch's metric.
 #[test]
 fn ttl_closure_reopen_is_tracked_by_the_ch_tier() {
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
@@ -406,6 +419,8 @@ fn ttl_closure_reopen_is_tracked_by_the_ch_tier() {
     fast_qp.traffic().apply_delta(&delta).unwrap();
     let index = fast_qp.ch_index().unwrap();
     assert!(index.wait_ready(1, READY_TIMEOUT));
+    let cut_metric = index.metric_for(1).expect("epoch 1 customized");
+    assert_eq!(index.topology().distance(&cut_metric, n0, n2), None);
 
     // Both stacks refuse identically: every lane Unreachable.
     let closed = plain.route(plain_qp.prepare_query(snapped));
@@ -437,14 +452,15 @@ fn ttl_closure_reopen_is_tracked_by_the_ch_tier() {
     let b = fast.route(fast_qp.prepare_query(snapped)).unwrap();
     assert_eq!(a.epoch, out_fast.epoch);
     assert_same_response(&b, &a, "after TTL reopen");
+    assert_metric_is_exact(&fast_qp, &b, "after TTL reopen");
 }
 
 /// Epoch wraparound through the tier: a forced `u64::MAX` epoch followed
 /// by a delta wraps to epoch 0 — whose column is now *overlaid*, not the
-/// base weights — and the exact-match gate serves it correctly while
-/// refusing the stale pre-wrap metric.
+/// base weights — and the exact-match gate hands out the overlaid metric
+/// while refusing the stale pre-wrap one.
 #[test]
-fn forced_wraparound_epoch_serves_exactly_through_the_ch_tier() {
+fn forced_wraparound_epoch_is_customized_exactly() {
     let make = |ch: bool| {
         let g = arp_citygen::generate(City::Copenhagen, Scale::Tiny, 11);
         let qp = QueryProcessor::new(g.name.clone(), g.network, 11);
@@ -485,13 +501,13 @@ fn forced_wraparound_epoch_serves_exactly_through_the_ch_tier() {
     );
     let snapped = plain_qp.snap(s, t).unwrap();
 
-    let queries_before = index.queries();
     let a = plain.route(plain_qp.prepare_query(snapped)).unwrap();
     let b = fast.route(fast_qp.prepare_query(snapped)).unwrap();
     assert_eq!(a.epoch, 0, "wrapped epoch is 0 again");
     assert_same_response(&b, &a, "wrapped epoch");
+    assert_metric_is_exact(&fast_qp, &b, "wrapped epoch");
     assert!(
-        index.queries() > queries_before,
-        "the wrapped epoch's metric must serve the CH path"
+        index.metric_for(u64::MAX).is_none(),
+        "pre-wrap epoch is stale"
     );
 }

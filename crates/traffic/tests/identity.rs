@@ -78,10 +78,11 @@ fn identity_round_trip(city: City) {
     let query = AltQuery::paper();
     let providers = arp_core::standard_providers(&net, 42);
     let budget = SearchBudget::unlimited();
+    let mut ws = arp_core::SearchSpace::new(&net);
     for (s, t) in routable_pairs(&net) {
-        let sub_base = SearchSubstrate::build(&net, base.weights().as_slice(), s, t, &budget)
+        let sub_base = SearchSubstrate::build(&mut ws, &net, base.weights(), s, t, &query)
             .expect("routable pair must yield a substrate");
-        let sub_snap = SearchSubstrate::build(&net, snap.weights().as_slice(), s, t, &budget)
+        let sub_snap = SearchSubstrate::build(&mut ws, &net, snap.weights(), s, t, &query)
             .expect("routable pair must yield a substrate")
             .with_epoch(snap.epoch());
 

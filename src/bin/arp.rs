@@ -425,9 +425,8 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
     );
     // `--ch off` disables the CH index tier; on (the default), the
     // topology is contracted and the current epoch customized before the
-    // listener binds, so the very first request already rides the fast
-    // path. Responses are byte-identical either way — the tier only
-    // changes how substrates are computed.
+    // listener binds, and `/api/health` reports its readiness. Responses
+    // are byte-identical either way — no request reads the tier.
     let ch_enabled = match flags.get("ch").map(String::as_str) {
         None | Some("on") => true,
         Some("off") => false,
