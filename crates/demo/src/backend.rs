@@ -32,7 +32,7 @@ impl DemoBackend {
 
 impl RouteBackend for DemoBackend {
     type Request = PreparedQuery;
-    type Part = ApproachRoutes;
+    type Part = Arc<ApproachRoutes>;
     type Response = QueryResponse;
 
     fn lanes(&self) -> usize {
@@ -83,14 +83,14 @@ impl RouteBackend for DemoBackend {
         request
     }
 
-    fn compute(&self, request: &PreparedQuery, lane: usize) -> Result<ApproachRoutes, String> {
+    fn compute(&self, request: &PreparedQuery, lane: usize) -> Result<Arc<ApproachRoutes>, String> {
         self.processor
             .compute_slot_prepared(request, lane, &SearchBudget::unlimited())
             .map(|(part, _)| part)
             .map_err(|e| e.to_string())
     }
 
-    fn assemble(&self, request: &PreparedQuery, parts: Vec<ApproachRoutes>) -> QueryResponse {
+    fn assemble(&self, request: &PreparedQuery, parts: Vec<Arc<ApproachRoutes>>) -> QueryResponse {
         let mut response = self.processor.assemble(&request.snapped, parts);
         response.epoch = request.epoch();
         response
@@ -101,7 +101,7 @@ impl RouteBackend for DemoBackend {
         request: &PreparedQuery,
         lane: usize,
         token: &CancelToken,
-    ) -> Result<LaneOutcome<ApproachRoutes>, LaneError> {
+    ) -> Result<LaneOutcome<Arc<ApproachRoutes>>, LaneError> {
         // The serving layer's cancel token becomes the technique's search
         // budget: a tripped deadline stops the in-flight search within one
         // budget-check interval, and the routes admitted so far come back
@@ -120,7 +120,7 @@ impl RouteBackend for DemoBackend {
     fn assemble_degraded(
         &self,
         request: &PreparedQuery,
-        parts: Vec<Option<ApproachRoutes>>,
+        parts: Vec<Option<Arc<ApproachRoutes>>>,
         statuses: &[LaneStatus],
     ) -> Option<QueryResponse> {
         let mut response = self
@@ -341,7 +341,7 @@ mod tests {
         qp: &Arc<QueryProcessor>,
         q: PreparedQuery,
         substrate: arp_core::SearchSubstrate,
-    ) -> (ApproachRoutes, ApproachRoutes, u64) {
+    ) -> (Arc<ApproachRoutes>, Arc<ApproachRoutes>, u64) {
         let backend = DemoBackend::new(Arc::clone(qp));
         let lane = (0..backend.lanes())
             .find(|&l| backend.lane_name(l) == "plateaus")

@@ -118,13 +118,7 @@ fn write_json(v: &Json, out: &mut String) {
         Json::Null => out.push_str("null"),
         Json::Bool(true) => out.push_str("true"),
         Json::Bool(false) => out.push_str("false"),
-        Json::Number(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                out.push_str(&format!("{}", *n as i64));
-            } else {
-                out.push_str(&format!("{n}"));
-            }
-        }
+        Json::Number(n) => write_number(*n, out),
         Json::String(s) => write_escaped(s, out),
         Json::Array(items) => {
             out.push('[');
@@ -151,7 +145,20 @@ fn write_json(v: &Json, out: &mut String) {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// The number rule of the wire format: integral values print as integers,
+/// everything else as `f64`'s shortest round-trip `Display`.
+pub(crate) fn write_number(n: f64, out: &mut String) {
+    use fmt::Write;
+    let written = if n.fract() == 0.0 && n.abs() < 9e15 {
+        write!(out, "{}", n as i64)
+    } else {
+        write!(out, "{n}")
+    };
+    written.expect("writing to a String cannot fail");
+}
+
+/// Writes `s` as a quoted, escaped JSON string.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -15,7 +15,9 @@
 //!   comments) with CSV persistence,
 //! * [`server`] — a small std-only HTTP server exposing the JSON API and
 //!   the interactive map page ([`html`]),
-//! * [`geojson`] / [`json`] — hand-rolled serialization for the API.
+//! * [`geojson`] / [`json`] — hand-rolled serialization for the API; the
+//!   `/api/route` body itself is streamed by the private `render` module
+//!   from a per-network table of rendered coordinates.
 //!
 //! ```no_run
 //! use arp_citygen::{City, Scale};
@@ -37,6 +39,7 @@ pub mod html;
 pub mod index;
 pub mod json;
 pub mod query;
+mod render;
 pub mod server;
 pub mod store;
 

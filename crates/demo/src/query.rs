@@ -25,6 +25,7 @@ use arp_traffic::{DurabilityConfig, EpochSnapshot, RecoveryReport, TrafficError,
 use crate::blind::Blinding;
 use crate::error::DemoError;
 use crate::index::IndexManager;
+use crate::render::vertices_along;
 
 /// Maximum distance between a clicked location and its matched vertex.
 pub const MATCH_RADIUS_M: f64 = 2_000.0;
@@ -43,13 +44,17 @@ pub struct RouteInfo {
     pub polyline: Vec<Point>,
     /// Display color.
     pub color: &'static str,
-    /// The route's edge sequence. Server-side only (never rendered):
-    /// lets tests and audits re-cost the route exactly against any
-    /// epoch's weight column.
+    /// The route's edge sequence. Server-side only (never rendered as
+    /// such): lets tests and audits re-cost the route exactly against any
+    /// epoch's weight column, and lets the `/api/route` writer look each
+    /// polyline point up by vertex — so when non-empty, `polyline` must be
+    /// the coordinates of the vertices these edges pass, in order.
     pub edges: Vec<EdgeId>,
 }
 
-/// The routes of one (blinded) approach.
+/// The routes of one (blinded) approach. Computed once per lane and then
+/// shared by refcount: the route cache, the assembled response and the
+/// renderer all hold the same `Arc<ApproachRoutes>`.
 #[derive(Clone, Debug)]
 pub struct ApproachRoutes {
     /// Blind label (A–D).
@@ -116,7 +121,7 @@ pub struct QueryResponse {
     /// Fastest travel time in display minutes.
     pub fastest_minutes: u64,
     /// Per-approach routes, in blind-label order A–D.
-    pub approaches: Vec<ApproachRoutes>,
+    pub approaches: Vec<Arc<ApproachRoutes>>,
     /// Whether the response was truncated by the request deadline: some
     /// approaches may show fewer routes (or none) than an unhurried run
     /// would have produced.
@@ -467,7 +472,7 @@ impl QueryProcessor {
         q: &PreparedQuery,
         slot: usize,
         budget: &SearchBudget,
-    ) -> Result<(ApproachRoutes, bool), DemoError> {
+    ) -> Result<(Arc<ApproachRoutes>, bool), DemoError> {
         let kind = self.blinding.order()[slot];
         let SnappedQuery { source, target } = q.snapped;
         let shared = q
@@ -499,30 +504,40 @@ impl QueryProcessor {
 
     /// Prices a provider outcome on the public (OSM) weights, rounds to
     /// minutes, attaches rank colors and the blind label.
-    fn price_slot(&self, kind: ProviderKind, outcome: ProviderOutcome) -> (ApproachRoutes, bool) {
+    fn price_slot(
+        &self,
+        kind: ProviderKind,
+        outcome: ProviderOutcome,
+    ) -> (Arc<ApproachRoutes>, bool) {
         let interrupted = outcome.is_interrupted();
         let routes = outcome.routes();
         let infos: Vec<RouteInfo> = routes
             .iter()
             .enumerate()
-            .map(|(rank, r)| RouteInfo {
-                minutes: r.display_minutes(),
-                cost_ms: r.public_cost_ms,
-                polyline: r
-                    .path
-                    .nodes
-                    .iter()
-                    .map(|&n| self.network.point(n))
-                    .collect(),
-                color: ROUTE_COLORS[rank % ROUTE_COLORS.len()],
-                edges: r.path.edges.clone(),
+            .map(|(rank, r)| {
+                debug_assert!(
+                    vertices_along(&self.network, &r.path.edges).eq(r.path.nodes.iter().copied()),
+                    "a path's nodes are the vertices its edges pass"
+                );
+                RouteInfo {
+                    minutes: r.display_minutes(),
+                    cost_ms: r.public_cost_ms,
+                    polyline: r
+                        .path
+                        .nodes
+                        .iter()
+                        .map(|&n| self.network.point(n))
+                        .collect(),
+                    color: ROUTE_COLORS[rank % ROUTE_COLORS.len()],
+                    edges: r.path.edges.clone(),
+                }
             })
             .collect();
         (
-            ApproachRoutes {
+            Arc::new(ApproachRoutes {
                 label: self.blinding.label_of(kind),
                 routes: infos,
-            },
+            }),
             interrupted,
         )
     }
@@ -530,7 +545,11 @@ impl QueryProcessor {
     /// Combines per-slot results (in blinding order) into the response.
     /// Deterministic in its inputs, so assembling fanned-out slots yields
     /// exactly what the serial path produces.
-    pub fn assemble(&self, q: &SnappedQuery, approaches: Vec<ApproachRoutes>) -> QueryResponse {
+    pub fn assemble(
+        &self,
+        q: &SnappedQuery,
+        approaches: Vec<Arc<ApproachRoutes>>,
+    ) -> QueryResponse {
         let fastest_ms = approaches
             .iter()
             .filter_map(|a| a.routes.first())
@@ -577,7 +596,7 @@ impl QueryProcessor {
     pub fn assemble_degraded(
         &self,
         q: &SnappedQuery,
-        parts: Vec<Option<ApproachRoutes>>,
+        parts: Vec<Option<Arc<ApproachRoutes>>>,
         statuses: &[LaneStatus],
     ) -> Option<QueryResponse> {
         if parts
@@ -586,13 +605,15 @@ impl QueryProcessor {
         {
             return None;
         }
-        let approaches: Vec<ApproachRoutes> = parts
+        let approaches = parts
             .into_iter()
             .enumerate()
             .map(|(slot, part)| {
-                part.unwrap_or_else(|| ApproachRoutes {
-                    label: self.slot_label(slot),
-                    routes: Vec::new(),
+                part.unwrap_or_else(|| {
+                    Arc::new(ApproachRoutes {
+                        label: self.slot_label(slot),
+                        routes: Vec::new(),
+                    })
                 })
             })
             .collect();

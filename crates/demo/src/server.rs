@@ -55,24 +55,25 @@
 //! — bounded per-connection threads, load shedding at the accept loop,
 //! and cooperative shutdown via [`ShutdownHandle`].
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use arp_obs::{
-    CompletedTrace, Registry, Span, SpanStatus, TraceId, TraceReceipt, DEFAULT_LATENCY_BUCKETS_MS,
+    CompletedTrace, Counter, Histogram, Registry, Span, SpanStatus, TraceId, TraceReceipt,
+    DEFAULT_LATENCY_BUCKETS_MS,
 };
 use arp_roadnet::geo::Point;
 use arp_serve::{RouteService, ServeConfig, ServeError, ShutdownHandle};
 
 use crate::backend::DemoBackend;
 use crate::error::DemoError;
-use crate::geojson::response_to_geojson;
 use crate::html;
 use crate::json::{self, Json};
 use crate::query::QueryProcessor;
+use crate::render::{self, CoordText};
 use crate::store::{ResponseStore, Submission};
 
 /// Upper bound on concurrently handled TCP connections; the accept loop
@@ -192,6 +193,129 @@ impl HttpResponse {
     }
 }
 
+/// What a request is counted under: the bounded-cardinality `endpoint`
+/// label of the HTTP metrics.
+#[derive(Clone, Copy)]
+enum Endpoint {
+    Index,
+    Meta,
+    Network,
+    Route,
+    Rate,
+    Results,
+    ResultsCsv,
+    Metrics,
+    Health,
+    Traffic,
+    DebugTraces,
+    Trace,
+    Other,
+}
+
+impl Endpoint {
+    const COUNT: usize = Endpoint::Other as usize + 1;
+
+    /// Maps a request to its endpoint. The query string never
+    /// participates (it is unbounded), and every `/api/trace/<id>` shares
+    /// one label for the same reason.
+    fn of(method: &str, path: &str) -> Endpoint {
+        let path = path.split_once('?').map_or(path, |(p, _)| p);
+        match (method, path) {
+            ("GET", "/") => Endpoint::Index,
+            ("GET", "/api/meta") => Endpoint::Meta,
+            ("GET", "/api/network") => Endpoint::Network,
+            ("POST", "/api/route") => Endpoint::Route,
+            ("POST", "/api/rate") => Endpoint::Rate,
+            ("GET", "/api/results") => Endpoint::Results,
+            ("GET", "/api/results.csv") => Endpoint::ResultsCsv,
+            ("GET", "/api/metrics") => Endpoint::Metrics,
+            ("GET", "/api/health") => Endpoint::Health,
+            ("POST", "/api/traffic") => Endpoint::Traffic,
+            ("GET", "/api/debug/traces") => Endpoint::DebugTraces,
+            ("GET", p) if p.starts_with("/api/trace/") => Endpoint::Trace,
+            _ => Endpoint::Other,
+        }
+    }
+
+    fn label(self) -> &'static str {
+        match self {
+            Endpoint::Index => "index",
+            Endpoint::Meta => "meta",
+            Endpoint::Network => "network",
+            Endpoint::Route => "route",
+            Endpoint::Rate => "rate",
+            Endpoint::Results => "results",
+            Endpoint::ResultsCsv => "results_csv",
+            Endpoint::Metrics => "metrics",
+            Endpoint::Health => "health",
+            Endpoint::Traffic => "traffic",
+            Endpoint::DebugTraces => "debug_traces",
+            Endpoint::Trace => "trace",
+            Endpoint::Other => "other",
+        }
+    }
+}
+
+/// Every status the handlers answer with, and its reason phrase.
+const STATUSES: [(u16, &str); 10] = [
+    (200, "OK"),
+    (400, "Bad Request"),
+    (404, "Not Found"),
+    (405, "Method Not Allowed"),
+    (413, "Payload Too Large"),
+    (431, "Request Header Fields Too Large"),
+    (500, "Internal Server Error"),
+    (502, "Bad Gateway"),
+    (503, "Service Unavailable"),
+    (504, "Gateway Timeout"),
+];
+
+/// The two per-request HTTP instruments, resolved from the registry the
+/// first time an endpoint (and an endpoint's status) is seen and lock-free
+/// after that, so a request takes no registry mutex. Resolved lazily, not
+/// at start-up, because a series that was never hit must stay out of
+/// `/api/metrics`.
+#[derive(Default)]
+struct HttpMetrics {
+    /// `arp_http_request_latency_ms{endpoint}`, indexed by [`Endpoint`].
+    latency: [OnceLock<Histogram>; Endpoint::COUNT],
+    /// `arp_http_requests_total{endpoint,status}`, indexed by
+    /// [`Endpoint`] × [`STATUSES`].
+    requests: [[OnceLock<Counter>; STATUSES.len()]; Endpoint::COUNT],
+}
+
+impl HttpMetrics {
+    fn latency(&self, registry: &Registry, endpoint: Endpoint) -> &Histogram {
+        self.latency[endpoint as usize].get_or_init(|| {
+            registry.histogram(
+                "arp_http_request_latency_ms",
+                "Wall-clock time handling one HTTP request, in milliseconds.",
+                &[("endpoint", endpoint.label())],
+                &DEFAULT_LATENCY_BUCKETS_MS,
+            )
+        })
+    }
+
+    fn count(&self, registry: &Registry, endpoint: Endpoint, status: u16) {
+        let resolve = || {
+            registry.counter(
+                "arp_http_requests_total",
+                "HTTP requests served, by endpoint and status code.",
+                &[
+                    ("endpoint", endpoint.label()),
+                    ("status", &status.to_string()),
+                ],
+            )
+        };
+        match STATUSES.iter().position(|(s, _)| *s == status) {
+            Some(slot) => self.requests[endpoint as usize][slot]
+                .get_or_init(resolve)
+                .inc(),
+            None => resolve().inc(),
+        }
+    }
+}
+
 /// The demo application state shared across connections.
 pub struct DemoApp {
     /// The query processor (network + providers + blinding).
@@ -201,8 +325,12 @@ pub struct DemoApp {
     /// Shared metrics registry (cloned from the processor's, so HTTP,
     /// serving and technique metrics land in one exposition).
     registry: Registry,
+    http: HttpMetrics,
     /// The serving pipeline `/api/route` runs through.
     service: RouteService<DemoBackend>,
+    /// The network's rendered coordinates, which `/api/route` bodies are
+    /// written from.
+    coords: CoordText,
 }
 
 impl DemoApp {
@@ -229,9 +357,11 @@ impl DemoApp {
                 .set_journal_fault_hook(move || plan.fire(arp_serve::sites::JOURNAL_APPEND));
         }
         DemoApp {
+            coords: CoordText::new(processor.network().points()),
             processor,
             store: ResponseStore::new(),
             registry,
+            http: HttpMetrics::default(),
             service,
         }
     }
@@ -247,62 +377,20 @@ impl DemoApp {
     /// to its end, so this cannot go through the normal handler. Still
     /// counted in `arp_http_requests_total` under the endpoint's label.
     fn reject_unread(&self, method: &str, path: &str, refusal: (u16, &str)) -> HttpResponse {
-        let endpoint = Self::endpoint_label(method, path);
+        let endpoint = Endpoint::of(method, path);
         let resp = HttpResponse::error(refusal.0, refusal.1);
-        self.registry
-            .counter(
-                "arp_http_requests_total",
-                "HTTP requests served, by endpoint and status code.",
-                &[("endpoint", endpoint), ("status", &resp.status.to_string())],
-            )
-            .inc();
+        self.http.count(&self.registry, endpoint, resp.status);
         resp
-    }
-
-    /// Maps a request to its bounded-cardinality `endpoint` label. The
-    /// query string never participates (it is unbounded), and every
-    /// `/api/trace/<id>` shares one label for the same reason.
-    fn endpoint_label(method: &str, path: &str) -> &'static str {
-        let path = path.split_once('?').map_or(path, |(p, _)| p);
-        match (method, path) {
-            ("GET", "/") => "index",
-            ("GET", "/api/meta") => "meta",
-            ("GET", "/api/network") => "network",
-            ("POST", "/api/route") => "route",
-            ("POST", "/api/rate") => "rate",
-            ("GET", "/api/results") => "results",
-            ("GET", "/api/results.csv") => "results_csv",
-            ("GET", "/api/metrics") => "metrics",
-            ("GET", "/api/health") => "health",
-            ("POST", "/api/traffic") => "traffic",
-            ("GET", "/api/debug/traces") => "debug_traces",
-            ("GET", p) if p.starts_with("/api/trace/") => "trace",
-            _ => "other",
-        }
     }
 
     /// Dispatches one request, recording the request count (by endpoint
     /// and status) and handling latency into the shared registry.
     pub fn handle(&self, method: &str, path: &str, body: &str) -> HttpResponse {
-        let endpoint = Self::endpoint_label(method, path);
-        let timer = self
-            .registry
-            .histogram(
-                "arp_http_request_latency_ms",
-                "Wall-clock time handling one HTTP request, in milliseconds.",
-                &[("endpoint", endpoint)],
-                &DEFAULT_LATENCY_BUCKETS_MS,
-            )
-            .start_timer();
+        let endpoint = Endpoint::of(method, path);
+        let timer = self.http.latency(&self.registry, endpoint).start_timer();
         let resp = self.dispatch(method, path, body);
         drop(timer);
-        self.registry
-            .counter(
-                "arp_http_requests_total",
-                "HTTP requests served, by endpoint and status code.",
-                &[("endpoint", endpoint), ("status", &resp.status.to_string())],
-            )
-            .inc();
+        self.http.count(&self.registry, endpoint, resp.status);
         resp
     }
 
@@ -441,11 +529,13 @@ impl DemoApp {
             .route_traced(self.processor.prepare_query(snapped));
         self.log_slow(&receipt);
         match outcome {
-            Ok(resp) => {
-                let mut http = Self::render_route_response(&resp, receipt.id);
-                http.trace_id = Some(receipt.id.to_string());
-                http
-            }
+            Ok(resp) => HttpResponse {
+                status: 200,
+                content_type: "application/json",
+                body: render::route_body(&resp, receipt.id, self.processor.network(), &self.coords),
+                retry_after: None,
+                trace_id: Some(receipt.id.to_string()),
+            },
             Err(e) => HttpResponse::serve_error(&e, receipt.id),
         }
     }
@@ -469,85 +559,6 @@ impl DemoApp {
             ),
         ]);
         eprintln!("{}", line.to_string_compact());
-    }
-
-    /// Renders a computed response as the `/api/route` JSON. Split from
-    /// [`DemoApp::route`] so tests can compare the served body byte for
-    /// byte against the serial [`QueryProcessor::process`] path (the
-    /// serial caller passes the served trace id to keep the comparison
-    /// exact — the id is the one per-request field).
-    fn render_route_response(
-        resp: &crate::query::QueryResponse,
-        trace_id: TraceId,
-    ) -> HttpResponse {
-        let approaches = resp
-            .approaches
-            .iter()
-            .map(|a| {
-                let routes = a
-                    .routes
-                    .iter()
-                    .map(|r| {
-                        Json::object([
-                            ("minutes", Json::Number(r.minutes as f64)),
-                            ("color", Json::str(r.color)),
-                            (
-                                "polyline",
-                                Json::Array(
-                                    r.polyline
-                                        .iter()
-                                        .map(|p| {
-                                            Json::Array(vec![
-                                                Json::Number(p.lon),
-                                                Json::Number(p.lat),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect();
-                Json::object([
-                    ("label", Json::str(a.label.to_string())),
-                    ("routes", Json::Array(routes)),
-                ])
-            })
-            .collect();
-        let mut fields = vec![
-            ("fastest_minutes", Json::Number(resp.fastest_minutes as f64)),
-            ("approaches", Json::Array(approaches)),
-            // A deadline-truncated response is still a 200 — the client
-            // gets every route that finished, flagged so the UI can say
-            // "some alternatives were cut short". 504 is reserved for
-            // requests where nothing finished at all.
-            ("truncated", Json::Bool(resp.truncated)),
-            // The traffic epoch every route in this response was computed
-            // under — one value for the whole response, because the epoch
-            // is pinned per request, never per lane.
-            ("epoch", Json::Number(resp.epoch as f64)),
-            ("geojson", Json::str(response_to_geojson(resp))),
-        ];
-        // Every served request has a trace id, so clients can always log
-        // it; it resolves at `/api/trace/<id>` only for kept traces.
-        fields.push(("trace_id", Json::str(trace_id.to_string())));
-        // Degraded responses (a lane failed or its breaker was open) name
-        // the affected approaches by blind label only — the technique
-        // behind each label stays hidden from the study participant.
-        // Healthy responses omit both keys, keeping them byte-identical
-        // to the pre-fault-tolerance wire format.
-        if resp.degraded {
-            fields.push(("degraded", Json::Bool(true)));
-            fields.push((
-                "lane_status",
-                Json::object_of(
-                    resp.lane_status
-                        .iter()
-                        .map(|(label, status)| (label.to_string(), Json::str(status.as_str()))),
-                ),
-            ));
-        }
-        HttpResponse::ok_json(Json::object(fields))
     }
 
     /// `POST /api/traffic` — ingests a traffic delta and bumps the graph
@@ -979,39 +990,40 @@ fn read_request(stream: impl Read) -> std::io::Result<Option<RawRequest>> {
     Ok(Some(request))
 }
 
-fn write_response(stream: &mut TcpStream, resp: &HttpResponse) -> std::io::Result<()> {
-    let reason = match resp.status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        413 => "Payload Too Large",
-        431 => "Request Header Fields Too Large",
-        500 => "Internal Server Error",
-        502 => "Bad Gateway",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
-        _ => "Internal Server Error",
-    };
-    let retry_after = match resp.retry_after {
-        Some(seconds) => format!("Retry-After: {seconds}\r\n"),
-        None => String::new(),
-    };
-    let trace_id = match &resp.trace_id {
-        Some(id) => format!("X-Arp-Trace-Id: {id}\r\n"),
-        None => String::new(),
-    };
-    write!(
-        stream,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}{}Connection: close\r\n\r\n{}",
+/// Sends head and body in one vectored write. `write!` on the unbuffered
+/// stream would turn every piece of its format string into a `write(2)`
+/// of its own.
+fn write_response(stream: &mut impl Write, resp: &HttpResponse) -> std::io::Result<()> {
+    let reason = STATUSES
+        .iter()
+        .find(|(status, _)| *status == resp.status)
+        .map_or("Internal Server Error", |(_, reason)| reason);
+    let mut head = format!(
+        "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         resp.status,
-        reason,
         resp.content_type,
         resp.body.len(),
-        retry_after,
-        trace_id,
-        resp.body
-    )?;
+    );
+    if let Some(seconds) = resp.retry_after {
+        head += &format!("Retry-After: {seconds}\r\n");
+    }
+    if let Some(id) = &resp.trace_id {
+        head += &format!("X-Arp-Trace-Id: {id}\r\n");
+    }
+    head += "Connection: close\r\n\r\n";
+
+    let (head, body) = (head.as_bytes(), resp.body.as_bytes());
+    let sent = match stream.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+        Err(e) if e.kind() == ErrorKind::Interrupted => 0,
+        sent => sent?,
+    };
+    // A short write: the peer's window took only part of it.
+    if sent < head.len() {
+        stream.write_all(&head[sent..])?;
+        stream.write_all(body)?;
+    } else {
+        stream.write_all(&body[sent - head.len()..])?;
+    }
     stream.flush()
 }
 
@@ -1101,6 +1113,7 @@ fn serve_connections(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::tests::reference_body;
     use arp_citygen::{City, Scale};
 
     fn app() -> DemoApp {
@@ -1315,9 +1328,9 @@ mod tests {
         assert_eq!(served.status, 200, "{}", served.body);
 
         // The serial reference: snap + process on this thread, rendered
-        // by the same function the handler uses. The trace id is the one
-        // per-request field, so the reference borrows the served one to
-        // keep the comparison byte-exact.
+        // by the Json-tree oracle rather than the handler's writer. The
+        // trace id is the one per-request field, so the reference borrows
+        // the served one to keep the comparison byte-exact.
         let req = json::parse(&body).unwrap();
         let s = Point::new(
             req.get("slon").unwrap().as_f64().unwrap(),
@@ -1329,16 +1342,54 @@ mod tests {
         );
         let processed = app.processor.process(s, t).unwrap();
         let id = served_trace_id(&served);
-        let serial = DemoApp::render_route_response(&processed, id);
-        assert_eq!(served.body, serial.body, "fan-out must match serial path");
+        let serial = reference_body(&processed, id);
+        assert_eq!(served.body, serial, "fan-out must match serial path");
 
         // And a repeat request — served from the route cache — is
         // byte-identical too, modulo its own fresh trace id.
         let repeat = app.handle("POST", "/api/route", &body);
         let repeat_id = served_trace_id(&repeat);
         assert_ne!(repeat_id, id, "every request gets its own trace");
-        let serial = DemoApp::render_route_response(&processed, repeat_id);
-        assert_eq!(repeat.body, serial.body, "cached reply must match");
+        let serial = reference_body(&processed, repeat_id);
+        assert_eq!(repeat.body, serial, "cached reply must match");
+    }
+
+    /// `body` minus its `"trace_id":"…",` member — the one per-request
+    /// field (it always sits before `truncated`, so a comma follows).
+    fn without_trace_id(body: &str) -> String {
+        const KEY: &str = "\"trace_id\":\"";
+        let start = body.find(KEY).expect("served bodies carry a trace id");
+        let value = start + KEY.len();
+        let end = value + body[value..].find("\",").expect("closing quote") + 2;
+        format!("{}{}", &body[..start], &body[end..])
+    }
+
+    #[test]
+    fn route_body_digest_is_pinned() {
+        // FNV-1a over the served `/api/route` body (trace id removed) for
+        // one fixed pair per Small city, seed 42. The literals were
+        // captured on the Json-tree renderer, before the body became a
+        // streamed write: however the body is produced, its bytes must not
+        // move.
+        let digests: Vec<u64> = City::ALL
+            .into_iter()
+            .map(|city| {
+                let g = arp_citygen::generate(city, Scale::Small, 42);
+                let app = DemoApp::new(QueryProcessor::new(g.name.clone(), g.network, 42));
+                let served = app.handle("POST", "/api/route", &route_body(&app));
+                assert_eq!(served.status, 200, "{}", served.body);
+                without_trace_id(&served.body)
+                    .bytes()
+                    .fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
+                        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+                    })
+            })
+            .collect();
+        assert_eq!(
+            digests,
+            [0xd916d9041d916c5c, 0x3fbd2c6f32a4b96f, 0x85959fb11e70d624,],
+            "Melbourne, Dhaka, Copenhagen"
+        );
     }
 
     #[test]
@@ -2187,6 +2238,66 @@ mod tests {
         assert_eq!(kept.get("status").and_then(Json::as_str), Some("failed"));
         let tree = |id: TraceId| app.handle("GET", &format!("/api/trace/{id}"), "").status;
         assert_eq!((tree(healthy_id), tree(shed_id)), (404, 200));
+    }
+
+    /// A body far larger than one segment arrives whole however slowly the
+    /// peer drains the socket, and however little each `write` takes.
+    #[test]
+    fn large_body_survives_short_writes_on_the_wire() {
+        /// Takes at most `chunk` bytes per call, like a full send buffer.
+        struct Trickle {
+            taken: Vec<u8>,
+            chunk: usize,
+        }
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                let n = buf.len().min(self.chunk);
+                self.taken.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let mut resp = HttpResponse::ok_json(Json::Null);
+        resp.body = (0..100_000u32)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect();
+        resp.trace_id = Some("00000000deadbeef".to_string());
+        for chunk in [1, 1_460] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let writer = {
+                let resp = resp.clone();
+                std::thread::spawn(move || {
+                    let (mut stream, _) = listener.accept().unwrap();
+                    write_response(&mut stream, &resp).unwrap();
+                })
+            };
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let (mut wire, mut buf) = (Vec::new(), vec![0u8; chunk]);
+            loop {
+                match stream.read(&mut buf).unwrap() {
+                    0 => break,
+                    n => wire.extend_from_slice(&buf[..n]),
+                }
+            }
+            writer.join().unwrap();
+            let text = String::from_utf8(wire).unwrap();
+            let (head, body) = text.split_once("\r\n\r\n").unwrap();
+            assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+            assert!(head.contains("Content-Length: 100000\r\n"), "{head}");
+            assert!(head.ends_with("Connection: close"), "{head}");
+            assert_eq!(body, resp.body, "peer reading {chunk} bytes at a time");
+
+            let mut trickle = Trickle {
+                taken: Vec::new(),
+                chunk,
+            };
+            write_response(&mut trickle, &resp).unwrap();
+            assert_eq!(trickle.taken, text.as_bytes(), "{chunk}-byte writes");
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use alt_route_planner::prelude::*;
 use arp_core::quality::turn_count;
@@ -297,7 +298,7 @@ fn cmd_route(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
                 .first()
                 .map(|p| ms_to_display_minutes(p.cost_under(weights)))
                 .unwrap_or(0),
-            approaches: vec![arp_demo::query::ApproachRoutes {
+            approaches: vec![Arc::new(arp_demo::query::ApproachRoutes {
                 label: 'A',
                 routes: paths
                     .iter()
@@ -311,7 +312,7 @@ fn cmd_route(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
                         edges: p.edges.clone(),
                     })
                     .collect(),
-            }],
+            })],
         };
         std::fs::write(out, response_to_geojson(&resp)).unwrap_or_else(|e| {
             eprintln!("cannot write {out}: {e}");
