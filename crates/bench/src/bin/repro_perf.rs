@@ -59,14 +59,11 @@ struct PairCost {
     ms: f64,
 }
 
-/// The three suppliers of a request's tree pair on Copenhagen-Large (the
-/// benchmark's `short-hop` / `cross-town` city), by trip distance: two
-/// complete Dijkstra trees, the hierarchy's two PHAST sweeps
-/// (`build_with_ch`), and the bounded builder every request uses
-/// (`SearchSubstrate::build`). `relaxed` is the deterministic column that
-/// counts what each pays — PHAST's downward sweep relaxes arcs without
-/// settling — and CI gates on it: bounded ≤ full on every pair, and ≤ 10 %
-/// of full below 2 km.
+/// A request's tree pair on Copenhagen-Large (the benchmark's
+/// `short-hop` / `cross-town` city), by trip distance: two complete
+/// Dijkstra trees against the bounded builder every request uses
+/// (`SearchSubstrate::build`). `relaxed` is the deterministic column CI
+/// gates on: bounded ≤ full on every pair, and ≤ 10 % of full below 2 km.
 fn tree_pair_sweep(report: &mut String) {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -93,9 +90,7 @@ fn tree_pair_sweep(report: &mut String) {
         }
     }
 
-    let topo = ChTopology::build(&net);
-    let metric = topo.customize(&net, w).expect("base column customizes");
-    let (q, budget, reps) = (AltQuery::paper(), SearchBudget::unlimited(), 3);
+    let (q, reps) = (AltQuery::paper(), 3);
     let mut ws = SearchSpace::new(&net);
     let _ = writeln!(
         report,
@@ -104,15 +99,22 @@ fn tree_pair_sweep(report: &mut String) {
         city.name,
         net.num_nodes()
     );
-    let _ =
-        writeln!(
+    let _ = writeln!(
         report,
-        "  {:<8} {:>5} | {:>8} {:>8} {:>7} | {:>8} {:>8} {:>7} | {:>8} {:>8} {:>7} | {:>8} {:>6}",
-        "km", "pairs", "full-set", "full-rlx", "full-ms", "ph-set", "ph-rlx", "ph-ms", "bnd-set",
-        "bnd-rlx", "bnd-ms", "rlx/full", "bnd<=f"
+        "  {:<8} {:>5} | {:>8} {:>8} {:>7} | {:>8} {:>8} {:>7} | {:>8} {:>6}",
+        "km",
+        "pairs",
+        "full-set",
+        "full-rlx",
+        "full-ms",
+        "bnd-set",
+        "bnd-rlx",
+        "bnd-ms",
+        "rlx/full",
+        "bnd<=f"
     );
     for (&(lo, hi), pairs) in BUCKETS_KM.iter().zip(&buckets) {
-        let [mut full, mut phast, mut bounded] = <[PairCost; 3]>::default();
+        let [mut full, mut bounded] = <[PairCost; 2]>::default();
         let mut never_more = 0;
         for &(s, t) in pairs {
             let mut full_relaxed = 0;
@@ -122,10 +124,6 @@ fn tree_pair_sweep(report: &mut String) {
                 full_relaxed += ws.last_stats().relaxed;
             }
             full.relaxed += full_relaxed;
-            let through_ch = SearchSubstrate::build_with_ch(&net, w, &topo, &metric, s, t, &budget)
-                .expect("swept pairs are routable");
-            phast.settled += through_ch.build_stats().settled;
-            phast.relaxed += through_ch.build_stats().relaxed;
             let grown = SearchSubstrate::build(&mut ws, &net, w, s, t, &q)
                 .expect("swept pairs are routable");
             bounded.settled += grown.build_stats().settled;
@@ -137,15 +135,6 @@ fn tree_pair_sweep(report: &mut String) {
                 for &(s, t) in pairs {
                     let _ = ws.shortest_path_tree(&net, w, s, Direction::Forward);
                     let _ = ws.shortest_path_tree(&net, w, t, Direction::Backward);
-                }
-            },
-            pairs.len(),
-            reps,
-        );
-        phast.ms = time_per_query(
-            || {
-                for &(s, t) in pairs {
-                    let _ = SearchSubstrate::build_with_ch(&net, w, &topo, &metric, s, t, &budget);
                 }
             },
             pairs.len(),
@@ -163,15 +152,12 @@ fn tree_pair_sweep(report: &mut String) {
         let per_pair = |total: u64| total / pairs.len().max(1) as u64;
         let _ = writeln!(
             report,
-            "  {:<8} {:>5} | {:>8} {:>8} {:>7.3} | {:>8} {:>8} {:>7.3} | {:>8} {:>8} {:>7.3} | {:>8.3} {:>6}",
+            "  {:<8} {:>5} | {:>8} {:>8} {:>7.3} | {:>8} {:>8} {:>7.3} | {:>8.3} {:>6}",
             format!("{lo}-{hi}"),
             pairs.len(),
             per_pair(full.settled),
             per_pair(full.relaxed),
             full.ms,
-            per_pair(phast.settled),
-            per_pair(phast.relaxed),
-            phast.ms,
             per_pair(bounded.settled),
             per_pair(bounded.relaxed),
             bounded.ms,

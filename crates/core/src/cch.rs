@@ -28,18 +28,10 @@
 //! the triangle relaxations) all yield exact shortest-path distances,
 //! verified against Dijkstra in the tests.
 //!
-//! Queries come in two shapes, both run by the shared search kernel over
-//! the upward arcs:
-//!
-//! * [`ChTopology::shortest_path`] / [`ChTopology::distance`] — the
-//!   classic bidirectional upward search with recursive triangle
-//!   unpacking back to original edges.
-//! * [`ChTopology::phast_distances`] — one-to-all: an upward search from
-//!   the root followed by a single linear sweep over the arcs in
-//!   descending upper-endpoint rank (PHAST). The serving substrate uses
-//!   two of these to rebuild the exact forward/backward distance arrays
-//!   the techniques consume, settling only the upward cones instead of
-//!   the whole graph.
+//! The point query — [`ChTopology::shortest_path`] /
+//! [`ChTopology::distance`] — is the classic bidirectional upward search,
+//! run by the shared search kernel over the upward arcs, with recursive
+//! triangle unpacking back to original edges.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -48,12 +40,10 @@ use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::{EdgeId, NodeId};
 use arp_roadnet::weight::{Cost, Weight, CLOSED, INFINITY};
 
-use crate::budget::{SearchBudget, CHECK_INTERVAL};
+use crate::budget::SearchBudget;
 use crate::error::CoreError;
-use crate::kernel::{self, ArcView, Exhaust, Labels, Poller};
-use crate::metrics::SearchStats;
+use crate::kernel::{self, ArcView, Labels, Poller};
 use crate::path::Path;
-use crate::search::Direction;
 
 /// Sentinel for "no arc" / "no triangle": the arc weight comes straight
 /// from an original edge.
@@ -73,9 +63,8 @@ pub struct ChTopology {
     num_edges: usize,
     /// Contraction rank per node; higher = contracted later.
     rank: Vec<u32>,
-    /// Arc endpoints, `rank[arc_lo[a]] < rank[arc_hi[a]]`, sorted by
-    /// upper-endpoint rank **descending** so the PHAST sweep is a plain
-    /// forward iteration.
+    /// Arc endpoints, `rank[arc_lo[a]] < rank[arc_hi[a]]`, numbered by
+    /// upper-endpoint rank descending.
     arc_lo: Vec<u32>,
     arc_hi: Vec<u32>,
     /// CSR over arcs keyed by their lower endpoint (the upward
@@ -243,7 +232,7 @@ impl ChTopology {
                 pairs.push((v, u));
             }
         }
-        // PHAST order: upper-endpoint rank descending (deterministic
+        // Arc ids: upper-endpoint rank descending (deterministic
         // tie-break on the lower endpoint's rank).
         pairs.sort_unstable_by_key(|&(lo, hi)| (Reverse(rank[hi as usize]), rank[lo as usize]));
         let m = pairs.len();
@@ -418,59 +407,6 @@ impl ChTopology {
             best_up,
             best_down,
         })
-    }
-
-    /// Exact one-to-all distances via PHAST: a budgeted upward search
-    /// from `root`, then one linear sweep over the arcs in descending
-    /// upper-endpoint rank. `Forward` yields `d(root → v)` for every
-    /// `v`; `Backward` yields `d(v → root)`.
-    ///
-    /// Work is accounted into `stats`: upward heap pops count as
-    /// settled nodes (that is the search frontier CH actually explores),
-    /// sweep and upward relaxations as relaxed edges.
-    pub fn phast_distances(
-        &self,
-        metric: &ChMetric,
-        root: NodeId,
-        direction: Direction,
-        budget: &SearchBudget,
-        stats: &mut SearchStats,
-    ) -> Result<Vec<Cost>, CoreError> {
-        if root.index() >= self.num_nodes {
-            return Err(CoreError::InvalidNode(root));
-        }
-        let (climb, descend) = match direction {
-            Direction::Forward => (UpArcs(self, &metric.up), &metric.down),
-            Direction::Backward => (UpArcs(self, &metric.down), &metric.up),
-        };
-        let mut labels = Labels::new(self.num_nodes);
-        let mut poller = Poller::new(budget);
-        let outcome = kernel::search(&mut labels, &climb, root.0, Exhaust, &mut poller);
-        stats.accumulate(&poller.finish());
-        outcome?;
-        let mut dist = labels.dense_dist(INFINITY);
-
-        // Downward sweep: arcs are pre-sorted by rank[hi] descending, so
-        // dist[hi] is final when the arc is relaxed.
-        for (ai, (&lo, &hi)) in self.arc_lo.iter().zip(&self.arc_hi).enumerate() {
-            if ai % (CHECK_INTERVAL as usize * 8) == 0 && budget.interrupted() {
-                return Err(CoreError::Interrupted);
-            }
-            stats.relaxed += 1;
-            let dh = dist[hi as usize];
-            if dh == INFINITY {
-                continue;
-            }
-            let w = descend[ai];
-            if w == INFINITY {
-                continue;
-            }
-            let nd = dh + w;
-            if nd < dist[lo as usize] {
-                dist[lo as usize] = nd;
-            }
-        }
-        Ok(dist)
     }
 
     /// Exact shortest-path distance under `metric`, or `None` when
@@ -727,45 +663,6 @@ mod tests {
     }
 
     #[test]
-    fn phast_matches_full_dijkstra_trees() {
-        let net = grid(6);
-        let topo = ChTopology::build(&net);
-        let metric = topo.customize(&net, net.weights()).unwrap();
-        let mut ws = SearchSpace::new(&net);
-        let mut stats = SearchStats::default();
-        for root in [0u32, 17, 35] {
-            let fwd = topo
-                .phast_distances(
-                    &metric,
-                    NodeId(root),
-                    Direction::Forward,
-                    &SearchBudget::unlimited(),
-                    &mut stats,
-                )
-                .unwrap();
-            let tree = ws
-                .shortest_path_tree(&net, net.weights(), NodeId(root), Direction::Forward)
-                .unwrap();
-            assert_eq!(fwd, tree.dist, "forward from {root}");
-            let bwd = topo
-                .phast_distances(
-                    &metric,
-                    NodeId(root),
-                    Direction::Backward,
-                    &SearchBudget::unlimited(),
-                    &mut stats,
-                )
-                .unwrap();
-            let tree = ws
-                .shortest_path_tree(&net, net.weights(), NodeId(root), Direction::Backward)
-                .unwrap();
-            assert_eq!(bwd, tree.dist, "backward from {root}");
-        }
-        assert!(stats.settled > 0);
-        assert!(stats.relaxed > 0);
-    }
-
-    #[test]
     fn ranks_are_a_permutation_and_arcs_cover_edges() {
         let net = grid(5);
         let topo = ChTopology::build(&net);
@@ -774,20 +671,6 @@ mod tests {
         assert_eq!(ranks, (0..25).collect::<Vec<_>>());
         assert!(topo.num_arcs() >= 40, "arcs must cover the 40 adjacencies");
         assert!(topo.matches(&net));
-    }
-
-    #[test]
-    fn cancelled_budget_interrupts_phast() {
-        let net = grid(8);
-        let topo = ChTopology::build(&net);
-        let metric = topo.customize(&net, net.weights()).unwrap();
-        let budget = SearchBudget::new();
-        budget.cancel();
-        let mut stats = SearchStats::default();
-        assert!(matches!(
-            topo.phast_distances(&metric, NodeId(0), Direction::Forward, &budget, &mut stats),
-            Err(CoreError::Interrupted)
-        ));
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! The one label-setting shortest-path kernel.
 //!
 //! Every exact node-labelled search in this crate — one-to-one Dijkstra,
-//! forward/backward trees, A\*, bidirectional Dijkstra, the CCH query and
-//! the upward phase of PHAST — is [`settle_next`] driven by [`search`] or
-//! [`search_bidirectional`], monomorphised over
+//! forward/backward trees, bidirectional Dijkstra and the CCH query — is
+//! [`settle_next`] driven by [`search`] or [`search_bidirectional`],
+//! monomorphised over
 //!
 //! * an [`ArcView`]: which arcs leave a vertex and what they cost
 //!   ([`OutEdges`] / [`InEdges`] over a CSR weight [`Column`] here, the
 //!   hierarchy's upward arcs over `metric.up` / `metric.down` in
 //!   [`crate::cch`]), and
 //! * a [`Rule`]: when to stop, what to label and what to observe
-//!   ([`Exhaust`], [`ReachTarget`], [`AStar`], the [`GrowToBound`] /
+//!   ([`Exhaust`], [`ReachTarget`], the [`GrowToBound`] /
 //!   [`InsideEllipse`] pair that grows a request's tree pair no further
 //!   than its stretch bound, and the meeting rule of the bidirectional
 //!   driver, whose termination bound is `kf + kb` for plain graphs and
@@ -18,9 +18,12 @@
 //!
 //! What every search needs lives here exactly once: the
 //! generation-stamped [`Labels`] (including the wrap-around reset), the
-//! stale-entry check, the non-traversable-arc skip, and the [`Poller`]
-//! (entry poll, one poll per [`CHECK_INTERVAL`] pops, partial-interval
-//! charge on exit, counters that survive an interrupt).
+//! stale-entry check, the non-traversable-arc skip, the **canonical
+//! parent** (a relaxation that ties the label keeps the smaller arc id,
+//! so every final label's parent is its smallest tight arc, whatever the
+//! pop order) and the [`Poller`] (entry poll, one poll per
+//! [`CHECK_INTERVAL`] pops, partial-interval charge on exit, counters that
+//! survive an interrupt).
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -141,12 +144,6 @@ pub(crate) fn check_endpoints(
 
 /// When a search stops and what it reports on the way.
 pub(crate) trait Rule {
-    /// Lower bound on the cost still to go from `v`; heap keys are
-    /// `label + potential`. Must be a pure function of `v`.
-    #[inline]
-    fn potential(&self, _v: u32) -> Cost {
-        0
-    }
     /// `v` was settled with final label `d`; `true` ends the search before
     /// `v` is expanded.
     #[inline]
@@ -218,23 +215,6 @@ impl Rule for InsideEllipse<'_> {
     }
 }
 
-/// [`ReachTarget`] guided by an admissible potential `h`.
-pub(crate) struct AStar<H: Fn(u32) -> Cost> {
-    pub(crate) target: u32,
-    pub(crate) h: H,
-}
-
-impl<H: Fn(u32) -> Cost> Rule for AStar<H> {
-    #[inline]
-    fn potential(&self, v: u32) -> Cost {
-        (self.h)(v)
-    }
-    #[inline]
-    fn settled(&self, v: u32, _d: Cost) -> bool {
-        v == self.target
-    }
-}
-
 /// Generation-stamped label store plus its priority queue.
 ///
 /// Starting a query bumps the generation instead of clearing, so a query
@@ -283,7 +263,8 @@ impl Labels {
         }
     }
 
-    /// The arc that last improved `v`'s label. Only meaningful for a
+    /// The smallest arc id among those that gave `v` its current label:
+    /// for a final label, its smallest tight arc. Only meaningful for a
     /// labelled vertex other than the root.
     #[inline]
     pub(crate) fn parent(&self, v: u32) -> u32 {
@@ -297,24 +278,13 @@ impl Labels {
         self.parent[v as usize] = parent;
     }
 
-    fn seed(&mut self, root: u32, key: Cost) {
+    fn seed(&mut self, root: u32) {
         self.set(root, 0, u32::MAX);
-        self.heap.push(Reverse((key, root)));
+        self.heap.push(Reverse((0, root)));
     }
 
     fn next_key(&self) -> Cost {
         self.heap.peek().map_or(INFINITY, |Reverse((key, _))| *key)
-    }
-
-    /// The current query's labels `≤ bound` as a dense array.
-    pub(crate) fn dense_dist(&self, bound: Cost) -> Vec<Cost> {
-        let mut dense = vec![INFINITY; self.dist.len()];
-        for ((out, &d), &stamp) in dense.iter_mut().zip(&self.dist).zip(&self.stamp) {
-            if stamp == self.generation && d <= bound {
-                *out = d;
-            }
-        }
-        dense
     }
 }
 
@@ -376,11 +346,10 @@ fn settle_next<A: ArcView, R: Rule>(
     rule: &mut R,
     poller: &mut Poller<'_>,
 ) -> Result<bool, CoreError> {
-    let Some(Reverse((key, v))) = labels.heap.pop() else {
+    let Some(Reverse((d, v))) = labels.heap.pop() else {
         return Ok(false);
     };
     poller.popped()?;
-    let d = key - rule.potential(v);
     if d > labels.dist(v) {
         return Ok(true); // stale entry
     }
@@ -395,10 +364,16 @@ fn settle_next<A: ArcView, R: Rule>(
             continue;
         }
         let (to, nd) = (arcs.to(a), d + w);
-        if nd < labels.dist(to) && rule.admits(to, nd) {
+        let label = labels.dist(to);
+        if nd < label && rule.admits(to, nd) {
             labels.set(to, nd, a);
-            labels.heap.push(Reverse((nd + rule.potential(to), to)));
+            labels.heap.push(Reverse((nd, to)));
             rule.improved(to, nd);
+        } else if nd == label && a < labels.parent(to) {
+            // A tie keeps the smaller arc id. Costs are ≥ 1, so every
+            // tight arc's tail settles before its head: a final label's
+            // parent is its smallest tight arc, whatever the pop order.
+            labels.parent[to as usize] = a;
         }
     }
     Ok(true)
@@ -415,7 +390,7 @@ pub(crate) fn search<A: ArcView, R: Rule>(
 ) -> Result<(), CoreError> {
     labels.begin(arcs.num_nodes());
     poller.poll(0)?;
-    labels.seed(root, rule.potential(root));
+    labels.seed(root);
     while settle_next(labels, arcs, &mut rule, poller)? {}
     Ok(())
 }
@@ -458,8 +433,8 @@ pub(crate) fn search_bidirectional<F: ArcView, B: ArcView>(
     fwd.begin(out.num_nodes());
     bwd.begin(inn.num_nodes());
     poller.poll(0)?;
-    fwd.seed(source, 0);
-    bwd.seed(target, 0);
+    fwd.seed(source);
+    bwd.seed(target);
     let mut best = (INFINITY, u32::MAX);
     loop {
         let (kf, kb) = (fwd.next_key(), bwd.next_key());
@@ -484,6 +459,63 @@ mod tests {
     use crate::fixtures::grid;
     use crate::search::{Direction, SearchSpace};
     use arp_citygen::{City, Scale};
+    use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
+    use arp_roadnet::geo::Point;
+
+    /// The labels of one unbudgeted search.
+    fn labels_of<A: ArcView, R: Rule>(arcs: &A, root: NodeId, rule: R) -> Labels {
+        let mut labels = Labels::new(arcs.num_nodes());
+        let budget = SearchBudget::unlimited();
+        search(&mut labels, arcs, root.0, rule, &mut Poller::new(&budget)).unwrap();
+        labels
+    }
+
+    #[test]
+    fn a_tie_keeps_the_smaller_arc_in_either_relaxation_order() {
+        // Diamond s→{a,b}→t, both branches costing 4, plus a far vertex
+        // beyond the stretch bound. In the first weighting `a` settles
+        // before `b` from the source and after it from the target, in the
+        // second the other way round: the smaller tight arc of `t`
+        // (forward) and of `s` (backward) is relaxed first in one and
+        // second in the other.
+        for [sa, at, sb, bt] in [[1, 3, 3, 1], [3, 1, 1, 3]] {
+            let mut g = GraphBuilder::new();
+            let [s, a, b, t, far] =
+                [0, 1, 2, 3, 4].map(|i| g.add_node(Point::new(144.0 + i as f64 * 0.01, -37.0)));
+            for (u, v, w) in [(s, a, sa), (a, t, at), (s, b, sb), (b, t, bt), (t, far, 10)] {
+                g.add_edge(u, v, EdgeSpec::default().with_weight(w));
+            }
+            let net = g.build();
+            let edge = |u, v| net.out_edges(u).find(|&e| net.head(e) == v).unwrap().0;
+            let into_t = edge(a, t).min(edge(b, t));
+            let out_of_s = edge(s, a).min(edge(s, b));
+            let column = Column::new(&net, net.weights()).unwrap();
+            let (out, inn) = (OutEdges(column), InEdges(column));
+
+            let forward = labels_of(&out, s, Exhaust);
+            assert_eq!((forward.dist(t.0), forward.parent(t.0)), (4, into_t));
+            assert_eq!(labels_of(&out, s, ReachTarget(t.0)).parent(t.0), into_t);
+            assert_eq!(labels_of(&inn, t, Exhaust).parent(s.0), out_of_s);
+            assert_eq!(labels_of(&inn, t, ReachTarget(s.0)).parent(s.0), out_of_s);
+
+            let (query, bound) = (AltQuery::paper(), Cell::new(INFINITY));
+            let to_bound = GrowToBound {
+                target: t.0,
+                query: &query,
+                bound: &bound,
+            };
+            let ball = labels_of(&out, s, to_bound);
+            assert_eq!((bound.get(), ball.parent(t.0)), (5, into_t));
+            let ball: Vec<Cost> = (0..5).map(|v| ball.dist(v)).collect();
+            let inside = InsideEllipse {
+                forward: &ball,
+                bound: bound.get(),
+            };
+            let ellipse = labels_of(&inn, t, inside);
+            assert_eq!((ellipse.dist(s.0), ellipse.parent(s.0)), (4, out_of_s));
+            assert_eq!(ellipse.dist(far.0), INFINITY);
+        }
+    }
 
     #[test]
     fn budget_contract_holds_for_every_instantiation() {
@@ -524,7 +556,6 @@ mod tests {
             let mut stats = SearchStats::default();
             let outcome = match which {
                 "one-to-one" => ws.shortest_path(net, w, s, t).map(drop),
-                "A*" => ws.astar(net, w, s, t).map(drop),
                 "forward tree" => ws
                     .shortest_path_tree(net, w, s, Direction::Forward)
                     .map(drop),
@@ -552,13 +583,7 @@ mod tests {
                         .map(drop)
                 }
                 "bidirectional" => bi.shortest_path(net, w, s, t).map(drop),
-                "CCH query" => topo.query(&metric, s, t, &mut poller).map(drop),
-                "PHAST forward" => topo
-                    .phast_distances(&metric, s, Direction::Forward, budget, &mut stats)
-                    .map(drop),
-                _ => topo
-                    .phast_distances(&metric, t, Direction::Backward, budget, &mut stats)
-                    .map(drop),
+                _ => topo.query(&metric, s, t, &mut poller).map(drop),
             };
             stats.accumulate(&ws.last_stats());
             stats.accumulate(&bi.last_stats());
@@ -567,15 +592,12 @@ mod tests {
         };
         for name in [
             "one-to-one",
-            "A*",
             "forward tree",
             "backward tree",
             "bounded forward tree",
             "bounded backward tree",
             "bidirectional",
             "CCH query",
-            "PHAST forward",
-            "PHAST backward",
         ] {
             // A pre-cancelled budget releases the caller before any work.
             let cancelled = SearchBudget::new();

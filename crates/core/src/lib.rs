@@ -5,9 +5,10 @@
 //! 2022 comparative user study. The crate implements, from scratch:
 //!
 //! * a reusable shortest-path engine ([`search`], [`bidir`], [`cch`]):
-//!   Dijkstra with generation-stamped labels, A*, forward/backward
+//!   Dijkstra with generation-stamped labels, forward/backward
 //!   shortest-path trees, bidirectional Dijkstra and a customizable
 //!   contraction hierarchy — all thin callers of one label-setting kernel,
+//!   whose parents are canonical (smallest tight edge),
 //! * the search [`substrate`] — both trees plus the base optimal route —
 //!   that Plateaus, SSVP-D+ and Penalty are functions of: a serving layer
 //!   builds it once per request and hands it to every provider

@@ -1,4 +1,6 @@
-//! Dijkstra searches and shortest-path trees.
+//! Dijkstra searches and shortest-path trees. Parents are canonical —
+//! the smallest tight [`EdgeId`] — so a route or tree is a function of the
+//! distance labels alone, never of heap pop order.
 //!
 //! All searches are generic over a **weight overlay** (`&[Weight]` indexed
 //! by `EdgeId`): the Penalty technique and the Google-like provider run the
@@ -10,12 +12,12 @@
 
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::{EdgeId, NodeId};
-use arp_roadnet::weight::{Cost, Weight, CLOSED, INFINITY};
+use arp_roadnet::weight::{Cost, Weight, INFINITY};
 
 use crate::budget::SearchBudget;
 use crate::error::CoreError;
 use crate::kernel::{
-    self, AStar, ArcView, Column, Exhaust, InEdges, Labels, OutEdges, Poller, ReachTarget, Rule,
+    self, ArcView, Column, Exhaust, InEdges, Labels, OutEdges, Poller, ReachTarget, Rule,
 };
 use crate::metrics::{SearchMetrics, SearchStats};
 use crate::path::Path;
@@ -29,7 +31,8 @@ pub enum Direction {
     Backward,
 }
 
-/// A complete shortest-path tree rooted at `root`.
+/// A shortest-path tree rooted at `root`: complete, or — grown under a
+/// bounding rule — the labels up to the bound it was grown to.
 ///
 /// For a forward tree, `parent[v]` is the last edge of a shortest path
 /// `root → v` (its head is `v`). For a backward tree, `parent[v]` is the
@@ -82,81 +85,6 @@ impl ShortestPathTree {
             edges.reverse();
         }
         Some(edges)
-    }
-}
-
-/// The **canonical** parent edge of `v` given final distance labels:
-/// among all tight edges (forward: in-edges `e` with
-/// `dist[tail(e)] + w(e) == dist[v]`; backward: out-edges with
-/// `dist[head(e)] + w(e) == dist[v]`), the one with the smallest
-/// [`EdgeId`]. Closed and unreached-endpoint edges never qualify.
-///
-/// Dijkstra's stored parents depend on heap pop order, so two engines
-/// producing the same (exact) distance labels can disagree on parents
-/// wherever shortest paths tie. Every tree handed to a technique is
-/// therefore re-parented with this rule — it is a pure function of the
-/// distance labels, so the plain Dijkstra build and the CH/PHAST fast
-/// path (`cch`) reconstruct byte-identical trees and base routes.
-///
-/// Sound for early-terminated searches too: a tight predecessor has a
-/// strictly smaller final distance (weights are clamped ≥ 1 ms), hence
-/// was settled — and carries its final label — before the target popped.
-pub(crate) fn canonical_parent_edge<F: Fn(u32) -> Cost>(
-    net: &RoadNetwork,
-    weights: &[Weight],
-    v: u32,
-    dv: Cost,
-    direction: Direction,
-    dist: F,
-) -> EdgeId {
-    let mut best = EdgeId::INVALID;
-    let mut consider = |e: EdgeId, u: NodeId| {
-        let w = weights[e.index()];
-        if w == CLOSED || e >= best {
-            return;
-        }
-        let du = dist(u.0);
-        if du != INFINITY && du + w as Cost == dv {
-            best = e;
-        }
-    };
-    match direction {
-        Direction::Forward => net
-            .in_edges(NodeId(v))
-            .for_each(|e| consider(e, net.tail(e))),
-        Direction::Backward => net
-            .out_edges(NodeId(v))
-            .for_each(|e| consider(e, net.head(e))),
-    }
-    best
-}
-
-/// Builds a [`ShortestPathTree`] from a finished, exact distance array by
-/// recomputing every parent with [`canonical_parent_edge`]. Shared by the
-/// Dijkstra tree build and the CH/PHAST one-to-all fast path, which makes
-/// "same distances in → same tree out" hold by construction.
-pub(crate) fn canonical_tree_from_dists(
-    net: &RoadNetwork,
-    weights: &[Weight],
-    root: NodeId,
-    direction: Direction,
-    dist: Vec<Cost>,
-) -> ShortestPathTree {
-    let mut parent = vec![EdgeId::INVALID; net.num_nodes()];
-    for v in 0..net.num_nodes() {
-        if v == root.index() || dist[v] == INFINITY {
-            continue;
-        }
-        parent[v] = canonical_parent_edge(net, weights, v as u32, dist[v], direction, |u| {
-            dist[u as usize]
-        });
-        debug_assert!(!parent[v].is_invalid(), "reached node without a tight edge");
-    }
-    ShortestPathTree {
-        root,
-        direction,
-        dist,
-        parent,
     }
 }
 
@@ -237,18 +165,13 @@ impl SearchSpace {
         if self.labels.dist(target.0) == INFINITY {
             return Err(CoreError::Unreachable { source, target });
         }
-        // Reconstruct along canonical parents (smallest tight in-edge per
-        // vertex) so the result is a pure function of the distance labels
-        // — identical to what the substrate's canonical forward tree
+        // The kernel's parents are canonical (smallest tight in-edge per
+        // settled vertex): the same route the substrate's forward tree
         // yields, regardless of heap pop order.
         let mut edges = Vec::new();
         let mut cur = target.0;
         while cur != source.0 {
-            let dv = self.labels.dist(cur);
-            let e = canonical_parent_edge(net, weights, cur, dv, Direction::Forward, |u| {
-                self.labels.dist(u)
-            });
-            debug_assert!(!e.is_invalid());
+            let e = EdgeId(self.labels.parent(cur));
             edges.push(e);
             cur = net.tail(e).0;
         }
@@ -297,10 +220,9 @@ impl SearchSpace {
 
     /// Grows a tree from `root` over `weights` in `direction` under `rule`
     /// and returns its labels `≤ bound()` — read once the search is over,
-    /// so a rule may learn it on the way — every vertex re-parented
-    /// canonically (smallest tight edge): the tree depends only on the
-    /// distance labels, not on heap pop order, and the CH fast path, which
-    /// produces the same labels, yields the same tree.
+    /// so a rule may learn it on the way — with the kernel's canonical
+    /// parents (smallest tight edge): the tree depends only on the
+    /// distance labels, not on heap pop order.
     pub(crate) fn tree_under<R: Rule>(
         &mut self,
         net: &RoadNetwork,
@@ -318,10 +240,23 @@ impl SearchSpace {
             Direction::Forward => self.run(&OutEdges(column), root, rule)?,
             Direction::Backward => self.run(&InEdges(column), root, rule)?,
         }
-        let dist = self.labels.dense_dist(bound());
-        Ok(canonical_tree_from_dists(
-            net, weights, root, direction, dist,
-        ))
+        let bound = bound();
+        let mut dist = vec![INFINITY; net.num_nodes()];
+        let mut parent = vec![EdgeId::INVALID; net.num_nodes()];
+        for v in 0..net.num_nodes() {
+            let d = self.labels.dist(v as u32);
+            if d != INFINITY && d <= bound {
+                dist[v] = d;
+                parent[v] = EdgeId(self.labels.parent(v as u32));
+            }
+        }
+        parent[root.index()] = EdgeId::INVALID;
+        Ok(ShortestPathTree {
+            root,
+            direction,
+            dist,
+            parent,
+        })
     }
 
     /// Grows a complete shortest-path tree from `root`.
@@ -333,44 +268,6 @@ impl SearchSpace {
         direction: Direction,
     ) -> Result<ShortestPathTree, CoreError> {
         self.tree_under(net, weights, root, direction, Exhaust, || INFINITY)
-    }
-
-    /// A* one-to-one search using the great-circle / max-speed lower bound.
-    ///
-    /// Produces the same paths as [`SearchSpace::shortest_path`] but
-    /// settles fewer vertices on spread-out networks.
-    pub fn astar(
-        &mut self,
-        net: &RoadNetwork,
-        weights: &[Weight],
-        source: NodeId,
-        target: NodeId,
-    ) -> Result<Path, CoreError> {
-        kernel::check_endpoints(net.num_nodes(), source, target)?;
-        let arcs = OutEdges(Column::new(net, weights)?);
-        let vmax_m_per_ms = net.max_speed_kmh() as f64 / 3.6 / 1000.0;
-        let tp = net.point(target);
-        let h = |v: u32| -> Cost {
-            let d_m = arp_roadnet::geo::haversine_m(net.point(NodeId(v)), tp);
-            (d_m / vmax_m_per_ms) as Cost
-        };
-        let target_rule = AStar {
-            target: target.0,
-            h,
-        };
-        self.run(&arcs, source, target_rule)?;
-        if self.labels.dist(target.0) == INFINITY {
-            return Err(CoreError::Unreachable { source, target });
-        }
-        let mut edges = Vec::new();
-        let mut cur = target.0;
-        while cur != source.0 {
-            let e = EdgeId(self.labels.parent(cur));
-            edges.push(e);
-            cur = net.tail(e).0;
-        }
-        edges.reverse();
-        Ok(Path::from_edges(net, weights, edges))
     }
 }
 
@@ -391,6 +288,7 @@ mod tests {
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
 
     use arp_roadnet::geo::Point;
+    use arp_roadnet::weight::CLOSED;
 
     #[test]
     fn shortest_path_on_grid() {
@@ -511,10 +409,6 @@ mod tests {
             ws.shortest_path(&net, &overlay, NodeId(0), NodeId(2)),
             Err(CoreError::Unreachable { .. })
         ));
-        assert!(matches!(
-            ws.astar(&net, &overlay, NodeId(0), NodeId(2)),
-            Err(CoreError::Unreachable { .. })
-        ));
         let fwd = ws
             .shortest_path_tree(&net, &overlay, NodeId(0), Direction::Forward)
             .unwrap();
@@ -587,46 +481,6 @@ mod tests {
             .shortest_path_tree(&net, net.weights(), NodeId(4), Direction::Forward)
             .unwrap();
         assert_eq!(tree.path_edges(&net, NodeId(4)), Some(vec![]));
-    }
-
-    #[test]
-    fn astar_matches_dijkstra() {
-        let net = grid(6);
-        let mut ws = SearchSpace::new(&net);
-        for (s, t) in [(0u32, 35u32), (3, 30), (7, 28), (12, 23)] {
-            let d = ws
-                .shortest_path(&net, net.weights(), NodeId(s), NodeId(t))
-                .unwrap();
-            let a = ws.astar(&net, net.weights(), NodeId(s), NodeId(t)).unwrap();
-            assert_eq!(a.cost_ms, d.cost_ms, "{s}->{t}");
-            assert!(a.validate(&net));
-        }
-    }
-
-    #[test]
-    fn astar_settles_each_vertex_at_most_once() {
-        // s→v is pushed first at 10 000 s, then improved through u to
-        // 2 000 s; the stale 10 000 s entry still pops before the target
-        // (22 000 s away) does. It must be skipped, not settled again.
-        let mut b = GraphBuilder::new();
-        let ids: Vec<NodeId> = (0..4)
-            .map(|i| b.add_node(Point::new(144.0 + i as f64 * 0.001, -37.0)))
-            .collect();
-        let (s, u, v, t) = (ids[0], ids[1], ids[2], ids[3]);
-        b.add_edge(s, v, EdgeSpec::default().with_weight(10_000_000));
-        b.add_edge(s, u, EdgeSpec::default().with_weight(1_000_000));
-        b.add_edge(u, v, EdgeSpec::default().with_weight(1_000_000));
-        b.add_edge(v, t, EdgeSpec::default().with_weight(20_000_000));
-        let net = b.build();
-        let mut ws = SearchSpace::new(&net);
-        let dijkstra = ws.shortest_path(&net, net.weights(), s, t).unwrap();
-        let astar = ws.astar(&net, net.weights(), s, t).unwrap();
-        let stats = ws.last_stats();
-        assert_eq!(stats.heap_pops, 5, "the stale entry for v is popped");
-        assert_eq!(stats.settled, 4, "but every vertex settles once");
-        assert_eq!(stats.relaxed, 4);
-        assert_eq!(astar.edges, dijkstra.edges);
-        assert_eq!(astar.cost_ms, 22_000_000);
     }
 
     #[test]

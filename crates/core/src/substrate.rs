@@ -15,21 +15,19 @@
 //! pair no further: [`SearchSubstrate::build`] runs the forward search to
 //! the bound and the backward search over the ellipse, and records the
 //! bound it grew to. Inside the ellipse labels **and parents** equal the
-//! complete trees' — every tree is re-parented by the same canonical rule,
-//! and a shortest-path predecessor of an in-ellipse vertex is itself in
-//! the ellipse — so every technique returns the routes it returns on
-//! complete trees (the differential property tests in
+//! complete trees' — the kernel keeps the smallest tight edge as every
+//! tree's parent, and a shortest-path predecessor of an in-ellipse vertex
+//! is itself in the ellipse — so every technique returns the routes it
+//! returns on complete trees (the differential property tests in
 //! `crates/core/tests/proptests.rs` pin this down). A serving layer builds
 //! the substrate **once** per request and hands it to every provider as
 //! `shared`; a provider handed nothing, or a substrate that does not
 //! answer its call ([`SearchSubstrate::answers`] — other endpoints, or
 //! grown to a smaller bound than the call's ε needs), builds its own with
-//! the same function. [`SearchSubstrate::build_with_ch`] grows complete
-//! trees through the customizable hierarchy instead; it is measured by
-//! `repro_perf` and serves no request.
+//! the same function: a substrate has one supplier.
 //!
-//! Every build cooperates with cancellation: it runs under a
-//! [`SearchBudget`], and a trip mid-build surfaces as
+//! Every build cooperates with cancellation: it runs under the
+//! workspace's [`crate::SearchBudget`], and a trip mid-build surfaces as
 //! [`CoreError::Interrupted`].
 
 use std::cell::Cell;
@@ -38,14 +36,12 @@ use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::NodeId;
 use arp_roadnet::weight::{Cost, Weight, INFINITY};
 
-use crate::budget::SearchBudget;
-use crate::cch::{ChMetric, ChTopology};
 use crate::error::CoreError;
 use crate::kernel::{GrowToBound, InsideEllipse};
 use crate::metrics::SearchStats;
 use crate::path::Path;
 use crate::query::AltQuery;
-use crate::search::{canonical_tree_from_dists, Direction, SearchSpace, ShortestPathTree};
+use crate::search::{Direction, SearchSpace, ShortestPathTree};
 
 /// Per-request search artifacts shared read-only across techniques:
 /// forward + backward shortest-path trees, the base optimal route, and
@@ -65,10 +61,8 @@ pub struct SearchSubstrate {
     num_nodes: usize,
     num_edges: usize,
     epoch: u64,
-    /// Every vertex with `d_f + d_b ≤ bound` carries its exact labels;
-    /// [`INFINITY`] for complete trees.
+    /// Every vertex with `d_f + d_b ≤ bound` carries its exact labels.
     bound: Cost,
-    builder: &'static str,
     forward: ShortestPathTree,
     backward: ShortestPathTree,
     base: Path,
@@ -126,102 +120,18 @@ impl SearchSubstrate {
             })
             .map_err(|e| (e, Some(base_route(net, weights, &forward, target))))?;
         build_stats.accumulate(&ws.last_stats());
-        Ok(Self::assemble(
-            net,
-            weights,
-            forward,
-            backward,
-            build_stats,
-            bound,
-            "bounded",
-        ))
-    }
-
-    /// Builds the same substrate through the customizable-CH index tier
-    /// ([`ChTopology`] + a [`ChMetric`] customized from **the same**
-    /// `weights` column): two budgeted PHAST one-to-all passes produce
-    /// the exact forward/backward distance arrays, and the trees are
-    /// re-parented by the same canonical rule
-    /// ([`crate::search::SearchSpace::shortest_path_tree`] uses it too),
-    /// so the result is **byte-identical** to a pair of complete Dijkstra
-    /// trees — and to [`SearchSubstrate::build`] on every vertex inside
-    /// its bound — while settling only the upward search cones.
-    ///
-    /// The caller owns the pairing contract: `metric` must be customized
-    /// from `weights`. A metric from another epoch's column would produce
-    /// wrong distances, which is why the serving tier's index manager
-    /// only hands out a metric whose epoch stamp equals the request's
-    /// pinned epoch.
-    pub fn build_with_ch(
-        net: &RoadNetwork,
-        weights: &[Weight],
-        topo: &ChTopology,
-        metric: &ChMetric,
-        source: NodeId,
-        target: NodeId,
-        budget: &SearchBudget,
-    ) -> Result<SearchSubstrate, CoreError> {
-        if source == target {
-            return Err(CoreError::SameSourceTarget(source));
-        }
-        if !topo.matches(net) {
-            // A mismatched topology cannot answer for this network;
-            // treat it like a length mismatch rather than mis-routing.
-            return Err(CoreError::WeightLengthMismatch {
-                expected: net.num_edges(),
-                got: weights.len(),
-            });
-        }
-        let mut build_stats = SearchStats::default();
-        let dist_f =
-            topo.phast_distances(metric, source, Direction::Forward, budget, &mut build_stats)?;
-        if dist_f[target.index()] == INFINITY {
-            return Err(CoreError::Unreachable { source, target });
-        }
-        let dist_b = topo.phast_distances(
-            metric,
+        Ok(SearchSubstrate {
+            source,
             target,
-            Direction::Backward,
-            budget,
-            &mut build_stats,
-        )?;
-        let forward = canonical_tree_from_dists(net, weights, source, Direction::Forward, dist_f);
-        let backward = canonical_tree_from_dists(net, weights, target, Direction::Backward, dist_b);
-        Ok(Self::assemble(
-            net,
-            weights,
-            forward,
-            backward,
-            build_stats,
-            INFINITY,
-            "ch",
-        ))
-    }
-
-    /// The shared tail of every build: a finished tree pair (the forward
-    /// tree reaches the backward root) becomes the substrate.
-    fn assemble(
-        net: &RoadNetwork,
-        weights: &[Weight],
-        forward: ShortestPathTree,
-        backward: ShortestPathTree,
-        build_stats: SearchStats,
-        bound: Cost,
-        builder: &'static str,
-    ) -> SearchSubstrate {
-        SearchSubstrate {
-            source: forward.root,
-            target: backward.root,
             num_nodes: net.num_nodes(),
             num_edges: net.num_edges(),
             epoch: 0,
             bound,
-            builder,
-            base: base_route(net, weights, &forward, backward.root),
+            base: base_route(net, weights, &forward, target),
             forward,
             backward,
             build_stats,
-        }
+        })
     }
 
     /// Stamps the substrate with the traffic **epoch** of the weight
@@ -237,13 +147,6 @@ impl SearchSubstrate {
     /// The traffic epoch this substrate was built on.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Which supplier grew the trees: `"bounded"`
-    /// ([`SearchSubstrate::build`]) or `"ch"`
-    /// ([`SearchSubstrate::build_with_ch`]).
-    pub fn builder(&self) -> &'static str {
-        self.builder
     }
 
     /// The via-cost the pair was grown to: every vertex with
@@ -340,9 +243,9 @@ fn base_route(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::SearchBudget;
     use crate::fixtures::grid;
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
-    use arp_roadnet::weight::CLOSED;
 
     use arp_roadnet::geo::Point;
 
@@ -356,30 +259,6 @@ mod tests {
         let mut ws = SearchSpace::new(net);
         SearchSubstrate::build(&mut ws, net, weights, NodeId(s), NodeId(t), query)
             .map_err(|(error, _)| error)
-    }
-
-    /// The complete forward and backward trees of the pair.
-    fn complete_trees(
-        net: &RoadNetwork,
-        weights: &[Weight],
-        (s, t): (u32, u32),
-    ) -> (ShortestPathTree, ShortestPathTree) {
-        let mut ws = SearchSpace::new(net);
-        let fwd = ws.shortest_path_tree(net, weights, NodeId(s), Direction::Forward);
-        let bwd = ws.shortest_path_tree(net, weights, NodeId(t), Direction::Backward);
-        (fwd.unwrap(), bwd.unwrap())
-    }
-
-    /// Every fourth edge slowed 2×, one closed.
-    fn overlay(net: &RoadNetwork) -> Vec<Weight> {
-        let mut overlay = net.weights().to_vec();
-        for (i, w) in overlay.iter_mut().enumerate() {
-            if i % 4 == 1 {
-                *w = w.saturating_mul(2).min(u32::MAX - 1);
-            }
-        }
-        overlay[3] = CLOSED;
-        overlay
     }
 
     #[test]
@@ -404,7 +283,6 @@ mod tests {
         assert_eq!(sub.backward().direction, Direction::Backward);
         assert_eq!(sub.forward().distance(t), sub.base_route().cost_ms);
         assert_eq!(sub.backward().distance(s), sub.base_route().cost_ms);
-        assert_eq!(sub.builder(), "bounded");
     }
 
     #[test]
@@ -434,105 +312,6 @@ mod tests {
         let direct = crate::search::shortest_path(&net, net.weights(), NodeId(0), NodeId(63));
         assert_eq!(sub.base_route().edges, direct.unwrap().edges);
         assert_eq!(sub.bound(), sub.base_route().cost_ms);
-    }
-
-    #[test]
-    fn ch_build_is_byte_identical_to_complete_dijkstra_trees() {
-        let net = grid(8);
-        let topo = ChTopology::build(&net);
-        // Identity column and a slowed overlay with a closure.
-        let slowed = overlay(&net);
-        for column in [net.weights(), &slowed[..]] {
-            let metric = topo.customize(&net, column).unwrap();
-            for (s, t) in [(0u32, 63u32), (7, 56), (20, 43)] {
-                let (fwd, bwd) = complete_trees(&net, column, (s, t));
-                let fast = SearchSubstrate::build_with_ch(
-                    &net,
-                    column,
-                    &topo,
-                    &metric,
-                    NodeId(s),
-                    NodeId(t),
-                    &SearchBudget::unlimited(),
-                )
-                .unwrap();
-                assert_eq!(fast.forward().dist, fwd.dist, "{s}->{t}");
-                assert_eq!(fast.forward().parent, fwd.parent, "{s}->{t}");
-                assert_eq!(fast.backward().dist, bwd.dist, "{s}->{t}");
-                assert_eq!(fast.backward().parent, bwd.parent, "{s}->{t}");
-                let plain = build(&net, column, (s, t), &AltQuery::paper()).unwrap();
-                assert_eq!(fast.base_route().edges, plain.base_route().edges);
-                assert_eq!(fast.base_route().cost_ms, plain.base_route().cost_ms);
-                assert_eq!((fast.builder(), fast.bound()), ("ch", INFINITY));
-            }
-        }
-    }
-
-    #[test]
-    fn ch_build_settles_fewer_nodes_than_two_complete_trees() {
-        let net = grid(16);
-        let topo = ChTopology::build(&net);
-        let metric = topo.customize(&net, net.weights()).unwrap();
-        let fast = SearchSubstrate::build_with_ch(
-            &net,
-            net.weights(),
-            &topo,
-            &metric,
-            NodeId(0),
-            NodeId(255),
-            &SearchBudget::unlimited(),
-        )
-        .unwrap();
-        assert!(
-            fast.build_stats().settled < 2 * net.num_nodes() as u64,
-            "CH build must settle only the upward cones ({})",
-            fast.build_stats().settled
-        );
-    }
-
-    #[test]
-    fn ch_build_mirrors_dijkstra_errors() {
-        let net = grid(4);
-        let topo = ChTopology::build(&net);
-        let metric = topo.customize(&net, net.weights()).unwrap();
-        assert!(matches!(
-            SearchSubstrate::build_with_ch(
-                &net,
-                net.weights(),
-                &topo,
-                &metric,
-                NodeId(3),
-                NodeId(3),
-                &SearchBudget::unlimited()
-            ),
-            Err(CoreError::SameSourceTarget(_))
-        ));
-        let budget = SearchBudget::new();
-        budget.cancel();
-        assert!(matches!(
-            SearchSubstrate::build_with_ch(
-                &net,
-                net.weights(),
-                &topo,
-                &metric,
-                NodeId(0),
-                NodeId(15),
-                &budget
-            ),
-            Err(CoreError::Interrupted)
-        ));
-        // A topology built for another network shape is rejected.
-        let other = grid(5);
-        assert!(SearchSubstrate::build_with_ch(
-            &other,
-            other.weights(),
-            &topo,
-            &metric,
-            NodeId(0),
-            NodeId(24),
-            &SearchBudget::unlimited()
-        )
-        .is_err());
     }
 
     #[test]

@@ -146,13 +146,11 @@ impl RouteBackend for DemoBackend {
     }
 
     fn prepare_attrs(&self, request: &PreparedQuery) -> Vec<(&'static str, String)> {
-        match &request.substrate {
-            Some(substrate) => vec![
-                ("substrate", "ready".to_string()),
-                ("builder", substrate.builder().to_string()),
-            ],
-            None => vec![("substrate", "none".to_string())],
-        }
+        let substrate = match request.substrate {
+            Some(_) => "ready",
+            None => "none",
+        };
+        vec![("substrate", substrate.to_string())]
     }
 }
 
@@ -440,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    fn prepare_span_reports_the_builder_that_ran() {
+    fn prepare_span_reports_whether_the_substrate_is_ready() {
         let g = arp_citygen::generate(City::Dhaka, Scale::Small, 9);
         let qp = Arc::new(QueryProcessor::new(g.name.clone(), g.network, 9).with_ch_index());
         let (a, b) = inner_points(&qp);
@@ -451,25 +449,24 @@ mod tests {
             ServeConfig::default(),
             &Registry::disabled(),
         );
-        let builder_at = |epoch: u64| {
+        let substrate_at = |epoch: u64| {
             let (receipt, response) = service.route_traced(qp.prepare_query(q));
             assert_eq!(response.unwrap().epoch, epoch);
             let trace = service.tracer().trace(receipt.id).expect("trace kept");
             let prepare = trace.span("prepare").expect("prepare span");
-            assert_eq!(prepare.attr("substrate"), Some("ready"));
-            prepare.attr("builder").map(str::to_string)
+            prepare.attr("substrate").map(str::to_string)
         };
         // The index tier is enabled and ready at epoch 0, then held in its
-        // customization window at epoch 1: neither state is consulted, every
-        // substrate comes from the one bounded builder.
-        assert_eq!(builder_at(0).as_deref(), Some("bounded"));
+        // customization window at epoch 1: neither state is consulted, the
+        // substrate is built either way.
+        assert_eq!(substrate_at(0).as_deref(), Some("ready"));
         index.pause();
         let delta = arp_traffic::TrafficDelta::parse("cat:primary*1.5").unwrap();
         qp.traffic().apply_delta(&delta).unwrap();
         assert_eq!(index.ready_epoch(), 0);
-        assert_eq!(builder_at(1).as_deref(), Some("bounded"));
+        assert_eq!(substrate_at(1).as_deref(), Some("ready"));
         index.resume();
-        // A request whose build could not run reports no builder at all.
+        // A request whose build could not run says so.
         let tripped = CancelToken::new();
         tripped.cancel();
         let unbuilt = service

@@ -202,7 +202,7 @@ impl RoadNetwork {
         self.find_edge(self.head(edge), self.tail(edge))
     }
 
-    /// Maximum speed over all edges in km/h; used as the A* heuristic speed.
+    /// Maximum speed over all edges in km/h.
     pub fn max_speed_kmh(&self) -> f32 {
         self.edge_speed_kmh.iter().fold(1.0f32, |a, &b| a.max(b))
     }

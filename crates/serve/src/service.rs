@@ -274,8 +274,8 @@ pub trait RouteBackend: Send + Sync + 'static {
 
     /// Attributes stamped on the `prepare` span after
     /// [`RouteBackend::prepare`] returns — the demo backend reports
-    /// whether the shared substrate was built and which builder (CH or
-    /// plain Dijkstra) served it. The default stamps nothing.
+    /// whether the shared substrate was built. The default stamps
+    /// nothing.
     fn prepare_attrs(&self, request: &Self::Request) -> Vec<(&'static str, String)> {
         let _ = request;
         Vec::new()

@@ -14,9 +14,9 @@ pub enum TrafficError {
         reason: String,
     },
     /// A speed factor below 1.0 was supplied. Factors must be ≥ 1.0:
-    /// traffic only ever slows a road (and the A* max-speed heuristic
-    /// stays admissible only when effective weights never drop below
-    /// the base).
+    /// traffic only ever slows a road, so an effective weight never drops
+    /// below its base — every cost stays ≥ 1 ms, which the search
+    /// kernel's canonical-parent rule relies on (DESIGN.md §8).
     FactorBelowOne {
         /// The rejected factor.
         factor: f64,

@@ -15,7 +15,7 @@
 //! | [`roadnet`] | CSR road networks, geometry, categories, travel-time weights |
 //! | [`citygen`] | deterministic Melbourne / Dhaka / Copenhagen generators |
 //! | [`osm`] | OSM XML parse/write, rectangle filter, network constructor |
-//! | [`core`] | Dijkstra/A*/SPTs, Penalty, Plateaus, SSVP-D+, Yen, providers |
+//! | [`core`] | Dijkstra/SPTs, Penalty, Plateaus, SSVP-D+, Yen, providers |
 //! | [`obs`] | counters/gauges/histograms, Prometheus text exposition |
 //! | [`userstudy`] | participants, sampling, calibration, Tables 1–3, ANOVA |
 //! | [`demo`] | query processor, A–D blinding, HTTP server, response store |
