@@ -13,7 +13,7 @@ use std::time::Instant;
 use arp_citygen::{City, Scale};
 use arp_core::prelude::*;
 use arp_core::search::{Direction, SearchSpace};
-use arp_core::ChTopology;
+use arp_core::{ChTopology, SearchMetrics};
 use arp_roadnet::ids::NodeId;
 
 fn time_per_query(mut f: impl FnMut(), queries: usize, reps: usize) -> f64 {
@@ -28,14 +28,6 @@ fn time_per_query(mut f: impl FnMut(), queries: usize, reps: usize) -> f64 {
 
 fn row(report: &mut String, name: &str, ms: f64) {
     let _ = writeln!(report, "  {name:<26} {ms:>9.3} ms/query");
-}
-
-/// Total settled nodes recorded across the four technique lanes.
-fn total_settled(registry: &arp_obs::Registry) -> u64 {
-    ["google_like", "plateaus", "dissimilarity", "penalty"]
-        .iter()
-        .map(|t| registry.counter_value("arp_search_settled_nodes_total", &[("technique", t)]))
-        .sum()
 }
 
 /// Great-circle trip-distance buckets of the tree-pair sweep, km.
@@ -173,7 +165,6 @@ fn main() {
         report,
         "Wall-clock per-query timings (ms), 8 queries x 5 reps, release build"
     );
-    let mut substrate_lines: Vec<String> = Vec::new();
 
     for city_kind in City::ALL {
         let city = arp_bench::generate_city(city_kind, Scale::Small);
@@ -322,53 +313,34 @@ fn main() {
 
         // Search-work counters: one instrumented pass of the four demo
         // providers over the same queries, into a fresh per-city registry.
+        // Each query's tree pair is grown once and handed to every
+        // provider, as the serving layer does; its work is the `pair` row.
         let registry = arp_obs::Registry::new();
         let providers = instrumented_providers(&net, arp_bench::MASTER_SEED, &registry);
-        for provider in &providers {
-            for &(s, t, _) in &queries {
-                let _ = provider.alternatives(&net, net.weights(), s, t, &q);
+        let pair_labels = [("technique", "pair")];
+        ws.set_metrics(SearchMetrics::new(&registry, &pair_labels));
+        let budget = SearchBudget::unlimited();
+        for &(s, t, _) in &queries {
+            let pair = SearchSubstrate::build(&mut ws, &net, net.weights(), s, t, &q)
+                .expect("benchmark queries are routable");
+            for provider in &providers {
+                let _ = provider.answer(&net, net.weights(), &pair, &budget);
             }
         }
         let _ = writeln!(report, "  search work over {} queries:", queries.len());
         report.push_str(&arp_bench::metrics_snapshot(&registry));
-
-        // Substrate on/off comparison: total settled nodes per request
-        // across the four technique lanes — every provider building its
-        // own substrate (`None`) versus all of them handed one shared
-        // build (`Some`). The "on" column charges the shared build's two
-        // trees once per request, exactly as the serving layer accounts
-        // them.
-        let budget = SearchBudget::unlimited();
-        let off_registry = arp_obs::Registry::new();
-        let off_providers = instrumented_providers(&net, arp_bench::MASTER_SEED, &off_registry);
-        for provider in &off_providers {
-            for &(s, t, _) in &queries {
-                let _ = provider.answer(&net, net.weights(), s, t, &q, &budget, None);
-            }
-        }
-        let settled_off = total_settled(&off_registry);
-
-        let on_registry = arp_obs::Registry::new();
-        let on_providers = instrumented_providers(&net, arp_bench::MASTER_SEED, &on_registry);
-        let mut substrate_settled = 0u64;
-        for &(s, t, _) in &queries {
-            let sub = SearchSubstrate::build(&mut ws, &net, net.weights(), s, t, &q)
-                .expect("benchmark queries are routable");
-            substrate_settled += sub.build_stats().settled;
-            for provider in &on_providers {
-                let _ = provider.answer(&net, net.weights(), s, t, &q, &budget, Some(&sub));
-            }
-        }
-        let settled_on = total_settled(&on_registry) + substrate_settled;
-        let n_queries = queries.len() as u64;
-        let reduction = 100.0 * (1.0 - settled_on as f64 / settled_off as f64);
-        substrate_lines.push(format!(
-            "  {:<14} {:>12} {:>12} {:>11.1}%",
-            city.name,
-            settled_off / n_queries,
-            settled_on / n_queries,
-            reduction
-        ));
+        let pair = |name: &str| registry.counter_value(name, &pair_labels);
+        let _ = writeln!(
+            report,
+            "  {:<15} {:>6} {:>10} {:>10} {:>10} {:>6} {:>6}",
+            "pair",
+            queries.len(),
+            pair("arp_search_settled_nodes_total"),
+            pair("arp_search_heap_pops_total"),
+            pair("arp_search_relaxed_edges_total"),
+            "-",
+            "-"
+        );
 
         // The hierarchy's fixed costs and its point query; what a tree
         // pair costs through it is the Large-scale sweep below.
@@ -406,20 +378,6 @@ fn main() {
                 reps,
             ),
         );
-    }
-
-    let _ = writeln!(
-        report,
-        "\nSubstrate on/off sweep (settled nodes per request, four lanes; \
-         'on' includes the shared build):"
-    );
-    let _ = writeln!(
-        report,
-        "  {:<14} {:>12} {:>12} {:>12}",
-        "city", "off", "on", "reduction"
-    );
-    for line in &substrate_lines {
-        let _ = writeln!(report, "{line}");
     }
 
     tree_pair_sweep(&mut report);

@@ -10,10 +10,10 @@
 //!   contraction hierarchy — all thin callers of one label-setting kernel,
 //!   whose parents are canonical (smallest tight edge),
 //! * the search [`substrate`] — both trees plus the base optimal route —
-//!   that Plateaus, SSVP-D+ and Penalty are functions of: a serving layer
-//!   builds it once per request and hands it to every provider
-//!   ([`AlternativesProvider::answer`]), a provider handed none builds its
-//!   own with the same routine, and the routes are the same either way,
+//!   that Plateaus, SSVP-D+ and Penalty are functions of: it is the one
+//!   input every provider is handed ([`AlternativesProvider::answer`]),
+//!   grown once per request by a serving layer or per call by
+//!   [`AlternativesProvider::alternatives`], with the same routine,
 //! * the three published techniques the study compares —
 //!   [`penalty`] (§2.1), [`plateau`] (§2.2) and [`dissimilarity`]
 //!   (SSVP-D+, §2.3) — plus [`yen`]'s algorithm as the classic baseline

@@ -452,27 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn interrupted_after_forward_tree_returns_shortest_path() {
-        use crate::provider::{AlternativesProvider, PlateauProvider};
-
-        let net = grid(8);
-        let (s, t) = (NodeId(0), NodeId(63));
-        // Cap of one pop: the provider's own build completes its forward
-        // tree (residual pops are charged at the end), the cap trips
-        // sticky, and the backward tree's entry poll interrupts.
-        let budget = SearchBudget::new().with_expansion_cap(1);
-        let outcome = PlateauProvider::new(&arp_obs::Registry::disabled())
-            .answer(&net, net.weights(), s, t, &AltQuery::paper(), &budget, None)
-            .unwrap();
-        assert!(outcome.is_interrupted());
-        let partial = outcome.routes();
-        assert_eq!(partial.len(), 1, "shortest path is the partial result");
-        let direct = crate::search::shortest_path(&net, net.weights(), s, t).unwrap();
-        assert_eq!(partial[0].path.cost_ms, direct.cost_ms);
-        assert_eq!(partial[0].path.edges, direct.edges);
-    }
-
-    #[test]
     fn unreachable_is_error() {
         let mut b = GraphBuilder::new();
         let a = b.add_node(Point::new(0.0, 0.0));

@@ -19,20 +19,16 @@ use std::borrow::Cow;
 use arp_obs::Registry;
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::geo::Point;
-use arp_roadnet::ids::{EdgeId, NodeId};
+use arp_roadnet::ids::EdgeId;
 use arp_roadnet::weight::{Weight, CLOSED};
 
 use crate::error::CoreError;
 use crate::filters::{apply_filters, FilterConfig};
 use crate::metrics::TechniqueMetrics;
 use crate::plateau::{plateau_alternatives_from_trees, PlateauOptions};
-use crate::query::AltQuery;
 use crate::substrate::SearchSubstrate;
 
-use super::{
-    lane_workspace, observed_call, on_own_tree_pair, AlternativesProvider, ProviderKind,
-    ProviderOutcome,
-};
+use super::{lane_workspace, observed_call, AlternativesProvider, ProviderKind, ProviderOutcome};
 use crate::budget::SearchBudget;
 
 /// Deterministic synthetic traffic model producing a private copy of the
@@ -206,11 +202,8 @@ impl AlternativesProvider for GoogleLikeProvider {
         &self,
         net: &RoadNetwork,
         public_weights: &[Weight],
-        source: NodeId,
-        target: NodeId,
-        query: &AltQuery,
+        pair: &SearchSubstrate,
         budget: &SearchBudget,
-        _shared: Option<&SearchSubstrate>,
     ) -> Result<ProviderOutcome, CoreError> {
         if self.private_weights.len() != net.num_edges() {
             self.metrics.errors.inc();
@@ -219,9 +212,9 @@ impl AlternativesProvider for GoogleLikeProvider {
                 got: self.private_weights.len(),
             });
         }
-        let (metrics, pair) = (&self.metrics, (source, target));
+        let (s, t, query) = (pair.source(), pair.target(), pair.query());
         observed_call(
-            metrics,
+            &self.metrics,
             public_weights,
             TechniqueMetrics::record_plateau,
             |stats| {
@@ -244,27 +237,32 @@ impl AlternativesProvider for GoogleLikeProvider {
                 } else {
                     Cow::Borrowed(self.private_weights.as_slice())
                 };
-                // Plateaus on the PRIVATE data: the tree pair is always
-                // this call's own — `shared` describes the public column —
-                // and `observed_call` then reports the routes priced on the
-                // public data, like the paper's query processor does for
-                // Google's routes.
-                let mut ws = lane_workspace(metrics, net, budget);
-                let (paths, interrupted) =
-                    on_own_tree_pair(&mut ws, net, &private, pair, query, |sub| {
-                        let paths = plateau_alternatives_from_trees(
-                            net,
-                            &private,
-                            query,
-                            &self.plateau_options,
-                            stats,
-                            sub.forward(),
-                            sub.backward(),
-                            budget,
-                        )?;
-                        Ok((paths, stats.interrupted))
-                    })?;
-                if interrupted {
+                // Plateaus on the PRIVATE data, on a pair grown here: the
+                // handed one describes the public column. `observed_call`
+                // prices the routes on the public data, like the paper's
+                // query processor does for Google's. A build the budget
+                // interrupts yields what it had proven (the private optimum
+                // once the forward tree is complete) as the call's partial.
+                let mut ws = lane_workspace(&self.metrics, net, budget);
+                let own = match SearchSubstrate::build(&mut ws, net, &private, s, t, query) {
+                    Ok(own) => own,
+                    Err((CoreError::Interrupted, proven)) => {
+                        return Ok((proven.into_iter().collect(), true))
+                    }
+                    Err((e, _)) => return Err(e),
+                };
+                let paths = plateau_alternatives_from_trees(
+                    net,
+                    &private,
+                    query,
+                    &self.plateau_options,
+                    stats,
+                    own.forward(),
+                    own.backward(),
+                    budget,
+                )?;
+                drop(own);
+                if stats.interrupted {
                     return Ok((paths, true));
                 }
                 // The commercial post-filters probe local optimality with
@@ -285,6 +283,8 @@ impl AlternativesProvider for GoogleLikeProvider {
 mod tests {
     use super::*;
     use crate::fixtures::grid;
+    use crate::query::AltQuery;
+    use arp_roadnet::ids::NodeId;
 
     #[test]
     fn traffic_model_is_deterministic() {

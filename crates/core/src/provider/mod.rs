@@ -113,9 +113,11 @@ pub trait AlternativesProvider: Send + Sync {
     /// Which approach this is.
     fn kind(&self) -> ProviderKind;
 
-    /// Computes up to `query.k` routes from `source` to `target`:
-    /// [`AlternativesProvider::answer`] with no budget and nothing
-    /// shared.
+    /// Computes up to `query.k` routes from `source` to `target`: grows
+    /// the call's tree pair on `public_weights` ([`SearchSubstrate::build`])
+    /// and hands it to [`AlternativesProvider::answer`] with no budget.
+    /// Failures to grow it (`source == target`, an unreachable target)
+    /// are the call's error.
     fn alternatives(
         &self,
         net: &RoadNetwork,
@@ -124,41 +126,35 @@ pub trait AlternativesProvider: Send + Sync {
         target: NodeId,
         query: &AltQuery,
     ) -> Result<Vec<Route>, CoreError> {
-        let budget = SearchBudget::unlimited();
-        self.answer(net, public_weights, source, target, query, &budget, None)
+        let mut ws = SearchSpace::new(net);
+        let pair = SearchSubstrate::build(&mut ws, net, public_weights, source, target, query)
+            .map_err(|(e, _)| e)?;
+        self.answer(net, public_weights, &pair, &SearchBudget::unlimited())
             .map(ProviderOutcome::routes)
     }
 
-    /// Answers the query under a cooperative [`SearchBudget`]: every
+    /// Answers the query `pair` was grown for ([`SearchSubstrate::query`],
+    /// between its endpoints) under a cooperative [`SearchBudget`]: every
     /// internal search polls `budget`, and a trip mid-call yields
     /// [`ProviderOutcome::Interrupted`] carrying the routes admitted so
     /// far rather than an error.
     ///
-    /// `public_weights` are the OSM-derived travel times used for display;
-    /// a provider may optimize on different internal data, but the returned
-    /// routes are always priced on the public weights.
+    /// `public_weights` are the OSM-derived travel times used for display
+    /// — the column `pair` was grown on; a provider may optimize on
+    /// different internal data, but the returned routes are always priced
+    /// on the public weights.
     ///
-    /// `shared` is the request's [`SearchSubstrate`] on `public_weights`,
-    /// when the caller built one: Plateaus and Dissimilarity read its tree
-    /// pair, Penalty its base route. A provider handed `None` — or a
-    /// substrate that does not answer this call
-    /// ([`SearchSubstrate::answers`]: other endpoints, or trees grown to
-    /// a smaller stretch than `query` needs) — builds its own and
-    /// continues down the same code, so the routes are byte-identical
-    /// either way. The
-    /// Google-like provider searches *private* weights, for which a
-    /// substrate of the public column would be wrong: it always builds its
-    /// own.
-    #[allow(clippy::too_many_arguments)]
+    /// `pair` is the request's one [`SearchSubstrate`]: Plateaus and
+    /// Dissimilarity sweep its trees, Penalty starts from its base route.
+    /// The Google-like provider searches *private* weights, for which the
+    /// public trees would be wrong: it reads only the endpoints and query
+    /// off the pair and grows its own on its own column.
     fn answer(
         &self,
         net: &RoadNetwork,
         public_weights: &[Weight],
-        source: NodeId,
-        target: NodeId,
-        query: &AltQuery,
+        pair: &SearchSubstrate,
         budget: &SearchBudget,
-        shared: Option<&SearchSubstrate>,
     ) -> Result<ProviderOutcome, CoreError>;
 }
 
@@ -208,47 +204,6 @@ fn lane_workspace(
     ws
 }
 
-/// Runs `sweep` on the tree pair a call is a function of: `shared` when
-/// it answers the call, else a pair grown here ([`on_own_tree_pair`]) in a
-/// fresh lane workspace.
-#[allow(clippy::too_many_arguments)]
-fn on_tree_pair(
-    metrics: &TechniqueMetrics,
-    net: &RoadNetwork,
-    weights: &[Weight],
-    (source, target): (NodeId, NodeId),
-    query: &AltQuery,
-    budget: &SearchBudget,
-    shared: Option<&SearchSubstrate>,
-    sweep: impl FnOnce(&SearchSubstrate) -> Run,
-) -> Run {
-    if let Some(sub) = shared.filter(|sub| sub.answers(net, source, target, query)) {
-        return sweep(sub);
-    }
-    let mut ws = lane_workspace(metrics, net, budget);
-    on_own_tree_pair(&mut ws, net, weights, (source, target), query, sweep)
-}
-
-/// Runs `sweep` on a tree pair grown on `weights` to `query`'s stretch
-/// bound in the lane's workspace (so the technique's search counters see
-/// the two tree searches). A build the budget interrupts yields what it
-/// had proven — the optimal route once the forward tree is complete,
-/// nothing before — as the call's partial.
-fn on_own_tree_pair(
-    ws: &mut SearchSpace,
-    net: &RoadNetwork,
-    weights: &[Weight],
-    (source, target): (NodeId, NodeId),
-    query: &AltQuery,
-    sweep: impl FnOnce(&SearchSubstrate) -> Run,
-) -> Run {
-    match SearchSubstrate::build(ws, net, weights, source, target, query) {
-        Ok(own) => sweep(&own),
-        Err((CoreError::Interrupted, proven)) => Ok((proven.into_iter().collect(), true)),
-        Err((e, _)) => Err(e),
-    }
-}
-
 /// The Plateaus provider.
 #[derive(Clone, Debug)]
 pub struct PlateauProvider {
@@ -277,40 +232,25 @@ impl AlternativesProvider for PlateauProvider {
         &self,
         net: &RoadNetwork,
         public_weights: &[Weight],
-        source: NodeId,
-        target: NodeId,
-        query: &AltQuery,
+        pair: &SearchSubstrate,
         budget: &SearchBudget,
-        shared: Option<&SearchSubstrate>,
     ) -> Result<ProviderOutcome, CoreError> {
-        let (metrics, pair) = (&self.metrics, (source, target));
         observed_call(
-            metrics,
+            &self.metrics,
             public_weights,
             TechniqueMetrics::record_plateau,
             |stats| {
-                on_tree_pair(
-                    metrics,
+                let paths = plateau_alternatives_from_trees(
                     net,
                     public_weights,
-                    pair,
-                    query,
+                    pair.query(),
+                    &self.options,
+                    stats,
+                    pair.forward(),
+                    pair.backward(),
                     budget,
-                    shared,
-                    |sub| {
-                        let paths = plateau_alternatives_from_trees(
-                            net,
-                            public_weights,
-                            query,
-                            &self.options,
-                            stats,
-                            sub.forward(),
-                            sub.backward(),
-                            budget,
-                        )?;
-                        Ok((paths, stats.interrupted))
-                    },
-                )
+                )?;
+                Ok((paths, stats.interrupted))
             },
         )
     }
@@ -344,34 +284,28 @@ impl AlternativesProvider for PenaltyProvider {
         &self,
         net: &RoadNetwork,
         public_weights: &[Weight],
-        source: NodeId,
-        target: NodeId,
-        query: &AltQuery,
+        pair: &SearchSubstrate,
         budget: &SearchBudget,
-        shared: Option<&SearchSubstrate>,
     ) -> Result<ProviderOutcome, CoreError> {
         observed_call(
             &self.metrics,
             public_weights,
             TechniqueMetrics::record_penalty,
             |stats| {
-                // Iteration zero is the shared base route when one answers
-                // this call, else one early-terminated search of our own —
-                // never a tree pair. The penalized re-searches run here
-                // either way, under this call's budget.
+                // Iteration zero is the pair's base route — never a search
+                // of its own. The penalized re-searches run here, under
+                // this call's budget.
                 let mut ws = lane_workspace(&self.metrics, net, budget);
                 let paths = penalty_alternatives_from_base(
                     &mut ws,
                     net,
                     public_weights,
-                    source,
-                    target,
-                    query,
+                    pair.source(),
+                    pair.target(),
+                    pair.query(),
                     &self.options,
                     stats,
-                    shared
-                        .filter(|sub| sub.answers(net, source, target, query))
-                        .map(SearchSubstrate::base_route),
+                    Some(pair.base_route()),
                 )?;
                 Ok((paths, stats.interrupted))
             },
@@ -407,40 +341,25 @@ impl AlternativesProvider for DissimilarityProvider {
         &self,
         net: &RoadNetwork,
         public_weights: &[Weight],
-        source: NodeId,
-        target: NodeId,
-        query: &AltQuery,
+        pair: &SearchSubstrate,
         budget: &SearchBudget,
-        shared: Option<&SearchSubstrate>,
     ) -> Result<ProviderOutcome, CoreError> {
-        let (metrics, pair) = (&self.metrics, (source, target));
         observed_call(
-            metrics,
+            &self.metrics,
             public_weights,
             TechniqueMetrics::record_dissimilarity,
             |stats| {
-                on_tree_pair(
-                    metrics,
+                let paths = dissimilarity_alternatives_from_trees(
                     net,
                     public_weights,
-                    pair,
-                    query,
+                    pair.query(),
+                    &self.options,
+                    stats,
+                    pair.forward(),
+                    pair.backward(),
                     budget,
-                    shared,
-                    |sub| {
-                        let paths = dissimilarity_alternatives_from_trees(
-                            net,
-                            public_weights,
-                            query,
-                            &self.options,
-                            stats,
-                            sub.forward(),
-                            sub.backward(),
-                            budget,
-                        )?;
-                        Ok((paths, stats.interrupted))
-                    },
-                )
+                )?;
+                Ok((paths, stats.interrupted))
             },
         )
     }
@@ -474,6 +393,13 @@ pub fn instrumented_providers(
 mod tests {
     use super::*;
     use crate::fixtures::grid;
+
+    /// The tree pair of `query` between `s` and `t` on `net`'s weights,
+    /// grown in a fresh, unbudgeted workspace.
+    fn pair_of(net: &RoadNetwork, (s, t): (u32, u32), query: &AltQuery) -> SearchSubstrate {
+        let mut ws = SearchSpace::new(net);
+        SearchSubstrate::build(&mut ws, net, net.weights(), NodeId(s), NodeId(t), query).unwrap()
+    }
 
     #[test]
     fn provider_kinds_are_in_paper_order() {
@@ -519,14 +445,17 @@ mod tests {
                 1,
                 "{kind}"
             );
-            assert!(
-                reg.counter_value("arp_search_settled_nodes_total", labels) > 0,
-                "{kind} recorded no search work"
-            );
-            assert!(
-                reg.counter_value("arp_search_heap_pops_total", labels) > 0,
-                "{kind} recorded no heap pops"
-            );
+            // The tree-pair techniques sweep the pair they are handed;
+            // only Google-like (its private pair, its probes) and Penalty
+            // (its re-searches) search for themselves.
+            let searches_itself = matches!(kind, ProviderKind::GoogleLike | ProviderKind::Penalty);
+            for name in [
+                "arp_search_settled_nodes_total",
+                "arp_search_heap_pops_total",
+            ] {
+                let work = reg.counter_value(name, labels);
+                assert_eq!(work > 0, searches_itself, "{kind} {name}: {work}");
+            }
             assert_eq!(reg.counter_value("arp_technique_errors_total", labels), 0);
         }
         // Technique-specific internals fired too.
@@ -556,25 +485,25 @@ mod tests {
         let net = grid(8);
         let reg = Registry::new();
         let providers = instrumented_providers(&net, 42, &reg);
-        let q = AltQuery::paper();
+        let pair = pair_of(&net, (0, 63), &AltQuery::paper());
         for p in &providers {
             // A pre-cancelled budget: every provider must return an
             // Interrupted outcome (with whatever partial it has), not Err.
             let budget = SearchBudget::new();
             budget.cancel();
             let outcome = p
-                .answer(
-                    &net,
-                    net.weights(),
-                    NodeId(0),
-                    NodeId(63),
-                    &q,
-                    &budget,
-                    None,
-                )
+                .answer(&net, net.weights(), &pair, &budget)
                 .unwrap_or_else(|e| panic!("{} errored on cancellation: {e}", p.kind()));
             assert!(outcome.is_interrupted(), "{}", p.kind());
-            assert!(outcome.routes().is_empty(), "nothing was admitted");
+            let partial = outcome.routes();
+            if p.kind() == ProviderKind::Penalty {
+                // Handed the pair, Penalty's base route is proven before
+                // its first poll.
+                assert_eq!(partial.len(), 1);
+                assert_eq!(partial[0].path.edges, pair.base_route().edges);
+            } else {
+                assert!(partial.is_empty(), "{}: nothing was admitted", p.kind());
+            }
         }
         for kind in ProviderKind::ALL {
             let labels = &[("technique", kind.slug())][..];
@@ -595,20 +524,13 @@ mod tests {
     fn budgeted_outcome_matches_unbudgeted_routes_when_unlimited() {
         let net = grid(8);
         let q = AltQuery::paper();
+        let pair = pair_of(&net, (0, 63), &q);
         for p in standard_providers(&net, 42) {
             let direct = p
                 .alternatives(&net, net.weights(), NodeId(0), NodeId(63), &q)
                 .unwrap();
             let outcome = p
-                .answer(
-                    &net,
-                    net.weights(),
-                    NodeId(0),
-                    NodeId(63),
-                    &q,
-                    &SearchBudget::unlimited(),
-                    None,
-                )
+                .answer(&net, net.weights(), &pair, &SearchBudget::unlimited())
                 .unwrap();
             assert!(!outcome.is_interrupted());
             let routes = outcome.routes();
@@ -616,38 +538,6 @@ mod tests {
             for (a, b) in routes.iter().zip(direct.iter()) {
                 assert_eq!(a.path.edges, b.path.edges, "{}", p.kind());
             }
-        }
-    }
-
-    #[test]
-    fn a_substrate_that_does_not_answer_the_call_is_replaced_by_an_own_build() {
-        let net = grid(8);
-        let (s, t) = (NodeId(0), NodeId(63));
-        let wide = AltQuery::paper().with_epsilon(2.0);
-        let budget = SearchBudget::unlimited();
-        let build = |net: &RoadNetwork, s, t, query: &AltQuery| {
-            SearchSubstrate::build(&mut SearchSpace::new(net), net, net.weights(), s, t, query)
-                .unwrap()
-        };
-        // Right shape, wrong pair; right pair, wrong shape; right pair and
-        // shape, but grown to the paper's ε = 1.4 for a call at ε = 2.
-        let wrong_pair = build(&net, NodeId(7), NodeId(56), &wide);
-        let wrong_shape = build(&grid(9), s, t, &wide);
-        let too_narrow = build(&net, s, t, &AltQuery::paper());
-        let reg = Registry::new();
-        for p in instrumented_providers(&net, 42, &reg) {
-            let own = p.answer(&net, net.weights(), s, t, &wide, &budget, None);
-            let own = own.unwrap().routes();
-            for shared in [&wrong_pair, &wrong_shape, &too_narrow] {
-                let fed = p.answer(&net, net.weights(), s, t, &wide, &budget, Some(shared));
-                assert_eq!(own, fed.unwrap().routes(), "{}", p.kind());
-            }
-        }
-        // Four calls each, every one on an own build: two trees for the
-        // tree-pair techniques, so nothing was read off the wrong trees.
-        for slug in ["plateaus", "dissimilarity"] {
-            let queries = reg.counter_value("arp_search_queries_total", &[("technique", slug)]);
-            assert_eq!(queries, 8, "{slug}");
         }
     }
 

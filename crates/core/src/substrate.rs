@@ -1,5 +1,5 @@
-//! The **search substrate**: the one input every tree-pair technique
-//! is a function of.
+//! The **search substrate**: the one input every technique is a function
+//! of.
 //!
 //! The paper's query processor answers each request by running four
 //! alternative-route techniques on the same (source, target) pair, and
@@ -8,23 +8,23 @@
 //! over the same pair, and Penalty (like ESX) starts from the base optimal
 //! route, which is just the forward tree's path to the target. A
 //! [`SearchSubstrate`] is that material: one forward tree, one backward
-//! tree, the base route, and the build's [`SearchStats`].
+//! tree, the base route, the endpoints and [`AltQuery`] it was grown for,
+//! and the build's [`SearchStats`].
 //!
 //! Every technique only looks at vertices inside the query's **stretch
-//! ellipse**, `d_f(v) + d_b(v) ≤ ε·d(s,t)`, so the request path grows the
-//! pair no further: [`SearchSubstrate::build`] runs the forward search to
-//! the bound and the backward search over the ellipse, and records the
-//! bound it grew to. Inside the ellipse labels **and parents** equal the
+//! ellipse**, `d_f(v) + d_b(v) ≤ ε·d(s,t)`, so the pair is grown no
+//! further: [`SearchSubstrate::build`] runs the forward search to the
+//! bound and the backward search over the ellipse, and records the bound
+//! it grew to. Inside the ellipse labels **and parents** equal the
 //! complete trees' — the kernel keeps the smallest tight edge as every
 //! tree's parent, and a shortest-path predecessor of an in-ellipse vertex
 //! is itself in the ellipse — so every technique returns the routes it
 //! returns on complete trees (the differential property tests in
-//! `crates/core/tests/proptests.rs` pin this down). A serving layer builds
-//! the substrate **once** per request and hands it to every provider as
-//! `shared`; a provider handed nothing, or a substrate that does not
-//! answer its call ([`SearchSubstrate::answers`] — other endpoints, or
-//! grown to a smaller bound than the call's ε needs), builds its own with
-//! the same function: a substrate has one supplier.
+//! `crates/core/tests/proptests.rs` pin this down). Every technique is
+//! handed the pair ([`crate::AlternativesProvider::answer`]); whoever grew
+//! it — a serving layer once per request, or
+//! [`crate::AlternativesProvider::alternatives`] per call — grew it with
+//! this one function: a substrate has one supplier.
 //!
 //! Every build cooperates with cancellation: it runs under the
 //! workspace's [`crate::SearchBudget`], and a trip mid-build surfaces as
@@ -44,23 +44,19 @@ use crate::query::AltQuery;
 use crate::search::{Direction, SearchSpace, ShortestPathTree};
 
 /// Per-request search artifacts shared read-only across techniques:
-/// forward + backward shortest-path trees, the base optimal route, and
-/// the build's work counters.
+/// forward + backward shortest-path trees, the base optimal route, the
+/// request they answer and the build's work counters.
 ///
 /// The artifact is tied to the weight column it was built on; callers
 /// that query several columns (e.g. the Google-like provider's private
-/// weights) must not share one substrate across them. The guards check
-/// what can be checked cheaply — endpoints, network shape and the bound
-/// the trees were grown to ([`SearchSubstrate::answers`]) and the traffic
-/// epoch ([`SearchSubstrate::matches`]); within one epoch, keeping column
-/// and substrate paired is the supplier's contract.
+/// weights) grow a pair per column. Keeping column and pair together is
+/// the supplier's contract — a serving layer keeps both on the request
+/// that pinned them.
 #[derive(Clone, Debug)]
 pub struct SearchSubstrate {
     source: NodeId,
     target: NodeId,
-    num_nodes: usize,
-    num_edges: usize,
-    epoch: u64,
+    query: AltQuery,
     /// Every vertex with `d_f + d_b ≤ bound` carries its exact labels.
     bound: Cost,
     forward: ShortestPathTree,
@@ -123,30 +119,13 @@ impl SearchSubstrate {
         Ok(SearchSubstrate {
             source,
             target,
-            num_nodes: net.num_nodes(),
-            num_edges: net.num_edges(),
-            epoch: 0,
+            query: *query,
             bound,
             base: base_route(net, weights, &forward, target),
             forward,
             backward,
             build_stats,
         })
-    }
-
-    /// Stamps the substrate with the traffic **epoch** of the weight
-    /// column it was built on (0 = the base, un-overlaid weights).
-    /// [`SearchSubstrate::matches`] then rejects reuse across epochs,
-    /// turning the "keep overlay and substrate paired" contract from a
-    /// convention into a checked guard.
-    pub fn with_epoch(mut self, epoch: u64) -> SearchSubstrate {
-        self.epoch = epoch;
-        self
-    }
-
-    /// The traffic epoch this substrate was built on.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// The via-cost the pair was grown to: every vertex with
@@ -166,6 +145,12 @@ impl SearchSubstrate {
         self.target
     }
 
+    /// The query the pair was grown for: its stretch set the bound, and
+    /// every technique handed the pair answers it.
+    pub fn query(&self) -> &AltQuery {
+        &self.query
+    }
+
     /// The forward shortest-path tree rooted at the source.
     pub fn forward(&self) -> &ShortestPathTree {
         &self.forward
@@ -183,47 +168,9 @@ impl SearchSubstrate {
     }
 
     /// Work counters of the substrate build (both tree searches
-    /// accumulated) — what each reusing technique *saves*, and what the
-    /// serving layer charges against the request exactly once.
+    /// accumulated) — what a request pays for its pair, exactly once.
     pub fn build_stats(&self) -> SearchStats {
         self.build_stats
-    }
-
-    /// Whether this substrate answers `query` for (`source`, `target`) on
-    /// a network of the same shape: the endpoints match and the trees were
-    /// grown at least as far as `query`'s stretch needs — the structural
-    /// half of the reuse guard, which every provider checks on the
-    /// substrate it is handed. A provider builds its own on a mismatch, so
-    /// a misrouted or too-narrow substrate degrades to correct (if slower)
-    /// behaviour instead of wrong or missing routes.
-    pub fn answers(
-        &self,
-        net: &RoadNetwork,
-        source: NodeId,
-        target: NodeId,
-        query: &AltQuery,
-    ) -> bool {
-        self.source == source
-            && self.target == target
-            && self.num_nodes == net.num_nodes()
-            && self.num_edges == net.num_edges()
-            && self.bound >= query.search_bound(self.base.cost_ms)
-    }
-
-    /// [`SearchSubstrate::answers`] **at `epoch`** — the full guard, for
-    /// callers that know the epoch the request is pinned to. The epoch
-    /// check rejects cross-epoch reuse after a live-traffic tick; within
-    /// one epoch the *weight overlay* is still not fingerprinted (that
-    /// would cost O(E) per check).
-    pub fn matches(
-        &self,
-        net: &RoadNetwork,
-        source: NodeId,
-        target: NodeId,
-        query: &AltQuery,
-        epoch: u64,
-    ) -> bool {
-        self.epoch == epoch && self.answers(net, source, target, query)
     }
 }
 
@@ -305,6 +252,16 @@ mod tests {
     }
 
     #[test]
+    fn the_pair_records_the_request_it_answers() {
+        let net = grid(6);
+        let wide = AltQuery::paper().with_epsilon(2.0).with_k(5);
+        let sub = build(&net, net.weights(), (0, 35), &wide).unwrap();
+        assert_eq!((sub.source(), sub.target()), (NodeId(0), NodeId(35)));
+        assert_eq!(sub.query(), &wide);
+        assert_eq!(sub.bound(), wide.search_bound(sub.base_route().cost_ms));
+    }
+
+    #[test]
     fn epsilon_below_one_still_proves_the_base_route() {
         let net = grid(8);
         let tight = AltQuery::paper().with_epsilon(0.5);
@@ -337,25 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn reuse_guard_checks_endpoints_shape_and_bound() {
-        let net = grid(6);
-        let (s, t) = (NodeId(0), NodeId(35));
-        let paper = AltQuery::paper();
-        let sub = build(&net, net.weights(), (0, 35), &paper).unwrap();
-        assert!(sub.answers(&net, s, t, &paper));
-        // Wrong endpoints → no reuse.
-        assert!(!sub.answers(&net, s, NodeId(34), &paper));
-        assert!(!sub.answers(&net, NodeId(1), t, &paper));
-        // Different network shape → no reuse.
-        let other = grid(5);
-        assert!(!sub.answers(&other, s, t, &paper));
-        // Grown to ε = 1.4: answers any narrower query, no wider one.
-        assert!(sub.answers(&net, s, t, &paper.with_epsilon(1.2)));
-        assert!(sub.answers(&net, s, t, &paper.with_epsilon(0.3)));
-        assert!(!sub.answers(&net, s, t, &paper.with_epsilon(2.0)));
-    }
-
-    #[test]
     fn interrupted_build_hands_back_what_the_forward_tree_proved() {
         let net = grid(8);
         let (s, t) = (NodeId(0), NodeId(63));
@@ -380,24 +318,5 @@ mod tests {
             SearchSubstrate::build(&mut ws, &net, net.weights(), s, t, &query),
             Err((CoreError::Interrupted, None))
         ));
-    }
-
-    #[test]
-    fn cross_epoch_reuse_is_rejected() {
-        let net = grid(6);
-        let (s, t) = (NodeId(0), NodeId(35));
-        let q = AltQuery::paper();
-        let sub = build(&net, net.weights(), (0, 35), &q)
-            .unwrap()
-            .with_epoch(7);
-        assert_eq!(sub.epoch(), 7);
-        assert!(sub.matches(&net, s, t, &q, 7));
-        assert!(!sub.matches(&net, s, t, &q, 8), "post-tick reuse must fail");
-        assert!(!sub.matches(&net, s, t, &q, 0));
-        // The epoch is checked on top of the structural guard, not
-        // instead of it.
-        assert!(sub.answers(&net, s, t, &q));
-        assert!(!sub.matches(&net, s, NodeId(34), &q, 7));
-        assert!(!sub.matches(&net, s, t, &q.with_epsilon(2.0), 7));
     }
 }

@@ -847,12 +847,11 @@ proptest! {
 
     #[test]
     fn substrate_fed_techniques_match_self_computed((n, chords) in arb_scc_graph()) {
-        // Whoever supplies the substrate — the technique's own build or a
-        // shared one — every consumer must return *byte-identical*
-        // routes: same edges, same costs, same admission order. This is
-        // what lets the serving layer hand one
-        // substrate to all lanes without changing a single response byte
-        // (DESIGN.md §8).
+        // Whoever supplies the substrate — the call's own build
+        // (`alternatives`) or a shared one — every consumer must return
+        // *byte-identical* routes: same edges, same costs, same admission
+        // order. This is what lets the serving layer hand one substrate to
+        // all lanes without changing a single response byte (DESIGN.md §8).
         let net = build(n, &chords);
         let (s, t) = (NodeId(0), NodeId((n - 1) as u32));
         let q = AltQuery::paper();
@@ -861,9 +860,8 @@ proptest! {
         let sub = arp_core::SearchSubstrate::build(&mut ws, &net, net.weights(), s, t, &q).unwrap();
 
         for provider in standard_providers(&net, 42) {
-            let own = provider.answer(&net, net.weights(), s, t, &q, &budget, None)
-                .unwrap().routes();
-            let fed = provider.answer(&net, net.weights(), s, t, &q, &budget, Some(&sub))
+            let own = provider.alternatives(&net, net.weights(), s, t, &q).unwrap();
+            let fed = provider.answer(&net, net.weights(), &sub, &budget)
                 .unwrap().routes();
             prop_assert_eq!(&own, &fed, "{} differs on the shared substrate", provider.kind());
         }

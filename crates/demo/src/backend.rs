@@ -63,11 +63,11 @@ impl RouteBackend for DemoBackend {
         token: &CancelToken,
         deadline: &Deadline,
     ) -> PreparedQuery {
-        // Build the shared substrate once, under the same cancel token the
-        // lanes observe plus whatever headroom the deadline leaves. A
+        // Grow the request's tree pair once, under the same cancel token
+        // the lanes observe plus whatever headroom the deadline leaves. A
         // build that cannot finish (tripped token, expired or zero-headroom
-        // deadline, unroutable pair) leaves `substrate` as `None` and the
-        // lanes build their own.
+        // deadline, unroutable pair) leaves `substrate` as `None`, and each
+        // lane grows its own on its own budget.
         if request.substrate.is_none() {
             let mut budget = SearchBudget::with_cancel_flag(token.flag());
             if !deadline.is_unbounded() {
@@ -77,8 +77,7 @@ impl RouteBackend for DemoBackend {
                     None => return request,
                 }
             }
-            let substrate = self.processor.prepare_substrate(&request, &budget);
-            request.substrate = substrate;
+            request.substrate = self.processor.prepare_substrate(&request, &budget).ok();
         }
         request
     }
@@ -299,8 +298,7 @@ mod tests {
             1
         );
 
-        // Every lane computes identically to one building its own, and
-        // the three substrate consumers count their reuse.
+        // Every lane computes identically to one growing its own pair.
         let unprepared = qp.prepare_query(q);
         for lane in 0..backend.lanes() {
             let fed = backend.compute(&prepared, lane).unwrap();
@@ -312,129 +310,50 @@ mod tests {
                 assert_eq!(x.polyline, y.polyline);
             }
         }
-        for technique in ["plateaus", "dissimilarity", "penalty"] {
-            assert_eq!(
-                qp.registry()
-                    .counter_value("arp_substrate_reuse_total", &[("technique", technique)]),
-                1,
-                "{technique}"
-            );
-        }
+        // One build by prepare, one fallback build per unprepared lane.
         assert_eq!(
             qp.registry()
-                .counter_value("arp_substrate_reuse_total", &[("technique", "google_like")]),
-            0,
-            "the Google-like lane runs on private weights and never reuses"
+                .counter_value("arp_substrate_builds_total", &[]),
+            1 + backend.lanes() as u64
         );
-        // Re-resolving the gauge returns the same shared instrument.
-        let saved = qp
-            .registry()
-            .gauge("arp_substrate_saved_settled_nodes", "", &[]);
-        assert!(saved.get() > 0, "reuse must record settled-node savings");
     }
 
-    /// One lane of `q` computed with `substrate` attached, next to the
-    /// same lane of a query carrying none, and the lane's reuse counter.
-    fn lane_with_substrate(
-        qp: &Arc<QueryProcessor>,
-        q: PreparedQuery,
-        substrate: arp_core::SearchSubstrate,
-    ) -> (Arc<ApproachRoutes>, Arc<ApproachRoutes>, u64) {
-        let backend = DemoBackend::new(Arc::clone(qp));
-        let lane = (0..backend.lanes())
-            .find(|&l| backend.lane_name(l) == "plateaus")
-            .unwrap();
-        let own = backend.compute(&q, lane).unwrap();
-        let fed = PreparedQuery {
-            substrate: Some(Arc::new(substrate)),
-            ..q
+    #[test]
+    fn an_unprepared_lane_interrupted_between_its_trees_serves_the_base_route() {
+        let qp = processor();
+        let (a, b) = inner_points(&qp);
+        let far = qp.snap(a, b).unwrap();
+        let (net, w) = (qp.network(), qp.network().weights());
+        // A few blocks along the way: a forward tree small enough to
+        // finish between two budget polls.
+        let along = arp_core::shortest_path(net, w, far.source, far.target).unwrap();
+        let q = crate::query::SnappedQuery {
+            source: far.source,
+            target: along.nodes[4],
         };
-        let fed = backend.compute(&fed, lane).unwrap();
-        let reused = qp
-            .registry()
-            .counter_value("arp_substrate_reuse_total", &[("technique", "plateaus")]);
-        (own, fed, reused)
-    }
-
-    fn assert_same_routes(own: &ApproachRoutes, fed: &ApproachRoutes) {
-        assert!(!own.routes.is_empty());
-        assert_eq!(own.routes.len(), fed.routes.len());
-        for (x, y) in own.routes.iter().zip(&fed.routes) {
-            assert_eq!((x.cost_ms, &x.edges), (y.cost_ms, &y.edges));
+        let unprepared = qp.prepare_query(q);
+        let direct = arp_core::shortest_path(net, w, q.source, q.target).unwrap();
+        for slot in 0..qp.technique_slots() {
+            // Cap of one pop: the lane's fallback build completes its
+            // forward tree (residual pops are charged at the end), the cap
+            // trips sticky, and the backward tree's entry poll interrupts.
+            let budget = SearchBudget::new().with_expansion_cap(1);
+            let (part, interrupted) = qp
+                .compute_slot_prepared(&unprepared, slot, &budget)
+                .unwrap();
+            assert!(interrupted, "slot {slot}");
+            assert_eq!(part.routes.len(), 1, "slot {slot}");
+            assert_eq!(part.routes[0].edges, direct.edges, "slot {slot}");
+            assert_eq!(part.routes[0].cost_ms, direct.cost_ms, "slot {slot}");
         }
-    }
-
-    /// A substrate for (`source`, `target`) on `net`'s own weights, grown
-    /// to `query`'s stretch.
-    fn substrate_on(
-        net: &arp_roadnet::RoadNetwork,
-        source: arp_roadnet::NodeId,
-        target: arp_roadnet::NodeId,
-        query: &arp_core::AltQuery,
-    ) -> arp_core::SearchSubstrate {
-        let mut ws = arp_core::SearchSpace::new(net);
-        arp_core::SearchSubstrate::build(&mut ws, net, net.weights(), source, target, query)
-            .unwrap()
-    }
-
-    #[test]
-    fn substrate_for_the_wrong_pair_is_not_reused() {
-        let qp = processor();
-        let (a, b) = inner_points(&qp);
-        let q = qp.snap(a, b).unwrap();
-        let paper = arp_core::AltQuery::paper();
-        let elsewhere = substrate_on(qp.network(), q.target, q.source, &paper);
-        let (own, fed, reused) = lane_with_substrate(&qp, qp.prepare_query(q), elsewhere);
-        assert_same_routes(&own, &fed);
-        assert_eq!(reused, 0);
-    }
-
-    #[test]
-    fn substrate_for_the_wrong_network_shape_is_not_reused() {
-        let qp = processor();
-        let (a, b) = inner_points(&qp);
-        let q = qp.snap(a, b).unwrap();
-        // Same vertex ids, another city's network.
-        let other = arp_citygen::generate(City::Melbourne, Scale::Small, 9).network;
-        assert_ne!(other.num_edges(), qp.network().num_edges());
-        let foreign = substrate_on(&other, q.source, q.target, &arp_core::AltQuery::paper());
-        let (own, fed, reused) = lane_with_substrate(&qp, qp.prepare_query(q), foreign);
-        assert_same_routes(&own, &fed);
-        assert_eq!(reused, 0);
-    }
-
-    #[test]
-    fn substrate_grown_to_a_smaller_stretch_is_not_reused() {
-        let qp = processor();
-        let (a, b) = inner_points(&qp);
-        let q = qp.snap(a, b).unwrap();
-        // Right pair, right network, right epoch — but grown for ε = 1.1
-        // while the processor asks the paper's ε = 1.4: candidates between
-        // the two bounds are missing from its trees.
-        let narrow = arp_core::AltQuery::paper().with_epsilon(1.1);
-        let narrow = substrate_on(qp.network(), q.source, q.target, &narrow);
-        let (own, fed, reused) = lane_with_substrate(&qp, qp.prepare_query(q), narrow);
-        assert_same_routes(&own, &fed);
-        assert_eq!(reused, 0);
-    }
-
-    #[test]
-    fn substrate_from_the_wrong_epoch_is_not_reused() {
-        let qp = processor();
-        let (a, b) = inner_points(&qp);
-        let q = qp.snap(a, b).unwrap();
-        // Built on the base weights (epoch 0), offered to a request pinned
-        // to epoch 1, whose weights differ.
-        let stale = qp
-            .prepare_substrate(&qp.prepare_query(q), &SearchBudget::unlimited())
-            .unwrap();
-        let delta = arp_traffic::TrafficDelta::parse("cat:primary*2.5; cat:residential*1.5");
-        qp.traffic().apply_delta(&delta.unwrap()).unwrap();
-        let pinned = qp.prepare_query(q);
-        assert_eq!((stale.epoch(), pinned.epoch()), (0, 1));
-        let (own, fed, reused) = lane_with_substrate(&qp, pinned, (*stale).clone());
-        assert_same_routes(&own, &fed);
-        assert_eq!(reused, 0);
+        // No technique ran: each lane served what its build had proven.
+        for technique in ["google_like", "plateaus", "dissimilarity", "penalty"] {
+            let labels = [("technique", technique)];
+            let calls = qp
+                .registry()
+                .counter_value("arp_technique_calls_total", &labels);
+            assert_eq!(calls, 0, "{technique}");
+        }
     }
 
     #[test]
@@ -500,7 +419,7 @@ mod tests {
         );
 
         // Already-tripped token: the build starts, trips at its first
-        // budget check, and the lanes build their own.
+        // budget check, and the lanes grow their own.
         let tripped = CancelToken::new();
         tripped.cancel();
         let prepared = backend.prepare(qp.prepare_query(q), &tripped, &Deadline::never());
@@ -536,7 +455,7 @@ mod tests {
             target: n2,
         };
 
-        // The substrate build fails cleanly (counted, not propagated)…
+        // The pair build fails cleanly (counted, not propagated)…
         let token = CancelToken::new();
         let prepared = backend.prepare(qp.prepare_query(q), &token, &Deadline::never());
         assert!(prepared.substrate.is_none());
@@ -545,8 +464,7 @@ mod tests {
                 .counter_value("arp_substrate_build_failures_total", &[]),
             1
         );
-        // …and each lane reports its own permanent error, exactly like
-        // the pre-substrate pipeline.
+        // …and each lane's own build reports the permanent error.
         for lane in 0..backend.lanes() {
             let err = backend
                 .compute_cancellable(&prepared, lane, &token)
@@ -578,7 +496,7 @@ mod tests {
                 &qp.prepare_query(same),
                 &arp_core::SearchBudget::unlimited()
             )
-            .is_none());
+            .is_err());
     }
 
     #[test]

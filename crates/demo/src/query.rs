@@ -9,11 +9,12 @@
 
 use std::sync::Arc;
 
+use arp_core::path::Path;
 use arp_core::provider::AlternativesProvider;
-use arp_core::query::AltQuery;
+use arp_core::query::{AltQuery, Route};
 use arp_core::substrate::SearchSubstrate;
-use arp_core::{ProviderKind, ProviderOutcome, SearchBudget, SearchSpace};
-use arp_obs::{Counter, Gauge, Registry};
+use arp_core::{CoreError, ProviderKind, ProviderOutcome, SearchBudget, SearchSpace};
+use arp_obs::{Counter, Registry};
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::geo::{BoundingBox, Point};
 use arp_roadnet::ids::{EdgeId, NodeId};
@@ -74,28 +75,30 @@ pub struct SnappedQuery {
     pub target: NodeId,
 }
 
-/// A [`SnappedQuery`] pinned to a traffic epoch, plus the shared
-/// per-request search substrate — the serving layer's request type,
-/// built by [`QueryProcessor::prepare_query`].
+/// A [`SnappedQuery`] pinned to a traffic epoch, plus the request's tree
+/// pair — the serving layer's request type, built by
+/// [`QueryProcessor::prepare_query`].
 ///
-/// The substrate (forward + backward shortest-path trees and the base
-/// route, see [`SearchSubstrate`]) is built **once** per request by
-/// [`QueryProcessor::prepare_substrate`] and shared read-only across the
-/// four technique lanes via `Arc`. `None` means the lanes build their
-/// own — either nothing was prepared yet, or the build was interrupted
-/// or failed, in which case each lane reports its own error (a
-/// disconnected pair stays a per-lane `Unreachable`, never a panic).
+/// The pair (forward + backward shortest-path trees and the base route,
+/// see [`SearchSubstrate`]) is grown **once** per request, on the pinned
+/// epoch's weights, by the prepare stage ([`crate::DemoBackend`]'s
+/// `prepare`, or [`QueryProcessor::process`]) and handed read-only to the
+/// four technique lanes via `Arc`. Only those two write it, so a pair
+/// always answers the request and epoch it travels with. `None` means
+/// prepare could not grow it — nothing was prepared yet, the budget
+/// tripped, or the pair is unroutable — and each lane then grows its own
+/// ([`QueryProcessor::compute_slot_prepared`]).
 ///
 /// Cache identity is [`PreparedQuery::snapped`] plus the pinned traffic
-/// epoch: the substrate is derived state and never part of a cache key,
+/// epoch: the pair is derived state and never part of a cache key,
 /// while the epoch IS part of the key (a tick must invalidate cached
 /// routes) — see [`QueryProcessor::slot_cache_key_at`].
 #[derive(Clone, Debug)]
 pub struct PreparedQuery {
     /// The snapped endpoints (the cache identity, with the epoch).
     pub snapped: SnappedQuery,
-    /// The shared substrate, if one was prepared for this request.
-    pub substrate: Option<Arc<SearchSubstrate>>,
+    /// The request's tree pair, once the prepare stage grew it.
+    pub(crate) substrate: Option<Arc<SearchSubstrate>>,
     /// The pinned traffic epoch this request computes and prices on
     /// (epoch 0 shares the base column). Pinned once at request
     /// construction ([`QueryProcessor::prepare_query`]), **before** the
@@ -143,25 +146,16 @@ pub struct QueryResponse {
     pub epoch: u64,
 }
 
-/// Instruments of the shared-substrate path (DESIGN.md §8,
+/// Instruments of the tree-pair builds (DESIGN.md §8,
 /// docs/OPERATIONS.md). Resolved once from the processor's registry so
 /// the per-request path never touches the registry lock.
 #[derive(Clone, Debug, Default)]
 struct SubstrateMetrics {
-    /// `arp_substrate_builds_total` — substrates built successfully.
+    /// `arp_substrate_builds_total` — tree pairs grown successfully.
     builds: Counter,
     /// `arp_substrate_build_failures_total` — builds abandoned: the
-    /// request's budget tripped mid-build, or the pair is unroutable
-    /// (the lanes then build their own and report per-lane errors).
+    /// budget tripped mid-build, or the pair is unroutable.
     build_failures: Counter,
-    /// `arp_substrate_reuse_total{technique}` — lanes that consumed the
-    /// shared substrate instead of building their own.
-    /// Indexed parallel to [`ProviderKind::ALL`].
-    reuse: Vec<Counter>,
-    /// `arp_substrate_saved_settled_nodes` — running total of settled-node
-    /// work avoided by substrate reuse (tree consumers skip both tree
-    /// searches; the penalty lane skips only its base-route search).
-    saved_settled: Gauge,
 }
 
 impl SubstrateMetrics {
@@ -169,47 +163,15 @@ impl SubstrateMetrics {
         SubstrateMetrics {
             builds: registry.counter(
                 "arp_substrate_builds_total",
-                "Shared search substrates built (one per uncached, runnable request).",
+                "Tree pairs built (one per uncached, runnable request, plus lane fallbacks).",
                 &[],
             ),
             build_failures: registry.counter(
                 "arp_substrate_build_failures_total",
-                "Substrate builds abandoned (budget tripped mid-build, or unroutable pair).",
-                &[],
-            ),
-            reuse: ProviderKind::ALL
-                .iter()
-                .map(|kind| {
-                    registry.counter(
-                        "arp_substrate_reuse_total",
-                        "Technique lanes that reused the shared substrate instead of re-searching.",
-                        &[("technique", kind.slug())],
-                    )
-                })
-                .collect(),
-            saved_settled: registry.gauge(
-                "arp_substrate_saved_settled_nodes",
-                "Estimated settled-node work avoided by substrate reuse (running total).",
+                "Tree-pair builds abandoned (budget tripped mid-build, or unroutable pair).",
                 &[],
             ),
         }
-    }
-
-    /// Records one lane consuming the substrate. The savings estimate is
-    /// conservative: plateau and dissimilarity lanes would each have
-    /// rebuilt both trees (the full build cost), the penalty lane only
-    /// its base route (roughly the forward half); the Google-like lane
-    /// runs on private weights and never reuses, so it never lands here.
-    fn record_reuse(&self, kind: ProviderKind, substrate: &SearchSubstrate) {
-        if let Some(idx) = ProviderKind::ALL.iter().position(|k| *k == kind) {
-            self.reuse[idx].inc();
-        }
-        let settled = substrate.build_stats().settled;
-        let saved = match kind {
-            ProviderKind::Penalty => settled / 2,
-            _ => settled,
-        };
-        self.saved_settled.add(saved as i64);
     }
 }
 
@@ -414,59 +376,52 @@ impl QueryProcessor {
         )
     }
 
-    /// Builds the shared [`SearchSubstrate`] for a prepared query under
-    /// a cooperative budget, on the query's pinned epoch weights, grown to
-    /// the stretch bound of the processor's [`AltQuery`] and no further,
-    /// and stamps it with that epoch so [`SearchSubstrate::matches`]
-    /// rejects any cross-epoch reuse. Returns `None` — and the lanes
-    /// then build their own — when the build cannot finish: the budget
-    /// tripped mid-build (cancellation or a zero-headroom deadline), or
-    /// the pair is unroutable. A disconnected pair deliberately does
-    /// **not** fail the request here: each lane re-discovers the
-    /// condition and reports its own `Unreachable`, keeping error
-    /// semantics identical to the pre-substrate pipeline.
+    /// Grows the [`SearchSubstrate`] for a prepared query under a
+    /// cooperative budget, on the query's pinned epoch weights, to the
+    /// stretch bound of the processor's [`AltQuery`] and no further —
+    /// the one place this processor grows a tree pair. The prepare stage
+    /// calls it once per request; a lane calls it only when prepare could
+    /// not ([`QueryProcessor::compute_slot_prepared`]). Failures are
+    /// [`SearchSubstrate::build`]'s: the budget tripped (with the base
+    /// route, when the forward tree had proven it), or the pair is
+    /// unroutable.
     ///
-    /// This is the same [`SearchSubstrate::build`] a lane handed nothing
-    /// runs; the CH index tier ([`QueryProcessor::with_ch_index`]) is not
+    /// The CH index tier ([`QueryProcessor::with_ch_index`]) is not
     /// consulted — the bounded search beats its whole-city sweep at every
     /// trip length the benchmark drives (EXPERIMENTS.md).
     pub fn prepare_substrate(
         &self,
         q: &PreparedQuery,
         budget: &SearchBudget,
-    ) -> Option<Arc<SearchSubstrate>> {
+    ) -> Result<Arc<SearchSubstrate>, (CoreError, Option<Path>)> {
         let mut ws = SearchSpace::new(&self.network);
         ws.set_budget(budget.clone());
         let SnappedQuery { source, target } = q.snapped;
         let weights = q.overlay.weights();
-        match SearchSubstrate::build(&mut ws, &self.network, weights, source, target, &self.query) {
-            Ok(substrate) => {
-                self.substrate_metrics.builds.inc();
-                Some(Arc::new(substrate.with_epoch(q.epoch())))
-            }
-            Err(_) => {
-                self.substrate_metrics.build_failures.inc();
-                None
-            }
+        let built =
+            SearchSubstrate::build(&mut ws, &self.network, weights, source, target, &self.query);
+        match &built {
+            Ok(_) => self.substrate_metrics.builds.inc(),
+            Err(_) => self.substrate_metrics.build_failures.inc(),
         }
+        built.map(Arc::new)
     }
 
     /// Computes one technique slot under a cooperative [`SearchBudget`]:
-    /// run that provider, price its routes on the public (OSM) weights,
-    /// round to minutes, attach the blind label. Slots are independent, so
-    /// the serving layer runs them in parallel. A budget tripped mid-slot
-    /// (the serving layer builds one over the request's cancel token)
-    /// stops the technique within one budget-check interval; the slot then
-    /// returns the routes admitted so far plus `true` for "interrupted".
+    /// run that provider on the request's tree pair, price its routes on
+    /// the public (OSM) weights, round to minutes, attach the blind label.
+    /// Slots are independent, so the serving layer runs them in parallel.
+    /// A budget tripped mid-slot (the serving layer builds one over the
+    /// request's cancel token) stops the technique within one
+    /// budget-check interval; the slot then returns the routes admitted
+    /// so far plus `true` for "interrupted".
     ///
-    /// The query's substrate is shared with the provider only when it
-    /// passes the full reuse guard — this pair, this network, grown to
-    /// this processor's stretch bound, the request's pinned epoch
-    /// ([`SearchSubstrate::matches`]); otherwise,
-    /// like the Google-like lane always, the provider builds its own.
-    /// Output is byte-identical either way (proven by
-    /// `substrate_fed_techniques_match_self_computed` in the core property
-    /// tests).
+    /// The pair is the one prepare grew for this request and epoch, handed
+    /// over as is. When prepare could not grow it, the slot grows it here
+    /// ([`QueryProcessor::prepare_substrate`]) on its own budget: a build
+    /// interrupted between its trees serves the forward tree's proven base
+    /// route as the slot's partial, any other failure is the slot's error
+    /// — the technique never runs.
     pub fn compute_slot_prepared(
         &self,
         q: &PreparedQuery,
@@ -474,23 +429,24 @@ impl QueryProcessor {
         budget: &SearchBudget,
     ) -> Result<(Arc<ApproachRoutes>, bool), DemoError> {
         let kind = self.blinding.order()[slot];
-        let SnappedQuery { source, target } = q.snapped;
-        let shared = q
-            .substrate
-            .as_deref()
-            .filter(|sub| sub.matches(&self.network, source, target, &self.query, q.epoch()));
-        let outcome = self.provider(kind).answer(
-            &self.network,
-            q.overlay.weights(),
-            source,
-            target,
-            &self.query,
-            budget,
-            shared,
-        )?;
-        if let (Some(substrate), true) = (shared, kind != ProviderKind::GoogleLike) {
-            self.substrate_metrics.record_reuse(kind, substrate);
-        }
+        let weights = q.overlay.weights();
+        let pair = match &q.substrate {
+            Some(pair) => Arc::clone(pair),
+            None => match self.prepare_substrate(q, budget) {
+                Ok(pair) => pair,
+                Err((CoreError::Interrupted, proven)) => {
+                    let partial = proven.into_iter().map(|p| Route::new(p, weights));
+                    let outcome = ProviderOutcome::Interrupted {
+                        partial: partial.collect(),
+                    };
+                    return Ok(self.price_slot(kind, outcome));
+                }
+                Err((e, _)) => return Err(e.into()),
+            },
+        };
+        let outcome = self
+            .provider(kind)
+            .answer(&self.network, weights, &pair, budget)?;
         Ok(self.price_slot(kind, outcome))
     }
 
@@ -629,7 +585,7 @@ impl QueryProcessor {
     }
 
     /// Processes a query serially: match endpoints, pin the current
-    /// traffic epoch, prepare the shared substrate, run all four
+    /// traffic epoch, grow the request's tree pair, run all four
     /// approaches in blinding order on this thread against that epoch's
     /// weights, assemble.
     ///
@@ -640,7 +596,9 @@ impl QueryProcessor {
     pub fn process(&self, source: Point, target: Point) -> Result<QueryResponse, DemoError> {
         let q = self.snap(source, target)?;
         let mut prepared = self.prepare_query(q);
-        prepared.substrate = self.prepare_substrate(&prepared, &SearchBudget::unlimited());
+        prepared.substrate = self
+            .prepare_substrate(&prepared, &SearchBudget::unlimited())
+            .ok();
         let approaches = (0..self.technique_slots())
             .map(|slot| {
                 self.compute_slot_prepared(&prepared, slot, &SearchBudget::unlimited())

@@ -958,7 +958,7 @@ fn read_request(stream: impl Read) -> std::io::Result<Option<RawRequest>> {
         return Ok(Some(request));
     }
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     for header in 0.. {
         let fits = read_bounded_line(&mut reader, &mut line)?;
         let header_line = line.trim_end();
@@ -977,9 +977,16 @@ fn read_request(stream: impl Read) -> std::io::Result<Option<RawRequest>> {
                 request.refused = Some((400, "malformed Content-Length"));
                 return Ok(Some(request));
             };
-            content_length = declared;
+            // Two lengths that disagree leave the body's end unknowable
+            // (RFC 9112 §6.3): refuse rather than pick one.
+            if content_length.is_some_and(|seen| seen != declared) {
+                request.refused = Some((400, "conflicting Content-Length"));
+                return Ok(Some(request));
+            }
+            content_length = Some(declared);
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         request.refused = Some((413, "request body too large"));
         return Ok(Some(request));
@@ -2000,6 +2007,40 @@ mod tests {
         assert!(garbled.starts_with("HTTP/1.1 400 Bad Request"), "{garbled}");
         assert!(garbled.contains("malformed Content-Length"), "{garbled}");
 
+        shutdown.request_shutdown();
+        server.join().unwrap().unwrap();
+    }
+
+    /// Two `Content-Length`s that disagree used to resolve to the last
+    /// one: the server then waited for 500 bytes of a 5-byte body and
+    /// read whatever followed as part of it.
+    #[test]
+    fn conflicting_content_lengths_are_refused_on_the_wire() {
+        let (addr, shutdown, server) = spawn_server(Duration::from_secs(1));
+        let conflicting = exchange(
+            addr,
+            "POST /api/route HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 500\r\n\r\nhello",
+        );
+        assert!(
+            conflicting.starts_with("HTTP/1.1 400 Bad Request"),
+            "{conflicting}"
+        );
+        assert!(
+            conflicting.contains("conflicting Content-Length"),
+            "{conflicting}"
+        );
+        shutdown.request_shutdown();
+        server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn an_identical_duplicate_content_length_is_accepted() {
+        let (addr, shutdown, server) = spawn_server(IO_TIMEOUT);
+        let body = route_body(&app());
+        let length = format!("Content-Length: {}\r\n", body.len());
+        let request = format!("POST /api/route HTTP/1.1\r\n{length}{length}\r\n{body}");
+        let routed = exchange(addr, &request);
+        assert!(routed.starts_with("HTTP/1.1 200 OK"), "{routed}");
         shutdown.request_shutdown();
         server.join().unwrap().unwrap();
     }

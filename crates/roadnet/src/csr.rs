@@ -202,11 +202,6 @@ impl RoadNetwork {
         self.find_edge(self.head(edge), self.tail(edge))
     }
 
-    /// Maximum speed over all edges in km/h.
-    pub fn max_speed_kmh(&self) -> f32 {
-        self.edge_speed_kmh.iter().fold(1.0f32, |a, &b| a.max(b))
-    }
-
     /// Verifies the structural invariants of the CSR arrays. Used by debug
     /// assertions and by property tests.
     pub fn check_invariants(&self) -> bool {
@@ -319,15 +314,6 @@ mod tests {
         assert_eq!(net.nodes().count(), 4);
         assert_eq!(net.edges().count(), net.num_edges());
         assert_eq!(net.weights().len(), net.num_edges());
-    }
-
-    #[test]
-    fn max_speed_is_primary_default() {
-        let net = line_graph(3);
-        assert_eq!(
-            net.max_speed_kmh(),
-            RoadCategory::Primary.default_speed_kmh()
-        );
     }
 
     #[test]

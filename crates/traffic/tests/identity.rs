@@ -8,9 +8,9 @@
 //! reset and every closure reopened) produces exactly the routes the
 //! pre-traffic pipeline produced. Not "equivalent" routes — the same
 //! `Route` values, node for node, cost for cost, whether a provider is
-//! handed a shared substrate or builds its own. The overlay even shares the
-//! base weight allocation (`Arc::ptr_eq`), so the zero-traffic fast path
-//! costs nothing.
+//! handed a shared substrate or its call grows its own. The overlay even
+//! shares the base weight allocation (`Arc::ptr_eq`), so the zero-traffic
+//! fast path costs nothing.
 
 use std::sync::Arc;
 
@@ -72,9 +72,10 @@ fn identity_round_trip(city: City) {
 
     // Sharing the allocation makes value identity trivial, but the real
     // contract is behavioural: run all four techniques on both columns,
-    // with their own substrate (`None`) and a shared one (`Some`), and
-    // demand the same `Route` values. This keeps the test meaningful even if materialization
-    // later stops short-circuiting the identity case.
+    // on the pair their call grows (`alternatives`) and on a shared one
+    // (`answer`), and demand the same `Route` values. This keeps the test
+    // meaningful even if materialization later stops short-circuiting the
+    // identity case.
     let query = AltQuery::paper();
     let providers = arp_core::standard_providers(&net, 42);
     let budget = SearchBudget::unlimited();
@@ -83,8 +84,7 @@ fn identity_round_trip(city: City) {
         let sub_base = SearchSubstrate::build(&mut ws, &net, base.weights(), s, t, &query)
             .expect("routable pair must yield a substrate");
         let sub_snap = SearchSubstrate::build(&mut ws, &net, snap.weights(), s, t, &query)
-            .expect("routable pair must yield a substrate")
-            .with_epoch(snap.epoch());
+            .expect("routable pair must yield a substrate");
 
         for p in &providers {
             let plain_base = p
@@ -101,11 +101,11 @@ fn identity_round_trip(city: City) {
             );
 
             let fed_base = p
-                .answer(&net, base.weights(), s, t, &query, &budget, Some(&sub_base))
+                .answer(&net, base.weights(), &sub_base, &budget)
                 .expect("base substrate path must route")
                 .routes();
             let fed_snap = p
-                .answer(&net, snap.weights(), s, t, &query, &budget, Some(&sub_snap))
+                .answer(&net, snap.weights(), &sub_snap, &budget)
                 .expect("identity substrate path must route")
                 .routes();
             assert_eq!(
