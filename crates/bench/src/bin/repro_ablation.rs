@@ -165,16 +165,13 @@ fn main() {
         |s, t| {
             let paths =
                 penalty_alternatives(net, net.weights(), s, t, &base_query, &raw_opts).ok()?;
+            // The public pair `alternatives()` would grow: its labels
+            // certify the windows they can.
             let mut ws = SearchSpace::new(net);
-            apply_filters(
-                &mut ws,
-                net,
-                net.weights(),
-                paths,
-                base_query.k,
-                &commercial,
-            )
-            .ok()
+            let pair =
+                SearchSubstrate::build(&mut ws, net, net.weights(), s, t, &base_query).ok()?;
+            let k = base_query.k;
+            apply_filters(&mut ws, net, net.weights(), &pair, paths, k, &commercial).ok()
         },
     ));
 

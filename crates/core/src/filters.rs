@@ -6,6 +6,13 @@
 //! turns, wider roads). This module provides exactly those, as a composable
 //! post-processing stage used by the Google-like provider and by the
 //! ablation experiments.
+//!
+//! The local-optimality filter is handed the tree pair its candidates were
+//! grown on. A window whose cost equals a difference of that pair's exact
+//! labels is a shortest path — each difference is a lower bound on the
+//! window's endpoint distance — so it is certified without a search; only
+//! the rest are searched. Candidates read off the pair, such as Plateaus
+//! routes `sp(s,u) + plateau + sp(v,t)`, leave few windows to search.
 
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::weight::{Cost, Weight};
@@ -15,6 +22,7 @@ use crate::path::Path;
 use crate::quality::{turns_per_km, wide_road_share, window_probes, LocalOptimality};
 use crate::search::SearchSpace;
 use crate::similarity::similarity;
+use crate::substrate::SearchSubstrate;
 
 /// Configuration of the post-filter stage.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -74,15 +82,21 @@ impl FilterConfig {
 /// Applies the configured filters to a route set.
 ///
 /// Routes must be sorted so the preferred (fastest) route is first; the
-/// first route is always kept. Returns at most `k` routes. The
-/// local-optimality probes are point-to-point searches in `ws` — under its
-/// budget, into its metrics; when the budget trips mid-probe the error
-/// hands the unfiltered set back, so an interrupted caller can serve it as
-/// its partial.
+/// first route is always kept. Returns at most `k` routes.
+///
+/// `pair` is a tree pair grown on `weights` — typically the one the
+/// candidates were read off. A local-optimality window whose cost its
+/// labels prove shortest ([`SearchSubstrate`]'s lower bound equals it) is
+/// certified without a search; every other window is a point-to-point
+/// search in `ws` — under its budget, into its metrics. When the budget
+/// trips mid-probe the error hands the unfiltered set back, so an
+/// interrupted caller can serve it as its partial. The kept routes are
+/// the ones searching every window would keep.
 pub fn apply_filters(
     ws: &mut SearchSpace,
     net: &RoadNetwork,
     weights: &[Weight],
+    pair: &SearchSubstrate,
     mut paths: Vec<Path>,
     k: usize,
     config: &FilterConfig,
@@ -106,7 +120,9 @@ pub fn apply_filters(
                 }
             }
             if config.require_local_optimality {
-                match window_probes(ws, net, weights, path, config.lo_t_fraction, 8) {
+                let fraction = config.lo_t_fraction;
+                let bound = |a, b| pair.distance_lower_bound(a, b);
+                match window_probes(ws, net, weights, path, fraction, 8, bound) {
                     Ok(probes) if LocalOptimality::of(&probes).is_locally_optimal() => {}
                     Ok(_) => continue,
                     Err(e) => return Err((e, paths)),
@@ -160,18 +176,20 @@ mod tests {
         Path::from_edges(net, net.weights(), edges)
     }
 
+    /// The corner-to-corner tree pair of a grid on its own weights, grown
+    /// in `ws`.
+    fn corner_pair(ws: &mut SearchSpace, net: &RoadNetwork) -> SearchSubstrate {
+        let corner = NodeId(net.num_nodes() as u32 - 1);
+        let query = crate::query::AltQuery::paper();
+        SearchSubstrate::build(ws, net, net.weights(), NodeId(0), corner, &query).unwrap()
+    }
+
     /// The filters applied on the network's own weights in a fresh,
     /// unbudgeted workspace.
     fn filtered(net: &RoadNetwork, paths: Vec<Path>, k: usize, cfg: &FilterConfig) -> Vec<Path> {
-        apply_filters(
-            &mut SearchSpace::new(net),
-            net,
-            net.weights(),
-            paths,
-            k,
-            cfg,
-        )
-        .unwrap()
+        let mut ws = SearchSpace::new(net);
+        let pair = corner_pair(&mut ws, net);
+        apply_filters(&mut ws, net, net.weights(), &pair, paths, k, cfg).unwrap()
     }
 
     #[test]
@@ -222,11 +240,14 @@ mod tests {
         use crate::budget::SearchBudget;
 
         let net = grid(6);
-        let best =
-            crate::search::shortest_path(&net, net.weights(), NodeId(0), NodeId(35)).unwrap();
-        let other = path_via(&net, &[0, 6, 12, 18, 24, 30, 31, 32, 33, 34, 35]);
-        let paths = vec![best, other];
         let mut ws = SearchSpace::new(&net);
+        let pair = corner_pair(&mut ws, &net);
+        let best = pair.base_route().clone();
+        // Its first window doubles back (0 → 1 → 7 → 6): the labels bound
+        // d(0, 6) by one block, below the window's cost, so only a search
+        // can decide it.
+        let detour = path_via(&net, &[0, 1, 7, 6, 12, 18, 24, 30, 31, 32, 33, 34, 35]);
+        let paths = vec![best, detour];
         let budget = SearchBudget::new();
         budget.cancel();
         ws.set_budget(budget);
@@ -235,21 +256,38 @@ mod tests {
             ..FilterConfig::commercial()
         };
         let Err((CoreError::Interrupted, unfiltered)) =
-            apply_filters(&mut ws, &net, net.weights(), paths.clone(), 3, &cfg)
+            apply_filters(&mut ws, &net, net.weights(), &pair, paths.clone(), 3, &cfg)
         else {
-            panic!("the second route's probe must trip");
+            panic!("the detour window's probe must trip");
         };
         assert_eq!(unfiltered, paths);
         // Without probes to run, a tripped budget is never consulted.
-        let kept = apply_filters(
-            &mut ws,
-            &net,
-            net.weights(),
-            paths,
-            3,
-            &FilterConfig::none(),
-        );
+        let none = FilterConfig::none();
+        let kept = apply_filters(&mut ws, &net, net.weights(), &pair, paths, 3, &none);
         assert_eq!(kept.unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_route_the_labels_certify_never_polls_a_tripped_budget() {
+        use crate::budget::SearchBudget;
+
+        let net = grid(6);
+        let mut ws = SearchSpace::new(&net);
+        let pair = corner_pair(&mut ws, &net);
+        // Another corner-to-corner shortest path: every window's cost is
+        // the difference of its endpoints' forward labels.
+        let other = path_via(&net, &[0, 6, 12, 18, 24, 30, 31, 32, 33, 34, 35]);
+        let paths = vec![pair.base_route().clone(), other];
+        let budget = SearchBudget::new();
+        budget.cancel();
+        ws.set_budget(budget);
+        let cfg = FilterConfig {
+            max_similarity: None,
+            ..FilterConfig::commercial()
+        };
+        let kept = apply_filters(&mut ws, &net, net.weights(), &pair, paths.clone(), 3, &cfg);
+        assert_eq!(kept.unwrap(), paths);
+        assert_eq!(ws.last_stats().budget_checks, 0, "no window was searched");
     }
 
     #[test]

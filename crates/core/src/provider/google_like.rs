@@ -205,19 +205,18 @@ impl AlternativesProvider for GoogleLikeProvider {
         pair: &SearchSubstrate,
         budget: &SearchBudget,
     ) -> Result<ProviderOutcome, CoreError> {
-        if self.private_weights.len() != net.num_edges() {
-            self.metrics.errors.inc();
-            return Err(CoreError::WeightLengthMismatch {
-                expected: net.num_edges(),
-                got: self.private_weights.len(),
-            });
-        }
         let (s, t, query) = (pair.source(), pair.target(), pair.query());
         observed_call(
             &self.metrics,
             public_weights,
             TechniqueMetrics::record_plateau,
             |stats| {
+                if self.private_weights.len() != net.num_edges() {
+                    return Err(CoreError::WeightLengthMismatch {
+                        expected: net.num_edges(),
+                        got: self.private_weights.len(),
+                    });
+                }
                 // Closures are physical ground truth, not a travel-time
                 // estimate: an edge hard-closed in the public column (a
                 // live-traffic incident) is closed for this provider too,
@@ -261,15 +260,16 @@ impl AlternativesProvider for GoogleLikeProvider {
                     own.backward(),
                     budget,
                 )?;
-                drop(own);
                 if stats.interrupted {
                     return Ok((paths, true));
                 }
-                // The commercial post-filters probe local optimality with
-                // extra point-to-point searches in the same workspace (run
-                // once the tree pair is dropped); a trip before or during
-                // them serves the raw set as the partial instead.
-                match apply_filters(&mut ws, net, &private, paths, query.k, &self.filters) {
+                // The commercial post-filters probe local optimality. A
+                // Plateaus route is `sp(s,u) + plateau + sp(v,t)`, so
+                // almost every window lies on a path of one of `own`'s
+                // trees and its labels certify it; the rest are
+                // point-to-point searches in the same workspace. A trip
+                // before or during them serves the raw set as the partial.
+                match apply_filters(&mut ws, net, &private, &own, paths, query.k, &self.filters) {
                     Ok(kept) => Ok((kept, false)),
                     Err((CoreError::Interrupted, unfiltered)) => Ok((unfiltered, true)),
                     Err((e, _)) => Err(e),
@@ -402,7 +402,8 @@ mod tests {
     fn mismatched_network_rejected() {
         let net = grid(4);
         let other = grid(5);
-        let p = GoogleLikeProvider::new(&net, 1);
+        let registry = Registry::new();
+        let p = GoogleLikeProvider::with_model(&net, TrafficModel::new(1), &registry);
         assert!(matches!(
             p.alternatives(
                 &other,
@@ -413,6 +414,30 @@ mod tests {
             ),
             Err(CoreError::WeightLengthMismatch { .. })
         ));
+        // The rejected call is a call: every error is counted against one.
+        let labels = &[("technique", "google_like")][..];
+        let count = |name| registry.counter_value(name, labels);
+        assert_eq!(count("arp_technique_calls_total"), 1);
+        assert_eq!(count("arp_technique_errors_total"), 1);
+    }
+
+    /// A route whose every window the private pair's labels certify costs
+    /// no search beyond that pair.
+    #[test]
+    fn certified_windows_cost_nothing_beyond_the_private_pair() {
+        let net = grid(8);
+        let registry = Registry::new();
+        let p = GoogleLikeProvider::with_model(&net, TrafficModel::new(99), &registry);
+        let (s, t, q) = (NodeId(0), NodeId(63), AltQuery::paper());
+        let routes = p.alternatives(&net, net.weights(), s, t, &q).unwrap();
+        assert!(routes.len() >= 2, "a route past the first was probed");
+        let mut ws = crate::search::SearchSpace::new(&net);
+        let own = SearchSubstrate::build(&mut ws, &net, p.private_weights(), s, t, &q).unwrap();
+        let labels = &[("technique", "google_like")][..];
+        assert_eq!(
+            registry.counter_value("arp_search_settled_nodes_total", labels),
+            own.build_stats().settled
+        );
     }
 }
 

@@ -4,9 +4,16 @@
 //! zig-zag (turns), wide roads, and stretch relative to the fastest route.
 //! This module quantifies each of them, plus the *local optimality* notion
 //! of Abraham et al. that the plateau paths satisfy by construction.
+//!
+//! Local optimality is one window walk, `window_probes`, answered per
+//! window either by a lower bound on the endpoints' distance that meets
+//! the window's cost (the commercial filters read it off a tree pair's
+//! labels, see [`crate::filters`]) or by a point-to-point search. The
+//! offline measures here pass a zero bound and search every window.
 
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::geo::{haversine_m, turn_angle_deg};
+use arp_roadnet::ids::NodeId;
 use arp_roadnet::weight::{Cost, Weight};
 
 use crate::error::CoreError;
@@ -112,11 +119,16 @@ impl LocalOptimality {
 
 /// The sliding-window probe both Abraham et al. measures read: windows
 /// of weight ≈ `fraction ×` path cost, slid across the path with ~50 %
-/// stride, each answered by one point-to-point search in `ws` — under its
-/// budget, into its metrics — at most `max_probes` of them, so it is
-/// cheap enough for interactive use. Yields `(window cost, shortest
-/// distance between its endpoints)` per probe; nothing for paths too
-/// short to probe. [`CoreError::Interrupted`] when the budget trips.
+/// stride, at most `max_probes` of them, so it is cheap enough for
+/// interactive use. Yields `(window cost, shortest distance between its
+/// endpoints)` per probe; nothing for paths too short to probe.
+///
+/// `lower_bound(a, b)` is a lower bound on `d(a, b)` under `weights`. A
+/// window `a → b` is itself an `a → b` path, so when the bound equals its
+/// cost the window is a shortest path and costs nothing; every other
+/// window is answered by one point-to-point search in `ws` — under its
+/// budget, into its metrics. [`CoreError::Interrupted`] when the budget
+/// trips. A zero bound searches every window.
 pub(crate) fn window_probes(
     ws: &mut SearchSpace,
     net: &RoadNetwork,
@@ -124,6 +136,7 @@ pub(crate) fn window_probes(
     path: &Path,
     fraction: f64,
     max_probes: usize,
+    lower_bound: impl Fn(NodeId, NodeId) -> Cost,
 ) -> Result<Vec<(Cost, Cost)>, CoreError> {
     let t = (path.cost_ms as f64 * fraction) as Cost;
     if t == 0 || path.edges.len() < 2 {
@@ -145,11 +158,16 @@ pub(crate) fn window_probes(
         while j < path.edges.len() && prefix[j] - prefix[i] < t {
             j += 1;
         }
-        let a = path.nodes[i];
-        let b = path.nodes[j];
+        let (a, b) = (path.nodes[i], path.nodes[j]);
+        let window = prefix[j] - prefix[i];
         if a != b {
-            match ws.shortest_distance(net, weights, a, b) {
-                Ok(d) => probes.push((prefix[j] - prefix[i], d)),
+            let d = if lower_bound(a, b) == window {
+                Ok(window)
+            } else {
+                ws.shortest_distance(net, weights, a, b)
+            };
+            match d {
+                Ok(d) => probes.push((window, d)),
                 Err(e @ CoreError::Interrupted) => return Err(e),
                 Err(_) => {}
             }
@@ -161,8 +179,8 @@ pub(crate) fn window_probes(
     Ok(probes)
 }
 
-/// [`window_probes`] for offline analysis: a fresh workspace under no
-/// budget, which nothing can interrupt.
+/// [`window_probes`] for offline analysis: every window searched, in a
+/// fresh workspace under no budget, which nothing can interrupt.
 pub(crate) fn unbudgeted_window_probes(
     net: &RoadNetwork,
     weights: &[Weight],
@@ -177,6 +195,7 @@ pub(crate) fn unbudgeted_window_probes(
         path,
         fraction,
         max_probes,
+        |_, _| 0,
     )
     .expect("an unlimited budget never interrupts")
 }

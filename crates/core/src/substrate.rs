@@ -172,6 +172,25 @@ impl SearchSubstrate {
     pub fn build_stats(&self) -> SearchStats {
         self.build_stats
     }
+
+    /// A lower bound on `d(a, b)` under the column the pair was grown on,
+    /// read off its labels: `d_f(b) − d_f(a)` and `d_b(a) − d_b(b)` (the
+    /// triangle inequality through the source and through the target),
+    /// each only where both labels are present — and every present label
+    /// is exact: a forward label lies within the bound the forward search
+    /// settled to, and a backward label within the ellipse, where the
+    /// backward search is complete. 0 when no label pair applies.
+    pub(crate) fn distance_lower_bound(&self, a: NodeId, b: NodeId) -> Cost {
+        let gap = |tree: &ShortestPathTree, near: NodeId, far: NodeId| {
+            let (near, far) = (tree.distance(near), tree.distance(far));
+            if near == INFINITY || far == INFINITY {
+                0
+            } else {
+                far.saturating_sub(near)
+            }
+        };
+        gap(&self.forward, a, b).max(gap(&self.backward, b, a))
+    }
 }
 
 /// `sp(root, target)` read off a forward tree that reaches `target`.
@@ -269,6 +288,31 @@ mod tests {
         let direct = crate::search::shortest_path(&net, net.weights(), NodeId(0), NodeId(63));
         assert_eq!(sub.base_route().edges, direct.unwrap().edges);
         assert_eq!(sub.bound(), sub.base_route().cost_ms);
+    }
+
+    #[test]
+    fn label_bounds_are_sound_and_tight_on_tree_paths() {
+        let net = grid(6);
+        let mut ws = SearchSpace::new(&net);
+        // A corner-to-corner pair labels the whole grid; a two-block pair
+        // leaves most vertices unlabelled on one side or both.
+        for (s, t) in [(0, 35), (14, 16)] {
+            let sub = build(&net, net.weights(), (s, t), &AltQuery::paper()).unwrap();
+            for a in net.nodes() {
+                for b in net.nodes().filter(|&b| b != a) {
+                    let d = ws.shortest_distance(&net, net.weights(), a, b).unwrap();
+                    assert!(sub.distance_lower_bound(a, b) <= d, "{a}->{b}");
+                }
+                // Tree paths are shortest paths, and their labels say so.
+                let (df, db) = (sub.forward().distance(a), sub.backward().distance(a));
+                if df != INFINITY && a != sub.source() {
+                    assert_eq!(sub.distance_lower_bound(sub.source(), a), df);
+                }
+                if db != INFINITY && a != sub.target() {
+                    assert_eq!(sub.distance_lower_bound(a, sub.target()), db);
+                }
+            }
+        }
     }
 
     #[test]

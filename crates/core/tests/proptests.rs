@@ -531,6 +531,212 @@ fn check_bounded_build(
     Ok(true)
 }
 
+/// SplitMix64 of `seed ^ i`: the per-item draws of the filter property.
+fn draw(seed: u64, i: u64) -> u64 {
+    let mut x = (seed ^ i).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// A `rows × cols` grid of two-way streets with random weights in
+/// 30–90 s.
+fn random_grid(rows: usize, cols: usize, seed: u64) -> RoadNetwork {
+    let mut b = GraphBuilder::new();
+    let ids: Vec<NodeId> = (0..rows * cols)
+        .map(|i| {
+            let (x, y) = ((i % cols) as f64, (i / cols) as f64);
+            b.add_node(Point::new(144.0 + x * 0.01, -37.0 - y * 0.01))
+        })
+        .collect();
+    let mut next = 0u64;
+    let mut street = |b: &mut GraphBuilder, u: usize, v: usize| {
+        next += 1;
+        let w = 30_000 + (draw(seed, next) % 60_000) as u32;
+        let spec = EdgeSpec::category(RoadCategory::Secondary).with_weight(w);
+        b.add_bidirectional(ids[u], ids[v], spec);
+    };
+    for i in 0..rows * cols {
+        if i % cols + 1 < cols {
+            street(&mut b, i, i + 1);
+        }
+        if i / cols + 1 < rows {
+            street(&mut b, i, i + cols);
+        }
+    }
+    b.build()
+}
+
+/// The three weightings the filter property runs on: the network's own,
+/// a seeded live-traffic overlay (1 edge in 20 closed, 1 in 4 slowed
+/// 2–4×), and that overlay with every open edge at one uniform weight —
+/// the tie-richest column there is.
+fn filter_weightings(net: &RoadNetwork, seed: u64) -> [Vec<Weight>; 3] {
+    let codes: Vec<u32> = (0..net.num_edges() as u64)
+        .map(|i| match draw(seed, i) % 20 {
+            0 => 0,
+            1..=14 => 1,
+            v => 6 + v as u32 % 3,
+        })
+        .collect();
+    let slowed = overlay(net, &codes);
+    let uniform = slowed
+        .iter()
+        .map(|&w| if w == CLOSED { w } else { 60_000 })
+        .collect();
+    [net.weights().to_vec(), slowed, uniform]
+}
+
+/// T-local optimality with **every** window searched: the walk of
+/// `quality::local_optimality`, written out on the test side and
+/// answered by plain one-to-one searches, no labels consulted.
+fn reference_locally_optimal(
+    net: &RoadNetwork,
+    weights: &[Weight],
+    path: &Path,
+    fraction: f64,
+) -> bool {
+    let t = (path.cost_ms as f64 * fraction) as Cost;
+    if t == 0 || path.edges.len() < 2 {
+        return true;
+    }
+    let mut prefix = vec![0];
+    for e in &path.edges {
+        prefix.push(prefix.last().unwrap() + weights[e.index()] as Cost);
+    }
+    let mut ws = SearchSpace::new(net);
+    let (mut i, mut probes) = (0, 0);
+    while i < path.edges.len() && probes < 8 {
+        let mut j = i + 1;
+        while j < path.edges.len() && prefix[j] - prefix[i] < t {
+            j += 1;
+        }
+        let (a, b) = (path.nodes[i], path.nodes[j]);
+        if a != b {
+            if let Ok(d) = ws.shortest_distance(net, weights, a, b) {
+                probes += 1;
+                if d != prefix[j] - prefix[i] {
+                    return false;
+                }
+            }
+        }
+        i += ((j - i) / 2).max(1);
+    }
+    true
+}
+
+/// The similarity and local-optimality filters with every window
+/// searched — the oracle for [`apply_filters`] (comfort ranking off; it
+/// only reorders what these two keep).
+fn reference_filters(
+    net: &RoadNetwork,
+    weights: &[Weight],
+    paths: &[Path],
+    k: usize,
+    config: &FilterConfig,
+) -> Vec<Path> {
+    let mut kept: Vec<Path> = Vec::new();
+    for (i, path) in paths.iter().enumerate() {
+        if kept.len() >= k {
+            break;
+        }
+        let similar = |max: f64| {
+            let mut kept = kept.iter();
+            kept.any(|p| similarity::similarity(path, p, weights) > max)
+        };
+        let rejected = i > 0
+            && (config.max_similarity.is_some_and(similar)
+                || (config.require_local_optimality
+                    && !reference_locally_optimal(net, weights, path, config.lo_t_fraction)));
+        if !rejected {
+            kept.push(path.clone());
+        }
+    }
+    kept
+}
+
+/// Candidates of a query on its tree pair, cheapest first: every plateau
+/// route (no similarity pruning, no minimum plateau), Penalty's routes
+/// and via-paths `sp(s, v) + sp(v, t)` through up to six vertices of the
+/// ellipse — whose windows across `v` no label certifies.
+fn filter_candidates(net: &RoadNetwork, weights: &[Weight], pair: &SearchSubstrate) -> Vec<Path> {
+    let (fwd, bwd) = (pair.forward(), pair.backward());
+    let query = pair.query().with_k(6);
+    let options = PlateauOptions {
+        max_similarity: 1.0,
+        min_plateau_fraction: 0.0,
+    };
+    let mut paths = arp_core::plateau_alternatives_from_trees(
+        net,
+        weights,
+        &query,
+        &options,
+        &mut PlateauStats::default(),
+        fwd,
+        bwd,
+        &SearchBudget::unlimited(),
+    )
+    .unwrap();
+    let (s, t) = (pair.source(), pair.target());
+    let penalty = penalty_alternatives(net, weights, s, t, &query, &PenaltyOptions::default());
+    paths.extend(penalty.unwrap());
+    let inside: Vec<NodeId> = net
+        .nodes()
+        .filter(|&v| fwd.reached(v) && bwd.reached(v))
+        .collect();
+    for &v in inside.iter().step_by(inside.len() / 6 + 1) {
+        let mut edges = fwd.path_edges(net, v).unwrap();
+        edges.extend(bwd.path_edges(net, v).unwrap());
+        if !edges.is_empty() {
+            paths.push(Path::from_edges(net, weights, edges));
+        }
+    }
+    arp_core::filters::sort_by_cost(&mut paths, weights);
+    paths
+}
+
+/// [`apply_filters`] on the labels of the pair the candidates were grown
+/// on against [`reference_filters`], for three pairs of `net` under each
+/// of [`filter_weightings`].
+fn check_filters_against_reference(
+    net: &RoadNetwork,
+    seed: u64,
+    fraction: f64,
+    k: usize,
+) -> Result<(), String> {
+    let n = net.num_nodes() as u64;
+    for (w, weights) in filter_weightings(net, seed).iter().enumerate() {
+        for q in 0..3u64 {
+            let s = NodeId((draw(seed, 2 * q + 1) % n) as u32);
+            let t = NodeId((draw(seed, 2 * q + 2) % n) as u32);
+            let mut ws = SearchSpace::new(net);
+            let query = AltQuery::paper();
+            let Ok(pair) = SearchSubstrate::build(&mut ws, net, weights, s, t, &query) else {
+                continue;
+            };
+            let paths = filter_candidates(net, weights, &pair);
+            for max_similarity in [Some(0.8), None] {
+                let config = FilterConfig {
+                    max_similarity,
+                    lo_t_fraction: fraction,
+                    comfort_ranking: false,
+                    ..FilterConfig::commercial()
+                };
+                let got = apply_filters(&mut ws, net, weights, &pair, paths.clone(), k, &config);
+                let want = reference_filters(net, weights, &paths, k, &config);
+                if got.as_ref() != Ok(&want) {
+                    return Err(format!(
+                        "weighting {w}, {s}->{t}, {max_similarity:?}: kept {:?}, reference {:?}",
+                        got.map(|kept| kept.len()),
+                        want.len()
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 #[test]
 fn dissimilarity_sweep_matches_the_reference_on_a_medium_city() {
     // Paper scale, one fixed seed, 24 pairs; the odd pairs run under the
@@ -763,6 +969,28 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn certified_filters_match_the_reference(
+        (graph, seed, fraction, k) in (0u32..6, any::<u64>(), 0.1f64..0.45, 1usize..5),
+    ) {
+        // A local-optimality window the pair's labels certify is never
+        // searched; the routes kept must be the ones searching every
+        // window keeps. Random grids and generated Tiny cities, each under
+        // its own weights, a closure-and-slowdown overlay and a uniform
+        // (tie-rich) column.
+        let net = match graph {
+            0..=2 => random_grid(3 + seed as usize % 6, 3 + (seed >> 8) as usize % 6, seed),
+            city => arp_citygen::generate(
+                arp_citygen::City::ALL[city as usize - 3],
+                arp_citygen::Scale::Tiny,
+                seed % 16,
+            )
+            .network,
+        };
+        let checked = check_filters_against_reference(&net, seed, fraction, k);
+        prop_assert!(checked.is_ok(), "{:?}", checked);
     }
 
     #[test]
