@@ -209,20 +209,6 @@ fn main() {
                 reps,
             ),
         );
-        let mut bi = BidirSearch::new(&net);
-        row(
-            &mut report,
-            "bidirectional dijkstra",
-            time_per_query(
-                || {
-                    for &(s, t, _) in &queries {
-                        let _ = bi.shortest_distance(&net, net.weights(), s, t);
-                    }
-                },
-                queries.len(),
-                reps,
-            ),
-        );
         row(
             &mut report,
             "plateaus k=3",

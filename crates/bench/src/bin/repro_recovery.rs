@@ -85,15 +85,15 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// A byte-exact signature of the routes all four techniques serve for
-/// the comparison pairs under the processor's *current* traffic epoch:
-/// per approach, every route's exact cost and full edge sequence. Two
-/// states are route-equivalent iff their signatures are equal.
+/// the comparison pairs, each prepared like a served request, under the
+/// processor's *current* traffic epoch: per approach, every route's exact
+/// cost and full edge sequence. Equal signatures = route-equivalent.
 fn route_signature(processor: &QueryProcessor, pairs: &[SnappedQuery]) -> String {
-    let mut sig = String::new();
+    let (mut sig, unlimited) = (String::new(), SearchBudget::unlimited());
     for pair in pairs {
-        let prepared = processor.prepare_query(*pair);
+        let prepared = processor.prepare_substrate(processor.prepare_query(*pair), &unlimited);
         for slot in 0..processor.technique_slots() {
-            match processor.compute_slot_prepared(&prepared, slot, &SearchBudget::unlimited()) {
+            match processor.compute_slot_prepared(&prepared, slot, &unlimited) {
                 Ok((approach, _)) => {
                     let _ = write!(sig, "{}:", approach.label);
                     for route in &approach.routes {

@@ -481,7 +481,6 @@ impl ChTopology {
             &UpArcs(self, &metric.down),
             source.0,
             target.0,
-            Ord::min,
             poller,
         )?;
         Ok(met.map(|(d, meet)| (d, meet, fwd, bwd)))

@@ -53,22 +53,18 @@ pub fn esx_alternatives(
     options: &EsxOptions,
 ) -> Result<Vec<Path>, CoreError> {
     let budget = SearchBudget::unlimited();
-    esx_alternatives_from_base(net, weights, source, target, query, options, &budget, None)
+    esx_alternatives_budgeted(net, weights, source, target, query, options, &budget)
 }
 
-/// The algorithm itself, under a cooperative [`SearchBudget`]: grow the
-/// result set shortest first, excluding the heaviest shared edge of
-/// over-overlapping candidates. `base` is the prepared
-/// `sp(source, target)` under `weights` — typically a
-/// [`crate::substrate::SearchSubstrate`]'s; with `None` the call first
-/// finds it with one search of its own.
+/// The algorithm itself, under a cooperative [`SearchBudget`]: find
+/// `sp(source, target)`, then grow the result set shortest first,
+/// excluding the heaviest shared edge of over-overlapping candidates.
 ///
 /// A trip mid-call returns the paths chosen so far (an anytime result);
 /// inspect `budget.is_cancelled()` to tell a partial set apart from a
 /// converged one. A trip before the first path is found returns `Ok`
 /// with an empty set.
-#[allow(clippy::too_many_arguments)]
-pub fn esx_alternatives_from_base(
+pub fn esx_alternatives_budgeted(
     net: &RoadNetwork,
     weights: &[Weight],
     source: NodeId,
@@ -76,14 +72,13 @@ pub fn esx_alternatives_from_base(
     query: &AltQuery,
     options: &EsxOptions,
     budget: &SearchBudget,
-    base: Option<&Path>,
 ) -> Result<Vec<Path>, CoreError> {
     if query.k == 0 {
         return Ok(Vec::new());
     }
     let mut ws = SearchSpace::new(net);
     ws.set_budget(budget.clone());
-    let Some(best) = ws.base_route(net, weights, source, target, base)? else {
+    let Some(best) = ws.base_route(net, weights, source, target, None)? else {
         return Ok(Vec::new());
     };
     let bound = query.cost_bound(best.cost_ms);
@@ -279,7 +274,7 @@ mod tests {
         // Cap of one pop: the first search completes (residual charge),
         // the sticky trip stops the loop before the second candidate.
         let budget = SearchBudget::new().with_expansion_cap(1);
-        let partial = esx_alternatives_from_base(
+        let partial = esx_alternatives_budgeted(
             &net,
             net.weights(),
             NodeId(0),
@@ -287,7 +282,6 @@ mod tests {
             &q,
             &EsxOptions::default(),
             &budget,
-            None,
         )
         .unwrap();
         assert!(budget.is_cancelled());

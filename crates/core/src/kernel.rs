@@ -1,8 +1,8 @@
 //! The one label-setting shortest-path kernel.
 //!
 //! Every exact node-labelled search in this crate — one-to-one Dijkstra,
-//! forward/backward trees, bidirectional Dijkstra and the CCH query — is
-//! [`settle_next`] driven by [`search`] or [`search_bidirectional`],
+//! forward/backward trees and the CCH query — is [`settle_next`] driven
+//! by [`search`] or (the CCH query) [`search_bidirectional`],
 //! monomorphised over
 //!
 //! * an [`ArcView`]: which arcs leave a vertex and what they cost
@@ -13,8 +13,8 @@
 //!   ([`Exhaust`], [`ReachTarget`], the [`GrowToBound`] /
 //!   [`InsideEllipse`] pair that grows a request's tree pair no further
 //!   than its stretch bound, and the meeting rule of the bidirectional
-//!   driver, whose termination bound is `kf + kb` for plain graphs and
-//!   `min(kf, kb)` for hierarchies).
+//!   upward search, which stops once `min(kf, kb)` reaches the best
+//!   meeting).
 //!
 //! What every search needs lives here exactly once: the
 //! generation-stamped [`Labels`] (including the wrap-around reset), the
@@ -413,13 +413,12 @@ impl Rule for Meet<'_> {
     }
 }
 
-/// Bidirectional search: `fwd` grows from `source` over `out`, `bwd` from
-/// `target` over `inn`, always expanding the side with the smaller next
-/// key, until `bound(kf, kb)` — a lower bound on any meeting not yet seen
-/// — reaches the best one found. Returns `(distance, meeting vertex)`, or
-/// `None` when unreachable. The caller validates the endpoints
-/// (`source != target`).
-#[allow(clippy::too_many_arguments)]
+/// The CCH query's bidirectional upward search: `fwd` grows from
+/// `source` over `out`, `bwd` from `target` over `inn`, always expanding
+/// the side with the smaller next key, until `min(kf, kb)` — on upward
+/// arcs, a lower bound on any meeting not yet seen — reaches the best one
+/// found. Returns `(distance, meeting vertex)`, or `None` when
+/// unreachable. The caller validates the endpoints (`source != target`).
 pub(crate) fn search_bidirectional<F: ArcView, B: ArcView>(
     fwd: &mut Labels,
     bwd: &mut Labels,
@@ -427,7 +426,6 @@ pub(crate) fn search_bidirectional<F: ArcView, B: ArcView>(
     inn: &B,
     source: u32,
     target: u32,
-    bound: impl Fn(Cost, Cost) -> Cost,
     poller: &mut Poller<'_>,
 ) -> Result<Option<(Cost, u32)>, CoreError> {
     fwd.begin(out.num_nodes());
@@ -438,7 +436,7 @@ pub(crate) fn search_bidirectional<F: ArcView, B: ArcView>(
     let mut best = (INFINITY, u32::MAX);
     loop {
         let (kf, kb) = (fwd.next_key(), bwd.next_key());
-        if bound(kf, kb) >= best.0 {
+        if kf.min(kb) >= best.0 {
             break;
         }
         let best = &mut best;
@@ -454,7 +452,6 @@ pub(crate) fn search_bidirectional<F: ArcView, B: ArcView>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bidir::BidirSearch;
     use crate::cch::ChTopology;
     use crate::fixtures::grid;
     use crate::search::{Direction, SearchSpace};
@@ -550,8 +547,6 @@ mod tests {
         let run = |which: &str, budget: &SearchBudget| {
             let mut ws = SearchSpace::new(net);
             ws.set_budget(budget.clone());
-            let mut bi = BidirSearch::new(net);
-            bi.set_budget(budget.clone());
             let mut poller = Poller::new(budget);
             let mut stats = SearchStats::default();
             let outcome = match which {
@@ -582,11 +577,9 @@ mod tests {
                     ws.tree_under(net, w, t, Direction::Backward, inside, || INFINITY)
                         .map(drop)
                 }
-                "bidirectional" => bi.shortest_path(net, w, s, t).map(drop),
                 _ => topo.query(&metric, s, t, &mut poller).map(drop),
             };
             stats.accumulate(&ws.last_stats());
-            stats.accumulate(&bi.last_stats());
             stats.accumulate(&poller.finish());
             (outcome, stats)
         };
@@ -596,7 +589,6 @@ mod tests {
             "backward tree",
             "bounded forward tree",
             "bounded backward tree",
-            "bidirectional",
             "CCH query",
         ] {
             // A pre-cancelled budget releases the caller before any work.
@@ -659,13 +651,13 @@ mod tests {
     #[test]
     fn expansion_cap_accumulates_across_queries() {
         let net = grid(16);
-        let mut bi = BidirSearch::new(&net);
-        bi.set_budget(SearchBudget::new().with_expansion_cap(CHECK_INTERVAL));
+        let mut ws = SearchSpace::new(&net);
+        ws.set_budget(SearchBudget::new().with_expansion_cap(CHECK_INTERVAL));
         // Small queries never hit the in-loop interval check, but their
         // residual pops accumulate; eventually the entry poll trips.
         let mut tripped = false;
         for _ in 0..10_000 {
-            match bi.shortest_distance(&net, net.weights(), NodeId(0), NodeId(255)) {
+            match ws.shortest_distance(&net, net.weights(), NodeId(0), NodeId(255)) {
                 Ok(_) => {}
                 Err(CoreError::Interrupted) => {
                     tripped = true;

@@ -4,11 +4,11 @@
 //! Alternative route planning techniques — the subject matter of the ICDE
 //! 2022 comparative user study. The crate implements, from scratch:
 //!
-//! * a reusable shortest-path engine ([`search`], [`bidir`], [`cch`]):
-//!   Dijkstra with generation-stamped labels, forward/backward
-//!   shortest-path trees, bidirectional Dijkstra and a customizable
-//!   contraction hierarchy — all thin callers of one label-setting kernel,
-//!   whose parents are canonical (smallest tight edge),
+//! * a reusable shortest-path engine ([`search`], [`cch`]): Dijkstra
+//!   with generation-stamped labels, forward/backward shortest-path trees
+//!   and a customizable contraction hierarchy — all thin callers of one
+//!   label-setting kernel, whose parents are canonical (smallest tight
+//!   edge),
 //! * the search [`substrate`] — both trees plus the base optimal route —
 //!   that Plateaus, SSVP-D+ and Penalty are functions of: it is the one
 //!   input every provider is handed ([`AlternativesProvider::answer`]),
@@ -55,7 +55,6 @@
 
 pub mod admissibility;
 pub mod altgraph;
-pub mod bidir;
 pub mod budget;
 pub mod cch;
 pub mod dissimilarity;
@@ -80,7 +79,6 @@ pub mod yen;
 pub use admissibility::{
     admissibility, admissible_share, AdmissibilityCriteria, AdmissibilityReport,
 };
-pub use bidir::BidirSearch;
 pub use budget::SearchBudget;
 pub use cch::{ChMetric, ChTopology};
 pub use dissimilarity::{
@@ -88,7 +86,7 @@ pub use dissimilarity::{
     DissimilarityStats,
 };
 pub use error::CoreError;
-pub use esx::{esx_alternatives, esx_alternatives_from_base, EsxOptions};
+pub use esx::{esx_alternatives, esx_alternatives_budgeted, EsxOptions};
 pub use filters::{apply_filters, FilterConfig};
 pub use metrics::{SearchMetrics, SearchStats, TechniqueMetrics};
 pub use pareto::{pareto_paths, ParetoOptions, ParetoRoute};
@@ -109,11 +107,10 @@ pub use query::{AltQuery, Route};
 pub use search::{shortest_path, Direction, SearchSpace, ShortestPathTree};
 pub use substrate::SearchSubstrate;
 pub use turns::{turn_aware_shortest_path, TurnModel};
-pub use yen::{yen_k_shortest_paths, yen_k_shortest_paths_from_base};
+pub use yen::{yen_k_shortest_paths, yen_k_shortest_paths_budgeted};
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
-    pub use crate::bidir::BidirSearch;
     pub use crate::budget::SearchBudget;
     pub use crate::dissimilarity::{dissimilarity_alternatives, DissimilarityOptions};
     pub use crate::error::CoreError;

@@ -1,9 +1,8 @@
 //! Observability glue: per-query search statistics and the pre-resolved
 //! metric bundles the hot paths flush them into.
 //!
-//! The search workspaces ([`crate::search::SearchSpace`],
-//! [`crate::bidir::BidirSearch`]) always count
-//! their work into a plain [`SearchStats`] (three `u64` increments per
+//! The search workspace ([`crate::search::SearchSpace`]) always counts
+//! its work into a plain [`SearchStats`] (three `u64` increments per
 //! settled vertex — unmeasurable against heap traffic). Exporting those
 //! counts is opt-in: attach a [`SearchMetrics`] bundle resolved from an
 //! [`arp_obs::Registry`] and every completed query is added to the shared
@@ -50,7 +49,7 @@ impl SearchStats {
 ///
 /// Resolve once with [`SearchMetrics::new`] (labels typically identify the
 /// algorithm or the owning technique), attach with
-/// `SearchSpace::set_metrics` (and its `BidirSearch` twin).
+/// `SearchSpace::set_metrics`.
 /// The `Default` bundle is detached and records nothing.
 #[derive(Clone, Debug, Default)]
 pub struct SearchMetrics {

@@ -29,33 +29,29 @@ pub fn yen_k_shortest_paths(
     k: usize,
 ) -> Result<Vec<Path>, CoreError> {
     let budget = SearchBudget::unlimited();
-    yen_k_shortest_paths_from_base(net, weights, source, target, k, &budget, None)
+    yen_k_shortest_paths_budgeted(net, weights, source, target, k, &budget)
 }
 
-/// The algorithm itself, under a cooperative [`SearchBudget`]. `base` is
-/// the prepared `sp(source, target)` under `weights` — typically a
-/// [`crate::substrate::SearchSubstrate`]'s; with `None` the call first
-/// finds it with one search of its own.
+/// The algorithm itself, under a cooperative [`SearchBudget`].
 ///
 /// A trip mid-call returns the paths found so far (still in ascending
 /// cost order); inspect `budget.is_cancelled()` to tell a partial set
 /// apart from a converged one. A trip before the first path is found
 /// returns `Ok` with an empty set.
-pub fn yen_k_shortest_paths_from_base(
+pub fn yen_k_shortest_paths_budgeted(
     net: &RoadNetwork,
     weights: &[Weight],
     source: NodeId,
     target: NodeId,
     k: usize,
     budget: &SearchBudget,
-    base: Option<&Path>,
 ) -> Result<Vec<Path>, CoreError> {
     if k == 0 {
         return Ok(Vec::new());
     }
     let mut ws = SearchSpace::new(net);
     ws.set_budget(budget.clone());
-    let Some(best) = ws.base_route(net, weights, source, target, base)? else {
+    let Some(best) = ws.base_route(net, weights, source, target, None)? else {
         return Ok(Vec::new());
     };
 
@@ -257,8 +253,7 @@ mod tests {
         // the sticky trip stops the round loop before any spur search.
         let budget = SearchBudget::new().with_expansion_cap(1);
         let (s, t) = (NodeId(0), NodeId(24));
-        let partial =
-            yen_k_shortest_paths_from_base(&net, net.weights(), s, t, 6, &budget, None).unwrap();
+        let partial = yen_k_shortest_paths_budgeted(&net, net.weights(), s, t, 6, &budget).unwrap();
         assert!(budget.is_cancelled());
         assert_eq!(partial.len(), 1);
         assert_eq!(partial[0].edges, full[0].edges);

@@ -289,14 +289,13 @@ fn search_work_counters_are_pinned_on_dhaka() {
     // `reports/perf.txt` and the benchmark's `core.*` ledger, so a
     // refactor of the kernel must reproduce them exactly.
     use arp_core::search::Direction;
-    use arp_core::{BidirSearch, SearchStats};
+    use arp_core::SearchStats;
 
     let g = arp_citygen::generate(City::Dhaka, Scale::Small, 11);
     let net = &g.network;
     let w = net.weights();
     let mut ws = SearchSpace::new(net);
-    let mut bi = BidirSearch::new(net);
-    let [mut one, mut fwd, mut bwd, mut bidir, mut bounded] = [SearchStats::default(); 5];
+    let [mut one, mut fwd, mut bwd, mut bounded] = [SearchStats::default(); 4];
     for (s, t) in sample_pairs(net, 12) {
         ws.shortest_path(net, w, s, t).unwrap();
         one.accumulate(&ws.last_stats());
@@ -306,22 +305,19 @@ fn search_work_counters_are_pinned_on_dhaka() {
         ws.shortest_path_tree(net, w, t, Direction::Backward)
             .unwrap();
         bwd.accumulate(&ws.last_stats());
-        bi.shortest_distance(net, w, s, t).unwrap();
-        bidir.accumulate(&bi.last_stats());
         let sub = SearchSubstrate::build(&mut ws, net, w, s, t, &AltQuery::paper()).unwrap();
         bounded.accumulate(&sub.build_stats());
     }
-    let counted = [one, fwd, bwd, bidir, bounded].map(|s| (s.settled, s.heap_pops, s.relaxed));
+    let counted = [one, fwd, bwd, bounded].map(|s| (s.settled, s.heap_pops, s.relaxed));
     assert_eq!(
         counted,
         [
             (9154, 9886, 26029),
             (21528, 23277, 60624),
             (21528, 23236, 60624),
-            (5427, 5823, 15380),
             (18830, 20310, 53675),
         ],
-        "one-to-one, forward trees, backward trees, bidirectional, bounded tree pairs"
+        "one-to-one, forward trees, backward trees, bounded tree pairs"
     );
 }
 

@@ -137,8 +137,8 @@ fn expect_path(
 
 /// Drives **every** instantiation of the search kernel for one query and
 /// compares it with [`reference_dijkstra`]: one-to-one (whose edge list
-/// must be the chain of [`reference_parent`]s), both trees, bidirectional
-/// distance and path, CCH distance and unpacked path.
+/// must be the chain of [`reference_parent`]s), both trees, CCH distance
+/// and unpacked path.
 fn check_against_reference(
     net: &RoadNetwork,
     weights: &[Weight],
@@ -175,12 +175,6 @@ fn check_against_reference(
     same("forward tree", &tree.unwrap().dist, &from_s)?;
     let tree = ws.shortest_path_tree(net, weights, t, Direction::Backward);
     same("backward tree", &tree.unwrap().dist, &to_t)?;
-
-    let mut bi = BidirSearch::new(net);
-    let got = bi.shortest_distance(net, weights, s, t).unwrap_or(INFINITY);
-    same("bidirectional distance", &[got], &[want])?;
-    let got = bi.shortest_path(net, weights, s, t);
-    expect_path("bidirectional", net, weights, st, got, want)?;
 
     let metric = topo.customize(net, weights).unwrap();
     let got = topo.distance(&metric, s, t).unwrap_or(INFINITY);
@@ -994,21 +988,6 @@ proptest! {
     }
 
     #[test]
-    fn bidir_matches_unidirectional((n, chords) in arb_scc_graph()) {
-        let net = build(n, &chords);
-        let mut bi = arp_core::BidirSearch::new(&net);
-        let mut uni = SearchSpace::new(&net);
-        for t in (1..n as u32).step_by(2) {
-            let d1 = uni.shortest_distance(&net, net.weights(), NodeId(0), NodeId(t)).unwrap();
-            let d2 = bi.shortest_distance(&net, net.weights(), NodeId(0), NodeId(t)).unwrap();
-            prop_assert_eq!(d1, d2);
-            let p = bi.shortest_path(&net, net.weights(), NodeId(0), NodeId(t)).unwrap();
-            prop_assert!(p.validate(&net));
-            prop_assert_eq!(p.cost_ms, d1);
-        }
-    }
-
-    #[test]
     fn esx_respects_overlap_bound((n, chords) in arb_scc_graph()) {
         let net = build(n, &chords);
         let t = NodeId((n - 1) as u32);
@@ -1052,8 +1031,8 @@ proptest! {
 
         let full = yen_k_shortest_paths(&net, net.weights(), s, t, 4).unwrap();
         let budget = SearchBudget::new().with_expansion_cap(cap);
-        let partial = arp_core::yen_k_shortest_paths_from_base(
-            &net, net.weights(), s, t, 4, &budget, None,
+        let partial = arp_core::yen_k_shortest_paths_budgeted(
+            &net, net.weights(), s, t, 4, &budget,
         ).unwrap();
         prop_assert!(partial.len() <= full.len(), "yen grew under a budget");
         for (p, f) in partial.iter().zip(full.iter()) {
@@ -1064,8 +1043,8 @@ proptest! {
             &net, net.weights(), s, t, &q, &EsxOptions::default(),
         ).unwrap();
         let budget = SearchBudget::new().with_expansion_cap(cap);
-        let partial = arp_core::esx_alternatives_from_base(
-            &net, net.weights(), s, t, &q, &EsxOptions::default(), &budget, None,
+        let partial = arp_core::esx_alternatives_budgeted(
+            &net, net.weights(), s, t, &q, &EsxOptions::default(), &budget,
         ).unwrap();
         prop_assert!(partial.len() <= full.len(), "esx grew under a budget");
         for (p, f) in partial.iter().zip(full.iter()) {
@@ -1130,22 +1109,6 @@ proptest! {
             prop_assert_eq!(&a.edges, &b.edges, "penalty edges differ");
             prop_assert_eq!(a.cost_ms, b.cost_ms, "penalty cost differs");
         }
-
-        let solo = esx_alternatives(&net, net.weights(), s, t, &q, &EsxOptions::default()).unwrap();
-        let fed = arp_core::esx_alternatives_from_base(
-            &net, net.weights(), s, t, &q, &EsxOptions::default(), &budget, Some(sub.base_route()),
-        ).unwrap();
-        prop_assert_eq!(solo.len(), fed.len(), "esx count differs");
-        for (a, b) in solo.iter().zip(fed.iter()) {
-            prop_assert_eq!(&a.edges, &b.edges, "esx edges differ");
-            prop_assert_eq!(a.cost_ms, b.cost_ms, "esx cost differs");
-        }
-
-        let solo = yen_k_shortest_paths(&net, net.weights(), s, t, 3).unwrap();
-        let fed = arp_core::yen_k_shortest_paths_from_base(
-            &net, net.weights(), s, t, 3, &budget, Some(sub.base_route()),
-        ).unwrap();
-        prop_assert_eq!(solo, fed, "yen differs");
     }
 
     #[test]

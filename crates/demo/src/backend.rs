@@ -59,40 +59,35 @@ impl RouteBackend for DemoBackend {
 
     fn prepare(
         &self,
-        mut request: PreparedQuery,
+        request: PreparedQuery,
         token: &CancelToken,
         deadline: &Deadline,
     ) -> PreparedQuery {
         // Grow the request's tree pair once, under the same cancel token
         // the lanes observe plus whatever headroom the deadline leaves. A
-        // build that cannot finish (tripped token, expired or zero-headroom
-        // deadline, unroutable pair) leaves `substrate` as `None`, and each
-        // lane grows its own on its own budget.
-        if request.substrate.is_none() {
-            let mut budget = SearchBudget::with_cancel_flag(token.flag());
-            if !deadline.is_unbounded() {
-                match deadline.remaining() {
-                    Some(headroom) => budget = budget.with_deadline(headroom),
-                    // Already expired: don't start a doomed build.
-                    None => return request,
-                }
+        // build that cannot finish (tripped token, expired deadline,
+        // unroutable pair) leaves its error on the request, and every lane
+        // serves what it had proven.
+        let mut budget = SearchBudget::with_cancel_flag(token.flag());
+        if !deadline.is_unbounded() {
+            match deadline.remaining() {
+                Some(headroom) => budget = budget.with_deadline(headroom),
+                // Already expired: don't start a doomed build.
+                None => return request,
             }
-            request.substrate = self.processor.prepare_substrate(&request, &budget).ok();
         }
-        request
+        self.processor.prepare_substrate(request, &budget)
     }
 
     fn compute(&self, request: &PreparedQuery, lane: usize) -> Result<Arc<ApproachRoutes>, String> {
-        self.processor
-            .compute_slot_prepared(request, lane, &SearchBudget::unlimited())
-            .map(|(part, _)| part)
-            .map_err(|e| e.to_string())
+        match self.compute_cancellable(request, lane, &CancelToken::new()) {
+            Ok(LaneOutcome::Complete(part) | LaneOutcome::Truncated(part)) => Ok(part),
+            Err(e) => Err(e.message),
+        }
     }
 
     fn assemble(&self, request: &PreparedQuery, parts: Vec<Arc<ApproachRoutes>>) -> QueryResponse {
-        let mut response = self.processor.assemble(&request.snapped, parts);
-        response.epoch = request.epoch();
-        response
+        self.processor.assemble(request, parts)
     }
 
     fn compute_cancellable(
@@ -122,11 +117,7 @@ impl RouteBackend for DemoBackend {
         parts: Vec<Option<Arc<ApproachRoutes>>>,
         statuses: &[LaneStatus],
     ) -> Option<QueryResponse> {
-        let mut response = self
-            .processor
-            .assemble_degraded(&request.snapped, parts, statuses)?;
-        response.epoch = request.epoch();
-        Some(response)
+        self.processor.assemble_degraded(request, parts, statuses)
     }
 
     fn trace_attrs(&self, request: &PreparedQuery) -> Vec<(&'static str, String)> {
@@ -146,8 +137,8 @@ impl RouteBackend for DemoBackend {
 
     fn prepare_attrs(&self, request: &PreparedQuery) -> Vec<(&'static str, String)> {
         let substrate = match request.substrate {
-            Some(_) => "ready",
-            None => "none",
+            Ok(_) => "ready",
+            Err(_) => "none",
         };
         vec![("substrate", substrate.to_string())]
     }
@@ -160,6 +151,8 @@ mod tests {
     use arp_obs::Registry;
     use arp_roadnet::geo::Point;
     use arp_serve::{RouteService, ServeConfig};
+
+    use crate::query::SnappedQuery;
 
     fn processor() -> Arc<QueryProcessor> {
         let g = arp_citygen::generate(City::Dhaka, Scale::Small, 9);
@@ -210,12 +203,16 @@ mod tests {
         }
     }
 
+    /// The request for `q` after an unhurried prepare step.
+    fn prepared(qp: &QueryProcessor, q: SnappedQuery) -> PreparedQuery {
+        qp.prepare_substrate(qp.prepare_query(q), &SearchBudget::unlimited())
+    }
+
     #[test]
     fn cancelled_token_truncates_lanes_and_partial_assembly_marks_it() {
         let qp = processor();
         let (a, b) = inner_points(&qp);
-        let q = qp.snap(a, b).unwrap();
-        let prepared = qp.prepare_query(q);
+        let prepared = prepared(&qp, qp.snap(a, b).unwrap());
         let backend = DemoBackend::new(Arc::clone(&qp));
 
         // A lane that finished before the deadline…
@@ -241,7 +238,7 @@ mod tests {
             LaneStatus::Truncated,
         ];
         let resp = qp
-            .assemble_degraded(&q, parts, &statuses)
+            .assemble_degraded(&prepared, parts, &statuses)
             .expect("one lane finished");
         assert!(resp.truncated && !resp.degraded);
         assert_eq!(resp.approaches.len(), 4);
@@ -253,7 +250,7 @@ mod tests {
         // Nothing finished at all → no partial response; the serving
         // layer degrades that to DeadlineExceeded (HTTP 504).
         assert!(qp
-            .assemble_degraded(&q, vec![None, None, None, None], &statuses)
+            .assemble_degraded(&prepared, vec![None, None, None, None], &statuses)
             .is_none());
     }
 
@@ -261,8 +258,7 @@ mod tests {
     fn untripped_token_leaves_lanes_complete_and_identical() {
         let qp = processor();
         let (a, b) = inner_points(&qp);
-        let q = qp.snap(a, b).unwrap();
-        let prepared = qp.prepare_query(q);
+        let prepared = prepared(&qp, qp.snap(a, b).unwrap());
         let backend = DemoBackend::new(Arc::clone(&qp));
         let token = CancelToken::new();
         for lane in 0..backend.lanes() {
@@ -283,7 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn prepare_builds_the_substrate_and_lanes_reuse_it() {
+    fn prepare_builds_the_substrate_and_lanes_only_read_it() {
         let qp = processor();
         let (a, b) = inner_points(&qp);
         let q = qp.snap(a, b).unwrap();
@@ -291,35 +287,57 @@ mod tests {
         let token = CancelToken::new();
 
         let prepared = backend.prepare(qp.prepare_query(q), &token, &Deadline::never());
-        assert!(prepared.substrate.is_some(), "healthy build must succeed");
+        assert!(prepared.substrate.is_ok(), "healthy build must succeed");
+        for lane in 0..backend.lanes() {
+            let outcome = backend.compute_cancellable(&prepared, lane, &token);
+            assert!(
+                matches!(outcome, Ok(LaneOutcome::Complete(_))),
+                "lane {lane}"
+            );
+        }
+        // One build by prepare; the lanes grew nothing.
         assert_eq!(
             qp.registry()
                 .counter_value("arp_substrate_builds_total", &[]),
             1
         );
-
-        // Every lane computes identically to one growing its own pair.
-        let unprepared = qp.prepare_query(q);
-        for lane in 0..backend.lanes() {
-            let fed = backend.compute(&prepared, lane).unwrap();
-            let solo = backend.compute(&unprepared, lane).unwrap();
-            assert_eq!(fed.label, solo.label);
-            assert_eq!(fed.routes.len(), solo.routes.len());
-            for (x, y) in fed.routes.iter().zip(&solo.routes) {
-                assert_eq!(x.cost_ms, y.cost_ms);
-                assert_eq!(x.polyline, y.polyline);
-            }
-        }
-        // One build by prepare, one fallback build per unprepared lane.
-        assert_eq!(
-            qp.registry()
-                .counter_value("arp_substrate_builds_total", &[]),
-            1 + backend.lanes() as u64
-        );
     }
 
     #[test]
-    fn an_unprepared_lane_interrupted_between_its_trees_serves_the_base_route() {
+    fn a_served_request_with_a_retried_lane_grows_one_pair() {
+        use arp_serve::FaultPlan;
+
+        let qp = processor();
+        let (a, b) = inner_points(&qp);
+        let q = qp.snap(a, b).unwrap();
+        // A flaky Penalty lane that fails its first attempt and passes its
+        // retry.
+        let spec = |seed: u64| format!("lane.penalty=flaky:0.5:{seed}");
+        let seed = (0..)
+            .find(|&seed| {
+                let probe = FaultPlan::parse(&spec(seed)).unwrap();
+                probe.fire("lane.penalty").is_err() && probe.fire("lane.penalty").is_ok()
+            })
+            .unwrap();
+        let config = ServeConfig {
+            faults: FaultPlan::parse(&spec(seed)).unwrap(),
+            ..ServeConfig::default()
+        };
+        let service = RouteService::new(DemoBackend::new(Arc::clone(&qp)), config, qp.registry());
+        let served = service.route(qp.prepare_query(q)).unwrap();
+        assert!(!served.degraded && !served.truncated);
+
+        let registry = qp.registry();
+        let retried = [("technique", "penalty"), ("outcome", "success")];
+        assert_eq!(
+            registry.counter_value("arp_serve_retries_total", &retried),
+            1
+        );
+        assert_eq!(registry.counter_value("arp_substrate_builds_total", &[]), 1);
+    }
+
+    #[test]
+    fn a_prepare_interrupted_between_its_trees_serves_the_base_route() {
         let qp = processor();
         let (a, b) = inner_points(&qp);
         let far = qp.snap(a, b).unwrap();
@@ -327,26 +345,26 @@ mod tests {
         // A few blocks along the way: a forward tree small enough to
         // finish between two budget polls.
         let along = arp_core::shortest_path(net, w, far.source, far.target).unwrap();
-        let q = crate::query::SnappedQuery {
+        let q = SnappedQuery {
             source: far.source,
             target: along.nodes[4],
         };
-        let unprepared = qp.prepare_query(q);
         let direct = arp_core::shortest_path(net, w, q.source, q.target).unwrap();
+        // Cap of one pop: the build completes its forward tree (residual
+        // pops are charged at the end), the cap trips sticky, and the
+        // backward tree's entry poll interrupts.
+        let cap = SearchBudget::new().with_expansion_cap(1);
+        let prepared = qp.prepare_substrate(qp.prepare_query(q), &cap);
         for slot in 0..qp.technique_slots() {
-            // Cap of one pop: the lane's fallback build completes its
-            // forward tree (residual pops are charged at the end), the cap
-            // trips sticky, and the backward tree's entry poll interrupts.
-            let budget = SearchBudget::new().with_expansion_cap(1);
             let (part, interrupted) = qp
-                .compute_slot_prepared(&unprepared, slot, &budget)
+                .compute_slot_prepared(&prepared, slot, &SearchBudget::unlimited())
                 .unwrap();
             assert!(interrupted, "slot {slot}");
             assert_eq!(part.routes.len(), 1, "slot {slot}");
             assert_eq!(part.routes[0].edges, direct.edges, "slot {slot}");
             assert_eq!(part.routes[0].cost_ms, direct.cost_ms, "slot {slot}");
         }
-        // No technique ran: each lane served what its build had proven.
+        // No technique ran: each lane served what prepare had proven.
         for technique in ["google_like", "plateaus", "dissimilarity", "penalty"] {
             let labels = [("technique", technique)];
             let calls = qp
@@ -411,28 +429,36 @@ mod tests {
             &token,
             &Deadline::after(std::time::Duration::ZERO),
         );
-        assert!(prepared.substrate.is_none());
+        assert!(prepared.substrate.is_err());
         assert_eq!(
             qp.registry()
                 .counter_value("arp_substrate_builds_total", &[]),
             0
         );
 
-        // Already-tripped token: the build starts, trips at its first
-        // budget check, and the lanes grow their own.
+        // Already-tripped token: the build starts and trips at its first
+        // budget check, before it has proven anything.
         let tripped = CancelToken::new();
         tripped.cancel();
         let prepared = backend.prepare(qp.prepare_query(q), &tripped, &Deadline::never());
-        assert!(prepared.substrate.is_none());
+        assert!(matches!(
+            prepared.substrate,
+            Err((arp_core::CoreError::Interrupted, None))
+        ));
         assert_eq!(
             qp.registry()
                 .counter_value("arp_substrate_build_failures_total", &[]),
             1
         );
-        // The fallback path still serves: a fresh budget computes the lane.
+        // A lane serves that as an empty partial, and grows nothing.
         let fresh = CancelToken::new();
         let outcome = backend.compute_cancellable(&prepared, 0, &fresh).unwrap();
-        assert!(matches!(outcome, LaneOutcome::Complete(_)));
+        assert!(matches!(outcome, LaneOutcome::Truncated(part) if part.routes.is_empty()));
+        assert_eq!(
+            qp.registry()
+                .counter_value("arp_substrate_build_failures_total", &[]),
+            1
+        );
     }
 
     #[test]
@@ -450,7 +476,7 @@ mod tests {
         let net = b.build();
         let qp = Arc::new(QueryProcessor::new("Islands", net, 1));
         let backend = DemoBackend::new(Arc::clone(&qp));
-        let q = crate::query::SnappedQuery {
+        let q = SnappedQuery {
             source: n0,
             target: n2,
         };
@@ -458,19 +484,19 @@ mod tests {
         // The pair build fails cleanly (counted, not propagated)…
         let token = CancelToken::new();
         let prepared = backend.prepare(qp.prepare_query(q), &token, &Deadline::never());
-        assert!(prepared.substrate.is_none());
-        assert_eq!(
-            qp.registry()
-                .counter_value("arp_substrate_build_failures_total", &[]),
-            1
-        );
-        // …and each lane's own build reports the permanent error.
+        assert!(prepared.substrate.is_err());
+        // …and each lane reports prepare's permanent error.
         for lane in 0..backend.lanes() {
             let err = backend
                 .compute_cancellable(&prepared, lane, &token)
                 .expect_err("unroutable pair must fail the lane");
             assert!(!err.transient, "Unreachable is permanent, not retryable");
         }
+        assert_eq!(
+            qp.registry()
+                .counter_value("arp_substrate_build_failures_total", &[]),
+            1
+        );
 
         // End to end: the serving layer answers with an error response,
         // never a panic.
@@ -487,16 +513,11 @@ mod tests {
         let qp = processor();
         let (a, b) = inner_points(&qp);
         let q = qp.snap(a, b).unwrap();
-        let same = crate::query::SnappedQuery {
+        let same = SnappedQuery {
             source: q.source,
             target: q.source,
         };
-        assert!(qp
-            .prepare_substrate(
-                &qp.prepare_query(same),
-                &arp_core::SearchBudget::unlimited()
-            )
-            .is_err());
+        assert!(prepared(&qp, same).substrate.is_err());
     }
 
     #[test]

@@ -75,19 +75,16 @@ pub struct SnappedQuery {
     pub target: NodeId,
 }
 
-/// A [`SnappedQuery`] pinned to a traffic epoch, plus the request's tree
-/// pair — the serving layer's request type, built by
+/// A [`SnappedQuery`] pinned to a traffic epoch, plus what its prepare
+/// step proved — the serving layer's request type, built by
 /// [`QueryProcessor::prepare_query`].
 ///
-/// The pair (forward + backward shortest-path trees and the base route,
-/// see [`SearchSubstrate`]) is grown **once** per request, on the pinned
-/// epoch's weights, by the prepare stage ([`crate::DemoBackend`]'s
-/// `prepare`, or [`QueryProcessor::process`]) and handed read-only to the
-/// four technique lanes via `Arc`. Only those two write it, so a pair
-/// always answers the request and epoch it travels with. `None` means
-/// prepare could not grow it — nothing was prepared yet, the budget
-/// tripped, or the pair is unroutable — and each lane then grows its own
-/// ([`QueryProcessor::compute_slot_prepared`]).
+/// The request's tree pair (forward + backward shortest-path trees and
+/// the base route, see [`SearchSubstrate`]) is grown **once**, on the
+/// pinned epoch's weights, by the prepare step
+/// ([`QueryProcessor::prepare_substrate`]) and handed read-only to the
+/// four technique lanes via `Arc`. Nothing else grows or writes it, so a
+/// pair always answers the request and epoch it travels with.
 ///
 /// Cache identity is [`PreparedQuery::snapped`] plus the pinned traffic
 /// epoch: the pair is derived state and never part of a cache key,
@@ -97,8 +94,11 @@ pub struct SnappedQuery {
 pub struct PreparedQuery {
     /// The snapped endpoints (the cache identity, with the epoch).
     pub snapped: SnappedQuery,
-    /// The request's tree pair, once the prepare stage grew it.
-    pub(crate) substrate: Option<Arc<SearchSubstrate>>,
+    /// The prepare step's outcome: the request's tree pair, or why there
+    /// is none — the budget tripped (with the base route, when the
+    /// forward tree had proven it) or the pair is unroutable. Starts as
+    /// `Err((Interrupted, None))`: nothing proven yet.
+    pub(crate) substrate: Result<Arc<SearchSubstrate>, (CoreError, Option<Path>)>,
     /// The pinned traffic epoch this request computes and prices on
     /// (epoch 0 shares the base column). Pinned once at request
     /// construction ([`QueryProcessor::prepare_query`]), **before** the
@@ -163,7 +163,7 @@ impl SubstrateMetrics {
         SubstrateMetrics {
             builds: registry.counter(
                 "arp_substrate_builds_total",
-                "Tree pairs built (one per uncached, runnable request, plus lane fallbacks).",
+                "Tree pairs built (one per uncached, runnable request).",
                 &[],
             ),
             build_failures: registry.counter(
@@ -316,7 +316,7 @@ impl QueryProcessor {
     pub fn prepare_query(&self, snapped: SnappedQuery) -> PreparedQuery {
         PreparedQuery {
             snapped,
-            substrate: None,
+            substrate: Err((CoreError::Interrupted, None)),
             overlay: self.traffic.snapshot(),
         }
     }
@@ -376,12 +376,11 @@ impl QueryProcessor {
         )
     }
 
-    /// Grows the [`SearchSubstrate`] for a prepared query under a
-    /// cooperative budget, on the query's pinned epoch weights, to the
-    /// stretch bound of the processor's [`AltQuery`] and no further —
-    /// the one place this processor grows a tree pair. The prepare stage
-    /// calls it once per request; a lane calls it only when prepare could
-    /// not ([`QueryProcessor::compute_slot_prepared`]). Failures are
+    /// The prepare step — the one place this processor grows a tree
+    /// pair: grows the [`SearchSubstrate`] for `request` under a
+    /// cooperative budget, on its pinned epoch's weights, to the stretch
+    /// bound of the processor's [`AltQuery`] and no further, and records
+    /// the outcome on the request for every lane to read. Failures are
     /// [`SearchSubstrate::build`]'s: the budget tripped (with the base
     /// route, when the forward tree had proven it), or the pair is
     /// unroutable.
@@ -391,20 +390,21 @@ impl QueryProcessor {
     /// trip length the benchmark drives (EXPERIMENTS.md).
     pub fn prepare_substrate(
         &self,
-        q: &PreparedQuery,
+        mut request: PreparedQuery,
         budget: &SearchBudget,
-    ) -> Result<Arc<SearchSubstrate>, (CoreError, Option<Path>)> {
+    ) -> PreparedQuery {
         let mut ws = SearchSpace::new(&self.network);
         ws.set_budget(budget.clone());
-        let SnappedQuery { source, target } = q.snapped;
-        let weights = q.overlay.weights();
+        let SnappedQuery { source, target } = request.snapped;
+        let weights = request.overlay.weights();
         let built =
             SearchSubstrate::build(&mut ws, &self.network, weights, source, target, &self.query);
         match &built {
             Ok(_) => self.substrate_metrics.builds.inc(),
             Err(_) => self.substrate_metrics.build_failures.inc(),
         }
-        built.map(Arc::new)
+        request.substrate = built.map(Arc::new);
+        request
     }
 
     /// Computes one technique slot under a cooperative [`SearchBudget`]:
@@ -416,12 +416,11 @@ impl QueryProcessor {
     /// budget-check interval; the slot then returns the routes admitted
     /// so far plus `true` for "interrupted".
     ///
-    /// The pair is the one prepare grew for this request and epoch, handed
-    /// over as is. When prepare could not grow it, the slot grows it here
-    /// ([`QueryProcessor::prepare_substrate`]) on its own budget: a build
-    /// interrupted between its trees serves the forward tree's proven base
-    /// route as the slot's partial, any other failure is the slot's error
-    /// — the technique never runs.
+    /// The slot only reads what the prepare step
+    /// ([`QueryProcessor::prepare_substrate`]) left on the request. A
+    /// prepare interrupted before its pair was complete serves the forward
+    /// tree's proven base route (or nothing) as the slot's partial; any
+    /// other failure is the slot's error — the technique never runs.
     pub fn compute_slot_prepared(
         &self,
         q: &PreparedQuery,
@@ -430,23 +429,18 @@ impl QueryProcessor {
     ) -> Result<(Arc<ApproachRoutes>, bool), DemoError> {
         let kind = self.blinding.order()[slot];
         let weights = q.overlay.weights();
-        let pair = match &q.substrate {
-            Some(pair) => Arc::clone(pair),
-            None => match self.prepare_substrate(q, budget) {
-                Ok(pair) => pair,
-                Err((CoreError::Interrupted, proven)) => {
-                    let partial = proven.into_iter().map(|p| Route::new(p, weights));
-                    let outcome = ProviderOutcome::Interrupted {
-                        partial: partial.collect(),
-                    };
-                    return Ok(self.price_slot(kind, outcome));
-                }
-                Err((e, _)) => return Err(e.into()),
+        let outcome = match &q.substrate {
+            Ok(pair) => self
+                .provider(kind)
+                .answer(&self.network, weights, pair, budget)?,
+            Err((CoreError::Interrupted, proven)) => ProviderOutcome::Interrupted {
+                partial: proven
+                    .iter()
+                    .map(|p| Route::new(p.clone(), weights))
+                    .collect(),
             },
+            Err((e, _)) => return Err(e.clone().into()),
         };
-        let outcome = self
-            .provider(kind)
-            .answer(&self.network, weights, &pair, budget)?;
         Ok(self.price_slot(kind, outcome))
     }
 
@@ -498,12 +492,13 @@ impl QueryProcessor {
         )
     }
 
-    /// Combines per-slot results (in blinding order) into the response.
-    /// Deterministic in its inputs, so assembling fanned-out slots yields
-    /// exactly what the serial path produces.
+    /// Combines per-slot results (in blinding order) into the response,
+    /// stamped with the request's pinned epoch. Deterministic in its
+    /// inputs, so assembling fanned-out slots yields exactly what the
+    /// serial path produces.
     pub fn assemble(
         &self,
-        q: &SnappedQuery,
+        q: &PreparedQuery,
         approaches: Vec<Arc<ApproachRoutes>>,
     ) -> QueryResponse {
         let fastest_ms = approaches
@@ -513,17 +508,14 @@ impl QueryProcessor {
             .min()
             .unwrap_or(u64::MAX);
         QueryResponse {
-            source: q.source,
-            target: q.target,
+            source: q.snapped.source,
+            target: q.snapped.target,
             fastest_minutes: ms_to_display_minutes(fastest_ms),
             approaches,
             truncated: false,
             degraded: false,
             lane_status: Vec::new(),
-            // Epoch 0 = base weights; epoch-aware callers (the backend's
-            // assemble stages, `process`) overwrite this with the
-            // request's pinned epoch.
-            epoch: 0,
+            epoch: q.epoch(),
         }
     }
 
@@ -551,7 +543,7 @@ impl QueryProcessor {
     /// to show.
     pub fn assemble_degraded(
         &self,
-        q: &SnappedQuery,
+        q: &PreparedQuery,
         parts: Vec<Option<Arc<ApproachRoutes>>>,
         statuses: &[LaneStatus],
     ) -> Option<QueryResponse> {
@@ -595,19 +587,14 @@ impl QueryProcessor {
     /// concurrency tests check.
     pub fn process(&self, source: Point, target: Point) -> Result<QueryResponse, DemoError> {
         let q = self.snap(source, target)?;
-        let mut prepared = self.prepare_query(q);
-        prepared.substrate = self
-            .prepare_substrate(&prepared, &SearchBudget::unlimited())
-            .ok();
+        let prepared = self.prepare_substrate(self.prepare_query(q), &SearchBudget::unlimited());
         let approaches = (0..self.technique_slots())
             .map(|slot| {
                 self.compute_slot_prepared(&prepared, slot, &SearchBudget::unlimited())
                     .map(|(approach, _)| approach)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let mut response = self.assemble(&prepared.snapped, approaches);
-        response.epoch = prepared.epoch();
-        Ok(response)
+        Ok(self.assemble(&prepared, approaches))
     }
 
     /// Unblinds a label (server-side only; never exposed through the API).

@@ -121,14 +121,18 @@ pub struct HttpResponse {
 }
 
 impl HttpResponse {
-    fn ok_json(v: Json) -> HttpResponse {
+    fn ok(content_type: &'static str, body: String) -> HttpResponse {
         HttpResponse {
             status: 200,
-            content_type: "application/json",
-            body: v.to_string_compact(),
+            content_type,
+            body,
             retry_after: None,
             trace_id: None,
         }
+    }
+
+    fn ok_json(v: Json) -> HttpResponse {
+        HttpResponse::ok("application/json", v.to_string_compact())
     }
 
     /// The one error-rendering path: every non-200 reply — client 400s,
@@ -398,37 +402,22 @@ impl DemoApp {
     /// split off here — only the debug endpoints consume it; everything
     /// else ignores it, matching on the bare path.
     fn dispatch(&self, method: &str, path: &str, body: &str) -> HttpResponse {
-        let (path, query) = match path.split_once('?') {
-            Some((p, q)) => (p, q),
-            None => (path, ""),
-        };
+        let (path, query) = path.split_once('?').unwrap_or((path, ""));
         match (method, path) {
-            ("GET", "/") => HttpResponse {
-                status: 200,
-                content_type: "text/html; charset=utf-8",
-                body: html::index_page(self.processor.name()),
-                retry_after: None,
-                trace_id: None,
-            },
+            ("GET", "/") => HttpResponse::ok(
+                "text/html; charset=utf-8",
+                html::index_page(self.processor.name()),
+            ),
             ("GET", "/api/meta") => self.meta(),
             ("GET", "/api/network") => self.network_sample(),
             ("POST", "/api/route") => self.route(body),
             ("POST", "/api/rate") => self.rate(body),
             ("GET", "/api/results") => self.results(),
-            ("GET", "/api/results.csv") => HttpResponse {
-                status: 200,
-                content_type: "text/csv",
-                body: self.store.to_csv(),
-                retry_after: None,
-                trace_id: None,
-            },
-            ("GET", "/api/metrics") => HttpResponse {
-                status: 200,
-                content_type: "text/plain; version=0.0.4",
-                body: self.registry.render_prometheus(),
-                retry_after: None,
-                trace_id: None,
-            },
+            ("GET", "/api/results.csv") => HttpResponse::ok("text/csv", self.store.to_csv()),
+            ("GET", "/api/metrics") => HttpResponse::ok(
+                "text/plain; version=0.0.4",
+                self.registry.render_prometheus(),
+            ),
             ("GET", "/api/health") => self.health(),
             ("POST", "/api/traffic") => self.traffic(body),
             ("GET", "/api/debug/traces") => self.debug_traces(query),
@@ -800,8 +789,8 @@ impl DemoApp {
     /// * `?min_ms=N` — only traces at least `N` ms end to end,
     /// * `?status=ok|truncated|degraded|failed` — only that final status,
     /// * `?technique=<slug>` — only traces with a lane span for that
-    ///   technique (operator endpoint, so slugs are fine — blinding only
-    ///   governs `/api/route`).
+    ///   technique, one of the service's lane names (operator endpoint,
+    ///   so slugs are fine — blinding only governs `/api/route`).
     ///
     /// Unknown filters and malformed values are 400s, not silent no-ops:
     /// a typo'd filter during an incident must not masquerade as "no
@@ -822,7 +811,17 @@ impl DemoApp {
                     Some(s) => status = Some(s),
                     None => return HttpResponse::error(400, format!("bad status {value:?}")),
                 },
-                "technique" => technique = Some(value.to_string()),
+                "technique" => {
+                    let slugs: Vec<&str> = (0..self.processor.technique_slots())
+                        .map(|slot| self.processor.slot_technique(slot))
+                        .collect();
+                    if !slugs.contains(&value) {
+                        let accepted = slugs.join("|");
+                        let message = format!("bad technique {value:?}, one of {accepted}");
+                        return HttpResponse::error(400, message);
+                    }
+                    technique = Some(value.to_string());
+                }
                 _ => return HttpResponse::error(400, format!("unknown filter {key:?}")),
             }
         }
@@ -2176,9 +2175,16 @@ mod tests {
         assert_eq!(hit("?technique=penalty&min_ms=0"), 1);
         assert_eq!(hit("?status=failed"), 0);
         assert_eq!(hit("?min_ms=600000"), 0);
-        assert_eq!(hit("?technique=nonexistent"), 0);
 
         // Filter hygiene: typos are 400s, not empty result sets.
+        let typo = app.handle("GET", "/api/debug/traces?technique=nonexistent", "");
+        assert_eq!(typo.status, 400);
+        assert!(
+            typo.body
+                .contains("google_like|plateaus|dissimilarity|penalty"),
+            "{}",
+            typo.body
+        );
         assert_eq!(
             app.handle("GET", "/api/debug/traces?min_ms=x", "").status,
             400

@@ -202,7 +202,7 @@ pub trait RouteBackend: Send + Sync + 'static {
     /// `token` is the same per-request [`CancelToken`] the lanes
     /// observe, and `deadline` is the request deadline — cooperative
     /// backends bound the preparation by both so an expiring request
-    /// aborts its preparation (and lets each lane build its own)
+    /// aborts its preparation (its lanes then serve what it proved)
     /// instead of finishing it pointlessly.
     ///
     /// Returns the request, augmented with whatever was prepared; the

@@ -8,9 +8,8 @@
 //! ANOVA outcome emerge from the perception model.
 
 use arp_core::provider::AlternativesProvider;
-use arp_core::quality::route_set_quality;
+use arp_core::quality::{stretch, turns_per_km, wide_road_share, wiggliness};
 use arp_core::query::AltQuery;
-use arp_core::search::SearchSpace;
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::weight::{minutes_to_ms, Cost};
 use rand::rngs::StdRng;
@@ -162,7 +161,9 @@ impl StudyOutcome {
     }
 }
 
-/// Computes the perception features of one approach's answer to a query.
+/// Computes the perception features of one approach's answer to a query:
+/// the five `route_set_quality` aggregates the rater model reads, by the
+/// same expressions, without its local-optimality searches.
 pub fn features_of_routes(
     net: &RoadNetwork,
     query: &AltQuery,
@@ -181,16 +182,17 @@ pub fn features_of_routes(
             first_stretch: 2.0,
         };
     }
+    let (w, n) = (net.weights(), routes.len() as f64);
     let paths: Vec<arp_core::Path> = routes.iter().map(|r| r.path.clone()).collect();
-    let q = route_set_quality(net, net.weights(), &paths, fastest_ms);
+    let mean = |f: &dyn Fn(&arp_core::Path) -> f64| paths.iter().map(f).sum::<f64>() / n;
     RouteSetFeatures {
         count: routes.len(),
         requested: query.k,
-        mean_stretch: q.mean_stretch,
-        diversity: q.diversity,
-        max_wiggliness: q.max_wiggliness,
-        turns_per_km: q.mean_turns_per_km,
-        wide_share: q.mean_wide_share,
+        mean_stretch: mean(&|p| stretch(p.cost_under(w), fastest_ms)),
+        diversity: arp_core::similarity::diversity(&paths, w),
+        max_wiggliness: paths.iter().map(|p| wiggliness(net, p)).fold(0.0, f64::max),
+        turns_per_km: mean(&|p| turns_per_km(net, p, 45.0)),
+        wide_share: mean(&|p| wide_road_share(net, p)),
         first_stretch: routes[0].public_cost_ms as f64 / fastest_ms.max(1) as f64,
     }
 }
@@ -213,8 +215,6 @@ pub fn run_study(
         "the study compares exactly 4 approaches"
     );
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut ws = SearchSpace::new(net);
-    let _ = &mut ws; // reserved for future shared-workspace optimization
 
     let mut outcome = StudyOutcome::default();
     for (resident, quotas, qseed) in [
