@@ -24,6 +24,9 @@ pub enum CoreError {
         /// Provided overlay length.
         got: usize,
     },
+    /// A query's penalty factor is not a number ≥ 1: penalized weights
+    /// would fall below the public ones.
+    InvalidPenaltyFactor,
     /// The search's [`crate::SearchBudget`] tripped (cancellation,
     /// deadline or expansion cap) before the search finished. Technique
     /// drivers catch this and return the alternatives admitted so far.
@@ -58,6 +61,9 @@ impl fmt::Display for CoreError {
                     f,
                     "weight overlay has {got} entries, network has {expected} edges"
                 )
+            }
+            CoreError::InvalidPenaltyFactor => {
+                write!(f, "penalty factor must be a number at least 1")
             }
             CoreError::Interrupted => write!(f, "search interrupted by its budget"),
         }
@@ -105,5 +111,6 @@ mod tests {
             got: 3
         }
         .is_transient());
+        assert!(!CoreError::InvalidPenaltyFactor.is_transient());
     }
 }

@@ -78,7 +78,7 @@ pub fn esx_alternatives_budgeted(
     }
     let mut ws = SearchSpace::new(net);
     ws.set_budget(budget.clone());
-    let Some(best) = ws.base_route(net, weights, source, target, None)? else {
+    let Some(best) = ws.base_route(net, weights, source, target)? else {
         return Ok(Vec::new());
     };
     let bound = query.cost_bound(best.cost_ms);

@@ -10,9 +10,13 @@
 //!   hierarchy's upward arcs over `metric.up` / `metric.down` in
 //!   [`crate::cch`]), and
 //! * a [`Rule`]: when to stop, what to label and what to observe
-//!   ([`Exhaust`], [`ReachTarget`], the [`GrowToBound`] /
-//!   [`InsideEllipse`] pair that grows a request's tree pair no further
-//!   than its stretch bound, and the meeting rule of the bidirectional
+//!   ([`Exhaust`], [`ReachTarget`], [`ReachTargetWithin`] — the
+//!   one-to-one stop that labels only vertices whose label plus a lower
+//!   bound to the target stays within a known walk's cost, which keeps
+//!   Penalty's re-searches inside the request's tree pair — the
+//!   [`GrowToBound`] / [`InsideEllipse`] pair that grows a request's tree
+//!   pair no further than its stretch bound, [`Logged`], which records
+//!   any rule's settle order, and the meeting rule of the bidirectional
 //!   upward search, which stops once `min(kf, kb)` reaches the best
 //!   meeting).
 //!
@@ -147,7 +151,7 @@ pub(crate) trait Rule {
     /// `v` was settled with final label `d`; `true` ends the search before
     /// `v` is expanded.
     #[inline]
-    fn settled(&self, _v: u32, _d: Cost) -> bool {
+    fn settled(&mut self, _v: u32, _d: Cost) -> bool {
         false
     }
     /// Whether a relaxation that would label `v` with `d` is recorded;
@@ -171,8 +175,32 @@ pub(crate) struct ReachTarget(pub(crate) u32);
 
 impl Rule for ReachTarget {
     #[inline]
-    fn settled(&self, v: u32, _d: Cost) -> bool {
+    fn settled(&mut self, v: u32, _d: Cost) -> bool {
         v == self.0
+    }
+}
+
+/// [`ReachTarget`] that labels `v` at `d` only while
+/// `d + lower(v) ≤ limit`, given a lower bound `lower(v)` on `d(v, target)`
+/// and an upper bound `limit` on `d(root, target)`. Every vertex `u` of a
+/// shortest `root → target` path has `d(root, u) + lower(u) ≤ d(root,
+/// target) ≤ limit`, so it is labelled exactly, and every tight arc into
+/// it comes from another such vertex: the target's label and canonical
+/// parent chain are the ones [`ReachTarget`] finds.
+pub(crate) struct ReachTargetWithin<L> {
+    pub(crate) target: u32,
+    pub(crate) lower: L,
+    pub(crate) limit: Cost,
+}
+
+impl<L: Fn(u32) -> Cost> Rule for ReachTargetWithin<L> {
+    #[inline]
+    fn settled(&mut self, v: u32, _d: Cost) -> bool {
+        v == self.target
+    }
+    #[inline]
+    fn admits(&self, v: u32, d: Cost) -> bool {
+        d + (self.lower)(v) <= self.limit
     }
 }
 
@@ -190,7 +218,7 @@ pub(crate) struct GrowToBound<'a> {
 
 impl Rule for GrowToBound<'_> {
     #[inline]
-    fn settled(&self, v: u32, d: Cost) -> bool {
+    fn settled(&mut self, v: u32, d: Cost) -> bool {
         if v == self.target {
             self.bound.set(self.query.search_bound(d));
         }
@@ -212,6 +240,30 @@ impl Rule for InsideEllipse<'_> {
     fn admits(&self, v: u32, d: Cost) -> bool {
         let df = self.forward[v as usize];
         df != INFINITY && df + d <= self.bound
+    }
+}
+
+/// `rule`, with every vertex it settles appended to `order`: each vertex
+/// after the other end of its tight arcs, so a tree's parent always
+/// precedes its child.
+pub(crate) struct Logged<'a, R> {
+    pub(crate) rule: R,
+    pub(crate) order: &'a mut Vec<NodeId>,
+}
+
+impl<R: Rule> Rule for Logged<'_, R> {
+    #[inline]
+    fn settled(&mut self, v: u32, d: Cost) -> bool {
+        self.order.push(NodeId(v));
+        self.rule.settled(v, d)
+    }
+    #[inline]
+    fn admits(&self, v: u32, d: Cost) -> bool {
+        self.rule.admits(v, d)
+    }
+    #[inline]
+    fn improved(&mut self, v: u32, d: Cost) {
+        self.rule.improved(v, d)
     }
 }
 
@@ -494,6 +546,15 @@ mod tests {
             assert_eq!(labels_of(&out, s, ReachTarget(t.0)).parent(t.0), into_t);
             assert_eq!(labels_of(&inn, t, Exhaust).parent(s.0), out_of_s);
             assert_eq!(labels_of(&inn, t, ReachTarget(s.0)).parent(s.0), out_of_s);
+            // Exact lower bounds and an exact limit: both branches pass
+            // with equality, `far` (no way to `t`) never does.
+            let to_t = labels_of(&inn, t, Exhaust);
+            let within = ReachTargetWithin {
+                target: t.0,
+                lower: |v| to_t.dist(v).min(5),
+                limit: 4,
+            };
+            assert_eq!(labels_of(&out, s, within).parent(t.0), into_t);
 
             let (query, bound) = (AltQuery::paper(), Cell::new(INFINITY));
             let to_bound = GrowToBound {
@@ -551,6 +612,11 @@ mod tests {
             let mut stats = SearchStats::default();
             let outcome = match which {
                 "one-to-one" => ws.shortest_path(net, w, s, t).map(drop),
+                "pruned one-to-one" => {
+                    let limit = ball.distance(t);
+                    ws.shortest_path_within(net, w, s, t, |_| 0, limit)
+                        .map(drop)
+                }
                 "forward tree" => ws
                     .shortest_path_tree(net, w, s, Direction::Forward)
                     .map(drop),
@@ -585,6 +651,7 @@ mod tests {
         };
         for name in [
             "one-to-one",
+            "pruned one-to-one",
             "forward tree",
             "backward tree",
             "bounded forward tree",

@@ -7,18 +7,31 @@
 //! weights, and rejected when they exceed the stretch bound, duplicate an
 //! earlier path, or are nearly identical to one (the additional filtering
 //! criterion the paper mentions).
+//!
+//! Iteration zero is the base route of the request's tree pair. Every
+//! penalized re-search after it stays inside what that pair proves: the
+//! factor is ≥ 1, so an overlay weight is never below its public one, the
+//! pair's labels give a lower bound `lb(v)` on `d(v, t)` under the
+//! overlay, and the cheapest known
+//! `s → t` walk under the current overlay — an earlier candidate, or a
+//! via-vertex walk along the pair's two trees — is an upper bound `U` on
+//! the round's optimum. A round labels `v` at `d` only while
+//! `d + lb(v) ≤ U`. Every vertex of a shortest penalized route passes that
+//! test, so each round returns the route an unpruned search returns
+//! (DESIGN.md §8) and only the settled count shrinks.
 
 use std::collections::HashSet;
 
 use arp_roadnet::csr::RoadNetwork;
-use arp_roadnet::ids::NodeId;
-use arp_roadnet::weight::{apply_penalty, Weight};
+use arp_roadnet::ids::{EdgeId, NodeId};
+use arp_roadnet::weight::{apply_penalty, Cost, Weight, INFINITY};
 
 use crate::error::CoreError;
 use crate::path::Path;
 use crate::query::AltQuery;
 use crate::search::SearchSpace;
 use crate::similarity::similarity;
+use crate::substrate::SearchSubstrate;
 
 /// Options specific to the penalty algorithm.
 #[derive(Clone, Copy, Debug)]
@@ -60,7 +73,9 @@ pub struct PenaltyStats {
     pub interrupted: bool,
 }
 
-/// Computes up to `query.k` alternative paths with the penalty method.
+/// Computes up to `query.k` alternative paths with the penalty method:
+/// grows the call's tree pair ([`SearchSubstrate::build`]) and runs
+/// [`penalty_alternatives_from_base`] on it.
 ///
 /// The first returned path is always the true shortest path. Paths are
 /// returned in discovery order, which is non-decreasing penalized cost but
@@ -73,45 +88,39 @@ pub fn penalty_alternatives(
     query: &AltQuery,
     options: &PenaltyOptions,
 ) -> Result<Vec<Path>, CoreError> {
+    check_factor(query)?;
     let mut ws = SearchSpace::new(net);
+    let pair =
+        SearchSubstrate::build(&mut ws, net, weights, source, target, query).map_err(|(e, _)| e)?;
     let mut stats = PenaltyStats::default();
-    penalty_alternatives_from_base(
-        &mut ws, net, weights, source, target, query, options, &mut stats, None,
-    )
+    penalty_alternatives_from_base(&mut ws, net, weights, &pair, options, &mut stats)
 }
 
-/// The technique itself: penalize the base optimal route and iterate
-/// re-searches on the private overlay, all through `ws` (and its budget).
-/// `base` is the prepared `sp(source, target)` under `weights` —
-/// typically a [`crate::substrate::SearchSubstrate`]'s; with `None` the
-/// call first finds it with one early-terminated search of its own. The
-/// candidate funnel of the call is reported into `stats` (which is reset
-/// first).
-#[allow(clippy::too_many_arguments)]
+/// The technique itself on the tree pair `pair` grown on `weights`: its
+/// base route is iteration zero, and the penalized re-searches run on a
+/// private overlay through `ws` (and its budget), each pruned by the
+/// pair's labels. The query and endpoints are the pair's. The candidate
+/// funnel of the call is reported into `stats` (which is reset first).
+///
+/// Fails with [`CoreError::InvalidPenaltyFactor`] before any search when
+/// the query's factor is not a number ≥ 1: a cheaper overlay would break
+/// the lower bounds the re-searches are pruned by.
 pub fn penalty_alternatives_from_base(
     ws: &mut SearchSpace,
     net: &RoadNetwork,
     weights: &[Weight],
-    source: NodeId,
-    target: NodeId,
-    query: &AltQuery,
+    pair: &SearchSubstrate,
     options: &PenaltyOptions,
     stats: &mut PenaltyStats,
-    base: Option<&Path>,
 ) -> Result<Vec<Path>, CoreError> {
     *stats = PenaltyStats::default();
+    let query = pair.query();
+    check_factor(query)?;
     if query.k == 0 {
         return Ok(Vec::new());
     }
-    if source == target {
-        return Err(CoreError::SameSourceTarget(source));
-    }
-    let Some(best) = ws.base_route(net, weights, source, target, base)? else {
-        // Nothing admitted yet: an interrupted call is not an error, it
-        // just has no partial routes to hand back.
-        stats.interrupted = true;
-        return Ok(Vec::new());
-    };
+    let (source, target) = (pair.source(), pair.target());
+    let best = pair.base_route().clone();
     // Private penalized overlay.
     let mut overlay: Vec<Weight> = weights.to_vec();
     let bound = query.cost_bound(best.cost_ms);
@@ -123,6 +132,10 @@ pub fn penalty_alternatives_from_base(
     penalize(&mut overlay, net, &best, query.penalty_factor, options);
     accepted.push(best);
 
+    let mut via = ViaWalks::new(net, pair);
+    // The edges of every candidate found so far: `s → t` walks whose
+    // overlay cost bounds each later round from above.
+    let mut walks: Vec<Vec<EdgeId>> = Vec::new();
     let budget = query.iteration_budget();
     for _ in 1..budget {
         if accepted.len() >= query.k {
@@ -134,16 +147,31 @@ pub fn penalty_alternatives_from_base(
             stats.interrupted = true;
             break;
         }
-        let candidate = match ws.shortest_path(net, &overlay, source, target) {
+        let price = |edges: &Vec<EdgeId>| -> Cost {
+            edges.iter().map(|e| overlay[e.index()] as Cost).sum()
+        };
+        let limit = walks
+            .iter()
+            .map(price)
+            .fold(via.cheapest(&overlay), Cost::min);
+        let lower = |v| pair.target_lower_bound(v);
+        let candidate = match ws.shortest_path_within(net, &overlay, source, target, lower, limit) {
             Ok(p) => p,
             Err(CoreError::Interrupted) => {
                 stats.interrupted = true;
                 break;
             }
-            Err(_) => break,
+            Err(e) => {
+                debug_assert!(
+                    !matches!(e, CoreError::Unreachable { .. }),
+                    "a pruned round lost the target: its bounds are unsound"
+                );
+                return Err(e);
+            }
         };
         stats.iterations += 1;
         stats.candidates += 1;
+        walks.push(candidate.edges.clone());
         // Price on the true weights.
         let true_cost = candidate.cost_under(weights);
         let candidate = Path {
@@ -180,6 +208,73 @@ pub fn penalty_alternatives_from_base(
     Ok(accepted)
 }
 
+/// Rejects a factor that is not a number ≥ 1 (NaN included).
+fn check_factor(query: &AltQuery) -> Result<(), CoreError> {
+    if query.penalty_factor >= 1.0 {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidPenaltyFactor)
+    }
+}
+
+/// The via-vertex walks `s → v → t` of a tree pair — the forward tree's
+/// branch to `v`, then the backward tree's branch from it — for every `v`
+/// in the stretch ellipse, priced under an overlay. A branch of an
+/// in-ellipse vertex stays in the ellipse, so one pass over it in each
+/// tree's settle order prices every walk.
+struct ViaWalks<'a> {
+    net: &'a RoadNetwork,
+    pair: &'a SearchSubstrate,
+    /// The ellipse in forward settle order.
+    ellipse: Vec<NodeId>,
+    /// Per vertex, the overlay cost of its forward branch `s → v` — until
+    /// the backward pass reaches `v` and replaces it with the cost of its
+    /// backward branch `v → t`.
+    branch: Vec<Cost>,
+}
+
+impl<'a> ViaWalks<'a> {
+    fn new(net: &'a RoadNetwork, pair: &'a SearchSubstrate) -> ViaWalks<'a> {
+        let backward = pair.backward();
+        let ellipse = pair.forward().order.iter();
+        let ellipse = ellipse.copied().filter(|&v| backward.reached(v)).collect();
+        ViaWalks {
+            net,
+            pair,
+            ellipse,
+            branch: vec![0; net.num_nodes()],
+        }
+    }
+
+    /// The cost of the cheapest via-vertex walk under `overlay`.
+    fn cheapest(&mut self, overlay: &[Weight]) -> Cost {
+        let (forward, backward) = (self.pair.forward(), self.pair.backward());
+        let branch = &mut self.branch;
+        for &v in &self.ellipse {
+            let e = forward.parent[v.index()];
+            branch[v.index()] = if e.is_invalid() {
+                0
+            } else {
+                branch[self.net.tail(e).index()] + overlay[e.index()] as Cost
+            };
+        }
+        // A vertex's backward parent leads to one the backward tree
+        // settled earlier, whose entry already holds its backward branch.
+        let mut cheapest = INFINITY;
+        for &v in &backward.order {
+            let e = backward.parent[v.index()];
+            let from = if e.is_invalid() {
+                0
+            } else {
+                overlay[e.index()] as Cost + branch[self.net.head(e).index()]
+            };
+            cheapest = cheapest.min(branch[v.index()] + from);
+            branch[v.index()] = from;
+        }
+        cheapest
+    }
+}
+
 fn penalize(
     overlay: &mut [Weight],
     net: &RoadNetwork,
@@ -201,6 +296,7 @@ fn penalize(
 mod tests {
     use super::*;
     use crate::fixtures::grid;
+    use crate::metrics::SearchStats;
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
     use arp_roadnet::category::RoadCategory;
     use arp_roadnet::geo::Point;
@@ -341,21 +437,30 @@ mod tests {
         .is_err());
     }
 
+    /// The tree pair of `query` between `s` and `t` on `net`'s own
+    /// weights, grown in `ws`.
+    fn pair_of(
+        ws: &mut SearchSpace,
+        net: &RoadNetwork,
+        (s, t): (u32, u32),
+        query: &AltQuery,
+    ) -> SearchSubstrate {
+        SearchSubstrate::build(ws, net, net.weights(), NodeId(s), NodeId(t), query).unwrap()
+    }
+
     #[test]
     fn observed_stats_balance_the_funnel() {
         let net = grid(8);
         let mut ws = SearchSpace::new(&net);
+        let pair = pair_of(&mut ws, &net, (0, 63), &AltQuery::paper());
         let mut stats = PenaltyStats::default();
         let paths = penalty_alternatives_from_base(
             &mut ws,
             &net,
             net.weights(),
-            NodeId(0),
-            NodeId(63),
-            &AltQuery::paper(),
+            &pair,
             &PenaltyOptions::default(),
             &mut stats,
-            None,
         )
         .unwrap();
         assert!(stats.iterations >= 1);
@@ -385,11 +490,13 @@ mod tests {
         .unwrap();
         assert!(full.len() > 1);
 
-        // Cancel after the first search: the technique must return the
-        // shortest path alone and flag the interruption, not error out.
+        // Cancel after the first re-search: the technique must return
+        // what it admitted so far and flag the interruption, not error
+        // out.
         let mut ws = SearchSpace::new(&net);
+        let pair = pair_of(&mut ws, &net, (0, 63), &q);
         let mut stats = PenaltyStats::default();
-        // Expansion cap of one pop: the initial search completes (its
+        // Expansion cap of one pop: the first re-search completes (its
         // residual pops are only charged at the end), the cap then trips
         // sticky, and the between-rounds poll stops the second round.
         ws.set_budget(SearchBudget::new().with_expansion_cap(1));
@@ -397,12 +504,9 @@ mod tests {
             &mut ws,
             &net,
             net.weights(),
-            NodeId(0),
-            NodeId(63),
-            &q,
+            &pair,
             &PenaltyOptions::default(),
             &mut stats,
-            None,
         )
         .unwrap();
         assert!(stats.interrupted);
@@ -412,6 +516,91 @@ mod tests {
         for (got, want) in partial.iter().zip(full.iter()) {
             assert_eq!(got.edges, want.edges);
         }
+    }
+
+    #[test]
+    fn a_round_whose_route_leaves_the_ellipse_by_one_is_unchanged_by_the_pruning() {
+        // Base route s→x→t costs 10, so the pair's bound is 14. Doubling
+        // it makes round 1 tie at 15 between s→x→y→t (14 public, inside
+        // the ellipse, so a via walk pins U at exactly 15) and s→v→t
+        // (15 public: v is forward-labelled at 7 and lies one unit
+        // outside the ellipse, so lb(v) = 14 + 1 − 7 = 8 is exact). The
+        // tie goes to v→t, the smaller arc into t, so round 1 finds the
+        // route through v — admitted only because `lb` and `U` are both
+        // tight — and rejects it for the stretch bound; round 2 finds y.
+        // A pruning one unit too eager finds y in round 1 and stops.
+        let mut g = GraphBuilder::new();
+        let [s, x, v, y, t] =
+            [0, 1, 2, 3, 4].map(|i| g.add_node(Point::new(144.0 + i as f64 * 0.01, -37.0)));
+        for (a, b, w) in [
+            (s, x, 1),
+            (x, t, 9),
+            (s, v, 7),
+            (v, t, 8),
+            (x, y, 6),
+            (y, t, 7),
+        ] {
+            g.add_edge(a, b, EdgeSpec::default().with_weight(w));
+        }
+        let net = g.build();
+        let edge = |a, b| net.out_edges(a).find(|&e| net.head(e) == b).unwrap();
+        assert!(edge(v, t) < edge(y, t), "the tie must favour v");
+        let q = AltQuery::paper().with_penalty_factor(2.0).with_k(2);
+        let mut ws = SearchSpace::new(&net);
+        let pair = pair_of(&mut ws, &net, (s.0, t.0), &q);
+        assert_eq!(pair.bound(), 14);
+        assert_eq!(pair.target_lower_bound(v.0), 8);
+        let mut stats = PenaltyStats::default();
+        let options = PenaltyOptions::default();
+        let paths = penalty_alternatives_from_base(
+            &mut ws,
+            &net,
+            net.weights(),
+            &pair,
+            &options,
+            &mut stats,
+        )
+        .unwrap();
+        let routes: Vec<Vec<NodeId>> = paths.iter().map(|p| p.nodes.clone()).collect();
+        assert_eq!(routes, [vec![s, x, t], vec![s, x, y, t]]);
+        assert_eq!((stats.iterations, stats.rejected_bound), (2, 1));
+    }
+
+    #[test]
+    fn a_factor_below_one_is_rejected_before_any_search() {
+        let net = grid(4);
+        let options = PenaltyOptions::default();
+        for factor in [0.9, 0.0, -1.4, f64::NAN] {
+            let q = AltQuery::paper().with_penalty_factor(factor);
+            let got =
+                penalty_alternatives(&net, net.weights(), NodeId(0), NodeId(15), &q, &options);
+            assert_eq!(got, Err(CoreError::InvalidPenaltyFactor), "{factor}");
+            let pair = pair_of(&mut SearchSpace::new(&net), &net, (0, 15), &q);
+            let (mut ws, mut stats) = (SearchSpace::new(&net), PenaltyStats::default());
+            let got = penalty_alternatives_from_base(
+                &mut ws,
+                &net,
+                net.weights(),
+                &pair,
+                &options,
+                &mut stats,
+            );
+            assert_eq!(got, Err(CoreError::InvalidPenaltyFactor), "{factor}");
+            assert_eq!(
+                ws.last_stats(),
+                SearchStats::default(),
+                "{factor}: searched"
+            );
+        }
+        assert!(!CoreError::InvalidPenaltyFactor.is_transient());
+        // A factor of exactly 1 penalizes nothing, and is allowed.
+        let q = AltQuery::paper().with_penalty_factor(1.0);
+        let got = penalty_alternatives(&net, net.weights(), NodeId(0), NodeId(15), &q, &options);
+        assert_eq!(
+            got.unwrap().len(),
+            1,
+            "every round finds the base route again"
+        );
     }
 
     #[test]

@@ -145,7 +145,8 @@ pub trait AlternativesProvider: Send + Sync {
     /// on the public weights.
     ///
     /// `pair` is the request's one [`SearchSubstrate`]: Plateaus and
-    /// Dissimilarity sweep its trees, Penalty starts from its base route.
+    /// Dissimilarity sweep its trees, Penalty starts from its base route
+    /// and prunes its re-searches by its labels.
     /// The Google-like provider searches *private* weights, for which the
     /// public trees would be wrong: it reads only the endpoints and query
     /// off the pair and grows its own on its own column.
@@ -294,18 +295,15 @@ impl AlternativesProvider for PenaltyProvider {
             |stats| {
                 // Iteration zero is the pair's base route — never a search
                 // of its own. The penalized re-searches run here, under
-                // this call's budget.
+                // this call's budget, pruned by the pair's labels.
                 let mut ws = lane_workspace(&self.metrics, net, budget);
                 let paths = penalty_alternatives_from_base(
                     &mut ws,
                     net,
                     public_weights,
-                    pair.source(),
-                    pair.target(),
-                    pair.query(),
+                    pair,
                     &self.options,
                     stats,
-                    Some(pair.base_route()),
                 )?;
                 Ok((paths, stats.interrupted))
             },

@@ -17,7 +17,8 @@ use arp_roadnet::weight::{Cost, Weight, INFINITY};
 use crate::budget::SearchBudget;
 use crate::error::CoreError;
 use crate::kernel::{
-    self, ArcView, Column, Exhaust, InEdges, Labels, OutEdges, Poller, ReachTarget, Rule,
+    self, ArcView, Column, Exhaust, InEdges, Labels, Logged, OutEdges, Poller, ReachTarget,
+    ReachTargetWithin, Rule,
 };
 use crate::metrics::{SearchMetrics, SearchStats};
 use crate::path::Path;
@@ -47,6 +48,9 @@ pub struct ShortestPathTree {
     pub dist: Vec<Cost>,
     /// Parent edge per vertex ([`EdgeId::INVALID`] at the root/unreached).
     pub parent: Vec<EdgeId>,
+    /// Every reached vertex, in the order the search settled it: the root
+    /// first, and every vertex after the other end of its parent edge.
+    pub order: Vec<NodeId>,
 }
 
 impl ShortestPathTree {
@@ -159,9 +163,44 @@ impl SearchSpace {
         source: NodeId,
         target: NodeId,
     ) -> Result<Path, CoreError> {
+        self.path_under(net, weights, source, target, ReachTarget(target.0))
+    }
+
+    /// [`SearchSpace::shortest_path`] that labels a vertex `v` at `d` only
+    /// while `d + lower(v) ≤ limit`. `lower(v)` must be a lower bound on
+    /// `d(v, target)` under `weights`, and `limit` an upper bound on
+    /// `d(source, target)` — the cost of any known walk. Every vertex of a
+    /// shortest path passes, so the route is the one `shortest_path`
+    /// returns (DESIGN.md §8); only the search work shrinks.
+    pub(crate) fn shortest_path_within(
+        &mut self,
+        net: &RoadNetwork,
+        weights: &[Weight],
+        source: NodeId,
+        target: NodeId,
+        lower: impl Fn(u32) -> Cost,
+        limit: Cost,
+    ) -> Result<Path, CoreError> {
+        let rule = ReachTargetWithin {
+            target: target.0,
+            lower,
+            limit,
+        };
+        self.path_under(net, weights, source, target, rule)
+    }
+
+    /// The one-to-one search under `rule`, which stops at `target`.
+    fn path_under<R: Rule>(
+        &mut self,
+        net: &RoadNetwork,
+        weights: &[Weight],
+        source: NodeId,
+        target: NodeId,
+        rule: R,
+    ) -> Result<Path, CoreError> {
         kernel::check_endpoints(net.num_nodes(), source, target)?;
         let arcs = OutEdges(Column::new(net, weights)?);
-        self.run(&arcs, source, ReachTarget(target.0))?;
+        self.run(&arcs, source, rule)?;
         if self.labels.dist(target.0) == INFINITY {
             return Err(CoreError::Unreachable { source, target });
         }
@@ -179,30 +218,20 @@ impl SearchSpace {
         Ok(Path::from_edges(net, weights, edges))
     }
 
-    /// The base optimal route of a technique call that may have been
-    /// handed one: `base` — a prepared `sp(source, target)` under
-    /// `weights`, typically a [`crate::substrate::SearchSubstrate`]'s —
-    /// when given, else one search of this workspace's own. `Ok(None)`
-    /// when that search was interrupted: the call has admitted nothing.
+    /// The base optimal route of a technique call that grows no tree pair
+    /// (ESX, Yen): one search of this workspace's own. `Ok(None)` when
+    /// that search was interrupted: the call has admitted nothing.
     pub(crate) fn base_route(
         &mut self,
         net: &RoadNetwork,
         weights: &[Weight],
         source: NodeId,
         target: NodeId,
-        base: Option<&Path>,
     ) -> Result<Option<Path>, CoreError> {
-        match base {
-            Some(_) if source == target => Err(CoreError::SameSourceTarget(source)),
-            Some(base) => {
-                debug_assert_eq!((base.source(), base.target()), (source, target));
-                Ok(Some(base.clone()))
-            }
-            None => match self.shortest_path(net, weights, source, target) {
-                Ok(path) => Ok(Some(path)),
-                Err(CoreError::Interrupted) => Ok(None),
-                Err(e) => Err(e),
-            },
+        match self.shortest_path(net, weights, source, target) {
+            Ok(path) => Ok(Some(path)),
+            Err(CoreError::Interrupted) => Ok(None),
+            Err(e) => Err(e),
         }
     }
 
@@ -222,7 +251,9 @@ impl SearchSpace {
     /// and returns its labels `≤ bound()` — read once the search is over,
     /// so a rule may learn it on the way — with the kernel's canonical
     /// parents (smallest tight edge): the tree depends only on the
-    /// distance labels, not on heap pop order.
+    /// distance labels, not on heap pop order. Every rule grown here
+    /// settles each label `≤ bound()` before it stops, so the recorded
+    /// settle order lists the whole tree.
     pub(crate) fn tree_under<R: Rule>(
         &mut self,
         net: &RoadNetwork,
@@ -236,6 +267,11 @@ impl SearchSpace {
             return Err(CoreError::InvalidNode(root));
         }
         let column = Column::new(net, weights)?;
+        let mut order = Vec::new();
+        let rule = Logged {
+            rule,
+            order: &mut order,
+        };
         match direction {
             Direction::Forward => self.run(&OutEdges(column), root, rule)?,
             Direction::Backward => self.run(&InEdges(column), root, rule)?,
@@ -251,11 +287,17 @@ impl SearchSpace {
             }
         }
         parent[root.index()] = EdgeId::INVALID;
+        // Settled labels never decrease, so the ones beyond the bound are
+        // a suffix of the order.
+        while order.last().is_some_and(|v| dist[v.index()] == INFINITY) {
+            order.pop();
+        }
         Ok(ShortestPathTree {
             root,
             direction,
             dist,
             parent,
+            order,
         })
     }
 

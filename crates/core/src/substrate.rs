@@ -5,11 +5,13 @@
 //! alternative-route techniques on the same (source, target) pair, and
 //! three of them are defined on the same raw material — Plateaus joins a
 //! forward and a backward shortest-path tree, SSVP-D+ sweeps via-nodes
-//! over the same pair, and Penalty (like ESX) starts from the base optimal
-//! route, which is just the forward tree's path to the target. A
-//! [`SearchSubstrate`] is that material: one forward tree, one backward
-//! tree, the base route, the endpoints and [`AltQuery`] it was grown for,
-//! and the build's [`SearchStats`].
+//! over the same pair, and Penalty starts from the base optimal route,
+//! which is just the forward tree's path to the target, and keeps its
+//! re-searches inside what the pair's labels prove
+//! (`SearchSubstrate::target_lower_bound`). A [`SearchSubstrate`] is
+//! that material: one forward tree, one backward tree (each with the
+//! order its search settled it in), the base route, the endpoints and
+//! [`AltQuery`] it was grown for, and the build's [`SearchStats`].
 //!
 //! Every technique only looks at vertices inside the query's **stretch
 //! ellipse**, `d_f(v) + d_b(v) ≤ ε·d(s,t)`, so the pair is grown no
@@ -190,6 +192,21 @@ impl SearchSubstrate {
             }
         };
         gap(&self.forward, a, b).max(gap(&self.backward, b, a))
+    }
+
+    /// A lower bound on `d(v, target)` under the column the pair was grown
+    /// on, and so under any column no cheaper edge by edge: `d_b(v)` inside
+    /// the ellipse; `bound + 1 − d_f(v)` for a forward-labelled vertex
+    /// outside it, since `d_f(v) + d_b(v) > bound` there; 0 for a vertex
+    /// neither tree reached.
+    #[inline]
+    pub(crate) fn target_lower_bound(&self, v: u32) -> Cost {
+        let v = v as usize;
+        match (self.backward.dist[v], self.forward.dist[v]) {
+            (INFINITY, INFINITY) => 0,
+            (INFINITY, df) => self.bound + 1 - df,
+            (db, _) => db,
+        }
     }
 }
 

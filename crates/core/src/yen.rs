@@ -51,7 +51,7 @@ pub fn yen_k_shortest_paths_budgeted(
     }
     let mut ws = SearchSpace::new(net);
     ws.set_budget(budget.clone());
-    let Some(best) = ws.base_route(net, weights, source, target, None)? else {
+    let Some(best) = ws.base_route(net, weights, source, target)? else {
         return Ok(Vec::new());
     };
 

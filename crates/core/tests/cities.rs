@@ -319,6 +319,29 @@ fn search_work_counters_are_pinned_on_dhaka() {
         ],
         "one-to-one, forward trees, backward trees, bounded tree pairs"
     );
+
+    // Penalty's re-searches on the same queries, each handed its bounded
+    // pair: pruned by the pair's labels, they settle fewer nodes than the
+    // pair itself (unpruned they counted (23176, 25108, 65852)).
+    let registry = arp_obs::Registry::new();
+    let labels = [("technique", "penalty")];
+    for (s, t) in sample_pairs(net, 12) {
+        let sub = SearchSubstrate::build(&mut ws, net, w, s, t, &AltQuery::paper()).unwrap();
+        let mut lane = SearchSpace::new(net);
+        lane.set_metrics(SearchMetrics::new(&registry, &labels));
+        let mut stats = arp_core::PenaltyStats::default();
+        let options = PenaltyOptions::default();
+        arp_core::penalty_alternatives_from_base(&mut lane, net, w, &sub, &options, &mut stats)
+            .unwrap();
+    }
+    let work = |name| registry.counter_value(name, &labels);
+    let penalty = (
+        work("arp_search_settled_nodes_total"),
+        work("arp_search_heap_pops_total"),
+        work("arp_search_relaxed_edges_total"),
+    );
+    assert_eq!(penalty, (8495, 9210, 24604), "penalty re-searches");
+    assert!(penalty.0 <= bounded.settled, "{penalty:?} vs {bounded:?}");
 }
 
 #[test]

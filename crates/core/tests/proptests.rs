@@ -10,7 +10,7 @@ use arp_core::search::{Direction, ShortestPathTree};
 use arp_core::similarity;
 use arp_core::{ChTopology, DissimilarityStats, PenaltyStats, PlateauStats};
 use arp_roadnet::prelude::*;
-use arp_roadnet::weight::Cost;
+use arp_roadnet::weight::{apply_penalty, Cost};
 use proptest::prelude::*;
 
 /// Random strongly connected graph: a Hamiltonian cycle (guaranteeing
@@ -760,6 +760,116 @@ fn dissimilarity_sweep_matches_the_reference_on_a_medium_city() {
     assert!(capped >= 10, "the via-node cap bit in only {capped} sweeps");
 }
 
+/// Penalty as it was before its re-searches were pruned by the tree pair
+/// — the oracle the pruned loop is checked against: its own base-route
+/// search, then every round an unpruned one-to-one search over the whole
+/// overlay. Returns the admitted paths, the funnel and the settled count
+/// of the re-searches.
+fn reference_penalty(
+    net: &RoadNetwork,
+    weights: &[Weight],
+    (s, t): (NodeId, NodeId),
+    query: &AltQuery,
+    options: &PenaltyOptions,
+) -> Result<(Vec<Path>, PenaltyStats, u64), CoreError> {
+    let penalize = |overlay: &mut [Weight], path: &Path| {
+        for &e in &path.edges {
+            let reverse = net.reverse_edge(e).filter(|_| options.penalize_reverse);
+            for e in std::iter::once(e).chain(reverse) {
+                overlay[e.index()] = apply_penalty(overlay[e.index()], query.penalty_factor);
+            }
+        }
+    };
+    let (mut stats, mut settled) = (PenaltyStats::default(), 0);
+    let mut ws = SearchSpace::new(net);
+    let best = ws.shortest_path(net, weights, s, t)?;
+    let mut overlay = weights.to_vec();
+    let bound = query.cost_bound(best.cost_ms);
+    stats.candidates += 1;
+    let mut seen = HashSet::from([best.key()]);
+    penalize(&mut overlay, &best);
+    let mut accepted = vec![best];
+    for _ in 1..query.iteration_budget() {
+        if accepted.len() >= query.k {
+            break;
+        }
+        let Ok(candidate) = ws.shortest_path(net, &overlay, s, t) else {
+            break;
+        };
+        settled += ws.last_stats().settled;
+        stats.iterations += 1;
+        stats.candidates += 1;
+        let cost_ms = candidate.cost_under(weights);
+        let candidate = Path {
+            cost_ms,
+            ..candidate
+        };
+        penalize(&mut overlay, &candidate);
+        if cost_ms > bound {
+            stats.rejected_bound += 1;
+        } else if !seen.insert(candidate.key()) {
+            stats.rejected_duplicate += 1;
+        } else if !candidate.is_simple() {
+            stats.rejected_non_simple += 1;
+        } else if accepted
+            .iter()
+            .any(|p| similarity::similarity(&candidate, p, weights) > options.max_similarity)
+        {
+            stats.rejected_similarity += 1;
+        } else {
+            accepted.push(candidate);
+        }
+    }
+    Ok((accepted, stats, settled))
+}
+
+/// One Penalty query answered by the pruned loop on the query's tree pair
+/// and by [`reference_penalty`]: the same paths (edges, costs, admission
+/// order), the same funnel, the same errors, and no more settled nodes.
+/// `Ok(false)` when the pair is unroutable.
+fn check_penalty_against_reference(
+    net: &RoadNetwork,
+    weights: &[Weight],
+    (s, t): (NodeId, NodeId),
+    query: &AltQuery,
+    options: &PenaltyOptions,
+) -> Result<bool, String> {
+    let what = format!(
+        "{s}->{t} eps={} factor={} {options:?}",
+        query.epsilon, query.penalty_factor
+    );
+    let want = reference_penalty(net, weights, (s, t), query, options);
+    let registry = arp_obs::Registry::new();
+    let labels = [("technique", "penalty")];
+    let mut ws = SearchSpace::new(net);
+    let pair = match SearchSubstrate::build(&mut ws, net, weights, s, t, query) {
+        Ok(pair) => pair,
+        Err((e, _)) if want.as_ref().err() == Some(&e) => return Ok(false),
+        Err((e, _)) => return Err(format!("{what}: pair {e}, reference {want:?}")),
+    };
+    ws.set_metrics(SearchMetrics::new(&registry, &labels));
+    let mut stats = PenaltyStats::default();
+    let got =
+        arp_core::penalty_alternatives_from_base(&mut ws, net, weights, &pair, options, &mut stats)
+            .map_err(|e| format!("{what}: {e}"))?;
+    let (want, want_stats, want_settled) = want.map_err(|e| format!("{what}: reference {e}"))?;
+    let costs = |paths: &[Path]| paths.iter().map(|p| p.cost_ms).collect::<Vec<_>>();
+    if got != want || stats != want_stats {
+        return Err(format!(
+            "{what}: admitted {:?} {stats:?}, reference {:?} {want_stats:?}",
+            costs(&got),
+            costs(&want)
+        ));
+    }
+    let settled = registry.counter_value("arp_search_settled_nodes_total", &labels);
+    if settled > want_settled {
+        return Err(format!(
+            "{what}: settled {settled} > reference {want_settled}"
+        ));
+    }
+    Ok(true)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1018,12 +1128,18 @@ proptest! {
         let full = penalty_alternatives(
             &net, net.weights(), s, t, &q, &PenaltyOptions::default(),
         ).unwrap();
+        // The cap covers the pair's growth too: a trip between its trees
+        // leaves the proven base route as the whole partial.
         let mut ws = SearchSpace::new(&net);
         ws.set_budget(SearchBudget::new().with_expansion_cap(cap));
-        let partial = arp_core::penalty_alternatives_from_base(
-            &mut ws, &net, net.weights(), s, t, &q, &PenaltyOptions::default(),
-            &mut PenaltyStats::default(), None,
-        ).unwrap();
+        let partial = match SearchSubstrate::build(&mut ws, &net, net.weights(), s, t, &q) {
+            Ok(pair) => arp_core::penalty_alternatives_from_base(
+                &mut ws, &net, net.weights(), &pair, &PenaltyOptions::default(),
+                &mut PenaltyStats::default(),
+            ).unwrap(),
+            Err((CoreError::Interrupted, base)) => base.into_iter().collect(),
+            Err((e, _)) => panic!("{e}"),
+        };
         prop_assert!(partial.len() <= full.len(), "penalty grew under a budget");
         for (p, f) in partial.iter().zip(full.iter()) {
             prop_assert_eq!(&p.edges, &f.edges, "penalty partial is not a prefix");
@@ -1101,13 +1217,53 @@ proptest! {
         let mut ws = SearchSpace::new(&net);
         let mut nstats = PenaltyStats::default();
         let fed = arp_core::penalty_alternatives_from_base(
-            &mut ws, &net, net.weights(), s, t, &q, &PenaltyOptions::default(),
-            &mut nstats, Some(sub.base_route()),
+            &mut ws, &net, net.weights(), &sub, &PenaltyOptions::default(), &mut nstats,
         ).unwrap();
         prop_assert_eq!(solo.len(), fed.len(), "penalty count differs");
         for (a, b) in solo.iter().zip(fed.iter()) {
             prop_assert_eq!(&a.edges, &b.edges, "penalty edges differ");
             prop_assert_eq!(a.cost_ms, b.cost_ms, "penalty cost differs");
+        }
+    }
+
+    #[test]
+    fn pruned_penalty_matches_reference_penalty(
+        ((n, chords), codes, epsilon, factor) in (
+            arb_scc_graph(),
+            proptest::collection::vec(0u32..9, 100),
+            1.05f64..=2.5,
+            1.0f64..=2.0,
+        ),
+    ) {
+        // Penalty's re-searches label only what the tree pair's bounds
+        // admit; the routes, costs, admission order and funnel must be the
+        // unpruned loop's. Three weightings: the network's own, the
+        // closure-and-slowdown overlay (which may disconnect the pair),
+        // and that overlay rounded to multiples of 250 s so that penalized
+        // paths tie. ε below 1 (nothing but the base route is admissible),
+        // the paper's 1.4, a random ε and one so wide that the ellipse is
+        // the whole graph; factors from 1 (no penalty at all) to 2.
+        let net = build(n, &chords);
+        let slowed = overlay(&net, &codes);
+        let tied = tie_rounded(&slowed);
+        let wide = PenaltyOptions { max_similarity: 1.0, penalize_reverse: false };
+        for weights in [net.weights(), &slowed[..], &tied[..]] {
+            for (s, t) in [(0, n - 1), (n - 1, 0), (n / 2, 1)] {
+                let st = (NodeId(s as u32), NodeId(t as u32));
+                for epsilon in [0.9, 1.4, epsilon, 50.0] {
+                    for (factor, k) in [(factor, 3), (1.0, 2), (2.0, 5)] {
+                        let query = AltQuery::paper()
+                            .with_epsilon(epsilon)
+                            .with_penalty_factor(factor)
+                            .with_k(k);
+                        for options in [PenaltyOptions::default(), wide] {
+                            let checked =
+                                check_penalty_against_reference(&net, weights, st, &query, &options);
+                            prop_assert!(checked.is_ok(), "{:?}", checked);
+                        }
+                    }
+                }
+            }
         }
     }
 
