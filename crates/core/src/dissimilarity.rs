@@ -26,6 +26,7 @@ use arp_roadnet::weight::{Cost, Weight, INFINITY};
 
 use crate::budget::SearchBudget;
 use crate::error::CoreError;
+use crate::metrics::Funnel;
 use crate::path::Path;
 use crate::query::AltQuery;
 use crate::search::{Direction, SearchSpace, ShortestPathTree};
@@ -35,9 +36,6 @@ use crate::substrate::SearchSubstrate;
 /// Options specific to the SSVP-D+ algorithm.
 #[derive(Clone, Copy, Debug)]
 pub struct DissimilarityOptions {
-    /// Skip via-paths that revisit a vertex (they contain a loop and can
-    /// never be a sensible recommendation).
-    pub require_simple: bool,
     /// Upper bound on how many via-nodes are examined — screened by the
     /// θ-test or materialized — as a multiple of `k`; guards worst-case
     /// latency on dense graphs (the underlying problem is NP-hard and
@@ -48,32 +46,9 @@ pub struct DissimilarityOptions {
 impl Default for DissimilarityOptions {
     fn default() -> Self {
         DissimilarityOptions {
-            require_simple: true,
             max_candidates_factor: 4000,
         }
     }
-}
-
-/// Candidate-funnel counters of one SSVP-D+ call, for observability.
-///
-/// Every via-node visited is either `screened` or a candidate, and
-/// `candidates == admitted + rejected_duplicate + rejected_non_simple`:
-/// the θ-test runs before a path exists, so a materialized via-path is
-/// never rejected for similarity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DissimilarityStats {
-    /// Via-nodes dismissed by the θ-test on the tree labels alone, before
-    /// any path was built.
-    pub screened: u64,
-    /// Via-paths materialized and examined.
-    pub candidates: u64,
-    /// Via-paths rejected as exact duplicates of earlier ones.
-    pub rejected_duplicate: u64,
-    /// Via-paths rejected for revisiting a vertex.
-    pub rejected_non_simple: u64,
-    /// The workspace's [`crate::SearchBudget`] tripped mid-call; the
-    /// returned paths are the alternatives admitted up to that point.
-    pub interrupted: bool,
 }
 
 /// Computes up to `query.k` pairwise-dissimilar paths with SSVP-D+:
@@ -96,7 +71,7 @@ pub fn dissimilarity_alternatives(
         weights,
         query,
         options,
-        &mut DissimilarityStats::default(),
+        &mut Funnel::default(),
         sub.forward(),
         sub.backward(),
         &budget,
@@ -108,7 +83,7 @@ pub fn dissimilarity_alternatives(
 /// been grown under `weights`: the sweep reads via-path lengths off their
 /// labels. Visits via-nodes in ascending via-path length and admits
 /// pairwise-dissimilar paths. `budget` governs the sweep's cooperative
-/// polls; the candidate funnel of the call is reported into `stats`
+/// polls; the candidate funnel of the call is reported into `funnel`
 /// (which is reset first).
 #[allow(clippy::too_many_arguments)]
 pub fn dissimilarity_alternatives_from_trees(
@@ -116,12 +91,12 @@ pub fn dissimilarity_alternatives_from_trees(
     weights: &[Weight],
     query: &AltQuery,
     options: &DissimilarityOptions,
-    stats: &mut DissimilarityStats,
+    funnel: &mut Funnel,
     fwd: &ShortestPathTree,
     bwd: &ShortestPathTree,
     budget: &SearchBudget,
 ) -> Result<Vec<Path>, CoreError> {
-    *stats = DissimilarityStats::default();
+    *funnel = Funnel::default();
     if query.k == 0 {
         return Ok(Vec::new());
     }
@@ -164,7 +139,7 @@ pub fn dissimilarity_alternatives_from_trees(
         }
         // Poll per via-node, ahead of any work on it.
         if budget.interrupted() {
-            stats.interrupted = true;
+            funnel.interrupted = true;
             break;
         }
         let v = NodeId(v);
@@ -172,20 +147,23 @@ pub fn dissimilarity_alternatives_from_trees(
         // target's via-path, or any via-node on the optimal route) and is
         // admitted unconditionally; everything after it faces the θ-test.
         if !accepted.is_empty() && !screen.passes_theta(v, via, query.theta) {
-            stats.screened += 1;
+            funnel.screened += 1;
             continue;
         }
         let path = screen.via_path(v);
         debug_assert_eq!(path.cost_ms, via, "tree labels disagree with weights");
-        stats.candidates += 1;
-        if options.require_simple && !path.is_simple() {
-            stats.rejected_non_simple += 1;
+        funnel.candidates += 1;
+        // A via-path that revisits a vertex contains a loop and is never a
+        // sensible recommendation. The θ-test ran before the path existed,
+        // so a built via-path is never rejected for similarity.
+        if !path.is_simple() {
+            funnel.rejected_non_simple += 1;
             continue;
         }
         // Every simple, new survivor is admitted, so the via-paths seen so
         // far that a duplicate could repeat are exactly the admitted ones.
         if accepted.iter().any(|a| a.edges == path.edges) {
-            stats.rejected_duplicate += 1;
+            funnel.rejected_duplicate += 1;
             continue;
         }
         screen.admit(&path);
@@ -435,31 +413,6 @@ mod tests {
         for w in paths.windows(2) {
             assert!(w[0].cost_ms <= w[1].cost_ms, "paths not in ascending cost");
         }
-    }
-
-    #[test]
-    fn observed_stats_balance_the_funnel() {
-        let net = grid(8);
-        let (budget, query) = (SearchBudget::unlimited(), AltQuery::paper());
-        let mut ws = SearchSpace::new(&net);
-        let sub =
-            SearchSubstrate::build(&mut ws, &net, net.weights(), NodeId(0), NodeId(63), &query)
-                .unwrap();
-        let mut stats = DissimilarityStats::default();
-        let paths = dissimilarity_alternatives_from_trees(
-            &net,
-            net.weights(),
-            &query,
-            &DissimilarityOptions::default(),
-            &mut stats,
-            sub.forward(),
-            sub.backward(),
-            &budget,
-        )
-        .unwrap();
-        let rejected = stats.rejected_duplicate + stats.rejected_non_simple;
-        assert_eq!(stats.candidates, paths.len() as u64 + rejected);
-        assert!(stats.screened > 0, "theta filter never fired");
     }
 
     #[test]

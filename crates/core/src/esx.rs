@@ -14,7 +14,7 @@ use std::collections::HashSet;
 
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::{EdgeId, NodeId};
-use arp_roadnet::weight::{Cost, Weight};
+use arp_roadnet::weight::{Weight, CLOSED};
 
 use crate::budget::SearchBudget;
 use crate::error::CoreError;
@@ -29,17 +29,11 @@ pub struct EsxOptions {
     /// Maximum admissible overlap `len(p ∩ q) / len(p)` of a new path `p`
     /// with any chosen path `q`. The k-SPwLO literature uses 0.5–0.8.
     pub max_overlap: f64,
-    /// Edge-exclusion budget; gives up on a candidate slot after this many
-    /// exclusions (the underlying problem is NP-hard).
-    pub max_exclusions: usize,
 }
 
 impl Default for EsxOptions {
     fn default() -> Self {
-        EsxOptions {
-            max_overlap: 0.6,
-            max_exclusions: 200,
-        }
+        EsxOptions { max_overlap: 0.6 }
     }
 }
 
@@ -83,12 +77,15 @@ pub fn esx_alternatives_budgeted(
     };
     let bound = query.cost_bound(best.cost_ms);
 
-    const BLOCKED: Weight = u32::MAX - 1;
     let mut overlay = weights.to_vec();
     let mut excluded: HashSet<EdgeId> = HashSet::new();
 
     let mut result: Vec<Path> = Vec::with_capacity(query.k);
     result.push(best);
+
+    // Edge-exclusion budget: give up on a candidate slot after this many
+    // exclusions (the underlying problem is NP-hard).
+    const MAX_EXCLUSIONS: usize = 200;
 
     'outer: while result.len() < query.k {
         // Poll between candidate generations so a tripped budget stops
@@ -105,11 +102,6 @@ pub fn esx_alternatives_budgeted(
                 // Graph disconnected by exclusions.
                 Err(_) => break 'outer,
             };
-            // A candidate that had to use a blocked edge means no real
-            // path remains.
-            if candidate.cost_ms >= BLOCKED as Cost {
-                break 'outer;
-            }
             let true_cost = candidate.cost_under(weights);
             if true_cost > bound {
                 break 'outer; // everything further is too long
@@ -136,7 +128,7 @@ pub fn esx_alternatives_budgeted(
 
             // Exclude the heaviest shared edge with the worst-overlap path.
             exclusions_this_round += 1;
-            if exclusions_this_round > options.max_exclusions {
+            if exclusions_this_round > MAX_EXCLUSIONS {
                 break 'outer;
             }
             let chosen_edges: HashSet<EdgeId> = result[worst_idx].edges.iter().copied().collect();
@@ -149,7 +141,7 @@ pub fn esx_alternatives_budgeted(
                 break 'outer; // nothing left to exclude
             };
             excluded.insert(heaviest);
-            overlay[heaviest.index()] = BLOCKED;
+            overlay[heaviest.index()] = CLOSED;
         }
     }
     Ok(result)
@@ -190,10 +182,7 @@ mod tests {
     fn overlap_constraint_holds() {
         let net = grid(8);
         let q = AltQuery::paper();
-        let opts = EsxOptions {
-            max_overlap: 0.5,
-            max_exclusions: 200,
-        };
+        let opts = EsxOptions { max_overlap: 0.5 };
         let paths =
             esx_alternatives(&net, net.weights(), NodeId(0), NodeId(63), &q, &opts).unwrap();
         for i in 1..paths.len() {
@@ -258,6 +247,20 @@ mod tests {
     }
 
     #[test]
+    fn a_route_costing_more_than_u32_max_is_still_found() {
+        // Excluding the first route's heaviest edge closes it; the second
+        // route, dearer than any single weight, must come back at its
+        // real cost.
+        let net = crate::fixtures::two_long_routes();
+        let (s, t) = (NodeId(0), NodeId(3));
+        let q = AltQuery::paper();
+        let paths =
+            esx_alternatives(&net, net.weights(), s, t, &q, &EsxOptions::default()).unwrap();
+        let costs: Vec<u64> = paths.iter().map(|p| p.cost_ms).collect();
+        assert_eq!(costs, [3_500_000_000, 4_400_000_000]);
+    }
+
+    #[test]
     fn budgeted_call_returns_partial_prefix() {
         let net = grid(8);
         let q = AltQuery::paper();
@@ -299,10 +302,7 @@ mod tests {
             NodeId(0),
             NodeId(63),
             &q,
-            &EsxOptions {
-                max_overlap: 0.8,
-                max_exclusions: 200,
-            },
+            &EsxOptions { max_overlap: 0.8 },
         )
         .unwrap();
         let tight = esx_alternatives(
@@ -311,10 +311,7 @@ mod tests {
             NodeId(0),
             NodeId(63),
             &q,
-            &EsxOptions {
-                max_overlap: 0.2,
-                max_exclusions: 200,
-            },
+            &EsxOptions { max_overlap: 0.2 },
         )
         .unwrap();
         assert!(tight.len() <= loose.len());

@@ -36,10 +36,6 @@ pub struct FilterConfig {
     /// Re-rank by a composite comfort score (turns + road width) instead of
     /// pure cost; the fastest route always stays first.
     pub comfort_ranking: bool,
-    /// Weight of the turns-per-km penalty in the comfort score.
-    pub turns_weight: f64,
-    /// Weight of the wide-road bonus in the comfort score.
-    pub width_weight: f64,
 }
 
 impl Default for FilterConfig {
@@ -49,8 +45,6 @@ impl Default for FilterConfig {
             require_local_optimality: false,
             lo_t_fraction: 0.25,
             comfort_ranking: false,
-            turns_weight: 0.05,
-            width_weight: 0.15,
         }
     }
 }
@@ -73,8 +67,6 @@ impl FilterConfig {
             require_local_optimality: true,
             lo_t_fraction: 0.25,
             comfort_ranking: true,
-            turns_weight: 0.05,
-            width_weight: 0.15,
         }
     }
 }
@@ -139,12 +131,15 @@ pub fn apply_filters(
         .collect();
 
     if config.comfort_ranking && kept.len() > 2 {
-        // Keep the fastest first; order the rest by comfort-adjusted cost.
+        // Keep the fastest first; order the rest by comfort-adjusted cost:
+        // a penalty per turn per km and a bonus for the wide-road share.
+        const TURNS_WEIGHT: f64 = 0.05;
+        const WIDTH_WEIGHT: f64 = 0.15;
         let best_cost = kept[0].cost_ms.max(1);
         let score = |p: &Path| -> f64 {
             let rel_cost = p.cost_under(weights) as f64 / best_cost as f64;
-            rel_cost + config.turns_weight * turns_per_km(net, p, 45.0)
-                - config.width_weight * wide_road_share(net, p)
+            rel_cost + TURNS_WEIGHT * turns_per_km(net, p, 45.0)
+                - WIDTH_WEIGHT * wide_road_share(net, p)
         };
         let mut rest: Vec<(f64, Path)> = kept.drain(1..).map(|p| (score(&p), p)).collect();
         rest.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));

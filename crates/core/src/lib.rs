@@ -83,20 +83,16 @@ pub use budget::SearchBudget;
 pub use cch::{ChMetric, ChTopology};
 pub use dissimilarity::{
     dissimilarity_alternatives, dissimilarity_alternatives_from_trees, DissimilarityOptions,
-    DissimilarityStats,
 };
 pub use error::CoreError;
 pub use esx::{esx_alternatives, esx_alternatives_budgeted, EsxOptions};
 pub use filters::{apply_filters, FilterConfig};
-pub use metrics::{SearchMetrics, SearchStats, TechniqueMetrics};
+pub use metrics::{Funnel, SearchMetrics, SearchStats, TechniqueMetrics};
 pub use pareto::{pareto_paths, ParetoOptions, ParetoRoute};
 pub use path::Path;
-pub use penalty::{
-    penalty_alternatives, penalty_alternatives_from_base, PenaltyOptions, PenaltyStats,
-};
+pub use penalty::{penalty_alternatives, penalty_alternatives_from_base, PenaltyOptions};
 pub use plateau::{
     find_plateaus, plateau_alternatives, plateau_alternatives_from_trees, Plateau, PlateauOptions,
-    PlateauStats,
 };
 pub use provider::{
     instrumented_providers, standard_providers, AlternativesProvider, DissimilarityProvider,
@@ -157,6 +153,24 @@ pub(crate) mod fixtures {
                     b.add_bidirectional(ids[i], ids[i + n], road());
                 }
             }
+        }
+        b.build()
+    }
+
+    /// Two disjoint one-way routes from node 0 to node 3: `0 → 1 → 3` of
+    /// 2 × 1.75·10⁹ ms and `0 → 2 → 3` of 2 × 2.2·10⁹ ms. Every edge fits
+    /// a `Weight`, yet the second route costs more than `u32::MAX`.
+    pub(crate) fn two_long_routes() -> RoadNetwork {
+        let mut b = GraphBuilder::new();
+        let [s, a, c, t] =
+            [0, 1, 2, 3].map(|i| b.add_node(Point::new(144.0 + i as f64 * 0.01, -37.0)));
+        for (x, y, w) in [
+            (s, a, 1_750_000_000),
+            (a, t, 1_750_000_000),
+            (s, c, 2_200_000_000),
+            (c, t, 2_200_000_000),
+        ] {
+            b.add_edge(x, y, EdgeSpec::default().with_weight(w));
         }
         b.build()
     }

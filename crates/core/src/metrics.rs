@@ -13,10 +13,6 @@
 
 use arp_obs::{Counter, Histogram, Registry, DEFAULT_LATENCY_BUCKETS_MS};
 
-use crate::dissimilarity::DissimilarityStats;
-use crate::penalty::PenaltyStats;
-use crate::plateau::PlateauStats;
-
 /// Work counters of one search query.
 ///
 /// `settled <= heap_pops` (stale heap entries are popped but not settled)
@@ -102,6 +98,43 @@ impl SearchMetrics {
         self.relaxed.add(stats.relaxed);
         self.budget_checks.add(stats.budget_checks);
     }
+}
+
+/// Candidate-funnel counters of one technique call: what it generated,
+/// why it dropped what it dropped, and its internals. Plateaus, SSVP-D+
+/// and Penalty each fill the fields they have (the rest stay 0); the
+/// Google-like provider reports its Plateaus run. The provider flushes
+/// every field into its [`TechniqueMetrics`].
+///
+/// A Plateaus, SSVP-D+ or Penalty call that returns `Ok` balances:
+/// `candidates` is the number of routes returned plus every `rejected_*`
+/// count. SSVP-D+ screens via-nodes before any path exists, so each
+/// via-node it visits is either `screened` or one of its `candidates`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Funnel {
+    /// Candidate routes examined: plateaus considered, via-paths built,
+    /// Penalty's base route plus every re-search's route.
+    pub candidates: u64,
+    /// Candidates over the stretch bound.
+    pub rejected_bound: u64,
+    /// Candidates equal to an earlier route.
+    pub rejected_duplicate: u64,
+    /// Candidates too similar to an admitted route.
+    pub rejected_similarity: u64,
+    /// Candidates that revisit a vertex.
+    pub rejected_non_simple: u64,
+    /// Plateaus below the minimum weight.
+    pub rejected_short: u64,
+    /// SSVP-D+ via-nodes dismissed by the θ-test on the tree labels alone,
+    /// before any path was built.
+    pub screened: u64,
+    /// Penalty's penalized re-searches that found a route.
+    pub iterations: u64,
+    /// Plateaus in the forward/backward tree pair.
+    pub plateaus_found: u64,
+    /// The call's [`crate::SearchBudget`] tripped; the returned routes are
+    /// the ones admitted up to that point.
+    pub interrupted: bool,
 }
 
 /// Pre-resolved per-technique metrics a provider records its calls into:
@@ -202,33 +235,18 @@ impl TechniqueMetrics {
         &self.search
     }
 
-    /// Records the funnel of one Penalty call (admitted routes are
-    /// recorded separately from the final result length).
-    pub(crate) fn record_penalty(&self, stats: &PenaltyStats) {
-        self.penalty_iterations.add(stats.iterations);
-        self.generated.add(stats.candidates);
-        self.rejected_bound.add(stats.rejected_bound);
-        self.rejected_duplicate.add(stats.rejected_duplicate);
-        self.rejected_similarity.add(stats.rejected_similarity);
-        self.rejected_non_simple.add(stats.rejected_non_simple);
-    }
-
-    /// Records the funnel of one Plateaus call.
-    pub(crate) fn record_plateau(&self, stats: &PlateauStats) {
-        self.plateaus_found.add(stats.plateaus_found);
-        self.generated.add(stats.candidates);
-        self.rejected_bound.add(stats.rejected_bound);
-        self.rejected_similarity.add(stats.rejected_similarity);
-        self.rejected_non_simple.add(stats.rejected_non_simple);
-        self.rejected_short.add(stats.rejected_short);
-    }
-
-    /// Records the funnel of one Dissimilarity call.
-    pub(crate) fn record_dissimilarity(&self, stats: &DissimilarityStats) {
-        self.generated.add(stats.candidates);
-        self.rejected_duplicate.add(stats.rejected_duplicate);
-        self.rejected_non_simple.add(stats.rejected_non_simple);
-        self.rejected_screened.add(stats.screened);
+    /// Records the funnel of one call (admitted routes are recorded
+    /// separately from the final result length).
+    pub(crate) fn record(&self, funnel: &Funnel) {
+        self.generated.add(funnel.candidates);
+        self.rejected_bound.add(funnel.rejected_bound);
+        self.rejected_duplicate.add(funnel.rejected_duplicate);
+        self.rejected_similarity.add(funnel.rejected_similarity);
+        self.rejected_non_simple.add(funnel.rejected_non_simple);
+        self.rejected_short.add(funnel.rejected_short);
+        self.rejected_screened.add(funnel.screened);
+        self.penalty_iterations.add(funnel.iterations);
+        self.plateaus_found.add(funnel.plateaus_found);
     }
 
     /// Records the bookkeeping shared by every call: one call, its final
@@ -280,6 +298,48 @@ mod tests {
         let t = TechniqueMetrics::default();
         let timer = t.begin_call();
         assert_eq!(timer.stop_ms(), 0.0);
+    }
+
+    #[test]
+    fn every_funnel_field_lands_in_its_own_series() {
+        let reg = Registry::new();
+        let metrics = TechniqueMetrics::new(&reg, "plateaus");
+        metrics.record(&Funnel {
+            candidates: 1,
+            rejected_bound: 2,
+            rejected_duplicate: 3,
+            rejected_similarity: 4,
+            rejected_non_simple: 5,
+            rejected_short: 6,
+            screened: 7,
+            iterations: 8,
+            plateaus_found: 9,
+            interrupted: true,
+        });
+        let technique = ("technique", "plateaus");
+        let rejected = |reason| {
+            reg.counter_value(
+                "arp_technique_rejected_total",
+                &[technique, ("reason", reason)],
+            )
+        };
+        let reasons = [
+            "bound",
+            "duplicate",
+            "similarity",
+            "non_simple",
+            "short",
+            "screened",
+        ];
+        assert_eq!(reasons.map(rejected), [2, 3, 4, 5, 6, 7]);
+        let count = |name| reg.counter_value(name, &[technique]);
+        assert_eq!(count("arp_technique_candidates_total"), 1);
+        assert_eq!(count("arp_penalty_iterations_total"), 8);
+        assert_eq!(count("arp_plateau_found_total"), 9);
+        // Interruption and admission are the call's outcome, counted by
+        // the provider wrapper, not by the funnel flush.
+        assert_eq!(count("arp_technique_interrupted_total"), 0);
+        assert_eq!(count("arp_technique_admitted_total"), 0);
     }
 
     #[test]

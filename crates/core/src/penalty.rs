@@ -27,6 +27,7 @@ use arp_roadnet::ids::{EdgeId, NodeId};
 use arp_roadnet::weight::{apply_penalty, Cost, Weight, INFINITY};
 
 use crate::error::CoreError;
+use crate::metrics::Funnel;
 use crate::path::Path;
 use crate::query::AltQuery;
 use crate::search::SearchSpace;
@@ -53,26 +54,6 @@ impl Default for PenaltyOptions {
     }
 }
 
-/// Candidate-funnel counters of one penalty call, for observability.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PenaltyStats {
-    /// Penalized re-search iterations actually run (shortest path found).
-    pub iterations: u64,
-    /// Candidate paths generated, including the initial shortest path.
-    pub candidates: u64,
-    /// Candidates rejected for exceeding the stretch bound.
-    pub rejected_bound: u64,
-    /// Candidates rejected as exact duplicates of earlier paths.
-    pub rejected_duplicate: u64,
-    /// Candidates rejected by the similarity filter.
-    pub rejected_similarity: u64,
-    /// Candidates rejected for revisiting a vertex.
-    pub rejected_non_simple: u64,
-    /// The workspace's [`crate::SearchBudget`] tripped mid-call; the
-    /// returned paths are the alternatives admitted up to that point.
-    pub interrupted: bool,
-}
-
 /// Computes up to `query.k` alternative paths with the penalty method:
 /// grows the call's tree pair ([`SearchSubstrate::build`]) and runs
 /// [`penalty_alternatives_from_base`] on it.
@@ -92,15 +73,15 @@ pub fn penalty_alternatives(
     let mut ws = SearchSpace::new(net);
     let pair =
         SearchSubstrate::build(&mut ws, net, weights, source, target, query).map_err(|(e, _)| e)?;
-    let mut stats = PenaltyStats::default();
-    penalty_alternatives_from_base(&mut ws, net, weights, &pair, options, &mut stats)
+    let mut funnel = Funnel::default();
+    penalty_alternatives_from_base(&mut ws, net, weights, &pair, options, &mut funnel)
 }
 
 /// The technique itself on the tree pair `pair` grown on `weights`: its
 /// base route is iteration zero, and the penalized re-searches run on a
 /// private overlay through `ws` (and its budget), each pruned by the
 /// pair's labels. The query and endpoints are the pair's. The candidate
-/// funnel of the call is reported into `stats` (which is reset first).
+/// funnel of the call is reported into `funnel` (which is reset first).
 ///
 /// Fails with [`CoreError::InvalidPenaltyFactor`] before any search when
 /// the query's factor is not a number ≥ 1: a cheaper overlay would break
@@ -111,9 +92,9 @@ pub fn penalty_alternatives_from_base(
     weights: &[Weight],
     pair: &SearchSubstrate,
     options: &PenaltyOptions,
-    stats: &mut PenaltyStats,
+    funnel: &mut Funnel,
 ) -> Result<Vec<Path>, CoreError> {
-    *stats = PenaltyStats::default();
+    *funnel = Funnel::default();
     let query = pair.query();
     check_factor(query)?;
     if query.k == 0 {
@@ -124,7 +105,7 @@ pub fn penalty_alternatives_from_base(
     // Private penalized overlay.
     let mut overlay: Vec<Weight> = weights.to_vec();
     let bound = query.cost_bound(best.cost_ms);
-    stats.candidates += 1;
+    funnel.candidates += 1;
 
     let mut accepted: Vec<Path> = Vec::with_capacity(query.k);
     let mut seen: HashSet<Vec<u32>> = HashSet::new();
@@ -144,7 +125,7 @@ pub fn penalty_alternatives_from_base(
         // Poll between rounds so a budget tripped by a sibling search (or
         // the deadline) stops the technique before the next re-search.
         if ws.budget().interrupted() {
-            stats.interrupted = true;
+            funnel.interrupted = true;
             break;
         }
         let price = |edges: &Vec<EdgeId>| -> Cost {
@@ -158,7 +139,7 @@ pub fn penalty_alternatives_from_base(
         let candidate = match ws.shortest_path_within(net, &overlay, source, target, lower, limit) {
             Ok(p) => p,
             Err(CoreError::Interrupted) => {
-                stats.interrupted = true;
+                funnel.interrupted = true;
                 break;
             }
             Err(e) => {
@@ -169,8 +150,8 @@ pub fn penalty_alternatives_from_base(
                 return Err(e);
             }
         };
-        stats.iterations += 1;
-        stats.candidates += 1;
+        funnel.iterations += 1;
+        funnel.candidates += 1;
         walks.push(candidate.edges.clone());
         // Price on the true weights.
         let true_cost = candidate.cost_under(weights);
@@ -185,22 +166,22 @@ pub fn penalty_alternatives_from_base(
             // Everything from here on only gets more expensive in the
             // overlay, but true cost is not monotone; keep trying within
             // the budget only if we are still below the bound by overlay.
-            stats.rejected_bound += 1;
+            funnel.rejected_bound += 1;
             continue;
         }
         if !seen.insert(candidate.key()) {
-            stats.rejected_duplicate += 1;
+            funnel.rejected_duplicate += 1;
             continue;
         }
         if !candidate.is_simple() {
-            stats.rejected_non_simple += 1;
+            funnel.rejected_non_simple += 1;
             continue;
         }
         let too_similar = accepted
             .iter()
             .any(|p| similarity(&candidate, p, weights) > options.max_similarity);
         if too_similar {
-            stats.rejected_similarity += 1;
+            funnel.rejected_similarity += 1;
             continue;
         }
         accepted.push(candidate);
@@ -449,30 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn observed_stats_balance_the_funnel() {
-        let net = grid(8);
-        let mut ws = SearchSpace::new(&net);
-        let pair = pair_of(&mut ws, &net, (0, 63), &AltQuery::paper());
-        let mut stats = PenaltyStats::default();
-        let paths = penalty_alternatives_from_base(
-            &mut ws,
-            &net,
-            net.weights(),
-            &pair,
-            &PenaltyOptions::default(),
-            &mut stats,
-        )
-        .unwrap();
-        assert!(stats.iterations >= 1);
-        assert_eq!(stats.candidates, stats.iterations + 1);
-        let rejected = stats.rejected_bound
-            + stats.rejected_duplicate
-            + stats.rejected_similarity
-            + stats.rejected_non_simple;
-        assert_eq!(stats.candidates, paths.len() as u64 + rejected);
-    }
-
-    #[test]
     fn interrupted_call_returns_admitted_prefix() {
         use crate::budget::SearchBudget;
 
@@ -495,7 +452,7 @@ mod tests {
         // out.
         let mut ws = SearchSpace::new(&net);
         let pair = pair_of(&mut ws, &net, (0, 63), &q);
-        let mut stats = PenaltyStats::default();
+        let mut funnel = Funnel::default();
         // Expansion cap of one pop: the first re-search completes (its
         // residual pops are only charged at the end), the cap then trips
         // sticky, and the between-rounds poll stops the second round.
@@ -506,10 +463,10 @@ mod tests {
             net.weights(),
             &pair,
             &PenaltyOptions::default(),
-            &mut stats,
+            &mut funnel,
         )
         .unwrap();
-        assert!(stats.interrupted);
+        assert!(funnel.interrupted);
         assert!(partial.len() < full.len());
         assert!(!partial.is_empty(), "shortest path already admitted");
         // Admission order is deterministic: the partial run is a prefix.
@@ -550,7 +507,7 @@ mod tests {
         let pair = pair_of(&mut ws, &net, (s.0, t.0), &q);
         assert_eq!(pair.bound(), 14);
         assert_eq!(pair.target_lower_bound(v.0), 8);
-        let mut stats = PenaltyStats::default();
+        let mut funnel = Funnel::default();
         let options = PenaltyOptions::default();
         let paths = penalty_alternatives_from_base(
             &mut ws,
@@ -558,12 +515,12 @@ mod tests {
             net.weights(),
             &pair,
             &options,
-            &mut stats,
+            &mut funnel,
         )
         .unwrap();
         let routes: Vec<Vec<NodeId>> = paths.iter().map(|p| p.nodes.clone()).collect();
         assert_eq!(routes, [vec![s, x, t], vec![s, x, y, t]]);
-        assert_eq!((stats.iterations, stats.rejected_bound), (2, 1));
+        assert_eq!((funnel.iterations, funnel.rejected_bound), (2, 1));
     }
 
     #[test]
@@ -576,14 +533,14 @@ mod tests {
                 penalty_alternatives(&net, net.weights(), NodeId(0), NodeId(15), &q, &options);
             assert_eq!(got, Err(CoreError::InvalidPenaltyFactor), "{factor}");
             let pair = pair_of(&mut SearchSpace::new(&net), &net, (0, 15), &q);
-            let (mut ws, mut stats) = (SearchSpace::new(&net), PenaltyStats::default());
+            let (mut ws, mut funnel) = (SearchSpace::new(&net), Funnel::default());
             let got = penalty_alternatives_from_base(
                 &mut ws,
                 &net,
                 net.weights(),
                 &pair,
                 &options,
-                &mut stats,
+                &mut funnel,
             );
             assert_eq!(got, Err(CoreError::InvalidPenaltyFactor), "{factor}");
             assert_eq!(

@@ -18,6 +18,7 @@ use arp_roadnet::weight::{Cost, Weight};
 
 use crate::budget::SearchBudget;
 use crate::error::CoreError;
+use crate::metrics::Funnel;
 use crate::path::Path;
 use crate::query::AltQuery;
 use crate::search::{Direction, SearchSpace, ShortestPathTree};
@@ -59,26 +60,6 @@ impl Default for PlateauOptions {
             min_plateau_fraction: 0.01,
         }
     }
-}
-
-/// Candidate-funnel counters of one plateau call, for observability.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PlateauStats {
-    /// Plateaus discovered in the forward/backward tree pair.
-    pub plateaus_found: u64,
-    /// Plateaus considered as route candidates.
-    pub candidates: u64,
-    /// Candidates rejected for exceeding the stretch bound.
-    pub rejected_bound: u64,
-    /// Candidates rejected as micro-plateaus below the minimum weight.
-    pub rejected_short: u64,
-    /// Completed paths rejected by the similarity filter.
-    pub rejected_similarity: u64,
-    /// Completed paths rejected for revisiting a vertex.
-    pub rejected_non_simple: u64,
-    /// The workspace's [`crate::SearchBudget`] tripped mid-call; the
-    /// returned paths are the alternatives admitted up to that point.
-    pub interrupted: bool,
 }
 
 /// Finds all plateaus of the tree pair, unsorted.
@@ -157,7 +138,7 @@ pub fn plateau_alternatives(
         weights,
         query,
         options,
-        &mut PlateauStats::default(),
+        &mut Funnel::default(),
         sub.forward(),
         sub.backward(),
         &budget,
@@ -167,7 +148,7 @@ pub fn plateau_alternatives(
 /// The technique itself: a function of the forward/backward tree pair,
 /// whoever grew it (typically a [`SearchSubstrate`]). The trees must have
 /// been grown under `weights`. `budget` governs the sweep's cooperative
-/// polls; the candidate funnel of the call is reported into `stats`
+/// polls; the candidate funnel of the call is reported into `funnel`
 /// (which is reset first).
 #[allow(clippy::too_many_arguments)]
 pub fn plateau_alternatives_from_trees(
@@ -175,12 +156,12 @@ pub fn plateau_alternatives_from_trees(
     weights: &[Weight],
     query: &AltQuery,
     options: &PlateauOptions,
-    stats: &mut PlateauStats,
+    funnel: &mut Funnel,
     fwd: &ShortestPathTree,
     bwd: &ShortestPathTree,
     budget: &SearchBudget,
 ) -> Result<Vec<Path>, CoreError> {
-    *stats = PlateauStats::default();
+    *funnel = Funnel::default();
     if query.k == 0 {
         return Ok(Vec::new());
     }
@@ -198,7 +179,7 @@ pub fn plateau_alternatives_from_trees(
     let min_weight = (best_cost as f64 * options.min_plateau_fraction) as Cost;
 
     let mut plateaus = find_plateaus(net, fwd, bwd);
-    stats.plateaus_found = plateaus.len() as u64;
+    funnel.plateaus_found = plateaus.len() as u64;
     // Rank plateaus by weight (longest first) — "longer plateaus result in
     // more meaningful alternative paths".
     plateaus.sort_by(|a, b| {
@@ -215,16 +196,16 @@ pub fn plateau_alternatives_from_trees(
         // Poll per sweep iteration: completing paths costs tree walks and
         // similarity checks, so a tripped budget stops the sweep too.
         if budget.interrupted() {
-            stats.interrupted = true;
+            funnel.interrupted = true;
             break;
         }
-        stats.candidates += 1;
+        funnel.candidates += 1;
         if pl.via_cost_ms > bound {
-            stats.rejected_bound += 1;
+            funnel.rejected_bound += 1;
             continue;
         }
         if pl.weight_ms < min_weight && !accepted.is_empty() {
-            stats.rejected_short += 1;
+            funnel.rejected_short += 1;
             continue;
         }
         // Assemble sp(s, start) + plateau + sp(end, t).
@@ -244,14 +225,14 @@ pub fn plateau_alternatives_from_trees(
         debug_assert_eq!(path.source(), source);
         debug_assert_eq!(path.target(), target);
         if !path.is_simple() {
-            stats.rejected_non_simple += 1;
+            funnel.rejected_non_simple += 1;
             continue;
         }
         let too_similar = accepted
             .iter()
             .any(|p| similarity(&path, p, weights) > options.max_similarity);
         if too_similar {
-            stats.rejected_similarity += 1;
+            funnel.rejected_similarity += 1;
             continue;
         }
         accepted.push(path);
@@ -430,25 +411,21 @@ mod tests {
         let sub =
             SearchSubstrate::build(&mut ws, &net, net.weights(), NodeId(0), NodeId(63), &query)
                 .unwrap();
-        let mut stats = PlateauStats::default();
+        let mut funnel = Funnel::default();
         let paths = plateau_alternatives_from_trees(
             &net,
             net.weights(),
             &query,
             &PlateauOptions::default(),
-            &mut stats,
+            &mut funnel,
             sub.forward(),
             sub.backward(),
             &budget,
         )
         .unwrap();
-        assert!(stats.plateaus_found >= stats.candidates);
-        assert!(stats.candidates >= paths.len() as u64);
-        let rejected = stats.rejected_bound
-            + stats.rejected_short
-            + stats.rejected_similarity
-            + stats.rejected_non_simple;
-        assert!(stats.candidates >= paths.len() as u64 + rejected);
+        // The balance itself is the `every_funnel_balances` property.
+        assert!(funnel.plateaus_found >= funnel.candidates);
+        assert!(funnel.candidates >= paths.len() as u64);
     }
 
     #[test]

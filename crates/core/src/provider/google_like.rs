@@ -206,76 +206,75 @@ impl AlternativesProvider for GoogleLikeProvider {
         budget: &SearchBudget,
     ) -> Result<ProviderOutcome, CoreError> {
         let (s, t, query) = (pair.source(), pair.target(), pair.query());
-        observed_call(
-            &self.metrics,
-            public_weights,
-            TechniqueMetrics::record_plateau,
-            |stats| {
-                if self.private_weights.len() != net.num_edges() {
-                    return Err(CoreError::WeightLengthMismatch {
-                        expected: net.num_edges(),
-                        got: self.private_weights.len(),
-                    });
+        observed_call(&self.metrics, public_weights, |funnel| {
+            if self.private_weights.len() != net.num_edges() {
+                return Err(CoreError::WeightLengthMismatch {
+                    expected: net.num_edges(),
+                    got: self.private_weights.len(),
+                });
+            }
+            // Closures are physical ground truth, not a travel-time
+            // estimate: an edge hard-closed in the public column (a
+            // live-traffic incident) is closed for this provider too, even
+            // though its *factors* diverge — a commercial provider
+            // disagrees about how slow a road is, not about whether it
+            // exists. Without closures the private table is borrowed
+            // untouched, keeping the no-overlay path byte-identical to the
+            // pre-traffic pipeline.
+            let private: Cow<'_, [Weight]> = if public_weights.contains(&CLOSED) {
+                Cow::Owned(
+                    self.private_weights
+                        .iter()
+                        .zip(public_weights)
+                        .map(|(&p, &pub_w)| if pub_w == CLOSED { CLOSED } else { p })
+                        .collect(),
+                )
+            } else {
+                Cow::Borrowed(self.private_weights.as_slice())
+            };
+            // Plateaus on the PRIVATE data, on a pair grown here: the
+            // handed one describes the public column. `observed_call`
+            // prices the routes on the public data, like the paper's query
+            // processor does for Google's. A build the budget interrupts
+            // yields what it had proven (the private optimum once the
+            // forward tree is complete) as the call's partial.
+            let mut ws = lane_workspace(&self.metrics, net, budget);
+            let own = match SearchSubstrate::build(&mut ws, net, &private, s, t, query) {
+                Ok(own) => own,
+                Err((CoreError::Interrupted, proven)) => {
+                    funnel.interrupted = true;
+                    return Ok(proven.into_iter().collect());
                 }
-                // Closures are physical ground truth, not a travel-time
-                // estimate: an edge hard-closed in the public column (a
-                // live-traffic incident) is closed for this provider too,
-                // even though its *factors* diverge — a commercial provider
-                // disagrees about how slow a road is, not about whether it
-                // exists. Without closures the private table is borrowed
-                // untouched, keeping the no-overlay path byte-identical to
-                // the pre-traffic pipeline.
-                let private: Cow<'_, [Weight]> = if public_weights.contains(&CLOSED) {
-                    Cow::Owned(
-                        self.private_weights
-                            .iter()
-                            .zip(public_weights)
-                            .map(|(&p, &pub_w)| if pub_w == CLOSED { CLOSED } else { p })
-                            .collect(),
-                    )
-                } else {
-                    Cow::Borrowed(self.private_weights.as_slice())
-                };
-                // Plateaus on the PRIVATE data, on a pair grown here: the
-                // handed one describes the public column. `observed_call`
-                // prices the routes on the public data, like the paper's
-                // query processor does for Google's. A build the budget
-                // interrupts yields what it had proven (the private optimum
-                // once the forward tree is complete) as the call's partial.
-                let mut ws = lane_workspace(&self.metrics, net, budget);
-                let own = match SearchSubstrate::build(&mut ws, net, &private, s, t, query) {
-                    Ok(own) => own,
-                    Err((CoreError::Interrupted, proven)) => {
-                        return Ok((proven.into_iter().collect(), true))
-                    }
-                    Err((e, _)) => return Err(e),
-                };
-                let paths = plateau_alternatives_from_trees(
-                    net,
-                    &private,
-                    query,
-                    &self.plateau_options,
-                    stats,
-                    own.forward(),
-                    own.backward(),
-                    budget,
-                )?;
-                if stats.interrupted {
-                    return Ok((paths, true));
+                Err((e, _)) => return Err(e),
+            };
+            let paths = plateau_alternatives_from_trees(
+                net,
+                &private,
+                query,
+                &self.plateau_options,
+                funnel,
+                own.forward(),
+                own.backward(),
+                budget,
+            )?;
+            if funnel.interrupted {
+                return Ok(paths);
+            }
+            // The commercial post-filters probe local optimality. A
+            // Plateaus route is `sp(s,u) + plateau + sp(v,t)`, so almost
+            // every window lies on a path of one of `own`'s trees and its
+            // labels certify it; the rest are point-to-point searches in
+            // the same workspace. A trip before or during them serves the
+            // raw set as the partial.
+            match apply_filters(&mut ws, net, &private, &own, paths, query.k, &self.filters) {
+                Ok(kept) => Ok(kept),
+                Err((CoreError::Interrupted, unfiltered)) => {
+                    funnel.interrupted = true;
+                    Ok(unfiltered)
                 }
-                // The commercial post-filters probe local optimality. A
-                // Plateaus route is `sp(s,u) + plateau + sp(v,t)`, so
-                // almost every window lies on a path of one of `own`'s
-                // trees and its labels certify it; the rest are
-                // point-to-point searches in the same workspace. A trip
-                // before or during them serves the raw set as the partial.
-                match apply_filters(&mut ws, net, &private, &own, paths, query.k, &self.filters) {
-                    Ok(kept) => Ok((kept, false)),
-                    Err((CoreError::Interrupted, unfiltered)) => Ok((unfiltered, true)),
-                    Err((e, _)) => Err(e),
-                }
-            },
-        )
+                Err((e, _)) => Err(e),
+            }
+        })
     }
 }
 

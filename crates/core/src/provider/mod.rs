@@ -16,7 +16,7 @@ use arp_roadnet::weight::Weight;
 use crate::budget::SearchBudget;
 use crate::dissimilarity::{dissimilarity_alternatives_from_trees, DissimilarityOptions};
 use crate::error::CoreError;
-use crate::metrics::TechniqueMetrics;
+use crate::metrics::{Funnel, TechniqueMetrics};
 use crate::path::Path;
 use crate::penalty::{penalty_alternatives_from_base, PenaltyOptions};
 use crate::plateau::{plateau_alternatives_from_trees, PlateauOptions};
@@ -159,32 +159,27 @@ pub trait AlternativesProvider: Send + Sync {
     ) -> Result<ProviderOutcome, CoreError>;
 }
 
-/// What a technique run hands back short of an error: the accepted paths
-/// and whether the budget cut the run short.
-type Run = Result<(Vec<Path>, bool), CoreError>;
-
 /// The shared prologue and epilogue of every provider call: count and
-/// time the call, run `technique`, `record` its funnel counters, then
+/// time the call, run `technique`, record the [`Funnel`] it filled, then
 /// count the error — or price the accepted paths on the public weights
-/// and wrap them in the call's outcome, recording the admission and
-/// interruption counters.
-fn observed_call<S: Default>(
+/// and wrap them in the call's outcome (interrupted when the funnel says
+/// so), recording the admission and interruption counters.
+fn observed_call(
     metrics: &TechniqueMetrics,
     public_weights: &[Weight],
-    record: fn(&TechniqueMetrics, &S),
-    technique: impl FnOnce(&mut S) -> Run,
+    technique: impl FnOnce(&mut Funnel) -> Result<Vec<Path>, CoreError>,
 ) -> Result<ProviderOutcome, CoreError> {
     let _timer = metrics.begin_call();
-    let mut stats = S::default();
-    let result = technique(&mut stats);
-    record(metrics, &stats);
-    let (paths, interrupted) = result.inspect_err(|_| metrics.errors.inc())?;
+    let mut funnel = Funnel::default();
+    let result = technique(&mut funnel);
+    metrics.record(&funnel);
+    let paths = result.inspect_err(|_| metrics.errors.inc())?;
     metrics.admitted.add(paths.len() as u64);
     let routes: Vec<Route> = paths
         .into_iter()
         .map(|p| Route::new(p, public_weights))
         .collect();
-    Ok(if interrupted {
+    Ok(if funnel.interrupted {
         metrics.interrupted.inc();
         ProviderOutcome::Interrupted { partial: routes }
     } else {
@@ -236,24 +231,18 @@ impl AlternativesProvider for PlateauProvider {
         pair: &SearchSubstrate,
         budget: &SearchBudget,
     ) -> Result<ProviderOutcome, CoreError> {
-        observed_call(
-            &self.metrics,
-            public_weights,
-            TechniqueMetrics::record_plateau,
-            |stats| {
-                let paths = plateau_alternatives_from_trees(
-                    net,
-                    public_weights,
-                    pair.query(),
-                    &self.options,
-                    stats,
-                    pair.forward(),
-                    pair.backward(),
-                    budget,
-                )?;
-                Ok((paths, stats.interrupted))
-            },
-        )
+        observed_call(&self.metrics, public_weights, |funnel| {
+            plateau_alternatives_from_trees(
+                net,
+                public_weights,
+                pair.query(),
+                &self.options,
+                funnel,
+                pair.forward(),
+                pair.backward(),
+                budget,
+            )
+        })
     }
 }
 
@@ -288,26 +277,20 @@ impl AlternativesProvider for PenaltyProvider {
         pair: &SearchSubstrate,
         budget: &SearchBudget,
     ) -> Result<ProviderOutcome, CoreError> {
-        observed_call(
-            &self.metrics,
-            public_weights,
-            TechniqueMetrics::record_penalty,
-            |stats| {
-                // Iteration zero is the pair's base route — never a search
-                // of its own. The penalized re-searches run here, under
-                // this call's budget, pruned by the pair's labels.
-                let mut ws = lane_workspace(&self.metrics, net, budget);
-                let paths = penalty_alternatives_from_base(
-                    &mut ws,
-                    net,
-                    public_weights,
-                    pair,
-                    &self.options,
-                    stats,
-                )?;
-                Ok((paths, stats.interrupted))
-            },
-        )
+        observed_call(&self.metrics, public_weights, |funnel| {
+            // Iteration zero is the pair's base route — never a search of
+            // its own. The penalized re-searches run here, under this
+            // call's budget, pruned by the pair's labels.
+            let mut ws = lane_workspace(&self.metrics, net, budget);
+            penalty_alternatives_from_base(
+                &mut ws,
+                net,
+                public_weights,
+                pair,
+                &self.options,
+                funnel,
+            )
+        })
     }
 }
 
@@ -342,24 +325,18 @@ impl AlternativesProvider for DissimilarityProvider {
         pair: &SearchSubstrate,
         budget: &SearchBudget,
     ) -> Result<ProviderOutcome, CoreError> {
-        observed_call(
-            &self.metrics,
-            public_weights,
-            TechniqueMetrics::record_dissimilarity,
-            |stats| {
-                let paths = dissimilarity_alternatives_from_trees(
-                    net,
-                    public_weights,
-                    pair.query(),
-                    &self.options,
-                    stats,
-                    pair.forward(),
-                    pair.backward(),
-                    budget,
-                )?;
-                Ok((paths, stats.interrupted))
-            },
-        )
+        observed_call(&self.metrics, public_weights, |funnel| {
+            dissimilarity_alternatives_from_trees(
+                net,
+                public_weights,
+                pair.query(),
+                &self.options,
+                funnel,
+                pair.forward(),
+                pair.backward(),
+                budget,
+            )
+        })
     }
 }
 

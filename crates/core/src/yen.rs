@@ -11,7 +11,7 @@ use std::collections::{BinaryHeap, HashSet};
 
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::{EdgeId, NodeId};
-use arp_roadnet::weight::{Cost, Weight};
+use arp_roadnet::weight::{Cost, Weight, CLOSED};
 
 use crate::budget::SearchBudget;
 use crate::error::CoreError;
@@ -60,9 +60,8 @@ pub fn yen_k_shortest_paths_budgeted(
     let mut heap: BinaryHeap<Reverse<(Cost, Vec<u32>)>> = BinaryHeap::new();
     let mut in_heap: HashSet<Vec<u32>> = HashSet::new();
 
-    // Mutable overlay used to "remove" edges by making them unaffordable.
+    // Mutable overlay used to remove edges by closing them.
     let mut overlay = weights.to_vec();
-    const BLOCKED: Weight = u32::MAX - 1;
 
     'rounds: while result.len() < k {
         // Poll between candidate generations: each round runs up to
@@ -91,7 +90,7 @@ pub fn yen_k_shortest_paths_budgeted(
             blocked_nodes.retain(|&n| n != spur_node);
 
             for &e in &blocked_edges {
-                overlay[e.index()] = BLOCKED;
+                overlay[e.index()] = CLOSED;
             }
             let mut blocked_node_edges: Vec<EdgeId> = Vec::new();
             for &n in &blocked_nodes {
@@ -103,7 +102,7 @@ pub fn yen_k_shortest_paths_budgeted(
                 }
             }
             for &e in &blocked_node_edges {
-                overlay[e.index()] = BLOCKED;
+                overlay[e.index()] = CLOSED;
             }
 
             let spur = ws.shortest_path(net, &overlay, spur_node, target);
@@ -121,13 +120,9 @@ pub fn yen_k_shortest_paths_budgeted(
                 // An interrupted spur search would silently bias the
                 // candidate set; stop the whole round instead.
                 Err(CoreError::Interrupted) => break 'rounds,
+                // Every way on from the spur node is blocked.
                 Err(_) => continue,
             };
-            // Reject spur paths that used a blocked edge (possible when no
-            // alternative existed and the search paid the huge weight).
-            if spur_path.cost_ms >= BLOCKED as Cost {
-                continue;
-            }
 
             let mut edges = root_edges.to_vec();
             edges.extend_from_slice(&spur_path.edges);
@@ -220,6 +215,16 @@ mod tests {
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0].cost_ms, 100);
         assert_eq!(paths[1].cost_ms, 160);
+    }
+
+    #[test]
+    fn a_path_costing_more_than_u32_max_is_still_found() {
+        // The spur from the source blocks the first path's first edge; the
+        // second path must come back at its real cost.
+        let net = crate::fixtures::two_long_routes();
+        let paths = yen_k_shortest_paths(&net, net.weights(), NodeId(0), NodeId(3), 2).unwrap();
+        let costs: Vec<Cost> = paths.iter().map(|p| p.cost_ms).collect();
+        assert_eq!(costs, [3_500_000_000, 4_400_000_000]);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use arp_citygen::{City, Scale};
 use arp_core::prelude::*;
 use arp_core::quality::route_set_quality;
 use arp_core::similarity::diversity;
-use arp_core::{dissimilarity_alternatives_from_trees, DissimilarityStats, SearchSubstrate};
+use arp_core::{dissimilarity_alternatives_from_trees, Funnel, SearchSubstrate};
 use arp_roadnet::ids::NodeId;
 use arp_roadnet::spatial::SpatialIndex;
 
@@ -329,7 +329,7 @@ fn search_work_counters_are_pinned_on_dhaka() {
         let sub = SearchSubstrate::build(&mut ws, net, w, s, t, &AltQuery::paper()).unwrap();
         let mut lane = SearchSpace::new(net);
         lane.set_metrics(SearchMetrics::new(&registry, &labels));
-        let mut stats = arp_core::PenaltyStats::default();
+        let mut stats = Funnel::default();
         let options = PenaltyOptions::default();
         arp_core::penalty_alternatives_from_base(&mut lane, net, w, &sub, &options, &mut stats)
             .unwrap();
@@ -350,8 +350,8 @@ fn bounded_tree_pair_equals_the_complete_pair_inside_the_ellipse_on_a_medium_cit
     // weights and with every ninth edge slowed and every 50th closed.
     // Inside the stretch ellipse the bounded pair is the complete pair —
     // labels and parents — so Plateaus and SSVP-D+ cannot tell them apart.
+    use arp_core::plateau_alternatives_from_trees;
     use arp_core::search::Direction;
-    use arp_core::{plateau_alternatives_from_trees, PlateauStats};
     use arp_roadnet::weight::{CLOSED, INFINITY};
 
     let g = arp_citygen::generate(City::Copenhagen, Scale::Medium, 5);
@@ -396,7 +396,7 @@ fn bounded_tree_pair_equals_the_complete_pair_inside_the_ellipse_on_a_medium_cit
             }
             let plateaus = |f, b| {
                 let options = PlateauOptions::default();
-                let mut stats = PlateauStats::default();
+                let mut stats = Funnel::default();
                 plateau_alternatives_from_trees(
                     net, column, &q, &options, &mut stats, f, b, &budget,
                 )
@@ -408,7 +408,7 @@ fn bounded_tree_pair_equals_the_complete_pair_inside_the_ellipse_on_a_medium_cit
             );
             let ssvp = |f, b| {
                 let options = DissimilarityOptions::default();
-                let mut stats = DissimilarityStats::default();
+                let mut stats = Funnel::default();
                 let paths = dissimilarity_alternatives_from_trees(
                     net, column, &q, &options, &mut stats, f, b, &budget,
                 );
@@ -518,8 +518,8 @@ fn sweep(
     sub: &SearchSubstrate,
     query: &AltQuery,
     budget: &SearchBudget,
-) -> (Vec<Path>, DissimilarityStats) {
-    let mut stats = DissimilarityStats::default();
+) -> (Vec<Path>, Funnel) {
+    let mut stats = Funnel::default();
     let paths = dissimilarity_alternatives_from_trees(
         net,
         net.weights(),

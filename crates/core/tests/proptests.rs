@@ -8,7 +8,7 @@ use arp_core::prelude::*;
 use arp_core::quality;
 use arp_core::search::{Direction, ShortestPathTree};
 use arp_core::similarity;
-use arp_core::{ChTopology, DissimilarityStats, PenaltyStats, PlateauStats};
+use arp_core::{ChTopology, Funnel};
 use arp_roadnet::prelude::*;
 use arp_roadnet::weight::{apply_penalty, Cost};
 use proptest::prelude::*;
@@ -293,7 +293,7 @@ fn reference_sweep(
         }
         let path = Path::from_edges(net, weights, edges);
         visited += 1;
-        if options.require_simple && !path.is_simple() {
+        if !path.is_simple() {
             continue;
         }
         if !seen.insert(path.key()) {
@@ -332,10 +332,10 @@ fn check_sweep_against_reference(
     };
     let (fwd, bwd) = (sub.forward(), sub.backward());
     let what = format!(
-        "{s}->{t} k={} theta={} simple={} factor={}",
-        query.k, query.theta, options.require_simple, options.max_candidates_factor
+        "{s}->{t} k={} theta={} factor={}",
+        query.k, query.theta, options.max_candidates_factor
     );
-    let mut stats = DissimilarityStats::default();
+    let mut stats = Funnel::default();
     let got = arp_core::dissimilarity_alternatives_from_trees(
         net, weights, query, options, &mut stats, fwd, bwd, &budget,
     )
@@ -367,7 +367,7 @@ fn check_sweep_against_reference(
             p.cost_ms <= query.cost_bound(best)
                 && p.validate(net)
                 && (p.source(), p.target()) == (s, t)
-                && (!options.require_simple || p.is_simple())
+                && p.is_simple()
         })
         && (0..got.len()).all(|j| {
             // The orientation the sweep tests: the later path against
@@ -480,7 +480,7 @@ fn check_bounded_build(
         .unwrap();
     let budget = SearchBudget::unlimited();
     let plateaus = |f: &ShortestPathTree, b: &ShortestPathTree| {
-        let mut stats = PlateauStats::default();
+        let mut stats = Funnel::default();
         let paths = arp_core::plateau_alternatives_from_trees(
             net,
             weights,
@@ -506,7 +506,7 @@ fn check_bounded_build(
         return Err(format!("{what}: Plateaus differs on the bounded pair"));
     }
     let sweep = |f: &ShortestPathTree, b: &ShortestPathTree| {
-        let mut stats = DissimilarityStats::default();
+        let mut stats = Funnel::default();
         let paths = arp_core::dissimilarity_alternatives_from_trees(
             net,
             weights,
@@ -665,7 +665,7 @@ fn filter_candidates(net: &RoadNetwork, weights: &[Weight], pair: &SearchSubstra
         weights,
         &query,
         &options,
-        &mut PlateauStats::default(),
+        &mut Funnel::default(),
         fwd,
         bwd,
         &SearchBudget::unlimited(),
@@ -747,7 +747,6 @@ fn dissimilarity_sweep_matches_the_reference_on_a_medium_city() {
         for factor in [4000, 1] {
             let options = DissimilarityOptions {
                 max_candidates_factor: factor,
-                ..DissimilarityOptions::default()
             };
             let visited =
                 check_sweep_against_reference(net, weights, st, &AltQuery::paper(), &options)
@@ -771,7 +770,7 @@ fn reference_penalty(
     (s, t): (NodeId, NodeId),
     query: &AltQuery,
     options: &PenaltyOptions,
-) -> Result<(Vec<Path>, PenaltyStats, u64), CoreError> {
+) -> Result<(Vec<Path>, Funnel, u64), CoreError> {
     let penalize = |overlay: &mut [Weight], path: &Path| {
         for &e in &path.edges {
             let reverse = net.reverse_edge(e).filter(|_| options.penalize_reverse);
@@ -780,7 +779,7 @@ fn reference_penalty(
             }
         }
     };
-    let (mut stats, mut settled) = (PenaltyStats::default(), 0);
+    let (mut stats, mut settled) = (Funnel::default(), 0);
     let mut ws = SearchSpace::new(net);
     let best = ws.shortest_path(net, weights, s, t)?;
     let mut overlay = weights.to_vec();
@@ -848,7 +847,7 @@ fn check_penalty_against_reference(
         Err((e, _)) => return Err(format!("{what}: pair {e}, reference {want:?}")),
     };
     ws.set_metrics(SearchMetrics::new(&registry, &labels));
-    let mut stats = PenaltyStats::default();
+    let mut stats = Funnel::default();
     let got =
         arp_core::penalty_alternatives_from_base(&mut ws, net, weights, &pair, options, &mut stats)
             .map_err(|e| format!("{what}: {e}"))?;
@@ -868,6 +867,99 @@ fn check_penalty_against_reference(
         ));
     }
     Ok(true)
+}
+
+/// An `n`×`n` grid of two-way primary roads, nodes numbered row by row.
+fn grid(n: usize) -> RoadNetwork {
+    let mut b = GraphBuilder::new();
+    let ids: Vec<NodeId> = (0..n * n)
+        .map(|i| {
+            let (x, y) = ((i % n) as f64, (i / n) as f64);
+            b.add_node(Point::new(144.0 + x * 0.01, -37.0 - y * 0.01))
+        })
+        .collect();
+    for i in 0..n * n {
+        let road = EdgeSpec::category(RoadCategory::Primary);
+        if i % n + 1 < n {
+            b.add_bidirectional(ids[i], ids[i + 1], road);
+        }
+        if i / n + 1 < n {
+            b.add_bidirectional(ids[i], ids[i + n], road);
+        }
+    }
+    b.build()
+}
+
+/// Plateaus (under `plateau`), SSVP-D+ and Penalty on the tree pair of
+/// one query: every funnel must balance — `candidates` is the routes returned plus every
+/// rejection — SSVP-D+ must screen or build every via-node it visits
+/// ([`reference_sweep`] counts them), and Penalty's candidates are its
+/// base route plus one per re-search. Returns the three funnels in that
+/// order, or `None` when the pair is unroutable.
+fn check_funnels(
+    net: &RoadNetwork,
+    weights: &[Weight],
+    (s, t): (NodeId, NodeId),
+    query: &AltQuery,
+    plateau: &PlateauOptions,
+) -> Result<Option<[Funnel; 3]>, String> {
+    let what = format!(
+        "{s}->{t} eps={} k={} theta={} {plateau:?}",
+        query.epsilon, query.k, query.theta
+    );
+    let mut ws = SearchSpace::new(net);
+    let Ok(pair) = SearchSubstrate::build(&mut ws, net, weights, s, t, query) else {
+        return Ok(None);
+    };
+    let (fwd, bwd, budget) = (pair.forward(), pair.backward(), SearchBudget::unlimited());
+    let options = DissimilarityOptions::default();
+    let [mut plateaus, mut ssvp, mut penalty] = [Funnel::default(); 3];
+    let returned = [
+        arp_core::plateau_alternatives_from_trees(
+            net,
+            weights,
+            query,
+            plateau,
+            &mut plateaus,
+            fwd,
+            bwd,
+            &budget,
+        ),
+        arp_core::dissimilarity_alternatives_from_trees(
+            net, weights, query, &options, &mut ssvp, fwd, bwd, &budget,
+        ),
+        arp_core::penalty_alternatives_from_base(
+            &mut ws,
+            net,
+            weights,
+            &pair,
+            &PenaltyOptions::default(),
+            &mut penalty,
+        ),
+    ];
+    let funnels = [plateaus, ssvp, penalty];
+    for (name, (paths, f)) in ["plateaus", "ssvp", "penalty"]
+        .iter()
+        .zip(returned.into_iter().zip(&funnels))
+    {
+        let returned = paths.map_err(|e| format!("{what} {name}: {e}"))?.len() as u64;
+        let rejected = f.rejected_bound
+            + f.rejected_duplicate
+            + f.rejected_similarity
+            + f.rejected_non_simple
+            + f.rejected_short;
+        if f.interrupted || f.candidates != returned + rejected {
+            return Err(format!("{what} {name}: returned {returned}, funnel {f:?}"));
+        }
+    }
+    let (_, visited) = reference_sweep(net, weights, query, &options, fwd, bwd);
+    if ssvp.screened + ssvp.candidates != visited {
+        return Err(format!("{what}: visited {visited}, funnel {ssvp:?}"));
+    }
+    if penalty.candidates != penalty.iterations + 1 {
+        return Err(format!("{what}: penalty funnel {penalty:?}"));
+    }
+    Ok(Some(funnels))
 }
 
 proptest! {
@@ -931,6 +1023,37 @@ proptest! {
                 prop_assert!(sim <= 1.0 - q.theta + 1e-9);
             }
         }
+    }
+
+    #[test]
+    fn every_funnel_balances(
+        ((n, chords), epsilon, k, theta, min_plateau) in
+            (arb_scc_graph(), 1.0f64..=3.0, 1usize..6, -1.0f64..0.9, 0.0f64..0.5),
+    ) {
+        // Every candidate a technique examines is returned or rejected for
+        // exactly one reason, on random graphs (own and tie-rounded
+        // weights) at a random stretch, k, θ (below 0 SSVP-D+ reaches its
+        // loop and duplicate checks) and minimum plateau — and on the 8×8
+        // grid's corner query at the paper's settings, where the θ-test
+        // and Penalty's re-searches both have to fire.
+        let net = build(n, &chords);
+        let tied = tie_rounded(net.weights());
+        let query = AltQuery::paper().with_epsilon(epsilon).with_k(k).with_theta(theta);
+        let plateau = PlateauOptions { min_plateau_fraction: min_plateau, ..PlateauOptions::default() };
+        for weights in [net.weights(), &tied[..]] {
+            for (s, t) in [(0, n - 1), (n - 1, 0), (n / 2, 1)] {
+                let st = (NodeId(s as u32), NodeId(t as u32));
+                let checked = check_funnels(&net, weights, st, &query, &plateau);
+                prop_assert!(checked.is_ok(), "{:?}", checked);
+            }
+        }
+        let grid = grid(8);
+        let (st, paper) = ((NodeId(0), NodeId(63)), PlateauOptions::default());
+        let checked = check_funnels(&grid, grid.weights(), st, &AltQuery::paper(), &paper);
+        prop_assert!(matches!(checked, Ok(Some(_))), "grid: {:?}", checked);
+        let [_, ssvp, penalty] = checked.unwrap().unwrap();
+        prop_assert!(ssvp.screened > 0, "the θ-test never fired");
+        prop_assert!(penalty.iterations >= 1, "no re-search ran");
     }
 
     #[test]
@@ -1037,14 +1160,13 @@ proptest! {
         for weights in [net.weights(), &slowed[..], &tied[..]] {
             for (s, t) in [(0, n - 1), (n / 2, 1)] {
                 let st = (NodeId(s as u32), NodeId(t as u32));
-                for (k, theta, require_simple, max_candidates_factor) in [
-                    (1, 0.5, true, 4000), (3, 0.0, true, 4000), (3, 0.5, true, 1),
-                    (3, 0.5, false, 4000), (3, 0.9, false, 1), (5, 0.0, false, 4000),
-                    (5, 0.5, true, 4000), (5, 0.9, true, 4000),
-                    (5, -1.0, true, 4000), (5, -1.0, false, 4000),
+                for (k, theta, max_candidates_factor) in [
+                    (1, 0.5, 4000), (3, 0.0, 4000), (3, 0.5, 1), (3, 0.5, 4000),
+                    (3, 0.9, 1), (5, 0.0, 4000), (5, 0.5, 4000), (5, 0.9, 4000),
+                    (5, -1.0, 4000),
                 ] {
                     let query = AltQuery::paper().with_k(k).with_theta(theta).with_epsilon(3.0);
-                    let options = DissimilarityOptions { require_simple, max_candidates_factor };
+                    let options = DissimilarityOptions { max_candidates_factor };
                     let checked = check_sweep_against_reference(&net, weights, st, &query, &options);
                     prop_assert!(checked.is_ok(), "{:?}", checked);
                 }
@@ -1135,7 +1257,7 @@ proptest! {
         let partial = match SearchSubstrate::build(&mut ws, &net, net.weights(), s, t, &q) {
             Ok(pair) => arp_core::penalty_alternatives_from_base(
                 &mut ws, &net, net.weights(), &pair, &PenaltyOptions::default(),
-                &mut PenaltyStats::default(),
+                &mut Funnel::default(),
             ).unwrap(),
             Err((CoreError::Interrupted, base)) => base.into_iter().collect(),
             Err((e, _)) => panic!("{e}"),
@@ -1190,7 +1312,7 @@ proptest! {
         }
 
         let solo = plateau_alternatives(&net, net.weights(), s, t, &q, &PlateauOptions::default()).unwrap();
-        let mut pstats = PlateauStats::default();
+        let mut pstats = Funnel::default();
         let fed = arp_core::plateau_alternatives_from_trees(
             &net, net.weights(), &q, &PlateauOptions::default(), &mut pstats,
             sub.forward(), sub.backward(), &budget,
@@ -1202,7 +1324,7 @@ proptest! {
         }
 
         let solo = dissimilarity_alternatives(&net, net.weights(), s, t, &q, &DissimilarityOptions::default()).unwrap();
-        let mut dstats = DissimilarityStats::default();
+        let mut dstats = Funnel::default();
         let fed = arp_core::dissimilarity_alternatives_from_trees(
             &net, net.weights(), &q, &DissimilarityOptions::default(), &mut dstats,
             sub.forward(), sub.backward(), &budget,
@@ -1215,7 +1337,7 @@ proptest! {
 
         let solo = penalty_alternatives(&net, net.weights(), s, t, &q, &PenaltyOptions::default()).unwrap();
         let mut ws = SearchSpace::new(&net);
-        let mut nstats = PenaltyStats::default();
+        let mut nstats = Funnel::default();
         let fed = arp_core::penalty_alternatives_from_base(
             &mut ws, &net, net.weights(), &sub, &PenaltyOptions::default(), &mut nstats,
         ).unwrap();

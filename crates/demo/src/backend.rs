@@ -1,7 +1,8 @@
 //! The demo's [`RouteBackend`]: how `arp-serve` drives the query
 //! processor.
 //!
-//! Each of the four techniques is one *lane*, in blinding order, so the
+//! Each of the four techniques is one *lane* — lane `i` is
+//! `ProviderKind::ALL[i]`, shown under the blind label `LABELS[i]` — so the
 //! serving layer computes them in parallel and caches them independently
 //! — a repeat query recomputes nothing, and a query that shares endpoints
 //! with a cached one recomputes only the lanes that expired.

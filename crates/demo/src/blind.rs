@@ -2,117 +2,12 @@
 //!
 //! "The approaches are named A-D … to hide the identities of the
 //! approaches from the users, to avoid any biases or preconceived
-//! notions" (§3). The paper uses a fixed assignment (A: Google Maps,
-//! B: Plateaus, C: Dissimilarity, D: Penalty); this module supports both
-//! that fixed assignment and a per-session shuffled one, keeping the
-//! unblinding map server-side.
+//! notions" (§3). The paper's assignment is fixed (A: Google Maps,
+//! B: Plateaus, C: Dissimilarity, D: Penalty), which is the order of
+//! [`arp_core::ProviderKind::ALL`]. So a lane is a position: lane `i` runs
+//! `ProviderKind::ALL[i]` and is shown under `LABELS[i]`. Which approach
+//! stands behind a label stays server-side
+//! ([`crate::QueryProcessor::unblind`]).
 
-use arp_core::provider::ProviderKind;
-
-/// Blind labels shown to participants.
+/// Blind labels shown to participants, by lane.
 pub const LABELS: [char; 4] = ['A', 'B', 'C', 'D'];
-
-/// A server-side mapping between blind labels and approaches.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Blinding {
-    /// `order[i]` is the approach shown under label `LABELS[i]`.
-    order: [ProviderKind; 4],
-}
-
-impl Blinding {
-    /// The paper's fixed assignment.
-    pub fn paper() -> Blinding {
-        Blinding {
-            order: ProviderKind::ALL,
-        }
-    }
-
-    /// A deterministic per-session shuffle (Fisher–Yates driven by
-    /// SplitMix64 on the session seed).
-    pub fn shuffled(seed: u64) -> Blinding {
-        let mut order = ProviderKind::ALL;
-        let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut next = || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut x = state;
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
-        };
-        for i in (1..4usize).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
-            order.swap(i, j);
-        }
-        Blinding { order }
-    }
-
-    /// The approach behind a label.
-    pub fn unblind(&self, label: char) -> Option<ProviderKind> {
-        let idx = LABELS.iter().position(|&l| l == label)?;
-        Some(self.order[idx])
-    }
-
-    /// The label assigned to an approach.
-    pub fn label_of(&self, kind: ProviderKind) -> char {
-        let idx = self
-            .order
-            .iter()
-            .position(|&k| k == kind)
-            .expect("every kind is in the order");
-        LABELS[idx]
-    }
-
-    /// Approaches in label order.
-    pub fn order(&self) -> &[ProviderKind; 4] {
-        &self.order
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paper_assignment_is_fixed() {
-        let b = Blinding::paper();
-        assert_eq!(b.unblind('A'), Some(ProviderKind::GoogleLike));
-        assert_eq!(b.unblind('B'), Some(ProviderKind::Plateaus));
-        assert_eq!(b.unblind('C'), Some(ProviderKind::Dissimilarity));
-        assert_eq!(b.unblind('D'), Some(ProviderKind::Penalty));
-        assert_eq!(b.unblind('E'), None);
-    }
-
-    #[test]
-    fn labels_roundtrip() {
-        for blinding in [
-            Blinding::paper(),
-            Blinding::shuffled(7),
-            Blinding::shuffled(99),
-        ] {
-            for kind in ProviderKind::ALL {
-                let label = blinding.label_of(kind);
-                assert_eq!(blinding.unblind(label), Some(kind));
-            }
-        }
-    }
-
-    #[test]
-    fn shuffle_is_deterministic_and_varies() {
-        assert_eq!(Blinding::shuffled(1), Blinding::shuffled(1));
-        // Some pair of seeds must differ (4! = 24 permutations).
-        let distinct = (0..10u64).map(Blinding::shuffled).collect::<Vec<_>>();
-        assert!(distinct.iter().any(|b| b != &distinct[0]));
-    }
-
-    #[test]
-    fn every_shuffle_is_a_permutation() {
-        for seed in 0..50u64 {
-            let b = Blinding::shuffled(seed);
-            let mut kinds: Vec<ProviderKind> = b.order().to_vec();
-            kinds.sort_by_key(|k| format!("{k:?}"));
-            let mut expected: Vec<ProviderKind> = ProviderKind::ALL.to_vec();
-            expected.sort_by_key(|k| format!("{k:?}"));
-            assert_eq!(kinds, expected);
-        }
-    }
-}

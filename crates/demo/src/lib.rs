@@ -6,13 +6,13 @@
 //!
 //! * [`query`] — the query processor: geo-coordinate matching, the four
 //!   approaches, OSM-priced travel times rounded to minutes,
-//! * [`blind`] — A–D anonymization with the unblinding map kept
-//!   server-side,
+//! * [`blind`] — the paper's fixed A–D labels: lane `i` is the approach
+//!   `ProviderKind::ALL[i]` under `LABELS[i]`, unblinded server-side only,
 //! * [`index`] — the epoch-customizable CH index tier: a per-city
 //!   topology customized per traffic epoch in the background, handed
 //!   out on an exact-epoch match only (no request reads it),
-//! * [`store`] — the feedback form's response store (ratings, residency,
-//!   comments) with CSV persistence,
+//! * [`store`] — the feedback form's in-memory response store (ratings,
+//!   residency, comments), exported as CSV,
 //! * [`server`] — a small std-only HTTP server exposing the JSON API and
 //!   the interactive map page ([`html`]),
 //! * [`geojson`] / [`json`] — hand-rolled serialization for the API; the
@@ -44,7 +44,6 @@ pub mod server;
 pub mod store;
 
 pub use backend::DemoBackend;
-pub use blind::Blinding;
 pub use error::DemoError;
 pub use geojson::response_to_geojson;
 pub use index::IndexManager;
@@ -56,7 +55,6 @@ pub use store::{ResponseStore, Submission};
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::blind::Blinding;
     pub use crate::error::DemoError;
     pub use crate::geojson::response_to_geojson;
     pub use crate::query::{QueryProcessor, QueryResponse};

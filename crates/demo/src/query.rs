@@ -23,7 +23,7 @@ use arp_roadnet::weight::ms_to_display_minutes;
 use arp_serve::LaneStatus;
 use arp_traffic::{DurabilityConfig, EpochSnapshot, RecoveryReport, TrafficError, TrafficState};
 
-use crate::blind::Blinding;
+use crate::blind::LABELS;
 use crate::error::DemoError;
 use crate::index::IndexManager;
 use crate::render::vertices_along;
@@ -175,14 +175,18 @@ impl SubstrateMetrics {
     }
 }
 
-/// The demo back-end: network + spatial index + providers + blinding +
-/// live-traffic state.
+/// The demo back-end: network + spatial index + providers + live-traffic
+/// state.
+///
+/// Its technique lanes (slots) are positions in [`ProviderKind::ALL`]:
+/// slot `i` runs `providers[i]`, the approach `ProviderKind::ALL[i]`, under
+/// the blind label `LABELS[i]` (see [`crate::blind`]).
 pub struct QueryProcessor {
     name: String,
     network: Arc<RoadNetwork>,
     spatial: SpatialIndex,
+    /// The four providers, built in [`ProviderKind::ALL`] order.
     providers: Vec<Box<dyn AlternativesProvider>>,
-    blinding: Blinding,
     query: AltQuery,
     registry: Registry,
     substrate_metrics: SubstrateMetrics,
@@ -213,7 +217,6 @@ impl QueryProcessor {
             network,
             spatial,
             providers,
-            blinding: Blinding::paper(),
             query: AltQuery::paper(),
             registry,
             substrate_metrics,
@@ -321,11 +324,6 @@ impl QueryProcessor {
         }
     }
 
-    /// The active blinding.
-    pub fn blinding(&self) -> &Blinding {
-        &self.blinding
-    }
-
     /// Geo-coordinate matching: nearest vertex within [`MATCH_RADIUS_M`].
     pub fn match_point(&self, p: Point, which: &'static str) -> Result<NodeId, DemoError> {
         if !self.study_area().contains(p) {
@@ -351,9 +349,9 @@ impl QueryProcessor {
         })
     }
 
-    /// Number of technique slots, in blinding order (always four).
+    /// Number of technique slots (always four).
     pub fn technique_slots(&self) -> usize {
-        self.blinding.order().len()
+        ProviderKind::ALL.len()
     }
 
     /// The route-cache key for one technique slot of a snapped query:
@@ -364,13 +362,12 @@ impl QueryProcessor {
     /// out via LRU) while untouched shards keep serving. Documented
     /// in DESIGN.md §8 and §10.
     pub fn slot_cache_key_at(&self, q: &SnappedQuery, slot: usize, epoch: u64) -> String {
-        let kind = self.blinding.order()[slot];
         format!(
             "{}:{}:{}:{}:{}:e{}",
             self.name,
             q.source.0,
             q.target.0,
-            kind.slug(),
+            self.slot_technique(slot),
             self.query.k,
             epoch
         )
@@ -427,12 +424,9 @@ impl QueryProcessor {
         slot: usize,
         budget: &SearchBudget,
     ) -> Result<(Arc<ApproachRoutes>, bool), DemoError> {
-        let kind = self.blinding.order()[slot];
         let weights = q.overlay.weights();
         let outcome = match &q.substrate {
-            Ok(pair) => self
-                .provider(kind)
-                .answer(&self.network, weights, pair, budget)?,
+            Ok(pair) => self.providers[slot].answer(&self.network, weights, pair, budget)?,
             Err((CoreError::Interrupted, proven)) => ProviderOutcome::Interrupted {
                 partial: proven
                     .iter()
@@ -441,24 +435,12 @@ impl QueryProcessor {
             },
             Err((e, _)) => return Err(e.clone().into()),
         };
-        Ok(self.price_slot(kind, outcome))
-    }
-
-    fn provider(&self, kind: ProviderKind) -> &dyn AlternativesProvider {
-        self.providers
-            .iter()
-            .find(|p| p.kind() == kind)
-            .expect("all four providers are present")
-            .as_ref()
+        Ok(self.price_slot(slot, outcome))
     }
 
     /// Prices a provider outcome on the public (OSM) weights, rounds to
-    /// minutes, attaches rank colors and the blind label.
-    fn price_slot(
-        &self,
-        kind: ProviderKind,
-        outcome: ProviderOutcome,
-    ) -> (Arc<ApproachRoutes>, bool) {
+    /// minutes, attaches rank colors and the slot's blind label.
+    fn price_slot(&self, slot: usize, outcome: ProviderOutcome) -> (Arc<ApproachRoutes>, bool) {
         let interrupted = outcome.is_interrupted();
         let routes = outcome.routes();
         let infos: Vec<RouteInfo> = routes
@@ -485,14 +467,14 @@ impl QueryProcessor {
             .collect();
         (
             Arc::new(ApproachRoutes {
-                label: self.blinding.label_of(kind),
+                label: self.slot_label(slot),
                 routes: infos,
             }),
             interrupted,
         )
     }
 
-    /// Combines per-slot results (in blinding order) into the response,
+    /// Combines per-slot results (in slot order) into the response,
     /// stamped with the request's pinned epoch. Deterministic in its
     /// inputs, so assembling fanned-out slots yields exactly what the
     /// serial path produces.
@@ -521,14 +503,14 @@ impl QueryProcessor {
 
     /// The blind label of one technique slot.
     pub fn slot_label(&self, slot: usize) -> char {
-        self.blinding.label_of(self.blinding.order()[slot])
+        LABELS[slot]
     }
 
     /// The technique slug of one slot — the serving layer's lane name
     /// (breaker identity, failure metrics, `lane.<slug>` failpoint site).
     /// Server-side only: responses carry blind labels, never slugs.
     pub fn slot_technique(&self, slot: usize) -> &'static str {
-        self.blinding.order()[slot].slug()
+        ProviderKind::ALL[slot].slug()
     }
 
     /// Assembles a **partial** response from whatever slots produced
@@ -578,7 +560,7 @@ impl QueryProcessor {
 
     /// Processes a query serially: match endpoints, pin the current
     /// traffic epoch, grow the request's tree pair, run all four
-    /// approaches in blinding order on this thread against that epoch's
+    /// approaches in slot order on this thread against that epoch's
     /// weights, assemble.
     ///
     /// This is the *reference path*: the parallel serving layer
@@ -599,7 +581,8 @@ impl QueryProcessor {
 
     /// Unblinds a label (server-side only; never exposed through the API).
     pub fn unblind(&self, label: char) -> Option<ProviderKind> {
-        self.blinding.unblind(label)
+        let slot = LABELS.iter().position(|&l| l == label)?;
+        Some(ProviderKind::ALL[slot])
     }
 }
 
@@ -715,10 +698,36 @@ mod tests {
     }
 
     #[test]
-    fn unblind_is_server_side() {
+    fn lane_table_is_the_paper_assignment() {
+        // Slot i is ProviderKind::ALL[i] under LABELS[i] (A: Google Maps,
+        // B: Plateaus, C: Dissimilarity, D: Penalty), and it runs that
+        // provider: computing it alone calls that technique only.
         let qp = processor();
-        assert_eq!(qp.unblind('A'), Some(ProviderKind::GoogleLike));
-        assert_eq!(qp.unblind('D'), Some(ProviderKind::Penalty));
+        let (a, b) = inner_points(&qp);
+        let prepared = qp.prepare_substrate(
+            qp.prepare_query(qp.snap(a, b).unwrap()),
+            &SearchBudget::unlimited(),
+        );
+        let calls = |kind: ProviderKind| {
+            qp.registry()
+                .counter_value("arp_technique_calls_total", &[("technique", kind.slug())])
+        };
+        assert_eq!(qp.technique_slots(), ProviderKind::ALL.len());
+        for (slot, kind) in ProviderKind::ALL.into_iter().enumerate() {
+            assert_eq!(qp.slot_technique(slot), kind.slug());
+            assert_eq!(qp.slot_label(slot), LABELS[slot]);
+            assert_eq!(qp.unblind(LABELS[slot]), Some(kind));
+            let before = ProviderKind::ALL.map(calls);
+            let (approach, _) = qp
+                .compute_slot_prepared(&prepared, slot, &SearchBudget::unlimited())
+                .unwrap();
+            assert_eq!(approach.label, LABELS[slot]);
+            let after = ProviderKind::ALL.map(calls);
+            for (other, (b, a)) in before.iter().zip(after).enumerate() {
+                assert_eq!(a - b, u64::from(other == slot), "slot {slot}, {kind}");
+            }
+        }
+        assert_eq!(qp.unblind('E'), None);
     }
 
     #[test]

@@ -322,7 +322,7 @@ impl HttpMetrics {
 
 /// The demo application state shared across connections.
 pub struct DemoApp {
-    /// The query processor (network + providers + blinding).
+    /// The query processor (network + providers + live traffic).
     pub processor: Arc<QueryProcessor>,
     /// The feedback store.
     pub store: ResponseStore,

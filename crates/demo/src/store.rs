@@ -1,11 +1,10 @@
 //! Response store: the feedback form's back-end (Fig. 3).
 //!
 //! Collects 1–5 ratings per blind label plus the residency flag and an
-//! optional comment, exactly the fields the paper's form gathers. Persists
-//! to a simple CSV so study sessions survive restarts.
+//! optional comment, exactly the fields the paper's form gathers. The
+//! store is in memory; its CSV form is served at `/api/results.csv` and
+//! read back by [`ResponseStore::load_csv`].
 
-use std::io::Write as _;
-use std::path::Path;
 use std::sync::Mutex;
 
 use crate::blind::LABELS;
@@ -53,7 +52,7 @@ pub struct LabelSummary {
     pub sd: f64,
 }
 
-/// Thread-safe in-memory store with CSV persistence.
+/// Thread-safe in-memory store with a CSV export.
 #[derive(Debug, Default)]
 pub struct ResponseStore {
     rows: Mutex<Vec<Submission>>,
@@ -142,13 +141,6 @@ impl ResponseStore {
             ));
         }
         out
-    }
-
-    /// Writes the CSV to a file.
-    pub fn save_csv(&self, path: &Path) -> Result<(), DemoError> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_csv().as_bytes())?;
-        Ok(())
     }
 
     /// Loads submissions from a CSV produced by [`ResponseStore::to_csv`].

@@ -50,11 +50,6 @@ use crate::registry::Registry;
 pub struct TraceId(u64);
 
 impl TraceId {
-    /// The raw 64-bit value (never zero).
-    pub fn as_u64(&self) -> u64 {
-        self.0
-    }
-
     /// Parses the 16-hex-digit form produced by `Display`.
     pub fn parse(s: &str) -> Option<TraceId> {
         if s.len() != 16 {

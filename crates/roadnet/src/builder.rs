@@ -152,11 +152,6 @@ impl GraphBuilder {
         id
     }
 
-    /// Coordinates of an already-added node.
-    pub fn node_point(&self, node: NodeId) -> Point {
-        self.points[node.index()]
-    }
-
     /// Adds a directed edge `tail -> head` with the given spec.
     ///
     /// # Panics

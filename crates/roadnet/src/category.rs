@@ -73,21 +73,10 @@ impl RoadCategory {
         matches!(self, RoadCategory::Motorway | RoadCategory::MotorwayLink)
     }
 
-    /// Typical number of lanes per direction, used as the "wide roads"
-    /// perception feature ("highest rated path follows wide roads", §4.2).
-    pub fn typical_lanes(self) -> u8 {
-        match self {
-            RoadCategory::Motorway => 3,
-            RoadCategory::Trunk => 3,
-            RoadCategory::MotorwayLink | RoadCategory::Primary => 2,
-            RoadCategory::Secondary => 2,
-            RoadCategory::Tertiary => 1,
-            RoadCategory::Residential | RoadCategory::Unclassified | RoadCategory::Service => 1,
-        }
-    }
-
     /// A `[0, 1]` score of how "major" the road feels to a driver; 1.0 is a
-    /// motorway, 0.0 a service alley.
+    /// motorway, 0.0 a service alley. The "wide roads" perception feature
+    /// ("highest rated path follows wide roads", §4.2) is the share of a
+    /// route on edges scoring at least 0.6 (`arp_core::quality`).
     pub fn width_score(self) -> f64 {
         match self {
             RoadCategory::Motorway => 1.0,

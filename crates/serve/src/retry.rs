@@ -32,10 +32,6 @@ use crate::fault::splitmix64;
 pub struct RetryPolicy {
     /// Maximum retries per request, across all of its lanes.
     pub budget: u32,
-    /// Backoff lower bound (first retry waits at least this long).
-    pub backoff_base: Duration,
-    /// Backoff upper bound.
-    pub backoff_cap: Duration,
     /// Seed of the deterministic jitter stream.
     pub seed: u64,
 }
@@ -44,12 +40,15 @@ impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
         RetryPolicy {
             budget: 2,
-            backoff_base: Duration::from_millis(2),
-            backoff_cap: Duration::from_millis(50),
             seed: 0x5eed,
         }
     }
 }
+
+/// Backoff lower bound: the first retry waits at least this long.
+const BACKOFF_BASE: Duration = Duration::from_millis(2);
+/// Backoff upper bound.
+const BACKOFF_CAP: Duration = Duration::from_millis(50);
 
 /// Per-request retry bookkeeping: the remaining budget and the jitter
 /// stream state.
@@ -68,7 +67,7 @@ impl RetryState {
         RetryState {
             policy,
             remaining: policy.budget,
-            prev: policy.backoff_base,
+            prev: BACKOFF_BASE,
             rng: policy
                 .seed
                 .wrapping_add(stream.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
@@ -114,11 +113,11 @@ impl RetryState {
     fn draw_backoff(&mut self) -> Duration {
         self.rng = splitmix64(self.rng);
         let unit = (self.rng >> 11) as f64 / (1u64 << 53) as f64;
-        let base = self.policy.backoff_base.as_secs_f64();
+        let base = BACKOFF_BASE.as_secs_f64();
         let upper = (self.prev.as_secs_f64() * 3.0).max(base);
         let drawn = Duration::from_secs_f64(base + (upper - base) * unit);
-        let capped = drawn.min(self.policy.backoff_cap);
-        self.prev = capped.max(self.policy.backoff_base);
+        let capped = drawn.min(BACKOFF_CAP);
+        self.prev = capped.max(BACKOFF_BASE);
         capped
     }
 }
@@ -232,8 +231,6 @@ mod tests {
     fn backoff_is_deterministic_bounded_and_jittered() {
         let policy = RetryPolicy {
             budget: 8,
-            backoff_base: Duration::from_millis(2),
-            backoff_cap: Duration::from_millis(50),
             seed: 99,
         };
         let draw_all = |stream: u64| -> Vec<Duration> {
@@ -246,10 +243,7 @@ mod tests {
         let b = draw_all(7);
         assert_eq!(a, b, "same policy + stream, same backoffs");
         for d in &a {
-            assert!(
-                *d >= policy.backoff_base && *d <= policy.backoff_cap,
-                "{d:?}"
-            );
+            assert!(*d >= BACKOFF_BASE && *d <= BACKOFF_CAP, "{d:?}");
         }
         assert_ne!(draw_all(8), a, "streams decorrelate");
     }

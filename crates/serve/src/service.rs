@@ -293,8 +293,6 @@ pub struct ServeConfig {
     pub max_inflight: usize,
     /// Total route-cache entries; zero disables the cache.
     pub cache_capacity: usize,
-    /// Cache shard count.
-    pub cache_shards: usize,
     /// Per-request deadline; zero disables deadlines (see
     /// [`ServeConfig::request_deadline`]).
     pub deadline: Duration,
@@ -324,7 +322,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             max_inflight: 32,
             cache_capacity: 4096,
-            cache_shards: 8,
             deadline: Duration::from_secs(10),
             cancel_grace: Duration::from_millis(100),
             retry_after_s: 1,
@@ -662,12 +659,14 @@ impl<B: RouteBackend> RouteService<B> {
             metrics.queue_depth.clone(),
             metrics.jobs_executed.clone(),
         );
+        // Independently locked cache shards.
+        const CACHE_SHARDS: usize = 8;
         let cache = if config.cache_capacity == 0 {
             None
         } else {
             Some(Arc::new(ShardedCache::new(
                 config.cache_capacity,
-                config.cache_shards,
+                CACHE_SHARDS,
                 metrics.cache.clone(),
             )))
         };

@@ -91,12 +91,6 @@ impl TrafficFeed {
         }
     }
 
-    /// Overrides the peak amplitude (clamped non-negative).
-    pub fn with_amplitude(mut self, amplitude: f64) -> TrafficFeed {
-        self.amplitude = amplitude.max(0.0);
-        self
-    }
-
     /// Overrides the expected incidents per tick (clamped non-negative).
     pub fn with_incident_rate(mut self, rate: f64) -> TrafficFeed {
         self.incident_rate = rate.max(0.0);
