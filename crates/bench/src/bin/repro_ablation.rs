@@ -17,7 +17,7 @@
 use std::fmt::Write as _;
 
 use arp_core::prelude::*;
-use arp_core::quality::route_set_quality;
+use arp_core::quality::{local_optimality, route_set_features};
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::NodeId;
 
@@ -47,12 +47,17 @@ fn evaluate(
         if paths.is_empty() {
             continue;
         }
-        let q = route_set_quality(net, net.weights(), &paths, best);
+        let w = net.weights();
+        let q = route_set_features(net, w, &paths, best, AltQuery::paper().k);
         routes += q.count as f64;
         stretch += q.mean_stretch;
         diversity += q.diversity;
-        local_opt += q.mean_local_optimality;
-        turns += q.mean_turns_per_km;
+        local_opt += paths
+            .iter()
+            .map(|p| local_optimality(net, w, p, 0.25, 8).share())
+            .sum::<f64>()
+            / paths.len() as f64;
+        turns += q.turns_per_km;
         n += 1;
     }
     let n = n.max(1) as f64;

@@ -13,7 +13,7 @@
 use std::fmt::Write as _;
 
 use arp_core::prelude::*;
-use arp_core::quality::route_set_quality;
+use arp_core::quality::route_set_features;
 
 fn main() {
     let city = arp_bench::melbourne_medium();
@@ -47,7 +47,7 @@ fn main() {
                 if paths.is_empty() {
                     continue;
                 }
-                let report = route_set_quality(net, net.weights(), &paths, best);
+                let report = route_set_features(net, net.weights(), &paths, best, q.k);
                 routes += report.count as f64;
                 stretch += report.mean_stretch;
                 diversity += report.diversity;

@@ -15,7 +15,7 @@
 //! routes `sp(s,u) + plateau + sp(v,t)`, leave few windows to search.
 
 use arp_roadnet::csr::RoadNetwork;
-use arp_roadnet::weight::{Cost, Weight};
+use arp_roadnet::weight::Weight;
 
 use crate::error::CoreError;
 use crate::path::Path;
@@ -148,12 +148,6 @@ pub fn apply_filters(
 
     kept.truncate(k);
     Ok(kept)
-}
-
-/// Sorts routes by public cost, keeping them stable for ties. Providers
-/// call this before filtering so "fastest first" holds.
-pub fn sort_by_cost(paths: &mut [Path], weights: &[Weight]) {
-    paths.sort_by_key(|p| p.cost_under(weights) as Cost);
 }
 
 #[cfg(test)]
@@ -305,16 +299,6 @@ mod tests {
         ];
         let kept = filtered(&net, paths, 2, &FilterConfig::none());
         assert_eq!(kept.len(), 2);
-    }
-
-    #[test]
-    fn sort_by_cost_orders_ascending() {
-        let net = grid(4);
-        let long = path_via(&net, &[0, 1, 5, 9, 13, 14, 15]);
-        let short = path_via(&net, &[0, 1, 2, 3]);
-        let mut v = vec![long, short];
-        sort_by_cost(&mut v, net.weights());
-        assert!(v[0].cost_ms <= v[1].cost_ms);
     }
 
     #[test]

@@ -81,24 +81,6 @@ impl Path {
         seen.windows(2).all(|w| w[0] != w[1])
     }
 
-    /// Concatenates `self` with `other`; `other` must start where `self`
-    /// ends.
-    ///
-    /// # Panics
-    /// Panics if the endpoints do not match.
-    pub fn concat(&self, other: &Path) -> Path {
-        assert_eq!(self.target(), other.source(), "paths must join up");
-        let mut nodes = self.nodes.clone();
-        nodes.extend_from_slice(&other.nodes[1..]);
-        let mut edges = self.edges.clone();
-        edges.extend_from_slice(&other.edges);
-        Path {
-            nodes,
-            edges,
-            cost_ms: self.cost_ms + other.cost_ms,
-        }
-    }
-
     /// Validates internal consistency against the network.
     pub fn validate(&self, net: &RoadNetwork) -> bool {
         if self.nodes.len() != self.edges.len() + 1 {
@@ -175,31 +157,6 @@ mod tests {
         let p = Path::from_edges(&net, net.weights(), edges);
         assert!(!p.is_simple());
         assert!(p.validate(&net));
-    }
-
-    #[test]
-    fn concat_joins_paths() {
-        let net = line();
-        let a = Path::from_edges(&net, net.weights(), vec![edge(&net, 0, 1)]);
-        let b = Path::from_edges(
-            &net,
-            net.weights(),
-            vec![edge(&net, 1, 2), edge(&net, 2, 3)],
-        );
-        let joined = a.concat(&b);
-        assert_eq!(joined.source(), NodeId(0));
-        assert_eq!(joined.target(), NodeId(3));
-        assert_eq!(joined.cost_ms, a.cost_ms + b.cost_ms);
-        assert!(joined.validate(&net));
-    }
-
-    #[test]
-    #[should_panic(expected = "join up")]
-    fn concat_mismatched_panics() {
-        let net = line();
-        let a = Path::from_edges(&net, net.weights(), vec![edge(&net, 0, 1)]);
-        let b = Path::from_edges(&net, net.weights(), vec![edge(&net, 2, 3)]);
-        let _ = a.concat(&b);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! zig-zag (turns), wide roads, and stretch relative to the fastest route.
 //! This module quantifies each of them, plus the *local optimality* notion
 //! of Abraham et al. that the plateau paths satisfy by construction.
+//! [`route_set_features`] is the one definition of a route set's factors.
 //!
 //! Local optimality is one window walk, `window_probes`, answered per
 //! window either by a lower bound on the endpoints' distance that meets
@@ -216,74 +217,61 @@ pub fn local_optimality(
     ))
 }
 
-/// Aggregated quality report for a set of alternative routes, as used by
-/// the perception model and the ablation experiments.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RouteSetQuality {
-    /// Number of routes.
+/// The route-set factors the paper's §4.2 explains every rating by, on
+/// one weight column: what the simulated raters read and what the
+/// reports average. An empty set has `count: 0` and zeros throughout.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct RouteSetFeatures {
+    /// Number of routes shown (fewer than requested reads as a failure).
     pub count: usize,
-    /// Mean stretch over routes (1.0 = every route is optimal).
+    /// Requested number of routes.
+    pub requested: usize,
+    /// Mean stretch of the set relative to the optimum.
     pub mean_stretch: f64,
+    /// Stretch of the *first* (recommended) route — the data-mismatch
+    /// signal: a provider optimizing on other data recommends a route
+    /// that is not the optimum (Fig. 4).
+    pub first_stretch: f64,
     /// Mean pairwise dissimilarity (1.0 = all disjoint).
     pub diversity: f64,
-    /// Mean turns per km.
-    pub mean_turns_per_km: f64,
-    /// Mean wide-road share.
-    pub mean_wide_share: f64,
-    /// Worst (max) wiggliness over routes.
+    /// Worst wiggliness (route length / great-circle), the
+    /// apparent-detour signal.
     pub max_wiggliness: f64,
-    /// Mean local-optimality share.
-    pub mean_local_optimality: f64,
+    /// Mean turns (of at least 45°) per km.
+    pub turns_per_km: f64,
+    /// Mean wide-road share.
+    pub wide_share: f64,
 }
 
-/// Computes the quality report of a route set against the public weights.
-pub fn route_set_quality(
+/// The features of `paths`, answered for `requested` routes, against
+/// `weights` and the optimum's cost `best_cost`.
+pub fn route_set_features(
     net: &RoadNetwork,
     weights: &[Weight],
     paths: &[Path],
     best_cost: Cost,
-) -> RouteSetQuality {
-    if paths.is_empty() {
-        return RouteSetQuality {
-            count: 0,
-            mean_stretch: 0.0,
-            diversity: 0.0,
-            mean_turns_per_km: 0.0,
-            mean_wide_share: 0.0,
-            max_wiggliness: 0.0,
-            mean_local_optimality: 0.0,
+    requested: usize,
+) -> RouteSetFeatures {
+    let Some(first) = paths.first() else {
+        return RouteSetFeatures {
+            requested,
+            ..RouteSetFeatures::default()
         };
-    }
+    };
     let n = paths.len() as f64;
-    let mean_stretch = paths
-        .iter()
-        .map(|p| stretch(p.cost_under(weights), best_cost))
-        .sum::<f64>()
-        / n;
-    let diversity = crate::similarity::diversity(paths, weights);
-    let mean_turns_per_km = paths
-        .iter()
-        .map(|p| turns_per_km(net, p, 45.0))
-        .sum::<f64>()
-        / n;
-    let mean_wide_share = paths.iter().map(|p| wide_road_share(net, p)).sum::<f64>() / n;
-    let max_wiggliness = paths
-        .iter()
-        .map(|p| wiggliness(net, p))
-        .fold(0.0f64, f64::max);
-    let mean_local_optimality = paths
-        .iter()
-        .map(|p| local_optimality(net, weights, p, 0.25, 8).share())
-        .sum::<f64>()
-        / n;
-    RouteSetQuality {
+    let mean = |f: &dyn Fn(&Path) -> f64| paths.iter().map(f).sum::<f64>() / n;
+    RouteSetFeatures {
         count: paths.len(),
-        mean_stretch,
-        diversity,
-        mean_turns_per_km,
-        mean_wide_share,
-        max_wiggliness,
-        mean_local_optimality,
+        requested,
+        mean_stretch: mean(&|p| stretch(p.cost_under(weights), best_cost)),
+        first_stretch: stretch(first.cost_under(weights), best_cost),
+        diversity: crate::similarity::diversity(paths, weights),
+        max_wiggliness: paths
+            .iter()
+            .map(|p| wiggliness(net, p))
+            .fold(0.0f64, f64::max),
+        turns_per_km: mean(&|p| turns_per_km(net, p, 45.0)),
+        wide_share: mean(&|p| wide_road_share(net, p)),
     }
 }
 
@@ -372,7 +360,7 @@ mod tests {
     }
 
     #[test]
-    fn route_set_quality_aggregates() {
+    fn route_set_features_aggregates() {
         let net = grid(6);
         let q = crate::query::AltQuery::paper();
         let paths = crate::plateau::plateau_alternatives(
@@ -385,19 +373,43 @@ mod tests {
         )
         .unwrap();
         let best = paths[0].cost_ms;
-        let report = route_set_quality(&net, net.weights(), &paths, best);
-        assert_eq!(report.count, paths.len());
-        assert!(report.mean_stretch >= 1.0 && report.mean_stretch <= 1.4 + 1e-9);
-        assert!(report.diversity >= 0.0 && report.diversity <= 1.0);
-        assert!(report.mean_local_optimality > 0.5);
-        assert!(report.mean_wide_share > 0.9);
+        let f = route_set_features(&net, net.weights(), &paths, best, q.k);
+        assert_eq!((f.count, f.requested), (paths.len(), q.k));
+        assert!(f.mean_stretch >= 1.0 && f.mean_stretch <= 1.4 + 1e-9);
+        assert_eq!(f.first_stretch, 1.0);
+        assert!(f.diversity >= 0.0 && f.diversity <= 1.0);
+        assert!(f.wide_share > 0.9);
     }
 
     #[test]
-    fn empty_set_quality_is_zeroed() {
+    fn a_first_route_off_the_optimum_has_first_stretch_above_one() {
+        let net = grid(4);
+        // The optimum runs along the top row and down one block; the
+        // detour between the same corners zig-zags and comes first.
+        let best = path_via(&net, &[0, 1, 2, 3, 7]);
+        let detour = path_via(&net, &[0, 4, 5, 1, 2, 6, 7]);
+        let (w, b) = (net.weights(), best.cost_ms);
+        let f = route_set_features(&net, w, &[detour.clone(), best.clone()], b, 3);
+        assert_eq!((f.count, f.requested), (2, 3));
+        assert_eq!(f.first_stretch, stretch(detour.cost_ms, b));
+        assert!(f.first_stretch > 1.0, "{f:?}");
+        assert_eq!(f.mean_stretch, (f.first_stretch + 1.0) / 2.0);
+        assert!(f.max_wiggliness >= wiggliness(&net, &detour));
+        let optimum_first = route_set_features(&net, w, &[best, detour], b, 3);
+        assert_eq!(optimum_first.first_stretch, 1.0);
+        assert_eq!(optimum_first.mean_stretch, f.mean_stretch);
+    }
+
+    #[test]
+    fn an_empty_set_has_zero_features() {
         let net = grid(3);
-        let report = route_set_quality(&net, net.weights(), &[], 100);
-        assert_eq!(report.count, 0);
-        assert_eq!(report.mean_stretch, 0.0);
+        let f = route_set_features(&net, net.weights(), &[], 100, 3);
+        assert_eq!(
+            f,
+            RouteSetFeatures {
+                requested: 3,
+                ..RouteSetFeatures::default()
+            }
+        );
     }
 }

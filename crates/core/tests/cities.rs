@@ -3,7 +3,7 @@
 
 use arp_citygen::{City, Scale};
 use arp_core::prelude::*;
-use arp_core::quality::route_set_quality;
+use arp_core::quality::route_set_features;
 use arp_core::similarity::diversity;
 use arp_core::{dissimilarity_alternatives_from_trees, Funnel, SearchSubstrate};
 use arp_roadnet::ids::NodeId;
@@ -192,12 +192,13 @@ fn quality_report_is_sane_on_city() {
     let paths =
         penalty_alternatives(net, net.weights(), s, t, &q, &PenaltyOptions::default()).unwrap();
     let best = paths[0].cost_ms;
-    let report = route_set_quality(net, net.weights(), &paths, best);
+    let report = route_set_features(net, net.weights(), &paths, best, q.k);
     assert_eq!(report.count, paths.len());
+    assert_eq!(report.first_stretch, 1.0);
     assert!(report.mean_stretch >= 1.0);
     assert!(report.mean_stretch <= q.epsilon + 1e-9);
     assert!((0.0..=1.0).contains(&report.diversity));
-    assert!((0.0..=1.0).contains(&report.mean_wide_share));
+    assert!((0.0..=1.0).contains(&report.wide_share));
     assert!(report.max_wiggliness >= 1.0);
 }
 

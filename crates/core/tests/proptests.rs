@@ -685,7 +685,7 @@ fn filter_candidates(net: &RoadNetwork, weights: &[Weight], pair: &SearchSubstra
             paths.push(Path::from_edges(net, weights, edges));
         }
     }
-    arp_core::filters::sort_by_cost(&mut paths, weights);
+    paths.sort_by_key(|p| p.cost_under(weights));
     paths
 }
 

@@ -620,36 +620,16 @@ impl DemoApp {
     }
 
     fn rate(&self, body: &str) -> HttpResponse {
-        let req = match json::parse(body) {
-            Ok(v) => v,
+        let submission = match json::parse(body) {
+            Ok(req) => submission_of(&req),
             Err(e) => return HttpResponse::error(400, e.to_string()),
         };
-        let rating =
-            |key: &str| -> Option<u8> { req.get(key).and_then(Json::as_f64).map(|v| v as u8) };
-        let (Some(a), Some(b), Some(c), Some(d)) =
-            (rating("a"), rating("b"), rating("c"), rating("d"))
-        else {
-            return HttpResponse::error(400, "ratings a-d are required");
-        };
-        let submission = Submission {
-            ratings: [a, b, c, d],
-            resident: req.get("resident").and_then(Json::as_bool).unwrap_or(false),
-            fastest_minutes: req
-                .get("fastest_minutes")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0) as u64,
-            comment: req
-                .get("comment")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
-        };
-        match self.store.submit(submission) {
+        match submission.and_then(|s| self.store.submit(s).map_err(|e| e.to_string())) {
             Ok(()) => HttpResponse::ok_json(Json::object([
                 ("ok", Json::Bool(true)),
                 ("total_responses", Json::Number(self.store.len() as f64)),
             ])),
-            Err(e) => HttpResponse::error(400, e.to_string()),
+            Err(e) => HttpResponse::error(400, e),
         }
     }
 
@@ -1116,6 +1096,47 @@ fn serve_connections(
     Ok(())
 }
 
+/// Reads `/api/rate`'s feedback form. Ratings `a`–`d` are required, each
+/// an integer 1–5; `resident` (a boolean), `fastest_minutes` (a
+/// non-negative integer) and `comment` (a string) may be absent. A field
+/// of the wrong shape is refused, never coerced.
+fn submission_of(req: &Json) -> Result<Submission, String> {
+    fn optional<T>(
+        req: &Json,
+        key: &str,
+        what: &str,
+        read: impl Fn(&Json) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        req.get(key)
+            .map(|v| read(v).ok_or(format!("{key} must be {what}")))
+            .transpose()
+    }
+    let integer = |v: &Json| {
+        v.as_f64()
+            .filter(|n| n.fract() == 0.0 && (0.0..u64::MAX as f64).contains(n))
+    };
+    let rating = |key: &str| {
+        optional(req, key, "an integer 1-5", |v| {
+            integer(v)
+                .filter(|n| (1.0..=5.0).contains(n))
+                .map(|n| n as u8)
+        })?
+        .ok_or_else(|| "ratings a-d are required".to_string())
+    };
+    Ok(Submission {
+        ratings: [rating("a")?, rating("b")?, rating("c")?, rating("d")?],
+        resident: optional(req, "resident", "a boolean", Json::as_bool)?.unwrap_or(false),
+        fastest_minutes: optional(req, "fastest_minutes", "a non-negative integer", |v| {
+            integer(v).map(|n| n as u64)
+        })?
+        .unwrap_or(0),
+        comment: optional(req, "comment", "a string", |v| {
+            v.as_str().map(str::to_string)
+        })?
+        .unwrap_or_default(),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1235,6 +1256,38 @@ mod tests {
             400
         );
         assert_eq!(app.handle("POST", "/api/rate", r#"{"a": 3}"#).status, 400);
+    }
+
+    #[test]
+    fn rate_refuses_malformed_numbers_and_fields_instead_of_coercing_them() {
+        let app = app();
+        for body in [
+            r#"{"a":5.5,"b":3,"c":3,"d":3}"#,
+            r#"{"a":3,"b":4.9,"c":3,"d":3}"#,
+            r#"{"a":3,"b":3,"c":"3","d":3}"#,
+            r#"{"a":3,"b":3,"c":3,"d":-3}"#,
+            r#"{"a":3,"b":3,"c":3,"d":3,"fastest_minutes":-3}"#,
+            r#"{"a":3,"b":3,"c":3,"d":3,"fastest_minutes":2.7}"#,
+            r#"{"a":3,"b":3,"c":3,"d":3,"resident":"yes"}"#,
+            r#"{"a":3,"b":3,"c":3,"d":3,"comment":7}"#,
+        ] {
+            let resp = app.handle("POST", "/api/rate", body);
+            assert_eq!(resp.status, 400, "{body}: {}", resp.body);
+        }
+        assert!(app.store.is_empty());
+
+        // The demo page's shape: integer radios, a checkbox, a string.
+        let page = r#"{"a":1,"b":5,"c":3,"d":2,"resident":false,"fastest_minutes":0,"comment":""}"#;
+        assert_eq!(app.handle("POST", "/api/rate", page).status, 200);
+        assert_eq!(
+            app.store.snapshot()[0],
+            Submission {
+                ratings: [1, 5, 3, 2],
+                resident: false,
+                fastest_minutes: 0,
+                comment: String::new(),
+            }
+        );
     }
 
     #[test]

@@ -436,10 +436,9 @@ fn ttl_closure_reopen_is_tracked_by_the_ch_tier() {
 
     // One feed tick expires the TTL; the same deterministic feed drives
     // both stacks so their columns stay identical.
-    // No random incidents: the feed must not re-close the chain's only
-    // path while we are proving the TTL reopen.
-    let profile = arp_traffic::CityProfile::for_city_name("Chain");
-    let feed = arp_traffic::TrafficFeed::new(5, profile).with_incident_rate(0.0);
+    // A quiet feed: no incident may re-close the chain's only path while
+    // we are proving the TTL reopen.
+    let feed = arp_traffic::TrafficFeed::quiet();
     let out_plain = plain_qp.traffic().advance_tick(&feed).unwrap();
     let out_fast = fast_qp.traffic().advance_tick(&feed).unwrap();
     assert_eq!(out_plain.epoch, out_fast.epoch);

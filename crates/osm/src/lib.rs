@@ -16,9 +16,12 @@
 //! * non-freeway edges get the ×1.3 calibration factor,
 //! * the largest strongly connected component is kept.
 //!
-//! Real Geofabrik extracts are not available offline, so `arp-citygen`
-//! networks are exported through [`export::network_to_osm`] and re-imported
-//! here — exercising the identical code path the paper describes.
+//! Real Geofabrik extracts are not available offline, and `arp-citygen`
+//! builds its networks directly with `arp_roadnet::builder::GraphBuilder`,
+//! so served networks never pass through this crate. The path the paper
+//! describes is a tested equivalence instead: the tests export a generated
+//! city through [`export::network_to_osm`], re-import it here and check
+//! that the network survives the round trip.
 
 pub mod constructor;
 pub mod error;

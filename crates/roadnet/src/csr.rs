@@ -143,12 +143,6 @@ impl RoadNetwork {
         (self.fwd_offsets[node.index() + 1] - self.fwd_offsets[node.index()]) as usize
     }
 
-    /// Number of in-edges of `node`.
-    #[inline]
-    pub fn in_degree(&self, node: NodeId) -> usize {
-        (self.bwd_offsets[node.index() + 1] - self.bwd_offsets[node.index()]) as usize
-    }
-
     /// Tail (source vertex) of `edge`.
     #[inline]
     pub fn tail(&self, edge: EdgeId) -> NodeId {
@@ -281,8 +275,8 @@ mod tests {
         let net = line_graph(5);
         assert_eq!(net.out_degree(NodeId(0)), 1);
         assert_eq!(net.out_degree(NodeId(2)), 2);
-        assert_eq!(net.in_degree(NodeId(2)), 2);
-        assert_eq!(net.in_degree(NodeId(4)), 1);
+        assert_eq!(net.in_edges(NodeId(2)).count(), 2);
+        assert_eq!(net.in_edges(NodeId(4)).count(), 1);
     }
 
     #[test]

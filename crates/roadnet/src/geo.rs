@@ -70,11 +70,6 @@ pub fn haversine_m(a: Point, b: Point) -> f64 {
     2.0 * EARTH_RADIUS_M * s.sqrt().asin()
 }
 
-/// Total haversine length of a polyline in metres.
-pub fn polyline_length_m(points: &[Point]) -> f64 {
-    points.windows(2).map(|w| haversine_m(w[0], w[1])).sum()
-}
-
 /// Turn angle at vertex `b` of the polyline segment `a -> b -> c`, in
 /// degrees in `[0, 180]`. `0` means continuing straight on; `180` means a
 /// full U-turn. Used by the turn-count route-quality feature ("less zig-zag
@@ -223,19 +218,6 @@ mod tests {
         let b = Point::new(144.0, -37.01);
         let d = haversine_m(a, b);
         assert!((d - 1_112.0).abs() < 5.0, "got {d}");
-    }
-
-    #[test]
-    fn polyline_length_sums_segments() {
-        let pts = [
-            Point::new(144.0, -37.0),
-            Point::new(144.0, -37.01),
-            Point::new(144.0, -37.02),
-        ];
-        let total = polyline_length_m(&pts);
-        let direct = haversine_m(pts[0], pts[2]);
-        assert!((total - direct).abs() < 1.0);
-        assert!(polyline_length_m(&pts[..1]).abs() < 1e-9);
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl SpatialIndex {
         &self.items[lo..hi]
     }
 
-    /// Number of grid cells (for diagnostics).
-    pub fn num_cells(&self) -> usize {
-        self.cols * self.rows
-    }
-
     /// The nearest network vertex to `query`, or `None` on an empty network.
     pub fn nearest_node(&self, net: &RoadNetwork, query: Point) -> Option<NodeId> {
         self.nearest_node_within(net, query, f64::INFINITY)
@@ -158,30 +153,6 @@ impl SpatialIndex {
             });
         }
         best
-    }
-
-    /// All vertices within `radius_m` metres of `query`.
-    pub fn nodes_within(&self, net: &RoadNetwork, query: Point, radius_m: f64) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        if self.items.is_empty() {
-            return out;
-        }
-        let lat_m_per_deg = 110_574.0;
-        let lon_m_per_deg = 111_320.0 * query.lat.to_radians().cos().abs().max(0.2);
-        let dx_deg = radius_m / lon_m_per_deg;
-        let dy_deg = radius_m / lat_m_per_deg;
-        let (x0, y0) = self.cell_coords(Point::new(query.lon - dx_deg, query.lat - dy_deg));
-        let (x1, y1) = self.cell_coords(Point::new(query.lon + dx_deg, query.lat + dy_deg));
-        for cy in y0..=y1 {
-            for cx in x0..=x1 {
-                for &node in self.bucket(cx, cy) {
-                    if haversine_m(net.point(node), query) <= radius_m {
-                        out.push(node);
-                    }
-                }
-            }
-        }
-        out
     }
 
     fn for_ring_cells(&self, qx: usize, qy: usize, ring: usize, mut f: impl FnMut(usize, usize)) {
@@ -296,30 +267,10 @@ mod tests {
     }
 
     #[test]
-    fn nodes_within_radius() {
-        let net = grid_network(10);
-        let idx = SpatialIndex::build(&net);
-        let center = net.point(NodeId(55));
-        // Grid spacing 0.01° ≈ 1.1 km; a 1.2 km radius catches the node and
-        // its 4 lattice neighbours (lon spacing is slightly smaller).
-        let close = idx.nodes_within(&net, center, 1_200.0);
-        assert!(close.contains(&NodeId(55)));
-        assert!(close.len() >= 3, "got {}", close.len());
-        let brute: Vec<NodeId> = net
-            .nodes()
-            .filter(|&n| haversine_m(net.point(n), center) <= 1_200.0)
-            .collect();
-        assert_eq!(close.len(), brute.len());
-    }
-
-    #[test]
     fn empty_network_returns_none() {
         let net = GraphBuilder::new().build();
         let idx = SpatialIndex::build(&net);
         assert!(idx.nearest_node(&net, Point::new(0.0, 0.0)).is_none());
-        assert!(idx
-            .nodes_within(&net, Point::new(0.0, 0.0), 100.0)
-            .is_empty());
     }
 
     #[test]
@@ -332,13 +283,5 @@ mod tests {
             idx.nearest_node(&net, Point::new(145.0, -38.0)),
             Some(NodeId(0))
         );
-    }
-
-    #[test]
-    fn density_affects_cell_count() {
-        let net = grid_network(16);
-        let coarse = SpatialIndex::build_with_density(&net, 64);
-        let fine = SpatialIndex::build_with_density(&net, 2);
-        assert!(fine.num_cells() > coarse.num_cells());
     }
 }

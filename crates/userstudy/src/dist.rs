@@ -118,24 +118,6 @@ pub fn f_sf(f: f64, d1: f64, d2: f64) -> f64 {
     (1.0 - f_cdf(f, d1, d2)).clamp(0.0, 1.0)
 }
 
-/// Standard normal CDF via `erf`-free Hart-style rational approximation
-/// (|error| < 7.5e-8) — used for sanity checks on rating distributions.
-pub fn normal_cdf(z: f64) -> f64 {
-    // Abramowitz & Stegun 26.2.17.
-    let t = 1.0 / (1.0 + 0.231_641_9 * z.abs());
-    let poly = t
-        * (0.319_381_530
-            + t * (-0.356_563_782
-                + t * (1.781_477_937 + t * (-1.821_255_978 + t * 1.330_274_429))));
-    let pdf = (-z * z / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt();
-    let tail = pdf * poly;
-    if z >= 0.0 {
-        1.0 - tail
-    } else {
-        tail
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,14 +194,6 @@ mod tests {
             assert!(p <= prev + 1e-12);
             prev = p;
         }
-    }
-
-    #[test]
-    fn normal_cdf_known_values() {
-        assert!((normal_cdf(0.0) - 0.5).abs() < 1e-7);
-        assert!((normal_cdf(1.96) - 0.975).abs() < 1e-4);
-        assert!((normal_cdf(-1.96) - 0.025).abs() < 1e-4);
-        assert!(normal_cdf(6.0) > 0.999_999);
     }
 }
 

@@ -32,7 +32,6 @@
 pub mod anova;
 pub mod calibrate;
 pub mod dist;
-pub mod export;
 pub mod paper;
 pub mod participant;
 pub mod posthoc;

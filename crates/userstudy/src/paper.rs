@@ -124,17 +124,6 @@ pub fn target_mean(approach: usize, resident: bool, bin: LengthBin) -> f64 {
     row.means[approach]
 }
 
-/// Group sizes per `(resident, bin)` from the paper.
-pub fn group_size(resident: bool, bin: LengthBin) -> usize {
-    let table = if resident { &TABLE2 } else { &TABLE3 };
-    let row = match bin {
-        LengthBin::Small => &table[1],
-        LengthBin::Medium => &table[2],
-        LengthBin::Long => &table[3],
-    };
-    row.responses as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,7 +185,5 @@ mod tests {
     fn targets_lookup() {
         assert_eq!(target_mean(0, true, LengthBin::Small), 3.50);
         assert_eq!(target_mean(1, false, LengthBin::Long), 4.00);
-        assert_eq!(group_size(true, LengthBin::Medium), 83);
-        assert_eq!(group_size(false, LengthBin::Small), 28);
     }
 }

@@ -13,6 +13,7 @@
 //!   *everything* lower — the "no route using Blackburn rd" comment),
 //! * **idiosyncratic noise** with participant-specific spread.
 
+use arp_core::quality::RouteSetFeatures;
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -67,35 +68,32 @@ pub fn sample_normal(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Route-set features entering the perception model, all computed on the
-/// public (OSM) weights.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RouteSetFeatures {
-    /// Number of routes shown (fewer than requested reads as a failure).
-    pub count: usize,
-    /// Requested number of routes.
-    pub requested: usize,
-    /// Mean stretch of the set relative to the public optimum.
-    pub mean_stretch: f64,
-    /// Mean pairwise dissimilarity.
-    pub diversity: f64,
-    /// Worst wiggliness (route length / great-circle), the apparent-detour
-    /// signal.
-    pub max_wiggliness: f64,
-    /// Mean turns per km.
-    pub turns_per_km: f64,
-    /// Mean wide-road share.
-    pub wide_share: f64,
-    /// Stretch of the *first* (recommended) route — captures the data
-    /// mismatch: a provider optimizing on other data recommends a route
-    /// that is not the public optimum.
-    pub first_stretch: f64,
+/// What a rater reads off an approach that answered nothing: a set
+/// asked for `requested` routes that is slow, detoured, zig-zagging and
+/// off the wide roads. Core measures an empty set as zeros; the
+/// pessimism is a perception policy.
+pub fn unanswered(requested: usize) -> RouteSetFeatures {
+    RouteSetFeatures {
+        count: 0,
+        requested,
+        mean_stretch: 2.0,
+        first_stretch: 2.0,
+        diversity: 0.0,
+        max_wiggliness: 2.0,
+        turns_per_km: 4.0,
+        wide_share: 0.0,
+    }
 }
 
 /// Perceived utility of a route set for this participant, before the
 /// calibration intercept and noise. Centered so a typical good route set
-/// contributes ≈ 0.
+/// contributes ≈ 0. An empty set is perceived as [`unanswered`].
 pub fn perceived_utility(p: &Participant, f: &RouteSetFeatures) -> f64 {
+    let f = &if f.count == 0 {
+        unanswered(f.requested)
+    } else {
+        *f
+    };
     let missing = f.requested.saturating_sub(f.count) as f64;
     let stretch_excess = (f.mean_stretch - 1.15).max(-0.15);
     let first_excess = (f.first_stretch - 1.0).max(0.0);
@@ -196,6 +194,23 @@ mod tests {
         assert!(
             perceived_utility(&p, &mismatch) < perceived_utility(&p, &baseline_features()) - 0.1
         );
+    }
+
+    #[test]
+    fn an_empty_set_is_perceived_as_unanswered_not_as_zeros() {
+        let mut r = rng(8);
+        let p = Participant::draw(false, &mut r);
+        let empty = RouteSetFeatures {
+            requested: 3,
+            ..RouteSetFeatures::default()
+        };
+        assert_eq!(
+            perceived_utility(&p, &empty),
+            perceived_utility(&p, &unanswered(3))
+        );
+        // Read literally, core's zeros are shorter than the optimum.
+        let zeros = RouteSetFeatures { count: 1, ..empty };
+        assert!(perceived_utility(&p, &empty) < perceived_utility(&p, &zeros) - 1.0);
     }
 
     #[test]

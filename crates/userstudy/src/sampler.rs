@@ -9,7 +9,7 @@
 use arp_core::search::{Direction, SearchSpace};
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::NodeId;
-use arp_roadnet::weight::{minutes_to_ms, Cost, INFINITY};
+use arp_roadnet::weight::{Cost, INFINITY};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -106,15 +106,6 @@ pub fn shortfall(queries: &[StudyQuery], quotas: [usize; 3]) -> [usize; 3] {
     ]
 }
 
-/// Convenience: the ms bounds of a bin, `(exclusive_low, inclusive_high)`.
-pub fn bin_bounds_ms(bin: LengthBin) -> (Cost, Cost) {
-    match bin {
-        LengthBin::Small => (0, minutes_to_ms(10.0)),
-        LengthBin::Medium => (minutes_to_ms(10.0), minutes_to_ms(25.0)),
-        LengthBin::Long => (minutes_to_ms(25.0), minutes_to_ms(80.0)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,8 +125,7 @@ mod tests {
         let g = arp_citygen::generate(City::Copenhagen, Scale::Small, 5);
         let queries = sample_queries(&g.network, [8, 8, 0], 7);
         for q in &queries {
-            let (lo, hi) = bin_bounds_ms(q.bin);
-            assert!(q.fastest_ms > lo && q.fastest_ms <= hi, "{:?}", q);
+            assert_eq!(LengthBin::from_ms(q.fastest_ms), Some(q.bin), "{q:?}");
             assert_ne!(q.source, q.target);
             // Verify the fastest time is real.
             let p = arp_core::shortest_path(&g.network, g.network.weights(), q.source, q.target)
@@ -163,16 +153,5 @@ mod tests {
         let missing = shortfall(&queries, quotas);
         assert_eq!(missing[0], 0);
         assert!(missing[2] > 0, "a tiny city cannot host 25+ minute routes");
-    }
-
-    #[test]
-    fn bin_bounds_are_contiguous() {
-        let (lo_s, hi_s) = bin_bounds_ms(LengthBin::Small);
-        let (lo_m, hi_m) = bin_bounds_ms(LengthBin::Medium);
-        let (lo_l, hi_l) = bin_bounds_ms(LengthBin::Long);
-        assert_eq!(lo_s, 0);
-        assert_eq!(hi_s, lo_m);
-        assert_eq!(hi_m, lo_l);
-        assert!(hi_l > lo_l);
     }
 }

@@ -51,24 +51,6 @@ impl Welford {
     pub fn sum_sq(&self) -> f64 {
         self.m2
     }
-
-    /// Merges another accumulator (parallel Welford).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-    }
 }
 
 /// A computed summary: count, mean, standard deviation.
@@ -138,42 +120,6 @@ mod tests {
         w1.push(3.5);
         assert_eq!(w1.mean(), 3.5);
         assert_eq!(w1.sd(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..50)
-            .map(|i| (i as f64 * 0.37).sin() * 3.0 + 2.0)
-            .collect();
-        let mut all = Welford::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &xs[..20] {
-            a.push(x);
-        }
-        for &x in &xs[20..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut a = Welford::new();
-        a.push(1.0);
-        a.push(2.0);
-        let before = a;
-        a.merge(&Welford::new());
-        assert_eq!(a.count(), before.count());
-        let mut empty = Welford::new();
-        empty.merge(&a);
-        assert_eq!(empty.count(), 2);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ANOVA outcome emerge from the perception model.
 
 use arp_core::provider::AlternativesProvider;
-use arp_core::quality::{stretch, turns_per_km, wide_road_share, wiggliness};
+use arp_core::quality::route_set_features;
 use arp_core::query::AltQuery;
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::weight::{minutes_to_ms, Cost};
@@ -16,9 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::calibrate::Calibration;
-use crate::participant::{
-    perceived_utility, sample_normal, to_rating, Participant, RouteSetFeatures,
-};
+use crate::participant::{perceived_utility, sample_normal, to_rating, Participant};
 use crate::sampler::{sample_queries, StudyQuery};
 
 /// Route-length bin (§4.1).
@@ -124,8 +122,6 @@ pub struct ResponseRecord {
     /// Ratings in approach order (Google-like, Plateaus, Dissimilarity,
     /// Penalty).
     pub ratings: [u8; 4],
-    /// The features each rating was based on (same order).
-    pub features: [RouteSetFeatures; 4],
 }
 
 /// The outcome of a study run.
@@ -161,42 +157,6 @@ impl StudyOutcome {
     }
 }
 
-/// Computes the perception features of one approach's answer to a query:
-/// the five `route_set_quality` aggregates the rater model reads, by the
-/// same expressions, without its local-optimality searches.
-pub fn features_of_routes(
-    net: &RoadNetwork,
-    query: &AltQuery,
-    fastest_ms: Cost,
-    routes: &[arp_core::query::Route],
-) -> RouteSetFeatures {
-    if routes.is_empty() {
-        return RouteSetFeatures {
-            count: 0,
-            requested: query.k,
-            mean_stretch: 2.0,
-            diversity: 0.0,
-            max_wiggliness: 2.0,
-            turns_per_km: 4.0,
-            wide_share: 0.0,
-            first_stretch: 2.0,
-        };
-    }
-    let (w, n) = (net.weights(), routes.len() as f64);
-    let paths: Vec<arp_core::Path> = routes.iter().map(|r| r.path.clone()).collect();
-    let mean = |f: &dyn Fn(&arp_core::Path) -> f64| paths.iter().map(f).sum::<f64>() / n;
-    RouteSetFeatures {
-        count: routes.len(),
-        requested: query.k,
-        mean_stretch: mean(&|p| stretch(p.cost_under(w), fastest_ms)),
-        diversity: arp_core::similarity::diversity(&paths, w),
-        max_wiggliness: paths.iter().map(|p| wiggliness(net, p)).fold(0.0, f64::max),
-        turns_per_km: mean(&|p| turns_per_km(net, p, 45.0)),
-        wide_share: mean(&|p| wide_road_share(net, p)),
-        first_stretch: routes[0].public_cost_ms as f64 / fastest_ms.max(1) as f64,
-    }
-}
-
 /// Runs the full study.
 ///
 /// `providers` must be the four approaches in paper order (see
@@ -225,12 +185,15 @@ pub fn run_study(
         for sq in queries {
             let participant = Participant::draw(resident, &mut rng);
             let mut ratings = [0u8; 4];
-            let mut features = [RouteSetFeatures::default(); 4];
             for (a, provider) in providers.iter().enumerate() {
-                let routes = provider
+                let paths: Vec<arp_core::Path> = provider
                     .alternatives(net, net.weights(), sq.source, sq.target, &config.query)
-                    .unwrap_or_default();
-                let f = features_of_routes(net, &config.query, sq.fastest_ms, &routes);
+                    .unwrap_or_default()
+                    .into_iter()
+                    .map(|r| r.path)
+                    .collect();
+                let f =
+                    route_set_features(net, net.weights(), &paths, sq.fastest_ms, config.query.k);
                 let intercept = calibration.intercept(a, resident, sq.bin);
                 let noise = sample_normal(&mut rng) * participant.noise_sd;
                 let utility = intercept
@@ -238,14 +201,12 @@ pub fn run_study(
                     + participant.response_effect
                     + noise;
                 ratings[a] = to_rating(utility);
-                features[a] = f;
             }
             outcome.responses.push(ResponseRecord {
                 resident,
                 bin: sq.bin,
                 query: sq,
                 ratings,
-                features,
             });
         }
     }
@@ -255,8 +216,11 @@ pub fn run_study(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::participant::unanswered;
     use arp_citygen::{City, Scale};
-    use arp_core::provider::standard_providers;
+    use arp_core::provider::{standard_providers, ProviderKind, ProviderOutcome};
+    use arp_core::{CoreError, SearchBudget, SearchSubstrate};
+    use arp_roadnet::weight::Weight;
 
     #[test]
     fn bins_classify_correctly() {
@@ -312,9 +276,6 @@ mod tests {
             for &rating in &r.ratings {
                 assert!((1..=5).contains(&rating));
             }
-            for f in &r.features {
-                assert!(f.count <= 3);
-            }
         }
         // Both populations present.
         assert!(outcome.count(Some(true), None) >= 10);
@@ -338,6 +299,61 @@ mod tests {
         for (x, y) in a.responses.iter().zip(&b.responses) {
             assert_eq!(x.ratings, y.ratings);
         }
+    }
+
+    /// An approach that never answers.
+    struct Silent;
+
+    impl AlternativesProvider for Silent {
+        fn kind(&self) -> ProviderKind {
+            ProviderKind::Penalty
+        }
+
+        fn answer(
+            &self,
+            _: &RoadNetwork,
+            _: &[Weight],
+            _: &SearchSubstrate,
+            _: &SearchBudget,
+        ) -> Result<ProviderOutcome, CoreError> {
+            Ok(ProviderOutcome::Complete(Vec::new()))
+        }
+    }
+
+    #[test]
+    fn an_approach_that_answers_nothing_is_rated_as_unanswered() {
+        let g = arp_citygen::generate(City::Melbourne, Scale::Tiny, 8);
+        let mut providers = standard_providers(&g.network, 8);
+        providers[3] = Box::new(Silent);
+        let config = StudyConfig {
+            seed: 5,
+            query: AltQuery::paper(),
+            resident_bins: [4, 0, 0],
+            nonresident_bins: [3, 0, 0],
+        };
+        let cal = Calibration::from_paper_targets();
+        let outcome = run_study(&g.network, &providers, &config, &cal);
+        assert_eq!(outcome.responses.len(), 7);
+
+        // Replay the study's draws: a participant per response, then one
+        // noise draw per approach in order.
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        for r in &outcome.responses {
+            let p = Participant::draw(r.resident, &mut rng);
+            let noise: Vec<f64> = (0..4)
+                .map(|_| sample_normal(&mut rng) * p.noise_sd)
+                .collect();
+            let utility = cal.intercept(3, r.resident, r.bin)
+                + perceived_utility(&p, &unanswered(config.query.k))
+                + p.response_effect
+                + noise[3];
+            assert_eq!(r.ratings[3], to_rating(utility), "{r:?}");
+        }
+        let mean = |a| {
+            let v = outcome.ratings_of(a, None, None);
+            v.iter().sum::<f64>() / v.len() as f64
+        };
+        assert!((0..3).all(|a| mean(3) < mean(a)));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ```
 
 use alt_route_planner::prelude::*;
-use arp_core::quality::{route_set_quality, stretch};
+use arp_core::quality::{local_optimality, route_set_features, stretch};
 use arp_core::similarity::similarity;
 use arp_roadnet::weight::ms_to_display_minutes;
 
@@ -53,7 +53,12 @@ fn main() {
             .alternatives(net, net.weights(), home, office, &query)
             .expect("routable");
         let paths: Vec<_> = routes.iter().map(|r| r.path.clone()).collect();
-        let quality = route_set_quality(net, net.weights(), &paths, best.cost_ms);
+        let quality = route_set_features(net, net.weights(), &paths, best.cost_ms, query.k);
+        let local_opt = paths
+            .iter()
+            .map(|p| local_optimality(net, net.weights(), p, 0.25, 8).share())
+            .sum::<f64>()
+            / paths.len() as f64;
 
         println!("== {} ==", provider.kind());
         for (i, r) in routes.iter().enumerate() {
@@ -70,8 +75,8 @@ fn main() {
             "  set quality: diversity {:.2}, mean stretch {:.2}, wide-road share {:.0}%, locally-optimal {:.0}%\n",
             quality.diversity,
             quality.mean_stretch,
-            quality.mean_wide_share * 100.0,
-            quality.mean_local_optimality * 100.0
+            quality.wide_share * 100.0,
+            local_opt * 100.0
         );
     }
 

@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use alt_route_planner::prelude::*;
-use arp_core::quality::route_set_quality;
+use arp_core::quality::route_set_features;
 use arp_roadnet::weight::minutes_to_ms;
 
 fn main() {
@@ -70,12 +70,12 @@ fn main() {
                     continue;
                 };
                 let paths: Vec<_> = routes.iter().map(|r| r.path.clone()).collect();
-                let q = route_set_quality(net, net.weights(), &paths, best);
+                let q = route_set_features(net, net.weights(), &paths, best, query.k);
                 count += 1;
                 routes_sum += q.count;
                 stretch_sum += q.mean_stretch;
                 div_sum += q.diversity;
-                wide_sum += q.mean_wide_share;
+                wide_sum += q.wide_share;
             }
             let elapsed = started.elapsed().as_secs_f64() * 1000.0 / count.max(1) as f64;
             println!(

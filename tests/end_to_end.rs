@@ -143,7 +143,7 @@ fn http_api_full_session() {
 
     for i in 0..5 {
         let rate = format!(
-            r#"{{"a": {}, "b": 4, "c": 3, "d": 5, "resident": {}, "fastest_minutes": 12}}"#,
+            r#"{{"a": {}, "b": 4, "c": 3, "d": 5, "resident": {}, "fastest_minutes": 12, "comment": "say \"hi\" {i}"}}"#,
             1 + (i % 5),
             i % 2 == 0
         );
@@ -153,10 +153,23 @@ fn http_api_full_session() {
     let results = app.handle("GET", "/api/results", "");
     assert!(results.body.contains("\"count\":5"));
 
-    // CSV export round-trips through the store loader.
+    // The CSV export: a header, then one row per submission with its
+    // comment quoted and inner quotes doubled.
     let csv = app.handle("GET", "/api/results.csv", "").body;
-    let restored = ResponseStore::load_csv(&csv).unwrap();
-    assert_eq!(restored.len(), 5);
+    let lines: Vec<&str> = csv.lines().collect();
+    assert_eq!(
+        lines[0],
+        "rating_a,rating_b,rating_c,rating_d,resident,fastest_minutes,comment"
+    );
+    assert_eq!(lines.len(), 6, "{csv}");
+    for (i, row) in lines[1..].iter().enumerate() {
+        let expected = format!(
+            "{},4,3,5,{},12,\"say \"\"hi\"\" {i}\"",
+            1 + (i % 5),
+            i % 2 == 0
+        );
+        assert_eq!(*row, expected);
+    }
 }
 
 /// Serialization round-trip of a generated city through the roadnet text
