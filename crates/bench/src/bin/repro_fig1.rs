@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use arp_core::plateau::find_plateaus;
 use arp_core::search::{Direction, SearchSpace};
 use arp_core::Path;
-use arp_roadnet::weight::{ms_to_display_minutes, INFINITY};
+use arp_roadnet::weight::ms_to_display_minutes;
 
 fn main() {
     let city = arp_bench::melbourne_medium();
@@ -34,8 +34,8 @@ fn main() {
         .unwrap();
 
     let mut report = String::new();
-    let reached_f = fwd.dist.iter().filter(|&&d| d != INFINITY).count();
-    let reached_b = bwd.dist.iter().filter(|&&d| d != INFINITY).count();
+    let reached_f = fwd.order().len();
+    let reached_b = bwd.order().len();
     let _ = writeln!(report, "Fig. 1 reproduction: plateaus for {s} -> {t}");
     let _ = writeln!(
         report,

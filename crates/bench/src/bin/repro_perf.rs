@@ -1,20 +1,70 @@
 //! Wall-clock performance table (the §2 cost claims) as a text artifact,
 //! one table per city for EXPERIMENTS.md. Each city also gets an
 //! `arp-obs` search-work snapshot (settled nodes, heap pops, relaxed
-//! edges per technique); see DESIGN.md §7 for the metric names.
+//! edges per technique); see DESIGN.md §7 for the metric names. A
+//! counting global allocator measures what one served cache miss
+//! allocates (the heap table; DESIGN.md §8).
 //!
 //! ```sh
 //! cargo run --release -p arp-bench --bin repro_perf
 //! ```
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use arp_citygen::{City, Scale};
 use arp_core::prelude::*;
 use arp_core::search::{Direction, SearchSpace};
 use arp_core::{ChTopology, SearchMetrics};
+use arp_demo::{QueryProcessor, SnappedQuery};
 use arp_roadnet::ids::NodeId;
+
+/// The system allocator, counting the allocations and the bytes asked of
+/// it (a reallocation counts as one allocation of its new size).
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+impl Counting {
+    fn count(size: usize) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    }
+
+    /// `(allocations, bytes)` so far.
+    fn read() -> (u64, u64) {
+        (
+            ALLOCATIONS.load(Ordering::Relaxed),
+            BYTES.load(Ordering::Relaxed),
+        )
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters are plain atomics.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Counting::count(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Counting::count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Counting::count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
 
 fn time_per_query(mut f: impl FnMut(), queries: usize, reps: usize) -> f64 {
     // Warm-up round.
@@ -41,6 +91,92 @@ const BUCKETS_KM: [(f64, f64); 7] = [
     (18.0, 24.0),
 ];
 const PAIRS_PER_BUCKET: usize = 8;
+
+/// Random pairs of `net` whose endpoints lie `lo..hi` km apart, drawn from
+/// `rng` until `count` are found that `accept` takes.
+fn pairs_between(
+    net: &arp_roadnet::csr::RoadNetwork,
+    rng: &mut impl rand::RngExt,
+    (lo, hi): (f64, f64),
+    count: usize,
+    mut accept: impl FnMut(NodeId, NodeId) -> bool,
+) -> Vec<(NodeId, NodeId)> {
+    let n = net.num_nodes() as u32;
+    let mut pairs = Vec::with_capacity(count);
+    while pairs.len() < count {
+        let (s, t) = (
+            NodeId(rng.random_range(0..n)),
+            NodeId(rng.random_range(0..n)),
+        );
+        let km = arp_roadnet::geo::haversine_m(net.point(s), net.point(t)) / 1000.0;
+        if lo <= km && km < hi && accept(s, t) {
+            pairs.push((s, t));
+        }
+    }
+    pairs
+}
+
+/// Trip-distance bands of the heap table, km: the benchmark's `short-hop`
+/// and `cross-town` request lists.
+const HEAP_BANDS: [(&str, f64, f64); 2] = [("short", 0.5, 2.0), ("long", 2.0, 24.0)];
+const HEAP_PAIRS: usize = 40;
+
+/// What one served cache miss allocates on Copenhagen-Large — pin the
+/// epoch, grow the tree pair, run the four lanes, assemble — per band,
+/// after a warm-up pass over the same pairs has filled the scratch pools.
+/// CI gates the short band's bytes below `4·n`: one `u32` per vertex,
+/// which any per-request O(n) buffer would exceed.
+fn heap_per_request(report: &mut String) {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let city = arp_bench::generate_city(City::Copenhagen, Scale::Large);
+    let n = city.network.num_nodes();
+    let qp = QueryProcessor::new(city.name, city.network, arp_bench::MASTER_SEED);
+    let budget = SearchBudget::unlimited();
+    let serve = |(source, target): (NodeId, NodeId)| {
+        let request = qp.prepare_query(SnappedQuery { source, target });
+        let request = qp.prepare_substrate(request, &budget);
+        let lanes: Result<Vec<_>, _> = (0..qp.technique_slots())
+            .map(|slot| qp.compute_slot_prepared(&request, slot, &budget))
+            .collect();
+        let lanes = lanes.map(|lanes| lanes.into_iter().map(|(lane, _)| lane).collect());
+        lanes.map(|lanes| qp.assemble(&request, lanes))
+    };
+    let _ = writeln!(
+        report,
+        "\nHeap per served miss ({}-Large, {n} nodes; per request after a warm-up pass; \
+         CI: short-band bytes < 4n):",
+        qp.name()
+    );
+    let _ = writeln!(
+        report,
+        "  {:<6} {:<6} {:>5} {:>11} {:>10} {:>9}",
+        "band", "km", "pairs", "bytes/req", "allocs/req", "4n"
+    );
+    let mut rng = StdRng::seed_from_u64(arp_bench::MASTER_SEED);
+    for (band, lo, hi) in HEAP_BANDS {
+        let pairs = pairs_between(qp.network(), &mut rng, (lo, hi), HEAP_PAIRS, |s, t| {
+            serve((s, t)).is_ok()
+        });
+        let before = Counting::read();
+        for &pair in &pairs {
+            let _ = serve(pair);
+        }
+        let after = Counting::read();
+        let per_request = |total: u64| total as f64 / pairs.len() as f64;
+        let _ = writeln!(
+            report,
+            "  {:<6} {:<6} {:>5} {:>11.0} {:>10.1} {:>9}",
+            band,
+            format!("{lo}-{hi}"),
+            pairs.len(),
+            per_request(after.1 - before.1),
+            per_request(after.0 - before.0),
+            4 * n
+        );
+    }
+}
 
 /// What one supplier of a tree pair costs per pair: work counters summed
 /// over a bucket's pairs, and wall-clock ms per pair.
@@ -366,6 +502,7 @@ fn main() {
         );
     }
 
+    heap_per_request(&mut report);
     tree_pair_sweep(&mut report);
 
     println!("{report}");

@@ -59,10 +59,8 @@ pub fn random_queries(
         };
         let candidates: Vec<u32> = (0..n)
             .filter(|&v| {
-                v != s.0
-                    && tree.dist[v as usize] != INFINITY
-                    && tree.dist[v as usize] >= min_ms
-                    && tree.dist[v as usize] <= max_ms
+                let d = tree.distance(NodeId(v));
+                v != s.0 && d != INFINITY && d >= min_ms && d <= max_ms
             })
             .collect();
         if candidates.is_empty() {
@@ -73,7 +71,7 @@ pub fn random_queries(
                 break;
             }
             let t = candidates[rng.random_range(0..candidates.len())];
-            out.push((s, NodeId(t), tree.dist[t as usize]));
+            out.push((s, NodeId(t), tree.distance(NodeId(t))));
         }
     }
     out

@@ -29,6 +29,7 @@ use crate::error::CoreError;
 use crate::metrics::Funnel;
 use crate::path::Path;
 use crate::query::AltQuery;
+use crate::scratch::{Loan, Pool, Scratch};
 use crate::search::{Direction, SearchSpace, ShortestPathTree};
 use crate::similarity::similarity_of_lengths;
 use crate::substrate::SearchSubstrate;
@@ -112,16 +113,18 @@ pub fn dissimilarity_alternatives_from_trees(
     let best = fwd.distance(target);
     let bound = query.cost_bound(best);
 
-    // Via-nodes in ascending via-path length, bounded by the stretch limit.
-    let mut candidates: Vec<(Cost, u32)> = (0..net.num_nodes() as u32)
-        .filter_map(|v| {
-            let df = fwd.dist[v as usize];
-            let db = bwd.dist[v as usize];
-            if df == INFINITY || db == INFINITY {
+    // Via-nodes in ascending via-path length (ties by id), bounded by the
+    // stretch limit: only vertices the backward tree reached qualify.
+    let mut candidates: Vec<(Cost, u32)> = bwd
+        .order()
+        .iter()
+        .filter_map(|&v| {
+            let (df, db) = (fwd.distance(v), bwd.distance(v));
+            if df == INFINITY {
                 return None;
             }
             let via = df + db;
-            (via <= bound).then_some((via, v))
+            (via <= bound).then_some((via, v.0))
         })
         .collect();
     candidates.sort_unstable();
@@ -192,16 +195,15 @@ struct AdmittedPath {
 /// because the integer lengths are equal and both feed
 /// [`similarity_of_lengths`].
 ///
-/// Scratch is O(n) for the slot map plus O(vertices walked) per admitted
-/// path — never a per-path array over the whole network.
+/// Scratch is a recycled slot map plus O(vertices walked) per admitted
+/// path — never a per-path array over the whole network, and nothing
+/// cleared or allocated per call beyond what the walks touch.
 struct LabelScreen<'a> {
     net: &'a RoadNetwork,
     weights: &'a [Weight],
     /// Forward tree (index 0) and backward tree (index 1).
     trees: [&'a ShortestPathTree; 2],
-    /// Vertex → 1 + its memo slot; 0 until a walk first reaches it.
-    slot: Vec<u32>,
-    slots: u32,
+    slots: Loan<MemoSlots>,
     admitted: Vec<AdmittedPath>,
     /// Walk stack: `(memo slot, parent edge)` of the vertices between the
     /// via-node and the nearest memoised ancestor.
@@ -219,8 +221,7 @@ impl<'a> LabelScreen<'a> {
             net,
             weights,
             trees: [fwd, bwd],
-            slot: vec![0; net.num_nodes()],
-            slots: 0,
+            slots: fwd.scratch(net.num_nodes()),
             admitted: Vec::new(),
             branch: Vec::new(),
         }
@@ -246,17 +247,12 @@ impl<'a> LabelScreen<'a> {
         let mut cur = v;
         self.branch.clear();
         while cur != tree.root {
-            let slot = &mut self.slot[cur.index()];
-            if *slot == 0 {
-                self.slots += 1;
-                *slot = self.slots;
-            }
-            let slot = (*slot - 1) as usize;
+            let slot = self.slots.of(cur);
             if let Some(&known) = memo.get(slot).filter(|&&known| known != UNKNOWN) {
                 sum = known;
                 break;
             }
-            let e = tree.parent[cur.index()];
+            let e = tree.parent(cur);
             self.branch.push((slot, e));
             cur = match tree.direction {
                 Direction::Forward => self.net.tail(e),
@@ -264,8 +260,8 @@ impl<'a> LabelScreen<'a> {
             };
         }
         // The walk may have handed out new slots.
-        if memo.len() < self.slots as usize {
-            memo.resize(self.slots as usize, UNKNOWN);
+        if memo.len() < self.slots.count() {
+            memo.resize(self.slots.count(), UNKNOWN);
         }
         for &(slot, e) in self.branch.iter().rev() {
             if path.edges.binary_search(&e).is_ok() {
@@ -298,6 +294,54 @@ impl<'a> LabelScreen<'a> {
             len: path.cost_ms,
             shared: [Vec::new(), Vec::new()],
         });
+    }
+}
+
+/// The memo slots of [`LabelScreen`], handed out in the order walks first
+/// reach vertices. Clean means no vertex has one.
+#[derive(Default)]
+struct MemoSlots {
+    /// Vertex → 1 + its slot; 0 while it has none.
+    slot: Vec<u32>,
+    /// Slot → vertex: what cleaning resets.
+    vertices: Vec<NodeId>,
+}
+
+impl MemoSlots {
+    /// The slot of `v`, handing out the next one on its first visit.
+    fn of(&mut self, v: NodeId) -> usize {
+        let slot = &mut self.slot[v.index()];
+        if *slot == 0 {
+            self.vertices.push(v);
+            *slot = self.vertices.len() as u32;
+        }
+        (*slot - 1) as usize
+    }
+
+    /// Slots handed out so far.
+    fn count(&self) -> usize {
+        self.vertices.len()
+    }
+}
+
+impl Scratch for MemoSlots {
+    fn pool() -> &'static Pool<MemoSlots> {
+        static POOL: Pool<MemoSlots> = Pool::new();
+        &POOL
+    }
+    fn with_size(n: usize) -> MemoSlots {
+        MemoSlots {
+            slot: vec![0; n],
+            vertices: Vec::new(),
+        }
+    }
+    fn size(&self) -> usize {
+        self.slot.len()
+    }
+    fn clean(&mut self) {
+        for v in self.vertices.drain(..) {
+            self.slot[v.index()] = 0;
+        }
     }
 }
 

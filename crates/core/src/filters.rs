@@ -18,6 +18,7 @@ use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::weight::Weight;
 
 use crate::error::CoreError;
+use crate::kernel::ClosedWhere;
 use crate::path::Path;
 use crate::quality::{turns_per_km, wide_road_share, window_probes, LocalOptimality};
 use crate::search::SearchSpace;
@@ -89,10 +90,30 @@ pub fn apply_filters(
     net: &RoadNetwork,
     weights: &[Weight],
     pair: &SearchSubstrate,
+    paths: Vec<Path>,
+    k: usize,
+    config: &FilterConfig,
+) -> Result<Vec<Path>, (CoreError, Vec<Path>)> {
+    let column = ClosedWhere {
+        weights,
+        closures: weights,
+    };
+    filter_routes(ws, net, column, pair, paths, k, config)
+}
+
+/// [`apply_filters`] on `column.weights` with `column.closures` closing
+/// edges for the local-optimality searches. Routes never use a closed
+/// edge, so they are priced on `column.weights` alone.
+pub(crate) fn filter_routes(
+    ws: &mut SearchSpace,
+    net: &RoadNetwork,
+    column: ClosedWhere<'_>,
+    pair: &SearchSubstrate,
     mut paths: Vec<Path>,
     k: usize,
     config: &FilterConfig,
 ) -> Result<Vec<Path>, (CoreError, Vec<Path>)> {
+    let weights = column.weights;
     if paths.is_empty() || k == 0 {
         paths.truncate(k);
         return Ok(paths);
@@ -114,7 +135,7 @@ pub fn apply_filters(
             if config.require_local_optimality {
                 let fraction = config.lo_t_fraction;
                 let bound = |a, b| pair.distance_lower_bound(a, b);
-                match window_probes(ws, net, weights, path, fraction, 8, bound) {
+                match window_probes(ws, net, column, path, fraction, 8, bound) {
                     Ok(probes) if LocalOptimality::of(&probes).is_locally_optimal() => {}
                     Ok(_) => continue,
                     Err(e) => return Err((e, paths)),

@@ -41,6 +41,7 @@ use crate::budget::{SearchBudget, CHECK_INTERVAL};
 use crate::error::CoreError;
 use crate::metrics::SearchStats;
 use crate::query::AltQuery;
+use crate::scratch::{Pool, Scratch};
 
 /// The arcs a search may leave a vertex by, and their costs.
 pub(crate) trait ArcView {
@@ -55,21 +56,66 @@ pub(crate) trait ArcView {
     fn cost(&self, a: u32) -> Cost;
 }
 
-/// A road network paired with a weight column of matching length —
-/// what the two CSR views below read.
-#[derive(Clone, Copy)]
-pub(crate) struct Column<'a> {
-    net: &'a RoadNetwork,
-    weights: &'a [Weight],
+/// Per-edge weights a search reads, by edge id: a weight column, or one
+/// with closures or penalties laid over another. [`CLOSED`] marks an edge
+/// no search may traverse.
+pub(crate) trait Weights: Copy {
+    /// Number of edges covered.
+    fn num_edges(&self) -> usize;
+    /// Weight of edge `e`.
+    fn weight(&self, e: u32) -> Weight;
 }
 
-impl<'a> Column<'a> {
+impl Weights for &[Weight] {
+    #[inline]
+    fn num_edges(&self) -> usize {
+        self.len()
+    }
+    #[inline]
+    fn weight(&self, e: u32) -> Weight {
+        self[e as usize]
+    }
+}
+
+/// `weights`, with every edge that `closures` marks [`CLOSED`] closed too:
+/// one column's travel times under another's closures, decided as each
+/// edge is read.
+#[derive(Clone, Copy)]
+pub(crate) struct ClosedWhere<'a> {
+    pub(crate) weights: &'a [Weight],
+    pub(crate) closures: &'a [Weight],
+}
+
+impl Weights for ClosedWhere<'_> {
+    /// The edges both columns cover.
+    #[inline]
+    fn num_edges(&self) -> usize {
+        self.weights.len().min(self.closures.len())
+    }
+    #[inline]
+    fn weight(&self, e: u32) -> Weight {
+        match self.closures[e as usize] {
+            CLOSED => CLOSED,
+            _ => self.weights[e as usize],
+        }
+    }
+}
+
+/// A road network paired with weights of matching length — what the two
+/// CSR views below read.
+#[derive(Clone, Copy)]
+pub(crate) struct Column<'a, W> {
+    net: &'a RoadNetwork,
+    weights: W,
+}
+
+impl<'a, W: Weights> Column<'a, W> {
     /// Fails unless `weights` has one entry per edge of `net`.
-    pub(crate) fn new(net: &'a RoadNetwork, weights: &'a [Weight]) -> Result<Self, CoreError> {
-        if weights.len() != net.num_edges() {
+    pub(crate) fn new(net: &'a RoadNetwork, weights: W) -> Result<Self, CoreError> {
+        if weights.num_edges() != net.num_edges() {
             return Err(CoreError::WeightLengthMismatch {
                 expected: net.num_edges(),
-                got: weights.len(),
+                got: weights.num_edges(),
             });
         }
         Ok(Column { net, weights })
@@ -77,7 +123,7 @@ impl<'a> Column<'a> {
 
     #[inline]
     fn cost(&self, e: u32) -> Cost {
-        match self.weights[e as usize] {
+        match self.weights.weight(e) {
             CLOSED => INFINITY,
             w => w as Cost,
         }
@@ -86,9 +132,9 @@ impl<'a> Column<'a> {
 
 /// Out-edges under a weight column: a forward search, labels are
 /// `d(root → v)`, parents are [`EdgeId`]s.
-pub(crate) struct OutEdges<'a>(pub(crate) Column<'a>);
+pub(crate) struct OutEdges<'a, W>(pub(crate) Column<'a, W>);
 
-impl ArcView for OutEdges<'_> {
+impl<W: Weights> ArcView for OutEdges<'_, W> {
     fn num_nodes(&self) -> usize {
         self.0.net.num_nodes()
     }
@@ -108,9 +154,9 @@ impl ArcView for OutEdges<'_> {
 
 /// In-edges under a weight column: a backward search, labels are
 /// `d(v → root)`, parents are [`EdgeId`]s.
-pub(crate) struct InEdges<'a>(pub(crate) Column<'a>);
+pub(crate) struct InEdges<'a, W>(pub(crate) Column<'a, W>);
 
-impl ArcView for InEdges<'_> {
+impl<W: Weights> ArcView for InEdges<'_, W> {
     fn num_nodes(&self) -> usize {
         self.0.net.num_nodes()
     }
@@ -271,7 +317,9 @@ impl<R: Rule> Rule for Logged<'_, R> {
 ///
 /// Starting a query bumps the generation instead of clearing, so a query
 /// touches only the vertices it labels; an entry is live only while its
-/// stamp equals the current generation.
+/// stamp equals the current generation. That makes every store clean
+/// between queries, so stores are lent from a [`Pool`].
+#[derive(Default)]
 pub(crate) struct Labels {
     dist: Vec<Cost>,
     parent: Vec<u32>,
@@ -338,6 +386,21 @@ impl Labels {
     fn next_key(&self) -> Cost {
         self.heap.peek().map_or(INFINITY, |Reverse((key, _))| *key)
     }
+}
+
+impl Scratch for Labels {
+    fn pool() -> &'static Pool<Labels> {
+        static POOL: Pool<Labels> = Pool::new();
+        &POOL
+    }
+    fn with_size(n: usize) -> Labels {
+        Labels::new(n)
+    }
+    fn size(&self) -> usize {
+        self.stamp.len()
+    }
+    /// Nothing to undo: the next query's generation retires every label.
+    fn clean(&mut self) {}
 }
 
 /// Budget polling and work counting for one query.
@@ -637,7 +700,7 @@ mod tests {
                 }
                 "bounded backward tree" => {
                     let inside = InsideEllipse {
-                        forward: &ball.dist,
+                        forward: ball.distances(),
                         bound,
                     };
                     ws.tree_under(net, w, t, Direction::Backward, inside, || INFINITY)

@@ -70,6 +70,7 @@ pub mod plateau;
 pub mod provider;
 pub mod quality;
 pub mod query;
+mod scratch;
 pub mod search;
 pub mod similarity;
 pub mod substrate;

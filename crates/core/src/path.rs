@@ -10,6 +10,8 @@ use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::{EdgeId, NodeId};
 use arp_roadnet::weight::{Cost, Weight};
 
+use crate::kernel::Weights;
+
 /// A simple (or not) directed path through a road network.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Path {
@@ -27,6 +29,15 @@ impl Path {
     /// # Panics
     /// Panics in debug builds if consecutive edges do not join up.
     pub fn from_edges(net: &RoadNetwork, weights: &[Weight], edges: Vec<EdgeId>) -> Path {
+        Self::from_edges_under(net, weights, edges)
+    }
+
+    /// [`Path::from_edges`] priced under any [`Weights`].
+    pub(crate) fn from_edges_under(
+        net: &RoadNetwork,
+        weights: impl Weights,
+        edges: Vec<EdgeId>,
+    ) -> Path {
         assert!(!edges.is_empty(), "a path needs at least one edge");
         let mut nodes = Vec::with_capacity(edges.len() + 1);
         nodes.push(net.tail(edges[0]));
@@ -34,7 +45,7 @@ impl Path {
         for &e in &edges {
             debug_assert_eq!(net.tail(e), *nodes.last().unwrap(), "edges must join up");
             nodes.push(net.head(e));
-            cost += weights[e.index()] as Cost;
+            cost += weights.weight(e.0) as Cost;
         }
         Path {
             nodes,

@@ -27,9 +27,11 @@ use arp_roadnet::ids::{EdgeId, NodeId};
 use arp_roadnet::weight::{apply_penalty, Cost, Weight, INFINITY};
 
 use crate::error::CoreError;
+use crate::kernel::Weights;
 use crate::metrics::Funnel;
 use crate::path::Path;
 use crate::query::AltQuery;
+use crate::scratch::{Loan, Pool, Scratch};
 use crate::search::SearchSpace;
 use crate::similarity::similarity;
 use crate::substrate::SearchSubstrate;
@@ -102,18 +104,21 @@ pub fn penalty_alternatives_from_base(
     }
     let (source, target) = (pair.source(), pair.target());
     let best = pair.base_route().clone();
-    // Private penalized overlay.
-    let mut overlay: Vec<Weight> = weights.to_vec();
+    // Private penalized overlay: only the raised weights are stored.
+    let mut overlay = Overlay {
+        public: weights,
+        raised: ws.scratch(net.num_edges()),
+    };
     let bound = query.cost_bound(best.cost_ms);
     funnel.candidates += 1;
 
     let mut accepted: Vec<Path> = Vec::with_capacity(query.k);
     let mut seen: HashSet<Vec<u32>> = HashSet::new();
     seen.insert(best.key());
-    penalize(&mut overlay, net, &best, query.penalty_factor, options);
+    overlay.penalize(net, &best, query.penalty_factor, options);
     accepted.push(best);
 
-    let mut via = ViaWalks::new(net, pair);
+    let mut via = ViaWalks::new(ws, net, pair);
     // The edges of every candidate found so far: `s → t` walks whose
     // overlay cost bounds each later round from above.
     let mut walks: Vec<Vec<EdgeId>> = Vec::new();
@@ -128,16 +133,13 @@ pub fn penalty_alternatives_from_base(
             funnel.interrupted = true;
             break;
         }
-        let price = |edges: &Vec<EdgeId>| -> Cost {
-            edges.iter().map(|e| overlay[e.index()] as Cost).sum()
-        };
-        let limit = walks
-            .iter()
-            .map(price)
-            .fold(via.cheapest(&overlay), Cost::min);
+        let view = &overlay;
+        let price =
+            |edges: &Vec<EdgeId>| -> Cost { edges.iter().map(|e| view.weight(e.0) as Cost).sum() };
+        let limit = walks.iter().map(price).fold(via.cheapest(view), Cost::min);
         let lower = |v| pair.target_lower_bound(v);
-        let candidate = match ws.shortest_path_within(net, &overlay, source, target, lower, limit) {
-            Ok(p) => p,
+        let edges = match ws.shortest_path_within(net, view, source, target, lower, limit) {
+            Ok(edges) => edges,
             Err(CoreError::Interrupted) => {
                 funnel.interrupted = true;
                 break;
@@ -152,15 +154,12 @@ pub fn penalty_alternatives_from_base(
         };
         funnel.iterations += 1;
         funnel.candidates += 1;
-        walks.push(candidate.edges.clone());
+        walks.push(edges.clone());
         // Price on the true weights.
-        let true_cost = candidate.cost_under(weights);
-        let candidate = Path {
-            cost_ms: true_cost,
-            ..candidate
-        };
+        let candidate = Path::from_edges(net, weights, edges);
+        let true_cost = candidate.cost_ms;
         // Penalize regardless of acceptance so the search keeps moving.
-        penalize(&mut overlay, net, &candidate, query.penalty_factor, options);
+        overlay.penalize(net, &candidate, query.penalty_factor, options);
 
         if true_cost > bound {
             // Everything from here on only gets more expensive in the
@@ -198,6 +197,86 @@ fn check_factor(query: &AltQuery) -> Result<(), CoreError> {
     }
 }
 
+/// The public column with Penalty's raised weights laid over it — what
+/// its searches read. Only the raised edges are stored, in a recycled
+/// per-edge column: nothing is copied per call, and cleaning resets just
+/// the edges raised.
+struct Overlay<'a> {
+    public: &'a [Weight],
+    raised: Loan<Raised>,
+}
+
+impl Overlay<'_> {
+    /// Multiplies the weight of every edge of `path` (and, per `options`,
+    /// of its reverse) by `factor`.
+    fn penalize(&mut self, net: &RoadNetwork, path: &Path, factor: f64, options: &PenaltyOptions) {
+        for &e in &path.edges {
+            self.raise(e, factor);
+            if options.penalize_reverse {
+                if let Some(r) = net.reverse_edge(e) {
+                    self.raise(r, factor);
+                }
+            }
+        }
+    }
+
+    fn raise(&mut self, e: EdgeId, factor: f64) {
+        let w = apply_penalty((&*self).weight(e.0), factor);
+        let raised = &mut *self.raised;
+        if raised.weight[e.index()] == NOT_RAISED {
+            raised.edges.push(e);
+        }
+        raised.weight[e.index()] = w;
+    }
+}
+
+impl Weights for &Overlay<'_> {
+    #[inline]
+    fn num_edges(&self) -> usize {
+        self.public.len()
+    }
+    #[inline]
+    fn weight(&self, e: u32) -> Weight {
+        match self.raised.weight[e as usize] {
+            NOT_RAISED => self.public[e as usize],
+            w => w,
+        }
+    }
+}
+
+/// An edge's entry in [`Raised::weight`] while it carries its public
+/// weight. A raised weight of 0 reads the same either way: a public 0.
+const NOT_RAISED: Weight = 0;
+
+/// Penalty's raised weights by edge ([`NOT_RAISED`] elsewhere) and the
+/// edges raised, which is what cleaning resets.
+#[derive(Default)]
+struct Raised {
+    weight: Vec<Weight>,
+    edges: Vec<EdgeId>,
+}
+
+impl Scratch for Raised {
+    fn pool() -> &'static Pool<Raised> {
+        static POOL: Pool<Raised> = Pool::new();
+        &POOL
+    }
+    fn with_size(m: usize) -> Raised {
+        Raised {
+            weight: vec![NOT_RAISED; m],
+            edges: Vec::new(),
+        }
+    }
+    fn size(&self) -> usize {
+        self.weight.len()
+    }
+    fn clean(&mut self) {
+        for e in self.edges.drain(..) {
+            self.weight[e.index()] = NOT_RAISED;
+        }
+    }
+}
+
 /// The via-vertex walks `s → v → t` of a tree pair — the forward tree's
 /// branch to `v`, then the backward tree's branch from it — for every `v`
 /// in the stretch ellipse, priced under an overlay. A branch of an
@@ -211,43 +290,43 @@ struct ViaWalks<'a> {
     /// Per vertex, the overlay cost of its forward branch `s → v` — until
     /// the backward pass reaches `v` and replaces it with the cost of its
     /// backward branch `v → t`.
-    branch: Vec<Cost>,
+    branch: Loan<Branches>,
 }
 
 impl<'a> ViaWalks<'a> {
-    fn new(net: &'a RoadNetwork, pair: &'a SearchSubstrate) -> ViaWalks<'a> {
+    fn new(ws: &SearchSpace, net: &'a RoadNetwork, pair: &'a SearchSubstrate) -> ViaWalks<'a> {
         let backward = pair.backward();
-        let ellipse = pair.forward().order.iter();
+        let ellipse = pair.forward().order().iter();
         let ellipse = ellipse.copied().filter(|&v| backward.reached(v)).collect();
         ViaWalks {
             net,
             pair,
             ellipse,
-            branch: vec![0; net.num_nodes()],
+            branch: ws.scratch(net.num_nodes()),
         }
     }
 
     /// The cost of the cheapest via-vertex walk under `overlay`.
-    fn cheapest(&mut self, overlay: &[Weight]) -> Cost {
+    fn cheapest(&mut self, overlay: &Overlay<'_>) -> Cost {
         let (forward, backward) = (self.pair.forward(), self.pair.backward());
-        let branch = &mut self.branch;
+        let branch = &mut self.branch.0;
         for &v in &self.ellipse {
-            let e = forward.parent[v.index()];
+            let e = forward.parent(v);
             branch[v.index()] = if e.is_invalid() {
                 0
             } else {
-                branch[self.net.tail(e).index()] + overlay[e.index()] as Cost
+                branch[self.net.tail(e).index()] + overlay.weight(e.0) as Cost
             };
         }
         // A vertex's backward parent leads to one the backward tree
         // settled earlier, whose entry already holds its backward branch.
         let mut cheapest = INFINITY;
-        for &v in &backward.order {
-            let e = backward.parent[v.index()];
+        for &v in backward.order() {
+            let e = backward.parent(v);
             let from = if e.is_invalid() {
                 0
             } else {
-                overlay[e.index()] as Cost + branch[self.net.head(e).index()]
+                overlay.weight(e.0) as Cost + branch[self.net.head(e).index()]
             };
             cheapest = cheapest.min(branch[v.index()] + from);
             branch[v.index()] = from;
@@ -256,21 +335,25 @@ impl<'a> ViaWalks<'a> {
     }
 }
 
-fn penalize(
-    overlay: &mut [Weight],
-    net: &RoadNetwork,
-    path: &Path,
-    factor: f64,
-    options: &PenaltyOptions,
-) {
-    for &e in &path.edges {
-        overlay[e.index()] = apply_penalty(overlay[e.index()], factor);
-        if options.penalize_reverse {
-            if let Some(r) = net.reverse_edge(e) {
-                overlay[r.index()] = apply_penalty(overlay[r.index()], factor);
-            }
-        }
+/// [`ViaWalks::branch`]'s per-vertex column. Each pass writes an entry
+/// before it reads it — a vertex's parent precedes it in settle order —
+/// so whatever an earlier loan left behind is never read: cleaning is a
+/// no-op.
+#[derive(Default)]
+struct Branches(Vec<Cost>);
+
+impl Scratch for Branches {
+    fn pool() -> &'static Pool<Branches> {
+        static POOL: Pool<Branches> = Pool::new();
+        &POOL
     }
+    fn with_size(n: usize) -> Branches {
+        Branches(vec![0; n])
+    }
+    fn size(&self) -> usize {
+        self.0.len()
+    }
+    fn clean(&mut self) {}
 }
 
 #[cfg(test)]

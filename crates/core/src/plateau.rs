@@ -62,7 +62,8 @@ impl Default for PlateauOptions {
     }
 }
 
-/// Finds all plateaus of the tree pair, unsorted.
+/// Finds all plateaus of the tree pair, unsorted: in the id order of
+/// their first vertices.
 pub fn find_plateaus(
     net: &RoadNetwork,
     fwd: &ShortestPathTree,
@@ -70,31 +71,34 @@ pub fn find_plateaus(
 ) -> Vec<Plateau> {
     debug_assert_eq!(fwd.direction, Direction::Forward);
     debug_assert_eq!(bwd.direction, Direction::Backward);
-    let n = net.num_nodes();
 
-    // Edge e = (u, v) is common iff fwd.parent[v] == e and bwd.parent[u] == e.
+    // Edge e = (u, v) is common iff fwd.parent(v) == e and bwd.parent(u) == e.
     let is_common = |e: EdgeId| -> bool {
         let u = net.tail(e);
         let v = net.head(e);
-        fwd.parent[v.index()] == e && bwd.parent[u.index()] == e
+        fwd.parent(v) == e && bwd.parent(u) == e
     };
 
     // Each vertex has at most one outgoing common edge (its backward
     // parent) and at most one incoming common edge (its forward parent),
     // so common edges form vertex-disjoint chains.
     let out_common = |u: NodeId| -> Option<EdgeId> {
-        let e = bwd.parent[u.index()];
+        let e = bwd.parent(u);
         (!e.is_invalid() && is_common(e)).then_some(e)
     };
     let in_common = |v: NodeId| -> Option<EdgeId> {
-        let e = fwd.parent[v.index()];
+        let e = fwd.parent(v);
         (!e.is_invalid() && is_common(e)).then_some(e)
     };
 
+    // Chain starts: vertices with an outgoing common edge but no incoming
+    // one. Only a vertex the backward tree reached has a backward parent,
+    // so its id window holds every start. Scanning the window in id order
+    // — not the tree's settle order, whose ids jump about — keeps the
+    // accesses local and yields the plateaus in the id order ties are
+    // broken by.
     let mut plateaus = Vec::new();
-    for u in 0..n as u32 {
-        let u = NodeId(u);
-        // Chain starts: vertex with an outgoing common edge but no incoming.
+    for u in bwd.id_window() {
         if out_common(u).is_none() || in_common(u).is_some() {
             continue;
         }
@@ -103,10 +107,10 @@ pub fn find_plateaus(
         let mut cur = u;
         while let Some(e) = out_common(cur) {
             edges.push(e);
-            weight += (fwd.dist[net.head(e).index()] - fwd.dist[cur.index()]) as Cost;
+            weight += fwd.distance(net.head(e)) - fwd.distance(cur);
             cur = net.head(e);
         }
-        let via_cost = fwd.dist[u.index()] + weight + bwd.dist[cur.index()];
+        let via_cost = fwd.distance(u) + weight + bwd.distance(cur);
         plateaus.push(Plateau {
             edges,
             start: u,

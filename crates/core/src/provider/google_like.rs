@@ -14,16 +14,15 @@
 //! §4.2 (overlap pruning, local optimality, comfort ranking), then priced
 //! on the public weights by the caller like every other provider.
 
-use std::borrow::Cow;
-
 use arp_obs::Registry;
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::geo::Point;
 use arp_roadnet::ids::EdgeId;
-use arp_roadnet::weight::{Weight, CLOSED};
+use arp_roadnet::weight::Weight;
 
 use crate::error::CoreError;
-use crate::filters::{apply_filters, FilterConfig};
+use crate::filters::{filter_routes, FilterConfig};
+use crate::kernel::ClosedWhere;
 use crate::metrics::TechniqueMetrics;
 use crate::plateau::{plateau_alternatives_from_trees, PlateauOptions};
 use crate::substrate::SearchSubstrate;
@@ -218,19 +217,13 @@ impl AlternativesProvider for GoogleLikeProvider {
             // live-traffic incident) is closed for this provider too, even
             // though its *factors* diverge — a commercial provider
             // disagrees about how slow a road is, not about whether it
-            // exists. Without closures the private table is borrowed
-            // untouched, keeping the no-overlay path byte-identical to the
-            // pre-traffic pipeline.
-            let private: Cow<'_, [Weight]> = if public_weights.contains(&CLOSED) {
-                Cow::Owned(
-                    self.private_weights
-                        .iter()
-                        .zip(public_weights)
-                        .map(|(&p, &pub_w)| if pub_w == CLOSED { CLOSED } else { p })
-                        .collect(),
-                )
-            } else {
-                Cow::Borrowed(self.private_weights.as_slice())
+            // exists. Every search reads the private table through the
+            // public closures, edge by edge; nothing is copied. Routes
+            // never use a closed edge, so pricing them on the private
+            // table alone is the same.
+            let private = ClosedWhere {
+                weights: &self.private_weights,
+                closures: public_weights,
             };
             // Plateaus on the PRIVATE data, on a pair grown here: the
             // handed one describes the public column. `observed_call`
@@ -239,7 +232,7 @@ impl AlternativesProvider for GoogleLikeProvider {
             // yields what it had proven (the private optimum once the
             // forward tree is complete) as the call's partial.
             let mut ws = lane_workspace(&self.metrics, net, budget);
-            let own = match SearchSubstrate::build(&mut ws, net, &private, s, t, query) {
+            let own = match SearchSubstrate::build_under(&mut ws, net, private, s, t, query) {
                 Ok(own) => own,
                 Err((CoreError::Interrupted, proven)) => {
                     funnel.interrupted = true;
@@ -249,7 +242,7 @@ impl AlternativesProvider for GoogleLikeProvider {
             };
             let paths = plateau_alternatives_from_trees(
                 net,
-                &private,
+                &self.private_weights,
                 query,
                 &self.plateau_options,
                 funnel,
@@ -266,7 +259,9 @@ impl AlternativesProvider for GoogleLikeProvider {
             // labels certify it; the rest are point-to-point searches in
             // the same workspace. A trip before or during them serves the
             // raw set as the partial.
-            match apply_filters(&mut ws, net, &private, &own, paths, query.k, &self.filters) {
+            let filtered =
+                filter_routes(&mut ws, net, private, &own, paths, query.k, &self.filters);
+            match filtered {
                 Ok(kept) => Ok(kept),
                 Err((CoreError::Interrupted, unfiltered)) => {
                     funnel.interrupted = true;

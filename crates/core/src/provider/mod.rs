@@ -187,17 +187,14 @@ fn observed_call(
     })
 }
 
-/// A fresh workspace reporting into the technique's search counters and
-/// polling the call's budget.
+/// A pooled workspace reporting into the technique's search counters and
+/// polling the call's budget, whoever used its label store last.
 fn lane_workspace(
     metrics: &TechniqueMetrics,
     net: &RoadNetwork,
     budget: &SearchBudget,
 ) -> SearchSpace {
-    let mut ws = SearchSpace::new(net);
-    ws.set_metrics(metrics.search().clone());
-    ws.set_budget(budget.clone());
-    ws
+    SearchSpace::pooled(net, budget.clone(), metrics.search().clone())
 }
 
 /// The Plateaus provider.
@@ -405,16 +402,40 @@ mod tests {
 
     #[test]
     fn instrumented_providers_record_calls_and_search_work() {
-        let net = grid(8);
+        // 81 vertices: no other test lends label stores of this size.
+        let net = grid(9);
+        let pair = pair_of(&net, (0, 80), &AltQuery::paper());
+        let budget = SearchBudget::unlimited();
+        let answer = |provider: &dyn AlternativesProvider| {
+            provider
+                .answer(&net, net.weights(), &pair, &budget)
+                .unwrap()
+        };
         let reg = Registry::new();
         let providers = instrumented_providers(&net, 42, &reg);
-        let q = AltQuery::paper();
-        for p in &providers {
-            p.alternatives(&net, net.weights(), NodeId(0), NodeId(63), &q)
-                .unwrap();
+        // Penalty first: a pool lends the store returned last, so
+        // Google-like's lane reuses the one Penalty's lane released.
+        for lane in [3, 0, 1, 2] {
+            answer(providers[lane].as_ref());
         }
-        for kind in ProviderKind::ALL {
+        for (lane, kind) in ProviderKind::ALL.into_iter().enumerate() {
             let labels = &[("technique", kind.slug())][..];
+            // Each technique's search counters are its own: what it
+            // records when it runs alone.
+            let alone = Registry::new();
+            answer(instrumented_providers(&net, 42, &alone)[lane].as_ref());
+            for name in [
+                "arp_search_queries_total",
+                "arp_search_settled_nodes_total",
+                "arp_search_heap_pops_total",
+                "arp_search_relaxed_edges_total",
+            ] {
+                let (shared, own) = (
+                    reg.counter_value(name, labels),
+                    alone.counter_value(name, labels),
+                );
+                assert_eq!(shared, own, "{kind} {name}");
+            }
             assert_eq!(
                 reg.counter_value("arp_technique_calls_total", labels),
                 1,

@@ -18,6 +18,7 @@ use arp_roadnet::ids::NodeId;
 use arp_roadnet::weight::{Cost, Weight};
 
 use crate::error::CoreError;
+use crate::kernel::Weights;
 use crate::path::Path;
 use crate::search::SearchSpace;
 
@@ -133,7 +134,7 @@ impl LocalOptimality {
 pub(crate) fn window_probes(
     ws: &mut SearchSpace,
     net: &RoadNetwork,
-    weights: &[Weight],
+    weights: impl Weights,
     path: &Path,
     fraction: f64,
     max_probes: usize,
@@ -148,7 +149,7 @@ pub(crate) fn window_probes(
     let mut prefix: Vec<Cost> = Vec::with_capacity(path.edges.len() + 1);
     prefix.push(0);
     for &e in &path.edges {
-        prefix.push(prefix.last().unwrap() + weights[e.index()] as Cost);
+        prefix.push(prefix.last().unwrap() + weights.weight(e.0) as Cost);
     }
 
     let mut probes = Vec::new();
@@ -165,7 +166,7 @@ pub(crate) fn window_probes(
             let d = if lower_bound(a, b) == window {
                 Ok(window)
             } else {
-                ws.shortest_distance(net, weights, a, b)
+                ws.distance_under(net, weights, a, b)
             };
             match d {
                 Ok(d) => probes.push((window, d)),

@@ -4,11 +4,13 @@
 //!
 //! All searches are generic over a **weight overlay** (`&[Weight]` indexed
 //! by `EdgeId`): the Penalty technique and the Google-like provider run the
-//! same machinery over modified copies of the weight column.
+//! same machinery over modified weights.
 //!
 //! [`SearchSpace`] is a reusable workspace with generation-stamped labels,
 //! so repeated queries (the alternative-route algorithms run many) pay no
-//! per-query clearing cost.
+//! per-query clearing cost. A serving layer lends its workspaces and
+//! their trees' arrays from pools ([`SearchSpace::pooled`]), so a request
+//! allocates nothing sized by the network and clears only what it labelled.
 
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::{EdgeId, NodeId};
@@ -18,10 +20,11 @@ use crate::budget::SearchBudget;
 use crate::error::CoreError;
 use crate::kernel::{
     self, ArcView, Column, Exhaust, InEdges, Labels, Logged, OutEdges, Poller, ReachTarget,
-    ReachTargetWithin, Rule,
+    ReachTargetWithin, Rule, Weights,
 };
 use crate::metrics::{SearchMetrics, SearchStats};
 use crate::path::Path;
+use crate::scratch::{Loan, Pool, Scratch};
 
 /// Search direction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -32,36 +35,100 @@ pub enum Direction {
     Backward,
 }
 
+/// A tree's dense label and parent arrays plus its settle order. Clean
+/// means every label [`INFINITY`], every parent [`EdgeId::INVALID`] and no
+/// order: the order lists exactly the entries ever set, so cleaning walks
+/// it alone.
+#[derive(Debug, Default)]
+pub(crate) struct TreeArrays {
+    dist: Vec<Cost>,
+    parent: Vec<EdgeId>,
+    order: Vec<NodeId>,
+}
+
+impl Scratch for TreeArrays {
+    fn pool() -> &'static Pool<TreeArrays> {
+        static POOL: Pool<TreeArrays> = Pool::new();
+        &POOL
+    }
+    fn with_size(n: usize) -> TreeArrays {
+        TreeArrays {
+            dist: vec![INFINITY; n],
+            parent: vec![EdgeId::INVALID; n],
+            order: Vec::new(),
+        }
+    }
+    fn size(&self) -> usize {
+        self.dist.len()
+    }
+    fn clean(&mut self) {
+        for v in self.order.drain(..) {
+            self.dist[v.index()] = INFINITY;
+            self.parent[v.index()] = EdgeId::INVALID;
+        }
+    }
+}
+
 /// A shortest-path tree rooted at `root`: complete, or — grown under a
 /// bounding rule — the labels up to the bound it was grown to.
 ///
-/// For a forward tree, `parent[v]` is the last edge of a shortest path
-/// `root → v` (its head is `v`). For a backward tree, `parent[v]` is the
-/// first edge of a shortest path `v → root` (its tail is `v`).
-#[derive(Clone, Debug)]
+/// For a forward tree, [`ShortestPathTree::parent`] of `v` is the last
+/// edge of a shortest path `root → v` (its head is `v`). For a backward
+/// tree, it is the first edge of a shortest path `v → root` (its tail is
+/// `v`). Its arrays are filled from its settle order, and — when grown in
+/// a pooled workspace — go back to their pool when the tree drops.
+#[derive(Debug)]
 pub struct ShortestPathTree {
     /// Tree root.
     pub root: NodeId,
     /// Search direction the tree was grown in.
     pub direction: Direction,
-    /// Distance label per vertex ([`INFINITY`] = unreachable).
-    pub dist: Vec<Cost>,
-    /// Parent edge per vertex ([`EdgeId::INVALID`] at the root/unreached).
-    pub parent: Vec<EdgeId>,
-    /// Every reached vertex, in the order the search settled it: the root
-    /// first, and every vertex after the other end of its parent edge.
-    pub order: Vec<NodeId>,
+    /// The smallest and the largest id the tree reached.
+    ids: (u32, u32),
+    arrays: Loan<TreeArrays>,
 }
 
 impl ShortestPathTree {
-    /// Distance of `v` from/to the root.
+    /// Distance of `v` from/to the root ([`INFINITY`] = unreached).
+    #[inline]
     pub fn distance(&self, v: NodeId) -> Cost {
-        self.dist[v.index()]
+        self.arrays.dist[v.index()]
     }
 
     /// True if `v` was reached.
+    #[inline]
     pub fn reached(&self, v: NodeId) -> bool {
-        self.dist[v.index()] != INFINITY
+        self.distance(v) != INFINITY
+    }
+
+    /// The tree edge at `v` ([`EdgeId::INVALID`] at the root and at an
+    /// unreached vertex).
+    #[inline]
+    pub fn parent(&self, v: NodeId) -> EdgeId {
+        self.arrays.parent[v.index()]
+    }
+
+    /// Every reached vertex, in the order the search settled it: the root
+    /// first, and every vertex after the other end of its parent edge.
+    pub fn order(&self) -> &[NodeId] {
+        &self.arrays.order
+    }
+
+    /// The distance label of every vertex, by vertex id.
+    pub(crate) fn distances(&self) -> &[Cost] {
+        &self.arrays.dist
+    }
+
+    /// The ids from the smallest to the largest the tree reached: every
+    /// tree vertex, among others, in id order.
+    pub(crate) fn id_window(&self) -> impl Iterator<Item = NodeId> {
+        (self.ids.0..=self.ids.1).map(NodeId)
+    }
+
+    /// A clean scratch buffer of `size`, lent the way this tree's arrays
+    /// were: from its pool, or fresh.
+    pub(crate) fn scratch<U: Scratch>(&self, size: usize) -> Loan<U> {
+        self.arrays.sibling(size)
     }
 
     /// Edge sequence of the tree path between `root` and `v`.
@@ -77,7 +144,7 @@ impl ShortestPathTree {
         let mut edges = Vec::new();
         let mut cur = v;
         while cur != self.root {
-            let e = self.parent[cur.index()];
+            let e = self.parent(cur);
             debug_assert!(!e.is_invalid());
             edges.push(e);
             cur = match self.direction {
@@ -98,21 +165,43 @@ impl ShortestPathTree {
 /// generation instead of clearing, so a query on a large network touches
 /// only the vertices it actually settles.
 pub struct SearchSpace {
-    labels: Labels,
+    labels: Loan<Labels>,
     stats: SearchStats,
     metrics: SearchMetrics,
     budget: SearchBudget,
 }
 
 impl SearchSpace {
-    /// A workspace sized for `net`.
+    /// A workspace sized for `net` that owns its label store and its
+    /// trees' arrays: nothing it allocates outlives it.
     pub fn new(net: &RoadNetwork) -> SearchSpace {
         SearchSpace {
-            labels: Labels::new(net.num_nodes()),
+            labels: Loan::fresh(net.num_nodes()),
             stats: SearchStats::default(),
             metrics: SearchMetrics::default(),
             budget: SearchBudget::unlimited(),
         }
+    }
+
+    /// A workspace for one caller, polling `budget` and counting into
+    /// `metrics`: its label store is lent from the pool of stores sized
+    /// for `net`, and so are the arrays of every tree it grows. Each goes
+    /// back when its owner drops, and a store is reused as it was left —
+    /// the generation stamps retire the last caller's labels — so a loan
+    /// costs what the caller's searches touch, not O(n).
+    pub fn pooled(net: &RoadNetwork, budget: SearchBudget, metrics: SearchMetrics) -> SearchSpace {
+        SearchSpace {
+            labels: Loan::take(net.num_nodes()),
+            stats: SearchStats::default(),
+            metrics,
+            budget,
+        }
+    }
+
+    /// A clean scratch buffer of `size`, lent the way this workspace's
+    /// label store was: from its pool, or fresh.
+    pub(crate) fn scratch<U: Scratch>(&self, size: usize) -> Loan<U> {
+        self.labels.sibling(size)
     }
 
     /// Attaches pre-resolved counters; every subsequent query flushes its
@@ -163,24 +252,26 @@ impl SearchSpace {
         source: NodeId,
         target: NodeId,
     ) -> Result<Path, CoreError> {
-        self.path_under(net, weights, source, target, ReachTarget(target.0))
+        let edges = self.path_under(net, weights, source, target, ReachTarget(target.0))?;
+        Ok(Path::from_edges(net, weights, edges))
     }
 
-    /// [`SearchSpace::shortest_path`] that labels a vertex `v` at `d` only
-    /// while `d + lower(v) ≤ limit`. `lower(v)` must be a lower bound on
-    /// `d(v, target)` under `weights`, and `limit` an upper bound on
-    /// `d(source, target)` — the cost of any known walk. Every vertex of a
-    /// shortest path passes, so the route is the one `shortest_path`
-    /// returns (DESIGN.md §8); only the search work shrinks.
+    /// The edges of [`SearchSpace::shortest_path`] under `weights`, found
+    /// labelling a vertex `v` at `d` only while `d + lower(v) ≤ limit`.
+    /// `lower(v)` must be a lower bound on `d(v, target)` under `weights`,
+    /// and `limit` an upper bound on `d(source, target)` — the cost of any
+    /// known walk. Every vertex of a shortest path passes, so the route is
+    /// the one `shortest_path` returns (DESIGN.md §8); only the search
+    /// work shrinks.
     pub(crate) fn shortest_path_within(
         &mut self,
         net: &RoadNetwork,
-        weights: &[Weight],
+        weights: impl Weights,
         source: NodeId,
         target: NodeId,
         lower: impl Fn(u32) -> Cost,
         limit: Cost,
-    ) -> Result<Path, CoreError> {
+    ) -> Result<Vec<EdgeId>, CoreError> {
         let rule = ReachTargetWithin {
             target: target.0,
             lower,
@@ -189,21 +280,47 @@ impl SearchSpace {
         self.path_under(net, weights, source, target, rule)
     }
 
-    /// The one-to-one search under `rule`, which stops at `target`.
-    fn path_under<R: Rule>(
+    /// `d(source, target)` under `weights`.
+    pub(crate) fn distance_under(
         &mut self,
         net: &RoadNetwork,
-        weights: &[Weight],
+        weights: impl Weights,
+        source: NodeId,
+        target: NodeId,
+    ) -> Result<Cost, CoreError> {
+        self.reach(net, weights, source, target, ReachTarget(target.0))?;
+        Ok(self.labels.dist(target.0))
+    }
+
+    /// The one-to-one search under `rule`, which stops at `target`; fails
+    /// unless it labelled `target`.
+    fn reach<R: Rule>(
+        &mut self,
+        net: &RoadNetwork,
+        weights: impl Weights,
         source: NodeId,
         target: NodeId,
         rule: R,
-    ) -> Result<Path, CoreError> {
+    ) -> Result<(), CoreError> {
         kernel::check_endpoints(net.num_nodes(), source, target)?;
         let arcs = OutEdges(Column::new(net, weights)?);
         self.run(&arcs, source, rule)?;
         if self.labels.dist(target.0) == INFINITY {
             return Err(CoreError::Unreachable { source, target });
         }
+        Ok(())
+    }
+
+    /// The edges of the route [`SearchSpace::reach`] finds under `rule`.
+    fn path_under<R: Rule>(
+        &mut self,
+        net: &RoadNetwork,
+        weights: impl Weights,
+        source: NodeId,
+        target: NodeId,
+        rule: R,
+    ) -> Result<Vec<EdgeId>, CoreError> {
+        self.reach(net, weights, source, target, rule)?;
         // The kernel's parents are canonical (smallest tight in-edge per
         // settled vertex): the same route the substrate's forward tree
         // yields, regardless of heap pop order.
@@ -215,7 +332,7 @@ impl SearchSpace {
             cur = net.tail(e).0;
         }
         edges.reverse();
-        Ok(Path::from_edges(net, weights, edges))
+        Ok(edges)
     }
 
     /// The base optimal route of a technique call that grows no tree pair
@@ -243,8 +360,7 @@ impl SearchSpace {
         source: NodeId,
         target: NodeId,
     ) -> Result<Cost, CoreError> {
-        self.shortest_path(net, weights, source, target)
-            .map(|p| p.cost_ms)
+        self.distance_under(net, weights, source, target)
     }
 
     /// Grows a tree from `root` over `weights` in `direction` under `rule`
@@ -253,11 +369,12 @@ impl SearchSpace {
     /// parents (smallest tight edge): the tree depends only on the
     /// distance labels, not on heap pop order. Every rule grown here
     /// settles each label `≤ bound()` before it stops, so the recorded
-    /// settle order lists the whole tree.
+    /// settle order lists the whole tree, and the tree's arrays are filled
+    /// by walking it: the work is what the search settled, not O(n).
     pub(crate) fn tree_under<R: Rule>(
         &mut self,
         net: &RoadNetwork,
-        weights: &[Weight],
+        weights: impl Weights,
         root: NodeId,
         direction: Direction,
         rule: R,
@@ -267,37 +384,38 @@ impl SearchSpace {
             return Err(CoreError::InvalidNode(root));
         }
         let column = Column::new(net, weights)?;
-        let mut order = Vec::new();
+        let mut arrays = self.scratch::<TreeArrays>(net.num_nodes());
         let rule = Logged {
             rule,
-            order: &mut order,
+            order: &mut arrays.order,
         };
         match direction {
             Direction::Forward => self.run(&OutEdges(column), root, rule)?,
             Direction::Backward => self.run(&InEdges(column), root, rule)?,
         }
         let bound = bound();
-        let mut dist = vec![INFINITY; net.num_nodes()];
-        let mut parent = vec![EdgeId::INVALID; net.num_nodes()];
-        for v in 0..net.num_nodes() {
-            let d = self.labels.dist(v as u32);
-            if d != INFINITY && d <= bound {
-                dist[v] = d;
-                parent[v] = EdgeId(self.labels.parent(v as u32));
-            }
-        }
-        parent[root.index()] = EdgeId::INVALID;
+        let TreeArrays {
+            dist,
+            parent,
+            order,
+        } = &mut *arrays;
         // Settled labels never decrease, so the ones beyond the bound are
         // a suffix of the order.
-        while order.last().is_some_and(|v| dist[v.index()] == INFINITY) {
-            order.pop();
+        let inside = order.partition_point(|v| self.labels.dist(v.0) <= bound);
+        order.truncate(inside);
+        let mut ids = (root.0, root.0);
+        for &v in order.iter() {
+            dist[v.index()] = self.labels.dist(v.0);
+            if v != root {
+                parent[v.index()] = EdgeId(self.labels.parent(v.0));
+            }
+            ids = (ids.0.min(v.0), ids.1.max(v.0));
         }
         Ok(ShortestPathTree {
             root,
             direction,
-            dist,
-            parent,
-            order,
+            ids,
+            arrays,
         })
     }
 

@@ -39,7 +39,7 @@ use arp_roadnet::ids::NodeId;
 use arp_roadnet::weight::{Cost, Weight, INFINITY};
 
 use crate::error::CoreError;
-use crate::kernel::{GrowToBound, InsideEllipse};
+use crate::kernel::{GrowToBound, InsideEllipse, Weights};
 use crate::metrics::SearchStats;
 use crate::path::Path;
 use crate::query::AltQuery;
@@ -54,7 +54,7 @@ use crate::search::{Direction, SearchSpace, ShortestPathTree};
 /// weights) grow a pair per column. Keeping column and pair together is
 /// the supplier's contract — a serving layer keeps both on the request
 /// that pinned them.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SearchSubstrate {
     source: NodeId,
     target: NodeId,
@@ -89,6 +89,19 @@ impl SearchSubstrate {
         target: NodeId,
         query: &AltQuery,
     ) -> Result<SearchSubstrate, (CoreError, Option<Path>)> {
+        Self::build_under(ws, net, weights, source, target, query)
+    }
+
+    /// [`SearchSubstrate::build`] over any [`Weights`] — the Google-like
+    /// provider's private column under the public closures.
+    pub(crate) fn build_under(
+        ws: &mut SearchSpace,
+        net: &RoadNetwork,
+        weights: impl Weights,
+        source: NodeId,
+        target: NodeId,
+        query: &AltQuery,
+    ) -> Result<SearchSubstrate, (CoreError, Option<Path>)> {
         if source == target {
             return Err((CoreError::SameSourceTarget(source), None));
         }
@@ -109,7 +122,7 @@ impl SearchSubstrate {
         }
         let bound = bound.get();
         let inside = InsideEllipse {
-            forward: &forward.dist,
+            forward: forward.distances(),
             bound,
         };
         let backward = ws
@@ -201,8 +214,8 @@ impl SearchSubstrate {
     /// neither tree reached.
     #[inline]
     pub(crate) fn target_lower_bound(&self, v: u32) -> Cost {
-        let v = v as usize;
-        match (self.backward.dist[v], self.forward.dist[v]) {
+        let v = NodeId(v);
+        match (self.backward.distance(v), self.forward.distance(v)) {
             (INFINITY, INFINITY) => 0,
             (INFINITY, df) => self.bound + 1 - df,
             (db, _) => db,
@@ -213,14 +226,14 @@ impl SearchSubstrate {
 /// `sp(root, target)` read off a forward tree that reaches `target`.
 fn base_route(
     net: &RoadNetwork,
-    weights: &[Weight],
+    weights: impl Weights,
     forward: &ShortestPathTree,
     target: NodeId,
 ) -> Path {
     let edges = forward
         .path_edges(net, target)
         .expect("target reached in the forward tree");
-    Path::from_edges(net, weights, edges)
+    Path::from_edges_under(net, weights, edges)
 }
 
 #[cfg(test)]

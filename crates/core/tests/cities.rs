@@ -383,16 +383,17 @@ fn bounded_tree_pair_equals_the_complete_pair_inside_the_ellipse_on_a_medium_cit
             let (fwd, bwd) = (fwd.unwrap(), bwd.unwrap());
             let bound = sub.bound();
             assert_eq!(bound, q.search_bound(fwd.distance(t)), "{s}->{t}");
-            for v in 0..n as usize {
-                let (df, db) = (fwd.dist[v], bwd.dist[v]);
+            for v in net.nodes() {
+                let (df, db) = (fwd.distance(v), bwd.distance(v));
+                let (f, b) = (sub.forward(), sub.backward());
                 if df != INFINITY && db != INFINITY && df + db <= bound {
-                    assert_eq!(sub.forward().dist[v], df, "{s}->{t}: d_f({v})");
-                    assert_eq!(sub.backward().dist[v], db, "{s}->{t}: d_b({v})");
-                    assert_eq!(sub.forward().parent[v], fwd.parent[v], "{s}->{t}: {v}");
-                    assert_eq!(sub.backward().parent[v], bwd.parent[v], "{s}->{t}: {v}");
+                    assert_eq!(f.distance(v), df, "{s}->{t}: d_f({v})");
+                    assert_eq!(b.distance(v), db, "{s}->{t}: d_b({v})");
+                    assert_eq!(f.parent(v), fwd.parent(v), "{s}->{t}: {v}");
+                    assert_eq!(b.parent(v), bwd.parent(v), "{s}->{t}: {v}");
                 } else {
-                    assert_eq!(sub.backward().dist[v], INFINITY, "{s}->{t}: {v}");
-                    assert!(sub.forward().dist[v] == INFINITY || df <= bound);
+                    assert!(!b.reached(v), "{s}->{t}: {v}");
+                    assert!(!f.reached(v) || df <= bound);
                 }
             }
             let plateaus = |f, b| {

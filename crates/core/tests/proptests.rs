@@ -110,6 +110,11 @@ fn reference_dijkstra(
     dist
 }
 
+/// A tree's label of every vertex, by id ([`INFINITY`] = unreached).
+fn labels_of(tree: &ShortestPathTree, net: &RoadNetwork) -> Vec<Cost> {
+    net.nodes().map(|v| tree.distance(v)).collect()
+}
+
 /// `got` must be a valid `s → t` path over open edges costing exactly
 /// `want`, or `Unreachable` when the reference says so.
 fn expect_path(
@@ -172,9 +177,9 @@ fn check_against_reference(
         ));
     }
     let tree = ws.shortest_path_tree(net, weights, s, Direction::Forward);
-    same("forward tree", &tree.unwrap().dist, &from_s)?;
+    same("forward tree", &labels_of(&tree.unwrap(), net), &from_s)?;
     let tree = ws.shortest_path_tree(net, weights, t, Direction::Backward);
-    same("backward tree", &tree.unwrap().dist, &to_t)?;
+    same("backward tree", &labels_of(&tree.unwrap(), net), &to_t)?;
 
     let metric = topo.customize(net, weights).unwrap();
     let got = topo.distance(&metric, s, t).unwrap_or(INFINITY);
@@ -256,8 +261,8 @@ fn reference_sweep(
     // Via-nodes in ascending via-path length, bounded by the stretch limit.
     let mut candidates: Vec<(u64, u32)> = (0..net.num_nodes() as u32)
         .filter_map(|v| {
-            let df = fwd.dist[v as usize];
-            let db = bwd.dist[v as usize];
+            let df = fwd.distance(NodeId(v));
+            let db = bwd.distance(NodeId(v));
             if df == INFINITY || db == INFINITY {
                 return None;
             }
@@ -449,15 +454,15 @@ fn check_bounded_build(
     for v in net.nodes() {
         let (df, db) = (from_s[v.index()], to_t[v.index()]);
         let inside = df != INFINITY && db != INFINITY && df + db <= bound;
-        let (kf, kb) = (fwd.dist[v.index()], bwd.dist[v.index()]);
+        let (kf, kb) = (fwd.distance(v), bwd.distance(v));
         let ok = if inside {
             // (a)
             (kf, kb) == (df, db)
                 && (v == s
-                    || fwd.parent[v.index()]
+                    || fwd.parent(v)
                         == reference_parent(net, weights, &from_s, v, Direction::Forward))
                 && (v == t
-                    || bwd.parent[v.index()]
+                    || bwd.parent(v)
                         == reference_parent(net, weights, &to_t, v, Direction::Backward))
         } else {
             // (b): the forward run may keep the rest of its ball, exactly
@@ -869,6 +874,172 @@ fn check_penalty_against_reference(
     Ok(true)
 }
 
+/// Whether two trees are the same: root, direction, settle order, and
+/// every vertex's label and parent.
+fn same_tree(net: &RoadNetwork, a: &ShortestPathTree, b: &ShortestPathTree) -> bool {
+    let entry = |tree: &ShortestPathTree, v| (tree.distance(v), tree.parent(v));
+    (a.root, a.direction) == (b.root, b.direction)
+        && a.order() == b.order()
+        && net.nodes().all(|v| entry(a, v) == entry(b, v))
+}
+
+/// The Google-like provider's routes as computed on a masked copy of its
+/// private column — the column with every publicly closed edge closed —
+/// in a fresh workspace: the oracle for its searches reading the public
+/// closures edge by edge.
+fn reference_google_like(
+    net: &RoadNetwork,
+    public: &[Weight],
+    provider: &GoogleLikeProvider,
+    (s, t): (NodeId, NodeId),
+    query: &AltQuery,
+) -> Vec<Vec<EdgeId>> {
+    let masked: Vec<Weight> = provider
+        .private_weights()
+        .iter()
+        .zip(public)
+        .map(|(&w, &p)| if p == CLOSED { CLOSED } else { w })
+        .collect();
+    let mut ws = SearchSpace::new(net);
+    let Ok(own) = SearchSubstrate::build(&mut ws, net, &masked, s, t, query) else {
+        return Vec::new();
+    };
+    let options = PlateauOptions {
+        max_similarity: 0.8,
+        min_plateau_fraction: 0.01,
+    };
+    let budget = SearchBudget::unlimited();
+    let (fwd, bwd, mut funnel) = (own.forward(), own.backward(), Funnel::default());
+    let paths = arp_core::plateau_alternatives_from_trees(
+        net,
+        &masked,
+        query,
+        &options,
+        &mut funnel,
+        fwd,
+        bwd,
+        &budget,
+    )
+    .unwrap();
+    let config = FilterConfig::commercial();
+    let kept = apply_filters(&mut ws, net, &masked, &own, paths, query.k, &config).unwrap();
+    kept.into_iter().map(|p| p.edges).collect()
+}
+
+/// Runs `ops` — each one request: endpoints, weighting, ε, k and budget
+/// drawn from its bits — through pooled workspaces whose label stores and
+/// tree arrays are recycled from request to request, some kept alive
+/// across later ones. Every tree pair, interrupted build and technique
+/// answer must equal a fresh workspace's, and Google-like's the masked
+/// column's.
+fn check_reuse(
+    net: &RoadNetwork,
+    columns: [&[Weight]; 2],
+    google: &GoogleLikeProvider,
+    ops: &[u32],
+) -> Result<(), String> {
+    let n = net.num_nodes() as u32;
+    let unlimited = SearchBudget::unlimited();
+    let (mut kept, mut held) = (Vec::new(), Vec::new());
+    for (i, &op) in ops.iter().enumerate() {
+        let bits = |shift: u32, span: u32| (op >> shift) % span;
+        let (s, t) = (NodeId(op % n), NodeId(bits(5, n)));
+        let weights = columns[bits(10, 2) as usize];
+        let query = AltQuery::paper()
+            .with_epsilon([1.0, 1.4, 2.5][bits(11, 3) as usize])
+            .with_k([1, 3, 5][bits(13, 3) as usize]);
+        // One build in four runs under a small expansion cap.
+        let budget = || match bits(15, 4) {
+            0 => SearchBudget::new().with_expansion_cap(u64::from(bits(17, 40)) + 1),
+            _ => SearchBudget::unlimited(),
+        };
+        let what = format!("op {i}: {s}->{t} eps={} k={}", query.epsilon, query.k);
+        let mut ws = SearchSpace::pooled(net, budget(), SearchMetrics::default());
+        let mut fresh = SearchSpace::new(net);
+        fresh.set_budget(budget());
+        let got = SearchSubstrate::build(&mut ws, net, weights, s, t, &query);
+        let want = SearchSubstrate::build(&mut fresh, net, weights, s, t, &query);
+        let (pair, fresh_pair) = match (got, want) {
+            (Ok(got), Ok(want)) => (got, want),
+            (Err(got), Err(want)) if got == want => continue,
+            (got, want) => {
+                let (got, want) = (got.map(|p| p.bound()), want.map(|p| p.bound()));
+                return Err(format!("{what}: built {got:?}, fresh {want:?}"));
+            }
+        };
+        let trees = [
+            (pair.forward(), fresh_pair.forward()),
+            (pair.backward(), fresh_pair.backward()),
+        ];
+        if !trees.iter().all(|(a, b)| same_tree(net, a, b)) {
+            return Err(format!("{what}: a recycled tree differs from a fresh one"));
+        }
+        ws.set_budget(SearchBudget::unlimited());
+        fresh.set_budget(SearchBudget::unlimited());
+        let mut answers = Vec::new();
+        for (ws, pair) in [(&mut ws, &pair), (&mut fresh, &fresh_pair)] {
+            let (fwd, bwd, mut funnel) = (pair.forward(), pair.backward(), Funnel::default());
+            let plateau = PlateauOptions::default();
+            let dissimilarity = DissimilarityOptions::default();
+            let penalty = PenaltyOptions::default();
+            answers.push([
+                arp_core::plateau_alternatives_from_trees(
+                    net,
+                    weights,
+                    &query,
+                    &plateau,
+                    &mut funnel,
+                    fwd,
+                    bwd,
+                    &unlimited,
+                ),
+                arp_core::dissimilarity_alternatives_from_trees(
+                    net,
+                    weights,
+                    &query,
+                    &dissimilarity,
+                    &mut funnel,
+                    fwd,
+                    bwd,
+                    &unlimited,
+                ),
+                arp_core::penalty_alternatives_from_base(
+                    ws,
+                    net,
+                    weights,
+                    pair,
+                    &penalty,
+                    &mut funnel,
+                ),
+            ]);
+        }
+        if answers[0] != answers[1] {
+            return Err(format!(
+                "{what}: {:?} vs fresh {:?}",
+                answers[0], answers[1]
+            ));
+        }
+        let routes = google.answer(net, weights, &pair, &unlimited).unwrap();
+        let routes: Vec<_> = routes.routes().into_iter().map(|r| r.path.edges).collect();
+        let want = reference_google_like(net, weights, google, (s, t), &query);
+        if routes != want {
+            return Err(format!("{what}: google-like {routes:?}, masked {want:?}"));
+        }
+        // Keep some pairs and workspaces on loan across later requests.
+        if bits(23, 3) == 0 {
+            kept.push(pair);
+        }
+        if bits(25, 4) == 0 {
+            held.push(ws);
+        }
+        if kept.len() + held.len() > 4 {
+            kept.clear();
+            held.clear();
+        }
+    }
+    Ok(())
+}
+
 /// An `n`×`n` grid of two-way primary roads, nodes numbered row by row.
 fn grid(n: usize) -> RoadNetwork {
     let mut b = GraphBuilder::new();
@@ -1172,6 +1343,24 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn reused_workspaces_and_recycled_trees_match_fresh_ones(
+        ((n, chords), codes, ops) in (
+            arb_scc_graph(),
+            proptest::collection::vec(0u32..9, 100),
+            proptest::collection::vec(0u32..u32::MAX, 16),
+        ),
+    ) {
+        // One sequence of requests on the network's own weights and under
+        // a closure-and-slowdown overlay, through workspaces and trees
+        // recycled from one request to the next.
+        let net = build(n, &chords);
+        let slowed = overlay(&net, &codes);
+        let google = GoogleLikeProvider::new(&net, 7);
+        let checked = check_reuse(&net, [net.weights(), &slowed[..]], &google, &ops);
+        prop_assert!(checked.is_ok(), "{:?}", checked);
     }
 
     #[test]

@@ -337,6 +337,54 @@ mod tests {
         assert_eq!(registry.counter_value("arp_substrate_builds_total", &[]), 1);
     }
 
+    /// Every lane of `q`, prepared and computed without a budget, in its
+    /// `Debug` form: every field a response is rendered from.
+    fn lanes_of(qp: &QueryProcessor, q: SnappedQuery) -> Vec<String> {
+        let request = prepared(qp, q);
+        let lane = |slot| qp.compute_slot_prepared(&request, slot, &SearchBudget::unlimited());
+        let lanes = (0..qp.technique_slots()).map(|slot| format!("{:?}", lane(slot).unwrap()));
+        lanes.collect()
+    }
+
+    #[test]
+    fn recycled_scratch_leaks_nothing_from_one_request_into_the_next() {
+        // The label stores, tree arrays and overlays a request uses are
+        // lent from process-wide pools and reused by the next one.
+        let qp = processor();
+        let (a, b) = inner_points(&qp);
+        let request_a = qp.snap(a, b).unwrap();
+        // An epoch that closes an edge in the middle of A's first route,
+        // and what a processor that served nothing before answers there.
+        let (net, w) = (qp.network(), qp.network().weights());
+        let first = arp_core::shortest_path(net, w, request_a.source, request_a.target).unwrap();
+        let closed = first.edges[first.edges.len() / 2];
+        let delta = arp_traffic::TrafficDelta::parse(&format!("close:{}", closed.0)).unwrap();
+        let fresh = processor();
+        fresh.traffic().apply_delta(&delta).unwrap();
+        let want = lanes_of(&fresh, request_a);
+
+        let served = lanes_of(&qp, request_a);
+        // B: the way back, served once, then again with its build
+        // interrupted in the forward tree — the cap trips at the search's
+        // first in-loop poll — leaving half-written trees behind.
+        let request_b = SnappedQuery {
+            source: request_a.target,
+            target: request_a.source,
+        };
+        lanes_of(&qp, request_b);
+        let cap = SearchBudget::new().with_expansion_cap(1);
+        let interrupted = qp.prepare_substrate(qp.prepare_query(request_b), &cap);
+        assert!(matches!(
+            interrupted.substrate,
+            Err((arp_core::CoreError::Interrupted, None))
+        ));
+        drop(interrupted);
+        qp.traffic().apply_delta(&delta).unwrap();
+        let again = lanes_of(&qp, request_a);
+        assert_ne!(again, served, "the closure moved A's routes");
+        assert_eq!(again, want);
+    }
+
     #[test]
     fn a_prepare_interrupted_between_its_trees_serves_the_base_route() {
         let qp = processor();

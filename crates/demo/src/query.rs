@@ -13,7 +13,9 @@ use arp_core::path::Path;
 use arp_core::provider::AlternativesProvider;
 use arp_core::query::{AltQuery, Route};
 use arp_core::substrate::SearchSubstrate;
-use arp_core::{CoreError, ProviderKind, ProviderOutcome, SearchBudget, SearchSpace};
+use arp_core::{
+    CoreError, ProviderKind, ProviderOutcome, SearchBudget, SearchMetrics, SearchSpace,
+};
 use arp_obs::{Counter, Registry};
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::geo::{BoundingBox, Point};
@@ -380,7 +382,9 @@ impl QueryProcessor {
     /// the outcome on the request for every lane to read. Failures are
     /// [`SearchSubstrate::build`]'s: the budget tripped (with the base
     /// route, when the forward tree had proven it), or the pair is
-    /// unroutable.
+    /// unroutable. The workspace and the pair's trees are lent from
+    /// `arp_core`'s scratch pools and go back when the request drops
+    /// (DESIGN.md §8 "What a miss allocates").
     ///
     /// The CH index tier ([`QueryProcessor::with_ch_index`]) is not
     /// consulted — the bounded search beats its whole-city sweep at every
@@ -390,8 +394,8 @@ impl QueryProcessor {
         mut request: PreparedQuery,
         budget: &SearchBudget,
     ) -> PreparedQuery {
-        let mut ws = SearchSpace::new(&self.network);
-        ws.set_budget(budget.clone());
+        let detached = SearchMetrics::default();
+        let mut ws = SearchSpace::pooled(&self.network, budget.clone(), detached);
         let SnappedQuery { source, target } = request.snapped;
         let weights = request.overlay.weights();
         let built =

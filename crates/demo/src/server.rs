@@ -261,7 +261,7 @@ impl Endpoint {
 }
 
 /// Every status the handlers answer with, and its reason phrase.
-const STATUSES: [(u16, &str); 10] = [
+const STATUSES: [(u16, &str); 11] = [
     (200, "OK"),
     (400, "Bad Request"),
     (404, "Not Found"),
@@ -269,6 +269,7 @@ const STATUSES: [(u16, &str); 10] = [
     (413, "Payload Too Large"),
     (431, "Request Header Fields Too Large"),
     (500, "Internal Server Error"),
+    (501, "Not Implemented"),
     (502, "Bad Gateway"),
     (503, "Service Unavailable"),
     (504, "Gateway Timeout"),
@@ -915,8 +916,11 @@ fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> std::io::R
 /// `Content-Length`) from a stream, trusting the peer with nothing: lines
 /// are capped at [`MAX_LINE_BYTES`], headers at [`MAX_HEADERS`], and a
 /// body whose declared length exceeds [`MAX_BODY_BYTES`] is **not read at
-/// all**. A request past any bound comes back with `refused` set so the
-/// serving loop can answer it without having buffered the excess.
+/// all**. A body must be framed by `Content-Length`: a request carrying
+/// `Transfer-Encoding` is refused with `501` (RFC 9112 §6.1), since
+/// reading it by its length would take a chunked body for an empty one.
+/// A request past any bound comes back with `refused` set so the serving
+/// loop can answer it without having buffered the excess.
 fn read_request(stream: impl Read) -> std::io::Result<Option<RawRequest>> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
@@ -948,10 +952,15 @@ fn read_request(stream: impl Read) -> std::io::Result<Option<RawRequest>> {
             request.refused = too_large;
             return Ok(Some(request));
         }
-        if let Some(v) = header_line
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-        {
+        let header_line = header_line.to_ascii_lowercase();
+        if header_line.starts_with("transfer-encoding:") {
+            request.refused = Some((
+                501,
+                "Transfer-Encoding is not supported; send Content-Length",
+            ));
+            return Ok(Some(request));
+        }
+        if let Some(v) = header_line.strip_prefix("content-length:") {
             let Ok(declared) = v.trim().parse() else {
                 request.refused = Some((400, "malformed Content-Length"));
                 return Ok(Some(request));
@@ -1922,6 +1931,48 @@ mod tests {
                 &[("endpoint", "traffic"), ("status", "413")]
             ),
             1
+        );
+    }
+
+    /// A chunked body used to be read as an empty one: `POST /api/traffic`
+    /// answered `200` with `applied: 0`, published and journalled a new
+    /// epoch, and dropped the real delta. A transfer-coded request is now
+    /// refused with `501` and nothing is applied — also when a
+    /// `Content-Length` comes with it.
+    #[test]
+    fn a_transfer_encoded_body_is_refused_and_applies_nothing() {
+        let app = Arc::new(app());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = ShutdownHandle::new();
+        let server = {
+            let app = Arc::clone(&app);
+            let shutdown = shutdown.clone();
+            std::thread::spawn(move || serve_with_shutdown(app, listener, shutdown))
+        };
+        let chunked = "Transfer-Encoding: chunked\r\n";
+        for length in ["", "Content-Length: 7\r\n"] {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            write!(
+                stream,
+                "POST /api/traffic HTTP/1.1\r\nHost: localhost\r\n{chunked}{length}\r\n\
+                 7\r\nclose:0\r\n0\r\n\r\n"
+            )
+            .unwrap();
+            let mut buf = String::new();
+            stream.read_to_string(&mut buf).unwrap();
+            assert!(buf.starts_with("HTTP/1.1 501 Not Implemented"), "{buf}");
+            assert!(buf.contains("send Content-Length"), "{buf}");
+        }
+        shutdown.request_shutdown();
+        server.join().unwrap().unwrap();
+        assert_eq!(app.processor.traffic().epoch(), 0, "nothing was applied");
+        assert_eq!(
+            app.registry.counter_value(
+                "arp_http_requests_total",
+                &[("endpoint", "traffic"), ("status", "501")]
+            ),
+            2
         );
     }
 

@@ -23,21 +23,19 @@ pub struct SpatialIndex {
     items: Vec<NodeId>,
 }
 
-impl SpatialIndex {
-    /// Builds an index targeting roughly `nodes_per_cell` nodes per bucket.
-    pub fn build(net: &RoadNetwork) -> SpatialIndex {
-        Self::build_with_density(net, 8)
-    }
+/// The bucket occupancy the grid is sized for.
+const NODES_PER_CELL: usize = 8;
 
-    /// Builds an index with an explicit target bucket occupancy.
-    pub fn build_with_density(net: &RoadNetwork, nodes_per_cell: usize) -> SpatialIndex {
+impl SpatialIndex {
+    /// Builds an index targeting roughly eight nodes per bucket.
+    pub fn build(net: &RoadNetwork) -> SpatialIndex {
         let n = net.num_nodes();
         let bbox = if net.bbox().is_empty() {
             BoundingBox::new(0.0, 0.0, 0.0, 0.0)
         } else {
             net.bbox()
         };
-        let cells = (n / nodes_per_cell.max(1)).max(1);
+        let cells = (n / NODES_PER_CELL).max(1);
         let aspect = if bbox.height_deg() > 0.0 {
             (bbox.width_deg() / bbox.height_deg()).clamp(0.1, 10.0)
         } else {

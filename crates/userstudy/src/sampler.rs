@@ -60,7 +60,7 @@ pub fn sample_queries(net: &RoadNetwork, quotas: [usize; 3], seed: u64) -> Vec<S
             if v == source.0 {
                 continue;
             }
-            let d = tree.dist[v as usize];
+            let d = tree.distance(NodeId(v));
             if d == INFINITY {
                 continue;
             }
@@ -82,7 +82,7 @@ pub fn sample_queries(net: &RoadNetwork, quotas: [usize; 3], seed: u64) -> Vec<S
                 out.push(StudyQuery {
                     source,
                     target: NodeId(target),
-                    fastest_ms: tree.dist[target as usize],
+                    fastest_ms: tree.distance(NodeId(target)),
                     bin,
                 });
                 remaining[i] -= 1;
