@@ -446,7 +446,7 @@ fn main() {
             let pair = SearchSubstrate::build(&mut ws, &net, net.weights(), s, t, &q)
                 .expect("benchmark queries are routable");
             for provider in &providers {
-                let _ = provider.answer(&net, net.weights(), &pair, &budget);
+                let _ = provider.answer(&net, net.weights(), pair.trip(), Some(&pair), &budget);
             }
         }
         let _ = writeln!(report, "  search work over {} queries:", queries.len());

@@ -27,6 +27,9 @@ pub enum CoreError {
     /// A query's penalty factor is not a number ≥ 1: penalized weights
     /// would fall below the public ones.
     InvalidPenaltyFactor,
+    /// A technique that reads the request's tree pair was handed none
+    /// ([`crate::AlternativesProvider::reads_pair`]): a caller bug.
+    MissingPair,
     /// The search's [`crate::SearchBudget`] tripped (cancellation,
     /// deadline or expansion cap) before the search finished. Technique
     /// drivers catch this and return the alternatives admitted so far.
@@ -65,6 +68,7 @@ impl fmt::Display for CoreError {
             CoreError::InvalidPenaltyFactor => {
                 write!(f, "penalty factor must be a number at least 1")
             }
+            CoreError::MissingPair => write!(f, "technique needs the request's tree pair"),
             CoreError::Interrupted => write!(f, "search interrupted by its budget"),
         }
     }

@@ -102,7 +102,7 @@ pub use provider::{
 };
 pub use query::{AltQuery, Route};
 pub use search::{shortest_path, Direction, SearchSpace, ShortestPathTree};
-pub use substrate::SearchSubstrate;
+pub use substrate::{SearchSubstrate, Trip};
 pub use turns::{turn_aware_shortest_path, TurnModel};
 pub use yen::{yen_k_shortest_paths, yen_k_shortest_paths_budgeted};
 
@@ -124,7 +124,7 @@ pub mod prelude {
     };
     pub use crate::query::{AltQuery, Route};
     pub use crate::search::{shortest_path, Direction, SearchSpace};
-    pub use crate::substrate::SearchSubstrate;
+    pub use crate::substrate::{SearchSubstrate, Trip};
     pub use crate::yen::yen_k_shortest_paths;
 }
 

@@ -25,7 +25,7 @@ use crate::filters::{filter_routes, FilterConfig};
 use crate::kernel::ClosedWhere;
 use crate::metrics::TechniqueMetrics;
 use crate::plateau::{plateau_alternatives_from_trees, PlateauOptions};
-use crate::substrate::SearchSubstrate;
+use crate::substrate::{SearchSubstrate, Trip};
 
 use super::{lane_workspace, observed_call, AlternativesProvider, ProviderKind, ProviderOutcome};
 use crate::budget::SearchBudget;
@@ -197,14 +197,21 @@ impl AlternativesProvider for GoogleLikeProvider {
         ProviderKind::GoogleLike
     }
 
+    /// The public pair describes the public column, which this provider
+    /// does not search: it answers from the trip alone.
+    fn reads_pair(&self) -> bool {
+        false
+    }
+
     fn answer(
         &self,
         net: &RoadNetwork,
         public_weights: &[Weight],
-        pair: &SearchSubstrate,
+        trip: &Trip,
+        _pair: Option<&SearchSubstrate>,
         budget: &SearchBudget,
     ) -> Result<ProviderOutcome, CoreError> {
-        let (s, t, query) = (pair.source(), pair.target(), pair.query());
+        let (s, t, query) = (trip.source, trip.target, &trip.query);
         observed_call(&self.metrics, public_weights, |funnel| {
             if self.private_weights.len() != net.num_edges() {
                 return Err(CoreError::WeightLengthMismatch {
@@ -225,8 +232,8 @@ impl AlternativesProvider for GoogleLikeProvider {
                 weights: &self.private_weights,
                 closures: public_weights,
             };
-            // Plateaus on the PRIVATE data, on a pair grown here: the
-            // handed one describes the public column. `observed_call`
+            // Plateaus on the PRIVATE data, on a pair grown here: a public
+            // pair would describe the other column. `observed_call`
             // prices the routes on the public data, like the paper's query
             // processor does for Google's. A build the budget interrupts
             // yields what it had proven (the private optimum once the

@@ -22,7 +22,7 @@ use crate::penalty::{penalty_alternatives_from_base, PenaltyOptions};
 use crate::plateau::{plateau_alternatives_from_trees, PlateauOptions};
 use crate::query::{AltQuery, Route};
 use crate::search::SearchSpace;
-use crate::substrate::SearchSubstrate;
+use crate::substrate::{SearchSubstrate, Trip};
 
 pub use google_like::{GoogleLikeProvider, TrafficModel};
 
@@ -113,9 +113,19 @@ pub trait AlternativesProvider: Send + Sync {
     /// Which approach this is.
     fn kind(&self) -> ProviderKind;
 
-    /// Computes up to `query.k` routes from `source` to `target`: grows
-    /// the call's tree pair on `public_weights` ([`SearchSubstrate::build`])
-    /// and hands it to [`AlternativesProvider::answer`] with no budget.
+    /// Whether [`AlternativesProvider::answer`] reads the request's tree
+    /// pair on the public column. A technique that does not (one that
+    /// searches its own data, as the Google-like provider does) reads
+    /// only the [`Trip`], so it can run before any pair exists, and
+    /// nobody grows a public pair for it alone.
+    fn reads_pair(&self) -> bool {
+        true
+    }
+
+    /// Computes up to `query.k` routes from `source` to `target` with no
+    /// budget: grows the call's tree pair on `public_weights`
+    /// ([`SearchSubstrate::build`]) when the technique reads one, and
+    /// hands the trip (and the pair) to [`AlternativesProvider::answer`].
     /// Failures to grow it (`source == target`, an unreachable target)
     /// are the call's error.
     fn alternatives(
@@ -126,15 +136,25 @@ pub trait AlternativesProvider: Send + Sync {
         target: NodeId,
         query: &AltQuery,
     ) -> Result<Vec<Route>, CoreError> {
+        let trip = Trip {
+            source,
+            target,
+            query: *query,
+        };
+        let unlimited = SearchBudget::unlimited();
+        if !self.reads_pair() {
+            return self
+                .answer(net, public_weights, &trip, None, &unlimited)
+                .map(ProviderOutcome::routes);
+        }
         let mut ws = SearchSpace::new(net);
         let pair = SearchSubstrate::build(&mut ws, net, public_weights, source, target, query)
             .map_err(|(e, _)| e)?;
-        self.answer(net, public_weights, &pair, &SearchBudget::unlimited())
+        self.answer(net, public_weights, &trip, Some(&pair), &unlimited)
             .map(ProviderOutcome::routes)
     }
 
-    /// Answers the query `pair` was grown for ([`SearchSubstrate::query`],
-    /// between its endpoints) under a cooperative [`SearchBudget`]: every
+    /// Answers `trip` under a cooperative [`SearchBudget`]: every
     /// internal search polls `budget`, and a trip mid-call yields
     /// [`ProviderOutcome::Interrupted`] carrying the routes admitted so
     /// far rather than an error.
@@ -144,19 +164,37 @@ pub trait AlternativesProvider: Send + Sync {
     /// different internal data, but the returned routes are always priced
     /// on the public weights.
     ///
-    /// `pair` is the request's one [`SearchSubstrate`]: Plateaus and
-    /// Dissimilarity sweep its trees, Penalty starts from its base route
-    /// and prunes its re-searches by its labels.
-    /// The Google-like provider searches *private* weights, for which the
-    /// public trees would be wrong: it reads only the endpoints and query
-    /// off the pair and grows its own on its own column.
+    /// `pair` is the request's one [`SearchSubstrate`], grown for `trip`:
+    /// Plateaus and Dissimilarity sweep its trees, Penalty starts from its
+    /// base route and prunes its re-searches by its labels. A technique
+    /// that [reads the pair](AlternativesProvider::reads_pair) and is
+    /// handed none fails with [`CoreError::MissingPair`]. The Google-like
+    /// provider searches *private* weights, for which the public trees
+    /// would be wrong: it reads only `trip` and grows its own pair on its
+    /// own column, so it is handed none.
     fn answer(
         &self,
         net: &RoadNetwork,
         public_weights: &[Weight],
-        pair: &SearchSubstrate,
+        trip: &Trip,
+        pair: Option<&SearchSubstrate>,
         budget: &SearchBudget,
     ) -> Result<ProviderOutcome, CoreError>;
+}
+
+/// The pair a pair-reading technique was handed for `trip`, or
+/// [`CoreError::MissingPair`] — a caller that skipped the build.
+fn handed<'a>(
+    trip: &Trip,
+    pair: Option<&'a SearchSubstrate>,
+) -> Result<&'a SearchSubstrate, CoreError> {
+    debug_assert!(
+        pair.is_some(),
+        "a pair-reading technique was handed no pair"
+    );
+    let pair = pair.ok_or(CoreError::MissingPair)?;
+    debug_assert_eq!(pair.trip(), trip, "the pair answers another trip");
+    Ok(pair)
 }
 
 /// The shared prologue and epilogue of every provider call: count and
@@ -225,10 +263,12 @@ impl AlternativesProvider for PlateauProvider {
         &self,
         net: &RoadNetwork,
         public_weights: &[Weight],
-        pair: &SearchSubstrate,
+        trip: &Trip,
+        pair: Option<&SearchSubstrate>,
         budget: &SearchBudget,
     ) -> Result<ProviderOutcome, CoreError> {
         observed_call(&self.metrics, public_weights, |funnel| {
+            let pair = handed(trip, pair)?;
             plateau_alternatives_from_trees(
                 net,
                 public_weights,
@@ -271,10 +311,12 @@ impl AlternativesProvider for PenaltyProvider {
         &self,
         net: &RoadNetwork,
         public_weights: &[Weight],
-        pair: &SearchSubstrate,
+        trip: &Trip,
+        pair: Option<&SearchSubstrate>,
         budget: &SearchBudget,
     ) -> Result<ProviderOutcome, CoreError> {
         observed_call(&self.metrics, public_weights, |funnel| {
+            let pair = handed(trip, pair)?;
             // Iteration zero is the pair's base route — never a search of
             // its own. The penalized re-searches run here, under this
             // call's budget, pruned by the pair's labels.
@@ -319,10 +361,12 @@ impl AlternativesProvider for DissimilarityProvider {
         &self,
         net: &RoadNetwork,
         public_weights: &[Weight],
-        pair: &SearchSubstrate,
+        trip: &Trip,
+        pair: Option<&SearchSubstrate>,
         budget: &SearchBudget,
     ) -> Result<ProviderOutcome, CoreError> {
         observed_call(&self.metrics, public_weights, |funnel| {
+            let pair = handed(trip, pair)?;
             dissimilarity_alternatives_from_trees(
                 net,
                 public_weights,
@@ -408,7 +452,7 @@ mod tests {
         let budget = SearchBudget::unlimited();
         let answer = |provider: &dyn AlternativesProvider| {
             provider
-                .answer(&net, net.weights(), &pair, &budget)
+                .answer(&net, net.weights(), pair.trip(), Some(&pair), &budget)
                 .unwrap()
         };
         let reg = Registry::new();
@@ -488,7 +532,7 @@ mod tests {
             let budget = SearchBudget::new();
             budget.cancel();
             let outcome = p
-                .answer(&net, net.weights(), &pair, &budget)
+                .answer(&net, net.weights(), pair.trip(), Some(&pair), &budget)
                 .unwrap_or_else(|e| panic!("{} errored on cancellation: {e}", p.kind()));
             assert!(outcome.is_interrupted(), "{}", p.kind());
             let partial = outcome.routes();
@@ -526,7 +570,13 @@ mod tests {
                 .alternatives(&net, net.weights(), NodeId(0), NodeId(63), &q)
                 .unwrap();
             let outcome = p
-                .answer(&net, net.weights(), &pair, &SearchBudget::unlimited())
+                .answer(
+                    &net,
+                    net.weights(),
+                    pair.trip(),
+                    Some(&pair),
+                    &SearchBudget::unlimited(),
+                )
                 .unwrap();
             assert!(!outcome.is_interrupted());
             let routes = outcome.routes();

@@ -22,11 +22,13 @@
 //! tree's parent, and a shortest-path predecessor of an in-ellipse vertex
 //! is itself in the ellipse — so every technique returns the routes it
 //! returns on complete trees (the differential property tests in
-//! `crates/core/tests/proptests.rs` pin this down). Every technique is
-//! handed the pair ([`crate::AlternativesProvider::answer`]); whoever grew
-//! it — a serving layer once per request, or
+//! `crates/core/tests/proptests.rs` pin this down). Every technique that
+//! reads the pair is handed it ([`crate::AlternativesProvider::answer`]);
+//! whoever grew it — a serving layer once per request, or
 //! [`crate::AlternativesProvider::alternatives`] per call — grew it with
-//! this one function: a substrate has one supplier.
+//! this one function: a substrate has one supplier. The Google-like
+//! provider reads only the pair's [`Trip`] and grows its own on its
+//! private column, with the same function.
 //!
 //! Every build cooperates with cancellation: it runs under the
 //! workspace's [`crate::SearchBudget`], and a trip mid-build surfaces as
@@ -45,6 +47,21 @@ use crate::path::Path;
 use crate::query::AltQuery;
 use crate::search::{Direction, SearchSpace, ShortestPathTree};
 
+/// What a request asks for, on no column in particular: its endpoints
+/// and the [`AltQuery`] they are answered under. A [`SearchSubstrate`]
+/// records the trip it was grown for ([`SearchSubstrate::trip`]); a
+/// technique that grows its own pair on its own column reads nothing
+/// else ([`crate::AlternativesProvider::reads_pair`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Trip {
+    /// The source vertex.
+    pub source: NodeId,
+    /// The target vertex.
+    pub target: NodeId,
+    /// The query the trip is answered under.
+    pub query: AltQuery,
+}
+
 /// Per-request search artifacts shared read-only across techniques:
 /// forward + backward shortest-path trees, the base optimal route, the
 /// request they answer and the build's work counters.
@@ -56,9 +73,7 @@ use crate::search::{Direction, SearchSpace, ShortestPathTree};
 /// that pinned them.
 #[derive(Debug)]
 pub struct SearchSubstrate {
-    source: NodeId,
-    target: NodeId,
-    query: AltQuery,
+    trip: Trip,
     /// Every vertex with `d_f + d_b ≤ bound` carries its exact labels.
     bound: Cost,
     forward: ShortestPathTree,
@@ -132,9 +147,11 @@ impl SearchSubstrate {
             .map_err(|e| (e, Some(base_route(net, weights, &forward, target))))?;
         build_stats.accumulate(&ws.last_stats());
         Ok(SearchSubstrate {
-            source,
-            target,
-            query: *query,
+            trip: Trip {
+                source,
+                target,
+                query: *query,
+            },
             bound,
             base: base_route(net, weights, &forward, target),
             forward,
@@ -150,20 +167,25 @@ impl SearchSubstrate {
         self.bound
     }
 
+    /// The trip the pair was grown for: its endpoints and query.
+    pub fn trip(&self) -> &Trip {
+        &self.trip
+    }
+
     /// The request's source vertex (the forward tree's root).
     pub fn source(&self) -> NodeId {
-        self.source
+        self.trip.source
     }
 
     /// The request's target vertex (the backward tree's root).
     pub fn target(&self) -> NodeId {
-        self.target
+        self.trip.target
     }
 
     /// The query the pair was grown for: its stretch set the bound, and
     /// every technique handed the pair answers it.
     pub fn query(&self) -> &AltQuery {
-        &self.query
+        &self.trip.query
     }
 
     /// The forward shortest-path tree rooted at the source.

@@ -1019,7 +1019,9 @@ fn check_reuse(
                 answers[0], answers[1]
             ));
         }
-        let routes = google.answer(net, weights, &pair, &unlimited).unwrap();
+        let routes = google
+            .answer(net, weights, pair.trip(), None, &unlimited)
+            .unwrap();
         let routes: Vec<_> = routes.routes().into_iter().map(|r| r.path.edges).collect();
         let want = reference_google_like(net, weights, google, (s, t), &query);
         if routes != want {
@@ -1495,7 +1497,7 @@ proptest! {
 
         for provider in standard_providers(&net, 42) {
             let own = provider.alternatives(&net, net.weights(), s, t, &q).unwrap();
-            let fed = provider.answer(&net, net.weights(), &sub, &budget)
+            let fed = provider.answer(&net, net.weights(), sub.trip(), Some(&sub), &budget)
                 .unwrap().routes();
             prop_assert_eq!(&own, &fed, "{} differs on the shared substrate", provider.kind());
         }

@@ -58,6 +58,12 @@ impl RouteBackend for DemoBackend {
             .slot_cache_key_at(&request.snapped, lane, request.epoch())
     }
 
+    fn reads_prepare(&self, lane: usize) -> bool {
+        // Prepare grows the public tree pair; a technique that never
+        // reads it (Google-like searches its own column) starts first.
+        self.processor.slot_reads_pair(lane)
+    }
+
     fn prepare(
         &self,
         request: PreparedQuery,
@@ -68,7 +74,7 @@ impl RouteBackend for DemoBackend {
         // the lanes observe plus whatever headroom the deadline leaves. A
         // build that cannot finish (tripped token, expired deadline,
         // unroutable pair) leaves its error on the request, and every lane
-        // serves what it had proven.
+        // that reads the pair serves what it had proven.
         let mut budget = SearchBudget::with_cancel_flag(token.flag());
         if !deadline.is_unbounded() {
             match deadline.remaining() {
@@ -174,34 +180,74 @@ mod tests {
         )
     }
 
+    /// Every response the service serves — Google-like started before
+    /// prepare, the other lanes after it — is byte-equal to the serial
+    /// `prepare → compute × 4 → assemble` path, on twelve pairs before
+    /// and after an epoch that closes an edge on one of their routes.
     #[test]
-    fn served_response_matches_the_serial_reference() {
-        let qp = processor();
-        let (a, b) = inner_points(&qp);
-        let serial = qp.process(a, b).unwrap();
+    fn served_responses_equal_the_serial_stages_across_an_epoch() {
+        use crate::render::{route_body, CoordText};
 
+        let qp = processor();
+        let net = qp.network();
+        let n = net.num_nodes() as u64;
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            arp_roadnet::ids::NodeId(((state >> 33) % n) as u32)
+        };
+        let mut pairs = Vec::new();
+        while pairs.len() < 12 {
+            let (source, target) = (next(), next());
+            if source != target
+                && arp_core::shortest_path(net, net.weights(), source, target).is_ok()
+            {
+                pairs.push(SnappedQuery { source, target });
+            }
+        }
         let service = RouteService::new(
             DemoBackend::new(Arc::clone(&qp)),
             ServeConfig::default(),
             &Registry::disabled(),
         );
-        let snapped = qp.snap(a, b).unwrap();
-        let served = service.route(qp.prepare_query(snapped)).unwrap();
-
-        assert_eq!(served.source, serial.source);
-        assert_eq!(served.target, serial.target);
-        assert_eq!(served.fastest_minutes, serial.fastest_minutes);
-        assert_eq!(served.approaches.len(), serial.approaches.len());
-        for (x, y) in served.approaches.iter().zip(&serial.approaches) {
-            assert_eq!(x.label, y.label);
-            assert_eq!(x.routes.len(), y.routes.len());
-            for (rx, ry) in x.routes.iter().zip(&y.routes) {
-                assert_eq!(rx.minutes, ry.minutes);
-                assert_eq!(rx.cost_ms, ry.cost_ms);
-                assert_eq!(rx.polyline, ry.polyline);
-                assert_eq!(rx.color, ry.color);
-            }
-        }
+        let backend = DemoBackend::new(Arc::clone(&qp));
+        let (id, coords) = (
+            arp_obs::TraceId::parse("00000000deadbeef").unwrap(),
+            CoordText::new(net.points()),
+        );
+        let bodies = || -> Vec<String> {
+            pairs
+                .iter()
+                .map(|&q| {
+                    let served = service.route(qp.prepare_query(q)).unwrap();
+                    let request = backend.prepare(
+                        qp.prepare_query(q),
+                        &CancelToken::new(),
+                        &Deadline::never(),
+                    );
+                    let parts = (0..backend.lanes())
+                        .map(|lane| backend.compute(&request, lane).unwrap())
+                        .collect();
+                    let serial = backend.assemble(&request, parts);
+                    let body = route_body(&served, id, net, &coords);
+                    assert_eq!(body, route_body(&serial, id, net, &coords), "{q:?}");
+                    body
+                })
+                .collect()
+        };
+        let before = bodies();
+        let first =
+            arp_core::shortest_path(net, net.weights(), pairs[0].source, pairs[0].target).unwrap();
+        let closed = first.edges[first.edges.len() / 2];
+        let delta = arp_traffic::TrafficDelta::parse(&format!("close:{}", closed.0)).unwrap();
+        qp.traffic().apply_delta(&delta).unwrap();
+        let after = bodies();
+        assert_ne!(
+            before[0], after[0],
+            "the closure moved the first pair's routes"
+        );
     }
 
     /// The request for `q` after an unhurried prepare step.
@@ -385,6 +431,9 @@ mod tests {
         assert_eq!(again, want);
     }
 
+    /// Slots 1–3 read the pair and serve what the interrupted prepare had
+    /// proven. Slot 0, Google-like, never reads it: it answers the trip
+    /// on its private column under its own budget, complete.
     #[test]
     fn a_prepare_interrupted_between_its_trees_serves_the_base_route() {
         let qp = processor();
@@ -404,7 +453,7 @@ mod tests {
         // backward tree's entry poll interrupts.
         let cap = SearchBudget::new().with_expansion_cap(1);
         let prepared = qp.prepare_substrate(qp.prepare_query(q), &cap);
-        for slot in 0..qp.technique_slots() {
+        for slot in 1..qp.technique_slots() {
             let (part, interrupted) = qp
                 .compute_slot_prepared(&prepared, slot, &SearchBudget::unlimited())
                 .unwrap();
@@ -413,13 +462,33 @@ mod tests {
             assert_eq!(part.routes[0].edges, direct.edges, "slot {slot}");
             assert_eq!(part.routes[0].cost_ms, direct.cost_ms, "slot {slot}");
         }
-        // No technique ran: each lane served what prepare had proven.
+        let (google, interrupted) = qp
+            .compute_slot_prepared(&prepared, 0, &SearchBudget::unlimited())
+            .unwrap();
+        assert!(!interrupted);
+        let private = arp_core::GoogleLikeProvider::new(net, 9);
+        let private = arp_core::AlternativesProvider::alternatives(
+            &private,
+            net,
+            w,
+            q.source,
+            q.target,
+            &arp_core::AltQuery::paper(),
+        )
+        .unwrap();
+        let edges = |routes: &[crate::query::RouteInfo]| -> Vec<_> {
+            routes.iter().map(|r| r.edges.clone()).collect()
+        };
+        let want: Vec<_> = private.into_iter().map(|r| r.path.edges).collect();
+        assert_eq!(edges(&google.routes), want);
+        // Only Google-like ran: the pair readers served what prepare had
+        // proven.
         for technique in ["google_like", "plateaus", "dissimilarity", "penalty"] {
             let labels = [("technique", technique)];
             let calls = qp
                 .registry()
                 .counter_value("arp_technique_calls_total", &labels);
-            assert_eq!(calls, 0, "{technique}");
+            assert_eq!(calls, u64::from(technique == "google_like"), "{technique}");
         }
     }
 
@@ -499,9 +568,10 @@ mod tests {
                 .counter_value("arp_substrate_build_failures_total", &[]),
             1
         );
-        // A lane serves that as an empty partial, and grows nothing.
+        // A lane that reads the pair serves that as an empty partial, and
+        // grows nothing.
         let fresh = CancelToken::new();
-        let outcome = backend.compute_cancellable(&prepared, 0, &fresh).unwrap();
+        let outcome = backend.compute_cancellable(&prepared, 1, &fresh).unwrap();
         assert!(matches!(outcome, LaneOutcome::Truncated(part) if part.routes.is_empty()));
         assert_eq!(
             qp.registry()

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use arp_core::path::Path;
 use arp_core::provider::AlternativesProvider;
 use arp_core::query::{AltQuery, Route};
-use arp_core::substrate::SearchSubstrate;
+use arp_core::substrate::{SearchSubstrate, Trip};
 use arp_core::{
     CoreError, ProviderKind, ProviderOutcome, SearchBudget, SearchMetrics, SearchSpace,
 };
@@ -84,9 +84,11 @@ pub struct SnappedQuery {
 /// The request's tree pair (forward + backward shortest-path trees and
 /// the base route, see [`SearchSubstrate`]) is grown **once**, on the
 /// pinned epoch's weights, by the prepare step
-/// ([`QueryProcessor::prepare_substrate`]) and handed read-only to the
-/// four technique lanes via `Arc`. Nothing else grows or writes it, so a
-/// pair always answers the request and epoch it travels with.
+/// ([`QueryProcessor::prepare_substrate`]) and handed read-only via `Arc`
+/// to the technique lanes that read it — all but Google-like, which
+/// reads only the snapped trip and the pinned epoch
+/// ([`QueryProcessor::slot_reads_pair`]). Nothing else grows or writes
+/// it, so a pair always answers the request and epoch it travels with.
 ///
 /// Cache identity is [`PreparedQuery::snapped`] plus the pinned traffic
 /// epoch: the pair is derived state and never part of a cache key,
@@ -408,36 +410,57 @@ impl QueryProcessor {
         request
     }
 
+    /// Whether a technique slot reads the request's tree pair
+    /// ([`AlternativesProvider::reads_pair`]). A slot that does not needs
+    /// no prepare step, so the serving layer may start it first.
+    pub fn slot_reads_pair(&self, slot: usize) -> bool {
+        self.providers[slot].reads_pair()
+    }
+
     /// Computes one technique slot under a cooperative [`SearchBudget`]:
-    /// run that provider on the request's tree pair, price its routes on
-    /// the public (OSM) weights, round to minutes, attach the blind label.
-    /// Slots are independent, so the serving layer runs them in parallel.
-    /// A budget tripped mid-slot (the serving layer builds one over the
-    /// request's cancel token) stops the technique within one
-    /// budget-check interval; the slot then returns the routes admitted
-    /// so far plus `true` for "interrupted".
+    /// run that provider on the request's trip (and its tree pair, when
+    /// the provider reads one), price its routes on the public (OSM)
+    /// weights, round to minutes, attach the blind label. Slots are
+    /// independent, so the serving layer runs them in parallel. A budget
+    /// tripped mid-slot (the serving layer builds one over the request's
+    /// cancel token) stops the technique within one budget-check
+    /// interval; the slot then returns the routes admitted so far plus
+    /// `true` for "interrupted".
     ///
-    /// The slot only reads what the prepare step
+    /// A slot that reads the pair only reads what the prepare step
     /// ([`QueryProcessor::prepare_substrate`]) left on the request. A
     /// prepare interrupted before its pair was complete serves the forward
     /// tree's proven base route (or nothing) as the slot's partial; any
-    /// other failure is the slot's error — the technique never runs.
+    /// other failure is the slot's error — the technique never runs. A
+    /// slot that does not read the pair ([`Self::slot_reads_pair`]) never
+    /// looks at prepare's outcome: it answers the snapped trip on the
+    /// pinned epoch under its own budget, prepared or not.
     pub fn compute_slot_prepared(
         &self,
         q: &PreparedQuery,
         slot: usize,
         budget: &SearchBudget,
     ) -> Result<(Arc<ApproachRoutes>, bool), DemoError> {
-        let weights = q.overlay.weights();
-        let outcome = match &q.substrate {
-            Ok(pair) => self.providers[slot].answer(&self.network, weights, pair, budget)?,
-            Err((CoreError::Interrupted, proven)) => ProviderOutcome::Interrupted {
-                partial: proven
-                    .iter()
-                    .map(|p| Route::new(p.clone(), weights))
-                    .collect(),
-            },
-            Err((e, _)) => return Err(e.clone().into()),
+        let (net, weights) = (&*self.network, q.overlay.weights());
+        let provider = &self.providers[slot];
+        let trip = Trip {
+            source: q.snapped.source,
+            target: q.snapped.target,
+            query: self.query,
+        };
+        let outcome = if !provider.reads_pair() {
+            provider.answer(net, weights, &trip, None, budget)?
+        } else {
+            match &q.substrate {
+                Ok(pair) => provider.answer(net, weights, &trip, Some(pair), budget)?,
+                Err((CoreError::Interrupted, proven)) => ProviderOutcome::Interrupted {
+                    partial: proven
+                        .iter()
+                        .map(|p| Route::new(p.clone(), weights))
+                        .collect(),
+                },
+                Err((e, _)) => return Err(e.clone().into()),
+            }
         };
         Ok(self.price_slot(slot, outcome))
     }

@@ -97,6 +97,13 @@ pub const MAX_BODY_BYTES: usize = 1 << 20;
 /// long as they stay open.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// How long the handler of a refused request keeps reading (and
+/// discarding) what its peer still sends after the response went out.
+/// Closing a socket with bytes unread resets the connection, and the
+/// reset can reach a peer still writing its request before it reads the
+/// refusal.
+const LINGER: Duration = Duration::from_millis(250);
+
 /// Longest request line or header line `read_request` buffers; a longer
 /// one is answered `431` with the rest of it left unread.
 const MAX_LINE_BYTES: usize = 8 * 1024;
@@ -1033,11 +1040,21 @@ fn handle_connection(app: &DemoApp, mut stream: TcpStream, io_timeout: Duration)
         return;
     }
     if let Ok(Some(req)) = read_request(&stream) {
-        let resp = match req.refused {
-            Some(refusal) => app.reject_unread(&req.method, &req.path, refusal),
-            None => app.handle(&req.method, &req.path, &req.body),
+        let Some(refusal) = req.refused else {
+            let _ = write_response(&mut stream, &app.handle(&req.method, &req.path, &req.body));
+            return;
         };
-        let _ = write_response(&mut stream, &resp);
+        let resp = app.reject_unread(&req.method, &req.path, refusal);
+        if write_response(&mut stream, &resp).is_ok() {
+            // A staged close (RFC 9112 §9.6): end our side, then drain
+            // what the peer still sends — for at most `LINGER` and
+            // `MAX_BODY_BYTES` — so the close does not reset it.
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+            if stream.set_read_timeout(Some(LINGER)).is_ok() {
+                let unread = (&stream).take(MAX_BODY_BYTES as u64);
+                let _ = std::io::copy(&mut { unread }, &mut std::io::sink());
+            }
+        }
     }
 }
 

@@ -179,25 +179,150 @@ pub struct Fanout<T> {
     pub deadline_hit: bool,
 }
 
-/// Runs every task on the pool in parallel and waits for all of them,
-/// bounded by `deadline`; on expiry it **trips `token`** instead of
-/// walking away from running lanes. Results come back in task order.
+/// A fan-out in progress: tasks submitted to the pool one at a time —
+/// in as many waves as the caller likes — and then joined once, under
+/// one deadline, token and grace period ([`Scatter::join`]).
+/// [`fan_out`] is one wave and its join.
 ///
-/// A task whose submission finds the queue full runs inline on the
-/// calling thread (`inline_fallback` is incremented). Under deadline
-/// pressure the three-rung degradation ladder applies (DESIGN.md §8):
-///
-/// 1. still-*queued* lanes observe the abandoned flag and never start;
-/// 2. *running* lanes observe the tripped token (typically through a
-///    search budget built over [`CancelToken::flag`]) and return a
-///    partial result, which is collected during a bounded `grace` wait —
-///    one budget-check interval is enough for a cooperative lane;
-/// 3. lanes that still haven't stopped when the grace expires are left
-///    behind (their slot stays `None`) so the requester's latency is
-///    bounded even over a non-cooperative backend.
-///
-/// This never fails: the caller decides what a partial [`Fanout`] is
-/// worth.
+/// A task the queue refuses (full or closing) is not run at once: it
+/// waits, in submission order, and is offered to the queue again at the
+/// next [`Scatter::submit`], ahead of the new task. Whatever the queue
+/// still refuses at the join runs inline on the joining thread
+/// (`inline_fallback` counts each), after the pooled tasks are under way.
+/// So a refused task never starts later than it would have, had it been
+/// submitted with the next wave instead.
+pub struct Scatter<T> {
+    state: Arc<FanoutState<T>>,
+    /// Refused jobs, in submission order.
+    refused: Vec<Job>,
+    /// Whether the queue refuses everything (the injected `queue.push`
+    /// outage): every task then runs inline at the join.
+    inline_only: bool,
+}
+
+impl<T: Send + 'static> Scatter<T> {
+    /// An empty fan-out. With `inline_only`, no task is offered to the
+    /// pool: each runs inline at the join, as if the queue were full.
+    pub fn new(inline_only: bool) -> Scatter<T> {
+        Scatter {
+            state: Arc::new(FanoutState {
+                slots: Mutex::new((Vec::new(), 0)),
+                done: Condvar::new(),
+                abandoned: AtomicBool::new(false),
+            }),
+            refused: Vec::new(),
+            inline_only,
+        }
+    }
+
+    /// Submits `task` to `pool` — after offering the queue every task it
+    /// refused before. Its result lands in the next slot of the
+    /// [`Fanout`]: slots follow submission order.
+    pub fn submit<F>(&mut self, pool: &WorkerPool, task: F)
+    where
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let index = {
+            let mut slots = self.state.slots.lock().expect("fan-out poisoned");
+            slots.0.push(None);
+            slots.1 += 1;
+            slots.0.len() - 1
+        };
+        let state = Arc::clone(&self.state);
+        self.refused
+            .push(Box::new(move || run_lane(&state, index, task)));
+        if self.inline_only {
+            return;
+        }
+        for job in std::mem::take(&mut self.refused) {
+            if let Err((job, _)) = pool.submit(job) {
+                self.refused.push(job);
+            }
+        }
+    }
+
+    /// Waits for every submitted task, bounded by `deadline`; on expiry it
+    /// **trips `token`** instead of walking away from running tasks.
+    /// Tasks the queue refused run inline here first (`inline_fallback`
+    /// is incremented per task). Under deadline pressure the three-rung
+    /// degradation ladder applies (DESIGN.md §8):
+    ///
+    /// 1. still-*queued* tasks observe the abandoned flag and never start;
+    /// 2. *running* tasks observe the tripped token (typically through a
+    ///    search budget built over [`CancelToken::flag`]) and return a
+    ///    partial result, which is collected during a bounded `grace`
+    ///    wait — one budget-check interval is enough for a cooperative
+    ///    lane;
+    /// 3. tasks that still haven't stopped when the grace expires are
+    ///    left behind (their slot stays `None`) so the caller's latency is
+    ///    bounded even over a non-cooperative backend.
+    ///
+    /// This never fails: the caller decides what a partial [`Fanout`] is
+    /// worth.
+    pub fn join(
+        self,
+        deadline: Deadline,
+        token: &CancelToken,
+        grace: Duration,
+        inline_fallback: &Counter,
+    ) -> Fanout<T> {
+        let Scatter { state, refused, .. } = self;
+        for job in refused {
+            inline_fallback.inc();
+            job();
+        }
+
+        let mut deadline_hit = false;
+        let mut slots = state.slots.lock().expect("fan-out poisoned");
+        while slots.1 > 0 {
+            let Some(remaining) = deadline.remaining() else {
+                deadline_hit = true;
+                break;
+            };
+            let (guard, timeout) = state
+                .done
+                .wait_timeout(slots, remaining)
+                .expect("fan-out poisoned");
+            slots = guard;
+            if timeout.timed_out() && slots.1 > 0 && deadline.expired() {
+                deadline_hit = true;
+                break;
+            }
+        }
+        if deadline_hit {
+            state.abandoned.store(true, Ordering::Release);
+            token.cancel();
+            // Grace wait: collect the partials of tasks that observe the
+            // trip. A zero grace does not wait at all
+            // (`Deadline::after(ZERO)` is already expired).
+            let grace_deadline = Deadline::after(grace);
+            while slots.1 > 0 {
+                let Some(remaining) = grace_deadline.remaining() else {
+                    break;
+                };
+                let (guard, _) = state
+                    .done
+                    .wait_timeout(slots, remaining)
+                    .expect("fan-out poisoned");
+                slots = guard;
+            }
+        }
+        // Take each slot individually, keeping the vector's length: a task
+        // that outlives the grace period still writes into its (now
+        // unread) slot, so the backing vector must stay sized for it.
+        let results: Vec<Option<T>> = slots.0.iter_mut().map(Option::take).collect();
+        drop(slots);
+        Fanout {
+            slots: results,
+            deadline_hit,
+        }
+    }
+}
+
+/// Runs every task on the pool in parallel and waits for all of them:
+/// one [`Scatter`] wave and its [`Scatter::join`]. Results come back in
+/// task order; a task the full queue refuses runs inline on the calling
+/// thread once the others are submitted.
 pub fn fan_out<T, F>(
     pool: &WorkerPool,
     tasks: Vec<F>,
@@ -210,79 +335,11 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let lanes = tasks.len();
-    if lanes == 0 {
-        return Fanout {
-            slots: Vec::new(),
-            deadline_hit: false,
-        };
+    let mut scatter = Scatter::new(false);
+    for task in tasks {
+        scatter.submit(pool, task);
     }
-    let state = Arc::new(FanoutState {
-        slots: Mutex::new(((0..lanes).map(|_| None).collect(), lanes)),
-        done: Condvar::new(),
-        abandoned: AtomicBool::new(false),
-    });
-
-    let mut inline = Vec::new();
-    for (index, task) in tasks.into_iter().enumerate() {
-        let lane_state = Arc::clone(&state);
-        let job: Job = Box::new(move || run_lane(&lane_state, index, task));
-        if let Err((job, _)) = pool.submit(job) {
-            // Queue full (or closing): degrade to serial on this thread
-            // rather than failing the whole request. Run after submitting
-            // the other lanes so they overlap with the inline work.
-            inline.push(job);
-        }
-    }
-    for job in inline {
-        inline_fallback.inc();
-        job();
-    }
-
-    let mut deadline_hit = false;
-    let mut slots = state.slots.lock().expect("fan-out poisoned");
-    while slots.1 > 0 {
-        let Some(remaining) = deadline.remaining() else {
-            deadline_hit = true;
-            break;
-        };
-        let (guard, timeout) = state
-            .done
-            .wait_timeout(slots, remaining)
-            .expect("fan-out poisoned");
-        slots = guard;
-        if timeout.timed_out() && slots.1 > 0 && deadline.expired() {
-            deadline_hit = true;
-            break;
-        }
-    }
-    if deadline_hit {
-        state.abandoned.store(true, Ordering::Release);
-        token.cancel();
-        // Grace wait: collect the partials of lanes that observe the trip.
-        // A zero grace does not wait at all (`Deadline::after(ZERO)` is
-        // already expired).
-        let grace_deadline = Deadline::after(grace);
-        while slots.1 > 0 {
-            let Some(remaining) = grace_deadline.remaining() else {
-                break;
-            };
-            let (guard, _) = state
-                .done
-                .wait_timeout(slots, remaining)
-                .expect("fan-out poisoned");
-            slots = guard;
-        }
-    }
-    // Take each slot individually, keeping the vector's length: a lane
-    // that outlives the grace period still writes into its (now unread)
-    // slot, so the backing vector must stay sized for it.
-    let results: Vec<Option<T>> = slots.0.iter_mut().map(Option::take).collect();
-    drop(slots);
-    Fanout {
-        slots: results,
-        deadline_hit,
-    }
+    scatter.join(deadline, token, grace, inline_fallback)
 }
 
 #[cfg(test)]
@@ -366,6 +423,39 @@ mod tests {
             "expected inline fallbacks, got {}",
             inline.get()
         );
+    }
+
+    /// A task the full queue refuses is offered again with the next
+    /// wave — where a one-wave fan-out would have submitted it — and
+    /// runs inline only if the queue refuses it then too.
+    #[test]
+    fn a_refused_task_is_offered_again_with_the_next_wave() {
+        let p = pool(1, 2);
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        // The worker blocks on the first job, two more fill the queue.
+        assert!(p.submit(Box::new(move || held.recv().unwrap())).is_ok());
+        while p.queue_len() > 0 {
+            std::thread::yield_now();
+        }
+        for _ in 0..2 {
+            assert!(p.submit(Box::new(|| {})).is_ok());
+        }
+        let mut scatter = Scatter::new(false);
+        scatter.submit(&p, || "early");
+        release.send(()).unwrap();
+        while p.queue_len() > 0 {
+            std::thread::yield_now();
+        }
+        scatter.submit(&p, || "late");
+        let inline = Counter::default();
+        let out = scatter.join(
+            Deadline::never(),
+            &CancelToken::new(),
+            Duration::ZERO,
+            &inline,
+        );
+        assert_eq!(out.slots, vec![Some("early"), Some("late")]);
+        assert_eq!(inline.get(), 0, "the early task ran on the pool");
     }
 
     #[test]

@@ -10,14 +10,19 @@
 //!    with an adaptive `Retry-After` hint scaled by queue pressure),
 //! 2. **probes the cache** per lane, so a repeat query recomputes nothing
 //!    and a partially-cached query recomputes only its missing lanes,
-//! 3. **prepares** shared per-request artifacts once
-//!    ([`RouteBackend::prepare`] — the demo backend builds the search
-//!    substrate every technique lane then reads), skipped entirely when
-//!    no lane will run,
-//! 4. **fans out** the missing lanes onto the worker pool
-//!    ([`crate::fan_out`]), bounded by the request deadline — but only
-//!    lanes whose **circuit breaker** admits them; an open breaker
-//!    short-circuits its lane instantly instead of queueing doomed work,
+//! 3. **fans out** the missing lanes onto the worker pool in two waves of
+//!    one [`crate::Scatter`] — but only lanes whose **circuit breaker**
+//!    admits them; an open breaker short-circuits its lane instantly
+//!    instead of queueing doomed work:
+//!    - the *early* lanes, those that do not read what `prepare` adds
+//!      ([`RouteBackend::reads_prepare`]), are submitted first;
+//!    - then, only when some runnable lane reads it, the request thread
+//!      **prepares** shared per-request artifacts once
+//!      ([`RouteBackend::prepare`] — the demo backend grows the tree pair
+//!      its pair-reading lanes then read) while the early lanes run;
+//!    - then the *late* lanes are submitted, handed the prepared request,
+//! 4. **joins** every lane once, bounded by the request deadline, under
+//!    one cancel token and grace period,
 //! 5. **assembles** the lanes — in lane order, regardless of completion
 //!    order — so the response is byte-identical to the serial path.
 //!
@@ -55,7 +60,7 @@ use crate::cache::ShardedCache;
 use crate::cancel::CancelToken;
 use crate::fault::{sites, FaultPlan};
 use crate::metrics::ServeMetrics;
-use crate::pool::{fan_out, Fanout, WorkerPool};
+use crate::pool::{fan_out, Scatter, WorkerPool};
 use crate::retry::{LaneLatency, RetryPolicy, RetryState};
 use arp_obs::{
     Counter, Registry, SpanCollector, SpanGuard, SpanStatus, TraceConfig, TraceContext,
@@ -191,14 +196,17 @@ pub trait RouteBackend: Send + Sync + 'static {
     fn lane_key(&self, request: &Self::Request, lane: usize) -> String;
 
     /// Prepares shared per-request artifacts **once**, before the lanes
-    /// fan out — in the demo backend this builds the
+    /// that read them fan out — in the demo backend this builds the
     /// `arp_core::substrate::SearchSubstrate` (forward + backward
-    /// shortest-path trees and the base route) that every technique lane
-    /// then reads instead of recomputing.
+    /// shortest-path trees and the base route) that the pair-reading
+    /// technique lanes then read instead of recomputing.
     ///
-    /// Called only when at least one lane will actually run: fully
-    /// cached requests and requests whose every missing lane is
-    /// short-circuited by an open breaker skip preparation entirely.
+    /// Called only when at least one lane that
+    /// [reads it](RouteBackend::reads_prepare) will actually run: fully
+    /// cached requests, requests whose every missing lane is
+    /// short-circuited by an open breaker and requests whose runnable
+    /// lanes all skip it never prepare. Lanes that skip it are already
+    /// running when it is called.
     /// `token` is the same per-request [`CancelToken`] the lanes
     /// observe, and `deadline` is the request deadline — cooperative
     /// backends bound the preparation by both so an expiring request
@@ -216,6 +224,17 @@ pub trait RouteBackend: Send + Sync + 'static {
     ) -> Self::Request {
         let _ = (token, deadline);
         request
+    }
+
+    /// Whether `lane` reads what [`RouteBackend::prepare`] adds to the
+    /// request. A lane that does not is submitted *before* `prepare`
+    /// runs, handed the unprepared request, and overlaps with it; a
+    /// request whose runnable lanes all answer `false` skips `prepare`.
+    /// This describes the backend's lanes, it is not a setting. The
+    /// default, `true`, keeps every lane behind `prepare`.
+    fn reads_prepare(&self, lane: usize) -> bool {
+        let _ = lane;
+        true
     }
 
     /// Computes one lane. Runs on a worker thread.
@@ -838,12 +857,36 @@ impl<B: RouteBackend> RouteService<B> {
                 }
             }
 
-            // Stage 3a: shared preparation, once per request — but only
-            // when something will actually run. The backend sees the
-            // same cancel token the lanes observe, so a deadline that
-            // expires mid-preparation aborts it cooperatively.
+            // One fan-out in two waves, under one cancel token. The
+            // early lanes do not read what `prepare` adds: they start
+            // first, on the request as it came in, and overlap with it.
+            // An injected `queue.push` error simulates a refused queue:
+            // every lane degrades to inline execution at the join,
+            // exactly like the real queue-full fallback.
             let token = CancelToken::new();
-            if !runnable.is_empty() {
+            let inline_only = self.config.faults.fire(sites::QUEUE_PUSH).is_err();
+            let mut scatter = Scatter::new(inline_only);
+            let (early, late): (Vec<usize>, Vec<usize>) = runnable
+                .into_iter()
+                .partition(|&lane| !self.backend.reads_prepare(lane));
+            let submit =
+                |scatter: &mut Scatter<LaneReply<B::Part>>, lane: usize, request: &B::Request| {
+                    let mut span = ctx.child_span("lane", root_id);
+                    span.attr("technique", self.lanes[lane].name.clone());
+                    span.attr_u64("attempt", 1);
+                    span.attr("breaker", self.lanes[lane].breaker.state().as_str());
+                    let attempt = self.attempt(lane, request, &token, span);
+                    scatter.submit(&self.pool, move || attempt.run());
+                };
+            for &lane in &early {
+                submit(&mut scatter, lane, &request);
+            }
+
+            // Shared preparation, once per request — but only when a lane
+            // that reads it will run. The backend sees the same cancel
+            // token the lanes observe, so a deadline that expires
+            // mid-preparation aborts it cooperatively.
+            if !late.is_empty() {
                 let prepare_timer = self.metrics.stage_prepare.start_timer();
                 let mut prepare_span = ctx.child_span("prepare", root_id);
                 request = self.backend.prepare(request, &token, &deadline);
@@ -855,46 +898,15 @@ impl<B: RouteBackend> RouteService<B> {
             }
 
             let compute_start = Instant::now();
-            let attempts: Vec<LaneAttempt<B>> = runnable
-                .iter()
-                .map(|&lane| {
-                    let mut span = ctx.child_span("lane", root_id);
-                    span.attr("technique", self.lanes[lane].name.clone());
-                    span.attr_u64("attempt", 1);
-                    span.attr("breaker", self.lanes[lane].breaker.state().as_str());
-                    self.attempt(lane, &request, &token, span)
-                })
-                .collect();
-            // An injected `queue.push` error simulates a refused queue:
-            // every lane degrades to inline execution, exactly like the
-            // real queue-full fallback.
-            let fanout: Fanout<LaneReply<B::Part>> =
-                if self.config.faults.fire(sites::QUEUE_PUSH).is_err() {
-                    let slots = attempts
-                        .into_iter()
-                        .map(|attempt| {
-                            self.metrics.inline_fallback.inc();
-                            Some(attempt.run())
-                        })
-                        .collect();
-                    Fanout {
-                        slots,
-                        deadline_hit: false,
-                    }
-                } else {
-                    let tasks: Vec<_> = attempts
-                        .into_iter()
-                        .map(|attempt| move || attempt.run())
-                        .collect();
-                    fan_out(
-                        &self.pool,
-                        tasks,
-                        deadline,
-                        &token,
-                        self.config.cancel_grace,
-                        &self.metrics.inline_fallback,
-                    )
-                };
+            for &lane in &late {
+                submit(&mut scatter, lane, &request);
+            }
+            let fanout = scatter.join(
+                deadline,
+                &token,
+                self.config.cancel_grace,
+                &self.metrics.inline_fallback,
+            );
             self.metrics
                 .stage_compute
                 .observe(compute_start.elapsed().as_secs_f64() * 1_000.0);
@@ -905,7 +917,11 @@ impl<B: RouteBackend> RouteService<B> {
                 out.truncated = true;
                 root.attr("cancelled", "true");
             }
-            for (lane, slot) in runnable.into_iter().zip(fanout.slots) {
+            // Settle in lane order, whichever wave a lane ran in: the
+            // retry budget and the failure reasons go to lanes in order.
+            let mut settled: Vec<_> = early.into_iter().chain(late).zip(fanout.slots).collect();
+            settled.sort_by_key(|&(lane, _)| lane);
+            for (lane, slot) in settled {
                 let runtime = &self.lanes[lane];
                 match self.settle(lane, slot, &mut out) {
                     Ok(()) => {}
@@ -2009,6 +2025,214 @@ mod tests {
             0,
             "truncation is not degradation: no lane failed"
         );
+    }
+
+    /// Two lanes over a `(source, target, prepared)` request: lane 0
+    /// reads nothing `prepare` adds, lane 1 does. Each lane echoes whether
+    /// the request it was handed had been prepared. `prepare` waits
+    /// (bounded) for lane 0 to start, then takes `prepare_sleep`; lane 0
+    /// polls its token for up to `spin` and comes back truncated when it
+    /// trips.
+    struct WaveBackend {
+        /// Set once lane 0 has started.
+        started: (std::sync::Mutex<bool>, std::sync::Condvar),
+        /// Whether a `prepare` gave up waiting for lane 0.
+        waited_out: std::sync::atomic::AtomicBool,
+        prepares: AtomicUsize,
+        prepare_sleep: Duration,
+        spin: Duration,
+        /// Token polls lane 0 made before it stopped.
+        polls: AtomicUsize,
+        /// Lane 0 fails (permanently) while this is positive.
+        lane0_failures: AtomicUsize,
+    }
+
+    /// How long a `WaveBackend::prepare` waits for lane 0 to start.
+    const LANE0_WAIT: Duration = Duration::from_secs(5);
+
+    impl WaveBackend {
+        fn new(prepare_sleep: Duration, spin: Duration) -> WaveBackend {
+            WaveBackend {
+                started: Default::default(),
+                waited_out: Default::default(),
+                prepares: AtomicUsize::new(0),
+                prepare_sleep,
+                spin,
+                polls: AtomicUsize::new(0),
+                lane0_failures: AtomicUsize::new(0),
+            }
+        }
+    }
+
+    impl RouteBackend for WaveBackend {
+        type Request = (u32, u32, bool);
+        type Part = String;
+        type Response = String;
+
+        fn lanes(&self) -> usize {
+            2
+        }
+
+        fn lane_key(&self, request: &(u32, u32, bool), lane: usize) -> String {
+            format!("wave:{}:{}:{lane}", request.0, request.1)
+        }
+
+        fn reads_prepare(&self, lane: usize) -> bool {
+            lane != 0
+        }
+
+        fn prepare(
+            &self,
+            request: (u32, u32, bool),
+            _token: &CancelToken,
+            _deadline: &Deadline,
+        ) -> (u32, u32, bool) {
+            self.prepares.fetch_add(1, Ordering::SeqCst);
+            let (started, signal) = &self.started;
+            let guard = started.lock().unwrap();
+            let (guard, wait) = signal
+                .wait_timeout_while(guard, LANE0_WAIT, |started| !*started)
+                .unwrap();
+            drop(guard);
+            self.waited_out.store(wait.timed_out(), Ordering::SeqCst);
+            std::thread::sleep(self.prepare_sleep);
+            (request.0, request.1, true)
+        }
+
+        fn compute(&self, request: &(u32, u32, bool), lane: usize) -> Result<String, String> {
+            Ok(format!("lane{lane}(prepared={})", request.2))
+        }
+
+        fn compute_cancellable(
+            &self,
+            request: &(u32, u32, bool),
+            lane: usize,
+            token: &CancelToken,
+        ) -> Result<LaneOutcome<String>, LaneError> {
+            if lane == 0 {
+                *self.started.0.lock().unwrap() = true;
+                self.started.1.notify_all();
+                if self
+                    .lane0_failures
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                    .is_ok()
+                {
+                    return Err(LaneError::permanent("lane 0 refused"));
+                }
+                let start = Instant::now();
+                while start.elapsed() < self.spin {
+                    if token.is_cancelled() {
+                        return Ok(LaneOutcome::Truncated("lane0-partial".to_string()));
+                    }
+                    self.polls.fetch_add(1, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            Ok(LaneOutcome::Complete(self.compute(request, lane)?))
+        }
+
+        fn assemble(&self, _request: &(u32, u32, bool), parts: Vec<String>) -> String {
+            parts.join("|")
+        }
+
+        fn assemble_degraded(
+            &self,
+            _request: &(u32, u32, bool),
+            parts: Vec<Option<String>>,
+            statuses: &[LaneStatus],
+        ) -> Option<String> {
+            let parts: Vec<String> = parts.into_iter().map(Option::unwrap_or_default).collect();
+            let statuses: Vec<&str> = statuses.iter().map(LaneStatus::as_str).collect();
+            Some(format!("{} [{}]", parts.join("|"), statuses.join(",")))
+        }
+    }
+
+    /// A lane that does not read what `prepare` adds is running while
+    /// `prepare` runs: `prepare` sees it start instead of waiting out its
+    /// bound, and it was handed the request as it came in.
+    #[test]
+    fn a_lane_that_skips_prepare_runs_while_prepare_does() {
+        let svc = RouteService::new(
+            WaveBackend::new(Duration::ZERO, Duration::ZERO),
+            ServeConfig::default(),
+            &Registry::disabled(),
+        );
+        let (receipt, out) = svc.route_traced((1, 2, false));
+        assert_eq!(out.unwrap(), "lane0(prepared=false)|lane1(prepared=true)");
+        let backend = svc.backend();
+        assert_eq!(backend.prepares.load(Ordering::SeqCst), 1);
+        assert!(
+            !backend.waited_out.load(Ordering::SeqCst),
+            "prepare waited {LANE0_WAIT:?} for a lane that had not started"
+        );
+        // Lane 0's span opens before the `prepare` span ends; both are
+        // the root's children and the trace stays well-nested.
+        let trace = svc.tracer().trace(receipt.id).expect("trace kept");
+        let prepare = trace.span("prepare").expect("prepare span");
+        let root = trace.root().expect("root span").id;
+        let lanes: Vec<_> = trace.spans_named("lane").collect();
+        assert_eq!(lanes.len(), 2);
+        assert!(lanes.iter().all(|lane| lane.parent == Some(root)));
+        assert!(lanes.iter().any(|lane| lane.start_us < prepare.end_us));
+        assert!(trace.well_nested());
+    }
+
+    /// A deadline that expires while `prepare` runs trips the one token
+    /// the early lane observes: the lane, running since before `prepare`,
+    /// hands back its partial and the response is truncated.
+    #[test]
+    fn a_deadline_during_prepare_truncates_the_early_lane() {
+        let config = ServeConfig {
+            deadline: Duration::from_millis(100),
+            retry: no_retries(),
+            ..ServeConfig::default()
+        };
+        let svc = RouteService::new(
+            WaveBackend::new(Duration::from_millis(300), Duration::from_secs(5)),
+            config,
+            &Registry::disabled(),
+        );
+        let start = Instant::now();
+        let out = svc.route((1, 2, false)).unwrap();
+        assert!(out.starts_with("lane0-partial|"), "{out}");
+        assert!(out.contains("[truncated,"), "{out}");
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "{:?}",
+            start.elapsed()
+        );
+        // Lane 0 polled its token all through `prepare`, not only after.
+        let polls = svc.backend().polls.load(Ordering::SeqCst);
+        assert!(polls >= 20, "lane 0 polled {polls} times before the trip");
+    }
+
+    /// When every missing lane skips `prepare`, nothing prepares: no
+    /// `prepare` span, and the prepare stage records nothing.
+    #[test]
+    fn prepare_is_skipped_when_no_missing_lane_reads_it() {
+        let registry = Registry::new();
+        let config = ServeConfig {
+            retry: no_retries(),
+            ..ServeConfig::default()
+        };
+        let backend = WaveBackend::new(Duration::ZERO, Duration::ZERO);
+        backend.lane0_failures.store(1, Ordering::SeqCst);
+        let svc = RouteService::new(backend, config, &registry);
+        // Lane 0 fails and is not cached; lane 1 is.
+        let first = svc.route((1, 2, false)).unwrap();
+        assert_eq!(first, "|lane1(prepared=true) [failed,ok]");
+        assert_eq!(svc.metrics().stage_prepare.count(), 1);
+
+        let (receipt, second) = svc.route_traced((1, 2, false));
+        assert_eq!(
+            second.unwrap(),
+            "lane0(prepared=false)|lane1(prepared=true)"
+        );
+        let trace = svc.tracer().trace(receipt.id).expect("trace kept");
+        assert!(trace.span("prepare").is_none());
+        assert!(trace.span("lane").is_some());
+        assert_eq!(svc.metrics().stage_prepare.count(), 1);
+        assert_eq!(svc.backend().prepares.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -101,11 +101,23 @@ fn identity_round_trip(city: City) {
             );
 
             let fed_base = p
-                .answer(&net, base.weights(), &sub_base, &budget)
+                .answer(
+                    &net,
+                    base.weights(),
+                    sub_base.trip(),
+                    Some(&sub_base),
+                    &budget,
+                )
                 .expect("base substrate path must route")
                 .routes();
             let fed_snap = p
-                .answer(&net, snap.weights(), &sub_snap, &budget)
+                .answer(
+                    &net,
+                    snap.weights(),
+                    sub_snap.trip(),
+                    Some(&sub_snap),
+                    &budget,
+                )
                 .expect("identity substrate path must route")
                 .routes();
             assert_eq!(

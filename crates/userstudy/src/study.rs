@@ -219,7 +219,7 @@ mod tests {
     use crate::participant::unanswered;
     use arp_citygen::{City, Scale};
     use arp_core::provider::{standard_providers, ProviderKind, ProviderOutcome};
-    use arp_core::{CoreError, SearchBudget, SearchSubstrate};
+    use arp_core::{CoreError, SearchBudget, SearchSubstrate, Trip};
     use arp_roadnet::weight::Weight;
 
     #[test]
@@ -313,7 +313,8 @@ mod tests {
             &self,
             _: &RoadNetwork,
             _: &[Weight],
-            _: &SearchSubstrate,
+            _: &Trip,
+            _: Option<&SearchSubstrate>,
             _: &SearchBudget,
         ) -> Result<ProviderOutcome, CoreError> {
             Ok(ProviderOutcome::Complete(Vec::new()))
