@@ -47,7 +47,13 @@ fn declared() -> Declared {
     let names = |key: &str, field: &str| -> Vec<String> {
         let list = spec.get(key).and_then(Json::as_array).expect(key);
         list.iter()
-            .map(|entry| entry.get(field).and_then(Json::as_str).expect(field).to_string())
+            .map(|entry| {
+                entry
+                    .get(field)
+                    .and_then(Json::as_str)
+                    .expect(field)
+                    .to_string()
+            })
             .collect()
     };
     let metrics = names("end_to_end", "name")
@@ -115,17 +121,28 @@ fn every_bench_file_follows_the_trajectory_schema() {
     for (pr, path) in &files {
         let what = path.file_name().unwrap().to_string_lossy().into_owned();
         let file = read_json(path);
-        assert_eq!(file.get("pr").and_then(Json::as_f64), Some(*pr as f64), "{what}: pr");
+        assert_eq!(
+            file.get("pr").and_then(Json::as_f64),
+            Some(*pr as f64),
+            "{what}: pr"
+        );
         for key in ["source", "parent_rev", "change_rev"] {
             let value = file.get(key).and_then(Json::as_str);
-            assert!(value.is_some_and(|v| !v.is_empty()), "{what}: `{key}` missing");
+            assert!(
+                value.is_some_and(|v| !v.is_empty()),
+                "{what}: `{key}` missing"
+            );
         }
         let cores = file.get("cores").and_then(Json::as_f64);
         assert!(cores.is_some_and(|c| c >= 1.0), "{what}: cores");
         let backfilled = file.get("backfilled").and_then(Json::as_bool);
         let backfilled = backfilled.unwrap_or_else(|| panic!("{what}: `backfilled` missing"));
         let runs = file.get("runs").and_then(Json::as_array).expect("runs");
-        assert_eq!(runs.is_empty(), backfilled, "{what}: runs are what a measured file holds");
+        assert_eq!(
+            runs.is_empty(),
+            backfilled,
+            "{what}: runs are what a measured file holds"
+        );
 
         // Every run: tagged, and its driver line complete.
         let mut measured: BTreeMap<(String, String, String), Vec<f64>> = BTreeMap::new();
@@ -133,20 +150,37 @@ fn every_bench_file_follows_the_trajectory_schema() {
             let what = format!("{what} run {i}");
             let side = run.get("side").and_then(Json::as_str);
             assert!(matches!(side, Some("parent" | "change")), "{what}: side");
-            let workload = run.get("workload").and_then(Json::as_str).expect("workload");
-            assert!(declared.workloads.iter().any(|w| w == workload), "{what}: {workload}");
+            let workload = run
+                .get("workload")
+                .and_then(Json::as_str)
+                .expect("workload");
+            assert!(
+                declared.workloads.iter().any(|w| w == workload),
+                "{what}: {workload}"
+            );
             for key in ["seed", "pair", "cores"] {
-                assert!(run.get(key).and_then(Json::as_f64).is_some(), "{what}: `{key}`");
+                assert!(
+                    run.get(key).and_then(Json::as_f64).is_some(),
+                    "{what}: `{key}`"
+                );
             }
             assert_eq!(run.get("cores"), file.get("cores"), "{what}: cores");
             for key in ["parent_rev", "change_rev"] {
                 assert_eq!(run.get(key), file.get(key), "{what}: {key}");
             }
             let trace = run.get("trace").and_then(Json::as_bool).expect("trace");
-            let line = run.get("line").unwrap_or_else(|| panic!("{what}: no driver line"));
-            assert!(line.get("correct").and_then(Json::as_bool).is_some(), "{what}: correct");
+            let line = run
+                .get("line")
+                .unwrap_or_else(|| panic!("{what}: no driver line"));
+            assert!(
+                line.get("correct").and_then(Json::as_bool).is_some(),
+                "{what}: correct"
+            );
             for key in ["attempted", "failed"] {
-                assert!(line.get(key).and_then(Json::as_f64).is_some(), "{what}: `{key}`");
+                assert!(
+                    line.get(key).and_then(Json::as_f64).is_some(),
+                    "{what}: `{key}`"
+                );
             }
             let metrics = line.get("metrics").and_then(object).expect("metrics");
             if trace {
@@ -155,15 +189,24 @@ fn every_bench_file_follows_the_trajectory_schema() {
             for (name, unit) in &declared.metrics {
                 let metric = metrics.get(name);
                 let metric = metric.unwrap_or_else(|| panic!("{what}: no `{name}`"));
-                assert_eq!(metric.get("unit").and_then(Json::as_str), Some(unit.as_str()));
+                assert_eq!(
+                    metric.get("unit").and_then(Json::as_str),
+                    Some(unit.as_str())
+                );
                 let value = metric.get("value").and_then(Json::as_f64).expect("value");
-                let key = (workload.to_string(), name.clone(), side.unwrap().to_string());
+                let key = (
+                    workload.to_string(),
+                    name.clone(),
+                    side.unwrap().to_string(),
+                );
                 measured.entry(key).or_default().push(value);
             }
         }
 
         // Every workload carries every end-to-end metric, both sides.
-        let medians = file.get("medians").unwrap_or_else(|| panic!("{what}: no medians"));
+        let medians = file
+            .get("medians")
+            .unwrap_or_else(|| panic!("{what}: no medians"));
         for workload in &declared.workloads {
             let cells = medians.get(workload);
             let cells = cells.unwrap_or_else(|| panic!("{what}: no `{workload}`"));
@@ -172,7 +215,9 @@ fn every_bench_file_follows_the_trajectory_schema() {
                 let metric = metric.unwrap_or_else(|| panic!("{what}: {workload} has no `{name}`"));
                 for side in ["parent", "change"] {
                     let what = format!("{what}: {workload} {name} {side}");
-                    let cell = metric.get(side).unwrap_or_else(|| panic!("{what}: missing"));
+                    let cell = metric
+                        .get(side)
+                        .unwrap_or_else(|| panic!("{what}: missing"));
                     let median = number_or_null(cell, "median", &what);
                     let q1 = number_or_null(cell, "q1", &what);
                     let q3 = number_or_null(cell, "q3", &what);
