@@ -12,7 +12,7 @@
 //!   `BENCHMARK.json`, a `parent` and a `change` cell of `median`, `q1`
 //!   and `q3` (a backfilled file has `null` quartiles, and `null` medians
 //!   where its source recorded none);
-//! - `runs`: every run the medians come from, each the driver's last line
+//! - `runs`: every run the medians come from, each the benchmark's last line
 //!   (`{correct, attempted, failed, metrics}`) verbatim under `line`,
 //!   tagged with its `side`, `workload`, `seed`, `pair`, `trace` (the
 //!   `--trace 1` per-layer runs), both revs and the core count.
@@ -144,7 +144,7 @@ fn every_bench_file_follows_the_trajectory_schema() {
             "{what}: runs are what a measured file holds"
         );
 
-        // Every run: tagged, and its driver line complete.
+        // Every run: tagged, and its result line complete.
         let mut measured: BTreeMap<(String, String, String), Vec<f64>> = BTreeMap::new();
         for (i, run) in runs.iter().enumerate() {
             let what = format!("{what} run {i}");
@@ -171,7 +171,7 @@ fn every_bench_file_follows_the_trajectory_schema() {
             let trace = run.get("trace").and_then(Json::as_bool).expect("trace");
             let line = run
                 .get("line")
-                .unwrap_or_else(|| panic!("{what}: no driver line"));
+                .unwrap_or_else(|| panic!("{what}: no result line"));
             assert!(
                 line.get("correct").and_then(Json::as_bool).is_some(),
                 "{what}: correct"
