@@ -85,8 +85,11 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
 
+    let off = arp_obs::Registry::disabled();
+
     // 1. Penalty variants.
-    for (name, opts) in [
+    let mut penalty = PenaltyProvider::new(&off);
+    for (name, options) in [
         (
             "penalty fwd-only, no sim filter",
             PenaltyOptions {
@@ -116,49 +119,42 @@ fn main() {
             },
         ),
     ] {
+        penalty.options = options;
         rows.push(evaluate(net, &queries, name, |s, t| {
-            penalty_alternatives(net, net.weights(), s, t, &base_query, &opts).ok()
+            arp_bench::routed_paths(&penalty, net, (s, t), &base_query)
         }));
     }
 
     // 2. Plateau overlap pruning.
+    let mut plateaus = PlateauProvider::new(&off);
     for (name, max_similarity) in [
         ("plateau sim<=1.0 (no pruning)", 1.0),
         ("plateau sim<=0.9 (default)", 0.9),
         ("plateau sim<=0.6", 0.6),
     ] {
-        let opts = arp_core::plateau::PlateauOptions {
+        plateaus.options = PlateauOptions {
             max_similarity,
             min_plateau_fraction: 0.01,
         };
         rows.push(evaluate(net, &queries, name, |s, t| {
-            plateau_alternatives(net, net.weights(), s, t, &base_query, &opts).ok()
+            arp_bench::routed_paths(&plateaus, net, (s, t), &base_query)
         }));
     }
 
     // 3. Dissimilarity θ sweep.
+    let dissimilarity = DissimilarityProvider::new(&off);
     for theta in [0.3, 0.5, 0.7] {
         let q = base_query.with_theta(theta);
         rows.push(evaluate(
             net,
             &queries,
             &format!("dissimilarity theta={theta}"),
-            |s, t| {
-                dissimilarity_alternatives(
-                    net,
-                    net.weights(),
-                    s,
-                    t,
-                    &q,
-                    &DissimilarityOptions::default(),
-                )
-                .ok()
-            },
+            |s, t| arp_bench::routed_paths(&dissimilarity, net, (s, t), &q),
         ));
     }
 
     // 4. §4.2-#4 commercial filters on Penalty's raw output.
-    let raw_opts = PenaltyOptions {
+    penalty.options = PenaltyOptions {
         max_similarity: 1.0,
         penalize_reverse: true,
     };
@@ -168,8 +164,7 @@ fn main() {
         &queries,
         "penalty raw + commercial filters",
         |s, t| {
-            let paths =
-                penalty_alternatives(net, net.weights(), s, t, &base_query, &raw_opts).ok()?;
+            let paths = arp_bench::routed_paths(&penalty, net, (s, t), &base_query)?;
             // The public pair `alternatives()` would grow: its labels
             // certify the windows they can.
             let mut ws = SearchSpace::new(net);

@@ -22,6 +22,7 @@ fn main() {
     let city = arp_bench::melbourne_medium();
     let net = &city.network;
     let google = GoogleLikeProvider::new(net, arp_bench::MASTER_SEED);
+    let plateaus = PlateauProvider::new(&arp_obs::Registry::disabled());
     let query = AltQuery::paper();
 
     let queries = arp_bench::random_queries(
@@ -50,21 +51,18 @@ fn main() {
         let Ok(g_routes) = google.alternatives(net, net.weights(), s, t, &query) else {
             continue;
         };
-        let Ok(p_paths) =
-            plateau_alternatives(net, net.weights(), s, t, &query, &PlateauOptions::default())
-        else {
+        let Ok(p_routes) = plateaus.alternatives(net, net.weights(), s, t, &query) else {
             continue;
         };
         // Compare the last ("purple") route of each approach, like the
         // paper does; skip queries where either returns fewer than 2.
-        let (Some(g_last), Some(p_last)) = (g_routes.last(), p_paths.last()) else {
+        let (Some(g_last), Some(p_last)) = (g_routes.last(), p_routes.last()) else {
             continue;
         };
-        if g_routes.len() < 2 || p_paths.len() < 2 {
+        if g_routes.len() < 2 || p_routes.len() < 2 {
             continue;
         }
-        let g_path = &g_last.path;
-        let p_path = p_last;
+        let (g_path, p_path) = (&g_last.path, &p_last.path);
         if g_path.edges == p_path.edges {
             continue; // same purple route, nothing to compare
         }

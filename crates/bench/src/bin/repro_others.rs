@@ -62,28 +62,32 @@ fn main() {
             });
         };
 
-    run("plateaus", &mut |s, t| {
-        plateau_alternatives(net, net.weights(), s, t, &q, &PlateauOptions::default()).ok()
+    let providers = standard_providers(net, arp_bench::MASTER_SEED);
+    for (name, kind) in [
+        ("plateaus", ProviderKind::Plateaus),
+        ("penalty", ProviderKind::Penalty),
+        ("dissimilarity (SSVP-D+)", ProviderKind::Dissimilarity),
+    ] {
+        let provider = providers.iter().find(|p| p.kind() == kind).unwrap();
+        run(name, &mut |s, t| {
+            arp_bench::routed_paths(&**provider, net, (s, t), &q)
+        });
+    }
+    let unlimited = SearchBudget::unlimited();
+    run("yen k=3 (naive KSP)", &mut |s, t| {
+        yen_k_shortest_paths(net, net.weights(), s, t, 3, &unlimited).ok()
     });
-    run("penalty", &mut |s, t| {
-        penalty_alternatives(net, net.weights(), s, t, &q, &PenaltyOptions::default()).ok()
-    });
-    run("dissimilarity (SSVP-D+)", &mut |s, t| {
-        dissimilarity_alternatives(
+    run("esx (k-SPwLO)", &mut |s, t| {
+        esx_alternatives(
             net,
             net.weights(),
             s,
             t,
             &q,
-            &DissimilarityOptions::default(),
+            &EsxOptions::default(),
+            &unlimited,
         )
         .ok()
-    });
-    run("yen k=3 (naive KSP)", &mut |s, t| {
-        yen_k_shortest_paths(net, net.weights(), s, t, 3).ok()
-    });
-    run("esx (k-SPwLO)", &mut |s, t| {
-        esx_alternatives(net, net.weights(), s, t, &q, &EsxOptions::default()).ok()
     });
     run("pareto (time x distance)", &mut |s, t| {
         pareto_paths(net, net.weights(), s, t, &ParetoOptions::default())

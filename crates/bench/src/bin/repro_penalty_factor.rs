@@ -52,10 +52,10 @@ fn main() {
     }
     let mut scores: Vec<Score> = Vec::new();
 
+    let penalty = PenaltyProvider::new(&arp_obs::Registry::disabled());
     for step in 0..=8 {
         let factor = 1.1 + step as f64 * 0.1;
         let q = AltQuery::paper().with_penalty_factor(factor);
-        let opts = PenaltyOptions::default();
         let mut routes = 0.0;
         let mut div = 0.0;
         let mut total = 0.0;
@@ -63,7 +63,7 @@ fn main() {
         let mut decisions = 0.0;
         let mut n = 0usize;
         for &(s, t, best) in &queries {
-            let Ok(paths) = penalty_alternatives(net, net.weights(), s, t, &q, &opts) else {
+            let Some(paths) = arp_bench::routed_paths(&penalty, net, (s, t), &q) else {
                 continue;
             };
             if paths.is_empty() {

@@ -345,74 +345,36 @@ fn main() {
                 reps,
             ),
         );
-        row(
-            &mut report,
-            "plateaus k=3",
-            time_per_query(
-                || {
-                    for &(s, t, _) in &queries {
-                        let _ = plateau_alternatives(
-                            &net,
-                            net.weights(),
-                            s,
-                            t,
-                            &q,
-                            &PlateauOptions::default(),
-                        );
-                    }
-                },
-                queries.len(),
-                reps,
-            ),
-        );
-        row(
-            &mut report,
-            "penalty k=3",
-            time_per_query(
-                || {
-                    for &(s, t, _) in &queries {
-                        let _ = penalty_alternatives(
-                            &net,
-                            net.weights(),
-                            s,
-                            t,
-                            &q,
-                            &PenaltyOptions::default(),
-                        );
-                    }
-                },
-                queries.len(),
-                reps,
-            ),
-        );
-        row(
-            &mut report,
-            "dissimilarity k=3",
-            time_per_query(
-                || {
-                    for &(s, t, _) in &queries {
-                        let _ = dissimilarity_alternatives(
-                            &net,
-                            net.weights(),
-                            s,
-                            t,
-                            &q,
-                            &DissimilarityOptions::default(),
-                        );
-                    }
-                },
-                queries.len(),
-                reps,
-            ),
-        );
+        let study = standard_providers(&net, arp_bench::MASTER_SEED);
+        for (label, kind) in [
+            ("plateaus k=3", ProviderKind::Plateaus),
+            ("penalty k=3", ProviderKind::Penalty),
+            ("dissimilarity k=3", ProviderKind::Dissimilarity),
+        ] {
+            let provider = study.iter().find(|p| p.kind() == kind).unwrap();
+            row(
+                &mut report,
+                label,
+                time_per_query(
+                    || {
+                        for &(s, t, _) in &queries {
+                            let _ = provider.alternatives(&net, net.weights(), s, t, &q);
+                        }
+                    },
+                    queries.len(),
+                    reps,
+                ),
+            );
+        }
+        let unlimited = SearchBudget::unlimited();
+        let esx = EsxOptions::default();
         row(
             &mut report,
             "esx k=3",
             time_per_query(
                 || {
                     for &(s, t, _) in &queries {
-                        let _ =
-                            esx_alternatives(&net, net.weights(), s, t, &q, &EsxOptions::default());
+                        let _ = esx_alternatives(&net, net.weights(), s, t, &q, &esx, &unlimited);
                     }
                 },
                 queries.len(),
@@ -425,7 +387,7 @@ fn main() {
             time_per_query(
                 || {
                     for &(s, t, _) in &queries {
-                        let _ = yen_k_shortest_paths(&net, net.weights(), s, t, 3);
+                        let _ = yen_k_shortest_paths(&net, net.weights(), s, t, 3, &unlimited);
                     }
                 },
                 queries.len(),
@@ -441,12 +403,11 @@ fn main() {
         let providers = instrumented_providers(&net, arp_bench::MASTER_SEED, &registry);
         let pair_labels = [("technique", "pair")];
         ws.set_metrics(SearchMetrics::new(&registry, &pair_labels));
-        let budget = SearchBudget::unlimited();
         for &(s, t, _) in &queries {
             let pair = SearchSubstrate::build(&mut ws, &net, net.weights(), s, t, &q)
                 .expect("benchmark queries are routable");
             for provider in &providers {
-                let _ = provider.answer(&net, net.weights(), pair.trip(), Some(&pair), &budget);
+                let _ = provider.answer(&net, net.weights(), pair.trip(), Some(&pair), &unlimited);
             }
         }
         let _ = writeln!(report, "  search work over {} queries:", queries.len());

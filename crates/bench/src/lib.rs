@@ -13,6 +13,7 @@ use std::sync::OnceLock;
 
 use arp_citygen::{City, GeneratedCity, Scale};
 use arp_core::search::{Direction, SearchSpace};
+use arp_core::{AltQuery, AlternativesProvider, Path};
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::NodeId;
 use arp_roadnet::weight::INFINITY;
@@ -75,6 +76,20 @@ pub fn random_queries(
         }
     }
     out
+}
+
+/// The paths `provider` routes from `s` to `t` on `net`'s public weights
+/// ([`AlternativesProvider::alternatives`]), or `None` when it fails.
+pub fn routed_paths(
+    provider: &dyn AlternativesProvider,
+    net: &RoadNetwork,
+    (s, t): (NodeId, NodeId),
+    query: &AltQuery,
+) -> Option<Vec<Path>> {
+    let routes = provider
+        .alternatives(net, net.weights(), s, t, query)
+        .ok()?;
+    Some(routes.into_iter().map(|r| r.path).collect())
 }
 
 /// The four demo techniques' metric label values, in provider order.

@@ -145,8 +145,7 @@ pub fn admissible_share(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::grid;
-    use crate::plateau::{plateau_alternatives, PlateauOptions};
+    use crate::fixtures::{grid, plateaus};
     use crate::query::AltQuery;
     use crate::search::shortest_path;
 
@@ -234,15 +233,7 @@ mod tests {
         // The headline theorem of [2]: plateau paths are locally optimal;
         // with the default γ they should overwhelmingly pass.
         let net = grid(8);
-        let paths = plateau_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(63),
-            &AltQuery::paper(),
-            &PlateauOptions::default(),
-        )
-        .unwrap();
+        let paths = plateaus(&net, (0, 63), &AltQuery::paper()).unwrap();
         if paths.len() >= 2 {
             let share = admissible_share(
                 &net,

@@ -30,9 +30,9 @@ use crate::metrics::Funnel;
 use crate::path::Path;
 use crate::query::AltQuery;
 use crate::scratch::{Loan, Pool, Scratch};
-use crate::search::{Direction, SearchSpace, ShortestPathTree};
+use crate::search::{Direction, ShortestPathTree};
 use crate::similarity::similarity_of_lengths;
-use crate::substrate::SearchSubstrate;
+use crate::substrate::open_pair;
 
 /// Options specific to the SSVP-D+ algorithm.
 #[derive(Clone, Copy, Debug)]
@@ -52,35 +52,8 @@ impl Default for DissimilarityOptions {
     }
 }
 
-/// Computes up to `query.k` pairwise-dissimilar paths with SSVP-D+:
-/// grows the tree pair ([`SearchSubstrate::build`]) and sweeps it
-/// ([`dissimilarity_alternatives_from_trees`]).
-pub fn dissimilarity_alternatives(
-    net: &RoadNetwork,
-    weights: &[Weight],
-    source: NodeId,
-    target: NodeId,
-    query: &AltQuery,
-    options: &DissimilarityOptions,
-) -> Result<Vec<Path>, CoreError> {
-    let budget = SearchBudget::unlimited();
-    let mut ws = SearchSpace::new(net);
-    let sub =
-        SearchSubstrate::build(&mut ws, net, weights, source, target, query).map_err(|(e, _)| e)?;
-    dissimilarity_alternatives_from_trees(
-        net,
-        weights,
-        query,
-        options,
-        &mut Funnel::default(),
-        sub.forward(),
-        sub.backward(),
-        &budget,
-    )
-}
-
 /// The technique itself: a function of the forward/backward tree pair,
-/// whoever grew it (typically a [`SearchSubstrate`]). The trees must have
+/// whoever grew it (typically a [`crate::SearchSubstrate`]). The trees must have
 /// been grown under `weights`: the sweep reads via-path lengths off their
 /// labels. Visits via-nodes in ascending via-path length and admits
 /// pairwise-dissimilar paths. `budget` governs the sweep's cooperative
@@ -97,21 +70,9 @@ pub fn dissimilarity_alternatives_from_trees(
     bwd: &ShortestPathTree,
     budget: &SearchBudget,
 ) -> Result<Vec<Path>, CoreError> {
-    *funnel = Funnel::default();
-    if query.k == 0 {
+    let Some((_, bound)) = open_pair(query, funnel, fwd, bwd)? else {
         return Ok(Vec::new());
-    }
-    let (source, target) = (fwd.root, bwd.root);
-    if source == target {
-        return Err(CoreError::SameSourceTarget(source));
-    }
-    debug_assert_eq!(fwd.direction, Direction::Forward);
-    debug_assert_eq!(bwd.direction, Direction::Backward);
-    if !fwd.reached(target) {
-        return Err(CoreError::Unreachable { source, target });
-    }
-    let best = fwd.distance(target);
-    let bound = query.cost_bound(best);
+    };
 
     // Via-nodes in ascending via-path length (ties by id), bounded by the
     // stretch limit: only vertices the backward tree reached qualify.
@@ -348,24 +309,31 @@ impl Scratch for MemoSlots {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::grid;
+    use crate::fixtures::{grid, routed};
     use crate::similarity::similarity;
+    use crate::DissimilarityProvider;
+    use arp_obs::Registry;
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
-
     use arp_roadnet::geo::Point;
+
+    /// The SSVP-D+ paths from `s` to `t` under default options.
+    fn dissimilar(
+        net: &RoadNetwork,
+        st: (u32, u32),
+        query: &AltQuery,
+    ) -> Result<Vec<Path>, CoreError> {
+        routed(
+            &DissimilarityProvider::new(&Registry::disabled()),
+            net,
+            st,
+            query,
+        )
+    }
 
     #[test]
     fn first_result_is_shortest_path() {
         let net = grid(7);
-        let paths = dissimilarity_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(48),
-            &AltQuery::paper(),
-            &DissimilarityOptions::default(),
-        )
-        .unwrap();
+        let paths = dissimilar(&net, (0, 48), &AltQuery::paper()).unwrap();
         assert!(!paths.is_empty());
         let direct =
             crate::search::shortest_path(&net, net.weights(), NodeId(0), NodeId(48)).unwrap();
@@ -376,15 +344,7 @@ mod tests {
     fn results_respect_theta() {
         let net = grid(8);
         let q = AltQuery::paper();
-        let paths = dissimilarity_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(63),
-            &q,
-            &DissimilarityOptions::default(),
-        )
-        .unwrap();
+        let paths = dissimilar(&net, (0, 63), &q).unwrap();
         assert!(paths.len() >= 2, "got {}", paths.len());
         for i in 0..paths.len() {
             for j in i + 1..paths.len() {
@@ -401,15 +361,7 @@ mod tests {
     fn results_within_stretch_bound() {
         let net = grid(8);
         let q = AltQuery::paper();
-        let paths = dissimilarity_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(63),
-            &q,
-            &DissimilarityOptions::default(),
-        )
-        .unwrap();
+        let paths = dissimilar(&net, (0, 63), &q).unwrap();
         let best = paths[0].cost_ms;
         for p in &paths {
             assert!(p.cost_ms <= q.cost_bound(best));
@@ -421,39 +373,17 @@ mod tests {
     #[test]
     fn higher_theta_gives_fewer_or_equal_paths() {
         let net = grid(8);
-        let loose = dissimilarity_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(63),
-            &AltQuery::paper().with_theta(0.1).with_k(5),
-            &DissimilarityOptions::default(),
-        )
-        .unwrap();
-        let strict = dissimilarity_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(63),
-            &AltQuery::paper().with_theta(0.9).with_k(5),
-            &DissimilarityOptions::default(),
-        )
-        .unwrap();
+        let loose =
+            dissimilar(&net, (0, 63), &AltQuery::paper().with_theta(0.1).with_k(5)).unwrap();
+        let strict =
+            dissimilar(&net, (0, 63), &AltQuery::paper().with_theta(0.9).with_k(5)).unwrap();
         assert!(strict.len() <= loose.len());
     }
 
     #[test]
     fn via_paths_are_ascending_in_cost() {
         let net = grid(8);
-        let paths = dissimilarity_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(63),
-            &AltQuery::paper(),
-            &DissimilarityOptions::default(),
-        )
-        .unwrap();
+        let paths = dissimilar(&net, (0, 63), &AltQuery::paper()).unwrap();
         for w in paths.windows(2) {
             assert!(w[0].cost_ms <= w[1].cost_ms, "paths not in ascending cost");
         }
@@ -466,39 +396,15 @@ mod tests {
         let c = b.add_node(Point::new(0.01, 0.0));
         b.add_edge(a, c, EdgeSpec::default());
         let net = b.build();
-        assert!(dissimilarity_alternatives(
-            &net,
-            net.weights(),
-            NodeId(1),
-            NodeId(0),
-            &AltQuery::paper(),
-            &DissimilarityOptions::default(),
-        )
-        .is_err());
+        assert!(dissimilar(&net, (1, 0), &AltQuery::paper()).is_err());
     }
 
     #[test]
     fn k_zero_and_k_one() {
         let net = grid(5);
-        let none = dissimilarity_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(24),
-            &AltQuery::paper().with_k(0),
-            &DissimilarityOptions::default(),
-        )
-        .unwrap();
+        let none = dissimilar(&net, (0, 24), &AltQuery::paper().with_k(0)).unwrap();
         assert!(none.is_empty());
-        let one = dissimilarity_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(24),
-            &AltQuery::paper().with_k(1),
-            &DissimilarityOptions::default(),
-        )
-        .unwrap();
+        let one = dissimilar(&net, (0, 24), &AltQuery::paper().with_k(1)).unwrap();
         assert_eq!(one.len(), 1);
     }
 }

@@ -37,28 +37,16 @@ impl Default for EsxOptions {
     }
 }
 
-/// Computes up to `query.k` limited-overlap paths, shortest first.
-pub fn esx_alternatives(
-    net: &RoadNetwork,
-    weights: &[Weight],
-    source: NodeId,
-    target: NodeId,
-    query: &AltQuery,
-    options: &EsxOptions,
-) -> Result<Vec<Path>, CoreError> {
-    let budget = SearchBudget::unlimited();
-    esx_alternatives_budgeted(net, weights, source, target, query, options, &budget)
-}
-
-/// The algorithm itself, under a cooperative [`SearchBudget`]: find
-/// `sp(source, target)`, then grow the result set shortest first,
-/// excluding the heaviest shared edge of over-overlapping candidates.
+/// Computes up to `query.k` limited-overlap paths, shortest first, under
+/// a cooperative [`SearchBudget`]: find `sp(source, target)`, then grow
+/// the result set, excluding the heaviest shared edge of
+/// over-overlapping candidates.
 ///
 /// A trip mid-call returns the paths chosen so far (an anytime result);
 /// inspect `budget.is_cancelled()` to tell a partial set apart from a
 /// converged one. A trip before the first path is found returns `Ok`
 /// with an empty set.
-pub fn esx_alternatives_budgeted(
+pub fn esx_alternatives(
     net: &RoadNetwork,
     weights: &[Weight],
     source: NodeId,
@@ -166,6 +154,7 @@ mod tests {
             NodeId(63),
             &q,
             &EsxOptions::default(),
+            &SearchBudget::unlimited(),
         )
         .unwrap();
         assert!(!paths.is_empty());
@@ -183,8 +172,16 @@ mod tests {
         let net = grid(8);
         let q = AltQuery::paper();
         let opts = EsxOptions { max_overlap: 0.5 };
-        let paths =
-            esx_alternatives(&net, net.weights(), NodeId(0), NodeId(63), &q, &opts).unwrap();
+        let paths = esx_alternatives(
+            &net,
+            net.weights(),
+            NodeId(0),
+            NodeId(63),
+            &q,
+            &opts,
+            &SearchBudget::unlimited(),
+        )
+        .unwrap();
         for i in 1..paths.len() {
             for j in 0..i {
                 let o = overlap_ratio(&paths[i], &paths[j], net.weights());
@@ -211,6 +208,7 @@ mod tests {
             NodeId(4),
             &AltQuery::paper(),
             &EsxOptions::default(),
+            &SearchBudget::unlimited(),
         )
         .unwrap();
         assert_eq!(paths.len(), 1);
@@ -226,6 +224,7 @@ mod tests {
             NodeId(15),
             &AltQuery::paper().with_k(0),
             &EsxOptions::default(),
+            &SearchBudget::unlimited(),
         )
         .unwrap()
         .is_empty());
@@ -242,6 +241,7 @@ mod tests {
             NodeId(0),
             &AltQuery::paper(),
             &EsxOptions::default(),
+            &SearchBudget::unlimited(),
         )
         .is_err());
     }
@@ -254,8 +254,16 @@ mod tests {
         let net = crate::fixtures::two_long_routes();
         let (s, t) = (NodeId(0), NodeId(3));
         let q = AltQuery::paper();
-        let paths =
-            esx_alternatives(&net, net.weights(), s, t, &q, &EsxOptions::default()).unwrap();
+        let paths = esx_alternatives(
+            &net,
+            net.weights(),
+            s,
+            t,
+            &q,
+            &EsxOptions::default(),
+            &SearchBudget::unlimited(),
+        )
+        .unwrap();
         let costs: Vec<u64> = paths.iter().map(|p| p.cost_ms).collect();
         assert_eq!(costs, [3_500_000_000, 4_400_000_000]);
     }
@@ -271,13 +279,14 @@ mod tests {
             NodeId(63),
             &q,
             &EsxOptions::default(),
+            &SearchBudget::unlimited(),
         )
         .unwrap();
         assert!(full.len() > 1);
         // Cap of one pop: the first search completes (residual charge),
         // the sticky trip stops the loop before the second candidate.
         let budget = SearchBudget::new().with_expansion_cap(1);
-        let partial = esx_alternatives_budgeted(
+        let partial = esx_alternatives(
             &net,
             net.weights(),
             NodeId(0),
@@ -303,6 +312,7 @@ mod tests {
             NodeId(63),
             &q,
             &EsxOptions { max_overlap: 0.8 },
+            &SearchBudget::unlimited(),
         )
         .unwrap();
         let tight = esx_alternatives(
@@ -312,6 +322,7 @@ mod tests {
             NodeId(63),
             &q,
             &EsxOptions { max_overlap: 0.2 },
+            &SearchBudget::unlimited(),
         )
         .unwrap();
         assert!(tight.len() <= loose.len());

@@ -47,9 +47,8 @@
 //! let net = b.build();
 //!
 //! let query = AltQuery::paper(); // k=3, ε=1.4, θ=0.5, penalty 1.4
-//! let routes = plateau_alternatives(
-//!     &net, net.weights(), s, t, &query, &PlateauOptions::default(),
-//! ).unwrap();
+//! let plateaus = PlateauProvider::new(&arp_obs::Registry::disabled());
+//! let routes = plateaus.alternatives(&net, net.weights(), s, t, &query).unwrap();
 //! assert!(!routes.is_empty());
 //! ```
 
@@ -82,19 +81,15 @@ pub use admissibility::{
 };
 pub use budget::SearchBudget;
 pub use cch::{ChMetric, ChTopology};
-pub use dissimilarity::{
-    dissimilarity_alternatives, dissimilarity_alternatives_from_trees, DissimilarityOptions,
-};
+pub use dissimilarity::{dissimilarity_alternatives_from_trees, DissimilarityOptions};
 pub use error::CoreError;
-pub use esx::{esx_alternatives, esx_alternatives_budgeted, EsxOptions};
+pub use esx::{esx_alternatives, EsxOptions};
 pub use filters::{apply_filters, FilterConfig};
 pub use metrics::{Funnel, SearchMetrics, SearchStats, TechniqueMetrics};
 pub use pareto::{pareto_paths, ParetoOptions, ParetoRoute};
 pub use path::Path;
-pub use penalty::{penalty_alternatives, penalty_alternatives_from_base, PenaltyOptions};
-pub use plateau::{
-    find_plateaus, plateau_alternatives, plateau_alternatives_from_trees, Plateau, PlateauOptions,
-};
+pub use penalty::{penalty_alternatives_from_base, PenaltyOptions};
+pub use plateau::{find_plateaus, plateau_alternatives_from_trees, Plateau, PlateauOptions};
 pub use provider::{
     instrumented_providers, standard_providers, AlternativesProvider, DissimilarityProvider,
     GoogleLikeProvider, PenaltyProvider, PlateauProvider, ProviderKind, ProviderOutcome,
@@ -104,23 +99,23 @@ pub use query::{AltQuery, Route};
 pub use search::{shortest_path, Direction, SearchSpace, ShortestPathTree};
 pub use substrate::{SearchSubstrate, Trip};
 pub use turns::{turn_aware_shortest_path, TurnModel};
-pub use yen::{yen_k_shortest_paths, yen_k_shortest_paths_budgeted};
+pub use yen::yen_k_shortest_paths;
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
     pub use crate::budget::SearchBudget;
-    pub use crate::dissimilarity::{dissimilarity_alternatives, DissimilarityOptions};
+    pub use crate::dissimilarity::DissimilarityOptions;
     pub use crate::error::CoreError;
     pub use crate::esx::{esx_alternatives, EsxOptions};
     pub use crate::filters::{apply_filters, FilterConfig};
     pub use crate::metrics::{SearchMetrics, SearchStats, TechniqueMetrics};
     pub use crate::pareto::{pareto_paths, ParetoOptions, ParetoRoute};
     pub use crate::path::Path;
-    pub use crate::penalty::{penalty_alternatives, PenaltyOptions};
-    pub use crate::plateau::{plateau_alternatives, PlateauOptions};
+    pub use crate::penalty::PenaltyOptions;
+    pub use crate::plateau::PlateauOptions;
     pub use crate::provider::{
-        instrumented_providers, standard_providers, AlternativesProvider, GoogleLikeProvider,
-        ProviderKind, ProviderOutcome,
+        instrumented_providers, standard_providers, AlternativesProvider, DissimilarityProvider,
+        GoogleLikeProvider, PenaltyProvider, PlateauProvider, ProviderKind, ProviderOutcome,
     };
     pub use crate::query::{AltQuery, Route};
     pub use crate::search::{shortest_path, Direction, SearchSpace};
@@ -131,7 +126,32 @@ pub mod prelude {
 /// Test fixtures shared by the unit tests of every module.
 #[cfg(test)]
 pub(crate) mod fixtures {
+    use arp_obs::Registry;
     use arp_roadnet::prelude::*;
+
+    use crate::{AltQuery, AlternativesProvider, CoreError, Path, PlateauProvider};
+
+    /// The paths `provider` routes from `s` to `t` on `net`'s own weights
+    /// ([`AlternativesProvider::alternatives`]).
+    pub(crate) fn routed(
+        provider: &dyn AlternativesProvider,
+        net: &RoadNetwork,
+        (s, t): (u32, u32),
+        query: &AltQuery,
+    ) -> Result<Vec<Path>, CoreError> {
+        provider
+            .alternatives(net, net.weights(), NodeId(s), NodeId(t), query)
+            .map(|routes| routes.into_iter().map(|r| r.path).collect())
+    }
+
+    /// The plateau paths from `s` to `t` under default options.
+    pub(crate) fn plateaus(
+        net: &RoadNetwork,
+        st: (u32, u32),
+        query: &AltQuery,
+    ) -> Result<Vec<Path>, CoreError> {
+        routed(&PlateauProvider::new(&Registry::disabled()), net, st, query)
+    }
 
     /// An `n`×`n` grid of bidirectional primary roads with uniform
     /// weights, nodes numbered row by row.

@@ -56,29 +56,6 @@ impl Default for PenaltyOptions {
     }
 }
 
-/// Computes up to `query.k` alternative paths with the penalty method:
-/// grows the call's tree pair ([`SearchSubstrate::build`]) and runs
-/// [`penalty_alternatives_from_base`] on it.
-///
-/// The first returned path is always the true shortest path. Paths are
-/// returned in discovery order, which is non-decreasing penalized cost but
-/// not necessarily non-decreasing true cost.
-pub fn penalty_alternatives(
-    net: &RoadNetwork,
-    weights: &[Weight],
-    source: NodeId,
-    target: NodeId,
-    query: &AltQuery,
-    options: &PenaltyOptions,
-) -> Result<Vec<Path>, CoreError> {
-    check_factor(query)?;
-    let mut ws = SearchSpace::new(net);
-    let pair =
-        SearchSubstrate::build(&mut ws, net, weights, source, target, query).map_err(|(e, _)| e)?;
-    let mut funnel = Funnel::default();
-    penalty_alternatives_from_base(&mut ws, net, weights, &pair, options, &mut funnel)
-}
-
 /// The technique itself on the tree pair `pair` grown on `weights`: its
 /// base route is iteration zero, and the penalized re-searches run on a
 /// private overlay through `ws` (and its budget), each pruned by the
@@ -359,8 +336,10 @@ impl Scratch for Branches {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::grid;
+    use crate::fixtures::{grid, routed};
     use crate::metrics::SearchStats;
+    use crate::PenaltyProvider;
+    use arp_obs::Registry;
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
     use arp_roadnet::category::RoadCategory;
     use arp_roadnet::geo::Point;
@@ -369,15 +348,7 @@ mod tests {
     fn first_path_is_shortest() {
         let net = grid(6);
         let q = AltQuery::paper();
-        let paths = penalty_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(35),
-            &q,
-            &PenaltyOptions::default(),
-        )
-        .unwrap();
+        let paths = penalties(&net, (0, 35), &q, PenaltyOptions::default()).unwrap();
         assert!(!paths.is_empty());
         let direct =
             crate::search::shortest_path(&net, net.weights(), NodeId(0), NodeId(35)).unwrap();
@@ -388,15 +359,7 @@ mod tests {
     fn produces_k_distinct_paths_on_grid() {
         let net = grid(8);
         let q = AltQuery::paper();
-        let paths = penalty_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(63),
-            &q,
-            &PenaltyOptions::default(),
-        )
-        .unwrap();
+        let paths = penalties(&net, (0, 63), &q, PenaltyOptions::default()).unwrap();
         assert_eq!(paths.len(), 3);
         for i in 0..paths.len() {
             assert!(paths[i].validate(&net));
@@ -411,15 +374,7 @@ mod tests {
     fn all_paths_within_stretch_bound() {
         let net = grid(8);
         let q = AltQuery::paper();
-        let paths = penalty_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(63),
-            &q,
-            &PenaltyOptions::default(),
-        )
-        .unwrap();
+        let paths = penalties(&net, (0, 63), &q, PenaltyOptions::default()).unwrap();
         let best = paths[0].cost_ms;
         for p in &paths {
             assert!(p.cost_ms <= q.cost_bound(best), "{} > bound", p.cost_ms);
@@ -432,15 +387,7 @@ mod tests {
     fn k_zero_returns_empty() {
         let net = grid(4);
         let q = AltQuery::paper().with_k(0);
-        let paths = penalty_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(15),
-            &q,
-            &PenaltyOptions::default(),
-        )
-        .unwrap();
+        let paths = penalties(&net, (0, 15), &q, PenaltyOptions::default()).unwrap();
         assert!(paths.is_empty());
     }
 
@@ -448,15 +395,7 @@ mod tests {
     fn k_one_returns_only_shortest() {
         let net = grid(4);
         let q = AltQuery::paper().with_k(1);
-        let paths = penalty_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(15),
-            &q,
-            &PenaltyOptions::default(),
-        )
-        .unwrap();
+        let paths = penalties(&net, (0, 15), &q, PenaltyOptions::default()).unwrap();
         assert_eq!(paths.len(), 1);
     }
 
@@ -471,15 +410,7 @@ mod tests {
             b.add_bidirectional(w[0], w[1], EdgeSpec::category(RoadCategory::Primary));
         }
         let net = b.build();
-        let paths = penalty_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(4),
-            &AltQuery::paper(),
-            &PenaltyOptions::default(),
-        )
-        .unwrap();
+        let paths = penalties(&net, (0, 4), &AltQuery::paper(), PenaltyOptions::default()).unwrap();
         assert_eq!(paths.len(), 1);
     }
 
@@ -490,15 +421,19 @@ mod tests {
         let c = b.add_node(Point::new(0.01, 0.0));
         b.add_edge(a, c, EdgeSpec::default());
         let net = b.build();
-        assert!(penalty_alternatives(
-            &net,
-            net.weights(),
-            NodeId(1),
-            NodeId(0),
-            &AltQuery::paper(),
-            &PenaltyOptions::default(),
-        )
-        .is_err());
+        assert!(penalties(&net, (1, 0), &AltQuery::paper(), PenaltyOptions::default()).is_err());
+    }
+
+    /// The penalty paths from `s` to `t` under `options`.
+    fn penalties(
+        net: &RoadNetwork,
+        st: (u32, u32),
+        query: &AltQuery,
+        options: PenaltyOptions,
+    ) -> Result<Vec<Path>, CoreError> {
+        let mut provider = PenaltyProvider::new(&Registry::disabled());
+        provider.options = options;
+        routed(&provider, net, st, query)
     }
 
     /// The tree pair of `query` between `s` and `t` on `net`'s own
@@ -519,15 +454,7 @@ mod tests {
         let net = grid(8);
         let q = AltQuery::paper();
         // Uninterrupted reference run.
-        let full = penalty_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(63),
-            &q,
-            &PenaltyOptions::default(),
-        )
-        .unwrap();
+        let full = penalties(&net, (0, 63), &q, PenaltyOptions::default()).unwrap();
         assert!(full.len() > 1);
 
         // Cancel after the first re-search: the technique must return
@@ -612,8 +539,7 @@ mod tests {
         let options = PenaltyOptions::default();
         for factor in [0.9, 0.0, -1.4, f64::NAN] {
             let q = AltQuery::paper().with_penalty_factor(factor);
-            let got =
-                penalty_alternatives(&net, net.weights(), NodeId(0), NodeId(15), &q, &options);
+            let got = penalties(&net, (0, 15), &q, options);
             assert_eq!(got, Err(CoreError::InvalidPenaltyFactor), "{factor}");
             let pair = pair_of(&mut SearchSpace::new(&net), &net, (0, 15), &q);
             let (mut ws, mut funnel) = (SearchSpace::new(&net), Funnel::default());
@@ -635,7 +561,7 @@ mod tests {
         assert!(!CoreError::InvalidPenaltyFactor.is_transient());
         // A factor of exactly 1 penalizes nothing, and is allowed.
         let q = AltQuery::paper().with_penalty_factor(1.0);
-        let got = penalty_alternatives(&net, net.weights(), NodeId(0), NodeId(15), &q, &options);
+        let got = penalties(&net, (0, 15), &q, options);
         assert_eq!(
             got.unwrap().len(),
             1,
@@ -655,10 +581,8 @@ mod tests {
             penalize_reverse: true,
         };
         let q = AltQuery::paper();
-        let pl =
-            penalty_alternatives(&net, net.weights(), NodeId(0), NodeId(63), &q, &loose).unwrap();
-        let ps =
-            penalty_alternatives(&net, net.weights(), NodeId(0), NodeId(63), &q, &strict).unwrap();
+        let pl = penalties(&net, (0, 63), &q, loose).unwrap();
+        let ps = penalties(&net, (0, 63), &q, strict).unwrap();
         let div_loose = crate::similarity::diversity(&pl, net.weights());
         let div_strict = crate::similarity::diversity(&ps, net.weights());
         assert!(div_strict >= div_loose - 1e-9);

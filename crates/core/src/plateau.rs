@@ -21,9 +21,9 @@ use crate::error::CoreError;
 use crate::metrics::Funnel;
 use crate::path::Path;
 use crate::query::AltQuery;
-use crate::search::{Direction, SearchSpace, ShortestPathTree};
+use crate::search::{Direction, ShortestPathTree};
 use crate::similarity::similarity;
-use crate::substrate::SearchSubstrate;
+use crate::substrate::open_pair;
 
 /// A plateau: a maximal chain of edges common to the forward and backward
 /// shortest-path trees.
@@ -122,35 +122,8 @@ pub fn find_plateaus(
     plateaus
 }
 
-/// Computes up to `query.k` alternative paths with the plateau method:
-/// grows the tree pair ([`SearchSubstrate::build`]) and joins it
-/// ([`plateau_alternatives_from_trees`]).
-pub fn plateau_alternatives(
-    net: &RoadNetwork,
-    weights: &[Weight],
-    source: NodeId,
-    target: NodeId,
-    query: &AltQuery,
-    options: &PlateauOptions,
-) -> Result<Vec<Path>, CoreError> {
-    let budget = SearchBudget::unlimited();
-    let mut ws = SearchSpace::new(net);
-    let sub =
-        SearchSubstrate::build(&mut ws, net, weights, source, target, query).map_err(|(e, _)| e)?;
-    plateau_alternatives_from_trees(
-        net,
-        weights,
-        query,
-        options,
-        &mut Funnel::default(),
-        sub.forward(),
-        sub.backward(),
-        &budget,
-    )
-}
-
 /// The technique itself: a function of the forward/backward tree pair,
-/// whoever grew it (typically a [`SearchSubstrate`]). The trees must have
+/// whoever grew it (typically a [`crate::SearchSubstrate`]). The trees must have
 /// been grown under `weights`. `budget` governs the sweep's cooperative
 /// polls; the candidate funnel of the call is reported into `funnel`
 /// (which is reset first).
@@ -165,21 +138,9 @@ pub fn plateau_alternatives_from_trees(
     bwd: &ShortestPathTree,
     budget: &SearchBudget,
 ) -> Result<Vec<Path>, CoreError> {
-    *funnel = Funnel::default();
-    if query.k == 0 {
+    let Some((best_cost, bound)) = open_pair(query, funnel, fwd, bwd)? else {
         return Ok(Vec::new());
-    }
-    let (source, target) = (fwd.root, bwd.root);
-    if source == target {
-        return Err(CoreError::SameSourceTarget(source));
-    }
-    debug_assert_eq!(fwd.direction, Direction::Forward);
-    debug_assert_eq!(bwd.direction, Direction::Backward);
-    if !fwd.reached(target) {
-        return Err(CoreError::Unreachable { source, target });
-    }
-    let best_cost = fwd.distance(target);
-    let bound = query.cost_bound(best_cost);
+    };
     let min_weight = (best_cost as f64 * options.min_plateau_fraction) as Cost;
 
     let mut plateaus = find_plateaus(net, fwd, bwd);
@@ -226,8 +187,8 @@ pub fn plateau_alternatives_from_trees(
             continue;
         }
         let path = Path::from_edges(net, weights, edges);
-        debug_assert_eq!(path.source(), source);
-        debug_assert_eq!(path.target(), target);
+        debug_assert_eq!(path.source(), fwd.root);
+        debug_assert_eq!(path.target(), bwd.root);
         if !path.is_simple() {
             funnel.rejected_non_simple += 1;
             continue;
@@ -251,7 +212,9 @@ pub fn plateau_alternatives_from_trees(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::grid;
+    use crate::fixtures::{grid, plateaus};
+    use crate::search::SearchSpace;
+    use crate::substrate::SearchSubstrate;
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
     use arp_roadnet::category::RoadCategory;
     use arp_roadnet::geo::Point;
@@ -288,15 +251,7 @@ mod tests {
     fn shortest_path_is_first_plateau_result() {
         let net = grid(6);
         let q = AltQuery::paper();
-        let paths = plateau_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(35),
-            &q,
-            &PlateauOptions::default(),
-        )
-        .unwrap();
+        let paths = plateaus(&net, (0, 35), &q).unwrap();
         assert!(!paths.is_empty());
         let direct =
             crate::search::shortest_path(&net, net.weights(), NodeId(0), NodeId(35)).unwrap();
@@ -307,15 +262,7 @@ mod tests {
     fn two_corridors_found_as_two_plateaus() {
         let net = two_corridors();
         let q = AltQuery::paper();
-        let paths = plateau_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(7),
-            &q,
-            &PlateauOptions::default(),
-        )
-        .unwrap();
+        let paths = plateaus(&net, (0, 7), &q).unwrap();
         assert!(paths.len() >= 2, "got {}", paths.len());
         // The two routes are nearly disjoint.
         let sim = similarity(&paths[0], &paths[1], net.weights());
@@ -324,8 +271,6 @@ mod tests {
 
     #[test]
     fn plateaus_are_vertex_disjoint() {
-        use crate::search::SearchSpace;
-
         let net = grid(7);
         let mut ws = SearchSpace::new(&net);
         let fwd = ws
@@ -348,8 +293,6 @@ mod tests {
 
     #[test]
     fn longest_plateau_is_the_shortest_path() {
-        use crate::search::SearchSpace;
-
         let net = grid(6);
         let mut ws = SearchSpace::new(&net);
         let (s, t) = (NodeId(0), NodeId(35));
@@ -373,15 +316,7 @@ mod tests {
     fn all_results_within_stretch_bound() {
         let net = grid(8);
         let q = AltQuery::paper();
-        let paths = plateau_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(63),
-            &q,
-            &PlateauOptions::default(),
-        )
-        .unwrap();
+        let paths = plateaus(&net, (0, 63), &q).unwrap();
         let best = paths[0].cost_ms;
         for p in &paths {
             assert!(p.cost_ms <= q.cost_bound(best));
@@ -393,15 +328,7 @@ mod tests {
     #[test]
     fn results_sorted_by_cost() {
         let net = grid(8);
-        let paths = plateau_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(63),
-            &AltQuery::paper(),
-            &PlateauOptions::default(),
-        )
-        .unwrap();
+        let paths = plateaus(&net, (0, 63), &AltQuery::paper()).unwrap();
         for w in paths.windows(2) {
             assert!(w[0].cost_ms <= w[1].cost_ms);
         }
@@ -440,14 +367,7 @@ mod tests {
         b.add_edge(a, c, EdgeSpec::default());
         let net = b.build();
         assert!(matches!(
-            plateau_alternatives(
-                &net,
-                net.weights(),
-                NodeId(1),
-                NodeId(0),
-                &AltQuery::paper(),
-                &PlateauOptions::default(),
-            ),
+            plateaus(&net, (1, 0), &AltQuery::paper()),
             Err(CoreError::Unreachable { .. })
         ));
     }
@@ -455,15 +375,7 @@ mod tests {
     #[test]
     fn k_zero_empty() {
         let net = grid(4);
-        let paths = plateau_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(15),
-            &AltQuery::paper().with_k(0),
-            &PlateauOptions::default(),
-        )
-        .unwrap();
+        let paths = plateaus(&net, (0, 15), &AltQuery::paper().with_k(0)).unwrap();
         assert!(paths.is_empty());
     }
 }

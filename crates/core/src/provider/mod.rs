@@ -150,7 +150,7 @@ pub trait AlternativesProvider: Send + Sync {
         let mut ws = SearchSpace::new(net);
         let pair = SearchSubstrate::build(&mut ws, net, public_weights, source, target, query)
             .map_err(|(e, _)| e)?;
-        self.answer(net, public_weights, &trip, Some(&pair), &unlimited)
+        self.answer(net, public_weights, pair.trip(), Some(&pair), &unlimited)
             .map(ProviderOutcome::routes)
     }
 
@@ -193,7 +193,11 @@ fn handed<'a>(
         "a pair-reading technique was handed no pair"
     );
     let pair = pair.ok_or(CoreError::MissingPair)?;
-    debug_assert_eq!(pair.trip(), trip, "the pair answers another trip");
+    // By address too: a NaN penalty factor is unequal to itself.
+    debug_assert!(
+        std::ptr::eq(pair.trip(), trip) || pair.trip() == trip,
+        "the pair answers another trip"
+    );
     Ok(pair)
 }
 

@@ -279,7 +279,7 @@ pub fn route_set_features(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::grid;
+    use crate::fixtures::{grid, plateaus};
 
     use arp_roadnet::ids::NodeId;
 
@@ -364,15 +364,7 @@ mod tests {
     fn route_set_features_aggregates() {
         let net = grid(6);
         let q = crate::query::AltQuery::paper();
-        let paths = crate::plateau::plateau_alternatives(
-            &net,
-            net.weights(),
-            NodeId(0),
-            NodeId(35),
-            &q,
-            &crate::plateau::PlateauOptions::default(),
-        )
-        .unwrap();
+        let paths = plateaus(&net, (0, 35), &q).unwrap();
         let best = paths[0].cost_ms;
         let f = route_set_features(&net, net.weights(), &paths, best, q.k);
         assert_eq!((f.count, f.requested), (paths.len(), q.k));

@@ -42,7 +42,7 @@ use arp_roadnet::weight::{Cost, Weight, INFINITY};
 
 use crate::error::CoreError;
 use crate::kernel::{GrowToBound, InsideEllipse, Weights};
-use crate::metrics::SearchStats;
+use crate::metrics::{Funnel, SearchStats};
 use crate::path::Path;
 use crate::query::AltQuery;
 use crate::search::{Direction, SearchSpace, ShortestPathTree};
@@ -243,6 +243,33 @@ impl SearchSubstrate {
             (db, _) => db,
         }
     }
+}
+
+/// The prologue of a technique fed a tree pair: resets `funnel`, then
+/// answers `None` when `query` asks for no route, fails on equal or
+/// disconnected endpoints, and otherwise yields the optimum's cost and
+/// the query's stretch bound on it.
+pub(crate) fn open_pair(
+    query: &AltQuery,
+    funnel: &mut Funnel,
+    fwd: &ShortestPathTree,
+    bwd: &ShortestPathTree,
+) -> Result<Option<(Cost, Cost)>, CoreError> {
+    *funnel = Funnel::default();
+    if query.k == 0 {
+        return Ok(None);
+    }
+    let (source, target) = (fwd.root, bwd.root);
+    if source == target {
+        return Err(CoreError::SameSourceTarget(source));
+    }
+    debug_assert_eq!(fwd.direction, Direction::Forward);
+    debug_assert_eq!(bwd.direction, Direction::Backward);
+    if !fwd.reached(target) {
+        return Err(CoreError::Unreachable { source, target });
+    }
+    let best = fwd.distance(target);
+    Ok(Some((best, query.cost_bound(best))))
 }
 
 /// `sp(root, target)` read off a forward tree that reaches `target`.

@@ -19,26 +19,15 @@ use crate::path::Path;
 use crate::search::SearchSpace;
 
 /// Computes the `k` shortest loopless paths from `source` to `target`
-/// in ascending cost order. Returns fewer than `k` when the graph does not
-/// contain that many simple paths.
-pub fn yen_k_shortest_paths(
-    net: &RoadNetwork,
-    weights: &[Weight],
-    source: NodeId,
-    target: NodeId,
-    k: usize,
-) -> Result<Vec<Path>, CoreError> {
-    let budget = SearchBudget::unlimited();
-    yen_k_shortest_paths_budgeted(net, weights, source, target, k, &budget)
-}
-
-/// The algorithm itself, under a cooperative [`SearchBudget`].
+/// in ascending cost order, under a cooperative [`SearchBudget`].
+/// Returns fewer than `k` when the graph does not contain that many
+/// simple paths.
 ///
 /// A trip mid-call returns the paths found so far (still in ascending
 /// cost order); inspect `budget.is_cancelled()` to tell a partial set
 /// apart from a converged one. A trip before the first path is found
 /// returns `Ok` with an empty set.
-pub fn yen_k_shortest_paths_budgeted(
+pub fn yen_k_shortest_paths(
     net: &RoadNetwork,
     weights: &[Weight],
     source: NodeId,
@@ -155,7 +144,7 @@ pub fn yen_k_shortest_paths_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::grid;
+    use crate::fixtures::{grid, plateaus};
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
     use arp_roadnet::category::RoadCategory;
     use arp_roadnet::geo::Point;
@@ -163,7 +152,15 @@ mod tests {
     #[test]
     fn costs_non_decreasing_and_paths_distinct() {
         let net = grid(5);
-        let paths = yen_k_shortest_paths(&net, net.weights(), NodeId(0), NodeId(24), 6).unwrap();
+        let paths = yen_k_shortest_paths(
+            &net,
+            net.weights(),
+            NodeId(0),
+            NodeId(24),
+            6,
+            &SearchBudget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(paths.len(), 6);
         for w in paths.windows(2) {
             assert!(w[0].cost_ms <= w[1].cost_ms);
@@ -180,7 +177,15 @@ mod tests {
     #[test]
     fn first_is_shortest() {
         let net = grid(4);
-        let paths = yen_k_shortest_paths(&net, net.weights(), NodeId(0), NodeId(15), 3).unwrap();
+        let paths = yen_k_shortest_paths(
+            &net,
+            net.weights(),
+            NodeId(0),
+            NodeId(15),
+            3,
+            &SearchBudget::unlimited(),
+        )
+        .unwrap();
         let direct =
             crate::search::shortest_path(&net, net.weights(), NodeId(0), NodeId(15)).unwrap();
         assert_eq!(paths[0].cost_ms, direct.cost_ms);
@@ -196,7 +201,15 @@ mod tests {
             b.add_bidirectional(w[0], w[1], EdgeSpec::category(RoadCategory::Primary));
         }
         let net = b.build();
-        let paths = yen_k_shortest_paths(&net, net.weights(), NodeId(0), NodeId(3), 5).unwrap();
+        let paths = yen_k_shortest_paths(
+            &net,
+            net.weights(),
+            NodeId(0),
+            NodeId(3),
+            5,
+            &SearchBudget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(paths.len(), 1);
     }
 
@@ -211,7 +224,15 @@ mod tests {
         b.add_edge(s, m, EdgeSpec::default().with_weight(80));
         b.add_edge(m, t, EdgeSpec::default().with_weight(80));
         let net = b.build();
-        let paths = yen_k_shortest_paths(&net, net.weights(), NodeId(0), NodeId(2), 5).unwrap();
+        let paths = yen_k_shortest_paths(
+            &net,
+            net.weights(),
+            NodeId(0),
+            NodeId(2),
+            5,
+            &SearchBudget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0].cost_ms, 100);
         assert_eq!(paths[1].cost_ms, 160);
@@ -222,7 +243,15 @@ mod tests {
         // The spur from the source blocks the first path's first edge; the
         // second path must come back at its real cost.
         let net = crate::fixtures::two_long_routes();
-        let paths = yen_k_shortest_paths(&net, net.weights(), NodeId(0), NodeId(3), 2).unwrap();
+        let paths = yen_k_shortest_paths(
+            &net,
+            net.weights(),
+            NodeId(0),
+            NodeId(3),
+            2,
+            &SearchBudget::unlimited(),
+        )
+        .unwrap();
         let costs: Vec<Cost> = paths.iter().map(|p| p.cost_ms).collect();
         assert_eq!(costs, [3_500_000_000, 4_400_000_000]);
     }
@@ -232,17 +261,17 @@ mod tests {
         // The motivating observation from §2.4: naive k-shortest paths have
         // low diversity compared to a dedicated alternative-route method.
         let net = grid(6);
-        let yen = yen_k_shortest_paths(&net, net.weights(), NodeId(0), NodeId(35), 3).unwrap();
-        let yen_div = crate::similarity::diversity(&yen, net.weights());
-        let plat = crate::plateau::plateau_alternatives(
+        let yen = yen_k_shortest_paths(
             &net,
             net.weights(),
             NodeId(0),
             NodeId(35),
-            &crate::query::AltQuery::paper(),
-            &crate::plateau::PlateauOptions::default(),
+            3,
+            &SearchBudget::unlimited(),
         )
         .unwrap();
+        let yen_div = crate::similarity::diversity(&yen, net.weights());
+        let plat = plateaus(&net, (0, 35), &crate::query::AltQuery::paper()).unwrap();
         if plat.len() >= 2 {
             let plat_div = crate::similarity::diversity(&plat, net.weights());
             assert!(plat_div >= yen_div, "plateau {plat_div} vs yen {yen_div}");
@@ -252,13 +281,21 @@ mod tests {
     #[test]
     fn budgeted_call_returns_ascending_partial() {
         let net = grid(5);
-        let full = yen_k_shortest_paths(&net, net.weights(), NodeId(0), NodeId(24), 6).unwrap();
+        let full = yen_k_shortest_paths(
+            &net,
+            net.weights(),
+            NodeId(0),
+            NodeId(24),
+            6,
+            &SearchBudget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(full.len(), 6);
         // Cap of one pop: the first search completes (residual charge),
         // the sticky trip stops the round loop before any spur search.
         let budget = SearchBudget::new().with_expansion_cap(1);
         let (s, t) = (NodeId(0), NodeId(24));
-        let partial = yen_k_shortest_paths_budgeted(&net, net.weights(), s, t, 6, &budget).unwrap();
+        let partial = yen_k_shortest_paths(&net, net.weights(), s, t, 6, &budget).unwrap();
         assert!(budget.is_cancelled());
         assert_eq!(partial.len(), 1);
         assert_eq!(partial[0].edges, full[0].edges);
@@ -267,10 +304,15 @@ mod tests {
     #[test]
     fn k_zero_empty() {
         let net = grid(3);
-        assert!(
-            yen_k_shortest_paths(&net, net.weights(), NodeId(0), NodeId(8), 0)
-                .unwrap()
-                .is_empty()
-        );
+        assert!(yen_k_shortest_paths(
+            &net,
+            net.weights(),
+            NodeId(0),
+            NodeId(8),
+            0,
+            &SearchBudget::unlimited()
+        )
+        .unwrap()
+        .is_empty());
     }
 }

@@ -6,8 +6,20 @@ use arp_core::prelude::*;
 use arp_core::quality::route_set_features;
 use arp_core::similarity::diversity;
 use arp_core::{dissimilarity_alternatives_from_trees, Funnel, SearchSubstrate};
+use arp_obs::Registry;
 use arp_roadnet::ids::NodeId;
 use arp_roadnet::spatial::SpatialIndex;
+
+/// The paths `provider` routes from `s` to `t` on `net`'s own weights.
+fn routed(
+    provider: &dyn AlternativesProvider,
+    net: &arp_roadnet::RoadNetwork,
+    (s, t): (NodeId, NodeId),
+    q: &AltQuery,
+) -> Vec<Path> {
+    let routes = provider.alternatives(net, net.weights(), s, t, q).unwrap();
+    routes.into_iter().map(|r| r.path).collect()
+}
 
 /// Deterministic medium-distance query endpoints: pick nodes near opposite
 /// corners of the city.
@@ -161,22 +173,23 @@ fn alternatives_are_diverse_on_cities() {
     let (s, t) = corner_query(net);
     let q = AltQuery::paper();
 
-    let dis = dissimilarity_alternatives(
+    let dis = routed(
+        &DissimilarityProvider::new(&Registry::disabled()),
         net,
-        net.weights(),
-        s,
-        t,
+        (s, t),
         &q,
-        &DissimilarityOptions::default(),
-    )
-    .unwrap();
+    );
     if dis.len() >= 2 {
         let d = diversity(&dis, net.weights());
         assert!(d > q.theta - 1e-9, "dissimilarity set diversity {d}");
     }
 
-    let pla =
-        plateau_alternatives(net, net.weights(), s, t, &q, &PlateauOptions::default()).unwrap();
+    let pla = routed(
+        &PlateauProvider::new(&Registry::disabled()),
+        net,
+        (s, t),
+        &q,
+    );
     if pla.len() >= 2 {
         let d = diversity(&pla, net.weights());
         assert!(d > 0.05, "plateau set diversity {d}");
@@ -189,8 +202,12 @@ fn quality_report_is_sane_on_city() {
     let net = &g.network;
     let (s, t) = corner_query(net);
     let q = AltQuery::paper();
-    let paths =
-        penalty_alternatives(net, net.weights(), s, t, &q, &PenaltyOptions::default()).unwrap();
+    let paths = routed(
+        &PenaltyProvider::new(&Registry::disabled()),
+        net,
+        (s, t),
+        &q,
+    );
     let best = paths[0].cost_ms;
     let report = route_set_features(net, net.weights(), &paths, best, q.k);
     assert_eq!(report.count, paths.len());
@@ -209,16 +226,14 @@ fn yen_less_diverse_than_dissimilarity_on_city() {
     let (s, t) = corner_query(net);
     let q = AltQuery::paper();
 
-    let yen = yen_k_shortest_paths(net, net.weights(), s, t, 3).unwrap();
-    let dis = dissimilarity_alternatives(
+    let yen =
+        yen_k_shortest_paths(net, net.weights(), s, t, 3, &SearchBudget::unlimited()).unwrap();
+    let dis = routed(
+        &DissimilarityProvider::new(&Registry::disabled()),
         net,
-        net.weights(),
-        s,
-        t,
+        (s, t),
         &q,
-        &DissimilarityOptions::default(),
-    )
-    .unwrap();
+    );
     if yen.len() >= 2 && dis.len() >= 2 {
         let yen_div = diversity(&yen, net.weights());
         let dis_div = diversity(&dis, net.weights());

@@ -9,6 +9,7 @@ use arp_core::quality;
 use arp_core::search::{Direction, ShortestPathTree};
 use arp_core::similarity;
 use arp_core::{ChTopology, Funnel};
+use arp_obs::Registry;
 use arp_roadnet::prelude::*;
 use arp_roadnet::weight::{apply_penalty, Cost};
 use proptest::prelude::*;
@@ -50,6 +51,19 @@ fn build(n: usize, chords: &[(usize, usize, u32)]) -> RoadNetwork {
         }
     }
     b.build()
+}
+
+/// The paths `provider` routes from `s` to `t` on `weights`
+/// ([`AlternativesProvider::alternatives`]).
+fn routed(
+    provider: &dyn AlternativesProvider,
+    net: &RoadNetwork,
+    weights: &[Weight],
+    (s, t): (NodeId, NodeId),
+    query: &AltQuery,
+) -> Vec<Path> {
+    let routes = provider.alternatives(net, weights, s, t, query).unwrap();
+    routes.into_iter().map(|r| r.path).collect()
 }
 
 /// Bellman-Ford reference distance.
@@ -676,9 +690,9 @@ fn filter_candidates(net: &RoadNetwork, weights: &[Weight], pair: &SearchSubstra
         &SearchBudget::unlimited(),
     )
     .unwrap();
-    let (s, t) = (pair.source(), pair.target());
-    let penalty = penalty_alternatives(net, weights, s, t, &query, &PenaltyOptions::default());
-    paths.extend(penalty.unwrap());
+    let penalty = PenaltyProvider::new(&Registry::disabled());
+    let st = (pair.source(), pair.target());
+    paths.extend(routed(&penalty, net, weights, st, &query));
     let inside: Vec<NodeId> = net
         .nodes()
         .filter(|&v| fwd.reached(v) && bwd.reached(v))
@@ -1172,9 +1186,10 @@ proptest! {
         let q = AltQuery::paper();
         let best = shortest_path(&net, net.weights(), s, t).unwrap().cost_ms;
 
-        let pen = penalty_alternatives(&net, net.weights(), s, t, &q, &PenaltyOptions::default()).unwrap();
-        let pla = plateau_alternatives(&net, net.weights(), s, t, &q, &PlateauOptions::default()).unwrap();
-        let dis = dissimilarity_alternatives(&net, net.weights(), s, t, &q, &DissimilarityOptions::default()).unwrap();
+        let off = Registry::disabled();
+        let pen = routed(&PenaltyProvider::new(&off), &net, net.weights(), (s, t), &q);
+        let pla = routed(&PlateauProvider::new(&off), &net, net.weights(), (s, t), &q);
+        let dis = routed(&DissimilarityProvider::new(&off), &net, net.weights(), (s, t), &q);
 
         for (name, paths) in [("penalty", &pen), ("plateau", &pla), ("dissimilarity", &dis)] {
             prop_assert!(!paths.is_empty(), "{} empty", name);
@@ -1233,7 +1248,7 @@ proptest! {
     fn yen_costs_sorted_and_simple((n, chords) in arb_scc_graph()) {
         let net = build(n, &chords);
         let t = NodeId((n - 1) as u32);
-        let paths = yen_k_shortest_paths(&net, net.weights(), NodeId(0), t, 4).unwrap();
+        let paths = yen_k_shortest_paths(&net, net.weights(), NodeId(0), t, 4, &SearchBudget::unlimited()).unwrap();
         prop_assert!(!paths.is_empty());
         for w in paths.windows(2) {
             prop_assert!(w[0].cost_ms <= w[1].cost_ms);
@@ -1254,7 +1269,7 @@ proptest! {
     fn similarity_bounds_hold((n, chords) in arb_scc_graph()) {
         let net = build(n, &chords);
         let t = NodeId((n - 1) as u32);
-        let paths = yen_k_shortest_paths(&net, net.weights(), NodeId(0), t, 3).unwrap();
+        let paths = yen_k_shortest_paths(&net, net.weights(), NodeId(0), t, 3, &SearchBudget::unlimited()).unwrap();
         for p in &paths {
             for q in &paths {
                 let s = similarity::similarity(p, q, net.weights());
@@ -1416,7 +1431,7 @@ proptest! {
         let t = NodeId((n - 1) as u32);
         let q = AltQuery::paper();
         let opts = EsxOptions::default();
-        let paths = esx_alternatives(&net, net.weights(), NodeId(0), t, &q, &opts).unwrap();
+        let paths = esx_alternatives(&net, net.weights(), NodeId(0), t, &q, &opts, &SearchBudget::unlimited()).unwrap();
         prop_assert!(!paths.is_empty());
         for i in 1..paths.len() {
             for j in 0..i {
@@ -1438,9 +1453,7 @@ proptest! {
         let (s, t) = (NodeId(0), NodeId((n - 1) as u32));
         let q = AltQuery::paper();
 
-        let full = penalty_alternatives(
-            &net, net.weights(), s, t, &q, &PenaltyOptions::default(),
-        ).unwrap();
+        let full = routed(&PenaltyProvider::new(&Registry::disabled()), &net, net.weights(), (s, t), &q);
         // The cap covers the pair's growth too: a trip between its trees
         // leaves the proven base route as the whole partial.
         let mut ws = SearchSpace::new(&net);
@@ -1458,21 +1471,20 @@ proptest! {
             prop_assert_eq!(&p.edges, &f.edges, "penalty partial is not a prefix");
         }
 
-        let full = yen_k_shortest_paths(&net, net.weights(), s, t, 4).unwrap();
+        let unlimited = SearchBudget::unlimited();
+        let full = yen_k_shortest_paths(&net, net.weights(), s, t, 4, &unlimited).unwrap();
         let budget = SearchBudget::new().with_expansion_cap(cap);
-        let partial = arp_core::yen_k_shortest_paths_budgeted(
-            &net, net.weights(), s, t, 4, &budget,
-        ).unwrap();
+        let partial = yen_k_shortest_paths(&net, net.weights(), s, t, 4, &budget).unwrap();
         prop_assert!(partial.len() <= full.len(), "yen grew under a budget");
         for (p, f) in partial.iter().zip(full.iter()) {
             prop_assert_eq!(&p.edges, &f.edges, "yen partial is not a prefix");
         }
 
         let full = esx_alternatives(
-            &net, net.weights(), s, t, &q, &EsxOptions::default(),
+            &net, net.weights(), s, t, &q, &EsxOptions::default(), &unlimited,
         ).unwrap();
         let budget = SearchBudget::new().with_expansion_cap(cap);
-        let partial = arp_core::esx_alternatives_budgeted(
+        let partial = esx_alternatives(
             &net, net.weights(), s, t, &q, &EsxOptions::default(), &budget,
         ).unwrap();
         prop_assert!(partial.len() <= full.len(), "esx grew under a budget");
@@ -1500,42 +1512,6 @@ proptest! {
             let fed = provider.answer(&net, net.weights(), sub.trip(), Some(&sub), &budget)
                 .unwrap().routes();
             prop_assert_eq!(&own, &fed, "{} differs on the shared substrate", provider.kind());
-        }
-
-        let solo = plateau_alternatives(&net, net.weights(), s, t, &q, &PlateauOptions::default()).unwrap();
-        let mut pstats = Funnel::default();
-        let fed = arp_core::plateau_alternatives_from_trees(
-            &net, net.weights(), &q, &PlateauOptions::default(), &mut pstats,
-            sub.forward(), sub.backward(), &budget,
-        ).unwrap();
-        prop_assert_eq!(solo.len(), fed.len(), "plateau count differs");
-        for (a, b) in solo.iter().zip(fed.iter()) {
-            prop_assert_eq!(&a.edges, &b.edges, "plateau edges differ");
-            prop_assert_eq!(a.cost_ms, b.cost_ms, "plateau cost differs");
-        }
-
-        let solo = dissimilarity_alternatives(&net, net.weights(), s, t, &q, &DissimilarityOptions::default()).unwrap();
-        let mut dstats = Funnel::default();
-        let fed = arp_core::dissimilarity_alternatives_from_trees(
-            &net, net.weights(), &q, &DissimilarityOptions::default(), &mut dstats,
-            sub.forward(), sub.backward(), &budget,
-        ).unwrap();
-        prop_assert_eq!(solo.len(), fed.len(), "dissimilarity count differs");
-        for (a, b) in solo.iter().zip(fed.iter()) {
-            prop_assert_eq!(&a.edges, &b.edges, "dissimilarity edges differ");
-            prop_assert_eq!(a.cost_ms, b.cost_ms, "dissimilarity cost differs");
-        }
-
-        let solo = penalty_alternatives(&net, net.weights(), s, t, &q, &PenaltyOptions::default()).unwrap();
-        let mut ws = SearchSpace::new(&net);
-        let mut nstats = Funnel::default();
-        let fed = arp_core::penalty_alternatives_from_base(
-            &mut ws, &net, net.weights(), &sub, &PenaltyOptions::default(), &mut nstats,
-        ).unwrap();
-        prop_assert_eq!(solo.len(), fed.len(), "penalty count differs");
-        for (a, b) in solo.iter().zip(fed.iter()) {
-            prop_assert_eq!(&a.edges, &b.edges, "penalty edges differ");
-            prop_assert_eq!(a.cost_ms, b.cost_ms, "penalty cost differs");
         }
     }
 

@@ -191,9 +191,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deeply arrays and objects may nest. The deepest document the
+/// demo writes or reads nests about 10 levels; past the cap a body is an
+/// error rather than a recursion that overflows the handler's stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -230,11 +238,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_lit("true", Json::Bool(true)),
             Some(b'f') => self.parse_lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(self.err("unexpected character")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nested too deeply"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_lit(&mut self, lit: &str, value: Json) -> Result<Json, JsonError> {
@@ -256,9 +278,12 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|_| self.err(format!("bad number {text:?}")))
+        // JSON has no infinities: a number past `f64`'s range could not be
+        // written back.
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Number(n)),
+            _ => Err(self.err(format!("bad number {text:?}"))),
+        }
     }
 
     fn parse_string(&mut self) -> Result<String, JsonError> {
@@ -299,18 +324,15 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                c => {
-                    // Re-decode UTF-8: step back and take the full char.
-                    if c < 0x80 {
-                        out.push(c as char);
-                    } else {
-                        self.pos -= 1;
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|_| self.err("invalid utf-8"))?;
-                        let ch = rest.chars().next().unwrap();
-                        out.push(ch);
-                        self.pos += ch.len_utf8();
-                    }
+                c if c < 0x80 => out.push(c as char),
+                _ => {
+                    // A multi-byte char starts one byte back: decode just
+                    // it from the (already valid) text.
+                    let start = self.pos - 1;
+                    let ch = self.text.get(start..).and_then(|rest| rest.chars().next());
+                    let ch = ch.ok_or_else(|| self.err("invalid utf-8"))?;
+                    out.push(ch);
+                    self.pos = start + ch.len_utf8();
                 }
             }
         }
@@ -373,8 +395,10 @@ impl<'a> Parser<'a> {
 /// Parses a JSON document.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.parse_value()?;
     p.skip_ws();
@@ -387,6 +411,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_object() {
@@ -464,5 +489,73 @@ mod tests {
         assert_eq!(v.get("b").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Null.get("x"), None);
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let too_deep = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(too_deep.message, "nested too deeply");
+        // Ten thousand unclosed brackets overflowed a default-size stack
+        // before the cap; now they are an error like any other.
+        let body = format!("{}{}", "{\"a\":".repeat(5_000), "[".repeat(5_000));
+        let deep = std::thread::spawn(move || parse(&body).is_err());
+        assert!(deep.join().unwrap());
+    }
+
+    #[test]
+    fn non_ascii_strings_parse_in_linear_time() {
+        // 240 kB of two-byte chars: each used to re-validate the rest of
+        // the input, which took tens of seconds.
+        let comment = "é".repeat(120_000);
+        let body = format!(r#"{{"comment": "{comment}"}}"#);
+        let start = std::time::Instant::now();
+        let v = parse(&body).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(v.get("comment").and_then(Json::as_str), Some(&comment[..]));
+        assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
+    }
+
+    #[test]
+    fn numbers_past_the_f64_range_are_errors() {
+        assert!(parse("1e999").is_err());
+        assert!(parse("-1e999").is_err());
+        assert_eq!(parse("1e-999").unwrap().as_f64(), Some(0.0));
+    }
+
+    /// The fuzz alphabet: JSON punctuation, escapes (`\u` among them,
+    /// well- and ill-formed), number pieces, literals, whitespace and
+    /// multi-byte chars.
+    const TOKENS: [&str; 34] = [
+        "[", "]", "{", "}", "\"", ":", ",", "\\", "\\u", "\\u00e9", "\\ud800", "\\\"", "\\n",
+        "\\x", "0", "7", "-", "+", ".", "e", "E", "1e308", "9", " ", "\n", "\t", "é", "→", "😀",
+        "true", "null", "fals", "a", "\u{1}",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        #[test]
+        fn parse_never_panics_and_what_it_accepts_round_trips(
+            (wrap, tokens) in (0usize..6, proptest::collection::vec(0usize..TOKENS.len(), 0..24)),
+        ) {
+            // Token soup inside 0 to 10 000 bracket pairs: past the cap
+            // when the wrapping or the soup nests deeper than it.
+            let depth = [0, 0, 1, 3, MAX_DEPTH, 10_000][wrap];
+            let soup: String = tokens.iter().map(|&i| TOKENS[i]).collect();
+            let text = format!("{}{soup}{}", "[".repeat(depth), "]".repeat(depth));
+            // A default-size stack, as a connection handler has: a parse
+            // that recurses without bound aborts the process here.
+            let parsed = std::thread::spawn({
+                let text = text.clone();
+                move || parse(&text)
+            })
+            .join();
+            prop_assert!(parsed.is_ok(), "parse panicked on {:?}", text);
+            if let Ok(Ok(value)) = parsed {
+                let written = value.to_string_compact();
+                prop_assert_eq!(parse(&written), Ok(value), "{:?} → {}", soup, written);
+            }
+        }
     }
 }

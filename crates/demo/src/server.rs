@@ -1239,6 +1239,20 @@ mod tests {
         assert!(json::parse(gj).is_ok());
     }
 
+    /// A body nested past the parser's cap is a 400 on every JSON door
+    /// (`/api/traffic` then reads it as delta grammar and rejects it
+    /// there). Unbounded, ten thousand brackets overflowed the handler's
+    /// stack and aborted the whole server.
+    #[test]
+    fn a_deeply_nested_body_is_a_400_on_every_endpoint() {
+        let app = app();
+        let body = "[".repeat(10_000);
+        for path in ["/api/route", "/api/rate", "/api/traffic"] {
+            let resp = app.handle("POST", path, &body);
+            assert_eq!(resp.status, 400, "{path}: {}", resp.body);
+        }
+    }
+
     #[test]
     fn route_endpoint_rejects_bad_input() {
         let app = app();

@@ -8,9 +8,8 @@
 //!
 //! * [`WorkerPool`] + [`BoundedQueue`] — a fixed-size thread pool over a
 //!   bounded MPMC queue (`Mutex` + `Condvar`, std only). Each request
-//!   fans its techniques out as one job per *lane* ([`Scatter`]; one
-//!   wave is [`fan_out`]), so a request costs roughly the slowest
-//!   technique instead of their sum.
+//!   fans its techniques out as one job per *lane* ([`Scatter`]), so a
+//!   request costs roughly the slowest technique instead of their sum.
 //! * [`ShardedCache`] — an LRU route cache keyed per lane by
 //!   (city, snapped source, snapped target, technique, k), so repeat
 //!   queries bypass recomputation entirely and partially-cached queries
@@ -62,7 +61,7 @@ pub use cache::ShardedCache;
 pub use cancel::CancelToken;
 pub use fault::{sites, FaultKind, FaultPlan};
 pub use metrics::{CacheMetrics, ServeMetrics};
-pub use pool::{fan_out, Fanout, Job, Scatter, WorkerPool};
+pub use pool::{Fanout, Job, Scatter, WorkerPool};
 pub use queue::{BoundedQueue, PushError};
 pub use retry::{LaneLatency, RetryPolicy, RetryState};
 pub use service::{

@@ -167,7 +167,7 @@ where
     state.done.notify_all();
 }
 
-/// The outcome of a fan-out (see [`fan_out`]).
+/// The outcome of a fan-out (see [`Scatter::join`]).
 #[derive(Debug)]
 pub struct Fanout<T> {
     /// Per-lane results in task order. `None` means the lane panicked,
@@ -182,7 +182,6 @@ pub struct Fanout<T> {
 /// A fan-out in progress: tasks submitted to the pool one at a time —
 /// in as many waves as the caller likes — and then joined once, under
 /// one deadline, token and grace period ([`Scatter::join`]).
-/// [`fan_out`] is one wave and its join.
 ///
 /// A task the queue refuses (full or closing) is not run at once: it
 /// waits, in submission order, and is offered to the queue again at the
@@ -319,29 +318,6 @@ impl<T: Send + 'static> Scatter<T> {
     }
 }
 
-/// Runs every task on the pool in parallel and waits for all of them:
-/// one [`Scatter`] wave and its [`Scatter::join`]. Results come back in
-/// task order; a task the full queue refuses runs inline on the calling
-/// thread once the others are submitted.
-pub fn fan_out<T, F>(
-    pool: &WorkerPool,
-    tasks: Vec<F>,
-    deadline: Deadline,
-    token: &CancelToken,
-    grace: Duration,
-    inline_fallback: &Counter,
-) -> Fanout<T>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    let mut scatter = Scatter::new(false);
-    for task in tasks {
-        scatter.submit(pool, task);
-    }
-    scatter.join(deadline, token, grace, inline_fallback)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,21 +327,29 @@ mod tests {
         WorkerPool::new(workers, capacity, Gauge::default(), Counter::default())
     }
 
-    /// A fan-out nothing ever cancels: no deadline, a fresh token.
+    /// Every task submitted to `pool` in one wave.
+    fn wave<T, F>(pool: &WorkerPool, tasks: Vec<F>) -> Scatter<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let mut scatter = Scatter::new(false);
+        for task in tasks {
+            scatter.submit(pool, task);
+        }
+        scatter
+    }
+
+    /// A one-wave fan-out nothing ever cancels: no deadline, a fresh
+    /// token.
     fn scatter<T, F>(pool: &WorkerPool, tasks: Vec<F>, inline_fallback: &Counter) -> Fanout<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
         let token = CancelToken::new();
-        let out = fan_out(
-            pool,
-            tasks,
-            Deadline::never(),
-            &token,
-            Duration::from_millis(100),
-            inline_fallback,
-        );
+        let grace = Duration::from_millis(100);
+        let out = wave(pool, tasks).join(Deadline::never(), &token, grace, inline_fallback);
         assert!(!out.deadline_hit);
         assert!(!token.is_cancelled());
         out
@@ -471,9 +455,7 @@ mod tests {
                 }
             })
             .collect();
-        let out = fan_out(
-            &p,
-            tasks,
+        let out = wave(&p, tasks).join(
             Deadline::after(Duration::from_millis(60)),
             &CancelToken::new(),
             Duration::ZERO,
@@ -549,9 +531,7 @@ mod tests {
         for _ in 0..2 {
             tasks.push(Box::new(|| "queued"));
         }
-        let out = fan_out(
-            &p,
-            tasks,
+        let out = wave(&p, tasks).join(
             Deadline::after(Duration::from_millis(30)),
             &token,
             Duration::from_millis(500),
@@ -577,9 +557,7 @@ mod tests {
             7u8
         }];
         let start = std::time::Instant::now();
-        let out = fan_out(
-            &p,
-            tasks,
+        let out = wave(&p, tasks).join(
             Deadline::after(Duration::from_millis(10)),
             &token,
             Duration::ZERO,

@@ -60,7 +60,7 @@ use crate::cache::ShardedCache;
 use crate::cancel::CancelToken;
 use crate::fault::{sites, FaultPlan};
 use crate::metrics::ServeMetrics;
-use crate::pool::{fan_out, Scatter, WorkerPool};
+use crate::pool::{Scatter, WorkerPool};
 use crate::retry::{LaneLatency, RetryPolicy, RetryState};
 use arp_obs::{
     Counter, Registry, SpanCollector, SpanGuard, SpanStatus, TraceConfig, TraceContext,
@@ -558,7 +558,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Everything one lane attempt needs, owned so it can run on a worker
-/// thread or inline on the requester (for retries).
+/// thread — first attempts and retries alike — or inline on the
+/// requester when the queue refuses it.
 struct LaneAttempt<B: RouteBackend> {
     backend: Arc<B>,
     cache: Option<Arc<ShardedCache<String, B::Part>>>,
@@ -1132,9 +1133,9 @@ impl<B: RouteBackend> RouteService<B> {
         span.attr("retry", "true");
         span.attr_u64("backoff_ms", backoff.as_millis() as u64);
         let attempt = self.attempt(lane, request, &token, span);
-        let fanout = fan_out(
-            &self.pool,
-            vec![move || attempt.run()],
+        let mut scatter = Scatter::new(false);
+        scatter.submit(&self.pool, move || attempt.run());
+        let fanout = scatter.join(
             *deadline,
             &token,
             self.config.cancel_grace,

@@ -245,23 +245,30 @@ fn cmd_route(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
         .map(String::as_str)
         .unwrap_or("plateaus");
     let weights = net.weights();
+    let study = |kind: ProviderKind| {
+        let providers = standard_providers(&net, parse_seed(flags));
+        let provider = providers.iter().find(|p| p.kind() == kind).unwrap();
+        provider
+            .alternatives(&net, weights, s, t, &query)
+            .map(|rs| rs.into_iter().map(|r| r.path).collect())
+    };
+    let unlimited = SearchBudget::unlimited();
     let paths: Vec<Path> = match technique {
-        "plateaus" => plateau_alternatives(&net, weights, s, t, &query, &PlateauOptions::default()),
-        "penalty" => penalty_alternatives(&net, weights, s, t, &query, &PenaltyOptions::default()),
-        "dissimilarity" => dissimilarity_alternatives(
+        "plateaus" => study(ProviderKind::Plateaus),
+        "penalty" => study(ProviderKind::Penalty),
+        "dissimilarity" => study(ProviderKind::Dissimilarity),
+        "google" => study(ProviderKind::GoogleLike),
+        "esx" => esx_alternatives(
             &net,
             weights,
             s,
             t,
             &query,
-            &DissimilarityOptions::default(),
+            &EsxOptions::default(),
+            &unlimited,
         ),
-        "esx" => esx_alternatives(&net, weights, s, t, &query, &EsxOptions::default()),
-        "yen" => yen_k_shortest_paths(&net, weights, s, t, k),
+        "yen" => yen_k_shortest_paths(&net, weights, s, t, k, &unlimited),
         "pareto" => pareto_paths(&net, weights, s, t, &ParetoOptions::default())
-            .map(|rs| rs.into_iter().map(|r| r.path).collect()),
-        "google" => GoogleLikeProvider::new(&net, parse_seed(flags))
-            .alternatives(&net, weights, s, t, &query)
             .map(|rs| rs.into_iter().map(|r| r.path).collect()),
         other => {
             eprintln!("unknown technique {other:?}");

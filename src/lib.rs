@@ -39,8 +39,8 @@
 //!
 //! // 3. Alternative routes with the paper's parameters.
 //! let query = AltQuery::paper();
-//! let routes = plateau_alternatives(net, net.weights(), s, t, &query,
-//!                                   &PlateauOptions::default()).unwrap();
+//! let plateaus = PlateauProvider::new(&alt_route_planner::obs::Registry::disabled());
+//! let routes = plateaus.alternatives(net, net.weights(), s, t, &query).unwrap();
 //! assert!(!routes.is_empty());
 //! ```
 

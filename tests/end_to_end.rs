@@ -90,6 +90,7 @@ fn first_route_is_always_the_public_optimum() {
         let net = &city.network;
         let queries_seed = 31;
         let mut ws = SearchSpace::new(net);
+        let providers = standard_providers(net, 31);
         let n = net.num_nodes() as u32;
         let pairs = [(0u32, n / 2), (1, n - 2), (n / 3, 2 * n / 3)];
         let q = AltQuery::paper();
@@ -99,25 +100,16 @@ fn first_route_is_always_the_public_optimum() {
                 continue;
             }
             let best = ws.shortest_path(net, net.weights(), s, t).unwrap().cost_ms;
-            let pen =
-                penalty_alternatives(net, net.weights(), s, t, &q, &PenaltyOptions::default())
-                    .unwrap();
-            let pla =
-                plateau_alternatives(net, net.weights(), s, t, &q, &PlateauOptions::default())
-                    .unwrap();
-            let dis = dissimilarity_alternatives(
-                net,
-                net.weights(),
-                s,
-                t,
-                &q,
-                &DissimilarityOptions::default(),
-            )
-            .unwrap();
-            let yen = yen_k_shortest_paths(net, net.weights(), s, t, 1).unwrap();
-            assert_eq!(pen[0].cost_ms, best, "{kind:?} penalty");
-            assert_eq!(pla[0].cost_ms, best, "{kind:?} plateaus");
-            assert_eq!(dis[0].cost_ms, best, "{kind:?} dissimilarity");
+            // The Google-like provider optimizes on its own data.
+            for provider in providers
+                .iter()
+                .filter(|p| p.kind() != ProviderKind::GoogleLike)
+            {
+                let routes = provider.alternatives(net, net.weights(), s, t, &q).unwrap();
+                assert_eq!(routes[0].path.cost_ms, best, "{kind:?} {}", provider.kind());
+            }
+            let unlimited = SearchBudget::unlimited();
+            let yen = yen_k_shortest_paths(net, net.weights(), s, t, 1, &unlimited).unwrap();
             assert_eq!(yen[0].cost_ms, best, "{kind:?} yen");
         }
         let _ = queries_seed;

@@ -104,8 +104,17 @@ fn esx_and_ch_agree_with_plain_search_on_city() {
     let q = AltQuery::paper();
     let best = shortest_path(net, net.weights(), s, t).unwrap();
 
-    let esx =
-        arp_core::esx_alternatives(net, net.weights(), s, t, &q, &EsxOptions::default()).unwrap();
+    let unlimited = SearchBudget::unlimited();
+    let esx = esx_alternatives(
+        net,
+        net.weights(),
+        s,
+        t,
+        &q,
+        &EsxOptions::default(),
+        &unlimited,
+    );
+    let esx = esx.unwrap();
     assert_eq!(esx[0].cost_ms, best.cost_ms);
 
     let topo = ChTopology::build(net);
