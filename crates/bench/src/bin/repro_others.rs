@@ -68,7 +68,10 @@ fn main() {
         ("penalty", ProviderKind::Penalty),
         ("dissimilarity (SSVP-D+)", ProviderKind::Dissimilarity),
     ] {
-        let provider = providers.iter().find(|p| p.kind() == kind).unwrap();
+        let provider = providers
+            .iter()
+            .find(|p| p.kind() == kind)
+            .expect("one provider per kind");
         run(name, &mut |s, t| {
             arp_bench::routed_paths(&**provider, net, (s, t), &q)
         });

@@ -351,7 +351,10 @@ fn main() {
             ("penalty k=3", ProviderKind::Penalty),
             ("dissimilarity k=3", ProviderKind::Dissimilarity),
         ] {
-            let provider = study.iter().find(|p| p.kind() == kind).unwrap();
+            let provider = study
+                .iter()
+                .find(|p| p.kind() == kind)
+                .expect("one provider per kind");
             row(
                 &mut report,
                 label,

@@ -25,6 +25,14 @@
 //!   diversity, turns, wide-road share, local optimality) and the optional
 //!   [`filters`] the paper says could "easily be included" (§4.2).
 //!
+//! Each technique has one entry point. Plateaus, SSVP-D+ and Penalty
+//! take a tree pair ([`plateau_alternatives_from_trees`],
+//! [`dissimilarity_alternatives_from_trees`],
+//! [`penalty_alternatives_from_base`]); a caller that holds no pair asks
+//! the technique's provider, whose [`AlternativesProvider::alternatives`]
+//! grows one, as the example below does. [`esx_alternatives`] and
+//! [`yen_k_shortest_paths`] take the call's [`SearchBudget`].
+//!
 //! All algorithms run against any [`arp_roadnet::RoadNetwork`] and an
 //! explicit weight overlay (`&[Weight]`), so the same code serves the
 //! public OSM weights, penalized copies, and the commercial provider's

@@ -247,7 +247,10 @@ fn cmd_route(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
     let weights = net.weights();
     let study = |kind: ProviderKind| {
         let providers = standard_providers(&net, parse_seed(flags));
-        let provider = providers.iter().find(|p| p.kind() == kind).unwrap();
+        let provider = providers
+            .iter()
+            .find(|p| p.kind() == kind)
+            .expect("one provider per kind");
         provider
             .alternatives(&net, weights, s, t, &query)
             .map(|rs| rs.into_iter().map(|r| r.path).collect())

@@ -20,6 +20,11 @@
 //! A measured file's cells must be what its end-to-end runs give:
 //! the median, and the quartiles interpolated linearly between order
 //! statistics (at ranks `(n − 1)/4` and `3(n − 1)/4`).
+//!
+//! The newest file is also the regression gate of the trajectory: no
+//! change-side median of its end-to-end cells may be worse, by more than
+//! the cell's `BENCHMARK.json` bound, than both the previous file's
+//! change-side median and the best median ever recorded.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -27,10 +32,39 @@ use std::path::{Path, PathBuf};
 use arp_demo::json::{self, Json};
 
 /// What `BENCHMARK.json` declares: workload names and end-to-end
-/// metrics with their units.
+/// metrics.
 struct Declared {
     workloads: Vec<String>,
-    metrics: Vec<(String, String)>,
+    metrics: Vec<Metric>,
+}
+
+/// An end-to-end metric: its unit, which way is better, and the
+/// relative amount by which a change may make it worse.
+struct Metric {
+    name: String,
+    unit: String,
+    lower_is_better: bool,
+    bound: f64,
+}
+
+impl Metric {
+    /// Whether `value` is worse than `reference` by more than the bound.
+    fn regresses(&self, value: f64, reference: f64) -> bool {
+        if self.lower_is_better {
+            value > reference * (1.0 + self.bound)
+        } else {
+            value < reference * (1.0 - self.bound)
+        }
+    }
+
+    /// The better of two values.
+    fn best(&self, a: f64, b: f64) -> f64 {
+        if self.lower_is_better {
+            a.min(b)
+        } else {
+            a.max(b)
+        }
+    }
 }
 
 fn root() -> &'static Path {
@@ -44,24 +78,26 @@ fn read_json(path: &Path) -> Json {
 
 fn declared() -> Declared {
     let spec = read_json(&root().join("BENCHMARK.json"));
-    let names = |key: &str, field: &str| -> Vec<String> {
-        let list = spec.get(key).and_then(Json::as_array).expect(key);
-        list.iter()
-            .map(|entry| {
-                entry
-                    .get(field)
-                    .and_then(Json::as_str)
-                    .expect(field)
-                    .to_string()
-            })
-            .collect()
+    let list = |key: &str| spec.get(key).and_then(Json::as_array).expect(key);
+    let text = |entry: &Json, field: &str| {
+        let value = entry.get(field).and_then(Json::as_str);
+        value.expect(field).to_string()
     };
-    let metrics = names("end_to_end", "name")
-        .into_iter()
-        .zip(names("end_to_end", "unit"))
+    let metrics = list("end_to_end")
+        .iter()
+        .map(|entry| Metric {
+            name: text(entry, "name"),
+            unit: text(entry, "unit"),
+            lower_is_better: match text(entry, "better").as_str() {
+                "lower" => true,
+                "higher" => false,
+                other => panic!("`better` is {other:?}"),
+            },
+            bound: entry.get("bound").and_then(Json::as_f64).expect("bound"),
+        })
         .collect();
     Declared {
-        workloads: names("workloads", "name"),
+        workloads: list("workloads").iter().map(|w| text(w, "name")).collect(),
         metrics,
     }
 }
@@ -186,7 +222,7 @@ fn every_bench_file_follows_the_trajectory_schema() {
             if trace {
                 continue;
             }
-            for (name, unit) in &declared.metrics {
+            for Metric { name, unit, .. } in &declared.metrics {
                 let metric = metrics.get(name);
                 let metric = metric.unwrap_or_else(|| panic!("{what}: no `{name}`"));
                 assert_eq!(
@@ -210,7 +246,7 @@ fn every_bench_file_follows_the_trajectory_schema() {
         for workload in &declared.workloads {
             let cells = medians.get(workload);
             let cells = cells.unwrap_or_else(|| panic!("{what}: no `{workload}`"));
-            for (name, _) in &declared.metrics {
+            for Metric { name, .. } in &declared.metrics {
                 let metric = cells.get(name);
                 let metric = metric.unwrap_or_else(|| panic!("{what}: {workload} has no `{name}`"));
                 for side in ["parent", "change"] {
@@ -237,4 +273,54 @@ fn every_bench_file_follows_the_trajectory_schema() {
             }
         }
     }
+}
+
+/// The median a file records for one side of one cell, when it records
+/// one.
+fn median(file: &Json, workload: &str, metric: &str, side: &str) -> Option<f64> {
+    let cell = file.get("medians")?.get(workload)?.get(metric)?.get(side)?;
+    cell.get("median").and_then(Json::as_f64)
+}
+
+#[test]
+fn the_newest_file_regresses_no_end_to_end_cell() {
+    let declared = declared();
+    let files: Vec<(u64, Json)> = bench_files()
+        .into_iter()
+        .map(|(pr, path)| (pr, read_json(&path)))
+        .collect();
+    let [.., (previous_pr, previous), (newest_pr, newest)] = &files[..] else {
+        panic!("the trajectory needs two files to compare");
+    };
+    let mut regressions = Vec::new();
+    for workload in &declared.workloads {
+        for metric in &declared.metrics {
+            let name = &metric.name;
+            let got = median(newest, workload, name, "change");
+            let previous = median(previous, workload, name, "change");
+            let (Some(got), Some(previous)) = (got, previous) else {
+                continue;
+            };
+            // Every median recorded before the newest change: both sides
+            // of every older file, and the newest file's parent side.
+            let older = files[..files.len() - 1].iter().flat_map(|(_, file)| {
+                ["parent", "change"].map(|side| median(file, workload, name, side))
+            });
+            let best = older
+                .chain([median(newest, workload, name, "parent")])
+                .flatten()
+                .fold(previous, |a, b| metric.best(a, b));
+            if metric.regresses(got, previous) && metric.regresses(got, best) {
+                regressions.push(format!(
+                    "{workload} {name}: {got} in BENCH_{newest_pr}, \
+                     {previous} in BENCH_{previous_pr}, best {best}"
+                ));
+            }
+        }
+    }
+    assert!(
+        regressions.is_empty(),
+        "worse than both the previous file and the best ever by more than the bound:\n{}",
+        regressions.join("\n")
+    );
 }
