@@ -185,8 +185,9 @@ fn degraded_is_never_cached(report: &mut String) {
     let config = ServeConfig {
         faults: flaky_plan(0.5, 90),
         // Sideline the breakers: a min_volume above the window length can
-        // never be met, so heavy flakiness exercises retry + cache
-        // semantics without open-circuit cooldowns stalling the repeats.
+        // never be met, so heavy flakiness exercises the cache's
+        // never-store-degraded rule without open-circuit cooldowns
+        // stalling the repeats.
         breaker: BreakerConfig {
             min_volume: usize::MAX,
             ..BreakerConfig::default()
@@ -279,16 +280,12 @@ fn breaker_caps_wasted_work(report: &mut String) {
             &[("technique", "penalty"), ("reason", reason)],
         )
     };
-    let retries = registry.counter_value(
-        "arp_serve_retries_total",
-        &[("technique", "penalty"), ("outcome", "failure")],
-    );
-    let attempts = lane("error") + retries;
+    let attempts = lane("error");
     let short_circuited = lane("open_circuit");
     // Every attempt fails, so the breaker opens after min_volume (4)
-    // recorded failures — two requests' worth with one retry each. Leave
-    // slack for retry accounting, but the bound must stay far below the
-    // 60 requests: that gap is the worker time the breaker reclaimed.
+    // recorded failures — four requests' worth, one attempt each. Leave
+    // slack, but the bound must stay far below the 60 requests: that gap
+    // is the worker time the breaker reclaimed.
     assert!(
         attempts <= 8,
         "breaker let {attempts} attempts through before opening"

@@ -14,9 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use arp_obs::Registry;
-use arp_serve::{
-    CancelToken, LaneError, LaneOutcome, LaneStatus, RouteBackend, RouteService, ServeConfig,
-};
+use arp_serve::{CancelToken, LaneOutcome, LaneStatus, RouteBackend, RouteService, ServeConfig};
 
 fn main() {
     let mut report = String::new();
@@ -64,7 +62,7 @@ impl RouteBackend for SpinBackend {
         _request: &u32,
         _lane: usize,
         token: &CancelToken,
-    ) -> Result<LaneOutcome<()>, LaneError> {
+    ) -> Result<LaneOutcome<()>, String> {
         let start = Instant::now();
         while start.elapsed() < self.work {
             if self.cooperative && token.is_cancelled() {

@@ -3,7 +3,7 @@
 //! On all three cities, against the real `arp-serve` pipeline
 //! (admission, cache, technique fan-out): sample rate 1.0 over a mixed
 //! workload (healthy fan-outs, cached repeats, and fault-injected
-//! degraded requests with retries). Every kept trace must be a
+//! degraded requests). Every kept trace must be a
 //! well-nested tree — one root, resolvable parent links, children
 //! contained in their parents — for **100% of requests**, asserted per
 //! request and reported per city.
@@ -52,7 +52,7 @@ fn main() {
 
     let _ = writeln!(
         report,
-        "\nwell-nestedness at sample 1.0 (healthy + cached + degraded-with-retry workload)"
+        "\nwell-nestedness at sample 1.0 (healthy + cached + degraded workload)"
     );
     let mut nested_total = 0usize;
     let mut traces_total = 0usize;
@@ -126,7 +126,7 @@ fn main() {
         for &query in &queries {
             audit(&healthy, query, Some(SpanStatus::Ok)); // cold: full fan-out
             audit(&healthy, query, Some(SpanStatus::Ok)); // warm: cache hits
-            audit(&degraded, query, Some(SpanStatus::Degraded)); // fault + retry
+            audit(&degraded, query, Some(SpanStatus::Degraded)); // injected fault
         }
         nested_total += nested;
         traces_total += total;

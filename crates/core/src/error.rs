@@ -36,19 +36,6 @@ pub enum CoreError {
     Interrupted,
 }
 
-impl CoreError {
-    /// Whether retrying the same computation could plausibly succeed.
-    ///
-    /// Only [`CoreError::Interrupted`] is transient: it reflects the
-    /// search *budget* (cancellation, deadline, expansion cap), not the
-    /// query. Every other variant is a property of the query or the
-    /// network and fails identically on every attempt, so the serving
-    /// layer must not spend its retry budget on it.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, CoreError::Interrupted)
-    }
-}
-
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -98,23 +85,5 @@ mod tests {
         }
         .to_string()
         .contains("3"));
-    }
-
-    #[test]
-    fn only_interrupted_is_transient() {
-        assert!(CoreError::Interrupted.is_transient());
-        assert!(!CoreError::InvalidNode(NodeId(1)).is_transient());
-        assert!(!CoreError::SameSourceTarget(NodeId(1)).is_transient());
-        assert!(!CoreError::Unreachable {
-            source: NodeId(1),
-            target: NodeId(2)
-        }
-        .is_transient());
-        assert!(!CoreError::WeightLengthMismatch {
-            expected: 5,
-            got: 3
-        }
-        .is_transient());
-        assert!(!CoreError::InvalidPenaltyFactor.is_transient());
     }
 }

@@ -558,7 +558,6 @@ mod tests {
                 "{factor}: searched"
             );
         }
-        assert!(!CoreError::InvalidPenaltyFactor.is_transient());
         // A factor of exactly 1 penalizes nothing, and is allowed.
         let q = AltQuery::paper().with_penalty_factor(1.0);
         let got = penalties(&net, (0, 15), &q, options);

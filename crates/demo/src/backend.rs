@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use arp_core::SearchBudget;
-use arp_serve::{CancelToken, Deadline, LaneError, LaneOutcome, LaneStatus, RouteBackend};
+use arp_serve::{CancelToken, Deadline, LaneOutcome, LaneStatus, RouteBackend};
 
 use crate::query::{ApproachRoutes, PreparedQuery, QueryProcessor, QueryResponse};
 
@@ -87,9 +87,8 @@ impl RouteBackend for DemoBackend {
     }
 
     fn compute(&self, request: &PreparedQuery, lane: usize) -> Result<Arc<ApproachRoutes>, String> {
-        match self.compute_cancellable(request, lane, &CancelToken::new()) {
-            Ok(LaneOutcome::Complete(part) | LaneOutcome::Truncated(part)) => Ok(part),
-            Err(e) => Err(e.message),
+        match self.compute_cancellable(request, lane, &CancelToken::new())? {
+            LaneOutcome::Complete(part) | LaneOutcome::Truncated(part) => Ok(part),
         }
     }
 
@@ -102,7 +101,7 @@ impl RouteBackend for DemoBackend {
         request: &PreparedQuery,
         lane: usize,
         token: &CancelToken,
-    ) -> Result<LaneOutcome<Arc<ApproachRoutes>>, LaneError> {
+    ) -> Result<LaneOutcome<Arc<ApproachRoutes>>, String> {
         // The serving layer's cancel token becomes the technique's search
         // budget: a tripped deadline stops the in-flight search within one
         // budget-check interval, and the routes admitted so far come back
@@ -111,10 +110,7 @@ impl RouteBackend for DemoBackend {
         match self.processor.compute_slot_prepared(request, lane, &budget) {
             Ok((part, true)) => Ok(LaneOutcome::Truncated(part)),
             Ok((part, false)) => Ok(LaneOutcome::Complete(part)),
-            // Transience follows the error: an interrupted search or an
-            // I/O failure earns a retry, an unroutable query does not.
-            Err(e) if e.is_transient() => Err(LaneError::transient(e.to_string())),
-            Err(e) => Err(LaneError::permanent(e.to_string())),
+            Err(e) => Err(e.to_string()),
         }
     }
 
@@ -350,39 +346,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_served_request_with_a_retried_lane_grows_one_pair() {
-        use arp_serve::FaultPlan;
-
-        let qp = processor();
-        let (a, b) = inner_points(&qp);
-        let q = qp.snap(a, b).unwrap();
-        // A flaky Penalty lane that fails its first attempt and passes its
-        // retry.
-        let spec = |seed: u64| format!("lane.penalty=flaky:0.5:{seed}");
-        let seed = (0..)
-            .find(|&seed| {
-                let probe = FaultPlan::parse(&spec(seed)).unwrap();
-                probe.fire("lane.penalty").is_err() && probe.fire("lane.penalty").is_ok()
-            })
-            .unwrap();
-        let config = ServeConfig {
-            faults: FaultPlan::parse(&spec(seed)).unwrap(),
-            ..ServeConfig::default()
-        };
-        let service = RouteService::new(DemoBackend::new(Arc::clone(&qp)), config, qp.registry());
-        let served = service.route(qp.prepare_query(q)).unwrap();
-        assert!(!served.degraded && !served.truncated);
-
-        let registry = qp.registry();
-        let retried = [("technique", "penalty"), ("outcome", "success")];
-        assert_eq!(
-            registry.counter_value("arp_serve_retries_total", &retried),
-            1
-        );
-        assert_eq!(registry.counter_value("arp_substrate_builds_total", &[]), 1);
-    }
-
     /// Every lane of `q`, prepared and computed without a budget, in its
     /// `Debug` form: every field a response is rendered from.
     fn lanes_of(qp: &QueryProcessor, q: SnappedQuery) -> Vec<String> {
@@ -604,12 +567,11 @@ mod tests {
         let token = CancelToken::new();
         let prepared = backend.prepare(qp.prepare_query(q), &token, &Deadline::never());
         assert!(prepared.substrate.is_err());
-        // …and each lane reports prepare's permanent error.
+        // …and each lane reports prepare's error.
         for lane in 0..backend.lanes() {
-            let err = backend
+            backend
                 .compute_cancellable(&prepared, lane, &token)
                 .expect_err("unroutable pair must fail the lane");
-            assert!(!err.transient, "Unreachable is permanent, not retryable");
         }
         assert_eq!(
             qp.registry()

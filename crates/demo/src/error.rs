@@ -42,24 +42,6 @@ impl fmt::Display for DemoError {
     }
 }
 
-impl DemoError {
-    /// Whether retrying the same operation could plausibly succeed —
-    /// the serving layer's retry gate. Only an interrupted routing
-    /// computation ([`arp_core::CoreError::is_transient`]) and I/O
-    /// failures qualify; everything else is a property of the request
-    /// and fails identically on every attempt.
-    pub fn is_transient(&self) -> bool {
-        match self {
-            DemoError::Routing(e) => e.is_transient(),
-            DemoError::Io(_) => true,
-            DemoError::OutOfArea { .. }
-            | DemoError::NoNearbyRoad { .. }
-            | DemoError::SameLocation
-            | DemoError::BadRequest(_) => false,
-        }
-    }
-}
-
 impl std::error::Error for DemoError {}
 
 impl From<arp_core::CoreError> for DemoError {
@@ -85,18 +67,5 @@ mod tests {
             .contains("source"));
         assert!(DemoError::SameLocation.to_string().contains("same"));
         assert!(DemoError::BadRequest("x".into()).to_string().contains("x"));
-    }
-
-    #[test]
-    fn transience_follows_the_core_error() {
-        assert!(DemoError::Routing(arp_core::CoreError::Interrupted).is_transient());
-        assert!(DemoError::Io(std::io::Error::other("disk")).is_transient());
-        assert!(!DemoError::SameLocation.is_transient());
-        assert!(!DemoError::BadRequest("x".into()).is_transient());
-        assert!(!DemoError::Routing(arp_core::CoreError::Unreachable {
-            source: arp_roadnet::ids::NodeId(1),
-            target: arp_roadnet::ids::NodeId(2),
-        })
-        .is_transient());
     }
 }

@@ -47,8 +47,7 @@
 //! keys and stay byte-identical to the fault-free wire format. The
 //! serving instruments (`arp_serve_*`) share the processor's registry, so
 //! `/api/metrics` exposes queue depth, shed counts, cache hit rates,
-//! lane failures, retries and breaker states alongside the technique
-//! metrics.
+//! lane failures and breaker states alongside the technique metrics.
 //!
 //! The request handler is a pure function over `(method, path, body)` so
 //! tests exercise the full API without sockets; `serve` adds the TCP loop
@@ -1168,6 +1167,7 @@ mod tests {
     use super::*;
     use crate::render::tests::reference_body;
     use arp_citygen::{City, Scale};
+    use proptest::prelude::*;
 
     fn app() -> DemoApp {
         let g = arp_citygen::generate(City::Melbourne, Scale::Small, 12);
@@ -1770,6 +1770,67 @@ mod tests {
         assert_eq!(app.processor.traffic().epoch(), 0, "epoch must not move");
     }
 
+    /// Statements a client might post: accepted ones, and ones the
+    /// grammar or the network refuses (an edge past the last one).
+    const TRAFFIC_STATEMENTS: [&str; 16] = [
+        "edge:0*2.0",
+        "edge:7*1.25",
+        " cat:trunk_link*1.8 ",
+        "close:3@2",
+        "close:5",
+        "close:4@@9",
+        "reopen:3",
+        "clear",
+        "edge:999999999*2.0",
+        "close:4294967295",
+        "cat:autobahn*2",
+        "edge:1*0.5",
+        "edge:1*NaN",
+        "close:banana",
+        "edge:1",
+        "é",
+    ];
+    const TRAFFIC_SEPARATORS: [&str; 3] = [";", " ; ", ";;"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+        #[test]
+        fn a_traffic_post_answers_200_or_400_and_moves_the_epoch_by_its_verdict(
+            posts in proptest::collection::vec(
+                (
+                    0usize..3,
+                    proptest::collection::vec(
+                        (0usize..TRAFFIC_STATEMENTS.len(), 0usize..TRAFFIC_SEPARATORS.len()),
+                        0..4,
+                    ),
+                ),
+                64,
+            ),
+        ) {
+            let app = app();
+            for (form, statements) in &posts {
+                let delta: String = statements
+                    .iter()
+                    .map(|&(i, j)| [TRAFFIC_STATEMENTS[i], TRAFFIC_SEPARATORS[j]].concat())
+                    .collect();
+                // Raw grammar, the JSON form, or JSON without a delta.
+                let body = match form {
+                    0 => delta,
+                    1 => Json::object([("delta", Json::String(delta))]).to_string_compact(),
+                    _ => Json::object([("wrong_key", Json::String(delta))]).to_string_compact(),
+                };
+                let before = app.processor.traffic().epoch();
+                let resp = app.handle("POST", "/api/traffic", &body);
+                let moved = app.processor.traffic().epoch() - before;
+                match resp.status {
+                    200 => prop_assert_eq!(moved, 1, "{}", body),
+                    400 => prop_assert_eq!(moved, 0, "{}", body),
+                    status => prop_assert!(false, "{} → {} {}", body, status, resp.body),
+                }
+            }
+        }
+    }
+
     /// The Prometheus exposition content type, checked on a real socket:
     /// scrapers key their parser off the `version=0.0.4` parameter, so
     /// the header must survive the wire, not just the in-process handler.
@@ -2197,8 +2258,8 @@ mod tests {
 
     /// The acceptance-criteria walk, end to end: a degraded request's
     /// trace id resolves at `GET /api/trace/<id>` and the tree shows
-    /// admission, queue, prepare, every attempted lane (with retry and
-    /// breaker attributes) and assemble.
+    /// admission, queue, prepare, every attempted lane (with its breaker
+    /// attribute) and assemble.
     #[test]
     fn degraded_request_trace_is_servable_from_the_debug_endpoints() {
         let g = arp_citygen::generate(City::Melbourne, Scale::Small, 12);
@@ -2249,34 +2310,27 @@ mod tests {
             Some("degraded")
         );
 
-        // Four first attempts plus the failed lane's retry.
+        // One attempt per lane; the failed one is not attempted again.
         let lanes = named("lane");
-        assert_eq!(lanes.len(), 5, "{}", tree.body);
-        let retry = lanes
+        assert_eq!(lanes.len(), 4, "{}", tree.body);
+        let failed = lanes
             .iter()
-            .find(|l| l.get("attrs").unwrap().get("retry").is_some())
-            .expect("retry lane span");
-        let retry_attrs = retry.get("attrs").unwrap();
+            .find(|l| l.get("status").and_then(Json::as_str) == Some("failed"))
+            .expect("failed lane span");
+        let failed_attrs = failed.get("attrs").unwrap();
         assert_eq!(
-            retry_attrs.get("technique").and_then(Json::as_str),
+            failed_attrs.get("technique").and_then(Json::as_str),
             Some("penalty")
         );
-        assert_eq!(retry_attrs.get("attempt").and_then(Json::as_str), Some("2"));
         assert_eq!(
-            retry_attrs.get("fault_injected").and_then(Json::as_str),
+            failed_attrs.get("fault_injected").and_then(Json::as_str),
             Some("injected fault at lane.penalty: boom")
         );
-        assert_eq!(retry.get("status").and_then(Json::as_str), Some("failed"));
         for lane in &lanes {
             let attrs = lane.get("attrs").unwrap();
             assert!(attrs.get("technique").is_some(), "{}", tree.body);
-            // First attempts carry the breaker state at submit; retries
-            // carry their backoff instead.
-            assert!(
-                attrs.get("breaker").is_some() || attrs.get("backoff_ms").is_some(),
-                "{}",
-                tree.body
-            );
+            // Every attempt carries the breaker state at submit.
+            assert!(attrs.get("breaker").is_some(), "{}", tree.body);
             // Every executed lane records its retroactive queue-wait
             // child (a short-circuit would not, but none occur here).
             let queues = lane.get("children").unwrap().as_array().unwrap();

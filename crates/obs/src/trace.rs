@@ -145,8 +145,8 @@ pub struct Span {
     pub end_us: u64,
     /// How the span ended.
     pub status: SpanStatus,
-    /// `key=value` attributes (technique, cache key, epoch, retry and
-    /// breaker verdicts, …).
+    /// `key=value` attributes (technique, cache key, epoch, breaker
+    /// verdicts, …).
     pub attrs: Vec<(&'static str, String)>,
 }
 

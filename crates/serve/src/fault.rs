@@ -6,8 +6,8 @@
 //! `lane.<technique>` (per-technique compute), `backend.snap` (request
 //! normalization in the demo), `cache.get` (route-cache probe) and
 //! `queue.push` (fan-out submission) — so every failure-handling
-//! behaviour (retries, circuit breakers, the degraded-response ladder)
-//! is testable without real hardware faults.
+//! behaviour (circuit breakers, the degraded-response ladder) is
+//! testable without real hardware faults.
 //!
 //! Design constraints, in order:
 //!
@@ -109,8 +109,7 @@ impl Failpoint {
 }
 
 /// sebastiano vigna's splitmix64: one 64-bit mix, good enough to turn
-/// `(seed, hit-index)` — or a retry's jitter state — into an independent
-/// uniform draw.
+/// `(seed, hit-index)` into an independent uniform draw.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -29,11 +29,10 @@
 //!   all through `arp-obs` and exported by the demo's `/api/metrics`.
 //! * **Fault tolerance** (DESIGN.md §9) — [`FaultPlan`] failpoint
 //!   injection (zero-overhead when disabled), per-technique
-//!   [`CircuitBreaker`]s, a deadline-aware [`RetryPolicy`], and a
-//!   degraded-response ladder: a failed or panicked lane is retried,
-//!   then marked [`LaneStatus::Failed`] while the other techniques'
-//!   routes are still served. [`RouteService::health`] snapshots it all
-//!   for `/api/health`.
+//!   [`CircuitBreaker`]s, and a degraded-response ladder: a lane gets one
+//!   attempt, and a failed or panicked lane is marked
+//!   [`LaneStatus::Failed`] while the other techniques' routes are still
+//!   served. [`RouteService::health`] snapshots it all for `/api/health`.
 //!
 //! The crate is deliberately backend-agnostic: [`RouteService`] drives
 //! any [`RouteBackend`], and `arp-demo` provides the road-network one.
@@ -51,7 +50,6 @@ mod fault;
 mod metrics;
 mod pool;
 mod queue;
-mod retry;
 mod service;
 mod shutdown;
 
@@ -63,9 +61,8 @@ pub use fault::{sites, FaultKind, FaultPlan};
 pub use metrics::{CacheMetrics, ServeMetrics};
 pub use pool::{Fanout, Job, Scatter, WorkerPool};
 pub use queue::{BoundedQueue, PushError};
-pub use retry::{LaneLatency, RetryPolicy, RetryState};
 pub use service::{
-    HealthReport, HealthVerdict, LaneError, LaneHealth, LaneOutcome, LaneStatus, RouteBackend,
-    RouteService, ServeConfig, ServeError,
+    HealthReport, HealthVerdict, LaneHealth, LaneOutcome, LaneStatus, RouteBackend, RouteService,
+    ServeConfig, ServeError,
 };
 pub use shutdown::ShutdownHandle;

@@ -33,9 +33,8 @@
 //!
 //! * `arp_serve_degraded_responses_total` — responses served with at
 //!   least one failed or breaker-open lane,
-//! * `arp_serve_lane_failures_total{technique,reason}` and
-//!   `arp_serve_retries_total{technique,outcome}` — resolved per lane by
-//!   the service (the technique names come from the backend),
+//! * `arp_serve_lane_failures_total{technique,reason}` — resolved per
+//!   lane by the service (the technique names come from the backend),
 //! * `arp_serve_breaker_state{technique}` /
 //!   `arp_serve_breaker_transitions_total` — circuit-breaker telemetry,
 //! * `arp_serve_faults_injected_total{site,kind}` — injected failpoints.

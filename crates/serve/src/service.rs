@@ -31,14 +31,15 @@
 //! cached.
 //!
 //! **Failure isolation.** A lane that errors or panics does not fail
-//! the request: it is retried once (under a per-request retry budget,
-//! with decorrelated-jitter backoff, and only when the deadline has
-//! headroom for the lane's expected duration — see [`crate::retry`]),
-//! and on final failure it is marked [`LaneStatus::Failed`] while the
-//! other techniques' routes are still assembled and served as a
-//! *degraded* response. Only when **every** lane fails does the request
-//! error ([`ServeError::AllLanesFailed`], HTTP 502). DESIGN.md §9
-//! documents the full degraded-response ladder.
+//! the request: it gets one attempt, and a failed attempt marks it
+//! [`LaneStatus::Failed`] while the other techniques' routes are still
+//! assembled and served as a *degraded* response. A lane is a pure
+//! function of its request, so a second attempt on the same inputs would
+//! fail the same way; the degraded response is not cached, so the next
+//! identical request computes the lane afresh, and the lane's circuit
+//! breaker caps a lane that keeps failing. Only when **every** lane fails
+//! does the request error ([`ServeError::AllLanesFailed`], HTTP 502).
+//! DESIGN.md §9 documents the full degraded-response ladder.
 //!
 //! Deadlines act **cooperatively** on in-flight work: when a request's
 //! deadline expires, the service trips a per-request [`CancelToken`] that
@@ -50,7 +51,6 @@
 //! cancellation ladder.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -61,7 +61,6 @@ use crate::cancel::CancelToken;
 use crate::fault::{sites, FaultPlan};
 use crate::metrics::ServeMetrics;
 use crate::pool::{Scatter, WorkerPool};
-use crate::retry::{LaneLatency, RetryPolicy, RetryState};
 use arp_obs::{
     Counter, Registry, SpanCollector, SpanGuard, SpanStatus, TraceConfig, TraceContext,
     TraceReceipt,
@@ -79,58 +78,6 @@ pub enum LaneOutcome<P> {
     Truncated(P),
 }
 
-/// A lane failure, carrying whether a retry could plausibly succeed.
-///
-/// Permanent failures (a malformed query fails identically on every
-/// attempt) are never retried; transient ones (an injected fault, a
-/// flaky dependency, a panicked worker) get one more chance under the
-/// request's retry budget.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LaneError {
-    /// The backend's error message.
-    pub message: String,
-    /// Whether retrying might succeed.
-    pub transient: bool,
-}
-
-impl LaneError {
-    /// A failure worth retrying.
-    pub fn transient(message: impl Into<String>) -> LaneError {
-        LaneError {
-            message: message.into(),
-            transient: true,
-        }
-    }
-
-    /// A failure that would repeat identically; never retried.
-    pub fn permanent(message: impl Into<String>) -> LaneError {
-        LaneError {
-            message: message.into(),
-            transient: false,
-        }
-    }
-}
-
-impl From<String> for LaneError {
-    /// Bare-string errors are treated as transient: one wasted retry is
-    /// cheaper than never retrying a recoverable fault.
-    fn from(message: String) -> LaneError {
-        LaneError::transient(message)
-    }
-}
-
-impl From<&str> for LaneError {
-    fn from(message: &str) -> LaneError {
-        LaneError::transient(message)
-    }
-}
-
-impl std::fmt::Display for LaneError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.message)
-    }
-}
-
 /// Per-lane verdict carried by a degraded response (the response's
 /// `lane_status` map).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -139,7 +86,7 @@ pub enum LaneStatus {
     Ok,
     /// The lane was cut short by the deadline; its routes are a prefix.
     Truncated,
-    /// The lane failed (error or panic) after exhausting its retry.
+    /// The lane's attempt failed (error or panic).
     Failed,
     /// The lane's circuit breaker was open; it was never attempted.
     OpenCircuit,
@@ -214,7 +161,7 @@ pub trait RouteBackend: Send + Sync + 'static {
     /// instead of finishing it pointlessly.
     ///
     /// Returns the request, augmented with whatever was prepared; the
-    /// augmented request is what the lanes, retries and assembly see.
+    /// augmented request is what the late lanes and assembly see.
     /// The default is the identity — backends opt in.
     fn prepare(
         &self,
@@ -256,11 +203,9 @@ pub trait RouteBackend: Send + Sync + 'static {
         request: &Self::Request,
         lane: usize,
         token: &CancelToken,
-    ) -> Result<LaneOutcome<Self::Part>, LaneError> {
+    ) -> Result<LaneOutcome<Self::Part>, String> {
         let _ = token;
-        self.compute(request, lane)
-            .map(LaneOutcome::Complete)
-            .map_err(LaneError::from)
+        self.compute(request, lane).map(LaneOutcome::Complete)
     }
 
     /// Assembles a **partial** response from whatever lanes produced
@@ -325,8 +270,6 @@ pub struct ServeConfig {
     pub retry_after_s: u32,
     /// The failpoint plan (disabled by default; see [`FaultPlan`]).
     pub faults: FaultPlan,
-    /// Per-request lane retry policy.
-    pub retry: RetryPolicy,
     /// Per-technique circuit-breaker thresholds.
     pub breaker: BreakerConfig,
     /// Request tracing: head-sampling rate, trace ring capacity and the
@@ -345,7 +288,6 @@ impl Default for ServeConfig {
             cancel_grace: Duration::from_millis(100),
             retry_after_s: 1,
             faults: FaultPlan::disabled(),
-            retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
             trace: TraceConfig::default(),
         }
@@ -459,21 +401,17 @@ pub struct HealthReport {
     pub cache_misses: u64,
 }
 
-/// Per-lane runtime state: breaker, latency estimate and instruments.
+/// Per-lane runtime state: breaker and instruments.
 struct LaneRuntime {
     name: String,
     /// Precomputed failpoint site (`lane.<name>`).
     site: String,
     breaker: CircuitBreaker,
-    latency: LaneLatency,
     /// `arp_serve_lane_failures_total{technique,reason}`.
     fail_error: Counter,
     fail_panic: Counter,
     fail_abandoned: Counter,
     fail_open_circuit: Counter,
-    /// `arp_serve_retries_total{technique,outcome}`.
-    retry_success: Counter,
-    retry_failure: Counter,
 }
 
 impl LaneRuntime {
@@ -484,13 +422,6 @@ impl LaneRuntime {
                 "arp_serve_lane_failures_total",
                 "Technique lanes that failed, by technique and reason.",
                 &[("technique", name.as_str()), ("reason", reason)],
-            )
-        };
-        let retries = |outcome: &str| {
-            registry.counter(
-                "arp_serve_retries_total",
-                "Lane retries attempted, by technique and outcome.",
-                &[("technique", name.as_str()), ("outcome", outcome)],
             )
         };
         let breaker = CircuitBreaker::with_instruments(
@@ -509,33 +440,29 @@ impl LaneRuntime {
         LaneRuntime {
             site,
             breaker,
-            latency: LaneLatency::new(),
             fail_error: failures("error"),
             fail_panic: failures("panic"),
             fail_abandoned: failures("abandoned"),
             fail_open_circuit: failures("open_circuit"),
-            retry_success: retries("success"),
-            retry_failure: retries("failure"),
             name,
         }
     }
 }
 
 /// How one lane attempt ended (the fan-out's slot type): the backend's
-/// outcome with the attempt's wall-clock duration in milliseconds (feeds
-/// the lane's latency estimate), or why there is none.
-type LaneReply<P> = Result<(LaneOutcome<P>, u64), LaneFailure>;
+/// outcome, or why there is none.
+type LaneReply<P> = Result<LaneOutcome<P>, LaneFailure>;
 
 /// An attempt that ended without a part.
 struct LaneFailure {
-    error: LaneError,
+    error: String,
     /// The attempt panicked (contained by its `catch_unwind`) rather
     /// than returning an error; files under `reason="panic"`.
     panicked: bool,
 }
 
 /// What the lanes of one request have produced so far: the accumulators
-/// every lane outcome — cached, first attempt or retry — is folded into.
+/// every lane outcome — cached or computed — is folded into.
 struct LaneResults<P> {
     /// Per lane, the part to assemble (`None` = nothing to show).
     parts: Vec<Option<P>>,
@@ -543,8 +470,6 @@ struct LaneResults<P> {
     /// `<lane name>: <reason>` of every lane that ended without a part.
     failures: Vec<String>,
     truncated: bool,
-    /// The request's retry budget, created on the first failure.
-    retry_state: Option<RetryState>,
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -558,8 +483,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Everything one lane attempt needs, owned so it can run on a worker
-/// thread — first attempts and retries alike — or inline on the
-/// requester when the queue refuses it.
+/// thread, or inline on the requester when the queue refuses it.
 struct LaneAttempt<B: RouteBackend> {
     backend: Arc<B>,
     cache: Option<Arc<ShardedCache<String, B::Part>>>,
@@ -581,7 +505,6 @@ impl<B: RouteBackend> LaneAttempt<B> {
     /// a panicking technique is indistinguishable from an erroring one
     /// at the fan-out layer.
     fn run(mut self) -> LaneReply<B::Part> {
-        let start = Instant::now();
         // The span opened when the lane was submitted; everything up to
         // here was time spent waiting in the worker queue.
         let picked_up_us = self.span.start_us() + self.span.elapsed_us();
@@ -598,7 +521,7 @@ impl<B: RouteBackend> LaneAttempt<B> {
             // Injected faults and backend errors surface identically to
             // the fan-out layer but are told apart on the span.
             if let Err(message) = self.faults.fire(&self.site) {
-                return Err((true, LaneError::transient(message)));
+                return Err((true, message));
             }
             self.backend
                 .compute_cancellable(&self.request, self.lane, &self.token)
@@ -624,7 +547,7 @@ impl<B: RouteBackend> LaneAttempt<B> {
                         self.span.attr("outcome", "truncated");
                     }
                 }
-                return Ok((outcome, start.elapsed().as_millis() as u64));
+                return Ok(outcome);
             }
             Ok(Err((injected, error))) => {
                 let key = if injected { "fault_injected" } else { "error" };
@@ -632,12 +555,12 @@ impl<B: RouteBackend> LaneAttempt<B> {
                     error,
                     panicked: false,
                 };
-                (key, failure.error.message.clone(), failure)
+                (key, failure.error.clone(), failure)
             }
             Err(payload) => {
                 let message = panic_message(payload.as_ref());
                 let failure = LaneFailure {
-                    error: LaneError::transient(format!("lane panicked: {message}")),
+                    error: format!("lane panicked: {message}"),
                     panicked: true,
                 };
                 ("panic", message, failure)
@@ -660,8 +583,6 @@ pub struct RouteService<B: RouteBackend> {
     config: ServeConfig,
     metrics: ServeMetrics,
     lanes: Vec<LaneRuntime>,
-    /// Monotonic request sequence; decorrelates retry jitter streams.
-    seq: AtomicU64,
     epoch: Instant,
     /// Per-request trace collector (ring buffer + sampling verdicts).
     tracer: SpanCollector,
@@ -703,7 +624,6 @@ impl<B: RouteBackend> RouteService<B> {
             config,
             metrics,
             lanes,
-            seq: AtomicU64::new(0),
             epoch: Instant::now(),
             tracer,
         }
@@ -740,7 +660,7 @@ impl<B: RouteBackend> RouteService<B> {
 
     /// Runs one request through the full pipeline under a trace: every
     /// stage — admission, cache probe, prepare, each lane attempt
-    /// (including retries and breaker short-circuits) and assembly —
+    /// (including breaker short-circuits) and assembly —
     /// records a span, and the returned [`TraceReceipt`] carries the
     /// trace id the HTTP layer echoes back plus the slow/kept verdicts
     /// for the slow-request log.
@@ -837,7 +757,6 @@ impl<B: RouteBackend> RouteService<B> {
             statuses: vec![LaneStatus::Ok; lanes],
             failures: Vec::new(),
             truncated: false,
-            retry_state: None,
         };
         let mut deadline_hit = false;
         if !missing.is_empty() {
@@ -853,8 +772,13 @@ impl<B: RouteBackend> RouteService<B> {
                     self.lanes[lane].fail_open_circuit.inc();
                     out.failures
                         .push(format!("{}: circuit open", self.lanes[lane].name));
-                    let verdict = [("breaker", "open"), ("outcome", "open_circuit")];
-                    self.refused_lane_span(ctx, root_id, lane, &verdict);
+                    let tick = ctx.tick_us();
+                    let attrs = vec![
+                        ("technique", self.lanes[lane].name.clone()),
+                        ("breaker", "open".to_string()),
+                        ("outcome", "open_circuit".to_string()),
+                    ];
+                    ctx.record_span("lane", Some(root_id), tick, tick, SpanStatus::Failed, attrs);
                 }
             }
 
@@ -918,8 +842,8 @@ impl<B: RouteBackend> RouteService<B> {
                 out.truncated = true;
                 root.attr("cancelled", "true");
             }
-            // Settle in lane order, whichever wave a lane ran in: the
-            // retry budget and the failure reasons go to lanes in order.
+            // Settle in lane order, whichever wave a lane ran in, so the
+            // failure reasons are listed in lane order.
             let mut settled: Vec<_> = early.into_iter().chain(late).zip(fanout.slots).collect();
             settled.sort_by_key(|&(lane, _)| lane);
             for (lane, slot) in settled {
@@ -933,23 +857,9 @@ impl<B: RouteBackend> RouteService<B> {
                             &runtime.fail_error
                         };
                         counter.inc();
-                        let reason = if deadline_hit {
-                            Some(failure.error.message)
-                        } else {
-                            self.retry(
-                                lane,
-                                failure.error,
-                                &deadline,
-                                &request,
-                                ctx,
-                                root_id,
-                                &mut out,
-                            )
-                        };
-                        if let Some(reason) = reason {
-                            out.statuses[lane] = LaneStatus::Failed;
-                            out.failures.push(format!("{}: {reason}", runtime.name));
-                        }
+                        out.statuses[lane] = LaneStatus::Failed;
+                        out.failures
+                            .push(format!("{}: {}", runtime.name, failure.error));
                     }
                     // Abandoned while queued, or a straggler that outlived
                     // the grace period: a deadline artifact, part of the
@@ -1049,7 +959,7 @@ impl<B: RouteBackend> RouteService<B> {
         out: &mut LaneResults<B::Part>,
     ) -> Result<(), Option<LaneFailure>> {
         let runtime = &self.lanes[lane];
-        let (outcome, ms) = match reply {
+        let outcome = match reply {
             Some(Ok(done)) => done,
             unanswered => {
                 // Also when the outcome is unknown: the lane acquired its
@@ -1066,10 +976,7 @@ impl<B: RouteBackend> RouteService<B> {
         };
         runtime.breaker.record_success(self.now_ms());
         let (part, status) = match outcome {
-            LaneOutcome::Complete(part) => {
-                runtime.latency.observe_ms(ms);
-                (part, LaneStatus::Ok)
-            }
+            LaneOutcome::Complete(part) => (part, LaneStatus::Ok),
             // Interrupted — under deadline pressure, or by a backend-side
             // expansion cap. Either way a partial response, not a lane
             // failure.
@@ -1081,97 +988,6 @@ impl<B: RouteBackend> RouteService<B> {
         out.parts[lane] = Some(part);
         out.statuses[lane] = status;
         Ok(())
-    }
-
-    /// Decides whether a lane whose first attempt failed with `error`
-    /// gets its one retry — the failure is transient, the request still
-    /// has retry budget, the deadline has headroom for the lane's
-    /// expected duration, and the breaker admits the attempt — and if so
-    /// runs it. Returns why the lane stays failed, or `None` when the
-    /// retry landed a part.
-    #[allow(clippy::too_many_arguments)]
-    fn retry(
-        &self,
-        lane: usize,
-        error: LaneError,
-        deadline: &Deadline,
-        request: &B::Request,
-        ctx: &TraceContext,
-        root_id: u32,
-        out: &mut LaneResults<B::Part>,
-    ) -> Option<String> {
-        let runtime = &self.lanes[lane];
-        if !error.transient {
-            return Some(error.message);
-        }
-        let state = out.retry_state.get_or_insert_with(|| {
-            RetryState::new(self.config.retry, self.seq.fetch_add(1, Ordering::Relaxed))
-        });
-        let Some(backoff) = state.next_attempt(deadline, runtime.latency.estimate_ms()) else {
-            return Some(error.message);
-        };
-        if !runtime.breaker.try_acquire(self.now_ms()) {
-            // The breaker refused the retry before anything ran: no
-            // retry cost was incurred, so the budget unit goes back
-            // for the request's other lanes.
-            state.refund();
-            self.refused_lane_span(ctx, root_id, lane, &[("retry_refused", "breaker")]);
-            return Some(error.message);
-        }
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
-        }
-        // The retry runs under the *residual* request deadline, through
-        // the same fan-out as a first attempt: if the headroom estimate
-        // was wrong (the latency EWMA starts at zero), the deadline trips
-        // the retry's token and truncates it like any other lane instead
-        // of blocking the requester indefinitely.
-        let token = CancelToken::new();
-        let mut span = ctx.child_span("lane", root_id);
-        span.attr("technique", runtime.name.clone());
-        span.attr_u64("attempt", 2);
-        span.attr("retry", "true");
-        span.attr_u64("backoff_ms", backoff.as_millis() as u64);
-        let attempt = self.attempt(lane, request, &token, span);
-        let mut scatter = Scatter::new(false);
-        scatter.submit(&self.pool, move || attempt.run());
-        let fanout = scatter.join(
-            *deadline,
-            &token,
-            self.config.cancel_grace,
-            &self.metrics.inline_fallback,
-        );
-        match self.settle(lane, fanout.slots.into_iter().next().flatten(), out) {
-            Ok(()) => {
-                runtime.retry_success.inc();
-                None
-            }
-            Err(second) => {
-                runtime.retry_failure.inc();
-                Some(match second {
-                    Some(failure) => failure.error.message,
-                    // The retry ran out of deadline with nothing to show
-                    // (or was abandoned).
-                    None => format!("{} (retry exceeded the deadline)", error.message),
-                })
-            }
-        }
-    }
-
-    /// Records the instant `lane` span of a lane that was refused before
-    /// anything ran — short-circuited by its open breaker, or denied its
-    /// retry — with `verdict` saying which.
-    fn refused_lane_span(
-        &self,
-        ctx: &TraceContext,
-        root_id: u32,
-        lane: usize,
-        verdict: &[(&'static str, &str)],
-    ) {
-        let tick = ctx.tick_us();
-        let mut attrs = vec![("technique", self.lanes[lane].name.clone())];
-        attrs.extend(verdict.iter().map(|&(key, value)| (key, value.to_string())));
-        ctx.record_span("lane", Some(root_id), tick, tick, SpanStatus::Failed, attrs);
     }
 
     /// A point-in-time health snapshot: queue depth, in-flight count,
@@ -1374,14 +1190,6 @@ mod tests {
         RouteService::new(backend, config, &Registry::disabled())
     }
 
-    /// A retry policy that never retries — for tests counting attempts.
-    fn no_retries() -> RetryPolicy {
-        RetryPolicy {
-            budget: 0,
-            ..RetryPolicy::default()
-        }
-    }
-
     #[test]
     fn lanes_assemble_in_lane_order() {
         let svc = service(EchoBackend::new(4), ServeConfig::default());
@@ -1466,20 +1274,12 @@ mod tests {
             ),
             1
         );
-        assert_eq!(
-            registry.counter_value(
-                "arp_serve_retries_total",
-                &[("technique", "lane1"), ("outcome", "failure")]
-            ),
-            1,
-            "the transient failure earned exactly one (failed) retry"
-        );
-        // 3 lanes + 1 retry of the failing lane.
-        assert_eq!(svc.backend().computes(), 4);
-        // The failed lane was never cached: a repeat recomputes it (and
-        // retries it once more) while the healthy lanes come from cache.
+        // One attempt per lane: the failing lane is computed once.
+        assert_eq!(svc.backend().computes(), 3);
+        // The failed lane was never cached: a repeat recomputes it, once,
+        // while the healthy lanes come from cache.
         svc.route((4, 5)).unwrap();
-        assert_eq!(svc.backend().computes(), 6);
+        assert_eq!(svc.backend().computes(), 4);
     }
 
     /// Regression: a panicking technique used to fail the whole request
@@ -1490,10 +1290,7 @@ mod tests {
         let mut backend = EchoBackend::new(4);
         backend.panic_lane = Some(2);
         let registry = Registry::new();
-        let config = ServeConfig {
-            retry: no_retries(),
-            ..ServeConfig::default()
-        };
+        let config = ServeConfig::default();
         let svc = RouteService::new(backend, config, &registry);
         let out = svc.route((7, 8)).unwrap();
         assert_eq!(
@@ -1510,29 +1307,6 @@ mod tests {
         // The pool survives: an untouched request still serves cleanly.
         let clean = svc.route((1, 1)).unwrap();
         assert!(clean.contains("lane0(1,1)"));
-    }
-
-    #[test]
-    fn retry_recovers_a_transient_failure_and_stays_healthy() {
-        let mut backend = EchoBackend::new(3);
-        backend.flaky_lane = Some(1);
-        backend.flaky_failures = AtomicUsize::new(1);
-        let registry = Registry::new();
-        let svc = RouteService::new(backend, ServeConfig::default(), &registry);
-        let out = svc.route((2, 6)).unwrap();
-        assert_eq!(
-            out, "2,6 => lane0(2,6)|lane1(2,6)|lane2(2,6)",
-            "a recovered retry must yield the healthy, non-degraded response"
-        );
-        assert_eq!(svc.metrics().degraded.get(), 0);
-        assert_eq!(
-            registry.counter_value(
-                "arp_serve_retries_total",
-                &[("technique", "lane1"), ("outcome", "success")]
-            ),
-            1
-        );
-        assert_eq!(svc.backend().computes(), 4, "3 lanes + 1 retry");
     }
 
     #[test]
@@ -1556,7 +1330,6 @@ mod tests {
         let registry = Registry::new();
         let config = ServeConfig {
             cache_capacity: 0,
-            retry: no_retries(),
             breaker: BreakerConfig {
                 window: 8,
                 min_volume: 3,
@@ -1602,7 +1375,6 @@ mod tests {
         backend.fail_lane = Some(0);
         let config = ServeConfig {
             cache_capacity: 0,
-            retry: no_retries(),
             breaker: BreakerConfig {
                 window: 4,
                 min_volume: 1,
@@ -1691,7 +1463,6 @@ mod tests {
             cache_capacity: 0,
             deadline: Duration::from_millis(40),
             cancel_grace: Duration::from_millis(10),
-            retry: no_retries(),
             breaker: BreakerConfig {
                 window: 4,
                 min_volume: 1,
@@ -1745,7 +1516,6 @@ mod tests {
             cache_capacity: 0,
             deadline: Duration::from_millis(30),
             cancel_grace: Duration::ZERO,
-            retry: no_retries(),
             breaker: BreakerConfig {
                 window: 4,
                 min_volume: 2,
@@ -1768,117 +1538,11 @@ mod tests {
         assert!(out.contains("[open_circuit,ok]"), "{out}");
     }
 
-    /// Lane 1's first attempt fails fast (transiently); its retry spins
-    /// cooperatively — polling the cancel token — for up to 5 s. Lane 0
-    /// answers instantly.
-    struct RetryCoopBackend {
-        attempts: AtomicUsize,
-    }
-
-    impl RouteBackend for RetryCoopBackend {
-        type Request = (u32, u32);
-        type Part = String;
-        type Response = (String, bool);
-
-        fn lanes(&self) -> usize {
-            2
-        }
-
-        fn lane_key(&self, request: &(u32, u32), lane: usize) -> String {
-            format!("retrycoop:{}:{}:{lane}", request.0, request.1)
-        }
-
-        fn compute(&self, _request: &(u32, u32), lane: usize) -> Result<String, String> {
-            Ok(format!("lane{lane}"))
-        }
-
-        fn compute_cancellable(
-            &self,
-            _request: &(u32, u32),
-            lane: usize,
-            token: &CancelToken,
-        ) -> Result<LaneOutcome<String>, LaneError> {
-            if lane == 0 {
-                return Ok(LaneOutcome::Complete("lane0".to_string()));
-            }
-            if self.attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                return Err(LaneError::transient("first attempt flaked"));
-            }
-            let start = Instant::now();
-            while start.elapsed() < Duration::from_secs(5) {
-                if token.is_cancelled() {
-                    return Ok(LaneOutcome::Truncated("lane1-partial".to_string()));
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Ok(LaneOutcome::Complete("lane1-late".to_string()))
-        }
-
-        fn assemble(&self, _request: &(u32, u32), parts: Vec<String>) -> (String, bool) {
-            (parts.join("|"), false)
-        }
-
-        fn assemble_degraded(
-            &self,
-            _request: &(u32, u32),
-            parts: Vec<Option<String>>,
-            _statuses: &[LaneStatus],
-        ) -> Option<(String, bool)> {
-            let present: Vec<String> = parts.into_iter().flatten().collect();
-            if present.is_empty() {
-                return None;
-            }
-            Some((present.join("|"), true))
-        }
-    }
-
-    /// Regression: the retry used to run inline with a fresh cancel token
-    /// that nothing ever tripped, so a slow retry could block the request
-    /// arbitrarily past its deadline. It must be truncated by the residual
-    /// deadline like a first attempt.
-    #[test]
-    fn retry_is_bounded_by_the_request_deadline() {
-        let backend = RetryCoopBackend {
-            attempts: AtomicUsize::new(0),
-        };
-        let registry = Registry::new();
-        let config = ServeConfig {
-            workers: 4,
-            cache_capacity: 0,
-            deadline: Duration::from_millis(60),
-            cancel_grace: Duration::from_millis(500),
-            ..ServeConfig::default()
-        };
-        let svc = RouteService::new(backend, config, &registry);
-        let start = Instant::now();
-        let (body, truncated) = svc.route((1, 2)).unwrap();
-        assert!(
-            start.elapsed() < Duration::from_secs(2),
-            "the deadline must truncate the retry, not wait out its 5 s spin: {:?}",
-            start.elapsed()
-        );
-        assert!(truncated, "a deadline-truncated retry marks the response");
-        assert!(body.contains("lane0"), "{body}");
-        assert!(
-            body.contains("lane1-partial"),
-            "the retry's cooperative partial is served: {body}"
-        );
-        assert_eq!(
-            registry.counter_value(
-                "arp_serve_retries_total",
-                &[("technique", "lane1"), ("outcome", "success")]
-            ),
-            1,
-            "a truncated retry that produced a partial counts as a success"
-        );
-    }
-
     #[test]
     fn injected_lane_fault_degrades_and_counts() {
         let registry = Registry::new();
         let config = ServeConfig {
             faults: FaultPlan::parse("lane.lane0=error:chaos").unwrap(),
-            retry: no_retries(),
             ..ServeConfig::default()
         };
         let svc = RouteService::new(EchoBackend::new(2), config, &registry);
@@ -1958,7 +1622,7 @@ mod tests {
             _request: &(u32, u32),
             lane: usize,
             token: &CancelToken,
-        ) -> Result<LaneOutcome<String>, LaneError> {
+        ) -> Result<LaneOutcome<String>, String> {
             if lane == 0 {
                 return Ok(LaneOutcome::Complete("lane0".to_string()));
             }
@@ -2044,7 +1708,7 @@ mod tests {
         spin: Duration,
         /// Token polls lane 0 made before it stopped.
         polls: AtomicUsize,
-        /// Lane 0 fails (permanently) while this is positive.
+        /// Lane 0 fails while this is positive.
         lane0_failures: AtomicUsize,
     }
 
@@ -2109,7 +1773,7 @@ mod tests {
             request: &(u32, u32, bool),
             lane: usize,
             token: &CancelToken,
-        ) -> Result<LaneOutcome<String>, LaneError> {
+        ) -> Result<LaneOutcome<String>, String> {
             if lane == 0 {
                 *self.started.0.lock().unwrap() = true;
                 self.started.1.notify_all();
@@ -2118,7 +1782,7 @@ mod tests {
                     .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
                     .is_ok()
                 {
-                    return Err(LaneError::permanent("lane 0 refused"));
+                    return Err("lane 0 refused".to_string());
                 }
                 let start = Instant::now();
                 while start.elapsed() < self.spin {
@@ -2185,7 +1849,6 @@ mod tests {
     fn a_deadline_during_prepare_truncates_the_early_lane() {
         let config = ServeConfig {
             deadline: Duration::from_millis(100),
-            retry: no_retries(),
             ..ServeConfig::default()
         };
         let svc = RouteService::new(
@@ -2212,10 +1875,7 @@ mod tests {
     #[test]
     fn prepare_is_skipped_when_no_missing_lane_reads_it() {
         let registry = Registry::new();
-        let config = ServeConfig {
-            retry: no_retries(),
-            ..ServeConfig::default()
-        };
+        let config = ServeConfig::default();
         let backend = WaveBackend::new(Duration::ZERO, Duration::ZERO);
         backend.lane0_failures.store(1, Ordering::SeqCst);
         let svc = RouteService::new(backend, config, &registry);
@@ -2275,9 +1935,9 @@ mod tests {
 
     /// The tentpole invariant at the serve layer: a degraded request's
     /// trace holds a well-nested tree with spans for every stage —
-    /// admission, cache probe, prepare, each lane attempt (the failed
-    /// lane twice, with retry attributes), queue waits, assembly — and
-    /// the tail rule keeps it even though head sampling is off.
+    /// admission, cache probe, prepare, one attempt per lane (the failed
+    /// one marked so), queue waits, assembly — and the tail rule keeps it
+    /// even though head sampling is off.
     #[test]
     fn degraded_request_trace_covers_every_stage() {
         let mut backend = EchoBackend::new(2);
@@ -2308,19 +1968,18 @@ mod tests {
             trace.span("assemble").unwrap().attr("outcome"),
             Some("degraded")
         );
-        // Two first attempts plus one retry of the failing lane, each
-        // with its retroactive queue-wait child.
+        // One attempt per lane, each with its retroactive queue-wait
+        // child; the failing lane is not attempted again.
         let lane_spans: Vec<_> = trace.spans_named("lane").collect();
-        assert_eq!(lane_spans.len(), 3, "{lane_spans:?}");
-        assert_eq!(trace.spans_named("queue").count(), 3);
-        let retry = lane_spans
+        assert_eq!(lane_spans.len(), 2, "{lane_spans:?}");
+        assert_eq!(trace.spans_named("queue").count(), 2);
+        assert!(lane_spans.iter().all(|s| s.attr("attempt") == Some("1")));
+        let failed = lane_spans
             .iter()
-            .find(|s| s.attr("retry") == Some("true"))
-            .expect("retry attempt span");
-        assert_eq!(retry.attr("technique"), Some("lane1"));
-        assert_eq!(retry.attr("attempt"), Some("2"));
-        assert_eq!(retry.status, SpanStatus::Failed);
-        assert!(retry.attr("error").is_some(), "{retry:?}");
+            .find(|s| s.status == SpanStatus::Failed)
+            .expect("failed lane span");
+        assert_eq!(failed.attr("technique"), Some("lane1"));
+        assert!(failed.attr("error").is_some(), "{failed:?}");
         assert!(
             lane_spans
                 .iter()
@@ -2339,7 +1998,6 @@ mod tests {
         let mut backend = EchoBackend::new(2);
         backend.fail_lane = Some(0);
         let config = ServeConfig {
-            retry: no_retries(),
             breaker: BreakerConfig {
                 window: 8,
                 min_volume: 1,
@@ -2381,14 +2039,7 @@ mod tests {
 
     /// Span attributes whose *values* the pin below records; every other
     /// attribute (durations, queue waits, error texts) is pinned by key.
-    const PINNED_ATTR_VALUES: [&str; 6] = [
-        "technique",
-        "attempt",
-        "outcome",
-        "breaker",
-        "retry",
-        "retry_refused",
-    ];
+    const PINNED_ATTR_VALUES: [&str; 4] = ["technique", "attempt", "outcome", "breaker"];
 
     /// Runs one scripted request and appends what it showed the outside
     /// to `log`: the response (or the error with its exact `reasons`),
@@ -2440,14 +2091,10 @@ mod tests {
     }
 
     /// The failure ladder's oracle: a fixed script through every rung —
-    /// healthy, cached, retried, failed, panicked, breaker-opened,
-    /// short-circuited, retry-refused, inline, probe outage, head sampling
-    /// off — pinning per request the response and the span tree's shape,
-    /// and at the end every `arp_serve_*` counter plus the spans recorded
-    /// and traces kept. The literal was captured before the
-    /// lane-attempt refactor; it differs from that capture in one line,
-    /// the reason of a lane that panics on its *retry*, which then lacked
-    /// the `lane panicked: ` prefix a first-attempt panic always had.
+    /// healthy, cached, failed, panicked, breaker-opened, short-circuited,
+    /// inline, probe outage, head sampling off — pinning per request the
+    /// response and the span tree's shape, and at the end every
+    /// `arp_serve_*` counter plus the spans recorded and traces kept.
     #[test]
     fn failure_ladder_is_pinned() {
         let registry = Registry::new();
@@ -2465,56 +2112,35 @@ mod tests {
         pin_request(&mut log, "healthy miss", &svc, (1, 2));
         pin_request(&mut log, "cached repeat", &svc, (1, 2));
         svc.backend().flaky_failures.store(1, Ordering::SeqCst);
-        pin_request(&mut log, "flaky lane recovered by its retry", &svc, (3, 4));
+        pin_request(&mut log, "flaky lane fails its one attempt", &svc, (3, 4));
         drop(svc);
 
         let mut backend = EchoBackend::new(1);
         backend.fail_lane = Some(0);
         let svc = RouteService::new(backend, ServeConfig::default(), &registry);
-        pin_request(&mut log, "only lane fails twice", &svc, (5, 6));
+        pin_request(&mut log, "only lane fails", &svc, (5, 6));
         drop(svc);
 
         let mut backend = EchoBackend::new(1);
         backend.panic_lane = Some(0);
         let svc = RouteService::new(backend, ServeConfig::default(), &registry);
-        pin_request(&mut log, "only lane panics twice", &svc, (7, 8));
+        pin_request(&mut log, "only lane panics", &svc, (7, 8));
         drop(svc);
 
-        let mut backend = EchoBackend::new(1);
-        backend.panic_lane = Some(0);
-        let config = ServeConfig {
-            retry: no_retries(),
-            ..ServeConfig::default()
-        };
-        let svc = RouteService::new(backend, config, &registry);
-        pin_request(&mut log, "only lane panics, no retry budget", &svc, (7, 8));
-        drop(svc);
-
-        // Lane 0 always fails, lane 1 flakes on demand; one retry per
-        // request. Lane 0's third failure opens its breaker, so that
-        // request's retry is refused and its budget unit goes back — which
-        // is the only reason lane 1 can still be retried.
+        // Lane 0 always fails, one attempt per request: its third failure
+        // reaches the breaker's minimum volume and opens it.
         let mut backend = EchoBackend::new(2);
         backend.fail_lane = Some(0);
-        backend.flaky_lane = Some(1);
         let config = ServeConfig {
             cache_capacity: 0,
-            retry: RetryPolicy {
-                budget: 1,
-                ..RetryPolicy::default()
-            },
             breaker,
             ..ServeConfig::default()
         };
         let svc = RouteService::new(backend, config, &registry);
-        pin_request(&mut log, "lane fails on both attempts", &svc, (1, 1));
-        svc.backend().flaky_failures.store(1, Ordering::SeqCst);
-        pin_request(
-            &mut log,
-            "breaker opens, retry refused, budget refunded",
-            &svc,
-            (2, 2),
-        );
+        pin_request(&mut log, "lane fails", &svc, (1, 1));
+        pin_request(&mut log, "lane fails again", &svc, (2, 2));
+        assert_eq!(svc.breaker_state(0), BreakerState::Closed);
+        pin_request(&mut log, "third failure opens the breaker", &svc, (4, 4));
         assert_eq!(svc.breaker_state(0), BreakerState::Open);
         pin_request(&mut log, "open breaker short-circuits", &svc, (3, 3));
         drop(svc);
@@ -2542,10 +2168,7 @@ mod tests {
         // and the tail rule keeps the degraded one whole.
         let mut backend = EchoBackend::new(2);
         backend.fail_lane = Some(0);
-        let mut config = ServeConfig {
-            retry: no_retries(),
-            ..ServeConfig::default()
-        };
+        let mut config = ServeConfig::default();
         config.trace.sample = 0.0;
         let svc = RouteService::new(backend, config.clone(), &registry);
         pin_request(&mut log, "unsampled, degraded", &svc, (1, 2));
@@ -2600,70 +2223,61 @@ admission <request ok [inflight]
 assemble <request ok []
 cache_probe <request ok [hits lanes]
 request <- ok []
-== flaky lane recovered by its retry: Ok("3,4 => lane0(3,4)|lane1(3,4)|lane2(3,4)")
+== flaky lane fails its one attempt: Ok("3,4 => lane0(3,4)|lane2(3,4) [ok,failed,ok]")
 admission <request ok [inflight]
-assemble <request ok []
+assemble <request ok [outcome=degraded]
 cache_probe <request ok [hits lanes]
 lane <request failed [attempt=1 breaker=closed error outcome=failed queue_wait_us technique=lane1]
 lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane0]
 lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane2]
-lane <request ok [attempt=2 backoff_ms outcome=complete queue_wait_us retry=true technique=lane1]
-prepare <request ok []
-queue <lane ok []
-queue <lane ok []
-queue <lane ok []
-queue <lane ok []
-request <- ok []
-== only lane fails twice: Err(AllLanesFailed { reasons: "lane0: lane 0 refused" })
-admission <request ok [inflight]
-assemble <request failed [outcome=all_lanes_failed]
-cache_probe <request ok [hits lanes]
-lane <request failed [attempt=1 breaker=closed error outcome=failed queue_wait_us technique=lane0]
-lane <request failed [attempt=2 backoff_ms error outcome=failed queue_wait_us retry=true technique=lane0]
-prepare <request ok []
-queue <lane ok []
-queue <lane ok []
-request <- failed []
-== only lane panics twice: Err(AllLanesFailed { reasons: "lane0: lane panicked: lane 0 exploded" })
-admission <request ok [inflight]
-assemble <request failed [outcome=all_lanes_failed]
-cache_probe <request ok [hits lanes]
-lane <request failed [attempt=1 breaker=closed outcome=failed panic queue_wait_us technique=lane0]
-lane <request failed [attempt=2 backoff_ms outcome=failed panic queue_wait_us retry=true technique=lane0]
-prepare <request ok []
-queue <lane ok []
-queue <lane ok []
-request <- failed []
-== only lane panics, no retry budget: Err(AllLanesFailed { reasons: "lane0: lane panicked: lane 0 exploded" })
-admission <request ok [inflight]
-assemble <request failed [outcome=all_lanes_failed]
-cache_probe <request ok [hits lanes]
-lane <request failed [attempt=1 breaker=closed outcome=failed panic queue_wait_us technique=lane0]
-prepare <request ok []
-queue <lane ok []
-request <- failed []
-== lane fails on both attempts: Ok("1,1 => lane1(1,1) [failed,ok]")
-admission <request ok [inflight]
-assemble <request ok [outcome=degraded]
-cache_probe <request ok [hits lanes]
-lane <request failed [attempt=1 breaker=closed error outcome=failed queue_wait_us technique=lane0]
-lane <request failed [attempt=2 backoff_ms error outcome=failed queue_wait_us retry=true technique=lane0]
-lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane1]
 prepare <request ok []
 queue <lane ok []
 queue <lane ok []
 queue <lane ok []
 request <- degraded []
-== breaker opens, retry refused, budget refunded: Ok("2,2 => lane1(2,2) [failed,ok]")
+== only lane fails: Err(AllLanesFailed { reasons: "lane0: lane 0 refused" })
+admission <request ok [inflight]
+assemble <request failed [outcome=all_lanes_failed]
+cache_probe <request ok [hits lanes]
+lane <request failed [attempt=1 breaker=closed error outcome=failed queue_wait_us technique=lane0]
+prepare <request ok []
+queue <lane ok []
+request <- failed []
+== only lane panics: Err(AllLanesFailed { reasons: "lane0: lane panicked: lane 0 exploded" })
+admission <request ok [inflight]
+assemble <request failed [outcome=all_lanes_failed]
+cache_probe <request ok [hits lanes]
+lane <request failed [attempt=1 breaker=closed outcome=failed panic queue_wait_us technique=lane0]
+prepare <request ok []
+queue <lane ok []
+request <- failed []
+== lane fails: Ok("1,1 => lane1(1,1) [failed,ok]")
 admission <request ok [inflight]
 assemble <request ok [outcome=degraded]
 cache_probe <request ok [hits lanes]
 lane <request failed [attempt=1 breaker=closed error outcome=failed queue_wait_us technique=lane0]
-lane <request failed [attempt=1 breaker=closed error outcome=failed queue_wait_us technique=lane1]
-lane <request failed [retry_refused=breaker technique=lane0]
-lane <request ok [attempt=2 backoff_ms outcome=complete queue_wait_us retry=true technique=lane1]
+lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane1]
 prepare <request ok []
 queue <lane ok []
+queue <lane ok []
+request <- degraded []
+== lane fails again: Ok("2,2 => lane1(2,2) [failed,ok]")
+admission <request ok [inflight]
+assemble <request ok [outcome=degraded]
+cache_probe <request ok [hits lanes]
+lane <request failed [attempt=1 breaker=closed error outcome=failed queue_wait_us technique=lane0]
+lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane1]
+prepare <request ok []
+queue <lane ok []
+queue <lane ok []
+request <- degraded []
+== third failure opens the breaker: Ok("4,4 => lane1(4,4) [failed,ok]")
+admission <request ok [inflight]
+assemble <request ok [outcome=degraded]
+cache_probe <request ok [hits lanes]
+lane <request failed [attempt=1 breaker=closed error outcome=failed queue_wait_us technique=lane0]
+lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane1]
+prepare <request ok []
 queue <lane ok []
 queue <lane ok []
 request <- degraded []
@@ -2724,18 +2338,16 @@ request <- degraded []
 arp_serve_admitted_total{} 14
 arp_serve_breaker_transitions_total{} 1
 arp_serve_cache_hits_total{} 3
-arp_serve_cache_misses_total{} 13
-arp_serve_degraded_responses_total{} 4
+arp_serve_cache_misses_total{} 12
+arp_serve_degraded_responses_total{} 6
 arp_serve_faults_injected_total{kind=error,site=cache.get} 2
 arp_serve_faults_injected_total{kind=error,site=queue.push} 1
 arp_serve_inline_fallback_total{} 3
-arp_serve_lane_failures_total{reason=error,technique=lane0} 4
-arp_serve_lane_failures_total{reason=error,technique=lane1} 2
+arp_serve_lane_failures_total{reason=error,technique=lane0} 5
+arp_serve_lane_failures_total{reason=error,technique=lane1} 1
 arp_serve_lane_failures_total{reason=open_circuit,technique=lane0} 1
-arp_serve_lane_failures_total{reason=panic,technique=lane0} 2
-arp_serve_retries_total{outcome=failure,technique=lane0} 3
-arp_serve_retries_total{outcome=success,technique=lane1} 2
+arp_serve_lane_failures_total{reason=panic,technique=lane0} 1
 arp_trace_sampled_total{} 13
-arp_trace_spans_total{} 131
+arp_trace_spans_total{} 122
 "#;
 }

@@ -264,6 +264,7 @@ fn parse_statement(stmt: &str) -> Result<TrafficOp, TrafficError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn grammar_round_trips() {
@@ -366,5 +367,84 @@ mod tests {
                 factor: 1.5,
             }
         );
+    }
+
+    /// The statement forms a client may write, with `{id}`, `{tag}`,
+    /// `{f}` (factor) and `{n}` (tick count) slots.
+    const FORMS: [&str; 7] = [
+        "edge:{id}*{f}",
+        "cat:{tag}*{f}",
+        "close:{id}",
+        "close:{id}@{n}",
+        "close:{id}@@{n}",
+        "reopen:{id}",
+        "clear",
+    ];
+    /// Per slot: `[accepted spellings, near misses]`.
+    const IDS: [&[&str]; 2] = [
+        &["0", "7", " 12 ", "+3", "4294967295"],
+        &["4294967296", "-1", "", "1.5", "😀"],
+    ];
+    const TAGS: [&[&str]; 2] = [
+        &["primary", "trunk_link", " motorway ", "residential"],
+        &["autobahn", "", "Primary", "é"],
+    ];
+    const FACTORS: [&[&str]; 2] = [
+        &["1", "1.8", "2.5", "1e3", ".5e1", "1.", "+2", "1e300"],
+        &["1e309", "0.5", "-2", "inf", "NaN", "-inf", "", "→"],
+    ];
+    const TICKS: [&[&str]; 2] = [
+        &["0", "3", "4294967295", "18446744073709551615"],
+        &["4294967296", "18446744073709551616", "-1", "", "e"],
+    ];
+    /// Loose tokens stuck onto a statement.
+    const SOUP: [&str; 13] = [
+        ":", "*", "@", "@@", ";", "-", ".", "e", " ", "\t", "\n", "é", "clear",
+    ];
+    const SEPARATORS: [&str; 4] = [";", " ; ", ";;", "\n;"];
+
+    /// One slot's spelling: a near miss one time in four.
+    fn pick(slot: [&[&'static str]; 2], (roll, i): (usize, usize)) -> &'static str {
+        let spellings = slot[usize::from(roll == 0)];
+        spellings[i % spellings.len()]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn parse_never_panics_and_what_it_accepts_round_trips(
+            statements in proptest::collection::vec(
+                (
+                    0usize..FORMS.len(),
+                    ((0usize..4, 0usize..8), (0usize..4, 0usize..8)),
+                    ((0usize..4, 0usize..8), (0usize..4, 0usize..8)),
+                    proptest::collection::vec(0usize..SOUP.len(), 0..6),
+                    0usize..SEPARATORS.len(),
+                ),
+                0..4,
+            ),
+            now in 0u64..u64::MAX,
+        ) {
+            let mut text = String::new();
+            for (form, (id, tag), (factor, ticks), soup, separator) in &statements {
+                text.push_str(
+                    &FORMS[*form]
+                        .replace("{id}", pick(IDS, *id))
+                        .replace("{tag}", pick(TAGS, *tag))
+                        .replace("{f}", pick(FACTORS, *factor))
+                        .replace("{n}", pick(TICKS, *ticks)),
+                );
+                // Half the statements stay clean.
+                text.extend(soup.iter().skip(3).map(|&i| SOUP[i]));
+                text.push_str(SEPARATORS[*separator]);
+            }
+            if let Ok(delta) = TrafficDelta::parse(&text) {
+                let written = delta.to_string();
+                prop_assert_eq!(TrafficDelta::parse(&written), Ok(delta.clone()), "{:?}", text);
+                let journal = delta.to_journal_form(now);
+                prop_assert_eq!(journal.to_journal_form(now), journal.clone(), "{:?}", text);
+                prop_assert_eq!(TrafficDelta::parse(&journal.to_string()), Ok(journal));
+            }
+        }
     }
 }
