@@ -1,7 +1,8 @@
 //! Runs the complete reproduction suite in one command: every table,
 //! figure and extension experiment, writing all artifacts under
-//! `reports/`. The heavyweight calibrated study is computed once and
-//! shared by the three tables and the ANOVA (they all run in-process).
+//! `reports/`. Each binary runs as its own child process, so the three
+//! tables and the ANOVA each fit the calibrated study
+//! (`arp_bench::calibrated_study`) again.
 //!
 //! ```sh
 //! cargo run --release -p arp-bench --bin repro_all
@@ -10,11 +11,9 @@
 use std::process::Command;
 
 fn main() {
-    // The in-process experiments that share the calibrated study reuse
-    // the memoized `calibrated_study()`, so run them as child processes is
-    // wasteful; instead shell out only for the independent binaries and
-    // inline the shared ones. Simplest robust approach: run every binary
-    // as a child of the same compiled target directory.
+    // Every binary runs as a child from this binary's own target
+    // directory. `calibrated_study()` is memoized per process only, so
+    // the four binaries that read it each fit it again.
     let binaries = [
         "repro_table1",
         "repro_table2",

@@ -139,8 +139,10 @@ pub fn write_report(name: &str, content: &str) -> PathBuf {
 }
 
 /// Runs the full-size calibrated reproduction study (237 responses on
-/// Melbourne at Medium scale, calibration fitted for 3 rounds), memoized
-/// per process so the three table binaries can share it.
+/// Melbourne at Medium scale, calibration fitted for 6 rounds), memoized
+/// per process. `repro_table1`, `repro_table2`, `repro_table3` and
+/// `repro_anova` each call it once, so each fits it again in its own
+/// process.
 pub fn calibrated_study() -> &'static (arp_userstudy::StudyOutcome, arp_userstudy::Calibration) {
     static STUDY: OnceLock<(arp_userstudy::StudyOutcome, arp_userstudy::Calibration)> =
         OnceLock::new();

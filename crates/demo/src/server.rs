@@ -399,42 +399,42 @@ impl DemoApp {
     pub fn handle(&self, method: &str, path: &str, body: &str) -> HttpResponse {
         let endpoint = Endpoint::of(method, path);
         let timer = self.http.latency(&self.registry, endpoint).start_timer();
-        let resp = self.dispatch(method, path, body);
+        let resp = self.dispatch(endpoint, method, path, body);
         drop(timer);
         self.http.count(&self.registry, endpoint, resp.status);
         resp
     }
 
-    /// Routes one request to its endpoint handler. The query string is
-    /// split off here — only the debug endpoints consume it; everything
-    /// else ignores it, matching on the bare path.
-    fn dispatch(&self, method: &str, path: &str, body: &str) -> HttpResponse {
+    /// Runs the handler of `endpoint`, which [`Endpoint::of`] matched
+    /// from `method` and `path`. The query string is split off here —
+    /// only the debug endpoints consume it.
+    fn dispatch(&self, endpoint: Endpoint, method: &str, path: &str, body: &str) -> HttpResponse {
         let (path, query) = path.split_once('?').unwrap_or((path, ""));
-        match (method, path) {
-            ("GET", "/") => HttpResponse::ok(
+        match endpoint {
+            Endpoint::Index => HttpResponse::ok(
                 "text/html; charset=utf-8",
                 html::index_page(self.processor.name()),
             ),
-            ("GET", "/api/meta") => self.meta(),
-            ("GET", "/api/network") => self.network_sample(),
-            ("POST", "/api/route") => self.route(body),
-            ("POST", "/api/rate") => self.rate(body),
-            ("GET", "/api/results") => self.results(),
-            ("GET", "/api/results.csv") => HttpResponse::ok("text/csv", self.store.to_csv()),
-            ("GET", "/api/metrics") => HttpResponse::ok(
+            Endpoint::Meta => self.meta(),
+            Endpoint::Network => self.network_sample(),
+            Endpoint::Route => self.route(body),
+            Endpoint::Rate => self.rate(body),
+            Endpoint::Results => self.results(),
+            Endpoint::ResultsCsv => HttpResponse::ok("text/csv", self.store.to_csv()),
+            Endpoint::Metrics => HttpResponse::ok(
                 "text/plain; version=0.0.4",
                 self.registry.render_prometheus(),
             ),
-            ("GET", "/api/health") => self.health(),
-            ("POST", "/api/traffic") => self.traffic(body),
-            ("GET", "/api/debug/traces") => self.debug_traces(query),
-            ("GET", p) if p.starts_with("/api/trace/") => {
-                self.trace_tree(&p["/api/trace/".len()..])
+            Endpoint::Health => self.health(),
+            Endpoint::Traffic => self.traffic(body),
+            Endpoint::DebugTraces => self.debug_traces(query),
+            Endpoint::Trace => {
+                self.trace_tree(path.strip_prefix("/api/trace/").unwrap_or_default())
             }
-            ("GET", _) | ("POST", _) => {
+            Endpoint::Other if matches!(method, "GET" | "POST") => {
                 HttpResponse::error(404, format!("no such endpoint {path}"))
             }
-            _ => HttpResponse::error(405, format!("method {method} not allowed")),
+            Endpoint::Other => HttpResponse::error(405, format!("method {method} not allowed")),
         }
     }
 
@@ -911,10 +911,17 @@ struct RawRequest {
 
 /// Reads one line of at most [`MAX_LINE_BYTES`] into `line`, returning
 /// whether it fit. Nothing past the cap is buffered: a peer cannot make
-/// the server allocate for a line that never ends.
+/// the server allocate for a line that never ends. Bytes that are not
+/// UTF-8 are read lossily (`U+FFFD`), so they reach a status code instead
+/// of failing the read.
 fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> std::io::Result<bool> {
-    line.clear();
-    let n = reader.take(MAX_LINE_BYTES as u64).read_line(line)?;
+    let mut bytes = std::mem::take(line).into_bytes();
+    bytes.clear();
+    let n = reader
+        .take(MAX_LINE_BYTES as u64)
+        .read_until(b'\n', &mut bytes)?;
+    *line = String::from_utf8(bytes)
+        .unwrap_or_else(|invalid| String::from_utf8_lossy(invalid.as_bytes()).into_owned());
     Ok(n < MAX_LINE_BYTES || line.ends_with('\n'))
 }
 
@@ -1496,7 +1503,6 @@ mod tests {
         let g = arp_citygen::generate(City::Melbourne, Scale::Small, 12);
         let config = arp_serve::ServeConfig {
             max_inflight: 1,
-            retry_after_s: 2,
             ..arp_serve::ServeConfig::default()
         };
         let app = DemoApp::with_config(QueryProcessor::new(g.name.clone(), g.network, 12), config);
@@ -1505,8 +1511,8 @@ mod tests {
         let resp = app.handle("POST", "/api/route", &route_body(&app));
         assert_eq!(resp.status, 503, "{}", resp.body);
         // The hint is adaptive: admission is saturated (ratio 1.0) and the
-        // queue idle (0.0), so base 2s scales by 1 + 4 * 0.5 to 6s.
-        assert_eq!(resp.retry_after, Some(6));
+        // queue idle (0.0), so the 1 s base scales by 1 + 4 * 0.5 to 3 s.
+        assert_eq!(resp.retry_after, Some(3));
         assert!(resp.body.contains("overloaded"), "{}", resp.body);
         assert_eq!(
             app.registry
@@ -2133,20 +2139,22 @@ mod tests {
 
     /// A header line that never ends is refused once the line cap is
     /// reached: the peer keeps writing 64 MiB, the server stops reading.
+    /// A reader that counts the bytes read through it.
+    struct CountingReader<R> {
+        inner: R,
+        bytes: usize,
+    }
+
+    impl<R: Read> Read for CountingReader<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.bytes += n;
+            Ok(n)
+        }
+    }
+
     #[test]
     fn endless_header_line_is_refused_after_the_line_cap() {
-        struct CountingReader<R> {
-            inner: R,
-            bytes: usize,
-        }
-        impl<R: Read> Read for CountingReader<R> {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                let n = self.inner.read(buf)?;
-                self.bytes += n;
-                Ok(n)
-            }
-        }
-
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let peer = std::thread::spawn(move || {
@@ -2238,6 +2246,221 @@ mod tests {
         assert!(routed.starts_with("HTTP/1.1 200 OK"), "{routed}");
         shutdown.request_shutdown();
         server.join().unwrap().unwrap();
+    }
+
+    /// How far past what it parsed `read_request` may read: its
+    /// `BufReader`'s buffer.
+    const READ_AHEAD: usize = 8 * 1024;
+
+    /// Request lines: two endpoints, a path that is not UTF-8 and a lone
+    /// method. One more index draws a line past `MAX_LINE_BYTES`.
+    const REQUEST_LINES: [&[u8]; 4] = [
+        b"POST /api/route HTTP/1.1\r\n",
+        b"GET /api/health HTTP/1.1\r\n",
+        b"GET /caf\xe9 HTTP/1.1\r\n",
+        b"BREW\r\n",
+    ];
+    /// Header names as clients spell them.
+    const LENGTH_NAMES: [&str; 3] = ["Content-Length", "content-length", "CONTENT-LENGTH"];
+    const ENCODING_NAMES: [&str; 3] = [
+        "Transfer-Encoding",
+        "transfer-encoding",
+        "tRaNsFeR-eNcOdInG",
+    ];
+    /// Filler headers sent ahead of the drawn ones: none, or around
+    /// `MAX_HEADERS`.
+    const FLOODS: [usize; 5] = [0, 0, MAX_HEADERS - 2, MAX_HEADERS, MAX_HEADERS + 1];
+    /// Body bytes, among them a split `é` and bytes that are never UTF-8.
+    const BODY_BYTES: [u8; 10] = [b'{', b'}', b'"', b'a', b'1', b'\r', b'\n', 0xc3, 0xa9, 0xff];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        #[test]
+        fn read_request_refuses_with_a_4xx_or_reads_exactly_the_declared_body(
+            line in 0usize..=REQUEST_LINES.len(),
+            flood in 0usize..FLOODS.len(),
+            headers in proptest::collection::vec((0usize..5, 0usize..3, 0usize..8), 0..5),
+            body in proptest::collection::vec(0usize..BODY_BYTES.len(), 0..24),
+        ) {
+            let body: Vec<u8> = body.iter().map(|&i| BODY_BYTES[i]).collect();
+            let n = body.len();
+            // The statuses the request gives grounds for, and the lengths
+            // it declares, tallied as it is written.
+            let mut grounds = Vec::new();
+            let mut lengths = Vec::new();
+            let mut head = match REQUEST_LINES.get(line) {
+                Some(line) => line.to_vec(),
+                None => {
+                    grounds.push(431);
+                    format!("GET /{} HTTP/1.1\r\n", "a".repeat(MAX_LINE_BYTES)).into_bytes()
+                }
+            };
+            for i in 0..FLOODS[flood] {
+                head.extend(format!("X-Filler-{i}: v\r\n").as_bytes());
+            }
+            if FLOODS[flood] + headers.len() > MAX_HEADERS {
+                grounds.push(431);
+            }
+            for &(kind, case, value) in &headers {
+                match kind {
+                    0 => {
+                        let declared = [n, n + 1, n.saturating_sub(1), MAX_BODY_BYTES + 1];
+                        let text = match declared.get(value) {
+                            Some(length) => {
+                                lengths.push(*length);
+                                length.to_string()
+                            }
+                            None => {
+                                grounds.push(400);
+                                ["many", "", "-1", "99999999999999999999999"][value - 4].to_string()
+                            }
+                        };
+                        head.extend(format!("{}: {text}\r\n", LENGTH_NAMES[case]).as_bytes());
+                    }
+                    1 => {
+                        grounds.push(501);
+                        head.extend(format!("{}: chunked\r\n", ENCODING_NAMES[case]).as_bytes());
+                    }
+                    2 => head.extend(b"X-Tag: v\r\n"),
+                    3 => head.extend(b"X-Bytes: \xff\xfe\r\n"),
+                    _ => {
+                        grounds.push(431);
+                        head.extend(format!("X-Long: {}\r\n", "a".repeat(MAX_LINE_BYTES)).as_bytes());
+                    }
+                }
+            }
+            head.extend(b"\r\n");
+            if lengths.iter().any(|&length| length != lengths[0]) {
+                grounds.push(400);
+            }
+            let oversized = lengths.iter().any(|&length| length > MAX_BODY_BYTES);
+            if oversized {
+                grounds.push(413);
+            }
+            let declared = lengths.first().copied().unwrap_or(0);
+
+            // An oversized declaration is backed by that many bytes on
+            // the wire, so reading it would succeed.
+            let wire = [head.as_slice(), &body].concat();
+            let filler = if oversized { MAX_BODY_BYTES + 1 } else { 0 };
+            let mut peer = CountingReader {
+                inner: wire.as_slice().chain(std::io::repeat(b'x').take(filler as u64)),
+                bytes: 0,
+            };
+            let sent = String::from_utf8_lossy(&wire).into_owned();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                read_request(&mut peer)
+            }));
+            prop_assert!(outcome.is_ok(), "read_request panicked on {:?}", sent);
+            match outcome.unwrap() {
+                Ok(Some(RawRequest { refused: Some((status, _)), .. })) => {
+                    prop_assert!(
+                        grounds.contains(&status),
+                        "{} refused, grounds {:?}: {:?}", status, grounds, sent
+                    );
+                    prop_assert!(peer.bytes <= head.len() + READ_AHEAD, "read {} bytes", peer.bytes);
+                }
+                Ok(Some(request)) => {
+                    prop_assert!(grounds.is_empty(), "accepted despite {:?}: {:?}", grounds, sent);
+                    prop_assert_eq!(request.body, String::from_utf8_lossy(&body[..declared]));
+                    prop_assert!(peer.bytes <= head.len() + declared + READ_AHEAD);
+                }
+                Ok(None) => prop_assert!(false, "no request in {:?}", sent),
+                // The peer hung up before the declared body ended.
+                Err(err) => {
+                    prop_assert!(grounds.is_empty() && declared > n, "{}: {:?}", err, sent);
+                    prop_assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+                }
+            }
+        }
+    }
+
+    /// The form's fields, and one it does not know.
+    const FORM_FIELDS: [&str; 8] = [
+        "a",
+        "b",
+        "c",
+        "d",
+        "resident",
+        "fastest_minutes",
+        "comment",
+        "extra",
+    ];
+
+    /// Values of the documented shape for form field `key`, and values
+    /// of other shapes. `None` leaves the field out.
+    fn form_values(key: &str) -> [Vec<Option<Json>>; 2] {
+        let number = |n: f64| Some(Json::Number(n));
+        match key {
+            "resident" => [
+                vec![None, Some(Json::Bool(true)), Some(Json::Bool(false))],
+                vec![number(1.0), Some(Json::str("true")), Some(Json::Null)],
+            ],
+            "fastest_minutes" => [
+                vec![None, number(0.0), number(42.0), number(1e19)],
+                vec![
+                    number(-1.0),
+                    number(2.5),
+                    number(1e20),
+                    Some(Json::str("7")),
+                    Some(Json::Bool(true)),
+                ],
+            ],
+            "comment" => [
+                vec![None, Some(Json::str("")), Some(Json::str("é"))],
+                vec![number(3.0), Some(Json::Null), Some(Json::Array(Vec::new()))],
+            ],
+            // An unknown field is ignored: no shape is wrong for it.
+            "extra" => [0, 1].map(|_| vec![None, Some(Json::Null), number(7.0)]),
+            _ => [
+                (1..=5).map(|r| number(f64::from(r))).collect(),
+                vec![
+                    None,
+                    number(0.0),
+                    number(6.0),
+                    number(2.5),
+                    number(-1.0),
+                    Some(Json::str("3")),
+                    Some(Json::Bool(true)),
+                ],
+            ],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        #[test]
+        fn submission_of_accepts_exactly_the_documented_shapes(
+            // A form with every field of its documented shape, except at
+            // most one: `wrong` indexes `FORM_FIELDS`; "extra" and past it,
+            // none.
+            wrong in 0usize..9,
+            picks in proptest::collection::vec(0usize..64, FORM_FIELDS.len()),
+        ) {
+            let form = Json::object_of(FORM_FIELDS.iter().zip(&picks).enumerate().filter_map(
+                |(i, (&key, &pick))| {
+                    let values = &form_values(key)[usize::from(i == wrong)];
+                    values[pick % values.len()].clone().map(|v| (key.to_string(), v))
+                },
+            ));
+            let number = |key: &str| match form.get(key) {
+                Some(Json::Number(n)) => Some(*n),
+                _ => None,
+            };
+            let read = submission_of(&form);
+            let shown = form.to_string_compact();
+            if wrong < 7 {
+                prop_assert!(read.is_err(), "{} read as {:?}", shown, read);
+            } else {
+                let expected = Submission {
+                    ratings: ["a", "b", "c", "d"].map(|key| number(key).unwrap_or(0.0) as u8),
+                    resident: form.get("resident").and_then(Json::as_bool).unwrap_or(false),
+                    fastest_minutes: number("fastest_minutes").map_or(0, |n| n as u64),
+                    comment: form.get("comment").and_then(Json::as_str).unwrap_or("").to_string(),
+                };
+                prop_assert_eq!(read, Ok(expected), "{}", shown);
+            }
+        }
     }
 
     #[test]

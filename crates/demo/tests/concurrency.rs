@@ -53,14 +53,13 @@ fn parallel_and_cached_responses_match_across_cities() {
         (City::Dhaka, 22),
         (City::Copenhagen, 23),
     ] {
-        // Cache off, one worker with a tiny queue: every lane degrades to
-        // inline execution on the request thread — the serial shape.
+        // Cache off, one worker: the lanes run one after another — the
+        // serial shape.
         let serial = app_with(
             city,
             seed,
             ServeConfig {
                 workers: 1,
-                queue_capacity: 1,
                 cache_capacity: 0,
                 ..ServeConfig::default()
             },

@@ -80,16 +80,14 @@ impl Deadline {
     }
 }
 
-/// An adaptive `Retry-After` hint for shed requests.
+/// An adaptive `Retry-After` hint for shed requests, in seconds.
 ///
 /// A fixed hint herds every shed client back at the same instant, which
 /// re-creates the overload that shed them. Instead the hint scales with
 /// the pressure that caused the shed — the mean of the in-flight ratio
-/// and the queue-backlog ratio — from `base_s` (idle, pressure 0) up to
-/// `5 × base_s` (saturated, pressure 1), clamped to a sane [1, 30] s so
-/// a misconfigured base can neither spam nor strand clients.
+/// and the queue-backlog ratio — from 1 s (idle, pressure 0) up to 5 s
+/// (saturated, pressure 1).
 pub fn adaptive_retry_after(
-    base_s: u32,
     inflight: usize,
     max_inflight: usize,
     queue_len: usize,
@@ -103,8 +101,7 @@ pub fn adaptive_retry_after(
         }
     };
     let pressure = (ratio(inflight, max_inflight) + ratio(queue_len, queue_capacity)) / 2.0;
-    let hint = (base_s.max(1) as f64 * (1.0 + 4.0 * pressure)).round() as u32;
-    hint.clamp(1, 30)
+    (1.0 + 4.0 * pressure).round() as u32
 }
 
 struct AdmissionState {
@@ -245,22 +242,20 @@ mod tests {
 
     #[test]
     fn retry_after_scales_with_pressure_and_clamps() {
-        // Idle: base passes through.
-        assert_eq!(adaptive_retry_after(2, 0, 32, 0, 64), 2);
-        // Admission full, queue empty: half pressure → 3× base.
-        assert_eq!(adaptive_retry_after(2, 32, 32, 0, 64), 6);
-        // Everything saturated: 5× base.
-        assert_eq!(adaptive_retry_after(2, 32, 32, 64, 64), 10);
-        // Monotonic in queue depth.
-        let hints: Vec<u32> = (0..=64)
-            .map(|q| adaptive_retry_after(2, 32, 32, q, 64))
+        // Idle: the 1 s floor.
+        assert_eq!(adaptive_retry_after(0, 32, 0, 128), 1);
+        // Admission full, queue empty: half pressure → 3 s.
+        assert_eq!(adaptive_retry_after(32, 32, 0, 128), 3);
+        // Everything saturated: the 5 s ceiling.
+        assert_eq!(adaptive_retry_after(32, 32, 128, 128), 5);
+        // Monotonic in queue depth, and a backlog past the bound clamps.
+        let hints: Vec<u32> = (0..=256)
+            .map(|q| adaptive_retry_after(32, 32, q, 128))
             .collect();
         assert!(hints.windows(2).all(|w| w[0] <= w[1]), "{hints:?}");
-        // Clamped to [1, 30] even for silly bases.
-        assert_eq!(adaptive_retry_after(0, 0, 32, 0, 64), 1);
-        assert_eq!(adaptive_retry_after(25, 32, 32, 64, 64), 30);
+        assert!(hints.iter().all(|h| (3..=5).contains(h)), "{hints:?}");
         // Zero capacities count as full pressure, not a division blow-up.
-        assert_eq!(adaptive_retry_after(1, 0, 0, 0, 0), 5);
+        assert_eq!(adaptive_retry_after(0, 0, 0, 0), 5);
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //! fault sites for exercising the serving layer's failure handling.
 //!
 //! A [`FaultPlan`] maps *named sites* in the request path to a
-//! [`FaultKind`]. The serving layer consults the plan at four sites —
+//! [`FaultKind`]. The serving layer consults the plan at three sites —
 //! `lane.<technique>` (per-technique compute), `backend.snap` (request
-//! normalization in the demo), `cache.get` (route-cache probe) and
-//! `queue.push` (fan-out submission) — so every failure-handling
-//! behaviour (circuit breakers, the degraded-response ladder) is
-//! testable without real hardware faults.
+//! normalization in the demo) and `cache.get` (route-cache probe) — so
+//! every failure-handling behaviour (circuit breakers, the
+//! degraded-response ladder) is testable without real hardware faults.
 //!
 //! Design constraints, in order:
 //!
@@ -37,9 +36,6 @@ use arp_obs::{Counter, Registry};
 pub mod sites {
     /// The route-cache probe (an injected error degrades to a full miss).
     pub const CACHE_GET: &str = "cache.get";
-    /// Fan-out submission to the worker queue (an injected error forces
-    /// every lane inline, as if the queue refused the jobs).
-    pub const QUEUE_PUSH: &str = "queue.push";
     /// Request normalization in the HTTP layer (the demo's geo snap).
     pub const BACKEND_SNAP: &str = "backend.snap";
     /// The traffic write-ahead journal append (an injected error models
@@ -377,7 +373,7 @@ mod tests {
     #[test]
     fn parse_round_trips_the_grammar() {
         let plan = FaultPlan::parse(
-            "lane.penalty=flaky:0.25:42, cache.get=delay:5ms, backend.snap=error:no snap, queue.push=panic",
+            "lane.penalty=flaky:0.25:42, cache.get=delay:5ms, backend.snap=error:no snap, journal.append=panic",
         )
         .unwrap();
         assert!(plan.is_enabled());

@@ -6,16 +6,18 @@
 //! four independent route sets per request. This crate turns that shape
 //! into a serving architecture:
 //!
-//! * [`WorkerPool`] + [`BoundedQueue`] — a fixed-size thread pool over a
-//!   bounded MPMC queue (`Mutex` + `Condvar`, std only). Each request
-//!   fans its techniques out as one job per *lane* ([`Scatter`]), so a
-//!   request costs roughly the slowest technique instead of their sum.
+//! * A private worker pool — a fixed set of threads over one FIFO
+//!   (`Mutex` + `Condvar`, std only). Each request fans its techniques
+//!   out as one job per *lane*, so a request costs roughly the slowest
+//!   technique instead of their sum. Every lane job holds its request's
+//!   admission permit, so admission alone bounds the backlog.
 //! * [`ShardedCache`] — an LRU route cache keyed per lane by
 //!   (city, snapped source, snapped target, technique, k), so repeat
 //!   queries bypass recomputation entirely and partially-cached queries
 //!   recompute only their missing lanes.
 //! * [`Admission`] + [`Deadline`] — bounded in-flight requests with load
-//!   shedding (HTTP 503 + `Retry-After`) and per-request deadlines.
+//!   shedding (HTTP 503 + `Retry-After`) and per-request deadlines. A
+//!   request stays in flight until its last lane is done.
 //! * [`CancelToken`] — cooperative cancellation of *in-flight* work: an
 //!   expired deadline trips a per-request token that running lanes
 //!   observe (via a search budget in the real backend), so a timed-out
@@ -49,7 +51,6 @@ mod cancel;
 mod fault;
 mod metrics;
 mod pool;
-mod queue;
 mod service;
 mod shutdown;
 
@@ -59,8 +60,6 @@ pub use cache::ShardedCache;
 pub use cancel::CancelToken;
 pub use fault::{sites, FaultKind, FaultPlan};
 pub use metrics::{CacheMetrics, ServeMetrics};
-pub use pool::{Fanout, Job, Scatter, WorkerPool};
-pub use queue::{BoundedQueue, PushError};
 pub use service::{
     HealthReport, HealthVerdict, LaneHealth, LaneOutcome, LaneStatus, RouteBackend, RouteService,
     ServeConfig, ServeError,

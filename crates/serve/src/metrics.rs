@@ -15,9 +15,7 @@
 //!   the cooperative cancel token (in-flight lanes interrupted; the
 //!   client may still get a truncated response, so this is **not** a
 //!   subset of `deadline_timeouts_total`),
-//! * `arp_serve_jobs_total` / `arp_serve_inline_fallback_total` — pool
-//!   work, and fan-out lanes that ran on the requester thread because the
-//!   queue was full,
+//! * `arp_serve_jobs_total` — lane jobs executed by the worker pool,
 //! * `arp_serve_cache_{hits,misses,evictions}_total`,
 //!   `arp_serve_cache_entries` — route-cache behaviour,
 //! * `arp_serve_cache_epoch_invalidations_total` — cached routes
@@ -113,8 +111,6 @@ pub struct ServeMetrics {
     pub cancellations: Counter,
     /// Jobs executed by pool workers.
     pub jobs_executed: Counter,
-    /// Fan-out lanes executed inline because the queue was full.
-    pub inline_fallback: Counter,
     /// Responses served degraded: at least one lane failed or was
     /// short-circuited by its open breaker, and the rest were served
     /// anyway.
@@ -151,7 +147,7 @@ impl ServeMetrics {
         ServeMetrics {
             queue_depth: registry.gauge(
                 "arp_serve_queue_depth",
-                "Jobs waiting in the worker pool's bounded queue.",
+                "Lane jobs waiting in the worker pool's queue.",
                 &[],
             ),
             inflight: registry.gauge(
@@ -182,11 +178,6 @@ impl ServeMetrics {
             jobs_executed: registry.counter(
                 "arp_serve_jobs_total",
                 "Jobs executed by the worker pool.",
-                &[],
-            ),
-            inline_fallback: registry.counter(
-                "arp_serve_inline_fallback_total",
-                "Fan-out lanes executed inline because the worker queue was full.",
                 &[],
             ),
             degraded: registry.counter(

@@ -8,16 +8,14 @@
 //! orchestration off the pool is what rules out the classic deadlock of
 //! request-jobs waiting behind the technique-jobs they spawned.
 //!
-//! Two deliberate degradation paths:
-//!
-//! * **Queue full** — the lane runs *inline* on the requesting thread
-//!   (counted by `arp_serve_inline_fallback_total`). The request slows to
-//!   the serial cost but still succeeds; shedding whole requests is the
-//!   admission layer's job, not the pool's.
-//! * **Deadline hit** — the requester stops waiting and marks the fan-out
-//!   abandoned; still-queued lanes observe the flag and return without
-//!   computing, so a timed-out request stops consuming workers.
+//! The queue has no bound of its own: every lane job holds its request's
+//! admission permit until it is done, so admission bounds the backlog at
+//! `max_inflight × lanes` and a submission never fails. When a deadline
+//! hits, the requester stops waiting and marks the fan-out abandoned;
+//! still-queued lanes observe the flag and return without computing, so a
+//! timed-out request stops consuming workers.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -26,31 +24,52 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::cancel::CancelToken;
-use crate::queue::{BoundedQueue, PushError};
 use crate::Deadline;
 use arp_obs::{Counter, Gauge};
 
 /// A unit of work for the pool.
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
+pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A fixed-size pool of worker threads over a [`BoundedQueue`].
-pub struct WorkerPool {
-    queue: Arc<BoundedQueue<Job>>,
+/// The pool's FIFO. It is closed only when the pool drops.
+struct Queue {
+    jobs: Mutex<(VecDeque<Job>, bool)>, // (pending jobs, closed)
+    available: Condvar,
+    depth: Gauge,
+}
+
+impl Queue {
+    /// Blocks until a job is available, or returns `None` once the queue
+    /// is closed and drained — the worker's signal to exit.
+    fn pop(&self) -> Option<Job> {
+        let mut jobs = self.jobs.lock().expect("queue poisoned");
+        loop {
+            if let Some(job) = jobs.0.pop_front() {
+                self.depth.set(jobs.0.len() as i64);
+                return Some(job);
+            }
+            if jobs.1 {
+                return None;
+            }
+            jobs = self.available.wait(jobs).expect("queue poisoned");
+        }
+    }
+}
+
+/// A fixed-size pool of worker threads over one FIFO.
+pub(crate) struct WorkerPool {
+    queue: Arc<Queue>,
     workers: Vec<JoinHandle<()>>,
-    jobs_executed: Counter,
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads (at least one) consuming a queue of at
-    /// most `queue_capacity` pending jobs. `depth` tracks the backlog;
-    /// `jobs_executed` counts completed jobs.
-    pub fn new(
-        workers: usize,
-        queue_capacity: usize,
-        depth: Gauge,
-        jobs_executed: Counter,
-    ) -> WorkerPool {
-        let queue = Arc::new(BoundedQueue::new(queue_capacity, depth));
+    /// Spawns `workers` threads (at least one). `depth` tracks the
+    /// backlog; `jobs_executed` counts completed jobs.
+    pub(crate) fn new(workers: usize, depth: Gauge, jobs_executed: Counter) -> WorkerPool {
+        let queue = Arc::new(Queue {
+            jobs: Mutex::new((VecDeque::new(), false)),
+            available: Condvar::new(),
+            depth,
+        });
         let workers = (0..workers.max(1))
             .map(|i| {
                 let queue = Arc::clone(&queue);
@@ -69,53 +88,34 @@ impl WorkerPool {
                     .expect("spawn worker thread")
             })
             .collect();
-        WorkerPool {
-            queue,
-            workers,
-            jobs_executed,
-        }
+        WorkerPool { queue, workers }
     }
 
-    /// Enqueues `job`, or hands it back when the queue is full or closed.
-    pub fn submit(&self, job: Job) -> Result<(), (Job, PushError)> {
-        self.queue.try_push(job)
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
+    /// Enqueues `job`. The queue closes only when the pool drops, so this
+    /// never fails.
+    pub(crate) fn submit(&self, job: Job) {
+        let mut jobs = self.queue.jobs.lock().expect("queue poisoned");
+        jobs.0.push_back(job);
+        self.queue.depth.set(jobs.0.len() as i64);
+        drop(jobs);
+        self.queue.available.notify_one();
     }
 
     /// Current backlog length.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Backlog capacity.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue.capacity()
-    }
-
-    /// Jobs completed so far.
-    pub fn jobs_executed(&self) -> u64 {
-        self.jobs_executed.get()
-    }
-
-    /// Graceful shutdown: close the queue, let the workers drain the
-    /// backlog, and join them.
-    pub fn shutdown(mut self) {
-        self.queue.close();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+    pub(crate) fn queue_len(&self) -> usize {
+        self.queue.jobs.lock().expect("queue poisoned").0.len()
     }
 }
 
 impl Drop for WorkerPool {
+    /// Graceful shutdown: close the queue, let the workers drain the
+    /// backlog, and join them, so no job is lost.
     fn drop(&mut self) {
-        // Mirrors `shutdown()` for pools dropped without an explicit call
-        // (e.g. on unwind): close and drain so no job is lost.
-        self.queue.close();
+        // No panic in `Drop`: setting the flag leaves a poisoned queue valid.
+        let mut jobs = self.queue.jobs.lock().unwrap_or_else(|e| e.into_inner());
+        jobs.1 = true;
+        drop(jobs);
+        self.queue.available.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -169,7 +169,7 @@ where
 
 /// The outcome of a fan-out (see [`Scatter::join`]).
 #[derive(Debug)]
-pub struct Fanout<T> {
+pub(crate) struct Fanout<T> {
     /// Per-lane results in task order. `None` means the lane panicked,
     /// was abandoned while queued, or did not stop within the grace
     /// period after cancellation.
@@ -182,42 +182,25 @@ pub struct Fanout<T> {
 /// A fan-out in progress: tasks submitted to the pool one at a time —
 /// in as many waves as the caller likes — and then joined once, under
 /// one deadline, token and grace period ([`Scatter::join`]).
-///
-/// A task the queue refuses (full or closing) is not run at once: it
-/// waits, in submission order, and is offered to the queue again at the
-/// next [`Scatter::submit`], ahead of the new task. Whatever the queue
-/// still refuses at the join runs inline on the joining thread
-/// (`inline_fallback` counts each), after the pooled tasks are under way.
-/// So a refused task never starts later than it would have, had it been
-/// submitted with the next wave instead.
-pub struct Scatter<T> {
+pub(crate) struct Scatter<T> {
     state: Arc<FanoutState<T>>,
-    /// Refused jobs, in submission order.
-    refused: Vec<Job>,
-    /// Whether the queue refuses everything (the injected `queue.push`
-    /// outage): every task then runs inline at the join.
-    inline_only: bool,
 }
 
 impl<T: Send + 'static> Scatter<T> {
-    /// An empty fan-out. With `inline_only`, no task is offered to the
-    /// pool: each runs inline at the join, as if the queue were full.
-    pub fn new(inline_only: bool) -> Scatter<T> {
+    /// An empty fan-out.
+    pub(crate) fn new() -> Scatter<T> {
         Scatter {
             state: Arc::new(FanoutState {
                 slots: Mutex::new((Vec::new(), 0)),
                 done: Condvar::new(),
                 abandoned: AtomicBool::new(false),
             }),
-            refused: Vec::new(),
-            inline_only,
         }
     }
 
-    /// Submits `task` to `pool` — after offering the queue every task it
-    /// refused before. Its result lands in the next slot of the
+    /// Submits `task` to `pool`. Its result lands in the next slot of the
     /// [`Fanout`]: slots follow submission order.
-    pub fn submit<F>(&mut self, pool: &WorkerPool, task: F)
+    pub(crate) fn submit<F>(&self, pool: &WorkerPool, task: F)
     where
         F: FnOnce() -> T + Send + 'static,
     {
@@ -228,23 +211,13 @@ impl<T: Send + 'static> Scatter<T> {
             slots.0.len() - 1
         };
         let state = Arc::clone(&self.state);
-        self.refused
-            .push(Box::new(move || run_lane(&state, index, task)));
-        if self.inline_only {
-            return;
-        }
-        for job in std::mem::take(&mut self.refused) {
-            if let Err((job, _)) = pool.submit(job) {
-                self.refused.push(job);
-            }
-        }
+        pool.submit(Box::new(move || run_lane(&state, index, task)));
     }
 
     /// Waits for every submitted task, bounded by `deadline`; on expiry it
     /// **trips `token`** instead of walking away from running tasks.
-    /// Tasks the queue refused run inline here first (`inline_fallback`
-    /// is incremented per task). Under deadline pressure the three-rung
-    /// degradation ladder applies (DESIGN.md §8):
+    /// Under deadline pressure the three-rung degradation ladder applies
+    /// (DESIGN.md §8):
     ///
     /// 1. still-*queued* tasks observe the abandoned flag and never start;
     /// 2. *running* tasks observe the tripped token (typically through a
@@ -258,19 +231,13 @@ impl<T: Send + 'static> Scatter<T> {
     ///
     /// This never fails: the caller decides what a partial [`Fanout`] is
     /// worth.
-    pub fn join(
+    pub(crate) fn join(
         self,
         deadline: Deadline,
         token: &CancelToken,
         grace: Duration,
-        inline_fallback: &Counter,
     ) -> Fanout<T> {
-        let Scatter { state, refused, .. } = self;
-        for job in refused {
-            inline_fallback.inc();
-            job();
-        }
-
+        let state = self.state;
         let mut deadline_hit = false;
         let mut slots = state.slots.lock().expect("fan-out poisoned");
         while slots.1 > 0 {
@@ -323,8 +290,8 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    fn pool(workers: usize, capacity: usize) -> WorkerPool {
-        WorkerPool::new(workers, capacity, Gauge::default(), Counter::default())
+    fn pool(workers: usize) -> WorkerPool {
+        WorkerPool::new(workers, Gauge::default(), Counter::default())
     }
 
     /// Every task submitted to `pool` in one wave.
@@ -333,7 +300,7 @@ mod tests {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let mut scatter = Scatter::new(false);
+        let scatter = Scatter::new();
         for task in tasks {
             scatter.submit(pool, task);
         }
@@ -342,14 +309,14 @@ mod tests {
 
     /// A one-wave fan-out nothing ever cancels: no deadline, a fresh
     /// token.
-    fn scatter<T, F>(pool: &WorkerPool, tasks: Vec<F>, inline_fallback: &Counter) -> Fanout<T>
+    fn scatter<T, F>(pool: &WorkerPool, tasks: Vec<F>) -> Fanout<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
         let token = CancelToken::new();
         let grace = Duration::from_millis(100);
-        let out = wave(pool, tasks).join(Deadline::never(), &token, grace, inline_fallback);
+        let out = wave(pool, tasks).join(Deadline::never(), &token, grace);
         assert!(!out.deadline_hit);
         assert!(!token.is_cancelled());
         out
@@ -357,9 +324,9 @@ mod tests {
 
     #[test]
     fn scatter_returns_results_in_task_order() {
-        let p = pool(4, 16);
+        let p = pool(4);
         let tasks: Vec<_> = (0..8u64).map(|i| move || i * 10).collect();
-        let out = scatter(&p, tasks, &Counter::default());
+        let out = scatter(&p, tasks);
         let values: Vec<u64> = out.slots.into_iter().map(Option::unwrap).collect();
         assert_eq!(values, vec![0, 10, 20, 30, 40, 50, 60, 70]);
     }
@@ -368,7 +335,7 @@ mod tests {
     fn scatter_overlaps_lanes_across_workers() {
         // Four 30 ms lanes on four workers should take well under the
         // 120 ms serial cost.
-        let p = pool(4, 16);
+        let p = pool(4);
         let tasks: Vec<_> = (0..4)
             .map(|i| {
                 move || {
@@ -378,7 +345,7 @@ mod tests {
             })
             .collect();
         let start = std::time::Instant::now();
-        let out = scatter(&p, tasks, &Counter::default());
+        let out = scatter(&p, tasks);
         assert_eq!(out.slots, vec![Some(0), Some(1), Some(2), Some(3)]);
         assert!(
             start.elapsed() < Duration::from_millis(110),
@@ -388,63 +355,8 @@ mod tests {
     }
 
     #[test]
-    fn full_queue_degrades_to_inline_execution() {
-        // One worker stuck on a long job + capacity 1 forces later lanes
-        // inline; the fan-out must still complete with correct results.
-        let p = pool(1, 1);
-        assert!(p
-            .submit(Box::new(|| {
-                std::thread::sleep(Duration::from_millis(50));
-            }))
-            .is_ok());
-        let registry = arp_obs::Registry::new();
-        let inline = registry.counter("inline", "", &[]);
-        let tasks: Vec<_> = (0..4u64).map(|i| move || i + 1).collect();
-        let out = scatter(&p, tasks, &inline);
-        assert_eq!(out.slots, vec![Some(1), Some(2), Some(3), Some(4)]);
-        assert!(
-            inline.get() >= 3,
-            "expected inline fallbacks, got {}",
-            inline.get()
-        );
-    }
-
-    /// A task the full queue refuses is offered again with the next
-    /// wave — where a one-wave fan-out would have submitted it — and
-    /// runs inline only if the queue refuses it then too.
-    #[test]
-    fn a_refused_task_is_offered_again_with_the_next_wave() {
-        let p = pool(1, 2);
-        let (release, held) = std::sync::mpsc::channel::<()>();
-        // The worker blocks on the first job, two more fill the queue.
-        assert!(p.submit(Box::new(move || held.recv().unwrap())).is_ok());
-        while p.queue_len() > 0 {
-            std::thread::yield_now();
-        }
-        for _ in 0..2 {
-            assert!(p.submit(Box::new(|| {})).is_ok());
-        }
-        let mut scatter = Scatter::new(false);
-        scatter.submit(&p, || "early");
-        release.send(()).unwrap();
-        while p.queue_len() > 0 {
-            std::thread::yield_now();
-        }
-        scatter.submit(&p, || "late");
-        let inline = Counter::default();
-        let out = scatter.join(
-            Deadline::never(),
-            &CancelToken::new(),
-            Duration::ZERO,
-            &inline,
-        );
-        assert_eq!(out.slots, vec![Some("early"), Some("late")]);
-        assert_eq!(inline.get(), 0, "the early task ran on the pool");
-    }
-
-    #[test]
     fn deadline_abandons_queued_lanes() {
-        let p = pool(1, 16);
+        let p = pool(1);
         let ran = Arc::new(AtomicUsize::new(0));
         let tasks: Vec<_> = (0..6)
             .map(|_| {
@@ -459,7 +371,6 @@ mod tests {
             Deadline::after(Duration::from_millis(60)),
             &CancelToken::new(),
             Duration::ZERO,
-            &Counter::default(),
         );
         assert!(out.deadline_hit);
         // Let the backlog drain, then check the abandoned lanes never ran.
@@ -472,41 +383,38 @@ mod tests {
 
     #[test]
     fn panicking_lane_fails_the_fanout_but_not_the_pool() {
-        let p = pool(2, 16);
+        let p = pool(2);
         let tasks: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![
             Box::new(|| 1),
             Box::new(|| panic!("lane boom")),
             Box::new(|| 3),
         ];
-        let out = scatter(&p, tasks, &Counter::default());
+        let out = scatter(&p, tasks);
         assert_eq!(out.slots, vec![Some(1), None, Some(3)]);
         // The pool survives and keeps serving.
-        let out = scatter(&p, vec![|| 7u32, || 8u32], &Counter::default());
+        let out = scatter(&p, vec![|| 7u32, || 8u32]);
         assert_eq!(out.slots, vec![Some(7), Some(8)]);
     }
 
     #[test]
     fn shutdown_drains_the_backlog() {
-        let p = pool(1, 16);
+        let p = pool(1);
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..5 {
             let done = Arc::clone(&done);
-            assert!(p
-                .submit(Box::new(move || {
-                    std::thread::sleep(Duration::from_millis(5));
-                    done.fetch_add(1, Ordering::SeqCst);
-                }))
-                .is_ok());
+            p.submit(Box::new(move || {
+                std::thread::sleep(Duration::from_millis(5));
+                done.fetch_add(1, Ordering::SeqCst);
+            }));
         }
-        p.shutdown();
+        drop(p);
         assert_eq!(done.load(Ordering::SeqCst), 5);
     }
 
     #[test]
     fn pool_has_at_least_one_worker() {
-        let p = pool(0, 4);
-        assert_eq!(p.workers(), 1);
-        let out = scatter(&p, vec![|| 42u8], &Counter::default());
+        let p = pool(0);
+        let out = scatter(&p, vec![|| 42u8]);
         assert_eq!(out.slots, vec![Some(42)]);
     }
 
@@ -516,7 +424,7 @@ mod tests {
         // cooperates — it polls the token and returns a partial marker —
         // so the fan-out gets its result during the grace wait, while the
         // queued lanes are abandoned outright.
-        let p = pool(1, 16);
+        let p = pool(1);
         let token = CancelToken::new();
         let lane0 = token.clone();
         let mut tasks: Vec<Box<dyn FnOnce() -> &'static str + Send>> = vec![Box::new(move || {
@@ -535,7 +443,6 @@ mod tests {
             Deadline::after(Duration::from_millis(30)),
             &token,
             Duration::from_millis(500),
-            &Counter::default(),
         );
         assert!(out.deadline_hit);
         assert!(token.is_cancelled());
@@ -550,7 +457,7 @@ mod tests {
 
     #[test]
     fn zero_grace_does_not_wait_for_non_cooperative_lanes() {
-        let p = pool(1, 16);
+        let p = pool(1);
         let token = CancelToken::new();
         let tasks: Vec<_> = vec![|| {
             std::thread::sleep(Duration::from_millis(120));
@@ -561,7 +468,6 @@ mod tests {
             Deadline::after(Duration::from_millis(10)),
             &token,
             Duration::ZERO,
-            &Counter::default(),
         );
         assert!(out.deadline_hit);
         assert_eq!(out.slots, vec![None]);

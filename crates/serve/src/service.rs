@@ -7,13 +7,15 @@
 //! per alternative-route technique — and the service:
 //!
 //! 1. **admits** the request or sheds it ([`ServeError::Overloaded`],
-//!    with an adaptive `Retry-After` hint scaled by queue pressure),
+//!    with an adaptive `Retry-After` hint scaled by queue pressure); the
+//!    admission permit is shared with every lane job and freed when the
+//!    last one is done, so admission alone bounds the worker queue,
 //! 2. **probes the cache** per lane, so a repeat query recomputes nothing
 //!    and a partially-cached query recomputes only its missing lanes,
 //! 3. **fans out** the missing lanes onto the worker pool in two waves of
-//!    one [`crate::Scatter`] — but only lanes whose **circuit breaker**
-//!    admits them; an open breaker short-circuits its lane instantly
-//!    instead of queueing doomed work:
+//!    one fan-out (`pool::Scatter`) — but only lanes whose **circuit
+//!    breaker** admits them; an open breaker short-circuits its lane
+//!    instantly instead of queueing doomed work:
 //!    - the *early* lanes, those that do not read what `prepare` adds
 //!      ([`RouteBackend::reads_prepare`]), are submitted first;
 //!    - then, only when some runnable lane reads it, the request thread
@@ -54,7 +56,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::admission::{adaptive_retry_after, Admission, Deadline};
+use crate::admission::{adaptive_retry_after, Admission, Deadline, Permit};
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::cache::ShardedCache;
 use crate::cancel::CancelToken;
@@ -251,9 +253,9 @@ pub trait RouteBackend: Send + Sync + 'static {
 pub struct ServeConfig {
     /// Worker threads computing technique lanes.
     pub workers: usize,
-    /// Bound on queued (not yet running) lane jobs.
-    pub queue_capacity: usize,
-    /// Bound on concurrently admitted route requests.
+    /// Bound on concurrently admitted route requests. A request holds its
+    /// slot until its last lane is done, so this also bounds the lane
+    /// queue at `max_inflight × lanes` jobs.
     pub max_inflight: usize,
     /// Total route-cache entries; zero disables the cache.
     pub cache_capacity: usize,
@@ -264,10 +266,6 @@ pub struct ServeConfig {
     /// hand back partial results. One search-budget check interval is
     /// enough for a cooperative backend; zero collects nothing.
     pub cancel_grace: Duration,
-    /// Base `Retry-After` hint for shed clients, in seconds. The hint
-    /// actually sent is scaled by queue/in-flight pressure and clamped
-    /// to [1, 30] s (see [`adaptive_retry_after`]).
-    pub retry_after_s: u32,
     /// The failpoint plan (disabled by default; see [`FaultPlan`]).
     pub faults: FaultPlan,
     /// Per-technique circuit-breaker thresholds.
@@ -281,12 +279,10 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             workers: 4,
-            queue_capacity: 64,
             max_inflight: 32,
             cache_capacity: 4096,
             deadline: Duration::from_secs(10),
             cancel_grace: Duration::from_millis(100),
-            retry_after_s: 1,
             faults: FaultPlan::disabled(),
             breaker: BreakerConfig::default(),
             trace: TraceConfig::default(),
@@ -315,7 +311,7 @@ pub enum ServeError {
     /// with `Retry-After: {retry_after_s}`.
     Overloaded {
         /// Seconds the client should wait before retrying (adaptive,
-        /// clamped to [1, 30]).
+        /// 1–5; see [`adaptive_retry_after`]).
         retry_after_s: u32,
     },
     /// The request's deadline expired before every lane finished.
@@ -385,7 +381,8 @@ pub struct HealthReport {
     pub verdict: HealthVerdict,
     /// Jobs waiting in the worker queue.
     pub queue_depth: usize,
-    /// The queue's capacity.
+    /// The most jobs that can wait: `max_inflight × lanes`, the bound
+    /// admission puts on the queue.
     pub queue_capacity: usize,
     /// Requests currently admitted.
     pub inflight: usize,
@@ -483,7 +480,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Everything one lane attempt needs, owned so it can run on a worker
-/// thread, or inline on the requester when the queue refuses it.
+/// thread.
 struct LaneAttempt<B: RouteBackend> {
     backend: Arc<B>,
     cache: Option<Arc<ShardedCache<String, B::Part>>>,
@@ -493,6 +490,10 @@ struct LaneAttempt<B: RouteBackend> {
     lane: usize,
     token: CancelToken,
     request: B::Request,
+    /// The request's admission permit, held until the attempt is done:
+    /// a lane draining past its deadline still counts as in flight, so
+    /// admission bounds the lane queue.
+    _permit: Arc<Permit>,
     /// The attempt's trace span, opened at submission time; travels
     /// with the attempt to whichever thread runs it and records on
     /// drop at the end of [`LaneAttempt::run`].
@@ -596,7 +597,6 @@ impl<B: RouteBackend> RouteService<B> {
         config.faults = config.faults.clone().attach_metrics(registry);
         let pool = WorkerPool::new(
             config.workers,
-            config.queue_capacity,
             metrics.queue_depth.clone(),
             metrics.jobs_executed.clone(),
         );
@@ -633,11 +633,18 @@ impl<B: RouteBackend> RouteService<B> {
         self.epoch.elapsed().as_millis() as u64
     }
 
+    /// The most lane jobs that can wait in the worker queue: every job
+    /// holds its request's admission permit.
+    fn queue_bound(&self) -> usize {
+        self.admission.max_inflight() * self.backend.lanes()
+    }
+
     fn attempt(
         &self,
         lane: usize,
         request: &B::Request,
         token: &CancelToken,
+        permit: &Arc<Permit>,
         span: SpanGuard,
     ) -> LaneAttempt<B> {
         LaneAttempt {
@@ -649,6 +656,7 @@ impl<B: RouteBackend> RouteService<B> {
             lane,
             token: token.clone(),
             request: request.clone(),
+            _permit: Arc::clone(permit),
             span,
         }
     }
@@ -693,16 +701,15 @@ impl<B: RouteBackend> RouteService<B> {
         // Stage 1: admission.
         let admit_timer = self.metrics.stage_admit.start_timer();
         let mut admit_span = ctx.child_span("admission", root_id);
-        let Some(_permit) = self.admission.try_acquire() else {
+        let Some(permit) = self.admission.try_acquire() else {
             admit_timer.discard();
             total_timer.discard();
             self.metrics.shed_admission.inc();
             let retry_after_s = adaptive_retry_after(
-                self.config.retry_after_s,
                 self.admission.inflight(),
                 self.admission.max_inflight(),
                 self.pool.queue_len(),
-                self.pool.queue_capacity(),
+                self.queue_bound(),
             );
             admit_span.set_status(SpanStatus::Failed);
             admit_span.attr("outcome", "shed");
@@ -713,6 +720,9 @@ impl<B: RouteBackend> RouteService<B> {
                 Err(ServeError::Overloaded { retry_after_s }),
             );
         };
+        // Shared with every lane job: the slot frees when the request and
+        // all of its lanes are done.
+        let permit = Arc::new(permit);
         admit_span.attr_u64("inflight", self.admission.inflight() as u64);
         drop(admit_span);
         admit_timer.stop_ms();
@@ -785,26 +795,21 @@ impl<B: RouteBackend> RouteService<B> {
             // One fan-out in two waves, under one cancel token. The
             // early lanes do not read what `prepare` adds: they start
             // first, on the request as it came in, and overlap with it.
-            // An injected `queue.push` error simulates a refused queue:
-            // every lane degrades to inline execution at the join,
-            // exactly like the real queue-full fallback.
             let token = CancelToken::new();
-            let inline_only = self.config.faults.fire(sites::QUEUE_PUSH).is_err();
-            let mut scatter = Scatter::new(inline_only);
+            let scatter = Scatter::new();
             let (early, late): (Vec<usize>, Vec<usize>) = runnable
                 .into_iter()
                 .partition(|&lane| !self.backend.reads_prepare(lane));
-            let submit =
-                |scatter: &mut Scatter<LaneReply<B::Part>>, lane: usize, request: &B::Request| {
-                    let mut span = ctx.child_span("lane", root_id);
-                    span.attr("technique", self.lanes[lane].name.clone());
-                    span.attr_u64("attempt", 1);
-                    span.attr("breaker", self.lanes[lane].breaker.state().as_str());
-                    let attempt = self.attempt(lane, request, &token, span);
-                    scatter.submit(&self.pool, move || attempt.run());
-                };
+            let submit = |lane: usize, request: &B::Request| {
+                let mut span = ctx.child_span("lane", root_id);
+                span.attr("technique", self.lanes[lane].name.clone());
+                span.attr_u64("attempt", 1);
+                span.attr("breaker", self.lanes[lane].breaker.state().as_str());
+                let attempt = self.attempt(lane, request, &token, &permit, span);
+                scatter.submit(&self.pool, move || attempt.run());
+            };
             for &lane in &early {
-                submit(&mut scatter, lane, &request);
+                submit(lane, &request);
             }
 
             // Shared preparation, once per request — but only when a lane
@@ -824,14 +829,9 @@ impl<B: RouteBackend> RouteService<B> {
 
             let compute_start = Instant::now();
             for &lane in &late {
-                submit(&mut scatter, lane, &request);
+                submit(lane, &request);
             }
-            let fanout = scatter.join(
-                deadline,
-                &token,
-                self.config.cancel_grace,
-                &self.metrics.inline_fallback,
-            );
+            let fanout = scatter.join(deadline, &token, self.config.cancel_grace);
             self.metrics
                 .stage_compute
                 .observe(compute_start.elapsed().as_secs_f64() * 1_000.0);
@@ -1008,7 +1008,7 @@ impl<B: RouteBackend> RouteService<B> {
             .filter(|l| l.breaker == BreakerState::Open)
             .count();
         let queue_depth = self.pool.queue_len();
-        let queue_capacity = self.pool.queue_capacity();
+        let queue_capacity = self.queue_bound();
         let verdict = if !lanes.is_empty() && open == lanes.len() {
             HealthVerdict::Unhealthy
         } else if open > 0 || queue_depth >= queue_capacity {
@@ -1083,7 +1083,7 @@ impl<B: RouteBackend> RouteService<B> {
     /// Graceful shutdown: close the job queue, drain it, join the
     /// workers. (Dropping the service does the same.)
     pub fn shutdown(self) {
-        self.pool.shutdown();
+        drop(self);
     }
 }
 
@@ -1226,14 +1226,13 @@ mod tests {
     fn admission_full_sheds_with_adaptive_retry_after() {
         let config = ServeConfig {
             max_inflight: 1,
-            retry_after_s: 7,
             ..ServeConfig::default()
         };
         let svc = service(EchoBackend::new(2), config);
         let _occupied = svc.admission().try_acquire().unwrap();
         let err = svc.route((1, 2)).unwrap_err();
-        // Admission saturated (1/1), queue empty: pressure 0.5 → 3× base.
-        assert_eq!(err, ServeError::Overloaded { retry_after_s: 21 });
+        // Admission saturated (1/1), queue empty: pressure 0.5 → 3 s.
+        assert_eq!(err, ServeError::Overloaded { retry_after_s: 3 });
     }
 
     #[test]
@@ -1574,22 +1573,93 @@ mod tests {
         );
     }
 
+    /// Two lanes. Lane 0 skips `prepare`, says it has started, then
+    /// blocks on `gate` whatever its token says: a non-cooperative
+    /// straggler. `prepare` waits for that start, so a deadline always
+    /// finds lane 0 running, never still queued.
+    struct StragglerBackend {
+        started: (
+            std::sync::Mutex<std::sync::mpsc::Sender<()>>,
+            std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+        ),
+        gate: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl RouteBackend for StragglerBackend {
+        type Request = (u32, u32);
+        type Part = String;
+        type Response = String;
+
+        fn lanes(&self) -> usize {
+            2
+        }
+
+        fn lane_key(&self, request: &(u32, u32), lane: usize) -> String {
+            format!("straggler:{}:{}:{lane}", request.0, request.1)
+        }
+
+        fn reads_prepare(&self, lane: usize) -> bool {
+            lane != 0
+        }
+
+        fn prepare(
+            &self,
+            request: (u32, u32),
+            _token: &CancelToken,
+            _deadline: &Deadline,
+        ) -> (u32, u32) {
+            self.started.1.lock().unwrap().recv().unwrap();
+            request
+        }
+
+        fn compute(&self, _request: &(u32, u32), lane: usize) -> Result<String, String> {
+            if lane == 0 {
+                self.started.0.lock().unwrap().send(()).unwrap();
+                // Released by the test, or by its sender dropping.
+                let _ = self.gate.lock().unwrap().recv();
+            }
+            Ok(format!("lane{lane}"))
+        }
+
+        fn assemble(&self, _request: &(u32, u32), parts: Vec<String>) -> String {
+            parts.join("|")
+        }
+    }
+
+    /// A lane still draining past its request's deadline keeps the
+    /// request in flight: with one admission slot the next request is
+    /// shed while the straggler runs, and the slot frees once it is done.
     #[test]
-    fn injected_queue_outage_runs_lanes_inline() {
-        let registry = Registry::new();
+    fn a_straggling_lane_holds_its_admission_slot() {
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release, gate) = std::sync::mpsc::channel();
+        let backend = StragglerBackend {
+            started: (started_tx.into(), started_rx.into()),
+            gate: gate.into(),
+        };
         let config = ServeConfig {
-            faults: FaultPlan::parse("queue.push=error").unwrap(),
+            workers: 1,
+            max_inflight: 1,
             cache_capacity: 0,
+            deadline: Duration::from_millis(20),
+            cancel_grace: Duration::ZERO,
             ..ServeConfig::default()
         };
-        let svc = RouteService::new(EchoBackend::new(3), config, &registry);
-        let out = svc.route((3, 3)).unwrap();
-        assert_eq!(out, "3,3 => lane0(3,3)|lane1(3,3)|lane2(3,3)");
-        assert_eq!(
-            svc.metrics().inline_fallback.get(),
-            3,
-            "every lane must degrade to inline execution"
+        let svc = RouteService::new(backend, config, &Registry::disabled());
+        // Rebound after `svc`, so it drops first: a failed assertion
+        // releases the straggler instead of hanging the pool's drop.
+        let release = release;
+        assert_eq!(svc.route((1, 2)), Err(ServeError::DeadlineExceeded));
+        assert_eq!(svc.health().inflight, 1, "the straggler holds the slot");
+        assert!(
+            matches!(svc.route((3, 4)), Err(ServeError::Overloaded { .. })),
+            "a second request is shed while the straggler runs"
         );
+        let admission = svc.admission().clone();
+        release.send(()).unwrap();
+        // Shutdown drains the pool, so the straggler has finished.
+        svc.shutdown();
+        assert_eq!(admission.inflight(), 0);
     }
 
     /// A cooperative backend: lane 0 answers immediately, other lanes
@@ -2092,7 +2162,7 @@ mod tests {
 
     /// The failure ladder's oracle: a fixed script through every rung —
     /// healthy, cached, failed, panicked, breaker-opened, short-circuited,
-    /// inline, probe outage, head sampling off — pinning per request the
+    /// probe outage, head sampling off — pinning per request the
     /// response and the span tree's shape, and at the end every
     /// `arp_serve_*` counter plus the spans recorded and traces kept.
     #[test]
@@ -2143,15 +2213,6 @@ mod tests {
         pin_request(&mut log, "third failure opens the breaker", &svc, (4, 4));
         assert_eq!(svc.breaker_state(0), BreakerState::Open);
         pin_request(&mut log, "open breaker short-circuits", &svc, (3, 3));
-        drop(svc);
-
-        let config = ServeConfig {
-            faults: FaultPlan::parse("queue.push=error").unwrap(),
-            cache_capacity: 0,
-            ..ServeConfig::default()
-        };
-        let svc = RouteService::new(EchoBackend::new(3), config, &registry);
-        pin_request(&mut log, "queue.push outage runs inline", &svc, (3, 3));
         drop(svc);
 
         let config = ServeConfig {
@@ -2290,18 +2351,6 @@ lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us techni
 prepare <request ok []
 queue <lane ok []
 request <- degraded []
-== queue.push outage runs inline: Ok("3,3 => lane0(3,3)|lane1(3,3)|lane2(3,3)")
-admission <request ok [inflight]
-assemble <request ok []
-cache_probe <request ok [hits lanes]
-lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane0]
-lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane1]
-lane <request ok [attempt=1 breaker=closed outcome=complete queue_wait_us technique=lane2]
-prepare <request ok []
-queue <lane ok []
-queue <lane ok []
-queue <lane ok []
-request <- ok []
 == cache.get outage, first: Ok("1,2 => lane0(1,2)|lane1(1,2)")
 admission <request ok [inflight]
 assemble <request ok []
@@ -2335,19 +2384,17 @@ request <- degraded []
 == unsampled, healthy: Ok("1,2 => lane0(1,2)|lane1(1,2)")
 (trace not kept)
 == counters
-arp_serve_admitted_total{} 14
+arp_serve_admitted_total{} 13
 arp_serve_breaker_transitions_total{} 1
 arp_serve_cache_hits_total{} 3
 arp_serve_cache_misses_total{} 12
 arp_serve_degraded_responses_total{} 6
 arp_serve_faults_injected_total{kind=error,site=cache.get} 2
-arp_serve_faults_injected_total{kind=error,site=queue.push} 1
-arp_serve_inline_fallback_total{} 3
 arp_serve_lane_failures_total{reason=error,technique=lane0} 5
 arp_serve_lane_failures_total{reason=error,technique=lane1} 1
 arp_serve_lane_failures_total{reason=open_circuit,technique=lane0} 1
 arp_serve_lane_failures_total{reason=panic,technique=lane0} 1
-arp_trace_sampled_total{} 13
-arp_trace_spans_total{} 122
+arp_trace_sampled_total{} 12
+arp_trace_spans_total{} 111
 "#;
 }

@@ -8,7 +8,7 @@
 //!               [--technique plateaus|penalty|dissimilarity|google|esx|pareto|yen]
 //!               [--k N] [--geojson FILE]
 //! arp study     <city> [--scale ...] [--seed N]
-//! arp serve     <city> [--port P] [--seed N] [--workers N] [--queue N] [--cache N]
+//! arp serve     <city> [--port P] [--seed N] [--workers N] [--cache N]
 //!               [--faults SPEC]  (e.g. `lane.penalty=flaky:0.2,cache.get=error:down`)
 //!               [--traffic-tick-ms MS] [--traffic-seed N]  (live-traffic feed; off by default)
 //!               [--ch on|off]  (the CH index tier; on by default)
@@ -31,7 +31,7 @@ use arp_roadnet::weight::ms_to_display_minutes;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  arp generate  <city> [--scale S] [--seed N] [--out FILE]\n  arp export-osm <city> [--scale S] [--seed N] --out FILE\n  arp route     <city|FILE.arn> --from LON,LAT --to LON,LAT [--technique T] [--k N] [--geojson FILE]\n  arp study     <city> [--scale S] [--seed N]\n  arp serve     <city> [--port P] [--seed N] [--workers N] [--queue N] [--cache N] [--faults SPEC] [--traffic-tick-ms MS] [--traffic-seed N] [--ch on|off] [--state-dir DIR] [--fsync always|interval[:N]|never] [--snapshot-every N] [--trace-sample R] [--trace-buffer N] [--slow-ms MS]\n\ncities: melbourne | dhaka | copenhagen   scales: tiny | small | medium | large"
+        "usage:\n  arp generate  <city> [--scale S] [--seed N] [--out FILE]\n  arp export-osm <city> [--scale S] [--seed N] --out FILE\n  arp route     <city|FILE.arn> --from LON,LAT --to LON,LAT [--technique T] [--k N] [--geojson FILE]\n  arp study     <city> [--scale S] [--seed N]\n  arp serve     <city> [--port P] [--seed N] [--workers N] [--cache N] [--faults SPEC] [--traffic-tick-ms MS] [--traffic-seed N] [--ch on|off] [--state-dir DIR] [--fsync always|interval[:N]|never] [--snapshot-every N] [--trace-sample R] [--trace-buffer N] [--slow-ms MS]\n\ncities: melbourne | dhaka | copenhagen   scales: tiny | small | medium | large"
     );
     std::process::exit(2)
 }
@@ -48,7 +48,6 @@ fn allowed_flags(cmd: &str) -> Option<&'static [&'static str]> {
             "seed",
             "scale",
             "workers",
-            "queue",
             "cache",
             "faults",
             "traffic-tick-ms",
@@ -413,7 +412,6 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
     };
     let config = arp_serve::ServeConfig {
         workers: flag_usize("workers", defaults.workers),
-        queue_capacity: flag_usize("queue", defaults.queue_capacity),
         // `--cache 0` disables the route cache.
         cache_capacity: flag_usize("cache", defaults.cache_capacity),
         faults,
@@ -421,9 +419,8 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
         ..defaults
     };
     println!(
-        "serving config: {} workers, queue {}, cache {} entries, tracing {:.0}% sample / {} ring / slow at {} ms{}",
+        "serving config: {} workers, cache {} entries, tracing {:.0}% sample / {} ring / slow at {} ms{}",
         config.workers,
-        config.queue_capacity,
         config.cache_capacity,
         config.trace.sample * 100.0,
         config.trace.buffer,
@@ -598,6 +595,8 @@ mod tests {
             err.contains("--traffic-tick-ms"),
             "the hint lists accepted flags: {err}"
         );
+        // Admission bounds the lane queue; there is no queue flag.
+        assert!(parse_args("serve", &argv(&["melbourne", "--queue", "8"])).is_err());
     }
 
     /// The second historical bug: `--key` missing its value swallowed the
