@@ -168,8 +168,9 @@ fn main() {
             // The public pair `alternatives()` would grow: its labels
             // certify the windows they can.
             let mut ws = SearchSpace::new(net);
-            let pair =
-                SearchSubstrate::build(&mut ws, net, net.weights(), s, t, &base_query).ok()?;
+            let unpruned = &std::sync::Arc::new(Landmarks::empty());
+            let w = net.weights();
+            let pair = SearchSubstrate::build(&mut ws, net, w, unpruned, s, t, &base_query).ok()?;
             let k = base_query.k;
             apply_filters(&mut ws, net, net.weights(), &pair, paths, k, &commercial).ok()
         },

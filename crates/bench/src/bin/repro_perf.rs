@@ -3,7 +3,8 @@
 //! `arp-obs` search-work snapshot (settled nodes, heap pops, relaxed
 //! edges per technique); see DESIGN.md §7 for the metric names. A
 //! counting global allocator measures what one served cache miss
-//! allocates (the heap table; DESIGN.md §8).
+//! allocates (the heap table; DESIGN.md §8), and the landmark table shows
+//! what the landmark bounds prune off each Large city's tree pairs.
 //!
 //! ```sh
 //! cargo run --release -p arp-bench --bin repro_perf
@@ -12,6 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use arp_citygen::{City, Scale};
@@ -19,6 +21,7 @@ use arp_core::prelude::*;
 use arp_core::search::{Direction, SearchSpace};
 use arp_core::{ChTopology, SearchMetrics};
 use arp_demo::{QueryProcessor, SnappedQuery};
+use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::NodeId;
 
 /// The system allocator, counting the allocations and the bytes asked of
@@ -187,17 +190,12 @@ struct PairCost {
     ms: f64,
 }
 
-/// A request's tree pair on Copenhagen-Large (the benchmark's
-/// `short-hop` / `cross-town` city), by trip distance: two complete
-/// Dijkstra trees against the bounded builder every request uses
-/// (`SearchSubstrate::build`). `relaxed` is the deterministic column CI
-/// gates on: bounded ≤ full on every pair, and ≤ 10 % of full below 2 km.
-fn tree_pair_sweep(report: &mut String) {
+/// Up to [`PAIRS_PER_BUCKET`] routable pairs of `net` per trip-distance
+/// bucket of [`BUCKETS_KM`], drawn from the report's seed.
+fn bucketed_pairs(net: &RoadNetwork) -> Vec<Vec<(NodeId, NodeId)>> {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
-    let city = arp_bench::generate_city(City::Copenhagen, Scale::Large);
-    let net = city.network;
     let (w, n) = (net.weights(), net.num_nodes() as u32);
     let mut rng = StdRng::seed_from_u64(arp_bench::MASTER_SEED);
     let mut buckets: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); BUCKETS_KM.len()];
@@ -212,11 +210,26 @@ fn tree_pair_sweep(report: &mut String) {
         let km = arp_roadnet::geo::haversine_m(net.point(s), net.point(t)) / 1000.0;
         let bucket = BUCKETS_KM.iter().position(|&(lo, hi)| lo <= km && km < hi);
         if let Some(bucket) = bucket.filter(|&b| buckets[b].len() < PAIRS_PER_BUCKET) {
-            if shortest_path(&net, w, s, t).is_ok() {
+            if shortest_path(net, w, s, t).is_ok() {
                 buckets[bucket].push((s, t));
             }
         }
     }
+    buckets
+}
+
+/// A request's tree pair on Copenhagen-Large (the benchmark's
+/// `short-hop` / `cross-town` city), by trip distance: two complete
+/// Dijkstra trees against the bounded builder every request uses
+/// (`SearchSubstrate::build` with the base column's landmark table).
+/// `relaxed` is the deterministic column CI gates on: bounded ≤ full on
+/// every pair, and ≤ 10 % of full below 2 km.
+fn tree_pair_sweep(report: &mut String) {
+    let city = arp_bench::generate_city(City::Copenhagen, Scale::Large);
+    let net = city.network;
+    let w = net.weights();
+    let buckets = bucketed_pairs(&net);
+    let landmarks = Arc::new(Landmarks::build(&net, w));
 
     let (q, reps) = (AltQuery::paper(), 3);
     let mut ws = SearchSpace::new(&net);
@@ -252,7 +265,7 @@ fn tree_pair_sweep(report: &mut String) {
                 full_relaxed += ws.last_stats().relaxed;
             }
             full.relaxed += full_relaxed;
-            let grown = SearchSubstrate::build(&mut ws, &net, w, s, t, &q)
+            let grown = SearchSubstrate::build(&mut ws, &net, w, &landmarks, s, t, &q)
                 .expect("swept pairs are routable");
             bounded.settled += grown.build_stats().settled;
             bounded.relaxed += grown.build_stats().relaxed;
@@ -271,7 +284,7 @@ fn tree_pair_sweep(report: &mut String) {
         bounded.ms = time_per_query(
             || {
                 for &(s, t) in pairs {
-                    let _ = SearchSubstrate::build(&mut ws, &net, w, s, t, &q);
+                    let _ = SearchSubstrate::build(&mut ws, &net, w, &landmarks, s, t, &q);
                 }
             },
             pairs.len(),
@@ -291,6 +304,72 @@ fn tree_pair_sweep(report: &mut String) {
             bounded.ms,
             bounded.relaxed as f64 / full.relaxed.max(1) as f64,
             never_more,
+        );
+    }
+}
+
+/// What the landmark bounds prune, on each Large city by trip distance:
+/// per pair, the forward labels of the plain ball (the build fed the
+/// empty table) and of the landmark-pruned forward tree, the backward
+/// labels (the ellipse, the same either way) and the labels of the A\*
+/// probe that finds the bound. Deterministic counts; CI gates the pruned
+/// forward count at ≤ the ball's in every band.
+fn landmark_pruning(report: &mut String) {
+    let _ = writeln!(
+        report,
+        "\nLandmark pruning by trip distance (per pair: forward labels of the ball and of the \
+         landmark-pruned tree, backward labels, A* probe labels; CI: fwd-alt <= fwd-ball):"
+    );
+    let _ = writeln!(
+        report,
+        "  {:<10} {:<8} {:>5} | {:>8} {:>8} | {:>8} {:>6}",
+        "city", "km", "pairs", "fwd-ball", "fwd-alt", "bwd", "probe"
+    );
+    let q = AltQuery::paper();
+    let unpruned = Arc::new(Landmarks::empty());
+    let mut tables = Vec::new();
+    for city in City::ALL {
+        let city = arp_bench::generate_city(city, Scale::Large);
+        let net = &city.network;
+        let started = Instant::now();
+        let landmarks = Arc::new(Landmarks::build(net, net.weights()));
+        tables.push((city.name.clone(), landmarks.bytes(), started.elapsed()));
+        let mut ws = SearchSpace::new(net);
+        for (&(lo, hi), pairs) in BUCKETS_KM.iter().zip(&bucketed_pairs(net)) {
+            let [mut ball, mut pruned, mut backward, mut probe] = [0u64; 4];
+            for &(s, t) in pairs {
+                let mut grow = |table| {
+                    SearchSubstrate::build(&mut ws, net, net.weights(), table, s, t, &q)
+                        .expect("bucketed pairs are routable")
+                };
+                let plain = grow(&unpruned);
+                let alt = grow(&landmarks);
+                let labels = |tree: &arp_core::ShortestPathTree| tree.order().len() as u64;
+                ball += labels(plain.forward());
+                pruned += labels(alt.forward());
+                backward += labels(alt.backward());
+                probe += alt.build_stats().settled - labels(alt.forward()) - labels(alt.backward());
+            }
+            let per_pair = |total: u64| total / pairs.len().max(1) as u64;
+            let _ = writeln!(
+                report,
+                "  {:<10} {:<8} {:>5} | {:>8} {:>8} | {:>8} {:>6}",
+                city.name,
+                format!("{lo}-{hi}"),
+                pairs.len(),
+                per_pair(ball),
+                per_pair(pruned),
+                per_pair(backward),
+                per_pair(probe),
+            );
+        }
+    }
+    for (city, bytes, took) in tables {
+        let _ = writeln!(
+            report,
+            "  {city:<10} table {:.2} MB, built in {:.1} ms",
+            bytes as f64 / 1e6,
+            took.as_secs_f64() * 1000.0
         );
     }
 }
@@ -400,14 +479,16 @@ fn main() {
 
         // Search-work counters: one instrumented pass of the four demo
         // providers over the same queries, into a fresh per-city registry.
-        // Each query's tree pair is grown once and handed to every
-        // provider, as the serving layer does; its work is the `pair` row.
+        // Each query's tree pair is grown once, pruned by the base column's
+        // landmark table, and handed to every provider, as the serving
+        // layer does; its work is the `pair` row.
         let registry = arp_obs::Registry::new();
         let providers = instrumented_providers(&net, arp_bench::MASTER_SEED, &registry);
+        let landmarks = Arc::new(Landmarks::build(&net, net.weights()));
         let pair_labels = [("technique", "pair")];
         ws.set_metrics(SearchMetrics::new(&registry, &pair_labels));
         for &(s, t, _) in &queries {
-            let pair = SearchSubstrate::build(&mut ws, &net, net.weights(), s, t, &q)
+            let pair = SearchSubstrate::build(&mut ws, &net, net.weights(), &landmarks, s, t, &q)
                 .expect("benchmark queries are routable");
             for provider in &providers {
                 let _ = provider.answer(&net, net.weights(), pair.trip(), Some(&pair), &unlimited);
@@ -468,6 +549,7 @@ fn main() {
 
     heap_per_request(&mut report);
     tree_pair_sweep(&mut report);
+    landmark_pruning(&mut report);
 
     println!("{report}");
     let path = arp_bench::write_report("perf.txt", &report);

@@ -191,7 +191,8 @@ mod tests {
     fn corner_pair(ws: &mut SearchSpace, net: &RoadNetwork) -> SearchSubstrate {
         let corner = NodeId(net.num_nodes() as u32 - 1);
         let query = crate::query::AltQuery::paper();
-        SearchSubstrate::build(ws, net, net.weights(), NodeId(0), corner, &query).unwrap()
+        let unpruned = &crate::fixtures::unpruned();
+        SearchSubstrate::build(ws, net, net.weights(), unpruned, NodeId(0), corner, &query).unwrap()
     }
 
     /// The filters applied on the network's own weights in a fresh,

@@ -13,12 +13,18 @@
 //!   ([`Exhaust`], [`ReachTarget`], [`ReachTargetWithin`] — the
 //!   one-to-one stop that labels only vertices whose label plus a lower
 //!   bound to the target stays within a known walk's cost, which keeps
-//!   Penalty's re-searches inside the request's tree pair — the
-//!   [`GrowToBound`] / [`InsideEllipse`] pair that grows a request's tree
-//!   pair no further than its stretch bound, [`Logged`], which records
-//!   any rule's settle order, and the meeting rule of the bidirectional
-//!   upward search, which stops once `min(kf, kb)` reaches the best
-//!   meeting).
+//!   Penalty's re-searches inside the request's tree pair — the forward
+//!   rules [`GrowToBound`] (a ball that learns its radius on the way) and
+//!   [`WithinBound`] (the landmark-pruned forward tree, its bound known
+//!   in advance) with the backward [`InsideEllipse`], which together grow
+//!   a request's tree pair no further than its stretch bound, [`Logged`],
+//!   which records any rule's settle order, and the meeting rule of the
+//!   bidirectional upward search, which stops once `min(kf, kb)` reaches
+//!   the best meeting).
+//!
+//! [`Reduced`] is an [`ArcView`] too: out-edges under the reduced costs
+//! of a landmark potential, over which the kernel runs the A\* probe that
+//! finds a request's `d(s, t)` before its forward tree starts.
 //!
 //! What every search needs lives here exactly once: the
 //! generation-stamped [`Labels`] (including the wrap-around reset), the
@@ -174,6 +180,53 @@ impl<W: Weights> ArcView for InEdges<'_, W> {
     }
 }
 
+/// Out-edges under the reduced costs `w(u, v) + π(v) − π(u)` of a
+/// consistent potential `π` — a lower bound on every vertex's distance to
+/// the target that no arc beats, `π(u) ≤ w(u, v) + π(v)`, such as a
+/// landmark bound on a column no cheaper than the table's. Reduced costs
+/// are then ≥ 0, a search over them is A\*, and it settles the target at
+/// `d(root, target) − π(root)`. A zero reduced cost breaks the tie rule's
+/// premise, so only labels are read off such a search, never parents.
+pub(crate) struct Reduced<'a, W, P> {
+    out: OutEdges<'a, W>,
+    potential: P,
+    /// `π` of the vertex whose arcs are being read: the kernel reads the
+    /// costs of `arcs(v)` right after asking for them.
+    tail: Cell<Cost>,
+}
+
+impl<'a, W, P> Reduced<'a, W, P> {
+    pub(crate) fn new(out: OutEdges<'a, W>, potential: P) -> Self {
+        Reduced {
+            out,
+            potential,
+            tail: Cell::new(0),
+        }
+    }
+}
+
+impl<W: Weights, P: Fn(u32) -> Cost> ArcView for Reduced<'_, W, P> {
+    fn num_nodes(&self) -> usize {
+        self.out.num_nodes()
+    }
+    #[inline]
+    fn arcs(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
+        self.tail.set((self.potential)(v));
+        self.out.arcs(v)
+    }
+    #[inline]
+    fn to(&self, a: u32) -> u32 {
+        self.out.to(a)
+    }
+    #[inline]
+    fn cost(&self, a: u32) -> Cost {
+        match self.out.cost(a) {
+            INFINITY => INFINITY,
+            w => (w + (self.potential)(self.to(a))).saturating_sub(self.tail.get()),
+        }
+    }
+}
+
 /// Rejects out-of-range endpoints and `source == target`.
 pub(crate) fn check_endpoints(
     num_nodes: usize,
@@ -200,8 +253,11 @@ pub(crate) trait Rule {
     fn settled(&mut self, _v: u32, _d: Cost) -> bool {
         false
     }
-    /// Whether a relaxation that would label `v` with `d` is recorded;
-    /// a refused vertex is never labelled through that arc.
+    /// Whether a relaxation that would first label `v`, with `d`, is
+    /// recorded; a refused vertex is not labelled through that arc. Every
+    /// rule's answer is monotone — admitted at `d`, admitted below `d` —
+    /// so the kernel asks only when `v` has no label yet: an improvement
+    /// of a label is always admitted.
     #[inline]
     fn admits(&self, _v: u32, _d: Cost) -> bool {
         true
@@ -226,17 +282,16 @@ impl Rule for ReachTarget {
     }
 }
 
-/// [`ReachTarget`] that labels `v` at `d` only while
-/// `d + lower(v) ≤ limit`, given a lower bound `lower(v)` on `d(v, target)`
-/// and an upper bound `limit` on `d(root, target)`. Every vertex `u` of a
-/// shortest `root → target` path has `d(root, u) + lower(u) ≤ d(root,
-/// target) ≤ limit`, so it is labelled exactly, and every tight arc into
-/// it comes from another such vertex: the target's label and canonical
-/// parent chain are the ones [`ReachTarget`] finds.
+/// [`ReachTarget`] under [`WithinBound`]: labels `v` at `d` only while
+/// `d + lower(v) ≤ bound`, given a lower bound `lower(v)` on
+/// `d(v, target)` and an upper bound `bound` on `d(root, target)`. Every
+/// vertex `u` of a shortest `root → target` path has `d(root, u) +
+/// lower(u) ≤ d(root, target) ≤ bound`, so it is labelled exactly, and
+/// every tight arc into it comes from another such vertex: the target's
+/// label and canonical parent chain are the ones [`ReachTarget`] finds.
 pub(crate) struct ReachTargetWithin<L> {
     pub(crate) target: u32,
-    pub(crate) lower: L,
-    pub(crate) limit: Cost,
+    pub(crate) within: WithinBound<L>,
 }
 
 impl<L: Fn(u32) -> Cost> Rule for ReachTargetWithin<L> {
@@ -246,7 +301,7 @@ impl<L: Fn(u32) -> Cost> Rule for ReachTargetWithin<L> {
     }
     #[inline]
     fn admits(&self, v: u32, d: Cost) -> bool {
-        d + (self.lower)(v) <= self.limit
+        self.within.admits(v, d)
     }
 }
 
@@ -269,6 +324,25 @@ impl Rule for GrowToBound<'_> {
             self.bound.set(self.query.search_bound(d));
         }
         d > self.bound.get()
+    }
+}
+
+/// Label `v` at `d` only while `d + lower(v) ≤ bound`, given a lower
+/// bound `lower(v)` on `d(v, target)`. Alone it is the forward half of a
+/// landmark-pruned tree pair, its stretch bound known in advance: with a
+/// consistent `lower` and run to exhaustion, every label is final and
+/// exact — every vertex of a shortest path to an admitted vertex is
+/// admitted too — and every vertex of the stretch ellipse is labelled,
+/// with its canonical parent.
+pub(crate) struct WithinBound<L> {
+    pub(crate) lower: L,
+    pub(crate) bound: Cost,
+}
+
+impl<L: Fn(u32) -> Cost> Rule for WithinBound<L> {
+    #[inline]
+    fn admits(&self, v: u32, d: Cost) -> bool {
+        d + (self.lower)(v) <= self.bound
     }
 }
 
@@ -480,14 +554,15 @@ fn settle_next<A: ArcView, R: Rule>(
         }
         let (to, nd) = (arcs.to(a), d + w);
         let label = labels.dist(to);
-        if nd < label && rule.admits(to, nd) {
+        if nd < label && (label != INFINITY || rule.admits(to, nd)) {
             labels.set(to, nd, a);
             labels.heap.push(Reverse((nd, to)));
             rule.improved(to, nd);
         } else if nd == label && a < labels.parent(to) {
-            // A tie keeps the smaller arc id. Costs are ≥ 1, so every
-            // tight arc's tail settles before its head: a final label's
-            // parent is its smallest tight arc, whatever the pop order.
+            // A tie keeps the smaller arc id. Costs are ≥ 1 (the network
+            // builder floors every weight at 1 ms), so every tight arc's
+            // tail settles before its head: a final label's parent is its
+            // smallest tight arc, whatever the pop order.
             labels.parent[to as usize] = a;
         }
     }
@@ -614,8 +689,10 @@ mod tests {
             let to_t = labels_of(&inn, t, Exhaust);
             let within = ReachTargetWithin {
                 target: t.0,
-                lower: |v| to_t.dist(v).min(5),
-                limit: 4,
+                within: WithinBound {
+                    lower: |v| to_t.dist(v).min(5),
+                    bound: 4,
+                },
             };
             assert_eq!(labels_of(&out, s, within).parent(t.0), into_t);
 

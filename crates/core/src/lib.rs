@@ -13,7 +13,8 @@
 //!   that Plateaus, SSVP-D+ and Penalty are functions of: it is the one
 //!   input every provider is handed ([`AlternativesProvider::answer`]),
 //!   grown once per request by a serving layer or per call by
-//!   [`AlternativesProvider::alternatives`], with the same routine,
+//!   [`AlternativesProvider::alternatives`], with the same routine, and
+//!   pruned to the stretch ellipse by a column's [`landmarks`] table,
 //! * the three published techniques the study compares —
 //!   [`penalty`] (§2.1), [`plateau`] (§2.2) and [`dissimilarity`]
 //!   (SSVP-D+, §2.3) — plus [`yen`]'s algorithm as the classic baseline
@@ -69,6 +70,7 @@ pub mod error;
 pub mod esx;
 pub mod filters;
 mod kernel;
+pub mod landmarks;
 pub mod metrics;
 pub mod pareto;
 pub mod path;
@@ -93,6 +95,7 @@ pub use dissimilarity::{dissimilarity_alternatives_from_trees, DissimilarityOpti
 pub use error::CoreError;
 pub use esx::{esx_alternatives, EsxOptions};
 pub use filters::{apply_filters, FilterConfig};
+pub use landmarks::Landmarks;
 pub use metrics::{Funnel, SearchMetrics, SearchStats, TechniqueMetrics};
 pub use pareto::{pareto_paths, ParetoOptions, ParetoRoute};
 pub use path::Path;
@@ -116,6 +119,7 @@ pub mod prelude {
     pub use crate::error::CoreError;
     pub use crate::esx::{esx_alternatives, EsxOptions};
     pub use crate::filters::{apply_filters, FilterConfig};
+    pub use crate::landmarks::Landmarks;
     pub use crate::metrics::{SearchMetrics, SearchStats, TechniqueMetrics};
     pub use crate::pareto::{pareto_paths, ParetoOptions, ParetoRoute};
     pub use crate::path::Path;
@@ -137,7 +141,12 @@ pub(crate) mod fixtures {
     use arp_obs::Registry;
     use arp_roadnet::prelude::*;
 
-    use crate::{AltQuery, AlternativesProvider, CoreError, Path, PlateauProvider};
+    use crate::{AltQuery, AlternativesProvider, CoreError, Landmarks, Path, PlateauProvider};
+
+    /// The empty landmark table: a build fed it grows the plain ball.
+    pub(crate) fn unpruned() -> std::sync::Arc<Landmarks> {
+        std::sync::Arc::new(Landmarks::empty())
+    }
 
     /// The paths `provider` routes from `s` to `t` on `net`'s own weights
     /// ([`AlternativesProvider::alternatives`]).

@@ -444,7 +444,17 @@ mod tests {
         (s, t): (u32, u32),
         query: &AltQuery,
     ) -> SearchSubstrate {
-        SearchSubstrate::build(ws, net, net.weights(), NodeId(s), NodeId(t), query).unwrap()
+        let unpruned = &crate::fixtures::unpruned();
+        SearchSubstrate::build(
+            ws,
+            net,
+            net.weights(),
+            unpruned,
+            NodeId(s),
+            NodeId(t),
+            query,
+        )
+        .unwrap()
     }
 
     #[test]

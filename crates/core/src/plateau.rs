@@ -339,9 +339,10 @@ mod tests {
         let net = grid(8);
         let (budget, query) = (SearchBudget::unlimited(), AltQuery::paper());
         let mut ws = SearchSpace::new(&net);
+        let unpruned = &crate::fixtures::unpruned();
+        let (s, t) = (NodeId(0), NodeId(63));
         let sub =
-            SearchSubstrate::build(&mut ws, &net, net.weights(), NodeId(0), NodeId(63), &query)
-                .unwrap();
+            SearchSubstrate::build(&mut ws, &net, net.weights(), unpruned, s, t, &query).unwrap();
         let mut funnel = Funnel::default();
         let paths = plateau_alternatives_from_trees(
             &net,

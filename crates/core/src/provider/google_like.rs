@@ -14,6 +14,8 @@
 //! §4.2 (overlap pruning, local optimality, comfort ranking), then priced
 //! on the public weights by the caller like every other provider.
 
+use std::sync::Arc;
+
 use arp_obs::Registry;
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::geo::Point;
@@ -23,6 +25,7 @@ use arp_roadnet::weight::Weight;
 use crate::error::CoreError;
 use crate::filters::{filter_routes, FilterConfig};
 use crate::kernel::ClosedWhere;
+use crate::landmarks::Landmarks;
 use crate::metrics::TechniqueMetrics;
 use crate::plateau::{plateau_alternatives_from_trees, PlateauOptions};
 use crate::substrate::{SearchSubstrate, Trip};
@@ -152,6 +155,9 @@ fn midpoint(net: &RoadNetwork, e: EdgeId) -> Point {
 pub struct GoogleLikeProvider {
     /// Private travel-time table indexed by `EdgeId`.
     private_weights: Vec<Weight>,
+    /// The landmark table of the private column, which bounds it under
+    /// any public closures too: closing an edge never shortens a route.
+    landmarks: Arc<Landmarks>,
     /// Options of the underlying route computation.
     plateau_options: PlateauOptions,
     /// Commercial post-filters (§4.2 limitation #4).
@@ -168,14 +174,17 @@ impl GoogleLikeProvider {
     }
 
     /// Builds the provider with an explicit traffic model, its
-    /// per-technique metrics resolved from `registry`.
+    /// per-technique metrics resolved from `registry`, and the landmark
+    /// table of its private column.
     pub fn with_model(
         net: &RoadNetwork,
         model: TrafficModel,
         registry: &Registry,
     ) -> GoogleLikeProvider {
+        let private_weights = model.private_weights(net);
         GoogleLikeProvider {
-            private_weights: model.private_weights(net),
+            landmarks: Arc::new(Landmarks::build(net, &private_weights)),
+            private_weights,
             plateau_options: PlateauOptions {
                 max_similarity: 0.8,
                 min_plateau_fraction: 0.01,
@@ -232,21 +241,24 @@ impl AlternativesProvider for GoogleLikeProvider {
                 weights: &self.private_weights,
                 closures: public_weights,
             };
-            // Plateaus on the PRIVATE data, on a pair grown here: a public
-            // pair would describe the other column. `observed_call`
+            // Plateaus on the PRIVATE data, on a pair grown here and pruned
+            // by the private column's table: a public pair would describe
+            // the other column. `observed_call`
             // prices the routes on the public data, like the paper's query
             // processor does for Google's. A build the budget interrupts
             // yields what it had proven (the private optimum once the
             // forward tree is complete) as the call's partial.
             let mut ws = lane_workspace(&self.metrics, net, budget);
-            let own = match SearchSubstrate::build_under(&mut ws, net, private, s, t, query) {
-                Ok(own) => own,
-                Err((CoreError::Interrupted, proven)) => {
-                    funnel.interrupted = true;
-                    return Ok(proven.into_iter().collect());
-                }
-                Err((e, _)) => return Err(e),
-            };
+            let landmarks = &self.landmarks;
+            let own =
+                match SearchSubstrate::build_under(&mut ws, net, private, landmarks, s, t, query) {
+                    Ok(own) => own,
+                    Err((CoreError::Interrupted, proven)) => {
+                        funnel.interrupted = true;
+                        return Ok(proven.into_iter().collect());
+                    }
+                    Err((e, _)) => return Err(e),
+                };
             let paths = plateau_alternatives_from_trees(
                 net,
                 &self.private_weights,
@@ -433,7 +445,8 @@ mod tests {
         let routes = p.alternatives(&net, net.weights(), s, t, &q).unwrap();
         assert!(routes.len() >= 2, "a route past the first was probed");
         let mut ws = crate::search::SearchSpace::new(&net);
-        let own = SearchSubstrate::build(&mut ws, &net, p.private_weights(), s, t, &q).unwrap();
+        let private = p.private_weights();
+        let own = SearchSubstrate::build(&mut ws, &net, private, &p.landmarks, s, t, &q).unwrap();
         let labels = &[("technique", "google_like")][..];
         assert_eq!(
             registry.counter_value("arp_search_settled_nodes_total", labels),

@@ -8,6 +8,8 @@
 
 pub mod google_like;
 
+use std::sync::Arc;
+
 use arp_obs::Registry;
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::NodeId;
@@ -16,6 +18,7 @@ use arp_roadnet::weight::Weight;
 use crate::budget::SearchBudget;
 use crate::dissimilarity::{dissimilarity_alternatives_from_trees, DissimilarityOptions};
 use crate::error::CoreError;
+use crate::landmarks::Landmarks;
 use crate::metrics::{Funnel, TechniqueMetrics};
 use crate::path::Path;
 use crate::penalty::{penalty_alternatives_from_base, PenaltyOptions};
@@ -124,7 +127,9 @@ pub trait AlternativesProvider: Send + Sync {
 
     /// Computes up to `query.k` routes from `source` to `target` with no
     /// budget: grows the call's tree pair on `public_weights`
-    /// ([`SearchSubstrate::build`]) when the technique reads one, and
+    /// ([`SearchSubstrate::build`], with the empty landmark table: a
+    /// one-shot call has no table to amortize) when the technique reads
+    /// one, and
     /// hands the trip (and the pair) to [`AlternativesProvider::answer`].
     /// Failures to grow it (`source == target`, an unreachable target)
     /// are the call's error.
@@ -148,8 +153,17 @@ pub trait AlternativesProvider: Send + Sync {
                 .map(ProviderOutcome::routes);
         }
         let mut ws = SearchSpace::new(net);
-        let pair = SearchSubstrate::build(&mut ws, net, public_weights, source, target, query)
-            .map_err(|(e, _)| e)?;
+        let unpruned = Arc::new(Landmarks::empty());
+        let pair = SearchSubstrate::build(
+            &mut ws,
+            net,
+            public_weights,
+            &unpruned,
+            source,
+            target,
+            query,
+        )
+        .map_err(|(e, _)| e)?;
         self.answer(net, public_weights, pair.trip(), Some(&pair), &unlimited)
             .map(ProviderOutcome::routes)
     }
@@ -418,7 +432,17 @@ mod tests {
     /// grown in a fresh, unbudgeted workspace.
     fn pair_of(net: &RoadNetwork, (s, t): (u32, u32), query: &AltQuery) -> SearchSubstrate {
         let mut ws = SearchSpace::new(net);
-        SearchSubstrate::build(&mut ws, net, net.weights(), NodeId(s), NodeId(t), query).unwrap()
+        let unpruned = &crate::fixtures::unpruned();
+        SearchSubstrate::build(
+            &mut ws,
+            net,
+            net.weights(),
+            unpruned,
+            NodeId(s),
+            NodeId(t),
+            query,
+        )
+        .unwrap()
     }
 
     #[test]

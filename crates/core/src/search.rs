@@ -20,7 +20,7 @@ use crate::budget::SearchBudget;
 use crate::error::CoreError;
 use crate::kernel::{
     self, ArcView, Column, Exhaust, InEdges, Labels, Logged, OutEdges, Poller, ReachTarget,
-    ReachTargetWithin, Rule, Weights,
+    ReachTargetWithin, Reduced, Rule, Weights, WithinBound,
 };
 use crate::metrics::{SearchMetrics, SearchStats};
 use crate::path::Path;
@@ -70,7 +70,8 @@ impl Scratch for TreeArrays {
 }
 
 /// A shortest-path tree rooted at `root`: complete, or — grown under a
-/// bounding rule — the labels up to the bound it was grown to.
+/// bounding rule — the labels that rule kept, up to the bound it was
+/// grown to.
 ///
 /// For a forward tree, [`ShortestPathTree::parent`] of `v` is the last
 /// edge of a shortest path `root → v` (its head is `v`). For a backward
@@ -274,8 +275,10 @@ impl SearchSpace {
     ) -> Result<Vec<EdgeId>, CoreError> {
         let rule = ReachTargetWithin {
             target: target.0,
-            lower,
-            limit,
+            within: WithinBound {
+                lower,
+                bound: limit,
+            },
         };
         self.path_under(net, weights, source, target, rule)
     }
@@ -290,6 +293,28 @@ impl SearchSpace {
     ) -> Result<Cost, CoreError> {
         self.reach(net, weights, source, target, ReachTarget(target.0))?;
         Ok(self.labels.dist(target.0))
+    }
+
+    /// `d(source, target)` under `weights` by A\*: the one-to-one search
+    /// over the reduced costs of `potential`, a consistent lower bound on
+    /// each vertex's distance to `target` under `weights`
+    /// ([`crate::landmarks`]). Labels only: the search's parents are not
+    /// canonical.
+    pub(crate) fn distance_toward(
+        &mut self,
+        net: &RoadNetwork,
+        weights: impl Weights,
+        source: NodeId,
+        target: NodeId,
+        potential: impl Fn(u32) -> Cost,
+    ) -> Result<Cost, CoreError> {
+        kernel::check_endpoints(net.num_nodes(), source, target)?;
+        let arcs = Reduced::new(OutEdges(Column::new(net, weights)?), &potential);
+        self.run(&arcs, source, ReachTarget(target.0))?;
+        match self.labels.dist(target.0) {
+            INFINITY => Err(CoreError::Unreachable { source, target }),
+            d => Ok(d + potential(source.0)),
+        }
     }
 
     /// The one-to-one search under `rule`, which stops at `target`; fails
@@ -364,13 +389,16 @@ impl SearchSpace {
     }
 
     /// Grows a tree from `root` over `weights` in `direction` under `rule`
-    /// and returns its labels `≤ bound()` — read once the search is over,
-    /// so a rule may learn it on the way — with the kernel's canonical
-    /// parents (smallest tight edge): the tree depends only on the
-    /// distance labels, not on heap pop order. Every rule grown here
-    /// settles each label `≤ bound()` before it stops, so the recorded
-    /// settle order lists the whole tree, and the tree's arrays are filled
-    /// by walking it: the work is what the search settled, not O(n).
+    /// and returns the labels it settled `≤ bound()` — read once the
+    /// search is over, so a rule may learn it on the way — with the
+    /// kernel's canonical parents (smallest tight edge): the tree depends
+    /// only on the distance labels, not on heap pop order. A rule that
+    /// prunes (a landmark-pruned forward tree, a backward tree over the
+    /// ellipse) leaves the vertices it refused unlabelled; every rule
+    /// grown here settles each label it kept `≤ bound()` before it stops,
+    /// so the recorded settle order lists the whole tree, and the tree's
+    /// arrays are filled by walking it: the work is what the search
+    /// settled, not O(n).
     pub(crate) fn tree_under<R: Rule>(
         &mut self,
         net: &RoadNetwork,
@@ -449,6 +477,35 @@ mod tests {
 
     use arp_roadnet::geo::Point;
     use arp_roadnet::weight::CLOSED;
+
+    #[test]
+    fn two_nodes_at_one_point_do_not_make_parents_cyclic() {
+        // `a` and `b` share a coordinate and are joined both ways by
+        // zero-length streets, each with a smaller id than the street from
+        // the source into its head. Were those streets free, `a` and `b`
+        // would tie at one label, each street would win its tie, the
+        // parents would form the loop a ↔ b and `path_edges` would walk it
+        // forever: the search runs on a thread and must answer in time.
+        let mut g = GraphBuilder::new();
+        let a = g.add_node(Point::new(144.01, -37.0));
+        let b = g.add_node(Point::new(144.01, -37.0));
+        let s = g.add_node(Point::new(144.0, -37.0));
+        g.add_bidirectional(a, b, EdgeSpec::default());
+        g.add_edge(s, a, EdgeSpec::default());
+        g.add_edge(s, b, EdgeSpec::default());
+        let net = g.build();
+        let edge = |u, v| net.out_edges(u).find(|&e| net.head(e) == v).unwrap();
+        assert!(edge(a, b) < edge(s, b) && edge(b, a) < edge(s, a));
+        let (done, answer) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let paths = [a, b].map(|v| shortest_path(&net, net.weights(), s, v).unwrap());
+            let _ = done.send(paths.map(|p| p.nodes));
+        });
+        let nodes = answer
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("shortest_path must return");
+        assert_eq!(nodes, [vec![s, a], vec![s, b]]);
+    }
 
     #[test]
     fn shortest_path_on_grid() {

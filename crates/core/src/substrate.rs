@@ -14,34 +14,42 @@
 //! [`AltQuery`] it was grown for, and the build's [`SearchStats`].
 //!
 //! Every technique only looks at vertices inside the query's **stretch
-//! ellipse**, `d_f(v) + d_b(v) ≤ ε·d(s,t)`, so the pair is grown no
-//! further: [`SearchSubstrate::build`] runs the forward search to the
-//! bound and the backward search over the ellipse, and records the bound
-//! it grew to. Inside the ellipse labels **and parents** equal the
-//! complete trees' — the kernel keeps the smallest tight edge as every
-//! tree's parent, and a shortest-path predecessor of an in-ellipse vertex
-//! is itself in the ellipse — so every technique returns the routes it
-//! returns on complete trees (the differential property tests in
-//! `crates/core/tests/proptests.rs` pin this down). Every technique that
+//! ellipse**, `d_f(v) + d_b(v) ≤ B = ε·d(s,t)`, so the pair is grown no
+//! further. [`SearchSubstrate::build`] takes the column's
+//! [`Landmarks`] table: an A\* probe over its reduced costs finds
+//! `d(s,t)` and so `B`, the forward search then labels `v` only while
+//! `d + lb(v,t) ≤ B`, and the backward search labels the ellipse. With
+//! the empty table there is no probe and the forward search is the plain
+//! ball of radius `B`, which learns `B` when it settles the target. Either
+//! way the build records the bound it grew to. Inside the ellipse labels
+//! **and parents** equal the complete trees' — the kernel keeps the
+//! smallest tight edge as every tree's parent, a shortest-path predecessor
+//! of an in-ellipse vertex is itself in the ellipse, and the landmark
+//! bound, being consistent, never prunes one — so every technique returns
+//! the routes it returns on complete trees (the differential property
+//! tests in `crates/core/tests/proptests.rs` pin this down). Every
+//! forward label outside the ellipse is exact too. Every technique that
 //! reads the pair is handed it ([`crate::AlternativesProvider::answer`]);
 //! whoever grew it — a serving layer once per request, or
 //! [`crate::AlternativesProvider::alternatives`] per call — grew it with
 //! this one function: a substrate has one supplier. The Google-like
 //! provider reads only the pair's [`Trip`] and grows its own on its
-//! private column, with the same function.
+//! private column and its own table, with the same function.
 //!
 //! Every build cooperates with cancellation: it runs under the
 //! workspace's [`crate::SearchBudget`], and a trip mid-build surfaces as
 //! [`CoreError::Interrupted`].
 
 use std::cell::Cell;
+use std::sync::Arc;
 
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::NodeId;
 use arp_roadnet::weight::{Cost, Weight, INFINITY};
 
 use crate::error::CoreError;
-use crate::kernel::{GrowToBound, InsideEllipse, Weights};
+use crate::kernel::{GrowToBound, InsideEllipse, Weights, WithinBound};
+use crate::landmarks::{Landmarks, Row};
 use crate::metrics::{Funnel, SearchStats};
 use crate::path::Path;
 use crate::query::AltQuery;
@@ -76,6 +84,9 @@ pub struct SearchSubstrate {
     trip: Trip,
     /// Every vertex with `d_f + d_b ≤ bound` carries its exact labels.
     bound: Cost,
+    /// The table the pair was grown with, and the target's row in it.
+    landmarks: Arc<Landmarks>,
+    toward: Row,
     forward: ShortestPathTree,
     backward: ShortestPathTree,
     base: Path,
@@ -84,27 +95,36 @@ pub struct SearchSubstrate {
 
 impl SearchSubstrate {
     /// Grows the tree pair of `query` in `ws` — under its budget, into its
-    /// metrics: the forward tree from `source` to the stretch bound
-    /// `query.search_bound(d(source, target))`, the backward tree from
-    /// `target` over the ellipse inside it, and the base route read off the
-    /// forward tree. This is the one place a tree pair is grown for a
-    /// request.
+    /// metrics: the forward tree from `source` over what the stretch bound
+    /// `B = query.search_bound(d(source, target))` admits, the backward
+    /// tree from `target` over the ellipse inside it, and the base route
+    /// read off the forward tree. This is the one place a tree pair is
+    /// grown for a request.
+    ///
+    /// `landmarks` must be a table of a column no cheaper than `weights`
+    /// edge by edge — built on the base column of any traffic epoch of it
+    /// ([`Landmarks::build`]) — or the empty table. A table finds `B` with
+    /// an A\* probe first and prunes the forward tree to
+    /// `d + lb(v, target) ≤ B`; the empty table grows the forward tree as
+    /// the ball of radius `B`. The pair's labels inside the ellipse are the
+    /// same either way.
     ///
     /// Failures: [`CoreError::SameSourceTarget`] for `source == target`,
-    /// [`CoreError::Unreachable`] when the forward tree never reaches
-    /// `target`, [`CoreError::Interrupted`] when the budget trips. The
-    /// error carries the base route when the forward tree had already
-    /// proven it — a trip during the backward tree — so an interrupted
-    /// caller still has the optimal route to serve as its partial.
+    /// [`CoreError::Unreachable`] when `target` cannot be reached,
+    /// [`CoreError::Interrupted`] when the budget trips. The error carries
+    /// the base route when the forward tree had already proven it — a trip
+    /// during the backward tree — so an interrupted caller still has the
+    /// optimal route to serve as its partial.
     pub fn build(
         ws: &mut SearchSpace,
         net: &RoadNetwork,
         weights: &[Weight],
+        landmarks: &Arc<Landmarks>,
         source: NodeId,
         target: NodeId,
         query: &AltQuery,
     ) -> Result<SearchSubstrate, (CoreError, Option<Path>)> {
-        Self::build_under(ws, net, weights, source, target, query)
+        Self::build_under(ws, net, weights, landmarks, source, target, query)
     }
 
     /// [`SearchSubstrate::build`] over any [`Weights`] — the Google-like
@@ -113,6 +133,7 @@ impl SearchSubstrate {
         ws: &mut SearchSpace,
         net: &RoadNetwork,
         weights: impl Weights,
+        landmarks: &Arc<Landmarks>,
         source: NodeId,
         target: NodeId,
         query: &AltQuery,
@@ -120,22 +141,38 @@ impl SearchSubstrate {
         if source == target {
             return Err((CoreError::SameSourceTarget(source), None));
         }
-        let bound = Cell::new(INFINITY);
-        let to_bound = GrowToBound {
-            target: target.0,
-            query,
-            bound: &bound,
+        let toward = landmarks.row(target);
+        let lower = |v| landmarks.lower(v, &toward);
+        let mut build_stats = SearchStats::default();
+        let (forward, bound) = if landmarks.is_empty() {
+            let bound = Cell::new(INFINITY);
+            let to_bound = GrowToBound {
+                target: target.0,
+                query,
+                bound: &bound,
+            };
+            let forward = ws
+                .tree_under(net, weights, source, Direction::Forward, to_bound, || {
+                    bound.get()
+                })
+                .map_err(|e| (e, None))?;
+            (forward, bound.get())
+        } else {
+            let best = ws
+                .distance_toward(net, weights, source, target, lower)
+                .map_err(|e| (e, None))?;
+            build_stats.accumulate(&ws.last_stats());
+            let bound = query.search_bound(best);
+            let within = WithinBound { lower, bound };
+            let forward = ws
+                .tree_under(net, weights, source, Direction::Forward, within, || bound)
+                .map_err(|e| (e, None))?;
+            (forward, bound)
         };
-        let forward = ws
-            .tree_under(net, weights, source, Direction::Forward, to_bound, || {
-                bound.get()
-            })
-            .map_err(|e| (e, None))?;
-        let mut build_stats = ws.last_stats();
+        build_stats.accumulate(&ws.last_stats());
         if !forward.reached(target) {
             return Err((CoreError::Unreachable { source, target }, None));
         }
-        let bound = bound.get();
         let inside = InsideEllipse {
             forward: forward.distances(),
             bound,
@@ -153,6 +190,8 @@ impl SearchSubstrate {
                 query: *query,
             },
             bound,
+            landmarks: Arc::clone(landmarks),
+            toward,
             base: base_route(net, weights, &forward, target),
             forward,
             backward,
@@ -204,8 +243,9 @@ impl SearchSubstrate {
         &self.base
     }
 
-    /// Work counters of the substrate build (both tree searches
-    /// accumulated) — what a request pays for its pair, exactly once.
+    /// Work counters of the substrate build (the probe, when a table
+    /// prunes the pair, and both tree searches accumulated) — what a
+    /// request pays for its pair, exactly once.
     pub fn build_stats(&self) -> SearchStats {
         self.build_stats
     }
@@ -214,9 +254,9 @@ impl SearchSubstrate {
     /// read off its labels: `d_f(b) − d_f(a)` and `d_b(a) − d_b(b)` (the
     /// triangle inequality through the source and through the target),
     /// each only where both labels are present — and every present label
-    /// is exact: a forward label lies within the bound the forward search
-    /// settled to, and a backward label within the ellipse, where the
-    /// backward search is complete. 0 when no label pair applies.
+    /// is exact: the forward search settles every label it keeps, each
+    /// one's shortest path admitted before it, and the backward search is
+    /// complete over the ellipse. 0 when no label pair applies.
     pub(crate) fn distance_lower_bound(&self, a: NodeId, b: NodeId) -> Cost {
         let gap = |tree: &ShortestPathTree, near: NodeId, far: NodeId| {
             let (near, far) = (tree.distance(near), tree.distance(far));
@@ -231,15 +271,15 @@ impl SearchSubstrate {
 
     /// A lower bound on `d(v, target)` under the column the pair was grown
     /// on, and so under any column no cheaper edge by edge: `d_b(v)` inside
-    /// the ellipse; `bound + 1 − d_f(v)` for a forward-labelled vertex
-    /// outside it, since `d_f(v) + d_b(v) > bound` there; 0 for a vertex
-    /// neither tree reached.
+    /// the ellipse; for a forward-labelled vertex outside it, the larger of
+    /// `bound + 1 − d_f(v)` (since `d_f(v) + d_b(v) > bound` there) and the
+    /// landmark bound `lb(v)`; `lb(v)` for a vertex neither tree reached.
     #[inline]
     pub(crate) fn target_lower_bound(&self, v: u32) -> Cost {
-        let v = NodeId(v);
-        match (self.backward.distance(v), self.forward.distance(v)) {
-            (INFINITY, INFINITY) => 0,
-            (INFINITY, df) => self.bound + 1 - df,
+        let node = NodeId(v);
+        match (self.backward.distance(node), self.forward.distance(node)) {
+            (INFINITY, INFINITY) => self.landmarks.lower(v, &self.toward),
+            (INFINITY, df) => (self.bound + 1 - df).max(self.landmarks.lower(v, &self.toward)),
             (db, _) => db,
         }
     }
@@ -289,21 +329,102 @@ fn base_route(
 mod tests {
     use super::*;
     use crate::budget::SearchBudget;
-    use crate::fixtures::grid;
+    use crate::fixtures::{grid, unpruned};
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
 
     use arp_roadnet::geo::Point;
 
-    /// The bounded build of `query` in a fresh, unbudgeted workspace.
-    fn build(
+    /// The bounded build of `query` with `landmarks` in a fresh,
+    /// unbudgeted workspace.
+    fn build_with(
         net: &RoadNetwork,
         weights: &[Weight],
+        landmarks: &Arc<Landmarks>,
         (s, t): (u32, u32),
         query: &AltQuery,
     ) -> Result<SearchSubstrate, CoreError> {
         let mut ws = SearchSpace::new(net);
-        SearchSubstrate::build(&mut ws, net, weights, NodeId(s), NodeId(t), query)
-            .map_err(|(error, _)| error)
+        SearchSubstrate::build(
+            &mut ws,
+            net,
+            weights,
+            landmarks,
+            NodeId(s),
+            NodeId(t),
+            query,
+        )
+        .map_err(|(error, _)| error)
+    }
+
+    /// The bounded build of `query` with the empty table: the plain ball.
+    fn build(
+        net: &RoadNetwork,
+        weights: &[Weight],
+        st: (u32, u32),
+        query: &AltQuery,
+    ) -> Result<SearchSubstrate, CoreError> {
+        build_with(net, weights, &unpruned(), st, query)
+    }
+
+    #[test]
+    fn landmarks_prune_the_ball_and_keep_every_label_they_keep_exact() {
+        let net = grid(16);
+        let table = Arc::new(Landmarks::build(&net, net.weights()));
+        let mut ws = SearchSpace::new(&net);
+        for (s, t) in [(0, 255), (17, 20), (120, 3), (200, 201)] {
+            let query = AltQuery::paper();
+            let ball = build(&net, net.weights(), (s, t), &query).unwrap();
+            let pruned = build_with(&net, net.weights(), &table, (s, t), &query).unwrap();
+            assert_eq!(pruned.bound(), ball.bound());
+            assert_eq!(pruned.base_route().edges, ball.base_route().edges);
+            let (fwd, bwd) = (pruned.forward(), pruned.backward());
+            assert_eq!(bwd.order(), ball.backward().order(), "{s}->{t}");
+            assert!(fwd.order().len() <= ball.forward().order().len());
+            for v in net.nodes() {
+                assert_eq!(bwd.distance(v), ball.backward().distance(v));
+                assert_eq!(bwd.parent(v), ball.backward().parent(v));
+                if bwd.reached(v) || fwd.reached(v) {
+                    // Inside the ellipse, and every forward label outside
+                    // it, is the ball's: exact, with the canonical parent.
+                    assert_eq!(fwd.distance(v), ball.forward().distance(v), "{v}");
+                    assert_eq!(fwd.parent(v), ball.forward().parent(v), "{v}");
+                }
+                // Penalty's bound only tightens, and stays sound.
+                let (tight, loose) = (pruned.target_lower_bound(v.0), ball.target_lower_bound(v.0));
+                let d = ws.shortest_distance(&net, net.weights(), v, NodeId(t));
+                assert!(loose <= tight && tight <= d.unwrap_or(0), "{v}");
+            }
+        }
+        // Corner to corner the ellipse is most of the grid; two blocks
+        // apart the table leaves a sliver of the ball.
+        let near = (build(&net, net.weights(), (17, 20), &AltQuery::paper()).unwrap())
+            .forward()
+            .order()
+            .len();
+        let pruned = build_with(&net, net.weights(), &table, (17, 20), &AltQuery::paper());
+        assert!(2 * pruned.unwrap().forward().order().len() < near);
+    }
+
+    #[test]
+    fn the_probe_is_counted_and_an_unreachable_target_is_found_by_it() {
+        let net = grid(8);
+        let table = Arc::new(Landmarks::build(&net, net.weights()));
+        let query = AltQuery::paper();
+        let sub = build_with(&net, net.weights(), &table, (0, 63), &query).unwrap();
+        let trees = (sub.forward().order().len() + sub.backward().order().len()) as u64;
+        assert!(sub.build_stats().settled > trees, "the probe settles too");
+        // Every edge out of the target's two neighbours closed: the probe
+        // proves it unreachable before any tree grows.
+        let mut closed = net.weights().to_vec();
+        for v in [NodeId(55), NodeId(62)] {
+            for e in net.out_edges(v) {
+                closed[e.index()] = arp_roadnet::weight::CLOSED;
+            }
+        }
+        assert!(matches!(
+            build_with(&net, &closed, &table, (0, 63), &query),
+            Err(CoreError::Unreachable { .. })
+        ));
     }
 
     #[test]
@@ -426,8 +547,9 @@ mod tests {
         // tree's entry poll interrupts.
         let mut ws = SearchSpace::new(&net);
         ws.set_budget(SearchBudget::new().with_expansion_cap(1));
+        let unpruned = &unpruned();
         let Err((CoreError::Interrupted, Some(base))) =
-            SearchSubstrate::build(&mut ws, &net, net.weights(), s, t, &query)
+            SearchSubstrate::build(&mut ws, &net, net.weights(), unpruned, s, t, &query)
         else {
             panic!("the trip must land between the two trees");
         };
@@ -438,7 +560,7 @@ mod tests {
         cancelled.cancel();
         ws.set_budget(cancelled);
         assert!(matches!(
-            SearchSubstrate::build(&mut ws, &net, net.weights(), s, t, &query),
+            SearchSubstrate::build(&mut ws, &net, net.weights(), unpruned, s, t, &query),
             Err((CoreError::Interrupted, None))
         ));
     }

@@ -1,6 +1,8 @@
 //! Integration tests: the four techniques on all three synthetic study
 //! cities, checking the structural claims the paper makes about them.
 
+use std::sync::Arc;
+
 use arp_citygen::{City, Scale};
 use arp_core::prelude::*;
 use arp_core::quality::route_set_features;
@@ -311,7 +313,9 @@ fn search_work_counters_are_pinned_on_dhaka() {
     let net = &g.network;
     let w = net.weights();
     let mut ws = SearchSpace::new(net);
-    let [mut one, mut fwd, mut bwd, mut bounded] = [SearchStats::default(); 4];
+    let [mut one, mut fwd, mut bwd, mut bounded, mut pruned] = [SearchStats::default(); 5];
+    let unpruned = Arc::new(Landmarks::empty());
+    let landmarks = Arc::new(Landmarks::build(net, w));
     for (s, t) in sample_pairs(net, 12) {
         ws.shortest_path(net, w, s, t).unwrap();
         one.accumulate(&ws.last_stats());
@@ -321,8 +325,10 @@ fn search_work_counters_are_pinned_on_dhaka() {
         ws.shortest_path_tree(net, w, t, Direction::Backward)
             .unwrap();
         bwd.accumulate(&ws.last_stats());
-        let sub = SearchSubstrate::build(&mut ws, net, w, s, t, &AltQuery::paper()).unwrap();
-        bounded.accumulate(&sub.build_stats());
+        let sub = SearchSubstrate::build(&mut ws, net, w, &unpruned, s, t, &AltQuery::paper());
+        bounded.accumulate(&sub.unwrap().build_stats());
+        let sub = SearchSubstrate::build(&mut ws, net, w, &landmarks, s, t, &AltQuery::paper());
+        pruned.accumulate(&sub.unwrap().build_stats());
     }
     let counted = [one, fwd, bwd, bounded].map(|s| (s.settled, s.heap_pops, s.relaxed));
     assert_eq!(
@@ -335,6 +341,12 @@ fn search_work_counters_are_pinned_on_dhaka() {
         ],
         "one-to-one, forward trees, backward trees, bounded tree pairs"
     );
+    // The landmark table prunes the ball — its probe included, the served
+    // pairs settle less than the plain bounded pairs.
+    assert!(
+        pruned.settled < bounded.settled,
+        "{pruned:?} vs {bounded:?}"
+    );
 
     // Penalty's re-searches on the same queries, each handed its bounded
     // pair: pruned by the pair's labels, they settle fewer nodes than the
@@ -342,7 +354,8 @@ fn search_work_counters_are_pinned_on_dhaka() {
     let registry = arp_obs::Registry::new();
     let labels = [("technique", "penalty")];
     for (s, t) in sample_pairs(net, 12) {
-        let sub = SearchSubstrate::build(&mut ws, net, w, s, t, &AltQuery::paper()).unwrap();
+        let sub = SearchSubstrate::build(&mut ws, net, w, &unpruned, s, t, &AltQuery::paper());
+        let sub = sub.unwrap();
         let mut lane = SearchSpace::new(net);
         lane.set_metrics(SearchMetrics::new(&registry, &labels));
         let mut stats = Funnel::default();
@@ -384,13 +397,16 @@ fn bounded_tree_pair_equals_the_complete_pair_inside_the_ellipse_on_a_medium_cit
     let (q, budget) = (AltQuery::paper(), SearchBudget::unlimited());
     let mut ws = SearchSpace::new(net);
     let (mut pairs, mut pruned) = (0, 0);
+    // The served pairs: pruned by the base column's landmark table, which
+    // bounds the overlay too.
+    let landmarks = Arc::new(Landmarks::build(net, net.weights()));
     for column in [net.weights(), &overlay[..]] {
         for i in 0..6u32 {
             // Hops of 3, 60, 117, … vertex ids: ids are laid out block by
             // block, so the pairs range from next door to across town.
             let s = NodeId((i * 1931 + 17) % n);
             let t = NodeId((s.0 + 3 + i * i * 57) % n);
-            let Ok(sub) = SearchSubstrate::build(&mut ws, net, column, s, t, &q) else {
+            let Ok(sub) = SearchSubstrate::build(&mut ws, net, column, &landmarks, s, t, &q) else {
                 continue;
             };
             let fwd = ws.shortest_path_tree(net, column, s, Direction::Forward);
@@ -408,7 +424,8 @@ fn bounded_tree_pair_equals_the_complete_pair_inside_the_ellipse_on_a_medium_cit
                     assert_eq!(b.parent(v), bwd.parent(v), "{s}->{t}: {v}");
                 } else {
                     assert!(!b.reached(v), "{s}->{t}: {v}");
-                    assert!(!f.reached(v) || df <= bound);
+                    let lb = landmarks.lower_bound(v, t);
+                    assert!(!f.reached(v) || (f.distance(v) == df && df + lb <= bound));
                 }
             }
             let plateaus = |f, b| {
@@ -525,8 +542,8 @@ fn long_sweep_fixture() -> (arp_citygen::GeneratedCity, SearchSubstrate, AltQuer
         .with_theta(0.7)
         .with_epsilon(3.0);
     let mut ws = SearchSpace::new(&g.network);
-    let sub =
-        SearchSubstrate::build(&mut ws, &g.network, g.network.weights(), s, t, &query).unwrap();
+    let (net, unpruned) = (&g.network, &Arc::new(Landmarks::empty()));
+    let sub = SearchSubstrate::build(&mut ws, net, net.weights(), unpruned, s, t, &query).unwrap();
     (g, sub, query)
 }
 

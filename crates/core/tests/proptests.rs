@@ -3,12 +3,13 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
+use std::sync::Arc;
 
 use arp_core::prelude::*;
 use arp_core::quality;
 use arp_core::search::{Direction, ShortestPathTree};
 use arp_core::similarity;
-use arp_core::{ChTopology, Funnel};
+use arp_core::{ChTopology, Funnel, Landmarks};
 use arp_obs::Registry;
 use arp_roadnet::prelude::*;
 use arp_roadnet::weight::{apply_penalty, Cost};
@@ -226,6 +227,19 @@ fn tie_rounded(weights: &[Weight]) -> Vec<Weight> {
     weights.iter().map(round).collect()
 }
 
+/// The empty landmark table: a build fed it grows the plain ball.
+fn unpruned() -> Arc<Landmarks> {
+    Arc::new(Landmarks::empty())
+}
+
+/// The landmark table of `base`, a column no dearer edge by edge than
+/// every column it is handed with: the network's own weights for them and
+/// for an [`overlay`] of them, their [`tie_rounded`] copy for a rounded
+/// overlay (rounding down keeps the order of two weights).
+fn table_of(net: &RoadNetwork, base: &[Weight]) -> Arc<Landmarks> {
+    Arc::new(Landmarks::build(net, base))
+}
+
 /// A fixed pseudo-random [`overlay`] for a whole city: closes 1 edge in
 /// 40 and slows 1 in 4 by a factor 2–4.
 fn fixed_overlay(net: &RoadNetwork) -> Vec<Weight> {
@@ -346,7 +360,9 @@ fn check_sweep_against_reference(
 ) -> Result<Option<u64>, String> {
     let budget = SearchBudget::unlimited();
     let mut ws = SearchSpace::new(net);
-    let Ok(sub) = arp_core::SearchSubstrate::build(&mut ws, net, weights, s, t, query) else {
+    let unpruned = &unpruned();
+    let Ok(sub) = arp_core::SearchSubstrate::build(&mut ws, net, weights, unpruned, s, t, query)
+    else {
         return Ok(None);
     };
     let (fwd, bwd) = (sub.forward(), sub.backward());
@@ -423,23 +439,30 @@ fn reference_parent(
     best.unwrap_or(EdgeId::INVALID)
 }
 
-/// The bounded builder against [`reference_dijkstra`] and against the
-/// complete tree pair, for one query: (a) inside the stretch ellipse
-/// both trees carry the reference label and the canonical parent, (b) no
-/// kept label lies beyond the bound, (c) same-endpoint, unreachable and
-/// cancelled-budget errors are the ones a pair of complete trees gives,
-/// (d) Plateaus and SSVP-D+ return the same edge lists (and SSVP-D+ the
-/// same funnel) on the bounded and on the complete pair. `Ok(false)`
-/// when the pair is unroutable.
+/// The bounded builder fed `landmarks` against [`reference_dijkstra`] and
+/// against the complete tree pair, for one query: (a) inside the stretch
+/// ellipse both trees carry the reference label and the canonical parent,
+/// (b) outside it the backward tree keeps nothing and a forward label is
+/// exact with `d + lb ≤ bound` (`lb` ≡ 0 for the empty table: the ball),
+/// (c) same-endpoint, unreachable and cancelled-budget errors are the
+/// ones a pair of complete trees gives, (d) Plateaus and SSVP-D+ return
+/// the same edge lists (and SSVP-D+ the same funnel) on the bounded and
+/// on the complete pair. `Ok(false)` when the pair is unroutable.
 fn check_bounded_build(
     net: &RoadNetwork,
     weights: &[Weight],
+    landmarks: &Arc<Landmarks>,
     (s, t): (NodeId, NodeId),
     query: &AltQuery,
 ) -> Result<bool, String> {
-    let what = format!("{s}->{t} eps={}", query.epsilon);
+    let what = format!(
+        "{s}->{t} eps={} landmarks={}",
+        query.epsilon,
+        landmarks.landmarks().len()
+    );
     let build = |ws: &mut SearchSpace| {
-        arp_core::SearchSubstrate::build(ws, net, weights, s, t, query).map_err(|(e, _)| e)
+        arp_core::SearchSubstrate::build(ws, net, weights, landmarks, s, t, query)
+            .map_err(|(e, _)| e)
     };
     let mut ws = SearchSpace::new(net);
     let cancelled = SearchBudget::new();
@@ -479,9 +502,10 @@ fn check_bounded_build(
                     || bwd.parent(v)
                         == reference_parent(net, weights, &to_t, v, Direction::Backward))
         } else {
-            // (b): the forward run may keep the rest of its ball, exactly
+            // (b): the forward run may keep what its bound admits, exactly
             // labelled; the backward run keeps nothing outside the ellipse.
-            kb == INFINITY && (kf == INFINITY || (kf == df && df <= bound))
+            let admitted = |d: Cost| d + landmarks.lower_bound(v, t) <= bound;
+            kb == INFINITY && (kf == INFINITY || (kf == df && admitted(df)))
         };
         if !ok {
             return Err(format!(
@@ -718,13 +742,20 @@ fn check_filters_against_reference(
     k: usize,
 ) -> Result<(), String> {
     let n = net.num_nodes() as u64;
-    for (w, weights) in filter_weightings(net, seed).iter().enumerate() {
+    let weightings = filter_weightings(net, seed);
+    // The uniform column is cheaper than the network's own on some edges:
+    // its table is its own, with the closures open.
+    let open: Vec<Weight> = weightings[2].iter().map(|_| 60_000).collect();
+    let own = table_of(net, net.weights());
+    let tables = [own.clone(), own, table_of(net, &open)];
+    for (w, (weights, landmarks)) in weightings.iter().zip(&tables).enumerate() {
         for q in 0..3u64 {
             let s = NodeId((draw(seed, 2 * q + 1) % n) as u32);
             let t = NodeId((draw(seed, 2 * q + 2) % n) as u32);
             let mut ws = SearchSpace::new(net);
             let query = AltQuery::paper();
-            let Ok(pair) = SearchSubstrate::build(&mut ws, net, weights, s, t, &query) else {
+            let Ok(pair) = SearchSubstrate::build(&mut ws, net, weights, landmarks, s, t, &query)
+            else {
                 continue;
             };
             let paths = filter_candidates(net, weights, &pair);
@@ -841,13 +872,14 @@ fn reference_penalty(
     Ok((accepted, stats, settled))
 }
 
-/// One Penalty query answered by the pruned loop on the query's tree pair
-/// and by [`reference_penalty`]: the same paths (edges, costs, admission
-/// order), the same funnel, the same errors, and no more settled nodes.
-/// `Ok(false)` when the pair is unroutable.
+/// One Penalty query answered by the pruned loop on the query's tree pair,
+/// grown with `landmarks`, and by [`reference_penalty`]: the same paths
+/// (edges, costs, admission order), the same funnel, the same errors, and
+/// no more settled nodes. `Ok(false)` when the pair is unroutable.
 fn check_penalty_against_reference(
     net: &RoadNetwork,
     weights: &[Weight],
+    landmarks: &Arc<Landmarks>,
     (s, t): (NodeId, NodeId),
     query: &AltQuery,
     options: &PenaltyOptions,
@@ -860,7 +892,7 @@ fn check_penalty_against_reference(
     let registry = arp_obs::Registry::new();
     let labels = [("technique", "penalty")];
     let mut ws = SearchSpace::new(net);
-    let pair = match SearchSubstrate::build(&mut ws, net, weights, s, t, query) {
+    let pair = match SearchSubstrate::build(&mut ws, net, weights, landmarks, s, t, query) {
         Ok(pair) => pair,
         Err((e, _)) if want.as_ref().err() == Some(&e) => return Ok(false),
         Err((e, _)) => return Err(format!("{what}: pair {e}, reference {want:?}")),
@@ -915,7 +947,7 @@ fn reference_google_like(
         .map(|(&w, &p)| if p == CLOSED { CLOSED } else { w })
         .collect();
     let mut ws = SearchSpace::new(net);
-    let Ok(own) = SearchSubstrate::build(&mut ws, net, &masked, s, t, query) else {
+    let Ok(own) = SearchSubstrate::build(&mut ws, net, &masked, &unpruned(), s, t, query) else {
         return Vec::new();
     };
     let options = PlateauOptions {
@@ -949,6 +981,7 @@ fn reference_google_like(
 fn check_reuse(
     net: &RoadNetwork,
     columns: [&[Weight]; 2],
+    landmarks: &Arc<Landmarks>,
     google: &GoogleLikeProvider,
     ops: &[u32],
 ) -> Result<(), String> {
@@ -971,8 +1004,8 @@ fn check_reuse(
         let mut ws = SearchSpace::pooled(net, budget(), SearchMetrics::default());
         let mut fresh = SearchSpace::new(net);
         fresh.set_budget(budget());
-        let got = SearchSubstrate::build(&mut ws, net, weights, s, t, &query);
-        let want = SearchSubstrate::build(&mut fresh, net, weights, s, t, &query);
+        let got = SearchSubstrate::build(&mut ws, net, weights, landmarks, s, t, &query);
+        let want = SearchSubstrate::build(&mut fresh, net, weights, landmarks, s, t, &query);
         let (pair, fresh_pair) = match (got, want) {
             (Ok(got), Ok(want)) => (got, want),
             (Err(got), Err(want)) if got == want => continue,
@@ -1095,7 +1128,7 @@ fn check_funnels(
         query.epsilon, query.k, query.theta
     );
     let mut ws = SearchSpace::new(net);
-    let Ok(pair) = SearchSubstrate::build(&mut ws, net, weights, s, t, query) else {
+    let Ok(pair) = SearchSubstrate::build(&mut ws, net, weights, &unpruned(), s, t, query) else {
         return Ok(None);
     };
     let (fwd, bwd, budget) = (pair.forward(), pair.backward(), SearchBudget::unlimited());
@@ -1147,6 +1180,100 @@ fn check_funnels(
         return Err(format!("{what}: penalty funnel {penalty:?}"));
     }
     Ok(Some(funnels))
+}
+
+/// A landmark table against the columns it is handed with: for every
+/// target `t`, `lb(t, t) = 0`, `lb(v, t) ≤ d(v, t)` on each of `columns`
+/// at every `v`, and `lb(u, t) ≤ w(u, v) + lb(v, t)` on every open arc of
+/// `base`, the column the table was built on.
+fn check_landmarks(
+    net: &RoadNetwork,
+    base: &[Weight],
+    columns: &[&[Weight]],
+    table: &Landmarks,
+) -> Result<(), String> {
+    for t in net.nodes() {
+        if table.lower_bound(t, t) != 0 {
+            return Err(format!("lb({t}, {t}) = {}", table.lower_bound(t, t)));
+        }
+        for column in columns {
+            let to_t = reference_dijkstra(net, column, t, Direction::Backward);
+            if let Some(v) = net
+                .nodes()
+                .find(|&v| table.lower_bound(v, t) > to_t[v.index()])
+            {
+                let lb = table.lower_bound(v, t);
+                return Err(format!("lb({v}, {t}) = {lb} > d = {}", to_t[v.index()]));
+            }
+        }
+        for e in net.edges().filter(|e| base[e.index()] != CLOSED) {
+            let (u, v) = (net.tail(e), net.head(e));
+            let (lu, lv) = (table.lower_bound(u, t), table.lower_bound(v, t));
+            if lu > base[e.index()] as Cost + lv {
+                return Err(format!(
+                    "lb({u}, {t}) = {lu} > w({e}) + lb({v}, {t}) = {lv}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn landmark_tables_of_the_tiny_cities_are_full() {
+    // Both columns a serving process builds a table on — the base column
+    // and the Google-like provider's private one — are strongly
+    // connected, so every entry is finite and no table is empty.
+    for city in arp_citygen::City::ALL {
+        let net = arp_citygen::generate(city, arp_citygen::Scale::Tiny, 3).network;
+        let slowed = fixed_overlay(&net);
+        // The private column under the overlay's closures: what the
+        // Google-like provider searches during that epoch.
+        let private = arp_core::TrafficModel::new(7).private_weights(&net);
+        let closed = |(&w, &p): (&Weight, &Weight)| if p == CLOSED { CLOSED } else { w };
+        let masked: Vec<Weight> = private.iter().zip(&slowed).map(closed).collect();
+        for (column, overlaid) in [(net.weights(), &slowed), (&private[..], &masked)] {
+            let table = Landmarks::build(&net, column);
+            assert_eq!(
+                table.landmarks().len(),
+                arp_core::landmarks::LANDMARKS,
+                "{city:?}"
+            );
+            assert_eq!(table.bytes(), 64 * net.num_nodes());
+            check_landmarks(&net, column, &[column, overlaid], &table)
+                .unwrap_or_else(|e| panic!("{city:?}: {e}"));
+        }
+    }
+}
+
+#[test]
+fn the_bounded_build_check_catches_a_table_one_unit_too_tight() {
+    // A grid corner to corner at ε = 1: the ellipse is the shortest
+    // paths, so every vertex of it sits on its boundary. A table whose one
+    // landmark is the target bounds d(v, t) exactly; raising one entry by
+    // a single unit at an in-ellipse vertex prunes that vertex, and the
+    // check must notice.
+    let net = grid(6);
+    let (s, t) = (NodeId(0), NodeId(35));
+    let query = AltQuery::paper().with_epsilon(1.0);
+    let from = reference_dijkstra(&net, net.weights(), t, Direction::Forward);
+    let to = reference_dijkstra(&net, net.weights(), t, Direction::Backward);
+    let (from, mut to) = ([from], [to]);
+    let exact = Arc::new(Landmarks::from_distances(&[t], &from, &to));
+    assert_eq!(
+        check_bounded_build(&net, net.weights(), &exact, (s, t), &query),
+        Ok(true)
+    );
+    let from_s = reference_dijkstra(&net, net.weights(), s, Direction::Forward);
+    let on_the_boundary = |v: &NodeId| from_s[v.index()] + to[0][v.index()] == from_s[t.index()];
+    let v = net
+        .nodes()
+        .filter(|v| ![s, t].contains(v))
+        .find(on_the_boundary);
+    let v = v.expect("a shortest path has an inner vertex");
+    to[0][v.index()] += 1;
+    let tight = Arc::new(Landmarks::from_distances(&[t], &from, &to));
+    assert!(check_bounded_build(&net, net.weights(), &tight, (s, t), &query).is_err());
 }
 
 proptest! {
@@ -1376,8 +1503,29 @@ proptest! {
         let net = build(n, &chords);
         let slowed = overlay(&net, &codes);
         let google = GoogleLikeProvider::new(&net, 7);
-        let checked = check_reuse(&net, [net.weights(), &slowed[..]], &google, &ops);
+        let landmarks = table_of(&net, net.weights());
+        let columns = [net.weights(), &slowed[..]];
+        let checked = check_reuse(&net, columns, &landmarks, &google, &ops);
         prop_assert!(checked.is_ok(), "{:?}", checked);
+    }
+
+    #[test]
+    fn landmark_bounds_are_sound_and_consistent(
+        ((n, chords), codes) in (arb_scc_graph(), proptest::collection::vec(0u32..9, 100)),
+    ) {
+        // A table built once on a base column bounds that column and every
+        // overlay of it — factors ≥ 1 and closures — and a table on the
+        // tie-rounded base column bounds the tie-rounded overlay.
+        let net = build(n, &chords);
+        let slowed = overlay(&net, &codes);
+        let rounded = tie_rounded(net.weights());
+        let tied = tie_rounded(&slowed);
+        for (base, overlaid) in [(net.weights(), &slowed[..]), (&rounded[..], &tied[..])] {
+            let table = Landmarks::build(&net, base);
+            prop_assert!(!table.is_empty(), "a strongly connected column");
+            let checked = check_landmarks(&net, base, &[base, overlaid], &table);
+            prop_assert!(checked.is_ok(), "{:?}", checked);
+        }
     }
 
     #[test]
@@ -1390,14 +1538,17 @@ proptest! {
         // overlay (which may disconnect the pair), at a random stretch.
         let net = build(n, &chords);
         let slowed = overlay(&net, &codes);
+        let tables = [unpruned(), table_of(&net, net.weights())];
         // ε = 1 puts every vertex of the ellipse exactly on its boundary.
         for epsilon in [1.0, epsilon] {
             let query = AltQuery::paper().with_epsilon(epsilon);
             for weights in [net.weights(), &slowed[..]] {
                 for (s, t) in [(0, n - 1), (n - 1, 0), (n / 2, 1), (2, 2)] {
                     let st = (NodeId(s as u32), NodeId(t as u32));
-                    let checked = check_bounded_build(&net, weights, st, &query);
-                    prop_assert!(checked.is_ok(), "{:?}", checked);
+                    for landmarks in &tables {
+                        let checked = check_bounded_build(&net, weights, landmarks, st, &query);
+                        prop_assert!(checked.is_ok(), "{:?}", checked);
+                    }
                 }
             }
         }
@@ -1458,7 +1609,7 @@ proptest! {
         // leaves the proven base route as the whole partial.
         let mut ws = SearchSpace::new(&net);
         ws.set_budget(SearchBudget::new().with_expansion_cap(cap));
-        let partial = match SearchSubstrate::build(&mut ws, &net, net.weights(), s, t, &q) {
+        let partial = match SearchSubstrate::build(&mut ws, &net, net.weights(), &unpruned(), s, t, &q) {
             Ok(pair) => arp_core::penalty_alternatives_from_base(
                 &mut ws, &net, net.weights(), &pair, &PenaltyOptions::default(),
                 &mut Funnel::default(),
@@ -1505,7 +1656,10 @@ proptest! {
         let q = AltQuery::paper();
         let budget = SearchBudget::unlimited();
         let mut ws = SearchSpace::new(&net);
-        let sub = arp_core::SearchSubstrate::build(&mut ws, &net, net.weights(), s, t, &q).unwrap();
+        // The shared pair is the served one, pruned by the landmark table;
+        // `alternatives` grows the plain ball.
+        let landmarks = table_of(&net, net.weights());
+        let sub = arp_core::SearchSubstrate::build(&mut ws, &net, net.weights(), &landmarks, s, t, &q).unwrap();
 
         for provider in standard_providers(&net, 42) {
             let own = provider.alternatives(&net, net.weights(), s, t, &q).unwrap();
@@ -1536,7 +1690,10 @@ proptest! {
         let slowed = overlay(&net, &codes);
         let tied = tie_rounded(&slowed);
         let wide = PenaltyOptions { max_similarity: 1.0, penalize_reverse: false };
-        for weights in [net.weights(), &slowed[..], &tied[..]] {
+        let own = table_of(&net, net.weights());
+        let rounded = table_of(&net, &tie_rounded(net.weights()));
+        let columns = [(net.weights(), &own), (&slowed[..], &own), (&tied[..], &rounded)];
+        for (weights, landmarks) in columns {
             for (s, t) in [(0, n - 1), (n - 1, 0), (n / 2, 1)] {
                 let st = (NodeId(s as u32), NodeId(t as u32));
                 for epsilon in [0.9, 1.4, epsilon, 50.0] {
@@ -1546,8 +1703,9 @@ proptest! {
                             .with_penalty_factor(factor)
                             .with_k(k);
                         for options in [PenaltyOptions::default(), wide] {
-                            let checked =
-                                check_penalty_against_reference(&net, weights, st, &query, &options);
+                            let checked = check_penalty_against_reference(
+                                &net, weights, landmarks, st, &query, &options,
+                            );
                             prop_assert!(checked.is_ok(), "{:?}", checked);
                         }
                     }

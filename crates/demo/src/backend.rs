@@ -411,11 +411,22 @@ mod tests {
             target: along.nodes[4],
         };
         let direct = arp_core::shortest_path(net, w, q.source, q.target).unwrap();
-        // Cap of one pop: the build completes its forward tree (residual
-        // pops are charged at the end), the cap trips sticky, and the
-        // backward tree's entry poll interrupts.
-        let cap = SearchBudget::new().with_expansion_cap(1);
-        let prepared = qp.prepare_substrate(qp.prepare_query(q), &cap);
+        // The smallest cap that lets the build prove the base route: the
+        // landmark probe and the forward tree complete (residual pops are
+        // charged at the end), the cap trips sticky, and the backward
+        // tree's entry poll interrupts.
+        let prepared = (1..10_000)
+            .map(|cap| {
+                let cap = SearchBudget::new().with_expansion_cap(cap);
+                qp.prepare_substrate(qp.prepare_query(q), &cap)
+            })
+            .find(|p| {
+                matches!(
+                    p.substrate,
+                    Err((arp_core::CoreError::Interrupted, Some(_)))
+                )
+            })
+            .expect("some cap lands between the trees");
         for slot in 1..qp.technique_slots() {
             let (part, interrupted) = qp
                 .compute_slot_prepared(&prepared, slot, &SearchBudget::unlimited())

@@ -14,7 +14,7 @@ use arp_core::provider::AlternativesProvider;
 use arp_core::query::{AltQuery, Route};
 use arp_core::substrate::{SearchSubstrate, Trip};
 use arp_core::{
-    CoreError, ProviderKind, ProviderOutcome, SearchBudget, SearchMetrics, SearchSpace,
+    CoreError, Landmarks, ProviderKind, ProviderOutcome, SearchBudget, SearchMetrics, SearchSpace,
 };
 use arp_obs::{Counter, Registry};
 use arp_roadnet::csr::RoadNetwork;
@@ -191,6 +191,10 @@ pub struct QueryProcessor {
     spatial: SpatialIndex,
     /// The four providers, built in [`ProviderKind::ALL`] order.
     providers: Vec<Box<dyn AlternativesProvider>>,
+    /// The landmark table of the network's base column. Every traffic
+    /// epoch's column is no cheaper edge by edge, so it prunes the tree
+    /// pair of every request, whatever epoch it pins.
+    landmarks: Arc<Landmarks>,
     query: AltQuery,
     registry: Registry,
     substrate_metrics: SubstrateMetrics,
@@ -206,12 +210,13 @@ pub struct QueryProcessor {
 
 impl QueryProcessor {
     /// Builds the processor for a network with a fresh, enabled metrics
-    /// [`Registry`]. `seed` parameterizes the Google-like provider's
-    /// private data.
+    /// [`Registry`] and the landmark table of its base column. `seed`
+    /// parameterizes the Google-like provider's private data.
     pub fn new(name: impl Into<String>, network: RoadNetwork, seed: u64) -> QueryProcessor {
         let registry = Registry::new();
         let spatial = SpatialIndex::build(&network);
         let providers = arp_core::provider::instrumented_providers(&network, seed, &registry);
+        let landmarks = Arc::new(Landmarks::build(&network, network.weights()));
         let substrate_metrics = SubstrateMetrics::new(&registry);
         let network = Arc::new(network);
         let (traffic, recovery) = TrafficState::open(Arc::clone(&network), None, &registry)
@@ -221,6 +226,7 @@ impl QueryProcessor {
             network,
             spatial,
             providers,
+            landmarks,
             query: AltQuery::paper(),
             registry,
             substrate_metrics,
@@ -379,8 +385,9 @@ impl QueryProcessor {
 
     /// The prepare step — the one place this processor grows a tree
     /// pair: grows the [`SearchSubstrate`] for `request` under a
-    /// cooperative budget, on its pinned epoch's weights, to the stretch
-    /// bound of the processor's [`AltQuery`] and no further, and records
+    /// cooperative budget, on its pinned epoch's weights, pruned by the
+    /// base column's landmark table to the stretch bound of the
+    /// processor's [`AltQuery`], and records
     /// the outcome on the request for every lane to read. Failures are
     /// [`SearchSubstrate::build`]'s: the budget tripped (with the base
     /// route, when the forward tree had proven it), or the pair is
@@ -400,8 +407,15 @@ impl QueryProcessor {
         let mut ws = SearchSpace::pooled(&self.network, budget.clone(), detached);
         let SnappedQuery { source, target } = request.snapped;
         let weights = request.overlay.weights();
-        let built =
-            SearchSubstrate::build(&mut ws, &self.network, weights, source, target, &self.query);
+        let built = SearchSubstrate::build(
+            &mut ws,
+            &self.network,
+            weights,
+            &self.landmarks,
+            source,
+            target,
+            &self.query,
+        );
         match &built {
             Ok(_) => self.substrate_metrics.builds.inc(),
             Err(_) => self.substrate_metrics.build_failures.inc(),

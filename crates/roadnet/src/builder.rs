@@ -50,7 +50,8 @@ impl EdgeSpec {
         self
     }
 
-    /// Sets the exact edge weight in milliseconds.
+    /// Sets the exact edge weight in milliseconds (a 0 is raised to the
+    /// 1 ms floor every network weight keeps).
     pub fn with_weight(mut self, ms: Weight) -> Self {
         self.weight_ms = Some(ms);
         self
@@ -168,10 +169,16 @@ impl GraphBuilder {
         let speed_kmh = spec
             .speed_kmh
             .unwrap_or_else(|| spec.category.default_speed_kmh());
-        let weight_ms = spec.weight_ms.unwrap_or_else(|| {
-            self.weight_config
-                .travel_time_ms(length_m, speed_kmh as f64, spec.category)
-        });
+        // Every weight that enters a network — derived, explicit or read
+        // back from a file — is at least 1 ms: the search kernel's
+        // canonical parents need strictly positive costs.
+        let weight_ms = spec
+            .weight_ms
+            .unwrap_or_else(|| {
+                self.weight_config
+                    .travel_time_ms(length_m, speed_kmh as f64, spec.category)
+            })
+            .max(1);
         self.edges.push(PendingEdge {
             tail: tail.0,
             head: head.0,
@@ -316,6 +323,18 @@ mod tests {
         let net = b.build();
         let e = net.out_edges(a).next().unwrap();
         assert_eq!(net.weight(e), 12345);
+    }
+
+    #[test]
+    fn every_weight_is_floored_at_one_ms() {
+        let mut b = GraphBuilder::new();
+        let a = b.add_node(p(0.0, 0.0));
+        let c = b.add_node(p(0.0, 0.0));
+        // Zero length, and an explicit zero.
+        b.add_edge(a, c, EdgeSpec::default());
+        b.add_edge(c, a, EdgeSpec::default().with_weight(0));
+        let net = b.build();
+        assert!(net.edges().all(|e| net.weight(e) == 1));
     }
 
     #[test]

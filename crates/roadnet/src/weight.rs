@@ -92,15 +92,13 @@ impl WeightConfig {
     /// Travel time in milliseconds for a segment of `length_m` metres,
     /// driven at `speed_kmh`, classified as `category`.
     ///
-    /// Returns at least 1 ms for any positive length so that edge weights
-    /// are strictly positive (Dijkstra's precondition) and zero for
-    /// zero-length segments.
+    /// Returns at least 1 ms — zero-length segments included — so that
+    /// edge weights are strictly positive: the search kernel's canonical
+    /// parents rely on it (a zero-weight cycle of tight edges would make
+    /// them cyclic).
     pub fn travel_time_ms(&self, length_m: f64, speed_kmh: f64, category: RoadCategory) -> Weight {
-        if length_m <= 0.0 {
-            return 0;
-        }
         let speed = (speed_kmh * self.speed_scale).max(1.0);
-        let seconds = length_m / (speed / 3.6);
+        let seconds = length_m.max(0.0) / (speed / 3.6);
         let factor = if category.is_freeway() {
             1.0
         } else {
@@ -185,10 +183,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_length_is_zero_weight() {
+    fn zero_length_weighs_one_ms() {
         let cfg = WeightConfig::paper();
-        assert_eq!(cfg.travel_time_ms(0.0, 50.0, RoadCategory::Primary), 0);
-        assert_eq!(cfg.travel_time_ms(-5.0, 50.0, RoadCategory::Primary), 0);
+        assert_eq!(cfg.travel_time_ms(0.0, 50.0, RoadCategory::Primary), 1);
+        assert_eq!(cfg.travel_time_ms(-5.0, 50.0, RoadCategory::Primary), 1);
     }
 
     #[test]

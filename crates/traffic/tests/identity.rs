@@ -80,11 +80,15 @@ fn identity_round_trip(city: City) {
     let providers = arp_core::standard_providers(&net, 42);
     let budget = SearchBudget::unlimited();
     let mut ws = arp_core::SearchSpace::new(&net);
+    // The served pairs: pruned by the base column's landmark table.
+    let landmarks = Arc::new(arp_core::Landmarks::build(&net, net.weights()));
     for (s, t) in routable_pairs(&net) {
-        let sub_base = SearchSubstrate::build(&mut ws, &net, base.weights(), s, t, &query)
-            .expect("routable pair must yield a substrate");
-        let sub_snap = SearchSubstrate::build(&mut ws, &net, snap.weights(), s, t, &query)
-            .expect("routable pair must yield a substrate");
+        let sub_base =
+            SearchSubstrate::build(&mut ws, &net, base.weights(), &landmarks, s, t, &query)
+                .expect("routable pair must yield a substrate");
+        let sub_snap =
+            SearchSubstrate::build(&mut ws, &net, snap.weights(), &landmarks, s, t, &query)
+                .expect("routable pair must yield a substrate");
 
         for p in &providers {
             let plain_base = p
