@@ -50,7 +50,7 @@ impl RouteBackend for DemoBackend {
     fn lane_key(&self, request: &PreparedQuery, lane: usize) -> String {
         // Keyed on the snapped endpoints plus the request's pinned traffic
         // epoch: a tick moves every key forward, so stale routes can never
-        // be served while untouched shards simply age out. The substrate is
+        // be served while the old entries simply age out. The substrate is
         // derived state and stays out of the key; the cache probe runs
         // before `prepare` anyway, which is exactly why the epoch is pinned
         // at request construction rather than in `prepare`.
@@ -555,7 +555,7 @@ mod tests {
     }
 
     #[test]
-    fn disconnected_pair_degrades_per_lane_without_panicking() {
+    fn disconnected_pair_answers_no_route_per_lane_without_panicking() {
         use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
 
         // Two components: {0,1} and {2,3}, no edges between them.
@@ -578,11 +578,14 @@ mod tests {
         let token = CancelToken::new();
         let prepared = backend.prepare(qp.prepare_query(q), &token, &Deadline::never());
         assert!(prepared.substrate.is_err());
-        // …and each lane reports prepare's error.
+        // …and each lane completes with no route: the pair-reading ones
+        // from prepare's error, Google-like from its own search.
         for lane in 0..backend.lanes() {
-            backend
-                .compute_cancellable(&prepared, lane, &token)
-                .expect_err("unroutable pair must fail the lane");
+            let outcome = backend.compute_cancellable(&prepared, lane, &token);
+            assert!(
+                matches!(&outcome, Ok(LaneOutcome::Complete(part)) if part.routes.is_empty()),
+                "lane {lane}: {outcome:?}"
+            );
         }
         assert_eq!(
             qp.registry()
@@ -590,14 +593,18 @@ mod tests {
             1
         );
 
-        // End to end: the serving layer answers with an error response,
-        // never a panic.
+        // End to end: the serving layer answers a healthy response with no
+        // route in any approach, never a panic, and the serial path
+        // answers `NoRoute`.
         let service = RouteService::new(
             DemoBackend::new(Arc::clone(&qp)),
             ServeConfig::default(),
             &Registry::disabled(),
         );
-        assert!(service.route(qp.prepare_query(q)).is_err());
+        let response = service.route(qp.prepare_query(q)).unwrap();
+        assert!(!response.has_route() && !response.degraded, "{response:?}");
+        let (s, t) = (qp.network().point(n0), qp.network().point(n2));
+        assert!(matches!(qp.process(s, t), Err(crate::DemoError::NoRoute)));
     }
 
     #[test]

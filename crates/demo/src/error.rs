@@ -17,6 +17,9 @@ pub enum DemoError {
     },
     /// Source and target matched to the same vertex.
     SameLocation,
+    /// The matched points are not connected at the request's traffic
+    /// epoch: every technique answers with zero routes.
+    NoRoute,
     /// Route computation failed.
     Routing(arp_core::CoreError),
     /// A malformed API request.
@@ -35,6 +38,7 @@ impl fmt::Display for DemoError {
                 write!(f, "no road near the {which} location")
             }
             DemoError::SameLocation => write!(f, "source and target match the same road vertex"),
+            DemoError::NoRoute => write!(f, "no route between the matched points"),
             DemoError::Routing(e) => write!(f, "routing failed: {e}"),
             DemoError::BadRequest(m) => write!(f, "bad request: {m}"),
             DemoError::Io(e) => write!(f, "i/o error: {e}"),

@@ -118,6 +118,14 @@ impl PreparedQuery {
     }
 }
 
+impl QueryResponse {
+    /// Whether any approach shows a route. A complete response without
+    /// one means the matched points are not connected at its epoch.
+    pub fn has_route(&self) -> bool {
+        self.approaches.iter().any(|a| !a.routes.is_empty())
+    }
+}
+
 /// Answer to a demo query.
 #[derive(Clone, Debug)]
 pub struct QueryResponse {
@@ -369,7 +377,7 @@ impl QueryProcessor {
     /// everything the slot's result depends on. The epoch suffix is what
     /// makes cache invalidation *epoch-scoped*: a traffic tick changes
     /// the key, so stale entries are simply never probed again (they age
-    /// out via LRU) while untouched shards keep serving. Documented
+    /// out via LRU) and no sweep runs. Documented
     /// in DESIGN.md §8 and §10.
     pub fn slot_cache_key_at(&self, q: &SnappedQuery, slot: usize, epoch: u64) -> String {
         format!(
@@ -449,6 +457,11 @@ impl QueryProcessor {
     /// slot that does not read the pair ([`Self::slot_reads_pair`]) never
     /// looks at prepare's outcome: it answers the snapped trip on the
     /// pinned epoch under its own budget, prepared or not.
+    ///
+    /// A pair with no route at this epoch ([`CoreError::Unreachable`],
+    /// from the pair or from the technique's own search) is a complete
+    /// answer with zero routes, not an error: it is what every technique
+    /// says about the trip.
     pub fn compute_slot_prepared(
         &self,
         q: &PreparedQuery,
@@ -462,19 +475,23 @@ impl QueryProcessor {
             target: q.snapped.target,
             query: self.query,
         };
-        let outcome = if !provider.reads_pair() {
-            provider.answer(net, weights, &trip, None, budget)?
+        let answered = if !provider.reads_pair() {
+            provider.answer(net, weights, &trip, None, budget)
         } else {
             match &q.substrate {
-                Ok(pair) => provider.answer(net, weights, &trip, Some(pair), budget)?,
-                Err((CoreError::Interrupted, proven)) => ProviderOutcome::Interrupted {
+                Ok(pair) => provider.answer(net, weights, &trip, Some(pair), budget),
+                Err((CoreError::Interrupted, proven)) => Ok(ProviderOutcome::Interrupted {
                     partial: proven
                         .iter()
                         .map(|p| Route::new(p.clone(), weights))
                         .collect(),
-                },
-                Err((e, _)) => return Err(e.clone().into()),
+                }),
+                Err((e, _)) => Err(e.clone()),
             }
+        };
+        let outcome = match answered {
+            Err(CoreError::Unreachable { .. }) => ProviderOutcome::Complete(Vec::new()),
+            answered => answered?,
         };
         Ok(self.price_slot(slot, outcome))
     }
@@ -518,7 +535,8 @@ impl QueryProcessor {
     /// Combines per-slot results (in slot order) into the response,
     /// stamped with the request's pinned epoch. Deterministic in its
     /// inputs, so assembling fanned-out slots yields exactly what the
-    /// serial path produces.
+    /// serial path produces. A response without any route
+    /// ([`QueryResponse::has_route`]) has `fastest_minutes` 0.
     pub fn assemble(
         &self,
         q: &PreparedQuery,
@@ -528,12 +546,11 @@ impl QueryProcessor {
             .iter()
             .filter_map(|a| a.routes.first())
             .map(|r| r.cost_ms)
-            .min()
-            .unwrap_or(u64::MAX);
+            .min();
         QueryResponse {
             source: q.snapped.source,
             target: q.snapped.target,
-            fastest_minutes: ms_to_display_minutes(fastest_ms),
+            fastest_minutes: fastest_ms.map_or(0, ms_to_display_minutes),
             approaches,
             truncated: false,
             degraded: false,
@@ -607,7 +624,8 @@ impl QueryProcessor {
     /// This is the *reference path*: the parallel serving layer
     /// (`arp-serve` driving [`QueryProcessor::compute_slot_prepared`])
     /// must produce byte-identical responses, which the demo's
-    /// concurrency tests check.
+    /// concurrency tests check. A pair with no route at the pinned epoch
+    /// answers [`DemoError::NoRoute`], as `/api/route` answers 404.
     pub fn process(&self, source: Point, target: Point) -> Result<QueryResponse, DemoError> {
         let q = self.snap(source, target)?;
         let prepared = self.prepare_substrate(self.prepare_query(q), &SearchBudget::unlimited());
@@ -617,7 +635,12 @@ impl QueryProcessor {
                     .map(|(approach, _)| approach)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(self.assemble(&prepared, approaches))
+        let response = self.assemble(&prepared, approaches);
+        if response.has_route() {
+            Ok(response)
+        } else {
+            Err(DemoError::NoRoute)
+        }
     }
 
     /// Unblinds a label (server-side only; never exposed through the API).

@@ -42,7 +42,9 @@
 //! technique degrades its lane instead of the whole request, so the
 //! response stays `200` while at least one technique produced routes
 //! (`502` when all of them failed, `504` when the deadline passed with
-//! nothing to serve). Degraded responses carry `"degraded": true` and a
+//! nothing to serve, `404` when every technique answered that the
+//! matched points are not connected at the request's traffic epoch).
+//! Degraded responses carry `"degraded": true` and a
 //! `"lane_status"` map keyed by blind label; healthy responses omit both
 //! keys and stay byte-identical to the fault-free wire format. The
 //! serving instruments (`arp_serve_*`) share the processor's registry, so
@@ -189,6 +191,18 @@ impl HttpResponse {
                 (502, format!("all technique lanes failed: {reasons}"), None)
             }
         };
+        HttpResponse::traced_error(status, message, retry_after, trace_id)
+    }
+
+    /// An error reply of the serving pipeline: the body carries the
+    /// request's trace id beside the message, and so does the
+    /// `X-Arp-Trace-Id` header.
+    fn traced_error(
+        status: u16,
+        message: String,
+        retry_after: Option<u32>,
+        trace_id: TraceId,
+    ) -> HttpResponse {
         HttpResponse {
             status,
             content_type: "application/json",
@@ -525,6 +539,13 @@ impl DemoApp {
             .route_traced(self.processor.prepare_query(snapped));
         self.log_slow(&receipt);
         match outcome {
+            // Every technique answered, and none has a route: the matched
+            // points are not connected at this epoch (a closure cut them
+            // apart). The client's question has no answer; the service
+            // is fine.
+            Ok(resp) if !resp.has_route() => {
+                HttpResponse::traced_error(404, DemoError::NoRoute.to_string(), None, receipt.id)
+            }
             Ok(resp) => HttpResponse {
                 status: 200,
                 content_type: "application/json",
@@ -1651,6 +1672,61 @@ mod tests {
         assert!(v.get("queue_capacity").unwrap().as_f64().unwrap() > 0.0);
         assert!(v.get("max_inflight").unwrap().as_f64().unwrap() > 0.0);
         assert_eq!(v.get("inflight").unwrap().as_f64(), Some(0.0));
+    }
+
+    /// A trip beyond a road closed through `POST /api/traffic` answers
+    /// 404 with a trace id — every technique's complete answer is "no
+    /// route", so no breaker is charged: after eight such requests
+    /// `/api/health` still reads ready and a routable request answers
+    /// 200. (It used to open all four breakers: 502, then "circuit open"
+    /// for every request and a 503 health check.)
+    #[test]
+    fn a_trip_beyond_a_closed_road_answers_404_and_keeps_the_service_ready() {
+        use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
+
+        let mut b = GraphBuilder::new();
+        let n0 = b.add_node(Point::new(144.00, -37.00));
+        let n1 = b.add_node(Point::new(144.01, -37.001));
+        let n2 = b.add_node(Point::new(144.02, -37.00));
+        b.add_bidirectional(n0, n1, EdgeSpec::default());
+        b.add_bidirectional(n1, n2, EdgeSpec::default());
+        let net = b.build();
+        let cut: Vec<String> = net
+            .edges()
+            .filter(|&e| net.tail(e) != n0 && net.head(e) != n0)
+            .map(|e| format!("close:{}", e.0))
+            .collect();
+        assert_eq!(cut.len(), 2);
+        let app = DemoApp::new(QueryProcessor::new("Chain", net, 1));
+        let trip = |from: Point, to: Point| {
+            format!(
+                r#"{{"slon": {}, "slat": {}, "tlon": {}, "tlat": {}}}"#,
+                from.lon, from.lat, to.lon, to.lat
+            )
+        };
+        let point = |n| app.processor.network().point(n);
+
+        let resp = app.handle("POST", "/api/traffic", &cut.join("; "));
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        for _ in 0..8 {
+            let resp = app.handle("POST", "/api/route", &trip(point(n0), point(n2)));
+            assert_eq!(resp.status, 404, "{}", resp.body);
+            let v = json::parse(&resp.body).unwrap();
+            assert_eq!(
+                v.get("error").and_then(Json::as_str),
+                Some("no route between the matched points")
+            );
+            assert_eq!(
+                v.get("trace_id").and_then(Json::as_str),
+                resp.trace_id.as_deref()
+            );
+        }
+        let resp = app.handle("GET", "/api/health", "");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let v = json::parse(&resp.body).unwrap();
+        assert_eq!(v.get("status").and_then(Json::as_str), Some("ready"));
+        let resp = app.handle("POST", "/api/route", &trip(point(n0), point(n1)));
+        assert_eq!(resp.status, 200, "{}", resp.body);
     }
 
     /// A permanently failing lane trips its breaker; `/api/health` then

@@ -363,11 +363,12 @@ fn epoch_bump_mid_load_never_mixes_epochs_on_the_ch_tier() {
     assert_metric_is_exact(&qp, &settled, "after the load");
 }
 
-/// TTL closures through the tier: a `close:E@1` kills the only path (an
-/// error response, not a panic, tier enabled or not, and the epoch's
-/// metric agrees the pair is cut); the next feed tick expires the
-/// closure, the customizer tracks the reopen epoch, and both stacks serve
-/// the same response again, priced exactly by the reopen epoch's metric.
+/// TTL closures through the tier: a `close:E@1` kills the only path (a
+/// response with no route in any approach, not a panic, tier enabled or
+/// not, and the epoch's metric agrees the pair is cut); the next feed
+/// tick expires the closure, the customizer tracks the reopen epoch, and
+/// both stacks serve the same response again, priced exactly by the
+/// reopen epoch's metric.
 #[test]
 fn ttl_closure_reopen_is_tracked_by_the_ch_tier() {
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
@@ -422,17 +423,18 @@ fn ttl_closure_reopen_is_tracked_by_the_ch_tier() {
     let cut_metric = index.metric_for(1).expect("epoch 1 customized");
     assert_eq!(index.topology().distance(&cut_metric, n0, n2), None);
 
-    // Both stacks refuse identically: every lane Unreachable.
-    let closed = plain.route(plain_qp.prepare_query(snapped));
-    assert!(
-        matches!(closed, Err(arp_serve::ServeError::AllLanesFailed { .. })),
-        "{closed:?}"
-    );
-    let closed = fast.route(fast_qp.prepare_query(snapped));
-    assert!(
-        matches!(closed, Err(arp_serve::ServeError::AllLanesFailed { .. })),
-        "{closed:?}"
-    );
+    // Both stacks answer identically: every lane completes with no
+    // route, and no breaker is charged for it.
+    let closed_plain = plain.route(plain_qp.prepare_query(snapped)).unwrap();
+    let closed_fast = fast.route(fast_qp.prepare_query(snapped)).unwrap();
+    for closed in [&closed_plain, &closed_fast] {
+        assert!(!closed.has_route() && !closed.degraded, "{closed:?}");
+    }
+    assert_same_response(&closed_fast, &closed_plain, "while closed");
+    for lane in 0..4 {
+        assert_eq!(plain.breaker_state(lane), arp_serve::BreakerState::Closed);
+        assert_eq!(fast.breaker_state(lane), arp_serve::BreakerState::Closed);
+    }
 
     // One feed tick expires the TTL; the same deterministic feed drives
     // both stacks so their columns stay identical.

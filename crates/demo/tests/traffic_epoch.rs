@@ -145,15 +145,19 @@ fn epoch_bump_mid_load_never_serves_a_mixed_epoch_route() {
     );
 }
 
-/// Closing the only edge into the target degrades each lane — an
-/// `Unreachable` per technique, surfaced as a failed request — without
-/// panicking anywhere in the stack, and reopening restores service.
-#[test]
-fn only_path_closure_degrades_per_lane_and_reopening_restores_service() {
+/// A 3-node chain n0 – n1 – n2 whose middle edge pair is the only way
+/// across, served with the default configuration, plus both directed
+/// edges of that pair: with them closed, n2 is unreachable from n0 and
+/// vice versa.
+fn chain_service() -> (
+    Arc<QueryProcessor>,
+    RouteService<DemoBackend>,
+    [arp_roadnet::ids::NodeId; 3],
+    Vec<u32>,
+) {
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
     use arp_roadnet::geo::Point;
 
-    // A 3-node chain; the middle edge pair is the only way across.
     let mut b = GraphBuilder::new();
     let n0 = b.add_node(Point::new(144.00, -37.00));
     let n1 = b.add_node(Point::new(144.01, -37.00));
@@ -161,9 +165,6 @@ fn only_path_closure_degrades_per_lane_and_reopening_restores_service() {
     b.add_bidirectional(n0, n1, EdgeSpec::default());
     b.add_bidirectional(n1, n2, EdgeSpec::default());
     let net = b.build();
-
-    // Find both directed edges of the n1↔n2 pair: with them closed, n2 is
-    // unreachable from n0 and vice versa.
     let cut: Vec<u32> = net
         .edges()
         .filter(|&e| {
@@ -179,6 +180,22 @@ fn only_path_closure_degrades_per_lane_and_reopening_restores_service() {
         ServeConfig::default(),
         &Registry::disabled(),
     );
+    (qp, service, [n0, n1, n2], cut)
+}
+
+/// Applies one delta of `verb:<edge>` statements over `edges`.
+fn apply_to_edges(qp: &QueryProcessor, verb: &str, edges: &[u32]) {
+    let statements: Vec<String> = edges.iter().map(|e| format!("{verb}:{e}")).collect();
+    let delta = TrafficDelta::parse(&statements.join("; ")).unwrap();
+    qp.traffic().apply_delta(&delta).unwrap();
+}
+
+/// Closing the only edge into the target leaves every technique with
+/// zero routes — a complete answer, not a lane failure, and never a
+/// panic anywhere in the stack — and reopening restores the routes.
+#[test]
+fn only_path_closure_answers_no_route_and_reopening_restores_service() {
+    let (qp, service, [n0, _, n2], cut) = chain_service();
     let snapped = arp_demo::SnappedQuery {
         source: n0,
         target: n2,
@@ -187,24 +204,55 @@ fn only_path_closure_degrades_per_lane_and_reopening_restores_service() {
     // Open: the pair routes.
     let open = service.route(qp.prepare_query(snapped)).unwrap();
     assert_eq!(open.epoch, 0);
-    assert!(open.approaches.iter().any(|a| !a.routes.is_empty()));
+    assert!(open.has_route());
 
-    // Closed: every lane reports its own Unreachable; the service answers
-    // with AllLanesFailed — an error response, never a panic.
-    let statements: Vec<String> = cut.iter().map(|e| format!("close:{e}")).collect();
-    let delta = TrafficDelta::parse(&statements.join("; ")).unwrap();
-    qp.traffic().apply_delta(&delta).unwrap();
-    let closed = service.route(qp.prepare_query(snapped));
-    assert!(
-        matches!(closed, Err(arp_serve::ServeError::AllLanesFailed { .. })),
-        "{closed:?}"
-    );
+    // Closed: every lane answers "no route at this epoch" — a complete,
+    // healthy response with zero routes in every approach.
+    apply_to_edges(&qp, "close", &cut);
+    let closed = service.route(qp.prepare_query(snapped)).unwrap();
+    assert_eq!(closed.epoch, 1);
+    assert!(!closed.has_route(), "{closed:?}");
+    assert!(!closed.degraded && !closed.truncated, "{closed:?}");
+    assert_eq!(closed.fastest_minutes, 0);
 
     // Reopened: service restored, on a fresh epoch, same routes as before.
-    let statements: Vec<String> = cut.iter().map(|e| format!("reopen:{e}")).collect();
-    let delta = TrafficDelta::parse(&statements.join("; ")).unwrap();
-    qp.traffic().apply_delta(&delta).unwrap();
+    apply_to_edges(&qp, "reopen", &cut);
     let reopened = service.route(qp.prepare_query(snapped)).unwrap();
     assert_eq!(reopened.epoch, 2);
     assert_eq!(reopened.fastest_minutes, open.fastest_minutes);
+}
+
+/// Regression: a trip beyond a closed road used to fail every lane with
+/// `Unreachable`, each failure charged to that lane's circuit breaker,
+/// so eight such requests opened all four breakers and the routable
+/// request after them was refused ("circuit open") while the health
+/// verdict read unhealthy. "No route" is every technique's complete
+/// answer: the breakers stay closed and the service stays ready.
+#[test]
+fn an_unroutable_trip_keeps_every_breaker_closed() {
+    let (qp, service, [n0, n1, n2], cut) = chain_service();
+    apply_to_edges(&qp, "close", &cut);
+    let beyond = arp_demo::SnappedQuery {
+        source: n0,
+        target: n2,
+    };
+    for _ in 0..8 {
+        let response = service.route(qp.prepare_query(beyond)).unwrap();
+        assert!(!response.has_route() && !response.degraded, "{response:?}");
+    }
+    for lane in 0..4 {
+        assert_eq!(
+            service.breaker_state(lane),
+            arp_serve::BreakerState::Closed,
+            "lane {lane}"
+        );
+    }
+    assert_eq!(service.health().verdict, arp_serve::HealthVerdict::Ready);
+
+    let routable = arp_demo::SnappedQuery {
+        source: n0,
+        target: n1,
+    };
+    let response = service.route(qp.prepare_query(routable)).unwrap();
+    assert!(response.has_route() && !response.degraded, "{response:?}");
 }

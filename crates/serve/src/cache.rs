@@ -1,193 +1,99 @@
-//! A sharded LRU cache for computed route results.
+//! An exact LRU cache for computed route results.
 //!
 //! Design notes (DESIGN.md §8 has the policy rationale):
 //!
-//! * **Sharding** — the key hash picks one of N independent shards, each
-//!   behind its own `Mutex`, so concurrent requests rarely contend on the
-//!   same lock. Capacity is split evenly across shards (rounded up), so
-//!   the effective total capacity is `shards * ceil(capacity / shards)` —
-//!   report it via [`ShardedCache::capacity`], never exceed it.
-//! * **LRU** — each shard keeps an intrusive doubly-linked list threaded
-//!   through a slab of entries; get and put are O(1).
+//! * **One LRU** — a `HashMap` from key to (value, recency stamp) and a
+//!   `BTreeMap` from stamp to key, behind one `Mutex`. Every touch takes
+//!   a fresh stamp, so the smallest stamp is the least recently used
+//!   entry: the one a full cache evicts. It holds at most `capacity`
+//!   entries.
 //! * **No expiry** — an entry leaves only by eviction. The serving layer's
 //!   keys end in the traffic epoch and a lane result is a pure function
 //!   of its key, so an entry can be unreachable but never stale.
 //! * **Counters** — hits, misses, evictions and a live-entry gauge come
 //!   from [`CacheMetrics`]; detached metrics make all of it free.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::sync::Mutex;
 
 use crate::metrics::CacheMetrics;
 
-const NIL: usize = usize::MAX;
-
-struct Entry<K, V> {
-    key: K,
-    value: V,
-    prev: usize,
-    next: usize,
+struct Lru<K, V> {
+    /// Key → (value, the stamp of its last touch).
+    entries: HashMap<K, (V, u64)>,
+    /// Stamp → key; the first entry is the least recently used.
+    order: BTreeMap<u64, K>,
+    /// The last stamp handed out.
+    clock: u64,
 }
 
-struct Shard<K, V> {
-    map: HashMap<K, usize>,
-    slots: Vec<Option<Entry<K, V>>>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
+/// A bounded, exactly least-recently-used cache. See the module docs.
+pub struct RouteCache<K, V> {
+    lru: Mutex<Lru<K, V>>,
     capacity: usize,
-}
-
-impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
-    fn new(capacity: usize) -> Shard<K, V> {
-        Shard {
-            map: HashMap::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            capacity,
-        }
-    }
-
-    fn unlink(&mut self, index: usize) {
-        let (prev, next) = {
-            let entry = self.slots[index].as_ref().expect("unlink of free slot");
-            (entry.prev, entry.next)
-        };
-        match prev {
-            NIL => self.head = next,
-            p => self.slots[p].as_mut().expect("bad prev link").next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slots[n].as_mut().expect("bad next link").prev = prev,
-        }
-    }
-
-    fn push_front(&mut self, index: usize) {
-        {
-            let entry = self.slots[index].as_mut().expect("push of free slot");
-            entry.prev = NIL;
-            entry.next = self.head;
-        }
-        match self.head {
-            NIL => self.tail = index,
-            h => self.slots[h].as_mut().expect("bad head link").prev = index,
-        }
-        self.head = index;
-    }
-
-    fn remove(&mut self, index: usize) -> Entry<K, V> {
-        self.unlink(index);
-        let entry = self.slots[index].take().expect("double remove");
-        self.map.remove(&entry.key);
-        self.free.push(index);
-        entry
-    }
-
-    fn insert_new(&mut self, entry: Entry<K, V>) {
-        let index = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Some(entry);
-                i
-            }
-            None => {
-                self.slots.push(Some(entry));
-                self.slots.len() - 1
-            }
-        };
-        let key = self.slots[index]
-            .as_ref()
-            .expect("just inserted")
-            .key
-            .clone();
-        self.map.insert(key, index);
-        self.push_front(index);
-    }
-}
-
-/// A sharded, bounded cache. See the module docs for policy.
-pub struct ShardedCache<K, V> {
-    shards: Vec<Mutex<Shard<K, V>>>,
     metrics: CacheMetrics,
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
-    /// A cache of roughly `capacity` entries split over `shards` shards.
-    /// Both `capacity` and `shards` are clamped to at least one.
-    pub fn new(capacity: usize, shards: usize, metrics: CacheMetrics) -> ShardedCache<K, V> {
-        let shard_count = shards.max(1);
-        let per_shard = capacity.max(1).div_ceil(shard_count);
-        ShardedCache {
-            shards: (0..shard_count)
-                .map(|_| Mutex::new(Shard::new(per_shard)))
-                .collect(),
+impl<K: Hash + Eq + Clone, V: Clone> RouteCache<K, V> {
+    /// A cache of at most `capacity` entries (clamped to at least one).
+    pub fn new(capacity: usize, metrics: CacheMetrics) -> RouteCache<K, V> {
+        let capacity = capacity.max(1);
+        RouteCache {
+            lru: Mutex::new(Lru {
+                entries: HashMap::with_capacity(capacity),
+                order: BTreeMap::new(),
+                clock: 0,
+            }),
+            capacity,
             metrics,
         }
     }
 
-    fn shard_for(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        let index = (hasher.finish() as usize) % self.shards.len();
-        &self.shards[index]
-    }
-
-    /// Looks up `key`. A found entry is moved to the front of its
-    /// shard's LRU list and its value cloned out.
+    /// Looks up `key`. A found entry becomes the most recently used and
+    /// its value is cloned out.
     pub fn get(&self, key: &K) -> Option<V> {
-        let mut shard = self.shard_for(key).lock().expect("cache shard poisoned");
-        let Some(&index) = shard.map.get(key) else {
+        let mut guard = self.lru.lock().expect("route cache poisoned");
+        let lru = &mut *guard;
+        let Some((value, stamp)) = lru.entries.get_mut(key) else {
             self.metrics.misses.inc();
             return None;
         };
-        shard.unlink(index);
-        shard.push_front(index);
-        let value = shard.slots[index]
-            .as_ref()
-            .expect("mapped free slot")
-            .value
-            .clone();
+        let owned = lru.order.remove(stamp).expect("every entry has a stamp");
+        lru.clock += 1;
+        *stamp = lru.clock;
+        lru.order.insert(lru.clock, owned);
         self.metrics.hits.inc();
-        Some(value)
+        Some(value.clone())
     }
 
-    /// Stores `value` under `key`, evicting the shard's
-    /// least-recently-used entry if it is full. Re-putting an existing
-    /// key replaces its value.
+    /// Stores `value` under `key` as the most recently used entry,
+    /// evicting the least recently used one if the cache is full.
+    /// Re-putting an existing key replaces its value.
     pub fn put(&self, key: K, value: V) {
-        let mut shard = self.shard_for(&key).lock().expect("cache shard poisoned");
-        if let Some(&index) = shard.map.get(&key) {
-            let entry = shard.slots[index].as_mut().expect("mapped free slot");
-            entry.value = value;
-            shard.unlink(index);
-            shard.push_front(index);
+        let mut guard = self.lru.lock().expect("route cache poisoned");
+        let lru = &mut *guard;
+        lru.clock += 1;
+        if let Some(entry) = lru.entries.get_mut(&key) {
+            let owned = lru.order.remove(&entry.1).expect("every entry has a stamp");
+            *entry = (value, lru.clock);
+            lru.order.insert(lru.clock, owned);
             return;
         }
-        if shard.map.len() >= shard.capacity {
-            let tail = shard.tail;
-            debug_assert_ne!(tail, NIL, "full shard with empty LRU list");
-            shard.remove(tail);
+        if lru.entries.len() >= self.capacity {
+            let (_, oldest) = lru.order.pop_first().expect("full, so not empty");
+            lru.entries.remove(&oldest);
             self.metrics.entries.add(-1);
             self.metrics.evictions.inc();
         }
-        shard.insert_new(Entry {
-            key,
-            value,
-            prev: NIL,
-            next: NIL,
-        });
+        lru.order.insert(lru.clock, key.clone());
+        lru.entries.insert(key, (value, lru.clock));
         self.metrics.entries.add(1);
     }
 
-    /// Live entries across all shards.
+    /// Live entries.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").map.len())
-            .sum()
+        self.lru.lock().expect("route cache poisoned").entries.len()
     }
 
     /// Whether the cache holds no entries.
@@ -195,18 +101,9 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         self.len() == 0
     }
 
-    /// The effective total capacity (`shards * per-shard capacity`).
+    /// The most entries the cache holds.
     pub fn capacity(&self) -> usize {
-        self.shards.len()
-            * self.shards[0]
-                .lock()
-                .expect("cache shard poisoned")
-                .capacity
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.capacity
     }
 
     /// The cache's metric handles.
@@ -219,13 +116,13 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
 mod tests {
     use super::*;
 
-    fn cache(capacity: usize, shards: usize) -> ShardedCache<String, u64> {
-        ShardedCache::new(capacity, shards, CacheMetrics::default())
+    fn cache(capacity: usize) -> RouteCache<String, u64> {
+        RouteCache::new(capacity, CacheMetrics::default())
     }
 
     #[test]
     fn get_after_put_hits() {
-        let c = cache(8, 2);
+        let c = cache(8);
         c.put("a".into(), 1);
         assert_eq!(c.get(&"a".into()), Some(1));
         assert_eq!(c.get(&"a".into()), Some(1));
@@ -233,8 +130,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        // One shard so the LRU order is global and observable.
-        let c = cache(2, 1);
+        let c = cache(2);
         c.put("a".into(), 1);
         c.put("b".into(), 2);
         assert_eq!(c.get(&"a".into()), Some(1)); // a is now most recent
@@ -247,7 +143,7 @@ mod tests {
 
     #[test]
     fn reput_replaces_the_value() {
-        let c = cache(4, 1);
+        let c = cache(4);
         c.put("a".into(), 1);
         c.put("a".into(), 2);
         assert_eq!(c.get(&"a".into()), Some(2));
@@ -256,7 +152,7 @@ mod tests {
 
     #[test]
     fn capacity_never_exceeded_under_churn() {
-        let c = cache(16, 4);
+        let c = cache(16);
         for i in 0..500u64 {
             c.put(format!("k{i}"), i);
             assert!(
@@ -272,7 +168,7 @@ mod tests {
     fn counters_track_hits_misses_evictions() {
         let registry = arp_obs::Registry::new();
         let metrics = CacheMetrics::new(&registry);
-        let c: ShardedCache<String, u64> = ShardedCache::new(1, 1, metrics);
+        let c: RouteCache<String, u64> = RouteCache::new(1, metrics);
         c.put("a".into(), 1);
         c.put("a".into(), 2);
         assert_eq!(c.metrics().entries.get(), 1, "re-put must not double count");

@@ -11,7 +11,7 @@
 //!   out as one job per *lane*, so a request costs roughly the slowest
 //!   technique instead of their sum. Every lane job holds its request's
 //!   admission permit, so admission alone bounds the backlog.
-//! * [`ShardedCache`] — an LRU route cache keyed per lane by
+//! * [`RouteCache`] — one exact LRU route cache keyed per lane by
 //!   (city, snapped source, snapped target, technique, k), so repeat
 //!   queries bypass recomputation entirely and partially-cached queries
 //!   recompute only their missing lanes.
@@ -56,7 +56,7 @@ mod shutdown;
 
 pub use admission::{adaptive_retry_after, Admission, Deadline, Permit};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use cache::ShardedCache;
+pub use cache::RouteCache;
 pub use cancel::CancelToken;
 pub use fault::{sites, FaultKind, FaultPlan};
 pub use metrics::{CacheMetrics, ServeMetrics};

@@ -20,7 +20,7 @@
 //!   `arp_serve_cache_entries` — route-cache behaviour,
 //! * `arp_serve_cache_epoch_invalidations_total` — cached routes
 //!   logically invalidated by a traffic-epoch bump (lazily aged out of
-//!   their shards, never swept),
+//!   the LRU, never swept),
 //! * `arp_serve_stage_latency_ms{stage}` — per-stage latency histograms
 //!   (`admit`, `cache_probe`, `prepare`, `compute`, `assemble`; the
 //!   `prepare` stage is the shared-substrate build, see
@@ -39,7 +39,7 @@
 
 use arp_obs::{Counter, Gauge, Histogram, Registry, DEFAULT_LATENCY_BUCKETS_MS};
 
-/// Counters and gauges describing the sharded route cache.
+/// Counters and gauges describing the route cache (one exact LRU).
 #[derive(Clone, Debug, Default)]
 pub struct CacheMetrics {
     /// Fresh entries served from the cache.
@@ -53,9 +53,9 @@ pub struct CacheMetrics {
     /// Entries invalidated by a traffic-epoch bump: every cached route
     /// keyed under an older epoch becomes unreachable the moment the tick
     /// lands (the backend folds the epoch into the lane key), so this
-    /// counts logical invalidations — the entries themselves age out of
-    /// their shards through the ordinary LRU machinery, which keeps a
-    /// tick O(1) instead of a full-cache sweep.
+    /// counts logical invalidations — the entries themselves age out
+    /// through the ordinary LRU eviction, which keeps a tick O(1)
+    /// instead of a full-cache sweep.
     pub epoch_invalidations: Counter,
 }
 
@@ -80,7 +80,7 @@ impl CacheMetrics {
             ),
             entries: registry.gauge(
                 "arp_serve_cache_entries",
-                "Live route-cache entries across all shards.",
+                "Live route-cache entries.",
                 &[],
             ),
             epoch_invalidations: registry.counter(

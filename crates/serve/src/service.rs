@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use crate::admission::{adaptive_retry_after, Admission, Deadline, Permit};
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-use crate::cache::ShardedCache;
+use crate::cache::RouteCache;
 use crate::cancel::CancelToken;
 use crate::fault::{sites, FaultPlan};
 use crate::metrics::ServeMetrics;
@@ -479,14 +479,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The route cache as the service shares it: lane results by lane key.
+type LaneCache<B> = Arc<RouteCache<String, <B as RouteBackend>::Part>>;
+
 /// Everything one lane attempt needs, owned so it can run on a worker
 /// thread.
 struct LaneAttempt<B: RouteBackend> {
     backend: Arc<B>,
-    cache: Option<Arc<ShardedCache<String, B::Part>>>,
+    /// The cache and this lane's key in it, when the cache is enabled.
+    cache: Option<(LaneCache<B>, String)>,
     faults: FaultPlan,
     site: String,
-    key: String,
     lane: usize,
     token: CancelToken,
     request: B::Request,
@@ -538,8 +541,8 @@ impl<B: RouteBackend> LaneAttempt<B> {
                         // Only complete lanes are cached: a truncated part
                         // reflects this request's deadline, a failure is
                         // not a result at all.
-                        if let Some(cache) = &self.cache {
-                            cache.put(self.key.clone(), part.clone());
+                        if let Some((cache, key)) = self.cache.take() {
+                            cache.put(key, part.clone());
                         }
                         self.span.attr("outcome", "complete");
                     }
@@ -579,7 +582,7 @@ impl<B: RouteBackend> LaneAttempt<B> {
 pub struct RouteService<B: RouteBackend> {
     backend: Arc<B>,
     pool: WorkerPool,
-    cache: Option<Arc<ShardedCache<String, B::Part>>>,
+    cache: Option<LaneCache<B>>,
     admission: Admission,
     config: ServeConfig,
     metrics: ServeMetrics,
@@ -600,17 +603,12 @@ impl<B: RouteBackend> RouteService<B> {
             metrics.queue_depth.clone(),
             metrics.jobs_executed.clone(),
         );
-        // Independently locked cache shards.
-        const CACHE_SHARDS: usize = 8;
-        let cache = if config.cache_capacity == 0 {
-            None
-        } else {
-            Some(Arc::new(ShardedCache::new(
+        let cache = (config.cache_capacity > 0).then(|| {
+            Arc::new(RouteCache::new(
                 config.cache_capacity,
-                CACHE_SHARDS,
                 metrics.cache.clone(),
-            )))
-        };
+            ))
+        });
         let admission = Admission::new(config.max_inflight, metrics.inflight.clone());
         let lanes = (0..backend.lanes())
             .map(|lane| LaneRuntime::new(backend.lane_name(lane), &config.breaker, registry))
@@ -642,6 +640,7 @@ impl<B: RouteBackend> RouteService<B> {
     fn attempt(
         &self,
         lane: usize,
+        key: Option<String>,
         request: &B::Request,
         token: &CancelToken,
         permit: &Arc<Permit>,
@@ -649,10 +648,9 @@ impl<B: RouteBackend> RouteService<B> {
     ) -> LaneAttempt<B> {
         LaneAttempt {
             backend: Arc::clone(&self.backend),
-            cache: self.cache.clone(),
+            cache: self.cache.clone().zip(key),
             faults: self.config.faults.clone(),
             site: self.lanes[lane].site.clone(),
-            key: self.backend.lane_key(request, lane),
             lane,
             token: token.clone(),
             request: request.clone(),
@@ -729,19 +727,24 @@ impl<B: RouteBackend> RouteService<B> {
         self.metrics.admitted.inc();
         let deadline = self.config.request_deadline();
 
-        // Stage 2: per-lane cache probe. An injected `cache.get` error
+        // Stage 2: per-lane cache probe. Each lane's key is built here,
+        // once, and handed to the lane's attempt for the write-back; a
+        // disabled cache builds none. An injected `cache.get` error
         // degrades the probe to a full miss — the cache is an
         // optimization, never a dependency.
         let lanes = self.backend.lanes();
         let cache_timer = self.metrics.stage_cache.start_timer();
         let mut probe_span = ctx.child_span("cache_probe", root_id);
         let mut parts: Vec<Option<B::Part>> = vec![None; lanes];
+        let mut keys: Vec<Option<String>> = vec![None; lanes];
         if let Some(cache) = &self.cache {
+            for (lane, key) in keys.iter_mut().enumerate() {
+                *key = Some(self.backend.lane_key(&request, lane));
+            }
             match self.config.faults.fire(sites::CACHE_GET) {
                 Ok(()) => {
-                    for (lane, slot) in parts.iter_mut().enumerate() {
-                        let key = self.backend.lane_key(&request, lane);
-                        *slot = cache.get(&key);
+                    for (slot, key) in parts.iter_mut().zip(&keys) {
+                        *slot = key.as_ref().and_then(|key| cache.get(key));
                     }
                 }
                 Err(message) => probe_span.attr("fault_injected", message),
@@ -800,16 +803,18 @@ impl<B: RouteBackend> RouteService<B> {
             let (early, late): (Vec<usize>, Vec<usize>) = runnable
                 .into_iter()
                 .partition(|&lane| !self.backend.reads_prepare(lane));
-            let submit = |lane: usize, request: &B::Request| {
+            // Keys do not depend on `prepare` (the `lane_key` contract), so
+            // the probe's key stays valid for a late lane's prepared request.
+            let submit = |lane: usize, key: Option<String>, request: &B::Request| {
                 let mut span = ctx.child_span("lane", root_id);
                 span.attr("technique", self.lanes[lane].name.clone());
                 span.attr_u64("attempt", 1);
                 span.attr("breaker", self.lanes[lane].breaker.state().as_str());
-                let attempt = self.attempt(lane, request, &token, &permit, span);
+                let attempt = self.attempt(lane, key, request, &token, &permit, span);
                 scatter.submit(&self.pool, move || attempt.run());
             };
             for &lane in &early {
-                submit(lane, &request);
+                submit(lane, keys[lane].take(), &request);
             }
 
             // Shared preparation, once per request — but only when a lane
@@ -829,7 +834,7 @@ impl<B: RouteBackend> RouteService<B> {
 
             let compute_start = Instant::now();
             for &lane in &late {
-                submit(lane, &request);
+                submit(lane, keys[lane].take(), &request);
             }
             let fanout = scatter.join(deadline, &token, self.config.cancel_grace);
             self.metrics
@@ -1032,8 +1037,8 @@ impl<B: RouteBackend> RouteService<B> {
     /// Records a traffic-epoch bump against the route cache: every entry
     /// currently held was keyed under an older epoch (the backend folds
     /// the epoch into the lane key), so all of them just became logically
-    /// unreachable. The entries themselves age out of their shards via
-    /// the ordinary LRU machinery — this only advances
+    /// unreachable. The entries themselves age out through the ordinary
+    /// LRU eviction — this only advances
     /// `arp_serve_cache_epoch_invalidations_total` by the live entry
     /// count, keeping the tick O(1) instead of a full-cache sweep.
     pub fn note_epoch_invalidations(&self) {

@@ -1,28 +1,27 @@
-//! Property tests for the sharded LRU route cache and the per-technique
-//! circuit breaker.
+//! Property tests for the route cache (one exact LRU, checked against a
+//! reference model) and the per-technique circuit breaker.
 //!
 //! The breaker takes time as an explicit `now_ms` argument, so these
-//! properties drive a manual clock and never sleep.
+//! properties drive a manual clock and never sleep; the cache's threaded
+//! stress test joins its threads and never sleeps either.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use arp_serve::{BreakerConfig, BreakerState, CacheMetrics, CircuitBreaker, ShardedCache};
+use arp_serve::{BreakerConfig, BreakerState, CacheMetrics, CircuitBreaker, RouteCache};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The live entry count never exceeds the effective capacity, no
-    /// matter the key churn.
+    /// The live entry count never exceeds the capacity, no matter the
+    /// key churn.
     #[test]
     fn capacity_is_never_exceeded(
         capacity in 1usize..12,
-        shards in 1usize..5,
         ops in proptest::collection::vec((0u8..32, 0u32..1_000), 1..120),
     ) {
-        let cache: ShardedCache<String, u32> =
-            ShardedCache::new(capacity, shards, CacheMetrics::default());
+        let cache: RouteCache<String, u32> = RouteCache::new(capacity, CacheMetrics::default());
         for (key, value) in ops {
             cache.put(format!("k{key}"), value);
             prop_assert!(
@@ -44,8 +43,7 @@ proptest! {
             1..100,
         ),
     ) {
-        let cache: ShardedCache<String, u32> =
-            ShardedCache::new(4, 2, CacheMetrics::default());
+        let cache: RouteCache<String, u32> = RouteCache::new(4, CacheMetrics::default());
         let mut latest: HashMap<String, u32> = HashMap::new();
         for (key, value, is_put) in ops {
             let key = format!("k{key}");
@@ -66,8 +64,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..4, 0u32..1_000), 1..80),
     ) {
         // 4 distinct keys, capacity 16: no eviction can ever occur.
-        let cache: ShardedCache<String, u32> =
-            ShardedCache::new(16, 4, CacheMetrics::default());
+        let cache: RouteCache<String, u32> = RouteCache::new(16, CacheMetrics::default());
         let mut latest: HashMap<String, u32> = HashMap::new();
         for (key, value) in ops {
             let key = format!("k{key}");
@@ -76,6 +73,51 @@ proptest! {
             for (k, &v) in &latest {
                 prop_assert_eq!(cache.get(k), Some(v), "un-evictable entry missed");
             }
+        }
+    }
+
+    /// The cache is an exact LRU: on any get/put sequence it agrees with
+    /// a reference model — a `Vec` kept in recency order, least recent
+    /// first — on every hit, miss and value, on its length, on the
+    /// evictions counter and on the entries gauge.
+    #[test]
+    fn the_cache_matches_an_exact_lru_model(
+        capacity in 1usize..9,
+        ops in proptest::collection::vec(
+            (0u8..13, 0u32..1_000, proptest::bool::ANY),
+            1..150,
+        ),
+    ) {
+        let cache: RouteCache<u8, u32> =
+            RouteCache::new(capacity, CacheMetrics::new(&arp_obs::Registry::new()));
+        let mut model: Vec<(u8, u32)> = Vec::new();
+        let mut evictions = 0u64;
+        for (key, value, is_put) in ops {
+            let found = model.iter().position(|&(k, _)| k == key);
+            if is_put {
+                match found {
+                    Some(at) => {
+                        model.remove(at);
+                    }
+                    None if model.len() == capacity => {
+                        model.remove(0);
+                        evictions += 1;
+                    }
+                    None => {}
+                }
+                model.push((key, value));
+                cache.put(key, value);
+            } else {
+                let expected = found.map(|at| {
+                    let entry = model.remove(at);
+                    model.push(entry);
+                    entry.1
+                });
+                prop_assert_eq!(cache.get(&key), expected, "get of key {}", key);
+            }
+            prop_assert_eq!(cache.len(), model.len());
+            prop_assert_eq!(cache.metrics().evictions.get(), evictions);
+            prop_assert_eq!(cache.metrics().entries.get(), cache.len() as i64);
         }
     }
 
@@ -223,4 +265,39 @@ proptest! {
         prop_assert_eq!(admitted, 1, "half-open must admit a single probe");
         prop_assert_eq!(breaker.state(), BreakerState::HalfOpen);
     }
+}
+
+/// Threads racing gets and puts over a small cache leave it within its
+/// capacity, with every get counted exactly once as a hit or a miss.
+#[test]
+fn concurrent_gets_and_puts_keep_the_cache_bounded_and_counted() {
+    const THREADS: usize = 4;
+    const GETS_PER_THREAD: u64 = 2_000;
+    let cache: Arc<RouteCache<u64, u64>> = Arc::new(RouteCache::new(
+        8,
+        CacheMetrics::new(&arp_obs::Registry::new()),
+    ));
+    let handles: Vec<_> = (0..THREADS as u64)
+        .map(|thread| {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                for i in 0..GETS_PER_THREAD {
+                    let key = (i * 7 + thread * 3) % 24;
+                    if cache.get(&key).is_none() {
+                        cache.put(key, i);
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let metrics = cache.metrics();
+    assert!(cache.len() <= cache.capacity(), "len {}", cache.len());
+    assert_eq!(metrics.entries.get(), cache.len() as i64);
+    assert_eq!(
+        metrics.hits.get() + metrics.misses.get(),
+        THREADS as u64 * GETS_PER_THREAD
+    );
 }
