@@ -181,7 +181,7 @@ fn main() {
         report,
         "\nproperties checked: every response re-pinned the tick's epoch exactly; \
          after every tick the second pass was served from the epoch-keyed cache \
-         (invalidation is epoch-scoped, untouched shards age out lazily)."
+         (invalidation is epoch-scoped; older epochs' entries age out of the exact LRU)."
     );
     assert!(
         total_flips > 0,

@@ -168,6 +168,8 @@ struct SubstrateMetrics {
     /// `arp_substrate_build_failures_total` — builds abandoned: the
     /// budget tripped mid-build, or the pair is unroutable.
     build_failures: Counter,
+    /// The builds' searches, `arp_search_*{technique="pair"}`.
+    search: SearchMetrics,
 }
 
 impl SubstrateMetrics {
@@ -183,6 +185,7 @@ impl SubstrateMetrics {
                 "Tree-pair builds abandoned (budget tripped mid-build, or unroutable pair).",
                 &[],
             ),
+            search: SearchMetrics::new(registry, &[("technique", "pair")]),
         }
     }
 }
@@ -411,8 +414,8 @@ impl QueryProcessor {
         mut request: PreparedQuery,
         budget: &SearchBudget,
     ) -> PreparedQuery {
-        let detached = SearchMetrics::default();
-        let mut ws = SearchSpace::pooled(&self.network, budget.clone(), detached);
+        let metrics = self.substrate_metrics.search.clone();
+        let mut ws = SearchSpace::pooled(&self.network, budget.clone(), metrics);
         let SnappedQuery { source, target } = request.snapped;
         let weights = request.overlay.weights();
         let built = SearchSubstrate::build(

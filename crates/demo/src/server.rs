@@ -53,17 +53,20 @@
 //!
 //! The request handler is a pure function over `(method, path, body)` so
 //! tests exercise the full API without sockets; `serve` adds the TCP loop
-//! — bounded per-connection threads, load shedding at the accept loop,
-//! and cooperative shutdown via [`ShutdownHandle`].
+//! — connection handler threads that the accept loop reuses (bounded by
+//! [`MAX_CONNECTIONS`], retired after the I/O timeout idle), load
+//! shedding at the accept loop, and cooperative shutdown via
+//! [`ShutdownHandle`].
 
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
 
 use arp_obs::{
-    CompletedTrace, Counter, Histogram, Registry, Span, SpanStatus, TraceId, TraceReceipt,
+    CompletedTrace, Counter, Gauge, Histogram, Registry, Span, SpanStatus, TraceId, TraceReceipt,
     DEFAULT_LATENCY_BUCKETS_MS,
 };
 use arp_roadnet::geo::Point;
@@ -1056,49 +1059,52 @@ fn write_response(stream: &mut impl Write, resp: &HttpResponse) -> std::io::Resu
     stream.flush()
 }
 
-/// Serves the one request of an accepted connection. Every read and
-/// write is bounded by `io_timeout`, so a peer that goes silent hands its
-/// handler thread back instead of holding a connection slot.
-fn handle_connection(app: &DemoApp, mut stream: TcpStream, io_timeout: Duration) {
+/// Serves the one request of an accepted connection; the caller closes
+/// it. Every read and write is bounded by `io_timeout`, so a peer that
+/// goes silent hands its handler thread back instead of holding a
+/// connection slot.
+fn handle_connection(app: &DemoApp, stream: &mut TcpStream, io_timeout: Duration) {
     let bounded = stream
         .set_read_timeout(Some(io_timeout))
         .and_then(|()| stream.set_write_timeout(Some(io_timeout)));
     if bounded.is_err() {
         return;
     }
-    if let Ok(Some(req)) = read_request(&stream) {
+    if let Ok(Some(req)) = read_request(&*stream) {
         let Some(refusal) = req.refused else {
-            let _ = write_response(&mut stream, &app.handle(&req.method, &req.path, &req.body));
+            let _ = write_response(stream, &app.handle(&req.method, &req.path, &req.body));
             return;
         };
         let resp = app.reject_unread(&req.method, &req.path, refusal);
-        if write_response(&mut stream, &resp).is_ok() {
+        if write_response(stream, &resp).is_ok() {
             // A staged close (RFC 9112 §9.6): end our side, then drain
             // what the peer still sends — for at most `LINGER` and
             // `MAX_BODY_BYTES` — so the close does not reset it.
             let _ = stream.shutdown(std::net::Shutdown::Write);
             if stream.set_read_timeout(Some(LINGER)).is_ok() {
-                let unread = (&stream).take(MAX_BODY_BYTES as u64);
+                let unread = (&*stream).take(MAX_BODY_BYTES as u64);
                 let _ = std::io::copy(&mut { unread }, &mut std::io::sink());
             }
         }
     }
 }
 
-/// Serves the app on `listener`, one thread per connection, until the
-/// process exits or an accept error occurs. Equivalent to
-/// [`serve_with_shutdown`] with a handle nobody ever triggers.
+/// Serves the app on `listener` until the process exits or an accept
+/// error occurs. Equivalent to [`serve_with_shutdown`] with a handle
+/// nobody ever triggers.
 pub fn serve(app: Arc<DemoApp>, listener: TcpListener) -> std::io::Result<()> {
     serve_with_shutdown(app, listener, ShutdownHandle::new())
 }
 
 /// Serves the app on `listener` until `shutdown` is triggered.
 ///
-/// Connection handling is bounded: at most [`MAX_CONNECTIONS`] handler
-/// threads run at a time, and connections beyond that are answered `503`
-/// with `Retry-After` on the accept thread instead of spawning without
-/// bound. On shutdown the loop stops accepting, then drains in-flight
-/// connections before returning.
+/// Connection handling is bounded: the accept loop hands each connection
+/// to an idle handler thread and spawns a new one only when every handler
+/// is busy, so at most [`MAX_CONNECTIONS`] handler threads exist; a
+/// handler idle for the I/O timeout retires. Connections beyond the cap
+/// are answered `503` with `Retry-After` on the accept thread. On
+/// shutdown the loop stops accepting, drains in-flight connections and
+/// releases every idle handler before returning.
 pub fn serve_with_shutdown(
     app: Arc<DemoApp>,
     listener: TcpListener,
@@ -1107,8 +1113,120 @@ pub fn serve_with_shutdown(
     serve_connections(app, listener, shutdown, IO_TIMEOUT)
 }
 
-/// [`serve_with_shutdown`] with the per-connection I/O timeout passed in,
-/// so tests need not wait out [`IO_TIMEOUT`].
+/// The accept loop's hand-off to the connection handler threads it
+/// reuses. A stream is queued when more handlers are idle than streams
+/// are queued, so every queued stream has a handler waiting for it;
+/// otherwise the accept loop spawns a handler for it.
+struct Handoff {
+    state: Mutex<HandoffState>,
+    /// Wakes idle handlers for a queued stream or the close, and the
+    /// closer when an idle handler leaves after the close.
+    wake: Condvar,
+    /// Connections accepted and not yet given back by their handler,
+    /// queued ones included; the accept loop sheds at [`MAX_CONNECTIONS`].
+    active: AtomicUsize,
+    /// `arp_http_handler_threads`: handler threads alive, busy or idle.
+    threads_gauge: Gauge,
+}
+
+#[derive(Default)]
+struct HandoffState {
+    queue: VecDeque<TcpStream>,
+    /// Handlers done with their connection and not yet given another:
+    /// waiting for a stream, or about to.
+    idle: usize,
+    /// Handler threads alive.
+    threads: usize,
+    closed: bool,
+}
+
+impl Handoff {
+    fn new(registry: &Registry) -> Handoff {
+        Handoff {
+            state: Mutex::default(),
+            wake: Condvar::new(),
+            active: AtomicUsize::new(0),
+            threads_gauge: registry.gauge(
+                "arp_http_handler_threads",
+                "HTTP connection handler threads alive, busy or idle.",
+                &[],
+            ),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HandoffState> {
+        self.state.lock().expect("connection hand-off poisoned")
+    }
+
+    /// Queues `stream` for an idle handler, or gives it back when every
+    /// handler is busy, counting the handler the caller must spawn for it.
+    fn offer(&self, stream: TcpStream) -> Option<TcpStream> {
+        let mut state = self.lock();
+        if state.idle > state.queue.len() {
+            state.queue.push_back(stream);
+            drop(state);
+            self.wake.notify_one();
+            return None;
+        }
+        state.threads += 1;
+        self.threads_gauge.set(state.threads as i64);
+        Some(stream)
+    }
+
+    /// Called by a handler with the connection it is done with: gives its
+    /// slot back, closes it and waits up to `idle_timeout` for the next
+    /// stream. `None` retires the handler (timed out, or the hand-off is
+    /// closed).
+    fn next(&self, done: TcpStream, idle_timeout: Duration) -> Option<TcpStream> {
+        {
+            let mut state = self.lock();
+            // Under the lock, so a spawn never sees a handler that holds
+            // no slot and is not idle: handlers stay within the cap.
+            self.active.fetch_sub(1, Ordering::AcqRel);
+            state.idle += 1;
+        }
+        // Closed only once this handler counts as idle, so a peer that
+        // connects again as soon as it has its answer finds it idle.
+        drop(done);
+        let deadline = Instant::now() + idle_timeout;
+        let mut state = self.lock();
+        loop {
+            let next = state.queue.pop_front();
+            let now = Instant::now();
+            if next.is_some() || state.closed || now >= deadline {
+                state.idle -= 1;
+                if next.is_none() {
+                    state.threads -= 1;
+                    self.threads_gauge.set(state.threads as i64);
+                }
+                if state.closed {
+                    self.wake.notify_all();
+                }
+                return next;
+            }
+            state = self
+                .wake
+                .wait_timeout(state, deadline - now)
+                .expect("connection hand-off poisoned")
+                .0;
+        }
+    }
+
+    /// Closes the hand-off and returns once no handler is left waiting;
+    /// a handler still serving retires when its connection is done.
+    fn close(&self) {
+        let mut state = self.lock();
+        state.closed = true;
+        self.wake.notify_all();
+        while state.idle > 0 {
+            state = self.wake.wait(state).expect("connection hand-off poisoned");
+        }
+    }
+}
+
+/// [`serve_with_shutdown`] with the per-connection I/O timeout (also the
+/// handlers' idle timeout) passed in, so tests need not wait out
+/// [`IO_TIMEOUT`].
 fn serve_connections(
     app: Arc<DemoApp>,
     listener: TcpListener,
@@ -1118,30 +1236,37 @@ fn serve_connections(
     if let Ok(addr) = listener.local_addr() {
         shutdown.register_listener(addr);
     }
-    let active = Arc::new(AtomicUsize::new(0));
+    let handoff = Arc::new(Handoff::new(&app.registry));
     for stream in listener.incoming() {
         if shutdown.is_shutdown() {
             break;
         }
         let mut stream = stream?;
-        if active.load(Ordering::Acquire) >= MAX_CONNECTIONS {
+        if handoff.active.load(Ordering::Acquire) >= MAX_CONNECTIONS {
             let resp = HttpResponse::overloaded(1);
             let _ = write_response(&mut stream, &resp);
             continue;
         }
-        active.fetch_add(1, Ordering::AcqRel);
+        handoff.active.fetch_add(1, Ordering::AcqRel);
+        let Some(stream) = handoff.offer(stream) else {
+            continue;
+        };
         let app = Arc::clone(&app);
-        let active = Arc::clone(&active);
+        let handoff = Arc::clone(&handoff);
         std::thread::spawn(move || {
-            handle_connection(&app, stream, io_timeout);
-            active.fetch_sub(1, Ordering::AcqRel);
+            let mut next = Some(stream);
+            while let Some(mut stream) = next {
+                handle_connection(&app, &mut stream, io_timeout);
+                next = handoff.next(stream, io_timeout);
+            }
         });
     }
     // Graceful drain: wait (bounded) for in-flight handlers to finish.
-    let drain_deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while active.load(Ordering::Acquire) > 0 && std::time::Instant::now() < drain_deadline {
+    let drain_deadline = Instant::now() + Duration::from_secs(5);
+    while handoff.active.load(Ordering::Acquire) > 0 && Instant::now() < drain_deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
+    handoff.close();
     // Drained: run the registered hooks (e.g. the final durable-state
     // snapshot flush) exactly once, on this thread, after the last
     // in-flight handler could have journaled anything.
@@ -1565,6 +1690,33 @@ mod tests {
             text.contains(r#"arp_technique_calls_total{technique="penalty"} 1"#),
             "{text}"
         );
+    }
+
+    /// The tree pair prepare grows for a miss is searched work like any
+    /// lane's, so `/api/metrics` counts it under `technique="pair"`.
+    #[test]
+    fn metrics_count_the_tree_pair_of_a_miss() {
+        let app = app();
+        let settled = |app: &DemoApp| {
+            app.registry
+                .counter_value("arp_search_settled_nodes_total", &[("technique", "pair")])
+        };
+        assert_eq!(settled(&app), 0);
+        assert_eq!(
+            app.handle("POST", "/api/route", &route_body(&app)).status,
+            200
+        );
+        let after_miss = settled(&app);
+        assert!(after_miss > 0);
+        let text = app.handle("GET", "/api/metrics", "").body;
+        let series = format!(r#"arp_search_settled_nodes_total{{technique="pair"}} {after_miss}"#);
+        assert!(text.contains(&series), "{text}");
+        // A hit grows no pair.
+        assert_eq!(
+            app.handle("POST", "/api/route", &route_body(&app)).status,
+            200
+        );
+        assert_eq!(settled(&app), after_miss);
     }
 
     #[test]
@@ -2159,7 +2311,18 @@ mod tests {
         ShutdownHandle,
         std::thread::JoinHandle<std::io::Result<()>>,
     ) {
-        let app = Arc::new(app());
+        spawn_app_server(Arc::new(app()), io_timeout)
+    }
+
+    /// [`spawn_server`] for an app the caller keeps, to read its metrics.
+    fn spawn_app_server(
+        app: Arc<DemoApp>,
+        io_timeout: Duration,
+    ) -> (
+        std::net::SocketAddr,
+        ShutdownHandle,
+        std::thread::JoinHandle<std::io::Result<()>>,
+    ) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = ShutdownHandle::new();
@@ -2211,6 +2374,80 @@ mod tests {
         drop(silent);
         shutdown.request_shutdown();
         server.join().unwrap().unwrap();
+    }
+
+    /// The `arp_http_handler_threads` gauge of `app`.
+    fn handler_threads(app: &DemoApp) -> i64 {
+        app.registry
+            .gauge("arp_http_handler_threads", "", &[])
+            .get()
+    }
+
+    /// Polls `done` every 10 ms for up to 5 s.
+    fn eventually(what: &str, done: impl Fn() -> bool) {
+        let start = std::time::Instant::now();
+        while !done() {
+            assert!(start.elapsed() < Duration::from_secs(5), "{what}");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    /// One client asking again and again is served by the handler thread
+    /// the accept loop already has, not by a new thread per connection: a
+    /// handler counts as idle before it closes the connection, so the
+    /// client's next connection always finds it idle.
+    #[test]
+    fn sequential_requests_reuse_one_handler_thread() {
+        let app = Arc::new(app());
+        let (addr, shutdown, server) = spawn_app_server(Arc::clone(&app), IO_TIMEOUT);
+        let health = "GET /api/health HTTP/1.1\r\nHost: localhost\r\n\r\n";
+        for _ in 0..50 {
+            let answer = exchange(addr, health);
+            assert!(answer.starts_with("HTTP/1.1 200 OK"), "{answer}");
+        }
+        assert_eq!(handler_threads(&app), 1);
+        shutdown.request_shutdown();
+        server.join().unwrap().unwrap();
+    }
+
+    /// A handler is spawned only while every handler is busy, and one
+    /// left idle for the I/O timeout retires: a burst of held connections
+    /// grows the pool by exactly one thread each, and it shrinks back to
+    /// nothing once they close, while the server keeps serving.
+    #[test]
+    fn idle_handler_threads_retire_after_the_io_timeout() {
+        let app = Arc::new(app());
+        let (addr, shutdown, server) =
+            spawn_app_server(Arc::clone(&app), Duration::from_millis(200));
+        let held: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        eventually("each held connection has its handler", || {
+            handler_threads(&app) == 4
+        });
+        drop(held);
+        eventually("idle handlers retire", || handler_threads(&app) == 0);
+        let meta = "GET /api/meta HTTP/1.1\r\nHost: localhost\r\n\r\n";
+        assert!(exchange(addr, meta).starts_with("HTTP/1.1 200 OK"));
+        shutdown.request_shutdown();
+        server.join().unwrap().unwrap();
+    }
+
+    /// Shutting down releases every idle handler at once instead of
+    /// leaving it to wait out its (here 10 s) idle timeout.
+    #[test]
+    fn no_handler_thread_is_left_waiting_after_shutdown() {
+        let app = Arc::new(app());
+        let (addr, shutdown, server) = spawn_app_server(Arc::clone(&app), IO_TIMEOUT);
+        let meta = "GET /api/meta HTTP/1.1\r\nHost: localhost\r\n\r\n";
+        let clients: Vec<_> = (0..3)
+            .map(|_| std::thread::spawn(move || exchange(addr, meta)))
+            .collect();
+        for client in clients {
+            assert!(client.join().unwrap().starts_with("HTTP/1.1 200 OK"));
+        }
+        assert!(handler_threads(&app) >= 1);
+        shutdown.request_shutdown();
+        server.join().unwrap().unwrap();
+        assert_eq!(handler_threads(&app), 0);
     }
 
     /// A header line that never ends is refused once the line cap is

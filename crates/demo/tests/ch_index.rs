@@ -11,7 +11,8 @@
 //! the traffic subsystem is repeated with the customizer racing the load.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -282,13 +283,22 @@ fn epoch_bump_mid_load_never_mixes_epochs_on_the_ch_tier() {
         })
         .collect();
 
+    // The load provably spans every bump: the ticker starts only once
+    // each worker holds an epoch-0 response, and each worker's last
+    // request starts after the ticker has published its last epoch.
+    let load_started = Arc::new(Barrier::new(4));
+    let last_published = Arc::new(AtomicBool::new(false));
+
     // Each swap slows every residential edge further, so any two epochs
     // disagree on any route touching a residential street — a torn lane
     // cannot re-cost cleanly.
     let ticker = {
         let qp = Arc::clone(&qp);
         let columns = Arc::clone(&columns);
+        let load_started = Arc::clone(&load_started);
+        let last_published = Arc::clone(&last_published);
         thread::spawn(move || {
+            load_started.wait();
             for round in 0..12u32 {
                 let factor = 1.0 + 0.1 * f64::from(round + 1);
                 let delta = TrafficDelta::parse(&format!("cat:residential*{factor:.3}")).unwrap();
@@ -301,6 +311,7 @@ fn epoch_bump_mid_load_never_mixes_epochs_on_the_ch_tier() {
                     .insert(snap.epoch(), Arc::clone(snap.weights()));
                 thread::sleep(Duration::from_millis(3));
             }
+            last_published.store(true, Ordering::Release);
         })
     };
 
@@ -309,13 +320,22 @@ fn epoch_bump_mid_load_never_mixes_epochs_on_the_ch_tier() {
         let qp = Arc::clone(&qp);
         let service = Arc::clone(&service);
         let queries = queries.clone();
+        let load_started = Arc::clone(&load_started);
+        let last_published = Arc::clone(&last_published);
         workers.push(thread::spawn(move || {
             let mut responses = Vec::new();
-            for i in 0..25 {
+            for i in 0.. {
+                let after_the_last_epoch = last_published.load(Ordering::Acquire);
                 let snapped = queries[(worker + i) % queries.len()];
                 let prepared = qp.prepare_query(snapped);
                 let resp = service.route(prepared).expect("healthy service must route");
                 responses.push(resp);
+                if i == 0 {
+                    load_started.wait();
+                }
+                if after_the_last_epoch {
+                    break;
+                }
             }
             responses
         }));

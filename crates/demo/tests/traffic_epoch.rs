@@ -10,7 +10,8 @@
 //! consecutive epochs here always differ on every residential edge.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -67,6 +68,12 @@ fn epoch_bump_mid_load_never_serves_a_mixed_epoch_route() {
         })
         .collect();
 
+    // The load provably spans every bump: the ticker starts only once
+    // each worker holds an epoch-0 response, and each worker's last
+    // request starts after the ticker has published its last epoch.
+    let load_started = Arc::new(Barrier::new(4));
+    let last_published = Arc::new(AtomicBool::new(false));
+
     // The ticker: a dozen swaps, each making *every* residential edge
     // strictly slower than the previous epoch, so any two epochs disagree
     // on any route touching a residential street — and small-scale cities
@@ -74,7 +81,10 @@ fn epoch_bump_mid_load_never_serves_a_mixed_epoch_route() {
     let ticker = {
         let qp = Arc::clone(&qp);
         let columns = Arc::clone(&columns);
+        let load_started = Arc::clone(&load_started);
+        let last_published = Arc::clone(&last_published);
         thread::spawn(move || {
+            load_started.wait();
             for round in 0..12u32 {
                 let factor = 1.0 + 0.1 * f64::from(round + 1);
                 let delta = TrafficDelta::parse(&format!("cat:residential*{factor:.3}")).unwrap();
@@ -87,6 +97,7 @@ fn epoch_bump_mid_load_never_serves_a_mixed_epoch_route() {
                     .insert(snap.epoch(), Arc::clone(snap.weights()));
                 thread::sleep(Duration::from_millis(3));
             }
+            last_published.store(true, Ordering::Release);
         })
     };
 
@@ -98,13 +109,22 @@ fn epoch_bump_mid_load_never_serves_a_mixed_epoch_route() {
         let qp = Arc::clone(&qp);
         let service = Arc::clone(&service);
         let queries = queries.clone();
+        let load_started = Arc::clone(&load_started);
+        let last_published = Arc::clone(&last_published);
         workers.push(thread::spawn(move || {
             let mut responses = Vec::new();
-            for i in 0..25 {
+            for i in 0.. {
+                let after_the_last_epoch = last_published.load(Ordering::Acquire);
                 let snapped = queries[(worker + i) % queries.len()];
                 let prepared = qp.prepare_query(snapped);
                 let resp = service.route(prepared).expect("healthy service must route");
                 responses.push(resp);
+                if i == 0 {
+                    load_started.wait();
+                }
+                if after_the_last_epoch {
+                    break;
+                }
             }
             responses
         }));
