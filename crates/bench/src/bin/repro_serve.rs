@@ -48,16 +48,7 @@ impl RouteBackend for SpinBackend {
         format!("spin:{request}:{lane}")
     }
 
-    fn compute(&self, _request: &u32, _lane: usize) -> Result<(), String> {
-        std::thread::sleep(self.work);
-        Ok(())
-    }
-
-    fn assemble(&self, _request: &u32, _parts: Vec<()>) -> bool {
-        false
-    }
-
-    fn compute_cancellable(
+    fn run_lane(
         &self,
         _request: &u32,
         _lane: usize,
@@ -77,13 +68,15 @@ impl RouteBackend for SpinBackend {
         Ok(LaneOutcome::Complete(()))
     }
 
-    fn assemble_degraded(
+    /// Whether a lane was cut short; `None` when no lane has a part.
+    fn assemble_lanes(
         &self,
         _request: &u32,
         parts: Vec<Option<()>>,
-        _statuses: &[LaneStatus],
+        statuses: &[LaneStatus],
     ) -> Option<bool> {
-        parts.iter().any(Option::is_some).then_some(true)
+        let cut_short = statuses.contains(&LaneStatus::Truncated);
+        parts.iter().any(Option::is_some).then_some(cut_short)
     }
 }
 
@@ -121,8 +114,9 @@ fn deadline_sweep(report: &mut String) {
             // the sweep cares about.
             let _ = service.route(request);
         }
-        // Join the workers so every lane's busy time is accounted for.
-        service.shutdown();
+        // Dropping the service joins the workers, so every lane's busy
+        // time is accounted for.
+        drop(service);
         busy_s[index] = busy_ns.load(Ordering::Relaxed) as f64 / 1e9;
     }
 

@@ -6,6 +6,11 @@
 //! serving layer computes them in parallel and caches them independently
 //! — a repeat query recomputes nothing, and a query that shares endpoints
 //! with a cached one recomputes only the lanes that expired.
+//!
+//! Its one assembly ([`RouteBackend::assemble_lanes`]) owns the mapping
+//! from lane statuses to the response (DESIGN.md §9). The inherent
+//! [`DemoBackend::compute`] and [`DemoBackend::assemble`] are the serial
+//! stages that served responses are compared against.
 
 use std::sync::Arc;
 
@@ -28,6 +33,28 @@ impl DemoBackend {
     /// The wrapped processor.
     pub fn processor(&self) -> &QueryProcessor {
         &self.processor
+    }
+
+    /// Runs one lane to its end under a token nothing trips: the serial
+    /// reference stage that served responses are compared against.
+    pub fn compute(
+        &self,
+        request: &PreparedQuery,
+        lane: usize,
+    ) -> Result<Arc<ApproachRoutes>, String> {
+        match self.run_lane(request, lane, &CancelToken::new())? {
+            LaneOutcome::Complete(part) | LaneOutcome::Truncated(part) => Ok(part),
+        }
+    }
+
+    /// Assembles every lane's part, in lane order: the serial reference
+    /// stage that served responses are compared against.
+    pub fn assemble(
+        &self,
+        request: &PreparedQuery,
+        parts: Vec<Arc<ApproachRoutes>>,
+    ) -> QueryResponse {
+        self.processor.assemble(request, parts)
     }
 }
 
@@ -86,17 +113,7 @@ impl RouteBackend for DemoBackend {
         self.processor.prepare_substrate(request, &budget)
     }
 
-    fn compute(&self, request: &PreparedQuery, lane: usize) -> Result<Arc<ApproachRoutes>, String> {
-        match self.compute_cancellable(request, lane, &CancelToken::new())? {
-            LaneOutcome::Complete(part) | LaneOutcome::Truncated(part) => Ok(part),
-        }
-    }
-
-    fn assemble(&self, request: &PreparedQuery, parts: Vec<Arc<ApproachRoutes>>) -> QueryResponse {
-        self.processor.assemble(request, parts)
-    }
-
-    fn compute_cancellable(
+    fn run_lane(
         &self,
         request: &PreparedQuery,
         lane: usize,
@@ -114,13 +131,48 @@ impl RouteBackend for DemoBackend {
         }
     }
 
-    fn assemble_degraded(
+    fn assemble_lanes(
         &self,
         request: &PreparedQuery,
         parts: Vec<Option<Arc<ApproachRoutes>>>,
         statuses: &[LaneStatus],
     ) -> Option<QueryResponse> {
-        self.processor.assemble_degraded(request, parts, statuses)
+        // A lane that completed answered for the trip at the pinned
+        // epoch, and every technique's column shares that epoch's
+        // closures: with an `ok` lane and no route anywhere the trip is
+        // unroutable (a 404), not a request with nothing to serve.
+        if !statuses.contains(&LaneStatus::Ok)
+            && parts.iter().flatten().all(|a| a.routes.is_empty())
+        {
+            return None;
+        }
+        // A missing lane keeps its blind label with no routes, so the
+        // UI's A–D structure survives.
+        let approaches = parts
+            .into_iter()
+            .enumerate()
+            .map(|(lane, part)| {
+                part.unwrap_or_else(|| {
+                    Arc::new(ApproachRoutes {
+                        label: self.processor.slot_label(lane),
+                        routes: Vec::new(),
+                    })
+                })
+            })
+            .collect();
+        let mut response = self.processor.assemble(request, approaches);
+        // The verdicts are keyed by blind label: which technique failed
+        // stays server-side. An all-`ok` response carries none of them.
+        if statuses.iter().any(|status| *status != LaneStatus::Ok) {
+            response.truncated = statuses.contains(&LaneStatus::Truncated);
+            response.degraded = statuses.iter().any(LaneStatus::is_degraded);
+            response.lane_status = statuses
+                .iter()
+                .enumerate()
+                .map(|(lane, status)| (self.processor.slot_label(lane), *status))
+                .collect();
+        }
+        Some(response)
     }
 
     fn trace_attrs(&self, request: &PreparedQuery) -> Vec<(&'static str, String)> {
@@ -259,12 +311,15 @@ mod tests {
         let backend = DemoBackend::new(Arc::clone(&qp));
 
         // A lane that finished before the deadline…
-        let full = backend.compute(&prepared, 0).unwrap();
+        let outcome = backend.run_lane(&prepared, 0, &CancelToken::new());
+        let Ok(LaneOutcome::Complete(full)) = outcome else {
+            panic!("an untripped lane completes: {outcome:?}");
+        };
         // …and one whose token was already tripped when it started: the
         // budget interrupts it immediately, yielding an empty partial.
         let token = CancelToken::new();
         token.cancel();
-        let outcome = backend.compute_cancellable(&prepared, 1, &token).unwrap();
+        let outcome = backend.run_lane(&prepared, 1, &token).unwrap();
         let LaneOutcome::Truncated(partial) = outcome else {
             panic!("cancelled lane must come back truncated");
         };
@@ -280,8 +335,8 @@ mod tests {
             LaneStatus::Truncated,
             LaneStatus::Truncated,
         ];
-        let resp = qp
-            .assemble_degraded(&prepared, parts, &statuses)
+        let resp = backend
+            .assemble_lanes(&prepared, parts, &statuses)
             .expect("one lane finished");
         assert!(resp.truncated && !resp.degraded);
         assert_eq!(resp.approaches.len(), 4);
@@ -292,33 +347,10 @@ mod tests {
 
         // Nothing finished at all → no partial response; the serving
         // layer degrades that to DeadlineExceeded (HTTP 504).
-        assert!(qp
-            .assemble_degraded(&prepared, vec![None, None, None, None], &statuses)
+        let statuses = [LaneStatus::Truncated; 4];
+        assert!(backend
+            .assemble_lanes(&prepared, vec![None, None, None, None], &statuses)
             .is_none());
-    }
-
-    #[test]
-    fn untripped_token_leaves_lanes_complete_and_identical() {
-        let qp = processor();
-        let (a, b) = inner_points(&qp);
-        let prepared = prepared(&qp, qp.snap(a, b).unwrap());
-        let backend = DemoBackend::new(Arc::clone(&qp));
-        let token = CancelToken::new();
-        for lane in 0..backend.lanes() {
-            let plain = backend.compute(&prepared, lane).unwrap();
-            let LaneOutcome::Complete(budgeted) = backend
-                .compute_cancellable(&prepared, lane, &token)
-                .unwrap()
-            else {
-                panic!("untripped lane {lane} must complete");
-            };
-            assert_eq!(plain.label, budgeted.label);
-            assert_eq!(plain.routes.len(), budgeted.routes.len());
-            for (x, y) in plain.routes.iter().zip(&budgeted.routes) {
-                assert_eq!(x.cost_ms, y.cost_ms);
-                assert_eq!(x.polyline, y.polyline);
-            }
-        }
     }
 
     #[test]
@@ -332,7 +364,7 @@ mod tests {
         let prepared = backend.prepare(qp.prepare_query(q), &token, &Deadline::never());
         assert!(prepared.substrate.is_ok(), "healthy build must succeed");
         for lane in 0..backend.lanes() {
-            let outcome = backend.compute_cancellable(&prepared, lane, &token);
+            let outcome = backend.run_lane(&prepared, lane, &token);
             assert!(
                 matches!(outcome, Ok(LaneOutcome::Complete(_))),
                 "lane {lane}"
@@ -545,7 +577,7 @@ mod tests {
         // A lane that reads the pair serves that as an empty partial, and
         // grows nothing.
         let fresh = CancelToken::new();
-        let outcome = backend.compute_cancellable(&prepared, 1, &fresh).unwrap();
+        let outcome = backend.run_lane(&prepared, 1, &fresh).unwrap();
         assert!(matches!(outcome, LaneOutcome::Truncated(part) if part.routes.is_empty()));
         assert_eq!(
             qp.registry()
@@ -581,7 +613,7 @@ mod tests {
         // …and each lane completes with no route: the pair-reading ones
         // from prepare's error, Google-like from its own search.
         for lane in 0..backend.lanes() {
-            let outcome = backend.compute_cancellable(&prepared, lane, &token);
+            let outcome = backend.run_lane(&prepared, lane, &token);
             assert!(
                 matches!(&outcome, Ok(LaneOutcome::Complete(part)) if part.routes.is_empty()),
                 "lane {lane}: {outcome:?}"

@@ -119,8 +119,10 @@ impl PreparedQuery {
 }
 
 impl QueryResponse {
-    /// Whether any approach shows a route. A complete response without
-    /// one means the matched points are not connected at its epoch.
+    /// Whether any approach shows a route. A served response without
+    /// one means the matched points are not connected at its epoch: the
+    /// serving layer serves one only when some lane completed, and a
+    /// completed lane without a route proves it.
     pub fn has_route(&self) -> bool {
         self.approaches.iter().any(|a| !a.routes.is_empty())
     }
@@ -572,51 +574,6 @@ impl QueryProcessor {
     /// Server-side only: responses carry blind labels, never slugs.
     pub fn slot_technique(&self, slot: usize) -> &'static str {
         ProviderKind::ALL[slot].slug()
-    }
-
-    /// Assembles a **partial** response from whatever slots produced
-    /// something (`None` = the slot was abandoned or failed), driven by
-    /// the serving layer's per-lane verdicts. Missing slots keep their
-    /// blind label with an empty route list so the UI's A–D structure
-    /// survives; the response carries `truncated` (a deadline cut a lane
-    /// short), `degraded` (a lane failed or its breaker is open) and a
-    /// per-label `lane_status` map (blind labels only — which *technique*
-    /// failed stays server-side). Returns `None` — degrading the request
-    /// to a timeout or a bad gateway — only when *no* slot has any route
-    /// to show.
-    pub fn assemble_degraded(
-        &self,
-        q: &PreparedQuery,
-        parts: Vec<Option<Arc<ApproachRoutes>>>,
-        statuses: &[LaneStatus],
-    ) -> Option<QueryResponse> {
-        if parts
-            .iter()
-            .all(|p| p.as_ref().is_none_or(|a| a.routes.is_empty()))
-        {
-            return None;
-        }
-        let approaches = parts
-            .into_iter()
-            .enumerate()
-            .map(|(slot, part)| {
-                part.unwrap_or_else(|| {
-                    Arc::new(ApproachRoutes {
-                        label: self.slot_label(slot),
-                        routes: Vec::new(),
-                    })
-                })
-            })
-            .collect();
-        let mut response = self.assemble(q, approaches);
-        response.truncated = statuses.contains(&LaneStatus::Truncated);
-        response.degraded = statuses.iter().any(LaneStatus::is_degraded);
-        response.lane_status = statuses
-            .iter()
-            .enumerate()
-            .map(|(slot, status)| (self.slot_label(slot), *status))
-            .collect();
-        Some(response)
     }
 
     /// Processes a query serially: match endpoints, pin the current

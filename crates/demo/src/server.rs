@@ -42,8 +42,8 @@
 //! technique degrades its lane instead of the whole request, so the
 //! response stays `200` while at least one technique produced routes
 //! (`502` when all of them failed, `504` when the deadline passed with
-//! nothing to serve, `404` when every technique answered that the
-//! matched points are not connected at the request's traffic epoch).
+//! nothing to serve, `404` when a technique answered that the matched
+//! points are not connected at the request's traffic epoch).
 //! Degraded responses carry `"degraded": true` and a
 //! `"lane_status"` map keyed by blind label; healthy responses omit both
 //! keys and stay byte-identical to the fault-free wire format. The
@@ -542,10 +542,10 @@ impl DemoApp {
             .route_traced(self.processor.prepare_query(snapped));
         self.log_slow(&receipt);
         match outcome {
-            // Every technique answered, and none has a route: the matched
-            // points are not connected at this epoch (a closure cut them
-            // apart). The client's question has no answer; the service
-            // is fine.
+            // A technique answered, and no approach has a route: the
+            // matched points are not connected at this epoch (a closure
+            // cut them apart). The client's question has no answer; the
+            // service is fine.
             Ok(resp) if !resp.has_route() => {
                 HttpResponse::traced_error(404, DemoError::NoRoute.to_string(), None, receipt.id)
             }
@@ -1826,14 +1826,11 @@ mod tests {
         assert_eq!(v.get("inflight").unwrap().as_f64(), Some(0.0));
     }
 
-    /// A trip beyond a road closed through `POST /api/traffic` answers
-    /// 404 with a trace id — every technique's complete answer is "no
-    /// route", so no breaker is charged: after eight such requests
-    /// `/api/health` still reads ready and a routable request answers
-    /// 200. (It used to open all four breakers: 502, then "circuit open"
-    /// for every request and a 503 health check.)
-    #[test]
-    fn a_trip_beyond_a_closed_road_answers_404_and_keeps_the_service_ready() {
+    /// A three-node chain `n0 – n1 – n2` served under `config`, with the
+    /// road between `n1` and `n2` closed through `POST /api/traffic`,
+    /// plus the `/api/route` bodies of the cut trip `n0 → n2` and the
+    /// routable trip `n0 → n1`.
+    fn closed_chain_app(config: ServeConfig) -> (DemoApp, String, String) {
         use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
 
         let mut b = GraphBuilder::new();
@@ -1849,36 +1846,88 @@ mod tests {
             .map(|e| format!("close:{}", e.0))
             .collect();
         assert_eq!(cut.len(), 2);
-        let app = DemoApp::new(QueryProcessor::new("Chain", net, 1));
-        let trip = |from: Point, to: Point| {
+        let app = DemoApp::with_config(QueryProcessor::new("Chain", net, 1), config);
+        let trip = |from, to| {
+            let (from, to) = (
+                app.processor.network().point(from),
+                app.processor.network().point(to),
+            );
             format!(
                 r#"{{"slon": {}, "slat": {}, "tlon": {}, "tlat": {}}}"#,
                 from.lon, from.lat, to.lon, to.lat
             )
         };
-        let point = |n| app.processor.network().point(n);
-
+        let (unroutable, routable) = (trip(n0, n2), trip(n0, n1));
         let resp = app.handle("POST", "/api/traffic", &cut.join("; "));
         assert_eq!(resp.status, 200, "{}", resp.body);
+        (app, unroutable, routable)
+    }
+
+    /// Asserts the 404 "no route" answer, with its trace id.
+    fn assert_no_route(resp: &HttpResponse) {
+        assert_eq!(resp.status, 404, "{}", resp.body);
+        let v = json::parse(&resp.body).unwrap();
+        assert_eq!(
+            v.get("error").and_then(Json::as_str),
+            Some("no route between the matched points")
+        );
+        assert_eq!(
+            v.get("trace_id").and_then(Json::as_str),
+            resp.trace_id.as_deref()
+        );
+    }
+
+    /// A trip beyond a road closed through `POST /api/traffic` answers
+    /// 404 with a trace id — every technique's complete answer is "no
+    /// route", so no breaker is charged: after eight such requests
+    /// `/api/health` still reads ready and a routable request answers
+    /// 200. (It used to open all four breakers: 502, then "circuit open"
+    /// for every request and a 503 health check.)
+    #[test]
+    fn a_trip_beyond_a_closed_road_answers_404_and_keeps_the_service_ready() {
+        let (app, unroutable, routable) = closed_chain_app(ServeConfig::default());
         for _ in 0..8 {
-            let resp = app.handle("POST", "/api/route", &trip(point(n0), point(n2)));
-            assert_eq!(resp.status, 404, "{}", resp.body);
-            let v = json::parse(&resp.body).unwrap();
-            assert_eq!(
-                v.get("error").and_then(Json::as_str),
-                Some("no route between the matched points")
-            );
-            assert_eq!(
-                v.get("trace_id").and_then(Json::as_str),
-                resp.trace_id.as_deref()
-            );
+            assert_no_route(&app.handle("POST", "/api/route", &unroutable));
         }
         let resp = app.handle("GET", "/api/health", "");
         assert_eq!(resp.status, 200, "{}", resp.body);
         let v = json::parse(&resp.body).unwrap();
         assert_eq!(v.get("status").and_then(Json::as_str), Some("ready"));
-        let resp = app.handle("POST", "/api/route", &trip(point(n0), point(n1)));
+        let resp = app.handle("POST", "/api/route", &routable);
         assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+
+    /// Regression: the same trip with one technique failing answered 502
+    /// "all technique lanes failed" — first with the injected fault, then
+    /// "circuit open" — although the other three lanes had answered
+    /// completely. A completed lane proves the trip unroutable at the
+    /// pinned epoch, so it answers 404 whether the broken lane failed or
+    /// was short-circuited.
+    #[test]
+    fn an_unroutable_trip_with_a_failed_lane_answers_404() {
+        let config = ServeConfig {
+            faults: arp_serve::FaultPlan::parse("lane.penalty=error").unwrap(),
+            breaker: arp_serve::BreakerConfig {
+                window: 8,
+                min_volume: 2,
+                error_rate: 0.5,
+                ..arp_serve::BreakerConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        let (app, unroutable, _) = closed_chain_app(config);
+        for _ in 0..4 {
+            assert_no_route(&app.handle("POST", "/api/route", &unroutable));
+        }
+        let resp = app.handle("GET", "/api/health", "");
+        let v = json::parse(&resp.body).unwrap();
+        let penalty = v.get("breakers").unwrap().get("penalty");
+        assert_eq!(
+            penalty.and_then(Json::as_str),
+            Some("open"),
+            "{}",
+            resp.body
+        );
     }
 
     /// A permanently failing lane trips its breaker; `/api/health` then

@@ -42,7 +42,7 @@
 //! substrate) → fan-out → assemble (docs/ARCHITECTURE.md walks through
 //! it end to end).
 
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 mod admission;
 mod breaker;

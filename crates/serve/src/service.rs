@@ -22,11 +22,15 @@
 //!      **prepares** shared per-request artifacts once
 //!      ([`RouteBackend::prepare`] — the demo backend grows the tree pair
 //!      its pair-reading lanes then read) while the early lanes run;
-//!    - then the *late* lanes are submitted, handed the prepared request,
+//!    - then the *late* lanes are submitted, handed the prepared request;
+//!      every lane runs [`RouteBackend::run_lane`] on a worker,
 //! 4. **joins** every lane once, bounded by the request deadline, under
 //!    one cancel token and grace period,
-//! 5. **assembles** the lanes — in lane order, regardless of completion
-//!    order — so the response is byte-identical to the serial path.
+//! 5. **assembles** the lanes with one call to
+//!    [`RouteBackend::assemble_lanes`] — every lane's part (or `None`)
+//!    and status, in lane order regardless of completion order — so a
+//!    request whose lanes all completed is byte-identical to the serial
+//!    path.
 //!
 //! Successful lane results are written back to the cache from the worker
 //! thread that computed them; failed and truncated lanes are never
@@ -39,9 +43,10 @@
 //! function of its request, so a second attempt on the same inputs would
 //! fail the same way; the degraded response is not cached, so the next
 //! identical request computes the lane afresh, and the lane's circuit
-//! breaker caps a lane that keeps failing. Only when **every** lane fails
-//! does the request error ([`ServeError::AllLanesFailed`], HTTP 502).
-//! DESIGN.md §9 documents the full degraded-response ladder.
+//! breaker caps a lane that keeps failing. Only when the assembly finds
+//! nothing worth serving does the request error
+//! ([`ServeError::AllLanesFailed`], HTTP 502). DESIGN.md §9 documents the
+//! full degraded-response ladder.
 //!
 //! Deadlines act **cooperatively** on in-flight work: when a request's
 //! deadline expires, the service trips a per-request [`CancelToken`] that
@@ -186,49 +191,39 @@ pub trait RouteBackend: Send + Sync + 'static {
         true
     }
 
-    /// Computes one lane. Runs on a worker thread.
-    fn compute(&self, request: &Self::Request, lane: usize) -> Result<Self::Part, String>;
-
-    /// Combines the lanes (given in lane order) into the response.
-    fn assemble(&self, request: &Self::Request, parts: Vec<Self::Part>) -> Self::Response;
-
-    /// Computes one lane under a cancel token. Cooperative backends build
-    /// their search budget over [`CancelToken::flag`] so a tripped token
-    /// stops the search within one budget-check interval and the lane
-    /// returns [`LaneOutcome::Truncated`] with its partial work.
-    ///
-    /// The default ignores the token and delegates to
-    /// [`RouteBackend::compute`] — correct, but a deadline then frees the
-    /// worker only once the lane finishes on its own.
-    fn compute_cancellable(
+    /// Runs one lane on a worker thread under the request's cancel
+    /// token. Cooperative backends build their search budget over
+    /// [`CancelToken::flag`], so a tripped token stops the search within
+    /// one budget-check interval and the lane returns
+    /// [`LaneOutcome::Truncated`] with its partial work. A backend that
+    /// ignores the token frees the worker only once the lane finishes on
+    /// its own. `Err` fails the lane; only [`LaneOutcome::Complete`]
+    /// parts are cached.
+    fn run_lane(
         &self,
         request: &Self::Request,
         lane: usize,
         token: &CancelToken,
-    ) -> Result<LaneOutcome<Self::Part>, String> {
-        let _ = token;
-        self.compute(request, lane).map(LaneOutcome::Complete)
-    }
+    ) -> Result<LaneOutcome<Self::Part>, String>;
 
-    /// Assembles a **partial** response from whatever lanes produced
-    /// something (`None` = the lane was abandoned, interrupted without a
-    /// partial, failed, or short-circuited by its breaker), handed the
-    /// per-lane [`LaneStatus`] verdicts so the response can carry its
-    /// `lane_status` map and its `truncated` / `degraded` flags.
-    /// Returning `None` declares nothing worth serving, and the request
-    /// degrades to [`ServeError::DeadlineExceeded`] (or
-    /// [`ServeError::AllLanesFailed`] when no deadline was involved).
+    /// Assembles the response from every lane's part, in lane order —
+    /// `None` where the lane has nothing to show: it was abandoned,
+    /// interrupted without a partial, failed, or short-circuited by its
+    /// breaker. `statuses` holds one [`LaneStatus`] per lane, so the
+    /// response can carry its per-lane verdicts and its `truncated` /
+    /// `degraded` flags. On a request whose every status is
+    /// [`LaneStatus::Ok`] every part is present, and the response must be
+    /// the one a serial run of the lanes assembles.
     ///
-    /// The default refuses: backends opt in to partial responses.
-    fn assemble_degraded(
+    /// Returning `None` declares nothing worth serving: the request fails
+    /// with [`ServeError::DeadlineExceeded`] when a deadline cut it short,
+    /// and with [`ServeError::AllLanesFailed`] otherwise.
+    fn assemble_lanes(
         &self,
         request: &Self::Request,
         parts: Vec<Option<Self::Part>>,
         statuses: &[LaneStatus],
-    ) -> Option<Self::Response> {
-        let _ = (request, parts, statuses);
-        None
-    }
+    ) -> Option<Self::Response>;
 
     /// Attributes stamped on the root span when a trace starts — the
     /// demo backend reports the pinned traffic epoch and the request's
@@ -316,9 +311,10 @@ pub enum ServeError {
     },
     /// The request's deadline expired before every lane finished.
     DeadlineExceeded,
-    /// Every lane failed (errors, panics or open breakers) — or the
-    /// backend refused to assemble what little survived. Answer HTTP
-    /// 502: the service is up, its techniques are not.
+    /// The backend's assembly found nothing worth serving, and no
+    /// deadline was involved: every lane failed (errors, panics or open
+    /// breakers), or what survived holds no answer. Answer HTTP 502: the
+    /// service is up, its techniques are not.
     AllLanesFailed {
         /// The failed lanes' reasons, joined for the error body.
         reasons: String,
@@ -528,7 +524,7 @@ impl<B: RouteBackend> LaneAttempt<B> {
                 return Err((true, message));
             }
             self.backend
-                .compute_cancellable(&self.request, self.lane, &self.token)
+                .run_lane(&self.request, self.lane, &self.token)
                 .map_err(|error| (false, error))
         }));
         if self.token.is_cancelled() {
@@ -578,7 +574,8 @@ impl<B: RouteBackend> LaneAttempt<B> {
 }
 
 /// The serving pipeline over one backend. See the module docs for the
-/// request lifecycle.
+/// request lifecycle. Dropping the service closes the job queue, drains
+/// it and joins the workers.
 pub struct RouteService<B: RouteBackend> {
     backend: Arc<B>,
     pool: WorkerPool,
@@ -887,55 +884,37 @@ impl<B: RouteBackend> RouteService<B> {
             ..
         } = out;
 
-        // Stage 4: assemble in lane order. The fully-healthy path calls
-        // the plain `assemble` so its response stays byte-identical to
-        // the serial reference; anything else goes through the degraded
-        // ladder.
+        // Stage 4: assemble in lane order, one call whatever the lanes'
+        // statuses.
         let degraded = statuses.iter().any(LaneStatus::is_degraded);
         let assemble_timer = self.metrics.stage_assemble.start_timer();
         let mut assemble_span = ctx.child_span("assemble", root_id);
-        let response = if !truncated && !degraded {
-            let parts: Vec<B::Part> = parts
-                .into_iter()
-                .map(|slot| slot.expect("lane neither cached nor computed"))
-                .collect();
-            self.backend.assemble(&request, parts)
-        } else {
-            match self.backend.assemble_degraded(&request, parts, &statuses) {
-                Some(response) => {
-                    if degraded {
-                        self.metrics.degraded.inc();
-                    }
-                    response
-                }
-                None => {
-                    // Nothing worth serving (or the backend refuses
-                    // partials). A tripped deadline degrades to a
-                    // timeout; pure lane failure is a bad gateway.
-                    assemble_timer.discard();
-                    total_timer.discard();
-                    assemble_span.set_status(SpanStatus::Failed);
-                    if deadline_hit || (truncated && !degraded) {
-                        self.metrics.timeouts.inc();
-                        assemble_span.attr("outcome", "deadline_exceeded");
-                        drop(assemble_span);
-                        return (SpanStatus::Failed, Err(ServeError::DeadlineExceeded));
-                    }
-                    let reasons = if failures.is_empty() {
-                        "no lane produced a result".to_string()
-                    } else {
-                        failures.join("; ")
-                    };
-                    assemble_span.attr("outcome", "all_lanes_failed");
-                    drop(assemble_span);
-                    return (
-                        SpanStatus::Failed,
-                        Err(ServeError::AllLanesFailed { reasons }),
-                    );
-                }
+        let Some(response) = self.backend.assemble_lanes(&request, parts, &statuses) else {
+            // Nothing worth serving. A tripped deadline degrades to a
+            // timeout; pure lane failure is a bad gateway.
+            assemble_timer.discard();
+            total_timer.discard();
+            assemble_span.set_status(SpanStatus::Failed);
+            if deadline_hit || (truncated && !degraded) {
+                self.metrics.timeouts.inc();
+                assemble_span.attr("outcome", "deadline_exceeded");
+                drop(assemble_span);
+                return (SpanStatus::Failed, Err(ServeError::DeadlineExceeded));
             }
+            let reasons = if failures.is_empty() {
+                "no lane produced a result".to_string()
+            } else {
+                failures.join("; ")
+            };
+            assemble_span.attr("outcome", "all_lanes_failed");
+            drop(assemble_span);
+            return (
+                SpanStatus::Failed,
+                Err(ServeError::AllLanesFailed { reasons }),
+            );
         };
         if degraded {
+            self.metrics.degraded.inc();
             assemble_span.attr("outcome", "degraded");
         } else if truncated {
             assemble_span.attr("outcome", "truncated");
@@ -1079,17 +1058,6 @@ impl<B: RouteBackend> RouteService<B> {
     pub fn admission(&self) -> &Admission {
         &self.admission
     }
-
-    /// Current worker-queue backlog.
-    pub fn queue_len(&self) -> usize {
-        self.pool.queue_len()
-    }
-
-    /// Graceful shutdown: close the job queue, drain it, join the
-    /// workers. (Dropping the service does the same.)
-    pub fn shutdown(self) {
-        drop(self);
-    }
 }
 
 #[cfg(test)]
@@ -1144,7 +1112,12 @@ mod tests {
             format!("echo:{}:{}:{lane}", request.0, request.1)
         }
 
-        fn compute(&self, request: &(u32, u32), lane: usize) -> Result<String, String> {
+        fn run_lane(
+            &self,
+            request: &(u32, u32),
+            lane: usize,
+            _token: &CancelToken,
+        ) -> Result<LaneOutcome<String>, String> {
             self.computes.fetch_add(1, Ordering::SeqCst);
             if !self.delay.is_zero() {
                 std::thread::sleep(self.delay);
@@ -1163,32 +1136,37 @@ mod tests {
             {
                 return Err(format!("lane {lane} flaked"));
             }
-            Ok(format!("lane{lane}({},{})", request.0, request.1))
+            Ok(LaneOutcome::Complete(format!(
+                "lane{lane}({},{})",
+                request.0, request.1
+            )))
         }
 
-        fn assemble(&self, request: &(u32, u32), parts: Vec<String>) -> String {
-            format!("{},{} => {}", request.0, request.1, parts.join("|"))
-        }
-
-        fn assemble_degraded(
+        fn assemble_lanes(
             &self,
             request: &(u32, u32),
             parts: Vec<Option<String>>,
             statuses: &[LaneStatus],
         ) -> Option<String> {
-            let present: Vec<String> = parts.into_iter().flatten().collect();
-            if present.is_empty() {
-                return None;
-            }
-            let status: Vec<&str> = statuses.iter().map(LaneStatus::as_str).collect();
-            Some(format!(
-                "{},{} => {} [{}]",
-                request.0,
-                request.1,
-                present.join("|"),
-                status.join(",")
-            ))
+            present(parts)
+                .map(|body| marked(format!("{},{} => {body}", request.0, request.1), statuses))
         }
+    }
+
+    /// The present parts joined by `|`; `None` when no lane has one.
+    fn present(parts: Vec<Option<String>>) -> Option<String> {
+        let present: Vec<String> = parts.into_iter().flatten().collect();
+        (!present.is_empty()).then(|| present.join("|"))
+    }
+
+    /// `body`, followed by the lane statuses in brackets unless every
+    /// lane is ok.
+    fn marked(body: String, statuses: &[LaneStatus]) -> String {
+        if statuses.iter().all(|status| *status == LaneStatus::Ok) {
+            return body;
+        }
+        let statuses: Vec<&str> = statuses.iter().map(LaneStatus::as_str).collect();
+        format!("{body} [{}]", statuses.join(","))
     }
 
     fn service(backend: EchoBackend, config: ServeConfig) -> RouteService<EchoBackend> {
@@ -1422,7 +1400,12 @@ mod tests {
             format!("moody:{}:{}:{lane}", request.0, request.1)
         }
 
-        fn compute(&self, _request: &(u32, u32), lane: usize) -> Result<String, String> {
+        fn run_lane(
+            &self,
+            _request: &(u32, u32),
+            lane: usize,
+            _token: &CancelToken,
+        ) -> Result<LaneOutcome<String>, String> {
             if lane == 0 {
                 match self.mode.load(Ordering::SeqCst) {
                     0 => return Err("lane 0 refused".to_string()),
@@ -1430,25 +1413,16 @@ mod tests {
                     _ => {}
                 }
             }
-            Ok(format!("lane{lane}"))
+            Ok(LaneOutcome::Complete(format!("lane{lane}")))
         }
 
-        fn assemble(&self, _request: &(u32, u32), parts: Vec<String>) -> String {
-            parts.join("|")
-        }
-
-        fn assemble_degraded(
+        fn assemble_lanes(
             &self,
             _request: &(u32, u32),
             parts: Vec<Option<String>>,
             statuses: &[LaneStatus],
         ) -> Option<String> {
-            let present: Vec<String> = parts.into_iter().flatten().collect();
-            if present.is_empty() {
-                return None;
-            }
-            let status: Vec<&str> = statuses.iter().map(LaneStatus::as_str).collect();
-            Some(format!("{} [{}]", present.join("|"), status.join(",")))
+            present(parts).map(|body| marked(body, statuses))
         }
     }
 
@@ -1617,17 +1591,27 @@ mod tests {
             request
         }
 
-        fn compute(&self, _request: &(u32, u32), lane: usize) -> Result<String, String> {
+        fn run_lane(
+            &self,
+            _request: &(u32, u32),
+            lane: usize,
+            _token: &CancelToken,
+        ) -> Result<LaneOutcome<String>, String> {
             if lane == 0 {
                 self.started.0.lock().unwrap().send(()).unwrap();
                 // Released by the test, or by its sender dropping.
                 let _ = self.gate.lock().unwrap().recv();
             }
-            Ok(format!("lane{lane}"))
+            Ok(LaneOutcome::Complete(format!("lane{lane}")))
         }
 
-        fn assemble(&self, _request: &(u32, u32), parts: Vec<String>) -> String {
-            parts.join("|")
+        fn assemble_lanes(
+            &self,
+            _request: &(u32, u32),
+            parts: Vec<Option<String>>,
+            _statuses: &[LaneStatus],
+        ) -> Option<String> {
+            present(parts)
         }
     }
 
@@ -1662,8 +1646,9 @@ mod tests {
         );
         let admission = svc.admission().clone();
         release.send(()).unwrap();
-        // Shutdown drains the pool, so the straggler has finished.
-        svc.shutdown();
+        // Dropping the service drains the pool, so the straggler has
+        // finished.
+        drop(svc);
         assert_eq!(admission.inflight(), 0);
     }
 
@@ -1688,11 +1673,7 @@ mod tests {
             format!("coop:{}:{}:{lane}", request.0, request.1)
         }
 
-        fn compute(&self, _request: &(u32, u32), lane: usize) -> Result<String, String> {
-            Ok(format!("lane{lane}"))
-        }
-
-        fn compute_cancellable(
+        fn run_lane(
             &self,
             _request: &(u32, u32),
             lane: usize,
@@ -1711,21 +1692,14 @@ mod tests {
             Ok(LaneOutcome::Complete(format!("lane{lane}")))
         }
 
-        fn assemble(&self, _request: &(u32, u32), parts: Vec<String>) -> (String, bool) {
-            (parts.join("|"), false)
-        }
-
-        fn assemble_degraded(
+        fn assemble_lanes(
             &self,
             _request: &(u32, u32),
             parts: Vec<Option<String>>,
-            _statuses: &[LaneStatus],
+            statuses: &[LaneStatus],
         ) -> Option<(String, bool)> {
-            let present: Vec<String> = parts.into_iter().flatten().collect();
-            if present.is_empty() {
-                return None;
-            }
-            Some((present.join("|"), true))
+            let cut_short = statuses.iter().any(|status| *status != LaneStatus::Ok);
+            present(parts).map(|body| (body, cut_short))
         }
     }
 
@@ -1839,11 +1813,7 @@ mod tests {
             (request.0, request.1, true)
         }
 
-        fn compute(&self, request: &(u32, u32, bool), lane: usize) -> Result<String, String> {
-            Ok(format!("lane{lane}(prepared={})", request.2))
-        }
-
-        fn compute_cancellable(
+        fn run_lane(
             &self,
             request: &(u32, u32, bool),
             lane: usize,
@@ -1868,22 +1838,20 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(1));
                 }
             }
-            Ok(LaneOutcome::Complete(self.compute(request, lane)?))
+            Ok(LaneOutcome::Complete(format!(
+                "lane{lane}(prepared={})",
+                request.2
+            )))
         }
 
-        fn assemble(&self, _request: &(u32, u32, bool), parts: Vec<String>) -> String {
-            parts.join("|")
-        }
-
-        fn assemble_degraded(
+        fn assemble_lanes(
             &self,
             _request: &(u32, u32, bool),
             parts: Vec<Option<String>>,
             statuses: &[LaneStatus],
         ) -> Option<String> {
             let parts: Vec<String> = parts.into_iter().map(Option::unwrap_or_default).collect();
-            let statuses: Vec<&str> = statuses.iter().map(LaneStatus::as_str).collect();
-            Some(format!("{} [{}]", parts.join("|"), statuses.join(",")))
+            Some(marked(parts.join("|"), statuses))
         }
     }
 

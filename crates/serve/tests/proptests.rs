@@ -1,14 +1,20 @@
 //! Property tests for the route cache (one exact LRU, checked against a
-//! reference model) and the per-technique circuit breaker.
+//! reference model), the per-technique circuit breaker and the service's
+//! degraded-response ladder.
 //!
 //! The breaker takes time as an explicit `now_ms` argument, so these
 //! properties drive a manual clock and never sleep; the cache's threaded
-//! stress test joins its threads and never sleeps either.
+//! stress test joins its threads and never sleeps either. The ladder's
+//! lanes answer from a script, so nothing there depends on timing.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use arp_serve::{BreakerConfig, BreakerState, CacheMetrics, CircuitBreaker, RouteCache};
+use arp_obs::Registry;
+use arp_serve::{
+    BreakerConfig, BreakerState, CacheMetrics, CancelToken, CircuitBreaker, LaneOutcome,
+    LaneStatus, RouteBackend, RouteCache, RouteService, ServeConfig, ServeError,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -300,4 +306,132 @@ fn concurrent_gets_and_puts_keep_the_cache_bounded_and_counted() {
         metrics.hits.get() + metrics.misses.get(),
         THREADS as u64 * GETS_PER_THREAD
     );
+}
+
+/// How a scripted lane ends.
+const COMPLETE: u8 = 0;
+const TRUNCATED: u8 = 1;
+const ERROR: u8 = 2;
+const PANIC: u8 = 3;
+
+/// Four lanes whose request scripts each lane's outcome, plus whether
+/// the assembly refuses; records the statuses of every assembly call.
+#[derive(Default)]
+struct ScriptedBackend {
+    assembled: Mutex<Vec<Vec<LaneStatus>>>,
+}
+
+/// One request: an outcome per lane, and whether to refuse assembling.
+type Script = (Vec<u8>, bool);
+
+impl RouteBackend for ScriptedBackend {
+    type Request = Script;
+    type Part = String;
+    type Response = Vec<Option<String>>;
+
+    fn lanes(&self) -> usize {
+        4
+    }
+
+    fn lane_key(&self, request: &Script, lane: usize) -> String {
+        format!("{request:?}:{lane}")
+    }
+
+    fn run_lane(
+        &self,
+        (outcomes, _): &Script,
+        lane: usize,
+        _token: &CancelToken,
+    ) -> Result<LaneOutcome<String>, String> {
+        match outcomes[lane] {
+            COMPLETE => Ok(LaneOutcome::Complete(format!("lane{lane}"))),
+            TRUNCATED => Ok(LaneOutcome::Truncated(format!("lane{lane}-partial"))),
+            ERROR => Err(format!("lane {lane} refused")),
+            _ => panic!("lane {lane} exploded"),
+        }
+    }
+
+    fn assemble_lanes(
+        &self,
+        (_, refuse): &Script,
+        parts: Vec<Option<String>>,
+        statuses: &[LaneStatus],
+    ) -> Option<Vec<Option<String>>> {
+        self.assembled.lock().unwrap().push(statuses.to_vec());
+        (!refuse && parts.iter().any(Option::is_some)).then_some(parts)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// With the cache off and breakers that cannot open, every admitted
+    /// request is assembled exactly once, handed one status per lane in
+    /// lane order as its script says; the request is served exactly when
+    /// the assembly answers, and otherwise fails as the ladder says, its
+    /// reasons naming the failed lanes in lane order.
+    #[test]
+    fn the_degraded_ladder_follows_each_lanes_script(
+        scripts in proptest::collection::vec(
+            (proptest::collection::vec(0u8..4, 4), proptest::bool::ANY),
+            1..6,
+        ),
+    ) {
+        let config = ServeConfig {
+            cache_capacity: 0,
+            breaker: BreakerConfig {
+                min_volume: usize::MAX,
+                ..BreakerConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        let svc = RouteService::new(ScriptedBackend::default(), config, &Registry::disabled());
+        for script in scripts {
+            let (outcomes, refuse) = &script;
+            let statuses: Vec<LaneStatus> = outcomes
+                .iter()
+                .map(|&outcome| match outcome {
+                    COMPLETE => LaneStatus::Ok,
+                    TRUNCATED => LaneStatus::Truncated,
+                    _ => LaneStatus::Failed,
+                })
+                .collect();
+            let parts: Vec<Option<String>> = outcomes
+                .iter()
+                .enumerate()
+                .map(|(lane, &outcome)| match outcome {
+                    COMPLETE => Some(format!("lane{lane}")),
+                    TRUNCATED => Some(format!("lane{lane}-partial")),
+                    _ => None,
+                })
+                .collect();
+            let failures: Vec<String> = outcomes
+                .iter()
+                .enumerate()
+                .filter_map(|(lane, &outcome)| match outcome {
+                    ERROR => Some(format!("lane{lane}: lane {lane} refused")),
+                    PANIC => Some(format!("lane{lane}: lane panicked: lane {lane} exploded")),
+                    _ => None,
+                })
+                .collect();
+            let want = if !refuse && parts.iter().any(Option::is_some) {
+                Ok(parts)
+            } else if statuses.contains(&LaneStatus::Truncated) && failures.is_empty() {
+                Err(ServeError::DeadlineExceeded)
+            } else if failures.is_empty() {
+                Err(ServeError::AllLanesFailed {
+                    reasons: "no lane produced a result".to_string(),
+                })
+            } else {
+                Err(ServeError::AllLanesFailed {
+                    reasons: failures.join("; "),
+                })
+            };
+
+            let got = svc.route(script.clone());
+            let assembled = std::mem::take(&mut *svc.backend().assembled.lock().unwrap());
+            prop_assert_eq!(assembled, vec![statuses], "assembly calls for {:?}", script);
+            prop_assert_eq!(got, want, "result of {:?}", script);
+        }
+    }
 }
