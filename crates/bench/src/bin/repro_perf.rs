@@ -20,9 +20,11 @@ use arp_citygen::{City, Scale};
 use arp_core::prelude::*;
 use arp_core::search::{Direction, SearchSpace};
 use arp_core::{ChTopology, SearchMetrics};
-use arp_demo::{QueryProcessor, SnappedQuery};
+use arp_demo::backend::INLINE_BELOW_SETTLED;
+use arp_demo::{DemoBackend, QueryProcessor, SnappedQuery};
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::NodeId;
+use arp_serve::RouteBackend;
 
 /// The system allocator, counting the allocations and the bytes asked of
 /// it (a reallocation counts as one allocation of its new size).
@@ -120,22 +122,32 @@ fn pairs_between(
 }
 
 /// Trip-distance bands of the heap table, km: the benchmark's `short-hop`
-/// and `cross-town` request lists.
-const HEAP_BANDS: [(&str, f64, f64); 2] = [("short", 0.5, 2.0), ("long", 2.0, 24.0)];
+/// and `cross-town` request lists, then a mid-town band wholly above the
+/// inline threshold.
+const HEAP_BANDS: [(&str, f64, f64); 3] =
+    [("short", 0.5, 2.0), ("long", 2.0, 24.0), ("mid", 7.0, 10.0)];
 const HEAP_PAIRS: usize = 40;
 
 /// What one served cache miss allocates on Copenhagen-Large — pin the
 /// epoch, grow the tree pair, run the four lanes, assemble — per band,
 /// after a warm-up pass over the same pairs has filled the scratch pools.
 /// CI gates the short band's bytes below `4·n`: one `u32` per vertex,
-/// which any per-request O(n) buffer would exceed.
+/// which any per-request O(n) buffer would exceed. `inline` is the share
+/// of the band's pairs whose pair-reading lanes the service runs on the
+/// request thread (`DemoBackend::inline_late_lanes`, a function of the
+/// pair): CI gates the short band at 1.00 and the 7–10 km band at 0.00.
 fn heap_per_request(report: &mut String) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     let city = arp_bench::generate_city(City::Copenhagen, Scale::Large);
     let n = city.network.num_nodes();
-    let qp = QueryProcessor::new(city.name, city.network, arp_bench::MASTER_SEED);
+    let qp = Arc::new(QueryProcessor::new(
+        city.name,
+        city.network,
+        arp_bench::MASTER_SEED,
+    ));
+    let backend = DemoBackend::new(Arc::clone(&qp));
     let budget = SearchBudget::unlimited();
     let serve = |(source, target): (NodeId, NodeId)| {
         let request = qp.prepare_query(SnappedQuery { source, target });
@@ -149,13 +161,14 @@ fn heap_per_request(report: &mut String) {
     let _ = writeln!(
         report,
         "\nHeap per served miss ({}-Large, {n} nodes; per request after a warm-up pass; \
-         CI: short-band bytes < 4n):",
+         CI: short-band bytes < 4n; inline = share of pairs settling < {INLINE_BELOW_SETTLED} \
+         labels, CI: short 1.00, 7-10 km 0.00):",
         qp.name()
     );
     let _ = writeln!(
         report,
-        "  {:<6} {:<6} {:>5} {:>11} {:>10} {:>9}",
-        "band", "km", "pairs", "bytes/req", "allocs/req", "4n"
+        "  {:<6} {:<6} {:>5} {:>11} {:>10} {:>9} {:>6}",
+        "band", "km", "pairs", "bytes/req", "allocs/req", "4n", "inline"
     );
     let mut rng = StdRng::seed_from_u64(arp_bench::MASTER_SEED);
     for (band, lo, hi) in HEAP_BANDS {
@@ -168,15 +181,229 @@ fn heap_per_request(report: &mut String) {
         }
         let after = Counting::read();
         let per_request = |total: u64| total as f64 / pairs.len() as f64;
+        let inline = pairs.iter().filter(|&&(source, target)| {
+            let request = qp.prepare_query(SnappedQuery { source, target });
+            backend.inline_late_lanes(&qp.prepare_substrate(request, &budget))
+        });
         let _ = writeln!(
             report,
-            "  {:<6} {:<6} {:>5} {:>11.0} {:>10.1} {:>9}",
+            "  {:<6} {:<6} {:>5} {:>11.0} {:>10.1} {:>9} {:>6.2}",
             band,
             format!("{lo}-{hi}"),
             pairs.len(),
             per_request(after.1 - before.1),
             per_request(after.0 - before.0),
-            4 * n
+            4 * n,
+            per_request(inline.count() as u64)
+        );
+    }
+}
+
+/// A [`DemoBackend`] whose late wave always runs on the request thread
+/// (`inline`) or always on the pool: the two paths the crossover table
+/// times. Everything else is the demo backend's.
+struct ForcedPath {
+    inner: DemoBackend,
+    inline: bool,
+}
+
+impl RouteBackend for ForcedPath {
+    type Request = <DemoBackend as RouteBackend>::Request;
+    type Part = <DemoBackend as RouteBackend>::Part;
+    type Response = <DemoBackend as RouteBackend>::Response;
+
+    fn lanes(&self) -> usize {
+        self.inner.lanes()
+    }
+    fn lane_name(&self, lane: usize) -> String {
+        self.inner.lane_name(lane)
+    }
+    fn lane_key(&self, request: &Self::Request, lane: usize) -> String {
+        self.inner.lane_key(request, lane)
+    }
+    fn prepare(
+        &self,
+        request: Self::Request,
+        token: &arp_serve::CancelToken,
+        deadline: &arp_serve::Deadline,
+    ) -> Self::Request {
+        self.inner.prepare(request, token, deadline)
+    }
+    fn reads_prepare(&self, lane: usize) -> bool {
+        self.inner.reads_prepare(lane)
+    }
+    fn inline_late_lanes(&self, _request: &Self::Request) -> bool {
+        self.inline
+    }
+    fn run_lane(
+        &self,
+        request: &Self::Request,
+        lane: usize,
+        token: &arp_serve::CancelToken,
+    ) -> Result<arp_serve::LaneOutcome<Self::Part>, String> {
+        self.inner.run_lane(request, lane, token)
+    }
+    fn assemble_lanes(
+        &self,
+        request: &Self::Request,
+        parts: Vec<Option<Self::Part>>,
+        statuses: &[arp_serve::LaneStatus],
+    ) -> Option<Self::Response> {
+        self.inner.assemble_lanes(request, parts, statuses)
+    }
+}
+
+/// Settled-label buckets of the crossover table: `lo..hi` labels settled
+/// by the request's tree-pair build.
+const SETTLED_BUCKETS: [(u64, u64); 8] = [
+    (0, 250),
+    (250, 500),
+    (500, 750),
+    (750, 1_000),
+    (1_000, 1_500),
+    (1_500, 2_500),
+    (2_500, 5_000),
+    (5_000, u64::MAX),
+];
+
+/// Where running the pair-reading lanes on the request thread stops
+/// paying, on Copenhagen-Large trips 0.5–6 km apart: each pair is served
+/// as a cache miss through a [`arp_serve::RouteService`] (the benchmark's
+/// serving configuration, cache off) whose late wave is forced inline or
+/// onto the pool, alternating, and timed end to end. Per settled-label
+/// bucket, medians over pairs of: the three pair-reading lanes run
+/// serially (`sum`) and the slowest of them (`max`), each path's served
+/// time, and the per-pair saving of inline (positive: inline is faster).
+/// `sum - max` is the most a fan-out can win back on a host with a free
+/// core per lane; `save + sum - max` is what the hand-off costs.
+/// `INLINE_BELOW_SETTLED` is read off this table.
+fn inline_crossover(report: &mut String) {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    const PAIRS: usize = 320;
+    const REPS: usize = 9;
+    let city = arp_bench::generate_city(City::Copenhagen, Scale::Large);
+    let qp = Arc::new(QueryProcessor::new(
+        city.name,
+        city.network,
+        arp_bench::MASTER_SEED,
+    ));
+    let budget = SearchBudget::unlimited();
+    let settled = |(source, target): (NodeId, NodeId)| {
+        let request = qp.prepare_query(SnappedQuery { source, target });
+        qp.prepare_substrate(request, &budget).pair_settled()
+    };
+    let mut rng = StdRng::seed_from_u64(arp_bench::MASTER_SEED);
+    let pairs = pairs_between(qp.network(), &mut rng, (0.5, 6.0), PAIRS, |s, t| {
+        settled((s, t)).is_some()
+    });
+    let mut config = arp_serve::ServeConfig {
+        cache_capacity: 0,
+        ..arp_serve::ServeConfig::default()
+    };
+    config.trace.sample = 0.0;
+    config.trace.slow_ms = 0;
+    let services = [false, true].map(|inline| {
+        let backend = ForcedPath {
+            inner: DemoBackend::new(Arc::clone(&qp)),
+            inline,
+        };
+        arp_serve::RouteService::new(backend, config.clone(), &arp_obs::Registry::disabled())
+    });
+    let serve = |path: usize, (source, target): (NodeId, NodeId)| {
+        let started = Instant::now();
+        let served = services[path].route(qp.prepare_query(SnappedQuery { source, target }));
+        assert!(served.is_ok(), "a routable pair is served");
+        started.elapsed().as_secs_f64() * 1000.0
+    };
+    // Warm-up: both services, every pair once.
+    for &pair in &pairs {
+        serve(0, pair);
+        serve(1, pair);
+    }
+    // The late lanes on their own, serially: `(sum, max)` of their
+    // median times per pair.
+    let late: Vec<usize> = (0..qp.technique_slots())
+        .filter(|&slot| qp.slot_reads_pair(slot))
+        .collect();
+    let serial: Vec<(f64, f64)> = pairs
+        .iter()
+        .map(|&(source, target)| {
+            let request = qp.prepare_query(SnappedQuery { source, target });
+            let request = qp.prepare_substrate(request, &budget);
+            let lanes = late.iter().map(|&slot| {
+                let mut ms = Vec::with_capacity(REPS);
+                for _ in 0..REPS {
+                    let started = Instant::now();
+                    let _ = qp.compute_slot_prepared(&request, slot, &budget);
+                    ms.push(started.elapsed().as_secs_f64() * 1000.0);
+                }
+                ms.sort_by(f64::total_cmp);
+                ms[REPS / 2]
+            });
+            lanes.fold((0.0, 0.0), |(sum, max), ms| (sum + ms, f64::max(max, ms)))
+        })
+        .collect();
+    let mut times = vec![[Vec::new(), Vec::new()]; pairs.len()];
+    for rep in 0..REPS {
+        for (pair, times) in pairs.iter().zip(&mut times) {
+            for path in [rep % 2, 1 - rep % 2] {
+                times[path].push(serve(path, *pair));
+            }
+        }
+    }
+    let median = |mut xs: Vec<f64>| -> f64 {
+        xs.sort_by(f64::total_cmp);
+        xs.get(xs.len() / 2).copied().unwrap_or(f64::NAN)
+    };
+    let _ = writeln!(
+        report,
+        "\nInline crossover by settled labels ({}-Large, {} pairs 0.5-6 km, {REPS} alternating \
+         reps; served miss ms, median of per-pair medians; save = fan-out - inline; \
+         threshold {INLINE_BELOW_SETTLED}):",
+        qp.name(),
+        pairs.len()
+    );
+    let _ = writeln!(
+        report,
+        "  {:<11} {:>5} {:>7} | {:>7} {:>7} {:>7} | {:>7} {:>7} {:>7}",
+        "settled", "pairs", "median", "sum", "max", "sum-max", "fan-out", "inline", "save"
+    );
+    /// One pair: settled labels, serial `(sum, max)`, served `[fan-out, inline]`.
+    type PairRow = (u64, (f64, f64), [f64; 2]);
+    let per_pair: Vec<PairRow> = pairs
+        .iter()
+        .zip(serial)
+        .zip(times)
+        .map(|((&pair, serial), [fanned, inline])| {
+            let settled = settled(pair).expect("drawn pairs are routable");
+            (settled, serial, [median(fanned), median(inline)])
+        })
+        .collect();
+    for (lo, hi) in SETTLED_BUCKETS {
+        let bucket: Vec<&PairRow> = per_pair
+            .iter()
+            .filter(|(settled, _, _)| (lo..hi).contains(settled))
+            .collect();
+        let column = |f: fn(&PairRow) -> f64| median(bucket.iter().map(|p| f(p)).collect());
+        let label = if hi == u64::MAX {
+            format!("{lo}+")
+        } else {
+            format!("{lo}-{hi}")
+        };
+        let _ = writeln!(
+            report,
+            "  {:<11} {:>5} {:>7.0} | {:>7.3} {:>7.3} {:>7.3} | {:>7.3} {:>7.3} {:>7.3}",
+            label,
+            bucket.len(),
+            column(|p| p.0 as f64),
+            column(|p| p.1 .0),
+            column(|p| p.1 .1),
+            column(|p| p.1 .0 - p.1 .1),
+            column(|p| p.2[0]),
+            column(|p| p.2[1]),
+            column(|p| p.2[0] - p.2[1]),
         );
     }
 }
@@ -548,6 +775,7 @@ fn main() {
     }
 
     heap_per_request(&mut report);
+    inline_crossover(&mut report);
     tree_pair_sweep(&mut report);
     landmark_pruning(&mut report);
 

@@ -19,6 +19,16 @@ use arp_serve::{CancelToken, Deadline, LaneOutcome, LaneStatus, RouteBackend};
 
 use crate::query::{ApproachRoutes, PreparedQuery, QueryProcessor, QueryResponse};
 
+/// A request whose tree-pair build settled fewer labels than this runs
+/// its pair-reading lanes on the request thread
+/// ([`RouteBackend::inline_late_lanes`]). Those lanes read only inside
+/// the pair's stretch ellipse, so the count bounds their work; below it,
+/// the three in a row cost less than handing them to the pool and
+/// waiting for the slowest. The value is where the two paths cross on
+/// Copenhagen-Large (`repro_perf`'s "Inline crossover" table, recorded in
+/// EXPERIMENTS.md). It is a property of the lanes, not a setting.
+pub const INLINE_BELOW_SETTLED: u64 = 1_500;
+
 /// Adapts a [`QueryProcessor`] to the serving layer's lane model.
 pub struct DemoBackend {
     processor: Arc<QueryProcessor>,
@@ -111,6 +121,14 @@ impl RouteBackend for DemoBackend {
             }
         }
         self.processor.prepare_substrate(request, &budget)
+    }
+
+    fn inline_late_lanes(&self, request: &PreparedQuery) -> bool {
+        // Only a built pair bounds the lanes that read it: a prepare that
+        // failed, was interrupted or ran out of deadline fans out.
+        request
+            .pair_settled()
+            .is_some_and(|settled| settled < INLINE_BELOW_SETTLED)
     }
 
     fn run_lane(
@@ -228,10 +246,23 @@ mod tests {
         )
     }
 
+    /// Lane attempts `registry`'s service ran on the request thread.
+    fn inline_lanes(registry: &Registry, backend: &DemoBackend) -> u64 {
+        (0..backend.lanes())
+            .map(|lane| {
+                let technique = backend.lane_name(lane);
+                let labels = [("technique", technique.as_str())];
+                registry.counter_value("arp_serve_lanes_inline_total", &labels)
+            })
+            .sum()
+    }
+
     /// Every response the service serves — Google-like started before
-    /// prepare, the other lanes after it — is byte-equal to the serial
+    /// prepare, the other lanes after it, on the request thread for a
+    /// small pair and on the pool otherwise — is byte-equal to the serial
     /// `prepare → compute × 4 → assemble` path, on twelve pairs before
     /// and after an epoch that closes an edge on one of their routes.
+    /// Both paths occur on both sides of the epoch.
     #[test]
     fn served_responses_equal_the_serial_stages_across_an_epoch() {
         use crate::render::{route_body, CoordText};
@@ -255,26 +286,36 @@ mod tests {
                 pairs.push(SnappedQuery { source, target });
             }
         }
+        let registry = Registry::new();
         let service = RouteService::new(
             DemoBackend::new(Arc::clone(&qp)),
             ServeConfig::default(),
-            &Registry::disabled(),
+            &registry,
         );
         let backend = DemoBackend::new(Arc::clone(&qp));
+        let inlined = || inline_lanes(&registry, &backend);
         let (id, coords) = (
             arp_obs::TraceId::parse("00000000deadbeef").unwrap(),
             CoordText::new(net.points()),
         );
         let bodies = || -> Vec<String> {
-            pairs
+            let mut paths = [0; 2];
+            let bodies = pairs
                 .iter()
                 .map(|&q| {
+                    let inline_before = inlined();
                     let served = service.route(qp.prepare_query(q)).unwrap();
+                    let inline = inlined() - inline_before;
                     let request = backend.prepare(
                         qp.prepare_query(q),
                         &CancelToken::new(),
                         &Deadline::never(),
                     );
+                    // The three pair readers ran inline exactly when the
+                    // pair is small; Google-like never does.
+                    let small = backend.inline_late_lanes(&request);
+                    assert_eq!(inline, if small { 3 } else { 0 }, "{q:?}");
+                    paths[usize::from(small)] += 1;
                     let parts = (0..backend.lanes())
                         .map(|lane| backend.compute(&request, lane).unwrap())
                         .collect();
@@ -283,7 +324,12 @@ mod tests {
                     assert_eq!(body, route_body(&serial, id, net, &coords), "{q:?}");
                     body
                 })
-                .collect()
+                .collect();
+            assert!(
+                paths.iter().all(|&n| n > 0),
+                "fanned out, inline: {paths:?}"
+            );
+            bodies
         };
         let before = bodies();
         let first =
@@ -296,6 +342,77 @@ mod tests {
             before[0], after[0],
             "the closure moved the first pair's routes"
         );
+    }
+
+    /// A delay failpoint is bounded by nothing the pair says, so a small
+    /// trip whose Penalty lane is armed with one fans out: the request
+    /// answers within its deadline plus the grace period, Penalty's
+    /// verdict truncated, instead of sleeping on the request thread.
+    #[test]
+    fn a_small_trip_with_a_delayed_lane_fans_out_and_answers_by_its_deadline() {
+        use std::time::{Duration, Instant};
+
+        let qp = processor();
+        let (a, b) = inner_points(&qp);
+        let far = qp.snap(a, b).unwrap();
+        let (net, w) = (qp.network(), qp.network().weights());
+        let along = arp_core::shortest_path(net, w, far.source, far.target).unwrap();
+        let q = SnappedQuery {
+            source: far.source,
+            target: along.nodes[3],
+        };
+        let backend = DemoBackend::new(Arc::clone(&qp));
+        assert!(backend.inline_late_lanes(&prepared(&qp, q)), "a small trip");
+
+        let (deadline, grace) = (Duration::from_millis(100), Duration::from_millis(100));
+        let registry = Registry::new();
+        let config = ServeConfig {
+            deadline,
+            cancel_grace: grace,
+            faults: arp_serve::FaultPlan::parse("lane.penalty=delay:1000").unwrap(),
+            ..ServeConfig::default()
+        };
+        let service = RouteService::new(DemoBackend::new(Arc::clone(&qp)), config, &registry);
+        let start = Instant::now();
+        let response = service.route(qp.prepare_query(q)).unwrap();
+        let took = start.elapsed();
+        // Scheduling slack on top of deadline + grace, far below the
+        // 1 s the lane sleeps.
+        assert!(
+            took < deadline + grace + Duration::from_millis(300),
+            "{took:?}"
+        );
+        assert!(response.truncated && !response.degraded, "{response:?}");
+        let penalty = (0..backend.lanes())
+            .find(|&lane| backend.lane_name(lane) == "penalty")
+            .map(|lane| qp.slot_label(lane))
+            .unwrap();
+        assert!(
+            response
+                .lane_status
+                .contains(&(penalty, LaneStatus::Truncated)),
+            "{:?}",
+            response.lane_status
+        );
+        assert_eq!(
+            inline_lanes(&registry, &backend),
+            0,
+            "the delayed request fanned out"
+        );
+
+        // Unarmed, the same trip runs its three pair readers inline.
+        let registry = Registry::new();
+        let service = RouteService::new(
+            DemoBackend::new(Arc::clone(&qp)),
+            ServeConfig::default(),
+            &registry,
+        );
+        assert!(service
+            .route(qp.prepare_query(q))
+            .unwrap()
+            .lane_status
+            .is_empty());
+        assert_eq!(inline_lanes(&registry, &backend), 3);
     }
 
     /// The request for `q` after an unhurried prepare step.

@@ -116,6 +116,14 @@ impl PreparedQuery {
     pub fn epoch(&self) -> u64 {
         self.overlay.epoch()
     }
+
+    /// How many labels the prepare step's tree-pair build settled, when
+    /// it built the pair (`None` before prepare, or when the build was
+    /// interrupted or found no route).
+    pub fn pair_settled(&self) -> Option<u64> {
+        let pair = self.substrate.as_ref().ok()?;
+        Some(pair.build_stats().settled)
+    }
 }
 
 impl QueryResponse {

@@ -284,6 +284,15 @@ impl FaultPlan {
         }
     }
 
+    /// Whether `site` is armed with a [`FaultKind::Delay`]: a sleep that
+    /// nothing about the request bounds.
+    pub(crate) fn delays(&self, site: &str) -> bool {
+        self.inner
+            .as_ref()
+            .and_then(|points| points.iter().find(|f| f.site == site))
+            .is_some_and(|f| matches!(f.kind, FaultKind::Delay(_)))
+    }
+
     /// Total faults fired at `site` so far (0 for unarmed sites).
     pub fn injected_at(&self, site: &str) -> u64 {
         self.inner

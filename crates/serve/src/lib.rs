@@ -10,7 +10,10 @@
 //!   (`Mutex` + `Condvar`, std only). Each request fans its techniques
 //!   out as one job per *lane*, so a request costs roughly the slowest
 //!   technique instead of their sum. Every lane job holds its request's
-//!   admission permit, so admission alone bounds the backlog.
+//!   admission permit, so admission alone bounds the backlog. A late
+//!   wave the backend declares small
+//!   ([`RouteBackend::inline_late_lanes`]) runs on the request thread
+//!   instead, where the hand-off would cost more than the lanes.
 //! * [`RouteCache`] — one exact LRU route cache keyed per lane by
 //!   (city, snapped source, snapped target, technique, k), so repeat
 //!   queries bypass recomputation entirely and partially-cached queries

@@ -16,6 +16,10 @@
 //!   client may still get a truncated response, so this is **not** a
 //!   subset of `deadline_timeouts_total`),
 //! * `arp_serve_jobs_total` — lane jobs executed by the worker pool,
+//! * `arp_serve_lanes_inline_total{technique}` — lane attempts the
+//!   request thread ran itself instead of handing them to the pool
+//!   (resolved per lane by the service; see
+//!   [`crate::RouteBackend::inline_late_lanes`]),
 //! * `arp_serve_cache_{hits,misses,evictions}_total`,
 //!   `arp_serve_cache_entries` — route-cache behaviour,
 //! * `arp_serve_cache_epoch_invalidations_total` — cached routes

@@ -3,10 +3,11 @@
 //! The pool runs *technique-level* jobs only: one route request fans out
 //! into one job per alternative-route technique, so a four-technique query
 //! costs roughly `max(technique)` wall-clock instead of their sum. The
-//! requesting thread itself never enters the pool — it submits lanes,
-//! then waits on a condvar with the request's deadline. Keeping request
-//! orchestration off the pool is what rules out the classic deadlock of
-//! request-jobs waiting behind the technique-jobs they spawned.
+//! requesting thread itself never enters the pool — it submits lanes (or
+//! runs a small one itself, [`Scatter::run_here`]), then waits on a
+//! condvar with the request's deadline. Keeping request orchestration off
+//! the pool is what rules out the classic deadlock of request-jobs waiting
+//! behind the technique-jobs they spawned.
 //!
 //! The queue has no bound of its own: every lane job holds its request's
 //! admission permit until it is done, so admission bounds the backlog at
@@ -18,7 +19,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use std::time::Duration;
@@ -128,6 +129,24 @@ struct FanoutState<T> {
     abandoned: AtomicBool,
 }
 
+impl<T> FanoutState<T> {
+    /// Ends one lane: `land` writes its result (or nothing), the pending
+    /// count drops, and the requester is woken only by the last lane —
+    /// [`Scatter::join`] waits for nothing else. No panic: it runs in
+    /// [`LaneGuard`]'s `Drop`, and every update under the lock leaves the
+    /// slots valid, so a poisoned lock is used as is.
+    fn finish(&self, land: impl FnOnce(&mut Vec<Option<T>>)) {
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        land(&mut slots.0);
+        slots.1 -= 1;
+        let last = slots.1 == 0;
+        drop(slots);
+        if last {
+            self.done.notify_all();
+        }
+    }
+}
+
 /// Decrements the pending count even if the lane's closure panics, so the
 /// waiting requester is always woken.
 struct LaneGuard<'a, T> {
@@ -138,10 +157,7 @@ struct LaneGuard<'a, T> {
 impl<T> Drop for LaneGuard<'_, T> {
     fn drop(&mut self) {
         if !self.completed {
-            let mut slots = self.state.slots.lock().expect("fan-out poisoned");
-            slots.1 -= 1;
-            drop(slots);
-            self.state.done.notify_all();
+            self.state.finish(|_| {});
         }
     }
 }
@@ -159,12 +175,8 @@ where
         return;
     }
     let value = task();
-    let mut slots = state.slots.lock().expect("fan-out poisoned");
-    slots.0[index] = Some(value);
-    slots.1 -= 1;
-    drop(slots);
+    state.finish(|results| results[index] = Some(value));
     guard.completed = true;
-    state.done.notify_all();
 }
 
 /// The outcome of a fan-out (see [`Scatter::join`]).
@@ -180,8 +192,9 @@ pub(crate) struct Fanout<T> {
 }
 
 /// A fan-out in progress: tasks submitted to the pool one at a time —
-/// in as many waves as the caller likes — and then joined once, under
-/// one deadline, token and grace period ([`Scatter::join`]).
+/// in as many waves as the caller likes, some of them run on the caller's
+/// thread instead — and then joined once, under one deadline, token and
+/// grace period ([`Scatter::join`]).
 pub(crate) struct Scatter<T> {
     state: Arc<FanoutState<T>>,
 }
@@ -198,20 +211,34 @@ impl<T: Send + 'static> Scatter<T> {
         }
     }
 
+    /// Takes the next slot of the [`Fanout`], pending until its task ends.
+    fn next_slot(&self) -> usize {
+        let mut slots = self.state.slots.lock().expect("fan-out poisoned");
+        slots.0.push(None);
+        slots.1 += 1;
+        slots.0.len() - 1
+    }
+
     /// Submits `task` to `pool`. Its result lands in the next slot of the
     /// [`Fanout`]: slots follow submission order.
     pub(crate) fn submit<F>(&self, pool: &WorkerPool, task: F)
     where
         F: FnOnce() -> T + Send + 'static,
     {
-        let index = {
-            let mut slots = self.state.slots.lock().expect("fan-out poisoned");
-            slots.0.push(None);
-            slots.1 += 1;
-            slots.0.len() - 1
-        };
+        let index = self.next_slot();
         let state = Arc::clone(&self.state);
         pool.submit(Box::new(move || run_lane(&state, index, task)));
+    }
+
+    /// Runs `task` on the calling thread, in the next slot, exactly as a
+    /// worker would run it: a panic is contained and leaves the slot
+    /// `None`. It returns when the task does — the caller bounds it.
+    pub(crate) fn run_here<F>(&self, task: F)
+    where
+        F: FnOnce() -> T,
+    {
+        let index = self.next_slot();
+        let _ = catch_unwind(AssertUnwindSafe(|| run_lane(&self.state, index, task)));
     }
 
     /// Waits for every submitted task, bounded by `deadline`; on expiry it
@@ -394,6 +421,18 @@ mod tests {
         // The pool survives and keeps serving.
         let out = scatter(&p, vec![|| 7u32, || 8u32]);
         assert_eq!(out.slots, vec![Some(7), Some(8)]);
+    }
+
+    #[test]
+    fn run_here_takes_its_slot_on_the_calling_thread() {
+        let p = pool(2);
+        let caller = std::thread::current().id();
+        let scatter = Scatter::new();
+        scatter.submit(&p, move || std::thread::current().id() == caller);
+        scatter.run_here(move || std::thread::current().id() == caller);
+        scatter.run_here(|| -> bool { panic!("inline boom") });
+        let out = scatter.join(Deadline::never(), &CancelToken::new(), Duration::ZERO);
+        assert_eq!(out.slots, vec![Some(false), Some(true), None]);
     }
 
     #[test]

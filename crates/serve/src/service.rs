@@ -22,8 +22,17 @@
 //!      **prepares** shared per-request artifacts once
 //!      ([`RouteBackend::prepare`] — the demo backend grows the tree pair
 //!      its pair-reading lanes then read) while the early lanes run;
-//!    - then the *late* lanes are submitted, handed the prepared request;
-//!      every lane runs [`RouteBackend::run_lane`] on a worker,
+//!    - then the *late* lanes are submitted, handed the prepared request.
+//!      When the backend says the prepared request bounds them small
+//!      ([`RouteBackend::inline_late_lanes`] — the demo backend reads how
+//!      many labels the tree pair settled), the request thread runs them
+//!      itself, one after another, in the same fan-out: the same attempt
+//!      (failpoint, panic containment, cache write-back, lane span), no
+//!      hand-off to a worker. The deadline is checked before each inline
+//!      lane; once expired, the token trips and the rest hand back their
+//!      partials. A late lane armed with a delay failpoint is bounded by
+//!      nothing, so that request fans out. Every other lane runs
+//!      [`RouteBackend::run_lane`] on a worker,
 //! 4. **joins** every lane once, bounded by the request deadline, under
 //!    one cancel token and grace period,
 //! 5. **assembles** the lanes with one call to
@@ -189,6 +198,22 @@ pub trait RouteBackend: Send + Sync + 'static {
     fn reads_prepare(&self, lane: usize) -> bool {
         let _ = lane;
         true
+    }
+
+    /// Whether the late lanes of `request` — those that read what
+    /// [`RouteBackend::prepare`] added, handed the prepared request — are
+    /// small enough to run one after another on the request thread
+    /// rather than on the pool. Asked once per request, after `prepare`.
+    /// Answer `true` only when the prepared request bounds what those
+    /// lanes do (the demo backend reads how many labels its tree pair
+    /// settled): a wave run inline costs their sum instead of the
+    /// slowest one plus the hand-off, and an inline lane is interrupted
+    /// only by the token, so an expired deadline is seen between lanes,
+    /// not during one. This describes the request, it is not a setting.
+    /// The default, `false`, hands every lane to the pool.
+    fn inline_late_lanes(&self, request: &Self::Request) -> bool {
+        let _ = request;
+        false
     }
 
     /// Runs one lane on a worker thread under the request's cancel
@@ -405,6 +430,9 @@ struct LaneRuntime {
     fail_panic: Counter,
     fail_abandoned: Counter,
     fail_open_circuit: Counter,
+    /// `arp_serve_lanes_inline_total{technique}`: attempts run on the
+    /// request thread instead of the pool.
+    inline: Counter,
 }
 
 impl LaneRuntime {
@@ -437,6 +465,11 @@ impl LaneRuntime {
             fail_panic: failures("panic"),
             fail_abandoned: failures("abandoned"),
             fail_open_circuit: failures("open_circuit"),
+            inline: registry.counter(
+                "arp_serve_lanes_inline_total",
+                "Technique lanes run on the request thread instead of the worker pool.",
+                &[("technique", name.as_str())],
+            ),
             name,
         }
     }
@@ -802,16 +835,25 @@ impl<B: RouteBackend> RouteService<B> {
                 .partition(|&lane| !self.backend.reads_prepare(lane));
             // Keys do not depend on `prepare` (the `lane_key` contract), so
             // the probe's key stays valid for a late lane's prepared request.
-            let submit = |lane: usize, key: Option<String>, request: &B::Request| {
+            // An inline lane runs the same attempt on this thread.
+            let submit = |lane: usize, key: Option<String>, request: &B::Request, inline: bool| {
                 let mut span = ctx.child_span("lane", root_id);
                 span.attr("technique", self.lanes[lane].name.clone());
                 span.attr_u64("attempt", 1);
                 span.attr("breaker", self.lanes[lane].breaker.state().as_str());
+                if inline {
+                    span.attr("inline", "true");
+                    self.lanes[lane].inline.inc();
+                }
                 let attempt = self.attempt(lane, key, request, &token, &permit, span);
-                scatter.submit(&self.pool, move || attempt.run());
+                if inline {
+                    scatter.run_here(move || attempt.run());
+                } else {
+                    scatter.submit(&self.pool, move || attempt.run());
+                }
             };
             for &lane in &early {
-                submit(lane, keys[lane].take(), &request);
+                submit(lane, keys[lane].take(), &request, false);
             }
 
             // Shared preparation, once per request — but only when a lane
@@ -829,16 +871,32 @@ impl<B: RouteBackend> RouteService<B> {
                 prepare_timer.stop_ms();
             }
 
+            // A small late wave runs on this thread, lane after lane. An
+            // armed delay failpoint is bounded by nothing the backend
+            // read, so such a request fans out.
+            let inline = !late.is_empty()
+                && self.backend.inline_late_lanes(&request)
+                && !late
+                    .iter()
+                    .any(|&lane| self.config.faults.delays(&self.lanes[lane].site));
             let compute_start = Instant::now();
             for &lane in &late {
-                submit(lane, keys[lane].take(), &request);
+                // Between inline lanes the deadline is checked as `join`
+                // would check it: once expired, the token trips and every
+                // lane still to run hands back its partial at once.
+                if inline && deadline.expired() {
+                    token.cancel();
+                }
+                submit(lane, keys[lane].take(), &request, inline);
             }
             let fanout = scatter.join(deadline, &token, self.config.cancel_grace);
             self.metrics
                 .stage_compute
                 .observe(compute_start.elapsed().as_secs_f64() * 1_000.0);
 
-            deadline_hit = fanout.deadline_hit;
+            // A token tripped before the join was the deadline, seen
+            // between inline lanes.
+            deadline_hit = fanout.deadline_hit || token.is_cancelled();
             if deadline_hit {
                 self.metrics.cancellations.inc();
                 out.truncated = true;
@@ -1937,6 +1995,120 @@ mod tests {
         assert!(trace.span("lane").is_some());
         assert_eq!(svc.metrics().stage_prepare.count(), 1);
         assert_eq!(svc.backend().prepares.load(Ordering::SeqCst), 1);
+    }
+
+    /// Three lanes whose late wave is always run inline: lane 0 skips
+    /// `prepare` and answers at once; `prepare` takes 150 ms; lanes 1
+    /// and 2 record the thread they ran on and spin on their token for
+    /// up to 5 s, handing back a partial once it trips.
+    #[derive(Default)]
+    struct InlineBackend {
+        threads: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl RouteBackend for InlineBackend {
+        type Request = (u32, u32);
+        type Part = String;
+        type Response = String;
+
+        fn lanes(&self) -> usize {
+            3
+        }
+
+        fn lane_key(&self, request: &(u32, u32), lane: usize) -> String {
+            format!("inline:{}:{}:{lane}", request.0, request.1)
+        }
+
+        fn reads_prepare(&self, lane: usize) -> bool {
+            lane != 0
+        }
+
+        fn prepare(
+            &self,
+            request: (u32, u32),
+            _token: &CancelToken,
+            _deadline: &Deadline,
+        ) -> (u32, u32) {
+            std::thread::sleep(Duration::from_millis(150));
+            request
+        }
+
+        fn inline_late_lanes(&self, _request: &(u32, u32)) -> bool {
+            true
+        }
+
+        fn run_lane(
+            &self,
+            _request: &(u32, u32),
+            lane: usize,
+            token: &CancelToken,
+        ) -> Result<LaneOutcome<String>, String> {
+            if lane == 0 {
+                return Ok(LaneOutcome::Complete("lane0".to_string()));
+            }
+            self.threads
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            let start = Instant::now();
+            while start.elapsed() < Duration::from_secs(5) {
+                if token.is_cancelled() {
+                    return Ok(LaneOutcome::Truncated(format!("lane{lane}-partial")));
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Ok(LaneOutcome::Complete(format!("lane{lane}")))
+        }
+
+        fn assemble_lanes(
+            &self,
+            _request: &(u32, u32),
+            parts: Vec<Option<String>>,
+            statuses: &[LaneStatus],
+        ) -> Option<String> {
+            present(parts).map(|body| marked(body, statuses))
+        }
+    }
+
+    /// A deadline that expires during `prepare` is seen before the inline
+    /// wave starts: the token trips, each inline lane hands back its
+    /// partial at once on the request thread, and the truncated response
+    /// counts one cancellation, as a fanned-out wave would.
+    #[test]
+    fn an_expired_deadline_before_an_inline_wave_serves_the_truncated_ladder() {
+        let registry = Registry::new();
+        let config = ServeConfig {
+            deadline: Duration::from_millis(50),
+            ..ServeConfig::default()
+        };
+        let svc = RouteService::new(InlineBackend::default(), config, &registry);
+        let start = Instant::now();
+        let (receipt, out) = svc.route_traced((1, 2));
+        assert_eq!(
+            out.unwrap(),
+            "lane0|lane1-partial|lane2-partial [ok,truncated,truncated]"
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "{:?}",
+            start.elapsed()
+        );
+        let here = std::thread::current().id();
+        assert_eq!(*svc.backend().threads.lock().unwrap(), vec![here, here]);
+        assert_eq!(svc.metrics().cancellations.get(), 1);
+        assert_eq!(svc.metrics().timeouts.get(), 0);
+        for (lane, inline) in [("lane0", 0), ("lane1", 1), ("lane2", 1)] {
+            let labels = [("technique", lane)];
+            let counted = registry.counter_value("arp_serve_lanes_inline_total", &labels);
+            assert_eq!(counted, inline, "{lane}");
+        }
+        let trace = svc.tracer().trace(receipt.id).expect("trace kept");
+        let inline: Vec<_> = trace
+            .spans_named("lane")
+            .filter_map(|span| span.attr("inline"))
+            .collect();
+        assert_eq!(inline, ["true", "true"]);
+        assert!(trace.well_nested());
     }
 
     #[test]

@@ -314,15 +314,17 @@ const TRUNCATED: u8 = 1;
 const ERROR: u8 = 2;
 const PANIC: u8 = 3;
 
-/// Four lanes whose request scripts each lane's outcome, plus whether
-/// the assembly refuses; records the statuses of every assembly call.
+/// Four lanes whose request scripts each lane's outcome, whether the
+/// assembly refuses and whether the lanes run on the request thread;
+/// records the statuses of every assembly call.
 #[derive(Default)]
 struct ScriptedBackend {
     assembled: Mutex<Vec<Vec<LaneStatus>>>,
 }
 
-/// One request: an outcome per lane, and whether to refuse assembling.
-type Script = (Vec<u8>, bool);
+/// One request: an outcome per lane, whether to refuse assembling, and
+/// whether its lanes run inline.
+type Script = (Vec<u8>, bool, bool);
 
 impl RouteBackend for ScriptedBackend {
     type Request = Script;
@@ -337,9 +339,13 @@ impl RouteBackend for ScriptedBackend {
         format!("{request:?}:{lane}")
     }
 
+    fn inline_late_lanes(&self, (_, _, inline): &Script) -> bool {
+        *inline
+    }
+
     fn run_lane(
         &self,
-        (outcomes, _): &Script,
+        (outcomes, _, _): &Script,
         lane: usize,
         _token: &CancelToken,
     ) -> Result<LaneOutcome<String>, String> {
@@ -353,7 +359,7 @@ impl RouteBackend for ScriptedBackend {
 
     fn assemble_lanes(
         &self,
-        (_, refuse): &Script,
+        (_, refuse, _): &Script,
         parts: Vec<Option<String>>,
         statuses: &[LaneStatus],
     ) -> Option<Vec<Option<String>>> {
@@ -366,14 +372,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// With the cache off and breakers that cannot open, every admitted
-    /// request is assembled exactly once, handed one status per lane in
-    /// lane order as its script says; the request is served exactly when
-    /// the assembly answers, and otherwise fails as the ladder says, its
+    /// request — its lanes on the pool or on the request thread — is
+    /// assembled exactly once, handed one status per lane in lane order
+    /// as its script says; the request is served exactly when the
+    /// assembly answers, and otherwise fails as the ladder says, its
     /// reasons naming the failed lanes in lane order.
     #[test]
     fn the_degraded_ladder_follows_each_lanes_script(
         scripts in proptest::collection::vec(
-            (proptest::collection::vec(0u8..4, 4), proptest::bool::ANY),
+            (
+                proptest::collection::vec(0u8..4, 4),
+                proptest::bool::ANY,
+                proptest::bool::ANY,
+            ),
             1..6,
         ),
     ) {
@@ -387,7 +398,7 @@ proptest! {
         };
         let svc = RouteService::new(ScriptedBackend::default(), config, &Registry::disabled());
         for script in scripts {
-            let (outcomes, refuse) = &script;
+            let (outcomes, refuse, _) = &script;
             let statuses: Vec<LaneStatus> = outcomes
                 .iter()
                 .map(|&outcome| match outcome {
