@@ -344,13 +344,13 @@ fn journal_fault_rejects_without_publishing(report: &mut String) {
         &[("site", sites::JOURNAL_APPEND), ("kind", "error")],
     );
     assert_eq!(injected as usize, ATTEMPTS, "every rejection is counted");
-    // The journal never saw a record: recovery from this directory is a
+    // The journal never saw a delta: the live generation holds only the
+    // checkpoint it opened with, so recovery from this directory is a
     // clean start at epoch 0.
-    let journal_len = std::fs::metadata(dir.join(arp_traffic::JOURNAL_FILE))
-        .map(|m| m.len())
-        .unwrap_or(0);
-    assert_eq!(
-        journal_len, 0,
+    let live = app.processor.traffic().journal_path().expect("durable");
+    let journal = arp_traffic::journal::read_journal(&live).expect("journal reads");
+    assert!(
+        journal.records.len() == 1 && !journal.torn_tail,
         "a failed append must not leave bytes behind"
     );
     // Route serving is unaffected: health stays ready, breakers closed.

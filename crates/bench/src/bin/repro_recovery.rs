@@ -7,8 +7,9 @@
 //! recovered epoch's routes match the reference's routes at that epoch,
 //! and driving the remaining schedule lands on the reference's final
 //! routes exactly. A per-city quarantine drill additionally flips a bit
-//! mid-journal (with a snapshot present) and asserts the state degrades
-//! to the snapshot epoch instead of refusing to start.
+//! in the newest journal generation's checkpoint and asserts the state
+//! degrades to the previous generation — everything up to that
+//! checkpoint — instead of refusing to start.
 //!
 //! The report lands in `reports/recovery.txt`; CI fails on any route
 //! mismatch or if fewer than 20 crash points ran.
@@ -24,9 +25,7 @@ use arp_citygen::{City, Scale};
 use arp_core::SearchBudget;
 use arp_demo::query::{QueryProcessor, SnappedQuery};
 use arp_roadnet::csr::RoadNetwork;
-use arp_traffic::{
-    CityProfile, DurabilityConfig, RecoveryStatus, TrafficDelta, TrafficFeed, JOURNAL_FILE,
-};
+use arp_traffic::{CityProfile, DurabilityConfig, RecoveryStatus, TrafficDelta, TrafficFeed};
 
 /// Random byte-level crash points per city (3 cities → 21, plus one
 /// quarantine drill each → 24 total; CI gates on ≥ 20).
@@ -125,8 +124,8 @@ fn durable_processor(
     dir: &Path,
 ) -> (QueryProcessor, arp_traffic::RecoveryReport) {
     let mut config = DurabilityConfig::new(dir);
-    // Keep the whole history in the journal so a byte cut can land on
-    // any record; the quarantine drill flushes its own snapshot.
+    // Keep the whole history in one journal generation so a byte cut can
+    // land on any record; the quarantine drill flushes its own checkpoint.
     config.snapshot_every = 0;
     let processor = QueryProcessor::new(name.to_string(), net.clone(), 7)
         .with_traffic_durability(config)
@@ -187,8 +186,13 @@ fn drill_city(city: City, seed_lane: u64) -> CityOutcome {
         ref_sigs.push(route_signature(&reference, &pairs));
     }
     assert_eq!(reference.traffic().epoch() as usize, events.len());
-    let journal = std::fs::read(ref_dir.join(JOURNAL_FILE)).unwrap();
+    let live = reference.traffic().journal_path().expect("durable");
+    let generation = std::fs::read(&live).unwrap();
     drop(reference);
+    // The generation opens with its checkpoint, installed whole before
+    // any append, so a crash can cut only the records behind it.
+    let head = 8 + u32::from_le_bytes(generation[..4].try_into().unwrap()) as usize;
+    let (checkpoint, journal) = generation.split_at(head);
 
     // The journal's record boundaries (offset = record start), from the
     // length prefixes: a cut exactly here is a clean prefix, anywhere
@@ -215,7 +219,11 @@ fn drill_city(city: City, seed_lane: u64) -> CityOutcome {
             1 + (splitmix64(&mut rng) as usize) % journal.len()
         };
         let dir = temp_dir(&format!("{name}_crash{point}"));
-        std::fs::write(dir.join(JOURNAL_FILE), &journal[..cut]).unwrap();
+        std::fs::write(
+            dir.join(live.file_name().unwrap()),
+            [checkpoint, &journal[..cut]].concat(),
+        )
+        .unwrap();
 
         let (recovered, report) = durable_processor(&name, &net, &dir);
         assert!(
@@ -244,10 +252,10 @@ fn drill_city(city: City, seed_lane: u64) -> CityOutcome {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // Quarantine drill: snapshot at epoch k, journal for the rest, then
-    // a bit flipped mid-journal. Recovery must quarantine the journal,
-    // fall back to the snapshot epoch's exact routes, report Degraded,
-    // and keep serving.
+    // Quarantine drill: a checkpoint at epoch k starts a new generation
+    // that journals the rest, then a bit flips in that checkpoint.
+    // Recovery must quarantine the generation, fall back to the previous
+    // one (epoch k's exact routes), report Degraded, and keep serving.
     let k = events.len() - 6;
     let dir = temp_dir(&format!("{name}_quarantine"));
     let (victim, _) = durable_processor(&name, &net, &dir);
@@ -258,10 +266,10 @@ fn drill_city(city: City, seed_lane: u64) -> CityOutcome {
     for event in &events[k..] {
         apply_event(&victim, &feed, *event);
     }
+    let journal_path = victim.traffic().journal_path().expect("durable");
     drop(victim);
-    let journal_path = dir.join(JOURNAL_FILE);
     let mut bytes = std::fs::read(&journal_path).unwrap();
-    bytes[10] ^= 0x10; // inside the first record's payload, mid-file
+    bytes[10] ^= 0x10; // inside the checkpoint record's payload, mid-file
     std::fs::write(&journal_path, &bytes).unwrap();
 
     let (degraded, report) = durable_processor(&name, &net, &dir);

@@ -222,7 +222,7 @@ pub struct QueryProcessor {
     traffic: Arc<TrafficState>,
     /// What crash recovery found when the traffic state was made durable
     /// ([`QueryProcessor::with_traffic_durability`]). `None` means the
-    /// in-memory default: no journal, no snapshots, nothing to recover.
+    /// in-memory default: no journal, nothing to recover.
     recovery: Option<RecoveryReport>,
     /// The epoch-customizable CH index tier ([`IndexManager`]), when
     /// enabled. No request consults it.
@@ -257,9 +257,10 @@ impl QueryProcessor {
         }
     }
 
-    /// Makes the traffic state durable: recovers from `config.dir` (newest
-    /// valid snapshot plus the journal suffix; torn tails truncated,
-    /// corrupt files quarantined) and journals every subsequently accepted
+    /// Makes the traffic state durable: recovers from `config.dir` (the
+    /// newest journal generation that reads clean, its checkpoint and the
+    /// records after it; torn tails truncated, corrupt generations
+    /// quarantined) and journals every subsequently accepted
     /// delta **before** its epoch publishes. Call this **before**
     /// [`QueryProcessor::with_ch_index`] so the index tier customizes from
     /// the recovered epoch, not from base weights.

@@ -27,7 +27,6 @@ use crate::feed::TrafficFeed;
 use crate::metrics::{DurabilityMetrics, TrafficMetrics};
 use crate::overlay::TrafficOverlay;
 use crate::recovery::{self, Durability, DurabilityConfig, RecoveryReport};
-use crate::snapshot::StateSnapshot;
 
 /// One immutable, published traffic epoch: the effective weight column
 /// plus the summary numbers `/api/health` reports.
@@ -110,7 +109,7 @@ pub struct TrafficState {
     /// The durability layer, attached when [`TrafficState::open`] is
     /// handed a [`DurabilityConfig`]. When present, every swap journals
     /// its delta **before** publishing (journal-then-apply) and
-    /// periodically installs snapshot checkpoints.
+    /// periodically starts a new journal generation with a checkpoint.
     durability: Option<Arc<Durability>>,
 }
 
@@ -148,7 +147,7 @@ impl TrafficState {
     /// overlay — the published column is the base weights themselves
     /// (shared, not copied) — lives in memory only, and there is no
     /// report. With it, the state is rebuilt from `config.dir` by
-    /// replaying the journal suffix over the newest valid snapshot (see
+    /// replaying the newest journal generation that reads clean (see
     /// [`crate::recovery`] for the replay invariant and the
     /// corruption-degradation ladder) and journals every subsequent swap
     /// into the same directory.
@@ -221,24 +220,24 @@ impl TrafficState {
         }
     }
 
-    /// Forces a snapshot checkpoint of the current state (and truncates
-    /// the journal). The graceful-shutdown drain hook calls this so a
-    /// clean restart recovers instantly from the snapshot alone. Returns
+    /// Forces a checkpoint of the current state: a new journal
+    /// generation opening with it. The graceful-shutdown drain hook calls
+    /// this so a clean restart replays the checkpoint alone. Returns
     /// `Ok(false)` on a non-durable state.
     pub fn flush_snapshot(&self) -> Result<bool, TrafficError> {
         let Some(durability) = &self.durability else {
             return Ok(false);
         };
-        let snap = {
-            let state = self.state.read().expect("traffic lock poisoned");
-            StateSnapshot {
-                epoch: state.snapshot.epoch,
-                tick: state.tick,
-                overlay: state.overlay.clone(),
-            }
-        };
-        durability.checkpoint(&snap)?;
+        // The read lock holds writers off, so no swap journals a record
+        // into the generation this checkpoint closes after it was taken.
+        let state = self.state.read().expect("traffic lock poisoned");
+        durability.checkpoint(state.snapshot.epoch, state.tick, &state.overlay)?;
         Ok(true)
+    }
+
+    /// The live journal generation's file, `None` on a non-durable state.
+    pub fn journal_path(&self) -> Option<std::path::PathBuf> {
+        self.durability.as_ref().map(|d| d.journal_path())
     }
 
     /// Registers the single epoch listener, invoked with every snapshot
@@ -300,7 +299,7 @@ impl TrafficState {
         let (outcome, snapshot) = {
             let mut state = self.state.write().expect("traffic lock poisoned");
             let now = state.tick;
-            let outcome = self.swap(&mut state, delta, now, false)?;
+            let outcome = self.swap(&mut state, delta, now)?;
             (outcome, Arc::clone(&state.snapshot))
         };
         self.notify(&snapshot);
@@ -318,7 +317,7 @@ impl TrafficState {
             // Expiry happens inside swap, on the clone: if the journal
             // append fails, neither the tick counter nor the closures
             // have moved — the failed tick never happened.
-            let outcome = self.swap(&mut state, &delta, tick, true)?;
+            let outcome = self.swap(&mut state, &delta, tick)?;
             (outcome, Arc::clone(&state.snapshot))
         };
         self.notify(&snapshot);
@@ -329,7 +328,9 @@ impl TrafficState {
     /// arbitrary epoch number. Exists so wraparound-sized epochs are
     /// testable without 2^64 swaps; the serving stack treats epochs as
     /// opaque identity, so any value (including `u64::MAX`, which the
-    /// next swap wraps to 0) must serve correctly.
+    /// next swap wraps to 0) must serve correctly. A durable state starts
+    /// a new journal generation at the forced epoch (best-effort, like a
+    /// swap's checkpoint), so replay never meets a jump in the numbering.
     pub fn force_epoch(&self, epoch: u64) {
         let snapshot = {
             let mut state = self.state.write().expect("traffic lock poisoned");
@@ -342,6 +343,9 @@ impl TrafficState {
             });
             state.snapshot = Arc::clone(&snapshot);
             self.metrics.epoch.set(epoch as i64);
+            if let Some(durability) = &self.durability {
+                let _ = durability.checkpoint(epoch, state.tick, &state.overlay);
+            }
             snapshot
         };
         self.notify(&snapshot);
@@ -349,9 +353,10 @@ impl TrafficState {
 
     /// The one swap path: clone-mutate-**journal**-materialize-publish.
     /// Runs under the caller's write lock so validation, mutation and
-    /// publication are one atomic step. `advancing` marks the feed-tick
-    /// path: the clone's TTL closures are expired at `now` before the
-    /// delta applies, and the tick counter commits only on success.
+    /// publication are one atomic step. The clone takes the overlay step
+    /// journal replay takes too: when `now` is a later tick (the feed-tick
+    /// path) its TTL closures expire before the delta applies, and the
+    /// tick counter commits only on success.
     ///
     /// With durability attached, the journal append sits between
     /// validation and publication: a delta that cannot be made durable
@@ -364,11 +369,9 @@ impl TrafficState {
         state: &mut State,
         delta: &TrafficDelta,
         now: u64,
-        advancing: bool,
     ) -> Result<ApplyOutcome, TrafficError> {
         let mut next = state.overlay.clone();
-        let expired = if advancing { next.expire(now) } else { 0 };
-        let applied = next.apply(&self.net, delta, now)?;
+        let (expired, applied) = next.step(&self.net, delta, state.tick, now)?;
         let epoch = state.snapshot.epoch.wrapping_add(1);
         if let Some(durability) = &self.durability {
             // Journal form carries absolute closure expiries, so replay
@@ -395,11 +398,7 @@ impl TrafficState {
                 // Best-effort: a failed checkpoint must not fail the
                 // already-published swap; the counter stays up, so the
                 // next swap retries.
-                let _ = durability.checkpoint(&StateSnapshot {
-                    epoch,
-                    tick: now,
-                    overlay: state.overlay.clone(),
-                });
+                let _ = durability.checkpoint(epoch, now, &state.overlay);
             }
         }
         Ok(ApplyOutcome {

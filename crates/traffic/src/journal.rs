@@ -2,9 +2,21 @@
 //! here **before** the epoch swap publishes, so a crash can lose at most
 //! work that was never acknowledged.
 //!
+//! ## Generations
+//!
+//! A state directory holds journal *generations*, `journal-<gen>.wal`.
+//! Each one opens with a checkpoint — the whole overlay as delta text
+//! (`clear; cat:…*f; edge:…*f; close:…@@expiry`), stamped with the
+//! epoch and tick it was published under — and then takes every delta
+//! appended until the next checkpoint starts generation `gen + 1`. A
+//! generation is installed whole ([`Journal::install`]), so it never
+//! exists without its checkpoint. Generation numbers are never reused:
+//! a new one is numbered above every `journal-<n>` name in the
+//! directory, set-aside `*.quarantine` files included.
+//!
 //! ## Record format
 //!
-//! The journal is a flat file of length-prefixed, CRC-checksummed
+//! A generation is a flat file of length-prefixed, CRC-checksummed
 //! records (all integers little-endian):
 //!
 //! ```text
@@ -17,7 +29,10 @@
 //! (closure TTLs are journaled as **absolute** expiry ticks via
 //! [`crate::TrafficDelta::to_journal_form`], so replay after downtime
 //! can never resurrect an expired closure). A record is written with one
-//! `write(2)`, then fsynced per [`FsyncPolicy`].
+//! `write(2)`, then fsynced per [`FsyncPolicy`]. Text longer than one
+//! record holds is split over several records with the same epoch and
+//! tick; every part but the last ends in `;`, so a file cut between the
+//! parts is told from a complete one.
 //!
 //! ## Reading and failure classification
 //!
@@ -33,21 +48,36 @@
 //!   is no longer trustworthy (length-prefixed streams cannot resync),
 //!   so recovery quarantines it instead of guessing.
 
-use std::fs::{File, OpenOptions};
+use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-
-/// File name of the write-ahead journal inside a state directory.
-pub const JOURNAL_FILE: &str = "journal.wal";
 
 /// Upper bound on one record's payload; anything larger is framing
 /// corruption (the HTTP layer caps delta bodies far below this).
 pub const MAX_RECORD_BYTES: u32 = 4 << 20;
 
+/// The longest delta text one record carries.
+pub const MAX_RECORD_TEXT: usize = MAX_RECORD_BYTES as usize - PAYLOAD_HEADER;
+
 /// Payload bytes before the delta text (epoch + tick).
 const PAYLOAD_HEADER: usize = 16;
+
 /// Record header bytes (length prefix + CRC).
 const RECORD_HEADER: usize = 8;
+
+/// File name of journal generation `gen` inside a state directory.
+pub fn generation_file(gen: u64) -> String {
+    format!("journal-{gen}.wal")
+}
+
+/// The generation a state-directory entry belongs to, and whether it is
+/// the generation's live file: `journal-<gen>.wal` is, while derived
+/// names (`journal-<gen>.wal.tmp`, `journal-<gen>.wal.quarantine`) still
+/// hold `<gen>` against reuse.
+pub fn generation_of(name: &str) -> Option<(u64, bool)> {
+    let (digits, rest) = name.strip_prefix("journal-")?.split_once(".wal")?;
+    Some((digits.parse().ok()?, rest.is_empty()))
+}
 
 /// IEEE CRC-32 lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = {
@@ -70,8 +100,7 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// IEEE CRC-32 of `data` (the checksum in every journal record and
-/// snapshot header).
+/// IEEE CRC-32 of `data` (the checksum in every journal record).
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &byte in data {
@@ -184,14 +213,43 @@ impl Journal {
         })
     }
 
+    /// Installs a new journal file at `path` holding `records` (encoded
+    /// bytes) — written to `<path>.tmp`, fsynced, renamed into place and
+    /// the directory fsynced, so a reader sees all of it or none — then
+    /// opens it for appending.
+    pub fn install(
+        path: impl Into<PathBuf>,
+        records: &[u8],
+        fsync: FsyncPolicy,
+    ) -> std::io::Result<Journal> {
+        let path = path.into();
+        let tmp = path.with_extension("wal.tmp");
+        let mut file = File::create(&tmp)?;
+        file.write_all(records)?;
+        file.sync_all()?;
+        fs::rename(&tmp, &path)?;
+        if let Some(dir) = path.parent().and_then(|dir| File::open(dir).ok()) {
+            let _ = dir.sync_all();
+        }
+        Journal::open(path, fsync)
+    }
+
     /// The journal's file path.
     pub fn path(&self) -> &Path {
         &self.path
     }
 
     /// Appends one record and applies the fsync policy. Called **before**
-    /// the epoch swap publishes; an error here must abort the swap.
+    /// the epoch swap publishes; an error here must abort the swap. A
+    /// delta longer than [`MAX_RECORD_TEXT`] is refused: no reader would
+    /// accept its record.
     pub fn append(&mut self, epoch: u64, tick: u64, delta: &str) -> std::io::Result<AppendReceipt> {
+        if delta.len() > MAX_RECORD_TEXT {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("a {}-byte delta exceeds one journal record", delta.len()),
+            ));
+        }
         let record = encode_record(epoch, tick, delta);
         self.file.write_all(&record)?;
         self.appends_since_sync += 1;
@@ -212,16 +270,6 @@ impl Journal {
 
     /// Forces an fsync regardless of policy.
     pub fn sync(&mut self) -> std::io::Result<()> {
-        self.file.sync_data()?;
-        self.appends_since_sync = 0;
-        Ok(())
-    }
-
-    /// Truncates the journal to empty — called right after a snapshot
-    /// checkpoint installs, because every journaled record is then
-    /// covered by the snapshot.
-    pub fn reset(&mut self) -> std::io::Result<()> {
-        self.file.set_len(0)?;
         self.file.sync_data()?;
         self.appends_since_sync = 0;
         Ok(())
@@ -334,7 +382,7 @@ mod tests {
             std::env::temp_dir().join(format!("arp_journal_test_{}_{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(JOURNAL_FILE)
+        dir.join(generation_file(1))
     }
 
     #[test]
@@ -417,8 +465,8 @@ mod tests {
     }
 
     #[test]
-    fn missing_file_reads_empty_and_reset_truncates() {
-        let path = temp_path("reset");
+    fn missing_file_reads_empty_and_fsync_waits_its_interval() {
+        let path = temp_path("interval");
         let out = read_journal(&path).unwrap();
         assert!(out.records.is_empty() && !out.torn_tail && !out.corrupt);
         let mut j = Journal::open(&path, FsyncPolicy::Interval(2)).unwrap();
@@ -426,12 +474,42 @@ mod tests {
         assert!(!first.synced, "interval:2 defers the first fsync");
         let second = j.append(2, 0, "clear").unwrap();
         assert!(second.synced);
-        j.reset().unwrap();
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
-        j.append(3, 1, "clear").unwrap();
+    }
+
+    #[test]
+    fn install_writes_whole_records_and_appends_after_them() {
+        let path = temp_path("install");
+        let mut records = encode_record(7, 3, "clear; close:1");
+        records.extend(encode_record(7, 3, "edge:2*2"));
+        let mut j = Journal::install(&path, &records, FsyncPolicy::Always).unwrap();
+        assert!(!path.with_extension("wal.tmp").exists());
+        j.append(8, 3, "close:2").unwrap();
         let out = read_journal(&path).unwrap();
-        assert_eq!(out.records.len(), 1);
-        assert_eq!(out.records[0].epoch, 3);
+        let epochs: Vec<u64> = out.records.iter().map(|r| r.epoch).collect();
+        assert_eq!(epochs, vec![7, 7, 8]);
+    }
+
+    #[test]
+    fn a_delta_longer_than_one_record_is_refused() {
+        let path = temp_path("oversized");
+        let mut j = Journal::open(&path, FsyncPolicy::Always).unwrap();
+        let text = "x".repeat(MAX_RECORD_TEXT + 1);
+        assert!(j.append(1, 0, &text).is_err());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn generation_names_round_trip() {
+        assert_eq!(generation_file(12), "journal-12.wal");
+        assert_eq!(generation_of("journal-12.wal"), Some((12, true)));
+        assert_eq!(
+            generation_of("journal-12.wal.quarantine"),
+            Some((12, false))
+        );
+        assert_eq!(generation_of("journal-3.wal.tmp"), Some((3, false)));
+        assert_eq!(generation_of("journal.wal"), None);
+        assert_eq!(generation_of("journal-x.wal"), None);
+        assert_eq!(generation_of("snap-1.arps"), None);
     }
 
     #[test]

@@ -29,14 +29,15 @@
 //!
 //! ## Durability
 //!
-//! Traffic state survives crashes and restarts: the [`journal`] module
-//! write-ahead-logs every accepted delta (CRC-checksummed, appended
-//! *before* the epoch swap publishes), the [`snapshot`] module installs
-//! periodic checksummed checkpoints, and [`TrafficState::open`]
-//! rebuilds a state that is epoch-for-epoch identical to the process
-//! that never crashed — or, when it finds corruption, quarantines the
-//! bad file and serves the newest provably-intact state instead of
-//! refusing to start (see [`recovery`]).
+//! Traffic state survives crashes and restarts in one file format: the
+//! [`journal`] module write-ahead-logs every accepted delta
+//! (CRC-checksummed, appended *before* the epoch swap publishes) into
+//! journal generations, each opened by a checkpoint of the whole overlay
+//! written as delta text, and [`TrafficState::open`] rebuilds a state
+//! that is epoch-for-epoch identical to the process that never crashed —
+//! or, when it finds corruption, quarantines the bad generation and
+//! serves the previous one instead of refusing to start (see
+//! [`recovery`]).
 
 pub mod delta;
 pub mod epoch;
@@ -46,14 +47,12 @@ pub mod journal;
 pub mod metrics;
 pub mod overlay;
 pub mod recovery;
-pub mod snapshot;
 
 pub use delta::{TrafficDelta, TrafficOp};
 pub use epoch::{ApplyOutcome, EpochListener, EpochSnapshot, TrafficState};
 pub use error::TrafficError;
 pub use feed::{CityProfile, TrafficFeed};
-pub use journal::{FsyncPolicy, Journal, JournalRecord, JOURNAL_FILE};
+pub use journal::{FsyncPolicy, Journal, JournalRecord};
 pub use metrics::{DurabilityMetrics, TrafficMetrics};
 pub use overlay::TrafficOverlay;
 pub use recovery::{DurabilityConfig, RecoveryReport, RecoveryStatus};
-pub use snapshot::{SnapshotStore, StateSnapshot};

@@ -39,7 +39,7 @@ impl TrafficMetrics {
 }
 
 /// Pre-resolved instruments of the durability layer: journal appends,
-/// snapshot checkpoints, and startup recovery.
+/// checkpoints, and startup recovery.
 #[derive(Clone, Debug)]
 pub struct DurabilityMetrics {
     /// `arp_journal_records_total` — records appended to the WAL.
@@ -51,12 +51,13 @@ pub struct DurabilityMetrics {
     /// `arp_journal_torn_tails_total` — torn tail records truncated away
     /// during recovery.
     pub journal_torn_tails: Counter,
-    /// `arp_journal_quarantines_total` — journal or snapshot files
-    /// quarantined as corrupt.
+    /// `arp_journal_quarantines_total` — journal generations quarantined
+    /// as corrupt.
     pub journal_quarantines: Counter,
-    /// `arp_snapshot_writes_total` — snapshot checkpoints installed.
+    /// `arp_snapshot_writes_total` — checkpoints installed, each opening
+    /// a new journal generation.
     pub snapshot_writes: Counter,
-    /// `arp_snapshot_prunes_total` — old snapshot files pruned.
+    /// `arp_snapshot_prunes_total` — old journal generations pruned.
     pub snapshot_prunes: Counter,
     /// `arp_recovery_replayed_records` — journal records replayed by the
     /// most recent startup recovery.
@@ -92,17 +93,17 @@ impl DurabilityMetrics {
             ),
             journal_quarantines: registry.counter(
                 "arp_journal_quarantines_total",
-                "Corrupt journal/snapshot files quarantined instead of replayed",
+                "Corrupt journal generations quarantined instead of replayed",
                 &[],
             ),
             snapshot_writes: registry.counter(
                 "arp_snapshot_writes_total",
-                "Traffic state snapshot checkpoints installed",
+                "Traffic state checkpoints installed, each opening a journal generation",
                 &[],
             ),
             snapshot_prunes: registry.counter(
                 "arp_snapshot_prunes_total",
-                "Old traffic snapshot files pruned by retention",
+                "Old traffic journal generations pruned by retention",
                 &[],
             ),
             recovery_replayed: registry.gauge(

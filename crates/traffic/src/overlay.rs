@@ -90,58 +90,50 @@ impl TrafficOverlay {
         self.closures.contains_key(&edge)
     }
 
-    /// The non-1.0 category factors as `(code, factor)` pairs, in code
-    /// order — the snapshot encoder's view of the factor table.
-    pub fn category_factor_entries(&self) -> Vec<(u8, f64)> {
-        self.category_factors
+    /// The overlay as one delta that rebuilds it from any state:
+    /// `clear`, then every non-1.0 category factor, every edge factor and
+    /// every closure (closure expiries in their absolute `@@` form), each
+    /// in key order. A journal checkpoint is this delta's text.
+    pub fn to_delta(&self) -> TrafficDelta {
+        let categories = self
+            .category_factors
             .iter()
             .enumerate()
-            .filter(|(_, &f)| f != 1.0)
-            .map(|(code, &f)| (code as u8, f))
-            .collect()
+            .filter(|(_, &factor)| factor != 1.0)
+            .map(|(code, &factor)| TrafficOp::CategoryFactor {
+                category: code as u8,
+                factor,
+            });
+        let edges = self
+            .edge_factors
+            .iter()
+            .map(|(&edge, &factor)| TrafficOp::EdgeFactor { edge, factor });
+        let closures = self.closures.iter().map(|(&edge, &expiry)| match expiry {
+            Some(expiry) => TrafficOp::CloseAt { edge, expiry },
+            None => TrafficOp::Close { edge, ttl: None },
+        });
+        let ops = std::iter::once(TrafficOp::Clear)
+            .chain(categories)
+            .chain(edges)
+            .chain(closures);
+        TrafficDelta { ops: ops.collect() }
     }
 
-    /// The per-edge factors as `(edge, factor)` pairs, in edge order.
-    pub fn edge_factor_entries(&self) -> Vec<(u32, f64)> {
-        self.edge_factors.iter().map(|(&e, &f)| (e, f)).collect()
-    }
-
-    /// The closures as `(edge, expiry)` pairs (`None` = until reopened),
-    /// in edge order. Expiries are **absolute** ticks.
-    pub fn closure_entries(&self) -> Vec<(u32, Option<u64>)> {
-        self.closures.iter().map(|(&e, &x)| (e, x)).collect()
-    }
-
-    /// Rebuilds an overlay from entry lists (the snapshot decoder's
-    /// inverse of the `*_entries` accessors). Returns `None` if any
-    /// entry is invalid — an unknown category code, or a factor that is
-    /// non-finite or below 1.0 — so a corrupted-but-checksum-colliding
-    /// snapshot can never smuggle in state that `apply` would have
-    /// rejected. Edge-range validation needs a network and happens at
-    /// recovery time.
-    pub fn from_parts(
-        categories: &[(u8, f64)],
-        edges: &[(u32, f64)],
-        closures: &[(u32, Option<u64>)],
-    ) -> Option<TrafficOverlay> {
-        let valid_factor = |f: f64| f.is_finite() && f >= 1.0;
-        let mut overlay = TrafficOverlay::identity();
-        for &(code, factor) in categories {
-            if RoadCategory::from_code(code).is_none() || !valid_factor(factor) {
-                return None;
-            }
-            overlay.category_factors[code as usize] = factor;
-        }
-        for &(edge, factor) in edges {
-            if !valid_factor(factor) || factor == 1.0 {
-                return None;
-            }
-            overlay.edge_factors.insert(edge, factor);
-        }
-        for &(edge, expiry) in closures {
-            overlay.closures.insert(edge, expiry);
-        }
-        Some(overlay)
+    /// One step of the published history, the only way the live swap
+    /// and journal replay move an overlay: entering a later tick (`tick >
+    /// from`) first expires the closures due by `tick`, then `delta`
+    /// applies at `tick`. Returns `(expired, applied)`. On error no
+    /// statement applied, but closures may have expired, so callers step
+    /// a copy.
+    pub(crate) fn step(
+        &mut self,
+        net: &RoadNetwork,
+        delta: &TrafficDelta,
+        from: u64,
+        tick: u64,
+    ) -> Result<(usize, usize), TrafficError> {
+        let expired = if tick > from { self.expire(tick) } else { 0 };
+        Ok((expired, self.apply(net, delta, tick)?))
     }
 
     /// Validates every statement of `delta` against `net` **before**
@@ -410,7 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn entries_and_from_parts_round_trip() {
+    fn to_delta_rebuilds_the_overlay_from_any_state() {
         let net = line(8);
         let mut overlay = TrafficOverlay::identity();
         overlay
@@ -420,23 +412,44 @@ mod tests {
                 0,
             )
             .unwrap();
-        let rebuilt = TrafficOverlay::from_parts(
-            &overlay.category_factor_entries(),
-            &overlay.edge_factor_entries(),
-            &overlay.closure_entries(),
-        )
-        .unwrap();
+        let delta = overlay.to_delta();
+        assert_eq!(
+            delta.to_string(),
+            "clear; cat:primary*1.7; edge:2*3; close:4@@9; close:6"
+        );
+        let mut rebuilt = TrafficOverlay::identity();
+        rebuilt
+            .apply(
+                &net,
+                &TrafficDelta::parse("cat:residential*2.0; close:1").unwrap(),
+                0,
+            )
+            .unwrap();
+        // Through the text, as a checkpoint travels, and at a later tick:
+        // `@@` expiries ignore the tick they apply at.
+        let text = TrafficDelta::parse(&delta.to_string()).unwrap();
+        rebuilt.apply(&net, &text, 50).unwrap();
         assert_eq!(rebuilt, overlay);
-        assert_eq!(rebuilt.closure_entries(), vec![(4, Some(9)), (6, None)]);
+        assert_eq!(TrafficOverlay::identity().to_delta().to_string(), "clear");
     }
 
     #[test]
-    fn from_parts_rejects_invalid_entries() {
-        assert!(TrafficOverlay::from_parts(&[(200, 1.5)], &[], &[]).is_none());
-        assert!(TrafficOverlay::from_parts(&[(0, 0.5)], &[], &[]).is_none());
-        assert!(TrafficOverlay::from_parts(&[], &[(1, f64::NAN)], &[]).is_none());
-        assert!(TrafficOverlay::from_parts(&[], &[(1, 1.0)], &[]).is_none());
-        assert!(TrafficOverlay::from_parts(&[], &[(1, 2.0)], &[(3, None)]).is_some());
+    fn a_step_into_a_later_tick_expires_before_it_applies() {
+        let net = line(4);
+        let mut overlay = TrafficOverlay::identity();
+        let close = TrafficDelta::parse("close:1@@3").unwrap();
+        assert_eq!(overlay.step(&net, &close, 0, 0).unwrap(), (0, 1));
+        // Same tick: nothing expires, even a closure already due.
+        assert_eq!(
+            overlay.step(&net, &TrafficDelta::empty(), 3, 3).unwrap(),
+            (0, 0)
+        );
+        assert!(overlay.is_closed(1));
+        assert_eq!(
+            overlay.step(&net, &TrafficDelta::empty(), 3, 4).unwrap(),
+            (1, 0)
+        );
+        assert!(overlay.is_identity());
     }
 
     #[test]

@@ -4,29 +4,38 @@
 //!
 //! ## The replay invariant
 //!
-//! Recovery loads the newest valid snapshot, then replays the journal
-//! suffix (records with `epoch > snapshot.epoch`) through the *same*
-//! code path live ingestion uses: when a record's tick is ahead of the
-//! current tick, TTL closures are expired first (exactly what
-//! `advance_tick` does), then the record's delta is applied at the
-//! record's tick. Because journaled deltas carry **absolute** closure
+//! State lives in journal generations (see [`crate::journal`]): each
+//! opens with a checkpoint of the whole overlay and goes on with every
+//! delta published after it. Recovery replays the newest generation that
+//! reads clean, starting from the identity overlay at tick 0, through
+//! the *same* code path the live swap takes: every record — the
+//! checkpoint's, then each delta's — is one overlay step (a record whose
+//! tick is later expires the closures due by then; then its delta
+//! applies at its tick) and republishes its journaled epoch verbatim.
+//! The checkpoint opens with `clear`, so it lands exactly the state it
+//! captured, and because journaled deltas carry **absolute** closure
 //! expiries, replay is insensitive to how long the process was down.
-//! Each replayed record republishes its journaled epoch number verbatim.
 //!
 //! ## Failure ladder
 //!
 //! Recovery never refuses to start:
 //!
-//! 1. **Torn tail** — the journal's last record is incomplete (a crash
-//!    mid-write): truncate it away, count it, replay the valid prefix.
-//! 2. **Corrupt journal** (mid-file checksum/framing violation, or a
-//!    record whose delta no longer validates): quarantine the whole file
-//!    (`journal.wal.quarantine`) and serve from the snapshot (or base
-//!    weights) — verdict `degraded`.
-//! 3. **Corrupt snapshot**: quarantine it and fall back to the
-//!    next-oldest; if none survive, base weights — verdict `degraded`.
+//! 1. **Torn tail** — the generation's last record is incomplete (a
+//!    crash mid-write): truncate it away, count it, replay the valid
+//!    prefix.
+//! 2. **Corrupt generation** — a mid-file checksum or framing violation,
+//!    a first record that is not a checkpoint, a record whose epoch does
+//!    not follow its predecessor's (records out of order, repeated or
+//!    spliced in), a record cut inside a split checkpoint, or a delta
+//!    that no longer validates: quarantine the file
+//!    (`journal-<gen>.wal.quarantine`) and fall back to the previous
+//!    generation, which holds every record up to the quarantined one's
+//!    checkpoint; with none left, base weights. Verdict `degraded`.
 //!
-//! The verdict is surfaced in the `/api/health` `recovery` block.
+//! Whatever recovery established beyond a bare checkpoint (replayed
+//! records, a torn tail, a quarantine) is folded into a new generation,
+//! so the next start is clean. The verdict is surfaced in the
+//! `/api/health` `recovery` block.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -36,37 +45,39 @@ use std::time::Instant;
 
 use arp_roadnet::csr::RoadNetwork;
 
-use crate::delta::TrafficDelta;
+use crate::delta::{TrafficDelta, TrafficOp};
 use crate::error::TrafficError;
-use crate::journal::{read_journal, truncate_journal, FsyncPolicy, Journal, JOURNAL_FILE};
+use crate::journal::{
+    encode_record, generation_file, generation_of, read_journal, truncate_journal, FsyncPolicy,
+    Journal, JournalReadOutcome, JournalRecord, MAX_RECORD_TEXT,
+};
 use crate::metrics::DurabilityMetrics;
 use crate::overlay::TrafficOverlay;
-use crate::snapshot::{SnapshotStore, StateSnapshot};
+
+/// Journal generations kept after each checkpoint: the live one and the
+/// two it can fall back to.
+const RETAINED_GENERATIONS: usize = 3;
 
 /// Configuration of the durability layer (the `--state-dir`, `--fsync`
 /// and `--snapshot-every` serve flags).
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
-    /// The state directory (journal + snapshots). Created if absent.
+    /// The state directory (journal generations). Created if absent.
     pub dir: PathBuf,
     /// When journal appends fsync. Default: [`FsyncPolicy::Always`].
     pub fsync: FsyncPolicy,
-    /// Install a snapshot checkpoint (and truncate the journal) every N
-    /// journaled records; `0` disables periodic checkpoints. Default: 32.
+    /// Start a new journal generation with a checkpoint every N journaled
+    /// records; `0` disables periodic checkpoints. Default: 32.
     pub snapshot_every: u64,
-    /// How many snapshot files to keep after each install. Default: 3.
-    pub retain_snapshots: usize,
 }
 
 impl DurabilityConfig {
-    /// Defaults (fsync `always`, checkpoint every 32 records, retain 3
-    /// snapshots) over `dir`.
+    /// Defaults (fsync `always`, checkpoint every 32 records) over `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> DurabilityConfig {
         DurabilityConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::Always,
             snapshot_every: 32,
-            retain_snapshots: 3,
         }
     }
 }
@@ -74,15 +85,16 @@ impl DurabilityConfig {
 /// The verdict of a startup recovery, surfaced by `/api/health`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoveryStatus {
-    /// Nothing to repair: empty state dir, or a snapshot with no journal
-    /// suffix behind it.
+    /// Nothing to repair: empty state dir, or a generation holding its
+    /// checkpoint and nothing after it.
     Clean,
-    /// State was rebuilt from snapshot + journal replay (a torn tail may
-    /// have been truncated away); the rebuilt state is exact.
+    /// State was rebuilt by replaying the records after a checkpoint (a
+    /// torn tail may have been truncated away); the rebuilt state is
+    /// exact.
     Replayed,
-    /// A corrupt journal or snapshot was quarantined: the process serves
-    /// the newest state that could be proven intact (possibly base
-    /// weights). Operator attention required — see OPERATIONS.md.
+    /// A corrupt generation was quarantined: the process serves the
+    /// newest state that could be proven intact (possibly base weights).
+    /// Operator attention required — see OPERATIONS.md.
     Degraded,
 }
 
@@ -102,10 +114,10 @@ impl RecoveryStatus {
 pub struct RecoveryReport {
     /// The overall verdict.
     pub status: RecoveryStatus,
-    /// Epoch of the snapshot recovery started from (`None` = none found,
-    /// started from base weights).
+    /// Epoch of the checkpoint that opens the replayed generation
+    /// (`None` = no generation survived, started from base weights).
     pub snapshot_epoch: Option<u64>,
-    /// Journal records replayed on top of the snapshot.
+    /// Journal records replayed after that checkpoint.
     pub replayed_records: usize,
     /// Torn tail records truncated away (0 or 1 per recovery).
     pub torn_tails: usize,
@@ -125,10 +137,11 @@ pub struct RecoveryReport {
 pub type JournalFaultHook = Box<dyn Fn() -> Result<(), String> + Send + Sync>;
 
 /// The attached durability machinery of a recovered [`crate::TrafficState`]:
-/// the open journal, the snapshot store, and the checkpoint cadence.
+/// the live journal generation and the checkpoint cadence.
 pub(crate) struct Durability {
+    dir: PathBuf,
+    fsync: FsyncPolicy,
     journal: Mutex<Journal>,
-    store: SnapshotStore,
     snapshot_every: u64,
     records_since_checkpoint: AtomicU64,
     fault_hook: RwLock<Option<JournalFaultHook>>,
@@ -138,7 +151,7 @@ pub(crate) struct Durability {
 impl std::fmt::Debug for Durability {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Durability")
-            .field("dir", &self.store.dir())
+            .field("dir", &self.dir)
             .field("snapshot_every", &self.snapshot_every)
             .finish_non_exhaustive()
     }
@@ -158,9 +171,7 @@ impl Durability {
             .lock()
             .expect("journal lock")
             .append(epoch, tick, delta)
-            .map_err(|e| TrafficError::Journal {
-                reason: e.to_string(),
-            })?;
+            .map_err(journal_err)?;
         self.metrics.journal_records.inc();
         self.metrics.journal_bytes.add(receipt.bytes);
         if receipt.synced {
@@ -177,23 +188,33 @@ impl Durability {
             && self.records_since_checkpoint.load(Ordering::Relaxed) >= self.snapshot_every
     }
 
-    /// Installs a snapshot checkpoint and truncates the journal (every
-    /// journaled record is now covered by the snapshot).
-    pub(crate) fn checkpoint(&self, snap: &StateSnapshot) -> Result<(), TrafficError> {
-        let (_, pruned) = self.store.write(snap).map_err(|e| TrafficError::Journal {
-            reason: format!("snapshot write failed: {e}"),
-        })?;
-        self.metrics.snapshot_writes.inc();
-        self.metrics.snapshot_prunes.add(pruned as u64);
+    /// Starts a new generation with a checkpoint of `overlay` as
+    /// published at `epoch` and `tick`, and moves the appender to it.
+    /// The caller holds the traffic state still, so no append interleaves.
+    pub(crate) fn checkpoint(
+        &self,
+        epoch: u64,
+        tick: u64,
+        overlay: &TrafficOverlay,
+    ) -> Result<(), TrafficError> {
+        let mut journal = self.journal.lock().expect("journal lock");
+        // The generation being closed must hold every record up to this
+        // checkpoint: a fallback to it after a corrupt successor loses
+        // nothing, whatever the fsync policy deferred.
+        journal.sync().map_err(journal_err)?;
+        *journal = install_generation(&self.dir, epoch, tick, overlay, self.fsync, &self.metrics)
+            .map_err(journal_err)?;
+        self.records_since_checkpoint.store(0, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// The live generation's file.
+    pub(crate) fn journal_path(&self) -> PathBuf {
         self.journal
             .lock()
             .expect("journal lock")
-            .reset()
-            .map_err(|e| TrafficError::Journal {
-                reason: format!("journal reset failed: {e}"),
-            })?;
-        self.records_since_checkpoint.store(0, Ordering::Relaxed);
-        Ok(())
+            .path()
+            .to_path_buf()
     }
 
     /// Installs (or clears) the `journal.append` failpoint hook.
@@ -217,34 +238,107 @@ fn journal_err(e: std::io::Error) -> TrafficError {
     }
 }
 
-/// True if every edge the overlay references exists in `net` — the
-/// edge-range validation snapshot decoding defers until a network is at
-/// hand.
-fn overlay_in_range(overlay: &TrafficOverlay, net: &RoadNetwork) -> bool {
-    let in_range = |edge: u32| (edge as usize) < net.num_edges();
-    overlay
-        .edge_factor_entries()
-        .iter()
-        .all(|&(edge, _)| in_range(edge))
-        && overlay
-            .closure_entries()
-            .iter()
-            .all(|&(edge, _)| in_range(edge))
+/// The generations in `dir`: the live files' numbers, oldest first, and
+/// the number the next generation takes — one above every `journal-<n>`
+/// name present, quarantined and temporary files included.
+fn generations(dir: &Path) -> std::io::Result<(Vec<u64>, u64)> {
+    let (mut live, mut next) = (Vec::new(), 1);
+    for entry in fs::read_dir(dir)? {
+        if let Some((gen, is_live)) = generation_of(&entry?.file_name().to_string_lossy()) {
+            next = next.max(gen.saturating_add(1));
+            if is_live {
+                live.push(gen);
+            }
+        }
+    }
+    live.sort_unstable();
+    Ok((live, next))
 }
 
-/// Renames a corrupt journal aside (best-effort) and records the name.
-fn quarantine_journal(path: &Path, quarantined: &mut Vec<String>) {
-    let target = path.with_extension("wal.quarantine");
-    let _ = fs::remove_file(&target);
-    if fs::rename(path, &target).is_ok() {
-        quarantined.push(JOURNAL_FILE.to_string());
+/// Writes the next generation — `overlay`'s checkpoint at `epoch` and
+/// `tick`, split into records that each fit — opens it for appending and
+/// prunes all but the newest [`RETAINED_GENERATIONS`].
+fn install_generation(
+    dir: &Path,
+    epoch: u64,
+    tick: u64,
+    overlay: &TrafficOverlay,
+    fsync: FsyncPolicy,
+    metrics: &DurabilityMetrics,
+) -> std::io::Result<Journal> {
+    let mut records = Vec::new();
+    let mut part = String::new();
+    for op in overlay.to_delta().ops {
+        let statement = op.to_string();
+        // Room for "; " before the statement and the `;` that marks a
+        // part as continued.
+        if !part.is_empty() && part.len() + statement.len() + 3 > MAX_RECORD_TEXT {
+            part.push(';');
+            records.extend(encode_record(epoch, tick, &part));
+            part.clear();
+        }
+        if !part.is_empty() {
+            part.push_str("; ");
+        }
+        part.push_str(&statement);
     }
+    records.extend(encode_record(epoch, tick, &part));
+    let (live, next) = generations(dir)?;
+    let journal = Journal::install(dir.join(generation_file(next)), &records, fsync)?;
+    metrics.snapshot_writes.inc();
+    let excess = (live.len() + 1).saturating_sub(RETAINED_GENERATIONS);
+    for gen in &live[..excess] {
+        if fs::remove_file(dir.join(generation_file(*gen))).is_ok() {
+            metrics.snapshot_prunes.inc();
+        }
+    }
+    Ok(journal)
+}
+
+/// A generation replayed from identity.
+struct Replayed {
+    overlay: TrafficOverlay,
+    tick: u64,
+    epoch: u64,
+    checkpoint_epoch: u64,
+    /// Records after the checkpoint's.
+    records: usize,
+}
+
+/// Replays one generation's records through the live swap's overlay
+/// step, or `None` if the generation does not read clean (see the
+/// failure ladder in the module docs).
+fn replay(net: &RoadNetwork, read: &JournalReadOutcome) -> Option<Replayed> {
+    let first = read.records.first().filter(|_| !read.corrupt)?;
+    // A part ending in `;` continues in the next record, under the same
+    // epoch: the checkpoint runs up to the first part that does not, and
+    // a generation cut before that part has no checkpoint.
+    let continued = |rec: &JournalRecord| rec.delta.ends_with(';');
+    let checkpoint_records = 1 + read.records.iter().position(|rec| !continued(rec))?;
+    let last = read.records.last()?;
+    let (mut overlay, mut tick, mut expected) = (TrafficOverlay::identity(), 0, first.epoch);
+    for (i, rec) in read.records.iter().enumerate() {
+        let delta = TrafficDelta::parse(&rec.delta).ok()?;
+        if rec.epoch != expected || (i == 0 && delta.ops.first() != Some(&TrafficOp::Clear)) {
+            return None;
+        }
+        overlay.step(net, &delta, tick, rec.tick).ok()?;
+        tick = rec.tick;
+        expected = rec.epoch.wrapping_add(u64::from(!continued(rec)));
+    }
+    Some(Replayed {
+        overlay,
+        tick,
+        epoch: last.epoch,
+        checkpoint_epoch: first.epoch,
+        records: read.records.len() - checkpoint_records,
+    })
 }
 
 /// Rebuilds the traffic state from `config.dir` per the module-level
-/// failure ladder. Errors only on unrecoverable I/O (the directory or
-/// journal cannot be created/opened at all) — data corruption degrades,
-/// it never errors.
+/// failure ladder. Errors only on unrecoverable I/O (the directory or a
+/// generation cannot be read, created or opened at all) — data
+/// corruption degrades, it never errors.
 pub(crate) fn recover(
     net: &RoadNetwork,
     config: &DurabilityConfig,
@@ -252,121 +346,64 @@ pub(crate) fn recover(
 ) -> Result<RecoveredState, TrafficError> {
     let start = Instant::now();
     fs::create_dir_all(&config.dir).map_err(journal_err)?;
-    let store = SnapshotStore::new(&config.dir, config.retain_snapshots);
-    let mut quarantined: Vec<String> = Vec::new();
-
-    // Newest snapshot that both decodes AND references only edges this
-    // network has; anything that fails either check is quarantined.
-    let mut loaded: Option<StateSnapshot> = None;
-    loop {
-        let (candidate, bad) = store.load_newest();
-        quarantined.extend(bad);
-        match candidate {
-            Some((snap, path)) => {
-                if overlay_in_range(&snap.overlay, net) {
-                    loaded = Some(snap);
-                    break;
+    let (live, _) = generations(&config.dir).map_err(journal_err)?;
+    let (mut quarantined, mut torn_tails, mut found) = (Vec::new(), 0usize, None);
+    for gen in live.into_iter().rev() {
+        let name = generation_file(gen);
+        let path = config.dir.join(&name);
+        let read = read_journal(&path).map_err(journal_err)?;
+        match replay(net, &read) {
+            Some(replayed) => {
+                if read.torn_tail {
+                    torn_tails += 1;
+                    let _ = truncate_journal(&path, read.valid_len);
                 }
-                let name = path
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default();
-                let _ = fs::rename(&path, path.with_extension("arps.quarantine"));
+                found = Some((path, replayed));
+                break;
+            }
+            None => {
+                // Generation numbers are never reused, so this name is
+                // free: an earlier quarantine's evidence stays put.
+                let _ = fs::rename(&path, path.with_extension("wal.quarantine"));
                 quarantined.push(name);
             }
-            None => break,
-        }
-    }
-    let snapshot_epoch = loaded.as_ref().map(|s| s.epoch);
-    let (mut overlay, mut tick, mut epoch) = match loaded {
-        Some(snap) => (snap.overlay, snap.tick, snap.epoch),
-        None => (TrafficOverlay::identity(), 0, 0),
-    };
-
-    // Journal suffix: classify, then replay through the live code path.
-    let journal_path = config.dir.join(JOURNAL_FILE);
-    let mut torn_tails = 0usize;
-    let mut replayed = 0usize;
-    let mut replay_failed = false;
-    let outcome = read_journal(&journal_path).map_err(journal_err)?;
-    if outcome.torn_tail {
-        torn_tails += 1;
-        let _ = truncate_journal(&journal_path, outcome.valid_len);
-    }
-    let records = if outcome.corrupt {
-        quarantine_journal(&journal_path, &mut quarantined);
-        Vec::new()
-    } else {
-        outcome.records
-    };
-    if !records.is_empty() {
-        let pre_replay = (overlay.clone(), tick, epoch);
-        for rec in &records {
-            // Records at or below the snapshot's epoch are already folded
-            // into it (epochs are monotone within one journal generation;
-            // checkpoints truncate the journal long before wraparound).
-            if let Some(snap_epoch) = snapshot_epoch {
-                if rec.epoch <= snap_epoch {
-                    continue;
-                }
-            }
-            let delta = match TrafficDelta::parse(&rec.delta) {
-                Ok(delta) => delta,
-                Err(_) => {
-                    replay_failed = true;
-                    break;
-                }
-            };
-            // Mirror advance_tick: entering a later tick expires TTL
-            // closures before the tick's delta applies. Journaled expiry
-            // ticks are absolute, so downtime cannot resurrect closures.
-            if rec.tick > tick {
-                tick = rec.tick;
-                overlay.expire(tick);
-            }
-            match overlay.apply(net, &delta, rec.tick) {
-                Ok(_) => {
-                    epoch = rec.epoch;
-                    replayed += 1;
-                }
-                Err(_) => {
-                    replay_failed = true;
-                    break;
-                }
-            }
-        }
-        if replay_failed {
-            // A CRC-valid record that fails re-validation means the
-            // journal lies about what the live process accepted: do not
-            // trust any of it.
-            (overlay, tick, epoch) = pre_replay;
-            replayed = 0;
-            quarantine_journal(&journal_path, &mut quarantined);
         }
     }
 
+    let (overlay, tick, epoch, snapshot_epoch, replayed, live) = match found {
+        Some((path, r)) => (
+            r.overlay,
+            r.tick,
+            r.epoch,
+            Some(r.checkpoint_epoch),
+            r.records,
+            Some(path),
+        ),
+        None => (TrafficOverlay::identity(), 0, 0, None, 0, None),
+    };
     metrics.journal_torn_tails.add(torn_tails as u64);
     metrics.journal_quarantines.add(quarantined.len() as u64);
     metrics.recovery_replayed.set(replayed as i64);
 
-    let journal = Journal::open(&journal_path, config.fsync).map_err(journal_err)?;
+    let journal = match &live {
+        Some(path) => Journal::open(path, config.fsync),
+        None => install_generation(&config.dir, 0, 0, &overlay, config.fsync, &metrics),
+    };
     let durability = Durability {
-        journal: Mutex::new(journal),
-        store,
+        dir: config.dir.clone(),
+        fsync: config.fsync,
+        journal: Mutex::new(journal.map_err(journal_err)?),
         snapshot_every: config.snapshot_every,
         records_since_checkpoint: AtomicU64::new(0),
         fault_hook: RwLock::new(None),
         metrics,
     };
-    // Fold whatever recovery established into a fresh checkpoint so the
-    // next restart starts clean (best-effort: a failure here just means
-    // the next recovery re-replays).
-    if replayed > 0 || torn_tails > 0 || !quarantined.is_empty() {
-        let _ = durability.checkpoint(&StateSnapshot {
-            epoch,
-            tick,
-            overlay: overlay.clone(),
-        });
+    // Fold whatever recovery established into a new generation so the
+    // next restart starts clean (best-effort: on failure the surviving
+    // generation stays the append target and the next recovery
+    // re-replays).
+    if live.is_some() && (replayed > 0 || torn_tails > 0 || !quarantined.is_empty()) {
+        let _ = durability.checkpoint(epoch, tick, &overlay);
     }
     let duration_ms = start.elapsed().as_millis() as u64;
     durability.metrics.recovery_ms.set(duration_ms as i64);

@@ -11,10 +11,9 @@ use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
 use arp_roadnet::category::RoadCategory;
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::geo::Point;
-use arp_traffic::journal::read_journal as read_journal_outcome;
+use arp_traffic::journal::{generation_file, read_journal as read_journal_outcome};
 use arp_traffic::{
     DurabilityConfig, FsyncPolicy, RecoveryStatus, TrafficDelta, TrafficFeed, TrafficState,
-    JOURNAL_FILE,
 };
 
 fn line(n: usize) -> Arc<RoadNetwork> {
@@ -30,6 +29,26 @@ fn line(n: usize) -> Arc<RoadNetwork> {
         );
     }
     Arc::new(b.build())
+}
+
+/// The file names in `dir` that end in `suffix`, sorted.
+fn files_ending(dir: &PathBuf, suffix: &str) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(suffix))
+        .collect();
+    names.sort();
+    names
+}
+
+/// Flips one bit inside the first record (the checkpoint) of the
+/// generation at `path`: mid-file corruption.
+fn corrupt_checkpoint(path: &PathBuf) {
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[10] ^= 0x08;
+    std::fs::write(path, &bytes).unwrap();
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -196,10 +215,10 @@ fn torn_tail_truncates_and_replays_the_prefix() {
     durable
         .apply_delta(&TrafficDelta::parse("close:3").unwrap())
         .unwrap();
+    let journal = durable.journal_path().unwrap();
     drop(durable);
 
     // Chop mid-way into the last record: the crash-during-append shape.
-    let journal = dir.join(JOURNAL_FILE);
     let len = std::fs::metadata(&journal).unwrap().len();
     arp_traffic::journal::truncate_journal(&journal, len - 3).unwrap();
 
@@ -227,31 +246,33 @@ fn corrupt_journal_is_quarantined_and_state_degrades_to_base() {
     durable
         .apply_delta(&TrafficDelta::parse("close:3").unwrap())
         .unwrap();
+    let journal = durable.journal_path().unwrap();
     drop(durable);
 
     // Flip a bit in the FIRST record's payload: mid-file corruption.
-    let journal = dir.join(JOURNAL_FILE);
-    let mut bytes = std::fs::read(&journal).unwrap();
-    bytes[10] ^= 0x08;
-    std::fs::write(&journal, &bytes).unwrap();
+    corrupt_checkpoint(&journal);
 
     let (recovered, report) = TrafficState::recover_with(Arc::clone(&net), config(&dir)).unwrap();
     assert_eq!(report.status, RecoveryStatus::Degraded);
-    assert_eq!(report.quarantined, vec![JOURNAL_FILE.to_string()]);
+    assert_eq!(report.quarantined, vec![generation_file(1)]);
     assert_eq!(
         report.replayed_records, 0,
         "a corrupt journal replays nothing"
     );
-    // No snapshot existed, so the degraded state is the base weights.
+    // No older generation existed, so the degraded state is the base
+    // weights.
     assert_eq!(recovered.epoch(), 0);
     assert_eq!(recovered.snapshot().weights().as_slice(), net.weights());
-    assert!(dir.join("journal.wal.quarantine").exists());
-    // Serving continues: new deltas journal into a fresh file.
+    assert!(dir.join("journal-1.wal.quarantine").exists());
+    // Serving continues: new deltas journal into a fresh generation,
+    // after its checkpoint.
     recovered
         .apply_delta(&TrafficDelta::parse("close:1").unwrap())
         .unwrap();
-    let outcome = read_journal_outcome(&journal).unwrap();
-    assert_eq!(outcome.records.len(), 1);
+    let live = recovered.journal_path().unwrap();
+    assert_eq!(live, dir.join(generation_file(2)));
+    let outcome = read_journal_outcome(&live).unwrap();
+    assert_eq!(outcome.records.len(), 2);
 }
 
 #[test]
@@ -260,7 +281,6 @@ fn checkpoints_bound_the_journal_and_survive_restart() {
     let dir = temp_dir("checkpoint");
     let mut cfg = DurabilityConfig::new(&dir);
     cfg.snapshot_every = 2;
-    cfg.retain_snapshots = 2;
     cfg.fsync = FsyncPolicy::Interval(4);
     let (durable, _) = TrafficState::recover_with(Arc::clone(&net), cfg.clone()).unwrap();
     for i in 0..5 {
@@ -269,16 +289,14 @@ fn checkpoints_bound_the_journal_and_survive_restart() {
             .unwrap();
     }
     // 5 appends with snapshot_every=2: checkpoints after #2 and #4, so
-    // exactly one record (the 5th) remains journaled.
-    let outcome = read_journal_outcome(&dir.join(JOURNAL_FILE)).unwrap();
-    assert_eq!(outcome.records.len(), 1);
-    let snapshots: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.starts_with("snap-") && n.ends_with(".arps"))
-        .collect();
-    assert_eq!(snapshots.len(), 2, "retention keeps exactly 2 snapshots");
+    // the live generation holds its checkpoint and one record (the 5th).
+    let outcome = read_journal_outcome(&durable.journal_path().unwrap()).unwrap();
+    assert_eq!(outcome.records.len(), 2);
+    assert_eq!(
+        files_ending(&dir, ".wal"),
+        ["journal-1.wal", "journal-2.wal", "journal-3.wal"],
+        "the fresh generation and one per checkpoint"
+    );
     let overlay = durable.overlay_snapshot();
     let epoch = durable.epoch();
     drop(durable);
@@ -334,13 +352,225 @@ fn journal_fault_hook_rejects_the_delta_without_moving_the_epoch() {
     let err = durable.advance_tick(&TrafficFeed::quiet()).unwrap_err();
     assert!(matches!(err, arp_traffic::TrafficError::Journal { .. }));
     assert_eq!(durable.tick(), 0);
-    // Journal on disk holds exactly the one accepted record.
-    let outcome = read_journal_outcome(&dir.join(JOURNAL_FILE)).unwrap();
-    assert_eq!(outcome.records.len(), 1);
+    // Journal on disk holds its checkpoint and the one accepted record.
+    let outcome = read_journal_outcome(&durable.journal_path().unwrap()).unwrap();
+    assert_eq!(outcome.records.len(), 2);
     // Clearing the hook restores service.
     durable.set_journal_fault_hook(|| Ok(()));
     durable
         .apply_delta(&TrafficDelta::parse("close:3").unwrap())
         .unwrap();
     assert_eq!(durable.epoch(), 2);
+}
+
+#[test]
+fn retention_keeps_the_newest_three_generations() {
+    let net = line(8);
+    let dir = temp_dir("retention");
+    let mut cfg = DurabilityConfig::new(&dir);
+    cfg.snapshot_every = 2;
+    let (durable, _) = TrafficState::recover_with(Arc::clone(&net), cfg.clone()).unwrap();
+    for i in 0..9 {
+        durable
+            .apply_delta(&TrafficDelta::parse(&format!("edge:{i}*2.0")).unwrap())
+            .unwrap();
+    }
+    // Generation 1 from the fresh start, 2..=5 from four checkpoints.
+    assert_eq!(
+        files_ending(&dir, ".wal"),
+        ["journal-3.wal", "journal-4.wal", "journal-5.wal"]
+    );
+    let overlay = durable.overlay_snapshot();
+    drop(durable);
+    let (recovered, report) = TrafficState::recover_with(Arc::clone(&net), cfg).unwrap();
+    assert_eq!(report.snapshot_epoch, Some(8));
+    assert_eq!(report.replayed_records, 1);
+    assert_eq!(
+        (recovered.epoch(), recovered.overlay_snapshot()),
+        (9, overlay)
+    );
+}
+
+/// Quarantine never destroys evidence: every corrupt generation keeps
+/// its own `*.quarantine` file, however many restarts find one.
+#[test]
+fn two_corruptions_across_two_restarts_leave_two_quarantine_files() {
+    let net = line(8);
+    let dir = temp_dir("two_quarantines");
+    let (mut state, _) = TrafficState::recover_with(Arc::clone(&net), config(&dir)).unwrap();
+    for round in 0..2 {
+        state
+            .apply_delta(&TrafficDelta::parse("close:3; edge:1*2.0").unwrap())
+            .unwrap();
+        corrupt_checkpoint(&state.journal_path().unwrap());
+        drop(state);
+        let report;
+        (state, report) = TrafficState::recover_with(Arc::clone(&net), config(&dir)).unwrap();
+        assert_eq!(report.status, RecoveryStatus::Degraded, "round {round}");
+        assert_eq!(state.epoch(), 0, "no older generation: base weights");
+    }
+    assert_eq!(
+        files_ending(&dir, ".quarantine"),
+        ["journal-1.wal.quarantine", "journal-2.wal.quarantine"]
+    );
+    assert_eq!(state.journal_path().unwrap(), dir.join(generation_file(3)));
+}
+
+/// Generations are numbered, not named by epoch: a checkpoint taken
+/// after the epoch counter wrapped is still the newest one.
+#[test]
+fn a_durable_state_past_a_forced_wrap_recovers_epoch_for_epoch() {
+    let net = line(8);
+    let dir = temp_dir("wrap");
+    let (durable, _) = TrafficState::recover_with(Arc::clone(&net), config(&dir)).unwrap();
+    for delta in ["cat:primary*1.5", "close:2", "edge:6*1.5"] {
+        durable
+            .apply_delta(&TrafficDelta::parse(delta).unwrap())
+            .unwrap();
+    }
+    // Epoch 3 here, epoch 1 after the wrap: an epoch-ordered layout
+    // would take this checkpoint for the newer one.
+    assert!(durable.flush_snapshot().unwrap());
+    durable.force_epoch(u64::MAX);
+    durable
+        .apply_delta(&TrafficDelta::parse("edge:4*3.0").unwrap())
+        .unwrap();
+    durable
+        .apply_delta(&TrafficDelta::parse("reopen:2").unwrap())
+        .unwrap();
+    assert_eq!(durable.epoch(), 1, "u64::MAX wrapped to 0, then 1");
+    assert!(durable.flush_snapshot().unwrap());
+    let (overlay, column) = (
+        durable.overlay_snapshot(),
+        durable.snapshot().weights().to_vec(),
+    );
+    drop(durable);
+
+    let (recovered, report) = TrafficState::recover_with(Arc::clone(&net), config(&dir)).unwrap();
+    assert_eq!(report.status, RecoveryStatus::Clean);
+    assert_eq!(report.snapshot_epoch, Some(1));
+    assert_eq!(recovered.epoch(), 1);
+    assert_eq!(recovered.overlay_snapshot(), overlay);
+    assert_eq!(recovered.snapshot().weights()[..], column[..]);
+}
+
+/// A generation's records carry the wrap too: a crash after the forced
+/// epoch, before any checkpoint, replays the wrapped numbering.
+#[test]
+fn a_crash_after_a_forced_wrap_replays_the_wrapped_epochs() {
+    let net = line(8);
+    let dir = temp_dir("wrap_crash");
+    let (durable, _) = TrafficState::recover_with(Arc::clone(&net), config(&dir)).unwrap();
+    durable
+        .apply_delta(&TrafficDelta::parse("close:2").unwrap())
+        .unwrap();
+    durable.force_epoch(u64::MAX);
+    durable
+        .apply_delta(&TrafficDelta::parse("edge:4*3.0").unwrap())
+        .unwrap();
+    let overlay = durable.overlay_snapshot();
+    drop(durable);
+
+    let (recovered, report) = TrafficState::recover_with(Arc::clone(&net), config(&dir)).unwrap();
+    assert_eq!(report.status, RecoveryStatus::Replayed);
+    assert_eq!(report.snapshot_epoch, Some(u64::MAX));
+    assert_eq!(
+        (recovered.epoch(), recovered.overlay_snapshot()),
+        (0, overlay)
+    );
+}
+
+/// The fallback rung restores a state the live process published: with a
+/// checkpoint every 2 records, five deltas leave generations opening at
+/// epochs 0, 2 and 4; corrupting the newest checkpoint falls back to the
+/// generation that ran from epoch 2 through epoch 4.
+#[test]
+fn a_corrupt_newest_checkpoint_falls_back_to_what_epoch_4_published() {
+    let net = line(8);
+    let dir = temp_dir("fallback");
+    let mut cfg = DurabilityConfig::new(&dir);
+    cfg.snapshot_every = 2;
+    let (durable, _) = TrafficState::recover_with(Arc::clone(&net), cfg.clone()).unwrap();
+    let mut published = Vec::new();
+    for delta in [
+        "edge:1*2.0",
+        "close:2",
+        "cat:primary*1.5",
+        "reopen:2",
+        "edge:1*3.0",
+    ] {
+        durable
+            .apply_delta(&TrafficDelta::parse(delta).unwrap())
+            .unwrap();
+        published.push((
+            durable.overlay_snapshot(),
+            durable.snapshot().weights().to_vec(),
+        ));
+    }
+    let newest = durable.journal_path().unwrap();
+    assert_eq!(newest, dir.join(generation_file(3)));
+    drop(durable);
+    corrupt_checkpoint(&newest);
+
+    let (recovered, report) = TrafficState::recover_with(Arc::clone(&net), cfg).unwrap();
+    assert_eq!(report.status, RecoveryStatus::Degraded);
+    assert_eq!(report.quarantined, vec![generation_file(3)]);
+    assert_eq!(report.snapshot_epoch, Some(2));
+    assert_eq!(recovered.epoch(), 4);
+    let (overlay, column) = &published[3];
+    assert_eq!(&recovered.overlay_snapshot(), overlay);
+    assert_eq!(recovered.snapshot().weights()[..], column[..]);
+}
+
+/// A checkpoint longer than one record holds is split over several and
+/// still recovers exactly.
+#[test]
+fn a_checkpoint_past_max_record_bytes_recovers_exactly() {
+    let net = line(130_001);
+    let edges = net.num_edges();
+    let dir = temp_dir("split");
+    let (durable, _) = TrafficState::recover_with(Arc::clone(&net), config(&dir)).unwrap();
+    for chunk in (0..edges).collect::<Vec<_>>().chunks(26_000) {
+        let text: Vec<String> = chunk.iter().map(|e| format!("edge:{e}*2.75")).collect();
+        durable
+            .apply_delta(&TrafficDelta::parse(&text.join("; ")).unwrap())
+            .unwrap();
+    }
+    durable
+        .apply_delta(&TrafficDelta::parse("cat:primary*1.25; close:7@@90; close:9").unwrap())
+        .unwrap();
+    assert!(durable.flush_snapshot().unwrap());
+    let checkpoint = read_journal_outcome(&durable.journal_path().unwrap()).unwrap();
+    assert!(checkpoint.records.len() >= 2, "the checkpoint is split");
+    assert!(checkpoint
+        .records
+        .iter()
+        .all(|r| r.epoch == durable.epoch()));
+    let (overlay, column) = (
+        durable.overlay_snapshot(),
+        durable.snapshot().weights().to_vec(),
+    );
+    assert_eq!(overlay.num_edge_factors(), edges);
+    drop(durable);
+
+    let (recovered, report) = TrafficState::recover_with(Arc::clone(&net), config(&dir)).unwrap();
+    assert_eq!(report.status, RecoveryStatus::Clean);
+    assert_eq!(report.replayed_records, 0, "split parts are the checkpoint");
+    assert_eq!(recovered.overlay_snapshot(), overlay);
+    assert_eq!(recovered.snapshot().weights()[..], column[..]);
+
+    // A generation cut between the parts is no checkpoint at all.
+    let live = recovered.journal_path().unwrap();
+    drop(recovered);
+    let first = read_journal_outcome(&live).unwrap().records[0].clone();
+    assert!(first.delta.ends_with(';'));
+    let cut = 8 + 16 + first.delta.len() as u64;
+    arp_traffic::journal::truncate_journal(&live, cut).unwrap();
+    let (fallback, report) = TrafficState::recover_with(Arc::clone(&net), config(&dir)).unwrap();
+    assert_eq!(report.status, RecoveryStatus::Degraded);
+    assert_eq!(
+        fallback.overlay_snapshot(),
+        overlay,
+        "the previous generation"
+    );
 }

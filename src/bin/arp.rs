@@ -12,7 +12,7 @@
 //!               [--faults SPEC]  (e.g. `lane.penalty=flaky:0.2,cache.get=error:down`)
 //!               [--traffic-tick-ms MS] [--traffic-seed N]  (live-traffic feed; off by default)
 //!               [--ch on|off]  (the CH index tier; on by default)
-//!               [--state-dir DIR]  (durable traffic state: journal + snapshots + crash recovery)
+//!               [--state-dir DIR]  (durable traffic state: checkpointed journal generations + crash recovery)
 //!               [--fsync always|interval[:N]|never] [--snapshot-every N]
 //!               [--trace-sample R] [--trace-buffer N] [--slow-ms MS]  (request tracing)
 //! ```
@@ -445,9 +445,10 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
     };
     let mut processor = QueryProcessor::new(name.clone(), net, parse_seed(flags));
     // `--state-dir DIR` makes the traffic state durable: recover from the
-    // directory's snapshot + journal, then journal every accepted delta
-    // before its epoch publishes. Runs **before** the CH index tier so
-    // the hierarchy customizes from the recovered epoch, not epoch 0.
+    // directory's newest intact journal generation, then journal every
+    // accepted delta before its epoch publishes. Runs **before** the CH
+    // index tier so the hierarchy customizes from the recovered epoch,
+    // not epoch 0.
     if let Some(dir) = flags.get("state-dir") {
         let mut durability = arp_traffic::DurabilityConfig::new(dir);
         if let Some(spec) = flags.get("fsync") {
@@ -526,8 +527,8 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
         std::process::exit(1);
     });
     println!("{name} demo at http://127.0.0.1:{port}/");
-    // A final snapshot on drain makes the *next* startup's recovery a
-    // plain snapshot load instead of a journal replay. No-op (returns
+    // A final checkpoint on drain makes the *next* startup's recovery
+    // replay that checkpoint alone, no deltas after it. No-op (returns
     // false) when the state is not durable.
     let shutdown = arp_serve::ShutdownHandle::new();
     {
