@@ -85,14 +85,15 @@ impl RouteBackend for DemoBackend {
     }
 
     fn lane_key(&self, request: &PreparedQuery, lane: usize) -> String {
-        // Keyed on the snapped endpoints plus the request's pinned traffic
-        // epoch: a tick moves every key forward, so stale routes can never
-        // be served while the old entries simply age out. The substrate is
-        // derived state and stays out of the key; the cache probe runs
-        // before `prepare` anyway, which is exactly why the epoch is pinned
-        // at request construction rather than in `prepare`.
+        // Keyed on the snapped endpoints plus the publication number of the
+        // request's pinned traffic snapshot: a tick moves every key forward,
+        // so stale routes can never be served while the old entries simply
+        // age out. The substrate is derived state and stays out of the key;
+        // the cache probe runs before `prepare` anyway, which is exactly why
+        // the snapshot is pinned at request construction rather than in
+        // `prepare`.
         self.processor
-            .slot_cache_key_at(&request.snapped, lane, request.epoch())
+            .slot_cache_key_at(&request.snapped, lane, request.overlay.publication())
     }
 
     fn reads_prepare(&self, lane: usize) -> bool {
@@ -197,13 +198,16 @@ impl RouteBackend for DemoBackend {
         // Root-span identity: the pinned traffic epoch (via the
         // overlay's own hook, so the attribute key stays in one place)
         // and a representative cache key covering city + snapped
-        // endpoints + epoch.
+        // endpoints + the snapshot's publication number.
         vec![
             request.overlay.trace_attr(),
             (
                 "cache_key",
-                self.processor
-                    .slot_cache_key_at(&request.snapped, 0, request.epoch()),
+                self.processor.slot_cache_key_at(
+                    &request.snapped,
+                    0,
+                    request.overlay.publication(),
+                ),
             ),
         ]
     }
@@ -634,16 +638,15 @@ mod tests {
             let prepare = trace.span("prepare").expect("prepare span");
             prepare.attr("substrate").map(str::to_string)
         };
-        // The index tier is enabled and ready at epoch 0, then held in its
-        // customization window at epoch 1: neither state is consulted, the
-        // substrate is built either way.
+        // The index tier is enabled and ready at epoch 0, then left behind
+        // at epoch 1, which nobody asks it for: neither state is consulted,
+        // the substrate is built either way, and serving customizes
+        // nothing.
         assert_eq!(substrate_at(0).as_deref(), Some("ready"));
-        index.pause();
         let delta = arp_traffic::TrafficDelta::parse("cat:primary*1.5").unwrap();
         qp.traffic().apply_delta(&delta).unwrap();
-        assert_eq!(index.ready_epoch(), 0);
         assert_eq!(substrate_at(1).as_deref(), Some("ready"));
-        index.resume();
+        assert_eq!((index.ready_epoch(), index.customizations()), (0, 1));
         // A request whose build could not run says so.
         let tripped = CancelToken::new();
         tripped.cancel();

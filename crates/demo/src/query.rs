@@ -91,9 +91,10 @@ pub struct SnappedQuery {
 /// it, so a pair always answers the request and epoch it travels with.
 ///
 /// Cache identity is [`PreparedQuery::snapped`] plus the pinned traffic
-/// epoch: the pair is derived state and never part of a cache key,
-/// while the epoch IS part of the key (a tick must invalidate cached
-/// routes) — see [`QueryProcessor::slot_cache_key_at`].
+/// snapshot's publication number: the pair is derived state and never
+/// part of a cache key, while the publication IS part of the key (a tick
+/// must invalidate cached routes) — see
+/// [`QueryProcessor::slot_cache_key_at`].
 #[derive(Clone, Debug)]
 pub struct PreparedQuery {
     /// The snapped endpoints (the cache identity, with the epoch).
@@ -262,8 +263,9 @@ impl QueryProcessor {
     /// records after it; torn tails truncated, corrupt generations
     /// quarantined) and journals every subsequently accepted
     /// delta **before** its epoch publishes. Call this **before**
-    /// [`QueryProcessor::with_ch_index`] so the index tier customizes from
-    /// the recovered epoch, not from base weights.
+    /// [`QueryProcessor::with_ch_index`]: the index tier reads the traffic
+    /// state it was built beside, and replacing that state under it would
+    /// leave the tier customizing a state no request pins.
     ///
     /// The recovery outcome is kept on the processor
     /// ([`QueryProcessor::recovery_report`]) so `/api/health` can report
@@ -275,7 +277,7 @@ impl QueryProcessor {
         assert!(
             self.index.is_none(),
             "enable durability before the CH index tier: the index must \
-             customize from the recovered epoch"
+             read the recovered traffic state"
         );
         let (traffic, report) =
             TrafficState::open(Arc::clone(&self.network), Some(config), &self.registry)?;
@@ -292,24 +294,23 @@ impl QueryProcessor {
     }
 
     /// Enables the epoch-customizable CH index tier: builds the
-    /// topology, customizes the current epoch synchronously, and
-    /// registers the traffic listener that keeps the metric current in
-    /// the background. The tier answers no request
-    /// ([`QueryProcessor::prepare_substrate`]); it keeps an exact metric
-    /// per epoch for [`IndexManager::metric_for`] and reports its
-    /// readiness on `/api/health`.
+    /// topology and customizes the current epoch synchronously. The tier
+    /// answers no request ([`QueryProcessor::prepare_substrate`]) and
+    /// nothing keeps it current in the background: a later epoch is
+    /// customized when someone asks for it ([`IndexManager::metric_for`],
+    /// or the `/api/health` `index` block).
     pub fn with_ch_index(mut self) -> QueryProcessor {
         self.index = Some(IndexManager::new(
             Arc::clone(&self.network),
-            &self.traffic,
+            Arc::clone(&self.traffic),
             &self.registry,
         ));
         self
     }
 
     /// The CH index tier, when [`QueryProcessor::with_ch_index`] enabled
-    /// it. `/api/health` reports its readiness; tests drive its pause /
-    /// customize-now hooks.
+    /// it. `/api/health` asks it for the current epoch's metric and
+    /// reports the answer.
     pub fn ch_index(&self) -> Option<&IndexManager> {
         self.index.as_ref()
     }
@@ -387,21 +388,24 @@ impl QueryProcessor {
     }
 
     /// The route-cache key for one technique slot of a snapped query:
-    /// `(city, source vertex, target vertex, technique, k, epoch)` —
-    /// everything the slot's result depends on. The epoch suffix is what
-    /// makes cache invalidation *epoch-scoped*: a traffic tick changes
-    /// the key, so stale entries are simply never probed again (they age
-    /// out via LRU) and no sweep runs. Documented
-    /// in DESIGN.md §8 and §10.
-    pub fn slot_cache_key_at(&self, q: &SnappedQuery, slot: usize, epoch: u64) -> String {
+    /// `(city, source vertex, target vertex, technique, k, publication)` —
+    /// everything the slot's result depends on, the weight column named
+    /// by the pinned snapshot's publication number
+    /// ([`EpochSnapshot::publication`]). That suffix is what makes cache
+    /// invalidation *epoch-scoped*: a traffic tick changes the key, so
+    /// stale entries are simply never probed again (they age out via LRU)
+    /// and no sweep runs. It is not the epoch number, which a wrap or a
+    /// forced epoch can reuse for another column. Documented in DESIGN.md
+    /// §8 and §10.
+    pub fn slot_cache_key_at(&self, q: &SnappedQuery, slot: usize, publication: u64) -> String {
         format!(
-            "{}:{}:{}:{}:{}:e{}",
+            "{}:{}:{}:{}:{}:p{}",
             self.name,
             q.source.0,
             q.target.0,
             self.slot_technique(slot),
             self.query.k,
-            epoch
+            publication
         )
     }
 

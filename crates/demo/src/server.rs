@@ -465,12 +465,7 @@ impl DemoApp {
             ("max_lat", Json::Number(bb.max_lat)),
             (
                 "labels",
-                Json::Array(vec![
-                    Json::str("A"),
-                    Json::str("B"),
-                    Json::str("C"),
-                    Json::str("D"),
-                ]),
+                Json::Array(crate::blind::LABELS.map(Json::str).to_vec()),
             ),
         ]))
     }
@@ -676,19 +671,20 @@ impl DemoApp {
     fn health(&self) -> HttpResponse {
         let report = self.service.health();
         let snapshot = self.processor.traffic().snapshot();
-        // The CH index tier's readiness verdict: `ready` means the
-        // published metric matches the current traffic epoch; `false`
-        // means the background customization has not caught up yet. No
-        // request waits on (or reads) the tier, so neither is a
+        // The CH index tier's readiness verdict: asking for the current
+        // epoch's metric customizes it when the published one is older
+        // (the first read after a bump pays one customization), so
+        // `ready` is `false` only when another epoch published in
+        // between. No request reads the tier, so neither is a
         // degradation, and a disabled tier is the configured steady
         // state.
         let index = match self.processor.ch_index() {
             Some(index) => {
-                let metric_epoch = index.ready_epoch();
+                let ready = index.metric_for(snapshot.epoch()).is_some();
                 Json::object([
                     ("enabled", Json::Bool(true)),
-                    ("ready", Json::Bool(metric_epoch == snapshot.epoch())),
-                    ("metric_epoch", Json::Number(metric_epoch as f64)),
+                    ("ready", Json::Bool(ready)),
+                    ("metric_epoch", Json::Number(index.ready_epoch() as f64)),
                     (
                         "customizations",
                         Json::Number(index.customizations() as f64),
@@ -1357,6 +1353,10 @@ mod tests {
         assert!(
             v.get("min_lon").unwrap().as_f64().unwrap()
                 < v.get("max_lon").unwrap().as_f64().unwrap()
+        );
+        assert_eq!(
+            v.get("labels").unwrap().to_string_compact(),
+            r#"["A","B","C","D"]"#
         );
     }
 
@@ -2189,6 +2189,62 @@ mod tests {
             ),
             1
         );
+    }
+
+    /// The CH tier customizes when asked, never per delta: traffic
+    /// deltas and routes leave it at its start-up customization, the
+    /// first health read after them customizes the current epoch once
+    /// and reports it ready, and a second read reuses that metric.
+    #[test]
+    fn the_ch_tier_customizes_on_the_first_health_read_only() {
+        let g = arp_citygen::generate(City::Dhaka, Scale::Tiny, 9);
+        let app = DemoApp::new(QueryProcessor::new(g.name.clone(), g.network, 9).with_ch_index());
+        let customizations = || {
+            app.registry
+                .counter_value("arp_ch_customizations_total", &[])
+        };
+        assert_eq!(customizations(), 1, "start-up customizes epoch 0");
+        for factor in ["1.2", "1.4", "1.6"] {
+            let delta = format!("cat:residential*{factor}");
+            assert_eq!(app.handle("POST", "/api/traffic", &delta).status, 200);
+            let resp = app.handle("POST", "/api/route", &route_body(&app));
+            assert_eq!(resp.status, 200, "{}", resp.body);
+        }
+        assert_eq!(customizations(), 1, "deltas and routes customize nothing");
+        for _ in 0..2 {
+            let v = json::parse(&app.handle("GET", "/api/health", "").body).unwrap();
+            let index = v.get("index").unwrap();
+            assert_eq!(index.get("ready").and_then(Json::as_bool), Some(true));
+            assert_eq!(index.get("metric_epoch").and_then(Json::as_f64), Some(3.0));
+            assert_eq!(
+                index.get("customizations").and_then(Json::as_f64),
+                Some(2.0)
+            );
+            assert_eq!(customizations(), 2);
+        }
+    }
+
+    /// Health reads that ask the CH tier at once customize the current
+    /// epoch once: the check and the customization share one mutex.
+    #[test]
+    fn concurrent_health_reads_customize_the_ch_tier_once() {
+        let g = arp_citygen::generate(City::Dhaka, Scale::Tiny, 9);
+        let app = DemoApp::new(QueryProcessor::new(g.name.clone(), g.network, 9).with_ch_index());
+        assert_eq!(
+            app.handle("POST", "/api/traffic", "cat:primary*1.5").status,
+            200
+        );
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    assert_eq!(app.handle("GET", "/api/health", "").status, 200);
+                });
+            }
+        });
+        let index = app.processor.ch_index().unwrap();
+        assert_eq!((index.ready_epoch(), index.customizations()), (1, 2));
     }
 
     /// Without durability, `/api/health` reports the recovery layer as

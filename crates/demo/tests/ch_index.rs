@@ -2,13 +2,14 @@
 //!
 //! No request reads the tier — every tree pair comes from the bounded
 //! builder (`arp_core::SearchSubstrate::build`) — so enabling it must
-//! change no served byte, and what is under test is the tier itself: the
-//! background customizer tracks every epoch the traffic state publishes
-//! (deltas, TTL reopens, the `u64::MAX` wraparound), the metric it
-//! publishes for an epoch prices a pair **exactly** like the routes served
-//! on that epoch, `metric_for` refuses every other epoch, and `/api/health`
-//! reports the customization window. The adversarial mid-load test from
-//! the traffic subsystem is repeated with the customizer racing the load.
+//! change no served byte, and what is under test is the tier itself: it
+//! customizes whichever current epoch it is asked for (after deltas, TTL
+//! reopens, the `u64::MAX` wraparound), the metric it hands out for an
+//! epoch prices a pair **exactly** like the routes served on that epoch,
+//! `metric_for` refuses every other epoch, serving never customizes, and
+//! `/api/health` customizes the current epoch when it is read. The
+//! adversarial mid-load test from the traffic subsystem is repeated with
+//! the tier enabled.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -86,7 +87,7 @@ fn assert_same_response(ch: &QueryResponse, plain: &QueryResponse, context: &str
 
 /// The tier's metric for the response's epoch must exist and price the
 /// response's pair exactly like the fastest route served on that epoch —
-/// i.e. the customizer tracked the epoch's weight column.
+/// i.e. the tier customized the epoch's weight column.
 fn assert_metric_is_exact(qp: &QueryProcessor, response: &QueryResponse, context: &str) {
     let index = qp.ch_index().expect("tier enabled");
     let metric = index
@@ -108,11 +109,11 @@ fn assert_metric_is_exact(qp: &QueryProcessor, response: &QueryResponse, context
     );
 }
 
-/// Enabling the tier changes no served byte, and its customizer tracks
-/// the overlay: for every city, the tier-enabled app and the plain app
+/// Enabling the tier changes no served byte, and its metrics track the
+/// overlay: for every city, the tier-enabled app and the plain app
 /// serve **byte-identical** `/api/route` bodies — on the identity overlay
 /// (epoch 0) and after a traffic delta (slowdowns per category and per
-/// edge) — and on both epochs the published metric is exact.
+/// edge) — and on both epochs the metric asked for is exact.
 #[test]
 fn customization_tracks_epochs_across_cities_and_overlays() {
     for city in City::ALL {
@@ -172,14 +173,13 @@ fn customization_tracks_epochs_across_cities_and_overlays() {
     }
 }
 
-/// While a customization is in flight (held in flight here via the pause
-/// hook), requests pinned to the new epoch are served **immediately** and
-/// identically — nothing on the request path reads the tier — and
-/// `/api/health` reports the tier as enabled-but-not-ready, with no metric
-/// on offer for the new epoch. Once the customization lands the health
-/// verdict flips to ready.
+/// Serving never customizes: after an epoch bump, requests pinned to the
+/// new epoch are served **immediately** and identically while the tier
+/// still holds the old epoch's metric, which no one may take any more.
+/// `/api/health` then asks for the current epoch, which customizes it
+/// once and reports the tier ready on that epoch.
 #[test]
-fn health_reports_the_customization_window_and_serving_never_waits() {
+fn serving_never_customizes_and_health_customizes_the_current_epoch() {
     let make = |ch: bool| {
         let g = arp_citygen::generate(City::Dhaka, Scale::Tiny, 9);
         let qp = QueryProcessor::new(g.name.clone(), g.network, 9);
@@ -190,21 +190,10 @@ fn health_reports_the_customization_window_and_serving_never_waits() {
     let fast = make(true);
     let index = fast.processor.ch_index().unwrap();
 
-    // Park the customizer, then bump the epoch on both apps.
-    index.pause();
+    // Bump the epoch on both apps.
     let delta = r#"{"delta": "cat:primary*1.4"}"#;
     assert_eq!(plain.handle("POST", "/api/traffic", delta).status, 200);
     assert_eq!(fast.handle("POST", "/api/traffic", delta).status, 200);
-
-    // Health: enabled, not ready (metric still at epoch 0).
-    let health = fast.handle("GET", "/api/health", "");
-    assert_eq!(health.status, 200, "{}", health.body);
-    let v = json::parse(&health.body).unwrap();
-    let ix = v.get("index").expect("index object in health");
-    assert_eq!(ix.get("enabled").and_then(Json::as_bool), Some(true));
-    assert_eq!(ix.get("ready").and_then(Json::as_bool), Some(false));
-    assert_eq!(ix.get("metric_epoch").and_then(Json::as_f64), Some(0.0));
-    assert!(index.metric_for(1).is_none());
 
     // The epoch-1 request serves right away, identically.
     let body = route_body(&plain, 0.3, 0.6, 0.75, 0.75);
@@ -214,20 +203,25 @@ fn health_reports_the_customization_window_and_serving_never_waits() {
     assert_eq!(
         sans_trace_id(&a.body),
         sans_trace_id(&b.body),
-        "in-window bytes must match the plain app's"
+        "post-bump bytes must match the plain app's"
     );
     let v = json::parse(&b.body).unwrap();
     assert_eq!(v.get("epoch").and_then(Json::as_f64), Some(1.0));
 
-    // Publish the metric: the health verdict flips to ready.
-    assert!(index.customize_now());
-    assert!(index.metric_for(1).is_some());
+    // The tier still holds epoch 0's metric, and refuses it.
+    assert_eq!((index.ready_epoch(), index.customizations()), (0, 1));
+    assert!(index.metric_for(0).is_none());
+
+    // Health: enabled, and ready on epoch 1 — the read customized it.
     let health = fast.handle("GET", "/api/health", "");
+    assert_eq!(health.status, 200, "{}", health.body);
     let v = json::parse(&health.body).unwrap();
-    let ix = v.get("index").unwrap();
+    let ix = v.get("index").expect("index object in health");
+    assert_eq!(ix.get("enabled").and_then(Json::as_bool), Some(true));
     assert_eq!(ix.get("ready").and_then(Json::as_bool), Some(true));
     assert_eq!(ix.get("metric_epoch").and_then(Json::as_f64), Some(1.0));
-    index.resume();
+    assert_eq!(index.customizations(), 2);
+    assert!(index.metric_for(1).is_some());
 
     // And an app without the tier reports it disabled.
     let health = plain.handle("GET", "/api/health", "");
@@ -239,10 +233,9 @@ fn health_reports_the_customization_window_and_serving_never_waits() {
 /// The traffic subsystem's adversarial mid-load test, repeated on the CH
 /// tier: the ticker bumps the epoch continuously while workers hammer
 /// the pipeline, and every route in every response must re-cost exactly
-/// under the single epoch the response claims. With the tier enabled the
-/// load races real background customizations (latest-wins: intermediate
-/// epochs may be skipped), and the customizer must still land exactly on
-/// the final epoch.
+/// under the single epoch the response claims. With the tier enabled
+/// nothing customizes during the load, and asked afterwards the tier must
+/// customize exactly the final epoch.
 #[test]
 fn epoch_bump_mid_load_never_mixes_epochs_on_the_ch_tier() {
     let g = arp_citygen::generate(City::Melbourne, Scale::Small, 7);
@@ -377,7 +370,7 @@ fn epoch_bump_mid_load_never_mixes_epochs_on_the_ch_tier() {
     let last = qp.traffic().snapshot().epoch();
     assert!(
         index.wait_ready(last, READY_TIMEOUT),
-        "the customizer must catch up with the final epoch {last}"
+        "the tier must customize the final epoch {last}"
     );
     let settled = service.route(qp.prepare_query(queries[0])).unwrap();
     assert_metric_is_exact(&qp, &settled, "after the load");
@@ -386,7 +379,7 @@ fn epoch_bump_mid_load_never_mixes_epochs_on_the_ch_tier() {
 /// TTL closures through the tier: a `close:E@1` kills the only path (a
 /// response with no route in any approach, not a panic, tier enabled or
 /// not, and the epoch's metric agrees the pair is cut); the next feed
-/// tick expires the closure, the customizer tracks the reopen epoch, and
+/// tick expires the closure, the tier customizes the reopen epoch, and
 /// both stacks serve the same response again, priced exactly by the
 /// reopen epoch's metric.
 #[test]
@@ -502,8 +495,8 @@ fn forced_wraparound_epoch_is_customized_exactly() {
     for qp in [&plain_qp, &fast_qp] {
         qp.traffic().force_epoch(u64::MAX);
     }
-    // The start-up metric is stamped 0 too: let the customizer replace it
-    // before the wrap, or `wait_ready(0)` below could be satisfied by it.
+    // The forced epoch is customized too, so the wrapped epoch 0 must
+    // replace a metric stamped `u64::MAX`, not the start-up one.
     assert!(index.wait_ready(u64::MAX, READY_TIMEOUT));
     for qp in [&plain_qp, &fast_qp] {
         let outcome = qp.traffic().apply_delta(&delta).unwrap();

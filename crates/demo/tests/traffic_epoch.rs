@@ -276,3 +276,95 @@ fn an_unroutable_trip_keeps_every_breaker_closed() {
     let response = service.route(qp.prepare_query(routable)).unwrap();
     assert!(response.has_route() && !response.degraded, "{response:?}");
 }
+
+/// TTL expiry on the served path: a `close:E@1` cuts the chain's only
+/// path, and the next feed tick expires the closure, so the trip is
+/// served again on the new epoch with the open route.
+#[test]
+fn a_ttl_closure_expires_and_the_trip_is_served_again() {
+    let (qp, service, [n0, _, n2], cut) = chain_service();
+    let snapped = arp_demo::SnappedQuery {
+        source: n0,
+        target: n2,
+    };
+    let open = service.route(qp.prepare_query(snapped)).unwrap();
+    assert!(open.has_route());
+
+    let statements: Vec<String> = cut.iter().map(|e| format!("close:{e}@1")).collect();
+    let delta = TrafficDelta::parse(&statements.join("; ")).unwrap();
+    qp.traffic().apply_delta(&delta).unwrap();
+    let closed = service.route(qp.prepare_query(snapped)).unwrap();
+    assert_eq!(closed.epoch, 1);
+    assert!(!closed.has_route() && !closed.degraded, "{closed:?}");
+
+    let outcome = qp
+        .traffic()
+        .advance_tick(&arp_traffic::TrafficFeed::quiet())
+        .unwrap();
+    assert_eq!((outcome.expired, outcome.closures_active), (2, 0));
+    let reopened = service.route(qp.prepare_query(snapped)).unwrap();
+    assert_eq!(reopened.epoch, outcome.epoch);
+    assert!(reopened.has_route() && !reopened.degraded, "{reopened:?}");
+    assert_eq!(reopened.fastest_minutes, open.fastest_minutes);
+    let edges = |r: &arp_demo::query::QueryResponse| -> Vec<_> {
+        r.approaches[0]
+            .routes
+            .iter()
+            .map(|x| x.edges.clone())
+            .collect()
+    };
+    assert_eq!(edges(&reopened), edges(&open));
+}
+
+/// An epoch number can name two weight columns: `force_epoch(u64::MAX)`
+/// and a delta wrap the epoch back to 0. The route cache must not serve
+/// what it cached at the first epoch 0 for the second: the service that
+/// cached the trip before the wrap answers what a fresh service answers
+/// after it.
+#[test]
+fn a_wrapped_epoch_is_not_served_from_the_cache_of_its_namesake() {
+    let g = arp_citygen::generate(City::Copenhagen, Scale::Tiny, 11);
+    let qp = Arc::new(QueryProcessor::new(g.name.clone(), g.network, 11));
+    let service = || {
+        RouteService::new(
+            DemoBackend::new(Arc::clone(&qp)),
+            ServeConfig::default(),
+            &Registry::disabled(),
+        )
+    };
+    let warm = service();
+    let bb = qp.network().bbox();
+    let at = |x: f64, y: f64| {
+        arp_roadnet::geo::Point::new(
+            bb.min_lon + bb.width_deg() * x,
+            bb.min_lat + bb.height_deg() * y,
+        )
+    };
+    let snapped = qp.snap(at(0.3, 0.6), at(0.75, 0.75)).unwrap();
+    let before = warm.route(qp.prepare_query(snapped)).unwrap();
+    assert_eq!(before.epoch, 0);
+
+    qp.traffic().force_epoch(u64::MAX);
+    let delta = TrafficDelta::parse("cat:residential*3.0").unwrap();
+    assert_eq!(qp.traffic().apply_delta(&delta).unwrap().epoch, 0);
+
+    let fresh = service().route(qp.prepare_query(snapped)).unwrap();
+    let served = warm.route(qp.prepare_query(snapped)).unwrap();
+    assert_eq!(served.epoch, 0);
+    assert_ne!(
+        fresh.fastest_minutes, before.fastest_minutes,
+        "the slowdown must move the trip"
+    );
+    assert_eq!(served.fastest_minutes, fresh.fastest_minutes);
+    let weights = qp.traffic().snapshot().weights().clone();
+    for approach in &served.approaches {
+        for route in &approach.routes {
+            let recosted: u64 = route
+                .edges
+                .iter()
+                .map(|&e| u64::from(weights[e.index()]))
+                .sum();
+            assert_eq!(recosted, route.cost_ms, "approach {}", approach.label);
+        }
+    }
+}

@@ -14,7 +14,14 @@
 //! never observe a torn update or a mixture of two epochs. The trade is
 //! one `Arc` clone per request against zero synchronization inside the
 //! search hot loops.
+//!
+//! An epoch number is what responses report, not an identity: a forced
+//! epoch or a wrap past `u64::MAX` can give two columns one number. Every
+//! snapshot also carries a publication number
+//! ([`EpochSnapshot::publication`]) that no other snapshot in the process
+//! shares, and whatever is keyed on a column keys on that.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use arp_obs::Registry;
@@ -33,15 +40,38 @@ use crate::recovery::{self, Durability, DurabilityConfig, RecoveryReport};
 #[derive(Clone, Debug)]
 pub struct EpochSnapshot {
     epoch: u64,
+    publication: u64,
     weights: Arc<Vec<Weight>>,
     closures: usize,
     overlay_size: usize,
 }
 
 impl EpochSnapshot {
+    /// A snapshot of `overlay`'s materialized column `weights` under
+    /// `epoch`, numbered past every snapshot made before it in this
+    /// process.
+    fn publish(epoch: u64, weights: Arc<Vec<Weight>>, overlay: &TrafficOverlay) -> Arc<Self> {
+        static PUBLICATIONS: AtomicU64 = AtomicU64::new(0);
+        Arc::new(EpochSnapshot {
+            epoch,
+            publication: PUBLICATIONS.fetch_add(1, Ordering::Relaxed),
+            weights,
+            closures: overlay.num_closures(),
+            overlay_size: overlay.size(),
+        })
+    }
+
     /// The epoch stamp (0 = base weights, never overlaid).
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// The publication number: advanced by every swap and every
+    /// [`TrafficState::force_epoch`], never reset, so unlike the epoch it
+    /// names exactly one weight column. Caches of per-column results key
+    /// on it.
+    pub fn publication(&self) -> u64 {
+        self.publication
     }
 
     /// The effective weight column (shared; cloning the `Arc` is cheap).
@@ -89,11 +119,6 @@ struct State {
     snapshot: Arc<EpochSnapshot>,
 }
 
-/// Callback invoked with every newly published [`EpochSnapshot`]. The
-/// serving tier's index manager registers one to kick off background
-/// re-customization of its CH metric on each epoch bump.
-pub type EpochListener = Arc<dyn Fn(&Arc<EpochSnapshot>) + Send + Sync>;
-
 /// The live-traffic authority for one road network: owns the overlay,
 /// the tick counter and the current epoch, and publishes immutable
 /// [`EpochSnapshot`]s.
@@ -105,7 +130,6 @@ pub struct TrafficState {
     base: Arc<Vec<Weight>>,
     metrics: TrafficMetrics,
     state: RwLock<State>,
-    listener: RwLock<Option<EpochListener>>,
     /// The durability layer, attached when [`TrafficState::open`] is
     /// handed a [`DurabilityConfig`]. When present, every swap journals
     /// its delta **before** publishing (journal-then-apply) and
@@ -166,15 +190,9 @@ impl TrafficState {
             None => (TrafficOverlay::identity(), 0, 0, None, None),
         };
         let base = Arc::new(net.weights().to_vec());
-        let closures = overlay.num_closures();
-        let snapshot = Arc::new(EpochSnapshot {
-            epoch,
-            weights: overlay.materialize(&net, &base),
-            closures,
-            overlay_size: overlay.size(),
-        });
+        let snapshot = EpochSnapshot::publish(epoch, overlay.materialize(&net, &base), &overlay);
         metrics.epoch.set(epoch as i64);
-        metrics.closures_active.set(closures as i64);
+        metrics.closures_active.set(snapshot.closures as i64);
         let state = TrafficState {
             net,
             base,
@@ -184,7 +202,6 @@ impl TrafficState {
                 tick,
                 snapshot,
             }),
-            listener: RwLock::new(None),
             durability,
         };
         Ok((state, report))
@@ -240,32 +257,6 @@ impl TrafficState {
         self.durability.as_ref().map(|d| d.journal_path())
     }
 
-    /// Registers the single epoch listener, invoked with every snapshot
-    /// published after registration ([`TrafficState::apply_delta`],
-    /// [`TrafficState::advance_tick`] and [`TrafficState::force_epoch`]
-    /// all fire it). The callback runs on the *writer's* thread **after**
-    /// the publication lock is released — it must hand off long work
-    /// (like a CH re-customization) to its own thread rather than block
-    /// the feed ticker.
-    pub fn set_epoch_listener(
-        &self,
-        listener: impl Fn(&Arc<EpochSnapshot>) + Send + Sync + 'static,
-    ) {
-        *self.listener.write().expect("listener lock poisoned") = Some(Arc::new(listener));
-    }
-
-    /// Fires the listener (if any) with a freshly published snapshot.
-    fn notify(&self, snapshot: &Arc<EpochSnapshot>) {
-        let listener = self
-            .listener
-            .read()
-            .expect("listener lock poisoned")
-            .clone();
-        if let Some(listener) = listener {
-            listener(snapshot);
-        }
-    }
-
     /// The network this state overlays.
     pub fn network(&self) -> &Arc<RoadNetwork> {
         &self.net
@@ -296,59 +287,40 @@ impl TrafficState {
     /// current tick and swaps in a new epoch. Validation failures leave
     /// the published snapshot untouched.
     pub fn apply_delta(&self, delta: &TrafficDelta) -> Result<ApplyOutcome, TrafficError> {
-        let (outcome, snapshot) = {
-            let mut state = self.state.write().expect("traffic lock poisoned");
-            let now = state.tick;
-            let outcome = self.swap(&mut state, delta, now)?;
-            (outcome, Arc::clone(&state.snapshot))
-        };
-        self.notify(&snapshot);
-        Ok(outcome)
+        let mut state = self.state.write().expect("traffic lock poisoned");
+        let now = state.tick;
+        self.swap(&mut state, delta, now)
     }
 
     /// Advances the feed clock one tick: expires TTL closures, generates
     /// the feed's delta for the new tick, applies it, and swaps in a new
     /// epoch — one atomic publication per tick.
     pub fn advance_tick(&self, feed: &TrafficFeed) -> Result<ApplyOutcome, TrafficError> {
-        let (outcome, snapshot) = {
-            let mut state = self.state.write().expect("traffic lock poisoned");
-            let tick = state.tick + 1;
-            let delta = feed.delta_for_tick(tick, self.net.num_edges());
-            // Expiry happens inside swap, on the clone: if the journal
-            // append fails, neither the tick counter nor the closures
-            // have moved — the failed tick never happened.
-            let outcome = self.swap(&mut state, &delta, tick)?;
-            (outcome, Arc::clone(&state.snapshot))
-        };
-        self.notify(&snapshot);
-        Ok(outcome)
+        let mut state = self.state.write().expect("traffic lock poisoned");
+        let tick = state.tick + 1;
+        let delta = feed.delta_for_tick(tick, self.net.num_edges());
+        // Expiry happens inside swap, on the clone: if the journal append
+        // fails, neither the tick counter nor the closures have moved —
+        // the failed tick never happened.
+        self.swap(&mut state, &delta, tick)
     }
 
     /// Test/operations hook: republishes the current overlay under an
     /// arbitrary epoch number. Exists so wraparound-sized epochs are
     /// testable without 2^64 swaps; the serving stack treats epochs as
     /// opaque identity, so any value (including `u64::MAX`, which the
-    /// next swap wraps to 0) must serve correctly. A durable state starts
+    /// next swap wraps to 0) must serve correctly; the snapshot gets a new
+    /// publication number like any swap's. A durable state starts
     /// a new journal generation at the forced epoch (best-effort, like a
     /// swap's checkpoint), so replay never meets a jump in the numbering.
     pub fn force_epoch(&self, epoch: u64) {
-        let snapshot = {
-            let mut state = self.state.write().expect("traffic lock poisoned");
-            let weights = state.overlay.materialize(&self.net, &self.base);
-            let snapshot = Arc::new(EpochSnapshot {
-                epoch,
-                weights,
-                closures: state.overlay.num_closures(),
-                overlay_size: state.overlay.size(),
-            });
-            state.snapshot = Arc::clone(&snapshot);
-            self.metrics.epoch.set(epoch as i64);
-            if let Some(durability) = &self.durability {
-                let _ = durability.checkpoint(epoch, state.tick, &state.overlay);
-            }
-            snapshot
-        };
-        self.notify(&snapshot);
+        let mut state = self.state.write().expect("traffic lock poisoned");
+        let weights = state.overlay.materialize(&self.net, &self.base);
+        state.snapshot = EpochSnapshot::publish(epoch, weights, &state.overlay);
+        self.metrics.epoch.set(epoch as i64);
+        if let Some(durability) = &self.durability {
+            let _ = durability.checkpoint(epoch, state.tick, &state.overlay);
+        }
     }
 
     /// The one swap path: clone-mutate-**journal**-materialize-publish.
@@ -379,17 +351,11 @@ impl TrafficState {
             let journal_delta = delta.to_journal_form(now);
             durability.append(epoch, now, &journal_delta.to_string())?;
         }
-        let weights = next.materialize(&self.net, &self.base);
         let closures_active = next.num_closures();
-        let snapshot = Arc::new(EpochSnapshot {
-            epoch,
-            weights,
-            closures: closures_active,
-            overlay_size: next.size(),
-        });
+        state.snapshot =
+            EpochSnapshot::publish(epoch, next.materialize(&self.net, &self.base), &next);
         state.overlay = next;
         state.tick = now;
-        state.snapshot = snapshot;
         self.metrics.epoch.set(epoch as i64);
         self.metrics.deltas_applied.add(applied as u64);
         self.metrics.closures_active.set(closures_active as i64);
@@ -513,23 +479,32 @@ mod tests {
     }
 
     #[test]
-    fn epoch_listener_sees_every_publication() {
-        use std::sync::Mutex;
+    fn every_publication_gets_a_number_no_other_snapshot_has() {
         let net = line(4);
         let state = TrafficState::new(net);
-        let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        state.set_epoch_listener(move |snap| sink.lock().unwrap().push(snap.epoch()));
+        let mut seen = vec![state.snapshot().publication()];
         state
             .apply_delta(&TrafficDelta::parse("edge:0*2.0").unwrap())
             .unwrap();
+        seen.push(state.snapshot().publication());
         state.advance_tick(&TrafficFeed::quiet()).unwrap();
-        state.force_epoch(77);
-        // A rejected delta publishes nothing and must not fire.
+        seen.push(state.snapshot().publication());
+        // A rejected delta publishes nothing.
         assert!(state
             .apply_delta(&TrafficDelta::parse("close:999").unwrap())
             .is_err());
-        assert_eq!(*seen.lock().unwrap(), vec![1, 2, 77]);
+        assert_eq!(state.snapshot().publication(), seen[2]);
+        // Forcing an epoch republishes, and the swap past `u64::MAX` wraps
+        // the epoch back to 0 but not the publication number.
+        state.force_epoch(u64::MAX);
+        seen.push(state.snapshot().publication());
+        state
+            .apply_delta(&TrafficDelta::parse("edge:1*2.0").unwrap())
+            .unwrap();
+        let wrapped = state.snapshot();
+        assert_eq!(wrapped.epoch(), 0);
+        seen.push(wrapped.publication());
+        assert!(seen.windows(2).all(|w| w[0] < w[1]), "{seen:?}");
     }
 
     #[test]

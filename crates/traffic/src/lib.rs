@@ -49,7 +49,7 @@ pub mod overlay;
 pub mod recovery;
 
 pub use delta::{TrafficDelta, TrafficOp};
-pub use epoch::{ApplyOutcome, EpochListener, EpochSnapshot, TrafficState};
+pub use epoch::{ApplyOutcome, EpochSnapshot, TrafficState};
 pub use error::TrafficError;
 pub use feed::{CityProfile, TrafficFeed};
 pub use journal::{FsyncPolicy, Journal, JournalRecord};

@@ -433,8 +433,10 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
     );
     // `--ch off` disables the CH index tier; on (the default), the
     // topology is contracted and the current epoch customized before the
-    // listener binds, and `/api/health` reports its readiness. Responses
-    // are byte-identical either way — no request reads the tier.
+    // listener binds. A later epoch is customized only when `/api/health`
+    // reads the tier's readiness, on that request's thread; nothing runs
+    // per delta. Responses are byte-identical either way — no request
+    // reads the tier.
     let ch_enabled = match flags.get("ch").map(String::as_str) {
         None | Some("on") => true,
         Some("off") => false,
@@ -447,8 +449,8 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
     // `--state-dir DIR` makes the traffic state durable: recover from the
     // directory's newest intact journal generation, then journal every
     // accepted delta before its epoch publishes. Runs **before** the CH
-    // index tier so the hierarchy customizes from the recovered epoch,
-    // not epoch 0.
+    // index tier, which reads the traffic state it was built beside, so
+    // the hierarchy customizes from the recovered epoch, not epoch 0.
     if let Some(dir) = flags.get("state-dir") {
         let mut durability = arp_traffic::DurabilityConfig::new(dir);
         if let Some(spec) = flags.get("fsync") {
