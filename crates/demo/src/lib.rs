@@ -13,8 +13,10 @@
 //!   out on an exact-epoch match only (no request reads it),
 //! * [`store`] — the feedback form's in-memory response store (ratings,
 //!   residency, comments), exported as CSV,
-//! * [`server`] — a small std-only HTTP server exposing the JSON API and
-//!   the interactive map page ([`html`]),
+//! * [`server`] — the JSON API and the interactive map page ([`html`]) as
+//!   a pure function of the request,
+//! * [`wire`] — HTTP/1.1 on std's TCP: framing, the connection handler
+//!   threads and [`serve`]'s accept loop, stopped by a [`ShutdownHandle`],
 //! * [`geojson`] / [`json`] — hand-rolled serialization for the API; the
 //!   `/api/route` body itself is streamed by the private `render` module
 //!   from a per-network table of rendered coordinates.
@@ -28,7 +30,7 @@
 //! let city = arp_citygen::generate(City::Melbourne, Scale::Medium, 42);
 //! let app = Arc::new(DemoApp::new(QueryProcessor::new(city.name.clone(), city.network, 42)));
 //! let listener = TcpListener::bind("127.0.0.1:8080").unwrap();
-//! arp_demo::server::serve(app, listener).unwrap();
+//! arp_demo::serve(app, listener, ShutdownHandle::new()).unwrap();
 //! ```
 
 pub mod backend;
@@ -42,6 +44,7 @@ pub mod query;
 mod render;
 pub mod server;
 pub mod store;
+pub mod wire;
 
 pub use backend::DemoBackend;
 pub use error::DemoError;
@@ -50,14 +53,16 @@ pub use index::IndexManager;
 pub use query::{
     ApproachRoutes, PreparedQuery, QueryProcessor, QueryResponse, RouteInfo, SnappedQuery,
 };
-pub use server::{serve, serve_with_shutdown, DemoApp, HttpResponse};
+pub use server::{DemoApp, HttpResponse};
 pub use store::{ResponseStore, Submission};
+pub use wire::{serve, ShutdownHandle};
 
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::error::DemoError;
     pub use crate::geojson::response_to_geojson;
     pub use crate::query::{QueryProcessor, QueryResponse};
-    pub use crate::server::{serve, serve_with_shutdown, DemoApp, HttpResponse};
+    pub use crate::server::{DemoApp, HttpResponse};
     pub use crate::store::{ResponseStore, Submission};
+    pub use crate::wire::{serve, ShutdownHandle};
 }

@@ -52,25 +52,17 @@
 //! lane failures and breaker states alongside the technique metrics.
 //!
 //! The request handler is a pure function over `(method, path, body)` so
-//! tests exercise the full API without sockets; `serve` adds the TCP loop
-//! — connection handler threads that the accept loop reuses (bounded by
-//! [`MAX_CONNECTIONS`], retired after the I/O timeout idle), load
-//! shedding at the accept loop, and cooperative shutdown via
-//! [`ShutdownHandle`].
+//! tests exercise the full API without sockets; [`crate::wire`] puts it
+//! on TCP.
 
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, OnceLock};
 
 use arp_obs::{
-    CompletedTrace, Counter, Gauge, Histogram, Registry, Span, SpanStatus, TraceId, TraceReceipt,
+    CompletedTrace, Counter, Histogram, Registry, Span, SpanStatus, TraceId, TraceReceipt,
     DEFAULT_LATENCY_BUCKETS_MS,
 };
 use arp_roadnet::geo::Point;
-use arp_serve::{RouteService, ServeConfig, ServeError, ShutdownHandle};
+use arp_serve::{RouteService, ServeConfig, ServeError};
 
 use crate::backend::DemoBackend;
 use crate::error::DemoError;
@@ -79,41 +71,12 @@ use crate::json::{self, Json};
 use crate::query::QueryProcessor;
 use crate::render::{self, CoordText};
 use crate::store::{ResponseStore, Submission};
-
-/// Upper bound on concurrently handled TCP connections; the accept loop
-/// answers `503` beyond it instead of spawning without bound.
-pub const MAX_CONNECTIONS: usize = 128;
+use crate::wire::STATUSES;
 
 /// Cap on `POST /api/traffic` bodies. Deltas are operator commands — a
 /// handful of statements, not bulk data — so anything past this is a
 /// client bug or abuse, answered `413` before parsing.
 pub const TRAFFIC_BODY_CAP: usize = 64 * 1024;
-
-/// Hard wire-level bound on any request body. `read_request` refuses to
-/// read past it: a larger `Content-Length` is answered `413` with the
-/// declared bytes left unread on the (about-to-close) connection.
-pub const MAX_BODY_BYTES: usize = 1 << 20;
-
-/// How long a connection may stay silent mid-request, or refuse to take
-/// its response, before its handler thread gives up on it. Without the
-/// bound, sockets that connect and send nothing pin every one of the
-/// [`MAX_CONNECTIONS`] handlers and the accept loop answers `503` for as
-/// long as they stay open.
-const IO_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// How long the handler of a refused request keeps reading (and
-/// discarding) what its peer still sends after the response went out.
-/// Closing a socket with bytes unread resets the connection, and the
-/// reset can reach a peer still writing its request before it reads the
-/// refusal.
-const LINGER: Duration = Duration::from_millis(250);
-
-/// Longest request line or header line `read_request` buffers; a longer
-/// one is answered `431` with the rest of it left unread.
-const MAX_LINE_BYTES: usize = 8 * 1024;
-
-/// Most header lines `read_request` reads; more are answered `431`.
-const MAX_HEADERS: usize = 64;
 
 /// An HTTP response produced by the handler.
 #[derive(Clone, Debug, PartialEq)]
@@ -168,7 +131,7 @@ impl HttpResponse {
         HttpResponse::render_error(status, message, None)
     }
 
-    fn overloaded(retry_after_s: u32) -> HttpResponse {
+    pub(crate) fn overloaded(retry_after_s: u32) -> HttpResponse {
         HttpResponse::render_error(503, "overloaded, please retry", Some(retry_after_s))
     }
 
@@ -283,21 +246,6 @@ impl Endpoint {
     }
 }
 
-/// Every status the handlers answer with, and its reason phrase.
-const STATUSES: [(u16, &str); 11] = [
-    (200, "OK"),
-    (400, "Bad Request"),
-    (404, "Not Found"),
-    (405, "Method Not Allowed"),
-    (413, "Payload Too Large"),
-    (431, "Request Header Fields Too Large"),
-    (500, "Internal Server Error"),
-    (501, "Not Implemented"),
-    (502, "Bad Gateway"),
-    (503, "Service Unavailable"),
-    (504, "Gateway Timeout"),
-];
-
 /// The two per-request HTTP instruments, resolved from the registry the
 /// first time an endpoint (and an endpoint's status) is seen and lock-free
 /// after that, so a request takes no registry mutex. Resolved lazily, not
@@ -400,11 +348,17 @@ impl DemoApp {
     }
 
     /// Answers a request `read_request` refused at the wire — a body
-    /// past [`MAX_BODY_BYTES`], a header block past the line or count
-    /// bounds, an unreadable `Content-Length`. The request was never read
-    /// to its end, so this cannot go through the normal handler. Still
-    /// counted in `arp_http_requests_total` under the endpoint's label.
-    fn reject_unread(&self, method: &str, path: &str, refusal: (u16, &str)) -> HttpResponse {
+    /// past [`crate::wire::MAX_BODY_BYTES`], a header block past the line
+    /// or count bounds, an unreadable `Content-Length`. The request was
+    /// never read to its end, so this cannot go through the normal
+    /// handler. Still counted in `arp_http_requests_total` under the
+    /// endpoint's label.
+    pub(crate) fn reject_unread(
+        &self,
+        method: &str,
+        path: &str,
+        refusal: (u16, &str),
+    ) -> HttpResponse {
         let endpoint = Endpoint::of(method, path);
         let resp = HttpResponse::error(refusal.0, refusal.1);
         self.http.count(&self.registry, endpoint, resp.status);
@@ -528,10 +482,10 @@ impl DemoApp {
             ) => return HttpResponse::error(400, e.to_string()),
             Err(e) => return HttpResponse::error(500, e.to_string()),
         };
-        // Pin the current traffic epoch *here*, before the serving
-        // pipeline's cache probe: the lane keys fold the epoch in, so a
-        // tick that lands after this line can never hand this request a
-        // route computed under different weights (and vice versa).
+        // Pin the current traffic snapshot *here*, before the serving
+        // pipeline's cache probe: the lane keys end in its publication
+        // number, so a tick that lands after this line can never hand this
+        // request a route computed under different weights (and vice versa).
         let (receipt, outcome) = self
             .service
             .route_traced(self.processor.prepare_query(snapped));
@@ -918,358 +872,6 @@ fn span_node(trace: &CompletedTrace, span: &Span) -> Json {
     ])
 }
 
-/// One request off the wire: the parsed request line plus either the
-/// body or a refusal to read it.
-struct RawRequest {
-    method: String,
-    path: String,
-    body: String,
-    /// The request broke a wire bound; the status and message to answer
-    /// it with. Whatever had not been read by then was left unread.
-    refused: Option<(u16, &'static str)>,
-}
-
-/// Reads one line of at most [`MAX_LINE_BYTES`] into `line`, returning
-/// whether it fit. Nothing past the cap is buffered: a peer cannot make
-/// the server allocate for a line that never ends. Bytes that are not
-/// UTF-8 are read lossily (`U+FFFD`), so they reach a status code instead
-/// of failing the read.
-fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> std::io::Result<bool> {
-    let mut bytes = std::mem::take(line).into_bytes();
-    bytes.clear();
-    let n = reader
-        .take(MAX_LINE_BYTES as u64)
-        .read_until(b'\n', &mut bytes)?;
-    *line = String::from_utf8(bytes)
-        .unwrap_or_else(|invalid| String::from_utf8_lossy(invalid.as_bytes()).into_owned());
-    Ok(n < MAX_LINE_BYTES || line.ends_with('\n'))
-}
-
-/// Reads one HTTP request (request line, headers, body per
-/// `Content-Length`) from a stream, trusting the peer with nothing: lines
-/// are capped at [`MAX_LINE_BYTES`], headers at [`MAX_HEADERS`], and a
-/// body whose declared length exceeds [`MAX_BODY_BYTES`] is **not read at
-/// all**. A body must be framed by `Content-Length`: a request carrying
-/// `Transfer-Encoding` is refused with `501` (RFC 9112 §6.1), since
-/// reading it by its length would take a chunked body for an empty one.
-/// A request past any bound comes back with `refused` set so the serving
-/// loop can answer it without having buffered the excess.
-fn read_request(stream: impl Read) -> std::io::Result<Option<RawRequest>> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let fits = read_bounded_line(&mut reader, &mut line)?;
-    if line.is_empty() {
-        return Ok(None);
-    }
-    let mut parts = line.split_whitespace();
-    let mut request = RawRequest {
-        method: parts.next().unwrap_or("").to_string(),
-        path: parts.next().unwrap_or("/").to_string(),
-        body: String::new(),
-        refused: None,
-    };
-    let too_large = Some((431, "request header fields too large"));
-    if !fits {
-        request.refused = too_large;
-        return Ok(Some(request));
-    }
-
-    let mut content_length: Option<usize> = None;
-    for header in 0.. {
-        let fits = read_bounded_line(&mut reader, &mut line)?;
-        let header_line = line.trim_end();
-        if header_line.is_empty() && fits {
-            break;
-        }
-        if !fits || header == MAX_HEADERS {
-            request.refused = too_large;
-            return Ok(Some(request));
-        }
-        let header_line = header_line.to_ascii_lowercase();
-        if header_line.starts_with("transfer-encoding:") {
-            request.refused = Some((
-                501,
-                "Transfer-Encoding is not supported; send Content-Length",
-            ));
-            return Ok(Some(request));
-        }
-        if let Some(v) = header_line.strip_prefix("content-length:") {
-            let Ok(declared) = v.trim().parse() else {
-                request.refused = Some((400, "malformed Content-Length"));
-                return Ok(Some(request));
-            };
-            // Two lengths that disagree leave the body's end unknowable
-            // (RFC 9112 §6.3): refuse rather than pick one.
-            if content_length.is_some_and(|seen| seen != declared) {
-                request.refused = Some((400, "conflicting Content-Length"));
-                return Ok(Some(request));
-            }
-            content_length = Some(declared);
-        }
-    }
-    let content_length = content_length.unwrap_or(0);
-    if content_length > MAX_BODY_BYTES {
-        request.refused = Some((413, "request body too large"));
-        return Ok(Some(request));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    request.body = String::from_utf8_lossy(&body).into_owned();
-    Ok(Some(request))
-}
-
-/// Sends head and body in one vectored write. `write!` on the unbuffered
-/// stream would turn every piece of its format string into a `write(2)`
-/// of its own.
-fn write_response(stream: &mut impl Write, resp: &HttpResponse) -> std::io::Result<()> {
-    let reason = STATUSES
-        .iter()
-        .find(|(status, _)| *status == resp.status)
-        .map_or("Internal Server Error", |(_, reason)| reason);
-    let mut head = format!(
-        "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
-        resp.status,
-        resp.content_type,
-        resp.body.len(),
-    );
-    if let Some(seconds) = resp.retry_after {
-        head += &format!("Retry-After: {seconds}\r\n");
-    }
-    if let Some(id) = &resp.trace_id {
-        head += &format!("X-Arp-Trace-Id: {id}\r\n");
-    }
-    head += "Connection: close\r\n\r\n";
-
-    let (head, body) = (head.as_bytes(), resp.body.as_bytes());
-    let sent = match stream.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
-        Err(e) if e.kind() == ErrorKind::Interrupted => 0,
-        sent => sent?,
-    };
-    // A short write: the peer's window took only part of it.
-    if sent < head.len() {
-        stream.write_all(&head[sent..])?;
-        stream.write_all(body)?;
-    } else {
-        stream.write_all(&body[sent - head.len()..])?;
-    }
-    stream.flush()
-}
-
-/// Serves the one request of an accepted connection; the caller closes
-/// it. Every read and write is bounded by `io_timeout`, so a peer that
-/// goes silent hands its handler thread back instead of holding a
-/// connection slot.
-fn handle_connection(app: &DemoApp, stream: &mut TcpStream, io_timeout: Duration) {
-    let bounded = stream
-        .set_read_timeout(Some(io_timeout))
-        .and_then(|()| stream.set_write_timeout(Some(io_timeout)));
-    if bounded.is_err() {
-        return;
-    }
-    if let Ok(Some(req)) = read_request(&*stream) {
-        let Some(refusal) = req.refused else {
-            let _ = write_response(stream, &app.handle(&req.method, &req.path, &req.body));
-            return;
-        };
-        let resp = app.reject_unread(&req.method, &req.path, refusal);
-        if write_response(stream, &resp).is_ok() {
-            // A staged close (RFC 9112 §9.6): end our side, then drain
-            // what the peer still sends — for at most `LINGER` and
-            // `MAX_BODY_BYTES` — so the close does not reset it.
-            let _ = stream.shutdown(std::net::Shutdown::Write);
-            if stream.set_read_timeout(Some(LINGER)).is_ok() {
-                let unread = (&*stream).take(MAX_BODY_BYTES as u64);
-                let _ = std::io::copy(&mut { unread }, &mut std::io::sink());
-            }
-        }
-    }
-}
-
-/// Serves the app on `listener` until the process exits or an accept
-/// error occurs. Equivalent to [`serve_with_shutdown`] with a handle
-/// nobody ever triggers.
-pub fn serve(app: Arc<DemoApp>, listener: TcpListener) -> std::io::Result<()> {
-    serve_with_shutdown(app, listener, ShutdownHandle::new())
-}
-
-/// Serves the app on `listener` until `shutdown` is triggered.
-///
-/// Connection handling is bounded: the accept loop hands each connection
-/// to an idle handler thread and spawns a new one only when every handler
-/// is busy, so at most [`MAX_CONNECTIONS`] handler threads exist; a
-/// handler idle for the I/O timeout retires. Connections beyond the cap
-/// are answered `503` with `Retry-After` on the accept thread. On
-/// shutdown the loop stops accepting, drains in-flight connections and
-/// releases every idle handler before returning.
-pub fn serve_with_shutdown(
-    app: Arc<DemoApp>,
-    listener: TcpListener,
-    shutdown: ShutdownHandle,
-) -> std::io::Result<()> {
-    serve_connections(app, listener, shutdown, IO_TIMEOUT)
-}
-
-/// The accept loop's hand-off to the connection handler threads it
-/// reuses. A stream is queued when more handlers are idle than streams
-/// are queued, so every queued stream has a handler waiting for it;
-/// otherwise the accept loop spawns a handler for it.
-struct Handoff {
-    state: Mutex<HandoffState>,
-    /// Wakes idle handlers for a queued stream or the close, and the
-    /// closer when an idle handler leaves after the close.
-    wake: Condvar,
-    /// Connections accepted and not yet given back by their handler,
-    /// queued ones included; the accept loop sheds at [`MAX_CONNECTIONS`].
-    active: AtomicUsize,
-    /// `arp_http_handler_threads`: handler threads alive, busy or idle.
-    threads_gauge: Gauge,
-}
-
-#[derive(Default)]
-struct HandoffState {
-    queue: VecDeque<TcpStream>,
-    /// Handlers done with their connection and not yet given another:
-    /// waiting for a stream, or about to.
-    idle: usize,
-    /// Handler threads alive.
-    threads: usize,
-    closed: bool,
-}
-
-impl Handoff {
-    fn new(registry: &Registry) -> Handoff {
-        Handoff {
-            state: Mutex::default(),
-            wake: Condvar::new(),
-            active: AtomicUsize::new(0),
-            threads_gauge: registry.gauge(
-                "arp_http_handler_threads",
-                "HTTP connection handler threads alive, busy or idle.",
-                &[],
-            ),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, HandoffState> {
-        self.state.lock().expect("connection hand-off poisoned")
-    }
-
-    /// Queues `stream` for an idle handler, or gives it back when every
-    /// handler is busy, counting the handler the caller must spawn for it.
-    fn offer(&self, stream: TcpStream) -> Option<TcpStream> {
-        let mut state = self.lock();
-        if state.idle > state.queue.len() {
-            state.queue.push_back(stream);
-            drop(state);
-            self.wake.notify_one();
-            return None;
-        }
-        state.threads += 1;
-        self.threads_gauge.set(state.threads as i64);
-        Some(stream)
-    }
-
-    /// Called by a handler with the connection it is done with: gives its
-    /// slot back, closes it and waits up to `idle_timeout` for the next
-    /// stream. `None` retires the handler (timed out, or the hand-off is
-    /// closed).
-    fn next(&self, done: TcpStream, idle_timeout: Duration) -> Option<TcpStream> {
-        {
-            let mut state = self.lock();
-            // Under the lock, so a spawn never sees a handler that holds
-            // no slot and is not idle: handlers stay within the cap.
-            self.active.fetch_sub(1, Ordering::AcqRel);
-            state.idle += 1;
-        }
-        // Closed only once this handler counts as idle, so a peer that
-        // connects again as soon as it has its answer finds it idle.
-        drop(done);
-        let deadline = Instant::now() + idle_timeout;
-        let mut state = self.lock();
-        loop {
-            let next = state.queue.pop_front();
-            let now = Instant::now();
-            if next.is_some() || state.closed || now >= deadline {
-                state.idle -= 1;
-                if next.is_none() {
-                    state.threads -= 1;
-                    self.threads_gauge.set(state.threads as i64);
-                }
-                if state.closed {
-                    self.wake.notify_all();
-                }
-                return next;
-            }
-            state = self
-                .wake
-                .wait_timeout(state, deadline - now)
-                .expect("connection hand-off poisoned")
-                .0;
-        }
-    }
-
-    /// Closes the hand-off and returns once no handler is left waiting;
-    /// a handler still serving retires when its connection is done.
-    fn close(&self) {
-        let mut state = self.lock();
-        state.closed = true;
-        self.wake.notify_all();
-        while state.idle > 0 {
-            state = self.wake.wait(state).expect("connection hand-off poisoned");
-        }
-    }
-}
-
-/// [`serve_with_shutdown`] with the per-connection I/O timeout (also the
-/// handlers' idle timeout) passed in, so tests need not wait out
-/// [`IO_TIMEOUT`].
-fn serve_connections(
-    app: Arc<DemoApp>,
-    listener: TcpListener,
-    shutdown: ShutdownHandle,
-    io_timeout: Duration,
-) -> std::io::Result<()> {
-    if let Ok(addr) = listener.local_addr() {
-        shutdown.register_listener(addr);
-    }
-    let handoff = Arc::new(Handoff::new(&app.registry));
-    for stream in listener.incoming() {
-        if shutdown.is_shutdown() {
-            break;
-        }
-        let mut stream = stream?;
-        if handoff.active.load(Ordering::Acquire) >= MAX_CONNECTIONS {
-            let resp = HttpResponse::overloaded(1);
-            let _ = write_response(&mut stream, &resp);
-            continue;
-        }
-        handoff.active.fetch_add(1, Ordering::AcqRel);
-        let Some(stream) = handoff.offer(stream) else {
-            continue;
-        };
-        let app = Arc::clone(&app);
-        let handoff = Arc::clone(&handoff);
-        std::thread::spawn(move || {
-            let mut next = Some(stream);
-            while let Some(mut stream) = next {
-                handle_connection(&app, &mut stream, io_timeout);
-                next = handoff.next(stream, io_timeout);
-            }
-        });
-    }
-    // Graceful drain: wait (bounded) for in-flight handlers to finish.
-    let drain_deadline = Instant::now() + Duration::from_secs(5);
-    while handoff.active.load(Ordering::Acquire) > 0 && Instant::now() < drain_deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    handoff.close();
-    // Drained: run the registered hooks (e.g. the final durable-state
-    // snapshot flush) exactly once, on this thread, after the last
-    // in-flight handler could have journaled anything.
-    shutdown.run_drain_hooks();
-    Ok(())
-}
-
 /// Reads `/api/rate`'s feedback form. Ratings `a`–`d` are required, each
 /// an integer 1–5; `resident` (a boolean), `fastest_minutes` (a
 /// non-negative integer) and `comment` (a string) may be absent. A field
@@ -1315,8 +917,15 @@ fn submission_of(req: &Json) -> Result<Submission, String> {
 mod tests {
     use super::*;
     use crate::render::tests::reference_body;
+    use crate::wire::{
+        read_request, serve, serve_connections, write_response, RawRequest, ShutdownHandle,
+        IO_TIMEOUT, MAX_BODY_BYTES, MAX_CONNECTIONS, MAX_HEADERS, MAX_LINE_BYTES,
+    };
     use arp_citygen::{City, Scale};
     use proptest::prelude::*;
+    use std::io::{ErrorKind, Read, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::time::Duration;
 
     fn app() -> DemoApp {
         let g = arp_citygen::generate(City::Melbourne, Scale::Small, 12);
@@ -1728,7 +1337,7 @@ mod tests {
         let server = {
             let app = Arc::clone(&app);
             let shutdown = shutdown.clone();
-            std::thread::spawn(move || serve_with_shutdown(app, listener, shutdown))
+            std::thread::spawn(move || serve(app, listener, shutdown))
         };
         let mut stream = TcpStream::connect(addr).unwrap();
         write!(stream, "GET /api/meta HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
@@ -2126,7 +1735,7 @@ mod tests {
         let server = {
             let app = Arc::clone(&app);
             let shutdown = shutdown.clone();
-            std::thread::spawn(move || serve_with_shutdown(app, listener, shutdown))
+            std::thread::spawn(move || serve(app, listener, shutdown))
         };
         let mut stream = TcpStream::connect(addr).unwrap();
         write!(
@@ -2341,7 +1950,7 @@ mod tests {
         let server = {
             let app = Arc::clone(&app);
             let shutdown = shutdown.clone();
-            std::thread::spawn(move || serve_with_shutdown(app, listener, shutdown))
+            std::thread::spawn(move || serve(app, listener, shutdown))
         };
         let mut stream = TcpStream::connect(addr).unwrap();
         write!(
@@ -2379,7 +1988,7 @@ mod tests {
         let server = {
             let app = Arc::clone(&app);
             let shutdown = shutdown.clone();
-            std::thread::spawn(move || serve_with_shutdown(app, listener, shutdown))
+            std::thread::spawn(move || serve(app, listener, shutdown))
         };
         let chunked = "Transfer-Encoding: chunked\r\n";
         for length in ["", "Content-Length: 7\r\n"] {

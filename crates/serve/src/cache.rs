@@ -8,8 +8,9 @@
 //!   entry: the one a full cache evicts. It holds at most `capacity`
 //!   entries.
 //! * **No expiry** — an entry leaves only by eviction. The serving layer's
-//!   keys end in the traffic epoch and a lane result is a pure function
-//!   of its key, so an entry can be unreachable but never stale.
+//!   keys end in the traffic snapshot's publication number and a lane
+//!   result is a pure function of its key, so an entry can be unreachable
+//!   but never stale.
 //! * **Counters** — hits, misses, evictions and a live-entry gauge come
 //!   from [`CacheMetrics`]; detached metrics make all of it free.
 

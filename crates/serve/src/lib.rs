@@ -27,8 +27,6 @@
 //!   request frees its workers within one budget-check interval and the
 //!   client gets whatever routes finished (a truncated `200`) instead of
 //!   a full-cost late response.
-//! * [`ShutdownHandle`] — cooperative shutdown for accept loops, so
-//!   servers drain in-flight work and tests do not leak threads.
 //! * [`ServeMetrics`] — queue depth, shed/timeout counters, cache
 //!   hit/miss/eviction counters and per-stage latency histograms,
 //!   all through `arp-obs` and exported by the demo's `/api/metrics`.
@@ -55,7 +53,6 @@ mod fault;
 mod metrics;
 mod pool;
 mod service;
-mod shutdown;
 
 pub use admission::{adaptive_retry_after, Admission, Deadline, Permit};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
@@ -67,4 +64,3 @@ pub use service::{
     HealthReport, HealthVerdict, LaneHealth, LaneOutcome, LaneStatus, RouteBackend, RouteService,
     ServeConfig, ServeError,
 };
-pub use shutdown::ShutdownHandle;

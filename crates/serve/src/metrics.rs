@@ -22,9 +22,10 @@
 //!   [`crate::RouteBackend::inline_late_lanes`]),
 //! * `arp_serve_cache_{hits,misses,evictions}_total`,
 //!   `arp_serve_cache_entries` — route-cache behaviour,
-//! * `arp_serve_cache_epoch_invalidations_total` — cached routes
-//!   logically invalidated by a traffic-epoch bump (lazily aged out of
-//!   the LRU, never swept),
+//! * `arp_serve_cache_epoch_invalidations_total` — live cache entries
+//!   summed over traffic-epoch bumps (each bump adds every live entry,
+//!   already unreachable ones included; lazily aged out of the LRU,
+//!   never swept),
 //! * `arp_serve_stage_latency_ms{stage}` — per-stage latency histograms
 //!   (`admit`, `cache_probe`, `prepare`, `compute`, `assemble`; the
 //!   `prepare` stage is the shared-substrate build, see
@@ -55,11 +56,14 @@ pub struct CacheMetrics {
     /// Current number of live entries.
     pub entries: Gauge,
     /// Entries invalidated by a traffic-epoch bump: every cached route
-    /// keyed under an older epoch becomes unreachable the moment the tick
-    /// lands (the backend folds the epoch into the lane key), so this
-    /// counts logical invalidations — the entries themselves age out
-    /// through the ordinary LRU eviction, which keeps a tick O(1)
-    /// instead of a full-cache sweep.
+    /// keyed under an older publication becomes unreachable the moment the
+    /// tick lands (the backend ends the lane key in the snapshot's
+    /// publication number), so this counts logical invalidations — the
+    /// entries themselves age out through the ordinary LRU eviction, which
+    /// keeps a tick O(1) instead of a full-cache sweep. Each bump adds
+    /// every live entry, including entries an earlier bump already made
+    /// unreachable, so the sum over several bumps can exceed the number
+    /// of results ever cached.
     pub epoch_invalidations: Counter,
 }
 
@@ -89,7 +93,7 @@ impl CacheMetrics {
             ),
             epoch_invalidations: registry.counter(
                 "arp_serve_cache_epoch_invalidations_total",
-                "Cached routes logically invalidated by a traffic-epoch bump (aged out lazily, not swept).",
+                "Live route-cache entries summed over traffic-epoch bumps, entries an earlier bump made unreachable included (aged out lazily, not swept).",
                 &[],
             ),
         }

@@ -1072,12 +1072,13 @@ impl<B: RouteBackend> RouteService<B> {
     }
 
     /// Records a traffic-epoch bump against the route cache: every entry
-    /// currently held was keyed under an older epoch (the backend folds
-    /// the epoch into the lane key), so all of them just became logically
-    /// unreachable. The entries themselves age out through the ordinary
-    /// LRU eviction — this only advances
+    /// currently held was keyed under an older publication (the backend
+    /// ends the lane key in the snapshot's publication number), so all of
+    /// them just became logically unreachable. The entries themselves age
+    /// out through the ordinary LRU eviction — this only advances
     /// `arp_serve_cache_epoch_invalidations_total` by the live entry
-    /// count, keeping the tick O(1) instead of a full-cache sweep.
+    /// count, keeping the tick O(1) instead of a full-cache sweep. Entries
+    /// an earlier bump already made unreachable are counted again.
     pub fn note_epoch_invalidations(&self) {
         let live = self.metrics.cache.entries.get();
         if live > 0 {

@@ -238,9 +238,8 @@ impl TrafficState {
     }
 
     /// Forces a checkpoint of the current state: a new journal
-    /// generation opening with it. The graceful-shutdown drain hook calls
-    /// this so a clean restart replays the checkpoint alone. Returns
-    /// `Ok(false)` on a non-durable state.
+    /// generation opening with it, so a restart after it replays the
+    /// checkpoint alone. Returns `Ok(false)` on a non-durable state.
     pub fn flush_snapshot(&self) -> Result<bool, TrafficError> {
         let Some(durability) = &self.durability else {
             return Ok(false);

@@ -529,19 +529,7 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
         std::process::exit(1);
     });
     println!("{name} demo at http://127.0.0.1:{port}/");
-    // A final checkpoint on drain makes the *next* startup's recovery
-    // replay that checkpoint alone, no deltas after it. No-op (returns
-    // false) when the state is not durable.
-    let shutdown = arp_serve::ShutdownHandle::new();
-    {
-        let app = std::sync::Arc::clone(&app);
-        shutdown.on_drain(move || match app.processor.traffic().flush_snapshot() {
-            Ok(true) => println!("final traffic snapshot flushed"),
-            Ok(false) => {}
-            Err(e) => eprintln!("final traffic snapshot failed: {e}"),
-        });
-    }
-    serve_with_shutdown(app, listener, shutdown).unwrap();
+    serve(app, listener, ShutdownHandle::new()).unwrap();
     ExitCode::SUCCESS
 }
 
