@@ -9,8 +9,8 @@
 //! * [`blind`] — the paper's fixed A–D labels: lane `i` is the approach
 //!   `ProviderKind::ALL[i]` under `LABELS[i]`, unblinded server-side only,
 //! * [`index`] — the epoch-customizable CH index tier: a per-city
-//!   topology customized per traffic epoch in the background, handed
-//!   out on an exact-epoch match only (no request reads it),
+//!   topology customized for the current traffic epoch when a caller
+//!   asks, handed out on an exact-epoch match only (no request reads it),
 //! * [`store`] — the feedback form's in-memory response store (ratings,
 //!   residency, comments), exported as CSV,
 //! * [`server`] — the JSON API and the interactive map page ([`html`]) as
@@ -30,7 +30,7 @@
 //! let city = arp_citygen::generate(City::Melbourne, Scale::Medium, 42);
 //! let app = Arc::new(DemoApp::new(QueryProcessor::new(city.name.clone(), city.network, 42)));
 //! let listener = TcpListener::bind("127.0.0.1:8080").unwrap();
-//! arp_demo::serve(app, listener, ShutdownHandle::new()).unwrap();
+//! arp_demo::serve(app, listener, ShutdownHandle::new());
 //! ```
 
 pub mod backend;

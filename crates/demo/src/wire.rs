@@ -7,8 +7,9 @@
 //! a request past a bound is answered without being read to its end.
 //! [`serve`] hands each accepted connection to a reused handler thread
 //! (at most [`MAX_CONNECTIONS`], each retired after 10 s idle),
-//! answers `503` beyond the cap on the accept thread, and returns once a
-//! [`ShutdownHandle`] asks it to, after draining in-flight connections.
+//! answers `503` beyond the cap on the accept thread, retries a failed
+//! accept after a back-off, and returns once a [`ShutdownHandle`] asks it
+//! to, after draining in-flight connections.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, IoSlice, Read, Write};
@@ -43,6 +44,14 @@ pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// reset can reach a peer still writing its request before it reads the
 /// refusal.
 const LINGER: Duration = Duration::from_millis(250);
+
+/// The accept loop's first wait after a failed accept (out of file
+/// descriptors, say); it doubles on each failure in a row up to
+/// [`ACCEPT_BACKOFF_MAX`], and resets on the next successful accept.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(5);
+
+/// The longest wait between two accept attempts.
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
 /// Longest request line or header line `read_request` buffers; a longer
 /// one is answered `431` with the rest of it left unread.
@@ -225,6 +234,25 @@ impl Conn for TcpStream {
     }
 }
 
+/// What the accept loop needs of its listener. `TcpListener` is the one
+/// served; tests wrap it to make accepts fail.
+pub(crate) trait Listener {
+    /// Waits for the next connection.
+    fn accept(&self) -> std::io::Result<TcpStream>;
+    /// The address the listener is bound to.
+    fn local_addr(&self) -> std::io::Result<SocketAddr>;
+}
+
+impl Listener for TcpListener {
+    fn accept(&self) -> std::io::Result<TcpStream> {
+        TcpListener::accept(self).map(|(stream, _)| stream)
+    }
+
+    fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        TcpListener::local_addr(self)
+    }
+}
+
 /// Serves the one request of an accepted connection; the caller closes
 /// it. Every read and write is bounded by `io_timeout`, so a peer that
 /// goes silent hands its handler thread back instead of holding a
@@ -302,14 +330,13 @@ impl ShutdownHandle {
 /// to an idle handler thread and spawns a new one only when every handler
 /// is busy, so at most [`MAX_CONNECTIONS`] handler threads exist; a
 /// handler idle for the I/O timeout retires. Connections beyond the cap
-/// are answered `503` with `Retry-After` on the accept thread. On
-/// shutdown the loop stops accepting, drains in-flight connections (for
-/// at most 5 s) and releases every idle handler before returning.
-pub fn serve(
-    app: Arc<DemoApp>,
-    listener: TcpListener,
-    shutdown: ShutdownHandle,
-) -> std::io::Result<()> {
+/// are answered `503` with `Retry-After` on the accept thread. A failed
+/// accept or handler spawn is logged to stderr and does not end the loop:
+/// an accept is retried after a back-off (5 ms, doubling to 1 s), and a
+/// connection no handler could be spawned for is closed. On shutdown the
+/// loop stops accepting, drains in-flight connections (for at most 5 s)
+/// and releases every idle handler before returning.
+pub fn serve(app: Arc<DemoApp>, listener: TcpListener, shutdown: ShutdownHandle) {
     serve_connections(app, listener, shutdown, IO_TIMEOUT)
 }
 
@@ -373,6 +400,15 @@ impl Handoff {
         state.threads += 1;
         self.threads_gauge.set(state.threads as i64);
         Some(stream)
+    }
+
+    /// Gives back the slot and the thread `offer` counted for a handler
+    /// that could not be spawned; its connection was dropped.
+    fn unspawned(&self) {
+        let mut state = self.lock();
+        self.active.fetch_sub(1, Ordering::AcqRel);
+        state.threads -= 1;
+        self.threads_gauge.set(state.threads as i64);
     }
 
     /// Called by a handler with the connection it is done with: gives its
@@ -446,16 +482,26 @@ impl Handoff {
 /// timeout) passed in, so tests need not wait out [`IO_TIMEOUT`].
 pub(crate) fn serve_connections(
     app: Arc<DemoApp>,
-    listener: TcpListener,
+    listener: impl Listener,
     shutdown: ShutdownHandle,
     io_timeout: Duration,
-) -> std::io::Result<()> {
+) {
     if let Ok(addr) = listener.local_addr() {
         shutdown.register_listener(addr);
     }
     let handoff = Arc::new(Handoff::new(app.processor.registry()));
+    let mut backoff = ACCEPT_BACKOFF_MIN;
     while !shutdown.is_shutdown() {
-        let mut stream = listener.accept()?.0;
+        let mut stream = match listener.accept() {
+            Ok(stream) => stream,
+            Err(e) => {
+                eprintln!("accept failed: {e}; retrying in {backoff:?}");
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+                continue;
+            }
+        };
+        backoff = ACCEPT_BACKOFF_MIN;
         // The wake-up connection of `request_shutdown`.
         if shutdown.is_shutdown() {
             break;
@@ -470,17 +516,21 @@ pub(crate) fn serve_connections(
             continue;
         };
         let app = Arc::clone(&app);
-        let handoff = Arc::clone(&handoff);
-        std::thread::spawn(move || {
+        let handler_handoff = Arc::clone(&handoff);
+        let spawned = std::thread::Builder::new().spawn(move || {
             let mut next = Some(stream);
             while let Some(mut stream) = next {
                 handle_connection(&app, &mut stream, io_timeout);
-                next = handoff.next(stream, io_timeout);
+                next = handler_handoff.next(stream, io_timeout);
             }
         });
+        // A failed spawn drops the closure, and with it the connection.
+        if let Err(e) = spawned {
+            eprintln!("handler spawn failed: {e}; connection dropped");
+            handoff.unspawned();
+        }
     }
     handoff.close(Duration::from_secs(5));
-    Ok(())
 }
 
 #[cfg(test)]
@@ -635,11 +685,70 @@ mod tests {
         shutdown.request_shutdown();
         let (returned, stopped) = mpsc::channel();
         let app = Arc::new(app());
-        let server = std::thread::spawn(move || returned.send(serve(app, listener, shutdown)));
-        let outcome = stopped
+        let server = std::thread::spawn(move || {
+            serve(app, listener, shutdown);
+            returned.send(())
+        });
+        stopped
             .recv_timeout(Duration::from_secs(5))
             .expect("serve returns without a client connecting");
-        outcome.unwrap();
+        server.join().unwrap().unwrap();
+    }
+
+    /// A listener whose first accepts fail with `EMFILE`, as when the
+    /// process is out of file descriptors.
+    struct ExhaustedListener {
+        inner: TcpListener,
+        failures_left: std::cell::Cell<u32>,
+    }
+
+    impl Listener for ExhaustedListener {
+        fn accept(&self) -> std::io::Result<TcpStream> {
+            let left = self.failures_left.get();
+            if left > 0 {
+                self.failures_left.set(left - 1);
+                return Err(std::io::Error::from_raw_os_error(24));
+            }
+            self.inner.accept().map(|(stream, _)| stream)
+        }
+
+        fn local_addr(&self) -> std::io::Result<SocketAddr> {
+            self.inner.local_addr()
+        }
+    }
+
+    /// A failed accept is retried, not returned: the loop serves the
+    /// request behind three failures and still stops on shutdown.
+    #[test]
+    fn failed_accepts_are_retried_until_shutdown() {
+        let inner = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = inner.local_addr().unwrap();
+        let listener = ExhaustedListener {
+            inner,
+            failures_left: std::cell::Cell::new(3),
+        };
+        let shutdown = ShutdownHandle::new();
+        let (returned, stopped) = mpsc::channel();
+        let app = Arc::new(app());
+        let server = {
+            let shutdown = shutdown.clone();
+            std::thread::spawn(move || {
+                serve_connections(app, listener, shutdown, IO_TIMEOUT);
+                returned.send(())
+            })
+        };
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(b"GET /api/health HTTP/1.1\r\nHost: localhost\r\n\r\n")
+            .unwrap();
+        let mut answer = String::new();
+        stream.read_to_string(&mut answer).unwrap();
+        assert!(answer.starts_with("HTTP/1.1 200 OK"), "{answer}");
+
+        shutdown.request_shutdown();
+        stopped
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the loop stops on shutdown");
         server.join().unwrap().unwrap();
     }
 

@@ -22,10 +22,6 @@
 //!   [`crate::RouteBackend::inline_late_lanes`]),
 //! * `arp_serve_cache_{hits,misses,evictions}_total`,
 //!   `arp_serve_cache_entries` — route-cache behaviour,
-//! * `arp_serve_cache_epoch_invalidations_total` — live cache entries
-//!   summed over traffic-epoch bumps (each bump adds every live entry,
-//!   already unreachable ones included; lazily aged out of the LRU,
-//!   never swept),
 //! * `arp_serve_stage_latency_ms{stage}` — per-stage latency histograms
 //!   (`admit`, `cache_probe`, `prepare`, `compute`, `assemble`; the
 //!   `prepare` stage is the shared-substrate build, see
@@ -55,16 +51,6 @@ pub struct CacheMetrics {
     pub evictions: Counter,
     /// Current number of live entries.
     pub entries: Gauge,
-    /// Entries invalidated by a traffic-epoch bump: every cached route
-    /// keyed under an older publication becomes unreachable the moment the
-    /// tick lands (the backend ends the lane key in the snapshot's
-    /// publication number), so this counts logical invalidations — the
-    /// entries themselves age out through the ordinary LRU eviction, which
-    /// keeps a tick O(1) instead of a full-cache sweep. Each bump adds
-    /// every live entry, including entries an earlier bump already made
-    /// unreachable, so the sum over several bumps can exceed the number
-    /// of results ever cached.
-    pub epoch_invalidations: Counter,
 }
 
 impl CacheMetrics {
@@ -86,16 +72,7 @@ impl CacheMetrics {
                 "Route-cache entries evicted by the LRU policy.",
                 &[],
             ),
-            entries: registry.gauge(
-                "arp_serve_cache_entries",
-                "Live route-cache entries.",
-                &[],
-            ),
-            epoch_invalidations: registry.counter(
-                "arp_serve_cache_epoch_invalidations_total",
-                "Live route-cache entries summed over traffic-epoch bumps, entries an earlier bump made unreachable included (aged out lazily, not swept).",
-                &[],
-            ),
+            entries: registry.gauge("arp_serve_cache_entries", "Live route-cache entries.", &[]),
         }
     }
 }

@@ -35,5 +35,5 @@ fn main() {
 
     let listener = TcpListener::bind(("127.0.0.1", port)).expect("bind demo port");
     println!("Demo running at http://127.0.0.1:{port}/  (Ctrl-C to stop)");
-    serve(app, listener, ShutdownHandle::new()).expect("serve");
+    serve(app, listener, ShutdownHandle::new());
 }

@@ -27,6 +27,7 @@ use std::sync::Arc;
 
 use alt_route_planner::prelude::*;
 use arp_core::quality::turn_count;
+use arp_demo::query::MATCH_RADIUS_M;
 use arp_roadnet::weight::ms_to_display_minutes;
 
 fn usage() -> ! {
@@ -220,14 +221,14 @@ fn cmd_route(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
     let (name, net) = load_network(net_arg, flags);
     let index = SpatialIndex::build(&net);
     let s = index
-        .nearest_node_within(&net, parse_point(from), 3_000.0)
+        .nearest_node_within(&net, parse_point(from), MATCH_RADIUS_M)
         .map(|(n, _)| n)
         .unwrap_or_else(|| {
             eprintln!("--from is not near any road of {name}");
             std::process::exit(1);
         });
     let t = index
-        .nearest_node_within(&net, parse_point(to), 3_000.0)
+        .nearest_node_within(&net, parse_point(to), MATCH_RADIUS_M)
         .map(|(n, _)| n)
         .unwrap_or_else(|| {
             eprintln!("--to is not near any road of {name}");
@@ -513,13 +514,10 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
         std::thread::spawn(move || loop {
             std::thread::sleep(std::time::Duration::from_millis(tick_ms as u64));
             match app.processor.traffic().advance_tick(&feed) {
-                Ok(outcome) => {
-                    app.service().note_epoch_invalidations();
-                    println!(
-                        "traffic tick → epoch {}, {} ops applied, {} expired, {} closures",
-                        outcome.epoch, outcome.applied, outcome.expired, outcome.closures_active
-                    );
-                }
+                Ok(outcome) => println!(
+                    "traffic tick → epoch {}, {} ops applied, {} expired, {} closures",
+                    outcome.epoch, outcome.applied, outcome.expired, outcome.closures_active
+                ),
                 Err(e) => eprintln!("traffic tick failed: {e}"),
             }
         });
@@ -529,7 +527,7 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
         std::process::exit(1);
     });
     println!("{name} demo at http://127.0.0.1:{port}/");
-    serve(app, listener, ShutdownHandle::new()).unwrap();
+    serve(app, listener, ShutdownHandle::new());
     ExitCode::SUCCESS
 }
 
