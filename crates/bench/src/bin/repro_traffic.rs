@@ -9,17 +9,24 @@
 //!   first-ranked route of at least one technique (the paper's
 //!   data-divergence mechanism, §4.2, now happening *live*),
 //! * **cache-hit decay and recovery** — every tick logically invalidates
-//!   the whole route cache (each lane key ends in the publication number
-//!   of the snapshot its request pinned), so the first pass after a tick
-//!   misses and the second pass must hit again: epoch-scoped
-//!   invalidation, not a cache flush.
+//!   the three pair readers' cached lanes (their keys end in the
+//!   publication number of the snapshot their request pinned), so the
+//!   first pass after a tick misses them and the second pass must hit
+//!   again: epoch-scoped invalidation, not a cache flush. Google-like's
+//!   key names no column: its cached lane is carried — re-priced, not
+//!   recomputed — when the tick changed no closure its searches could
+//!   have read.
 //!
-//! The run *asserts* both halves (the first pass after every tick hits no
-//! lane, the second hits all four) rather than just reporting them, and
-//! counts the first passes' misses. Report lands in
-//! `reports/traffic.txt`; every column is a function of the feed and the
-//! queries, so it regenerates byte-identically (CI diffs it). Latency
-//! under churn is the benchmark's `rush-hour` workload.
+//! The run *asserts* all of it rather than just reporting it: on the
+//! first pass after every tick the pair readers hit nothing, every hit
+//! is a carried Google-like lane, and every response equals the serial
+//! stages (`DemoBackend::compute` + `assemble`) on the same pinned
+//! snapshot; the second pass hits all four lanes of every query that did
+//! not fail on it. It counts the first passes' misses and carried lanes.
+//! Report lands in `reports/traffic.txt`; every column is a function of
+//! the feed and the queries, so it regenerates byte-identically (CI diffs
+//! it, and requires carried lanes and no difference). Latency under churn
+//! is the benchmark's `rush-hour` workload.
 //!
 //! ```sh
 //! cargo run --release -p arp-bench --bin repro_traffic
@@ -30,14 +37,28 @@ use std::sync::Arc;
 
 use arp_citygen::Scale;
 use arp_demo::backend::DemoBackend;
-use arp_demo::query::{QueryProcessor, SnappedQuery};
-use arp_serve::{RouteService, ServeConfig};
+use arp_demo::query::{QueryProcessor, QueryResponse, SnappedQuery};
+use arp_serve::{CancelToken, Deadline, RouteBackend, RouteService, ServeConfig};
 use arp_traffic::{CityProfile, TrafficFeed};
 
 /// Distinct queries replayed each tick.
 const DISTINCT: usize = 10;
 /// Ticks of the feed's day (one epoch each).
 const TICKS: u64 = 24;
+
+/// Everything a response is rendered from, plus its routes' exact costs
+/// and edges.
+fn fingerprint(response: &QueryResponse) -> String {
+    let approaches: Vec<_> = response
+        .approaches
+        .iter()
+        .map(|a| (a.label, &a.routes))
+        .collect();
+    format!(
+        "{} {} {} {} {approaches:?}",
+        response.epoch, response.fastest_minutes, response.truncated, response.degraded
+    )
+}
 
 fn main() {
     let city = arp_bench::generate_city(arp_citygen::City::Melbourne, Scale::Small);
@@ -50,6 +71,7 @@ fn main() {
         ServeConfig::default(),
         &registry,
     );
+    let serial = DemoBackend::new(Arc::clone(&processor));
     let queries: Vec<SnappedQuery> = pairs
         .iter()
         .map(|&(s, t, _)| SnappedQuery {
@@ -61,6 +83,10 @@ fn main() {
     let feed = TrafficFeed::new(arp_bench::MASTER_SEED, CityProfile::for_city_name(&name));
     let hits = || registry.counter_value("arp_serve_cache_hits_total", &[]);
     let misses = || registry.counter_value("arp_serve_cache_misses_total", &[]);
+    let carried = || {
+        let labels = [("technique", "google_like")];
+        registry.counter_value("arp_serve_cache_carried_total", &labels)
+    };
 
     let mut report = String::new();
     let _ = writeln!(
@@ -86,6 +112,8 @@ fn main() {
     let mut total_flips = 0usize;
     let mut flip_opportunities = 0usize;
     let mut first_pass_misses = 0u64;
+    let mut first_pass_carried = 0u64;
+    let mut differences = 0usize;
 
     for tick in 0..TICKS {
         let outcome = processor
@@ -95,26 +123,39 @@ fn main() {
 
         let (h0, m0) = (hits(), misses());
         let mut flipped = 0usize;
-        let mut failed = 0usize;
+        // Per pass: a query that fails on both is one failure of each.
+        let mut failed = [0usize; 2];
         // Two passes: the first re-populates the cache under the new
         // epoch, the second must be served from it.
         for pass in 0..2 {
-            let (hits_before_pass, misses_before_pass) = (hits(), misses());
+            let (hits_before_pass, misses_before_pass, carried_before_pass) =
+                (hits(), misses(), carried());
             for (qi, &snapped) in queries.iter().enumerate() {
-                let resp = match service.route(processor.prepare_query(snapped)) {
+                let pinned = processor.prepare_query(snapped);
+                let resp = match service.route(pinned.clone()) {
                     Ok(resp) => resp,
                     Err(_) => {
                         // An incident closure can (rarely) disconnect a
                         // pair; the service degrades it to an error
                         // response, which is itself the designed
                         // behaviour — count it and move on.
-                        failed += 1;
+                        failed[pass] += 1;
                         continue;
                     }
                 };
                 assert_eq!(resp.epoch, outcome.epoch, "response pinned a stale epoch");
                 if pass == 1 {
                     continue; // flips are judged once per tick
+                }
+                // The serial stages on the same pinned snapshot: what a
+                // carried lane must equal.
+                let prepared = serial.prepare(pinned, &CancelToken::new(), &Deadline::never());
+                let parts = (0..serial.lanes())
+                    .map(|lane| serial.compute(&prepared, lane).expect("a healthy lane"))
+                    .collect();
+                let reference = serial.assemble(&prepared, parts);
+                if fingerprint(&resp) != fingerprint(&reference) {
+                    differences += 1;
                 }
                 let mut any_flip = false;
                 for (ai, approach) in resp.approaches.iter().enumerate() {
@@ -136,16 +177,22 @@ fn main() {
             }
             let pass_hits = hits() - hits_before_pass;
             if pass == 0 {
-                // The invalidation assertion: the bump moved every lane
-                // key to the new publication, so nothing cached before it
-                // answers.
-                assert_eq!(pass_hits, 0, "tick {tick}: first pass hit a pre-bump entry");
+                // The invalidation assertion: the bump moved every pair
+                // reader's key to the new publication, so none of them
+                // hits, and a Google-like lane cached before it answers
+                // only carried across the bump.
+                let pass_carried = carried() - carried_before_pass;
+                assert_eq!(
+                    pass_hits, pass_carried,
+                    "tick {tick}: first pass hit a pre-bump entry it did not carry"
+                );
                 first_pass_misses += misses() - misses_before_pass;
+                first_pass_carried += pass_carried;
             } else {
                 // The recovery assertion: the first pass repopulated, so
-                // the second pass of every non-failing query hits all
-                // four lanes.
-                let expected = (queries.len() - failed.min(queries.len())) as u64 * 4;
+                // the second pass of every query that did not fail on it
+                // hits all four lanes.
+                let expected = (queries.len() - failed[1]) as u64 * 4;
                 assert!(
                     pass_hits >= expected,
                     "tick {tick}: second pass hit {pass_hits} lanes, expected >= {expected} \
@@ -169,7 +216,7 @@ fn main() {
             outcome.applied,
             outcome.closures_active,
             flipped,
-            failed,
+            failed[0] + failed[1],
             hit_rate * 100.0,
         );
     }
@@ -177,17 +224,25 @@ fn main() {
     let _ = writeln!(
         report,
         "\nday summary: {} requests, {} route-flip ticks / {} query-ticks observed, \
-         {} lane lookups missed on the first pass after a tick",
+         {} lane lookups missed and {} Google-like lanes carried on the first pass after a tick, \
+         {} first-pass responses differ from the serial stages",
         TICKS as usize * 2 * DISTINCT,
         total_flips,
         flip_opportunities / 4,
         first_pass_misses,
+        first_pass_carried,
+        differences,
     );
     let _ = writeln!(
         report,
         "\nproperties checked: every response re-pinned the tick's epoch exactly; \
-         after every tick the second pass was served from the epoch-keyed cache \
-         (invalidation is epoch-scoped; older epochs' entries age out of the exact LRU)."
+         on the first pass after every tick no pair reader hit and every hit was a carried \
+         Google-like lane, equal to the serial stages; the second pass was served from the \
+         cache (invalidation is epoch-scoped; older epochs' entries age out of the exact LRU)."
+    );
+    assert_eq!(
+        differences, 0,
+        "a served response differs from the serial stages"
     );
     assert!(
         total_flips > 0,

@@ -18,7 +18,8 @@
 //!   [`WithinBound`] (the landmark-pruned forward tree, its bound known
 //!   in advance) with the backward [`InsideEllipse`], which together grow
 //!   a request's tree pair no further than its stretch bound, [`Logged`],
-//!   which records any rule's settle order, and the meeting rule of the
+//!   which records any rule's settle order, [`Recorded`], which records
+//!   the map cells any rule's search read, and the meeting rule of the
 //!   bidirectional upward search, which stops once `min(kf, kb)` reaches
 //!   the best meeting).
 //!
@@ -47,6 +48,7 @@ use crate::budget::{SearchBudget, CHECK_INTERVAL};
 use crate::error::CoreError;
 use crate::metrics::SearchStats;
 use crate::query::AltQuery;
+use crate::reads::CellSet;
 use crate::scratch::{Pool, Scratch};
 
 /// The arcs a search may leave a vertex by, and their costs.
@@ -375,6 +377,31 @@ impl<R: Rule> Rule for Logged<'_, R> {
     #[inline]
     fn settled(&mut self, v: u32, d: Cost) -> bool {
         self.order.push(NodeId(v));
+        self.rule.settled(v, d)
+    }
+    #[inline]
+    fn admits(&self, v: u32, d: Cost) -> bool {
+        self.rule.admits(v, d)
+    }
+    #[inline]
+    fn improved(&mut self, v: u32, d: Cost) {
+        self.rule.improved(v, d)
+    }
+}
+
+/// `rule`, with the map cell of every vertex it settles added to `read`
+/// (`cells[v]` is the cell of `v`): the search reads the arcs of each
+/// one, and no others ([`crate::reads`]).
+pub(crate) struct Recorded<'a, R> {
+    pub(crate) rule: R,
+    pub(crate) cells: &'a [u16],
+    pub(crate) read: &'a mut CellSet,
+}
+
+impl<R: Rule> Rule for Recorded<'_, R> {
+    #[inline]
+    fn settled(&mut self, v: u32, d: Cost) -> bool {
+        self.read.insert(self.cells[v as usize]);
         self.rule.settled(v, d)
     }
     #[inline]

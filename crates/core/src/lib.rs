@@ -79,6 +79,7 @@ pub mod plateau;
 pub mod provider;
 pub mod quality;
 pub mod query;
+pub mod reads;
 mod scratch;
 pub mod search;
 pub mod similarity;
@@ -107,6 +108,7 @@ pub use provider::{
     TrafficModel,
 };
 pub use query::{AltQuery, Route};
+pub use reads::{CellMap, CellSet, ReadCells};
 pub use search::{shortest_path, Direction, SearchSpace, ShortestPathTree};
 pub use substrate::{SearchSubstrate, Trip};
 pub use turns::{turn_aware_shortest_path, TurnModel};

@@ -77,7 +77,7 @@ impl Path {
 
     /// Total cost under a different weight overlay.
     pub fn cost_under(&self, weights: &[Weight]) -> Cost {
-        self.edges.iter().map(|e| weights[e.index()] as Cost).sum()
+        cost_of(&self.edges, weights)
     }
 
     /// Total geometric length in metres.
@@ -112,6 +112,13 @@ impl Path {
     pub fn key(&self) -> Vec<u32> {
         self.edges.iter().map(|e| e.0).collect()
     }
+}
+
+/// Total cost of the edge sequence `edges` under `weights` — what
+/// [`Path::cost_under`] and so [`crate::Route::new`] price a route at,
+/// for a caller that kept only its edges.
+pub fn cost_of(edges: &[EdgeId], weights: &[Weight]) -> Cost {
+    edges.iter().map(|e| weights[e.index()] as Cost).sum()
 }
 
 #[cfg(test)]

@@ -28,6 +28,7 @@ use crate::kernel::ClosedWhere;
 use crate::landmarks::Landmarks;
 use crate::metrics::TechniqueMetrics;
 use crate::plateau::{plateau_alternatives_from_trees, PlateauOptions};
+use crate::reads::{CellMap, ReadCells};
 use crate::substrate::{SearchSubstrate, Trip};
 
 use super::{lane_workspace, observed_call, AlternativesProvider, ProviderKind, ProviderOutcome};
@@ -162,6 +163,8 @@ pub struct GoogleLikeProvider {
     plateau_options: PlateauOptions,
     /// Commercial post-filters (§4.2 limitation #4).
     filters: FilterConfig,
+    /// The grid cell of every vertex: what a call records as read.
+    cells: Arc<CellMap>,
     /// Per-technique metrics (label `technique="google_like"`).
     metrics: TechniqueMetrics,
 }
@@ -190,6 +193,7 @@ impl GoogleLikeProvider {
                 min_plateau_fraction: 0.01,
             },
             filters: FilterConfig::commercial(),
+            cells: Arc::new(CellMap::new(net)),
             metrics: TechniqueMetrics::new(registry, ProviderKind::GoogleLike.slug()),
         }
     }
@@ -217,11 +221,30 @@ impl AlternativesProvider for GoogleLikeProvider {
         net: &RoadNetwork,
         public_weights: &[Weight],
         trip: &Trip,
-        _pair: Option<&SearchSubstrate>,
+        pair: Option<&SearchSubstrate>,
         budget: &SearchBudget,
     ) -> Result<ProviderOutcome, CoreError> {
+        self.answer_reading(net, public_weights, trip, pair, budget)
+            .0
+    }
+
+    /// Every search of a call — the private pair's A\* probe and trees,
+    /// the filters' window probes — runs in one workspace that records
+    /// the cells it settles. Those searches read `public_weights` only
+    /// for closures, edge by edge as they settle an endpoint; Plateaus
+    /// reads the pair's labels and the comfort ranking private costs, so
+    /// the cells bound everything the routes depend on.
+    fn answer_reading(
+        &self,
+        net: &RoadNetwork,
+        public_weights: &[Weight],
+        trip: &Trip,
+        _pair: Option<&SearchSubstrate>,
+        budget: &SearchBudget,
+    ) -> (Result<ProviderOutcome, CoreError>, Option<ReadCells>) {
         let (s, t, query) = (trip.source, trip.target, &trip.query);
-        observed_call(&self.metrics, public_weights, |funnel| {
+        let mut reads = None;
+        let answer = observed_call(&self.metrics, public_weights, |funnel| {
             if self.private_weights.len() != net.num_edges() {
                 return Err(CoreError::WeightLengthMismatch {
                     expected: net.num_edges(),
@@ -249,6 +272,7 @@ impl AlternativesProvider for GoogleLikeProvider {
             // yields what it had proven (the private optimum once the
             // forward tree is complete) as the call's partial.
             let mut ws = lane_workspace(&self.metrics, net, budget);
+            ws.record_reads(&self.cells);
             let landmarks = &self.landmarks;
             let own =
                 match SearchSubstrate::build_under(&mut ws, net, private, landmarks, s, t, query) {
@@ -257,7 +281,13 @@ impl AlternativesProvider for GoogleLikeProvider {
                         funnel.interrupted = true;
                         return Ok(proven.into_iter().collect());
                     }
-                    Err((e, _)) => return Err(e),
+                    Err((e, _)) => {
+                        // A complete search proved the target unreachable.
+                        if matches!(e, CoreError::Unreachable { .. }) {
+                            reads = ws.take_reads();
+                        }
+                        return Err(e);
+                    }
                 };
             let paths = plateau_alternatives_from_trees(
                 net,
@@ -281,14 +311,18 @@ impl AlternativesProvider for GoogleLikeProvider {
             let filtered =
                 filter_routes(&mut ws, net, private, &own, paths, query.k, &self.filters);
             match filtered {
-                Ok(kept) => Ok(kept),
+                Ok(kept) => {
+                    reads = ws.take_reads();
+                    Ok(kept)
+                }
                 Err((CoreError::Interrupted, unfiltered)) => {
                     funnel.interrupted = true;
                     Ok(unfiltered)
                 }
                 Err((e, _)) => Err(e),
             }
-        })
+        });
+        (answer, reads)
     }
 }
 
@@ -432,6 +466,47 @@ mod tests {
         let count = |name| registry.counter_value(name, labels);
         assert_eq!(count("arp_technique_calls_total"), 1);
         assert_eq!(count("arp_technique_errors_total"), 1);
+    }
+
+    /// A complete call reports the cells its searches read, which cover
+    /// every edge of its routes; an unreachable target proven by a
+    /// complete search reports them too; an interrupted call reports none.
+    #[test]
+    fn a_complete_call_reports_what_it_read() {
+        use arp_roadnet::weight::CLOSED;
+
+        let net = grid(8);
+        let p = GoogleLikeProvider::new(&net, 99);
+        let trip = |t| Trip {
+            source: NodeId(0),
+            target: NodeId(t),
+            query: AltQuery::paper(),
+        };
+        let unlimited = SearchBudget::unlimited();
+        let (answer, reads) = p.answer_reading(&net, net.weights(), &trip(63), None, &unlimited);
+        let reads = reads.expect("a complete call reports its reads");
+        let routes = answer.unwrap().routes();
+        assert!(!routes.is_empty());
+        for route in &routes {
+            assert!(route.path.edges.iter().all(|&e| reads.reads_edge(&net, e)));
+        }
+
+        let mut walled = net.weights().to_vec();
+        for e in net.edges().filter(|&e| net.head(e) == NodeId(63)) {
+            walled[e.index()] = CLOSED;
+        }
+        let (answer, reads) = p.answer_reading(&net, &walled, &trip(63), None, &unlimited);
+        assert!(matches!(answer, Err(CoreError::Unreachable { .. })));
+        assert!(
+            reads.is_some(),
+            "a proven unreachable target reports its reads"
+        );
+
+        let cancelled = SearchBudget::new();
+        cancelled.cancel();
+        let (answer, reads) = p.answer_reading(&net, net.weights(), &trip(63), None, &cancelled);
+        assert!(answer.unwrap().is_interrupted());
+        assert!(reads.is_none());
     }
 
     /// A route whose every window the private pair's labels certify costs

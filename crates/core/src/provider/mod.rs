@@ -24,6 +24,7 @@ use crate::path::Path;
 use crate::penalty::{penalty_alternatives_from_base, PenaltyOptions};
 use crate::plateau::{plateau_alternatives_from_trees, PlateauOptions};
 use crate::query::{AltQuery, Route};
+use crate::reads::ReadCells;
 use crate::search::SearchSpace;
 use crate::substrate::{SearchSubstrate, Trip};
 
@@ -194,6 +195,28 @@ pub trait AlternativesProvider: Send + Sync {
         pair: Option<&SearchSubstrate>,
         budget: &SearchBudget,
     ) -> Result<ProviderOutcome, CoreError>;
+
+    /// [`AlternativesProvider::answer`], with the map cells its searches
+    /// read ([`crate::reads`]) when the provider records them and the
+    /// call ran to its end: a [`ProviderOutcome::Complete`] answer, or a
+    /// [`CoreError::Unreachable`] that a complete search proved. A run
+    /// under another closed-edge set that changes no edge with an
+    /// endpoint in a read cell is the same run, with the same answer.
+    /// An interrupted or failed call reads `None`. The default records
+    /// nothing: only a provider whose answer reads nothing of
+    /// `public_weights` but its closures (the Google-like provider) has
+    /// a read set worth keeping.
+    fn answer_reading(
+        &self,
+        net: &RoadNetwork,
+        public_weights: &[Weight],
+        trip: &Trip,
+        pair: Option<&SearchSubstrate>,
+        budget: &SearchBudget,
+    ) -> (Result<ProviderOutcome, CoreError>, Option<ReadCells>) {
+        let answer = self.answer(net, public_weights, trip, pair, budget);
+        (answer, None)
+    }
 }
 
 /// The pair a pair-reading technique was handed for `trip`, or

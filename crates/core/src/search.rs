@@ -12,6 +12,8 @@
 //! their trees' arrays from pools ([`SearchSpace::pooled`]), so a request
 //! allocates nothing sized by the network and clears only what it labelled.
 
+use std::sync::Arc;
+
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::{EdgeId, NodeId};
 use arp_roadnet::weight::{Cost, Weight, INFINITY};
@@ -24,6 +26,7 @@ use crate::kernel::{
 };
 use crate::metrics::{SearchMetrics, SearchStats};
 use crate::path::Path;
+use crate::reads::{CellMap, ReadCells};
 use crate::scratch::{Loan, Pool, Scratch};
 
 /// Search direction.
@@ -170,6 +173,9 @@ pub struct SearchSpace {
     stats: SearchStats,
     metrics: SearchMetrics,
     budget: SearchBudget,
+    /// What this workspace's queries read, when it records
+    /// ([`SearchSpace::record_reads`]).
+    reads: Option<ReadCells>,
 }
 
 impl SearchSpace {
@@ -181,6 +187,7 @@ impl SearchSpace {
             stats: SearchStats::default(),
             metrics: SearchMetrics::default(),
             budget: SearchBudget::unlimited(),
+            reads: None,
         }
     }
 
@@ -196,6 +203,7 @@ impl SearchSpace {
             stats: SearchStats::default(),
             metrics,
             budget,
+            reads: None,
         }
     }
 
@@ -225,6 +233,19 @@ impl SearchSpace {
         &self.budget
     }
 
+    /// Starts recording the cells of `map` that every later query of this
+    /// workspace reads (`crate::reads`): the cell of each vertex it
+    /// settles.
+    pub(crate) fn record_reads(&mut self, map: &Arc<CellMap>) {
+        self.reads = Some(ReadCells::new(map));
+    }
+
+    /// What the queries since [`SearchSpace::record_reads`] read, ending
+    /// the record.
+    pub(crate) fn take_reads(&mut self) -> Option<ReadCells> {
+        self.reads.take()
+    }
+
     /// Work counters of the most recently completed query.
     pub fn last_stats(&self) -> SearchStats {
         self.stats
@@ -239,7 +260,14 @@ impl SearchSpace {
         rule: R,
     ) -> Result<(), CoreError> {
         let mut poller = Poller::new(&self.budget);
-        let outcome = kernel::search(&mut self.labels, arcs, root.0, rule, &mut poller);
+        let labels = &mut self.labels;
+        let outcome = match &mut self.reads {
+            None => kernel::search(labels, arcs, root.0, rule, &mut poller),
+            Some(reads) => {
+                let rule = reads.recording(rule);
+                kernel::search(labels, arcs, root.0, rule, &mut poller)
+            }
+        };
         self.stats = poller.finish();
         self.metrics.record(&self.stats);
         outcome

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use arp_core::SearchBudget;
-use arp_serve::{CancelToken, Deadline, LaneOutcome, LaneStatus, RouteBackend};
+use arp_serve::{CacheHit, CancelToken, Deadline, LaneOutcome, LaneStatus, RouteBackend};
 
 use crate::query::{ApproachRoutes, PreparedQuery, QueryProcessor, QueryResponse};
 
@@ -85,15 +85,25 @@ impl RouteBackend for DemoBackend {
     }
 
     fn lane_key(&self, request: &PreparedQuery, lane: usize) -> String {
-        // Keyed on the snapped endpoints plus the publication number of the
-        // request's pinned traffic snapshot: a tick moves every key forward,
-        // so stale routes can never be served while the old entries simply
-        // age out. The substrate is derived state and stays out of the key;
-        // the cache probe runs before `prepare` anyway, which is exactly why
-        // the snapshot is pinned at request construction rather than in
-        // `prepare`.
+        // Keyed on the snapped endpoints, plus — for a lane that reads the
+        // public column — the publication number of the request's pinned
+        // traffic snapshot: a tick moves those keys forward and the old
+        // entries simply age out. Google-like's key names no column; its
+        // hits are checked by `reuse`. The substrate is derived state and
+        // stays out of the key; the cache probe runs before `prepare`
+        // anyway, which is exactly why the snapshot is pinned at request
+        // construction rather than in `prepare`.
         self.processor
             .slot_cache_key_at(&request.snapped, lane, request.overlay.publication())
+    }
+
+    fn reuse(
+        &self,
+        request: &PreparedQuery,
+        lane: usize,
+        cached: Arc<ApproachRoutes>,
+    ) -> Option<CacheHit<Arc<ApproachRoutes>>> {
+        self.processor.reuse_slot(request, lane, cached)
     }
 
     fn reads_prepare(&self, lane: usize) -> bool {
@@ -175,6 +185,7 @@ impl RouteBackend for DemoBackend {
                     Arc::new(ApproachRoutes {
                         label: self.processor.slot_label(lane),
                         routes: Vec::new(),
+                        basis: None,
                     })
                 })
             })
@@ -198,16 +209,18 @@ impl RouteBackend for DemoBackend {
         // Root-span identity: the pinned traffic epoch (via the
         // overlay's own hook, so the attribute key stays in one place)
         // and a representative cache key covering city + snapped
-        // endpoints + the snapshot's publication number.
+        // endpoints + the snapshot's publication number — a pair
+        // reader's, whose key names the column.
+        let processor = &self.processor;
+        let lane = (0..processor.technique_slots())
+            .find(|&slot| processor.slot_reads_pair(slot))
+            .expect("a pair-reading technique");
+        let publication = request.overlay.publication();
         vec![
             request.overlay.trace_attr(),
             (
                 "cache_key",
-                self.processor.slot_cache_key_at(
-                    &request.snapped,
-                    0,
-                    request.overlay.publication(),
-                ),
+                processor.slot_cache_key_at(&request.snapped, lane, publication),
             ),
         ]
     }
@@ -500,11 +513,15 @@ mod tests {
     }
 
     /// Every lane of `q`, prepared and computed without a budget, in its
-    /// `Debug` form: every field a response is rendered from.
+    /// `Debug` form: every field a response is rendered from (not the
+    /// basis a cached Google-like lane is checked by).
     fn lanes_of(qp: &QueryProcessor, q: SnappedQuery) -> Vec<String> {
         let request = prepared(qp, q);
         let lane = |slot| qp.compute_slot_prepared(&request, slot, &SearchBudget::unlimited());
-        let lanes = (0..qp.technique_slots()).map(|slot| format!("{:?}", lane(slot).unwrap()));
+        let lanes = (0..qp.technique_slots()).map(|slot| {
+            let (part, interrupted) = lane(slot).unwrap();
+            format!("{} {:?} {interrupted}", part.label, part.routes)
+        });
         lanes.collect()
     }
 

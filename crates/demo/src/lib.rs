@@ -51,7 +51,7 @@ pub use error::DemoError;
 pub use geojson::response_to_geojson;
 pub use index::IndexManager;
 pub use query::{
-    ApproachRoutes, PreparedQuery, QueryProcessor, QueryResponse, RouteInfo, SnappedQuery,
+    ApproachRoutes, Basis, PreparedQuery, QueryProcessor, QueryResponse, RouteInfo, SnappedQuery,
 };
 pub use server::{DemoApp, HttpResponse};
 pub use store::{ResponseStore, Submission};

@@ -9,12 +9,13 @@
 
 use std::sync::Arc;
 
-use arp_core::path::Path;
+use arp_core::path::{cost_of, Path};
 use arp_core::provider::AlternativesProvider;
 use arp_core::query::{AltQuery, Route};
 use arp_core::substrate::{SearchSubstrate, Trip};
 use arp_core::{
-    CoreError, Landmarks, ProviderKind, ProviderOutcome, SearchBudget, SearchMetrics, SearchSpace,
+    CoreError, Landmarks, ProviderKind, ProviderOutcome, ReadCells, SearchBudget, SearchMetrics,
+    SearchSpace,
 };
 use arp_obs::{Counter, Registry};
 use arp_roadnet::csr::RoadNetwork;
@@ -22,7 +23,7 @@ use arp_roadnet::geo::{BoundingBox, Point};
 use arp_roadnet::ids::{EdgeId, NodeId};
 use arp_roadnet::spatial::SpatialIndex;
 use arp_roadnet::weight::ms_to_display_minutes;
-use arp_serve::LaneStatus;
+use arp_serve::{CacheHit, LaneStatus};
 use arp_traffic::{DurabilityConfig, EpochSnapshot, RecoveryReport, TrafficError, TrafficState};
 
 use crate::blind::LABELS;
@@ -64,6 +65,25 @@ pub struct ApproachRoutes {
     pub label: char,
     /// Routes in provider rank order.
     pub routes: Vec<RouteInfo>,
+    /// What the routes were computed and priced under, for a lane whose
+    /// cache key leaves the traffic column out (Google-like); `None` for
+    /// the lanes whose keys name it. Server-side only, never rendered.
+    pub basis: Option<Box<Basis>>,
+}
+
+/// What a Google-like lane's routes were computed and priced under: what
+/// proves that a cached copy still answers a later traffic epoch
+/// ([`QueryProcessor::reuse_slot`], DESIGN.md §8 "Cache key
+/// normalization").
+#[derive(Clone, Debug)]
+pub struct Basis {
+    /// The closed edges the lane's searches ran under, sorted (shared with
+    /// the snapshot that pinned them).
+    pub closed: Arc<[u32]>,
+    /// The map cells those searches read.
+    pub reads: ReadCells,
+    /// The publication whose public column priced the routes' minutes.
+    pub publication: u64,
 }
 
 /// A query normalized to network vertices — the serving layer's request
@@ -90,11 +110,10 @@ pub struct SnappedQuery {
 /// ([`QueryProcessor::slot_reads_pair`]). Nothing else grows or writes
 /// it, so a pair always answers the request and epoch it travels with.
 ///
-/// Cache identity is [`PreparedQuery::snapped`] plus the pinned traffic
-/// snapshot's publication number: the pair is derived state and never
-/// part of a cache key, while the publication IS part of the key (a tick
-/// must invalidate cached routes) — see
-/// [`QueryProcessor::slot_cache_key_at`].
+/// Cache identity is [`PreparedQuery::snapped`] plus, for a lane that
+/// reads the public column, the pinned traffic snapshot's publication
+/// number: the pair is derived state and never part of a cache key —
+/// see [`QueryProcessor::slot_cache_key_at`].
 #[derive(Clone, Debug)]
 pub struct PreparedQuery {
     /// The snapped endpoints (the cache identity, with the epoch).
@@ -388,25 +407,80 @@ impl QueryProcessor {
     }
 
     /// The route-cache key for one technique slot of a snapped query:
-    /// `(city, source vertex, target vertex, technique, k, publication)` —
-    /// everything the slot's result depends on, the weight column named
-    /// by the pinned snapshot's publication number
-    /// ([`EpochSnapshot::publication`]). That suffix is what makes cache
-    /// invalidation *epoch-scoped*: a traffic tick changes the key, so
-    /// stale entries are simply never probed again (they age out via LRU)
-    /// and no sweep runs. It is not the epoch number, which a wrap or a
-    /// forced epoch can reuse for another column. Documented in DESIGN.md
-    /// §8 and §10.
+    /// `(city, source vertex, target vertex, technique, k)`, and for a
+    /// slot that reads the public pair ([`Self::slot_reads_pair`]) the
+    /// publication number of the pinned snapshot
+    /// ([`EpochSnapshot::publication`]) that names its weight column. A
+    /// traffic tick changes such a key, so its stale entries are never
+    /// probed again (they age out via LRU) and no sweep runs; it is not
+    /// the epoch number, which a wrap or a forced epoch can reuse for
+    /// another column. The Google-like slot reads the public column only
+    /// for its closures: its key names no column, and each hit is checked
+    /// against the request's snapshot instead ([`Self::reuse_slot`]).
+    /// Documented in DESIGN.md §8 and §10.
     pub fn slot_cache_key_at(&self, q: &SnappedQuery, slot: usize, publication: u64) -> String {
-        format!(
-            "{}:{}:{}:{}:{}:p{}",
-            self.name,
-            q.source.0,
-            q.target.0,
-            self.slot_technique(slot),
-            self.query.k,
-            publication
-        )
+        let (name, technique, k) = (&self.name, self.slot_technique(slot), self.query.k);
+        let (source, target) = (q.source.0, q.target.0);
+        if self.slot_reads_pair(slot) {
+            format!("{name}:{source}:{target}:{technique}:{k}:p{publication}")
+        } else {
+            format!("{name}:{source}:{target}:{technique}:{k}")
+        }
+    }
+
+    /// Whether a part of `slot` cached under its key answers `q` — the
+    /// serving layer's [`arp_serve::RouteBackend::reuse`]. A pair
+    /// reader's key names the column its part read, so its hit is fresh.
+    /// A Google-like part is fresh at the publication that priced it;
+    /// at another it is carried when no edge whose closure differs
+    /// between the two snapshots has an endpoint in a cell its searches
+    /// read — those searches would run the same under `q`'s closures —
+    /// and re-priced on `q`'s column, exactly as a miss prices it.
+    /// Otherwise it is refused and the slot recomputes.
+    pub fn reuse_slot(
+        &self,
+        q: &PreparedQuery,
+        slot: usize,
+        cached: Arc<ApproachRoutes>,
+    ) -> Option<CacheHit<Arc<ApproachRoutes>>> {
+        let Some(basis) = cached.basis.as_deref() else {
+            return self
+                .slot_reads_pair(slot)
+                .then_some(CacheHit::Fresh(cached));
+        };
+        let overlay = &q.overlay;
+        if basis.publication == overlay.publication() {
+            return Some(CacheHit::Fresh(cached));
+        }
+        let closed = overlay.closed();
+        let unread = Arc::ptr_eq(&basis.closed, closed)
+            || symmetric_difference(&basis.closed, closed)
+                .all(|e| !basis.reads.reads_edge(&self.network, EdgeId(e)));
+        if !unread {
+            return None;
+        }
+        let weights = overlay.weights();
+        let routes = cached
+            .routes
+            .iter()
+            .map(|route| {
+                let cost_ms = cost_of(&route.edges, weights);
+                RouteInfo {
+                    minutes: ms_to_display_minutes(cost_ms),
+                    cost_ms,
+                    ..route.clone()
+                }
+            })
+            .collect();
+        Some(CacheHit::Carried(Arc::new(ApproachRoutes {
+            label: cached.label,
+            routes,
+            basis: Some(Box::new(Basis {
+                closed: Arc::clone(closed),
+                reads: basis.reads.clone(),
+                publication: overlay.publication(),
+            })),
+        })))
     }
 
     /// The prepare step — the one place this processor grows a tree
@@ -493,10 +567,10 @@ impl QueryProcessor {
             target: q.snapped.target,
             query: self.query,
         };
-        let answered = if !provider.reads_pair() {
-            provider.answer(net, weights, &trip, None, budget)
+        let (answered, reads) = if !provider.reads_pair() {
+            provider.answer_reading(net, weights, &trip, None, budget)
         } else {
-            match &q.substrate {
+            let answered = match &q.substrate {
                 Ok(pair) => provider.answer(net, weights, &trip, Some(pair), budget),
                 Err((CoreError::Interrupted, proven)) => Ok(ProviderOutcome::Interrupted {
                     partial: proven
@@ -505,18 +579,32 @@ impl QueryProcessor {
                         .collect(),
                 }),
                 Err((e, _)) => Err(e.clone()),
-            }
+            };
+            (answered, None)
         };
         let outcome = match answered {
             Err(CoreError::Unreachable { .. }) => ProviderOutcome::Complete(Vec::new()),
             answered => answered?,
         };
-        Ok(self.price_slot(slot, outcome))
+        // A slot whose key names no column keeps what its answer read.
+        let basis = reads.map(|reads| {
+            Box::new(Basis {
+                closed: Arc::clone(q.overlay.closed()),
+                reads,
+                publication: q.overlay.publication(),
+            })
+        });
+        Ok(self.price_slot(slot, outcome, basis))
     }
 
     /// Prices a provider outcome on the public (OSM) weights, rounds to
-    /// minutes, attaches rank colors and the slot's blind label.
-    fn price_slot(&self, slot: usize, outcome: ProviderOutcome) -> (Arc<ApproachRoutes>, bool) {
+    /// minutes, attaches rank colors, the slot's blind label and `basis`.
+    fn price_slot(
+        &self,
+        slot: usize,
+        outcome: ProviderOutcome,
+        basis: Option<Box<Basis>>,
+    ) -> (Arc<ApproachRoutes>, bool) {
         let interrupted = outcome.is_interrupted();
         let routes = outcome.routes();
         let infos: Vec<RouteInfo> = routes
@@ -545,6 +633,7 @@ impl QueryProcessor {
             Arc::new(ApproachRoutes {
                 label: self.slot_label(slot),
                 routes: infos,
+                basis,
             }),
             interrupted,
         )
@@ -621,6 +710,30 @@ impl QueryProcessor {
         let slot = LABELS.iter().position(|&l| l == label)?;
         Some(ProviderKind::ALL[slot])
     }
+}
+
+/// The ids in exactly one of two sorted, duplicate-free slices, in
+/// increasing order.
+fn symmetric_difference<'a>(a: &'a [u32], b: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || loop {
+        match (a.get(i), b.get(j)) {
+            (Some(x), Some(y)) if x == y => (i, j) = (i + 1, j + 1),
+            (Some(&x), Some(&y)) if x < y => {
+                i += 1;
+                return Some(x);
+            }
+            (_, Some(&y)) => {
+                j += 1;
+                return Some(y);
+            }
+            (Some(&x), None) => {
+                i += 1;
+                return Some(x);
+            }
+            (None, None) => return None,
+        }
+    })
 }
 
 #[cfg(test)]
@@ -765,6 +878,15 @@ mod tests {
             }
         }
         assert_eq!(qp.unblind('E'), None);
+    }
+
+    #[test]
+    fn symmetric_difference_walks_both_sorted_sets() {
+        let diff = |a: &[u32], b: &[u32]| symmetric_difference(a, b).collect::<Vec<_>>();
+        assert_eq!(diff(&[1, 3, 5, 9], &[2, 3, 9, 11]), [1, 2, 5, 11]);
+        assert_eq!(diff(&[], &[4, 7]), [4, 7]);
+        assert_eq!(diff(&[4, 7], &[]), [4, 7]);
+        assert!(diff(&[2, 8], &[2, 8]).is_empty());
     }
 
     #[test]

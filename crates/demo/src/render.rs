@@ -362,6 +362,7 @@ pub(crate) mod tests {
                 *approach = Arc::new(ApproachRoutes {
                     label: approach.label,
                     routes: Vec::new(),
+                    basis: None,
                 });
             }
             let status = if failed {
@@ -441,6 +442,7 @@ pub(crate) mod tests {
         resp.approaches[1] = Arc::new(ApproachRoutes {
             label: 'B',
             routes: vec![off_network, stripped],
+            basis: None,
         });
         assert_matches_reference(&resp, &qp, "no edges");
 
@@ -452,6 +454,7 @@ pub(crate) mod tests {
             resp.approaches[0] = Arc::new(ApproachRoutes {
                 label,
                 routes: vec![odd],
+                basis: None,
             });
             assert_matches_reference(&resp, &qp, &format!("label {label:?} color {color:?}"));
         }

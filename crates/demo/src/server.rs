@@ -1573,10 +1573,29 @@ mod tests {
         );
     }
 
+    /// The endpoints of a `/api/route` body.
+    fn route_points(body: &str) -> (Point, Point) {
+        let req = json::parse(body).unwrap();
+        let at = |lon: &str, lat: &str| {
+            let coord = |key| req.get(key).and_then(Json::as_f64).unwrap();
+            Point::new(coord(lon), coord(lat))
+        };
+        (at("slon", "slat"), at("tlon", "tlat"))
+    }
+
+    /// Google-like lanes the cache served re-priced across a bump.
+    fn carried(app: &DemoApp) -> u64 {
+        let labels = [("technique", "google_like")];
+        app.registry
+            .counter_value("arp_serve_cache_carried_total", &labels)
+    }
+
     /// A delta through `POST /api/traffic` bumps the epoch, logically
-    /// invalidates every cached route (their keys end in the old
-    /// publication number), and the next route request recomputes under
-    /// — and reports — the new epoch.
+    /// invalidates the cached routes of the three lanes whose keys end in
+    /// the old publication number, and the next route request recomputes
+    /// them under — and reports — the new epoch. A factor-only bump closes
+    /// nothing, so Google-like's cached lane is carried: re-priced on the
+    /// new column, byte-equal to the serial stages.
     #[test]
     fn traffic_endpoint_bumps_the_epoch_and_invalidates_cached_routes() {
         let app = app();
@@ -1613,8 +1632,9 @@ mod tests {
             Some(1.0)
         );
 
-        // The same query now misses the cache (old keys are dead) and the
-        // response carries the new epoch.
+        // The same query now misses the three pair readers (their old
+        // keys are dead), carries Google-like, and the response carries
+        // the new epoch and the serial stages' bytes.
         let second = app.handle("POST", "/api/route", &body);
         assert_eq!(second.status, 200, "{}", second.body);
         let v = json::parse(&second.body).unwrap();
@@ -1622,8 +1642,16 @@ mod tests {
         assert_eq!(
             app.registry
                 .counter_value("arp_serve_cache_misses_total", &[]),
-            8,
-            "epoch bump must invalidate all four cached lanes"
+            7,
+            "epoch bump must invalidate the three pair readers' lanes"
+        );
+        assert_eq!(carried(&app), 1, "a bump that closes nothing carries");
+        let (s, t) = route_points(&body);
+        let serial = app.processor.process(s, t).unwrap();
+        let serial = reference_body(&serial, served_trace_id(&second));
+        assert_eq!(
+            second.body, serial,
+            "a carried lane must match the serial stages"
         );
 
         // A raw-grammar body (no JSON wrapper) works too.
@@ -1632,6 +1660,40 @@ mod tests {
         let v = json::parse(&resp.body).unwrap();
         assert_eq!(v.get("epoch").and_then(Json::as_f64), Some(2.0));
         assert_eq!(v.get("closures_active").and_then(Json::as_f64), Some(1.0));
+    }
+
+    /// A bump that closes an edge of Google-like's first route changes
+    /// what its searches read: its cached lane is refused and recomputed
+    /// with the other three, nothing is carried.
+    #[test]
+    fn a_bump_closing_google_likes_route_recomputes_every_lane() {
+        let app = app();
+        let body = route_body(&app);
+        let first = app.handle("POST", "/api/route", &body);
+        assert_eq!(first.status, 200, "{}", first.body);
+        let (s, t) = route_points(&body);
+        let before = app.processor.process(s, t).unwrap();
+        let edge = before.approaches[0].routes[0].edges[1];
+
+        let delta = format!("close:{}", edge.0);
+        let resp = app.handle("POST", "/api/traffic", &delta);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let second = app.handle("POST", "/api/route", &body);
+        assert_eq!(second.status, 200, "{}", second.body);
+        assert_eq!(
+            app.registry
+                .counter_value("arp_serve_cache_misses_total", &[]),
+            8,
+            "a closure on Google-like's route must invalidate all four lanes"
+        );
+        assert_eq!(carried(&app), 0);
+        let serial = app.processor.process(s, t).unwrap();
+        assert!(serial.approaches[0].routes[0]
+            .edges
+            .iter()
+            .all(|&e| e != edge));
+        let serial = reference_body(&serial, served_trace_id(&second));
+        assert_eq!(second.body, serial);
     }
 
     /// Invalid deltas are rejected whole — a 400, and the epoch does not

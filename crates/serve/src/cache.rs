@@ -7,10 +7,14 @@
 //!   a fresh stamp, so the smallest stamp is the least recently used
 //!   entry: the one a full cache evicts. It holds at most `capacity`
 //!   entries.
-//! * **No expiry** — an entry leaves only by eviction. The serving layer's
-//!   keys end in the traffic snapshot's publication number and a lane
-//!   result is a pure function of its key, so an entry can be unreachable
-//!   but never stale.
+//! * **No expiry** — an entry leaves only by eviction or by being
+//!   replaced. The cache takes no clock and judges no value: a caller
+//!   whose values can go stale checks each one it finds
+//!   ([`RouteCache::get_with`]), outside the lock, and a value it refuses
+//!   counts as a miss. The serving layer's keys either name the traffic
+//!   column they were computed on, or leave it out and have the backend
+//!   check the entry against the request's column
+//!   ([`crate::RouteBackend::reuse`]).
 //! * **Counters** — hits, misses, evictions and a live-entry gauge come
 //!   from [`CacheMetrics`]; detached metrics make all of it free.
 
@@ -54,18 +58,31 @@ impl<K: Hash + Eq + Clone, V: Clone> RouteCache<K, V> {
     /// Looks up `key`. A found entry becomes the most recently used and
     /// its value is cloned out.
     pub fn get(&self, key: &K) -> Option<V> {
-        let mut guard = self.lru.lock().expect("route cache poisoned");
-        let lru = &mut *guard;
-        let Some((value, stamp)) = lru.entries.get_mut(key) else {
-            self.metrics.misses.inc();
-            return None;
+        self.get_with(key, Some)
+    }
+
+    /// Looks up `key` and hands a found value to `accept`, after the lock
+    /// is released: a hit when `accept` answers, a miss when nothing was
+    /// found or `accept` refused the value. A found entry becomes the
+    /// most recently used either way.
+    pub fn get_with<R>(&self, key: &K, accept: impl FnOnce(V) -> Option<R>) -> Option<R> {
+        let found = {
+            let mut guard = self.lru.lock().expect("route cache poisoned");
+            let lru = &mut *guard;
+            lru.entries.get_mut(key).map(|(value, stamp)| {
+                let owned = lru.order.remove(stamp).expect("every entry has a stamp");
+                lru.clock += 1;
+                *stamp = lru.clock;
+                lru.order.insert(lru.clock, owned);
+                value.clone()
+            })
         };
-        let owned = lru.order.remove(stamp).expect("every entry has a stamp");
-        lru.clock += 1;
-        *stamp = lru.clock;
-        lru.order.insert(lru.clock, owned);
-        self.metrics.hits.inc();
-        Some(value.clone())
+        let accepted = found.and_then(accept);
+        match accepted {
+            Some(_) => self.metrics.hits.inc(),
+            None => self.metrics.misses.inc(),
+        }
+        accepted
     }
 
     /// Stores `value` under `key` as the most recently used entry,
@@ -181,5 +198,11 @@ mod tests {
         assert_eq!(c.metrics().misses.get(), 2);
         assert_eq!(c.metrics().evictions.get(), 1);
         assert_eq!(c.metrics().entries.get(), 1);
+        // A found value its caller refuses is a miss, and stays cached.
+        assert_eq!(c.get_with(&"b".into(), |_| None::<u64>), None);
+        assert_eq!(c.get_with(&"b".into(), |v| Some(v + 1)), Some(4));
+        assert_eq!(c.metrics().hits.get(), 2);
+        assert_eq!(c.metrics().misses.get(), 3);
+        assert_eq!(c.len(), 1);
     }
 }

@@ -61,6 +61,6 @@ pub use cancel::CancelToken;
 pub use fault::{sites, FaultKind, FaultPlan};
 pub use metrics::{CacheMetrics, ServeMetrics};
 pub use service::{
-    HealthReport, HealthVerdict, LaneHealth, LaneOutcome, LaneStatus, RouteBackend, RouteService,
-    ServeConfig, ServeError,
+    CacheHit, HealthReport, HealthVerdict, LaneHealth, LaneOutcome, LaneStatus, RouteBackend,
+    RouteService, ServeConfig, ServeError,
 };

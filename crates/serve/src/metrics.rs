@@ -22,6 +22,9 @@
 //!   [`crate::RouteBackend::inline_late_lanes`]),
 //! * `arp_serve_cache_{hits,misses,evictions}_total`,
 //!   `arp_serve_cache_entries` — route-cache behaviour,
+//! * `arp_serve_cache_carried_total{technique}` — hits served at another
+//!   traffic column than the one they were priced on, re-priced by
+//!   [`crate::RouteBackend::reuse`] (resolved per lane by the service),
 //! * `arp_serve_stage_latency_ms{stage}` — per-stage latency histograms
 //!   (`admit`, `cache_probe`, `prepare`, `compute`, `assemble`; the
 //!   `prepare` stage is the shared-substrate build, see
@@ -43,9 +46,9 @@ use arp_obs::{Counter, Gauge, Histogram, Registry, DEFAULT_LATENCY_BUCKETS_MS};
 /// Counters and gauges describing the route cache (one exact LRU).
 #[derive(Clone, Debug, Default)]
 pub struct CacheMetrics {
-    /// Fresh entries served from the cache.
+    /// Entries served from the cache, carried ones included.
     pub hits: Counter,
-    /// Lookups that found nothing.
+    /// Lookups that found nothing the backend would serve.
     pub misses: Counter,
     /// Entries evicted to make room (LRU).
     pub evictions: Counter,
@@ -59,7 +62,7 @@ impl CacheMetrics {
         CacheMetrics {
             hits: registry.counter(
                 "arp_serve_cache_hits_total",
-                "Route-cache lookups answered by a fresh entry.",
+                "Route-cache lookups answered by a usable entry.",
                 &[],
             ),
             misses: registry.counter(

@@ -94,6 +94,19 @@ pub enum LaneOutcome<P> {
     Truncated(P),
 }
 
+/// A cached part a backend agreed to serve ([`RouteBackend::reuse`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CacheHit<P> {
+    /// Served as it was cached: it was computed for what the request
+    /// reads.
+    Fresh(P),
+    /// Computed under another traffic column, proven to still answer the
+    /// request and re-priced on its column. The service serves it,
+    /// counts it in `arp_serve_cache_carried_total{technique}` and
+    /// stores it in place of the entry it came from.
+    Carried(P),
+}
+
 /// Per-lane verdict carried by a degraded response (the response's
 /// `lane_status` map).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -152,11 +165,29 @@ pub trait RouteBackend: Send + Sync + 'static {
     }
 
     /// The cache key for `lane` of `request`. Must encode everything the
-    /// lane's result depends on — city, snapped endpoints, technique, k.
-    /// Must not depend on anything [`RouteBackend::prepare`] adds: the
-    /// cache probe runs *before* preparation (a fully-cached request
-    /// never prepares anything).
+    /// lane's result depends on — city, snapped endpoints, technique, k —
+    /// except what [`RouteBackend::reuse`] checks on every hit. Must not
+    /// depend on anything [`RouteBackend::prepare`] adds: the cache probe
+    /// runs *before* preparation (a fully-cached request never prepares
+    /// anything).
     fn lane_key(&self, request: &Self::Request, lane: usize) -> String;
+
+    /// Whether the part cached under `lane`'s key answers `request`, run
+    /// on every hit, outside the cache lock. [`CacheHit::Fresh`] serves
+    /// it as it is; [`CacheHit::Carried`] serves a re-priced copy and
+    /// stores it in the entry's place; `None` refuses it — the probe
+    /// counts a miss and the lane recomputes and overwrites the entry.
+    /// The default serves every hit as it is: for a backend whose keys
+    /// name everything its parts depend on.
+    fn reuse(
+        &self,
+        request: &Self::Request,
+        lane: usize,
+        cached: Self::Part,
+    ) -> Option<CacheHit<Self::Part>> {
+        let _ = (request, lane);
+        Some(CacheHit::Fresh(cached))
+    }
 
     /// Prepares shared per-request artifacts **once**, before the lanes
     /// that read them fan out — in the demo backend this builds the
@@ -433,6 +464,9 @@ struct LaneRuntime {
     /// `arp_serve_lanes_inline_total{technique}`: attempts run on the
     /// request thread instead of the pool.
     inline: Counter,
+    /// `arp_serve_cache_carried_total{technique}`: hits served at another
+    /// traffic column than the one they were priced on.
+    carried: Counter,
 }
 
 impl LaneRuntime {
@@ -468,6 +502,11 @@ impl LaneRuntime {
             inline: registry.counter(
                 "arp_serve_lanes_inline_total",
                 "Technique lanes run on the request thread instead of the worker pool.",
+                &[("technique", name.as_str())],
+            ),
+            carried: registry.counter(
+                "arp_serve_cache_carried_total",
+                "Route-cache hits carried across a traffic bump: re-priced, not recomputed.",
                 &[("technique", name.as_str())],
             ),
             name,
@@ -759,7 +798,9 @@ impl<B: RouteBackend> RouteService<B> {
 
         // Stage 2: per-lane cache probe. Each lane's key is built here,
         // once, and handed to the lane's attempt for the write-back; a
-        // disabled cache builds none. An injected `cache.get` error
+        // disabled cache builds none. The backend judges every hit
+        // (`reuse`): a refused one is a miss, a carried one is served
+        // re-priced and replaces its entry. An injected `cache.get` error
         // degrades the probe to a full miss — the cache is an
         // optimization, never a dependency.
         let lanes = self.backend.lanes();
@@ -773,8 +814,17 @@ impl<B: RouteBackend> RouteService<B> {
             }
             match self.config.faults.fire(sites::CACHE_GET) {
                 Ok(()) => {
-                    for (slot, key) in parts.iter_mut().zip(&keys) {
-                        *slot = key.as_ref().and_then(|key| cache.get(key));
+                    for (lane, key) in keys.iter().enumerate() {
+                        let Some(key) = key else { continue };
+                        let reuse = |part| self.backend.reuse(&request, lane, part);
+                        parts[lane] = cache.get_with(key, reuse).map(|hit| match hit {
+                            CacheHit::Fresh(part) => part,
+                            CacheHit::Carried(part) => {
+                                self.lanes[lane].carried.inc();
+                                cache.put(key.clone(), part.clone());
+                                part
+                            }
+                        });
                     }
                 }
                 Err(message) => probe_span.attr("fault_injected", message),
@@ -1194,6 +1244,107 @@ mod tests {
         ) -> Option<String> {
             present(parts)
                 .map(|body| marked(format!("{},{} => {body}", request.0, request.1), statuses))
+        }
+    }
+
+    /// Lane 0 keys on the request's column version, lane 1 does not and
+    /// judges each hit: the same version is fresh, a later even one is
+    /// carried (re-stamped), an odd one is refused.
+    struct VersionedBackend {
+        computes: AtomicUsize,
+    }
+
+    impl RouteBackend for VersionedBackend {
+        type Request = (u32, u32);
+        type Part = (u32, String);
+        type Response = String;
+
+        fn lanes(&self) -> usize {
+            2
+        }
+
+        fn lane_key(&self, &(trip, version): &(u32, u32), lane: usize) -> String {
+            match lane {
+                0 => format!("{trip}:v{version}"),
+                _ => format!("{trip}"),
+            }
+        }
+
+        fn reuse(
+            &self,
+            &(_, version): &(u32, u32),
+            lane: usize,
+            (priced, body): (u32, String),
+        ) -> Option<CacheHit<(u32, String)>> {
+            match (lane, version) {
+                (0, _) => Some(CacheHit::Fresh((priced, body))),
+                (_, v) if v == priced => Some(CacheHit::Fresh((priced, body))),
+                (_, v) if v % 2 == 0 => Some(CacheHit::Carried((v, body))),
+                _ => None,
+            }
+        }
+
+        fn run_lane(
+            &self,
+            &(trip, version): &(u32, u32),
+            lane: usize,
+            _token: &CancelToken,
+        ) -> Result<LaneOutcome<(u32, String)>, String> {
+            self.computes.fetch_add(1, Ordering::SeqCst);
+            Ok(LaneOutcome::Complete((
+                version,
+                format!("lane{lane}({trip})"),
+            )))
+        }
+
+        fn assemble_lanes(
+            &self,
+            _request: &(u32, u32),
+            parts: Vec<Option<(u32, String)>>,
+            _statuses: &[LaneStatus],
+        ) -> Option<String> {
+            let parts = parts.into_iter().flatten();
+            Some(
+                parts
+                    .map(|(v, body)| format!("{body}@v{v}"))
+                    .collect::<Vec<_>>()
+                    .join("|"),
+            )
+        }
+    }
+
+    /// A hit the backend refuses is a miss and recomputes; a carried one
+    /// is served as the backend re-priced it, counted, and replaces its
+    /// entry, so the next hit at that column is fresh.
+    #[test]
+    fn reuse_judges_every_hit() {
+        let registry = Registry::new();
+        let backend = VersionedBackend {
+            computes: AtomicUsize::new(0),
+        };
+        let svc = RouteService::new(backend, ServeConfig::default(), &registry);
+        let counter = |name| registry.counter_value(name, &[]);
+        let carried =
+            || registry.counter_value("arp_serve_cache_carried_total", &[("technique", "lane1")]);
+        let computes = || svc.backend().computes.load(Ordering::SeqCst);
+        let steps = [
+            // (version, response, computes, hits, misses, carried)
+            (0, "lane0(7)@v0|lane1(7)@v0", 2, 0, 2, 0),
+            (0, "lane0(7)@v0|lane1(7)@v0", 2, 2, 2, 0),
+            (2, "lane0(7)@v2|lane1(7)@v2", 3, 3, 3, 1),
+            (2, "lane0(7)@v2|lane1(7)@v2", 3, 5, 3, 1),
+            (3, "lane0(7)@v3|lane1(7)@v3", 5, 5, 5, 1),
+        ];
+        for (version, body, work, hits, misses, carries) in steps {
+            assert_eq!(svc.route((7, version)).unwrap(), body, "v{version}");
+            assert_eq!(computes(), work, "v{version}");
+            assert_eq!(counter("arp_serve_cache_hits_total"), hits, "v{version}");
+            assert_eq!(
+                counter("arp_serve_cache_misses_total"),
+                misses,
+                "v{version}"
+            );
+            assert_eq!(carried(), carries, "v{version}");
         }
     }
 

@@ -35,28 +35,39 @@ use crate::metrics::{DurabilityMetrics, TrafficMetrics};
 use crate::overlay::TrafficOverlay;
 use crate::recovery::{self, Durability, DurabilityConfig, RecoveryReport};
 
-/// One immutable, published traffic epoch: the effective weight column
-/// plus the summary numbers `/api/health` reports.
+/// One immutable, published traffic epoch: the effective weight column,
+/// its closed edges, plus the summary numbers `/api/health` reports.
 #[derive(Clone, Debug)]
 pub struct EpochSnapshot {
     epoch: u64,
     publication: u64,
     weights: Arc<Vec<Weight>>,
-    closures: usize,
+    /// The edges `weights` marks closed, sorted.
+    closed: Arc<[u32]>,
     overlay_size: usize,
 }
 
 impl EpochSnapshot {
     /// A snapshot of `overlay`'s materialized column `weights` under
     /// `epoch`, numbered past every snapshot made before it in this
-    /// process.
-    fn publish(epoch: u64, weights: Arc<Vec<Weight>>, overlay: &TrafficOverlay) -> Arc<Self> {
+    /// process. When `overlay` closes what `previous` closed, the
+    /// snapshot shares `previous`'s closed set.
+    fn publish(
+        epoch: u64,
+        weights: Arc<Vec<Weight>>,
+        overlay: &TrafficOverlay,
+        previous: Option<&EpochSnapshot>,
+    ) -> Arc<Self> {
         static PUBLICATIONS: AtomicU64 = AtomicU64::new(0);
+        let closed = match previous {
+            Some(p) if p.closed.iter().copied().eq(overlay.closed_edges()) => Arc::clone(&p.closed),
+            _ => overlay.closed_edges().collect(),
+        };
         Arc::new(EpochSnapshot {
             epoch,
             publication: PUBLICATIONS.fetch_add(1, Ordering::Relaxed),
             weights,
-            closures: overlay.num_closures(),
+            closed,
             overlay_size: overlay.size(),
         })
     }
@@ -81,7 +92,16 @@ impl EpochSnapshot {
 
     /// Active incident closures at publication time.
     pub fn closures(&self) -> usize {
-        self.closures
+        self.closed.len()
+    }
+
+    /// The edges this snapshot's column closes, in increasing id order:
+    /// the closures a search of any other column under this epoch's
+    /// closures reads. Shared with the snapshot before it when a swap
+    /// left them unchanged (a factor-only delta, a forced epoch), so
+    /// `Arc::ptr_eq` is a cheap first test of equality.
+    pub fn closed(&self) -> &Arc<[u32]> {
+        &self.closed
     }
 
     /// Total overlay entries (closures + edge factors + category
@@ -190,9 +210,10 @@ impl TrafficState {
             None => (TrafficOverlay::identity(), 0, 0, None, None),
         };
         let base = Arc::new(net.weights().to_vec());
-        let snapshot = EpochSnapshot::publish(epoch, overlay.materialize(&net, &base), &overlay);
+        let snapshot =
+            EpochSnapshot::publish(epoch, overlay.materialize(&net, &base), &overlay, None);
         metrics.epoch.set(epoch as i64);
-        metrics.closures_active.set(snapshot.closures as i64);
+        metrics.closures_active.set(snapshot.closures() as i64);
         let state = TrafficState {
             net,
             base,
@@ -315,7 +336,8 @@ impl TrafficState {
     pub fn force_epoch(&self, epoch: u64) {
         let mut state = self.state.write().expect("traffic lock poisoned");
         let weights = state.overlay.materialize(&self.net, &self.base);
-        state.snapshot = EpochSnapshot::publish(epoch, weights, &state.overlay);
+        state.snapshot =
+            EpochSnapshot::publish(epoch, weights, &state.overlay, Some(&state.snapshot));
         self.metrics.epoch.set(epoch as i64);
         if let Some(durability) = &self.durability {
             let _ = durability.checkpoint(epoch, state.tick, &state.overlay);
@@ -351,8 +373,8 @@ impl TrafficState {
             durability.append(epoch, now, &journal_delta.to_string())?;
         }
         let closures_active = next.num_closures();
-        state.snapshot =
-            EpochSnapshot::publish(epoch, next.materialize(&self.net, &self.base), &next);
+        let weights = next.materialize(&self.net, &self.base);
+        state.snapshot = EpochSnapshot::publish(epoch, weights, &next, Some(&state.snapshot));
         state.overlay = next;
         state.tick = now;
         self.metrics.epoch.set(epoch as i64);
@@ -504,6 +526,33 @@ mod tests {
         assert_eq!(wrapped.epoch(), 0);
         seen.push(wrapped.publication());
         assert!(seen.windows(2).all(|w| w[0] < w[1]), "{seen:?}");
+    }
+
+    #[test]
+    fn a_swap_that_closes_nothing_new_shares_the_closed_set() {
+        let net = line(5);
+        let state = TrafficState::new(net);
+        let base = state.snapshot();
+        assert!(base.closed().is_empty());
+        state
+            .apply_delta(&TrafficDelta::parse("close:3; close:1").unwrap())
+            .unwrap();
+        let closed = state.snapshot();
+        assert_eq!(closed.closed()[..], [1, 3]);
+        assert_eq!(closed.closures(), 2);
+        // A factor-only delta and a forced epoch keep the same set, and
+        // share it.
+        state
+            .apply_delta(&TrafficDelta::parse("edge:0*2.0").unwrap())
+            .unwrap();
+        assert!(Arc::ptr_eq(state.snapshot().closed(), closed.closed()));
+        state.force_epoch(40);
+        assert!(Arc::ptr_eq(state.snapshot().closed(), closed.closed()));
+        // Reopening changes it.
+        state
+            .apply_delta(&TrafficDelta::parse("reopen:1").unwrap())
+            .unwrap();
+        assert_eq!(state.snapshot().closed()[..], [3]);
     }
 
     #[test]

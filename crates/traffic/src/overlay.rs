@@ -90,6 +90,11 @@ impl TrafficOverlay {
         self.closures.contains_key(&edge)
     }
 
+    /// The closed edges, in increasing id order.
+    pub fn closed_edges(&self) -> impl Iterator<Item = u32> + '_ {
+        self.closures.keys().copied()
+    }
+
     /// The overlay as one delta that rebuilds it from any state:
     /// `clear`, then every non-1.0 category factor, every edge factor and
     /// every closure (closure expiries in their absolute `@@` form), each

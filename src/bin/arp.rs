@@ -322,6 +322,7 @@ fn cmd_route(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
                         edges: p.edges.clone(),
                     })
                     .collect(),
+                basis: None,
             })],
         };
         std::fs::write(out, response_to_geojson(&resp)).unwrap_or_else(|e| {
