@@ -163,8 +163,6 @@ pub struct GoogleLikeProvider {
     plateau_options: PlateauOptions,
     /// Commercial post-filters (§4.2 limitation #4).
     filters: FilterConfig,
-    /// The grid cell of every vertex: what a call records as read.
-    cells: Arc<CellMap>,
     /// Per-technique metrics (label `technique="google_like"`).
     metrics: TechniqueMetrics,
 }
@@ -193,7 +191,6 @@ impl GoogleLikeProvider {
                 min_plateau_fraction: 0.01,
             },
             filters: FilterConfig::commercial(),
-            cells: Arc::new(CellMap::new(net)),
             metrics: TechniqueMetrics::new(registry, ProviderKind::GoogleLike.slug()),
         }
     }
@@ -221,11 +218,10 @@ impl AlternativesProvider for GoogleLikeProvider {
         net: &RoadNetwork,
         public_weights: &[Weight],
         trip: &Trip,
-        pair: Option<&SearchSubstrate>,
+        _pair: Option<&SearchSubstrate>,
         budget: &SearchBudget,
     ) -> Result<ProviderOutcome, CoreError> {
-        self.answer_reading(net, public_weights, trip, pair, budget)
-            .0
+        self.search(net, public_weights, trip, budget, None).0
     }
 
     /// Every search of a call — the private pair's A\* probe and trees,
@@ -241,6 +237,22 @@ impl AlternativesProvider for GoogleLikeProvider {
         trip: &Trip,
         _pair: Option<&SearchSubstrate>,
         budget: &SearchBudget,
+        cells: &Arc<CellMap>,
+    ) -> (Result<ProviderOutcome, CoreError>, Option<ReadCells>) {
+        self.search(net, public_weights, trip, budget, Some(cells))
+    }
+}
+
+impl GoogleLikeProvider {
+    /// Answers `trip` on the private column, recording in `cells` what
+    /// the call's searches read when asked to and the call ran to its end.
+    fn search(
+        &self,
+        net: &RoadNetwork,
+        public_weights: &[Weight],
+        trip: &Trip,
+        budget: &SearchBudget,
+        cells: Option<&Arc<CellMap>>,
     ) -> (Result<ProviderOutcome, CoreError>, Option<ReadCells>) {
         let (s, t, query) = (trip.source, trip.target, &trip.query);
         let mut reads = None;
@@ -272,7 +284,9 @@ impl AlternativesProvider for GoogleLikeProvider {
             // yields what it had proven (the private optimum once the
             // forward tree is complete) as the call's partial.
             let mut ws = lane_workspace(&self.metrics, net, budget);
-            ws.record_reads(&self.cells);
+            if let Some(cells) = cells {
+                ws.record_reads(cells);
+            }
             let landmarks = &self.landmarks;
             let own =
                 match SearchSubstrate::build_under(&mut ws, net, private, landmarks, s, t, query) {
@@ -483,7 +497,9 @@ mod tests {
             query: AltQuery::paper(),
         };
         let unlimited = SearchBudget::unlimited();
-        let (answer, reads) = p.answer_reading(&net, net.weights(), &trip(63), None, &unlimited);
+        let cells = Arc::new(CellMap::new(&net));
+        let (answer, reads) =
+            p.answer_reading(&net, net.weights(), &trip(63), None, &unlimited, &cells);
         let reads = reads.expect("a complete call reports its reads");
         let routes = answer.unwrap().routes();
         assert!(!routes.is_empty());
@@ -495,7 +511,7 @@ mod tests {
         for e in net.edges().filter(|&e| net.head(e) == NodeId(63)) {
             walled[e.index()] = CLOSED;
         }
-        let (answer, reads) = p.answer_reading(&net, &walled, &trip(63), None, &unlimited);
+        let (answer, reads) = p.answer_reading(&net, &walled, &trip(63), None, &unlimited, &cells);
         assert!(matches!(answer, Err(CoreError::Unreachable { .. })));
         assert!(
             reads.is_some(),
@@ -504,7 +520,8 @@ mod tests {
 
         let cancelled = SearchBudget::new();
         cancelled.cancel();
-        let (answer, reads) = p.answer_reading(&net, net.weights(), &trip(63), None, &cancelled);
+        let (answer, reads) =
+            p.answer_reading(&net, net.weights(), &trip(63), None, &cancelled, &cells);
         assert!(answer.unwrap().is_interrupted());
         assert!(reads.is_none());
     }

@@ -24,7 +24,7 @@ use crate::path::Path;
 use crate::penalty::{penalty_alternatives_from_base, PenaltyOptions};
 use crate::plateau::{plateau_alternatives_from_trees, PlateauOptions};
 use crate::query::{AltQuery, Route};
-use crate::reads::ReadCells;
+use crate::reads::{CellMap, ReadCells};
 use crate::search::SearchSpace;
 use crate::substrate::{SearchSubstrate, Trip};
 
@@ -196,16 +196,17 @@ pub trait AlternativesProvider: Send + Sync {
         budget: &SearchBudget,
     ) -> Result<ProviderOutcome, CoreError>;
 
-    /// [`AlternativesProvider::answer`], with the map cells its searches
-    /// read ([`crate::reads`]) when the provider records them and the
-    /// call ran to its end: a [`ProviderOutcome::Complete`] answer, or a
-    /// [`CoreError::Unreachable`] that a complete search proved. A run
-    /// under another closed-edge set that changes no edge with an
-    /// endpoint in a read cell is the same run, with the same answer.
-    /// An interrupted or failed call reads `None`. The default records
-    /// nothing: only a provider whose answer reads nothing of
-    /// `public_weights` but its closures (the Google-like provider) has
-    /// a read set worth keeping.
+    /// [`AlternativesProvider::answer`], with the cells of `cells` that
+    /// its own searches read ([`crate::reads`]) when the provider records
+    /// them and the call ran to its end: a [`ProviderOutcome::Complete`]
+    /// answer, or a [`CoreError::Unreachable`] that a complete search
+    /// proved. The pair it is handed is not its own: whoever grew the pair
+    /// records what the pair's searches read. A run under a column that
+    /// differs from `public_weights` only on edges with no endpoint in a
+    /// cell the call and its pair read is the same run, with the same
+    /// answer. An interrupted or failed call reads `None`, and so does
+    /// the default, which records nothing: a call that reads `None` can
+    /// only be recomputed.
     fn answer_reading(
         &self,
         net: &RoadNetwork,
@@ -213,10 +214,26 @@ pub trait AlternativesProvider: Send + Sync {
         trip: &Trip,
         pair: Option<&SearchSubstrate>,
         budget: &SearchBudget,
+        cells: &Arc<CellMap>,
     ) -> (Result<ProviderOutcome, CoreError>, Option<ReadCells>) {
+        let _ = cells;
         let answer = self.answer(net, public_weights, trip, pair, budget);
         (answer, None)
     }
+}
+
+/// What a call that ran no search of its own read: nothing, once it ran to
+/// its end ([`AlternativesProvider::answer_reading`]).
+fn searched_nothing(
+    answer: Result<ProviderOutcome, CoreError>,
+    cells: &Arc<CellMap>,
+) -> (Result<ProviderOutcome, CoreError>, Option<ReadCells>) {
+    let ended = matches!(
+        answer,
+        Ok(ProviderOutcome::Complete(_)) | Err(CoreError::Unreachable { .. })
+    );
+    let reads = ended.then(|| ReadCells::new(cells));
+    (answer, reads)
 }
 
 /// The pair a pair-reading technique was handed for `trip`, or
@@ -322,6 +339,20 @@ impl AlternativesProvider for PlateauProvider {
             )
         })
     }
+
+    /// Plateaus joins the pair's trees and searches nothing of its own.
+    fn answer_reading(
+        &self,
+        net: &RoadNetwork,
+        public_weights: &[Weight],
+        trip: &Trip,
+        pair: Option<&SearchSubstrate>,
+        budget: &SearchBudget,
+        cells: &Arc<CellMap>,
+    ) -> (Result<ProviderOutcome, CoreError>, Option<ReadCells>) {
+        let answer = self.answer(net, public_weights, trip, pair, budget);
+        searched_nothing(answer, cells)
+    }
 }
 
 /// The Penalty provider.
@@ -356,21 +387,63 @@ impl AlternativesProvider for PenaltyProvider {
         pair: Option<&SearchSubstrate>,
         budget: &SearchBudget,
     ) -> Result<ProviderOutcome, CoreError> {
-        observed_call(&self.metrics, public_weights, |funnel| {
+        self.rounds(net, public_weights, trip, pair, budget, None).0
+    }
+
+    /// Penalty's rounds run in one workspace that records the cells they
+    /// settle. They read `public_weights` edge by edge as they settle a
+    /// tail, and its penalty raises an edge of a found route (and its
+    /// reverse), both with an endpoint on that route; the base route and
+    /// the via-walks that bound each round are the pair's.
+    fn answer_reading(
+        &self,
+        net: &RoadNetwork,
+        public_weights: &[Weight],
+        trip: &Trip,
+        pair: Option<&SearchSubstrate>,
+        budget: &SearchBudget,
+        cells: &Arc<CellMap>,
+    ) -> (Result<ProviderOutcome, CoreError>, Option<ReadCells>) {
+        self.rounds(net, public_weights, trip, pair, budget, Some(cells))
+    }
+}
+
+impl PenaltyProvider {
+    /// Answers `trip`, recording in `cells` what the rounds read when
+    /// asked to and every round ran.
+    fn rounds(
+        &self,
+        net: &RoadNetwork,
+        public_weights: &[Weight],
+        trip: &Trip,
+        pair: Option<&SearchSubstrate>,
+        budget: &SearchBudget,
+        cells: Option<&Arc<CellMap>>,
+    ) -> (Result<ProviderOutcome, CoreError>, Option<ReadCells>) {
+        let mut reads = None;
+        let answer = observed_call(&self.metrics, public_weights, |funnel| {
             let pair = handed(trip, pair)?;
             // Iteration zero is the pair's base route — never a search of
             // its own. The penalized re-searches run here, under this
             // call's budget, pruned by the pair's labels.
             let mut ws = lane_workspace(&self.metrics, net, budget);
-            penalty_alternatives_from_base(
+            if let Some(cells) = cells {
+                ws.record_reads(cells);
+            }
+            let paths = penalty_alternatives_from_base(
                 &mut ws,
                 net,
                 public_weights,
                 pair,
                 &self.options,
                 funnel,
-            )
-        })
+            )?;
+            if !funnel.interrupted {
+                reads = ws.take_reads();
+            }
+            Ok(paths)
+        });
+        (answer, reads)
     }
 }
 
@@ -419,6 +492,21 @@ impl AlternativesProvider for DissimilarityProvider {
                 budget,
             )
         })
+    }
+
+    /// SSVP-D+ sweeps the pair's via-vertices and searches nothing of its
+    /// own.
+    fn answer_reading(
+        &self,
+        net: &RoadNetwork,
+        public_weights: &[Weight],
+        trip: &Trip,
+        pair: Option<&SearchSubstrate>,
+        budget: &SearchBudget,
+        cells: &Arc<CellMap>,
+    ) -> (Result<ProviderOutcome, CoreError>, Option<ReadCells>) {
+        let answer = self.answer(net, public_weights, trip, pair, budget);
+        searched_nothing(answer, cells)
     }
 }
 
@@ -608,6 +696,77 @@ mod tests {
                 0,
                 "{kind}"
             );
+        }
+    }
+
+    /// A call that ran to its end reports what its own searches read.
+    /// With what its pair's searches read, the cells hold an endpoint of
+    /// every edge of its routes, and closing every edge outside them
+    /// changes no route. An interrupted call reports nothing.
+    #[test]
+    fn a_call_that_ran_to_its_end_reports_what_it_read() {
+        use arp_roadnet::weight::CLOSED;
+
+        let net = grid(12);
+        let cells = Arc::new(CellMap::new(&net));
+        let (query, table) = (
+            AltQuery::paper(),
+            Arc::new(Landmarks::build(&net, net.weights())),
+        );
+        let recorded = |weights: &[Weight]| {
+            let mut ws = SearchSpace::new(&net);
+            ws.record_reads(&cells);
+            let (s, t) = (NodeId(26), NodeId(94));
+            let pair = SearchSubstrate::build(&mut ws, &net, weights, &table, s, t, &query);
+            (
+                pair.unwrap(),
+                ws.take_reads().expect("a recording workspace"),
+            )
+        };
+        let (pair, pair_reads) = recorded(net.weights());
+        let unlimited = SearchBudget::unlimited();
+        let cancelled = SearchBudget::new();
+        cancelled.cancel();
+        let edges = |routes: Vec<Route>| -> Vec<Vec<_>> {
+            routes.into_iter().map(|r| r.path.edges).collect()
+        };
+        for p in standard_providers(&net, 42) {
+            let handed = p.reads_pair().then_some(&pair);
+            let (answer, own) =
+                p.answer_reading(&net, net.weights(), pair.trip(), handed, &unlimited, &cells);
+            let mut reads = own.unwrap_or_else(|| panic!("{}: no reads", p.kind()));
+            if p.reads_pair() {
+                reads.union_with(&pair_reads);
+            }
+            let routes = answer.unwrap().routes();
+            assert!(!routes.is_empty(), "{}", p.kind());
+            for route in &routes {
+                assert!(route.path.edges.iter().all(|&e| reads.reads_edge(&net, e)));
+            }
+            let mut walled = net.weights().to_vec();
+            let unread: Vec<_> = net
+                .edges()
+                .filter(|&e| !reads.reads_edge(&net, e))
+                .collect();
+            assert!(!unread.is_empty(), "{}: the call read every cell", p.kind());
+            for e in unread {
+                walled[e.index()] = CLOSED;
+            }
+            let (again, _) = recorded(&walled);
+            let handed = p.reads_pair().then_some(&again);
+            let rerun = p.answer(&net, &walled, again.trip(), handed, &unlimited);
+            assert_eq!(
+                edges(rerun.unwrap().routes()),
+                edges(routes),
+                "{}",
+                p.kind()
+            );
+
+            let handed = p.reads_pair().then_some(&pair);
+            let (answer, reads) =
+                p.answer_reading(&net, net.weights(), pair.trip(), handed, &cancelled, &cells);
+            assert!(answer.unwrap().is_interrupted(), "{}", p.kind());
+            assert!(reads.is_none(), "{}", p.kind());
         }
     }
 

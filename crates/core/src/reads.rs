@@ -11,10 +11,12 @@
 //! the network's size, and answers "could this edge have been read?" with
 //! a superset: [`ReadCells::reads_edge`] tests both endpoints' cells.
 //!
-//! A workspace records only when asked ([`crate::SearchSpace`]'s
-//! recorder, attached by the Google-like provider): its searches run
-//! under a rule that marks each settled vertex's cell, and every other
-//! search runs as it did, at one untaken branch per query.
+//! A workspace records only when asked ([`crate::SearchSpace::record_reads`]):
+//! its searches run under a rule that marks each settled vertex's cell,
+//! and every other search runs as it did, at one untaken branch per
+//! query. A serving layer records a request's tree pair that way, and
+//! hands a [`CellMap`] to [`crate::AlternativesProvider::answer_reading`]
+//! for what each technique searches beyond it.
 
 use std::sync::Arc;
 
@@ -31,7 +33,7 @@ const WORDS: usize = GRID * GRID / 64;
 
 /// The grid cell of every vertex, 2 bytes a vertex: row-major over the
 /// network's bounding box, a vertex on the far edge in the last cell.
-/// Built once per network, beside the provider that records with it.
+/// Built once per network, by whoever records with it.
 pub struct CellMap {
     cells: Vec<u16>,
 }
@@ -87,6 +89,13 @@ impl CellSet {
     pub fn contains(&self, cell: u16) -> bool {
         self.0[cell as usize / 64] & (1 << (cell % 64)) != 0
     }
+
+    /// Adds every cell of `other`.
+    pub fn union_with(&mut self, other: &CellSet) {
+        for (word, &theirs) in self.0.iter_mut().zip(&other.0) {
+            *word |= theirs;
+        }
+    }
 }
 
 /// The cells a run of searches read, with the map that names them.
@@ -119,6 +128,13 @@ impl ReadCells {
         &self.cells
     }
 
+    /// Adds what another run over the same map read: the record of both
+    /// runs, one after the other.
+    pub fn union_with(&mut self, other: &ReadCells) {
+        debug_assert!(Arc::ptr_eq(&self.map, &other.map), "two maps");
+        self.cells.union_with(&other.cells);
+    }
+
     /// Whether the run could have read edge `e` of `net`: its tail's cell
     /// (a forward search settles the tail) or its head's (a backward
     /// search settles the head) was read. `false` proves that changing
@@ -147,6 +163,14 @@ mod tests {
             .clone()
             .all(|cell| set.contains(cell) == (cell % 7 == 0)));
         assert_eq!(std::mem::size_of::<CellSet>(), 128);
+        let mut other = CellSet::default();
+        other.insert(1);
+        other.insert(GRID as u16 * GRID as u16 - 1);
+        other.union_with(&set);
+        assert!(every
+            .clone()
+            .all(|cell| other.contains(cell)
+                == (cell % 7 == 0 || cell == 1 || cell == every.end - 1)));
     }
 
     #[test]

@@ -236,13 +236,13 @@ impl SearchSpace {
     /// Starts recording the cells of `map` that every later query of this
     /// workspace reads (`crate::reads`): the cell of each vertex it
     /// settles.
-    pub(crate) fn record_reads(&mut self, map: &Arc<CellMap>) {
+    pub fn record_reads(&mut self, map: &Arc<CellMap>) {
         self.reads = Some(ReadCells::new(map));
     }
 
     /// What the queries since [`SearchSpace::record_reads`] read, ending
-    /// the record.
-    pub(crate) fn take_reads(&mut self) -> Option<ReadCells> {
+    /// the record; `None` when the workspace was not recording.
+    pub fn take_reads(&mut self) -> Option<ReadCells> {
         self.reads.take()
     }
 

@@ -109,6 +109,11 @@ impl SearchSubstrate {
     /// the ball of radius `B`. The pair's labels inside the ellipse are the
     /// same either way.
     ///
+    /// A workspace that records ([`SearchSpace::record_reads`]) records
+    /// the cells the probe and both trees settled: every weight the pair
+    /// depends on is an edge out of a forward-settled vertex or into a
+    /// backward-settled one.
+    ///
     /// Failures: [`CoreError::SameSourceTarget`] for `source == target`,
     /// [`CoreError::Unreachable`] when `target` cannot be reached,
     /// [`CoreError::Interrupted`] when the budget trips. The error carries

@@ -85,25 +85,22 @@ impl RouteBackend for DemoBackend {
     }
 
     fn lane_key(&self, request: &PreparedQuery, lane: usize) -> String {
-        // Keyed on the snapped endpoints, plus — for a lane that reads the
-        // public column — the publication number of the request's pinned
-        // traffic snapshot: a tick moves those keys forward and the old
-        // entries simply age out. Google-like's key names no column; its
-        // hits are checked by `reuse`. The substrate is derived state and
-        // stays out of the key; the cache probe runs before `prepare`
-        // anyway, which is exactly why the snapshot is pinned at request
-        // construction rather than in `prepare`.
-        self.processor
-            .slot_cache_key_at(&request.snapped, lane, request.overlay.publication())
+        // Keyed on the snapped endpoints alone: no key names a traffic
+        // column, and `reuse` checks every hit against the request's
+        // pinned snapshot. The substrate is derived state and stays out of
+        // the key; the cache probe runs before `prepare` anyway, which is
+        // exactly why the snapshot is pinned at request construction
+        // rather than in `prepare`.
+        self.processor.slot_cache_key_at(&request.snapped, lane)
     }
 
     fn reuse(
         &self,
         request: &PreparedQuery,
-        lane: usize,
+        _lane: usize,
         cached: Arc<ApproachRoutes>,
     ) -> Option<CacheHit<Arc<ApproachRoutes>>> {
-        self.processor.reuse_slot(request, lane, cached)
+        self.processor.reuse_slot(request, cached)
     }
 
     fn reads_prepare(&self, lane: usize) -> bool {
@@ -207,20 +204,15 @@ impl RouteBackend for DemoBackend {
 
     fn trace_attrs(&self, request: &PreparedQuery) -> Vec<(&'static str, String)> {
         // Root-span identity: the pinned traffic epoch (via the
-        // overlay's own hook, so the attribute key stays in one place)
-        // and a representative cache key covering city + snapped
-        // endpoints + the snapshot's publication number — a pair
-        // reader's, whose key names the column.
-        let processor = &self.processor;
-        let lane = (0..processor.technique_slots())
-            .find(|&slot| processor.slot_reads_pair(slot))
-            .expect("a pair-reading technique");
-        let publication = request.overlay.publication();
+        // overlay's own hook, so the attribute key stays in one place),
+        // the publication number that names the snapshot's column, and a
+        // representative cache key covering city + snapped endpoints.
         vec![
             request.overlay.trace_attr(),
+            ("publication", request.overlay.publication().to_string()),
             (
                 "cache_key",
-                processor.slot_cache_key_at(&request.snapped, lane, publication),
+                self.processor.slot_cache_key_at(&request.snapped, 0),
             ),
         ]
     }
@@ -263,23 +255,26 @@ mod tests {
         )
     }
 
-    /// Lane attempts `registry`'s service ran on the request thread.
-    fn inline_lanes(registry: &Registry, backend: &DemoBackend) -> u64 {
+    /// The sum of `registry`'s per-technique `counter` over the lanes
+    /// that read the pair.
+    fn pair_readers_total(registry: &Registry, backend: &DemoBackend, counter: &str) -> u64 {
         (0..backend.lanes())
+            .filter(|&lane| backend.reads_prepare(lane))
             .map(|lane| {
                 let technique = backend.lane_name(lane);
                 let labels = [("technique", technique.as_str())];
-                registry.counter_value("arp_serve_lanes_inline_total", &labels)
+                registry.counter_value(counter, &labels)
             })
             .sum()
     }
 
     /// Every response the service serves — Google-like started before
     /// prepare, the other lanes after it, on the request thread for a
-    /// small pair and on the pool otherwise — is byte-equal to the serial
-    /// `prepare → compute × 4 → assemble` path, on twelve pairs before
-    /// and after an epoch that closes an edge on one of their routes.
-    /// Both paths occur on both sides of the epoch.
+    /// small pair and on the pool otherwise, or carried across the epoch —
+    /// is byte-equal to the serial `prepare → compute × 4 → assemble`
+    /// path, on twelve pairs before and after an epoch that closes an
+    /// edge on one of their routes. Both paths occur on both sides of the
+    /// epoch.
     #[test]
     fn served_responses_equal_the_serial_stages_across_an_epoch() {
         use crate::render::{route_body, CoordText};
@@ -310,7 +305,8 @@ mod tests {
             &registry,
         );
         let backend = DemoBackend::new(Arc::clone(&qp));
-        let inlined = || inline_lanes(&registry, &backend);
+        let inlined = || pair_readers_total(&registry, &backend, "arp_serve_lanes_inline_total");
+        let carried = || pair_readers_total(&registry, &backend, "arp_serve_cache_carried_total");
         let (id, coords) = (
             arp_obs::TraceId::parse("00000000deadbeef").unwrap(),
             CoordText::new(net.points()),
@@ -320,7 +316,7 @@ mod tests {
             let bodies = pairs
                 .iter()
                 .map(|&q| {
-                    let inline_before = inlined();
+                    let (inline_before, carried_before) = (inlined(), carried());
                     let served = service.route(qp.prepare_query(q)).unwrap();
                     let inline = inlined() - inline_before;
                     let request = backend.prepare(
@@ -328,11 +324,14 @@ mod tests {
                         &CancelToken::new(),
                         &Deadline::never(),
                     );
-                    // The three pair readers ran inline exactly when the
-                    // pair is small; Google-like never does.
+                    // The pair readers not carried ran inline exactly when
+                    // the pair is small.
+                    let ran = 3 - (carried() - carried_before);
                     let small = backend.inline_late_lanes(&request);
-                    assert_eq!(inline, if small { 3 } else { 0 }, "{q:?}");
-                    paths[usize::from(small)] += 1;
+                    assert_eq!(inline, if small { ran } else { 0 }, "{q:?}");
+                    if ran > 0 {
+                        paths[usize::from(small)] += 1;
+                    }
                     let parts = (0..backend.lanes())
                         .map(|lane| backend.compute(&request, lane).unwrap())
                         .collect();
@@ -412,7 +411,7 @@ mod tests {
             response.lane_status
         );
         assert_eq!(
-            inline_lanes(&registry, &backend),
+            pair_readers_total(&registry, &backend, "arp_serve_lanes_inline_total"),
             0,
             "the delayed request fanned out"
         );
@@ -429,7 +428,10 @@ mod tests {
             .unwrap()
             .lane_status
             .is_empty());
-        assert_eq!(inline_lanes(&registry, &backend), 3);
+        assert_eq!(
+            pair_readers_total(&registry, &backend, "arp_serve_lanes_inline_total"),
+            3
+        );
     }
 
     /// The request for `q` after an unhurried prepare step.

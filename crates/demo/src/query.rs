@@ -14,8 +14,8 @@ use arp_core::provider::AlternativesProvider;
 use arp_core::query::{AltQuery, Route};
 use arp_core::substrate::{SearchSubstrate, Trip};
 use arp_core::{
-    CoreError, Landmarks, ProviderKind, ProviderOutcome, ReadCells, SearchBudget, SearchMetrics,
-    SearchSpace,
+    CellMap, CoreError, Landmarks, ProviderKind, ProviderOutcome, ReadCells, SearchBudget,
+    SearchMetrics, SearchSpace,
 };
 use arp_obs::{Counter, Registry};
 use arp_roadnet::csr::RoadNetwork;
@@ -24,7 +24,9 @@ use arp_roadnet::ids::{EdgeId, NodeId};
 use arp_roadnet::spatial::SpatialIndex;
 use arp_roadnet::weight::ms_to_display_minutes;
 use arp_serve::{CacheHit, LaneStatus};
-use arp_traffic::{DurabilityConfig, EpochSnapshot, RecoveryReport, TrafficError, TrafficState};
+use arp_traffic::{
+    DurabilityConfig, EpochSnapshot, RecoveryReport, TrafficError, TrafficFactors, TrafficState,
+};
 
 use crate::blind::LABELS;
 use crate::error::DemoError;
@@ -65,14 +67,16 @@ pub struct ApproachRoutes {
     pub label: char,
     /// Routes in provider rank order.
     pub routes: Vec<RouteInfo>,
-    /// What the routes were computed and priced under, for a lane whose
-    /// cache key leaves the traffic column out (Google-like); `None` for
-    /// the lanes whose keys name it. Server-side only, never rendered.
+    /// What the routes were computed and priced under: every part a lane
+    /// completed carries one, and no cache key names a traffic column.
+    /// `None` for a part that is never cached (a truncated lane, or the
+    /// empty stand-in of a lane that failed). Server-side only, never
+    /// rendered.
     pub basis: Option<Box<Basis>>,
 }
 
-/// What a Google-like lane's routes were computed and priced under: what
-/// proves that a cached copy still answers a later traffic epoch
+/// What a lane's routes were computed and priced under: what proves that
+/// a cached copy still answers a later traffic epoch
 /// ([`QueryProcessor::reuse_slot`], DESIGN.md §8 "Cache key
 /// normalization").
 #[derive(Clone, Debug)]
@@ -80,8 +84,13 @@ pub struct Basis {
     /// The closed edges the lane's searches ran under, sorted (shared with
     /// the snapshot that pinned them).
     pub closed: Arc<[u32]>,
-    /// The map cells those searches read.
+    /// The map cells those searches read: for a lane that reads the
+    /// request's tree pair, the pair's searches and its own.
     pub reads: ReadCells,
+    /// The factors of the column the searches read, shared with the
+    /// snapshot that pinned them; `None` for a lane that reads only the
+    /// column's closures (Google-like searches its own column).
+    pub factors: Option<Arc<TrafficFactors>>,
     /// The publication whose public column priced the routes' minutes.
     pub publication: u64,
 }
@@ -110,10 +119,10 @@ pub struct SnappedQuery {
 /// ([`QueryProcessor::slot_reads_pair`]). Nothing else grows or writes
 /// it, so a pair always answers the request and epoch it travels with.
 ///
-/// Cache identity is [`PreparedQuery::snapped`] plus, for a lane that
-/// reads the public column, the pinned traffic snapshot's publication
-/// number: the pair is derived state and never part of a cache key —
-/// see [`QueryProcessor::slot_cache_key_at`].
+/// Cache identity is [`PreparedQuery::snapped`] alone: the pair is
+/// derived state and never part of a cache key, and the pinned snapshot
+/// is what every hit is checked against — see
+/// [`QueryProcessor::slot_cache_key_at`] and [`QueryProcessor::reuse_slot`].
 #[derive(Clone, Debug)]
 pub struct PreparedQuery {
     /// The snapped endpoints (the cache identity, with the epoch).
@@ -123,11 +132,14 @@ pub struct PreparedQuery {
     /// forward tree had proven it) or the pair is unroutable. Starts as
     /// `Err((Interrupted, None))`: nothing proven yet.
     pub(crate) substrate: Result<Arc<SearchSubstrate>, (CoreError, Option<Path>)>,
+    /// The map cells the pair's searches read, when they ran to a verdict:
+    /// a built pair, or an unreachable target a complete search proved.
+    pub(crate) pair_reads: Option<ReadCells>,
     /// The pinned traffic epoch this request computes and prices on
     /// (epoch 0 shares the base column). Pinned once at request
     /// construction ([`QueryProcessor::prepare_query`]), **before** the
-    /// cache probe, so the cache key's epoch and the computed content
-    /// can never disagree.
+    /// cache probe, so the snapshot a hit is checked against and the one
+    /// a miss computes on can never disagree.
     pub overlay: Arc<EpochSnapshot>,
 }
 
@@ -236,6 +248,9 @@ pub struct QueryProcessor {
     /// epoch's column is no cheaper edge by edge, so it prunes the tree
     /// pair of every request, whatever epoch it pins.
     landmarks: Arc<Landmarks>,
+    /// The grid cell of every vertex: what the tree pairs and the lanes
+    /// record as read ([`Basis::reads`]).
+    cells: Arc<CellMap>,
     query: AltQuery,
     registry: Registry,
     substrate_metrics: SubstrateMetrics,
@@ -258,6 +273,7 @@ impl QueryProcessor {
         let spatial = SpatialIndex::build(&network);
         let providers = arp_core::provider::instrumented_providers(&network, seed, &registry);
         let landmarks = Arc::new(Landmarks::build(&network, network.weights()));
+        let cells = Arc::new(CellMap::new(&network));
         let substrate_metrics = SubstrateMetrics::new(&registry);
         let network = Arc::new(network);
         let (traffic, recovery) = TrafficState::open(Arc::clone(&network), None, &registry)
@@ -268,6 +284,7 @@ impl QueryProcessor {
             spatial,
             providers,
             landmarks,
+            cells,
             query: AltQuery::paper(),
             registry,
             substrate_metrics,
@@ -365,13 +382,15 @@ impl QueryProcessor {
 
     /// Pins the current traffic epoch to a snapped query — the request
     /// constructor for epoch-aware serving. Runs **before** the cache
-    /// probe ([`crate::DemoBackend`] keys on the pinned epoch), so key
-    /// and content always agree; the pinned column then outlives any
+    /// probe ([`crate::DemoBackend`] checks every hit against the pinned
+    /// snapshot), so what a hit is judged against and what a miss
+    /// computes on always agree; the pinned column then outlives any
     /// number of mid-request epoch swaps.
     pub fn prepare_query(&self, snapped: SnappedQuery) -> PreparedQuery {
         PreparedQuery {
             snapped,
             substrate: Err((CoreError::Interrupted, None)),
+            pair_reads: None,
             overlay: self.traffic.snapshot(),
         }
     }
@@ -407,50 +426,50 @@ impl QueryProcessor {
     }
 
     /// The route-cache key for one technique slot of a snapped query:
-    /// `(city, source vertex, target vertex, technique, k)`, and for a
-    /// slot that reads the public pair ([`Self::slot_reads_pair`]) the
-    /// publication number of the pinned snapshot
-    /// ([`EpochSnapshot::publication`]) that names its weight column. A
-    /// traffic tick changes such a key, so its stale entries are never
-    /// probed again (they age out via LRU) and no sweep runs; it is not
-    /// the epoch number, which a wrap or a forced epoch can reuse for
-    /// another column. The Google-like slot reads the public column only
-    /// for its closures: its key names no column, and each hit is checked
-    /// against the request's snapshot instead ([`Self::reuse_slot`]).
-    /// Documented in DESIGN.md §8 and §10.
-    pub fn slot_cache_key_at(&self, q: &SnappedQuery, slot: usize, publication: u64) -> String {
+    /// `{city}:{source vertex}:{target vertex}:{technique}:{k}`. It names
+    /// no traffic column: a tick leaves every key as it was, and each hit
+    /// is checked against the request's pinned snapshot instead
+    /// ([`Self::reuse_slot`]), so an entry a tick did not touch is served
+    /// on and one it did is overwritten in place — no sweep runs and no
+    /// stale copy per column piles up in the LRU. Documented in DESIGN.md
+    /// §8 and §10.
+    pub fn slot_cache_key_at(&self, q: &SnappedQuery, slot: usize) -> String {
         let (name, technique, k) = (&self.name, self.slot_technique(slot), self.query.k);
         let (source, target) = (q.source.0, q.target.0);
-        if self.slot_reads_pair(slot) {
-            format!("{name}:{source}:{target}:{technique}:{k}:p{publication}")
-        } else {
-            format!("{name}:{source}:{target}:{technique}:{k}")
-        }
+        format!("{name}:{source}:{target}:{technique}:{k}")
     }
 
-    /// Whether a part of `slot` cached under its key answers `q` — the
-    /// serving layer's [`arp_serve::RouteBackend::reuse`]. A pair
-    /// reader's key names the column its part read, so its hit is fresh.
-    /// A Google-like part is fresh at the publication that priced it;
-    /// at another it is carried when no edge whose closure differs
-    /// between the two snapshots has an endpoint in a cell its searches
-    /// read — those searches would run the same under `q`'s closures —
-    /// and re-priced on `q`'s column, exactly as a miss prices it.
-    /// Otherwise it is refused and the slot recomputes.
+    /// Whether a part cached under a lane's key answers `q` — the serving
+    /// layer's [`arp_serve::RouteBackend::reuse`], one rule for every
+    /// lane, read off the part's [`Basis`]:
+    ///
+    /// - at the publication that priced it, the part is fresh;
+    /// - a lane whose searches read the public column's factors (a pair
+    ///   reader) is refused when `q`'s factors differ from the ones it ran
+    ///   under;
+    /// - any lane is refused when an edge whose closure differs between
+    ///   the two snapshots has an endpoint in a cell its searches read;
+    /// - anything else is carried: under equal factors the two columns
+    ///   differ only on those closures, so every search would run the
+    ///   same under `q`, and the routes are re-priced on `q`'s column,
+    ///   exactly as a miss prices them.
+    ///
+    /// A part without a basis is refused and recomputed.
     pub fn reuse_slot(
         &self,
         q: &PreparedQuery,
-        slot: usize,
         cached: Arc<ApproachRoutes>,
     ) -> Option<CacheHit<Arc<ApproachRoutes>>> {
-        let Some(basis) = cached.basis.as_deref() else {
-            return self
-                .slot_reads_pair(slot)
-                .then_some(CacheHit::Fresh(cached));
-        };
+        let basis = cached.basis.as_deref()?;
         let overlay = &q.overlay;
         if basis.publication == overlay.publication() {
             return Some(CacheHit::Fresh(cached));
+        }
+        let factors = overlay.factors();
+        if let Some(read) = &basis.factors {
+            if !Arc::ptr_eq(read, factors) && **read != **factors {
+                return None;
+            }
         }
         let closed = overlay.closed();
         let unread = Arc::ptr_eq(&basis.closed, closed)
@@ -478,6 +497,7 @@ impl QueryProcessor {
             basis: Some(Box::new(Basis {
                 closed: Arc::clone(closed),
                 reads: basis.reads.clone(),
+                factors: basis.factors.as_ref().map(|_| Arc::clone(factors)),
                 publication: overlay.publication(),
             })),
         })))
@@ -488,7 +508,8 @@ impl QueryProcessor {
     /// cooperative budget, on its pinned epoch's weights, pruned by the
     /// base column's landmark table to the stretch bound of the
     /// processor's [`AltQuery`], and records
-    /// the outcome on the request for every lane to read. Failures are
+    /// the outcome on the request for every lane to read, with the map
+    /// cells the build's searches read when it ran to a verdict. Failures are
     /// [`SearchSubstrate::build`]'s: the budget tripped (with the base
     /// route, when the forward tree had proven it), or the pair is
     /// unroutable. The workspace and the pair's trees are lent from
@@ -505,6 +526,7 @@ impl QueryProcessor {
     ) -> PreparedQuery {
         let metrics = self.substrate_metrics.search.clone();
         let mut ws = SearchSpace::pooled(&self.network, budget.clone(), metrics);
+        ws.record_reads(&self.cells);
         let SnappedQuery { source, target } = request.snapped;
         let weights = request.overlay.weights();
         let built = SearchSubstrate::build(
@@ -520,6 +542,11 @@ impl QueryProcessor {
             Ok(_) => self.substrate_metrics.builds.inc(),
             Err(_) => self.substrate_metrics.build_failures.inc(),
         }
+        let reads = ws.take_reads();
+        request.pair_reads = match &built {
+            Ok(_) | Err((CoreError::Unreachable { .. }, _)) => reads,
+            Err(_) => None,
+        };
         request.substrate = built.map(Arc::new);
         request
     }
@@ -554,6 +581,10 @@ impl QueryProcessor {
     /// from the pair or from the technique's own search) is a complete
     /// answer with zero routes, not an error: it is what every technique
     /// says about the trip.
+    ///
+    /// A slot that ran to its end keeps its [`Basis`]: the cells its
+    /// searches read (a pair reader's include the pair's), and the
+    /// snapshot's closures, factors (when it read them) and publication.
     pub fn compute_slot_prepared(
         &self,
         q: &PreparedQuery,
@@ -567,30 +598,41 @@ impl QueryProcessor {
             target: q.snapped.target,
             query: self.query,
         };
+        let cells = &self.cells;
         let (answered, reads) = if !provider.reads_pair() {
-            provider.answer_reading(net, weights, &trip, None, budget)
+            provider.answer_reading(net, weights, &trip, None, budget, cells)
         } else {
-            let answered = match &q.substrate {
-                Ok(pair) => provider.answer(net, weights, &trip, Some(pair), budget),
-                Err((CoreError::Interrupted, proven)) => Ok(ProviderOutcome::Interrupted {
-                    partial: proven
+            match &q.substrate {
+                Ok(pair) => {
+                    let (answered, own) =
+                        provider.answer_reading(net, weights, &trip, Some(pair), budget, cells);
+                    let reads = own.zip(q.pair_reads.as_ref()).map(|(mut own, pair)| {
+                        own.union_with(pair);
+                        own
+                    });
+                    (answered, reads)
+                }
+                Err((CoreError::Interrupted, proven)) => {
+                    let partial = proven
                         .iter()
                         .map(|p| Route::new(p.clone(), weights))
-                        .collect(),
-                }),
-                Err((e, _)) => Err(e.clone()),
-            };
-            (answered, None)
+                        .collect();
+                    (Ok(ProviderOutcome::Interrupted { partial }), None)
+                }
+                Err((e, _)) => (Err(e.clone()), q.pair_reads.clone()),
+            }
         };
         let outcome = match answered {
             Err(CoreError::Unreachable { .. }) => ProviderOutcome::Complete(Vec::new()),
             answered => answered?,
         };
-        // A slot whose key names no column keeps what its answer read.
         let basis = reads.map(|reads| {
             Box::new(Basis {
                 closed: Arc::clone(q.overlay.closed()),
                 reads,
+                factors: provider
+                    .reads_pair()
+                    .then(|| Arc::clone(q.overlay.factors())),
                 publication: q.overlay.publication(),
             })
         });

@@ -483,8 +483,8 @@ impl DemoApp {
             Err(e) => return HttpResponse::error(500, e.to_string()),
         };
         // Pin the current traffic snapshot *here*, before the serving
-        // pipeline's cache probe: the lane keys end in its publication
-        // number, so a tick that lands after this line can never hand this
+        // pipeline's cache probe: every cached lane is checked against it,
+        // so a tick that lands after this line can never hand this
         // request a route computed under different weights (and vice versa).
         let (receipt, outcome) = self
             .service
@@ -541,8 +541,8 @@ impl DemoApp {
     /// body with a 400 and the epoch does not move. On success the reply
     /// carries the new epoch, the number of operations applied, and the
     /// closure count. The route cache needs no word of the bump: every
-    /// lane key ends in the publication number of the snapshot its
-    /// request pinned, so requests after the bump miss.
+    /// cached lane is checked against the snapshot its request pinned, so
+    /// requests after the bump carry it or miss.
     ///
     /// Operator endpoint: like `/api/health` it is not participant-facing
     /// and does not touch the blinding.
@@ -1590,10 +1590,10 @@ mod tests {
             .counter_value("arp_serve_cache_carried_total", &labels)
     }
 
-    /// A delta through `POST /api/traffic` bumps the epoch, logically
-    /// invalidates the cached routes of the three lanes whose keys end in
-    /// the old publication number, and the next route request recomputes
-    /// them under — and reports — the new epoch. A factor-only bump closes
+    /// A delta through `POST /api/traffic` that moves a factor bumps the
+    /// epoch, invalidates the cached routes of the three pair readers,
+    /// which read the factors, and the next route request recomputes them
+    /// under — and reports — the new epoch. A factor-only bump closes
     /// nothing, so Google-like's cached lane is carried: re-priced on the
     /// new column, byte-equal to the serial stages.
     #[test]
@@ -1632,8 +1632,8 @@ mod tests {
             Some(1.0)
         );
 
-        // The same query now misses the three pair readers (their old
-        // keys are dead), carries Google-like, and the response carries
+        // The same query now misses the three pair readers (the factors
+        // they read moved), carries Google-like, and the response carries
         // the new epoch and the serial stages' bytes.
         let second = app.handle("POST", "/api/route", &body);
         assert_eq!(second.status, 200, "{}", second.body);
@@ -2593,6 +2593,13 @@ mod tests {
         let attrs = root.get("attrs").unwrap();
         assert_eq!(attrs.get("traffic_epoch").and_then(Json::as_str), Some("0"));
         assert!(attrs.get("cache_key").is_some(), "{}", tree.body);
+        let publication = attrs.get("publication").and_then(Json::as_str);
+        assert_eq!(
+            publication.and_then(|p| p.parse().ok()),
+            Some(app.processor.traffic().snapshot().publication()),
+            "{}",
+            tree.body
+        );
 
         let children = root.get("children").unwrap().as_array().unwrap();
         let named = |name: &str| -> Vec<&Json> {

@@ -11,9 +11,8 @@
 //!   replaced. The cache takes no clock and judges no value: a caller
 //!   whose values can go stale checks each one it finds
 //!   ([`RouteCache::get_with`]), outside the lock, and a value it refuses
-//!   counts as a miss. The serving layer's keys either name the traffic
-//!   column they were computed on, or leave it out and have the backend
-//!   check the entry against the request's column
+//!   counts as a miss. The demo's keys name no traffic column: the
+//!   backend checks every entry against the request's column
 //!   ([`crate::RouteBackend::reuse`]).
 //! * **Counters** — hits, misses, evictions and a live-entry gauge come
 //!   from [`CacheMetrics`]; detached metrics make all of it free.

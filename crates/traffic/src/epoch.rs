@@ -32,16 +32,19 @@ use crate::delta::TrafficDelta;
 use crate::error::TrafficError;
 use crate::feed::TrafficFeed;
 use crate::metrics::{DurabilityMetrics, TrafficMetrics};
-use crate::overlay::TrafficOverlay;
+use crate::overlay::{TrafficFactors, TrafficOverlay};
 use crate::recovery::{self, Durability, DurabilityConfig, RecoveryReport};
 
 /// One immutable, published traffic epoch: the effective weight column,
-/// its closed edges, plus the summary numbers `/api/health` reports.
+/// the factors and closed edges it was materialized from, plus the
+/// summary numbers `/api/health` reports.
 #[derive(Clone, Debug)]
 pub struct EpochSnapshot {
     epoch: u64,
     publication: u64,
     weights: Arc<Vec<Weight>>,
+    /// The overlay factors `weights` was materialized under.
+    factors: Arc<TrafficFactors>,
     /// The edges `weights` marks closed, sorted.
     closed: Arc<[u32]>,
     overlay_size: usize,
@@ -50,8 +53,8 @@ pub struct EpochSnapshot {
 impl EpochSnapshot {
     /// A snapshot of `overlay`'s materialized column `weights` under
     /// `epoch`, numbered past every snapshot made before it in this
-    /// process. When `overlay` closes what `previous` closed, the
-    /// snapshot shares `previous`'s closed set.
+    /// process. When `overlay` has the factors `previous` had, or closes
+    /// what it closed, the snapshot shares `previous`'s copy.
     fn publish(
         epoch: u64,
         weights: Arc<Vec<Weight>>,
@@ -59,6 +62,10 @@ impl EpochSnapshot {
         previous: Option<&EpochSnapshot>,
     ) -> Arc<Self> {
         static PUBLICATIONS: AtomicU64 = AtomicU64::new(0);
+        let factors = match previous {
+            Some(p) if *p.factors == *overlay.factors() => Arc::clone(&p.factors),
+            _ => Arc::new(overlay.factors().clone()),
+        };
         let closed = match previous {
             Some(p) if p.closed.iter().copied().eq(overlay.closed_edges()) => Arc::clone(&p.closed),
             _ => overlay.closed_edges().collect(),
@@ -67,6 +74,7 @@ impl EpochSnapshot {
             epoch,
             publication: PUBLICATIONS.fetch_add(1, Ordering::Relaxed),
             weights,
+            factors,
             closed,
             overlay_size: overlay.size(),
         })
@@ -88,6 +96,16 @@ impl EpochSnapshot {
     /// The effective weight column (shared; cloning the `Arc` is cheap).
     pub fn weights(&self) -> &Arc<Vec<Weight>> {
         &self.weights
+    }
+
+    /// The overlay factors this snapshot's column was materialized under.
+    /// Shared with the snapshot before it when a swap left them unchanged
+    /// (a closure-only delta, a delta that restates every factor, a forced
+    /// epoch), so `Arc::ptr_eq` is a cheap first test of equality. Two
+    /// snapshots with equal factors have columns that differ exactly on
+    /// the edges one closes and the other does not.
+    pub fn factors(&self) -> &Arc<TrafficFactors> {
+        &self.factors
     }
 
     /// Active incident closures at publication time.
@@ -553,6 +571,39 @@ mod tests {
             .apply_delta(&TrafficDelta::parse("reopen:1").unwrap())
             .unwrap();
         assert_eq!(state.snapshot().closed()[..], [3]);
+    }
+
+    #[test]
+    fn a_swap_that_changes_no_factor_shares_the_factors() {
+        let net = line(5);
+        let state = TrafficState::new(net);
+        state
+            .apply_delta(&TrafficDelta::parse("cat:primary*1.5; edge:2*2.0").unwrap())
+            .unwrap();
+        let slowed = state.snapshot();
+        // A closure, a delta restating every factor it already has, and a
+        // forced epoch publish new columns under the same factors.
+        for delta in ["close:1", "cat:primary*1.5; edge:2*2.0; reopen:1"] {
+            state
+                .apply_delta(&TrafficDelta::parse(delta).unwrap())
+                .unwrap();
+            assert!(
+                Arc::ptr_eq(state.snapshot().factors(), slowed.factors()),
+                "{delta}"
+            );
+        }
+        state.force_epoch(7);
+        assert!(Arc::ptr_eq(state.snapshot().factors(), slowed.factors()));
+        // Any factor that moves gives the snapshot factors of its own.
+        for delta in ["cat:primary*1.6", "edge:3*1.2", "edge:3*1.0", "clear"] {
+            let before = state.snapshot();
+            state
+                .apply_delta(&TrafficDelta::parse(delta).unwrap())
+                .unwrap();
+            let after = state.snapshot();
+            assert!(!Arc::ptr_eq(after.factors(), before.factors()), "{delta}");
+            assert_ne!(after.factors(), before.factors(), "{delta}");
+        }
     }
 
     #[test]

@@ -54,5 +54,5 @@ pub use error::TrafficError;
 pub use feed::{CityProfile, TrafficFeed};
 pub use journal::{FsyncPolicy, Journal, JournalRecord};
 pub use metrics::{DurabilityMetrics, TrafficMetrics};
-pub use overlay::TrafficOverlay;
+pub use overlay::{TrafficFactors, TrafficOverlay};
 pub use recovery::{DurabilityConfig, RecoveryReport, RecoveryStatus};

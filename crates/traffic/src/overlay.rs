@@ -23,6 +23,28 @@ use crate::error::TrafficError;
 /// Number of road categories (the size of the per-category factor table).
 const NUM_CATEGORIES: usize = ALL_CATEGORIES.len();
 
+/// The slow-down half of an overlay: every factor, no closure. Two
+/// overlays with equal factors materialize columns that differ exactly on
+/// the edges one of them closes and the other does not.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TrafficFactors {
+    /// Slow-down per road category, indexed by [`RoadCategory::code`].
+    category: [f64; NUM_CATEGORIES],
+    /// Per-edge slow-down, keyed by edge id. `BTreeMap` keeps iteration
+    /// (and thus materialization and reporting) deterministic.
+    edges: BTreeMap<u32, f64>,
+}
+
+impl TrafficFactors {
+    /// Every factor 1.0.
+    fn identity() -> TrafficFactors {
+        TrafficFactors {
+            category: [1.0; NUM_CATEGORIES],
+            edges: BTreeMap::new(),
+        }
+    }
+}
+
 /// Accumulated live-traffic state over one road network.
 ///
 /// Factors compose multiplicatively per edge: `category_factor ×
@@ -32,11 +54,7 @@ const NUM_CATEGORIES: usize = ALL_CATEGORIES.len();
 /// touching anything, so an overlay is never half-updated.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TrafficOverlay {
-    /// Slow-down per road category, indexed by [`RoadCategory::code`].
-    category_factors: [f64; NUM_CATEGORIES],
-    /// Per-edge slow-down, keyed by edge id. `BTreeMap` keeps iteration
-    /// (and thus materialization and reporting) deterministic.
-    edge_factors: BTreeMap<u32, f64>,
+    factors: TrafficFactors,
     /// Closed edges → expiry tick (`None` = until explicitly reopened).
     closures: BTreeMap<u32, Option<u64>>,
 }
@@ -51,17 +69,14 @@ impl TrafficOverlay {
     /// The identity overlay: every factor 1.0, no closures.
     pub fn identity() -> TrafficOverlay {
         TrafficOverlay {
-            category_factors: [1.0; NUM_CATEGORIES],
-            edge_factors: BTreeMap::new(),
+            factors: TrafficFactors::identity(),
             closures: BTreeMap::new(),
         }
     }
 
     /// True if materializing would reproduce the base column exactly.
     pub fn is_identity(&self) -> bool {
-        self.closures.is_empty()
-            && self.edge_factors.is_empty()
-            && self.category_factors.iter().all(|&f| f == 1.0)
+        self.closures.is_empty() && self.factors == TrafficFactors::identity()
     }
 
     /// Number of active incident closures.
@@ -71,12 +86,17 @@ impl TrafficOverlay {
 
     /// Number of per-edge factor overrides.
     pub fn num_edge_factors(&self) -> usize {
-        self.edge_factors.len()
+        self.factors.edges.len()
     }
 
     /// Number of road categories with a non-1.0 factor.
     pub fn num_category_factors(&self) -> usize {
-        self.category_factors.iter().filter(|&&f| f != 1.0).count()
+        self.factors.category.iter().filter(|&&f| f != 1.0).count()
+    }
+
+    /// The overlay's factors, without its closures.
+    pub fn factors(&self) -> &TrafficFactors {
+        &self.factors
     }
 
     /// Total number of overlay entries (the "overlay size" that
@@ -101,7 +121,8 @@ impl TrafficOverlay {
     /// in key order. A journal checkpoint is this delta's text.
     pub fn to_delta(&self) -> TrafficDelta {
         let categories = self
-            .category_factors
+            .factors
+            .category
             .iter()
             .enumerate()
             .filter(|(_, &factor)| factor != 1.0)
@@ -110,7 +131,8 @@ impl TrafficOverlay {
                 factor,
             });
         let edges = self
-            .edge_factors
+            .factors
+            .edges
             .iter()
             .map(|(&edge, &factor)| TrafficOp::EdgeFactor { edge, factor });
         let closures = self.closures.iter().map(|(&edge, &expiry)| match expiry {
@@ -206,13 +228,13 @@ impl TrafficOverlay {
         match op {
             TrafficOp::EdgeFactor { edge, factor } => {
                 if *factor == 1.0 {
-                    self.edge_factors.remove(edge);
+                    self.factors.edges.remove(edge);
                 } else {
-                    self.edge_factors.insert(*edge, *factor);
+                    self.factors.edges.insert(*edge, *factor);
                 }
             }
             TrafficOp::CategoryFactor { category, factor } => {
-                self.category_factors[*category as usize] = *factor;
+                self.factors.category[*category as usize] = *factor;
             }
             TrafficOp::Close { edge, ttl } => {
                 let expiry = ttl.map(|t| now.saturating_add(t as u64));
@@ -256,8 +278,8 @@ impl TrafficOverlay {
         let mut column: Vec<Weight> = Vec::with_capacity(base.len());
         for (i, &w) in base.iter().enumerate() {
             let cat = net.category(arp_roadnet::EdgeId(i as u32)).code() as usize;
-            let mut factor = self.category_factors[cat];
-            if let Some(f) = self.edge_factors.get(&(i as u32)) {
+            let mut factor = self.factors.category[cat];
+            if let Some(f) = self.factors.edges.get(&(i as u32)) {
                 factor *= f;
             }
             column.push(if factor == 1.0 {
