@@ -20,6 +20,7 @@ use arp_core::prelude::*;
 use arp_core::quality::{local_optimality, route_set_features};
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::NodeId;
+use arp_roadnet::weight::UNIT_SCALE;
 
 struct Row {
     name: String,
@@ -170,7 +171,9 @@ fn main() {
             let mut ws = SearchSpace::new(net);
             let unpruned = &std::sync::Arc::new(Landmarks::empty());
             let w = net.weights();
-            let pair = SearchSubstrate::build(&mut ws, net, w, unpruned, s, t, &base_query).ok()?;
+            let pair =
+                SearchSubstrate::build(&mut ws, net, w, unpruned, UNIT_SCALE, s, t, &base_query)
+                    .ok()?;
             let k = base_query.k;
             apply_filters(&mut ws, net, net.weights(), &pair, paths, k, &commercial).ok()
         },

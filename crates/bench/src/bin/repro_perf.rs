@@ -24,7 +24,9 @@ use arp_demo::backend::INLINE_BELOW_SETTLED;
 use arp_demo::{DemoBackend, QueryProcessor, SnappedQuery};
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::NodeId;
+use arp_roadnet::weight::UNIT_SCALE;
 use arp_serve::RouteBackend;
+use arp_traffic::{CityProfile, TrafficFeed, TrafficState};
 
 /// The system allocator, counting the allocations and the bytes asked of
 /// it (a reallocation counts as one allocation of its new size).
@@ -492,7 +494,7 @@ fn tree_pair_sweep(report: &mut String) {
                 full_relaxed += ws.last_stats().relaxed;
             }
             full.relaxed += full_relaxed;
-            let grown = SearchSubstrate::build(&mut ws, &net, w, &landmarks, s, t, &q)
+            let grown = SearchSubstrate::build(&mut ws, &net, w, &landmarks, UNIT_SCALE, s, t, &q)
                 .expect("swept pairs are routable");
             bounded.settled += grown.build_stats().settled;
             bounded.relaxed += grown.build_stats().relaxed;
@@ -511,7 +513,8 @@ fn tree_pair_sweep(report: &mut String) {
         bounded.ms = time_per_query(
             || {
                 for &(s, t) in pairs {
-                    let _ = SearchSubstrate::build(&mut ws, &net, w, &landmarks, s, t, &q);
+                    let _ =
+                        SearchSubstrate::build(&mut ws, &net, w, &landmarks, UNIT_SCALE, s, t, &q);
                 }
             },
             pairs.len(),
@@ -566,7 +569,7 @@ fn landmark_pruning(report: &mut String) {
             let [mut ball, mut pruned, mut backward, mut probe] = [0u64; 4];
             for &(s, t) in pairs {
                 let mut grow = |table| {
-                    SearchSubstrate::build(&mut ws, net, net.weights(), table, s, t, &q)
+                    SearchSubstrate::build(&mut ws, net, net.weights(), table, UNIT_SCALE, s, t, &q)
                         .expect("bucketed pairs are routable")
                 };
                 let plain = grow(&unpruned);
@@ -597,6 +600,92 @@ fn landmark_pruning(report: &mut String) {
             "  {city:<10} table {:.2} MB, built in {:.1} ms",
             bytes as f64 / 1e6,
             took.as_secs_f64() * 1000.0
+        );
+    }
+}
+
+/// The feed ticks of the traffic table: `rush-hour`'s deltas, the morning
+/// ramp to its peak at tick 8 and down, then four ticks of free flow.
+const TRAFFIC_TICKS: std::ops::RangeInclusive<u64> = 6..=14;
+
+/// What the bound scale wins back under traffic, on Dhaka-Large (the
+/// `rush-hour` city) under `TrafficFeed` seed 1's Organic deltas at
+/// [`TRAFFIC_TICKS`], each applied as a served state applies a posted delta,
+/// over 24 routable pairs 7.7–12.5 km apart (the band of the benchmark's hot
+/// pairs). Per tick: the published bound scale `s`, then the labels per
+/// pair (the A\* probe and both trees) with the base column's table read at
+/// 1.0 (`unscaled`) and at `s` (`scaled`), with the empty table (`empty`),
+/// and with a table built on the tick's own column (`own`; the empty table
+/// when a closure leaves that column not strongly connected). Deterministic
+/// counts; CI gates `scaled <= unscaled` at every tick and `scaled <
+/// unscaled` at the peak.
+fn landmark_bound_under_traffic(report: &mut String) {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let city = arp_bench::generate_city(City::Dhaka, Scale::Large);
+    let net = Arc::new(city.network);
+    let base = Arc::new(Landmarks::build(&net, net.weights()));
+    let unpruned = Arc::new(Landmarks::empty());
+    let mut rng = StdRng::seed_from_u64(arp_bench::MASTER_SEED);
+    let pairs = pairs_between(&net, &mut rng, (7.7, 12.5), 24, |s, t| {
+        shortest_path(&net, net.weights(), s, t).is_ok()
+    });
+    let state = TrafficState::new(Arc::clone(&net));
+    let feed = TrafficFeed::new(1, CityProfile::Organic);
+    let _ = writeln!(
+        report,
+        "\nLandmark bound under traffic ({}-Large, {} pairs 7.7-12.5 km, feed seed 1 Organic; labels \
+         per pair with the base table read at 1.0 and at the tick's bound scale s, with the empty \
+         table, and with a table of the tick's own column; CI: scaled <= unscaled, < at tick 8):",
+        city.name,
+        pairs.len()
+    );
+    let _ = writeln!(
+        report,
+        "  {:>4} {:>6} | {:>8} {:>8} {:>8} | {:>8}",
+        "tick", "s", "unscaled", "scaled", "empty", "own"
+    );
+    let q = AltQuery::paper();
+    let mut ws = SearchSpace::new(&net);
+    for tick in TRAFFIC_TICKS {
+        let delta = feed.delta_for_tick(tick, net.num_edges());
+        state
+            .apply_delta(&delta)
+            .expect("feed deltas name edges of the network");
+        let epoch = state.snapshot();
+        let (weights, scale) = (epoch.weights(), epoch.bound_scale());
+        let own = Arc::new(Landmarks::build(&net, weights));
+        let bounds = [
+            (&base, UNIT_SCALE),
+            (&base, scale),
+            (&unpruned, UNIT_SCALE),
+            (&own, UNIT_SCALE),
+        ];
+        let mut labels = [0u64; 4];
+        let mut routable = 0;
+        for &(s, t) in &pairs {
+            let mut grow = |(table, scale): (&Arc<Landmarks>, u32)| {
+                SearchSubstrate::build(&mut ws, &net, weights, table, scale, s, t, &q)
+                    .map(|pair| pair.build_stats().settled)
+            };
+            let Ok(settled) = bounds
+                .map(&mut grow)
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()
+            else {
+                continue;
+            };
+            routable += 1;
+            for (sum, n) in labels.iter_mut().zip(settled) {
+                *sum += n;
+            }
+        }
+        let [unscaled, scaled, empty, own] = labels.map(|n| n / routable.max(1));
+        let _ = writeln!(
+            report,
+            "  {tick:>4} {:>6.3} | {unscaled:>8} {scaled:>8} {empty:>8} | {own:>8}",
+            scale as f64 / UNIT_SCALE as f64
         );
     }
 }
@@ -715,8 +804,17 @@ fn main() {
         let pair_labels = [("technique", "pair")];
         ws.set_metrics(SearchMetrics::new(&registry, &pair_labels));
         for &(s, t, _) in &queries {
-            let pair = SearchSubstrate::build(&mut ws, &net, net.weights(), &landmarks, s, t, &q)
-                .expect("benchmark queries are routable");
+            let pair = SearchSubstrate::build(
+                &mut ws,
+                &net,
+                net.weights(),
+                &landmarks,
+                UNIT_SCALE,
+                s,
+                t,
+                &q,
+            )
+            .expect("benchmark queries are routable");
             for provider in &providers {
                 let _ = provider.answer(&net, net.weights(), pair.trip(), Some(&pair), &unlimited);
             }
@@ -778,6 +876,7 @@ fn main() {
     inline_crossover(&mut report);
     tree_pair_sweep(&mut report);
     landmark_pruning(&mut report);
+    landmark_bound_under_traffic(&mut report);
 
     println!("{report}");
     let path = arp_bench::write_report("perf.txt", &report);

@@ -175,6 +175,7 @@ pub(crate) fn filter_routes(
 mod tests {
     use super::*;
     use crate::fixtures::grid;
+    use arp_roadnet::weight::UNIT_SCALE;
 
     use arp_roadnet::ids::NodeId;
 
@@ -192,7 +193,17 @@ mod tests {
         let corner = NodeId(net.num_nodes() as u32 - 1);
         let query = crate::query::AltQuery::paper();
         let unpruned = &crate::fixtures::unpruned();
-        SearchSubstrate::build(ws, net, net.weights(), unpruned, NodeId(0), corner, &query).unwrap()
+        SearchSubstrate::build(
+            ws,
+            net,
+            net.weights(),
+            unpruned,
+            UNIT_SCALE,
+            NodeId(0),
+            corner,
+            &query,
+        )
+        .unwrap()
     }
 
     /// The filters applied on the network's own weights in a fresh,

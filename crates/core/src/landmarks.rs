@@ -8,10 +8,24 @@
 //! ```
 //!
 //! The bound is **consistent** — `lb(u, t) ≤ w(u, v) + lb(v, t)` on every
-//! arc — and it stays a lower bound, consistent too, on every column no
-//! cheaper edge by edge than the one the table was built on: a traffic
-//! epoch (factors are ≥ 1, closures only close), Penalty's raised overlay,
-//! the Google-like provider's private column under the public closures.
+//! arc — and it follows a column that is dearer than the table's by a
+//! factor: it is read at a **bound scale** `s` (16.16 fixed point,
+//! [`UNIT_SCALE`] = 1.0) as `⌊s · lb(v, t)⌋`. When every open edge of a
+//! column weighs `w ≥ s · base`, `base` its weight in the table's column,
+//! the scaled bound is
+//!
+//! - *a lower bound there*: `d(v, t) ≥ s · d_base(v, t) ≥ s · lb(v, t)`;
+//! - *consistent there*: `s · lb(u) ≤ s · base(u, v) + s · lb(v) ≤
+//!   w(u, v) + s · lb(v)`, and as `w` is an integer, `⌊x + w⌋ = ⌊x⌋ + w`,
+//!   so the floor keeps it.
+//!
+//! A traffic epoch publishes its column's scale
+//! (`arp_traffic::EpochSnapshot::bound_scale`, ≥ 1.0: factors are ≥ 1 and
+//! closures only close), so the base column's one table bounds every epoch
+//! about as tightly as the epoch's own table would, with no per-epoch
+//! work; Penalty's raised overlay is no cheaper than the epoch's column,
+//! and the Google-like provider's private column under the public closures
+//! no cheaper than its private table's, which it reads at 1.0.
 //! [`crate::SearchSubstrate::build`] reads it twice: an A\* probe over
 //! reduced costs finds `d(s, t)`, which fixes the stretch bound `B` before
 //! the forward tree starts, and the forward tree then labels `v` only
@@ -31,7 +45,7 @@ use std::fmt;
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::geo::haversine_m;
 use arp_roadnet::ids::NodeId;
-use arp_roadnet::weight::{Cost, Weight};
+use arp_roadnet::weight::{Cost, Weight, UNIT_SCALE};
 
 use crate::budget::SearchBudget;
 use crate::kernel::{self, ArcView, Column, Exhaust, InEdges, Labels, OutEdges, Poller};
@@ -63,6 +77,15 @@ impl Row {
         }
         lb as Cost
     }
+}
+
+/// A target's [`Row`] and the bound scale its bounds are read at: what a
+/// search toward one target keeps to bound every vertex by
+/// ([`Landmarks::toward`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Toward {
+    row: Row,
+    scale: Cost,
 }
 
 /// A landmark distance table for one weight column (see the module docs).
@@ -184,24 +207,31 @@ impl Landmarks {
         self.rows.len() * std::mem::size_of::<Row>()
     }
 
-    /// The landmark lower bound on `d(v, t)`.
-    pub fn lower_bound(&self, v: NodeId, t: NodeId) -> Cost {
-        self.lower(v.0, &self.row(t))
+    /// The landmark lower bound on `d(v, t)` at bound scale `scale`:
+    /// `⌊scale · lb(v, t) / UNIT_SCALE⌋`, a lower bound on a column whose
+    /// every open edge weighs at least `scale / UNIT_SCALE` times its
+    /// weight in the table's column. At [`UNIT_SCALE`] it is `lb(v, t)`.
+    pub fn lower_bound(&self, v: NodeId, t: NodeId, scale: u32) -> Cost {
+        self.lower(v.0, &self.toward(t, scale))
     }
 
-    /// `t`'s row, to bound many distances to `t` by ([`Landmarks::lower`]);
-    /// all zeros in the empty table.
-    pub(crate) fn row(&self, t: NodeId) -> Row {
-        self.rows.get(t.index()).copied().unwrap_or_default()
+    /// `t`'s row and `scale`, to bound many distances to `t` by
+    /// ([`Landmarks::lower`]); the row is all zeros in the empty table.
+    pub(crate) fn toward(&self, t: NodeId, scale: u32) -> Toward {
+        Toward {
+            row: self.rows.get(t.index()).copied().unwrap_or_default(),
+            scale: scale as Cost,
+        }
     }
 
-    /// The bound on `d(v, t)`, given `t`'s [`Landmarks::row`]: one cache
-    /// line read.
+    /// The bound on `d(v, t)`, given `t`'s [`Landmarks::toward`]: one
+    /// cache line read, then one multiply and one shift. `lb` is below
+    /// 2³¹ and the scale below 2³², so the product fits a `u64`.
     #[inline]
-    pub(crate) fn lower(&self, v: u32, t: &Row) -> Cost {
-        self.rows
-            .get(v as usize)
-            .map_or(0, |row| row.lower_bound_to(t))
+    pub(crate) fn lower(&self, v: u32, t: &Toward) -> Cost {
+        self.rows.get(v as usize).map_or(0, |row| {
+            row.lower_bound_to(&t.row) * t.scale / UNIT_SCALE as Cost
+        })
     }
 }
 
@@ -259,13 +289,13 @@ mod tests {
         for v in net.nodes() {
             for t in net.nodes().filter(|&t| t != v) {
                 let d = ws.shortest_distance(&net, net.weights(), v, t).unwrap();
-                assert!(table.lower_bound(v, t) <= d, "{v}->{t}");
+                assert!(table.lower_bound(v, t, UNIT_SCALE) <= d, "{v}->{t}");
                 // A landmark target is bounded exactly.
                 if table.landmarks().contains(&t) {
-                    assert_eq!(table.lower_bound(v, t), d, "{v}->{t}");
+                    assert_eq!(table.lower_bound(v, t, UNIT_SCALE), d, "{v}->{t}");
                 }
             }
-            assert_eq!(table.lower_bound(v, v), 0);
+            assert_eq!(table.lower_bound(v, v, UNIT_SCALE), 0);
         }
         // The first landmark is a corner: farthest from the centre.
         let corners = [0, 6, 42, 48].map(NodeId);
@@ -281,7 +311,7 @@ mod tests {
         let net = b.build();
         let table = Landmarks::build(&net, net.weights());
         assert!(table.is_empty());
-        assert_eq!(table.lower_bound(a, c), 0);
+        assert_eq!(table.lower_bound(a, c, UNIT_SCALE), 0);
     }
 
     #[test]

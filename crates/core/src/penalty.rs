@@ -343,6 +343,7 @@ mod tests {
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
     use arp_roadnet::category::RoadCategory;
     use arp_roadnet::geo::Point;
+    use arp_roadnet::weight::UNIT_SCALE;
 
     #[test]
     fn first_path_is_shortest() {
@@ -450,6 +451,7 @@ mod tests {
             net,
             net.weights(),
             unpruned,
+            UNIT_SCALE,
             NodeId(s),
             NodeId(t),
             query,

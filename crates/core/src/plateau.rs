@@ -218,6 +218,7 @@ mod tests {
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
     use arp_roadnet::category::RoadCategory;
     use arp_roadnet::geo::Point;
+    use arp_roadnet::weight::UNIT_SCALE;
 
     /// Ladder: two corridors of different cost between s and t.
     fn two_corridors() -> RoadNetwork {
@@ -341,8 +342,17 @@ mod tests {
         let mut ws = SearchSpace::new(&net);
         let unpruned = &crate::fixtures::unpruned();
         let (s, t) = (NodeId(0), NodeId(63));
-        let sub =
-            SearchSubstrate::build(&mut ws, &net, net.weights(), unpruned, s, t, &query).unwrap();
+        let sub = SearchSubstrate::build(
+            &mut ws,
+            &net,
+            net.weights(),
+            unpruned,
+            UNIT_SCALE,
+            s,
+            t,
+            &query,
+        )
+        .unwrap();
         let mut funnel = Funnel::default();
         let paths = plateau_alternatives_from_trees(
             &net,

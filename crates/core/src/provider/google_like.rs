@@ -20,7 +20,7 @@ use arp_obs::Registry;
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::geo::Point;
 use arp_roadnet::ids::EdgeId;
-use arp_roadnet::weight::Weight;
+use arp_roadnet::weight::{Weight, UNIT_SCALE};
 
 use crate::error::CoreError;
 use crate::filters::{filter_routes, FilterConfig};
@@ -288,21 +288,22 @@ impl GoogleLikeProvider {
                 ws.record_reads(cells);
             }
             let landmarks = &self.landmarks;
-            let own =
-                match SearchSubstrate::build_under(&mut ws, net, private, landmarks, s, t, query) {
-                    Ok(own) => own,
-                    Err((CoreError::Interrupted, proven)) => {
-                        funnel.interrupted = true;
-                        return Ok(proven.into_iter().collect());
+            let own = match SearchSubstrate::build_under(
+                &mut ws, net, private, landmarks, UNIT_SCALE, s, t, query,
+            ) {
+                Ok(own) => own,
+                Err((CoreError::Interrupted, proven)) => {
+                    funnel.interrupted = true;
+                    return Ok(proven.into_iter().collect());
+                }
+                Err((e, _)) => {
+                    // A complete search proved the target unreachable.
+                    if matches!(e, CoreError::Unreachable { .. }) {
+                        reads = ws.take_reads();
                     }
-                    Err((e, _)) => {
-                        // A complete search proved the target unreachable.
-                        if matches!(e, CoreError::Unreachable { .. }) {
-                            reads = ws.take_reads();
-                        }
-                        return Err(e);
-                    }
-                };
+                    return Err(e);
+                }
+            };
             let paths = plateau_alternatives_from_trees(
                 net,
                 &self.private_weights,
@@ -538,7 +539,9 @@ mod tests {
         assert!(routes.len() >= 2, "a route past the first was probed");
         let mut ws = crate::search::SearchSpace::new(&net);
         let private = p.private_weights();
-        let own = SearchSubstrate::build(&mut ws, &net, private, &p.landmarks, s, t, &q).unwrap();
+        let own =
+            SearchSubstrate::build(&mut ws, &net, private, &p.landmarks, UNIT_SCALE, s, t, &q)
+                .unwrap();
         let labels = &[("technique", "google_like")][..];
         assert_eq!(
             registry.counter_value("arp_search_settled_nodes_total", labels),

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use arp_obs::Registry;
 use arp_roadnet::csr::RoadNetwork;
 use arp_roadnet::ids::NodeId;
-use arp_roadnet::weight::Weight;
+use arp_roadnet::weight::{Weight, UNIT_SCALE};
 
 use crate::budget::SearchBudget;
 use crate::dissimilarity::{dissimilarity_alternatives_from_trees, DissimilarityOptions};
@@ -160,6 +160,7 @@ pub trait AlternativesProvider: Send + Sync {
             net,
             public_weights,
             &unpruned,
+            UNIT_SCALE,
             source,
             target,
             query,
@@ -549,6 +550,7 @@ mod tests {
             net,
             net.weights(),
             unpruned,
+            UNIT_SCALE,
             NodeId(s),
             NodeId(t),
             query,
@@ -717,7 +719,8 @@ mod tests {
             let mut ws = SearchSpace::new(&net);
             ws.record_reads(&cells);
             let (s, t) = (NodeId(26), NodeId(94));
-            let pair = SearchSubstrate::build(&mut ws, &net, weights, &table, s, t, &query);
+            let pair =
+                SearchSubstrate::build(&mut ws, &net, weights, &table, UNIT_SCALE, s, t, &query);
             (
                 pair.unwrap(),
                 ws.take_reads().expect("a recording workspace"),

@@ -49,7 +49,7 @@ use arp_roadnet::weight::{Cost, Weight, INFINITY};
 
 use crate::error::CoreError;
 use crate::kernel::{GrowToBound, InsideEllipse, Weights, WithinBound};
-use crate::landmarks::{Landmarks, Row};
+use crate::landmarks::{Landmarks, Toward};
 use crate::metrics::{Funnel, SearchStats};
 use crate::path::Path;
 use crate::query::AltQuery;
@@ -84,9 +84,10 @@ pub struct SearchSubstrate {
     trip: Trip,
     /// Every vertex with `d_f + d_b ≤ bound` carries its exact labels.
     bound: Cost,
-    /// The table the pair was grown with, and the target's row in it.
+    /// The table the pair was grown with, and the target's row in it with
+    /// the bound scale the table is read at.
     landmarks: Arc<Landmarks>,
-    toward: Row,
+    toward: Toward,
     forward: ShortestPathTree,
     backward: ShortestPathTree,
     base: Path,
@@ -101,13 +102,19 @@ impl SearchSubstrate {
     /// read off the forward tree. This is the one place a tree pair is
     /// grown for a request.
     ///
-    /// `landmarks` must be a table of a column no cheaper than `weights`
-    /// edge by edge — built on the base column of any traffic epoch of it
-    /// ([`Landmarks::build`]) — or the empty table. A table finds `B` with
-    /// an A\* probe first and prunes the forward tree to
-    /// `d + lb(v, target) ≤ B`; the empty table grows the forward tree as
-    /// the ball of radius `B`. The pair's labels inside the ellipse are the
-    /// same either way.
+    /// `landmarks` is the table of a column `base` ([`Landmarks::build`]),
+    /// or the empty table, and `scale` a bound scale (16.16 fixed point,
+    /// [`UNIT_SCALE`](arp_roadnet::weight::UNIT_SCALE) = 1.0) with
+    /// `w ≥ scale · base` on every open edge of `weights`: a traffic epoch of the base column passes its snapshot's
+    /// `bound_scale`, any column no cheaper edge by edge than the table's
+    /// passes `UNIT_SCALE`. The bound read is then `⌊scale · lb(v,
+    /// target)⌋`, a lower bound on `weights` (`d ≥ scale · d_base ≥ scale ·
+    /// lb`) and consistent on it (`scale · lb(u) ≤ scale · base(u, v) +
+    /// scale · lb(v) ≤ w(u, v) + scale · lb(v)`, and the floor keeps that,
+    /// `w` being an integer). A table finds `B` with an A\* probe first and
+    /// prunes the forward tree to `d + ⌊scale · lb(v, target)⌋ ≤ B`; the
+    /// empty table grows the forward tree as the ball of radius `B`. The
+    /// pair's labels inside the ellipse are the same either way.
     ///
     /// A workspace that records ([`SearchSpace::record_reads`]) records
     /// the cells the probe and both trees settled: every weight the pair
@@ -120,25 +127,29 @@ impl SearchSubstrate {
     /// the base route when the forward tree had already proven it — a trip
     /// during the backward tree — so an interrupted caller still has the
     /// optimal route to serve as its partial.
+    #[allow(clippy::too_many_arguments)]
     pub fn build(
         ws: &mut SearchSpace,
         net: &RoadNetwork,
         weights: &[Weight],
         landmarks: &Arc<Landmarks>,
+        scale: u32,
         source: NodeId,
         target: NodeId,
         query: &AltQuery,
     ) -> Result<SearchSubstrate, (CoreError, Option<Path>)> {
-        Self::build_under(ws, net, weights, landmarks, source, target, query)
+        Self::build_under(ws, net, weights, landmarks, scale, source, target, query)
     }
 
     /// [`SearchSubstrate::build`] over any [`Weights`] — the Google-like
     /// provider's private column under the public closures.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn build_under(
         ws: &mut SearchSpace,
         net: &RoadNetwork,
         weights: impl Weights,
         landmarks: &Arc<Landmarks>,
+        scale: u32,
         source: NodeId,
         target: NodeId,
         query: &AltQuery,
@@ -146,7 +157,7 @@ impl SearchSubstrate {
         if source == target {
             return Err((CoreError::SameSourceTarget(source), None));
         }
-        let toward = landmarks.row(target);
+        let toward = landmarks.toward(target, scale);
         let lower = |v| landmarks.lower(v, &toward);
         let mut build_stats = SearchStats::default();
         let (forward, bound) = if landmarks.is_empty() {
@@ -278,7 +289,8 @@ impl SearchSubstrate {
     /// on, and so under any column no cheaper edge by edge: `d_b(v)` inside
     /// the ellipse; for a forward-labelled vertex outside it, the larger of
     /// `bound + 1 − d_f(v)` (since `d_f(v) + d_b(v) > bound` there) and the
-    /// landmark bound `lb(v)`; `lb(v)` for a vertex neither tree reached.
+    /// landmark bound `lb(v)`, read at the build's bound scale; `lb(v)` for
+    /// a vertex neither tree reached.
     #[inline]
     pub(crate) fn target_lower_bound(&self, v: u32) -> Cost {
         let node = NodeId(v);
@@ -336,6 +348,7 @@ mod tests {
     use crate::budget::SearchBudget;
     use crate::fixtures::{grid, unpruned};
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
+    use arp_roadnet::weight::UNIT_SCALE;
 
     use arp_roadnet::geo::Point;
 
@@ -354,6 +367,7 @@ mod tests {
             net,
             weights,
             landmarks,
+            UNIT_SCALE,
             NodeId(s),
             NodeId(t),
             query,
@@ -553,9 +567,16 @@ mod tests {
         let mut ws = SearchSpace::new(&net);
         ws.set_budget(SearchBudget::new().with_expansion_cap(1));
         let unpruned = &unpruned();
-        let Err((CoreError::Interrupted, Some(base))) =
-            SearchSubstrate::build(&mut ws, &net, net.weights(), unpruned, s, t, &query)
-        else {
+        let Err((CoreError::Interrupted, Some(base))) = SearchSubstrate::build(
+            &mut ws,
+            &net,
+            net.weights(),
+            unpruned,
+            UNIT_SCALE,
+            s,
+            t,
+            &query,
+        ) else {
             panic!("the trip must land between the two trees");
         };
         let direct = crate::search::shortest_path(&net, net.weights(), s, t).unwrap();
@@ -565,7 +586,16 @@ mod tests {
         cancelled.cancel();
         ws.set_budget(cancelled);
         assert!(matches!(
-            SearchSubstrate::build(&mut ws, &net, net.weights(), unpruned, s, t, &query),
+            SearchSubstrate::build(
+                &mut ws,
+                &net,
+                net.weights(),
+                unpruned,
+                UNIT_SCALE,
+                s,
+                t,
+                &query
+            ),
             Err((CoreError::Interrupted, None))
         ));
     }

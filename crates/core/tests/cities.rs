@@ -11,6 +11,7 @@ use arp_core::{dissimilarity_alternatives_from_trees, Funnel, SearchSubstrate};
 use arp_obs::Registry;
 use arp_roadnet::ids::NodeId;
 use arp_roadnet::spatial::SpatialIndex;
+use arp_roadnet::weight::UNIT_SCALE;
 
 /// The paths `provider` routes from `s` to `t` on `net`'s own weights.
 fn routed(
@@ -325,9 +326,27 @@ fn search_work_counters_are_pinned_on_dhaka() {
         ws.shortest_path_tree(net, w, t, Direction::Backward)
             .unwrap();
         bwd.accumulate(&ws.last_stats());
-        let sub = SearchSubstrate::build(&mut ws, net, w, &unpruned, s, t, &AltQuery::paper());
+        let sub = SearchSubstrate::build(
+            &mut ws,
+            net,
+            w,
+            &unpruned,
+            UNIT_SCALE,
+            s,
+            t,
+            &AltQuery::paper(),
+        );
         bounded.accumulate(&sub.unwrap().build_stats());
-        let sub = SearchSubstrate::build(&mut ws, net, w, &landmarks, s, t, &AltQuery::paper());
+        let sub = SearchSubstrate::build(
+            &mut ws,
+            net,
+            w,
+            &landmarks,
+            UNIT_SCALE,
+            s,
+            t,
+            &AltQuery::paper(),
+        );
         pruned.accumulate(&sub.unwrap().build_stats());
     }
     let counted = [one, fwd, bwd, bounded].map(|s| (s.settled, s.heap_pops, s.relaxed));
@@ -354,7 +373,16 @@ fn search_work_counters_are_pinned_on_dhaka() {
     let registry = arp_obs::Registry::new();
     let labels = [("technique", "penalty")];
     for (s, t) in sample_pairs(net, 12) {
-        let sub = SearchSubstrate::build(&mut ws, net, w, &unpruned, s, t, &AltQuery::paper());
+        let sub = SearchSubstrate::build(
+            &mut ws,
+            net,
+            w,
+            &unpruned,
+            UNIT_SCALE,
+            s,
+            t,
+            &AltQuery::paper(),
+        );
         let sub = sub.unwrap();
         let mut lane = SearchSpace::new(net);
         lane.set_metrics(SearchMetrics::new(&registry, &labels));
@@ -406,7 +434,9 @@ fn bounded_tree_pair_equals_the_complete_pair_inside_the_ellipse_on_a_medium_cit
             // block, so the pairs range from next door to across town.
             let s = NodeId((i * 1931 + 17) % n);
             let t = NodeId((s.0 + 3 + i * i * 57) % n);
-            let Ok(sub) = SearchSubstrate::build(&mut ws, net, column, &landmarks, s, t, &q) else {
+            let Ok(sub) =
+                SearchSubstrate::build(&mut ws, net, column, &landmarks, UNIT_SCALE, s, t, &q)
+            else {
                 continue;
             };
             let fwd = ws.shortest_path_tree(net, column, s, Direction::Forward);
@@ -424,7 +454,7 @@ fn bounded_tree_pair_equals_the_complete_pair_inside_the_ellipse_on_a_medium_cit
                     assert_eq!(b.parent(v), bwd.parent(v), "{s}->{t}: {v}");
                 } else {
                     assert!(!b.reached(v), "{s}->{t}: {v}");
-                    let lb = landmarks.lower_bound(v, t);
+                    let lb = landmarks.lower_bound(v, t, UNIT_SCALE);
                     assert!(!f.reached(v) || (f.distance(v) == df && df + lb <= bound));
                 }
             }
@@ -543,7 +573,17 @@ fn long_sweep_fixture() -> (arp_citygen::GeneratedCity, SearchSubstrate, AltQuer
         .with_epsilon(3.0);
     let mut ws = SearchSpace::new(&g.network);
     let (net, unpruned) = (&g.network, &Arc::new(Landmarks::empty()));
-    let sub = SearchSubstrate::build(&mut ws, net, net.weights(), unpruned, s, t, &query).unwrap();
+    let sub = SearchSubstrate::build(
+        &mut ws,
+        net,
+        net.weights(),
+        unpruned,
+        UNIT_SCALE,
+        s,
+        t,
+        &query,
+    )
+    .unwrap();
     (g, sub, query)
 }
 

@@ -11,8 +11,10 @@ use arp_core::search::{Direction, ShortestPathTree};
 use arp_core::similarity;
 use arp_core::{ChTopology, Funnel, Landmarks};
 use arp_obs::Registry;
+use arp_roadnet::category::ALL_CATEGORIES;
 use arp_roadnet::prelude::*;
-use arp_roadnet::weight::{apply_penalty, Cost};
+use arp_roadnet::weight::{apply_penalty, Cost, UNIT_SCALE};
+use arp_traffic::{EpochSnapshot, TrafficDelta, TrafficState};
 use proptest::prelude::*;
 
 /// Random strongly connected graph: a Hamiltonian cycle (guaranteeing
@@ -25,6 +27,17 @@ fn arb_scc_graph() -> impl Strategy<Value = (usize, Vec<(usize, usize, u32)>)> {
 }
 
 fn build(n: usize, chords: &[(usize, usize, u32)]) -> RoadNetwork {
+    build_weighed(n, chords, |w| w)
+}
+
+/// [`build`]'s graph with every edge weight `w` replaced by `1 + w % 9`
+/// ms: edges so short that a traffic factor rounds on nearly every one.
+fn build_short(n: usize, chords: &[(usize, usize, u32)]) -> RoadNetwork {
+    build_weighed(n, chords, |w| 1 + w % 9)
+}
+
+/// [`build`]'s graph with its edge weights passed through `weigh`.
+fn build_weighed(n: usize, chords: &[(usize, usize, u32)], weigh: fn(u32) -> u32) -> RoadNetwork {
     let mut b = GraphBuilder::new();
     let ids: Vec<NodeId> = (0..n)
         .map(|i| {
@@ -39,7 +52,7 @@ fn build(n: usize, chords: &[(usize, usize, u32)]) -> RoadNetwork {
             ids[i],
             ids[(i + 1) % n],
             EdgeSpec::category(RoadCategory::Primary)
-                .with_weight(500_000 + (i as u32 * 7919) % 100_000),
+                .with_weight(weigh(500_000 + (i as u32 * 7919) % 100_000)),
         );
     }
     for &(t, h, w) in chords {
@@ -47,7 +60,7 @@ fn build(n: usize, chords: &[(usize, usize, u32)]) -> RoadNetwork {
             b.add_edge(
                 ids[t],
                 ids[h],
-                EdgeSpec::category(RoadCategory::Secondary).with_weight(w),
+                EdgeSpec::category(RoadCategory::Secondary).with_weight(weigh(w)),
             );
         }
     }
@@ -361,7 +374,8 @@ fn check_sweep_against_reference(
     let budget = SearchBudget::unlimited();
     let mut ws = SearchSpace::new(net);
     let unpruned = &unpruned();
-    let Ok(sub) = arp_core::SearchSubstrate::build(&mut ws, net, weights, unpruned, s, t, query)
+    let Ok(sub) =
+        arp_core::SearchSubstrate::build(&mut ws, net, weights, unpruned, UNIT_SCALE, s, t, query)
     else {
         return Ok(None);
     };
@@ -451,17 +465,17 @@ fn reference_parent(
 fn check_bounded_build(
     net: &RoadNetwork,
     weights: &[Weight],
-    landmarks: &Arc<Landmarks>,
+    (landmarks, scale): (&Arc<Landmarks>, u32),
     (s, t): (NodeId, NodeId),
     query: &AltQuery,
 ) -> Result<bool, String> {
     let what = format!(
-        "{s}->{t} eps={} landmarks={}",
+        "{s}->{t} eps={} landmarks={} scale={scale}",
         query.epsilon,
         landmarks.landmarks().len()
     );
     let build = |ws: &mut SearchSpace| {
-        arp_core::SearchSubstrate::build(ws, net, weights, landmarks, s, t, query)
+        arp_core::SearchSubstrate::build(ws, net, weights, landmarks, scale, s, t, query)
             .map_err(|(e, _)| e)
     };
     let mut ws = SearchSpace::new(net);
@@ -504,7 +518,7 @@ fn check_bounded_build(
         } else {
             // (b): the forward run may keep what its bound admits, exactly
             // labelled; the backward run keeps nothing outside the ellipse.
-            let admitted = |d: Cost| d + landmarks.lower_bound(v, t) <= bound;
+            let admitted = |d: Cost| d + landmarks.lower_bound(v, t, scale) <= bound;
             kb == INFINITY && (kf == INFINITY || (kf == df && admitted(df)))
         };
         if !ok {
@@ -754,7 +768,8 @@ fn check_filters_against_reference(
             let t = NodeId((draw(seed, 2 * q + 2) % n) as u32);
             let mut ws = SearchSpace::new(net);
             let query = AltQuery::paper();
-            let Ok(pair) = SearchSubstrate::build(&mut ws, net, weights, landmarks, s, t, &query)
+            let Ok(pair) =
+                SearchSubstrate::build(&mut ws, net, weights, landmarks, UNIT_SCALE, s, t, &query)
             else {
                 continue;
             };
@@ -892,11 +907,12 @@ fn check_penalty_against_reference(
     let registry = arp_obs::Registry::new();
     let labels = [("technique", "penalty")];
     let mut ws = SearchSpace::new(net);
-    let pair = match SearchSubstrate::build(&mut ws, net, weights, landmarks, s, t, query) {
-        Ok(pair) => pair,
-        Err((e, _)) if want.as_ref().err() == Some(&e) => return Ok(false),
-        Err((e, _)) => return Err(format!("{what}: pair {e}, reference {want:?}")),
-    };
+    let pair =
+        match SearchSubstrate::build(&mut ws, net, weights, landmarks, UNIT_SCALE, s, t, query) {
+            Ok(pair) => pair,
+            Err((e, _)) if want.as_ref().err() == Some(&e) => return Ok(false),
+            Err((e, _)) => return Err(format!("{what}: pair {e}, reference {want:?}")),
+        };
     ws.set_metrics(SearchMetrics::new(&registry, &labels));
     let mut stats = Funnel::default();
     let got =
@@ -947,7 +963,9 @@ fn reference_google_like(
         .map(|(&w, &p)| if p == CLOSED { CLOSED } else { w })
         .collect();
     let mut ws = SearchSpace::new(net);
-    let Ok(own) = SearchSubstrate::build(&mut ws, net, &masked, &unpruned(), s, t, query) else {
+    let Ok(own) =
+        SearchSubstrate::build(&mut ws, net, &masked, &unpruned(), UNIT_SCALE, s, t, query)
+    else {
         return Vec::new();
     };
     let options = PlateauOptions {
@@ -1004,8 +1022,11 @@ fn check_reuse(
         let mut ws = SearchSpace::pooled(net, budget(), SearchMetrics::default());
         let mut fresh = SearchSpace::new(net);
         fresh.set_budget(budget());
-        let got = SearchSubstrate::build(&mut ws, net, weights, landmarks, s, t, &query);
-        let want = SearchSubstrate::build(&mut fresh, net, weights, landmarks, s, t, &query);
+        let got =
+            SearchSubstrate::build(&mut ws, net, weights, landmarks, UNIT_SCALE, s, t, &query);
+        let want = SearchSubstrate::build(
+            &mut fresh, net, weights, landmarks, UNIT_SCALE, s, t, &query,
+        );
         let (pair, fresh_pair) = match (got, want) {
             (Ok(got), Ok(want)) => (got, want),
             (Err(got), Err(want)) if got == want => continue,
@@ -1128,7 +1149,9 @@ fn check_funnels(
         query.epsilon, query.k, query.theta
     );
     let mut ws = SearchSpace::new(net);
-    let Ok(pair) = SearchSubstrate::build(&mut ws, net, weights, &unpruned(), s, t, query) else {
+    let Ok(pair) =
+        SearchSubstrate::build(&mut ws, net, weights, &unpruned(), UNIT_SCALE, s, t, query)
+    else {
         return Ok(None);
     };
     let (fwd, bwd, budget) = (pair.forward(), pair.backward(), SearchBudget::unlimited());
@@ -1193,22 +1216,28 @@ fn check_landmarks(
     table: &Landmarks,
 ) -> Result<(), String> {
     for t in net.nodes() {
-        if table.lower_bound(t, t) != 0 {
-            return Err(format!("lb({t}, {t}) = {}", table.lower_bound(t, t)));
+        if table.lower_bound(t, t, UNIT_SCALE) != 0 {
+            return Err(format!(
+                "lb({t}, {t}) = {}",
+                table.lower_bound(t, t, UNIT_SCALE)
+            ));
         }
         for column in columns {
             let to_t = reference_dijkstra(net, column, t, Direction::Backward);
             if let Some(v) = net
                 .nodes()
-                .find(|&v| table.lower_bound(v, t) > to_t[v.index()])
+                .find(|&v| table.lower_bound(v, t, UNIT_SCALE) > to_t[v.index()])
             {
-                let lb = table.lower_bound(v, t);
+                let lb = table.lower_bound(v, t, UNIT_SCALE);
                 return Err(format!("lb({v}, {t}) = {lb} > d = {}", to_t[v.index()]));
             }
         }
         for e in net.edges().filter(|e| base[e.index()] != CLOSED) {
             let (u, v) = (net.tail(e), net.head(e));
-            let (lu, lv) = (table.lower_bound(u, t), table.lower_bound(v, t));
+            let (lu, lv) = (
+                table.lower_bound(u, t, UNIT_SCALE),
+                table.lower_bound(v, t, UNIT_SCALE),
+            );
             if lu > base[e.index()] as Cost + lv {
                 return Err(format!(
                     "lb({u}, {t}) = {lu} > w({e}) + lb({v}, {t}) = {lv}"
@@ -1217,6 +1246,161 @@ fn check_landmarks(
         }
     }
     Ok(())
+}
+
+/// `net` under a random traffic epoch drawn from `seed`, published by the
+/// traffic state a serving process keeps: each road category slowed with
+/// probability 3/4, up to 5 edges slowed on top and up to 3 closed, every
+/// factor of three decimals in 1–3, so that short edges round. The
+/// snapshot carries the column and its bound scale.
+fn random_epoch(net: &RoadNetwork, seed: u64) -> Arc<EpochSnapshot> {
+    let state = TrafficState::new(Arc::new(net.clone()));
+    let m = net.num_edges() as u64;
+    let factor = |i| 1.0 + (draw(seed, i) % 2001) as f64 / 1000.0;
+    let mut ops = Vec::new();
+    for (c, category) in (0..).zip(ALL_CATEGORIES) {
+        if !draw(seed, 100 + c).is_multiple_of(4) {
+            ops.push(format!("cat:{}*{:.3}", category.osm_tag(), factor(200 + c)));
+        }
+    }
+    for i in 0..draw(seed, 1) % 6 {
+        ops.push(format!(
+            "edge:{}*{:.3}",
+            draw(seed, 300 + i) % m,
+            factor(400 + i)
+        ));
+    }
+    for i in 0..draw(seed, 2) % 4 {
+        ops.push(format!("close:{}", draw(seed, 500 + i) % m));
+    }
+    if !ops.is_empty() {
+        let delta = TrafficDelta::parse(&ops.join("; ")).expect("a well-formed delta");
+        state.apply_delta(&delta).expect("edges of the network");
+    }
+    state.snapshot()
+}
+
+/// The base column's landmark table read at `epoch`'s bound scale `s`,
+/// against the epoch's column, toward every target of `targets`: the bound
+/// is exactly `⌊s · lb(v, t)⌋` (the product taken apart, in `u128`), at
+/// most the reference distance `d(v, t)` at every `v`, and consistent on
+/// every open arc.
+fn check_scaled_bound(
+    net: &RoadNetwork,
+    table: &Landmarks,
+    epoch: &EpochSnapshot,
+    targets: impl IntoIterator<Item = NodeId>,
+) -> Result<(), String> {
+    let (column, s) = (epoch.weights(), epoch.bound_scale());
+    let scaled = |v, t| table.lower_bound(v, t, s);
+    for t in targets {
+        let to_t = reference_dijkstra(net, column, t, Direction::Backward);
+        for v in net.nodes() {
+            let lb = table.lower_bound(v, t, UNIT_SCALE);
+            let floor = ((u128::from(lb) * u128::from(s)) >> 16) as Cost;
+            let got = scaled(v, t);
+            if got != floor {
+                return Err(format!(
+                    "lb({v}, {t}) = {lb} reads {got} at {s}, not {floor}"
+                ));
+            }
+            if got > to_t[v.index()] {
+                return Err(format!(
+                    "lb({v}, {t}) at {s} = {got} > d = {}",
+                    to_t[v.index()]
+                ));
+            }
+        }
+        for e in net.edges().filter(|e| column[e.index()] != CLOSED) {
+            let (u, v) = (net.tail(e), net.head(e));
+            let (lu, lv, w) = (scaled(u, t), scaled(v, t), column[e.index()]);
+            if lu > w as Cost + lv {
+                return Err(format!(
+                    "at {s}: lb({u}, {t}) = {lu} > w({e}) = {w} + lb({v}, {t}) = {lv}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The tree pair of each of `pairs` on `epoch`'s column, grown with the
+/// base column's table read at the epoch's bound scale, at 1.0, and with
+/// the empty table: each passes [`check_bounded_build`] (labels and
+/// parents inside the ellipse are the reference's), and each of the four
+/// techniques answers the same routes on all three.
+fn check_epoch_pairs(
+    net: &RoadNetwork,
+    table: &Arc<Landmarks>,
+    epoch: &EpochSnapshot,
+    pairs: &[(u32, u32)],
+    query: &AltQuery,
+) -> Result<(), String> {
+    let column = &epoch.weights()[..];
+    let empty = unpruned();
+    let bounds = [
+        (table, epoch.bound_scale()),
+        (table, UNIT_SCALE),
+        (&empty, UNIT_SCALE),
+    ];
+    let providers = standard_providers(net, 7);
+    let budget = SearchBudget::unlimited();
+    let mut ws = SearchSpace::new(net);
+    for &(s, t) in pairs {
+        let st = (NodeId(s), NodeId(t));
+        let mut answers = Vec::new();
+        for (landmarks, scale) in bounds {
+            check_bounded_build(net, column, (landmarks, scale), st, query)?;
+            let Ok(pair) =
+                SearchSubstrate::build(&mut ws, net, column, landmarks, scale, st.0, st.1, query)
+            else {
+                continue;
+            };
+            let answer = |p: &dyn AlternativesProvider| {
+                let fed = p.reads_pair().then_some(&pair);
+                let outcome = p.answer(net, column, pair.trip(), fed, &budget);
+                outcome.map(|o| o.routes())
+            };
+            answers.push(
+                providers
+                    .iter()
+                    .map(|p| answer(p.as_ref()))
+                    .collect::<Vec<_>>(),
+            );
+        }
+        if answers.windows(2).any(|w| w[0] != w[1]) {
+            return Err(format!(
+                "{s}->{t} at {}: the techniques' routes differ",
+                epoch.bound_scale()
+            ));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn the_scaled_bound_holds_on_small_cities_under_random_epochs() {
+    for (seed, city) in (11u64..).zip(arp_citygen::City::ALL) {
+        let net = arp_citygen::generate(city, arp_citygen::Scale::Small, seed).network;
+        let table = table_of(&net, net.weights());
+        let n = net.num_nodes() as u64;
+        for round in 0..2 {
+            let epoch = random_epoch(&net, seed * 10 + round);
+            let targets = (0..3).map(|i| NodeId((draw(seed, 900 + i) % n) as u32));
+            check_scaled_bound(&net, &table, &epoch, targets)
+                .unwrap_or_else(|e| panic!("{city:?}: {e}"));
+            let pairs: Vec<(u32, u32)> = (0..2)
+                .map(|i| {
+                    (
+                        (draw(seed, 950 + i) % n) as u32,
+                        (draw(seed, 960 + i) % n) as u32,
+                    )
+                })
+                .collect();
+            check_epoch_pairs(&net, &table, &epoch, &pairs, &AltQuery::paper())
+                .unwrap_or_else(|e| panic!("{city:?}: {e}"));
+        }
+    }
 }
 
 #[test]
@@ -1261,7 +1445,7 @@ fn the_bounded_build_check_catches_a_table_one_unit_too_tight() {
     let (from, mut to) = ([from], [to]);
     let exact = Arc::new(Landmarks::from_distances(&[t], &from, &to));
     assert_eq!(
-        check_bounded_build(&net, net.weights(), &exact, (s, t), &query),
+        check_bounded_build(&net, net.weights(), (&exact, UNIT_SCALE), (s, t), &query),
         Ok(true)
     );
     let from_s = reference_dijkstra(&net, net.weights(), s, Direction::Forward);
@@ -1273,7 +1457,8 @@ fn the_bounded_build_check_catches_a_table_one_unit_too_tight() {
     let v = v.expect("a shortest path has an inner vertex");
     to[0][v.index()] += 1;
     let tight = Arc::new(Landmarks::from_distances(&[t], &from, &to));
-    assert!(check_bounded_build(&net, net.weights(), &tight, (s, t), &query).is_err());
+    let tight = (&tight, UNIT_SCALE);
+    assert!(check_bounded_build(&net, net.weights(), tight, (s, t), &query).is_err());
 }
 
 proptest! {
@@ -1529,6 +1714,52 @@ proptest! {
     }
 
     #[test]
+    fn the_scaled_bound_is_sound_consistent_and_prunes_nothing_inside_the_ellipse(
+        ((n, chords), seed, epsilon) in (arb_scc_graph(), any::<u64>(), 1.0f64..=2.5),
+    ) {
+        // The base column's table read at a random epoch's bound scale, on
+        // the random graphs as drawn and with edges of a few ms, where
+        // factors round on nearly every edge.
+        for net in [build(n, &chords), build_short(n, &chords)] {
+            let table = table_of(&net, net.weights());
+            let epoch = random_epoch(&net, seed);
+            prop_assert!(epoch.bound_scale() >= UNIT_SCALE);
+            let checked = check_scaled_bound(&net, &table, &epoch, net.nodes());
+            prop_assert!(checked.is_ok(), "{:?}", checked);
+            let last = n as u32 - 1;
+            for epsilon in [1.0, epsilon] {
+                let query = AltQuery::paper().with_epsilon(epsilon);
+                let pairs = [(0, last), (last, 0), (last / 2, 1)];
+                let checked = check_epoch_pairs(&net, &table, &epoch, &pairs, &query);
+                prop_assert!(checked.is_ok(), "{:?}", checked);
+            }
+        }
+    }
+
+    #[test]
+    fn the_scaled_bound_holds_on_tiny_cities_under_random_epochs(
+        (city, seed) in (0usize..3, any::<u64>()),
+    ) {
+        let net = arp_citygen::generate(
+            arp_citygen::City::ALL[city],
+            arp_citygen::Scale::Tiny,
+            seed % 16,
+        )
+        .network;
+        let table = table_of(&net, net.weights());
+        let epoch = random_epoch(&net, seed);
+        let n = net.num_nodes() as u64;
+        let targets = (0..4).map(|i| NodeId((draw(seed, 900 + i) % n) as u32));
+        let checked = check_scaled_bound(&net, &table, &epoch, targets);
+        prop_assert!(checked.is_ok(), "{:?}", checked);
+        let pairs: Vec<(u32, u32)> = (0..3)
+            .map(|i| ((draw(seed, 950 + i) % n) as u32, (draw(seed, 960 + i) % n) as u32))
+            .collect();
+        let checked = check_epoch_pairs(&net, &table, &epoch, &pairs, &AltQuery::paper());
+        prop_assert!(checked.is_ok(), "{:?}", checked);
+    }
+
+    #[test]
     fn bounded_substrate_matches_the_reference_inside_the_ellipse(
         ((n, chords), codes, epsilon) in
             (arb_scc_graph(), proptest::collection::vec(0u32..9, 100), 1.0f64..=2.5),
@@ -1546,7 +1777,8 @@ proptest! {
                 for (s, t) in [(0, n - 1), (n - 1, 0), (n / 2, 1), (2, 2)] {
                     let st = (NodeId(s as u32), NodeId(t as u32));
                     for landmarks in &tables {
-                        let checked = check_bounded_build(&net, weights, landmarks, st, &query);
+                        let bound = (landmarks, UNIT_SCALE);
+                        let checked = check_bounded_build(&net, weights, bound, st, &query);
                         prop_assert!(checked.is_ok(), "{:?}", checked);
                     }
                 }
@@ -1609,7 +1841,7 @@ proptest! {
         // leaves the proven base route as the whole partial.
         let mut ws = SearchSpace::new(&net);
         ws.set_budget(SearchBudget::new().with_expansion_cap(cap));
-        let partial = match SearchSubstrate::build(&mut ws, &net, net.weights(), &unpruned(), s, t, &q) {
+        let partial = match SearchSubstrate::build(&mut ws, &net, net.weights(), &unpruned(), UNIT_SCALE, s, t, &q) {
             Ok(pair) => arp_core::penalty_alternatives_from_base(
                 &mut ws, &net, net.weights(), &pair, &PenaltyOptions::default(),
                 &mut Funnel::default(),
@@ -1659,7 +1891,7 @@ proptest! {
         // The shared pair is the served one, pruned by the landmark table;
         // `alternatives` grows the plain ball.
         let landmarks = table_of(&net, net.weights());
-        let sub = arp_core::SearchSubstrate::build(&mut ws, &net, net.weights(), &landmarks, s, t, &q).unwrap();
+        let sub = arp_core::SearchSubstrate::build(&mut ws, &net, net.weights(), &landmarks, UNIT_SCALE, s, t, &q).unwrap();
 
         for provider in standard_providers(&net, 42) {
             let own = provider.alternatives(&net, net.weights(), s, t, &q).unwrap();

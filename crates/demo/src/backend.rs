@@ -15,6 +15,7 @@
 use std::sync::Arc;
 
 use arp_core::SearchBudget;
+use arp_roadnet::weight::UNIT_SCALE;
 use arp_serve::{CacheHit, CancelToken, Deadline, LaneOutcome, LaneStatus, RouteBackend};
 
 use crate::query::{ApproachRoutes, PreparedQuery, QueryProcessor, QueryResponse};
@@ -218,11 +219,22 @@ impl RouteBackend for DemoBackend {
     }
 
     fn prepare_attrs(&self, request: &PreparedQuery) -> Vec<(&'static str, String)> {
+        // Whether the pair was built, the bound scale its landmark bound
+        // was read at and the labels it settled: a large pair at a slack
+        // scale says why a miss was slow.
         let substrate = match request.substrate {
             Ok(_) => "ready",
             Err(_) => "none",
         };
-        vec![("substrate", substrate.to_string())]
+        let scale = request.overlay.bound_scale() as f64 / UNIT_SCALE as f64;
+        let mut attrs = vec![
+            ("substrate", substrate.to_string()),
+            ("bound_scale", format!("{scale:.2}")),
+        ];
+        if let Some(settled) = request.pair_settled() {
+            attrs.push(("pair_settled", settled.to_string()));
+        }
+        attrs
     }
 }
 
@@ -231,6 +243,7 @@ mod tests {
     use super::*;
     use arp_citygen::{City, Scale};
     use arp_obs::Registry;
+    use arp_roadnet::category::ALL_CATEGORIES;
     use arp_roadnet::geo::Point;
     use arp_serve::{RouteService, ServeConfig};
 
@@ -650,23 +663,37 @@ mod tests {
             ServeConfig::default(),
             &Registry::disabled(),
         );
-        let substrate_at = |epoch: u64| {
+        let prepare_at = |epoch: u64| {
             let (receipt, response) = service.route_traced(qp.prepare_query(q));
             assert_eq!(response.unwrap().epoch, epoch);
             let trace = service.tracer().trace(receipt.id).expect("trace kept");
             let prepare = trace.span("prepare").expect("prepare span");
-            prepare.attr("substrate").map(str::to_string)
+            let attr = |key| prepare.attr(key).map(str::to_string);
+            (attr("substrate"), attr("bound_scale"), attr("pair_settled"))
+        };
+        let settled_now = || {
+            let pair = qp.prepare_substrate(qp.prepare_query(q), &SearchBudget::unlimited());
+            pair.pair_settled().map(|n| n.to_string())
         };
         // The index tier is enabled and ready at epoch 0, then left behind
         // at epoch 1, which nobody asks it for: neither state is consulted,
         // the substrate is built either way, and serving customizes
-        // nothing.
-        assert_eq!(substrate_at(0).as_deref(), Some("ready"));
-        let delta = arp_traffic::TrafficDelta::parse("cat:primary*1.5").unwrap();
+        // nothing. Free flow reads the table at 1.0; slowing every category
+        // by 1.5 reads it at 1.5, and the span carries the labels the pair
+        // settled.
+        let free = settled_now();
+        let (substrate, scale, settled) = prepare_at(0);
+        assert_eq!(substrate.as_deref(), Some("ready"));
+        assert_eq!((scale.as_deref(), settled), (Some("1.00"), free));
+        let every = ALL_CATEGORIES.map(|c| format!("cat:{}*1.5", c.osm_tag()));
+        let delta = arp_traffic::TrafficDelta::parse(&every.join("; ")).unwrap();
         qp.traffic().apply_delta(&delta).unwrap();
-        assert_eq!(substrate_at(1).as_deref(), Some("ready"));
+        let slowed = settled_now();
+        let (substrate, scale, settled) = prepare_at(1);
+        assert_eq!(substrate.as_deref(), Some("ready"));
+        assert_eq!((scale.as_deref(), settled), (Some("1.50"), slowed));
         assert_eq!((index.ready_epoch(), index.customizations()), (0, 1));
-        // A request whose build could not run says so.
+        // A request whose build could not run says so, and reports no pair.
         let tripped = CancelToken::new();
         tripped.cancel();
         let unbuilt = service
@@ -674,7 +701,10 @@ mod tests {
             .prepare(qp.prepare_query(q), &tripped, &Deadline::never());
         assert_eq!(
             service.backend().prepare_attrs(&unbuilt),
-            [("substrate", "none".to_string())]
+            [
+                ("substrate", "none".to_string()),
+                ("bound_scale", "1.50".to_string())
+            ]
         );
     }
 

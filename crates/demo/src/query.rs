@@ -244,9 +244,12 @@ pub struct QueryProcessor {
     spatial: SpatialIndex,
     /// The four providers, built in [`ProviderKind::ALL`] order.
     providers: Vec<Box<dyn AlternativesProvider>>,
-    /// The landmark table of the network's base column. Every traffic
-    /// epoch's column is no cheaper edge by edge, so it prunes the tree
-    /// pair of every request, whatever epoch it pins.
+    /// The landmark table of the network's base column. It prunes the tree
+    /// pair of every request, whatever epoch it pins, read at the pinned
+    /// snapshot's bound scale (`EpochSnapshot::bound_scale`): every open
+    /// edge of that epoch's column weighs at least that multiple of its
+    /// base weight, so the scaled bound stays a consistent lower bound
+    /// there and follows the traffic without a table per epoch.
     landmarks: Arc<Landmarks>,
     /// The grid cell of every vertex: what the tree pairs and the lanes
     /// record as read ([`Basis::reads`]).
@@ -506,8 +509,8 @@ impl QueryProcessor {
     /// The prepare step — the one place this processor grows a tree
     /// pair: grows the [`SearchSubstrate`] for `request` under a
     /// cooperative budget, on its pinned epoch's weights, pruned by the
-    /// base column's landmark table to the stretch bound of the
-    /// processor's [`AltQuery`], and records
+    /// base column's landmark table, read at the epoch's bound scale, to
+    /// the stretch bound of the processor's [`AltQuery`], and records
     /// the outcome on the request for every lane to read, with the map
     /// cells the build's searches read when it ran to a verdict. Failures are
     /// [`SearchSubstrate::build`]'s: the budget tripped (with the base
@@ -534,6 +537,7 @@ impl QueryProcessor {
             &self.network,
             weights,
             &self.landmarks,
+            request.overlay.bound_scale(),
             source,
             target,
             &self.query,

@@ -155,6 +155,13 @@ pub fn scale_weight(weight: Weight, factor: f64) -> Weight {
     }
 }
 
+/// 1.0 in the 16.16 fixed point of a **bound scale**. When every open
+/// edge of one column weighs at least `s / UNIT_SCALE` times its weight in
+/// another, so does every distance, and a lower bound on the other
+/// column's distances, multiplied by that factor, bounds this one's
+/// (`arp_traffic::EpochSnapshot::bound_scale`, DESIGN.md §8).
+pub const UNIT_SCALE: u32 = 1 << 16;
+
 #[cfg(test)]
 mod tests {
     use super::*;

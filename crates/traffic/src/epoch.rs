@@ -47,24 +47,32 @@ pub struct EpochSnapshot {
     factors: Arc<TrafficFactors>,
     /// The edges `weights` marks closed, sorted.
     closed: Arc<[u32]>,
+    /// `factors`' bound scale over the base column, 16.16 fixed point.
+    bound_scale: u32,
     overlay_size: usize,
 }
 
 impl EpochSnapshot {
-    /// A snapshot of `overlay`'s materialized column `weights` under
-    /// `epoch`, numbered past every snapshot made before it in this
+    /// A snapshot of `overlay`'s materialized column `weights` of `base`
+    /// under `epoch`, numbered past every snapshot made before it in this
     /// process. When `overlay` has the factors `previous` had, or closes
-    /// what it closed, the snapshot shares `previous`'s copy.
+    /// what it closed, the snapshot shares `previous`'s copy; with the
+    /// factors it shares their bound scale, which is measured otherwise.
     fn publish(
         epoch: u64,
+        (net, base): (&RoadNetwork, &[Weight]),
         weights: Arc<Vec<Weight>>,
         overlay: &TrafficOverlay,
         previous: Option<&EpochSnapshot>,
     ) -> Arc<Self> {
         static PUBLICATIONS: AtomicU64 = AtomicU64::new(0);
-        let factors = match previous {
-            Some(p) if *p.factors == *overlay.factors() => Arc::clone(&p.factors),
-            _ => Arc::new(overlay.factors().clone()),
+        let (factors, bound_scale) = match previous {
+            Some(p) if *p.factors == *overlay.factors() => (Arc::clone(&p.factors), p.bound_scale),
+            _ => {
+                let factors = overlay.factors();
+                let scale = factors.bound_scale(net, base, &weights);
+                (Arc::new(factors.clone()), scale)
+            }
         };
         let closed = match previous {
             Some(p) if p.closed.iter().copied().eq(overlay.closed_edges()) => Arc::clone(&p.closed),
@@ -76,6 +84,7 @@ impl EpochSnapshot {
             weights,
             factors,
             closed,
+            bound_scale,
             overlay_size: overlay.size(),
         })
     }
@@ -106,6 +115,21 @@ impl EpochSnapshot {
     /// the edges one closes and the other does not.
     pub fn factors(&self) -> &Arc<TrafficFactors> {
         &self.factors
+    }
+
+    /// The **bound scale** of this snapshot's column, in 16.16 fixed
+    /// point ([`UNIT_SCALE`](arp_roadnet::weight::UNIT_SCALE) = 1.0): the
+    /// largest `s` with `w · UNIT_SCALE ≥ s · base` on every edge, `w` its
+    /// weight here and `base` its weight in the network's own column. Every
+    /// distance here is then at least `s / UNIT_SCALE` times the base
+    /// column's, so a landmark table of the base column, its bounds
+    /// multiplied by it, still bounds this column from below (DESIGN.md
+    /// §8). A closed edge is measured at the weight its factors would give
+    /// it open, so the scale is a function of the factors alone and two
+    /// snapshots with equal factors search alike. Exactly `UNIT_SCALE`
+    /// under the identity factors, and never below it: factors are ≥ 1.
+    pub fn bound_scale(&self) -> u32 {
+        self.bound_scale
     }
 
     /// Active incident closures at publication time.
@@ -228,8 +252,8 @@ impl TrafficState {
             None => (TrafficOverlay::identity(), 0, 0, None, None),
         };
         let base = Arc::new(net.weights().to_vec());
-        let snapshot =
-            EpochSnapshot::publish(epoch, overlay.materialize(&net, &base), &overlay, None);
+        let column = overlay.materialize(&net, &base);
+        let snapshot = EpochSnapshot::publish(epoch, (&net, &base), column, &overlay, None);
         metrics.epoch.set(epoch as i64);
         metrics.closures_active.set(snapshot.closures() as i64);
         let state = TrafficState {
@@ -300,6 +324,11 @@ impl TrafficState {
         &self.net
     }
 
+    /// The network and its base column, which every overlay materializes.
+    fn columns(&self) -> (&RoadNetwork, &[Weight]) {
+        (&self.net, &self.base)
+    }
+
     /// Pins the current epoch: the returned snapshot (and its weight
     /// column) is immutable and survives any number of later swaps.
     /// Call once per request, at request-construction time.
@@ -354,8 +383,9 @@ impl TrafficState {
     pub fn force_epoch(&self, epoch: u64) {
         let mut state = self.state.write().expect("traffic lock poisoned");
         let weights = state.overlay.materialize(&self.net, &self.base);
+        let previous = Some(&*state.snapshot);
         state.snapshot =
-            EpochSnapshot::publish(epoch, weights, &state.overlay, Some(&state.snapshot));
+            EpochSnapshot::publish(epoch, self.columns(), weights, &state.overlay, previous);
         self.metrics.epoch.set(epoch as i64);
         if let Some(durability) = &self.durability {
             let _ = durability.checkpoint(epoch, state.tick, &state.overlay);
@@ -392,7 +422,8 @@ impl TrafficState {
         }
         let closures_active = next.num_closures();
         let weights = next.materialize(&self.net, &self.base);
-        state.snapshot = EpochSnapshot::publish(epoch, weights, &next, Some(&state.snapshot));
+        let previous = Some(&*state.snapshot);
+        state.snapshot = EpochSnapshot::publish(epoch, self.columns(), weights, &next, previous);
         state.overlay = next;
         state.tick = now;
         self.metrics.epoch.set(epoch as i64);
@@ -422,7 +453,7 @@ mod tests {
     use arp_roadnet::builder::{EdgeSpec, GraphBuilder};
     use arp_roadnet::category::RoadCategory;
     use arp_roadnet::geo::Point;
-    use arp_roadnet::weight::CLOSED;
+    use arp_roadnet::weight::{CLOSED, UNIT_SCALE};
 
     fn line(n: usize) -> Arc<RoadNetwork> {
         let mut b = GraphBuilder::new();
@@ -604,6 +635,131 @@ mod tests {
             assert!(!Arc::ptr_eq(after.factors(), before.factors()), "{delta}");
             assert_ne!(after.factors(), before.factors(), "{delta}");
         }
+    }
+
+    /// Every edge of `snapshot`'s column against the network's own: the
+    /// scale bounds each open edge (`w · 1.0 ≥ s · base`), and is the
+    /// largest that does on some edge, measured open when it is closed.
+    fn check_bound_scale(net: &RoadNetwork, overlay: &TrafficOverlay, snapshot: &EpochSnapshot) {
+        let s = snapshot.bound_scale() as u64;
+        let unit = UNIT_SCALE as u64;
+        let open = overlay.factors();
+        let mut tight = net.num_edges() == 0;
+        for (e, (&base, &w)) in net
+            .weights()
+            .iter()
+            .zip(snapshot.weights().iter())
+            .enumerate()
+        {
+            let measured = if w == CLOSED {
+                open.weigh(net, e as u32, base)
+            } else {
+                w
+            };
+            let (w, base) = (measured as u64, base as u64);
+            assert!(
+                w * unit >= s * base,
+                "edge {e}: {w} ms against {base} ms at {s}"
+            );
+            tight |= w * unit < (s + 1) * base;
+        }
+        assert!(tight, "a scale of {s} is not the largest");
+    }
+
+    #[test]
+    fn the_base_snapshot_reads_the_table_at_exactly_one() {
+        let net = line(4);
+        assert_eq!(TrafficState::new(net).snapshot().bound_scale(), UNIT_SCALE);
+    }
+
+    #[test]
+    fn every_feed_tick_bounds_every_edge_of_a_small_city_by_its_scale() {
+        for city in arp_citygen::City::ALL {
+            let g = arp_citygen::generate(city, arp_citygen::Scale::Small, 4);
+            let net = Arc::new(g.network);
+            let state = TrafficState::new(Arc::clone(&net));
+            let feed = TrafficFeed::new(4, crate::feed::CityProfile::for_city_name(&g.name));
+            let mut peak = UNIT_SCALE;
+            for _ in 0..24 {
+                state.advance_tick(&feed).unwrap();
+                let snapshot = state.snapshot();
+                assert!(snapshot.bound_scale() >= UNIT_SCALE, "{city:?}");
+                peak = peak.max(snapshot.bound_scale());
+                check_bound_scale(&net, &state.overlay_snapshot(), &snapshot);
+            }
+            assert!(
+                peak > UNIT_SCALE,
+                "{city:?}: the peak ticks slow every road"
+            );
+        }
+    }
+
+    #[test]
+    fn the_scale_moves_with_the_least_slow_down_only() {
+        // Six Primary edges: edge 0 slowed 1.5, the rest 3.0.
+        let net = line(4);
+        let state = TrafficState::new(Arc::clone(&net));
+        let others: Vec<String> = (1..6).map(|e| format!("edge:{e}*2.0")).collect();
+        let slowed = format!("cat:primary*1.5; {}", others.join("; "));
+        state
+            .apply_delta(&TrafficDelta::parse(&slowed).unwrap())
+            .unwrap();
+        let scale = state.snapshot().bound_scale();
+        assert_eq!(scale, 3 * UNIT_SCALE / 2);
+        // Closing the one edge at the least slow-down, restating every
+        // factor, reopening it and forcing an epoch keep the scale.
+        for delta in ["close:0", slowed.as_str(), "reopen:0"] {
+            state
+                .apply_delta(&TrafficDelta::parse(delta).unwrap())
+                .unwrap();
+            assert_eq!(state.snapshot().bound_scale(), scale, "{delta}");
+            check_bound_scale(&net, &state.overlay_snapshot(), &state.snapshot());
+        }
+        state.force_epoch(9);
+        assert_eq!(state.snapshot().bound_scale(), scale);
+        // Lowering the least slow-down lowers it; raising it raises it to
+        // the next least; clearing returns to 1.0.
+        for (delta, want) in [
+            ("cat:primary*1.2", UNIT_SCALE * 6 / 5),
+            ("cat:primary*4.0; edge:0*1.0", UNIT_SCALE * 4),
+            ("clear", UNIT_SCALE),
+        ] {
+            state
+                .apply_delta(&TrafficDelta::parse(delta).unwrap())
+                .unwrap();
+            let snapshot = state.snapshot();
+            let got = snapshot.bound_scale();
+            assert!(got.abs_diff(want) <= 1, "{delta}: {got} for {want}");
+            check_bound_scale(&net, &state.overlay_snapshot(), &snapshot);
+        }
+    }
+
+    #[test]
+    fn the_scale_is_measured_through_the_rounding_of_short_edges() {
+        // A 1.2 factor on a 2 ms edge gives 2 ms, not 2.4: that edge is not
+        // slowed at all, so the scale stays 1.0 however slow the rest is.
+        let mut b = GraphBuilder::new();
+        let ids: Vec<_> = (0..3)
+            .map(|i| b.add_node(Point::new(i as f64 * 0.01, 0.0)))
+            .collect();
+        let primary = EdgeSpec::category(RoadCategory::Primary);
+        b.add_edge(ids[0], ids[1], primary.with_weight(2));
+        b.add_edge(ids[1], ids[2], primary.with_weight(60_000));
+        let net = Arc::new(b.build());
+        let state = TrafficState::new(Arc::clone(&net));
+        state
+            .apply_delta(&TrafficDelta::parse("cat:primary*1.2").unwrap())
+            .unwrap();
+        assert_eq!(state.snapshot().weights()[..], [2, 72_000]);
+        assert_eq!(state.snapshot().bound_scale(), UNIT_SCALE);
+        check_bound_scale(&net, &state.overlay_snapshot(), &state.snapshot());
+        // Slowing the short edge by 1.5 more (1.8 in all: 3.6 ms, rounded
+        // to 4) leaves the long edge's 1.2 the least slow-down.
+        state
+            .apply_delta(&TrafficDelta::parse("edge:0*1.5").unwrap())
+            .unwrap();
+        assert_eq!(state.snapshot().weights()[0], 4);
+        assert_eq!(state.snapshot().bound_scale(), UNIT_SCALE * 6 / 5);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use arp_roadnet::category::{RoadCategory, ALL_CATEGORIES};
 use arp_roadnet::csr::RoadNetwork;
-use arp_roadnet::weight::{scale_weight, Weight, CLOSED};
+use arp_roadnet::weight::{scale_weight, Weight, CLOSED, UNIT_SCALE};
 
 use crate::delta::{TrafficDelta, TrafficOp};
 use crate::error::TrafficError;
@@ -42,6 +42,56 @@ impl TrafficFactors {
             category: [1.0; NUM_CATEGORIES],
             edges: BTreeMap::new(),
         }
+    }
+
+    /// What `edge` of `net`, `base` ms long, weighs under these factors
+    /// when it is open: its category's factor times its own, applied with
+    /// [`scale_weight`] (`base` itself, bit for bit, at factor 1.0).
+    pub(crate) fn weigh(&self, net: &RoadNetwork, edge: u32, base: Weight) -> Weight {
+        let mut factor = self.category[net.category(arp_roadnet::EdgeId(edge)).code() as usize];
+        if let Some(f) = self.edges.get(&edge) {
+            factor *= f;
+        }
+        if factor == 1.0 {
+            base
+        } else {
+            scale_weight(base, factor)
+        }
+    }
+
+    /// The **bound scale** of these factors: the largest 16.16 fixed-point
+    /// `s` ([`UNIT_SCALE`] = 1.0) with `w · UNIT_SCALE ≥ s · base` on
+    /// every edge of `column`, the materialization of `base` under them. A
+    /// closed edge is measured at the weight these factors give it open,
+    /// so closures never move the scale: it is a function of the factors
+    /// alone. Measured, not derived from the factors, so it covers
+    /// [`scale_weight`]'s rounding and saturation. One pass, comparing
+    /// ratios by cross-multiplication (weights are below 2³², so the
+    /// products fit a `u64`) and dividing once; an edge of base weight 0
+    /// bounds nothing and is skipped.
+    pub(crate) fn bound_scale(&self, net: &RoadNetwork, base: &[Weight], column: &[Weight]) -> u32 {
+        if *self == TrafficFactors::identity() {
+            return UNIT_SCALE;
+        }
+        // The least `w / base` so far, as `(w, base)`.
+        let mut least: Option<(u64, u64)> = None;
+        for (e, (&b, &w)) in base.iter().zip(column).enumerate() {
+            if b == 0 || b == CLOSED {
+                continue;
+            }
+            let w = if w == CLOSED {
+                self.weigh(net, e as u32, b)
+            } else {
+                w
+            };
+            let (w, b) = (w as u64, b as u64);
+            if least.is_none_or(|(lw, lb)| w * lb < lw * b) {
+                least = Some((w, b));
+            }
+        }
+        least.map_or(UNIT_SCALE, |(w, b)| {
+            ((w << 16) / b).min(u32::MAX as u64) as u32
+        })
     }
 }
 
@@ -275,19 +325,11 @@ impl TrafficOverlay {
         if self.is_identity() {
             return Arc::clone(base);
         }
-        let mut column: Vec<Weight> = Vec::with_capacity(base.len());
-        for (i, &w) in base.iter().enumerate() {
-            let cat = net.category(arp_roadnet::EdgeId(i as u32)).code() as usize;
-            let mut factor = self.factors.category[cat];
-            if let Some(f) = self.factors.edges.get(&(i as u32)) {
-                factor *= f;
-            }
-            column.push(if factor == 1.0 {
-                w
-            } else {
-                scale_weight(w, factor)
-            });
-        }
+        let mut column: Vec<Weight> = base
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| self.factors.weigh(net, i as u32, w))
+            .collect();
         for &edge in self.closures.keys() {
             column[edge as usize] = CLOSED;
         }

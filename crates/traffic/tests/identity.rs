@@ -83,12 +83,28 @@ fn identity_round_trip(city: City) {
     // The served pairs: pruned by the base column's landmark table.
     let landmarks = Arc::new(arp_core::Landmarks::build(&net, net.weights()));
     for (s, t) in routable_pairs(&net) {
-        let sub_base =
-            SearchSubstrate::build(&mut ws, &net, base.weights(), &landmarks, s, t, &query)
-                .expect("routable pair must yield a substrate");
-        let sub_snap =
-            SearchSubstrate::build(&mut ws, &net, snap.weights(), &landmarks, s, t, &query)
-                .expect("routable pair must yield a substrate");
+        let sub_base = SearchSubstrate::build(
+            &mut ws,
+            &net,
+            base.weights(),
+            &landmarks,
+            base.bound_scale(),
+            s,
+            t,
+            &query,
+        )
+        .expect("routable pair must yield a substrate");
+        let sub_snap = SearchSubstrate::build(
+            &mut ws,
+            &net,
+            snap.weights(),
+            &landmarks,
+            snap.bound_scale(),
+            s,
+            t,
+            &query,
+        )
+        .expect("routable pair must yield a substrate");
 
         for p in &providers {
             let plain_base = p
