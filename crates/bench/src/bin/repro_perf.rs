@@ -816,7 +816,14 @@ fn main() {
             )
             .expect("benchmark queries are routable");
             for provider in &providers {
-                let _ = provider.answer(&net, net.weights(), pair.trip(), Some(&pair), &unlimited);
+                let _ = provider.answer(
+                    &net,
+                    net.weights(),
+                    pair.trip(),
+                    Some(&pair),
+                    &unlimited,
+                    None,
+                );
             }
         }
         let _ = writeln!(report, "  search work over {} queries:", queries.len());

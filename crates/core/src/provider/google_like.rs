@@ -28,10 +28,12 @@ use crate::kernel::ClosedWhere;
 use crate::landmarks::Landmarks;
 use crate::metrics::TechniqueMetrics;
 use crate::plateau::{plateau_alternatives_from_trees, PlateauOptions};
-use crate::reads::{CellMap, ReadCells};
+use crate::reads::ReadCells;
 use crate::substrate::{SearchSubstrate, Trip};
 
-use super::{lane_workspace, observed_call, AlternativesProvider, ProviderKind, ProviderOutcome};
+use super::{
+    add_reads, lane_workspace, observed_call, AlternativesProvider, ProviderKind, ProviderOutcome,
+};
 use crate::budget::SearchBudget;
 
 /// Deterministic synthetic traffic model producing a private copy of the
@@ -213,6 +215,12 @@ impl AlternativesProvider for GoogleLikeProvider {
         false
     }
 
+    /// Every search of a call — the private pair's A\* probe and trees,
+    /// the filters' window probes — runs in one workspace that records
+    /// the cells it settles into `reads`. Those searches read
+    /// `public_weights` only for closures, edge by edge as they settle an
+    /// endpoint; Plateaus reads the pair's labels and the comfort ranking
+    /// private costs, so the cells bound everything the routes depend on.
     fn answer(
         &self,
         net: &RoadNetwork,
@@ -220,42 +228,10 @@ impl AlternativesProvider for GoogleLikeProvider {
         trip: &Trip,
         _pair: Option<&SearchSubstrate>,
         budget: &SearchBudget,
+        reads: Option<&mut ReadCells>,
     ) -> Result<ProviderOutcome, CoreError> {
-        self.search(net, public_weights, trip, budget, None).0
-    }
-
-    /// Every search of a call — the private pair's A\* probe and trees,
-    /// the filters' window probes — runs in one workspace that records
-    /// the cells it settles. Those searches read `public_weights` only
-    /// for closures, edge by edge as they settle an endpoint; Plateaus
-    /// reads the pair's labels and the comfort ranking private costs, so
-    /// the cells bound everything the routes depend on.
-    fn answer_reading(
-        &self,
-        net: &RoadNetwork,
-        public_weights: &[Weight],
-        trip: &Trip,
-        _pair: Option<&SearchSubstrate>,
-        budget: &SearchBudget,
-        cells: &Arc<CellMap>,
-    ) -> (Result<ProviderOutcome, CoreError>, Option<ReadCells>) {
-        self.search(net, public_weights, trip, budget, Some(cells))
-    }
-}
-
-impl GoogleLikeProvider {
-    /// Answers `trip` on the private column, recording in `cells` what
-    /// the call's searches read when asked to and the call ran to its end.
-    fn search(
-        &self,
-        net: &RoadNetwork,
-        public_weights: &[Weight],
-        trip: &Trip,
-        budget: &SearchBudget,
-        cells: Option<&Arc<CellMap>>,
-    ) -> (Result<ProviderOutcome, CoreError>, Option<ReadCells>) {
         let (s, t, query) = (trip.source, trip.target, &trip.query);
-        let mut reads = None;
+        let mut ws = lane_workspace(&self.metrics, net, budget, reads.as_deref());
         let answer = observed_call(&self.metrics, public_weights, |funnel| {
             if self.private_weights.len() != net.num_edges() {
                 return Err(CoreError::WeightLengthMismatch {
@@ -283,10 +259,6 @@ impl GoogleLikeProvider {
             // processor does for Google's. A build the budget interrupts
             // yields what it had proven (the private optimum once the
             // forward tree is complete) as the call's partial.
-            let mut ws = lane_workspace(&self.metrics, net, budget);
-            if let Some(cells) = cells {
-                ws.record_reads(cells);
-            }
             let landmarks = &self.landmarks;
             let own = match SearchSubstrate::build_under(
                 &mut ws, net, private, landmarks, UNIT_SCALE, s, t, query,
@@ -296,13 +268,7 @@ impl GoogleLikeProvider {
                     funnel.interrupted = true;
                     return Ok(proven.into_iter().collect());
                 }
-                Err((e, _)) => {
-                    // A complete search proved the target unreachable.
-                    if matches!(e, CoreError::Unreachable { .. }) {
-                        reads = ws.take_reads();
-                    }
-                    return Err(e);
-                }
+                Err((e, _)) => return Err(e),
             };
             let paths = plateau_alternatives_from_trees(
                 net,
@@ -323,21 +289,16 @@ impl GoogleLikeProvider {
             // labels certify it; the rest are point-to-point searches in
             // the same workspace. A trip before or during them serves the
             // raw set as the partial.
-            let filtered =
-                filter_routes(&mut ws, net, private, &own, paths, query.k, &self.filters);
-            match filtered {
-                Ok(kept) => {
-                    reads = ws.take_reads();
-                    Ok(kept)
-                }
+            match filter_routes(&mut ws, net, private, &own, paths, query.k, &self.filters) {
                 Err((CoreError::Interrupted, unfiltered)) => {
                     funnel.interrupted = true;
                     Ok(unfiltered)
                 }
-                Err((e, _)) => Err(e),
+                filtered => filtered.map_err(|(e, _)| e),
             }
         });
-        (answer, reads)
+        add_reads(&mut ws, reads);
+        answer
     }
 }
 
@@ -346,6 +307,7 @@ mod tests {
     use super::*;
     use crate::fixtures::grid;
     use crate::query::AltQuery;
+    use crate::reads::CellMap;
     use arp_roadnet::ids::NodeId;
 
     #[test]
@@ -483,9 +445,10 @@ mod tests {
         assert_eq!(count("arp_technique_errors_total"), 1);
     }
 
-    /// A complete call reports the cells its searches read, which cover
-    /// every edge of its routes; an unreachable target proven by a
-    /// complete search reports them too; an interrupted call reports none.
+    /// A complete call adds to its record the cells its searches read,
+    /// which cover every edge of its routes; an unreachable target proven
+    /// by a complete search adds what that search read, the source's first
+    /// out-arc included.
     #[test]
     fn a_complete_call_reports_what_it_read() {
         use arp_roadnet::weight::CLOSED;
@@ -499,9 +462,15 @@ mod tests {
         };
         let unlimited = SearchBudget::unlimited();
         let cells = Arc::new(CellMap::new(&net));
-        let (answer, reads) =
-            p.answer_reading(&net, net.weights(), &trip(63), None, &unlimited, &cells);
-        let reads = reads.expect("a complete call reports its reads");
+        let mut reads = ReadCells::new(&cells);
+        let answer = p.answer(
+            &net,
+            net.weights(),
+            &trip(63),
+            None,
+            &unlimited,
+            Some(&mut reads),
+        );
         let routes = answer.unwrap().routes();
         assert!(!routes.is_empty());
         for route in &routes {
@@ -512,19 +481,14 @@ mod tests {
         for e in net.edges().filter(|&e| net.head(e) == NodeId(63)) {
             walled[e.index()] = CLOSED;
         }
-        let (answer, reads) = p.answer_reading(&net, &walled, &trip(63), None, &unlimited, &cells);
+        let mut reads = ReadCells::new(&cells);
+        let answer = p.answer(&net, &walled, &trip(63), None, &unlimited, Some(&mut reads));
         assert!(matches!(answer, Err(CoreError::Unreachable { .. })));
+        let out_arc = net.out_edges(NodeId(0)).next().unwrap();
         assert!(
-            reads.is_some(),
+            reads.reads_edge(&net, out_arc),
             "a proven unreachable target reports its reads"
         );
-
-        let cancelled = SearchBudget::new();
-        cancelled.cancel();
-        let (answer, reads) =
-            p.answer_reading(&net, net.weights(), &trip(63), None, &cancelled, &cells);
-        assert!(answer.unwrap().is_interrupted());
-        assert!(reads.is_none());
     }
 
     /// A route whose every window the private pair's labels certify costs

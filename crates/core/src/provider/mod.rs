@@ -24,7 +24,7 @@ use crate::path::Path;
 use crate::penalty::{penalty_alternatives_from_base, PenaltyOptions};
 use crate::plateau::{plateau_alternatives_from_trees, PlateauOptions};
 use crate::query::{AltQuery, Route};
-use crate::reads::{CellMap, ReadCells};
+use crate::reads::ReadCells;
 use crate::search::SearchSpace;
 use crate::substrate::{SearchSubstrate, Trip};
 
@@ -150,7 +150,7 @@ pub trait AlternativesProvider: Send + Sync {
         let unlimited = SearchBudget::unlimited();
         if !self.reads_pair() {
             return self
-                .answer(net, public_weights, &trip, None, &unlimited)
+                .answer(net, public_weights, &trip, None, &unlimited, None)
                 .map(ProviderOutcome::routes);
         }
         let mut ws = SearchSpace::new(net);
@@ -166,8 +166,15 @@ pub trait AlternativesProvider: Send + Sync {
             query,
         )
         .map_err(|(e, _)| e)?;
-        self.answer(net, public_weights, pair.trip(), Some(&pair), &unlimited)
-            .map(ProviderOutcome::routes)
+        self.answer(
+            net,
+            public_weights,
+            pair.trip(),
+            Some(&pair),
+            &unlimited,
+            None,
+        )
+        .map(ProviderOutcome::routes)
     }
 
     /// Answers `trip` under a cooperative [`SearchBudget`]: every
@@ -188,6 +195,15 @@ pub trait AlternativesProvider: Send + Sync {
     /// provider searches *private* weights, for which the public trees
     /// would be wrong: it reads only `trip` and grows its own pair on its
     /// own column, so it is handed none.
+    ///
+    /// `reads`, when handed, gains the cells ([`crate::reads`]) that the
+    /// call's own searches settle, whether or not the call ran to its end;
+    /// the pair's searches are recorded by whoever grew the pair. A call
+    /// that ran to its end — a [`ProviderOutcome::Complete`] answer, or a
+    /// [`CoreError::Unreachable`] a complete search proved — under a
+    /// column that differs from `public_weights` only on edges with no
+    /// endpoint in a cell it and its pair read is the same run, with the
+    /// same answer.
     fn answer(
         &self,
         net: &RoadNetwork,
@@ -195,46 +211,8 @@ pub trait AlternativesProvider: Send + Sync {
         trip: &Trip,
         pair: Option<&SearchSubstrate>,
         budget: &SearchBudget,
+        reads: Option<&mut ReadCells>,
     ) -> Result<ProviderOutcome, CoreError>;
-
-    /// [`AlternativesProvider::answer`], with the cells of `cells` that
-    /// its own searches read ([`crate::reads`]) when the provider records
-    /// them and the call ran to its end: a [`ProviderOutcome::Complete`]
-    /// answer, or a [`CoreError::Unreachable`] that a complete search
-    /// proved. The pair it is handed is not its own: whoever grew the pair
-    /// records what the pair's searches read. A run under a column that
-    /// differs from `public_weights` only on edges with no endpoint in a
-    /// cell the call and its pair read is the same run, with the same
-    /// answer. An interrupted or failed call reads `None`, and so does
-    /// the default, which records nothing: a call that reads `None` can
-    /// only be recomputed.
-    fn answer_reading(
-        &self,
-        net: &RoadNetwork,
-        public_weights: &[Weight],
-        trip: &Trip,
-        pair: Option<&SearchSubstrate>,
-        budget: &SearchBudget,
-        cells: &Arc<CellMap>,
-    ) -> (Result<ProviderOutcome, CoreError>, Option<ReadCells>) {
-        let _ = cells;
-        let answer = self.answer(net, public_weights, trip, pair, budget);
-        (answer, None)
-    }
-}
-
-/// What a call that ran no search of its own read: nothing, once it ran to
-/// its end ([`AlternativesProvider::answer_reading`]).
-fn searched_nothing(
-    answer: Result<ProviderOutcome, CoreError>,
-    cells: &Arc<CellMap>,
-) -> (Result<ProviderOutcome, CoreError>, Option<ReadCells>) {
-    let ended = matches!(
-        answer,
-        Ok(ProviderOutcome::Complete(_)) | Err(CoreError::Unreachable { .. })
-    );
-    let reads = ended.then(|| ReadCells::new(cells));
-    (answer, reads)
 }
 
 /// The pair a pair-reading technique was handed for `trip`, or
@@ -285,13 +263,27 @@ fn observed_call(
 }
 
 /// A pooled workspace reporting into the technique's search counters and
-/// polling the call's budget, whoever used its label store last.
+/// polling the call's budget, whoever used its label store last; it
+/// records the cells its searches settle when the call was handed a
+/// record ([`add_reads`] moves them there).
 fn lane_workspace(
     metrics: &TechniqueMetrics,
     net: &RoadNetwork,
     budget: &SearchBudget,
+    reads: Option<&ReadCells>,
 ) -> SearchSpace {
-    SearchSpace::pooled(net, budget.clone(), metrics.search().clone())
+    let mut ws = SearchSpace::pooled(net, budget.clone(), metrics.search().clone());
+    if let Some(reads) = reads {
+        ws.record_reads(reads.map());
+    }
+    ws
+}
+
+/// Adds to the call's record what `ws`'s searches read.
+fn add_reads(ws: &mut SearchSpace, reads: Option<&mut ReadCells>) {
+    if let (Some(reads), Some(own)) = (reads, ws.take_reads()) {
+        reads.union_with(&own);
+    }
 }
 
 /// The Plateaus provider.
@@ -318,6 +310,8 @@ impl AlternativesProvider for PlateauProvider {
         ProviderKind::Plateaus
     }
 
+    /// Plateaus joins the pair's trees and searches nothing of its own,
+    /// so it leaves `reads` as it was handed.
     fn answer(
         &self,
         net: &RoadNetwork,
@@ -325,6 +319,7 @@ impl AlternativesProvider for PlateauProvider {
         trip: &Trip,
         pair: Option<&SearchSubstrate>,
         budget: &SearchBudget,
+        _reads: Option<&mut ReadCells>,
     ) -> Result<ProviderOutcome, CoreError> {
         observed_call(&self.metrics, public_weights, |funnel| {
             let pair = handed(trip, pair)?;
@@ -339,20 +334,6 @@ impl AlternativesProvider for PlateauProvider {
                 budget,
             )
         })
-    }
-
-    /// Plateaus joins the pair's trees and searches nothing of its own.
-    fn answer_reading(
-        &self,
-        net: &RoadNetwork,
-        public_weights: &[Weight],
-        trip: &Trip,
-        pair: Option<&SearchSubstrate>,
-        budget: &SearchBudget,
-        cells: &Arc<CellMap>,
-    ) -> (Result<ProviderOutcome, CoreError>, Option<ReadCells>) {
-        let answer = self.answer(net, public_weights, trip, pair, budget);
-        searched_nothing(answer, cells)
     }
 }
 
@@ -380,6 +361,11 @@ impl AlternativesProvider for PenaltyProvider {
         ProviderKind::Penalty
     }
 
+    /// Penalty's rounds run in one workspace that records the cells they
+    /// settle. They read `public_weights` edge by edge as they settle a
+    /// tail, and its penalty raises an edge of a found route (and its
+    /// reverse), both with an endpoint on that route; the base route and
+    /// the via-walks that bound each round are the pair's.
     fn answer(
         &self,
         net: &RoadNetwork,
@@ -387,64 +373,25 @@ impl AlternativesProvider for PenaltyProvider {
         trip: &Trip,
         pair: Option<&SearchSubstrate>,
         budget: &SearchBudget,
+        reads: Option<&mut ReadCells>,
     ) -> Result<ProviderOutcome, CoreError> {
-        self.rounds(net, public_weights, trip, pair, budget, None).0
-    }
-
-    /// Penalty's rounds run in one workspace that records the cells they
-    /// settle. They read `public_weights` edge by edge as they settle a
-    /// tail, and its penalty raises an edge of a found route (and its
-    /// reverse), both with an endpoint on that route; the base route and
-    /// the via-walks that bound each round are the pair's.
-    fn answer_reading(
-        &self,
-        net: &RoadNetwork,
-        public_weights: &[Weight],
-        trip: &Trip,
-        pair: Option<&SearchSubstrate>,
-        budget: &SearchBudget,
-        cells: &Arc<CellMap>,
-    ) -> (Result<ProviderOutcome, CoreError>, Option<ReadCells>) {
-        self.rounds(net, public_weights, trip, pair, budget, Some(cells))
-    }
-}
-
-impl PenaltyProvider {
-    /// Answers `trip`, recording in `cells` what the rounds read when
-    /// asked to and every round ran.
-    fn rounds(
-        &self,
-        net: &RoadNetwork,
-        public_weights: &[Weight],
-        trip: &Trip,
-        pair: Option<&SearchSubstrate>,
-        budget: &SearchBudget,
-        cells: Option<&Arc<CellMap>>,
-    ) -> (Result<ProviderOutcome, CoreError>, Option<ReadCells>) {
-        let mut reads = None;
+        let mut ws = lane_workspace(&self.metrics, net, budget, reads.as_deref());
         let answer = observed_call(&self.metrics, public_weights, |funnel| {
             let pair = handed(trip, pair)?;
             // Iteration zero is the pair's base route — never a search of
             // its own. The penalized re-searches run here, under this
             // call's budget, pruned by the pair's labels.
-            let mut ws = lane_workspace(&self.metrics, net, budget);
-            if let Some(cells) = cells {
-                ws.record_reads(cells);
-            }
-            let paths = penalty_alternatives_from_base(
+            penalty_alternatives_from_base(
                 &mut ws,
                 net,
                 public_weights,
                 pair,
                 &self.options,
                 funnel,
-            )?;
-            if !funnel.interrupted {
-                reads = ws.take_reads();
-            }
-            Ok(paths)
+            )
         });
-        (answer, reads)
+        add_reads(&mut ws, reads);
+        answer
     }
 }
 
@@ -472,6 +419,8 @@ impl AlternativesProvider for DissimilarityProvider {
         ProviderKind::Dissimilarity
     }
 
+    /// SSVP-D+ sweeps the pair's via-vertices and searches nothing of its
+    /// own, so it leaves `reads` as it was handed.
     fn answer(
         &self,
         net: &RoadNetwork,
@@ -479,6 +428,7 @@ impl AlternativesProvider for DissimilarityProvider {
         trip: &Trip,
         pair: Option<&SearchSubstrate>,
         budget: &SearchBudget,
+        _reads: Option<&mut ReadCells>,
     ) -> Result<ProviderOutcome, CoreError> {
         observed_call(&self.metrics, public_weights, |funnel| {
             let pair = handed(trip, pair)?;
@@ -493,21 +443,6 @@ impl AlternativesProvider for DissimilarityProvider {
                 budget,
             )
         })
-    }
-
-    /// SSVP-D+ sweeps the pair's via-vertices and searches nothing of its
-    /// own.
-    fn answer_reading(
-        &self,
-        net: &RoadNetwork,
-        public_weights: &[Weight],
-        trip: &Trip,
-        pair: Option<&SearchSubstrate>,
-        budget: &SearchBudget,
-        cells: &Arc<CellMap>,
-    ) -> (Result<ProviderOutcome, CoreError>, Option<ReadCells>) {
-        let answer = self.answer(net, public_weights, trip, pair, budget);
-        searched_nothing(answer, cells)
     }
 }
 
@@ -539,6 +474,7 @@ pub fn instrumented_providers(
 mod tests {
     use super::*;
     use crate::fixtures::grid;
+    use crate::reads::CellMap;
 
     /// The tree pair of `query` between `s` and `t` on `net`'s weights,
     /// grown in a fresh, unbudgeted workspace.
@@ -593,7 +529,7 @@ mod tests {
         let budget = SearchBudget::unlimited();
         let answer = |provider: &dyn AlternativesProvider| {
             provider
-                .answer(&net, net.weights(), pair.trip(), Some(&pair), &budget)
+                .answer(&net, net.weights(), pair.trip(), Some(&pair), &budget, None)
                 .unwrap()
         };
         let reg = Registry::new();
@@ -673,7 +609,7 @@ mod tests {
             let budget = SearchBudget::new();
             budget.cancel();
             let outcome = p
-                .answer(&net, net.weights(), pair.trip(), Some(&pair), &budget)
+                .answer(&net, net.weights(), pair.trip(), Some(&pair), &budget, None)
                 .unwrap_or_else(|e| panic!("{} errored on cancellation: {e}", p.kind()));
             assert!(outcome.is_interrupted(), "{}", p.kind());
             let partial = outcome.routes();
@@ -701,10 +637,11 @@ mod tests {
         }
     }
 
-    /// A call that ran to its end reports what its own searches read.
-    /// With what its pair's searches read, the cells hold an endpoint of
-    /// every edge of its routes, and closing every edge outside them
-    /// changes no route. An interrupted call reports nothing.
+    /// A call adds what its own searches read to the record it is handed,
+    /// seeded as a serving layer seeds it: a pair reader's with what its
+    /// pair's searches read, Google-like's empty. Once the call ran to its
+    /// end, the cells hold an endpoint of every edge of its routes, and
+    /// closing every edge outside them changes no route.
     #[test]
     fn a_call_that_ran_to_its_end_reports_what_it_read() {
         use arp_roadnet::weight::CLOSED;
@@ -728,20 +665,27 @@ mod tests {
         };
         let (pair, pair_reads) = recorded(net.weights());
         let unlimited = SearchBudget::unlimited();
-        let cancelled = SearchBudget::new();
-        cancelled.cancel();
         let edges = |routes: Vec<Route>| -> Vec<Vec<_>> {
             routes.into_iter().map(|r| r.path.edges).collect()
         };
         for p in standard_providers(&net, 42) {
             let handed = p.reads_pair().then_some(&pair);
-            let (answer, own) =
-                p.answer_reading(&net, net.weights(), pair.trip(), handed, &unlimited, &cells);
-            let mut reads = own.unwrap_or_else(|| panic!("{}: no reads", p.kind()));
-            if p.reads_pair() {
-                reads.union_with(&pair_reads);
-            }
-            let routes = answer.unwrap().routes();
+            let mut reads = if p.reads_pair() {
+                pair_reads.clone()
+            } else {
+                ReadCells::new(&cells)
+            };
+            let answer = p.answer(
+                &net,
+                net.weights(),
+                pair.trip(),
+                handed,
+                &unlimited,
+                Some(&mut reads),
+            );
+            let outcome = answer.unwrap();
+            assert!(!outcome.is_interrupted(), "{}", p.kind());
+            let routes = outcome.routes();
             assert!(!routes.is_empty(), "{}", p.kind());
             for route in &routes {
                 assert!(route.path.edges.iter().all(|&e| reads.reads_edge(&net, e)));
@@ -757,19 +701,13 @@ mod tests {
             }
             let (again, _) = recorded(&walled);
             let handed = p.reads_pair().then_some(&again);
-            let rerun = p.answer(&net, &walled, again.trip(), handed, &unlimited);
+            let rerun = p.answer(&net, &walled, again.trip(), handed, &unlimited, None);
             assert_eq!(
                 edges(rerun.unwrap().routes()),
                 edges(routes),
                 "{}",
                 p.kind()
             );
-
-            let handed = p.reads_pair().then_some(&pair);
-            let (answer, reads) =
-                p.answer_reading(&net, net.weights(), pair.trip(), handed, &cancelled, &cells);
-            assert!(answer.unwrap().is_interrupted(), "{}", p.kind());
-            assert!(reads.is_none(), "{}", p.kind());
         }
     }
 
@@ -789,6 +727,7 @@ mod tests {
                     pair.trip(),
                     Some(&pair),
                     &SearchBudget::unlimited(),
+                    None,
                 )
                 .unwrap();
             assert!(!outcome.is_interrupted());

@@ -15,8 +15,11 @@
 //! its searches run under a rule that marks each settled vertex's cell,
 //! and every other search runs as it did, at one untaken branch per
 //! query. A serving layer records a request's tree pair that way, and
-//! hands a [`CellMap`] to [`crate::AlternativesProvider::answer_reading`]
-//! for what each technique searches beyond it.
+//! hands each technique's [`crate::AlternativesProvider::answer`] a
+//! record seeded with the pair's cells (or an empty one, for a technique
+//! that reads no pair) to which the technique's own searches add theirs.
+//! Whether a record is worth keeping — whether the call ran to its end —
+//! is the caller's judgement.
 
 use std::sync::Arc;
 
@@ -107,11 +110,16 @@ pub struct ReadCells {
 
 impl ReadCells {
     /// An empty record over `map`.
-    pub(crate) fn new(map: &Arc<CellMap>) -> ReadCells {
+    pub fn new(map: &Arc<CellMap>) -> ReadCells {
         ReadCells {
             map: Arc::clone(map),
             cells: CellSet::default(),
         }
+    }
+
+    /// The map that names the record's cells.
+    pub(crate) fn map(&self) -> &Arc<CellMap> {
+        &self.map
     }
 
     /// `rule`, marking here the cell of every vertex its search settles.

@@ -1088,7 +1088,7 @@ fn check_reuse(
             ));
         }
         let routes = google
-            .answer(net, weights, pair.trip(), None, &unlimited)
+            .answer(net, weights, pair.trip(), None, &unlimited, None)
             .unwrap();
         let routes: Vec<_> = routes.routes().into_iter().map(|r| r.path.edges).collect();
         let want = reference_google_like(net, weights, google, (s, t), &query);
@@ -1358,7 +1358,7 @@ fn check_epoch_pairs(
             };
             let answer = |p: &dyn AlternativesProvider| {
                 let fed = p.reads_pair().then_some(&pair);
-                let outcome = p.answer(net, column, pair.trip(), fed, &budget);
+                let outcome = p.answer(net, column, pair.trip(), fed, &budget, None);
                 outcome.map(|o| o.routes())
             };
             answers.push(
@@ -1895,7 +1895,7 @@ proptest! {
 
         for provider in standard_providers(&net, 42) {
             let own = provider.alternatives(&net, net.weights(), s, t, &q).unwrap();
-            let fed = provider.answer(&net, net.weights(), sub.trip(), Some(&sub), &budget)
+            let fed = provider.answer(&net, net.weights(), sub.trip(), Some(&sub), &budget, None)
                 .unwrap().routes();
             prop_assert_eq!(&own, &fed, "{} differs on the shared substrate", provider.kind());
         }

@@ -473,6 +473,17 @@ mod tests {
             panic!("cancelled lane must come back truncated");
         };
         assert!(partial.routes.is_empty());
+        // Only a lane that reached its verdict keeps what it read: the
+        // completed part has a basis, and no truncated one does — whether
+        // it searched for itself or read the pair.
+        assert!(full.basis.is_some(), "a completed part keeps its basis");
+        for lane in 0..backend.lanes() {
+            let outcome = backend.run_lane(&prepared, lane, &token).unwrap();
+            let LaneOutcome::Truncated(part) = outcome else {
+                panic!("lane {lane}: a cancelled lane comes back truncated");
+            };
+            assert!(part.basis.is_none(), "lane {lane}: a truncated basis");
+        }
 
         // Partial assembly keeps the blind A-D structure and flags the
         // truncation; abandoned slots keep their label with no routes.

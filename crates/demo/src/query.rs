@@ -132,8 +132,9 @@ pub struct PreparedQuery {
     /// forward tree had proven it) or the pair is unroutable. Starts as
     /// `Err((Interrupted, None))`: nothing proven yet.
     pub(crate) substrate: Result<Arc<SearchSubstrate>, (CoreError, Option<Path>)>,
-    /// The map cells the pair's searches read, when they ran to a verdict:
-    /// a built pair, or an unreachable target a complete search proved.
+    /// The map cells the pair's searches read, whether or not they ran
+    /// to a verdict (`None` before the prepare step): every pair reader's
+    /// record starts from them ([`QueryProcessor::compute_slot_prepared`]).
     pub(crate) pair_reads: Option<ReadCells>,
     /// The pinned traffic epoch this request computes and prices on
     /// (epoch 0 shares the base column). Pinned once at request
@@ -512,7 +513,7 @@ impl QueryProcessor {
     /// base column's landmark table, read at the epoch's bound scale, to
     /// the stretch bound of the processor's [`AltQuery`], and records
     /// the outcome on the request for every lane to read, with the map
-    /// cells the build's searches read when it ran to a verdict. Failures are
+    /// cells the build's searches read. Failures are
     /// [`SearchSubstrate::build`]'s: the budget tripped (with the base
     /// route, when the forward tree had proven it), or the pair is
     /// unroutable. The workspace and the pair's trees are lent from
@@ -546,11 +547,7 @@ impl QueryProcessor {
             Ok(_) => self.substrate_metrics.builds.inc(),
             Err(_) => self.substrate_metrics.build_failures.inc(),
         }
-        let reads = ws.take_reads();
-        request.pair_reads = match &built {
-            Ok(_) | Err((CoreError::Unreachable { .. }, _)) => reads,
-            Err(_) => None,
-        };
+        request.pair_reads = ws.take_reads();
         request.substrate = built.map(Arc::new);
         request
     }
@@ -586,9 +583,12 @@ impl QueryProcessor {
     /// answer with zero routes, not an error: it is what every technique
     /// says about the trip.
     ///
-    /// A slot that ran to its end keeps its [`Basis`]: the cells its
-    /// searches read (a pair reader's include the pair's), and the
-    /// snapshot's closures, factors (when it read them) and publication.
+    /// Each slot's record of the cells its searches read starts from the
+    /// pair's (a pair reader) or empty (Google-like), and the provider adds
+    /// its own. A slot whose outcome was not interrupted keeps it in its
+    /// [`Basis`], with the snapshot's closures, factors (when it read them)
+    /// and publication; an interrupted slot keeps none. Only a kept basis
+    /// is ever judged against a later epoch ([`Self::reuse_slot`]).
     pub fn compute_slot_prepared(
         &self,
         q: &PreparedQuery,
@@ -602,35 +602,30 @@ impl QueryProcessor {
             target: q.snapped.target,
             query: self.query,
         };
-        let cells = &self.cells;
-        let (answered, reads) = if !provider.reads_pair() {
-            provider.answer_reading(net, weights, &trip, None, budget, cells)
+        let mut reads = if provider.reads_pair() {
+            q.pair_reads.clone()
         } else {
-            match &q.substrate {
-                Ok(pair) => {
-                    let (answered, own) =
-                        provider.answer_reading(net, weights, &trip, Some(pair), budget, cells);
-                    let reads = own.zip(q.pair_reads.as_ref()).map(|(mut own, pair)| {
-                        own.union_with(pair);
-                        own
-                    });
-                    (answered, reads)
-                }
-                Err((CoreError::Interrupted, proven)) => {
-                    let partial = proven
-                        .iter()
-                        .map(|p| Route::new(p.clone(), weights))
-                        .collect();
-                    (Ok(ProviderOutcome::Interrupted { partial }), None)
-                }
-                Err((e, _)) => (Err(e.clone()), q.pair_reads.clone()),
+            Some(ReadCells::new(&self.cells))
+        };
+        let answered = match (provider.reads_pair(), &q.substrate) {
+            (false, _) => provider.answer(net, weights, &trip, None, budget, reads.as_mut()),
+            (true, Ok(pair)) => {
+                provider.answer(net, weights, &trip, Some(pair), budget, reads.as_mut())
             }
+            (true, Err((CoreError::Interrupted, proven))) => {
+                let partial = proven
+                    .iter()
+                    .map(|p| Route::new(p.clone(), weights))
+                    .collect();
+                Ok(ProviderOutcome::Interrupted { partial })
+            }
+            (true, Err((e, _))) => Err(e.clone()),
         };
         let outcome = match answered {
             Err(CoreError::Unreachable { .. }) => ProviderOutcome::Complete(Vec::new()),
             answered => answered?,
         };
-        let basis = reads.map(|reads| {
+        let basis = reads.filter(|_| !outcome.is_interrupted()).map(|reads| {
             Box::new(Basis {
                 closed: Arc::clone(q.overlay.closed()),
                 reads,

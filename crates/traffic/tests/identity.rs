@@ -127,6 +127,7 @@ fn identity_round_trip(city: City) {
                     sub_base.trip(),
                     Some(&sub_base),
                     &budget,
+                    None,
                 )
                 .expect("base substrate path must route")
                 .routes();
@@ -137,6 +138,7 @@ fn identity_round_trip(city: City) {
                     sub_snap.trip(),
                     Some(&sub_snap),
                     &budget,
+                    None,
                 )
                 .expect("identity substrate path must route")
                 .routes();

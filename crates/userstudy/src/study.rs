@@ -219,7 +219,7 @@ mod tests {
     use crate::participant::unanswered;
     use arp_citygen::{City, Scale};
     use arp_core::provider::{standard_providers, ProviderKind, ProviderOutcome};
-    use arp_core::{CoreError, SearchBudget, SearchSubstrate, Trip};
+    use arp_core::{CoreError, ReadCells, SearchBudget, SearchSubstrate, Trip};
     use arp_roadnet::weight::Weight;
 
     #[test]
@@ -316,6 +316,7 @@ mod tests {
             _: &Trip,
             _: Option<&SearchSubstrate>,
             _: &SearchBudget,
+            _: Option<&mut ReadCells>,
         ) -> Result<ProviderOutcome, CoreError> {
             Ok(ProviderOutcome::Complete(Vec::new()))
         }
